@@ -26,7 +26,9 @@ func (in *Instance) Contains(t Tuple) bool {
 	return ok
 }
 
-// Each calls f for every tuple. Iteration order is unspecified; f must
+// Each calls f for every tuple, in insertion order as long as nothing
+// was removed (a removal swaps the last tuple into the hole), which is
+// what engine.BoolRestrict* document and their callers rely on. f must
 // not mutate the instance.
 func (in *Instance) Each(f func(t Tuple)) {
 	for _, t := range in.list {

@@ -16,22 +16,26 @@ import (
 // of Section 6: all applications below are thin wrappers over it, sound
 // by Proposition 4.2. The MVCC horizon is pinned once on entry (the
 // view's own horizon when e is a View), so the streamed rows form one
-// consistent epoch snapshot, lock-free against concurrent writers.
+// consistent epoch snapshot, lock-free against concurrent writers;
+// wrappers that forward At/Horizon (wal.Store, wal.Follower) resolve to
+// the engine underneath (see pin), a sharded engine's rows merge to
+// global insertion order first.
 func Specialize[T any](e Reader, s upstruct.Structure[T], env upstruct.Env[T], f func(rel string, t db.Tuple, v T)) {
-	switch v := e.(type) {
-	case *Engine:
-		specializeAt(v, v.Horizon(), s, env, f)
-	case *ShardedEngine:
-		specializeShardedAt(v, v.Horizon(), s, env, f)
-	case *engineView:
-		specializeAt(v.e, v.s, s, env, f)
-	case *shardedView:
-		specializeShardedAt(v.se, v.s, s, env, f)
-	default:
+	p, ok := pin(e)
+	if !ok {
 		// Generic fallback over materialized annotations.
 		e.Rows(func(rel string, t db.Tuple, ann *core.Expr) {
 			f(rel, t, upstruct.Eval(ann, s, env))
 		})
+		return
+	}
+	mode := p.mode()
+	for _, rel := range p.schema().Names() {
+		for _, r := range p.rows(rel) {
+			if ver := r.at(p.at); ver != nil {
+				f(rel, r.tuple, evalVersion(mode, ver, s, env))
+			}
+		}
 	}
 }
 
@@ -41,39 +45,6 @@ func evalVersion[T any](mode Mode, ver *version, s upstruct.Structure[T], env up
 		return upstruct.Eval(ver.expr, s, env)
 	}
 	return upstruct.EvalNF(ver.nf, s, env)
-}
-
-// specializeAt is the lock-free core of Specialize at one pinned
-// horizon.
-func specializeAt[T any](e *Engine, at uint64, s upstruct.Structure[T], env upstruct.Env[T], f func(rel string, t db.Tuple, v T)) {
-	for _, rel := range e.schema.Names() {
-		tbl := e.tables[rel]
-		for _, r := range tbl.list.snapshot() {
-			if r.seq > at {
-				break // plain-engine lists are sequence-ordered
-			}
-			ver := r.at(at)
-			if ver == nil {
-				continue
-			}
-			f(rel, r.tuple, evalVersion(e.mode, ver, s, env))
-		}
-	}
-}
-
-// specializeShardedAt is the sharded core of Specialize: rows merge to
-// global insertion order at the pinned horizon before evaluation, so
-// the stream is identical to the single engine's.
-func specializeShardedAt[T any](se *ShardedEngine, at uint64, s upstruct.Structure[T], env upstruct.Env[T], f func(rel string, t db.Tuple, v T)) {
-	for _, rel := range se.schema.Names() {
-		for _, r := range se.mergedRowsAt(rel, at) {
-			ver := r.at(at)
-			if ver == nil {
-				continue
-			}
-			f(rel, r.tuple, evalVersion(se.mode, ver, s, env))
-		}
-	}
 }
 
 // BoolRestrict materializes the database selected by a Boolean

@@ -4,17 +4,100 @@ import (
 	"context"
 	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"hyperprov/internal/db"
 	"hyperprov/internal/upstruct"
 )
 
-// rowChunk is one relation-homogeneous slice of rows handed to a
-// specialization worker, together with the horizon its rows must be
-// resolved at.
+// walkChunkRows is the unit of work of the chunked walker: workers pull
+// chunks of this many rows until none are left, so a skewed relation or
+// a slow worker never leaves the others idle, and a per-chunk result
+// (a tuple slice, an encoded buffer) stays cache-sized. Cancellation is
+// observed between chunks, i.e. within about a millisecond of
+// evaluation.
+const walkChunkRows = 1024
+
+// pinned is a Reader resolved to the engine-native storage behind it at
+// one horizon: exactly one of e/se is set.
+type pinned struct {
+	e  *Engine
+	se *ShardedEngine
+	at uint64
+}
+
+// pin resolves a Reader to its storage. Views carry their horizon;
+// everything else that can pin one — the live engines, and wrappers
+// forwarding At/Horizon such as wal.Store, wal.Follower or an embedding
+// struct — is pinned through its own At(Horizon()), so the set of
+// wrappers is open. ok=false means a foreign Reader that only the
+// generic Rows-based fallbacks can serve.
+func pin(r Reader) (p pinned, ok bool) {
+	if d, isDB := r.(interface {
+		At(seq uint64) View
+		Horizon() uint64
+	}); isDB {
+		r = d.At(d.Horizon())
+	}
+	switch v := r.(type) {
+	case *engineView:
+		return pinned{e: v.e, at: v.s}, true
+	case *shardedView:
+		return pinned{se: v.se, at: v.s}, true
+	}
+	return pinned{}, false
+}
+
+// ShardedBehind returns the hash-sharded engine serving r, looking
+// through views and persistent wrappers; ok=false on a single engine.
+func ShardedBehind(r Reader) (se *ShardedEngine, ok bool) {
+	p, _ := pin(r)
+	return p.se, p.se != nil
+}
+
+func (p pinned) mode() Mode {
+	if p.se != nil {
+		return p.se.mode
+	}
+	return p.e.mode
+}
+
+func (p pinned) schema() *db.Schema {
+	if p.se != nil {
+		return p.se.schema
+	}
+	return p.e.schema
+}
+
+// rows returns the relation's rows visible at the pinned horizon, in
+// insertion order. Lock-free: the list is snapshotted and rows beyond
+// the horizon excluded up front, so callers only resolve versions.
+func (p pinned) rows(rel string) []*row {
+	if p.se != nil {
+		return p.se.mergedRowsAt(rel, p.at)
+	}
+	tbl := p.e.tables[rel]
+	rows := tbl.list.snapshot()
+	// Visible rows form a prefix (plain-engine lists are
+	// sequence-ordered); the trim walks the contiguous sequence vector
+	// instead of chasing row pointers.
+	n := len(rows)
+	if seqs := tbl.cols.seqPrefix(n); len(seqs) == n {
+		for n > 0 && seqs[n-1] > p.at {
+			n--
+		}
+	} else {
+		for n > 0 && rows[n-1].seq > p.at {
+			n--
+		}
+	}
+	return rows[:n]
+}
+
+// rowChunk is one relation-homogeneous run of at most walkChunkRows
+// rows.
 type rowChunk struct {
 	rel  string
-	at   uint64
 	rows []*row
 }
 
@@ -25,109 +108,84 @@ type rowChunk struct {
 // pins row snapshots.
 var chunkPool = sync.Pool{
 	New: func() any {
-		s := make([]rowChunk, 0, 16)
+		s := make([]rowChunk, 0, 128)
 		return &s
 	},
 }
 
-func getChunkBuf() []rowChunk {
-	return (*chunkPool.Get().(*[]rowChunk))[:0]
-}
-
 func putChunkBuf(chunks []rowChunk) {
-	chunks = chunks[:cap(chunks)]
-	for i := range chunks {
-		chunks[i] = rowChunk{}
-	}
+	clear(chunks[:cap(chunks)])
 	chunks = chunks[:0]
 	chunkPool.Put(&chunks)
 }
 
-// chunksAt splits every relation's visible rows at horizon s into up to
-// workers pieces, in deterministic order (schema order, then row order
-// within the relation), appending into buf. Lock-free: the lists are
-// snapshotted and rows beyond the horizon excluded up front, so workers
-// only resolve versions.
-func (e *Engine) chunksAt(buf []rowChunk, workers int, s uint64) []rowChunk {
-	chunks := buf
-	for _, rel := range e.schema.Names() {
-		tbl := e.tables[rel]
-		rows := tbl.list.snapshot()
-		// Visible rows form a prefix (plain-engine lists are
-		// sequence-ordered); the trim walks the contiguous sequence
-		// vector instead of chasing row pointers.
-		n := len(rows)
-		if seqs := tbl.cols.seqPrefix(n); len(seqs) == n {
-			for n > 0 && seqs[n-1] > s {
-				n--
-			}
-		} else {
-			for n > 0 && rows[n-1].seq > s {
-				n--
-			}
-		}
-		rows = rows[:n]
-		per := (len(rows) + workers - 1) / workers
-		if per == 0 {
-			continue
-		}
-		for start := 0; start < len(rows); start += per {
-			end := min(start+per, len(rows))
-			chunks = append(chunks, rowChunk{rel: rel, at: s, rows: rows[start:end]})
+// chunks cuts every relation's visible rows into fixed-size pieces in
+// the deterministic global order (schema order, then insertion order),
+// in a pooled buffer the caller returns through putChunkBuf.
+func (p pinned) chunks() []rowChunk {
+	chunks := (*chunkPool.Get().(*[]rowChunk))[:0]
+	for _, rel := range p.schema().Names() {
+		rows := p.rows(rel)
+		for start := 0; start < len(rows); start += walkChunkRows {
+			end := min(start+walkChunkRows, len(rows))
+			chunks = append(chunks, rowChunk{rel: rel, rows: rows[start:end]})
 		}
 	}
 	return chunks
 }
 
-// chunksAt splits the shard-merged visible rows (global insertion
-// order at horizon s) into up to workers pieces per relation.
-func (se *ShardedEngine) chunksAt(buf []rowChunk, workers int, s uint64) []rowChunk {
-	chunks := buf
-	for _, rel := range se.schema.Names() {
-		rows := se.mergedRowsAt(rel, s)
-		per := (len(rows) + workers - 1) / workers
-		if per == 0 {
-			continue
-		}
-		for start := 0; start < len(rows); start += per {
-			end := min(start+per, len(rows))
-			chunks = append(chunks, rowChunk{rel: rel, at: s, rows: rows[start:end]})
-		}
-	}
-	return chunks
-}
+// chunkWalks counts chunked passes; tests assert that wrapped readers
+// reach the walker instead of the generic fallback.
+var chunkWalks atomic.Uint64
 
-// readerChunks resolves a Reader to its chunk list (built in a pooled
-// buffer the caller must return via putChunkBuf) and mode, or ok=false
-// for foreign implementations that must use the generic fallback.
-func readerChunks(e Reader, workers int) (chunks []rowChunk, mode Mode, ok bool) {
-	switch v := e.(type) {
-	case *Engine:
-		return v.chunksAt(getChunkBuf(), workers, v.Horizon()), v.mode, true
-	case *ShardedEngine:
-		return v.chunksAt(getChunkBuf(), workers, v.Horizon()), v.mode, true
-	case *engineView:
-		return v.e.chunksAt(getChunkBuf(), workers, v.s), v.e.mode, true
-	case *shardedView:
-		return v.se.chunksAt(getChunkBuf(), workers, v.s), v.se.mode, true
-	default:
-		return nil, 0, false
+// walkChunks is the one parallel loop of the package: up to workers
+// goroutines (the caller's own when one suffices) pull chunk indexes
+// from a shared counter and run the visitor newVisit built for them, so
+// a visitor may keep worker-private scratch. ctx is checked before
+// every pull; on cancellation chunks already started still complete and
+// ctx.Err() is returned.
+func walkChunks(ctx context.Context, chunks []rowChunk, workers int, newVisit func() func(i int, c rowChunk)) error {
+	chunkWalks.Add(1)
+	var next atomic.Int64
+	pull := func() {
+		visit := newVisit()
+		for ctx.Err() == nil {
+			i := int(next.Add(1)) - 1
+			if i >= len(chunks) {
+				return
+			}
+			visit(i, chunks[i])
+		}
 	}
+	if workers = min(workers, len(chunks)); workers <= 1 {
+		pull()
+		return ctx.Err()
+	}
+	var wg sync.WaitGroup
+	wg.Add(workers)
+	for w := 0; w < workers; w++ {
+		go func() {
+			defer wg.Done()
+			pull()
+		}()
+	}
+	wg.Wait()
+	return ctx.Err()
 }
 
 // SpecializeParallel is Specialize with row evaluation spread over
 // workers goroutines (0 = GOMAXPROCS). Expressions are immutable and
 // the structure's operations must be pure, so evaluation parallelizes
 // trivially; f is called from multiple goroutines and must be safe for
-// concurrent use (or accumulate per-chunk as BoolRestrictParallel
-// does). The MVCC horizon is pinned once at entry (a View's own pinned
-// horizon is used as-is), so the pass is lock-free and consistent
-// against concurrent writers. ctx is checked at chunk boundaries
-// before dispatch; on cancellation the pass stops early — chunks
-// already dispatched still complete — and ctx.Err() is returned. This
-// is a beyond-the-paper extension: provenance usage is the measurement
-// of Figures 7c/8c, and valuation is embarrassingly parallel, unlike
-// the re-execution baseline.
+// concurrent use (or accumulate per chunk as LiveChunks does). With one
+// worker rows stream in Specialize's order. The MVCC horizon is pinned
+// once at entry (a View's own pinned horizon is used as-is), so the
+// pass is lock-free and consistent against concurrent writers. ctx is
+// checked at chunk boundaries; on cancellation the pass stops early —
+// chunks already started still complete — and ctx.Err() is returned.
+// This is a beyond-the-paper extension: provenance usage is the
+// measurement of Figures 7c/8c, and valuation is embarrassingly
+// parallel, unlike the re-execution baseline.
 func SpecializeParallel[T any](ctx context.Context, e Reader, s upstruct.Structure[T], env upstruct.Env[T], workers int, f func(rel string, t db.Tuple, v T)) error {
 	if ctx == nil {
 		ctx = context.Background()
@@ -135,14 +193,7 @@ func SpecializeParallel[T any](ctx context.Context, e Reader, s upstruct.Structu
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers == 1 {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		Specialize(e, s, env, f)
-		return nil
-	}
-	chunks, mode, ok := readerChunks(e, workers)
+	p, ok := pin(e)
 	if !ok {
 		if err := ctx.Err(); err != nil {
 			return err
@@ -150,87 +201,128 @@ func SpecializeParallel[T any](ctx context.Context, e Reader, s upstruct.Structu
 		Specialize(e, s, env, f)
 		return nil
 	}
+	chunks := p.chunks()
 	defer putChunkBuf(chunks)
-	return specializeChunks(ctx, chunks, mode, s, env, f)
-}
-
-func specializeChunks[T any](ctx context.Context, chunks []rowChunk, mode Mode, s upstruct.Structure[T], env upstruct.Env[T], f func(rel string, t db.Tuple, v T)) error {
-	var wg sync.WaitGroup
-	for i := range chunks {
-		if ctx.Err() != nil {
-			break
-		}
-		wg.Add(1)
-		go func(c rowChunk) {
-			defer wg.Done()
-			for _, r := range c.rows {
-				ver := r.at(c.at)
-				if ver == nil {
-					continue
-				}
+	mode := p.mode()
+	visit := func(_ int, c rowChunk) {
+		for _, r := range c.rows {
+			if ver := r.at(p.at); ver != nil {
 				f(c.rel, r.tuple, evalVersion(mode, ver, s, env))
 			}
-		}(chunks[i])
+		}
 	}
-	wg.Wait()
-	return ctx.Err()
+	return walkChunks(ctx, chunks, workers, func() func(int, rowChunk) { return visit })
 }
 
-// BoolRestrictParallel materializes the database selected by a Boolean
-// valuation using parallel evaluation. Workers accumulate hits into
-// private buffers (no shared state on the hot path) that are merged in
-// chunk order at the end, so the result's insertion order matches the
-// sequential BoolRestrict on either engine (or view). env must be safe
-// for concurrent use (pure functions and MapEnv lookups are). The
-// horizon is pinned once at entry; the pass is lock-free. ctx is
-// checked at chunk boundaries; on cancellation, (nil, ctx.Err()) is
-// returned.
-func BoolRestrictParallel(ctx context.Context, e Reader, env upstruct.Env[bool], workers int) (*db.Database, error) {
+// Chunk describes one piece of a LiveChunks pass: a run of up to
+// walkChunkRows rows of one relation.
+type Chunk struct {
+	// Rel is the relation the chunk's rows belong to.
+	Rel string
+	// Rows counts the rows evaluated, live or not.
+	Rows int
+}
+
+// LiveChunks evaluates the Boolean valuation env over every row r sees
+// and calls visit once per chunk — from the worker goroutine that
+// evaluated it — with the chunk's live tuples (those whose provenance
+// came out true) in insertion order. live is worker scratch, valid
+// only during the call. The visit results come back in chunk order —
+// relations in schema order, rows in insertion order — so
+// concatenating what they hold reproduces the sequential BoolRestrict
+// order for any workers and shard count; chunks with no live tuple are
+// visited too. Nothing is materialized per row: this is the building
+// block for consumers that fold live tuples straight into their own
+// output (BoolRestrictParallel into a db.Database, the HTTP server into
+// response bytes). env must be safe for concurrent use (pure functions
+// and MapEnv lookups are). Horizon pinning, workers and ctx behave as
+// in SpecializeParallel; on cancellation the results are dropped and
+// (nil, ctx.Err()) is returned.
+func LiveChunks[R any](ctx context.Context, r Reader, env upstruct.Env[bool], workers int, visit func(c Chunk, live []db.Tuple) R) ([]R, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	chunks, mode, ok := readerChunks(e, workers)
+	p, ok := pin(r)
 	if !ok {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		return BoolRestrict(e, env), nil
+		return liveChunksGeneric(r, env, visit), nil
 	}
+	chunks := p.chunks()
 	defer putChunkBuf(chunks)
-	hits := make([][]db.Tuple, len(chunks))
-	var wg sync.WaitGroup
-	for i := range chunks {
-		if ctx.Err() != nil {
-			break
-		}
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			c := chunks[i]
-			local := make([]db.Tuple, 0, len(c.rows))
+	mode := p.mode()
+	out := make([]R, len(chunks))
+	err := walkChunks(ctx, chunks, workers, func() func(int, rowChunk) {
+		live := make([]db.Tuple, 0, walkChunkRows)
+		return func(i int, c rowChunk) {
+			live = live[:0]
 			for _, r := range c.rows {
-				ver := r.at(c.at)
-				if ver == nil {
-					continue
-				}
-				if evalVersion(mode, ver, upstruct.Bool, env) {
-					local = append(local, r.tuple)
+				if ver := r.at(p.at); ver != nil && evalVersion(mode, ver, upstruct.Bool, env) {
+					live = append(live, r.tuple)
 				}
 			}
-			hits[i] = local
-		}(i)
+			out[i] = visit(Chunk{Rel: c.rel, Rows: len(c.rows)}, live)
+		}
+	})
+	if err != nil {
+		return nil, err
 	}
-	wg.Wait()
-	if err := ctx.Err(); err != nil {
+	return out, nil
+}
+
+// liveChunksGeneric is the sequential LiveChunks of a foreign Reader,
+// cut into the same chunk shape over materialized annotations.
+func liveChunksGeneric[R any](r Reader, env upstruct.Env[bool], visit func(c Chunk, live []db.Tuple) R) []R {
+	var out []R
+	c := Chunk{}
+	live := make([]db.Tuple, 0, walkChunkRows)
+	flush := func() {
+		if c.Rows > 0 {
+			out = append(out, visit(c, live))
+		}
+		c = Chunk{}
+		live = live[:0]
+	}
+	Specialize(r, upstruct.Bool, env, func(rel string, t db.Tuple, v bool) {
+		if rel != c.Rel || c.Rows == walkChunkRows {
+			flush()
+			c.Rel = rel
+		}
+		c.Rows++
+		if v {
+			live = append(live, t)
+		}
+	})
+	flush()
+	return out
+}
+
+// BoolRestrictParallel materializes the database selected by a Boolean
+// valuation using parallel evaluation: LiveChunks with each chunk's
+// live tuples copied out and inserted in chunk order, so the result's
+// insertion order matches the sequential BoolRestrict on either engine
+// (or view, or wrapper). env must be safe for concurrent use. On
+// cancellation, (nil, ctx.Err()) is returned.
+func BoolRestrictParallel(ctx context.Context, e Reader, env upstruct.Env[bool], workers int) (*db.Database, error) {
+	type hits struct {
+		rel    string
+		tuples []db.Tuple
+	}
+	chunks, err := LiveChunks(ctx, e, env, workers, func(c Chunk, live []db.Tuple) hits {
+		return hits{rel: c.Rel, tuples: append([]db.Tuple(nil), live...)}
+	})
+	if err != nil {
 		return nil, err
 	}
 	out := db.NewDatabase(e.Schema())
-	for i, c := range chunks {
-		for _, t := range hits[i] {
-			_ = out.InsertTuple(c.rel, t)
+	for _, h := range chunks {
+		for _, t := range h.tuples {
+			// Tuples stored by the engine conform by construction.
+			_ = out.InsertTuple(h.rel, t)
 		}
 	}
 	return out, nil

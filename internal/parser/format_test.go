@@ -1,6 +1,9 @@
 package parser_test
 
 import (
+	"fmt"
+	"math"
+	"math/rand"
 	"strings"
 	"testing"
 
@@ -121,5 +124,79 @@ func TestFormatSQLErrors(t *testing.T) {
 	noop := db.Modify("Products", db.AllPattern(3), make([]db.SetClause, 3))
 	if _, err := parser.FormatSQL(s, noop); err == nil {
 		t.Error("modification without SET clauses accepted")
+	}
+}
+
+// TestFormatLogRoundTripFloats is the round-trip property for float
+// constants: db.Value.String renders them with 'g', which switches to
+// exponent form from 1e6 up and below 1e-4, and the lexer's number rule
+// must take every such rendering back — in the SQL log and in the
+// datalog notation, in inserted rows, selection constants,
+// disequalities and SET clauses alike — to the bit-identical value.
+func TestFormatLogRoundTripFloats(t *testing.T) {
+	s, err := db.NewSchema(db.MustRelationSchema("M",
+		db.Attribute{Name: "id", Kind: db.KindInt},
+		db.Attribute{Name: "x", Kind: db.KindFloat}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	floats := []float64{
+		0, 1, -1, 3, 0.5, 999999, 1e6, 1.00004346e+06, 123456789, 1e20, 1e21, 1.5e21, 1e300,
+		math.MaxFloat64, 1e-4, 9.99e-5, 1e-7, 2.5e-9, 5e-324, -1e6, -1e21, -1e-7, -1234567.25,
+	}
+	rng := rand.New(rand.NewSource(13))
+	for i := 0; i < 200; i++ {
+		// Magnitudes across the whole exponent range, both signs,
+		// integral and fractional mantissas.
+		f := math.Ldexp(float64(rng.Intn(1<<20))/float64(int(1)<<uint(rng.Intn(12))), rng.Intn(200)-100)
+		if rng.Intn(2) == 0 {
+			f = -f
+		}
+		floats = append(floats, f)
+	}
+	var txns []db.Transaction
+	for i, f := range floats {
+		v := db.F(f)
+		txns = append(txns, db.Transaction{Label: fmt.Sprintf("t%d", i), Updates: []db.Update{
+			db.Insert("M", db.Tuple{db.I(int64(i)), v}),
+			db.Modify("M", db.Pattern{db.AnyVar("a"), db.Const(v)}, []db.SetClause{db.Keep(), db.SetTo(db.F(-f))}),
+			db.Delete("M", db.Pattern{db.Const(db.I(-1)), db.VarNotEq("b", v)}),
+		}})
+	}
+	formats := map[string]struct {
+		format func(*db.Schema, []db.Transaction) (string, error)
+		parse  func(*db.Schema, string) ([]db.Transaction, error)
+	}{
+		"sql":     {parser.FormatSQLLog, parser.ParseSQLLog},
+		"datalog": {parser.FormatDatalogLog, parser.ParseDatalogLog},
+	}
+	for name, f := range formats {
+		src, err := f.format(s, txns)
+		if err != nil {
+			t.Fatalf("%s: format: %v", name, err)
+		}
+		back, err := f.parse(s, src)
+		if err != nil {
+			t.Fatalf("%s: reparse: %v", name, err)
+		}
+		if len(back) != len(txns) {
+			t.Fatalf("%s: %d transactions back, want %d", name, len(back), len(txns))
+		}
+		for i := range txns {
+			want := db.F(floats[i])
+			ups := back[i].Updates
+			if len(ups) != 3 {
+				t.Fatalf("%s: transaction %d (%v) came back with %d updates", name, i, want, len(ups))
+			}
+			got := []db.Value{ups[0].Row[1], ups[1].Sel[1].Value(), ups[2].Sel[1].NotEq()[0]}
+			for j, g := range got {
+				if g != want {
+					t.Errorf("%s: float %v position %d came back as %v", name, want, j, g)
+				}
+			}
+			if g := ups[1].Set[1].Val; g != db.F(-floats[i]) {
+				t.Errorf("%s: SET to %v came back as %v", name, db.F(-floats[i]), g)
+			}
+		}
 	}
 }

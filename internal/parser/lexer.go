@@ -79,11 +79,27 @@ func (l *lexer) scan() error {
 				l.pos++
 			}
 			l.toks = append(l.toks, token{kind: tokString, text: b.String(), pos: start})
-		case c >= '0' && c <= '9' || (c == '-' && l.pos+1 < len(l.src) && l.src[l.pos+1] >= '0' && l.src[l.pos+1] <= '9'):
+		case isDigit(c) || (c == '-' && l.pos+1 < len(l.src) && isDigit(l.src[l.pos+1])):
 			start := l.pos
 			l.pos++
-			for l.pos < len(l.src) && (l.src[l.pos] >= '0' && l.src[l.pos] <= '9' || l.src[l.pos] == '.') {
+			for l.pos < len(l.src) && (isDigit(l.src[l.pos]) || l.src[l.pos] == '.') {
 				l.pos++
+			}
+			// Exponent [eE][+-]?digits: db.Value.String renders floats
+			// with 'g', so anything from 1e6 up, or below 1e-4, comes back
+			// from the formatters in this shape. Taken only when a digit
+			// follows, so "1e" stays a number and an identifier.
+			if l.pos < len(l.src) && (l.src[l.pos] == 'e' || l.src[l.pos] == 'E') {
+				end := l.pos + 1
+				if end < len(l.src) && (l.src[end] == '+' || l.src[end] == '-') {
+					end++
+				}
+				if end < len(l.src) && isDigit(l.src[end]) {
+					for end < len(l.src) && isDigit(l.src[end]) {
+						end++
+					}
+					l.pos = end
+				}
 			}
 			l.toks = append(l.toks, token{kind: tokNumber, text: l.src[start:l.pos], pos: start})
 		case unicode.IsLetter(rune(c)) || c == '_':
@@ -106,6 +122,8 @@ func (l *lexer) scan() error {
 	l.toks = append(l.toks, token{kind: tokEOF, pos: l.pos})
 	return nil
 }
+
+func isDigit(c byte) bool { return c >= '0' && c <= '9' }
 
 func (l *lexer) peek() token { return l.toks[l.i] }
 

@@ -18,6 +18,12 @@
 // /v1/snapshot swaps the served engine while in-flight requests keep
 // streaming from the one they started with.
 //
+// The database-shaped answers (/v1/db and the what-ifs) are evaluated
+// and JSON-encoded in one chunked parallel pass over the pinned view —
+// see livejson.go — and, like the snapshot download, written straight
+// to the connection under the request deadline; every other route is
+// bounded by http.TimeoutHandler.
+//
 // Every endpoint is instrumented with expvar-compatible counters
 // (<endpoint>.requests, <endpoint>.errors, <endpoint>.latency_us),
 // served at GET /v1/metrics and publishable into the process-global

@@ -334,25 +334,6 @@ func annotNames(as []core.Annot) []string {
 	return out
 }
 
-// restrictParallel runs the Boolean-valuation materialization shared by
-// the db and what-if endpoints — against the live engine or an ?as_of=
-// view, resolved by the caller — translating the workers parameter and
-// request-context cancellation into envelope errors. ok=false means the
-// error response has been written.
-func (s *Server) restrictParallel(w http.ResponseWriter, req *http.Request, e engine.Reader, env upstruct.Env[bool]) (*db.Database, bool) {
-	workers, err := workersParam(req)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, codeBadRequest, "%v", err)
-		return nil, false
-	}
-	d, err := engine.BoolRestrictParallel(req.Context(), e, env, workers)
-	if err != nil {
-		writeError(w, http.StatusServiceUnavailable, codeCanceled, "%v", err)
-		return nil, false
-	}
-	return d, true
-}
-
 // handleDB serves the live database — the all-true valuation — with
 // parallel evaluation. ?as_of=N serves the database as of epoch N.
 func (s *Server) handleDB(w http.ResponseWriter, req *http.Request) {
@@ -360,11 +341,7 @@ func (s *Server) handleDB(w http.ResponseWriter, req *http.Request) {
 	if !ok {
 		return
 	}
-	d, ok := s.restrictParallel(w, req, e, func(core.Annot) bool { return true })
-	if !ok {
-		return
-	}
-	writeJSON(w, http.StatusOK, dbJSON(d))
+	s.serveLive(w, req, e, func(core.Annot) bool { return true })
 }
 
 type deletionRequest struct {
@@ -393,11 +370,7 @@ func (s *Server) handleDeletion(w http.ResponseWriter, req *http.Request) {
 	for _, name := range dr.Tuples {
 		dead[core.TupleAnnot(name)] = false
 	}
-	d, ok := s.restrictParallel(w, req, e, upstruct.MapEnv(dead, true))
-	if !ok {
-		return
-	}
-	writeJSON(w, http.StatusOK, dbJSON(d))
+	s.serveLive(w, req, e, upstruct.MapEnv(dead, true))
 }
 
 type abortRequest struct {
@@ -425,11 +398,7 @@ func (s *Server) handleAbort(w http.ResponseWriter, req *http.Request) {
 	for _, l := range ar.Labels {
 		dead[core.QueryAnnot(l)] = false
 	}
-	d, ok := s.restrictParallel(w, req, e, upstruct.MapEnv(dead, true))
-	if !ok {
-		return
-	}
-	writeJSON(w, http.StatusOK, dbJSON(d))
+	s.serveLive(w, req, e, upstruct.MapEnv(dead, true))
 }
 
 // handleIngest parses the request body as a transaction log (SQL
@@ -483,7 +452,15 @@ func (s *Server) handleSnapshotSave(w http.ResponseWriter, req *http.Request) {
 		return
 	}
 	w.Header().Set("Content-Type", "application/octet-stream")
-	if err := provstore.SaveSnapshot(w, e); err != nil {
+	cw := &ctxWriter{ctx: req.Context(), w: w}
+	if err := provstore.SaveSnapshot(cw, e); err != nil {
+		if cw.n == 0 && req.Context().Err() != nil {
+			// Nothing has left yet (the stream goes straight to the
+			// connection, see withDeadline), so the request can still be
+			// answered.
+			writeContextError(w, req.Context().Err())
+			return
+		}
 		// The 200 header and part of the binary body may already be on
 		// the wire, so a JSON error envelope appended here would corrupt
 		// the download into something that half-parses. Abort the
@@ -492,6 +469,23 @@ func (s *Server) handleSnapshotSave(w http.ResponseWriter, req *http.Request) {
 		s.metrics.m.Add("snapshot_save.aborts", 1)
 		panic(http.ErrAbortHandler)
 	}
+}
+
+// ctxWriter stops a streamed response at the first write after the
+// request context ended, and counts the bytes that got out before.
+type ctxWriter struct {
+	ctx context.Context
+	w   io.Writer
+	n   int64
+}
+
+func (c *ctxWriter) Write(p []byte) (int, error) {
+	if err := c.ctx.Err(); err != nil {
+		return 0, err
+	}
+	n, err := c.w.Write(p)
+	c.n += int64(n)
+	return n, err
 }
 
 // ctxReader propagates request-context cancellation into a blocking

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"net/http"
 
@@ -49,9 +50,9 @@ const (
 	codeShedDeadline     = "shed_deadline"
 )
 
-// timeoutBody is the body http.TimeoutHandler serves on deadline; it
-// must stay in sync with the envelope shape (it is written verbatim,
-// not through writeError).
+// timeoutBody is the body served on deadline, by http.TimeoutHandler
+// and by writeContextError; it must stay in sync with the envelope
+// shape (it is written verbatim, not through writeError).
 const timeoutBody = `{"error":{"code":"` + codeTimeout + `","message":"request timed out"}}`
 
 type errorBody struct {
@@ -69,6 +70,20 @@ type errorResponse struct {
 
 func writeError(w http.ResponseWriter, status int, code, format string, args ...any) {
 	writeJSON(w, status, errorResponse{Error: errorBody{Code: code, Message: fmt.Sprintf(format, args...)}})
+}
+
+// writeContextError answers a request whose context ended before its
+// first byte, on the routes that enforce their own deadline (see
+// withDeadline): the body http.TimeoutHandler serves when the deadline
+// fired, 503 canceled when the client went away.
+func writeContextError(w http.ResponseWriter, err error) {
+	if errors.Is(err, context.DeadlineExceeded) {
+		w.Header().Set("Content-Type", "application/json")
+		w.WriteHeader(http.StatusServiceUnavailable)
+		_, _ = io.WriteString(w, timeoutBody)
+		return
+	}
+	writeError(w, http.StatusServiceUnavailable, codeCanceled, "%v", err)
 }
 
 // engineErrorStatus maps the engine's sentinel errors onto HTTP
@@ -111,28 +126,6 @@ func writeEngineErrorApplied(w http.ResponseWriter, err error, applied int) {
 		Message: fmt.Sprintf("%v", err),
 		Applied: &applied,
 	}})
-}
-
-// valueJSON renders a db.Value as its natural JSON type.
-func valueJSON(v db.Value) any {
-	switch v.Kind() {
-	case db.KindString:
-		return v.Str()
-	case db.KindInt:
-		return v.Int()
-	case db.KindFloat:
-		return v.Float()
-	default:
-		return v.String()
-	}
-}
-
-func tupleJSON(t db.Tuple) []any {
-	out := make([]any, len(t))
-	for i, v := range t {
-		out[i] = valueJSON(v)
-	}
-	return out
 }
 
 // parseTuple converts a JSON value array into a typed tuple conforming
@@ -187,36 +180,6 @@ func parseTuple(rel *db.RelationSchema, raw []any) (db.Tuple, error) {
 		}
 	}
 	return t, nil
-}
-
-// relationJSON is one relation of a rendered database.
-type relationJSON struct {
-	Attrs  []string `json:"attrs"`
-	Tuples [][]any  `json:"tuples"`
-}
-
-type databaseJSON struct {
-	Relations map[string]relationJSON `json:"relations"`
-	NumTuples int                     `json:"numTuples"`
-}
-
-// dbJSON renders a materialized database. Tuple order within a relation
-// is the engine's deterministic streaming order.
-func dbJSON(d *db.Database) databaseJSON {
-	out := databaseJSON{Relations: make(map[string]relationJSON), NumTuples: d.NumTuples()}
-	for _, name := range d.Schema().Names() {
-		rel := d.Schema().Relation(name)
-		attrs := make([]string, len(rel.Attrs))
-		for i, a := range rel.Attrs {
-			attrs[i] = a.Name
-		}
-		rj := relationJSON{Attrs: attrs, Tuples: [][]any{}}
-		d.Instance(name).Each(func(t db.Tuple) {
-			rj.Tuples = append(rj.Tuples, tupleJSON(t))
-		})
-		out.Relations[name] = rj
-	}
-	return out
 }
 
 // readBody decodes a JSON request body into dst with the server's size

@@ -30,6 +30,10 @@ func (r *statusRecorder) WriteHeader(code int) {
 	r.ResponseWriter.WriteHeader(code)
 }
 
+// Unwrap lets http.ResponseController reach the connection (write
+// deadlines) through the recorder.
+func (r *statusRecorder) Unwrap() http.ResponseWriter { return r.ResponseWriter }
+
 // instrument wraps a handler with request, error and latency counters
 // keyed by the endpoint name.
 func (mt *metrics) instrument(name string, h http.Handler) http.Handler {

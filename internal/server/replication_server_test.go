@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"hyperprov/internal/db"
 	"hyperprov/internal/engine"
 	"hyperprov/internal/wal"
 	"hyperprov/internal/workload"
@@ -23,9 +24,15 @@ import (
 // replicating from it (also served over HTTP).
 func startLeaderPair(t *testing.T) (leader *httptest.Server, st *wal.Store, follower *httptest.Server, f *wal.Follower) {
 	t.Helper()
+	return startLeaderPairOn(t, figure1Database(t))
+}
+
+// startLeaderPairOn is startLeaderPair over any initial database.
+func startLeaderPairOn(t *testing.T, initial *db.Database) (leader *httptest.Server, st *wal.Store, follower *httptest.Server, f *wal.Follower) {
+	t.Helper()
 	st, err := wal.Open(t.TempDir(),
 		wal.WithMode(engine.ModeNormalForm),
-		wal.WithInitialDatabase(figure1Database(t)),
+		wal.WithInitialDatabase(initial),
 		wal.WithHeartbeatEvery(20*time.Millisecond),
 	)
 	if err != nil {

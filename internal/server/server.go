@@ -52,6 +52,8 @@ type Server struct {
 	adm *admission.Controller
 	// maxBody caps request bodies; see WithMaxBodyBytes.
 	maxBody int64
+	// whatif accumulates the what-if read path's counters (serveLive).
+	whatif whatifStats
 
 	// subs maintains the live provenance subscriptions served at
 	// /v1/subscribe, fed by the engine's commit-event bus. Snapshot
@@ -118,6 +120,7 @@ func New(eng engine.DB, opts ...Option) *Server {
 	}))
 	s.metrics.m.Set("memory", expvar.Func(func() any { return ReadMemoryStats() }))
 	s.metrics.m.Set("admission", expvar.Func(func() any { return s.adm.StatsSnapshot() }))
+	s.metrics.m.Set("whatif", expvar.Func(func() any { return s.whatif.snapshot() }))
 	// methodsByPath records every registered route so the fallback can
 	// distinguish a wrong method on a known path (405 + Allow) from an
 	// unknown path (404), both through the typed error envelope.
@@ -127,10 +130,28 @@ func New(eng engine.DB, opts ...Option) *Server {
 			methodsByPath[path] = append(methodsByPath[path], method)
 		}
 	}
+	// Every plain route is bounded by the request timeout, with panic
+	// recovery inside it so a panicking endpoint answers a typed 500
+	// rather than an empty reply. Small responses go through
+	// http.TimeoutHandler, which buffers the body to be able to answer
+	// 503 at the deadline; the materializing reads answer megabytes, so
+	// they enforce the same deadline themselves (withDeadline) and
+	// write straight to the connection.
+	buffered := func(h http.Handler) http.Handler {
+		h = s.recoverPanics(h)
+		if s.timeout > 0 {
+			h = http.TimeoutHandler(h, s.timeout, timeoutBody)
+		}
+		return h
+	}
+	direct := func(h http.Handler) http.Handler { return s.withDeadline(s.recoverPanics(h)) }
 	mux := http.NewServeMux()
-	route := func(name, pattern string, h http.HandlerFunc) {
+	mount := func(pattern string, h http.Handler) {
 		register(pattern)
-		mux.Handle(pattern, s.metrics.instrument(name, h))
+		mux.Handle(pattern, h)
+	}
+	route := func(name, pattern string, h http.HandlerFunc) {
+		mount(pattern, buffered(s.metrics.instrument(name, h)))
 	}
 	// Route classification for admission: health and observability
 	// endpoints mount bare (never shed — a load balancer probing an
@@ -138,38 +159,31 @@ func New(eng engine.DB, opts ...Option) *Server {
 	// materializing reads, and writes each draw from their own class so
 	// saturation in one cannot starve another, and under overload the
 	// expensive reads shed first.
+	expensive := func(name, pattern string, h http.HandlerFunc) {
+		mount(pattern, direct(s.metrics.instrument(name, s.admit(admission.ClassExpensive, h))))
+	}
 	route("healthz", "GET /healthz", s.handleHealthz)
 	route("readyz", "GET /readyz", s.handleReadyz)
 	route("stats", "GET /v1/stats", s.handleStats)
 	route("schema", "GET /v1/schema", s.admit(admission.ClassRead, s.handleSchema))
 	route("annotation", "POST /v1/annotation", s.admit(admission.ClassRead, s.handleAnnotation))
 	route("indexes_list", "GET /v1/indexes", s.admit(admission.ClassRead, s.handleIndexList))
-	route("db", "GET /v1/db", s.admit(admission.ClassExpensive, s.handleDB))
-	route("whatif_deletion", "POST /v1/whatif/deletion", s.admit(admission.ClassExpensive, s.handleDeletion))
-	route("whatif_abort", "POST /v1/whatif/abort", s.admit(admission.ClassExpensive, s.handleAbort))
-	route("snapshot_save", "GET /v1/snapshot", s.admit(admission.ClassExpensive, s.handleSnapshotSave))
+	expensive("db", "GET /v1/db", s.handleDB)
+	expensive("whatif_deletion", "POST /v1/whatif/deletion", s.handleDeletion)
+	expensive("whatif_abort", "POST /v1/whatif/abort", s.handleAbort)
+	expensive("snapshot_save", "GET /v1/snapshot", s.handleSnapshotSave)
 	route("ingest", "POST /v1/ingest", s.admit(admission.ClassWrite, s.handleIngest))
 	route("indexes_build", "POST /v1/indexes", s.admit(admission.ClassWrite, s.handleIndexBuild))
 	route("indexes_drop", "DELETE /v1/indexes", s.admit(admission.ClassWrite, s.handleIndexDrop))
 	route("snapshot_load", "POST /v1/snapshot", s.admit(admission.ClassWrite, s.handleSnapshotLoad))
 	route("checkpoint", "POST /v1/checkpoint", s.admit(admission.ClassWrite, s.handleCheckpoint))
-	register("GET /v1/metrics")
-	mux.HandleFunc("GET /v1/metrics", s.metrics.serveHTTP)
-	register("GET /debug/vars")
-	mux.Handle("GET /debug/vars", expvar.Handler())
-	// Panic recovery sits inside the timeout handler so a panicking
-	// endpoint answers a typed 500 rather than an empty reply; the
-	// timeout handler still bounds the whole thing.
-	inner := s.recoverPanics(mux)
-	if s.timeout > 0 {
-		inner = http.TimeoutHandler(inner, s.timeout, timeoutBody)
-	}
+	mount("GET /v1/metrics", buffered(http.HandlerFunc(s.metrics.serveHTTP)))
+	mount("GET /debug/vars", buffered(expvar.Handler()))
 	// The replication and subscription streams are long-lived flushed
-	// responses, so they mount outside the timeout handler (which
-	// buffers bodies and would both break flushing and kill the stream
-	// at the deadline). They get their own panic recovery and a plain
-	// request counter; the statusRecorder wrapper is skipped because it
-	// hides http.Flusher.
+	// responses, so they mount outside any request timeout (which would
+	// kill the stream at the deadline). They get their own panic
+	// recovery and a plain request counter; the statusRecorder wrapper
+	// is skipped because it hides http.Flusher.
 	// Streams admit under ClassStream and hold their slot for the
 	// connection's lifetime — past the cap a reconnect storm sheds
 	// immediately (no queue) instead of piling up handshakes.
@@ -188,13 +202,13 @@ func New(eng engine.DB, opts ...Option) *Server {
 	register("POST /v1/subscribe")
 	root.Handle("POST /v1/subscribe", subscribeHandler)
 	// The fallback settles routing for everything the stream routes did
-	// not claim: requests matching an inner-mux pattern go through the
-	// timeout/panic chain; the rest answer a typed envelope — 405 with
+	// not claim: requests matching an inner-mux pattern go to their
+	// route's chain; the rest answer a typed envelope — 405 with
 	// an Allow header when the path exists under other methods, 404
 	// otherwise (Go's mux would answer both as bare text).
 	root.Handle("/", http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
 		if _, pattern := mux.Handler(req); pattern != "" {
-			inner.ServeHTTP(w, req)
+			mux.ServeHTTP(w, req)
 			return
 		}
 		if allow, known := methodsByPath[req.URL.Path]; known {
@@ -206,6 +220,33 @@ func New(eng engine.DB, opts ...Option) *Server {
 	}))
 	s.handler = root
 	return s
+}
+
+// errorReplyWindow is how long past the request deadline a connection
+// may take to accept what the handler answers when the deadline fires:
+// an envelope of a hundred bytes, or the tail of a body.
+const errorReplyWindow = time.Second
+
+// withDeadline bounds a handler that writes its response straight to
+// the connection by the request timeout, as http.TimeoutHandler bounds
+// the buffered routes: the request context expires at the deadline —
+// the handler checks it while it can still answer and serves
+// writeContextError — and the connection's write deadline, one
+// errorReplyWindow later, cuts a body a stalled client stopped reading
+// (net/http clears it again after the response).
+func (s *Server) withDeadline(h http.Handler) http.Handler {
+	if s.timeout <= 0 {
+		return h
+	}
+	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
+		ctx, cancel := context.WithTimeout(req.Context(), s.timeout)
+		defer cancel()
+		// Writers with no connection underneath (httptest recorders, a
+		// handler driven in-process) answer http.ErrNotSupported: there
+		// is no write to bound, and the context deadline still holds.
+		_ = http.NewResponseController(w).SetWriteDeadline(time.Now().Add(s.timeout + errorReplyWindow))
+		h.ServeHTTP(w, req.WithContext(ctx))
+	})
 }
 
 // Handler returns the root handler (routes wrapped with metrics and the

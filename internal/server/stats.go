@@ -33,6 +33,7 @@ var statsSections = []statsSection{
 	{"sharding", collectShardingStats},
 	{"subscriptions", collectSubscriptionStats},
 	{"admission", collectAdmissionStats},
+	{"whatif", collectWhatifStats},
 	{"memory", collectMemoryStats},
 }
 
@@ -103,14 +104,7 @@ func collectReplicationStats(s *Server, e engine.DB, out map[string]any) {
 // collectShardingStats looks through persistent wrappers for the
 // hash-sharded engine's routing gauges; absent on single engines.
 func collectShardingStats(s *Server, e engine.DB, out map[string]any) {
-	inner := e
-	if ws, ok := e.(*wal.Store); ok {
-		inner = ws.Underlying()
-	}
-	if fl, ok := e.(*wal.Follower); ok {
-		inner = fl.Underlying()
-	}
-	if se, ok := inner.(*engine.ShardedEngine); ok {
+	if se, ok := engine.ShardedBehind(e); ok {
 		st := se.Stats()
 		out["shards"] = st.Shards
 		out["shardRouted"] = st.Routed
