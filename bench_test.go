@@ -17,6 +17,7 @@ package hyperprov
 import (
 	"bytes"
 	"context"
+	"io"
 	"testing"
 	"time"
 
@@ -24,6 +25,7 @@ import (
 	"hyperprov/internal/core"
 	"hyperprov/internal/db"
 	"hyperprov/internal/engine"
+	"hyperprov/internal/parser"
 	"hyperprov/internal/provstore"
 	"hyperprov/internal/tpcc"
 	"hyperprov/internal/wal"
@@ -381,6 +383,65 @@ func BenchmarkProvstoreSnapshot(b *testing.B) {
 			}
 		}
 	})
+}
+
+// BenchmarkIngestParse measures the server's front end on the bodies
+// the wire benchmark's oltp_point sends: TPC-C transactions, one SQL
+// log each, through ParseSQLLog. One op parses all of them; B/op is
+// gated in CI (it is what the result keeps, not a function of the token
+// count).
+func BenchmarkIngestParse(b *testing.B) {
+	_, txns := tpccWorkload(b, 4000)
+	schema := tpcc.Schema()
+	bodies := make([]string, len(txns))
+	bytesIn := 0
+	for i := range txns {
+		body, err := parser.FormatSQLLog(schema, txns[i:i+1])
+		if err != nil {
+			b.Fatal(err)
+		}
+		bodies[i] = body
+		bytesIn += len(body)
+	}
+	b.ReportAllocs()
+	b.SetBytes(int64(bytesIn))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, body := range bodies {
+			if _, err := parser.ParseSQLLog(schema, body); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	b.ReportMetric(float64(len(bodies)), "txns")
+}
+
+// BenchmarkCheckpointEncode measures what a checkpoint costs the
+// writer it blocks: SaveSnapshot of the state 5 000 TPC-C transactions
+// leave, to io.Discard. B/op is gated in CI.
+func BenchmarkCheckpointEncode(b *testing.B) {
+	g := tpcc.NewGenerator(tpcc.Scaled(benchScale))
+	initial, err := g.InitialDatabase()
+	if err != nil {
+		b.Fatal(err)
+	}
+	e := engine.New(engine.ModeNormalForm, initial, engine.WithAutoIndex(4))
+	if err := e.ApplyAll(context.Background(), g.Transactions(5000)); err != nil {
+		b.Fatal(err)
+	}
+	var size bytes.Buffer
+	if err := provstore.SaveSnapshot(&size, e); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.SetBytes(int64(size.Len()))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := provstore.SaveSnapshot(io.Discard, e); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(e.NumRows()), "rows")
 }
 
 // BenchmarkWALApply measures the durability tax: the synthetic workload

@@ -67,6 +67,8 @@ type Expr struct {
 	size     int64
 	hash     uint64
 	interned bool
+	// live caches Live: 0 not computed, 1 false, 2 true.
+	live atomic.Uint32
 	// minimized and normalized cache the Minimize/Normalize results for
 	// canonical nodes. Both functions are deterministic and, on interned
 	// input, return interned output, so a racing double computation
@@ -195,6 +197,39 @@ func (e *Expr) Hash() uint64 { return e.hash }
 // a tuple is in the support of an annotated relation iff its annotation
 // is not (syntactically) 0.
 func (e *Expr) IsZero() bool { return e.op == OpZero }
+
+// Live reports whether a tuple annotated e is in the database when
+// nothing is deleted and no transaction aborted: e's value in the
+// Boolean structure of Section 4.1 (+I, +M and Σ are ∨, ·M is ∧, a − b
+// is a ∧ ¬b, 0 is false) with every annotation true. Nodes are
+// immutable, so the value is computed once per node — a walk of the
+// DAG, not of the tree — and a racing computation stores the same value.
+func (e *Expr) Live() bool {
+	if m := e.live.Load(); m != 0 {
+		return m == 2
+	}
+	var v bool
+	switch e.op {
+	case OpVar:
+		v = true
+	case OpSum:
+		for _, k := range e.kids {
+			v = v || k.Live()
+		}
+	case OpPlusI, OpPlusM:
+		v = e.kids[0].Live() || e.kids[1].Live()
+	case OpDotM:
+		v = e.kids[0].Live() && e.kids[1].Live()
+	case OpMinus:
+		v = e.kids[0].Live() && !e.kids[1].Live()
+	}
+	if v {
+		e.live.Store(2)
+	} else {
+		e.live.Store(1)
+	}
+	return v
+}
 
 // Equal reports structural equality of two expressions. For two
 // interned expressions this is a pointer comparison: hash-consing makes

@@ -15,6 +15,8 @@ type Attribute struct {
 type RelationSchema struct {
 	Name  string
 	Attrs []Attribute
+	// lower holds the lower-cased attribute names (see VarName).
+	lower []string
 }
 
 // NewRelationSchema builds a relation schema, validating that attribute
@@ -24,7 +26,9 @@ func NewRelationSchema(name string, attrs ...Attribute) (*RelationSchema, error)
 		return nil, fmt.Errorf("db: relation name must not be empty")
 	}
 	seen := make(map[string]struct{}, len(attrs))
-	for _, a := range attrs {
+	lower := make([]string, len(attrs))
+	for i, a := range attrs {
+		lower[i] = strings.ToLower(a.Name)
 		if a.Name == "" {
 			return nil, fmt.Errorf("db: relation %s has an unnamed attribute", name)
 		}
@@ -33,7 +37,7 @@ func NewRelationSchema(name string, attrs ...Attribute) (*RelationSchema, error)
 		}
 		seen[a.Name] = struct{}{}
 	}
-	return &RelationSchema{Name: name, Attrs: attrs}, nil
+	return &RelationSchema{Name: name, Attrs: attrs, lower: lower}, nil
 }
 
 // MustRelationSchema is NewRelationSchema that panics on error; for
@@ -57,6 +61,16 @@ func (r *RelationSchema) AttrIndex(name string) int {
 		}
 	}
 	return -1
+}
+
+// VarName returns attribute i's name in lower case: the variable the
+// SQL front end puts at a position its WHERE clause leaves open. It is
+// computed once, when the schema is built.
+func (r *RelationSchema) VarName(i int) string {
+	if r.lower == nil { // a literal, not from NewRelationSchema
+		return strings.ToLower(r.Attrs[i].Name)
+	}
+	return r.lower[i]
 }
 
 // String renders "Name(attr:kind, ...)".

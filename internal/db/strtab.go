@@ -2,6 +2,7 @@ package db
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 	"sync/atomic"
 )
@@ -15,11 +16,16 @@ import (
 // invisible on disk.
 //
 // Layout: id = localIndex<<strShardBits | shard. Each shard owns a
-// payload->id map guarded by an RWMutex (interning is off the read hot
-// path) and an id->payload slice published through an atomic pointer in
-// the copy-on-grow style of the engine's row lists, so Str() is a
-// lock-free two-load lookup. Id 0 is reserved for "" in shard 0, which
-// keeps the zero Value equal to S("").
+// payload->id map guarded by a mutex (interning is off the read hot
+// path) and an id->payload array published through an atomic pointer
+// plus an atomic length, in the element-before-length discipline of the
+// engine's column vectors, so Str() is a lock-free lookup. Id 0 is
+// reserved for "" in shard 0, which keeps the zero Value equal to
+// S("").
+//
+// The table owns its payloads: a string is cloned on first sight, so an
+// interned Value never keeps the caller's backing array (a request
+// body, a CSV line, a WAL segment) reachable.
 
 const (
 	strShardBits  = 4
@@ -30,22 +36,25 @@ const (
 type strShard struct {
 	mu  sync.Mutex
 	ids map[string]uint32
-	// strs is the published id->payload table for this shard. Writers
-	// copy, append and re-publish under mu; readers only load.
+	// strs is the id->payload array at its full capacity and n the
+	// number of published slots. The writer (under mu) stores the
+	// element, then the array pointer if it had to grow, then n; a
+	// reader loads n before strs, so every slot below the n it saw is
+	// written in the array it sees. Slots are written once; the array
+	// is copied only when it doubles.
 	strs atomic.Pointer[[]string]
+	n    atomic.Uint32
 }
 
 var strShards = func() *[strShardCount]strShard {
 	var tab [strShardCount]strShard
 	for i := range tab {
 		tab[i].ids = make(map[string]uint32)
-		s := make([]string, 0, 16)
-		if i == 0 {
-			s = append(s, "") // id 0
-		}
+		s := make([]string, 16)
 		tab[i].strs.Store(&s)
 	}
 	tab[0].ids[""] = 0
+	tab[0].n.Store(1) // id 0 is the zero slot
 	return &tab
 }()
 
@@ -72,20 +81,23 @@ func internString(s string) uint32 {
 	sh.mu.Lock()
 	id, ok := sh.ids[s]
 	if !ok {
-		old := *sh.strs.Load()
-		local := uint64(len(old))
+		local := sh.n.Load()
 		if local >= 1<<(32-strShardBits) {
 			sh.mu.Unlock()
 			panic("db: string intern table overflow")
 		}
-		id = uint32(local)<<strShardBits | uint32(shard)
-		// Re-publish a grown copy rather than appending in place: a
-		// published header is never mutated, so concurrent Str() calls
-		// index a stable array.
-		grown := make([]string, len(old)+1, cap2(len(old)+1))
-		copy(grown, old)
-		grown[len(old)] = s
-		sh.strs.Store(&grown)
+		id = local<<strShardBits | uint32(shard)
+		s = strings.Clone(s)
+		strs := *sh.strs.Load()
+		if int(local) == len(strs) {
+			grown := make([]string, 2*len(strs))
+			copy(grown, strs)
+			grown[local] = s
+			sh.strs.Store(&grown)
+		} else {
+			strs[local] = s
+		}
+		sh.n.Store(local + 1)
 		sh.ids[s] = id
 		internStrCount.Add(1)
 	}
@@ -93,22 +105,14 @@ func internString(s string) uint32 {
 	return id
 }
 
-func cap2(n int) int {
-	c := 16
-	for c < n {
-		c <<= 1
-	}
-	return c
-}
-
 // lookupString resolves an interned id back to its payload. Lock-free.
 func lookupString(id uint32) string {
-	strs := *strShards[id&strShardMask].strs.Load()
+	sh := &strShards[id&strShardMask]
 	idx := id >> strShardBits
-	if uint64(idx) >= uint64(len(strs)) {
+	if idx >= sh.n.Load() {
 		panic(fmt.Sprintf("db: unknown string id %d", id))
 	}
-	return strs[idx]
+	return (*sh.strs.Load())[idx]
 }
 
 // StringInternStats reports the size of the global string intern table.

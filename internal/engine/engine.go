@@ -8,7 +8,6 @@ import (
 
 	"hyperprov/internal/core"
 	"hyperprov/internal/db"
-	"hyperprov/internal/upstruct"
 )
 
 // Mode selects the provenance representation.
@@ -432,7 +431,7 @@ func (e *Engine) restoreRowLocked(rel string, t db.Tuple, ann *core.Expr) error 
 		v.nf = core.NewNF(ann)
 		v.expr = nil
 	}
-	v.live = upstruct.Eval(ann, upstruct.Bool, func(core.Annot) bool { return true })
+	v.live = ann.Live()
 	if fresh {
 		tbl.add(r)
 	}

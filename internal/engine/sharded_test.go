@@ -277,15 +277,6 @@ func TestShardedSnapshotRoundTrip(t *testing.T) {
 		if !bytes.Equal(orig, snapshotOf(t, restored)) {
 			t.Fatalf("shards=%d: save→load→save not byte-idempotent", n)
 		}
-		for _, workers := range []int{2, 4} {
-			var buf bytes.Buffer
-			if err := provstore.SaveSnapshotParallel(&buf, restored, workers); err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(orig, buf.Bytes()) {
-				t.Fatalf("shards=%d, workers=%d: parallel snapshot differs from sequential", n, workers)
-			}
-		}
 	}
 }
 

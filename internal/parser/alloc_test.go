@@ -1,0 +1,60 @@
+//go:build !race
+
+package parser
+
+// Allocation gates for the ingest front end, next to the engine's
+// 0-allocs/op read gates (internal/engine/alloc_test.go). The claim: a
+// parse allocates what its result keeps — a row or a pattern (and a SET
+// list) per statement, a label, an update list and the transaction
+// list — and nothing per token. Not built under the race detector,
+// whose sync.Pool drops a quarter of the puts on purpose.
+
+import (
+	"testing"
+
+	"hyperprov/internal/db"
+	"hyperprov/internal/tpcc"
+)
+
+var sinkTxns []db.Transaction
+
+// newOrderLog renders one TPC-C New-Order of at least 30 statements.
+func newOrderLog(t testing.TB) (src string, statements int) {
+	t.Helper()
+	g := tpcc.NewGenerator(tpcc.DefaultConfig())
+	for i := 0; i < 1000; i++ {
+		txn := g.NewOrderTxn()
+		if len(txn.Updates) < 30 {
+			continue
+		}
+		src, err := FormatSQLLog(tpcc.Schema(), []db.Transaction{txn})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return src, len(txn.Updates)
+	}
+	t.Fatal("no 30-statement New-Order in 1000 draws")
+	return "", 0
+}
+
+func TestParseAllocsPerStatementNotPerToken(t *testing.T) {
+	s := tpcc.Schema()
+	src, statements := newOrderLog(t)
+	var l lexer
+	tokens := 0
+	for l.init(src); l.next().kind != tokEOF; {
+		tokens++
+	}
+	allocs := testing.AllocsPerRun(20, func() {
+		var err error
+		if sinkTxns, err = ParseSQLLog(s, src); err != nil {
+			t.Fatal(err)
+		}
+	})
+	// An INSERT keeps its row, an UPDATE its pattern and SET list; the
+	// transaction keeps a label, the update list and the result slice.
+	if limit := float64(2*statements + 4); allocs > limit {
+		t.Fatalf("ParseSQLLog: %.0f allocs for %d statements (%d tokens), want ≤ %.0f", allocs, statements, tokens, limit)
+	}
+	t.Logf("%d statements, %d tokens, %d bytes: %.0f allocs", statements, tokens, len(src), allocs)
+}

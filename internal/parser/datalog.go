@@ -21,10 +21,8 @@ type rawTerm struct {
 func (l *lexer) parseRawTerm() (rawTerm, error) {
 	t := l.next()
 	switch {
-	case t.kind == tokString:
-		return rawTerm{isConst: true, isStr: true, text: t.text, pos: t.pos}, nil
-	case t.kind == tokNumber:
-		return rawTerm{isConst: true, text: t.text, pos: t.pos}, nil
+	case t.kind == tokString || t.kind == tokNumber:
+		return rawTerm{isConst: true, isStr: t.kind == tokString, text: t.text, pos: t.pos}, nil
 	case t.kind == tokIdent:
 		return rawTerm{varName: t.text, pos: t.pos}, nil
 	case t.kind == tokPunct && t.text == "[":
@@ -41,17 +39,13 @@ func (l *lexer) parseRawTerm() (rawTerm, error) {
 				return out, fmt.Errorf("parser: mixed variables %s and %s in disequality at offset %d", out.varName, name, t.pos)
 			}
 			if !l.acceptPunct("!=") && !l.acceptPunct("<>") {
-				return out, fmt.Errorf("parser: expected != in disequality at offset %d", l.peek().pos)
+				return out, fmt.Errorf("parser: expected != in disequality at offset %d", l.tok.pos)
 			}
 			c := l.next()
-			switch c.kind {
-			case tokString:
-				out.notEq = append(out.notEq, rawTerm{isConst: true, isStr: true, text: c.text, pos: c.pos})
-			case tokNumber:
-				out.notEq = append(out.notEq, rawTerm{isConst: true, text: c.text, pos: c.pos})
-			default:
+			if c.kind != tokString && c.kind != tokNumber {
 				return out, fmt.Errorf("parser: expected constant after != at offset %d", c.pos)
 			}
+			out.notEq = append(out.notEq, rawTerm{isConst: true, isStr: c.kind == tokString, text: c.text, pos: c.pos})
 			if !l.acceptPunct(",") {
 				break
 			}
@@ -108,10 +102,17 @@ func (rt rawTerm) toTerm(kind db.Kind) (db.Term, error) {
 // The modification's u1 and u2 may also be given as 2n comma-separated
 // terms without the -> separator, exactly as the paper writes them.
 func ParseDatalogQuery(s *db.Schema, src string) (db.Update, string, error) {
-	l, err := newLexer(src)
-	if err != nil {
+	var l lexer
+	l.init(src)
+	u, label, err := l.datalogQuery(s)
+	if err = l.fail(err); err != nil {
 		return db.Update{}, "", err
 	}
+	// The label outlives the source inside core.QueryAnnot nodes.
+	return u, strings.Clone(label), nil
+}
+
+func (l *lexer) datalogQuery(s *db.Schema) (db.Update, string, error) {
 	head, err := l.expectIdent()
 	if err != nil {
 		return db.Update{}, "", err
@@ -166,8 +167,8 @@ func ParseDatalogQuery(s *db.Schema, src string) (db.Update, string, error) {
 	if err := l.expectPunct(":-"); err != nil {
 		return db.Update{}, "", err
 	}
-	if l.peek().kind != tokEOF {
-		return db.Update{}, "", fmt.Errorf("parser: trailing input at offset %d", l.peek().pos)
+	if l.tok.kind != tokEOF {
+		return db.Update{}, "", fmt.Errorf("parser: trailing input at offset %d", l.tok.pos)
 	}
 
 	n := rel.Arity()
@@ -248,20 +249,31 @@ func ParseDatalogQuery(s *db.Schema, src string) (db.Update, string, error) {
 // (the paper uses one annotation per transaction).
 func ParseDatalogLog(s *db.Schema, src string) ([]db.Transaction, error) {
 	var txns []db.Transaction
-	for ln, line := range strings.Split(src, "\n") {
+	var ups []db.Update // the open transaction's queries, copied out at their number
+	open := ""
+	flush := func() {
+		if len(ups) > 0 {
+			txns = append(txns, db.Transaction{Label: open, Updates: append([]db.Update(nil), ups...)})
+			ups = ups[:0]
+		}
+	}
+	for ln := 1; src != ""; ln++ {
+		var line string
+		line, src, _ = strings.Cut(src, "\n")
 		line = strings.TrimSpace(line)
 		if line == "" || strings.HasPrefix(line, "%") || strings.HasPrefix(line, "--") {
 			continue
 		}
 		u, label, err := ParseDatalogQuery(s, line)
 		if err != nil {
-			return nil, fmt.Errorf("line %d: %w", ln+1, err)
+			return nil, fmt.Errorf("line %d: %w", ln, err)
 		}
-		if len(txns) > 0 && txns[len(txns)-1].Label == label {
-			txns[len(txns)-1].Updates = append(txns[len(txns)-1].Updates, u)
-		} else {
-			txns = append(txns, db.Transaction{Label: label, Updates: []db.Update{u}})
+		if label != open {
+			flush()
+			open = label
 		}
+		ups = append(ups, u)
 	}
+	flush()
 	return txns, nil
 }

@@ -2,10 +2,39 @@ package parser
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
+	"sync"
 
 	"hyperprov/internal/db"
 )
+
+// sqlParser is the SQL front end's state for one source text. It is
+// pooled, so its scratch survives from call to call and what a parse
+// allocates is what its result keeps.
+type sqlParser struct {
+	lexer
+	s   *db.Schema
+	ups []db.Update // the open transaction's statements; COMMIT copies them out
+}
+
+var sqlParsers = sync.Pool{New: func() any { return new(sqlParser) }}
+
+func newSQLParser(s *db.Schema, src string) *sqlParser {
+	l := sqlParsers.Get().(*sqlParser)
+	l.s = s
+	l.init(src)
+	return l
+}
+
+// release returns the parser to the pool holding neither the source nor
+// anything parsed from it.
+func (l *sqlParser) release() {
+	clear(l.ups)
+	l.ups = l.ups[:0]
+	l.lexer, l.s = lexer{}, nil
+	sqlParsers.Put(l)
+}
 
 // ParseSQLStatement parses one statement of the hyperplane SQL fragment
 // against the schema:
@@ -16,47 +45,47 @@ import (
 //
 // with op ∈ {=, <>, !=}. A missing WHERE clause selects every tuple.
 func ParseSQLStatement(s *db.Schema, stmt string) (db.Update, error) {
-	l, err := newLexer(stmt)
-	if err != nil {
-		return db.Update{}, err
+	l := newSQLParser(s, stmt)
+	defer l.release()
+	u, err := l.statement()
+	if err == nil {
+		l.acceptPunct(";")
+		if l.tok.kind != tokEOF {
+			err = fmt.Errorf("parser: trailing input at offset %d", l.tok.pos)
+		}
 	}
-	u, err := parseSQLStatement(s, l)
-	if err != nil {
+	if err = l.fail(err); err != nil {
 		return db.Update{}, err
-	}
-	l.acceptPunct(";")
-	if l.peek().kind != tokEOF {
-		return db.Update{}, fmt.Errorf("parser: trailing input at offset %d", l.peek().pos)
 	}
 	return u, nil
 }
 
-func parseSQLStatement(s *db.Schema, l *lexer) (db.Update, error) {
+func (l *sqlParser) statement() (db.Update, error) {
 	switch {
 	case l.acceptKeyword("INSERT"):
-		return parseInsert(s, l)
+		return l.parseInsert()
 	case l.acceptKeyword("DELETE"):
-		return parseDelete(s, l)
+		return l.parseDelete()
 	case l.acceptKeyword("UPDATE"):
-		return parseUpdate(s, l)
+		return l.parseUpdate()
 	default:
-		return db.Update{}, fmt.Errorf("parser: expected INSERT, DELETE or UPDATE at offset %d, got %q", l.peek().pos, l.peek().text)
+		return db.Update{}, fmt.Errorf("parser: expected INSERT, DELETE or UPDATE at offset %d, got %q", l.tok.pos, l.tok.text)
 	}
 }
 
-func relation(s *db.Schema, l *lexer) (*db.RelationSchema, error) {
+func (l *sqlParser) relation() (*db.RelationSchema, error) {
 	name, err := l.expectIdent()
 	if err != nil {
 		return nil, err
 	}
-	rel := s.Relation(name)
+	rel := l.s.Relation(name)
 	if rel == nil {
 		return nil, fmt.Errorf("parser: unknown relation %s", name)
 	}
 	return rel, nil
 }
 
-func parseConst(l *lexer, kind db.Kind) (db.Value, error) {
+func (l *lexer) parseConst(kind db.Kind) (db.Value, error) {
 	t := l.next()
 	switch t.kind {
 	case tokString:
@@ -71,16 +100,16 @@ func parseConst(l *lexer, kind db.Kind) (db.Value, error) {
 	}
 }
 
-func parseInsert(s *db.Schema, l *lexer) (db.Update, error) {
+func (l *sqlParser) parseInsert() (db.Update, error) {
 	if !l.acceptKeyword("INTO") {
-		return db.Update{}, fmt.Errorf("parser: expected INTO at offset %d", l.peek().pos)
+		return db.Update{}, fmt.Errorf("parser: expected INTO at offset %d", l.tok.pos)
 	}
-	rel, err := relation(s, l)
+	rel, err := l.relation()
 	if err != nil {
 		return db.Update{}, err
 	}
 	if !l.acceptKeyword("VALUES") {
-		return db.Update{}, fmt.Errorf("parser: expected VALUES at offset %d", l.peek().pos)
+		return db.Update{}, fmt.Errorf("parser: expected VALUES at offset %d", l.tok.pos)
 	}
 	if err := l.expectPunct("("); err != nil {
 		return db.Update{}, err
@@ -92,7 +121,7 @@ func parseInsert(s *db.Schema, l *lexer) (db.Update, error) {
 				return db.Update{}, err
 			}
 		}
-		v, err := parseConst(l, rel.Attrs[i].Kind)
+		v, err := l.parseConst(rel.Attrs[i].Kind)
 		if err != nil {
 			return db.Update{}, err
 		}
@@ -102,105 +131,96 @@ func parseInsert(s *db.Schema, l *lexer) (db.Update, error) {
 		return db.Update{}, err
 	}
 	u := db.Insert(rel.Name, row)
-	return u, u.Validate(s)
+	return u, u.Validate(l.s)
+}
+
+// attrCol parses an attribute name of rel and returns its position.
+func (l *lexer) attrCol(rel *db.RelationSchema) (int, error) {
+	attr, err := l.expectIdent()
+	if err != nil {
+		return 0, err
+	}
+	col := rel.AttrIndex(attr)
+	if col < 0 {
+		return 0, fmt.Errorf("parser: relation %s has no attribute %s", rel.Name, attr)
+	}
+	return col, nil
 }
 
 // parseWhere parses the conjunction of hyperplane predicates into a
-// pattern over the relation. Equality predicates become constant terms;
-// disequality predicates accumulate on variable terms.
-func parseWhere(rel *db.RelationSchema, l *lexer) (db.Pattern, error) {
-	type constraint struct {
-		eq    *db.Value
-		notEq []db.Value
-	}
-	cons := make([]constraint, rel.Arity())
-	if l.acceptKeyword("WHERE") {
-		for {
-			attr, err := l.expectIdent()
-			if err != nil {
-				return nil, err
-			}
-			col := rel.AttrIndex(attr)
-			if col < 0 {
-				return nil, fmt.Errorf("parser: relation %s has no attribute %s", rel.Name, attr)
-			}
-			var neq bool
-			switch {
-			case l.acceptPunct("="):
-			case l.acceptPunct("<>"), l.acceptPunct("!="):
-				neq = true
-			default:
-				return nil, fmt.Errorf("parser: expected = or <> at offset %d (hyperplane predicates compare an attribute to a constant)", l.peek().pos)
-			}
-			v, err := parseConst(l, rel.Attrs[col].Kind)
-			if err != nil {
-				return nil, err
-			}
-			if neq {
-				cons[col].notEq = append(cons[col].notEq, v)
-			} else {
-				if cons[col].eq != nil && *cons[col].eq != v {
-					return nil, fmt.Errorf("parser: contradictory equalities on %s", attr)
-				}
-				cons[col].eq = &v
-			}
-			if !l.acceptKeyword("AND") {
-				break
-			}
+// pattern over the relation, filled in as the predicates arrive: an
+// equality makes its position a constant term (and wins over any
+// disequality on it), disequalities accumulate on a variable term.
+func (l *lexer) parseWhere(rel *db.RelationSchema) (db.Pattern, error) {
+	p := make(db.Pattern, rel.Arity())
+	for more := l.acceptKeyword("WHERE"); more; more = l.acceptKeyword("AND") {
+		col, err := l.attrCol(rel)
+		if err != nil {
+			return nil, err
+		}
+		var neq bool
+		switch {
+		case l.acceptPunct("="):
+		case l.acceptPunct("<>"), l.acceptPunct("!="):
+			neq = true
+		default:
+			return nil, fmt.Errorf("parser: expected = or <> at offset %d (hyperplane predicates compare an attribute to a constant)", l.tok.pos)
+		}
+		v, err := l.parseConst(rel.Attrs[col].Kind)
+		if err != nil {
+			return nil, err
+		}
+		switch t := p[col]; {
+		case !neq && t.IsConst() && t.Value() != v:
+			return nil, fmt.Errorf("parser: contradictory equalities on %s", rel.Attrs[col].Name)
+		case !neq:
+			p[col] = db.Const(v)
+		case !t.IsConst():
+			p[col] = db.VarNotEq(rel.VarName(col), append(t.NotEq(), v)...)
 		}
 	}
-	p := make(db.Pattern, rel.Arity())
-	for i, c := range cons {
-		switch {
-		case c.eq != nil:
-			p[i] = db.Const(*c.eq)
-		case len(c.notEq) > 0:
-			p[i] = db.VarNotEq(strings.ToLower(rel.Attrs[i].Name), c.notEq...)
-		default:
-			p[i] = db.AnyVar(strings.ToLower(rel.Attrs[i].Name))
+	for i, t := range p {
+		if !t.IsConst() && t.VarName() == "" {
+			p[i] = db.AnyVar(rel.VarName(i))
 		}
 	}
 	return p, nil
 }
 
-func parseDelete(s *db.Schema, l *lexer) (db.Update, error) {
+func (l *sqlParser) parseDelete() (db.Update, error) {
 	if !l.acceptKeyword("FROM") {
-		return db.Update{}, fmt.Errorf("parser: expected FROM at offset %d", l.peek().pos)
+		return db.Update{}, fmt.Errorf("parser: expected FROM at offset %d", l.tok.pos)
 	}
-	rel, err := relation(s, l)
+	rel, err := l.relation()
 	if err != nil {
 		return db.Update{}, err
 	}
-	sel, err := parseWhere(rel, l)
+	sel, err := l.parseWhere(rel)
 	if err != nil {
 		return db.Update{}, err
 	}
 	u := db.Delete(rel.Name, sel)
-	return u, u.Validate(s)
+	return u, u.Validate(l.s)
 }
 
-func parseUpdate(s *db.Schema, l *lexer) (db.Update, error) {
-	rel, err := relation(s, l)
+func (l *sqlParser) parseUpdate() (db.Update, error) {
+	rel, err := l.relation()
 	if err != nil {
 		return db.Update{}, err
 	}
 	if !l.acceptKeyword("SET") {
-		return db.Update{}, fmt.Errorf("parser: expected SET at offset %d", l.peek().pos)
+		return db.Update{}, fmt.Errorf("parser: expected SET at offset %d", l.tok.pos)
 	}
 	set := make([]db.SetClause, rel.Arity())
 	for {
-		attr, err := l.expectIdent()
+		col, err := l.attrCol(rel)
 		if err != nil {
 			return db.Update{}, err
-		}
-		col := rel.AttrIndex(attr)
-		if col < 0 {
-			return db.Update{}, fmt.Errorf("parser: relation %s has no attribute %s", rel.Name, attr)
 		}
 		if err := l.expectPunct("="); err != nil {
 			return db.Update{}, err
 		}
-		v, err := parseConst(l, rel.Attrs[col].Kind)
+		v, err := l.parseConst(rel.Attrs[col].Kind)
 		if err != nil {
 			return db.Update{}, err
 		}
@@ -209,12 +229,12 @@ func parseUpdate(s *db.Schema, l *lexer) (db.Update, error) {
 			break
 		}
 	}
-	sel, err := parseWhere(rel, l)
+	sel, err := l.parseWhere(rel)
 	if err != nil {
 		return db.Update{}, err
 	}
 	u := db.Modify(rel.Name, sel, set)
-	return u, u.Validate(s)
+	return u, u.Validate(l.s)
 }
 
 // ParseSQLLog parses a transaction log: statements terminated by ';',
@@ -227,13 +247,19 @@ func parseUpdate(s *db.Schema, l *lexer) (db.Update, error) {
 // Statements outside BEGIN/COMMIT become single-query transactions
 // labeled q0, q1, …. SQL comments (--) are ignored.
 func ParseSQLLog(s *db.Schema, src string) ([]db.Transaction, error) {
-	l, err := newLexer(src)
-	if err != nil {
+	l := newSQLParser(s, src)
+	defer l.release()
+	txns, err := l.log()
+	if err = l.fail(err); err != nil {
 		return nil, err
 	}
+	return txns, nil
+}
+
+func (l *sqlParser) log() ([]db.Transaction, error) {
 	var txns []db.Transaction
 	auto := 0
-	for l.peek().kind != tokEOF {
+	for l.tok.kind != tokEOF {
 		if l.acceptKeyword("BEGIN") {
 			label, err := l.expectIdent()
 			if err != nil {
@@ -242,34 +268,36 @@ func ParseSQLLog(s *db.Schema, src string) ([]db.Transaction, error) {
 			if err := l.expectPunct(";"); err != nil {
 				return nil, err
 			}
-			txn := db.Transaction{Label: label}
 			for !l.acceptKeyword("COMMIT") {
-				if l.peek().kind == tokEOF {
+				if l.tok.kind == tokEOF {
 					return nil, fmt.Errorf("parser: transaction %s missing COMMIT", label)
 				}
-				u, err := parseSQLStatement(s, l)
+				u, err := l.statement()
 				if err != nil {
 					return nil, err
 				}
 				if err := l.expectPunct(";"); err != nil {
 					return nil, err
 				}
-				txn.Updates = append(txn.Updates, u)
+				l.ups = append(l.ups, u)
 			}
 			if err := l.expectPunct(";"); err != nil {
 				return nil, err
 			}
-			txns = append(txns, txn)
+			// The label outlives src inside core.QueryAnnot nodes.
+			txns = append(txns, db.Transaction{Label: strings.Clone(label), Updates: append([]db.Update(nil), l.ups...)})
+			clear(l.ups)
+			l.ups = l.ups[:0]
 			continue
 		}
-		u, err := parseSQLStatement(s, l)
+		u, err := l.statement()
 		if err != nil {
 			return nil, err
 		}
 		if err := l.expectPunct(";"); err != nil {
 			return nil, err
 		}
-		txns = append(txns, db.Transaction{Label: fmt.Sprintf("q%d", auto), Updates: []db.Update{u}})
+		txns = append(txns, db.Transaction{Label: "q" + strconv.Itoa(auto), Updates: []db.Update{u}})
 		auto++
 	}
 	return txns, nil

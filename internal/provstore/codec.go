@@ -55,16 +55,22 @@ func prealloc(claimed, cap uint64) int {
 // Flush; Add returns the node index that identifies the expression in
 // the table (to be stored wherever the annotation is referenced).
 //
-// Hash-consed (interned) expressions are deduplicated by canonical
-// pointer in O(1); the fingerprint buckets remain as the fallback so
-// that non-interned trees (naive copy-on-write snapshots) still
-// deduplicate structurally against everything already emitted — the
-// two paths assign identical ids, keeping the bytes identical to the
-// pre-interning format (see the golden-file test).
+// One children-first walk, keyed by pointer. Interned expressions are
+// pointer-equal iff structurally equal, so while every node seen is
+// interned the pointer table is the whole deduplication. Raw trees
+// (DeepCopy results: the naive copy-on-write ablation) must match
+// structurally against everything emitted, and everything after them
+// against the raw nodes: the fingerprint buckets that needs are built
+// when the first raw node arrives, from the pointer table, and kept up
+// from then on. A node gets a fresh id exactly when nothing emitted
+// before it is structurally equal — the rule of the encoder that kept
+// buckets from the start (oracle_test.go), so every byte is unchanged;
+// DESIGN.md §3.14 has the argument.
 type Encoder struct {
 	w     *bufio.Writer
 	ptr   map[*core.Expr]uint64
-	index map[uint64][]dedupEntry
+	index map[uint64][]dedupEntry // nil until a raw node arrives
+	kids  []uint64                // child ids of the nodes on the walk's stack
 	next  uint64
 	buf   [binary.MaxVarintLen64]byte
 	err   error
@@ -76,12 +82,11 @@ type dedupEntry struct {
 }
 
 // NewEncoder returns an encoder writing the node table to w.
-func NewEncoder(w io.Writer) *Encoder {
-	return &Encoder{
-		w:     bufio.NewWriter(w),
-		ptr:   make(map[*core.Expr]uint64),
-		index: make(map[uint64][]dedupEntry),
-	}
+func NewEncoder(w io.Writer) *Encoder { return newEncoder(w, 0) }
+
+// newEncoder presizes the pointer table for about nodes nodes.
+func newEncoder(w io.Writer, nodes int) *Encoder {
+	return &Encoder{w: bufio.NewWriter(w), ptr: make(map[*core.Expr]uint64, nodes)}
 }
 
 func (e *Encoder) uvarint(v uint64) {
@@ -116,32 +121,41 @@ func (e *Encoder) add(x *core.Expr) uint64 {
 	if id, ok := e.ptr[x]; ok {
 		return id
 	}
+	if e.index == nil && !x.Interned() {
+		e.index = make(map[uint64][]dedupEntry, len(e.ptr))
+		for prev, id := range e.ptr {
+			e.index[prev.Hash()] = append(e.index[prev.Hash()], dedupEntry{prev, id})
+		}
+	}
 	h := x.Hash()
 	for _, prev := range e.index[h] {
-		if prev.expr == x || prev.expr.Equal(x) {
+		if prev.expr.Equal(x) {
 			e.ptr[x] = prev.id
 			return prev.id
 		}
 	}
-	// Children first: references always point backwards.
-	var kids []uint64
-	if n := x.NumChildren(); n > 0 {
-		kids = make([]uint64, n)
-		for i := 0; i < n; i++ {
-			kids[i] = e.add(x.Child(i))
-		}
+	// Children first: references always point backwards. Their ids sit
+	// on the kids stack above whatever the enclosing nodes have pushed.
+	base := len(e.kids)
+	for i := 0; i < x.NumChildren(); i++ {
+		id := e.add(x.Child(i))
+		e.kids = append(e.kids, id)
 	}
 	id := e.next
 	e.next++
 	e.ptr[x] = id
-	e.index[h] = append(e.index[h], dedupEntry{expr: x, id: id})
-	e.emit(x, kids)
+	if e.index != nil {
+		e.index[h] = append(e.index[h], dedupEntry{x, id})
+	}
+	e.emit(x, e.kids[base:])
+	e.kids = e.kids[:base]
 	return id
 }
 
+var binaryTags = [...]byte{core.OpPlusI: tagPlusI, core.OpMinus: tagMinus, core.OpPlusM: tagPlusM, core.OpDotM: tagDotM}
+
 // emit writes one table node whose children already have the given
-// global ids. Both the recursive add path and the parallel merge path
-// (addFlat) funnel through here, so the wire format is defined once.
+// ids; the wire format is defined here and nowhere else.
 func (e *Encoder) emit(x *core.Expr, kids []uint64) {
 	switch x.Op() {
 	case core.OpZero:
@@ -152,10 +166,7 @@ func (e *Encoder) emit(x *core.Expr, kids []uint64) {
 		e.byte(byte(a.Kind))
 		e.str(a.Name)
 	case core.OpPlusI, core.OpMinus, core.OpPlusM, core.OpDotM:
-		e.byte(map[core.Op]byte{
-			core.OpPlusI: tagPlusI, core.OpMinus: tagMinus,
-			core.OpPlusM: tagPlusM, core.OpDotM: tagDotM,
-		}[x.Op()])
+		e.byte(binaryTags[x.Op()])
 		e.uvarint(kids[0])
 		e.uvarint(kids[1])
 	case core.OpSum:
@@ -169,32 +180,6 @@ func (e *Encoder) emit(x *core.Expr, kids []uint64) {
 			e.err = fmt.Errorf("provstore: unknown op %v", x.Op())
 		}
 	}
-}
-
-// addFlat registers and emits a node whose children are already in the
-// table under the given global ids, deduplicating against everything
-// emitted so far exactly like add. It is the merge half of the parallel
-// snapshot encoder: workers pre-walk their expressions into local node
-// lists (children-first), and replaying those lists through addFlat in
-// chunk order assigns the same ids — hence the same bytes — as a
-// sequential add over the same expressions.
-func (e *Encoder) addFlat(x *core.Expr, kids []uint64) uint64 {
-	if id, ok := e.ptr[x]; ok {
-		return id
-	}
-	h := x.Hash()
-	for _, prev := range e.index[h] {
-		if prev.expr == x || prev.expr.Equal(x) {
-			e.ptr[x] = prev.id
-			return prev.id
-		}
-	}
-	id := e.next
-	e.next++
-	e.ptr[x] = id
-	e.index[h] = append(e.index[h], dedupEntry{expr: x, id: id})
-	e.emit(x, kids)
-	return id
 }
 
 // Len reports the number of table nodes written so far (the DAG size of

@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"runtime"
 
 	"hyperprov/internal/core"
 	"hyperprov/internal/db"
@@ -18,13 +17,15 @@ import (
 const snapshotMagic = "HPRV1\n"
 
 // Source is the engine surface the snapshot writer needs: the mode, the
-// schema, and one deterministic pass over every stored row. Both
-// engine.Engine and engine.ShardedEngine satisfy it (engine.DB embeds
-// it), and both stream rows in the same order, so the snapshot bytes
-// are independent of the shard count.
+// schema, and one deterministic pass over every stored row, relations
+// in schema order. Both engine.Engine and engine.ShardedEngine satisfy
+// it (engine.DB embeds it), and both stream rows in the same order, so
+// the snapshot bytes are independent of the shard count. NumRows sizes
+// the row list; a commit between it and Rows only makes the list grow.
 type Source interface {
 	Mode() engine.Mode
 	Schema() *db.Schema
+	NumRows() int
 	Rows(f func(rel string, t db.Tuple, ann *core.Expr))
 }
 
@@ -32,26 +33,13 @@ type Source interface {
 // schema, one shared expression node table (structurally deduplicated),
 // and every stored row — including tombstones — with a reference into
 // the table. The result can be restored with LoadSnapshot into either
-// engine mode. Expression walks use GOMAXPROCS workers; see
-// SaveSnapshotParallel for the determinism argument.
+// engine mode.
+//
+// The row list is collected in one src.Rows pass — a consistent cut, in
+// deterministic order — and the annotations are then encoded in that
+// order by one Encoder walk, so the bytes are a function of the state
+// alone: identical across engine implementations and shard counts.
 func SaveSnapshot(w io.Writer, src Source) error {
-	return SaveSnapshotParallel(w, src, 0)
-}
-
-// SaveSnapshotParallel is SaveSnapshot with the expression encoding
-// spread over workers goroutines (0 = GOMAXPROCS). The row list is
-// collected in one src.Rows pass — a consistent cut under the source's
-// read lock(s), in deterministic order — then workers walk disjoint
-// chunks of the annotations into local node tables that merge
-// sequentially in chunk order. The merge assigns node ids in exactly
-// the first-visit order a sequential encode would use, so the output is
-// byte-identical for every worker count (the differential tests check
-// this), and byte-identical across engine implementations and shard
-// counts.
-func SaveSnapshotParallel(w io.Writer, src Source, workers int) error {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
 	bw := bufio.NewWriter(w)
 	if _, err := bw.WriteString(snapshotMagic); err != nil {
 		return err
@@ -72,29 +60,37 @@ func SaveSnapshotParallel(w io.Writer, src Source, workers int) error {
 		}
 	}
 
-	// Collect the rows. Rows holds the engine's read lock(s) for the
-	// whole pass, so this is one consistent cut even while transactions
-	// apply concurrently; the collected expressions are immutable (the
-	// engine never mutates nodes in place), so encoding after the lock
-	// is released reads the same values.
+	// Collect the rows. Rows pins one horizon for the whole pass, so
+	// this is one consistent cut even while transactions apply
+	// concurrently; the collected expressions are immutable (the engine
+	// never mutates nodes in place), so encoding afterwards reads the
+	// same values. Relations arrive in schema order: ends[i] is where
+	// relation i's rows stop, 0 while it has none.
 	type flatRow struct {
-		rel   string
 		tuple db.Tuple
 		ann   *core.Expr
 	}
-	var flat []flatRow
+	flat := make([]flatRow, 0, src.NumRows())
+	ends := make([]int, len(names)+1)
+	cur := 0
 	src.Rows(func(name string, t db.Tuple, ann *core.Expr) {
-		flat = append(flat, flatRow{rel: name, tuple: t, ann: ann})
+		for cur < len(names) && names[cur] != name {
+			cur++
+		}
+		flat = append(flat, flatRow{tuple: t, ann: ann})
+		ends[cur] = len(flat)
 	})
-
-	anns := make([]*core.Expr, len(flat))
-	for i := range flat {
-		anns[i] = flat[i].ann
+	if ends[len(names)] != 0 {
+		return fmt.Errorf("provstore: source streamed its relations out of schema order")
 	}
+
 	var table bytes.Buffer
-	enc := NewEncoder(&table)
-	ids, err := encodeAll(enc, anns, workers)
-	if err != nil {
+	enc := newEncoder(&table, len(flat))
+	ids := make([]uint64, len(flat))
+	for i := range flat {
+		ids[i] = enc.add(flat[i].ann)
+	}
+	if err := enc.Flush(); err != nil {
 		return err
 	}
 	writeUvarint(bw, enc.Len())
@@ -102,17 +98,12 @@ func SaveSnapshotParallel(w io.Writer, src Source, workers int) error {
 		return err
 	}
 
-	// Rows per relation. Rows visits relations contiguously in schema
-	// order, so grouping flat indices by relation preserves row order.
-	byRel := make(map[string][]int, len(names))
-	for i := range flat {
-		byRel[flat[i].rel] = append(byRel[flat[i].rel], i)
-	}
-	for _, name := range names {
+	i := 0
+	for r, name := range names {
 		rel := schema.Relation(name)
-		idxs := byRel[name]
-		writeUvarint(bw, uint64(len(idxs)))
-		for _, i := range idxs {
+		end := max(i, ends[r])
+		writeUvarint(bw, uint64(end-i))
+		for ; i < end; i++ {
 			for j, v := range flat[i].tuple {
 				if err := writeValue(bw, rel.Attrs[j].Kind, v); err != nil {
 					return err
@@ -232,10 +223,10 @@ func LoadSnapshot(r io.Reader, opts ...engine.Option) (engine.DB, error) {
 	return e, nil
 }
 
+// writeUvarint appends into the writer's own spare room: a local
+// scratch array would escape through Write, one allocation per number.
 func writeUvarint(w *bufio.Writer, v uint64) {
-	var buf [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(buf[:], v)
-	_, _ = w.Write(buf[:n])
+	_, _ = w.Write(binary.AppendUvarint(w.AvailableBuffer(), v))
 }
 
 func writeString(w *bufio.Writer, s string) {
@@ -278,13 +269,9 @@ func writeValue(w *bufio.Writer, kind db.Kind, v db.Value) error {
 	case db.KindString:
 		writeString(w, v.Str())
 	case db.KindInt:
-		var buf [binary.MaxVarintLen64]byte
-		n := binary.PutVarint(buf[:], v.Int())
-		_, _ = w.Write(buf[:n])
+		_, _ = w.Write(binary.AppendVarint(w.AvailableBuffer(), v.Int()))
 	case db.KindFloat:
-		var buf [8]byte
-		binary.LittleEndian.PutUint64(buf[:], math.Float64bits(v.Float()))
-		_, _ = w.Write(buf[:])
+		_, _ = w.Write(binary.LittleEndian.AppendUint64(w.AvailableBuffer(), math.Float64bits(v.Float())))
 	default:
 		return fmt.Errorf("provstore: unknown kind %v", kind)
 	}

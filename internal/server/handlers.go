@@ -3,16 +3,13 @@ package server
 import (
 	"context"
 	"errors"
-	"fmt"
 	"io"
 	"net/http"
 	"time"
 
 	"hyperprov/internal/admission"
 	"hyperprov/internal/core"
-	"hyperprov/internal/db"
 	"hyperprov/internal/engine"
-	"hyperprov/internal/parser"
 	"hyperprov/internal/provstore"
 	"hyperprov/internal/upstruct"
 	"hyperprov/internal/wal"
@@ -399,47 +396,6 @@ func (s *Server) handleAbort(w http.ResponseWriter, req *http.Request) {
 		dead[core.QueryAnnot(l)] = false
 	}
 	s.serveLive(w, req, e, upstruct.MapEnv(dead, true))
-}
-
-// handleIngest parses the request body as a transaction log (SQL
-// fragment by default, ?syntax=datalog for the paper's notation) and
-// applies it. Read endpoints pin the MVCC horizon at entry and never
-// block while a large log streams in; each batch publishes atomically
-// when it commits. The response (and, on failure or client
-// disconnection, the error envelope) reports how many transactions
-// were durably applied — the caller may safely resubmit the rest.
-func (s *Server) handleIngest(w http.ResponseWriter, req *http.Request) {
-	req.Body = http.MaxBytesReader(w, req.Body, s.maxBody)
-	src, err := io.ReadAll(req.Body)
-	if err != nil {
-		writeBodyError(w, fmt.Errorf("reading log: %w", err))
-		return
-	}
-	e := s.Engine()
-	var txns []db.Transaction
-	switch syntax := req.URL.Query().Get("syntax"); syntax {
-	case "", "sql":
-		txns, err = parser.ParseSQLLog(e.Schema(), string(src))
-	case "datalog":
-		txns, err = parser.ParseDatalogLog(e.Schema(), string(src))
-	default:
-		writeError(w, http.StatusBadRequest, codeBadRequest, "unknown syntax %q", syntax)
-		return
-	}
-	if err != nil {
-		writeError(w, http.StatusBadRequest, codeBadRequest, "parsing log: %v", err)
-		return
-	}
-	applied, err := e.ApplyBatch(req.Context(), txns)
-	if err != nil {
-		writeEngineErrorApplied(w, err, applied)
-		return
-	}
-	writeJSON(w, http.StatusOK, map[string]int{
-		"transactions": len(txns),
-		"applied":      applied,
-		"queries":      db.CountQueries(txns),
-	})
 }
 
 // handleSnapshotSave streams the annotated database in the provstore

@@ -1,0 +1,135 @@
+package server
+
+import (
+	"bytes"
+	"encoding/json"
+	"io"
+	"net/http"
+	"net/http/httptest"
+	"strings"
+	"testing"
+
+	"hyperprov/internal/engine"
+	"hyperprov/internal/wal"
+)
+
+// TestIngestResponseBytes: the append-built success body is the one
+// json.Encoder wrote for map[string]int{"transactions", "applied",
+// "queries"}, in both syntaxes, and large and chunked bodies go through
+// the pooled buffer unharmed.
+func TestIngestResponseBytes(t *testing.T) {
+	srv := New(figure1Engine(t, engine.ModeNormalForm), WithLogf(t.Logf))
+	defer srv.Close()
+	encoded := func(txns, applied, queries int) string {
+		var b bytes.Buffer
+		enc := json.NewEncoder(&b)
+		enc.SetEscapeHTML(false)
+		_ = enc.Encode(map[string]int{"transactions": txns, "applied": applied, "queries": queries})
+		return b.String()
+	}
+	padded := figure1Log + strings.Repeat("-- "+strings.Repeat("x", 97)+"\n", 3*ingestBufKeep/100)
+	cases := []struct {
+		name, url, body string
+		want            string
+	}{
+		{"sql", "/v1/ingest", figure1Log, encoded(2, 2, 3)},
+		{"empty", "/v1/ingest?syntax=sql", "", encoded(0, 0, 0)},
+		{"datalog", "/v1/ingest?syntax=datalog", `Products+,q1("Lego", "Kids", 9):-` + "\n", encoded(1, 1, 1)},
+		{"past the pooled size", "/v1/ingest", padded, encoded(2, 2, 3)},
+	}
+	for _, tc := range cases {
+		rec := serveRaw(srv, "POST", tc.url, tc.body)
+		if rec.Code != http.StatusOK || rec.Body.String() != tc.want {
+			t.Errorf("%s: %d %q, want 200 %q", tc.name, rec.Code, rec.Body.String(), tc.want)
+		}
+		if ct := rec.Header().Get("Content-Type"); ct != "application/json" {
+			t.Errorf("%s: Content-Type %q", tc.name, ct)
+		}
+	}
+	// Unknown length (chunked): nothing to reserve from.
+	req := httptest.NewRequest("POST", "/v1/ingest", struct{ io.Reader }{strings.NewReader(figure1Log)})
+	if req.ContentLength != -1 {
+		t.Fatalf("ContentLength = %d, want unknown", req.ContentLength)
+	}
+	rec := httptest.NewRecorder()
+	srv.Handler().ServeHTTP(rec, req)
+	if rec.Code != http.StatusOK || rec.Body.String() != encoded(2, 2, 3) {
+		t.Errorf("chunked: %d %q", rec.Code, rec.Body.String())
+	}
+}
+
+// TestIngestStatsSection: the write path's counters appear in /v1/stats
+// and the expvar map and move once per request whose body arrived; a
+// parse failure counts its body and parse time but applies nothing.
+func TestIngestStatsSection(t *testing.T) {
+	srv := New(figure1Engine(t, engine.ModeNormalForm), WithLogf(t.Logf))
+	defer srv.Close()
+	bad := "BEGIN x; DELETE FROM Nope; COMMIT;"
+	for _, r := range []struct {
+		url, body string
+		code      int
+	}{
+		{"/v1/ingest", figure1Log, http.StatusOK},
+		{"/v1/ingest?syntax=sql", figure1Log, http.StatusOK},
+		{"/v1/ingest", bad, http.StatusBadRequest},
+		{"/v1/ingest?syntax=prolog", figure1Log, http.StatusBadRequest}, // refused before the parser: not counted
+	} {
+		if rec := serveRaw(srv, "POST", r.url, r.body); rec.Code != r.code {
+			t.Fatalf("POST %s: %d, want %d", r.url, rec.Code, r.code)
+		}
+	}
+	if body := serveRaw(srv, "GET", "/v1/metrics", "").Body.String(); !strings.Contains(body, `"ingestRequests":3`) {
+		t.Errorf("expvar map has no ingest section with three requests: %s", body)
+	}
+	got := decode[map[string]any](t, serveRaw(srv, "GET", "/v1/stats", "").Result())
+	for name, want := range map[string]float64{
+		"ingestRequests":  3,
+		"ingestTxns":      4,
+		"ingestBodyBytes": float64(2*len(figure1Log) + len(bad)),
+	} {
+		if got[name] != want {
+			t.Errorf("%s = %v, want %v", name, got[name], want)
+		}
+	}
+	for _, name := range []string{"ingestParseUs", "ingestApplyUs"} {
+		if v, ok := got[name].(float64); !ok || v < 0 {
+			t.Errorf("%s = %v", name, got[name])
+		}
+	}
+}
+
+// TestCheckpointStatsInWALSection: what a checkpoint cost the writer is
+// in the wal section after it ran.
+func TestCheckpointStatsInWALSection(t *testing.T) {
+	st, err := wal.Open(t.TempDir(), wal.WithMode(engine.ModeNormalForm), wal.WithInitialDatabase(figure1Database(t)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	srv := New(st, WithLogf(t.Logf))
+	defer srv.Close()
+	walStats := func() map[string]any {
+		return decode[map[string]any](t, serveRaw(srv, "GET", "/v1/stats", "").Result())["wal"].(map[string]any)
+	}
+	if before := walStats(); before["checkpointLastBytes"] != 0.0 || before["checkpointTotalMs"] != 0.0 {
+		t.Fatalf("before any checkpoint: %v", before)
+	}
+	if rec := serveRaw(srv, "POST", "/v1/ingest", figure1Log); rec.Code != http.StatusOK {
+		t.Fatal(rec.Code)
+	}
+	for i := 0; i < 2; i++ {
+		if rec := serveRaw(srv, "POST", "/v1/checkpoint", ""); rec.Code != http.StatusOK {
+			t.Fatalf("checkpoint: %d %s", rec.Code, rec.Body)
+		}
+	}
+	var snap bytes.Buffer
+	snap.Write(serveRaw(srv, "GET", "/v1/snapshot", "").Body.Bytes())
+	after := walStats()
+	if after["checkpointLastBytes"] != float64(snap.Len()) {
+		t.Errorf("checkpointLastBytes = %v, the snapshot has %d bytes", after["checkpointLastBytes"], snap.Len())
+	}
+	last, total := after["checkpointLastMs"].(float64), after["checkpointTotalMs"].(float64)
+	if last <= 0 || total < last {
+		t.Errorf("checkpointLastMs = %v, checkpointTotalMs = %v after two checkpoints", last, total)
+	}
+}

@@ -54,6 +54,8 @@ type Server struct {
 	maxBody int64
 	// whatif accumulates the what-if read path's counters (serveLive).
 	whatif whatifStats
+	// ingest accumulates the write path's counters (handleIngest).
+	ingest ingestStats
 
 	// subs maintains the live provenance subscriptions served at
 	// /v1/subscribe, fed by the engine's commit-event bus. Snapshot
@@ -121,6 +123,7 @@ func New(eng engine.DB, opts ...Option) *Server {
 	s.metrics.m.Set("memory", expvar.Func(func() any { return ReadMemoryStats() }))
 	s.metrics.m.Set("admission", expvar.Func(func() any { return s.adm.StatsSnapshot() }))
 	s.metrics.m.Set("whatif", expvar.Func(func() any { return s.whatif.snapshot() }))
+	s.metrics.m.Set("ingest", expvar.Func(func() any { return s.ingest.snapshot() }))
 	// methodsByPath records every registered route so the fallback can
 	// distinguish a wrong method on a known path (405 + Allow) from an
 	// unknown path (404), both through the typed error envelope.

@@ -34,6 +34,7 @@ var statsSections = []statsSection{
 	{"subscriptions", collectSubscriptionStats},
 	{"admission", collectAdmissionStats},
 	{"whatif", collectWhatifStats},
+	{"ingest", collectIngestStats},
 	{"memory", collectMemoryStats},
 }
 

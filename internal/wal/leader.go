@@ -1,6 +1,7 @@
 package wal
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -110,16 +111,22 @@ func (s *Store) detachStream(h *streamHandle) {
 // followers. Called under mu after the group commit succeeded, so
 // followers only ever see records the log has accepted. A follower
 // whose channel is full is detached (channel closed); it falls back to
-// reading the flushed log from disk.
+// reading the flushed log from disk. The payloads may sit in the
+// store's reused encode buffer, so the streams share a copy, made when
+// the first live stream needs it.
 func (s *Store) publishStreamLocked(base uint64, payloads [][]byte) {
-	if len(s.streams) == 0 {
-		return
-	}
+	var own [][]byte
 	for h := range s.streams {
 		if h.ch == nil {
 			continue
 		}
-		for i, p := range payloads {
+		if own == nil {
+			own = make([][]byte, len(payloads))
+			for i, p := range payloads {
+				own[i] = bytes.Clone(p)
+			}
+		}
+		for i, p := range own {
 			select {
 			case h.ch <- streamRec{lsn: base + uint64(i), payload: p}:
 			default:

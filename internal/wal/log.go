@@ -164,6 +164,7 @@ type logWriter struct {
 	start uint64        // LSN of the current segment's first record
 	count uint64        // records appended to the current segment
 	bytes int64         // bytes appended to the current segment
+	frame []byte        // append's scratch
 }
 
 // openLogWriter positions the writer to append records starting at
@@ -205,12 +206,12 @@ func (lw *logWriter) append(payload []byte) error {
 			return err
 		}
 	}
-	frame := appendFrame(nil, payload)
-	if _, err := lw.w.Write(frame); err != nil {
+	lw.frame = appendFrame(lw.frame[:0], payload)
+	if _, err := lw.w.Write(lw.frame); err != nil {
 		return err
 	}
 	lw.count++
-	lw.bytes += int64(len(frame))
+	lw.bytes += int64(len(lw.frame))
 	return nil
 }
 

@@ -51,7 +51,7 @@ func decodeSchema(d *recDecoder) (*db.Schema, error) {
 	if err != nil {
 		return nil, err
 	}
-	rels := make([]*db.RelationSchema, 0, minU64(nRels, 1024))
+	rels := make([]*db.RelationSchema, 0, min(nRels, 1024))
 	for i := uint64(0); i < nRels; i++ {
 		name, err := d.str()
 		if err != nil {

@@ -144,16 +144,14 @@ func (e *recEncoder) update(u *db.Update) {
 	}
 }
 
-// encodeTxn renders the canonical record payload for one transaction.
-func encodeTxn(t *db.Transaction) []byte {
-	var e recEncoder
+// txn appends the canonical record payload for one transaction.
+func (e *recEncoder) txn(t *db.Transaction) {
 	e.byte(recTxn)
 	e.str(t.Label)
 	e.uvarint(uint64(len(t.Updates)))
 	for i := range t.Updates {
 		e.update(&t.Updates[i])
 	}
-	return e.buf.Bytes()
 }
 
 // encodeRestore renders the record payload for one RestoreRow call. The
@@ -391,7 +389,7 @@ func decodeRecord(data []byte) (*Record, error) {
 		if err != nil {
 			return nil, err
 		}
-		t.Updates = make([]db.Update, 0, minU64(n, 1024))
+		t.Updates = make([]db.Update, 0, min(n, 1024))
 		for i := uint64(0); i < n; i++ {
 			u, err := d.update()
 			if err != nil {
@@ -423,11 +421,4 @@ func decodeRecord(data []byte) (*Record, error) {
 		return nil, fmt.Errorf("wal: unknown record type %d", typ)
 	}
 	return rec, nil
-}
-
-func minU64(a, b uint64) uint64 {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -11,6 +11,13 @@ import (
 
 // TestTxnCodecRoundTrip encodes generated hyperplane transactions and
 // checks decode reproduces them field for field.
+// encodeTxn renders one transaction's payload into a buffer of its own.
+func encodeTxn(t *db.Transaction) []byte {
+	var e recEncoder
+	e.txn(t)
+	return e.buf.Bytes()
+}
+
 func TestTxnCodecRoundTrip(t *testing.T) {
 	_, txns, err := workload.Generate(workload.Config{
 		Tuples: 100, Pool: 20, Group: 2, Updates: 200,

@@ -201,6 +201,11 @@ type Store struct {
 	release   func() // directory lock
 	hasInit   bool   // bootstrap database had rows (lives in META)
 
+	// enc and encPayloads are applyChunk's record buffer and the
+	// records in it, reused under mu (see encodeChunkLocked).
+	enc         recEncoder
+	encPayloads [][]byte
+
 	// Replication: registered follower streams. Each handle's position
 	// fences log pruning; attached handles receive committed records.
 	streams map[*streamHandle]struct{}
@@ -221,6 +226,9 @@ type Store struct {
 	replayed  uint64 // set once during Open
 	truncated int64  // torn-tail bytes discarded during Open
 	recovered bool
+
+	// what checkpoints cost the writer (they run under mu)
+	ckptLastUs, ckptLastBytes, ckptTotalUs atomic.Int64
 
 	// replication counters
 	streamsServed  atomic.Uint64
@@ -291,6 +299,13 @@ type StoreStats struct {
 	TruncatedTail  int64  `json:"truncated_tail_bytes"`
 	ReadOnly       bool   `json:"read_only"`
 	ReadOnlyCause  string `json:"read_only_cause,omitempty"`
+
+	// How long the last completed checkpoint held the writer (encode,
+	// fsync, rename, rotate, prune), its file's size, and the time all
+	// of them held it so far.
+	CheckpointLastMs    float64 `json:"checkpointLastMs"`
+	CheckpointLastBytes int64   `json:"checkpointLastBytes"`
+	CheckpointTotalMs   float64 `json:"checkpointTotalMs"`
 
 	// Leader-side replication counters.
 	ActiveStreams  int    `json:"active_streams"`
@@ -406,7 +421,7 @@ func (s *Store) bootstrap() error {
 	if hasInit {
 		// The bootstrap rows exist only in memory; a checkpoint is the
 		// sole durable copy, so its failure fails Open.
-		if err := s.writeCheckpoint(0); err != nil {
+		if _, err := s.writeCheckpoint(0); err != nil {
 			return fmt.Errorf("wal: initial checkpoint: %w", err)
 		}
 	}
@@ -665,7 +680,7 @@ func (s *Store) ApplyTransaction(t *db.Transaction) error {
 }
 
 func (s *Store) applyTxnLocked(t *db.Transaction) error {
-	if err := s.appendLocked(encodeTxn(t)); err != nil {
+	if err := s.appendLocked(s.encodeChunkLocked([]db.Transaction{*t})...); err != nil {
 		return err
 	}
 	err := s.engine().ApplyTransaction(t)
@@ -711,6 +726,23 @@ func (s *Store) ApplyBatch(ctx context.Context, txns []db.Transaction) (applied 
 	return applied, nil
 }
 
+// encodeChunkLocked renders the chunk's record payloads back to back
+// into the store's encode buffer, reused from chunk to chunk. When the
+// buffer grows mid-chunk the earlier payloads stay on the old array,
+// which nothing writes again. They are valid until the next call:
+// appendLocked copies them into the log writer and followers get copies
+// of their own.
+func (s *Store) encodeChunkLocked(chunk []db.Transaction) [][]byte {
+	s.enc.buf.Reset()
+	s.encPayloads = s.encPayloads[:0]
+	for i := range chunk {
+		start := s.enc.buf.Len()
+		s.enc.txn(&chunk[i])
+		s.encPayloads = append(s.encPayloads, s.enc.buf.Bytes()[start:s.enc.buf.Len():s.enc.buf.Len()])
+	}
+	return s.encPayloads
+}
+
 func (s *Store) applyChunk(chunk []db.Transaction) (applied int, err error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -722,11 +754,7 @@ func (s *Store) applyChunk(chunk []db.Transaction) (applied int, err error) {
 		}
 	}
 	if firstBad == len(chunk) {
-		payloads := make([][]byte, len(chunk))
-		for i := range chunk {
-			payloads[i] = encodeTxn(&chunk[i])
-		}
-		if err := s.appendLocked(payloads...); err != nil {
+		if err := s.appendLocked(s.encodeChunkLocked(chunk)...); err != nil {
 			return 0, err
 		}
 		// Validated above: cannot fail, so the sharded engine's
@@ -830,33 +858,42 @@ func (s *Store) DropIndex(rel, attr string) error {
 
 // --- checkpointing ------------------------------------------------------
 
+// countWriter counts the bytes that reached the file.
+type countWriter struct {
+	File
+	n int64
+}
+
+func (c *countWriter) Write(p []byte) (int, error) {
+	n, err := c.File.Write(p)
+	c.n += int64(n)
+	return n, err
+}
+
 // writeCheckpoint snapshots the engine to checkpoint-<lsn> via a temp
-// file, fsync and atomic rename.
-func (s *Store) writeCheckpoint(lsn uint64) error {
+// file, fsync and atomic rename, and returns the file's size.
+func (s *Store) writeCheckpoint(lsn uint64) (int64, error) {
 	tmp := filepath.Join(s.dir, "checkpoint.tmp")
-	f, err := s.fs.Create(tmp)
+	file, err := s.fs.Create(tmp)
 	if err != nil {
-		return err
+		return 0, err
 	}
-	if err := provstore.SaveSnapshot(f, s.engine()); err != nil {
-		f.Close()
+	f := &countWriter{File: file}
+	err = provstore.SaveSnapshot(f, s.engine())
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = s.fs.Rename(tmp, filepath.Join(s.dir, ckptName(lsn)))
+	}
+	if err != nil {
 		_ = s.fs.Remove(tmp)
-		return err
+		return 0, err
 	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		_ = s.fs.Remove(tmp)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		_ = s.fs.Remove(tmp)
-		return err
-	}
-	if err := s.fs.Rename(tmp, filepath.Join(s.dir, ckptName(lsn))); err != nil {
-		_ = s.fs.Remove(tmp)
-		return err
-	}
-	return s.fs.SyncDir(s.dir)
+	return f.n, s.fs.SyncDir(s.dir)
 }
 
 // Checkpoint snapshots the current state, rotates the log, and prunes
@@ -876,8 +913,10 @@ func (s *Store) checkpointLocked() error {
 	if s.readOnly.Load() {
 		return s.roError()
 	}
+	start := time.Now()
 	lsn := s.lsn
-	if err := s.writeCheckpoint(lsn); err != nil {
+	size, err := s.writeCheckpoint(lsn)
+	if err != nil {
 		return err
 	}
 	s.ckptLSN = lsn
@@ -926,6 +965,10 @@ func (s *Store) checkpointLocked() error {
 		}
 		_ = s.fs.SyncDir(s.dir)
 	}
+	held := time.Since(start).Microseconds()
+	s.ckptLastUs.Store(held)
+	s.ckptLastBytes.Store(size)
+	s.ckptTotalUs.Add(held)
 	return nil
 }
 
@@ -1050,6 +1093,10 @@ func (s *Store) Stats() StoreStats {
 		StreamsServed:  s.streamsServed.Load(),
 		ResyncsServed:  s.resyncsServed.Load(),
 		StreamLagDrops: s.streamLagDrops.Load(),
+
+		CheckpointLastMs:    float64(s.ckptLastUs.Load()) / 1e3,
+		CheckpointLastBytes: s.ckptLastBytes.Load(),
+		CheckpointTotalMs:   float64(s.ckptTotalUs.Load()) / 1e3,
 	}
 	if cause, ok := s.roCause.Load().(error); ok {
 		st.ReadOnlyCause = cause.Error()
