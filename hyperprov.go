@@ -372,9 +372,11 @@ const (
 // commit-event bus: register a deletion-propagation or abort what-if,
 // or an annotation watch, once, and receive exact incremental deltas
 // as transactions commit. SubConn is one client connection (a bounded
-// frame queue), SubSpec the subscription description, SubFrame one
-// streamed message (ack/delta/resync/error). The HTTP surface at
-// /v1/subscribe speaks the same frames as ND-JSON or SSE.
+// frame queue), SubSpec the subscription description. Subscribe and
+// SubConn.Next hand frames out in their wire encoding — one JSON
+// object and a newline, the bytes /v1/subscribe writes as ND-JSON or
+// SSE; json.Unmarshal one into a SubFrame (ack/delta/resync/error) to
+// inspect it.
 type (
 	SubscriptionManager = subscribe.Manager
 	SubConn             = subscribe.Conn

@@ -61,7 +61,10 @@ func (o Op) String() string {
 // through the exported constructors; the zero value of Expr is not
 // valid. Expr values must never be copied (the memo fields are atomic).
 type Expr struct {
-	op       Op
+	op Op
+	// id is the node's dense process-local identity (see ID); it sits in
+	// the padding after op, so it costs no memory.
+	id       uint32
 	ann      Annot // valid iff op == OpVar
 	kids     []*Expr
 	size     int64
@@ -188,6 +191,14 @@ func (e *Expr) Right() *Expr { return e.kids[1] }
 // occurrence) of the expression. This is the provenance-size measure of
 // the paper's Section 6.
 func (e *Expr) Size() int64 { return e.size }
+
+// ID returns the dense identity the intern table gave a canonical node:
+// 1, 2, 3, … in interning order, so a node's id is larger than the id
+// of every node it reaches. Zero, raw (DeepCopy) nodes and their
+// enclosing raw trees answer 0. Ids index per-valuation memo tables
+// (upstruct.Kernel); they are process-local and must never be
+// persisted.
+func (e *Expr) ID() uint32 { return e.id }
 
 // Hash returns a structural hash of the expression. Equal expressions
 // have equal hashes; the converse holds with high probability only.

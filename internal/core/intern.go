@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"sync"
 	"sync/atomic"
 )
@@ -185,16 +186,39 @@ func (t *internTable) intern(op Op, ann Annot, kids []*Expr, h uint64) *Expr {
 		return e
 	}
 	n := s.arena.alloc()
-	n.op, n.ann, n.kids, n.size, n.hash, n.interned = op, ann, kids, size, h, true
+	n.op, n.id, n.ann, n.kids, n.size, n.hash, n.interned = op, t.nextID(), ann, kids, size, h, true
 	if _, taken := s.first[h]; !taken {
 		s.first[h] = n
 	} else {
 		s.addRest(h, n)
 	}
 	s.mu.Unlock()
-	t.nodes.Add(1)
 	t.misses.Add(1)
 	return n
+}
+
+// nextID counts the new canonical node and returns its dense id. The
+// kids of the node being interned were counted before it, so ids grow
+// from the leaves up. Past 2³²−1 nodes (≈ 400 GB of them) a node gets
+// id 0 and is simply never memoised.
+func (t *internTable) nextID() uint32 {
+	if n := t.nodes.Add(1); n <= math.MaxUint32 {
+		return uint32(n)
+	}
+	return 0
+}
+
+// LookupVar returns the canonical node of the basic annotation a if
+// one has been interned, nil otherwise. Unlike Var it never inserts: a
+// what-if naming an annotation the database has never seen must not
+// grow the immortal table.
+func LookupVar(a Annot) *Expr {
+	h := hashNode(OpVar, a, nil)
+	s := interns.shard(h)
+	s.mu.RLock()
+	e := s.find(OpVar, a, nil, h)
+	s.mu.RUnlock()
+	return e
 }
 
 // find scans the fingerprint's canonical nodes for (op, ann, kids); the
@@ -249,14 +273,13 @@ func (t *internTable) internBinary(op Op, l, r *Expr, h uint64) *Expr {
 		return e
 	}
 	n := s.arena.alloc()
-	n.op, n.kids, n.size, n.hash, n.interned = op, []*Expr{l, r}, 1+l.size+r.size, h, true
+	n.op, n.id, n.kids, n.size, n.hash, n.interned = op, t.nextID(), []*Expr{l, r}, 1+l.size+r.size, h, true
 	if _, taken := s.first[h]; !taken {
 		s.first[h] = n
 	} else {
 		s.addRest(h, n)
 	}
 	s.mu.Unlock()
-	t.nodes.Add(1)
 	t.misses.Add(1)
 	return n
 }

@@ -1,48 +1,49 @@
 package core
 
-import "strings"
+import "unsafe"
 
 // String renders the expression in the paper's notation, e.g.
 // "(p1 +M (p3 *M p)) - p". Binary operators are written infix with
 // parentheses around compound operands; sums are written infix with "+".
 func (e *Expr) String() string {
-	var b strings.Builder
-	e.write(&b, true)
-	return b.String()
+	b := e.AppendText(nil, nil)
+	// b is never written again, so the string may alias it — what
+	// strings.Builder does, minus its copy-check per piece.
+	return unsafe.String(unsafe.SliceData(b), len(b))
 }
 
-func (e *Expr) write(b *strings.Builder, top bool) {
+// AppendText appends String()'s text to dst without building the
+// string. Every annotation name goes through name — nil appends it
+// as it is — so a caller embedding the text in a quoted format can
+// escape names in place: the rest is ASCII operators, parentheses,
+// spaces and "0", which no format this repository writes escapes.
+func (e *Expr) AppendText(dst []byte, name func(dst []byte, s string) []byte) []byte {
+	return e.appendText(dst, name, true)
+}
+
+func (e *Expr) appendText(dst []byte, name func([]byte, string) []byte, top bool) []byte {
 	switch e.op {
 	case OpZero:
-		b.WriteByte('0')
+		return append(dst, '0')
 	case OpVar:
-		b.WriteString(e.ann.Name)
-	case OpSum:
-		if !top {
-			b.WriteByte('(')
+		if name != nil {
+			return name(dst, e.ann.Name)
 		}
-		for i, k := range e.kids {
-			if i > 0 {
-				b.WriteString(" + ")
-			}
-			k.write(b, false)
-		}
-		if !top {
-			b.WriteByte(')')
-		}
-	default:
-		if !top {
-			b.WriteByte('(')
-		}
-		e.kids[0].write(b, false)
-		b.WriteByte(' ')
-		b.WriteString(opSymbol(e.op))
-		b.WriteByte(' ')
-		e.kids[1].write(b, false)
-		if !top {
-			b.WriteByte(')')
-		}
+		return append(dst, e.ann.Name...)
 	}
+	if !top {
+		dst = append(dst, '(')
+	}
+	for i, k := range e.kids {
+		if i > 0 {
+			dst = append(append(append(dst, ' '), opSymbol(e.op)...), ' ')
+		}
+		dst = k.appendText(dst, name, false)
+	}
+	if !top {
+		dst = append(dst, ')')
+	}
+	return dst
 }
 
 func opSymbol(o Op) string {

@@ -15,14 +15,20 @@ func NewTuple(vals ...Value) Tuple { return Tuple(vals) }
 // Key returns an unambiguous string encoding of the tuple, used as the
 // hash-map key for set semantics and annotation lookup.
 func (t Tuple) Key() string {
-	var b strings.Builder
+	var buf [64]byte
+	return string(t.AppendKey(buf[:0]))
+}
+
+// AppendKey appends Key()'s bytes to dst, for callers that only order
+// or compare keys and keep them in scratch memory.
+func (t Tuple) AppendKey(dst []byte) []byte {
 	for i, v := range t {
 		if i > 0 {
-			b.WriteByte('|')
+			dst = append(dst, '|')
 		}
-		v.appendKey(&b)
+		dst = v.appendKey(dst)
 	}
-	return b.String()
+	return dst
 }
 
 // Fingerprint returns a 64-bit FNV-1a hash of the tuple's kind tags and

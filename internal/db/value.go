@@ -136,22 +136,24 @@ func ParseValue(kind Kind, s string) (Value, error) {
 	}
 }
 
-// appendKey appends an unambiguous encoding of the value to b, used to
-// key tuples in hash maps and in the snapshot/WAL formats. The encoding
-// is unchanged by interning: it always renders the payload itself.
-func (v Value) appendKey(b *strings.Builder) {
+// appendKey appends an unambiguous encoding of the value to dst, used
+// to key tuples in hash maps and in the snapshot/WAL formats. The
+// encoding is unchanged by interning: it always renders the payload
+// itself.
+func (v Value) appendKey(dst []byte) []byte {
 	switch v.kind {
 	case KindString:
 		s := v.Str()
-		b.WriteByte('s')
-		b.WriteString(strconv.Itoa(len(s)))
-		b.WriteByte(':')
-		b.WriteString(s)
+		dst = append(dst, 's')
+		dst = strconv.AppendInt(dst, int64(len(s)), 10)
+		dst = append(dst, ':')
+		dst = append(dst, s...)
 	case KindInt:
-		b.WriteByte('i')
-		b.WriteString(strconv.FormatInt(int64(v.bits), 10))
+		dst = append(dst, 'i')
+		dst = strconv.AppendInt(dst, int64(v.bits), 10)
 	case KindFloat:
-		b.WriteByte('f')
-		b.WriteString(strconv.FormatFloat(math.Float64frombits(v.bits), 'g', -1, 64))
+		dst = append(dst, 'f')
+		dst = strconv.AppendFloat(dst, math.Float64frombits(v.bits), 'g', -1, 64)
 	}
+	return dst
 }

@@ -6,6 +6,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"hyperprov/internal/core"
 	"hyperprov/internal/db"
 	"hyperprov/internal/upstruct"
 )
@@ -141,14 +142,17 @@ var chunkWalks atomic.Uint64
 // walkChunks is the one parallel loop of the package: up to workers
 // goroutines (the caller's own when one suffices) pull chunk indexes
 // from a shared counter and run the visitor newVisit built for them, so
-// a visitor may keep worker-private scratch. ctx is checked before
-// every pull; on cancellation chunks already started still complete and
-// ctx.Err() is returned.
-func walkChunks(ctx context.Context, chunks []rowChunk, workers int, newVisit func() func(i int, c rowChunk)) error {
+// a visitor may keep worker-private scratch — among it the evaluator
+// newVisit also returns, which goes back to its pool (putEval) when the
+// worker has pulled its last chunk. ctx is checked before every pull;
+// on cancellation chunks already started still complete and ctx.Err()
+// is returned.
+func walkChunks(ctx context.Context, chunks []rowChunk, workers int, newVisit func() (visit func(i int, c rowChunk), ev boolEval)) error {
 	chunkWalks.Add(1)
 	var next atomic.Int64
 	pull := func() {
-		visit := newVisit()
+		visit, ev := newVisit()
+		defer putEval(ev)
 		for ctx.Err() == nil {
 			i := int(next.Add(1)) - 1
 			if i >= len(chunks) {
@@ -211,7 +215,7 @@ func SpecializeParallel[T any](ctx context.Context, e Reader, s upstruct.Structu
 			}
 		}
 	}
-	return walkChunks(ctx, chunks, workers, func() func(int, rowChunk) { return visit })
+	return walkChunks(ctx, chunks, workers, func() (func(int, rowChunk), boolEval) { return visit, nil })
 }
 
 // Chunk describes one piece of a LiveChunks pass: a run of up to
@@ -223,7 +227,24 @@ type Chunk struct {
 	Rows int
 }
 
-// LiveChunks evaluates the Boolean valuation env over every row r sees
+// boolEval evaluates annotations under one Boolean valuation: a
+// valuation kernel, or the generic tree walk under an opaque Env.
+type boolEval interface {
+	Eval(*core.Expr) bool
+	EvalNF(*core.NF) bool
+}
+
+// envEval is the generic Eval/EvalNF in the Boolean structure.
+type envEval struct{ env upstruct.Env[bool] }
+
+func (e envEval) Eval(x *core.Expr) bool { return upstruct.Eval(x, upstruct.Bool, e.env) }
+func (e envEval) EvalNF(n *core.NF) bool { return upstruct.EvalNF(n, upstruct.Bool, e.env) }
+
+// kernelPool recycles the what-if workers' valuation kernels, so a
+// request's memo pages are cleared, not allocated.
+var kernelPool = sync.Pool{New: func() any { return upstruct.NewKernel(nil) }}
+
+// LiveChunks evaluates the Boolean valuation val over every row r sees
 // and calls visit once per chunk — from the worker goroutine that
 // evaluated it — with the chunk's live tuples (those whose provenance
 // came out true) in insertion order. live is worker scratch, valid
@@ -233,12 +254,29 @@ type Chunk struct {
 // order for any workers and shard count; chunks with no live tuple are
 // visited too. Nothing is materialized per row: this is the building
 // block for consumers that fold live tuples straight into their own
-// output (BoolRestrictParallel into a db.Database, the HTTP server into
-// response bytes). env must be safe for concurrent use (pure functions
-// and MapEnv lookups are). Horizon pinning, workers and ctx behave as
-// in SpecializeParallel; on cancellation the results are dropped and
-// (nil, ctx.Err()) is returned.
-func LiveChunks[R any](ctx context.Context, r Reader, env upstruct.Env[bool], workers int, visit func(c Chunk, live []db.Tuple) R) ([]R, error) {
+// output (the HTTP server into response bytes). Each worker evaluates
+// through its own pooled upstruct.Kernel, so a sub-expression shared
+// between rows is computed once per worker. Horizon pinning, workers
+// and ctx behave as in SpecializeParallel; on cancellation the results
+// are dropped and (nil, ctx.Err()) is returned.
+func LiveChunks[R any](ctx context.Context, r Reader, val *upstruct.Valuation, workers int, visit func(c Chunk, live []db.Tuple) R) ([]R, error) {
+	return liveChunks(ctx, r, workers, func() boolEval {
+		k := kernelPool.Get().(*upstruct.Kernel)
+		k.Reset(val)
+		return k
+	}, visit)
+}
+
+// putEval returns a worker's kernel to the pool when the worker is done.
+func putEval(ev boolEval) {
+	if k, pooled := ev.(*upstruct.Kernel); pooled {
+		kernelPool.Put(k)
+	}
+}
+
+// liveChunks is LiveChunks over any evaluator: newEval builds one
+// worker's.
+func liveChunks[R any](ctx context.Context, r Reader, workers int, newEval func() boolEval, visit func(c Chunk, live []db.Tuple) R) ([]R, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -250,23 +288,30 @@ func LiveChunks[R any](ctx context.Context, r Reader, env upstruct.Env[bool], wo
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		return liveChunksGeneric(r, env, visit), nil
+		ev := newEval()
+		defer putEval(ev)
+		return liveChunksGeneric(r, ev, visit), nil
 	}
 	chunks := p.chunks()
 	defer putChunkBuf(chunks)
-	mode := p.mode()
+	naive := p.mode() == ModeNaive
 	out := make([]R, len(chunks))
-	err := walkChunks(ctx, chunks, workers, func() func(int, rowChunk) {
+	err := walkChunks(ctx, chunks, workers, func() (func(int, rowChunk), boolEval) {
+		ev := newEval()
 		live := make([]db.Tuple, 0, walkChunkRows)
 		return func(i int, c rowChunk) {
 			live = live[:0]
 			for _, r := range c.rows {
-				if ver := r.at(p.at); ver != nil && evalVersion(mode, ver, upstruct.Bool, env) {
+				ver := r.at(p.at)
+				if ver == nil {
+					continue
+				}
+				if naive && ev.Eval(ver.expr) || !naive && ev.EvalNF(ver.nf) {
 					live = append(live, r.tuple)
 				}
 			}
 			out[i] = visit(Chunk{Rel: c.rel, Rows: len(c.rows)}, live)
-		}
+		}, ev
 	})
 	if err != nil {
 		return nil, err
@@ -276,7 +321,7 @@ func LiveChunks[R any](ctx context.Context, r Reader, env upstruct.Env[bool], wo
 
 // liveChunksGeneric is the sequential LiveChunks of a foreign Reader,
 // cut into the same chunk shape over materialized annotations.
-func liveChunksGeneric[R any](r Reader, env upstruct.Env[bool], visit func(c Chunk, live []db.Tuple) R) []R {
+func liveChunksGeneric[R any](r Reader, ev boolEval, visit func(c Chunk, live []db.Tuple) R) []R {
 	var out []R
 	c := Chunk{}
 	live := make([]db.Tuple, 0, walkChunkRows)
@@ -287,13 +332,13 @@ func liveChunksGeneric[R any](r Reader, env upstruct.Env[bool], visit func(c Chu
 		c = Chunk{}
 		live = live[:0]
 	}
-	Specialize(r, upstruct.Bool, env, func(rel string, t db.Tuple, v bool) {
+	r.Rows(func(rel string, t db.Tuple, ann *core.Expr) {
 		if rel != c.Rel || c.Rows == walkChunkRows {
 			flush()
 			c.Rel = rel
 		}
 		c.Rows++
-		if v {
+		if ev.Eval(ann) {
 			live = append(live, t)
 		}
 	})
@@ -302,17 +347,18 @@ func liveChunksGeneric[R any](r Reader, env upstruct.Env[bool], visit func(c Chu
 }
 
 // BoolRestrictParallel materializes the database selected by a Boolean
-// valuation using parallel evaluation: LiveChunks with each chunk's
-// live tuples copied out and inserted in chunk order, so the result's
-// insertion order matches the sequential BoolRestrict on either engine
-// (or view, or wrapper). env must be safe for concurrent use. On
-// cancellation, (nil, ctx.Err()) is returned.
+// valuation using parallel evaluation: the LiveChunks walk under the
+// generic evaluator (env is opaque, so there is nothing to resolve or
+// memoise), with each chunk's live tuples copied out and inserted in
+// chunk order, so the result's insertion order matches the sequential
+// BoolRestrict on either engine (or view, or wrapper). env must be safe
+// for concurrent use. On cancellation, (nil, ctx.Err()) is returned.
 func BoolRestrictParallel(ctx context.Context, e Reader, env upstruct.Env[bool], workers int) (*db.Database, error) {
 	type hits struct {
 		rel    string
 		tuples []db.Tuple
 	}
-	chunks, err := LiveChunks(ctx, e, env, workers, func(c Chunk, live []db.Tuple) hits {
+	chunks, err := liveChunks(ctx, e, workers, func() boolEval { return envEval{env} }, func(c Chunk, live []db.Tuple) hits {
 		return hits{rel: c.Rel, tuples: append([]db.Tuple(nil), live...)}
 	})
 	if err != nil {

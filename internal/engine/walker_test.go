@@ -56,6 +56,7 @@ func TestChunkWalkerThroughWrappers(t *testing.T) {
 	}
 	dead := map[core.Annot]bool{core.QueryAnnot(txns[0].Label): false, core.TupleAnnot("t7"): false}
 	env := upstruct.MapEnv(dead, true)
+	val := upstruct.Dead(core.QueryAnnot(txns[0].Label), core.TupleAnnot("t7"))
 	ctx := context.Background()
 
 	for _, shards := range []int{1, 4} {
@@ -94,7 +95,7 @@ func TestChunkWalkerThroughWrappers(t *testing.T) {
 					t.Errorf("%s: BoolRestrictParallel differs from BoolRestrict (%d vs %d tuples, or order)", name, len(got), len(rd.want))
 				}
 
-				parts, err := LiveChunks(ctx, rd.r, env, workers, func(c Chunk, live []db.Tuple) []string {
+				parts, err := LiveChunks(ctx, rd.r, val, workers, func(c Chunk, live []db.Tuple) []string {
 					keys := make([]string, len(live))
 					for i, tp := range live {
 						keys[i] = c.Rel + "/" + tp.Key()
@@ -149,7 +150,7 @@ func TestChunkWalkerCancellation(t *testing.T) {
 	allTrue := func(core.Annot) bool { return true }
 	for _, r := range []Reader{e, foreignReader{e}} {
 		visited := false
-		out, err := LiveChunks(ctx, r, allTrue, 2, func(Chunk, []db.Tuple) int { visited = true; return 0 })
+		out, err := LiveChunks(ctx, r, upstruct.Dead(), 2, func(Chunk, []db.Tuple) int { visited = true; return 0 })
 		if !errors.Is(err, context.Canceled) || out != nil || visited {
 			t.Errorf("%T: LiveChunks on a cancelled context returned (%v, %v), visited=%v", r, out, err, visited)
 		}

@@ -311,7 +311,7 @@ func (s *Server) handleAnnotation(w http.ResponseWriter, req *http.Request) {
 	}
 	resp := annotationResponse{
 		Found:      true,
-		Live:       upstruct.Eval(ann, upstruct.Bool, func(core.Annot) bool { return true }),
+		Live:       ann.Live(),
 		Annotation: ann.String(),
 		Size:       ann.Size(),
 	}
@@ -338,7 +338,7 @@ func (s *Server) handleDB(w http.ResponseWriter, req *http.Request) {
 	if !ok {
 		return
 	}
-	s.serveLive(w, req, e, func(core.Annot) bool { return true })
+	s.serveLive(w, req, e, upstruct.Dead())
 }
 
 type deletionRequest struct {
@@ -363,11 +363,11 @@ func (s *Server) handleDeletion(w http.ResponseWriter, req *http.Request) {
 	if !ok {
 		return
 	}
-	dead := make(map[core.Annot]bool, len(dr.Tuples))
-	for _, name := range dr.Tuples {
-		dead[core.TupleAnnot(name)] = false
+	dead := make([]core.Annot, len(dr.Tuples))
+	for i, name := range dr.Tuples {
+		dead[i] = core.TupleAnnot(name)
 	}
-	s.serveLive(w, req, e, upstruct.MapEnv(dead, true))
+	s.serveLive(w, req, e, upstruct.Dead(dead...))
 }
 
 type abortRequest struct {
@@ -391,11 +391,11 @@ func (s *Server) handleAbort(w http.ResponseWriter, req *http.Request) {
 	if !ok {
 		return
 	}
-	dead := make(map[core.Annot]bool, len(ar.Labels))
-	for _, l := range ar.Labels {
-		dead[core.QueryAnnot(l)] = false
+	dead := make([]core.Annot, len(ar.Labels))
+	for i, l := range ar.Labels {
+		dead[i] = core.QueryAnnot(l)
 	}
-	s.serveLive(w, req, e, upstruct.MapEnv(dead, true))
+	s.serveLive(w, req, e, upstruct.Dead(dead...))
 }
 
 // handleSnapshotSave streams the annotated database in the provstore

@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math"
 	"net/http"
 
 	"hyperprov/internal/db"
@@ -138,46 +137,11 @@ func parseTuple(rel *db.RelationSchema, raw []any) (db.Tuple, error) {
 	}
 	t := make(db.Tuple, len(raw))
 	for i, rv := range raw {
-		a := rel.Attrs[i]
-		switch a.Kind {
-		case db.KindString:
-			s, ok := rv.(string)
-			if !ok {
-				return nil, fmt.Errorf("attribute %s wants a string, got %T", a.Name, rv)
-			}
-			t[i] = db.S(s)
-		case db.KindInt:
-			switch n := rv.(type) {
-			case float64:
-				if n != math.Trunc(n) {
-					return nil, fmt.Errorf("attribute %s wants an integer, got %v", a.Name, n)
-				}
-				t[i] = db.I(int64(n))
-			case string:
-				v, err := db.ParseValue(db.KindInt, n)
-				if err != nil {
-					return nil, fmt.Errorf("attribute %s: %v", a.Name, err)
-				}
-				t[i] = v
-			default:
-				return nil, fmt.Errorf("attribute %s wants an integer, got %T", a.Name, rv)
-			}
-		case db.KindFloat:
-			switch n := rv.(type) {
-			case float64:
-				t[i] = db.F(n)
-			case string:
-				v, err := db.ParseValue(db.KindFloat, n)
-				if err != nil {
-					return nil, fmt.Errorf("attribute %s: %v", a.Name, err)
-				}
-				t[i] = v
-			default:
-				return nil, fmt.Errorf("attribute %s wants a float, got %T", a.Name, rv)
-			}
-		default:
-			return nil, fmt.Errorf("attribute %s has unknown kind %v", a.Name, a.Kind)
+		v, err := rel.Attrs[i].ValueFromJSON(rv)
+		if err != nil {
+			return nil, err
 		}
+		t[i] = v
 	}
 	return t, nil
 }

@@ -2,7 +2,6 @@ package server
 
 import (
 	"fmt"
-	"math"
 	"net/http"
 	"runtime"
 	"slices"
@@ -11,7 +10,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-	"unicode/utf8"
 
 	"hyperprov/internal/db"
 	"hyperprov/internal/engine"
@@ -71,24 +69,11 @@ func encodeLiveChunk(rel *db.RelationSchema, c engine.Chunk, live []db.Tuple) li
 	out := liveChunk{rel: c.Rel, buf: liveBufPool.Get().(*[]byte), live: len(live), rows: c.Rows}
 	b := *out.buf
 	for _, t := range live {
-		b = append(b, ',', '[')
-		for i, v := range t {
-			if i > 0 {
-				b = append(b, ',')
-			}
-			switch v.Kind() {
-			case db.KindInt:
-				b = strconv.AppendInt(b, v.Int(), 10)
-			case db.KindFloat:
-				var ok bool
-				if b, ok = appendJSONFloat(b, v.Float()); !ok && out.err == nil {
-					out.err = fmt.Errorf("relation %s attribute %s: float value %v has no JSON encoding", rel.Name, rel.Attrs[i].Name, v)
-				}
-			default:
-				b = appendJSONString(b, v.Str())
-			}
+		b = append(b, ',')
+		var bad int
+		if b, bad = t.AppendJSON(b); bad >= 0 && out.err == nil {
+			out.err = fmt.Errorf("relation %s attribute %s: float value %v has no JSON encoding", rel.Name, rel.Attrs[bad].Name, t[bad])
 		}
-		b = append(b, ']')
 	}
 	*out.buf = b
 	return out
@@ -100,13 +85,13 @@ type whatifStats struct {
 	requests, rowsEvaluated, rowsLive, respBytes, evalEncodeUs, writeUs, workers atomic.Int64
 }
 
-// serveLive answers the database selected by env over e — the live
+// serveLive answers the database selected by val over e — the live
 // engine or an ?as_of= view, resolved by the caller — as
 // {"relations":{name:{"attrs":[…],"tuples":[[…],…]},…},"numTuples":N}
 // with relations in sorted-name order (encoding/json's map order),
 // tuples in the engine's deterministic streaming order and numTuples
 // last.
-func (s *Server) serveLive(w http.ResponseWriter, req *http.Request, e engine.Reader, env upstruct.Env[bool]) {
+func (s *Server) serveLive(w http.ResponseWriter, req *http.Request, e engine.Reader, val *upstruct.Valuation) {
 	workers, err := workersParam(req)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, codeBadRequest, "%v", err)
@@ -117,7 +102,7 @@ func (s *Server) serveLive(w http.ResponseWriter, req *http.Request, e engine.Re
 	}
 	start := time.Now()
 	schema := e.Schema()
-	chunks, err := engine.LiveChunks(req.Context(), e, env, workers, func(c engine.Chunk, live []db.Tuple) liveChunk {
+	chunks, err := engine.LiveChunks(req.Context(), e, val, workers, func(c engine.Chunk, live []db.Tuple) liveChunk {
 		return encodeLiveChunk(schema.Relation(c.Rel), c, live)
 	})
 	if err != nil {
@@ -167,13 +152,13 @@ func (s *Server) serveLive(w http.ResponseWriter, req *http.Request, e engine.Re
 		if i > 0 {
 			glue = append(glue, `]},`...)
 		}
-		glue = appendJSONString(glue, run.schema.Name)
+		glue = db.AppendJSONString(glue, run.schema.Name)
 		glue = append(glue, `:{"attrs":[`...)
 		for j, a := range run.schema.Attrs {
 			if j > 0 {
 				glue = append(glue, ',')
 			}
-			glue = appendJSONString(glue, a.Name)
+			glue = db.AppendJSONString(glue, a.Name)
 		}
 		glue = append(glue, `],"tuples":[`...)
 		cut(from)
@@ -243,80 +228,4 @@ func (st *whatifStats) snapshot() map[string]int64 {
 		"whatifWriteUs":       st.writeUs.Load(),
 		"whatifWorkers":       st.workers.Load(),
 	}
-}
-
-const hexDigits = "0123456789abcdef"
-
-// appendJSONString appends s as the JSON string encoding/json writes
-// with HTML escaping off: `"` and `\` escaped, control bytes as \b \f
-// \n \r \t or \u00XX, invalid UTF-8 as \ufffd, and U+2028/U+2029
-// escaped unconditionally.
-func appendJSONString(dst []byte, s string) []byte {
-	dst = append(dst, '"')
-	start := 0
-	for i := 0; i < len(s); {
-		if b := s[i]; b < utf8.RuneSelf {
-			if b >= ' ' && b != '"' && b != '\\' {
-				i++
-				continue
-			}
-			dst = append(dst, s[start:i]...)
-			switch b {
-			case '\\', '"':
-				dst = append(dst, '\\', b)
-			case '\b':
-				dst = append(dst, '\\', 'b')
-			case '\f':
-				dst = append(dst, '\\', 'f')
-			case '\n':
-				dst = append(dst, '\\', 'n')
-			case '\r':
-				dst = append(dst, '\\', 'r')
-			case '\t':
-				dst = append(dst, '\\', 't')
-			default:
-				dst = append(dst, '\\', 'u', '0', '0', hexDigits[b>>4], hexDigits[b&0xF])
-			}
-			i++
-			start = i
-			continue
-		}
-		c, size := utf8.DecodeRuneInString(s[i:])
-		switch {
-		case c == utf8.RuneError && size == 1:
-			dst = append(dst, s[start:i]...)
-			dst = append(dst, `\ufffd`...)
-			start = i + size
-		case c == '\u2028' || c == '\u2029':
-			dst = append(dst, s[start:i]...)
-			dst = append(dst, '\\', 'u', '2', '0', '2', hexDigits[c&0xF])
-			start = i + size
-		}
-		i += size
-	}
-	dst = append(dst, s[start:]...)
-	return append(dst, '"')
-}
-
-// appendJSONFloat appends f as encoding/json writes a float64: ES6
-// number-to-string — shortest 'f' form, exponent form below 1e-6 and
-// from 1e21 with a one-digit negative exponent unpadded. NaN and ±Inf
-// have no JSON encoding: ok=false and dst is returned unchanged.
-func appendJSONFloat(dst []byte, f float64) (out []byte, ok bool) {
-	if math.IsInf(f, 0) || math.IsNaN(f) {
-		return dst, false
-	}
-	format := byte('f')
-	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
-		format = 'e'
-	}
-	dst = strconv.AppendFloat(dst, f, format, -1, 64)
-	if format == 'e' {
-		// clean up e-09 to e-9
-		if n := len(dst); n >= 4 && dst[n-4] == 'e' && dst[n-3] == '-' && dst[n-2] == '0' {
-			dst[n-2] = dst[n-1]
-			dst = dst[:n-1]
-		}
-	}
-	return dst, true
 }

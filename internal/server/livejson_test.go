@@ -283,45 +283,6 @@ func around(b []byte, at int) []byte {
 	return b[max(0, at-40):min(len(b), at+40)]
 }
 
-// TestAppendJSONMatchesEncodingJSON checks the two appenders against
-// encoding/json value by value, beyond what the random databases
-// happen to draw.
-func TestAppendJSONMatchesEncodingJSON(t *testing.T) {
-	render := func(v any) string {
-		rec := httptest.NewRecorder()
-		writeJSON(rec, http.StatusOK, v)
-		return strings.TrimSuffix(rec.Body.String(), "\n")
-	}
-	for _, s := range nastyStrings {
-		if got, want := string(appendJSONString(nil, s)), render(s); got != want {
-			t.Errorf("string %q: %s, encoding/json writes %s", s, got, want)
-		}
-	}
-	for b := 0; b < 256; b++ {
-		s := "x" + string([]byte{byte(b)}) + "y"
-		if got, want := string(appendJSONString(nil, s)), render(s); got != want {
-			t.Errorf("byte %#x: %s, encoding/json writes %s", b, got, want)
-		}
-	}
-	rng := rand.New(rand.NewSource(5))
-	floats := append([]float64(nil), edgeFloats...)
-	for i := 0; i < 2000; i++ {
-		floats = append(floats, math.Float64frombits(rng.Uint64()))
-	}
-	for _, f := range floats {
-		got, ok := appendJSONFloat(nil, f)
-		if math.IsNaN(f) || math.IsInf(f, 0) {
-			if ok {
-				t.Errorf("float %v encoded as %s", f, got)
-			}
-			continue
-		}
-		if want := render(f); !ok || string(got) != want {
-			t.Errorf("float %v: %s (ok=%v), encoding/json writes %s", f, got, ok, want)
-		}
-	}
-}
-
 // TestUnencodableFloatAnswers500 is the regression for NaN/±Inf values
 // (reachable through CSV load: db.ParseValue accepts them). The old
 // path answered 200 with an empty body because json.Encoder failed

@@ -122,6 +122,7 @@ func New(eng engine.DB, opts ...Option) *Server {
 	}))
 	s.metrics.m.Set("memory", expvar.Func(func() any { return ReadMemoryStats() }))
 	s.metrics.m.Set("admission", expvar.Func(func() any { return s.adm.StatsSnapshot() }))
+	s.metrics.m.Set("subscriptions", expvar.Func(func() any { return s.subs.StatsSnapshot() }))
 	s.metrics.m.Set("whatif", expvar.Func(func() any { return s.whatif.snapshot() }))
 	s.metrics.m.Set("ingest", expvar.Func(func() any { return s.ingest.snapshot() }))
 	// methodsByPath records every registered route so the fallback can

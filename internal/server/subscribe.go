@@ -19,6 +19,9 @@ type subscribeRequest struct {
 	Buffer        int              `json:"buffer,omitempty"`
 }
 
+// An SSE event is "data: " + frame (which ends its line) + a blank line.
+var sseData, sseEnd = []byte("data: "), []byte("\n")
+
 // handleSubscribe is the streaming subscription endpoint, mounted
 // outside the request timeout (the response lives until the client
 // disconnects or DrainStreams fires):
@@ -59,6 +62,10 @@ func (s *Server) handleSubscribe(w http.ResponseWriter, req *http.Request) {
 		specs = sr.Subscriptions
 		buffer = sr.Buffer
 	}
+	if buffer > subscribe.MaxConnBuffer {
+		writeError(w, http.StatusBadRequest, codeBadRequest, "buffer %d exceeds the maximum of %d frames", buffer, subscribe.MaxConnBuffer)
+		return
+	}
 	if len(specs) == 0 {
 		writeError(w, http.StatusBadRequest, codeBadRequest, "no subscriptions given")
 		return
@@ -77,7 +84,7 @@ func (s *Server) handleSubscribe(w http.ResponseWriter, req *http.Request) {
 	defer conn.Close()
 	// Register everything before writing the status line so a bad spec
 	// is a clean 4xx rather than a mid-stream error frame.
-	acks := make([]subscribe.Frame, 0, len(specs))
+	acks := make([][]byte, 0, len(specs))
 	for _, sp := range specs {
 		ack, err := s.subs.Subscribe(conn, sp)
 		if err != nil {
@@ -98,19 +105,19 @@ func (s *Server) handleSubscribe(w http.ResponseWriter, req *http.Request) {
 		w.Header().Set("Content-Type", "application/x-ndjson")
 	}
 	w.WriteHeader(http.StatusOK)
-	enc := json.NewEncoder(w)
-	enc.SetEscapeHTML(false)
-	write := func(f subscribe.Frame) bool {
+	// Frames arrive encoded, newline included: ND-JSON writes them as
+	// they are, SSE wraps each in "data: " and a blank line.
+	write := func(frame []byte) bool {
 		if sse {
-			if _, err := w.Write([]byte("data: ")); err != nil {
+			if _, err := w.Write(sseData); err != nil {
 				return false
 			}
 		}
-		if err := enc.Encode(f); err != nil { // Encode appends the \n ND-JSON needs
+		if _, err := w.Write(frame); err != nil {
 			return false
 		}
 		if sse {
-			if _, err := w.Write([]byte("\n")); err != nil {
+			if _, err := w.Write(sseEnd); err != nil {
 				return false
 			}
 		}

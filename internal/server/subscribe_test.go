@@ -2,6 +2,8 @@ package server
 
 import (
 	"bufio"
+	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -11,8 +13,12 @@ import (
 	"testing"
 	"time"
 
+	"hyperprov/internal/core"
+	"hyperprov/internal/db"
 	"hyperprov/internal/engine"
 	"hyperprov/internal/subscribe"
+	"hyperprov/internal/tpcc"
+	"hyperprov/internal/upstruct"
 )
 
 // frameReader pumps one streaming response body on a goroutine so
@@ -302,5 +308,126 @@ func TestErrorEnvelopeRouting(t *testing.T) {
 		if body := decode[errorResponse](t, resp); body.Error.Code != codeMethodNotAllowed {
 			t.Fatalf("%s %s code %q", tc.method, tc.path, body.Error.Code)
 		}
+	}
+}
+
+// TestSubscribeBufferCeiling: the per-connection frame buffer is a
+// client-chosen allocation, so it has a ceiling — the largest allowed
+// value opens a stream, anything above it answers 400 bad_request
+// before any allocation, on both transports.
+func TestSubscribeBufferCeiling(t *testing.T) {
+	e := figure1Engine(t, engine.ModeNormalForm)
+	srv := New(e, WithLogf(t.Logf))
+	defer srv.Close()
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	spec := `{"id":"w","kind":"watch","rel":"Products"}`
+	open := func(sse bool, buffer int) *http.Response {
+		t.Helper()
+		var resp *http.Response
+		var err error
+		if sse {
+			resp, err = ts.Client().Get(fmt.Sprintf("%s/v1/subscribe?buffer=%d&spec=%s", ts.URL, buffer, url.QueryEscape(spec)))
+		} else {
+			resp, err = ts.Client().Post(ts.URL+"/v1/subscribe", "application/json",
+				strings.NewReader(fmt.Sprintf(`{"subscriptions":[%s],"buffer":%d}`, spec, buffer)))
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp
+	}
+	for _, sse := range []bool{false, true} {
+		for _, buffer := range []int{subscribe.MaxConnBuffer + 1, 1 << 40} {
+			resp := open(sse, buffer)
+			if resp.StatusCode != http.StatusBadRequest {
+				t.Fatalf("sse=%v buffer=%d answered %d, want 400", sse, buffer, resp.StatusCode)
+			}
+			if body := decode[errorResponse](t, resp); body.Error.Code != codeBadRequest {
+				t.Fatalf("sse=%v buffer=%d: code %q", sse, buffer, body.Error.Code)
+			}
+		}
+		resp := open(sse, subscribe.MaxConnBuffer)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("sse=%v: the ceiling itself answered %d", sse, resp.StatusCode)
+		}
+		fr := newFrameReader(resp, sse)
+		if ack := fr.next(t); ack.Type != "ack" || len(ack.Rows) != 4 {
+			t.Fatalf("sse=%v: bad ack at the ceiling: %+v", sse, ack)
+		}
+		fr.close()
+	}
+	if st := srv.Subscriptions().StatsSnapshot(); st.RespecNodes != 0 || st.FrameBytes == 0 {
+		t.Fatalf("two watch acks must count frame bytes and no kernel nodes: %+v", st)
+	}
+}
+
+// TestAnnotationLiveIsTheTreeWalk: /v1/annotation answers "live" from
+// the per-node memo (Expr.Live); on every row of a seeded TPC-C
+// history it must be what the definition-following tree walk under the
+// all-true valuation computes, at the live horizon and as of an
+// earlier epoch.
+func TestAnnotationLiveIsTheTreeWalk(t *testing.T) {
+	g := tpcc.NewGenerator(tpcc.Scaled(0.002))
+	initial, err := g.InitialDatabase()
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := engine.New(engine.ModeNormalForm, initial)
+	if err := e.ApplyAll(context.Background(), g.Transactions(150)); err != nil {
+		t.Fatal(err)
+	}
+	srv := New(e, WithLogf(t.Logf))
+	defer srv.Close()
+	h := srv.Handler()
+	allTrue := func(core.Annot) bool { return true }
+	asked, dead := 0, 0
+	for _, asOf := range []string{"", "?as_of=75"} {
+		var view engine.Reader = e
+		if asOf != "" {
+			view = e.At(engine.EpochSeq(75))
+		}
+		n := 0
+		view.Rows(func(rel string, tu db.Tuple, ann *core.Expr) {
+			want := upstruct.Eval(ann, upstruct.Bool, allTrue)
+			if ann.Live() != want {
+				t.Fatalf("%s%v: Live() %v, tree walk %v", rel, tu, ann.Live(), want)
+			}
+			if n++; n%7 != 0 && want { // every dead row, one live row in seven, over HTTP
+				return
+			}
+			vals := make([]any, len(tu))
+			for i, v := range tu {
+				switch v.Kind() {
+				case db.KindInt:
+					vals[i] = v.Int()
+				case db.KindFloat:
+					vals[i] = v.Float()
+				default:
+					vals[i] = v.Str()
+				}
+			}
+			body, err := json.Marshal(annotationRequest{Rel: rel, Tuple: vals})
+			if err != nil {
+				t.Fatal(err)
+			}
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, httptest.NewRequest("POST", "/v1/annotation"+asOf, bytes.NewReader(body)))
+			var resp annotationResponse
+			if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil || !resp.Found {
+				t.Fatalf("%s%v: %d %s (%v)", rel, tu, rec.Code, rec.Body.Bytes(), err)
+			}
+			if resp.Live != want {
+				t.Fatalf("%s%v%s: /v1/annotation says live=%v, the tree walk %v", rel, tu, asOf, resp.Live, want)
+			}
+			asked++
+			if !want {
+				dead++
+			}
+		})
+	}
+	if asked < 100 || dead == 0 {
+		t.Fatalf("asked %d rows, %d of them dead: the history exercises too little", asked, dead)
 	}
 }

@@ -1,14 +1,15 @@
 package subscribe_test
 
-// Differential subscription test on a replication follower: a manager
-// bound to a wal.Follower must maintain exactly the same states as a
-// from-scratch recompute against the follower's own views, with
-// commits arriving through the replication stream rather than local
-// applies.
+// Protocol differential on the persistent readers: a manager bound to a
+// wal.Store, and one bound to a wal.Follower whose commits arrive
+// through the replication stream rather than local applies, must feed
+// a client exactly the states a from-scratch recompute builds against
+// the reader's own views.
 
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
@@ -49,17 +50,17 @@ func waitFollowerLSN(t *testing.T, f *wal.Follower, lsn uint64) {
 	t.Fatalf("follower stuck at LSN %d waiting for %d (last error %q)", rs.AppliedLSN, lsn, rs.LastError)
 }
 
-// TestDifferentialOnFollower applies the workload transaction by
+// TestProtocolOnStoreAndFollower applies a TPC-C history transaction by
 // transaction on the leader and, after replication catches up each
-// time, compares every subscription's incremental state on the
-// follower to a from-scratch recompute against the follower's view.
-func TestDifferentialOnFollower(t *testing.T) {
-	initial, txns := testWorkload(t, 21)
+// time, compares every subscription's client-side state — one client
+// on the leader's store, one on the follower — to a from-scratch
+// recompute against that reader's view.
+func TestProtocolOnStoreAndFollower(t *testing.T) {
+	initial, txns := subscribe.TPCCHistory(t, 0.002, 30)
 	st, err := wal.Open(t.TempDir(),
 		wal.WithMode(engine.ModeNormalForm),
 		wal.WithInitialDatabase(initial),
-		wal.WithSync(wal.SyncNever),
-		wal.WithEngineOptions(engine.WithInitialAnnotations(testAnnot)))
+		wal.WithSync(wal.SyncNever))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,22 +69,26 @@ func TestDifferentialOnFollower(t *testing.T) {
 
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
-	f, err := wal.OpenFollower(ctx, t.TempDir(), src,
-		wal.WithSync(wal.SyncNever),
-		wal.WithEngineOptions(engine.WithInitialAnnotations(testAnnot)))
+	f, err := wal.OpenFollower(ctx, t.TempDir(), src, wal.WithSync(wal.SyncNever))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer f.Close()
 
-	m := subscribe.NewManager(f)
-	defer m.Close()
-	c := m.Attach(4)
-	specs := testSpecs(f)
-	for _, sp := range specs {
-		if _, err := m.Subscribe(c, sp); err != nil {
-			t.Fatalf("subscribe %q: %v", sp.ID, err)
-		}
+	specs := subscribe.TPCCMix(initial, txns)
+	type client struct {
+		d  engine.DB
+		m  *subscribe.Manager
+		c  *subscribe.Conn
+		mi *mirror
+	}
+	var clients []client
+	for _, d := range []engine.DB{st, f} {
+		m := subscribe.NewManager(d)
+		defer m.Close()
+		cl := client{d, m, m.Attach(4), newMirror(t, d.Schema())}
+		cl.mi.subscribeAll(m, cl.c, specs)
+		clients = append(clients, cl)
 	}
 
 	for i := range txns {
@@ -91,35 +96,15 @@ func TestDifferentialOnFollower(t *testing.T) {
 			t.Fatalf("txn %d: %v", i, err)
 		}
 		waitFollowerLSN(t, f, st.LSN())
-		m.Sync()
-		for _, sp := range specs {
-			got, since, ok := m.CanonicalState(sp.ID)
-			if !ok {
-				t.Fatalf("txn %d: subscription %q vanished", i, sp.ID)
-			}
-			want, err := subscribe.Recompute(f.At(since), sp)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(got, want) {
-				t.Fatalf("txn %d: follower subscription %q diverged at seq %d\nincremental:\n%srecompute:\n%s",
-					i, sp.ID, since, got, want)
-			}
+		for _, cl := range clients {
+			cl.mi.check(cl.m, cl.c, cl.d, specs, fmt.Sprintf("%T txn %d", cl.d, i))
 		}
 	}
 
 	// The leader and follower states must also agree on the final
 	// horizon (canonical bytes are engine-independent).
 	for _, sp := range specs {
-		lw, err := subscribe.Recompute(st.At(st.Horizon()), sp)
-		if err != nil {
-			t.Fatal(err)
-		}
-		fw, err := subscribe.Recompute(f.At(f.Horizon()), sp)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(lw, fw) {
+		if lw, fw := clients[0].mi.canonical(sp.ID), clients[1].mi.canonical(sp.ID); !bytes.Equal(lw, fw) {
 			t.Fatalf("leader and follower disagree on %q:\n%svs\n%s", sp.ID, lw, fw)
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -11,49 +12,11 @@ import (
 	"hyperprov/internal/engine"
 )
 
-// ErrClosed reports a read from a connection whose manager or connection
-// was closed.
+// ErrClosed reports a read from a closed connection or manager.
 var ErrClosed = errors.New("subscribe: connection closed")
 
-// Frame is one message of the streaming protocol, in the JSON shape the
-// /v1/subscribe surface writes verbatim (ND-JSON lines or SSE data
-// payloads).
-//
-//   - "ack": a subscription was registered; Rows is its initial state at
-//     Epoch. Every later frame for the ID reflects commits after Epoch.
-//   - "delta": one committed transaction moved the subscription;
-//     Added/Removed/Changed list the member rows that entered, left, or
-//     (watches only) changed annotation.
-//   - "resync": the client's copy went stale — the server dropped at
-//     least one frame rather than block the write path — and Rows is the
-//     full state at Epoch, replacing everything previously received.
-//   - "error": terminal failure for the ID (or the whole stream when ID
-//     is empty).
-type Frame struct {
-	Type    string `json:"type"`
-	ID      string `json:"id,omitempty"`
-	Kind    Kind   `json:"kind,omitempty"`
-	Epoch   uint64 `json:"epoch"`
-	Label   string `json:"label,omitempty"`
-	Rows    []Row  `json:"rows,omitempty"`
-	Added   []Row  `json:"added,omitempty"`
-	Removed []Row  `json:"removed,omitempty"`
-	Changed []Row  `json:"changed,omitempty"`
-	Code    string `json:"code,omitempty"`
-	Message string `json:"message,omitempty"`
-}
-
-// Row is one member row in a frame.
-type Row struct {
-	Rel   string `json:"rel"`
-	Tuple []any  `json:"tuple"`
-	// Annotation is the row's provenance rendering (watch subscriptions
-	// only).
-	Annotation string `json:"annotation,omitempty"`
-}
-
-// item is one unit of dispatcher work: a commit event tagged with the
-// engine that produced it, or a sync barrier.
+// item is one unit of dispatcher work: a commit event and the engine it
+// came from, or a sync barrier.
 type item struct {
 	src  engine.DB
 	ev   engine.CommitEvent
@@ -64,58 +27,55 @@ type item struct {
 // consumes the engine's commit-event bus on a dedicated dispatcher
 // goroutine: the commit hook only enqueues onto a bounded channel (or,
 // on overflow, sets a lost flag and drops — the write path is never
-// blocked), and the dispatcher folds events into subscription states
-// and fans frames out to connections. A connection that does not keep
-// up loses frames, not correctness: its subscription is flagged for
-// resync and the next read returns a full snapshot.
+// blocked), and the dispatcher folds events into delta frames and fans
+// them out to connections. A connection that does not keep up loses
+// frames, not correctness: its subscription is flagged for resync and
+// the next read returns a full snapshot.
 type Manager struct {
-	mu    sync.Mutex
-	d     engine.DB
-	relIx map[string]int
-	subs  []*sub
-	conns map[*Conn]struct{}
-	seq   int // auto-ID counter
+	mu sync.Mutex
+	d  engine.DB
+	// subs is every subscription in registration order — the order of a
+	// commit's frames; whatifs and watches (by relation) index it for the
+	// dispatcher, so a touched row is offered only to the subscriptions
+	// that can move on it.
+	subs    []*sub
+	whatifs []*sub
+	watches map[string][]*sub
+	conns   map[*Conn]struct{}
+	seq     int // auto-ID counter
+	fold    fold
 
 	items  chan item
 	stop   chan struct{}
 	wg     sync.WaitGroup
 	closed bool
 
-	// lost is set when the bounded queue overflowed: at least one event
-	// was dropped, so every subscription state is suspect. The
-	// dispatcher repairs by rebuilding all states from the live horizon
-	// (exact — the horizon covers every dropped event).
+	// lost is set when the bounded queue overflowed and an event was
+	// dropped. The dispatcher repairs by moving every subscription to the
+	// live horizon — which covers every dropped event — and flagging it
+	// for resync.
 	lost atomic.Bool
 
-	nsubs    atomic.Int64
-	lastSeq  atomic.Uint64 // newest horizon the dispatcher has folded in
-	events   atomic.Uint64
-	qdrops   atomic.Uint64
-	deltas   atomic.Uint64
-	fanout   atomic.Uint64
-	cdrops   atomic.Uint64
-	resyncs  atomic.Uint64
-	rebuilds atomic.Uint64
+	nsubs   atomic.Int64
+	lastSeq atomic.Uint64 // newest horizon the dispatcher has folded in
+
+	events, qdrops, deltas, fanout, cdrops, resyncs, rebuilds, respec, frameBytes atomic.Uint64
 }
 
-// queueDepth bounds the hook→dispatcher channel; overflow costs a
-// rebuild, not a stall.
-const queueDepth = 256
-
-// defaultConnBuffer bounds a connection's frame queue when Attach is
-// given a non-positive buffer.
-const defaultConnBuffer = 64
+// queueDepth bounds the hook→dispatcher channel (overflow costs a
+// rebuild, not a stall). defaultConnBuffer bounds a connection's frame
+// queue when Attach is given a non-positive buffer; MaxConnBuffer is
+// the most a client may ask for (a slot is a pointer: 512 KiB).
+const (
+	queueDepth        = 256
+	defaultConnBuffer = 64
+	MaxConnBuffer     = 1 << 16
+)
 
 // NewManager builds a manager over d and installs its commit hook.
 // Close must be called to uninstall it and stop the dispatcher.
 func NewManager(d engine.DB) *Manager {
-	m := &Manager{
-		d:     d,
-		relIx: relIndex(d.Schema()),
-		conns: make(map[*Conn]struct{}),
-		items: make(chan item, queueDepth),
-		stop:  make(chan struct{}),
-	}
+	m := &Manager{d: d, conns: make(map[*Conn]struct{}), items: make(chan item, queueDepth), stop: make(chan struct{})}
 	m.lastSeq.Store(d.Horizon())
 	m.wg.Add(1)
 	go m.dispatch()
@@ -123,26 +83,25 @@ func NewManager(d engine.DB) *Manager {
 	return m
 }
 
-// hookFor tags events with the engine that produced them, so events
-// from an engine replaced by Rebind are recognized and dropped.
+// hookFor is the commit hook: it tags events with the engine that
+// produced them, so events from an engine replaced by Rebind are
+// recognized and dropped. It runs on the committing goroutine with
+// engine locks held and must never block: overflow drops the event and
+// flags a rebuild.
 func (m *Manager) hookFor(src engine.DB) engine.CommitHook {
-	return func(ev engine.CommitEvent) { m.onCommit(src, ev) }
-}
-
-// onCommit runs on the committing goroutine with engine locks held: it
-// must never block. Overflow drops the event and flags a rebuild.
-func (m *Manager) onCommit(src engine.DB, ev engine.CommitEvent) {
-	m.events.Add(1)
-	if m.nsubs.Load() == 0 && ev.Kind != engine.CommitReset {
-		// No subscriptions: just track the horizon; nothing to fold.
-		m.storeLastSeq(ev.Seq)
-		return
-	}
-	select {
-	case m.items <- item{src: src, ev: ev}:
-	default:
-		m.qdrops.Add(1)
-		m.lost.Store(true)
+	return func(ev engine.CommitEvent) {
+		m.events.Add(1)
+		if m.nsubs.Load() == 0 && ev.Kind != engine.CommitReset {
+			// No subscriptions: just track the horizon; nothing to fold.
+			m.storeLastSeq(ev.Seq)
+			return
+		}
+		select {
+		case m.items <- item{src: src, ev: ev}:
+		default:
+			m.qdrops.Add(1)
+			m.lost.Store(true)
+		}
 	}
 }
 
@@ -164,30 +123,27 @@ func (m *Manager) dispatch() {
 		case <-m.stop:
 			return
 		case it := <-m.items:
+			// After an overflow the rebuild horizon covers this event too.
+			if m.lost.Swap(false) || it.sync == nil && it.ev.Kind == engine.CommitReset {
+				m.rebuild()
+			} else if it.sync == nil {
+				m.applyEvent(it.src, it.ev)
+			}
 			if it.sync != nil {
-				if m.lost.Swap(false) {
-					m.rebuild()
-				}
 				close(it.sync)
-				continue
 			}
-			if m.lost.Swap(false) {
-				// The rebuild horizon covers this event too; skip it.
-				m.rebuild()
-				continue
-			}
-			if it.ev.Kind == engine.CommitReset {
-				m.rebuild()
-				continue
-			}
-			m.applyEvent(it.src, it.ev)
 		}
 	}
 }
 
 // applyEvent folds one commit into every subscription at the event's
 // own horizon, so a burst of commits yields one exact delta per commit
-// rather than a merged diff.
+// rather than a merged diff. The loop is rows-outer: each touched row's
+// annotation is resolved once on either side of the commit — At(since)
+// before, At(ev.Seq) after — and offered to the what-ifs and to the
+// watches on its relation, which record how it moves them; then every
+// moved subscription's frame is assembled from the shared row
+// encodings.
 func (m *Manager) applyEvent(src engine.DB, ev engine.CommitEvent) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -195,88 +151,107 @@ func (m *Manager) applyEvent(src engine.DB, ev engine.CommitEvent) {
 		return // stale engine, already rebound away from
 	}
 	m.storeLastSeq(ev.Seq)
-	if len(m.subs) == 0 {
+	// Every subscription the event applies to has acknowledged a horizon
+	// in the epoch before it (At snaps to epoch boundaries), so they
+	// share one before-image: the newest of those horizons.
+	since, active := uint64(0), false
+	for _, s := range m.subs {
+		if s.since < ev.Seq {
+			active, since = true, max(since, s.since)
+		}
+	}
+	if !active {
 		return
 	}
-	v := m.d.At(ev.Seq)
-	for _, s := range m.subs {
-		if ev.Seq <= s.since {
+	f, rels := &m.fold, m.d.Schema().Names()
+	f.reset()
+	for _, ref := range ev.Rows {
+		f.add(slices.Index(rels, ref.Rel), ref)
+	}
+	f.sort()
+	before, after := m.d.At(since), m.d.At(ev.Seq)
+	fanout := uint64(0)
+	for _, i := range f.order {
+		r := &f.rows[i]
+		watches := m.watches[r.Rel]
+		if len(m.whatifs)+len(watches) == 0 {
 			continue
 		}
-		d, n := s.apply(v, ev)
-		m.fanout.Add(n)
+		r.before, r.after = before.Annotation(r.Rel, r.Tuple), after.Annotation(r.Rel, r.Tuple)
+		for _, s := range m.whatifs {
+			if s.since < ev.Seq {
+				fanout++
+				s.move(i, r.before != nil && s.kern.Eval(r.before), r.after != nil && s.kern.Eval(r.after), false)
+			}
+		}
+		was, is := r.before != nil && !r.before.IsZero(), r.after != nil && !r.after.IsZero()
+		for _, s := range watches {
+			if s.since < ev.Seq && s.pat.Matches(r.Tuple) {
+				fanout++
+				s.move(i, was, is, was && is && !r.before.Equal(r.after))
+			}
+		}
+	}
+	m.fanout.Add(fanout)
+	for _, s := range m.subs {
+		if s.since >= ev.Seq {
+			continue
+		}
 		s.since = ev.Seq
-		if d == nil {
+		m.countMisses(s)
+		if len(s.added)+len(s.removed)+len(s.changed) == 0 {
 			continue
 		}
 		m.deltas.Add(1)
-		if s.needResync {
-			continue // the pending snapshot will include this delta
+		if !s.needResync { // else the pending snapshot will include this delta
+			frame, fail := f.frame("delta", s, ev.Epoch, ev.Label,
+				rowList{"added", s.added, true}, rowList{"removed", s.removed, false}, rowList{"changed", s.changed, true})
+			m.send(s, frame, fail)
 		}
-		f := Frame{
-			Type:    "delta",
-			ID:      s.spec.ID,
-			Kind:    s.spec.Kind,
-			Epoch:   ev.Epoch,
-			Label:   ev.Label,
-			Added:   m.rowsLocked(d.added),
-			Removed: m.rowsLocked(d.removed),
-			Changed: m.rowsLocked(d.changed),
-		}
-		if !s.conn.trySend(f) {
-			s.needResync = true
-			m.cdrops.Add(1)
-			s.conn.poke()
-		}
+		s.added, s.removed, s.changed = s.added[:0], s.removed[:0], s.changed[:0]
 	}
 }
 
-// rebuild re-primes every subscription from scratch at the live
-// horizon and flags all of them for resync. Called after a queue
-// overflow, an engine swap (CommitReset), or a Rebind.
+// countMisses moves the nodes s's kernel computed since the last call
+// into the respecNodes counter.
+func (m *Manager) countMisses(s *sub) {
+	if s.kern != nil {
+		m.respec.Add(s.kern.Misses() - s.counted)
+		s.counted = s.kern.Misses()
+	}
+}
+
+// send queues an encoded frame on s's connection. A full queue drops
+// the frame and schedules a resync; a frame that could not be built
+// (fail says why) schedules the error frame that ends s.
+func (m *Manager) send(s *sub, frame *[]byte, fail string) {
+	if fail == "" {
+		select {
+		case s.conn.ch <- frame:
+			m.frameBytes.Add(uint64(len(*frame)))
+			return
+		default:
+			putFrame(frame)
+			m.cdrops.Add(1)
+		}
+	}
+	s.fail, s.needResync = fail, true
+	s.conn.poke()
+}
+
+// rebuild moves every subscription to the live horizon and flags it
+// for resync, after a queue overflow, an engine swap (CommitReset) or a
+// Rebind. The resync frame is built when the client reads it.
 func (m *Manager) rebuild() {
 	m.rebuilds.Add(1)
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.relIx = relIndex(m.d.Schema())
 	h := m.d.Horizon()
-	v := m.d.At(h)
 	for _, s := range m.subs {
-		s.prime(v)
-		s.since = h
-		s.needResync = true
+		s.since, s.needResync = h, true
 		s.conn.poke()
 	}
 	m.storeLastSeq(h)
-}
-
-// rowsLocked renders entries as frame rows in canonical order; callers
-// hold m.mu (for relIx).
-func (m *Manager) rowsLocked(es []*entry) []Row {
-	if len(es) == 0 {
-		return nil
-	}
-	sortEntries(es, m.relIx)
-	out := make([]Row, len(es))
-	for i, e := range es {
-		out[i] = Row{Rel: e.rel, Tuple: tupleJSON(e.tuple), Annotation: e.ann}
-	}
-	return out
-}
-
-func tupleJSON(t db.Tuple) []any {
-	out := make([]any, len(t))
-	for i, v := range t {
-		switch v.Kind() {
-		case db.KindString:
-			out[i] = v.Str()
-		case db.KindInt:
-			out[i] = v.Int()
-		case db.KindFloat:
-			out[i] = v.Float()
-		}
-	}
-	return out
 }
 
 // Sync blocks until the dispatcher has folded in every event enqueued
@@ -296,10 +271,9 @@ func (m *Manager) Sync() {
 }
 
 // Rebind switches the manager to a new engine (the snapshot-load path
-// replaces the server's engine wholesale): the old engine's hook is
-// removed, the new engine's installed, and every subscription is
-// rebuilt against the new engine. Events still in flight from the old
-// engine are dropped by source tag.
+// replaces the server's engine wholesale): the hook moves and every
+// subscription is rebuilt against the new engine. Events still in
+// flight from the old engine are dropped by source tag.
 func (m *Manager) Rebind(d engine.DB) {
 	m.mu.Lock()
 	if m.closed || d == m.d {
@@ -312,8 +286,7 @@ func (m *Manager) Rebind(d engine.DB) {
 	old.SetCommitHook(nil)
 	d.SetCommitHook(m.hookFor(d))
 	// Force a rebuild even if no further commits arrive on d. Blocking
-	// send is fine here: Rebind runs on a server goroutine, not the
-	// commit path, and the dispatcher always drains.
+	// is fine: this is not the commit path, and the dispatcher drains.
 	select {
 	case m.items <- item{src: d, ev: engine.CommitEvent{Kind: engine.CommitReset}}:
 	case <-m.stop:
@@ -346,27 +319,28 @@ func (m *Manager) Close() {
 // Stats is the subscriptions section of /v1/stats. Field names are
 // stable (documented in DESIGN.md).
 type Stats struct {
-	// Subscriptions and Connections are the live registration counts.
-	Subscriptions int `json:"subscriptions"`
+	Subscriptions int `json:"subscriptions"` // live registrations
 	Connections   int `json:"connections"`
-	// Events counts commit events the engine delivered to the hook;
-	// EventDrops counts those dropped on queue overflow (each costing
-	// one rebuild, never a write-path stall).
+	// Events counts commit events delivered to the hook, EventDrops
+	// those dropped on queue overflow (each costs one rebuild).
 	Events     uint64 `json:"events"`
 	EventDrops uint64 `json:"eventDrops"`
-	// Deltas counts non-empty per-subscription deltas produced; Fanout
-	// counts row re-specializations performed across all subscriptions.
+	// Deltas counts non-empty per-subscription deltas produced, Fanout
+	// the (row, subscription) re-specializations performed.
 	Deltas uint64 `json:"deltas"`
 	Fanout uint64 `json:"fanout"`
 	// FrameDrops counts frames dropped on slow connections, Resyncs the
-	// snapshot frames served to repair them, Rebuilds the from-scratch
-	// re-primes (overflow, engine swap, rebind).
+	// snapshot (or error) frames served to repair them, Rebuilds the
+	// moves to the live horizon (overflow, engine swap, rebind).
 	FrameDrops uint64 `json:"frameDrops"`
 	Resyncs    uint64 `json:"resyncs"`
 	Rebuilds   uint64 `json:"rebuilds"`
-	// LagEpochs is how many committed epochs the dispatcher has not yet
-	// folded into subscription states.
-	LagEpochs uint64 `json:"lagEpochs"`
+	LagEpochs  uint64 `json:"lagEpochs"` // committed epochs not yet folded in
+	// RespecNodes counts the expression nodes the what-ifs' kernels had
+	// to compute (memo misses, acks and resyncs included), FrameBytes
+	// the encoded frame bytes queued or handed to readers.
+	RespecNodes uint64 `json:"respecNodes"`
+	FrameBytes  uint64 `json:"frameBytes"`
 }
 
 // StatsSnapshot reports the manager's counters.
@@ -376,15 +350,11 @@ func (m *Manager) StatsSnapshot() Stats {
 	h := m.d.Horizon()
 	m.mu.Unlock()
 	st := Stats{
-		Subscriptions: nsubs,
-		Connections:   nconns,
-		Events:        m.events.Load(),
-		EventDrops:    m.qdrops.Load(),
-		Deltas:        m.deltas.Load(),
-		Fanout:        m.fanout.Load(),
-		FrameDrops:    m.cdrops.Load(),
-		Resyncs:       m.resyncs.Load(),
-		Rebuilds:      m.rebuilds.Load(),
+		Subscriptions: nsubs, Connections: nconns,
+		Events: m.events.Load(), EventDrops: m.qdrops.Load(),
+		Deltas: m.deltas.Load(), Fanout: m.fanout.Load(),
+		FrameDrops: m.cdrops.Load(), Resyncs: m.resyncs.Load(), Rebuilds: m.rebuilds.Load(),
+		RespecNodes: m.respec.Load(), FrameBytes: m.frameBytes.Load(),
 	}
 	if last := m.lastSeq.Load(); h > last {
 		st.LagEpochs = engine.SeqEpoch(h) - engine.SeqEpoch(last)
@@ -392,26 +362,13 @@ func (m *Manager) StatsSnapshot() Stats {
 	return st
 }
 
-// CanonicalState returns the canonical byte rendering of one live
-// subscription's incrementally maintained state — what the
-// differential tests compare against Recompute.
-func (m *Manager) CanonicalState(id string) ([]byte, uint64, bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	for _, s := range m.subs {
-		if s.spec.ID == id {
-			return canonical(s.entries(m.relIx)), s.since, true
-		}
-	}
-	return nil, 0, false
-}
-
-// Conn is one client connection: a bounded frame queue the dispatcher
-// fans out to, plus the wakeup plumbing for pull-based resync. A Conn
-// may carry any number of subscriptions.
+// Conn is one client connection: a bounded queue of encoded frames the
+// dispatcher fans out to, plus the wakeup plumbing for pull-based
+// resync. A Conn may carry any number of subscriptions.
 type Conn struct {
-	m  *Manager
-	ch chan Frame
+	m    *Manager
+	ch   chan *[]byte
+	held *[]byte // the pooled buffer behind the frame the last Next returned
 	// note wakes a blocked Next when a subscription was flagged for
 	// resync without a frame making it onto ch.
 	note   chan struct{}
@@ -420,17 +377,13 @@ type Conn struct {
 }
 
 // Attach registers a new connection; buffer bounds its frame queue
-// (<= 0 selects the default). Returns nil if the manager is closed.
+// (<= 0 selects the default, anything above MaxConnBuffer that).
+// Returns nil if the manager is closed.
 func (m *Manager) Attach(buffer int) *Conn {
 	if buffer <= 0 {
 		buffer = defaultConnBuffer
 	}
-	c := &Conn{
-		m:      m,
-		ch:     make(chan Frame, buffer),
-		note:   make(chan struct{}, 1),
-		closed: make(chan struct{}),
-	}
+	c := &Conn{m: m, ch: make(chan *[]byte, min(buffer, MaxConnBuffer)), note: make(chan struct{}, 1), closed: make(chan struct{})}
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if m.closed {
@@ -440,15 +393,6 @@ func (m *Manager) Attach(buffer int) *Conn {
 	return c
 }
 
-func (c *Conn) trySend(f Frame) bool {
-	select {
-	case c.ch <- f:
-		return true
-	default:
-		return false
-	}
-}
-
 func (c *Conn) poke() {
 	select {
 	case c.note <- struct{}{}:
@@ -456,15 +400,32 @@ func (c *Conn) poke() {
 	}
 }
 
+// setSubs installs a new subscription list and rebuilds the dispatch
+// indexes. Callers shrink the list with slices.DeleteFunc, which zeroes
+// the slots past the new length, so a removed subscription (and the
+// connection behind it) is collectable at once.
+func (m *Manager) setSubs(subs []*sub) {
+	m.subs = subs
+	m.nsubs.Store(int64(len(subs)))
+	m.whatifs, m.watches = nil, make(map[string][]*sub)
+	for _, s := range subs {
+		if s.kern != nil {
+			m.whatifs = append(m.whatifs, s)
+		} else {
+			m.watches[s.spec.Rel] = append(m.watches[s.spec.Rel], s)
+		}
+	}
+}
+
 // Subscribe registers a subscription on the connection and returns its
-// ack frame carrying the initial state. The caller must deliver the
-// ack before pumping Next: every queued frame for the ID reflects
-// commits after the ack's epoch.
-func (m *Manager) Subscribe(c *Conn, sp Spec) (Frame, error) {
+// encoded ack frame carrying the initial state. The caller must
+// deliver the ack before pumping Next: every queued frame for the ID
+// reflects commits after the ack's epoch.
+func (m *Manager) Subscribe(c *Conn, sp Spec) ([]byte, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if m.closed {
-		return Frame{}, ErrClosed
+		return nil, ErrClosed
 	}
 	if sp.ID == "" {
 		m.seq++
@@ -472,46 +433,36 @@ func (m *Manager) Subscribe(c *Conn, sp Spec) (Frame, error) {
 	}
 	for _, s := range m.subs {
 		if s.conn == c && s.spec.ID == sp.ID {
-			return Frame{}, fmt.Errorf("duplicate subscription id %q", sp.ID)
+			return nil, fmt.Errorf("duplicate subscription id %q", sp.ID)
 		}
 	}
 	s, err := compile(m.d.Schema(), sp)
 	if err != nil {
-		return Frame{}, err
+		return nil, err
 	}
-	h := m.d.Horizon()
-	s.prime(m.d.At(h))
-	s.since = h
-	s.conn = c
-	m.subs = append(m.subs, s)
-	m.nsubs.Store(int64(len(m.subs)))
-	return Frame{
-		Type:  "ack",
-		ID:    sp.ID,
-		Kind:  sp.Kind,
-		Epoch: engine.SeqEpoch(h),
-		Rows:  m.rowsLocked(s.entries(m.relIx)),
-	}, nil
+	s.since, s.conn = m.d.Horizon(), c
+	ack, fail := m.snapshot("ack", s)
+	if fail != "" {
+		return nil, fmt.Errorf("subscription %q: %s", sp.ID, fail)
+	}
+	m.setSubs(append(m.subs, s))
+	return *ack, nil
 }
 
 // Unsubscribe removes one subscription from the connection.
 func (m *Manager) Unsubscribe(c *Conn, id string) bool {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	for i, s := range m.subs {
-		if s.conn == c && s.spec.ID == id {
-			m.subs = append(m.subs[:i], m.subs[i+1:]...)
-			m.nsubs.Store(int64(len(m.subs)))
-			return true
-		}
-	}
-	return false
+	n := len(m.subs)
+	m.setSubs(slices.DeleteFunc(m.subs, func(s *sub) bool { return s.conn == c && s.spec.ID == id }))
+	return len(m.subs) < n
 }
 
 // takeResync builds the pending resync frame for the connection's
-// first stale subscription, if any. Generated at read time — a client
+// first stale subscription, if any — or, if its frames can no longer be
+// built, the error frame that ends it. Generated at read time: a client
 // behind on a quiet stream still repairs on its next read.
-func (m *Manager) takeResync(c *Conn) (Frame, bool) {
+func (m *Manager) takeResync(c *Conn) *[]byte {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	for _, s := range m.subs {
@@ -520,44 +471,48 @@ func (m *Manager) takeResync(c *Conn) (Frame, bool) {
 		}
 		s.needResync = false
 		m.resyncs.Add(1)
-		return Frame{
-			Type:  "resync",
-			ID:    s.spec.ID,
-			Kind:  s.spec.Kind,
-			Epoch: engine.SeqEpoch(s.since),
-			Rows:  m.rowsLocked(s.entries(m.relIx)),
-		}, true
+		frame, fail := (*[]byte)(nil), s.fail
+		if fail == "" {
+			frame, fail = m.snapshot("resync", s)
+		}
+		if fail != "" {
+			frame = framePool.Get().(*[]byte)
+			b := append(appendHead((*frame)[:0], "error", s, engine.SeqEpoch(s.since), ""), `,"code":"unframeable","message":`...)
+			*frame = append(db.AppendJSONString(b, fail), '}', '\n')
+			m.setSubs(slices.DeleteFunc(m.subs, func(x *sub) bool { return x == s }))
+		}
+		return frame
 	}
-	return Frame{}, false
+	return nil
 }
 
-// Next returns the connection's next frame, blocking until one is
-// available or ctx is done. Resync frames are generated here, at read
-// time, so a stale client repairs even when no further commits arrive.
-func (c *Conn) Next(ctx context.Context) (Frame, error) {
+// Next returns the connection's next frame in its wire encoding — one
+// JSON object (see Frame) and a newline — blocking until one is
+// available or ctx is done. The bytes are valid until the next call:
+// Next is for one reader at a time. Resync frames are generated here,
+// so a stale client repairs even when no further commits arrive.
+func (c *Conn) Next(ctx context.Context) ([]byte, error) {
+	if c.held != nil {
+		putFrame(c.held)
+		c.held = nil
+	}
 	for {
 		select {
-		case f := <-c.ch:
-			return f, nil
+		case c.held = <-c.ch:
+			return *c.held, nil
 		default:
 		}
-		if f, ok := c.m.takeResync(c); ok {
-			return f, nil
+		if c.held = c.m.takeResync(c); c.held != nil {
+			return *c.held, nil
 		}
 		select {
-		case f := <-c.ch:
-			return f, nil
+		case c.held = <-c.ch:
+			return *c.held, nil
 		case <-c.note:
 		case <-ctx.Done():
-			return Frame{}, ctx.Err()
+			return nil, ctx.Err()
 		case <-c.closed:
-			// Drain frames already queued before reporting closure.
-			select {
-			case f := <-c.ch:
-				return f, nil
-			default:
-			}
-			return Frame{}, ErrClosed
+			return nil, ErrClosed
 		}
 	}
 }
@@ -569,14 +524,7 @@ func (c *Conn) Close() {
 		m := c.m
 		m.mu.Lock()
 		delete(m.conns, c)
-		kept := m.subs[:0]
-		for _, s := range m.subs {
-			if s.conn != c {
-				kept = append(kept, s)
-			}
-		}
-		m.subs = kept
-		m.nsubs.Store(int64(len(m.subs)))
+		m.setSubs(slices.DeleteFunc(m.subs, func(s *sub) bool { return s.conn == c }))
 		m.mu.Unlock()
 		close(c.closed)
 	})

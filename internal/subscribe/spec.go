@@ -9,17 +9,19 @@
 // form is per-row local (a row's annotation depends only on that row's
 // history and the query annotations, never on other rows), so rows a
 // commit did not touch cannot change their specialization. Each commit
-// event names exactly the touched rows; re-specializing those rows at
-// the event's horizon therefore reproduces a from-scratch recompute —
-// the differential tests assert byte-identical canonical states at
-// every epoch, across shard counts, modes and on followers.
+// event names exactly the touched rows, and the MVCC views on either
+// side of the commit hold each one's annotation before and after it,
+// so a subscription keeps no copy of its member rows: a what-if is a
+// standing valuation (an upstruct.Kernel, whose memo holds the value of
+// every node but the few the commit created), a watch compares the two
+// hash-consed annotations by identity, and folding a commit costs the
+// commit's rows, not the state. The protocol differential tests assert
+// that a client composing the frames holds, at every epoch, exactly
+// what Recompute builds from scratch.
 package subscribe
 
 import (
 	"fmt"
-	"math"
-	"sort"
-	"strings"
 
 	"hyperprov/internal/core"
 	"hyperprov/internal/db"
@@ -32,13 +34,11 @@ type Kind string
 
 const (
 	// KindDeletion maintains the Section 4.1 deletion-propagation
-	// what-if: the database as it would look had the named input-tuple
-	// annotations never existed. The maintained state is the set of
-	// surviving rows.
+	// what-if — the rows surviving had the named input-tuple annotations
+	// never existed — and KindAbort the transaction-abortion what-if
+	// over the named transaction labels.
 	KindDeletion Kind = "deletion"
-	// KindAbort maintains the transaction-abortion what-if over the
-	// named transaction labels.
-	KindAbort Kind = "abort"
+	KindAbort    Kind = "abort"
 	// KindWatch maintains the support rows of one relation matching a
 	// hyperplane pattern, together with their annotation strings —
 	// "tell me whenever provenance touches these tuples".
@@ -53,10 +53,8 @@ type Spec struct {
 	ID   string `json:"id,omitempty"`
 	Kind Kind   `json:"kind"`
 	// Tuples are the input-tuple annotation names a deletion what-if
-	// deletes (KindDeletion).
+	// deletes, Labels the transaction labels an abort what-if aborts.
 	Tuples []string `json:"tuples,omitempty"`
-	// Labels are the transaction labels an abort what-if aborts
-	// (KindAbort).
 	Labels []string `json:"labels,omitempty"`
 	// Rel and Match select the watched rows (KindWatch): Match has one
 	// entry per attribute of Rel — null matches anything, a JSON value
@@ -64,106 +62,44 @@ type Spec struct {
 	// relation.
 	Rel   string `json:"rel,omitempty"`
 	Match []any  `json:"match,omitempty"`
-	// Pattern is the typed form of Match for programmatic use (the
-	// facade's Watch); it wins over Match when non-nil.
-	Pattern db.Pattern `json:"-"`
 }
 
-// sub is one live subscription: its compiled spec plus the
-// incrementally maintained state.
-type sub struct {
-	spec Spec
-	conn *Conn
-
-	env upstruct.Env[bool] // deletion/abort: the Boolean valuation
-	pat db.Pattern         // watch: the compiled pattern
-
-	// since is the horizon sequence the state reflects; events at or
-	// below it are skipped (the state already includes them).
-	since uint64
-	// needResync marks the client copy stale (a delta frame was dropped
-	// on the bounded queue, or the manager rebuilt after an overflow or
-	// reset); the state itself stays exact. The reader repairs it by
-	// pulling a full resync snapshot.
-	needResync bool
-
-	// state maps rel+"\x00"+tuple.Key() to the member entry.
-	state map[string]*entry
-}
-
-// entry is one member row of a subscription state. For watches, ann is
-// the row's annotation rendering (what "changed" frames diff); for
-// what-ifs membership itself is the state and ann stays empty.
-type entry struct {
-	rel   string
-	key   string
-	tuple db.Tuple
-	ann   string
-}
-
-func stateKey(rel, key string) string { return rel + "\x00" + key }
-
-// compile validates a spec against the schema and builds the sub.
-func compile(schema *db.Schema, sp Spec) (*sub, error) {
-	s := &sub{spec: sp, state: make(map[string]*entry)}
-	switch sp.Kind {
-	case KindDeletion:
-		if len(sp.Tuples) == 0 {
-			return nil, fmt.Errorf("deletion subscription needs tuples")
-		}
-		dead := make(map[core.Annot]bool, len(sp.Tuples))
-		for _, name := range sp.Tuples {
-			dead[core.TupleAnnot(name)] = false
-		}
-		s.env = upstruct.MapEnv(dead, true)
-	case KindAbort:
-		if len(sp.Labels) == 0 {
-			return nil, fmt.Errorf("abort subscription needs labels")
-		}
-		dead := make(map[core.Annot]bool, len(sp.Labels))
-		for _, l := range sp.Labels {
-			dead[core.QueryAnnot(l)] = false
-		}
-		s.env = upstruct.MapEnv(dead, true)
-	case KindWatch:
-		rel := schema.Relation(sp.Rel)
-		if rel == nil {
-			return nil, fmt.Errorf("%w %q", engine.ErrUnknownRelation, sp.Rel)
-		}
-		pat := sp.Pattern
-		if pat == nil {
-			var err error
-			if pat, err = matchPattern(rel, sp.Match); err != nil {
-				return nil, err
-			}
-		}
-		if err := pat.Validate(rel); err != nil {
-			return nil, fmt.Errorf("watch pattern: %v", err)
-		}
-		s.pat = pat
-	default:
-		return nil, fmt.Errorf("unknown subscription kind %q", sp.Kind)
+// dead lists the annotations a what-if spec sends to false.
+func (sp Spec) dead() ([]core.Annot, error) {
+	names, what, annot := sp.Tuples, "tuples", core.TupleAnnot
+	if sp.Kind == KindAbort {
+		names, what, annot = sp.Labels, "labels", core.QueryAnnot
 	}
-	return s, nil
+	if len(names) == 0 {
+		return nil, fmt.Errorf("%s subscription needs %s", sp.Kind, what)
+	}
+	out := make([]core.Annot, len(names))
+	for i, name := range names {
+		out[i] = annot(name)
+	}
+	return out, nil
 }
 
-// matchPattern compiles the JSON match array (null = wildcard, value =
-// equality) into a typed pattern over the relation.
-func matchPattern(rel *db.RelationSchema, match []any) (db.Pattern, error) {
-	if match == nil {
+// pattern compiles a watch spec's JSON match array (null = wildcard,
+// value = equality) into a typed pattern over its relation.
+func (sp Spec) pattern(schema *db.Schema) (db.Pattern, error) {
+	rel := schema.Relation(sp.Rel)
+	if rel == nil {
+		return nil, fmt.Errorf("%w %q", engine.ErrUnknownRelation, sp.Rel)
+	}
+	if sp.Match == nil {
 		return db.AllPattern(len(rel.Attrs)), nil
 	}
-	if len(match) != len(rel.Attrs) {
-		return nil, fmt.Errorf("match has %d terms, relation %s needs %d", len(match), rel.Name, len(rel.Attrs))
+	if len(sp.Match) != len(rel.Attrs) {
+		return nil, fmt.Errorf("match has %d terms, relation %s needs %d", len(sp.Match), rel.Name, len(rel.Attrs))
 	}
-	pat := make(db.Pattern, len(match))
-	for i, raw := range match {
-		a := rel.Attrs[i]
+	pat := make(db.Pattern, len(sp.Match))
+	for i, raw := range sp.Match {
 		if raw == nil {
 			pat[i] = db.AnyVar(fmt.Sprintf("x%d", i))
 			continue
 		}
-		v, err := matchValue(a, raw)
+		v, err := rel.Attrs[i].ValueFromJSON(raw)
 		if err != nil {
 			return nil, err
 		}
@@ -172,179 +108,64 @@ func matchPattern(rel *db.RelationSchema, match []any) (db.Pattern, error) {
 	return pat, nil
 }
 
-// matchValue converts one JSON match term to a typed value, with the
-// same conversions the ingest surface applies to tuples.
-func matchValue(a db.Attribute, raw any) (db.Value, error) {
-	switch a.Kind {
-	case db.KindString:
-		s, ok := raw.(string)
-		if !ok {
-			return db.Value{}, fmt.Errorf("attribute %s wants a string, got %T", a.Name, raw)
-		}
-		return db.S(s), nil
-	case db.KindInt:
-		switch n := raw.(type) {
-		case float64:
-			if n != math.Trunc(n) {
-				return db.Value{}, fmt.Errorf("attribute %s wants an integer, got %v", a.Name, n)
-			}
-			return db.I(int64(n)), nil
-		case string:
-			return db.ParseValue(db.KindInt, n)
-		}
-	case db.KindFloat:
-		switch n := raw.(type) {
-		case float64:
-			return db.F(n), nil
-		case string:
-			return db.ParseValue(db.KindFloat, n)
-		}
+// sub is one live subscription: its compiled spec and the horizon its
+// client has been told about. It holds no rows.
+type sub struct {
+	spec Spec
+	conn *Conn
+	head []byte // `,"id":…,"kind":…`: the subscription's part of every frame
+
+	kern *upstruct.Kernel // deletion/abort: the standing valuation and its memo
+	pat  db.Pattern       // watch: the compiled pattern
+
+	// since is the horizon sequence the client's copy reflects once it
+	// has read every frame queued so far; events at or below it are
+	// skipped, and At(since) is the before-image of the next one.
+	since uint64
+	// needResync marks the client copy stale (a delta frame was dropped
+	// on the bounded queue, or the manager rebuilt). The reader repairs
+	// it by pulling a resync snapshot — or, when fail says a frame could
+	// not be built, the error frame that ends the subscription.
+	needResync bool
+	fail       string
+	counted    uint64 // how much of kern.Misses() respecNodes has absorbed
+
+	// added, removed and changed index the current commit's rows that
+	// move this subscription, in wire order; reset after every commit.
+	added, removed, changed []int32
+}
+
+// move records how row i of the commit moves the subscription: in or
+// out of its member set, or (watches) to another annotation.
+func (s *sub) move(i int32, was, is, changed bool) {
+	switch {
+	case is && !was:
+		s.added = append(s.added, i)
+	case was && !is:
+		s.removed = append(s.removed, i)
+	case changed:
+		s.changed = append(s.changed, i)
 	}
-	return db.Value{}, fmt.Errorf("attribute %s: cannot match %T", a.Name, raw)
 }
 
-// prime rebuilds the subscription state from scratch against a reader
-// (a pinned view or a live engine).
-func (s *sub) prime(v engine.Reader) {
-	s.state = make(map[string]*entry)
-	if s.spec.Kind == KindWatch {
-		if v.Schema().Relation(s.spec.Rel) == nil {
-			return // relation vanished across an engine swap
-		}
-		v.EachRow(s.spec.Rel, func(t db.Tuple, ann *core.Expr) {
-			if !s.pat.Matches(t) || ann.IsZero() {
-				return
-			}
-			k := t.Key()
-			s.state[stateKey(s.spec.Rel, k)] = &entry{rel: s.spec.Rel, key: k, tuple: t, ann: ann.String()}
-		})
-		return
+// compile validates a spec against the schema and builds the sub.
+func compile(schema *db.Schema, sp Spec) (*sub, error) {
+	s := &sub{spec: sp}
+	var err error
+	switch sp.Kind {
+	case KindDeletion, KindAbort:
+		var dead []core.Annot
+		dead, err = sp.dead()
+		s.kern = upstruct.NewKernel(upstruct.Dead(dead...))
+	case KindWatch:
+		s.pat, err = sp.pattern(schema)
+	default:
+		err = fmt.Errorf("unknown subscription kind %q", sp.Kind)
 	}
-	engine.Specialize[bool](v, upstruct.Bool, s.env, func(rel string, t db.Tuple, member bool) {
-		if !member {
-			return
-		}
-		k := t.Key()
-		s.state[stateKey(rel, k)] = &entry{rel: rel, key: k, tuple: t}
-	})
-}
-
-// apply folds one commit event into the state, re-specializing exactly
-// the touched rows at the event's horizon (v = db.At(ev.Seq)), and
-// returns the delta — nil when the event does not move this
-// subscription — plus the number of rows evaluated (the fanout
-// counter).
-func (s *sub) apply(v engine.Reader, ev engine.CommitEvent) (*delta, uint64) {
-	var d delta
-	var n uint64
-	for _, ref := range ev.Rows {
-		if s.spec.Kind == KindWatch {
-			if ref.Rel != s.spec.Rel || !s.pat.Matches(ref.Tuple) {
-				continue
-			}
-			n++
-			k := stateKey(ref.Rel, ref.Tuple.Key())
-			ann := v.Annotation(ref.Rel, ref.Tuple)
-			inSupport := ann != nil && !ann.IsZero()
-			old := s.state[k]
-			switch {
-			case inSupport && old == nil:
-				e := &entry{rel: ref.Rel, key: ref.Tuple.Key(), tuple: ref.Tuple, ann: ann.String()}
-				s.state[k] = e
-				d.added = append(d.added, e)
-			case !inSupport && old != nil:
-				delete(s.state, k)
-				d.removed = append(d.removed, old)
-			case inSupport:
-				if rendered := ann.String(); rendered != old.ann {
-					old.ann = rendered
-					d.changed = append(d.changed, old)
-				}
-			}
-			continue
-		}
-		n++
-		k := stateKey(ref.Rel, ref.Tuple.Key())
-		ann := v.Annotation(ref.Rel, ref.Tuple)
-		member := ann != nil && upstruct.Eval(ann, upstruct.Bool, s.env)
-		old := s.state[k]
-		switch {
-		case member && old == nil:
-			e := &entry{rel: ref.Rel, key: ref.Tuple.Key(), tuple: ref.Tuple}
-			s.state[k] = e
-			d.added = append(d.added, e)
-		case !member && old != nil:
-			delete(s.state, k)
-			d.removed = append(d.removed, old)
-		}
-	}
-	if len(d.added) == 0 && len(d.removed) == 0 && len(d.changed) == 0 {
-		return nil, n
-	}
-	return &d, n
-}
-
-// delta is the raw result of folding one event into one subscription.
-type delta struct {
-	added, removed, changed []*entry
-}
-
-// sortEntries orders entries canonically: relations in schema order,
-// rows by tuple key within a relation.
-func sortEntries(es []*entry, relIx map[string]int) {
-	sort.Slice(es, func(i, j int) bool {
-		if es[i].rel != es[j].rel {
-			return relIx[es[i].rel] < relIx[es[j].rel]
-		}
-		return es[i].key < es[j].key
-	})
-}
-
-// entries returns the state as a canonically sorted slice.
-func (s *sub) entries(relIx map[string]int) []*entry {
-	out := make([]*entry, 0, len(s.state))
-	for _, e := range s.state {
-		out = append(out, e)
-	}
-	sortEntries(out, relIx)
-	return out
-}
-
-// canonical renders sorted entries deterministically, one line per
-// member row — the byte representation the differential tests compare.
-func canonical(es []*entry) []byte {
-	var b strings.Builder
-	for _, e := range es {
-		b.WriteString(e.rel)
-		b.WriteByte('\t')
-		b.WriteString(e.key)
-		if e.ann != "" {
-			b.WriteByte('\t')
-			b.WriteString(e.ann)
-		}
-		b.WriteByte('\n')
-	}
-	return []byte(b.String())
-}
-
-// relIndex maps relation names to their schema positions.
-func relIndex(schema *db.Schema) map[string]int {
-	ix := make(map[string]int)
-	for i, name := range schema.Names() {
-		ix[name] = i
-	}
-	return ix
-}
-
-// Recompute builds the canonical state of a spec from scratch against
-// a reader — the oracle the differential tests compare incremental
-// states to. Pass a pinned view (db.At(seq)) to recompute at a
-// historical epoch.
-func Recompute(v engine.Reader, sp Spec) ([]byte, error) {
-	s, err := compile(v.Schema(), sp)
 	if err != nil {
 		return nil, err
 	}
-	s.prime(v)
-	return canonical(s.entries(relIndex(v.Schema()))), nil
+	s.head = db.AppendJSONString(append(s.head, `,"id":`...), sp.ID)
+	s.head = db.AppendJSONString(append(s.head, `,"kind":`...), string(sp.Kind))
+	return s, nil
 }
