@@ -444,6 +444,35 @@ func BenchmarkCheckpointEncode(b *testing.B) {
 	b.ReportMetric(float64(e.NumRows()), "rows")
 }
 
+// BenchmarkEngineApplyTPCC measures engine apply alone — route, scan
+// plan, normal-form rewrite, expression interning, version and column
+// storage — on the wire benchmark's oltp_point op list (seed 1, 12 000
+// TPC-C transactions; internal/engine's TestApplyAllocsPerTxn gates the
+// same run per transaction). One op applies the whole list to a fresh
+// engine built off the clock; B/op is gated in CI. Expression nodes are
+// interned once per process — by the first op, or by a TPC-C benchmark
+// that ran before it — so compare runs of equal b.N and -bench set
+// (bench/baseline.json: one op after the bench-smoke set, 144 MB; alone,
+// 168 MB).
+func BenchmarkEngineApplyTPCC(b *testing.B) {
+	initial, txns, err := benchutil.TPCCOpList(1, 12000)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		e := engine.New(engine.ModeNormalForm, initial, engine.WithAutoIndex(4))
+		b.StartTimer()
+		if _, err := e.ApplyBatch(context.Background(), txns); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(txns)), "ns_per_txn")
+	b.ReportMetric(float64(len(txns)), "txns")
+}
+
 // BenchmarkWALApply measures the durability tax: the synthetic workload
 // applied through the write-ahead-logged store at each sync policy,
 // next to the plain in-memory engine as the baseline. sync=never pays

@@ -19,6 +19,7 @@ import (
 	"hyperprov/internal/db"
 	"hyperprov/internal/engine"
 	"hyperprov/internal/mvsemiring"
+	"hyperprov/internal/tpcc"
 )
 
 // KeyAnnot names a tuple's initial annotation after the tuple itself,
@@ -282,4 +283,26 @@ func PickVictim(initial *db.Database, txns []db.Transaction, rel string) (db.Tup
 		}
 	}
 	return in.Tuples()[0], true
+}
+
+// TPCCOpList returns the wire benchmark's oltp_point op list
+// (bench/e2e's tpccPlan) for in-process measurement of the same work:
+// the TPC-C instance at scale 0.02 under the seed and its first n
+// transactions that update anything — a Delivery with no pending order
+// commits nothing, and the benchmark does not send it.
+func TPCCOpList(seed int64, n int) (*db.Database, []db.Transaction, error) {
+	cfg := tpcc.Scaled(0.02)
+	cfg.Seed = seed
+	g := tpcc.NewGenerator(cfg)
+	initial, err := g.InitialDatabase()
+	if err != nil {
+		return nil, nil, err
+	}
+	txns := make([]db.Transaction, 0, n)
+	for len(txns) < n {
+		if t := g.NextTransaction(); len(t.Updates) > 0 {
+			txns = append(txns, t)
+		}
+	}
+	return initial, txns, nil
 }

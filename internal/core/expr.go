@@ -132,6 +132,9 @@ func DotM(l, r *Expr) *Expr { return binary(OpDotM, l, r) }
 // nested sums are flattened one level, matching the paper's treatment of
 // Σ over a set of expressions.
 func Sum(kids ...*Expr) *Expr {
+	if len(kids) == 1 && kids[0].op != OpSum {
+		return kids[0]
+	}
 	flat := make([]*Expr, 0, len(kids))
 	for _, k := range kids {
 		if k.op == OpSum {

@@ -52,3 +52,13 @@ func TestNodeIDsGrowFromTheLeaves(t *testing.T) {
 		t.Fatal("Intern/LookupVar disagree with the table")
 	}
 }
+
+// TestNFSizePinned: an NF is embedded by value in every row version the
+// engine stores (engine.TestVersionSizePinned), so at rest it is five
+// words: base, the summand pointer, p's name, and one word shared by
+// p's kind and the shape tag.
+func TestNFSizePinned(t *testing.T) {
+	if got := unsafe.Sizeof(NF{}); got != 40 {
+		t.Fatalf("unsafe.Sizeof(core.NF{}) = %d, want 40", got)
+	}
+}

@@ -75,6 +75,12 @@ func F(v float64) Value { return Value{kind: KindFloat, bits: math.Float64bits(v
 // Kind reports the value's kind.
 func (v Value) Kind() Kind { return v.kind }
 
+// Word returns the payload word: the string-table id, the integer's
+// two's-complement bits or the float's IEEE-754 bits. Two values of one
+// kind are equal iff their words are, which lets a column whose kind the
+// schema fixes store and compare words alone.
+func (v Value) Word() uint64 { return v.bits }
+
 // Str returns the payload of a string value ("" for other kinds).
 func (v Value) Str() string {
 	if v.kind != KindString {

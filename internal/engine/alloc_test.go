@@ -10,8 +10,10 @@ package engine_test
 
 import (
 	"context"
+	"runtime"
 	"testing"
 
+	"hyperprov/internal/benchutil"
 	"hyperprov/internal/core"
 	"hyperprov/internal/db"
 	"hyperprov/internal/engine"
@@ -155,4 +157,34 @@ func TestAllocFreeShardedPointReads(t *testing.T) {
 	assertZeroAllocs(t, "Sharded.NF", func() {
 		sinkNF = se.NF("R", tup)
 	})
+}
+
+// TestApplyAllocsPerTxn gates what the write path allocates per
+// transaction: the wire benchmark's oltp_point op list (seed 1, 12 000
+// TPC-C transactions) replayed in-process on the engine the server
+// builds for it. Before the word columns, the embedded normal form and
+// the writer-owned scratch this read 23.4 kB and 212 mallocs.
+func TestApplyAllocsPerTxn(t *testing.T) {
+	if raceEnabled || testing.Short() {
+		t.Skip("allocation counts are taken without the race detector, on the full op list")
+	}
+	initial, txns, err := benchutil.TPCCOpList(1, 12000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := engine.New(engine.ModeNormalForm, initial, engine.WithAutoIndex(4))
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	if _, err := e.ApplyBatch(context.Background(), txns); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	n := float64(len(txns))
+	kB := float64(after.TotalAlloc-before.TotalAlloc) / n / 1024
+	mallocs := float64(after.Mallocs-before.Mallocs) / n
+	t.Logf("engine apply: %.2f kB and %.1f mallocs per transaction", kB, mallocs)
+	if kB > 16.5 || mallocs > 185 {
+		t.Errorf("engine apply allocates %.2f kB and %.1f mallocs per transaction, want at most 16.5 kB and 185", kB, mallocs)
+	}
 }

@@ -29,22 +29,13 @@ func Specialize[T any](e Reader, s upstruct.Structure[T], env upstruct.Env[T], f
 		})
 		return
 	}
-	mode := p.mode()
 	for _, rel := range p.schema().Names() {
 		for _, r := range p.rows(rel) {
 			if ver := r.at(p.at); ver != nil {
-				f(rel, r.tuple, evalVersion(mode, ver, s, env))
+				f(rel, r.tuple, upstruct.EvalNF(&ver.nf, s, env))
 			}
 		}
 	}
-}
-
-// evalVersion evaluates one resolved version in the structure.
-func evalVersion[T any](mode Mode, ver *version, s upstruct.Structure[T], env upstruct.Env[T]) T {
-	if mode == ModeNaive {
-		return upstruct.Eval(ver.expr, s, env)
-	}
-	return upstruct.EvalNF(ver.nf, s, env)
 }
 
 // BoolRestrict materializes the database selected by a Boolean

@@ -17,6 +17,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"hyperprov/internal/core"
 	"hyperprov/internal/db"
 	"hyperprov/internal/engine"
 	"hyperprov/internal/workload"
@@ -29,6 +30,17 @@ func columnarConfigs() []workload.Config {
 			Tuples: 80, Pool: 20, Group: 3, Updates: 50,
 			QueriesPerTxn: 4, MergeRatio: 0.4, Seed: seed,
 		})
+	}
+	// Chunk boundaries of the word columns: tables one row short of, at
+	// and one row past k full chunks, which the updates then grow across
+	// the boundary (a shard's share of them crosses the small chunks).
+	for k := 1; k <= 2; k++ {
+		for d := -1; d <= 1; d++ {
+			cfgs = append(cfgs, workload.Config{
+				Tuples: k*engine.ColChunk + d, Pool: 20, Group: 3, Updates: 50,
+				QueriesPerTxn: 4, MergeRatio: 0.4, Seed: int64(30 + 3*k + d),
+			})
+		}
 	}
 	return cfgs
 }
@@ -43,14 +55,15 @@ func TestColumnarVsRowWiseDifferential(t *testing.T) {
 			}
 			// colEng scans through the columnar prefilter (no index);
 			// idxEng resolves the same selections through posting lists;
-			// shEng partitions rows and fans scans out.
+			// shEng and sh8Eng partition rows and fan scans out.
 			colEng := engine.New(engine.ModeNormalForm, initial)
 			idxEng := engine.New(engine.ModeNormalForm, initial)
 			if err := idxEng.BuildIndex("R", "grp"); err != nil {
 				t.Fatalf("build index: %v", err)
 			}
 			shEng := engine.NewSharded(engine.ModeNormalForm, initial, engine.WithShards(3))
-			for _, e := range []engine.DB{colEng, idxEng, shEng} {
+			sh8Eng := engine.NewSharded(engine.ModeNormalForm, initial, engine.WithShards(8))
+			for _, e := range []engine.DB{colEng, idxEng, shEng, sh8Eng} {
 				if err := e.ApplyAll(context.Background(), txns); err != nil {
 					t.Fatalf("apply: %v", err)
 				}
@@ -72,9 +85,15 @@ func TestColumnarVsRowWiseDifferential(t *testing.T) {
 			if !bytes.Equal(colSnap, snapshotBytes(t, idxEng)) {
 				t.Fatal("columnar vs indexed snapshots differ")
 			}
-			if !bytes.Equal(colSnap, snapshotBytes(t, shEng)) {
+			if !bytes.Equal(colSnap, snapshotBytes(t, shEng)) || !bytes.Equal(colSnap, snapshotBytes(t, sh8Eng)) {
 				t.Fatal("columnar vs sharded snapshots differ")
 			}
+			// The shards hold the same interned annotation pointers.
+			sh8Eng.Rows(func(rel string, tu db.Tuple, ann *core.Expr) {
+				if colRows[rel+"\x00"+tu.Key()] != ann {
+					t.Fatalf("row %v: columnar and 8-shard annotations differ", tu)
+				}
+			})
 
 			// Point selections against a naive row-wise reference.
 			all, err := colEng.Select("R", db.AllPattern(5))
@@ -98,7 +117,7 @@ func TestColumnarVsRowWiseDifferential(t *testing.T) {
 						want = append(want, tu)
 					}
 				}
-				for name, e := range map[string]engine.DB{"columnar": colEng, "indexed": idxEng, "sharded": shEng} {
+				for name, e := range map[string]engine.DB{"columnar": colEng, "indexed": idxEng, "sharded": shEng, "sharded8": sh8Eng} {
 					got, err := e.Select("R", sel)
 					if err != nil {
 						t.Fatalf("%s select: %v", name, err)

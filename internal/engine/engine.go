@@ -67,6 +67,12 @@ type row struct {
 	head atomic.Pointer[version]
 }
 
+// touchedRow is one entry of Engine.touched.
+type touchedRow struct {
+	tbl *table
+	r   *row
+}
+
 type table struct {
 	rel *db.RelationSchema
 	// rows indexes rows by tuple fingerprint (see storage.go). Entries
@@ -79,9 +85,9 @@ type table struct {
 	// must not depend on map iteration. The rowList publication order
 	// (element before length) makes concurrent lock-free reads safe.
 	list rowList
-	// cols mirrors the tuples column-major (struct-of-arrays) with a
-	// parallel sequence vector; planner full scans and visibility
-	// counting read contiguous vectors instead of chasing row pointers.
+	// cols mirrors the tuples column-major (struct-of-arrays), one payload
+	// word per value, with a parallel sequence column; planner full scans
+	// and visibility counting read those instead of chasing row pointers.
 	cols colStore
 }
 
@@ -215,18 +221,21 @@ type Engine struct {
 	zeroAxioms bool
 	liveMatch  bool
 
-	cur     core.Annot
-	inTxn   bool
-	txnNo   int
-	touched []*row
+	cur   core.Annot
+	inTxn bool
+	txnNo int
+	// touched lists the rows of the open transaction, each once, with
+	// the table holding it: End freezes them and names them in the event.
+	touched []touchedRow
 
 	// hook, when installed, receives one CommitEvent per committed own
-	// epoch. evRows/evKind/evLabel accumulate the event of the epoch in
-	// flight; collectEv gates the accumulation — set from hook by Begin
-	// and the other own-epoch entry points, or forced on by the sharded
-	// coordinator, which harvests evRows itself (a coordinated shard
-	// never emits: the tracker owns event order then). All of these are
-	// guarded by mu.
+	// epoch. evKind/evLabel describe the epoch in flight and evRows — a
+	// buffer reused from epoch to epoch — its rows, filled by End (or row
+	// by row on the restore and minimize paths); collectEv gates the
+	// filling — set from hook by Begin and the other own-epoch entry
+	// points, or forced on by the sharded coordinator, which harvests
+	// evRows itself (a coordinated shard never emits: the tracker owns
+	// event order then). All of these are guarded by mu.
 	hook      CommitHook
 	collectEv bool
 	evKind    CommitKind
@@ -267,9 +276,11 @@ type Engine struct {
 	idx *indexManager
 
 	// scanBufs is the writer-owned free-list recycling scan result
-	// buffers (see storage.go); guarded by the write lock like every
-	// other scan-path structure.
+	// buffers (see storage.go) and mod the grouping scratch of the
+	// modification in flight; both are guarded by the write lock like
+	// every other scan-path structure.
 	scanBufs [][]*row
+	mod      modScratch
 }
 
 // New builds an engine in the given mode from an initial database. Each
@@ -284,7 +295,7 @@ func New(mode Mode, initial *db.Database, opts ...Option) *Engine {
 		tbl := e.tables[name]
 		for _, t := range initial.Instance(name).Tuples() {
 			a := e.freshAnnot(name, t)
-			r := newRow(mode, t, core.Var(a), seq)
+			r := newRow(t, seq, core.Var(a), true)
 			seq++
 			e.versions.Add(1)
 			tbl.add(r)
@@ -315,18 +326,18 @@ func newShell(mode Mode, schema *db.Schema, cfg *config) *Engine {
 	return e
 }
 
-// newRow builds a live initial row (epoch 0) annotated with the given
-// base expression in the representation of the mode.
-func newRow(mode Mode, t db.Tuple, base *core.Expr, seq uint64) *row {
-	r := &row{tuple: t, txn: -1, seq: seq}
-	v := &version{born: seq, live: true}
-	if mode == ModeNaive {
-		v.expr = base
-	} else {
-		v.nf = core.NewNF(base)
-	}
-	r.head.Store(v)
-	return r
+// newRow builds a row created at seq together with its first version,
+// annotated ann, in one allocation.
+func newRow(t db.Tuple, seq uint64, ann *core.Expr, live bool) *row {
+	rv := &struct {
+		row
+		first version
+	}{}
+	rv.tuple, rv.txn, rv.seq = t, -1, seq
+	rv.first.born, rv.first.live = seq, live
+	rv.first.setExpr(ann)
+	rv.head.Store(&rv.first)
+	return &rv.row
 }
 
 func (e *Engine) freshAnnot(rel string, t db.Tuple) core.Annot {
@@ -378,6 +389,20 @@ func (e *Engine) beginEvent(kind CommitKind, label string) {
 	e.collectEv = e.hook != nil
 }
 
+// evRowsKeep is the longest event row buffer kept for reuse (40 kB): one
+// bulk transaction must not pin its row list for the engine's lifetime.
+const evRowsKeep = 1024
+
+// recycleRows wipes an event's row buffer after the hook returned and
+// hands it back emptied, or nil when it grew past evRowsKeep.
+func recycleRows(rows []RowRef) []RowRef {
+	clear(rows)
+	if cap(rows) > evRowsKeep {
+		return nil
+	}
+	return rows[:0]
+}
+
 // beginOwnEpoch opens a self-allocated write epoch (no sharded
 // coordinator); commitOwnEpoch publishes it to readers.
 func (e *Engine) beginOwnEpoch() {
@@ -401,7 +426,10 @@ func (e *Engine) commitOwnEpoch() {
 			Label: e.evLabel,
 			Rows:  e.evRows,
 		})
-		e.evRows = nil // ownership passed to the hook
+		// Rows was lent for the call: wipe it, so the buffer pins no tuple
+		// and a hook that kept the slice reads blanks instead of the next
+		// epoch's rows.
+		e.evRows = recycleRows(e.evRows)
 	}
 	e.collectEv = false
 }
@@ -424,13 +452,7 @@ func (e *Engine) restoreRowLocked(rel string, t db.Tuple, ann *core.Expr) error 
 		r = e.newVersionedRow(t)
 	}
 	v := e.mutable(r)
-	if e.mode == ModeNaive {
-		v.expr = ann
-		v.nf = nil
-	} else {
-		v.nf = core.NewNF(ann)
-		v.expr = nil
-	}
+	v.setExpr(ann)
 	v.live = ann.Live()
 	if fresh {
 		tbl.add(r)
@@ -478,9 +500,12 @@ func (e *Engine) End() {
 	if !e.inTxn {
 		panic("engine: End without Begin")
 	}
-	if e.mode == ModeNormalForm {
-		for _, r := range e.touched {
-			r.latest().nf.Freeze()
+	for _, t := range e.touched {
+		if e.mode == ModeNormalForm {
+			t.r.latest().nf.Freeze()
+		}
+		if e.collectEv {
+			e.evRows = append(e.evRows, RowRef{Rel: t.tbl.rel.Name, Tuple: t.r.tuple})
 		}
 	}
 	e.inTxn = false
@@ -493,47 +518,32 @@ func (e *Engine) End() {
 
 func (e *Engine) touch(tbl *table, r *row) {
 	if r.txn != e.txnNo {
+		// The freeze-tracking dedup is also what keeps each touched row in
+		// the commit event exactly once per epoch.
 		r.txn = e.txnNo
-		e.touched = append(e.touched, r)
-		if e.collectEv {
-			// Piggybacking on the freeze-tracking dedup keeps each touched
-			// row in the event exactly once per epoch.
-			e.evRows = append(e.evRows, RowRef{Rel: tbl.rel.Name, Tuple: r.tuple})
-		}
+		e.touched = append(e.touched, touchedRow{tbl, r})
 	}
-}
-
-// assignSeq numbers a newly created row: with the sharded coordinator's
-// closure when one is installed, from the engine's own epoch and
-// creation counter otherwise — every row gets a unique, monotone
-// sequence number either way, so version order is total in the
-// single-engine path too.
-func (e *Engine) assignSeq(r *row) {
-	if e.nextSeq != nil {
-		r.seq = e.nextSeq()
-		return
-	}
-	r.seq = e.curEpoch<<32 | e.seqLocal
-	e.seqLocal++
 }
 
 // newVersionedRow creates a row with a zero-annotated first version
-// born at the row's creation sequence. The caller publishes it with
-// tbl.add (after any same-epoch mutation it performs through mutable —
-// in-flight versions are invisible to readers regardless, because
-// their epoch is beyond every committed horizon).
+// born at the row's creation sequence: the sharded coordinator's
+// numbering when one is installed, the engine's own epoch and creation
+// counter otherwise — every row gets a unique, monotone sequence number
+// either way, so version order is total in the single-engine path too.
+// The caller publishes the row with tbl.add (after any same-epoch
+// mutation it performs through mutable — in-flight versions are
+// invisible to readers regardless, because their epoch is beyond every
+// committed horizon).
 func (e *Engine) newVersionedRow(t db.Tuple) *row {
-	r := &row{tuple: t, txn: -1}
-	e.assignSeq(r)
-	v := &version{born: r.seq}
-	if e.mode == ModeNaive {
-		v.expr = core.Zero()
+	var seq uint64
+	if e.nextSeq != nil {
+		seq = e.nextSeq()
 	} else {
-		v.nf = core.NewNF(core.Zero())
+		seq = e.curEpoch<<32 | e.seqLocal
+		e.seqLocal++
 	}
 	e.versions.Add(1)
-	r.head.Store(v)
-	return r
+	return newRow(t, seq, core.Zero(), false)
 }
 
 // mutable returns the version of r the current write epoch may mutate
@@ -546,10 +556,8 @@ func (e *Engine) mutable(r *row) *version {
 	if v.born>>32 == e.curEpoch {
 		return v
 	}
-	nv := &version{prev: v, born: e.curEpoch << 32, expr: v.expr, live: v.live}
-	if v.nf != nil {
-		nv.nf = v.nf.Clone()
-	}
+	// A committed form is frozen, so the struct copy is a full clone.
+	nv := &version{prev: v, born: e.curEpoch << 32, nf: v.nf, live: v.live}
 	e.versions.Add(1)
 	r.head.Store(nv)
 	return nv
@@ -568,7 +576,7 @@ func (e *Engine) matchableV(v *version) bool {
 	if e.liveMatch {
 		return v.live
 	}
-	return v.inSupport(e.mode)
+	return v.inSupport()
 }
 
 // Apply executes one update query of the current transaction.
@@ -605,7 +613,7 @@ func (e *Engine) applyInsert(tbl *table, u db.Update) {
 	}
 	v := e.mutable(r)
 	if e.mode == ModeNaive {
-		v.expr = e.simplify(core.PlusI(v.expr, core.Var(e.cur)))
+		v.setExpr(e.simplify(core.PlusI(v.expr(), core.Var(e.cur))))
 	} else {
 		v.nf.Insert(e.cur)
 	}
@@ -635,7 +643,7 @@ func (e *Engine) applyDelete(tbl *table, u db.Update) {
 func (e *Engine) deleteRow(tbl *table, r *row) {
 	v := e.mutable(r)
 	if e.mode == ModeNaive {
-		v.expr = e.simplify(core.Minus(v.expr, core.Var(e.cur)))
+		v.setExpr(e.simplify(core.Minus(v.expr(), core.Var(e.cur))))
 	} else {
 		v.nf.Delete(e.cur)
 	}
@@ -673,24 +681,73 @@ type modGroup struct {
 	inserted bool
 }
 
-// findModGroup returns the group for the target in the fingerprint-
-// keyed chain map, appending a fresh one to order on first sight.
-func findModGroup(groups map[uint64]*modGroup, order *[]*modGroup, target db.Tuple, fp uint64) *modGroup {
-	g := groups[fp]
+// modScratchKeep is how many groups, and how many contributions per
+// group, the modify scratch keeps allocated between updates: TPC-C
+// modifies one row at a time and at most an order's 5–15 lines, so 16
+// covers it while bounding what an idle engine holds to about 3 kB.
+const modScratchKeep = 16
+
+// modScratch is the grouping state of one modification, owned by the
+// writer (guarded by the write lock like the scan-buffer free-list):
+// the fingerprint-keyed chain map, the groups in first-sight order, and
+// the groups themselves with their contribution slices, reused from one
+// update to the next. order[:n] are the groups of the update in flight;
+// order[n:] are spare.
+type modScratch struct {
+	groups map[uint64]*modGroup
+	order  []*modGroup
+	n      int
+}
+
+// group returns the group collecting the target's sources, opening it
+// on first sight.
+func (s *modScratch) group(target db.Tuple, fp uint64) *modGroup {
+	g := s.groups[fp]
 	for g != nil && !g.target.Equal(target) {
 		g = g.collide
 	}
-	if g == nil {
-		g = &modGroup{target: target, fp: fp, collide: groups[fp]}
-		groups[fp] = g
-		*order = append(*order, g)
+	if g != nil {
+		return g
 	}
+	if s.n == len(s.order) {
+		s.order = append(s.order, new(modGroup))
+	}
+	if s.groups == nil {
+		s.groups = make(map[uint64]*modGroup)
+	}
+	g = s.order[s.n]
+	s.n++
+	g.target, g.fp, g.collide = target, fp, s.groups[fp]
+	s.groups[fp] = g
 	return g
+}
+
+// reset ends an update: no tuple or expression stays referenced, and an
+// update larger than modScratchKeep leaves nothing allocated behind.
+func (s *modScratch) reset() {
+	if s.n > modScratchKeep {
+		*s = modScratch{}
+		return
+	}
+	clear(s.groups)
+	for _, g := range s.order[:s.n] {
+		raw, contrib := g.raw, g.contrib
+		clear(raw)
+		clear(contrib)
+		*g = modGroup{}
+		if cap(raw) <= modScratchKeep {
+			g.raw = raw[:0]
+		}
+		if cap(contrib) <= modScratchKeep {
+			g.contrib = contrib[:0]
+		}
+	}
+	s.n = 0
 }
 
 func (e *Engine) applyModify(tbl *table, u db.Update) {
 	sources := e.scan(tbl, u)
-	e.applyModifySources(tbl, u, sources)
+	e.modifyRows(u, sources, nil)
 	e.putScanBuf(sources)
 }
 
@@ -700,14 +757,14 @@ func (e *Engine) applyModify(tbl *table, u db.Update) {
 func (e *Engine) captureContribution(g *modGroup, src *row) {
 	v := src.latest()
 	if e.mode == ModeNaive {
-		contrib := v.expr
+		contrib := v.expr()
 		if e.cow {
 			contrib = contrib.DeepCopy()
 		}
 		g.raw = append(g.raw, contrib)
 	} else {
-		c, ins := v.nf.Contribution()
-		g.contrib = append(g.contrib, c...)
+		var ins bool
+		g.contrib, ins = v.nf.AppendContribution(g.contrib)
 		g.inserted = g.inserted || ins
 	}
 }
@@ -724,7 +781,7 @@ func (e *Engine) absorbModTarget(tbl *table, g *modGroup, pe *core.Expr) {
 	}
 	v := e.mutable(r)
 	if e.mode == ModeNaive {
-		v.expr = e.simplify(core.PlusM(v.expr, core.DotM(core.Sum(g.raw...), pe)))
+		v.setExpr(e.simplify(core.PlusM(v.expr(), core.DotM(core.Sum(g.raw...), pe))))
 	} else {
 		v.nf.AbsorbMod(g.contrib, g.inserted, e.cur)
 	}
@@ -737,31 +794,39 @@ func (e *Engine) absorbModTarget(tbl *table, g *modGroup, pe *core.Expr) {
 	e.touch(tbl, r)
 }
 
-// applyModifySources runs a modification over the given source rows (in
-// deterministic scan order).
-func (e *Engine) applyModifySources(tbl *table, u db.Update, sources []*row) {
+// modifyRows runs a modification over the given source rows, which
+// arrive in global scan order: capture every source's pre-query
+// contribution into its target's group, delete the sources (−M p), then
+// let each target absorb old +M ((Σ sources) ·M p); a target that is
+// itself a source (necessarily a self-map) absorbs into its
+// post-deletion annotation, yielding the paper's fifth normal-form
+// shape. With shards set (by the sharded coordinator, which holds their
+// write locks) sources and targets may live on any of them and each row
+// is handled by the shard owning its fingerprint; e lends the scratch.
+func (e *Engine) modifyRows(u db.Update, sources []*row, shards []*Engine) {
 	if len(sources) == 0 {
 		return
 	}
-	pe := core.Var(e.cur)
-	groups := make(map[uint64]*modGroup)
-	var order []*modGroup
+	owner := func(fp uint64) *Engine {
+		if shards == nil {
+			return e
+		}
+		return shards[db.ShardOfFingerprint(fp, len(shards))]
+	}
 	for _, src := range sources {
 		target := u.Target(src.tuple)
-		g := findModGroup(groups, &order, target, target.Fingerprint())
-		e.captureContribution(g, src)
+		owner(src.fp).captureContribution(e.mod.group(target, target.Fingerprint()), src)
 	}
-	// Sources are deleted (−M p) after their pre-query annotations have
-	// been captured.
 	for _, src := range sources {
-		e.deleteRow(tbl, src)
+		sh := owner(src.fp)
+		sh.deleteRow(sh.tables[u.Rel], src)
 	}
-	// Targets receive old +M ((Σ sources) ·M p); a target that is itself
-	// a source (necessarily a self-map) uses its post-deletion
-	// annotation, yielding the paper's fifth normal-form shape.
-	for _, g := range order {
-		e.absorbModTarget(tbl, g, pe)
+	pe := core.Var(e.cur)
+	for _, g := range e.mod.order[:e.mod.n] {
+		sh := owner(g.fp)
+		sh.absorbModTarget(sh.tables[u.Rel], g, pe)
 	}
+	e.mod.reset()
 }
 
 func (e *Engine) simplify(x *core.Expr) *core.Expr {
@@ -928,7 +993,7 @@ func (e *Engine) minimizeAllLocked(ctx context.Context) (int64, error) {
 		for _, r := range tbl.list.snapshot() {
 			v := r.latest()
 			if e.mode != ModeNormalForm {
-				n += v.expr.Size()
+				n += v.expr().Size()
 				continue
 			}
 			old := v.nf.ToExpr()
@@ -941,7 +1006,7 @@ func (e *Engine) minimizeAllLocked(ctx context.Context) (int64, error) {
 			}
 			wasMatchable := e.matchableV(v)
 			nv := e.mutable(r)
-			nv.nf = core.NewNF(m)
+			nv.setExpr(m)
 			if e.collectEv {
 				e.evRows = append(e.evRows, RowRef{Rel: name, Tuple: r.tuple})
 			}

@@ -58,7 +58,7 @@ type RowRef struct {
 // most once; reading the database At(Seq) observes exactly the state
 // the event describes. Events arrive in strictly increasing Epoch
 // order per engine (followers renumber epochs from their own bootstrap,
-// so epoch values are engine-local).
+// so epoch values are engine-local). Rows is borrowed: see CommitHook.
 type CommitEvent struct {
 	Epoch uint64
 	Seq   uint64 // EpochSeq(Epoch): pass to DB.At to pin the post-event state
@@ -72,4 +72,11 @@ type CommitEvent struct {
 // and must never block or call back into the engine's write path
 // (reads are fine — they are lock-free). A hook that needs to do real
 // work hands the event to its own goroutine (see subscribe.Manager).
-type CommitHook func(CommitEvent)
+//
+// ev.Rows is valid for the duration of the call only: it is a buffer the
+// engine fills once per epoch, wipes when the hook returns and reuses
+// for the next epoch, so that a hook with nothing to do costs the write
+// path nothing. A hook that keeps rows past its return copies them
+// (slices.Clone); the tuples and relation names inside are immutable
+// and may be kept as they are.
+type CommitHook func(ev CommitEvent)

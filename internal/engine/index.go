@@ -132,6 +132,15 @@ type indexManager struct {
 	intersectScans atomic.Uint64
 	autoBuilds     atomic.Uint64
 	compactions    atomic.Uint64
+	rowsScanned    atomic.Uint64
+	rowsMatched    atomic.Uint64
+}
+
+// examined records one resolved scan: how many candidates its access
+// path produced and how many of them the selection kept.
+func (m *indexManager) examined(scanned, matched int) {
+	m.rowsScanned.Add(uint64(scanned))
+	m.rowsMatched.Add(uint64(matched))
 }
 
 func newIndexManager(threshold int) *indexManager {
@@ -180,6 +189,12 @@ type PlannerStats struct {
 	AutoBuilds uint64 `json:"autoBuilds"`
 	// Compactions counts posting-list compaction sweeps.
 	Compactions uint64 `json:"compactions"`
+	// RowsScanned counts the candidates scans examined: column words (or
+	// rows) on a full scan, posting entries on an index scan, merge
+	// outputs on an intersect scan. RowsMatched counts the rows they
+	// selected; the ratio is the planner's selectivity.
+	RowsScanned uint64 `json:"rowsScanned"`
+	RowsMatched uint64 `json:"rowsMatched"`
 }
 
 func (m *indexManager) stats() PlannerStats {
@@ -189,6 +204,8 @@ func (m *indexManager) stats() PlannerStats {
 		IntersectScans: m.intersectScans.Load(),
 		AutoBuilds:     m.autoBuilds.Load(),
 		Compactions:    m.compactions.Load(),
+		RowsScanned:    m.rowsScanned.Load(),
+		RowsMatched:    m.rowsMatched.Load(),
 	}
 }
 
@@ -504,27 +521,35 @@ func (e *Engine) scan(tbl *table, u db.Update) []*row {
 
 // fullScan is the paper's access path: walk the whole relation in
 // insertion order. When the selection carries an =-constant term, the
-// columnar mirror prefilters it against the contiguous column vector,
-// so non-matching rows cost one 16-byte compare and no row or version
-// pointer is chased for them.
+// columnar mirror prefilters it against the attribute's word column, so
+// non-matching rows cost one 8-byte compare and no row or version
+// pointer is chased for them. Equal words mean equal values only within
+// one kind, and nothing validates an update that reaches Apply directly,
+// so a constant of another kind than its attribute skips the prefilter;
+// MatchesTuple stays the decision either way.
 func (e *Engine) fullScan(tbl *table, u db.Update) []*row {
 	rows := tbl.list.snapshot()
-	if ci := firstConstTerm(u.Sel); ci >= 0 {
-		if col := tbl.cols.col(ci, len(rows)); len(col) == len(rows) {
-			want := u.Sel[ci].Value()
-			out := e.getScanBuf()
-			for i, r := range rows {
-				if col[i] != want {
-					continue
-				}
-				if e.matchable(r) && u.MatchesTuple(r.tuple) {
-					out = append(out, r)
-				}
-			}
-			return out
-		}
+	ci := firstConstTerm(u.Sel)
+	if ci < 0 || u.Sel[ci].Value().Kind() != tbl.rel.Attrs[ci].Kind {
+		return e.filterRows(rows, u)
 	}
-	return e.filterRows(rows, u)
+	want := u.Sel[ci].Value().Word()
+	out := e.getScanBuf()
+	left := rows
+	for _, words := range tbl.cols.cols[ci].chunks() {
+		words = words[:min(len(words), len(left))]
+		for i, w := range words {
+			if w != want {
+				continue
+			}
+			if r := left[i]; e.matchable(r) && u.MatchesTuple(r.tuple) {
+				out = append(out, r)
+			}
+		}
+		left = left[len(words):]
+	}
+	e.idx.examined(len(rows), len(out))
+	return out
 }
 
 // firstConstTerm returns the index of the first =-constant term of the
@@ -549,6 +574,7 @@ func (e *Engine) filterRows(rows []*row, u db.Update) []*row {
 			out = append(out, r)
 		}
 	}
+	e.idx.examined(len(rows), len(out))
 	return out
 }
 
@@ -672,6 +698,7 @@ func (e *Engine) filterRowsAt(rows []*row, u db.Update, s uint64) []*row {
 		}
 		out = append(out, r)
 	}
+	e.idx.examined(len(rows), len(out))
 	return out
 }
 
@@ -700,13 +727,16 @@ func (e *Engine) selectEachAt(rel string, sel db.Pattern, s uint64, f func(db.Tu
 	if none {
 		return nil
 	}
+	matched := 0
 	for _, r := range rows {
 		v := r.at(s)
 		if v == nil || !e.matchableV(v) || !u.MatchesTuple(r.tuple) {
 			continue
 		}
+		matched++
 		f(r.tuple)
 	}
+	e.idx.examined(len(rows), matched)
 	return nil
 }
 

@@ -68,12 +68,18 @@ func clampSeq(seq, horizon uint64) uint64 {
 	return seq
 }
 
-// version is one immutable-once-committed state of a row's provenance.
-// Exactly one of expr/nf is used, per the engine mode. born is the
-// sequence number from which this version is current: the row's own
-// creation sequence for the first version, epoch<<32 for in-place
-// epoch mutations (a reader at horizon s sees the newest version with
+// version is one immutable-once-committed state of a row's provenance:
+// one 64-byte record holding the chain link, the birth sequence, the
+// normal form by value and the liveness bit. born is the sequence
+// number from which this version is current: the row's own creation
+// sequence for the first version, epoch<<32 for in-place epoch
+// mutations (a reader at horizon s sees the newest version with
 // born ≤ s). The chain via prev is ordered by strictly decreasing born.
+//
+// nf is the Theorem 5.3 normal form in ModeNormalForm. ModeNaive keeps
+// it in shape NFBase for good and uses the base slot for its raw
+// expression (expr/setExpr), so support, materialization, size and
+// evaluation read one representation in both modes.
 //
 // A version is mutable only while its epoch is open — it is then
 // invisible to every reader (all horizons precede the open epoch) and
@@ -82,29 +88,25 @@ func clampSeq(seq, horizon uint64) uint64 {
 type version struct {
 	prev *version
 	born uint64
-	expr *core.Expr // ModeNaive
-	nf   *core.NF   // ModeNormalForm
-	live bool       // set-semantics membership, maintained per update
+	nf   core.NF
+	live bool // set-semantics membership, maintained per update
 }
+
+// expr returns the annotation of a version in shape NFBase: every
+// version of the naive mode, and every committed one of either.
+func (v *version) expr() *core.Expr { return v.nf.Base() }
+
+// setExpr makes x the version's whole annotation.
+func (v *version) setExpr(x *core.Expr) { v.nf = *core.NewNF(x) }
 
 // inSupport reports whether the version is in the relation per Section
 // 3.1: its annotation is not syntactically 0.
-func (v *version) inSupport(mode Mode) bool {
-	if mode == ModeNaive {
-		return !v.expr.IsZero()
-	}
-	return !v.nf.IsZero()
-}
+func (v *version) inSupport() bool { return !v.nf.IsZero() }
 
 // annotation materializes the version's provenance expression.
 // Committed normal forms are frozen (shape NFBase), so this is a pure
 // read and safe to call concurrently.
-func (v *version) annotation(mode Mode) *core.Expr {
-	if mode == ModeNaive {
-		return v.expr
-	}
-	return v.nf.ToExpr()
-}
+func (v *version) annotation() *core.Expr { return v.nf.ToExpr() }
 
 // latest returns the row's newest version (the writer's view).
 func (r *row) latest() *version { return r.head.Load() }
@@ -452,7 +454,7 @@ func (e *Engine) annotationAt(rel string, t db.Tuple, s uint64) *core.Expr {
 	if v == nil {
 		return nil
 	}
-	return v.annotation(e.mode)
+	return v.annotation()
 }
 
 func (e *Engine) nfAt(rel string, t db.Tuple, s uint64) *core.NF {
@@ -471,7 +473,7 @@ func (e *Engine) nfAt(rel string, t db.Tuple, s uint64) *core.NF {
 	if v == nil {
 		return nil
 	}
-	return v.nf
+	return &v.nf
 }
 
 func (e *Engine) eachRowAt(rel string, s uint64, f func(t db.Tuple, ann *core.Expr)) {
@@ -491,7 +493,7 @@ func (e *Engine) eachRowAt(rel string, s uint64, f func(t db.Tuple, ann *core.Ex
 		if v == nil {
 			continue
 		}
-		f(r.tuple, v.annotation(e.mode))
+		f(r.tuple, v.annotation())
 	}
 }
 
@@ -506,11 +508,16 @@ func (e *Engine) numRowsAt(s uint64) int {
 	n := 0
 	for _, name := range e.schema.Names() {
 		tbl := e.tables[name]
-		// Visibility counting walks the contiguous sequence vector; no
-		// row pointer is touched.
-		for _, q := range tbl.cols.seqPrefix(tbl.list.len()) {
-			if q <= s {
-				n++
+		// Visibility counting walks the sequence column; no row pointer
+		// is touched.
+		left := tbl.list.len()
+		for _, seqs := range tbl.cols.seqs.chunks() {
+			seqs = seqs[:min(len(seqs), left)]
+			left -= len(seqs)
+			for _, q := range seqs {
+				if q <= s {
+					n++
+				}
 			}
 		}
 	}
@@ -521,7 +528,7 @@ func (e *Engine) supportSizeAt(s uint64) int {
 	n := 0
 	for _, name := range e.schema.Names() {
 		for _, r := range e.tables[name].list.snapshot() {
-			if v := r.at(s); v != nil && v.inSupport(e.mode) {
+			if v := r.at(s); v != nil && v.inSupport() {
 				n++
 			}
 		}
@@ -533,13 +540,7 @@ func (e *Engine) provSizeAt(s uint64) int64 {
 	var n int64
 	for _, name := range e.schema.Names() {
 		for _, r := range e.tables[name].list.snapshot() {
-			v := r.at(s)
-			if v == nil {
-				continue
-			}
-			if e.mode == ModeNaive {
-				n += v.expr.Size()
-			} else {
+			if v := r.at(s); v != nil {
 				n += v.nf.Size()
 			}
 		}
@@ -558,7 +559,7 @@ func (e *Engine) provDAGSizeAt(seen map[*core.Expr]struct{}, s uint64) int64 {
 			if v == nil {
 				continue
 			}
-			n += v.annotation(e.mode).DAGSizeInto(seen)
+			n += v.annotation().DAGSizeInto(seen)
 		}
 	}
 	return n

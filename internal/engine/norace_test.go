@@ -1,0 +1,5 @@
+//go:build !race
+
+package engine_test
+
+const raceEnabled = false

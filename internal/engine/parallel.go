@@ -56,13 +56,6 @@ func ShardedBehind(r Reader) (se *ShardedEngine, ok bool) {
 	return p.se, p.se != nil
 }
 
-func (p pinned) mode() Mode {
-	if p.se != nil {
-		return p.se.mode
-	}
-	return p.e.mode
-}
-
 func (p pinned) schema() *db.Schema {
 	if p.se != nil {
 		return p.se.schema
@@ -80,17 +73,11 @@ func (p pinned) rows(rel string) []*row {
 	tbl := p.e.tables[rel]
 	rows := tbl.list.snapshot()
 	// Visible rows form a prefix (plain-engine lists are
-	// sequence-ordered); the trim walks the contiguous sequence vector
-	// instead of chasing row pointers.
+	// sequence-ordered); the trim reads the sequence column instead of
+	// chasing row pointers.
 	n := len(rows)
-	if seqs := tbl.cols.seqPrefix(n); len(seqs) == n {
-		for n > 0 && seqs[n-1] > p.at {
-			n--
-		}
-	} else {
-		for n > 0 && rows[n-1].seq > p.at {
-			n--
-		}
+	for n > 0 && tbl.cols.seqs.at(n-1) > p.at {
+		n--
 	}
 	return rows[:n]
 }
@@ -207,11 +194,10 @@ func SpecializeParallel[T any](ctx context.Context, e Reader, s upstruct.Structu
 	}
 	chunks := p.chunks()
 	defer putChunkBuf(chunks)
-	mode := p.mode()
 	visit := func(_ int, c rowChunk) {
 		for _, r := range c.rows {
 			if ver := r.at(p.at); ver != nil {
-				f(c.rel, r.tuple, evalVersion(mode, ver, s, env))
+				f(c.rel, r.tuple, upstruct.EvalNF(&ver.nf, s, env))
 			}
 		}
 	}
@@ -294,7 +280,6 @@ func liveChunks[R any](ctx context.Context, r Reader, workers int, newEval func(
 	}
 	chunks := p.chunks()
 	defer putChunkBuf(chunks)
-	naive := p.mode() == ModeNaive
 	out := make([]R, len(chunks))
 	err := walkChunks(ctx, chunks, workers, func() (func(int, rowChunk), boolEval) {
 		ev := newEval()
@@ -302,11 +287,7 @@ func liveChunks[R any](ctx context.Context, r Reader, workers int, newEval func(
 		return func(i int, c rowChunk) {
 			live = live[:0]
 			for _, r := range c.rows {
-				ver := r.at(p.at)
-				if ver == nil {
-					continue
-				}
-				if naive && ev.Eval(ver.expr) || !naive && ev.EvalNF(ver.nf) {
+				if ver := r.at(p.at); ver != nil && ev.EvalNF(&ver.nf) {
 					live = append(live, r.tuple)
 				}
 			}

@@ -68,10 +68,12 @@ type ShardedEngine struct {
 	// events in epoch order as the horizon advances. An epoch with no
 	// stashed event (a transaction skipped after a batch failure, or one
 	// applied while no hook was installed) emits as an empty CommitTxn so
-	// subscribers still see every epoch.
+	// subscribers still see every epoch. rowBufs recycles the events' Rows
+	// buffers: lent to the hook for one call, wiped, and reused.
 	hook    atomic.Pointer[CommitHook]
 	pendMu  sync.Mutex
 	pending map[uint64]*CommitEvent
+	rowBufs [][]RowRef
 
 	routedTxns     atomic.Uint64 // pinned to a single shard
 	rendezvousTxns atomic.Uint64 // pinned, spanning several shards
@@ -100,7 +102,7 @@ func NewSharded(mode Mode, initial *db.Database, opts ...Option) *ShardedEngine 
 	for _, name := range schema.Names() {
 		for _, t := range initial.Instance(name).Tuples() {
 			a := se.shards[0].freshAnnot(name, t)
-			r := newRow(mode, t, core.Var(a), seq)
+			r := newRow(t, seq, core.Var(a), true)
 			seq++
 			sh := se.shardFor(t)
 			sh.versions.Add(1)
@@ -147,6 +149,20 @@ func (se *ShardedEngine) stashEvent(epoch uint64, ev CommitEvent) {
 	se.pendMu.Unlock()
 }
 
+// eventRows returns an empty Rows buffer for an epoch's event, recycled
+// when emitEpoch has delivered an earlier one.
+func (se *ShardedEngine) eventRows() []RowRef {
+	se.pendMu.Lock()
+	defer se.pendMu.Unlock()
+	n := len(se.rowBufs)
+	if n == 0 {
+		return nil
+	}
+	buf := se.rowBufs[n-1]
+	se.rowBufs = se.rowBufs[:n-1]
+	return buf
+}
+
 // emitEpoch delivers one epoch's commit event. Called by the tracker
 // under its mutex, strictly in epoch order, after the horizon store —
 // so a subscriber reading At(ev.Seq) observes the committed epoch.
@@ -170,6 +186,12 @@ func (se *ShardedEngine) emitEpoch(epoch uint64) {
 	}
 	ev.Seq = EpochSeq(epoch)
 	(*hp)(*ev)
+	// Rows was lent for the call only; see CommitHook.
+	if rows := recycleRows(ev.Rows); cap(rows) > 0 {
+		se.pendMu.Lock()
+		se.rowBufs = append(se.rowBufs, rows)
+		se.pendMu.Unlock()
+	}
 }
 
 // lockShards/unlockShards take the write locks of a sorted shard set in
@@ -256,6 +278,9 @@ func (se *ShardedEngine) execLocked(t *db.Transaction, shards []int, epoch uint6
 		}
 	}
 	var rows []RowRef
+	if collect {
+		rows = se.eventRows()
+	}
 	for _, si := range shards {
 		sh := se.shards[si]
 		sh.End()
@@ -299,7 +324,7 @@ func (se *ShardedEngine) applyUpdateLocked(u db.Update, shards []int) error {
 		if pinned {
 			sh := se.shardFor(tuples[0])
 			if r := sh.lookupPinned(sh.tables[u.Rel], u, tuples[0]); r != nil {
-				se.modifyAcross(u, []shardSource{{sh: sh, r: r}})
+				sh.modifyRows(u, []*row{r}, se.shards)
 			}
 			return nil
 		}
@@ -330,17 +355,11 @@ func (se *ShardedEngine) fanDelete(u db.Update, shards []int) {
 	wg.Wait()
 }
 
-// shardSource is one modification source row together with the shard
-// holding it.
-type shardSource struct {
-	sh *Engine
-	r  *row
-}
-
 // fanModify evaluates an unpinned modification: every shard scans its
 // partition in parallel, then the coordinator merges the matched
-// sources by global row order and applies the modification across
-// shards.
+// sources by global row order — the single engine's scan order, so Σ
+// summand order and the self-map shape come out identical — and runs
+// the modification across shards on the first shard's scratch.
 func (se *ShardedEngine) fanModify(u db.Update, shards []int) {
 	per := make([][]*row, len(shards))
 	if len(shards) == 1 {
@@ -357,48 +376,19 @@ func (se *ShardedEngine) fanModify(u db.Update, shards []int) {
 		}
 		wg.Wait()
 	}
-	var sources []shardSource
+	first := se.shards[shards[0]]
+	sources := first.getScanBuf()
 	for i, si := range shards {
-		sh := se.shards[si]
-		for _, r := range per[i] {
-			sources = append(sources, shardSource{sh: sh, r: r})
-		}
+		sources = append(sources, per[i]...)
 		// Scan buffers recycle to the shard that lent them (its write
 		// lock is still held by this coordinator).
-		sh.putScanBuf(per[i])
+		se.shards[si].putScanBuf(per[i])
 	}
-	// Merge to the single engine's scan order: row sequence numbers are
-	// globally unique, so this order is total and deterministic.
-	sort.Slice(sources, func(i, j int) bool { return sources[i].r.seq < sources[j].r.seq })
-	se.modifyAcross(u, sources)
-}
-
-// modifyAcross runs a modification over source rows that may live on
-// different shards from their targets: capture every source's
-// contribution (in global row order), delete the sources, then route
-// each target group to the shard owning the target key and absorb —
-// the same capture/delete/absorb sequence as the single engine's
-// applyModify, so Σ summand order and the self-map shape come out
-// identical.
-func (se *ShardedEngine) modifyAcross(u db.Update, sources []shardSource) {
-	if len(sources) == 0 {
-		return
-	}
-	pe := core.Var(sources[0].sh.cur)
-	groups := make(map[uint64]*modGroup)
-	var order []*modGroup
-	for _, s := range sources {
-		target := u.Target(s.r.tuple)
-		g := findModGroup(groups, &order, target, target.Fingerprint())
-		s.sh.captureContribution(g, s.r)
-	}
-	for _, s := range sources {
-		s.sh.deleteRow(s.sh.tables[u.Rel], s.r)
-	}
-	for _, g := range order {
-		sh := se.shards[db.ShardOfFingerprint(g.fp, len(se.shards))]
-		sh.absorbModTarget(sh.tables[u.Rel], g, pe)
-	}
+	// Row sequence numbers are globally unique, so this order is total
+	// and deterministic.
+	sort.Slice(sources, func(i, j int) bool { return sources[i].seq < sources[j].seq })
+	first.modifyRows(u, sources, se.shards)
+	first.putScanBuf(sources)
 }
 
 // ApplyTransaction runs a whole transaction under the write locks of
@@ -636,7 +626,7 @@ func (se *ShardedEngine) RestoreRow(rel string, t db.Tuple, ann *core.Expr) erro
 	err := sh.restoreRowLocked(rel, t, ann)
 	var rows []RowRef
 	if collect {
-		rows = append(rows, sh.evRows...)
+		rows = append(se.eventRows(), sh.evRows...)
 		sh.evRows = sh.evRows[:0]
 		sh.collectEv = false
 	}
@@ -779,6 +769,8 @@ func (se *ShardedEngine) PlannerStats() PlannerStats {
 		ps.IntersectScans += s.IntersectScans
 		ps.AutoBuilds += s.AutoBuilds
 		ps.Compactions += s.Compactions
+		ps.RowsScanned += s.RowsScanned
+		ps.RowsMatched += s.RowsMatched
 	}
 	return ps
 }
@@ -825,7 +817,7 @@ func (se *ShardedEngine) eachRowAt(rel string, s uint64, f func(t db.Tuple, ann 
 		if v == nil {
 			continue
 		}
-		f(r.tuple, v.annotation(se.mode))
+		f(r.tuple, v.annotation())
 	}
 }
 
@@ -960,7 +952,7 @@ func (se *ShardedEngine) MinimizeAll(ctx context.Context) (int64, error) {
 	}
 	wg.Wait()
 	if collect {
-		var rows []RowRef
+		rows := se.eventRows()
 		for _, sh := range se.shards {
 			rows = append(rows, sh.evRows...)
 			sh.evRows = sh.evRows[:0]

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"math/bits"
 	"sync/atomic"
 
 	"hyperprov/internal/db"
@@ -19,13 +20,13 @@ import (
 //     single atomic store.
 //
 //   - colStore: a struct-of-arrays mirror of the table's tuples — one
-//     value vector per attribute plus a parallel sequence vector, all
-//     published with the rowList discipline (elements land before the
-//     list's length does, and the length load is the readers'
-//     happens-before edge). Planner full scans test =-constant terms
-//     against the contiguous column before chasing any row or version
-//     pointer, and visibility counting walks the sequence vector
-//     without touching rows at all.
+//     payload-word column per attribute plus a parallel sequence
+//     column, all published with the rowList discipline (elements land
+//     before the list's length does, and the length load is the
+//     readers' happens-before edge). Planner full scans test one
+//     =-constant term against the column's words before chasing any row
+//     or version pointer, and visibility counting walks the sequence
+//     column without touching rows at all.
 //
 // Memory model: the writer is serialized by the engine write lock. It
 // stores elements with plain writes, then publishes them through an
@@ -114,103 +115,107 @@ func (m *rowMap) grow(old *rowSlots) *rowSlots {
 	return tab
 }
 
-// colVec is one append-only column vector, grown copy-on-write and
-// published atomically (see the file comment for the ordering
-// argument).
-type colVec struct {
-	arr atomic.Pointer[[]db.Value]
+// colChunkBits sizes the chunks of a word column: what the write path
+// allocates (and the runtime zeroes) at a time, and what a full scan
+// streams through between two slice headers. Small chunks cost
+// allocations and loop restarts, large ones an unused tail per column
+// per table per shard. Replaying the wire benchmark's 12 000 TPC-C
+// transactions (TestApplyAllocsPerTxn's list) the whole apply allocates
+// 13.86 kB and 89.5 mallocs per transaction at 2⁶ words, 13.66 / 85.7
+// at 2⁸, 13.63 / 84.7 at 2¹⁰, 13.65 / 84.5 at 2¹² and 13.85 / 84.5 at
+// 2¹⁴ and 2¹⁶; a 10-update transaction of =-constant full scans over
+// 200 000 rows takes 1 528 µs at 2⁶, 1 196 at 2⁸, 963 at 2¹⁰ and
+// 979 at 2¹⁴ (medians of five interleaved runs that each spread by a
+// third; 16-byte db.Value columns took 2 575). 2¹⁰ is the bytes minimum
+// and past the knee of the scan curve; an 8 KiB chunk also stays a
+// small-object allocation.
+const (
+	colChunkBits    = 10
+	colChunk        = 1 << colChunkBits
+	colChunkMinBits = 4
+	colChunkMin     = 1 << colChunkMinBits
+)
+
+// wordCol is one append-only column of 64-bit words: an attribute's
+// db.Value payloads (the kind is the attribute's, so it is not stored)
+// or the rows' sequence numbers. Words live in chunks that are never
+// copied or moved once allocated; a new chunk is published through a
+// directory one entry longer, stored atomically, and the word itself
+// lands before the table list publishes the length that covers it (see
+// the file comment).
+//
+// Chunk sizes run colChunkMin, colChunkMin, 2·colChunkMin, … up to
+// colChunk/2 — the doubling a growing slice would do, minus the copy —
+// and stay at colChunk from position colChunk on, so a one-row table
+// holds colChunkMin words per column, not a full chunk.
+type wordCol struct {
+	dir atomic.Pointer[[][]uint64]
 }
 
-// appendAt stores the value at index n (writer-only; n is the table
+// chunkOf maps a position to its chunk and the offset within it.
+func chunkOf(n int) (ci, off int) {
+	switch {
+	case n >= colChunk:
+		return n>>colChunkBits + colChunkBits - colChunkMinBits, n & (colChunk - 1)
+	case n < colChunkMin:
+		return 0, n
+	}
+	k := bits.Len(uint(n)) - 1 // the chunk holds positions [2^k, 2^(k+1))
+	return k - colChunkMinBits + 1, n - 1<<k
+}
+
+// chunks returns the published chunks in position order. Together they
+// cover at least every position below a table-list length loaded
+// before the call; the last one may extend past it.
+func (c *wordCol) chunks() [][]uint64 {
+	if dir := c.dir.Load(); dir != nil {
+		return *dir
+	}
+	return nil
+}
+
+// at returns the word at a published position.
+func (c *wordCol) at(n int) uint64 {
+	ci, off := chunkOf(n)
+	return c.chunks()[ci][off]
+}
+
+// appendAt stores the word at position n (writer-only; n is the table
 // list's unpublished next length).
-func (v *colVec) appendAt(n int, val db.Value) {
-	arr := v.arr.Load()
-	if arr == nil || n == len(*arr) {
-		capacity := 16
-		if arr != nil && len(*arr) > 0 {
-			capacity = 2 * len(*arr)
-		}
-		grown := make([]db.Value, capacity)
-		if arr != nil {
-			copy(grown, *arr)
-		}
-		arr = &grown
-		v.arr.Store(arr)
+func (c *wordCol) appendAt(n int, w uint64) {
+	ci, off := chunkOf(n)
+	dir := c.chunks()
+	if ci == len(dir) {
+		// n is the first position of a chunk as long as everything before
+		// it: the next power of two below colChunk, colChunk from there on.
+		// Readers holding the old directory never index past its length,
+		// so append may fill spare capacity in place.
+		grown := append(dir, make([]uint64, min(max(n, colChunkMin), colChunk)))
+		c.dir.Store(&grown)
+		dir = grown
 	}
-	(*arr)[n] = val
+	dir[ci][off] = w
 }
 
-// prefix returns the first n elements; n must come from the table
-// list's published length (clamped defensively like rowList.snapshot).
-func (v *colVec) prefix(n int) []db.Value {
-	arr := v.arr.Load()
-	if arr == nil {
-		return nil
-	}
-	if n > len(*arr) {
-		n = len(*arr)
-	}
-	return (*arr)[:n:n]
-}
-
-// seqVec is colVec for the parallel sequence-number vector.
-type seqVec struct {
-	arr atomic.Pointer[[]uint64]
-}
-
-func (v *seqVec) appendAt(n int, seq uint64) {
-	arr := v.arr.Load()
-	if arr == nil || n == len(*arr) {
-		capacity := 16
-		if arr != nil && len(*arr) > 0 {
-			capacity = 2 * len(*arr)
-		}
-		grown := make([]uint64, capacity)
-		if arr != nil {
-			copy(grown, *arr)
-		}
-		arr = &grown
-		v.arr.Store(arr)
-	}
-	(*arr)[n] = seq
-}
-
-func (v *seqVec) prefix(n int) []uint64 {
-	arr := v.arr.Load()
-	if arr == nil {
-		return nil
-	}
-	if n > len(*arr) {
-		n = len(*arr)
-	}
-	return (*arr)[:n:n]
-}
-
-// colStore is the columnar mirror of a table: per-attribute value
-// vectors plus the parallel sequence vector, indexed by row position.
+// colStore is the columnar mirror of a table: one word column per
+// attribute plus the parallel sequence column, indexed by row position.
 type colStore struct {
-	cols []colVec
-	seqs seqVec
+	cols []wordCol
+	seqs wordCol
 }
 
 func (c *colStore) init(arity int) {
-	c.cols = make([]colVec, arity)
+	c.cols = make([]wordCol, arity)
 }
 
 // append mirrors one row at position n (writer-only, before the table
 // list publishes n+1).
 func (c *colStore) append(t db.Tuple, seq uint64, n int) {
 	for i := range c.cols {
-		c.cols[i].appendAt(n, t[i])
+		c.cols[i].appendAt(n, t[i].Word())
 	}
 	c.seqs.appendAt(n, seq)
 }
-
-// col returns the first n values of one attribute's vector.
-func (c *colStore) col(i, n int) []db.Value { return c.cols[i].prefix(n) }
-
-// seqPrefix returns the first n sequence numbers.
-func (c *colStore) seqPrefix(n int) []uint64 { return c.seqs.prefix(n) }
 
 // --- writer scratch ------------------------------------------------------
 
@@ -230,15 +235,15 @@ func (e *Engine) getScanBuf() []*row {
 }
 
 // putScanBuf recycles a buffer returned by scan. Row pointers are
-// cleared so the free-list never retains rows. Accepts nil (the
-// absent-posting-list shortcut returns nil, not a buffer).
+// cleared so the free-list never retains rows: only buf[:len] can hold
+// any — a buffer leaves getScanBuf empty, is only ever appended to, and
+// comes back here cleared — so a buffer that once held a huge selection
+// costs later updates their own result size, not its capacity. Accepts
+// nil (the absent-posting-list shortcut returns nil, not a buffer).
 func (e *Engine) putScanBuf(buf []*row) {
 	if cap(buf) == 0 {
 		return
 	}
-	buf = buf[:cap(buf)]
-	for i := range buf {
-		buf[i] = nil
-	}
+	clear(buf)
 	e.scanBufs = append(e.scanBufs, buf[:0])
 }

@@ -79,6 +79,8 @@ func collectPlannerStats(s *Server, e engine.DB, out map[string]any) {
 	out["plannerIntersectScans"] = ps.IntersectScans
 	out["plannerAutoBuilds"] = ps.AutoBuilds
 	out["plannerCompactions"] = ps.Compactions
+	out["plannerRowsScanned"] = ps.RowsScanned
+	out["plannerRowsMatched"] = ps.RowsMatched
 	out["indexes"] = len(e.IndexStats())
 }
 

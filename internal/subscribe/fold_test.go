@@ -10,6 +10,7 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 
@@ -82,8 +83,15 @@ func newFolder(t testing.TB, history int) *folder {
 	}
 	f.m = NewManager(f.d)
 	f.subscribe(t, initial, txns)
-	f.d.SetCommitHook(func(ev engine.CommitEvent) { f.events = append(f.events, ev) })
+	f.d.SetCommitHook(f.record)
 	return f
+}
+
+// record is the recording hook; ev.Rows is the engine's buffer, so the
+// recording keeps a copy.
+func (f *folder) record(ev engine.CommitEvent) {
+	ev.Rows = slices.Clone(ev.Rows)
+	f.events = append(f.events, ev)
 }
 
 // subscribe attaches a fresh connection holding the mix.
@@ -222,7 +230,7 @@ func TestKernelNodesPerCommitFlat(t *testing.T) {
 	if err := f.d.ApplyAll(context.Background(), first); err != nil {
 		t.Fatal(err)
 	}
-	f.d.SetCommitHook(func(ev engine.CommitEvent) { f.events = append(f.events, ev) })
+	f.d.SetCommitHook(f.record)
 	applied := len(first)
 	const window = 200
 	var perCommit []float64

@@ -87,7 +87,10 @@ func NewManager(d engine.DB) *Manager {
 // produced them, so events from an engine replaced by Rebind are
 // recognized and dropped. It runs on the committing goroutine with
 // engine locks held and must never block: overflow drops the event and
-// flags a rebuild.
+// flags a rebuild. ev.Rows is the engine's buffer, borrowed for the
+// call (engine.CommitHook), so an event that is queued takes an
+// exact-size copy — the only per-commit allocation of the hook, and
+// only while a subscription exists.
 func (m *Manager) hookFor(src engine.DB) engine.CommitHook {
 	return func(ev engine.CommitEvent) {
 		m.events.Add(1)
@@ -96,6 +99,7 @@ func (m *Manager) hookFor(src engine.DB) engine.CommitHook {
 			m.storeLastSeq(ev.Seq)
 			return
 		}
+		ev.Rows = slices.Clone(ev.Rows)
 		select {
 		case m.items <- item{src: src, ev: ev}:
 		default:

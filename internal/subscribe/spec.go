@@ -18,6 +18,11 @@
 // commit's rows, not the state. The protocol differential tests assert
 // that a client composing the frames holds, at every epoch, exactly
 // what Recompute builds from scratch.
+//
+// The event's row list is the engine's buffer, valid only while the
+// hook runs; the hook copies it when, and only when, it queues the
+// event for the dispatcher, so a manager without subscriptions adds no
+// allocation to a commit.
 package subscribe
 
 import (

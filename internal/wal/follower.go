@@ -428,10 +428,9 @@ func (f *Follower) installHello(hello helloMsg, ckpt []byte) error {
 		// On error the Store shell is discarded; the directory lock stays
 		// with f.releaseOnly (when no core exists yet) so the retry can
 		// build a fresh shell.
-		if err := s.resyncFromCheckpoint(hello.mode, hello.schema, hello.snapLSN, ckpt); err != nil {
+		if err := s.resyncFromCheckpoint(hello.mode, hello.schema, hello.snapLSN, ckpt, &f.resyncs); err != nil {
 			return err
 		}
-		f.resyncs.Add(1)
 	case s == nil:
 		// Incremental from zero: the leader bootstrapped empty, so an
 		// empty local engine plus the record stream reproduces it.
@@ -505,7 +504,6 @@ func (f *Follower) ReplicaStats() FollowerStats {
 		Ready:          f.ready.Load(),
 		LeaderLSN:      f.leaderLSN.Load(),
 		Reconnects:     f.reconnects.Load(),
-		Resyncs:        f.resyncs.Load(),
 		RecordsApplied: f.records.Load(),
 		Stalls:         f.stalls.Load(),
 		Breaker:        f.breaker.Snapshot(),
@@ -517,6 +515,8 @@ func (f *Follower) ReplicaStats() FollowerStats {
 		st.AppliedLSN = s.LSN()
 		st.Epoch = engine.SeqEpoch(s.Horizon())
 	}
+	// Read after the LSN: a resync is counted before its LSN is published.
+	st.Resyncs = f.resyncs.Load()
 	if st.LeaderLSN > st.AppliedLSN {
 		st.LagRecords = st.LeaderLSN - st.AppliedLSN
 	}
@@ -750,7 +750,8 @@ func (s *Store) bootstrapEmptyFollower(mode engine.Mode, schema *db.Schema) erro
 // go — ordered so a crash at any point leaves a directory that either
 // recovers to a consistent prefix or resyncs again on reconnect, never
 // one that replays divergent records on top of the new checkpoint.
-func (s *Store) resyncFromCheckpoint(mode engine.Mode, schema *db.Schema, snapLSN uint64, ckpt []byte) error {
+// resyncs counts the installs that succeeded.
+func (s *Store) resyncFromCheckpoint(mode engine.Mode, schema *db.Schema, snapLSN uint64, ckpt []byte, resyncs *atomic.Uint64) error {
 	eng, err := provstore.LoadSnapshot(bytes.NewReader(ckpt), s.opts.engOpts...)
 	if err != nil {
 		return fmt.Errorf("%w: shipped checkpoint: %v", ErrStreamCorrupt, err)
@@ -788,6 +789,10 @@ func (s *Store) resyncFromCheckpoint(mode engine.Mode, schema *db.Schema, snapLS
 	if err != nil {
 		return err
 	}
+	// Nothing below can fail. The resync is counted before the LSN it
+	// jumps to can be read (LSN takes s.mu), so no reader of the stats
+	// sees the jump without the resync that caused it.
+	resyncs.Add(1)
 	s.setEngine(eng)
 	s.lw = lw
 	s.lsn = snapLSN
