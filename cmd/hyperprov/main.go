@@ -83,7 +83,7 @@ func main() {
 	explain := flag.Bool("explain", false, "print a human-readable account of each annotation")
 	saveSnap := flag.String("save-snapshot", "", "write the annotated database to this file after the run")
 	loadSnap := flag.String("load-snapshot", "", "restore an annotated database instead of loading CSV data (-data is then ignored)")
-	shards := flag.Int("shards", 1, "hash-shard the engine across N independent lock domains (1 = single engine)")
+	shards := flag.Int("shards", 1, "partition the engine's rows across N storage shards with independent write locks")
 	autoIndex := flag.Int("autoindex", 0, "auto-build a column index after N =-pinned scans without one (0 disables the advisor)")
 	dataDir := flag.String("data-dir", "", "persist to a write-ahead-logged directory (bootstrapped from -data on first use, recovered afterwards)")
 	syncPolicy := flag.String("sync", "always", "WAL durability: always, interval, or never (with -data-dir)")
@@ -178,7 +178,7 @@ func loadCSVDatabase(data dataFlags) (*db.Database, []string, error) {
 }
 
 // loadCSVEngine builds an in-memory engine from the -data CSV files.
-// Options select the sharded engine or the index advisor — annotations
+// Options select the shard count or the index advisor — annotations
 // and snapshots are identical in every configuration.
 func loadCSVEngine(data dataFlags, modeName string, opts ...engine.Option) (engine.DB, []string, error) {
 	m, err := parseMode(modeName)

@@ -34,7 +34,7 @@ func runServe(args []string) error {
 	syntax := fs.String("syntax", "sql", "log syntax: sql or datalog")
 	mode := fs.String("mode", "nf", "provenance mode: nf (normal form) or naive")
 	loadSnap := fs.String("load-snapshot", "", "restore an annotated database instead of loading CSV data (-data and -mode are then ignored)")
-	shards := fs.Int("shards", 1, "hash-shard the engine across N independent lock domains (1 = single engine)")
+	shards := fs.Int("shards", 1, "partition the engine's rows across N storage shards with independent write locks")
 	autoIndex := fs.Int("autoindex", 0, "auto-build a column index after N =-pinned scans without one (0 disables the advisor)")
 	timeout := fs.Duration("timeout", server.DefaultTimeout, "per-request timeout (0 disables)")
 	grace := fs.Duration("shutdown-grace", 10*time.Second, "how long in-flight requests may finish on shutdown")

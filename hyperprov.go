@@ -132,10 +132,9 @@ var (
 
 // --- provenance engines (internal/engine) ------------------------------
 
-// DB is the interface shared by both provenance engines: the
-// single-writer Engine and the hash-sharded ShardedEngine. Open returns
-// one or the other; program against DB unless you need
-// implementation-specific calls.
+// DB is the provenance engine's surface: implemented by Engine and by
+// the persistent stores wrapping one. Program against DB unless you need
+// engine-specific calls.
 type DB = engine.DB
 
 // Reader is the lock-free read surface shared by live engines and
@@ -161,14 +160,11 @@ var (
 	SeqEpoch = engine.SeqEpoch
 )
 
-// Engine is the single-lock provenance-tracking database.
+// Engine is the provenance-tracking database: one coordinator over
+// WithShards(n) storage shards with independent write locks.
 type Engine = engine.Engine
 
-// ShardedEngine partitions rows across hash shards with independent
-// lock domains; see Open and WithShards.
-type ShardedEngine = engine.ShardedEngine
-
-// Option configures an engine built by Open, New, or NewSharded.
+// Option configures an engine built by Open or New.
 type Option = engine.Option
 
 // Mode selects the provenance representation.
@@ -190,16 +186,14 @@ const (
 	ModeNormalForm = engine.ModeNormalForm
 )
 
-// Engine construction and options. Open is the entry point: it builds
-// the single engine by default and the hash-sharded engine under
-// WithShards(n) for n > 1; both produce identical annotations and
-// identical snapshot bytes for the same input. New and NewSharded pin a
-// concrete implementation.
+// Engine construction and options. New builds the engine over one
+// storage shard by default and over n under WithShards(n); the shard
+// count is an access-path choice, so annotations and snapshot bytes are
+// identical for every n. Open is New returning the DB interface.
 var (
 	Open                   = engine.Open
 	OpenEmpty              = engine.OpenEmpty
 	New                    = engine.New
-	NewSharded             = engine.NewSharded
 	WithShards             = engine.WithShards
 	WithCopyOnWrite        = engine.WithCopyOnWrite
 	WithEagerZeroAxioms    = engine.WithEagerZeroAxioms
@@ -240,14 +234,13 @@ var (
 // Provenance storage (package provstore): SaveSnapshot persists an
 // annotated database — a live engine or a pinned time-travel View —
 // with a structurally deduplicated expression table; LoadSnapshot
-// restores it. Both accept either engine implementation, and the bytes
-// are independent of the shard count.
+// restores it; the bytes are independent of the shard count.
 func SaveSnapshot(w io.Writer, e Reader) error { return provstore.SaveSnapshot(w, e) }
 
 // LoadSnapshot restores an annotated database saved by SaveSnapshot.
-// Options pass through to Open — WithShards(n) restores into a
-// hash-sharded engine.
-func LoadSnapshot(r io.Reader, opts ...Option) (DB, error) {
+// Options pass through to New — WithShards(n) restores into n storage
+// shards.
+func LoadSnapshot(r io.Reader, opts ...Option) (*Engine, error) {
 	return provstore.LoadSnapshot(r, opts...)
 }
 

@@ -1,43 +1,24 @@
 package db
 
-// Shard routing analysis for hyperplane updates. A hash-sharded engine
-// partitions rows by Tuple.Key; an update can be routed to a single
-// shard exactly when its constraints pin every key attribute to an
-// =-constant (the row key covers all attributes, so "pinned" means the
-// selection is a fully constant u-tuple). Updates with free variables
-// or ≠ constraints select a hyperplane that may intersect every shard
-// and must fan out. Theorem 5.3 locality makes the fan-out safe: each
-// row's normal form is maintained from that row's annotation and the
-// query annotation alone, so disjoint row partitions can apply the same
-// hyperplane query independently.
+// Shard routing analysis for hyperplane updates. The engine partitions
+// rows across its storage shards by Tuple.Fingerprint; an update touches
+// a single known row exactly when its constraints pin every attribute to
+// an =-constant (the row identity covers all attributes, so "pinned"
+// means the selection is a fully constant u-tuple). Updates with free
+// variables or ≠ constraints select a hyperplane that may intersect
+// every shard and must fan out. Theorem 5.3 locality makes the fan-out
+// safe: each row's normal form is maintained from that row's annotation
+// and the query annotation alone, so disjoint row partitions can apply
+// the same hyperplane query independently.
 
-// fnvOffset64 and fnvPrime64 are the FNV-1a 64-bit parameters.
-const (
-	fnvOffset64 uint64 = 14695981039346656037
-	fnvPrime64  uint64 = 1099511628211
-)
-
-// ShardOf maps a row key (Tuple.Key) to a shard in [0, shards) by
-// FNV-1a hash.
-func ShardOf(key string, shards int) int {
+// ShardOfTuple maps a tuple to a shard in [0, shards) by folding its
+// Fingerprint, so routing never materializes Key() strings. Engine
+// output is independent of row placement (global sequence-order merge),
+// so any consistent partition yields byte-identical results.
+func ShardOfTuple(t Tuple, shards int) int {
 	if shards <= 1 {
 		return 0
 	}
-	h := fnvOffset64
-	for i := 0; i < len(key); i++ {
-		h ^= uint64(key[i])
-		h *= fnvPrime64
-	}
-	return int(h % uint64(shards))
-}
-
-// ShardOfTuple maps a tuple to a shard in [0, shards) by folding its
-// Fingerprint. It is the allocation-free routing twin of ShardOf: the
-// sharded engine partitions rows by fingerprint, so routing never
-// materializes Key() strings. The partition differs from ShardOf's, but
-// engine output is independent of row placement (global sequence-order
-// merge), so any consistent partition yields byte-identical results.
-func ShardOfTuple(t Tuple, shards int) int {
 	return ShardOfFingerprint(t.Fingerprint(), shards)
 }
 
@@ -53,39 +34,35 @@ func ShardOfFingerprint(fp uint64, shards int) int {
 // PinnedTuple reports whether the pattern pins every attribute to an
 // =-constant, and if so returns the single tuple it can match. Variable
 // terms — even ones restricted by disequalities — leave the pattern
-// unpinned.
+// unpinned, and an unpinned pattern allocates nothing.
 func (p Pattern) PinnedTuple() (Tuple, bool) {
-	t := make(Tuple, len(p))
-	for i, term := range p {
-		if !term.isConst {
+	return p.AppendPinned(nil)
+}
+
+// AppendPinned is PinnedTuple building the tuple in dst's capacity when
+// it suffices, for callers that probe with it and keep the buffer (the
+// scan planner's point lookup).
+func (p Pattern) AppendPinned(dst Tuple) (Tuple, bool) {
+	for i := range p {
+		if !p[i].isConst {
 			return nil, false
 		}
-		t[i] = term.value
 	}
-	return t, true
+	if cap(dst) < len(p) {
+		dst = make(Tuple, len(p))
+	}
+	dst = dst[:len(p)]
+	for i := range p {
+		dst[i] = p[i].value
+	}
+	return dst, true
 }
 
-// RouteKeys returns the row keys of every row the update can touch,
-// when constraint analysis pins them: an insertion touches exactly the
-// inserted row; a pinned deletion the selected tuple; a pinned
-// modification the selected tuple and its target. ok=false means the
-// selection leaves attributes free and the update must be evaluated
-// against every shard.
-func (u Update) RouteKeys() (keys []string, ok bool) {
-	tuples, ok := u.RouteTuples()
-	if !ok {
-		return nil, false
-	}
-	keys = make([]string, len(tuples))
-	for i, t := range tuples {
-		keys[i] = t.Key()
-	}
-	return keys, true
-}
-
-// RouteTuples is the tuple-valued form of RouteKeys: the rows the update
-// can touch, when constraint analysis pins them, without building key
-// strings. The sharded engine routes by fingerprinting these tuples.
+// RouteTuples returns every row the update can touch, when constraint
+// analysis pins them: an insertion touches exactly the inserted row; a
+// pinned deletion the selected tuple; a pinned modification the
+// selected tuple and its target. ok=false means the selection leaves
+// attributes free and the update must be evaluated against every shard.
 func (u Update) RouteTuples() (tuples []Tuple, ok bool) {
 	switch u.Kind {
 	case OpInsert:

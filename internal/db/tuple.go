@@ -31,6 +31,12 @@ func (t Tuple) AppendKey(dst []byte) []byte {
 	return dst
 }
 
+// fnvOffset64 and fnvPrime64 are the FNV-1a 64-bit parameters.
+const (
+	fnvOffset64 uint64 = 14695981039346656037
+	fnvPrime64  uint64 = 1099511628211
+)
+
 // Fingerprint returns a 64-bit FNV-1a hash of the tuple's kind tags and
 // payload words. It identifies the tuple for shard routing and row-map
 // lookup without building the Key() string, so the apply/read hot path

@@ -11,14 +11,14 @@ import (
 // (including tombstone rows, whose values typically evaluate to the
 // structure's zero). Rows stream in deterministic order: relations in
 // schema order, rows in insertion order — identical to EachRow and
-// SpecializeParallel, and identical across both engine implementations
-// — never map order. This is the generic "provenance usage" operation
+// SpecializeParallel, and identical for every shard count — never map
+// order. This is the generic "provenance usage" operation
 // of Section 6: all applications below are thin wrappers over it, sound
 // by Proposition 4.2. The MVCC horizon is pinned once on entry (the
 // view's own horizon when e is a View), so the streamed rows form one
 // consistent epoch snapshot, lock-free against concurrent writers;
 // wrappers that forward At/Horizon (wal.Store, wal.Follower) resolve to
-// the engine underneath (see pin), a sharded engine's rows merge to
+// the engine underneath (see pin); the rows of several shards merge to
 // global insertion order first.
 func Specialize[T any](e Reader, s upstruct.Structure[T], env upstruct.Env[T], f func(rel string, t db.Tuple, v T)) {
 	p, ok := pin(e)
@@ -29,9 +29,9 @@ func Specialize[T any](e Reader, s upstruct.Structure[T], env upstruct.Env[T], f
 		})
 		return
 	}
-	for _, rel := range p.schema().Names() {
+	for _, rel := range p.e.schema.Names() {
 		for _, r := range p.rows(rel) {
-			if ver := r.at(p.at); ver != nil {
+			if ver := r.at(p.s); ver != nil {
 				f(rel, r.tuple, upstruct.EvalNF(&ver.nf, s, env))
 			}
 		}

@@ -6,8 +6,8 @@ package engine_test
 // through index posting lists (row-wise) instead must reach the exact
 // same state — identical rows, identical interned annotation pointers,
 // byte-identical snapshots. Randomized workloads drive all three scan
-// paths (columnar full scan, posting list, sharded fan-out) against
-// each other, and point selections are re-checked against a naive
+// paths (columnar full scan, posting list, fan-out over 2, 3, 4 and 8
+// shards) against each other, at every committed epoch, and point selections are re-checked against a naive
 // row-wise filter of the full relation.
 
 import (
@@ -55,15 +55,20 @@ func TestColumnarVsRowWiseDifferential(t *testing.T) {
 			}
 			// colEng scans through the columnar prefilter (no index);
 			// idxEng resolves the same selections through posting lists;
-			// shEng and sh8Eng partition rows and fan scans out.
+			// the shEngs partition rows and fan scans out.
 			colEng := engine.New(engine.ModeNormalForm, initial)
 			idxEng := engine.New(engine.ModeNormalForm, initial)
 			if err := idxEng.BuildIndex("R", "grp"); err != nil {
 				t.Fatalf("build index: %v", err)
 			}
-			shEng := engine.NewSharded(engine.ModeNormalForm, initial, engine.WithShards(3))
-			sh8Eng := engine.NewSharded(engine.ModeNormalForm, initial, engine.WithShards(8))
-			for _, e := range []engine.DB{colEng, idxEng, shEng, sh8Eng} {
+			engines := map[string]engine.DB{"columnar": colEng, "indexed": idxEng}
+			var shEngs []*engine.Engine
+			for _, n := range shardCounts {
+				sh := engine.New(engine.ModeNormalForm, initial, engine.WithShards(n))
+				shEngs = append(shEngs, sh)
+				engines[fmt.Sprintf("sharded%d", n)] = sh
+			}
+			for _, e := range engines {
 				if err := e.ApplyAll(context.Background(), txns); err != nil {
 					t.Fatalf("apply: %v", err)
 				}
@@ -85,15 +90,18 @@ func TestColumnarVsRowWiseDifferential(t *testing.T) {
 			if !bytes.Equal(colSnap, snapshotBytes(t, idxEng)) {
 				t.Fatal("columnar vs indexed snapshots differ")
 			}
-			if !bytes.Equal(colSnap, snapshotBytes(t, shEng)) || !bytes.Equal(colSnap, snapshotBytes(t, sh8Eng)) {
-				t.Fatal("columnar vs sharded snapshots differ")
-			}
-			// The shards hold the same interned annotation pointers.
-			sh8Eng.Rows(func(rel string, tu db.Tuple, ann *core.Expr) {
-				if colRows[rel+"\x00"+tu.Key()] != ann {
-					t.Fatalf("row %v: columnar and 8-shard annotations differ", tu)
+			for _, sh := range shEngs {
+				if !bytes.Equal(colSnap, snapshotBytes(t, sh)) {
+					t.Fatal("columnar vs sharded snapshots differ")
 				}
-			})
+				// The shards hold the same interned annotation pointers.
+				sh.Rows(func(rel string, tu db.Tuple, ann *core.Expr) {
+					if colRows[rel+"\x00"+tu.Key()] != ann {
+						t.Fatalf("row %v: columnar and %d-shard annotations differ", tu, sh.NumShards())
+					}
+				})
+				diffEveryEpoch(t, fmt.Sprintf("shards=%d", sh.NumShards()), colEng, sh)
+			}
 
 			// Point selections against a naive row-wise reference.
 			all, err := colEng.Select("R", db.AllPattern(5))
@@ -117,7 +125,7 @@ func TestColumnarVsRowWiseDifferential(t *testing.T) {
 						want = append(want, tu)
 					}
 				}
-				for name, e := range map[string]engine.DB{"columnar": colEng, "indexed": idxEng, "sharded": shEng, "sharded8": sh8Eng} {
+				for name, e := range engines {
 					got, err := e.Select("R", sel)
 					if err != nil {
 						t.Fatalf("%s select: %v", name, err)

@@ -26,14 +26,14 @@ var (
 	ErrUnknownIndex = errors.New("unknown index")
 )
 
-// Reader is the provenance-usage read side shared by live engines and
-// pinned views: annotation lookup, deterministic row streaming and the
+// Reader is the provenance-usage read side shared by the live engine,
+// pinned views and the persistent wrappers around them: annotation lookup, deterministic row streaming and the
 // size measures. All methods resolve against one committed MVCC
 // horizon — the newest one for a live engine, the pinned one for a
 // View — lock-free, so they never block behind (or stall) a concurrent
 // ApplyAll. The streaming methods (EachRow, Rows) visit rows in the
-// same deterministic order on every implementation: relations in
-// schema order, rows in single-engine insertion order.
+// same deterministic order on every implementation and for every shard
+// count: relations in schema order, rows in global insertion order.
 type Reader interface {
 	Mode() Mode
 	Schema() *db.Schema
@@ -66,11 +66,12 @@ type View interface {
 	AsOf() uint64
 }
 
-// DB is the surface shared by the single-writer Engine and the
-// hash-sharded ShardedEngine: the Reader surface at the live horizon,
-// annotated transaction application, and MVCC time travel. Open
-// returns one or the other depending on WithShards; servers and
-// applications program against this interface.
+// DB is the engine's surface as servers and applications program
+// against it: the Reader surface at the live horizon, annotated
+// transaction application, and MVCC time travel. *Engine is the one
+// implementation in this package; it stays an interface because the
+// persistent stores (wal.Store, wal.Follower) implement it by wrapping
+// an engine.
 //
 // Writes observe transaction granularity: a transaction's effects
 // publish atomically to the read horizon at commit, and readers pin
@@ -119,24 +120,12 @@ type DB interface {
 	MinimizeAll(ctx context.Context) (int64, error)
 }
 
-var (
-	_ DB = (*Engine)(nil)
-	_ DB = (*ShardedEngine)(nil)
-)
+var _ DB = (*Engine)(nil)
 
-// Open builds a provenance engine from an initial database: the plain
-// single-lock Engine by default, the hash-sharded ShardedEngine when
-// WithShards(n) with n > 1 is given. Both produce identical annotations
-// and identical snapshot bytes for the same input.
-func Open(mode Mode, initial *db.Database, opts ...Option) DB {
-	if newConfig(opts).shards > 1 {
-		return NewSharded(mode, initial, opts...)
-	}
-	return New(mode, initial, opts...)
-}
+// Open is New returning the DB interface.
+func Open(mode Mode, initial *db.Database, opts ...Option) DB { return New(mode, initial, opts...) }
 
-// OpenEmpty is Open over a schema with no initial tuples, for snapshot
-// restoration and streaming ingestion.
+// OpenEmpty is NewEmpty returning the DB interface.
 func OpenEmpty(mode Mode, schema *db.Schema, opts ...Option) DB {
-	return Open(mode, db.NewDatabase(schema), opts...)
+	return NewEmpty(mode, schema, opts...)
 }

@@ -26,6 +26,13 @@
 // per the package tests, does) coincide with the all-true Boolean
 // valuation of either provenance mode.
 //
+// There is one engine type. Engine is a coordinator — epochs, the read
+// horizon, commit events, update routing, views — over N ≥ 1 storage
+// shards (WithShards) that hold rows, versions and indexes; the shard
+// count, like an index, changes access paths and lock granularity and
+// nothing a reader can observe. DB and View stay interfaces because the
+// persistent stores of package wal implement and forward them.
+//
 // Specialization helpers (Specialize, LiveDB, DeletionPropagation,
 // AbortTransactions, AccessControl, Certify) map the symbolic
 // provenance into concrete Update-Structures for the applications of

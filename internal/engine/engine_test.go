@@ -2,6 +2,7 @@ package engine_test
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -203,33 +204,34 @@ func TestLiveDBMatchesPlainOnExample(t *testing.T) {
 	}
 }
 
+// TestApplyErrors: a query against an unknown relation or of an unknown
+// kind fails its transaction — on the shard routing pinned it to and on
+// the fan-out path alike — and the failed transaction's epoch still
+// commits, so the horizon does not stall behind it.
 func TestApplyErrors(t *testing.T) {
-	e := engine.New(engine.ModeNaive, productsDB(t))
-	if err := e.Apply(db.Insert("Products", db.Tuple{db.S("x"), db.S("y"), db.I(1)})); err == nil {
-		t.Error("Apply outside a transaction must fail")
-	}
-	e.Begin("p")
-	if err := e.Apply(db.Insert("Nope", db.Tuple{db.S("x")})); err == nil {
-		t.Error("unknown relation must fail")
-	}
-	e.End()
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("End without Begin must panic")
+	for _, shards := range []int{1, 4} {
+		e := engine.New(engine.ModeNaive, productsDB(t), engine.WithShards(shards))
+		for name, u := range map[string]db.Update{
+			"insert into an unknown relation":        db.Insert("Nope", db.Tuple{db.S("x")}),
+			"unpinned delete on an unknown relation": db.Delete("Nope", db.Pattern{db.AnyVar("x")}),
+			"pinned delete on an unknown relation":   db.Delete("Nope", db.Pattern{db.Const(db.S("x"))}),
+			"unpinned modify on an unknown relation": db.Modify("Nope", db.Pattern{db.AnyVar("x")}, []db.SetClause{db.Keep()}),
+			"unknown update kind":                    {Kind: db.UpdateKind(9), Rel: "Products"},
+			"unknown update kind, unknown relation":  {Kind: db.UpdateKind(9), Rel: "Nope"},
+			"unknown kind with a constant selection": {Kind: db.UpdateKind(9), Rel: "Products", Sel: db.Pattern{db.Const(db.S("x"))}},
+		} {
+			before := e.Horizon()
+			tx := db.Transaction{Label: "p", Updates: []db.Update{u}}
+			if err := e.ApplyTransaction(&tx); err == nil {
+				t.Errorf("shards=%d: %s must fail", shards, name)
+			} else if u.Rel == "Nope" && u.Kind <= db.OpModify && !errors.Is(err, engine.ErrUnknownRelation) {
+				t.Errorf("shards=%d: %s: %v is not ErrUnknownRelation", shards, name, err)
 			}
-		}()
-		e.End()
-	}()
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("nested Begin must panic")
+			if e.Horizon() <= before {
+				t.Errorf("shards=%d: %s left the horizon at %#x", shards, name, e.Horizon())
 			}
-		}()
-		e.Begin("a")
-		e.Begin("b")
-	}()
+		}
+	}
 }
 
 // --- randomized oracle tests -------------------------------------------

@@ -17,7 +17,7 @@ type CommitKind uint8
 
 const (
 	// CommitTxn is a committed transaction (ApplyTransaction / ApplyAll /
-	// ApplyBatch / Begin…End).
+	// ApplyBatch).
 	CommitTxn CommitKind = iota
 	// CommitRestore is a RestoreRow epoch (snapshot loading).
 	CommitRestore
@@ -25,8 +25,9 @@ const (
 	// rewritten to smaller equivalent forms).
 	CommitMinimize
 	// CommitReset announces that the database identity changed wholesale
-	// (engine swap behind a wal.Store, e.g. a follower resync): Rows is
-	// empty and subscribers must rebuild from scratch at Seq.
+	// (engine swap behind a wal.Store, e.g. a follower resync) or that an
+	// epoch ran before the hook was installed: Rows is empty and
+	// subscribers must rebuild from scratch at Seq.
 	CommitReset
 )
 

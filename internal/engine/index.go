@@ -18,8 +18,7 @@ import (
 // yields byte-identical provenance. That license is what this file
 // exploits: each relation may carry any number of per-column hash
 // indexes whose posting lists are kept in row-position order (the
-// tbl.list insertion order, which is also the global sequence order
-// under the sharded engine), so walking a posting list visits matching
+// tbl.list insertion order), so walking a posting list visits matching
 // rows in exactly the order a full scan would. The differential tests
 // (planner_diff_test.go) enforce this contract: annotations, streaming
 // order and snapshot bytes are identical with indexing on and off.
@@ -43,13 +42,14 @@ import (
 //     spot (under the write lock the scan already holds) and used for
 //     the very scan that triggered it.
 //
-//   - the planner inside scan(): probes every indexed =-constrained
-//     column of the selection, walks the shortest posting list, and
-//     merge-intersects the two shortest when the runner-up is close
-//     enough in size for the intersection to pay for itself.
-//     ≠-constraints and free variables never use an index on their own
-//     column; a selection with no indexed =-column falls back to the
-//     full tbl.list scan.
+//   - the planner inside scan(): answers a selection that pins every
+//     attribute with one probe of the fingerprint map; otherwise probes
+//     every indexed =-constrained column of the selection, walks the
+//     shortest posting list, and merge-intersects the two shortest when
+//     the runner-up is close enough in size for the intersection to pay
+//     for itself. ≠-constraints and free variables never use an index
+//     on their own column; a selection with no indexed =-column falls
+//     back to the full tbl.list scan.
 
 // minIntersectLen and maxIntersectRatio gate the two-list intersection:
 // the shortest list must be at least minIntersectLen entries for the
@@ -118,11 +118,10 @@ type tableIndexes struct {
 	scans   map[int]int // advisor: =-pinned scan count per unindexed column
 }
 
-// indexManager is the per-engine index state: one tableIndexes per
+// indexManager is the per-shard index state: one tableIndexes per
 // relation (created lazily) and the planner counters. The counters are
 // atomics because PlannerStats may be read while a transaction holds
-// the write lock; everything else is guarded by the engine lock (or the
-// single goroutine of the lock-free Begin/Apply/End path).
+// the write lock; everything else is guarded by the shard lock.
 type indexManager struct {
 	threshold int // auto-build after this many pinned scans; 0 disables
 	tables    map[string]*tableIndexes
@@ -130,6 +129,7 @@ type indexManager struct {
 	fullScans      atomic.Uint64
 	indexScans     atomic.Uint64
 	intersectScans atomic.Uint64
+	pointLookups   atomic.Uint64
 	autoBuilds     atomic.Uint64
 	compactions    atomic.Uint64
 	rowsScanned    atomic.Uint64
@@ -176,6 +176,9 @@ type IndexInfo struct {
 
 // PlannerStats are the scan planner's cumulative counters: how
 // selections were resolved and how much index maintenance ran.
+// FullScans + IndexScans + IntersectScans + PointLookups is the number
+// of selections planned (per shard: a fanned-out selection counts once
+// on every shard).
 type PlannerStats struct {
 	// FullScans counts selections resolved by walking tbl.list (no
 	// indexed =-constrained column, e.g. ≠-only patterns).
@@ -185,14 +188,18 @@ type PlannerStats struct {
 	// IntersectScans counts selections resolved by merge-intersecting
 	// the two shortest candidate posting lists.
 	IntersectScans uint64 `json:"intersectScans"`
+	// PointLookups counts update selections pinning every attribute to an
+	// =-constant, answered by one probe of the fingerprint map.
+	PointLookups uint64 `json:"pointLookups"`
 	// AutoBuilds counts indexes built by the advisor.
 	AutoBuilds uint64 `json:"autoBuilds"`
 	// Compactions counts posting-list compaction sweeps.
 	Compactions uint64 `json:"compactions"`
 	// RowsScanned counts the candidates scans examined: column words (or
 	// rows) on a full scan, posting entries on an index scan, merge
-	// outputs on an intersect scan. RowsMatched counts the rows they
-	// selected; the ratio is the planner's selectivity.
+	// outputs on an intersect scan, one on a point lookup. RowsMatched
+	// counts the rows they selected; the ratio is the planner's
+	// selectivity.
 	RowsScanned uint64 `json:"rowsScanned"`
 	RowsMatched uint64 `json:"rowsMatched"`
 }
@@ -202,6 +209,7 @@ func (m *indexManager) stats() PlannerStats {
 		FullScans:      m.fullScans.Load(),
 		IndexScans:     m.indexScans.Load(),
 		IntersectScans: m.intersectScans.Load(),
+		PointLookups:   m.pointLookups.Load(),
 		AutoBuilds:     m.autoBuilds.Load(),
 		Compactions:    m.compactions.Load(),
 		RowsScanned:    m.rowsScanned.Load(),
@@ -209,35 +217,11 @@ func (m *indexManager) stats() PlannerStats {
 	}
 }
 
-// BuildIndex creates a hash index on the named attribute of the
-// relation. Subsequent updates whose selection pattern constrains that
-// attribute to a constant may use the index instead of a full scan. Any
-// number of indexes may coexist per relation — building a second one on
-// a different attribute never replaces the first — and building an
-// index that already exists is a no-op (the index is already complete;
-// an advisor-built index is adopted as manual so DropIndex semantics
-// stay predictable).
-func (e *Engine) BuildIndex(rel, attr string) error {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.buildIndexLocked(rel, attr, false, e.sinceSeq())
-}
-
-// sinceSeq over-approximates the horizon from which an index built now
-// covers the matchable set: the committed horizon, or the write epoch
-// in flight when the build happens inside one (auto-builds do; a
-// coordinated shard's own visibleSeq is stale, so curEpoch — the
-// coordinator's epoch — carries the right scale there).
-func (e *Engine) sinceSeq() uint64 {
-	s := e.visibleSeq.Load()
-	if c := EpochSeq(e.curEpoch); c > s {
-		s = c
-	}
-	return s
-}
-
-func (e *Engine) buildIndexLocked(rel, attr string, auto bool, since uint64) error {
-	tbl := e.tables[rel]
+// buildIndex creates the hash index on this shard's partition of the
+// relation (see Engine.BuildIndex); since is the horizon from which the
+// index covers the matchable set. The caller holds the write lock.
+func (s *shard) buildIndex(rel, attr string, since uint64) error {
+	tbl := s.tables[rel]
 	if tbl == nil {
 		return fmt.Errorf("engine: %w %s", ErrUnknownRelation, rel)
 	}
@@ -245,14 +229,12 @@ func (e *Engine) buildIndexLocked(rel, attr string, auto bool, since uint64) err
 	if col < 0 {
 		return fmt.Errorf("engine: %w: relation %s has no attribute %s", ErrUnknownAttribute, rel, attr)
 	}
-	ti := e.idx.ensure(rel)
+	ti := s.idx.ensure(rel)
 	if ix := ti.cols[col]; ix != nil {
-		if !auto {
-			ix.auto = false
-		}
+		ix.auto = false
 		return nil
 	}
-	e.buildColIndexLocked(tbl, ti, col, auto, since)
+	s.buildColIndexLocked(tbl, ti, col, false, since)
 	return nil
 }
 
@@ -261,7 +243,7 @@ func (e *Engine) buildIndexLocked(rel, attr string, auto bool, since uint64) err
 // zeros) are skipped — they are exactly what compaction would drop —
 // and re-enter their lists if they ever become matchable again (see
 // indexRevive).
-func (e *Engine) buildColIndexLocked(tbl *table, ti *tableIndexes, col int, auto bool, since uint64) *colIndex {
+func (s *shard) buildColIndexLocked(tbl *table, ti *tableIndexes, col int, auto bool, since uint64) *colIndex {
 	ix := &colIndex{
 		col:     col,
 		attr:    tbl.rel.Attrs[col].Name,
@@ -270,7 +252,7 @@ func (e *Engine) buildColIndexLocked(tbl *table, ti *tableIndexes, col int, auto
 		byValue: make(map[db.Value]*postingList),
 	}
 	for _, r := range tbl.list.snapshot() {
-		if !e.matchable(r) {
+		if !s.matchable(r) {
 			continue
 		}
 		v := r.tuple[col]
@@ -288,22 +270,16 @@ func (e *Engine) buildColIndexLocked(tbl *table, ti *tableIndexes, col int, auto
 	return ix
 }
 
-// DropIndex removes the index on the named attribute. Dropping an index
-// that does not exist returns ErrUnknownIndex (the HTTP layer maps it
-// to 404); the relation must exist either way.
-func (e *Engine) DropIndex(rel, attr string) error {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.dropIndexLocked(rel, attr)
-}
-
-func (e *Engine) dropIndexLocked(rel, attr string) error {
-	tbl := e.tables[rel]
+// dropIndex removes this shard's index on the named attribute, or
+// returns ErrUnknownIndex; the relation must exist either way. The
+// caller holds the write lock.
+func (s *shard) dropIndex(rel, attr string) error {
+	tbl := s.tables[rel]
 	if tbl == nil {
 		return fmt.Errorf("engine: %w %s", ErrUnknownRelation, rel)
 	}
 	col := tbl.rel.AttrIndex(attr)
-	ti := e.idx.tables[rel]
+	ti := s.idx.tables[rel]
 	if col < 0 || ti == nil || ti.cols[col] == nil {
 		return fmt.Errorf("engine: %w %s.%s", ErrUnknownIndex, rel, attr)
 	}
@@ -320,19 +296,15 @@ func (e *Engine) dropIndexLocked(rel, attr string) error {
 	return nil
 }
 
-// IndexStats reports every index of the engine — relations in schema
+// indexStats reports every index of the shard — relations in schema
 // order, attributes in column order — with its current posting-list
 // volume.
-func (e *Engine) IndexStats() []IndexInfo {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	return e.indexStatsLocked()
-}
-
-func (e *Engine) indexStatsLocked() []IndexInfo {
+func (s *shard) indexStats() []IndexInfo {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
 	var out []IndexInfo
-	for _, rel := range e.schema.Names() {
-		ti := e.idx.tables[rel]
+	for _, rel := range s.schema.Names() {
+		ti := s.idx.tables[rel]
 		if ti == nil {
 			continue
 		}
@@ -357,16 +329,13 @@ func (e *Engine) indexStatsLocked() []IndexInfo {
 	return out
 }
 
-// PlannerStats reports the scan planner's cumulative counters.
-func (e *Engine) PlannerStats() PlannerStats { return e.idx.stats() }
-
 // --- maintenance hooks --------------------------------------------------
 
 // indexAdd registers a newly created row with every index of its table.
 // New rows carry the largest position, so this is an append on every
 // touched posting list.
-func (e *Engine) indexAdd(tbl *table, r *row) {
-	ti := e.idx.tables[tbl.rel.Name]
+func (s *shard) indexAdd(tbl *table, r *row) {
+	ti := s.idx.tables[tbl.rel.Name]
 	if ti == nil {
 		return
 	}
@@ -389,8 +358,8 @@ func (e *Engine) indexAdd(tbl *table, r *row) {
 // invoke this on an actual matchable→unmatchable transition (scan and
 // lookupPinned never hand out unmatchable rows), so the dead counters
 // track reality; over-counting would only cause earlier sweeps.
-func (e *Engine) indexDead(tbl *table, r *row) {
-	ti := e.idx.tables[tbl.rel.Name]
+func (s *shard) indexDead(tbl *table, r *row) {
+	ti := s.idx.tables[tbl.rel.Name]
 	if ti == nil {
 		return
 	}
@@ -402,7 +371,7 @@ func (e *Engine) indexDead(tbl *table, r *row) {
 		pl.dead++
 		ix.dead++
 		if 2*pl.dead > len(pl.rows) {
-			e.compact(ix, pl)
+			s.compact(ix, pl)
 		}
 	}
 }
@@ -412,8 +381,8 @@ func (e *Engine) indexDead(tbl *table, r *row) {
 // snapshot restore overwriting one). The row may have been compacted
 // out of any subset of its lists, so each list is checked by binary
 // search on the row's unique position.
-func (e *Engine) indexRevive(tbl *table, r *row) {
-	e.indexAdd(tbl, r)
+func (s *shard) indexRevive(tbl *table, r *row) {
+	s.indexAdd(tbl, r)
 }
 
 // compact drops the unmatchable rows of one posting list in place,
@@ -421,10 +390,10 @@ func (e *Engine) indexRevive(tbl *table, r *row) {
 // when more than half the list is dead, and each sweep is linear in the
 // list, so total sweep work is linear in the number of entries ever
 // marked dead.
-func (e *Engine) compact(ix *colIndex, pl *postingList) {
+func (s *shard) compact(ix *colIndex, pl *postingList) {
 	kept := pl.rows[:0]
 	for _, r := range pl.rows {
-		if e.matchable(r) {
+		if s.matchable(r) {
 			kept = append(kept, r)
 		}
 	}
@@ -440,10 +409,10 @@ func (e *Engine) compact(ix *colIndex, pl *postingList) {
 	if dropped > 0 {
 		// Dropped entries lose index-completeness for historical
 		// horizons; pinned-epoch scans fall back to full scans from now
-		// on (see scanAt).
+		// on (see planAt).
 		ix.compacted = true
 	}
-	e.idx.compactions.Add(1)
+	s.idx.compactions.Add(1)
 }
 
 // --- the planner --------------------------------------------------------
@@ -453,22 +422,28 @@ func (e *Engine) compact(ix *colIndex, pl *postingList) {
 // only the semantically live rows under WithLiveMatching — always in
 // tbl.list insertion order, whatever access path resolves them.
 //
-// Access-path choice is cost-based: every indexed column that the
-// pattern pins to an =-constant is a candidate, the shortest posting
-// list wins, and the two shortest are merge-intersected when the
-// runner-up is within maxIntersectRatio of the winner. Columns
+// A selection whose every term is an =-constant can match one tuple
+// only, so it is a point lookup (see lookupPinned) whatever indexes
+// exist. Otherwise access-path choice is cost-based: every indexed
+// column that the pattern pins to an =-constant is a candidate, the
+// shortest posting list wins, and the two shortest are merge-intersected
+// when the runner-up is within maxIntersectRatio of the winner. Columns
 // constrained only by ≠ (or free) never qualify, so ≠-only selections
 // fall back to the full scan. When auto-indexing is on, the advisor
 // counts each =-pinned unindexed column and builds its index the moment
 // the count crosses the threshold — including for the current scan.
-func (e *Engine) scan(tbl *table, u db.Update) []*row {
-	ti := e.idx.tables[tbl.rel.Name]
-	if ti == nil && e.idx.threshold > 0 {
-		ti = e.idx.ensure(tbl.rel.Name)
+func (s *shard) scan(tbl *table, u db.Update) []*row {
+	if t, ok := u.Sel.AppendPinned(s.pinned); ok {
+		s.pinned = t
+		return s.lookupPinned(tbl, u, t)
+	}
+	ti := s.idx.tables[tbl.rel.Name]
+	if ti == nil && s.idx.threshold > 0 {
+		ti = s.idx.ensure(tbl.rel.Name)
 	}
 	if ti == nil {
-		e.idx.fullScans.Add(1)
-		return e.fullScan(tbl, u)
+		s.idx.fullScans.Add(1)
+		return s.fullScan(tbl, u)
 	}
 
 	var best, second *postingList
@@ -478,11 +453,13 @@ func (e *Engine) scan(tbl *table, u db.Update) []*row {
 		}
 		ix := ti.cols[i]
 		if ix == nil {
-			if e.idx.threshold > 0 {
+			if s.idx.threshold > 0 {
 				ti.scans[i]++
-				if ti.scans[i] >= e.idx.threshold {
-					ix = e.buildColIndexLocked(tbl, ti, i, true, e.sinceSeq())
-					e.idx.autoBuilds.Add(1)
+				if ti.scans[i] >= s.idx.threshold {
+					// The build runs inside the write epoch in flight, which
+					// is where the index's history starts.
+					ix = s.buildColIndexLocked(tbl, ti, i, true, EpochSeq(s.curEpoch))
+					s.idx.autoBuilds.Add(1)
 				}
 			}
 			if ix == nil {
@@ -493,7 +470,7 @@ func (e *Engine) scan(tbl *table, u db.Update) []*row {
 		if pl == nil {
 			// Every matchable row holding this value is in the index, so
 			// an absent list proves the selection matches nothing.
-			e.idx.indexScans.Add(1)
+			s.idx.indexScans.Add(1)
 			return nil
 		}
 		switch {
@@ -504,19 +481,34 @@ func (e *Engine) scan(tbl *table, u db.Update) []*row {
 		}
 	}
 	if best == nil {
-		e.idx.fullScans.Add(1)
-		return e.fullScan(tbl, u)
+		s.idx.fullScans.Add(1)
+		return s.fullScan(tbl, u)
 	}
 	if second != nil && len(best.rows) >= minIntersectLen &&
 		len(second.rows) <= maxIntersectRatio*len(best.rows) {
-		e.idx.intersectScans.Add(1)
-		cand := intersectByPosInto(e.getScanBuf(), best.rows, second.rows)
-		out := e.filterRows(cand, u)
-		e.putScanBuf(cand)
+		s.idx.intersectScans.Add(1)
+		cand := intersectByPosInto(s.getScanBuf(), best.rows, second.rows)
+		out := s.filterRows(cand, u)
+		s.putScanBuf(cand)
 		return out
 	}
-	e.idx.indexScans.Add(1)
-	return e.filterRows(best.rows, u)
+	s.idx.indexScans.Add(1)
+	return s.filterRows(best.rows, u)
+}
+
+// lookupPinned answers a selection pinning every attribute: only the
+// row stored for the pinned tuple t can match, so the scan reduces to an
+// allocation-free fingerprint probe, decided by the same matchable and
+// MatchesTuple as every other access path (attribute conditions, live
+// matching, tombstones and revived tuples behave as in a full scan).
+func (s *shard) lookupPinned(tbl *table, u db.Update, t db.Tuple) []*row {
+	s.idx.pointLookups.Add(1)
+	out := s.getScanBuf()
+	if r := tbl.get(t.Fingerprint(), t); r != nil && s.matchable(r) && u.MatchesTuple(r.tuple) {
+		out = append(out, r)
+	}
+	s.idx.examined(1, len(out))
+	return out
 }
 
 // fullScan is the paper's access path: walk the whole relation in
@@ -524,17 +516,17 @@ func (e *Engine) scan(tbl *table, u db.Update) []*row {
 // columnar mirror prefilters it against the attribute's word column, so
 // non-matching rows cost one 8-byte compare and no row or version
 // pointer is chased for them. Equal words mean equal values only within
-// one kind, and nothing validates an update that reaches Apply directly,
+// one kind, and nothing validates an update handed to ApplyTransaction,
 // so a constant of another kind than its attribute skips the prefilter;
 // MatchesTuple stays the decision either way.
-func (e *Engine) fullScan(tbl *table, u db.Update) []*row {
+func (s *shard) fullScan(tbl *table, u db.Update) []*row {
 	rows := tbl.list.snapshot()
 	ci := firstConstTerm(u.Sel)
 	if ci < 0 || u.Sel[ci].Value().Kind() != tbl.rel.Attrs[ci].Kind {
-		return e.filterRows(rows, u)
+		return s.filterRows(rows, u)
 	}
 	want := u.Sel[ci].Value().Word()
-	out := e.getScanBuf()
+	out := s.getScanBuf()
 	left := rows
 	for _, words := range tbl.cols.cols[ci].chunks() {
 		words = words[:min(len(words), len(left))]
@@ -542,13 +534,13 @@ func (e *Engine) fullScan(tbl *table, u db.Update) []*row {
 			if w != want {
 				continue
 			}
-			if r := left[i]; e.matchable(r) && u.MatchesTuple(r.tuple) {
+			if r := left[i]; s.matchable(r) && u.MatchesTuple(r.tuple) {
 				out = append(out, r)
 			}
 		}
 		left = left[len(words):]
 	}
-	e.idx.examined(len(rows), len(out))
+	s.idx.examined(len(rows), len(out))
 	return out
 }
 
@@ -567,49 +559,22 @@ func firstConstTerm(p db.Pattern) int {
 // rows, preserving their order. The result comes from the writer's
 // scan-buffer free-list; callers release it with putScanBuf when the
 // update is done with it.
-func (e *Engine) filterRows(rows []*row, u db.Update) []*row {
-	out := e.getScanBuf()
+func (s *shard) filterRows(rows []*row, u db.Update) []*row {
+	out := s.getScanBuf()
 	for _, r := range rows {
-		if e.matchable(r) && u.MatchesTuple(r.tuple) {
+		if s.matchable(r) && u.MatchesTuple(r.tuple) {
 			out = append(out, r)
 		}
 	}
-	e.idx.examined(len(rows), len(out))
+	s.idx.examined(len(rows), len(out))
 	return out
 }
 
-// scanAt is the planner at a pinned horizon: it returns the rows the
-// selection would have applied to as of sequence s, in the same
-// deterministic order scan would have produced then. Posting lists are
-// interval-aware — entries are never removed except by compaction, so
-// an index whose history is intact (s ≥ since, never compacted) still
-// proves completeness for old horizons, and the absent-list shortcut
-// still proves emptiness; otherwise the scan falls back to the full
-// list with per-row version resolution. Unlike the lock-free read
-// paths, scanAt takes the read lock: index structures are writer-owned
-// and mutated in place, and pinned-epoch planning is rare enough that
-// transaction-granular blocking is acceptable. The advisor never runs
-// here (historical scans must not mutate planner state beyond the
-// counters).
-func (e *Engine) scanAt(tbl *table, u db.Update, s uint64) []*row {
-	if s == latestMark {
-		return e.scan(tbl, u)
-	}
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	rows, none := e.planAt(tbl, u, s)
-	if none {
-		return nil
-	}
-	return e.filterRowsAt(rows, u, s)
-}
-
-// planAt is the pinned-horizon access-path choice shared by scanAt and
-// selectEachAt: the candidate rows still to be filtered (possibly the
-// whole list), or none=true when an index proves the selection empty.
-// The caller holds the read lock.
-func (e *Engine) planAt(tbl *table, u db.Update, s uint64) (rows []*row, none bool) {
-	if ti := e.idx.tables[tbl.rel.Name]; ti != nil {
+// planAt is selectAt's access-path choice: the candidate rows still to
+// be filtered (possibly the whole list), or none=true when an index
+// proves the selection empty. The caller holds the read lock.
+func (s *shard) planAt(tbl *table, u db.Update, h uint64) (rows []*row, none bool) {
+	if ti := s.idx.tables[tbl.rel.Name]; ti != nil {
 		var best, second *postingList
 		usable := true
 		for i, term := range u.Sel {
@@ -620,7 +585,7 @@ func (e *Engine) planAt(tbl *table, u db.Update, s uint64) (rows []*row, none bo
 			if ix == nil {
 				continue
 			}
-			if ix.compacted || s < ix.since {
+			if ix.compacted || h < ix.since {
 				usable = false
 				break
 			}
@@ -629,7 +594,7 @@ func (e *Engine) planAt(tbl *table, u db.Update, s uint64) (rows []*row, none bo
 				// No row was ever matchable with this value while the
 				// index was live, so the selection matches nothing at any
 				// covered horizon.
-				e.idx.indexScans.Add(1)
+				s.idx.indexScans.Add(1)
 				return nil, true
 			}
 			switch {
@@ -642,101 +607,57 @@ func (e *Engine) planAt(tbl *table, u db.Update, s uint64) (rows []*row, none bo
 		if usable && best != nil {
 			if second != nil && len(best.rows) >= minIntersectLen &&
 				len(second.rows) <= maxIntersectRatio*len(best.rows) {
-				e.idx.intersectScans.Add(1)
+				s.idx.intersectScans.Add(1)
 				return intersectByPos(best.rows, second.rows), false
 			}
-			e.idx.indexScans.Add(1)
+			s.idx.indexScans.Add(1)
 			return best.rows, false
 		}
 	}
-	e.idx.fullScans.Add(1)
+	s.idx.fullScans.Add(1)
 	return tbl.list.snapshot(), false
 }
 
-// Select implements Reader: the tuples the selection pattern matches
-// at the committed horizon, in insertion order, through the planner.
-func (e *Engine) Select(rel string, sel db.Pattern) ([]db.Tuple, error) {
-	return e.selectAt(rel, sel, e.Horizon())
-}
-
-// selectAt resolves a selection at a pinned horizon and materializes
-// the matched tuples.
-func (e *Engine) selectAt(rel string, sel db.Pattern, s uint64) ([]db.Tuple, error) {
-	rows, err := e.selectRowsAt(rel, sel, s)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]db.Tuple, len(rows))
-	for i, r := range rows {
-		out[i] = r.tuple
-	}
-	return out, nil
-}
-
-// selectRowsAt validates the pattern and runs the pinned-horizon
-// planner over it. The pattern is wrapped as a deletion solely because
-// deletions are the pure-selection update shape the planner consumes.
-func (e *Engine) selectRowsAt(rel string, sel db.Pattern, s uint64) ([]*row, error) {
-	tbl := e.tables[rel]
-	if tbl == nil {
-		return nil, fmt.Errorf("engine: %w %s", ErrUnknownRelation, rel)
-	}
-	u := db.Delete(rel, sel)
-	if err := u.Validate(e.schema); err != nil {
-		return nil, fmt.Errorf("engine: %w: %v", ErrBadTuple, err)
-	}
-	return e.scanAt(tbl, u, s), nil
-}
-
-// filterRowsAt is filterRows against the versions visible at horizon s.
-func (e *Engine) filterRowsAt(rows []*row, u db.Update, s uint64) []*row {
-	var out []*row
-	for _, r := range rows {
-		v := r.at(s)
-		if v == nil || !e.matchableV(v) || !u.MatchesTuple(r.tuple) {
-			continue
-		}
-		out = append(out, r)
-	}
-	e.idx.examined(len(rows), len(out))
-	return out
-}
-
-// SelectEach streams the tuples matching the selection at the
-// committed horizon to f, in insertion order, through the planner —
-// Select without materializing the result slice. With an indexed
-// =-constrained column the steady-state pass allocates nothing
-// (enforced by TestAllocFreeReads); f must not retain the tuples
-// across engine mutations it triggers itself.
-func (e *Engine) SelectEach(rel string, sel db.Pattern, f func(db.Tuple)) error {
-	return e.selectEachAt(rel, sel, e.Horizon(), f)
-}
-
-func (e *Engine) selectEachAt(rel string, sel db.Pattern, s uint64, f func(db.Tuple)) error {
-	tbl := e.tables[rel]
+// selectAt is the planner at a pinned horizon: it validates the pattern
+// and streams to f the rows the selection would have applied to as of
+// horizon h, in the same deterministic order scan would have produced
+// then. Posting lists are interval-aware — entries are never removed
+// except by compaction, so an index whose history is intact (h ≥ since,
+// never compacted) still proves completeness for old horizons, and the
+// absent-list shortcut still proves emptiness; otherwise the scan falls
+// back to the full list with per-row version resolution. Unlike the
+// lock-free read paths it takes the read lock: index structures are
+// writer-owned and mutated in place, and pinned-epoch planning is rare
+// enough that transaction-granular blocking is acceptable. The advisor
+// never runs here (historical scans must not mutate planner state
+// beyond the counters). The pattern is wrapped as a deletion solely
+// because deletions are the pure-selection update shape the planner
+// consumes.
+func (s *shard) selectAt(rel string, sel db.Pattern, h uint64, f func(r *row)) error {
+	tbl := s.tables[rel]
 	if tbl == nil {
 		return fmt.Errorf("engine: %w %s", ErrUnknownRelation, rel)
 	}
 	u := db.Delete(rel, sel)
-	if err := u.Validate(e.schema); err != nil {
+	if err := u.Validate(s.schema); err != nil {
 		return fmt.Errorf("engine: %w: %v", ErrBadTuple, err)
 	}
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	rows, none := e.planAt(tbl, u, s)
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	rows, none := s.planAt(tbl, u, h)
 	if none {
 		return nil
 	}
 	matched := 0
 	for _, r := range rows {
-		v := r.at(s)
-		if v == nil || !e.matchableV(v) || !u.MatchesTuple(r.tuple) {
+		v := r.at(h)
+		if v == nil || !s.matchableV(v) || !u.MatchesTuple(r.tuple) {
 			continue
 		}
 		matched++
-		f(r.tuple)
+		f(r)
 	}
-	e.idx.examined(len(rows), matched)
+	s.idx.examined(len(rows), matched)
 	return nil
 }
 

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"context"
+	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -38,10 +39,6 @@ import (
 // seqCounterMask is the low (creation-counter) half of a sequence
 // number; epoch k is fully visible at horizon k<<32|seqCounterMask.
 const seqCounterMask = 1<<32 - 1
-
-// latestMark pins a scan or chunk to the current head versions — the
-// writer's own view, which may include its uncommitted epoch.
-const latestMark = ^uint64(0)
 
 // EpochSeq returns the horizon sequence at which transaction epoch k is
 // fully visible: pass it to DB.At to read the database as of epoch k
@@ -123,7 +120,7 @@ func (r *row) at(s uint64) *version {
 }
 
 // rowList is an append-only row slice readable without locks. The
-// writer (serialized by the engine write lock) stores the element
+// writer (serialized by the shard write lock) stores the element
 // before publishing the new length; readers load the length first and
 // clamp against the array they observe, so a torn grow is never
 // exposed. Capacity grows by the usual doubling, copying into a fresh
@@ -137,7 +134,7 @@ type rowList struct {
 // len reports the published length.
 func (l *rowList) len() int { return int(l.n.Load()) }
 
-// append adds a row at the end. Writer-only (under the engine lock).
+// append adds a row at the end. Writer-only (under the shard lock).
 func (l *rowList) append(r *row) {
 	n := int(l.n.Load())
 	arr := l.arr.Load()
@@ -173,65 +170,66 @@ func (l *rowList) snapshot() []*row {
 }
 
 // epochTracker turns out-of-order epoch completions into a monotone
-// horizon. Shard workers of a sharded ApplyAll commit epochs as they
-// finish, not in dispatch order; the horizon only advances to epoch k
-// once every epoch ≤ k has committed, so a pinned reader never observes
-// epoch k+1 without k (which would break the prefix-replay equivalence
-// the differential tests check). Every allocated epoch must be
-// committed exactly once — including transactions skipped after a
-// failure — or the horizon stalls.
+// horizon and an in-order event stream. Shard workers of a batched
+// apply commit epochs as they finish, not in dispatch order; the
+// horizon only advances to epoch k once every epoch ≤ k has committed,
+// so a pinned reader never observes epoch k+1 without k (which would
+// break the prefix-replay equivalence the differential tests check).
+// Every allocated epoch must be committed exactly once — including
+// transactions skipped after a failure — or the horizon stalls.
 type epochTracker struct {
-	mu      sync.Mutex
-	done    map[uint64]struct{}
+	mu sync.Mutex
+	// done parks the events of epochs that committed ahead of a
+	// predecessor; an epoch that commits in order (every epoch of a
+	// one-shard engine) never enters it.
+	done    map[uint64]CommitEvent
 	low     uint64 // epochs 1..low have all committed
 	horizon atomic.Uint64
 	note    horizonNote
 
-	// emit, when set, is called under mu for every epoch the horizon
-	// newly covers, in increasing epoch order and after the horizon
-	// store — the in-order commit-event edge of the sharded engine,
-	// whose workers otherwise finish out of dispatch order. It must not
-	// block (see CommitHook).
-	emit func(epoch uint64)
+	// emit is called under mu for every epoch the horizon newly covers,
+	// in increasing epoch order and after the horizon store — the
+	// in-order commit-event edge. It must not block (see CommitHook).
+	emit func(ev CommitEvent)
 }
 
-func (t *epochTracker) init() {
-	t.done = make(map[uint64]struct{})
+func (t *epochTracker) init(emit func(ev CommitEvent)) {
+	t.done = make(map[uint64]CommitEvent)
 	t.horizon.Store(seqCounterMask) // epoch 0 (initial rows) is visible
+	t.emit = emit
 }
 
-func (t *epochTracker) commit(epoch uint64) {
+// commit records that the epoch finished, with the event announcing it.
+func (t *epochTracker) commit(epoch uint64, ev CommitEvent) {
+	ev.Epoch, ev.Seq = epoch, EpochSeq(epoch)
 	t.mu.Lock()
 	if epoch != t.low+1 {
-		t.done[epoch] = struct{}{}
+		t.done[epoch] = ev
 		t.mu.Unlock()
 		return
 	}
-	from := t.low
 	t.low++
 	for {
 		if _, ok := t.done[t.low+1]; !ok {
 			break
 		}
-		delete(t.done, t.low+1)
 		t.low++
 	}
 	t.horizon.Store(EpochSeq(t.low))
-	if t.emit != nil {
-		for k := from + 1; k <= t.low; k++ {
-			t.emit(k)
-		}
+	t.emit(ev)
+	for k := epoch + 1; k <= t.low; k++ {
+		t.emit(t.done[k])
+		delete(t.done, k)
 	}
 	t.mu.Unlock()
 	t.note.wake()
 }
 
-// horizonNote publishes horizon advances to blocked waiters. The write
-// paths are single-threaded per engine (or funneled through the epoch
-// tracker), so wake is called once per committed epoch — cheap next to
-// the commit itself — while readers that never wait never touch it.
-// The bell channel is closed on every advance and lazily re-armed, so a
-// waiter loops: check the horizon, grab the bell, check again, sleep.
+// horizonNote publishes horizon advances to blocked waiters. wake is
+// called once per horizon advance — cheap next to the commit itself —
+// while readers that never wait never touch it. The bell channel is
+// closed on every advance and lazily re-armed, so a waiter loops: check
+// the horizon, grab the bell, check again, sleep.
 type horizonNote struct {
 	mu sync.Mutex
 	ch chan struct{}
@@ -291,9 +289,10 @@ type MVCCStats struct {
 	Versions uint64 `json:"versions"`
 }
 
-// Horizon returns the newest committed read horizon; At(Horizon())
-// pins the current state.
-func (e *Engine) Horizon() uint64 { return e.visibleSeq.Load() }
+// Horizon returns the newest committed read horizon: the largest
+// sequence s such that every epoch ≤ SeqEpoch(s) has committed on every
+// shard it touched. At(Horizon()) pins the current state.
+func (e *Engine) Horizon() uint64 { return e.tracker.horizon.Load() }
 
 // WaitHorizon blocks until the committed horizon reaches seq or ctx is
 // done. This is the horizon-publication hook replication followers (and
@@ -301,7 +300,18 @@ func (e *Engine) Horizon() uint64 { return e.visibleSeq.Load() }
 // readers until the epoch they demand has been replayed, without
 // polling. Sequences that are already visible return immediately.
 func (e *Engine) WaitHorizon(ctx context.Context, seq uint64) error {
-	return e.hzNote.waitHorizon(ctx, e.Horizon, seq)
+	return e.tracker.note.waitHorizon(ctx, e.Horizon, seq)
+}
+
+// MVCCStats reports the engine's version-storage counters, versions
+// summed over shards.
+func (e *Engine) MVCCStats() MVCCStats {
+	h := e.Horizon()
+	st := MVCCStats{HorizonEpoch: SeqEpoch(h), HorizonSeq: h, Epochs: e.epoch.Load()}
+	for _, sh := range e.shards {
+		st.Versions += sh.versions.Load()
+	}
+	return st
 }
 
 // At returns a read-only view of the database at the given horizon
@@ -310,204 +320,267 @@ func (e *Engine) WaitHorizon(ctx context.Context, seq uint64) error {
 // stays byte-identical no matter how many transactions commit after it
 // was taken.
 func (e *Engine) At(seq uint64) View {
-	return &engineView{e: e, s: clampSeq(seq, e.Horizon())}
+	return &view{e: e, s: clampSeq(seq, e.Horizon())}
 }
 
-// MVCCStats reports the engine's version-storage counters.
-func (e *Engine) MVCCStats() MVCCStats {
-	h := e.Horizon()
-	return MVCCStats{
-		HorizonEpoch: SeqEpoch(h),
-		HorizonSeq:   h,
-		Epochs:       e.epoch.Load(),
-		Versions:     e.versions.Load(),
-	}
-}
-
-// Horizon returns the newest committed read horizon across all shards:
-// the largest sequence s such that every epoch ≤ SeqEpoch(s) has
-// committed on every shard it touched.
-func (se *ShardedEngine) Horizon() uint64 { return se.tracker.horizon.Load() }
-
-// WaitHorizon blocks until the cross-shard committed horizon reaches
-// seq or ctx is done (see Engine.WaitHorizon).
-func (se *ShardedEngine) WaitHorizon(ctx context.Context, seq uint64) error {
-	return se.tracker.note.waitHorizon(ctx, se.Horizon, seq)
-}
-
-// At returns a read-only view of the sharded database at the given
-// horizon sequence (see Engine.At).
-func (se *ShardedEngine) At(seq uint64) View {
-	return &shardedView{se: se, s: clampSeq(seq, se.Horizon())}
-}
-
-// MVCCStats reports version-storage counters summed over shards.
-func (se *ShardedEngine) MVCCStats() MVCCStats {
-	h := se.Horizon()
-	st := MVCCStats{HorizonEpoch: SeqEpoch(h), HorizonSeq: h, Epochs: se.epoch.Load()}
-	for _, sh := range se.shards {
-		st.Versions += sh.versions.Load()
-	}
-	return st
-}
-
-// engineView is a single-engine database pinned at one horizon. All
-// methods are lock-free reads against the version chains.
-type engineView struct {
+// view is the database pinned at one horizon: the one implementation of
+// the Reader surface. The engine's own Reader methods are the view at
+// the committed horizon (now); At hands out a pointer, which is cheaper
+// to put behind the View interface than the two words by value. All
+// methods are lock-free reads against the version chains, except that
+// Select plans under the shards' read locks.
+type view struct {
 	e *Engine
 	s uint64
 }
 
-func (v *engineView) Mode() Mode          { return v.e.mode }
-func (v *engineView) Schema() *db.Schema  { return v.e.schema }
-func (v *engineView) Relations() []string { return v.e.schema.Names() }
+var _ View = (*view)(nil)
+
+func (e *Engine) now() view { return view{e: e, s: e.Horizon()} }
+
+func (v view) Mode() Mode          { return v.e.mode }
+func (v view) Schema() *db.Schema  { return v.e.schema }
+func (v view) Relations() []string { return v.e.schema.Names() }
 
 // AsOf returns the horizon sequence the view is pinned to.
-func (v *engineView) AsOf() uint64 { return v.s }
+func (v view) AsOf() uint64 { return v.s }
 
-func (v *engineView) Annotation(rel string, t db.Tuple) *core.Expr {
-	return v.e.annotationAt(rel, t, v.s)
-}
-
-func (v *engineView) NF(rel string, t db.Tuple) *core.NF {
-	return v.e.nfAt(rel, t, v.s)
-}
-
-func (v *engineView) EachRow(rel string, f func(t db.Tuple, ann *core.Expr)) {
-	v.e.eachRowAt(rel, v.s, f)
-}
-
-func (v *engineView) Rows(f func(rel string, t db.Tuple, ann *core.Expr)) {
-	v.e.rowsAt(v.s, f)
-}
-
-func (v *engineView) Select(rel string, sel db.Pattern) ([]db.Tuple, error) {
-	return v.e.selectAt(rel, sel, v.s)
-}
-
-func (v *engineView) NumRows() int     { return v.e.numRowsAt(v.s) }
-func (v *engineView) SupportSize() int { return v.e.supportSizeAt(v.s) }
-func (v *engineView) ProvSize() int64  { return v.e.provSizeAt(v.s) }
-func (v *engineView) ProvDAGSize() int64 {
-	return v.e.provDAGSizeAt(make(map[*core.Expr]struct{}), v.s)
-}
-
-// shardedView is a sharded database pinned at one horizon.
-type shardedView struct {
-	se *ShardedEngine
-	s  uint64
-}
-
-func (v *shardedView) Mode() Mode          { return v.se.mode }
-func (v *shardedView) Schema() *db.Schema  { return v.se.schema }
-func (v *shardedView) Relations() []string { return v.se.schema.Names() }
-
-// AsOf returns the horizon sequence the view is pinned to.
-func (v *shardedView) AsOf() uint64 { return v.s }
-
-func (v *shardedView) Annotation(rel string, t db.Tuple) *core.Expr {
-	return v.se.shardFor(t).annotationAt(rel, t, v.s)
-}
-
-func (v *shardedView) NF(rel string, t db.Tuple) *core.NF {
-	return v.se.shardFor(t).nfAt(rel, t, v.s)
-}
-
-func (v *shardedView) EachRow(rel string, f func(t db.Tuple, ann *core.Expr)) {
-	v.se.eachRowAt(rel, v.s, f)
-}
-
-func (v *shardedView) Rows(f func(rel string, t db.Tuple, ann *core.Expr)) {
-	v.se.rowsAt(v.s, f)
-}
-
-func (v *shardedView) Select(rel string, sel db.Pattern) ([]db.Tuple, error) {
-	return v.se.selectAt(rel, sel, v.s)
-}
-
-func (v *shardedView) NumRows() int     { return v.se.numRowsAt(v.s) }
-func (v *shardedView) SupportSize() int { return v.se.supportSizeAt(v.s) }
-func (v *shardedView) ProvSize() int64  { return v.se.provSizeAt(v.s) }
-func (v *shardedView) ProvDAGSize() int64 {
-	return v.se.provDAGSizeAt(v.s)
-}
-
-var (
-	_ View = (*engineView)(nil)
-	_ View = (*shardedView)(nil)
-)
-
-// --- horizon-pinned reads of the single engine --------------------------
-
-func (e *Engine) annotationAt(rel string, t db.Tuple, s uint64) *core.Expr {
-	tbl := e.tables[rel]
+// rows returns the relation's rows visible at the pinned horizon, in
+// global insertion order — sequence order, whatever the partition. One
+// shard's list is already in that order (its epochs are allocated under
+// its write lock) and the visible rows are a prefix of it, trimmed by
+// the sequence column without chasing row pointers. Several shards'
+// lists each hold a part of that order — and a batch dispatcher numbers
+// epochs before they reach a shard — so their visible rows are gathered
+// and sorted. Lock-free either way:
+// lists are snapshotted and rows beyond the horizon excluded up front,
+// so callers only resolve versions.
+func (v view) rows(rel string) []*row {
+	tbl := v.e.shards[0].tables[rel]
 	if tbl == nil {
 		return nil
 	}
-	// Fingerprint probe: the steady-state point lookup allocates nothing
-	// (enforced by TestAllocFreeReads), and no Key() string is built.
-	r := tbl.get(t.Fingerprint(), t)
+	if len(v.e.shards) == 1 {
+		rows := tbl.list.snapshot()
+		n := len(rows)
+		for n > 0 && tbl.cols.seqs.at(n-1) > v.s {
+			n--
+		}
+		return rows[:n]
+	}
+	var out []*row
+	for _, sh := range v.e.shards {
+		for _, r := range sh.tables[rel].list.snapshot() {
+			if r.seq <= v.s {
+				out = append(out, r)
+			}
+		}
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].seq < out[j].seq })
+	return out
+}
+
+// find returns the version of the tuple's row visible at the pinned
+// horizon, from the shard owning it, or nil. Fingerprint routing plus a
+// fingerprint probe: the steady-state point lookup allocates nothing
+// (enforced by TestAllocFreeReads), and no Key() string is built.
+func (v view) find(rel string, t db.Tuple) *version {
+	fp := t.Fingerprint()
+	tbl := v.e.owner(fp).tables[rel]
+	if tbl == nil {
+		return nil
+	}
+	r := tbl.get(fp, t)
 	if r == nil {
 		return nil
 	}
-	v := r.at(s)
-	if v == nil {
-		return nil
-	}
-	return v.annotation()
+	return r.at(v.s)
 }
 
-func (e *Engine) nfAt(rel string, t db.Tuple, s uint64) *core.NF {
-	if e.mode != ModeNormalForm {
+func (v view) Annotation(rel string, t db.Tuple) *core.Expr {
+	ver := v.find(rel, t)
+	if ver == nil {
 		return nil
 	}
-	tbl := e.tables[rel]
-	if tbl == nil {
-		return nil
-	}
-	r := tbl.get(t.Fingerprint(), t)
-	if r == nil {
-		return nil
-	}
-	v := r.at(s)
-	if v == nil {
-		return nil
-	}
-	return &v.nf
+	return ver.annotation()
 }
 
-func (e *Engine) eachRowAt(rel string, s uint64, f func(t db.Tuple, ann *core.Expr)) {
-	tbl := e.tables[rel]
-	if tbl == nil {
-		return
+func (v view) NF(rel string, t db.Tuple) *core.NF {
+	if v.e.mode != ModeNormalForm {
+		return nil
 	}
-	for _, r := range tbl.list.snapshot() {
-		if r.seq > s {
-			// A plain engine's writes are serialized under one lock, so
-			// list order is sequence order and the visible rows form a
-			// prefix. (Shard partitions are read through mergedRowsAt,
-			// which sorts, never through this early exit.)
-			break
+	ver := v.find(rel, t)
+	if ver == nil {
+		return nil
+	}
+	return &ver.nf
+}
+
+func (v view) EachRow(rel string, f func(t db.Tuple, ann *core.Expr)) {
+	for _, r := range v.rows(rel) {
+		if ver := r.at(v.s); ver != nil {
+			f(r.tuple, ver.annotation())
 		}
-		v := r.at(s)
-		if v == nil {
-			continue
+	}
+}
+
+func (v view) Rows(f func(rel string, t db.Tuple, ann *core.Expr)) {
+	for _, rel := range v.e.schema.Names() {
+		for _, r := range v.rows(rel) {
+			if ver := r.at(v.s); ver != nil {
+				f(rel, r.tuple, ver.annotation())
+			}
 		}
-		f(r.tuple, v.annotation())
 	}
 }
 
-func (e *Engine) rowsAt(s uint64, f func(rel string, t db.Tuple, ann *core.Expr)) {
-	for _, rel := range e.schema.Names() {
-		name := rel
-		e.eachRowAt(name, s, func(t db.Tuple, ann *core.Expr) { f(name, t, ann) })
+// Select runs the pinned-horizon planner on every shard and merges the
+// matches to global insertion order.
+func (v view) Select(rel string, sel db.Pattern) ([]db.Tuple, error) {
+	var rows []*row
+	for _, sh := range v.e.shards {
+		if err := sh.selectAt(rel, sel, v.s, func(r *row) { rows = append(rows, r) }); err != nil {
+			return nil, err
+		}
 	}
+	if len(v.e.shards) > 1 {
+		// Shard-local scans come back in shard insertion order; sequence
+		// numbers are globally unique and define the merged order.
+		sort.Slice(rows, func(i, j int) bool { return rows[i].seq < rows[j].seq })
+	}
+	out := make([]db.Tuple, len(rows))
+	for i, r := range rows {
+		out[i] = r.tuple
+	}
+	return out, nil
 }
 
-func (e *Engine) numRowsAt(s uint64) int {
+// sum adds up a per-shard measure, the shards evaluated concurrently.
+func (v view) sum(f func(sh *shard) int64) int64 {
+	per := make([]int64, len(v.e.shards))
+	v.e.fan(v.e.all, func(i int, sh *shard) { per[i] = f(sh) })
+	var n int64
+	for _, c := range per {
+		n += c
+	}
+	return n
+}
+
+func (v view) NumRows() int {
+	return int(v.sum(func(sh *shard) int64 { return int64(sh.numRowsAt(v.s)) }))
+}
+
+func (v view) SupportSize() int {
+	return int(v.sum(func(sh *shard) int64 { return int64(sh.supportSizeAt(v.s)) }))
+}
+
+func (v view) ProvSize() int64 {
+	return v.sum(func(sh *shard) int64 { return sh.provSizeAt(v.s) })
+}
+
+// ProvDAGSize counts distinct expression nodes: shards count their
+// partitions in parallel into private seen sets, whose union dedupes
+// nodes shared across shards.
+func (v view) ProvDAGSize() int64 {
+	sets := make([]map[*core.Expr]struct{}, len(v.e.shards))
+	v.e.fan(v.e.all, func(i int, sh *shard) {
+		sets[i] = make(map[*core.Expr]struct{})
+		sh.provDAGSizeAt(sets[i], v.s)
+	})
+	union := sets[0]
+	for _, set := range sets[1:] {
+		for x := range set {
+			union[x] = struct{}{}
+		}
+	}
+	return int64(len(union))
+}
+
+// --- the engine's Reader surface: the view at the committed horizon -----
+
+// Annotation returns the provenance expression of the tuple at the
+// committed horizon, or nil if the tuple was never stored. In
+// normal-form mode the expression is materialized from the NF
+// representation. Lock-free: concurrent transactions never block it.
+func (e *Engine) Annotation(rel string, t db.Tuple) *core.Expr { return e.now().Annotation(rel, t) }
+
+// NF returns the normal-form value of the tuple in ModeNormalForm at
+// the committed horizon, or nil. The returned NF must not be mutated.
+func (e *Engine) NF(rel string, t db.Tuple) *core.NF { return e.now().NF(rel, t) }
+
+// EachRow calls f for every row of the relation visible at the
+// committed horizon (including tombstones outside the support) with its
+// tuple and annotation, in deterministic insertion order (the same
+// order Specialize and SpecializeParallel stream rows) — never map
+// order, and the same for every shard count, so snapshot bytes and
+// streamed results are stable across runs. In normal-form mode
+// annotations are materialized per call. The pass is lock-free and the
+// horizon is pinned on entry, so the visited rows form one consistent
+// epoch snapshot even while transactions commit concurrently; f may
+// freely call back into the engine.
+func (e *Engine) EachRow(rel string, f func(t db.Tuple, ann *core.Expr)) { e.now().EachRow(rel, f) }
+
+// Rows calls f for every row visible at the committed horizon —
+// relations in schema order, rows in insertion order — with the horizon
+// pinned once for the whole pass, so the visited rows form one
+// consistent cut across shards even while transactions are applied
+// concurrently. Snapshot saving uses this.
+func (e *Engine) Rows(f func(rel string, t db.Tuple, ann *core.Expr)) { e.now().Rows(f) }
+
+// Select implements Reader: the tuples the selection pattern matches
+// at the committed horizon, in insertion order, through the planner.
+func (e *Engine) Select(rel string, sel db.Pattern) ([]db.Tuple, error) {
+	return e.now().Select(rel, sel)
+}
+
+// SelectEach streams the tuples matching the selection at the
+// committed horizon to f, in insertion order, through the planner. On
+// one shard that is Select without materializing the result slice —
+// with an indexed =-constrained column the steady-state pass allocates
+// nothing (enforced by TestAllocFreeReads); across several the merged
+// order needs the sequence sort, so the result is materialized first.
+// f must not retain the tuples across engine mutations it triggers
+// itself.
+func (e *Engine) SelectEach(rel string, sel db.Pattern, f func(db.Tuple)) error {
+	if len(e.shards) == 1 {
+		return e.shards[0].selectAt(rel, sel, e.Horizon(), func(r *row) { f(r.tuple) })
+	}
+	tuples, err := e.Select(rel, sel)
+	for _, t := range tuples {
+		f(t)
+	}
+	return err
+}
+
+// NumRows reports the total number of rows visible at the committed
+// horizon, including tombstones and tuples outside the support (the
+// paper's "database size" under provenance tracking, which exceeds the
+// plain database by ~2% on TPC-C).
+func (e *Engine) NumRows() int { return e.now().NumRows() }
+
+// SupportSize reports the number of visible rows whose annotation is
+// not syntactically zero.
+func (e *Engine) SupportSize() int { return e.now().SupportSize() }
+
+// ProvSize reports the total provenance size (tree size summed over all
+// visible rows) — the size measure of the paper's Section 6.
+func (e *Engine) ProvSize() int64 { return e.now().ProvSize() }
+
+// ProvDAGSize reports the number of distinct expression nodes backing
+// all visible annotations: shared subterms — shared within a row,
+// across rows, and across relations — are counted once. With
+// hash-consed expressions this is the number of nodes actually held in
+// memory for this engine's provenance, the companion measure to
+// ProvSize's per-occurrence tree count (the paper's Fig. 7b/8b report
+// the latter; the stats endpoint reports both).
+func (e *Engine) ProvDAGSize() int64 { return e.now().ProvDAGSize() }
+
+// --- horizon-pinned measures of one shard -------------------------------
+
+func (s *shard) numRowsAt(h uint64) int {
 	n := 0
-	for _, name := range e.schema.Names() {
-		tbl := e.tables[name]
+	for _, name := range s.schema.Names() {
+		tbl := s.tables[name]
 		// Visibility counting walks the sequence column; no row pointer
 		// is touched.
 		left := tbl.list.len()
@@ -515,7 +588,7 @@ func (e *Engine) numRowsAt(s uint64) int {
 			seqs = seqs[:min(len(seqs), left)]
 			left -= len(seqs)
 			for _, q := range seqs {
-				if q <= s {
+				if q <= h {
 					n++
 				}
 			}
@@ -524,11 +597,11 @@ func (e *Engine) numRowsAt(s uint64) int {
 	return n
 }
 
-func (e *Engine) supportSizeAt(s uint64) int {
+func (s *shard) supportSizeAt(h uint64) int {
 	n := 0
-	for _, name := range e.schema.Names() {
-		for _, r := range e.tables[name].list.snapshot() {
-			if v := r.at(s); v != nil && v.inSupport() {
+	for _, name := range s.schema.Names() {
+		for _, r := range s.tables[name].list.snapshot() {
+			if v := r.at(h); v != nil && v.inSupport() {
 				n++
 			}
 		}
@@ -536,11 +609,11 @@ func (e *Engine) supportSizeAt(s uint64) int {
 	return n
 }
 
-func (e *Engine) provSizeAt(s uint64) int64 {
+func (s *shard) provSizeAt(h uint64) int64 {
 	var n int64
-	for _, name := range e.schema.Names() {
-		for _, r := range e.tables[name].list.snapshot() {
-			if v := r.at(s); v != nil {
+	for _, name := range s.schema.Names() {
+		for _, r := range s.tables[name].list.snapshot() {
+			if v := r.at(h); v != nil {
 				n += v.nf.Size()
 			}
 		}
@@ -548,19 +621,13 @@ func (e *Engine) provSizeAt(s uint64) int64 {
 	return n
 }
 
-// provDAGSizeAt counts distinct nodes into a shared seen set, so a
-// sharded engine can union the per-shard counts without double-counting
-// nodes shared across shards.
-func (e *Engine) provDAGSizeAt(seen map[*core.Expr]struct{}, s uint64) int64 {
-	var n int64
-	for _, name := range e.schema.Names() {
-		for _, r := range e.tables[name].list.snapshot() {
-			v := r.at(s)
-			if v == nil {
-				continue
+// provDAGSizeAt adds the partition's distinct nodes to seen.
+func (s *shard) provDAGSizeAt(seen map[*core.Expr]struct{}, h uint64) {
+	for _, name := range s.schema.Names() {
+		for _, r := range s.tables[name].list.snapshot() {
+			if v := r.at(h); v != nil {
+				v.annotation().DAGSizeInto(seen)
 			}
-			n += v.annotation().DAGSizeInto(seen)
 		}
 	}
-	return n
 }

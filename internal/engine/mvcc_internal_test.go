@@ -15,26 +15,30 @@ func seqTestSchema(t *testing.T) *db.Schema {
 	))
 }
 
+// collectSeqs maps every stored row's sequence number to the row, over
+// all shards, failing on a duplicate.
 func collectSeqs(t *testing.T, e *Engine) map[uint64]string {
 	t.Helper()
 	seqs := make(map[uint64]string)
-	for _, rel := range e.schema.Names() {
-		for _, r := range e.tables[rel].list.snapshot() {
-			if prev, dup := seqs[r.seq]; dup {
-				t.Fatalf("rows %s and %s/%s share seq %#x", prev, rel, r.tuple, r.seq)
+	for _, sh := range e.shards {
+		for _, rel := range e.schema.Names() {
+			for _, r := range sh.tables[rel].list.snapshot() {
+				if prev, dup := seqs[r.seq]; dup {
+					t.Fatalf("rows %s and %s/%s share seq %#x", prev, rel, r.tuple, r.seq)
+				}
+				seqs[r.seq] = rel + "/" + r.tuple.String()
 			}
-			seqs[r.seq] = rel + "/" + r.tuple.String()
 		}
 	}
 	return seqs
 }
 
 // TestRowSeqUniqueness is the satellite regression for the
-// version-ordering bug: the plain engine applied without a coordinator
+// version-ordering bug: an engine applied without a batch dispatcher
 // (direct ApplyTransaction calls, no ApplyAll) used to leave every row
 // at sequence 0, which collapses MVCC validity intervals. Every live
 // row — across initial load and any mix of apply paths — must carry a
-// distinct sequence number, on both implementations.
+// distinct sequence number, for every shard count, and the same one.
 func TestRowSeqUniqueness(t *testing.T) {
 	schema := seqTestSchema(t)
 	initial := db.NewDatabase(schema)
@@ -52,60 +56,51 @@ func TestRowSeqUniqueness(t *testing.T) {
 			},
 		}
 	}
-
-	t.Run("plain_uncoordinated", func(t *testing.T) {
-		e := New(ModeNormalForm, initial)
-		for i := int64(0); i < 6; i++ {
-			tx := txn(i)
-			if err := e.ApplyTransaction(&tx); err != nil {
-				t.Fatal(err)
-			}
-		}
-		seqs := collectSeqs(t, e)
-		if want := 4 + 2*6; len(seqs) != want {
-			t.Fatalf("got %d distinct seqs, want %d rows", len(seqs), want)
-		}
-		// The initial load is epoch 0; every transaction's rows must sit
-		// in a later epoch, not at the zero value.
-		later := 0
-		for s := range seqs {
-			if SeqEpoch(s) > 0 {
-				later++
-			}
-		}
-		if want := 2 * 6; later != want {
-			t.Fatalf("%d rows in post-initial epochs, want %d (uncoordinated applies left rows at epoch 0)", later, want)
-		}
-	})
-
-	t.Run("sharded", func(t *testing.T) {
-		se := NewSharded(ModeNormalForm, initial, WithShards(4))
-		for i := int64(0); i < 6; i++ {
-			tx := txn(i)
-			if err := se.ApplyTransaction(&tx); err != nil {
-				t.Fatal(err)
-			}
-		}
-		seqs := make(map[uint64]string)
-		for _, sh := range se.shards {
-			for s, who := range collectSeqs(t, sh) {
-				if prev, dup := seqs[s]; dup {
-					t.Fatalf("rows %s and %s on different shards share seq %#x", prev, who, s)
+	var one map[uint64]string
+	for _, shards := range []int{1, 2, 3, 4, 8} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			e := New(ModeNormalForm, initial, WithShards(shards))
+			for i := int64(0); i < 6; i++ {
+				tx := txn(i)
+				if err := e.ApplyTransaction(&tx); err != nil {
+					t.Fatal(err)
 				}
-				seqs[s] = who
 			}
-		}
-		if want := 4 + 2*6; len(seqs) != want {
-			t.Fatalf("got %d distinct seqs, want %d rows", len(seqs), want)
-		}
-	})
+			seqs := collectSeqs(t, e)
+			if where := ListsOutOfSeqOrder(e); where != "" {
+				t.Fatalf("a table list is out of sequence order: %s", where)
+			}
+			if want := 4 + 2*6; len(seqs) != want {
+				t.Fatalf("got %d distinct seqs, want %d rows", len(seqs), want)
+			}
+			// The initial load is epoch 0; every transaction's rows must sit
+			// in a later epoch, not at the zero value.
+			later := 0
+			for s := range seqs {
+				if SeqEpoch(s) > 0 {
+					later++
+				}
+			}
+			if want := 2 * 6; later != want {
+				t.Fatalf("%d rows in post-initial epochs, want %d (direct applies left rows at epoch 0)", later, want)
+			}
+			if one == nil {
+				one = seqs
+			}
+			for s, who := range seqs {
+				if one[s] != who {
+					t.Fatalf("seq %#x is %s here and %q on one shard", s, who, one[s])
+				}
+			}
+		})
+	}
 }
 
 // TestScanAtCompactedIndexFallsBack pins the gating rule that a
 // compaction sweep (which drops posting-list entries and with them the
 // history they proved) disqualifies an index from historical scans:
-// scanAt must take the full-scan path even for horizons the index's
-// since watermark covers.
+// the pinned-horizon planner must take the full-scan path even for
+// horizons the index's since watermark covers.
 func TestScanAtCompactedIndexFallsBack(t *testing.T) {
 	schema := seqTestSchema(t)
 	e := New(ModeNormalForm, db.NewDatabase(schema))
@@ -123,7 +118,7 @@ func TestScanAtCompactedIndexFallsBack(t *testing.T) {
 	h := e.Horizon()
 
 	before := e.PlannerStats()
-	got, err := e.selectAt("R", sel, h)
+	got, err := e.At(h).Select("R", sel)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,9 +131,9 @@ func TestScanAtCompactedIndexFallsBack(t *testing.T) {
 
 	// Simulate a sweep having dropped entries: history above since is
 	// gone, so even covered horizons must fall back.
-	e.idx.tables["R"].cols[1].compacted = true
+	e.shards[0].idx.tables["R"].cols[1].compacted = true
 	before = e.PlannerStats()
-	got, err = e.selectAt("R", sel, h)
+	got, err = e.At(h).Select("R", sel)
 	if err != nil {
 		t.Fatal(err)
 	}

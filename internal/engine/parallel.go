@@ -19,67 +19,23 @@ import (
 // evaluation.
 const walkChunkRows = 1024
 
-// pinned is a Reader resolved to the engine-native storage behind it at
-// one horizon: exactly one of e/se is set.
-type pinned struct {
-	e  *Engine
-	se *ShardedEngine
-	at uint64
-}
-
-// pin resolves a Reader to its storage. Views carry their horizon;
-// everything else that can pin one — the live engines, and wrappers
-// forwarding At/Horizon such as wal.Store, wal.Follower or an embedding
-// struct — is pinned through its own At(Horizon()), so the set of
-// wrappers is open. ok=false means a foreign Reader that only the
-// generic Rows-based fallbacks can serve.
-func pin(r Reader) (p pinned, ok bool) {
+// pin resolves a Reader to the engine view behind it. Views carry
+// their horizon; everything else that can pin one — the live engine, and
+// wrappers forwarding At/Horizon such as wal.Store, wal.Follower or an
+// embedding struct — is pinned through its own At(Horizon()), so the
+// set of wrappers is open. ok=false means a foreign Reader that only
+// the generic Rows-based fallbacks can serve.
+func pin(r Reader) (v view, ok bool) {
 	if d, isDB := r.(interface {
 		At(seq uint64) View
 		Horizon() uint64
 	}); isDB {
 		r = d.At(d.Horizon())
 	}
-	switch v := r.(type) {
-	case *engineView:
-		return pinned{e: v.e, at: v.s}, true
-	case *shardedView:
-		return pinned{se: v.se, at: v.s}, true
+	if p, isView := r.(*view); isView {
+		return *p, true
 	}
-	return pinned{}, false
-}
-
-// ShardedBehind returns the hash-sharded engine serving r, looking
-// through views and persistent wrappers; ok=false on a single engine.
-func ShardedBehind(r Reader) (se *ShardedEngine, ok bool) {
-	p, _ := pin(r)
-	return p.se, p.se != nil
-}
-
-func (p pinned) schema() *db.Schema {
-	if p.se != nil {
-		return p.se.schema
-	}
-	return p.e.schema
-}
-
-// rows returns the relation's rows visible at the pinned horizon, in
-// insertion order. Lock-free: the list is snapshotted and rows beyond
-// the horizon excluded up front, so callers only resolve versions.
-func (p pinned) rows(rel string) []*row {
-	if p.se != nil {
-		return p.se.mergedRowsAt(rel, p.at)
-	}
-	tbl := p.e.tables[rel]
-	rows := tbl.list.snapshot()
-	// Visible rows form a prefix (plain-engine lists are
-	// sequence-ordered); the trim reads the sequence column instead of
-	// chasing row pointers.
-	n := len(rows)
-	for n > 0 && tbl.cols.seqs.at(n-1) > p.at {
-		n--
-	}
-	return rows[:n]
+	return view{}, false
 }
 
 // rowChunk is one relation-homogeneous run of at most walkChunkRows
@@ -110,10 +66,10 @@ func putChunkBuf(chunks []rowChunk) {
 // chunks cuts every relation's visible rows into fixed-size pieces in
 // the deterministic global order (schema order, then insertion order),
 // in a pooled buffer the caller returns through putChunkBuf.
-func (p pinned) chunks() []rowChunk {
+func (v view) chunks() []rowChunk {
 	chunks := (*chunkPool.Get().(*[]rowChunk))[:0]
-	for _, rel := range p.schema().Names() {
-		rows := p.rows(rel)
+	for _, rel := range v.e.schema.Names() {
+		rows := v.rows(rel)
 		for start := 0; start < len(rows); start += walkChunkRows {
 			end := min(start+walkChunkRows, len(rows))
 			chunks = append(chunks, rowChunk{rel: rel, rows: rows[start:end]})
@@ -196,7 +152,7 @@ func SpecializeParallel[T any](ctx context.Context, e Reader, s upstruct.Structu
 	defer putChunkBuf(chunks)
 	visit := func(_ int, c rowChunk) {
 		for _, r := range c.rows {
-			if ver := r.at(p.at); ver != nil {
+			if ver := r.at(p.s); ver != nil {
 				f(c.rel, r.tuple, upstruct.EvalNF(&ver.nf, s, env))
 			}
 		}
@@ -287,7 +243,7 @@ func liveChunks[R any](ctx context.Context, r Reader, workers int, newEval func(
 		return func(i int, c rowChunk) {
 			live = live[:0]
 			for _, r := range c.rows {
-				if ver := r.at(p.at); ver != nil && ev.EvalNF(&ver.nf) {
+				if ver := r.at(p.s); ver != nil && ev.EvalNF(&ver.nf) {
 					live = append(live, r.tuple)
 				}
 			}
@@ -332,8 +288,8 @@ func liveChunksGeneric[R any](r Reader, ev boolEval, visit func(c Chunk, live []
 // generic evaluator (env is opaque, so there is nothing to resolve or
 // memoise), with each chunk's live tuples copied out and inserted in
 // chunk order, so the result's insertion order matches the sequential
-// BoolRestrict on either engine (or view, or wrapper). env must be safe
-// for concurrent use. On cancellation, (nil, ctx.Err()) is returned.
+// BoolRestrict for any shard count (or view, or wrapper). env must be
+// safe for concurrent use. On cancellation, (nil, ctx.Err()) is returned.
 func BoolRestrictParallel(ctx context.Context, e Reader, env upstruct.Env[bool], workers int) (*db.Database, error) {
 	type hits struct {
 		rel    string

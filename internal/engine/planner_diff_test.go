@@ -9,6 +9,7 @@ import (
 	"sync"
 	"testing"
 
+	"hyperprov/internal/db"
 	"hyperprov/internal/engine"
 	"hyperprov/internal/workload"
 )
@@ -247,5 +248,166 @@ func TestShardedIndexStatsMerge(t *testing.T) {
 	ps := e.PlannerStats()
 	if ps.IndexScans == 0 && ps.IntersectScans == 0 {
 		t.Fatalf("sharded PlannerStats summed to nothing: %+v", ps)
+	}
+}
+
+// pinnedFamilyLog is a log over R(K, V), V ∈ 0…4, whose deletions and
+// modifications pin every attribute: rows present, absent, tombstoned
+// and revived, targets that are new, stored, or the source itself,
+// attribute conditions that hold and that fail — scripted first, then
+// at random. initial holds (k, k%3) for k < 10.
+func pinnedFamilyLog(r *rand.Rand) (initial *db.Database, txns []db.Transaction) {
+	schema := db.MustSchema(db.MustRelationSchema("R",
+		db.Attribute{Name: "K", Kind: db.KindInt},
+		db.Attribute{Name: "V", Kind: db.KindInt},
+	))
+	initial = db.NewDatabase(schema)
+	kv := func(k, v int) db.Tuple { return db.Tuple{db.I(int64(k)), db.I(int64(v))} }
+	for k := 0; k < 10; k++ {
+		if err := initial.InsertTuple("R", kv(k, k%3)); err != nil {
+			panic(err)
+		}
+	}
+	del := func(k, v int) db.Update { return db.Delete("R", db.ConstPattern(kv(k, v))) }
+	setV := func(k, v, to int) db.Update {
+		return db.Modify("R", db.ConstPattern(kv(k, v)), []db.SetClause{db.Keep(), db.SetTo(db.I(int64(to)))})
+	}
+	setK := func(k, v, to int) db.Update {
+		return db.Modify("R", db.ConstPattern(kv(k, v)), []db.SetClause{db.SetTo(db.I(int64(to))), db.Keep()})
+	}
+	differ, agree := db.AttrCond{Left: 0, Right: 1, Neq: true}, db.AttrCond{Left: 0, Right: 1}
+	for i, u := range []db.Update{
+		del(1, 1),                           // present
+		del(1, 1),                           // tombstoned
+		del(50, 0),                          // absent
+		db.Insert("R", kv(1, 1)), del(1, 1), // revived
+		setV(2, 2, 0),                   // onto a new row
+		setV(2, 2, 4),                   // from a tombstone
+		setK(6, 0, 9),                   // onto a stored row
+		setV(7, 1, 1),                   // onto itself
+		setV(60, 0, 1),                  // absent
+		del(8, 2).WithConds(differ),     // condition holds
+		del(0, 0).WithConds(differ),     // condition fails
+		setV(3, 0, 2).WithConds(agree),  // condition fails
+		setV(4, 1, 3).WithConds(differ), // condition holds
+		db.Delete("R", db.Pattern{db.AnyVar("k"), db.Const(db.I(0))}), // tombstones by hyperplane
+		del(9, 0), setV(3, 0, 1), db.Insert("R", kv(9, 0)), setK(9, 0, 3),
+	} {
+		txns = append(txns, db.Transaction{Label: fmt.Sprintf("s%d", i), Updates: []db.Update{u}})
+	}
+	for i := 0; i < 40; i++ {
+		tx := db.Transaction{Label: fmt.Sprintf("r%d", i)}
+		for q := 1 + r.Intn(3); q > 0; q-- {
+			k, v := r.Intn(12), r.Intn(5)
+			var u db.Update
+			switch r.Intn(5) {
+			case 0:
+				u = db.Insert("R", kv(k, v))
+			case 1:
+				u = del(k, v)
+			case 2:
+				u = setV(k, v, r.Intn(5))
+			case 3:
+				u = setK(k, v, r.Intn(12))
+			default:
+				u = db.Delete("R", db.Pattern{db.Const(db.I(int64(k))), db.AnyVar("v")})
+			}
+			if u.Kind != db.OpInsert && r.Intn(4) == 0 {
+				u = u.WithConds([]db.AttrCond{differ, agree}[r.Intn(2)])
+			}
+			tx.Updates = append(tx.Updates, u)
+		}
+		txns = append(txns, tx)
+	}
+	return initial, txns
+}
+
+// unpinV rewrites every fully constant selection K = k ∧ V = v of the
+// log into K = k ∧ V ∉ {0…4} \ {v}: the same rows over V's domain, but
+// no longer a point lookup to the planner.
+func unpinV(txns []db.Transaction) []db.Transaction {
+	out := make([]db.Transaction, len(txns))
+	for i, tx := range txns {
+		out[i] = db.Transaction{Label: tx.Label, Updates: append([]db.Update(nil), tx.Updates...)}
+		for j, u := range out[i].Updates {
+			if _, pinned := u.Sel.PinnedTuple(); u.Kind == db.OpInsert || !pinned {
+				continue
+			}
+			var others []db.Value
+			for v := int64(0); v < 5; v++ {
+				if db.I(v) != u.Sel[1].Value() {
+					others = append(others, db.I(v))
+				}
+			}
+			out[i].Updates[j].Sel = db.Pattern{u.Sel[0], db.VarNotEq("v", others...)}
+		}
+	}
+	return out
+}
+
+// TestPlannerDifferentialPinned is the contract of the planner's point
+// lookup: a selection pinning every attribute, answered by one probe of
+// the fingerprint map, leaves exactly the state the same selection
+// leaves when it is phrased so as to walk the relation or a posting
+// list — row order, annotation pointers and snapshot bytes — on one
+// shard and on eight, in both modes and under both matchability
+// semantics.
+func TestPlannerDifferentialPinned(t *testing.T) {
+	initial, pinned := pinnedFamilyLog(rand.New(rand.NewSource(617)))
+	unpinned := unpinV(pinned)
+	selections := uint64(0)
+	for _, tx := range pinned {
+		for _, u := range tx.Updates {
+			if u.Kind != db.OpInsert {
+				selections++
+			}
+		}
+	}
+	for _, mode := range []engine.Mode{engine.ModeNaive, engine.ModeNormalForm} {
+		for _, live := range []bool{false, true} {
+			var want []streamedRow
+			var wantSnap []byte
+			for _, shards := range []int{1, 8} {
+				for _, path := range []string{"probe", "fullscan", "indexscan"} {
+					label := fmt.Sprintf("%s live=%v shards=%d %s", mode, live, shards, path)
+					e := engine.New(mode, initial, engine.WithShards(shards), engine.WithLiveMatching(live))
+					txns := unpinned
+					switch path {
+					case "probe":
+						txns = pinned
+					case "indexscan":
+						if err := e.BuildIndex("R", "K"); err != nil {
+							t.Fatal(err)
+						}
+					}
+					if err := e.ApplyAll(context.Background(), txns); err != nil {
+						t.Fatalf("%s: %v", label, err)
+					}
+					got := streamRows(e)
+					if want == nil {
+						want, wantSnap = got, snapshotOf(t, e)
+					}
+					diffStreams(t, label, want, got)
+					if mode == engine.ModeNormalForm {
+						diffPointers(t, label, want, got)
+					}
+					if !bytes.Equal(wantSnap, snapshotOf(t, e)) {
+						t.Fatalf("%s: snapshot bytes differ from the probing one-shard engine", label)
+					}
+					// The access path under test is the one that ran, and every
+					// planned selection is counted under exactly one of the four.
+					ps := e.PlannerStats()
+					switch {
+					case path == "probe" && ps.PointLookups == 0,
+						path == "fullscan" && (ps.FullScans == 0 || ps.PointLookups+ps.IndexScans != 0),
+						path == "indexscan" && (ps.IndexScans == 0 || ps.PointLookups != 0):
+						t.Fatalf("%s: planner counters %+v", label, ps)
+					}
+					if planned := ps.FullScans + ps.IndexScans + ps.IntersectScans + ps.PointLookups; shards == 1 && planned != selections {
+						t.Fatalf("%s: %d selections planned, the log holds %d: %+v", label, planned, selections, ps)
+					}
+				}
+			}
+		}
 	}
 }

@@ -3,6 +3,7 @@ package engine_test
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"math/rand"
 	"sync"
 	"testing"
@@ -16,7 +17,10 @@ import (
 	"hyperprov/internal/workload"
 )
 
-var shardCounts = []int{1, 2, 8}
+// shardCounts are the partitions held against the one-shard engine,
+// which keeps its own independent references (the paper's literals, the
+// plain-database oracles, the provstore goldens).
+var shardCounts = []int{2, 3, 4, 8}
 
 // streamedRow captures one streamed row: relation, key and annotation,
 // in the engine's deterministic iteration order.
@@ -26,7 +30,7 @@ type streamedRow struct {
 	ann *core.Expr
 }
 
-func streamRows(e engine.DB) []streamedRow {
+func streamRows(e engine.Reader) []streamedRow {
 	var out []streamedRow
 	e.Rows(func(rel string, t db.Tuple, ann *core.Expr) {
 		out = append(out, streamedRow{rel, t.Key(), ann})
@@ -34,7 +38,7 @@ func streamRows(e engine.DB) []streamedRow {
 	return out
 }
 
-// diffStreams asserts the equivalence contract of the sharded engine:
+// diffStreams asserts the equivalence contract across shard counts:
 // same rows, same order, structurally identical annotations.
 func diffStreams(t *testing.T, label string, single, sharded []streamedRow) {
 	t.Helper()
@@ -54,13 +58,49 @@ func diffStreams(t *testing.T, label string, single, sharded []streamedRow) {
 	}
 }
 
-func snapshotOf(t *testing.T, e engine.DB) []byte {
+// diffPointers tightens diffStreams for normal-form engines, whose
+// annotations are hash-consed: equal means the same node.
+func diffPointers(t *testing.T, label string, want, got []streamedRow) {
+	t.Helper()
+	for i := range want {
+		if want[i].ann != got[i].ann {
+			t.Fatalf("%s: row %d (%s/%s) holds an equal annotation behind another pointer", label, i, want[i].rel, want[i].key)
+		}
+	}
+}
+
+func snapshotOf(t *testing.T, e engine.Reader) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	if err := provstore.SaveSnapshot(&buf, e); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
+}
+
+// diffEveryEpoch holds an engine of several shards to the one-shard
+// engine that applied the same log at every committed epoch, not only
+// the last: the views pinned at epoch k stream the same rows in the same
+// order with identical annotations — the same interned pointer in
+// normal-form mode — and save byte-identical snapshots.
+func diffEveryEpoch(t *testing.T, label string, single, sharded engine.DB) {
+	t.Helper()
+	last := engine.SeqEpoch(single.Horizon())
+	if got := engine.SeqEpoch(sharded.Horizon()); got != last {
+		t.Fatalf("%s: horizon epoch %d, single %d", label, got, last)
+	}
+	for k := uint64(0); k <= last; k++ {
+		at := fmt.Sprintf("%s, epoch %d", label, k)
+		a, b := single.At(engine.EpochSeq(k)), sharded.At(engine.EpochSeq(k))
+		want, got := streamRows(a), streamRows(b)
+		diffStreams(t, at, want, got)
+		if single.Mode() == engine.ModeNormalForm {
+			diffPointers(t, at, want, got)
+		}
+		if !bytes.Equal(snapshotOf(t, a), snapshotOf(t, b)) {
+			t.Fatalf("%s: snapshot bytes differ from single engine", at)
+		}
+	}
 }
 
 // TestShardedMatchesSingleRandom is the core differential test: random
@@ -82,7 +122,7 @@ func TestShardedMatchesSingleRandom(t *testing.T) {
 			want := streamRows(single)
 			wantSnap := snapshotOf(t, single)
 			for _, n := range shardCounts {
-				sh := engine.NewSharded(mode, initial, engine.WithShards(n))
+				sh := engine.New(mode, initial, engine.WithShards(n))
 				if sh.NumShards() != n {
 					t.Fatalf("NumShards = %d, want %d", sh.NumShards(), n)
 				}
@@ -91,6 +131,7 @@ func TestShardedMatchesSingleRandom(t *testing.T) {
 				}
 				label := mode.String()
 				diffStreams(t, label, want, streamRows(sh))
+				diffEveryEpoch(t, fmt.Sprintf("trial %d, %s, shards=%d", trial, label, n), single, sh)
 				if !bytes.Equal(wantSnap, snapshotOf(t, sh)) {
 					t.Fatalf("trial %d, %s, shards=%d: snapshot bytes differ from single engine",
 						trial, label, n)
@@ -126,8 +167,12 @@ func TestShardedMatchesSinglePinned(t *testing.T) {
 		}
 		want := streamRows(single)
 		wantSnap := snapshotOf(t, single)
+		// One shard is every transaction's destination: all routed.
+		if st := single.Stats(); st.Shards != 1 || st.Routed != uint64(len(txns)) || st.Rendezvous+st.FanOut != 0 {
+			t.Errorf("%s: one shard reports %+v for %d transactions", mode, st, len(txns))
+		}
 		for _, n := range shardCounts {
-			sh := engine.NewSharded(mode, initial, engine.WithShards(n))
+			sh := engine.New(mode, initial, engine.WithShards(n))
 			if err := sh.ApplyAll(context.Background(), txns); err != nil {
 				t.Fatal(err)
 			}
@@ -135,6 +180,7 @@ func TestShardedMatchesSinglePinned(t *testing.T) {
 			if !bytes.Equal(wantSnap, snapshotOf(t, sh)) {
 				t.Fatalf("%s, shards=%d: snapshot bytes differ", mode, n)
 			}
+			diffEveryEpoch(t, fmt.Sprintf("%s, shards=%d", mode, n), single, sh)
 			st := sh.Stats()
 			if st.FanOut != 0 {
 				t.Errorf("%s, shards=%d: pinned workload fanned out %d transactions", mode, n, st.FanOut)
@@ -143,7 +189,7 @@ func TestShardedMatchesSinglePinned(t *testing.T) {
 				t.Errorf("%s, shards=%d: routed %d + rendezvous %d ≠ %d transactions",
 					mode, n, st.Routed, st.Rendezvous, len(txns))
 			}
-			if n > 1 && st.Routed == 0 {
+			if st.Routed == 0 {
 				t.Errorf("%s, shards=%d: no transaction took the single-shard fast path", mode, n)
 			}
 			rows := 0
@@ -170,8 +216,8 @@ func TestShardedMatchesSingleWorkload(t *testing.T) {
 	}
 	for _, mode := range []engine.Mode{engine.ModeNaive, engine.ModeNormalForm} {
 		single := engine.Open(mode, initial)
-		if _, ok := single.(*engine.Engine); !ok {
-			t.Fatalf("Open without WithShards returned %T", single)
+		if n := single.(*engine.Engine).NumShards(); n != 1 {
+			t.Fatalf("Open without WithShards built %d shards", n)
 		}
 		if err := single.ApplyAll(context.Background(), txns); err != nil {
 			t.Fatal(err)
@@ -187,15 +233,16 @@ func TestShardedMatchesSingleWorkload(t *testing.T) {
 		engine.Specialize[upstruct.Set](single, upstruct.Sets, setEnv, func(rel string, tp db.Tuple, v upstruct.Set) {
 			wantSets = append(wantSets, v)
 		})
-		for _, n := range []int{2, 8} {
+		for _, n := range shardCounts {
 			sh := engine.Open(mode, initial, engine.WithShards(n))
-			if _, ok := sh.(*engine.ShardedEngine); !ok {
-				t.Fatalf("Open with WithShards(%d) returned %T", n, sh)
+			if got := sh.(*engine.Engine).NumShards(); got != n {
+				t.Fatalf("Open with WithShards(%d) built %d shards", n, got)
 			}
 			if err := sh.ApplyAll(context.Background(), txns); err != nil {
 				t.Fatal(err)
 			}
 			diffStreams(t, mode.String(), want, streamRows(sh))
+			diffEveryEpoch(t, fmt.Sprintf("%s, shards=%d", mode, n), single, sh)
 			i := 0
 			engine.Specialize[bool](sh, upstruct.Bool, boolEnv, func(rel string, tp db.Tuple, v bool) {
 				if i < len(wantBool) && v != wantBool[i] {
@@ -238,7 +285,7 @@ func TestShardedMatchesSingleTPCC(t *testing.T) {
 	want := streamRows(single)
 	wantSnap := snapshotOf(t, single)
 	for _, n := range shardCounts {
-		sh := engine.NewSharded(engine.ModeNormalForm, initial, engine.WithShards(n))
+		sh := engine.New(engine.ModeNormalForm, initial, engine.WithShards(n))
 		if err := sh.ApplyAll(context.Background(), txns); err != nil {
 			t.Fatal(err)
 		}
@@ -246,13 +293,14 @@ func TestShardedMatchesSingleTPCC(t *testing.T) {
 		if !bytes.Equal(wantSnap, snapshotOf(t, sh)) {
 			t.Fatalf("shards=%d: TPC-C snapshot bytes differ from single engine", n)
 		}
+		diffEveryEpoch(t, fmt.Sprintf("tpcc, shards=%d", n), single, sh)
 	}
 }
 
-// TestShardedSnapshotRoundTrip: snapshots restore into sharded engines
-// of any shard count (RestoreRow routes by key), and re-saving — with
-// the sequential and the parallel encoder alike — reproduces the
-// original bytes.
+// TestShardedSnapshotRoundTrip: snapshots restore into engines of any
+// shard count (RestoreRow routes by fingerprint), and re-saving
+// reproduces the original bytes — at the end and, one restore epoch per
+// row, at every epoch on the way, next to a one-shard restore.
 func TestShardedSnapshotRoundTrip(t *testing.T) {
 	cfg := workload.Config{Tuples: 150, Updates: 200, QueriesPerTxn: 3, Seed: 11}
 	initial, txns, err := workload.GeneratePinned(cfg)
@@ -264,19 +312,25 @@ func TestShardedSnapshotRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	orig := snapshotOf(t, e)
+	single, err := provstore.LoadSnapshot(bytes.NewReader(orig))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(orig, snapshotOf(t, single)) {
+		t.Fatal("one shard: save→load→save not byte-idempotent")
+	}
 	for _, n := range shardCounts {
 		restored, err := provstore.LoadSnapshot(bytes.NewReader(orig), engine.WithShards(n))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if n > 1 {
-			if _, ok := restored.(*engine.ShardedEngine); !ok {
-				t.Fatalf("LoadSnapshot with WithShards(%d) returned %T", n, restored)
-			}
+		if got := restored.NumShards(); got != n {
+			t.Fatalf("LoadSnapshot with WithShards(%d) built %d shards", n, got)
 		}
 		if !bytes.Equal(orig, snapshotOf(t, restored)) {
 			t.Fatalf("shards=%d: save→load→save not byte-idempotent", n)
 		}
+		diffEveryEpoch(t, fmt.Sprintf("restored, shards=%d", n), single, restored)
 	}
 }
 
@@ -288,7 +342,7 @@ func TestShardedApplyAllCancellation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sh := engine.NewSharded(engine.ModeNormalForm, initial, engine.WithShards(4))
+	sh := engine.New(engine.ModeNormalForm, initial, engine.WithShards(4))
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	if err := sh.ApplyAll(ctx, txns); err == nil {
@@ -301,7 +355,7 @@ func TestShardedApplyAllCancellation(t *testing.T) {
 }
 
 // TestShardedConcurrentReadersDuringApply hammers the read surface of
-// the sharded engine while ApplyAll ingests a batch on another
+// an eight-shard engine while ApplyAll ingests a batch on another
 // goroutine — run with -race. Afterwards the state must match a single
 // engine that applied the same log.
 func TestShardedConcurrentReadersDuringApply(t *testing.T) {
@@ -310,7 +364,7 @@ func TestShardedConcurrentReadersDuringApply(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sh := engine.NewSharded(engine.ModeNormalForm, initial, engine.WithShards(8))
+	sh := engine.New(engine.ModeNormalForm, initial, engine.WithShards(8))
 
 	var probe db.Tuple
 	sh.EachRow("R", func(tp db.Tuple, ann *core.Expr) {
@@ -390,7 +444,7 @@ func TestShardedMinimizeAll(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, n := range shardCounts {
-		sh := engine.NewSharded(engine.ModeNormalForm, initial, engine.WithShards(n))
+		sh := engine.New(engine.ModeNormalForm, initial, engine.WithShards(n))
 		if err := sh.ApplyAll(context.Background(), txns); err != nil {
 			t.Fatal(err)
 		}

@@ -28,7 +28,7 @@ import (
 //     or version pointer, and visibility counting walks the sequence
 //     column without touching rows at all.
 //
-// Memory model: the writer is serialized by the engine write lock. It
+// Memory model: the writer is serialized by the shard write lock. It
 // stores elements with plain writes, then publishes them through an
 // atomic store (the map's slot pointer, or the table list's length);
 // readers load the atomic first and only then read the plainly-written
@@ -44,7 +44,7 @@ type rowSlots struct {
 
 // rowMap is the fingerprint-keyed row index of a table. Readers use
 // get concurrently with a writer's add; the writer is serialized by
-// the engine lock.
+// the shard lock.
 type rowMap struct {
 	tab atomic.Pointer[rowSlots]
 	n   int // writer-only: rows stored
@@ -70,7 +70,7 @@ func (m *rowMap) get(fp uint64, t db.Tuple) *row {
 	}
 }
 
-// add stores a new row (writer-only, under the engine lock). The row's
+// add stores a new row (writer-only, under the shard lock). The row's
 // fp must be set. Load is kept under 3/4 so reader probes always
 // terminate at an empty slot.
 func (m *rowMap) add(r *row) {
@@ -219,16 +219,16 @@ func (c *colStore) append(t db.Tuple, seq uint64, n int) {
 
 // --- writer scratch ------------------------------------------------------
 
-// getScanBuf returns an empty row buffer from the engine's free-list.
+// getScanBuf returns an empty row buffer from the shard's free-list.
 // The free-list is writer-owned: every caller of scan/filterRows holds
-// the engine write lock (fanModify holds each shard's lock while that
+// the shard's write lock (fanModify holds each shard's lock while that
 // shard scans), so no synchronization is needed. Buffers handed out by
 // scan must come back through putScanBuf once the update is done with
 // them — an unpaired buffer is merely garbage-collected, never corrupt.
-func (e *Engine) getScanBuf() []*row {
-	if n := len(e.scanBufs); n > 0 {
-		buf := e.scanBufs[n-1]
-		e.scanBufs = e.scanBufs[:n-1]
+func (s *shard) getScanBuf() []*row {
+	if n := len(s.scanBufs); n > 0 {
+		buf := s.scanBufs[n-1]
+		s.scanBufs = s.scanBufs[:n-1]
 		return buf
 	}
 	return make([]*row, 0, 64)
@@ -240,10 +240,10 @@ func (e *Engine) getScanBuf() []*row {
 // comes back here cleared — so a buffer that once held a huge selection
 // costs later updates their own result size, not its capacity. Accepts
 // nil (the absent-posting-list shortcut returns nil, not a buffer).
-func (e *Engine) putScanBuf(buf []*row) {
+func (s *shard) putScanBuf(buf []*row) {
 	if cap(buf) == 0 {
 		return
 	}
 	clear(buf)
-	e.scanBufs = append(e.scanBufs, buf[:0])
+	s.scanBufs = append(s.scanBufs, buf[:0])
 }

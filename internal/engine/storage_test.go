@@ -85,11 +85,12 @@ func kvEngine(t *testing.T, rows int, opts ...Option) *Engine {
 }
 
 // TestKindMismatchedConstant: nothing validates an update handed to
-// Begin/Apply/End directly, and a constant of another kind than its
+// ApplyTransaction directly, and a constant of another kind than its
 // column may share the payload word of a stored value. It must select
 // what it always did — values compare by kind and word — on the column
-// prefilter and on the posting-list path alike; likewise a stored value
-// of the wrong kind is matched only by a constant of that kind.
+// prefilter, on the posting-list path and on the fully pinned point
+// lookup alike; likewise a stored value of the wrong kind is matched
+// only by a constant of that kind.
 func TestKindMismatchedConstant(t *testing.T) {
 	floatSeven := db.F(math.Float64frombits(7)) // the word of I(7), another kind
 	for _, indexed := range []bool{false, true} {
@@ -101,11 +102,10 @@ func TestKindMismatchedConstant(t *testing.T) {
 				}
 			}
 			apply := func(label string, u db.Update) {
-				e.Begin(label)
-				if err := e.Apply(u); err != nil {
+				tx := db.Transaction{Label: label, Updates: []db.Update{u}}
+				if err := e.ApplyTransaction(&tx); err != nil {
 					t.Fatal(err)
 				}
-				e.End()
 			}
 			live := func(tu db.Tuple) bool {
 				ann := e.Annotation("R", tu)
@@ -126,6 +126,26 @@ func TestKindMismatchedConstant(t *testing.T) {
 			if live(odd) {
 				t.Fatal("K = float(bits 7) did not delete the float row it equals")
 			}
+			// The same three steps with every attribute constant: the
+			// planner's point lookup fingerprints kind and word.
+			probes := e.PlannerStats().PointLookups
+			apply("p1", db.Delete("R", db.Pattern{db.Const(db.F(math.Float64frombits(8))), db.Const(db.I(1))}))
+			if !live(kv(8, 1)) {
+				t.Fatal("a pinned float constant deleted the int row sharing its payload word")
+			}
+			odd = db.Tuple{db.F(math.Float64frombits(8)), db.I(1)}
+			apply("i2", db.Insert("R", odd))
+			apply("p2", db.Delete("R", db.ConstPattern(kv(8, 1))))
+			if live(kv(8, 1)) || !live(odd) {
+				t.Fatalf("pinned (int 8, 1) must delete the int row only: int row live %v, float row live %v", live(kv(8, 1)), live(odd))
+			}
+			apply("p3", db.Delete("R", db.ConstPattern(odd)))
+			if live(odd) {
+				t.Fatal("pinned (float(bits 8), 1) did not delete the float row it equals")
+			}
+			if got := e.PlannerStats().PointLookups - probes; got != 3 {
+				t.Fatalf("%d point lookups for three fully pinned deletions", got)
+			}
 		})
 	}
 }
@@ -136,7 +156,7 @@ func TestKindMismatchedConstant(t *testing.T) {
 // size — and the free-list still never retains a row.
 func TestScanBufReleaseIsResultSized(t *testing.T) {
 	const rows = 20000
-	e := kvEngine(t, rows)
+	e := kvEngine(t, rows).shards[0]
 	tbl := e.tables["R"]
 	all := db.Delete("R", db.Pattern{db.VarNotEq("k", db.I(-1)), db.AnyVar("v")})
 	e.mu.Lock()
@@ -171,6 +191,37 @@ func TestScanBufReleaseIsResultSized(t *testing.T) {
 	pooled[len(pooled)-1] = nil
 }
 
+// TestPinnedScanAllocFree: a selection pinning every attribute is
+// answered from writer-owned scratch — the probe tuple and the result
+// buffer — so asking for a tuple that is not there, or one that is,
+// allocates nothing once both are warm.
+func TestPinnedScanAllocFree(t *testing.T) {
+	e := kvEngine(t, 100).shards[0]
+	tbl := e.tables["R"]
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	for name, u := range map[string]db.Update{
+		"absent":  db.Delete("R", db.ConstPattern(kv(1000, 0))),
+		"present": db.Delete("R", db.ConstPattern(kv(5, 5))),
+	} {
+		want := 0
+		if name == "present" {
+			want = 1
+		}
+		scan := func() {
+			rows := e.scan(tbl, u)
+			if len(rows) != want {
+				t.Fatalf("%s: scan returned %d rows, want %d", name, len(rows), want)
+			}
+			e.putScanBuf(rows)
+		}
+		scan()
+		if avg := testing.AllocsPerRun(200, scan); avg != 0 {
+			t.Errorf("%s: a pinned scan allocates %v times, want 0", name, avg)
+		}
+	}
+}
+
 // TestModifyScratchBounded: the grouping scratch is reused across small
 // modifications, references no tuple or expression between updates, and
 // a 100 000-source modification — into as many targets, then into one —
@@ -178,8 +229,9 @@ func TestScanBufReleaseIsResultSized(t *testing.T) {
 func TestModifyScratchBounded(t *testing.T) {
 	const rows = 100000
 	e := kvEngine(t, rows)
+	mod := &e.shards[0].mod
 	retained := func() (bytes int) {
-		s := &e.mod
+		s := mod
 		if s.n != 0 || len(s.groups) != 0 {
 			t.Fatalf("scratch holds %d groups, %d map entries between updates", s.n, len(s.groups))
 		}
@@ -206,8 +258,8 @@ func TestModifyScratchBounded(t *testing.T) {
 	everyRow := db.Pattern{db.VarNotEq("k", db.I(-1)), db.AnyVar("v")}
 	// 100 000 sources into 100 000 targets, then all of them into one.
 	modify("spread", everyRow, []db.SetClause{db.Keep(), db.SetTo(db.I(100))})
-	if e.mod.groups != nil || retained() != 0 {
-		t.Fatalf("a %d-group modification left map %v and %d bytes of groups behind", rows, e.mod.groups != nil, retained())
+	if mod.groups != nil || retained() != 0 {
+		t.Fatalf("a %d-group modification left map %v and %d bytes of groups behind", rows, mod.groups != nil, retained())
 	}
 	modify("merge", everyRow, []db.SetClause{db.SetTo(db.I(0)), db.SetTo(db.I(0))})
 	if got := retained(); got >= 1000 {
@@ -215,9 +267,9 @@ func TestModifyScratchBounded(t *testing.T) {
 	}
 	// Small modifications reuse what the previous one allocated.
 	modify("warm", db.Pattern{db.Const(db.I(0)), db.Const(db.I(0))}, []db.SetClause{db.Keep(), db.SetTo(db.I(1))})
-	group, order := e.mod.order[0], &e.mod.order[0]
+	group, order := mod.order[0], &mod.order[0]
 	modify("again", db.Pattern{db.Const(db.I(0)), db.Const(db.I(1))}, []db.SetClause{db.Keep(), db.SetTo(db.I(2))})
-	if e.mod.order[0] != group || &e.mod.order[0] != order {
+	if mod.order[0] != group || &mod.order[0] != order {
 		t.Fatal("a one-row modification did not reuse the scratch of the one before it")
 	}
 	retained()

@@ -127,6 +127,12 @@ func TestChunkWalkerThroughWrappers(t *testing.T) {
 					t.Errorf("%s: SpecializeParallel saw %d live of %d rows, want %d live", name, live.Load(), rows.Load(), len(rd.want))
 				}
 
+				// The same resolution serves the stats endpoint's sharding
+				// section: every engine-backed reader has one.
+				if st, ok := ShardStatsOf(rd.r); ok != rd.chunked || (ok && st.Shards != shards) {
+					t.Errorf("%s: ShardStatsOf = %+v, %v", name, st, ok)
+				}
+
 				if walked := chunkWalks.Load() - before; rd.chunked && walked < 3 {
 					t.Errorf("%s: %d chunked passes for three calls: a wrapper fell back", name, walked)
 				} else if !rd.chunked && walked != 0 {

@@ -18,9 +18,9 @@ const snapshotMagic = "HPRV1\n"
 
 // Source is the engine surface the snapshot writer needs: the mode, the
 // schema, and one deterministic pass over every stored row, relations
-// in schema order. Both engine.Engine and engine.ShardedEngine satisfy
-// it (engine.DB embeds it), and both stream rows in the same order, so
-// the snapshot bytes are independent of the shard count. NumRows sizes
+// in schema order. engine.Engine and its pinned views satisfy it
+// (engine.Reader embeds it) and stream rows in the same order for every
+// shard count, so the snapshot bytes are independent of it. NumRows sizes
 // the row list; a commit between it and Rows only makes the list grow.
 type Source interface {
 	Mode() engine.Mode
@@ -118,9 +118,9 @@ func SaveSnapshot(w io.Writer, src Source) error {
 // LoadSnapshot restores an annotated database saved by SaveSnapshot.
 // The engine mode is taken from the snapshot; in normal-form mode every
 // restored annotation becomes the tuple's base expression. Options pass
-// through to engine.OpenEmpty — engine.WithShards(n) restores into a
-// hash-sharded engine; the default is the plain single engine.
-func LoadSnapshot(r io.Reader, opts ...engine.Option) (engine.DB, error) {
+// through to engine.NewEmpty — engine.WithShards(n) restores into n
+// storage shards; the default is one.
+func LoadSnapshot(r io.Reader, opts ...engine.Option) (*engine.Engine, error) {
 	br := bufio.NewReader(r)
 	magic := make([]byte, len(snapshotMagic))
 	if _, err := io.ReadFull(br, magic); err != nil {
@@ -192,7 +192,7 @@ func LoadSnapshot(r io.Reader, opts ...engine.Option) (engine.DB, error) {
 		return nil, err
 	}
 
-	e := engine.OpenEmpty(mode, schema, opts...)
+	e := engine.NewEmpty(mode, schema, opts...)
 	for _, rel := range rels {
 		nRows, err := binary.ReadUvarint(br)
 		if err != nil {

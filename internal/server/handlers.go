@@ -477,8 +477,8 @@ func (l *limitReader) Read(p []byte) (int, error) {
 
 // handleSnapshotLoad restores a snapshot and atomically swaps it in as
 // the served engine; in-flight requests finish against the old one.
-// ?shards=N restores into a hash-sharded engine (default: the single
-// engine); the snapshot bytes are identical either way.
+// ?shards=N restores into N storage shards (default 1); the snapshot
+// bytes are identical either way.
 func (s *Server) handleSnapshotLoad(w http.ResponseWriter, req *http.Request) {
 	if _, ok := s.Engine().(*wal.Store); ok {
 		// Swapping an in-memory engine over a persistent store would

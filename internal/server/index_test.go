@@ -103,11 +103,19 @@ func TestIndexEndpoints(t *testing.T) {
 		t.Fatal(err)
 	}
 	stats := decode[map[string]any](t, resp)
-	for _, key := range []string{"plannerFullScans", "plannerIndexScans", "plannerIntersectScans",
-		"plannerAutoBuilds", "plannerCompactions", "plannerRowsScanned", "plannerRowsMatched", "indexes"} {
+	for _, key := range []string{"plannerFullScans", "plannerIndexScans", "plannerIntersectScans", "plannerPointLookups",
+		"plannerAutoBuilds", "plannerCompactions", "plannerRowsScanned", "plannerRowsMatched", "indexes",
+		"shards", "shardRouted", "shardRendezvous", "shardFanout", "rowsPerShard"} {
 		if _, ok := stats[key]; !ok {
 			t.Errorf("/v1/stats missing %q: %v", key, stats)
 		}
+	}
+	// The sharding section comes from every engine, one shard included.
+	if n, _ := stats["shards"].(float64); n != 1 {
+		t.Errorf("/v1/stats shards = %v, want 1", stats["shards"])
+	}
+	if per, _ := stats["rowsPerShard"].([]any); len(per) != 1 {
+		t.Errorf("/v1/stats rowsPerShard = %v, want one count", stats["rowsPerShard"])
 	}
 	if n, _ := stats["indexes"].(float64); n != 2 {
 		t.Errorf("/v1/stats indexes = %v, want 2", stats["indexes"])

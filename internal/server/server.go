@@ -34,10 +34,9 @@ type engineRef struct {
 	gen uint64
 }
 
-// Server serves one provenance engine over HTTP — either implementation
-// of engine.DB (the single-lock Engine or the hash-sharded
-// ShardedEngine) behind the same handlers. The zero value is not
-// usable; construct with New.
+// Server serves one provenance engine over HTTP — any engine.DB (an
+// Engine, or a persistent store or follower wrapping one) behind the
+// same handlers. The zero value is not usable; construct with New.
 type Server struct {
 	eng atomic.Pointer[engineRef] // swapped whole by snapshot load
 

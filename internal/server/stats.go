@@ -77,6 +77,7 @@ func collectPlannerStats(s *Server, e engine.DB, out map[string]any) {
 	out["plannerFullScans"] = ps.FullScans
 	out["plannerIndexScans"] = ps.IndexScans
 	out["plannerIntersectScans"] = ps.IntersectScans
+	out["plannerPointLookups"] = ps.PointLookups
 	out["plannerAutoBuilds"] = ps.AutoBuilds
 	out["plannerCompactions"] = ps.Compactions
 	out["plannerRowsScanned"] = ps.RowsScanned
@@ -105,10 +106,9 @@ func collectReplicationStats(s *Server, e engine.DB, out map[string]any) {
 }
 
 // collectShardingStats looks through persistent wrappers for the
-// hash-sharded engine's routing gauges; absent on single engines.
+// engine's shard count, routing counters and row distribution.
 func collectShardingStats(s *Server, e engine.DB, out map[string]any) {
-	if se, ok := engine.ShardedBehind(e); ok {
-		st := se.Stats()
+	if st, ok := engine.ShardStatsOf(e); ok {
 		out["shards"] = st.Shards
 		out["shardRouted"] = st.Routed
 		out["shardRendezvous"] = st.Rendezvous

@@ -109,8 +109,8 @@ func (m *Manager) hookFor(src engine.DB) engine.CommitHook {
 	}
 }
 
-// storeLastSeq advances lastSeq monotonically (sharded engines may
-// report an epoch after a tracker batch already covered it).
+// storeLastSeq advances lastSeq monotonically (an engine of several
+// shards may report an epoch after a tracker batch already covered it).
 func (m *Manager) storeLastSeq(seq uint64) {
 	for {
 		cur := m.lastSeq.Load()

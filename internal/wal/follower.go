@@ -649,10 +649,6 @@ func (f *Follower) IndexStats() []engine.IndexInfo { return f.db().IndexStats() 
 // PlannerStats implements engine.DB.
 func (f *Follower) PlannerStats() engine.PlannerStats { return f.db().PlannerStats() }
 
-// Underlying exposes the replayed engine for diagnostics, mirroring
-// Store.Underlying.
-func (f *Follower) Underlying() engine.DB { return f.db().Underlying() }
-
 // ApplyTransaction implements engine.DB; followers refuse writes.
 func (f *Follower) ApplyTransaction(*db.Transaction) error { return ErrFollower }
 
@@ -731,7 +727,7 @@ func newFollowerCore(dir string, release func(), o options) (*Store, error) {
 // incremental-from-zero stream: META plus an empty engine, exactly the
 // layout a leader bootstrap with no initial rows produces.
 func (s *Store) bootstrapEmptyFollower(mode engine.Mode, schema *db.Schema) error {
-	s.setEngine(engine.OpenEmpty(mode, schema, s.opts.engOpts...))
+	s.setEngine(engine.NewEmpty(mode, schema, s.opts.engOpts...))
 	if err := writeMeta(s.fs, s.dir, mode, schema, false); err != nil {
 		return err
 	}

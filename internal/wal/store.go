@@ -192,7 +192,7 @@ type Store struct {
 	// (bootstrap, recovery, follower resync) swap it under mu, but the
 	// lock-free read surface loads it without the lock — a follower
 	// resync replacing the engine must not race pinned readers.
-	eng       atomic.Pointer[engine.DB]
+	eng       atomic.Pointer[engine.Engine]
 	lw        *logWriter
 	lsn       uint64 // next LSN to assign
 	ckptLSN   uint64 // records below this are in the latest checkpoint
@@ -246,26 +246,21 @@ var _ engine.DB = (*Store)(nil)
 
 // engine loads the served engine without taking mu — the read
 // delegation surface is lock-free, exactly like the engine itself.
-func (s *Store) engine() engine.DB {
-	if p := s.eng.Load(); p != nil {
-		return *p
-	}
-	return nil
-}
+func (s *Store) engine() *engine.Engine { return s.eng.Load() }
 
 // setEngine swaps the served engine. Callers hold mu (or, during
 // Open/bootstrap, have exclusive ownership of the store). A commit
 // hook installed on the store moves to the new engine, and the swap is
 // announced to it as a CommitReset at the new engine's horizon:
 // subscribers must rebuild, exactly as after a follower resync.
-func (s *Store) setEngine(e engine.DB) {
+func (s *Store) setEngine(e *engine.Engine) {
 	s.hookMu.Lock()
 	h := s.hook
 	s.hookMu.Unlock()
 	if e != nil && h != nil {
 		e.SetCommitHook(h)
 	}
-	s.eng.Store(&e)
+	s.eng.Store(e)
 	if e != nil && h != nil {
 		hz := e.Horizon()
 		h(engine.CommitEvent{Kind: engine.CommitReset, Epoch: engine.SeqEpoch(hz), Seq: hz})
@@ -416,7 +411,7 @@ func (s *Store) bootstrap() error {
 		}
 		initial = db.NewDatabase(s.opts.schema)
 	}
-	s.setEngine(engine.Open(s.opts.mode, initial, s.opts.engOpts...))
+	s.setEngine(engine.New(s.opts.mode, initial, s.opts.engOpts...))
 	hasInit := s.engine().NumRows() > 0
 	if hasInit {
 		// The bootstrap rows exist only in memory; a checkpoint is the
@@ -475,7 +470,7 @@ func (s *Store) recover(meta *metaInfo) error {
 		if meta.hasInit {
 			return fmt.Errorf("%w: initial checkpoint is missing", ErrCorrupt)
 		}
-		s.setEngine(engine.OpenEmpty(meta.mode, meta.schema, s.opts.engOpts...))
+		s.setEngine(engine.NewEmpty(meta.mode, meta.schema, s.opts.engOpts...))
 	}
 
 	segs, err := listSeqFiles(s.fs, s.dir, segPrefix, segSuffix)
@@ -757,7 +752,7 @@ func (s *Store) applyChunk(chunk []db.Transaction) (applied int, err error) {
 		if err := s.appendLocked(s.encodeChunkLocked(chunk)...); err != nil {
 			return 0, err
 		}
-		// Validated above: cannot fail, so the sharded engine's
+		// Validated above: cannot fail, so the batch pipeline's
 		// stop-on-error nondeterminism is unreachable here.
 		applied, err = s.engine().ApplyBatch(context.Background(), chunk)
 		s.maybeCheckpointLocked()
@@ -1059,10 +1054,6 @@ func (s *Store) Crash() {
 	s.lw.crash()
 	s.release()
 }
-
-// Underlying exposes the wrapped engine for diagnostics (the server's
-// sharded-stats endpoint type-asserts on the concrete engine).
-func (s *Store) Underlying() engine.DB { return s.engine() }
 
 // Dir returns the data directory.
 func (s *Store) Dir() string { return s.dir }

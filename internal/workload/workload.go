@@ -175,10 +175,11 @@ func Generate(cfg Config) (*db.Database, []db.Transaction, error) {
 // GeneratePinned builds an initial database and an update sequence in
 // which every selection is a fully pinned constant pattern: each delete
 // and modify names one concrete live tuple (tracked through a mirror of
-// the database state). Under the sharded engine such updates route to a
-// single shard and resolve with an O(1) point lookup instead of an
-// O(rows) scan, so this workload isolates the shard-routing fast path —
-// it is the input of the sharded-apply benchmarks.
+// the database state). Such updates resolve with the planner's O(1)
+// point lookup instead of an O(rows) scan, and across several shards
+// each locks only the shard owning its tuple, so this workload isolates
+// routing and the batch pipeline — it is the input of the sharded-apply
+// benchmarks.
 func GeneratePinned(cfg Config) (*db.Database, []db.Transaction, error) {
 	if cfg.QueriesPerTxn <= 0 {
 		cfg.QueriesPerTxn = 1
@@ -262,9 +263,9 @@ func GeneratePinned(cfg Config) (*db.Database, []db.Transaction, error) {
 //     planner's full-scan fallback, excluding every cat so the shape
 //     costs a scan but matches nothing).
 //
-// No selection pins every attribute, so under a sharded engine every
-// delete/modify fans out and exercises per-shard scans rather than the
-// point-lookup routing fast path.
+// No selection pins every attribute, so every delete/modify goes
+// through a posting-list or full scan — fanned out per shard when there
+// are several — never through the point lookup.
 func GenerateMultiColumn(cfg Config) (*db.Database, []db.Transaction, error) {
 	if cfg.Group <= 0 {
 		cfg.Group = 1
