@@ -387,33 +387,49 @@ func BenchmarkProvstoreSnapshot(b *testing.B) {
 
 // BenchmarkIngestParse measures the server's front end on the bodies
 // the wire benchmark's oltp_point sends: TPC-C transactions, one SQL
-// log each, through ParseSQLLog. One op parses all of them; B/op is
-// gated in CI (it is what the result keeps, not a function of the token
-// count).
+// log each. borrowed is the path /v1/ingest takes — ParseSQLBatch over
+// the body's bytes, released after each — and its B/op, gated in CI, is
+// what an engine keeps of a transaction: rows and a label. owned is
+// ParseSQLLog, whose result the collector owns whole. One op parses
+// all the bodies.
 func BenchmarkIngestParse(b *testing.B) {
 	_, txns := tpccWorkload(b, 4000)
 	schema := tpcc.Schema()
-	bodies := make([]string, len(txns))
+	texts, bodies := make([]string, len(txns)), make([][]byte, len(txns))
 	bytesIn := 0
 	for i := range txns {
-		body, err := parser.FormatSQLLog(schema, txns[i:i+1])
+		text, err := parser.FormatSQLLog(schema, txns[i:i+1])
 		if err != nil {
 			b.Fatal(err)
 		}
-		bodies[i] = body
-		bytesIn += len(body)
+		texts[i], bodies[i] = text, []byte(text)
+		bytesIn += len(text)
 	}
-	b.ReportAllocs()
-	b.SetBytes(int64(bytesIn))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for _, body := range bodies {
-			if _, err := parser.ParseSQLLog(schema, body); err != nil {
-				b.Fatal(err)
+	run := func(name string, parse func(i int) error) {
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			b.SetBytes(int64(bytesIn))
+			for i := 0; i < b.N; i++ {
+				for i := range bodies {
+					if err := parse(i); err != nil {
+						b.Fatal(err)
+					}
+				}
 			}
-		}
+			b.ReportMetric(float64(len(bodies)), "txns")
+		})
 	}
-	b.ReportMetric(float64(len(bodies)), "txns")
+	run("borrowed", func(i int) error {
+		batch, err := parser.ParseSQLBatch(schema, bodies[i])
+		if err == nil {
+			batch.Release()
+		}
+		return err
+	})
+	run("owned", func(i int) error {
+		_, err := parser.ParseSQLLog(schema, texts[i])
+		return err
+	})
 }
 
 // BenchmarkCheckpointEncode measures what a checkpoint costs the

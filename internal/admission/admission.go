@@ -228,11 +228,11 @@ func (c *Controller) Admit(ctx context.Context, class Class) (func(), error) {
 }
 
 func (c *Controller) noteShed()   { c.lastShed.Store(c.now().UnixNano()) }
+func (c *Controller) noteQueued() { c.lastQueued.Store(c.now().UnixNano()) }
 
 // Window reports the overload stickiness window — the Retry-After hint
 // for state-based refusals rendered outside Admit (e.g. readyz).
 func (c *Controller) Window() time.Duration { return c.window }
-func (c *Controller) noteQueued() { c.lastQueued.Store(c.now().UnixNano()) }
 
 // State reports the controller's own view: overloaded while a capacity
 // shed is within the window, degraded while queue pressure is, ok

@@ -80,6 +80,10 @@ type View interface {
 type DB interface {
 	Reader
 
+	// The Apply methods borrow their transactions for the call: an
+	// implementation keeps nothing of one past the return but its Label
+	// and the Row of an insertion that creates a row (db.Transaction), so
+	// a caller may build the rest in memory it recycles (db.Builder).
 	ApplyTransaction(t *db.Transaction) error
 	ApplyAll(ctx context.Context, txns []db.Transaction) error
 	// ApplyBatch is ApplyAll reporting the durably applied prefix: on a

@@ -540,7 +540,9 @@ func (e *Engine) modifyRows(lender *shard, u db.Update, sources []*row) {
 // proceed concurrently. Its effects publish atomically to the read
 // horizon when its epoch and every earlier one have committed:
 // concurrent readers observe the database either before or after the
-// transaction, never mid-way.
+// transaction, never mid-way. t is borrowed for the call: the engine
+// keeps its Label (inside the query annotation) and the Row of an
+// insertion that creates a row, nothing else.
 func (e *Engine) ApplyTransaction(t *db.Transaction) error {
 	set, dest := e.route(t)
 	return e.apply(t, set, dest, 0)
@@ -624,6 +626,9 @@ func (e *Engine) ApplyAll(ctx context.Context, txns []db.Transaction) error {
 // are deliberately not counted: the prefix is the resumable part), and
 // transactions enqueued but skipped after the first failure never
 // execute.
+//
+// txns is borrowed like ApplyTransaction's t: every worker is done with
+// it when ApplyBatch returns.
 //
 // ctx is checked before each dispatch; on cancellation or error,
 // transactions already dispatched still complete, and the first error

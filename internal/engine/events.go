@@ -79,5 +79,8 @@ type CommitEvent struct {
 // for the next epoch, so that a hook with nothing to do costs the write
 // path nothing. A hook that keeps rows past its return copies them
 // (slices.Clone); the tuples and relation names inside are immutable
-// and may be kept as they are.
+// and may be kept as they are, and so may Label. Nothing else of the
+// transaction behind an event reaches a hook: its update lists and
+// patterns are only borrowed from the caller of Apply (db.Transaction),
+// who may recycle them as soon as Apply returns.
 type CommitHook func(ev CommitEvent)

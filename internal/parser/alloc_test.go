@@ -10,6 +10,7 @@ package parser
 // whose sync.Pool drops a quarter of the puts on purpose.
 
 import (
+	"runtime/debug"
 	"testing"
 
 	"hyperprov/internal/db"
@@ -57,4 +58,37 @@ func TestParseAllocsPerStatementNotPerToken(t *testing.T) {
 		t.Fatalf("ParseSQLLog: %.0f allocs for %d statements (%d tokens), want ≤ %.0f", allocs, statements, tokens, limit)
 	}
 	t.Logf("%d statements, %d tokens, %d bytes: %.0f allocs", statements, tokens, len(src), allocs)
+}
+
+// TestBatchAllocsWhatTheEngineKeeps: a borrowed parse on a warm pooled
+// parser allocates the two things an engine keeps of a transaction — a
+// row per INSERT and the label — and nothing else: patterns, SET lists
+// and the update and transaction lists live in recycled slabs, and the
+// source is scanned where it lies.
+func TestBatchAllocsWhatTheEngineKeeps(t *testing.T) {
+	s := tpcc.Schema()
+	src, _ := newOrderLog(t)
+	body := []byte(src)
+	inserts := 0
+	parse := func() {
+		batch, err := ParseSQLBatch(s, body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		inserts = 0
+		for _, u := range batch.Txns[0].Updates {
+			if u.Kind == db.OpInsert {
+				inserts++
+			}
+		}
+		batch.Release()
+	}
+	for i := 0; i < 4; i++ {
+		parse() // the slabs double until one chunk holds the log
+	}
+	// A collection in the middle would empty the pool.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	if allocs := testing.AllocsPerRun(20, parse); allocs > float64(inserts+1) {
+		t.Fatalf("ParseSQLBatch: %.0f allocs for %d inserted rows and a label", allocs, inserts)
+	}
 }

@@ -69,7 +69,7 @@ func (rt rawTerm) toValue(kind db.Kind) (db.Value, error) {
 	return db.ParseValue(kind, rt.text)
 }
 
-func (rt rawTerm) toTerm(kind db.Kind) (db.Term, error) {
+func (rt rawTerm) toTerm(b *db.Builder, kind db.Kind) (db.Term, error) {
 	if rt.isConst {
 		v, err := rt.toValue(kind)
 		if err != nil {
@@ -80,7 +80,7 @@ func (rt rawTerm) toTerm(kind db.Kind) (db.Term, error) {
 	if len(rt.notEq) == 0 {
 		return db.AnyVar(rt.varName), nil
 	}
-	vals := make([]db.Value, len(rt.notEq))
+	vals := b.Values(len(rt.notEq))
 	for i, ne := range rt.notEq {
 		v, err := ne.toValue(kind)
 		if err != nil {
@@ -102,31 +102,42 @@ func (rt rawTerm) toTerm(kind db.Kind) (db.Term, error) {
 // The modification's u1 and u2 may also be given as 2n comma-separated
 // terms without the -> separator, exactly as the paper writes them.
 func ParseDatalogQuery(s *db.Schema, src string) (db.Update, string, error) {
-	var l lexer
-	l.init(src)
-	u, label, err := l.datalogQuery(s)
-	if err = l.fail(err); err != nil {
+	l := newParser(s)
+	defer l.release(false)
+	u, label, err := l.datalogQuery(src)
+	if err != nil {
 		return db.Update{}, "", err
 	}
 	// The label outlives the source inside core.QueryAnnot nodes.
 	return u, strings.Clone(label), nil
 }
 
-func (l *lexer) datalogQuery(s *db.Schema) (db.Update, string, error) {
+// datalogQuery parses src as one query; the label it returns is a
+// substring of src.
+func (l *logParser) datalogQuery(src string) (db.Update, string, error) {
+	l.init(src)
+	u, label, err := l.query()
+	if err = l.fail(err); err != nil {
+		return db.Update{}, "", err
+	}
+	return u, label, nil
+}
+
+func (l *logParser) query() (db.Update, string, error) {
 	head, err := l.expectIdent()
 	if err != nil {
 		return db.Update{}, "", err
 	}
 	var kind db.UpdateKind
-	rel := s.Relation(head)
+	rel := l.s.Relation(head)
 	switch {
 	case rel != nil && l.acceptPunct("+"):
 		kind = db.OpInsert
 	case rel != nil && l.acceptPunct("-"):
 		kind = db.OpDelete
-	case rel == nil && strings.HasSuffix(head, "M") && s.Relation(strings.TrimSuffix(head, "M")) != nil:
+	case rel == nil && strings.HasSuffix(head, "M") && l.s.Relation(strings.TrimSuffix(head, "M")) != nil:
 		kind = db.OpModify
-		rel = s.Relation(strings.TrimSuffix(head, "M"))
+		rel = l.s.Relation(strings.TrimSuffix(head, "M"))
 	default:
 		return db.Update{}, "", fmt.Errorf("parser: cannot resolve head %q (want Rel+, Rel- or RelM)", head)
 	}
@@ -140,27 +151,28 @@ func (l *lexer) datalogQuery(s *db.Schema) (db.Update, string, error) {
 	if err := l.expectPunct("("); err != nil {
 		return db.Update{}, "", err
 	}
-	var raws []rawTerm
+	l.raws = l.raws[:0]
 	arrowAt := -1
 	for {
 		if l.acceptPunct("->") {
-			arrowAt = len(raws)
+			arrowAt = len(l.raws)
 			continue
 		}
 		rt, err := l.parseRawTerm()
 		if err != nil {
 			return db.Update{}, "", err
 		}
-		raws = append(raws, rt)
+		l.raws = append(l.raws, rt)
 		if l.acceptPunct(",") {
 			continue
 		}
 		if l.acceptPunct("->") {
-			arrowAt = len(raws)
+			arrowAt = len(l.raws)
 			continue
 		}
 		break
 	}
+	raws := l.raws
 	if err := l.expectPunct(")"); err != nil {
 		return db.Update{}, "", err
 	}
@@ -194,9 +206,9 @@ func (l *lexer) datalogQuery(s *db.Schema) (db.Update, string, error) {
 		if len(raws) != n {
 			return db.Update{}, "", fmt.Errorf("parser: deletion on %s needs %d terms, got %d", rel.Name, n, len(raws))
 		}
-		sel := make(db.Pattern, n)
+		sel := l.b.Pattern(n)
 		for i, rt := range raws {
-			term, err := rt.toTerm(rel.Attrs[i].Kind)
+			term, err := rt.toTerm(&l.b, rel.Attrs[i].Kind)
 			if err != nil {
 				return db.Update{}, "", err
 			}
@@ -215,10 +227,10 @@ func (l *lexer) datalogQuery(s *db.Schema) (db.Update, string, error) {
 				rel.Name, n, n, arrowAt, len(raws)-arrowAt)
 		}
 		u1, u2 := raws[:n], raws[n:]
-		sel := make(db.Pattern, n)
-		set := make([]db.SetClause, n)
+		sel := l.b.Pattern(n)
+		set := l.b.Set(n)
 		for i := range u1 {
-			term, err := u1[i].toTerm(rel.Attrs[i].Kind)
+			term, err := u1[i].toTerm(&l.b, rel.Attrs[i].Kind)
 			if err != nil {
 				return db.Update{}, "", err
 			}
@@ -241,22 +253,20 @@ func (l *lexer) datalogQuery(s *db.Schema) (db.Update, string, error) {
 		}
 		u = db.Modify(rel.Name, sel, set)
 	}
-	return u, label, u.Validate(s)
+	return u, label, u.Validate(l.s)
 }
 
 // ParseDatalogLog parses one annotated query per non-empty line and
 // groups consecutive queries sharing an annotation into a transaction
 // (the paper uses one annotation per transaction).
 func ParseDatalogLog(s *db.Schema, src string) ([]db.Transaction, error) {
-	var txns []db.Transaction
-	var ups []db.Update // the open transaction's queries, copied out at their number
-	open := ""
-	flush := func() {
-		if len(ups) > 0 {
-			txns = append(txns, db.Transaction{Label: open, Updates: append([]db.Update(nil), ups...)})
-			ups = ups[:0]
-		}
-	}
+	l := newParser(s)
+	defer l.release(false)
+	return l.datalogLog(src)
+}
+
+func (l *logParser) datalogLog(src string) ([]db.Transaction, error) {
+	open := "" // the open transaction's label, a substring of src
 	for ln := 1; src != ""; ln++ {
 		var line string
 		line, src, _ = strings.Cut(src, "\n")
@@ -264,16 +274,18 @@ func ParseDatalogLog(s *db.Schema, src string) ([]db.Transaction, error) {
 		if line == "" || strings.HasPrefix(line, "%") || strings.HasPrefix(line, "--") {
 			continue
 		}
-		u, label, err := ParseDatalogQuery(s, line)
+		u, label, err := l.datalogQuery(line)
 		if err != nil {
 			return nil, fmt.Errorf("line %d: %w", ln, err)
 		}
-		if label != open {
-			flush()
-			open = label
+		if label != open && len(l.ups) > 0 {
+			l.closeTxn(strings.Clone(open))
 		}
-		ups = append(ups, u)
+		open = label
+		l.ups = append(l.ups, u)
 	}
-	flush()
-	return txns, nil
+	if len(l.ups) > 0 {
+		l.closeTxn(strings.Clone(open))
+	}
+	return l.result(), nil
 }

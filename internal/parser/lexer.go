@@ -19,6 +19,16 @@
 // (which clones on first sight) and relation and SQL variable names
 // come from the schema. Only datalog variable names are substrings of
 // the source, for as long as the db.Update that carries them.
+//
+// Each front end has two entry points over one parser. ParseSQLLog and
+// ParseDatalogLog take a string and return transactions the collector
+// owns. ParseSQLBatch and ParseDatalogBatch scan a request's bytes in
+// place and return a Batch whose transactions are borrowed: everything
+// an engine does not keep of a transaction (db.Transaction) — update
+// lists, patterns, SET lists, disequality constants — lives in the
+// pooled parser's slabs (db.Builder) and is recycled by Release, after
+// which the bytes may be reused too. Rows and labels are allocated one
+// by one either way: the engine keeps those.
 package parser
 
 import (

@@ -5,36 +5,82 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"unsafe"
 
 	"hyperprov/internal/db"
 )
 
-// sqlParser is the SQL front end's state for one source text. It is
-// pooled, so its scratch survives from call to call and what a parse
-// allocates is what its result keeps.
-type sqlParser struct {
+// logParser is a front end's state for one source text, SQL or datalog.
+// It is pooled, so its scratch and its builder's slabs survive from
+// call to call. A Batch borrows what is built in b and recycles it on
+// Release; the Parse* entry points leave it to the collector, so what
+// such a parse allocates is what its result keeps.
+type logParser struct {
 	lexer
-	s   *db.Schema
-	ups []db.Update // the open transaction's statements; COMMIT copies them out
+	s    *db.Schema
+	b    db.Builder
+	txns []db.Transaction // the log so far; result copies it out
+	ups  []db.Update      // the open transaction's statements; closeTxn copies them out
+	raws []rawTerm        // the datalog query being read
 }
 
-var sqlParsers = sync.Pool{New: func() any { return new(sqlParser) }}
+var parsers = sync.Pool{New: func() any { return new(logParser) }}
 
-func newSQLParser(s *db.Schema, src string) *sqlParser {
-	l := sqlParsers.Get().(*sqlParser)
+func newParser(s *db.Schema) *logParser {
+	l := parsers.Get().(*logParser)
 	l.s = s
-	l.init(src)
 	return l
 }
 
 // release returns the parser to the pool holding neither the source nor
-// anything parsed from it.
-func (l *sqlParser) release() {
+// anything parsed from it; recycle says the result was borrowed and its
+// holder is done with it, so the slabs stay.
+func (l *logParser) release(recycle bool) {
+	if recycle {
+		l.b.Reset()
+	} else {
+		l.b = db.Builder{}
+	}
+	clear(l.txns)
 	clear(l.ups)
-	l.ups = l.ups[:0]
+	clear(l.raws[:cap(l.raws)]) // a short query leaves a longer one's tail behind
+	l.txns, l.ups, l.raws = l.txns[:0], l.ups[:0], l.raws[:0]
 	l.lexer, l.s = lexer{}, nil
-	sqlParsers.Put(l)
+	parsers.Put(l)
 }
+
+// Batch is a log parsed for one engine.DB.ApplyBatch, which only
+// borrows its transactions (see db.Transaction). Txns lives in the
+// pooled parser's slabs and, for datalog variable names, in the source
+// bytes: both are the caller's to reuse after Release, not before.
+type Batch struct {
+	Txns []db.Transaction
+	p    *logParser
+}
+
+// ParseSQLBatch is ParseSQLLog scanning src in place, into a Batch.
+func ParseSQLBatch(s *db.Schema, src []byte) (Batch, error) {
+	return parseBatch(s, src, (*logParser).sqlLog)
+}
+
+// ParseDatalogBatch is ParseDatalogLog scanning src in place, into a
+// Batch.
+func ParseDatalogBatch(s *db.Schema, src []byte) (Batch, error) {
+	return parseBatch(s, src, (*logParser).datalogLog)
+}
+
+func parseBatch(s *db.Schema, src []byte, log func(*logParser, string) ([]db.Transaction, error)) (Batch, error) {
+	l := newParser(s)
+	txns, err := log(l, unsafe.String(unsafe.SliceData(src), len(src)))
+	if err != nil {
+		l.release(true)
+		return Batch{}, err
+	}
+	return Batch{Txns: txns, p: l}, nil
+}
+
+// Release recycles the transactions of a batch that parsed.
+func (b Batch) Release() { b.p.release(true) }
 
 // ParseSQLStatement parses one statement of the hyperplane SQL fragment
 // against the schema:
@@ -45,8 +91,9 @@ func (l *sqlParser) release() {
 //
 // with op ∈ {=, <>, !=}. A missing WHERE clause selects every tuple.
 func ParseSQLStatement(s *db.Schema, stmt string) (db.Update, error) {
-	l := newSQLParser(s, stmt)
-	defer l.release()
+	l := newParser(s)
+	defer l.release(false)
+	l.init(stmt)
 	u, err := l.statement()
 	if err == nil {
 		l.acceptPunct(";")
@@ -60,7 +107,7 @@ func ParseSQLStatement(s *db.Schema, stmt string) (db.Update, error) {
 	return u, nil
 }
 
-func (l *sqlParser) statement() (db.Update, error) {
+func (l *logParser) statement() (db.Update, error) {
 	switch {
 	case l.acceptKeyword("INSERT"):
 		return l.parseInsert()
@@ -73,7 +120,7 @@ func (l *sqlParser) statement() (db.Update, error) {
 	}
 }
 
-func (l *sqlParser) relation() (*db.RelationSchema, error) {
+func (l *logParser) relation() (*db.RelationSchema, error) {
 	name, err := l.expectIdent()
 	if err != nil {
 		return nil, err
@@ -100,7 +147,7 @@ func (l *lexer) parseConst(kind db.Kind) (db.Value, error) {
 	}
 }
 
-func (l *sqlParser) parseInsert() (db.Update, error) {
+func (l *logParser) parseInsert() (db.Update, error) {
 	if !l.acceptKeyword("INTO") {
 		return db.Update{}, fmt.Errorf("parser: expected INTO at offset %d", l.tok.pos)
 	}
@@ -151,8 +198,8 @@ func (l *lexer) attrCol(rel *db.RelationSchema) (int, error) {
 // pattern over the relation, filled in as the predicates arrive: an
 // equality makes its position a constant term (and wins over any
 // disequality on it), disequalities accumulate on a variable term.
-func (l *lexer) parseWhere(rel *db.RelationSchema) (db.Pattern, error) {
-	p := make(db.Pattern, rel.Arity())
+func (l *logParser) parseWhere(rel *db.RelationSchema) (db.Pattern, error) {
+	p := l.b.Pattern(rel.Arity())
 	for more := l.acceptKeyword("WHERE"); more; more = l.acceptKeyword("AND") {
 		col, err := l.attrCol(rel)
 		if err != nil {
@@ -176,7 +223,9 @@ func (l *lexer) parseWhere(rel *db.RelationSchema) (db.Pattern, error) {
 		case !neq:
 			p[col] = db.Const(v)
 		case !t.IsConst():
-			p[col] = db.VarNotEq(rel.VarName(col), append(t.NotEq(), v)...)
+			ne := l.b.Values(len(t.NotEq()) + 1)
+			ne[copy(ne, t.NotEq())] = v
+			p[col] = db.VarNotEq(rel.VarName(col), ne...)
 		}
 	}
 	for i, t := range p {
@@ -187,7 +236,7 @@ func (l *lexer) parseWhere(rel *db.RelationSchema) (db.Pattern, error) {
 	return p, nil
 }
 
-func (l *sqlParser) parseDelete() (db.Update, error) {
+func (l *logParser) parseDelete() (db.Update, error) {
 	if !l.acceptKeyword("FROM") {
 		return db.Update{}, fmt.Errorf("parser: expected FROM at offset %d", l.tok.pos)
 	}
@@ -203,7 +252,7 @@ func (l *sqlParser) parseDelete() (db.Update, error) {
 	return u, u.Validate(l.s)
 }
 
-func (l *sqlParser) parseUpdate() (db.Update, error) {
+func (l *logParser) parseUpdate() (db.Update, error) {
 	rel, err := l.relation()
 	if err != nil {
 		return db.Update{}, err
@@ -211,7 +260,7 @@ func (l *sqlParser) parseUpdate() (db.Update, error) {
 	if !l.acceptKeyword("SET") {
 		return db.Update{}, fmt.Errorf("parser: expected SET at offset %d", l.tok.pos)
 	}
-	set := make([]db.SetClause, rel.Arity())
+	set := l.b.Set(rel.Arity())
 	for {
 		col, err := l.attrCol(rel)
 		if err != nil {
@@ -247,58 +296,78 @@ func (l *sqlParser) parseUpdate() (db.Update, error) {
 // Statements outside BEGIN/COMMIT become single-query transactions
 // labeled q0, q1, …. SQL comments (--) are ignored.
 func ParseSQLLog(s *db.Schema, src string) ([]db.Transaction, error) {
-	l := newSQLParser(s, src)
-	defer l.release()
-	txns, err := l.log()
-	if err = l.fail(err); err != nil {
-		return nil, err
-	}
-	return txns, nil
+	l := newParser(s)
+	defer l.release(false)
+	return l.sqlLog(src)
 }
 
-func (l *sqlParser) log() ([]db.Transaction, error) {
-	var txns []db.Transaction
+// closeTxn moves the open transaction's statements out of the scratch
+// list into the log, under a label the engine will keep: callers pass
+// one that is not a substring of the source.
+func (l *logParser) closeTxn(label string) {
+	ups := l.b.Updates(len(l.ups))
+	copy(ups, l.ups)
+	clear(l.ups)
+	l.ups = l.ups[:0]
+	l.txns = append(l.txns, db.Transaction{Label: label, Updates: ups})
+}
+
+// result copies the log's transactions out at their number.
+func (l *logParser) result() []db.Transaction {
+	txns := l.b.Transactions(len(l.txns))
+	copy(txns, l.txns)
+	return txns
+}
+
+func (l *logParser) sqlLog(src string) ([]db.Transaction, error) {
+	l.init(src)
+	if err := l.fail(l.sqlTxns()); err != nil {
+		return nil, err
+	}
+	return l.result(), nil
+}
+
+// sqlStatement parses one ';'-terminated statement into the open
+// transaction.
+func (l *logParser) sqlStatement() error {
+	u, err := l.statement()
+	if err != nil {
+		return err
+	}
+	l.ups = append(l.ups, u)
+	return l.expectPunct(";")
+}
+
+func (l *logParser) sqlTxns() error {
 	auto := 0
 	for l.tok.kind != tokEOF {
-		if l.acceptKeyword("BEGIN") {
-			label, err := l.expectIdent()
-			if err != nil {
-				return nil, err
+		if !l.acceptKeyword("BEGIN") {
+			if err := l.sqlStatement(); err != nil {
+				return err
 			}
-			if err := l.expectPunct(";"); err != nil {
-				return nil, err
-			}
-			for !l.acceptKeyword("COMMIT") {
-				if l.tok.kind == tokEOF {
-					return nil, fmt.Errorf("parser: transaction %s missing COMMIT", label)
-				}
-				u, err := l.statement()
-				if err != nil {
-					return nil, err
-				}
-				if err := l.expectPunct(";"); err != nil {
-					return nil, err
-				}
-				l.ups = append(l.ups, u)
-			}
-			if err := l.expectPunct(";"); err != nil {
-				return nil, err
-			}
-			// The label outlives src inside core.QueryAnnot nodes.
-			txns = append(txns, db.Transaction{Label: strings.Clone(label), Updates: append([]db.Update(nil), l.ups...)})
-			clear(l.ups)
-			l.ups = l.ups[:0]
+			l.closeTxn("q" + strconv.Itoa(auto))
+			auto++
 			continue
 		}
-		u, err := l.statement()
+		label, err := l.expectIdent()
 		if err != nil {
-			return nil, err
+			return err
 		}
 		if err := l.expectPunct(";"); err != nil {
-			return nil, err
+			return err
 		}
-		txns = append(txns, db.Transaction{Label: "q" + strconv.Itoa(auto), Updates: []db.Update{u}})
-		auto++
+		for !l.acceptKeyword("COMMIT") {
+			if l.tok.kind == tokEOF {
+				return fmt.Errorf("parser: transaction %s missing COMMIT", label)
+			}
+			if err := l.sqlStatement(); err != nil {
+				return err
+			}
+		}
+		if err := l.expectPunct(";"); err != nil {
+			return err
+		}
+		l.closeTxn(strings.Clone(label))
 	}
-	return txns, nil
+	return nil
 }

@@ -15,11 +15,16 @@ import (
 	"context"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"runtime/debug"
 	"strings"
 	"testing"
 
+	"hyperprov/internal/benchutil"
+	"hyperprov/internal/db"
 	"hyperprov/internal/engine"
+	"hyperprov/internal/parser"
+	"hyperprov/internal/wal"
 	"hyperprov/internal/workload"
 )
 
@@ -71,5 +76,81 @@ func TestWhatIfAllocsIndependentOfRows(t *testing.T) {
 	t.Logf("allocs per what-if: %.0f over 10k rows (%d-byte body), %.0f over 100k rows (%d-byte body)", small, smallBytes, large, largeBytes)
 	if large-small > 8 {
 		t.Errorf("a what-if over 100k rows allocates %.0f times, over 10k rows %.0f: something allocates per row or per chunk", large, small)
+	}
+}
+
+// allocMeter is a store that reads what its own ApplyBatch allocates,
+// so a test can subtract it from what the handler around it allocates.
+type allocMeter struct {
+	engine.DB
+	before, after  runtime.MemStats
+	bytes, mallocs uint64
+}
+
+func (m *allocMeter) ApplyBatch(ctx context.Context, txns []db.Transaction) (int, error) {
+	runtime.ReadMemStats(&m.before)
+	n, err := m.DB.ApplyBatch(ctx, txns)
+	runtime.ReadMemStats(&m.after)
+	m.bytes += m.after.TotalAlloc - m.before.TotalAlloc
+	m.mallocs += m.after.Mallocs - m.before.Mallocs
+	return n, err
+}
+
+// TestIngestAllocsPerTxn gates the decode stage: what /v1/ingest
+// allocates around ApplyBatch — the chain, the body read, the parse,
+// the ack — per transaction of the wire benchmark's oltp_point traffic
+// (benchutil.TPCCOpList, one SQL body per transaction), through the
+// real handler behind a wal.Store. With the body copied into a string,
+// a GC-owned parse and http.TimeoutHandler buffering the ack this read
+// 11.54 kB and 55.8 mallocs; it reads 1.88 and 29.9 — the rows and
+// labels the engine keeps (7 mallocs), the request's routing, context,
+// deadline and wrappers (the rest) — and is gated 10 % above that.
+func TestIngestAllocsPerTxn(t *testing.T) {
+	if testing.Short() {
+		t.Skip("4 000 transactions behind a persistent store")
+	}
+	initial, txns, err := benchutil.TPCCOpList(1, 4000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := wal.Open(t.TempDir(), wal.WithMode(engine.ModeNormalForm), wal.WithInitialDatabase(initial),
+		wal.WithSync(wal.SyncNever), wal.WithEngineOptions(engine.WithAutoIndex(4)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	meter := &allocMeter{DB: st}
+	srv := New(meter, WithLogf(t.Logf))
+	defer srv.Close()
+	h := srv.Handler()
+	reqs := make([]*http.Request, len(txns))
+	for i := range txns {
+		body, err := parser.FormatSQLLog(initial.Schema(), txns[i:i+1])
+		if err != nil {
+			t.Fatal(err)
+		}
+		reqs[i] = httptest.NewRequest("POST", "/v1/ingest", strings.NewReader(body))
+	}
+	w := &discardWriter{header: http.Header{}}
+	const warm = 100 // the pooled parser's slabs and the body buffer reach their size
+	var before, after runtime.MemStats
+	for i, req := range reqs {
+		if i == warm {
+			meter.bytes, meter.mallocs = 0, 0
+			runtime.ReadMemStats(&before)
+		}
+		h.ServeHTTP(w, req)
+		if w.status != http.StatusOK {
+			t.Fatalf("transaction %d: %d", i, w.status)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	n := float64(len(reqs) - warm)
+	kB := float64(after.TotalAlloc-before.TotalAlloc-meter.bytes) / 1024 / n
+	mallocs := float64(after.Mallocs-before.Mallocs-meter.mallocs) / n
+	t.Logf("around ApplyBatch: %.2f kB and %.1f mallocs per transaction (ApplyBatch itself: %.2f kB and %.1f)",
+		kB, mallocs, float64(meter.bytes)/1024/n, float64(meter.mallocs)/n)
+	if kB > 2.07 || mallocs > 33 {
+		t.Errorf("/v1/ingest allocates %.2f kB and %.1f mallocs per transaction around ApplyBatch, want at most 2.07 kB and 33", kB, mallocs)
 	}
 }

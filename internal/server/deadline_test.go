@@ -1,7 +1,9 @@
 package server
 
 import (
+	"bytes"
 	"context"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -9,24 +11,47 @@ import (
 	"testing"
 	"time"
 
+	"hyperprov/internal/db"
 	"hyperprov/internal/engine"
+	"hyperprov/internal/parser"
+	"hyperprov/internal/provstore"
+	"hyperprov/internal/wal"
 )
 
-// directRoutes are the materializing reads mounted on the unbuffered
-// chain (withDeadline instead of http.TimeoutHandler).
-var directRoutes = []struct{ method, path, body string }{
-	{"GET", "/v1/db", ""},
-	{"POST", "/v1/whatif/deletion", `{"tuples":["p3"]}`},
-	{"POST", "/v1/whatif/abort", `{"labels":["p"]}`},
-	{"GET", "/v1/snapshot", ""},
+// directRoutes is every route mounted on the request deadline (all but
+// the two stream routes): the materializing reads first, then the
+// routes that were behind http.TimeoutHandler until the deadline became
+// one mechanism. status is what the route answers within its deadline
+// on the in-memory Figure 1 engine (0: 200); a POST /v1/snapshot body
+// of "snapshot" stands for the server's own GET /v1/snapshot bytes.
+var directRoutes = []struct {
+	method, path, body string
+	status             int
+}{
+	{"GET", "/v1/db", "", 0},
+	{"POST", "/v1/whatif/deletion", `{"tuples":["p3"]}`, 0},
+	{"POST", "/v1/whatif/abort", `{"labels":["p"]}`, 0},
+	{"GET", "/v1/snapshot", "", 0},
+	{"GET", "/healthz", "", 0},
+	{"GET", "/readyz", "", 0},
+	{"GET", "/v1/stats", "", 0},
+	{"GET", "/v1/schema", "", 0},
+	{"POST", "/v1/annotation", `{"rel":"Products","tuple":["Tennis Racket","Sport",70]}`, 0},
+	{"GET", "/v1/indexes", "", 0},
+	{"POST", "/v1/ingest", figure1Log, 0},
+	{"POST", "/v1/indexes", `{"rel":"Products","attr":"Category"}`, 0},
+	{"DELETE", "/v1/indexes?rel=Products&attr=Category", "", 0},
+	{"POST", "/v1/snapshot", "snapshot", 0},
+	{"POST", "/v1/checkpoint", "", http.StatusConflict}, // not a persistent store
+	{"GET", "/v1/metrics", "", 0},
+	{"GET", "/debug/vars", "", 0},
 }
 
 // TestDirectRoutesDeadlineBeforeFirstByte: a request deadline that
-// fires before the response started still answers 503 with the
-// verbatim timeout envelope, as http.TimeoutHandler does on the
-// buffered routes — over a real connection, and in-process on a
-// recorder, where SetWriteDeadline answers http.ErrNotSupported and
-// that must not surface.
+// fires before the response started answers 503 with the verbatim
+// timeout envelope on every route — over a real connection, and
+// in-process on a recorder, where SetWriteDeadline answers
+// http.ErrNotSupported and that must not surface.
 func TestDirectRoutesDeadlineBeforeFirstByte(t *testing.T) {
 	srv := New(figure1Engine(t, engine.ModeNormalForm), WithTimeout(time.Nanosecond), WithLogf(t.Logf))
 	defer srv.Close()
@@ -60,15 +85,19 @@ func TestDirectRoutesDeadlineBeforeFirstByte(t *testing.T) {
 
 // TestDirectRoutesServeWithinDeadline: with a deadline that does not
 // fire, a recorder (no connection, no write deadline to set) gets the
-// full 200 response.
+// route's full response.
 func TestDirectRoutesServeWithinDeadline(t *testing.T) {
 	srv := New(figure1Engine(t, engine.ModeNormalForm), WithLogf(t.Logf))
 	defer srv.Close()
 	for _, r := range directRoutes {
+		body, want := r.body, max(r.status, http.StatusOK)
+		if body == "snapshot" {
+			body = serveRaw(srv, "GET", "/v1/snapshot", "").Body.String()
+		}
 		rec := httptest.NewRecorder()
-		srv.Handler().ServeHTTP(rec, httptest.NewRequest(r.method, r.path, strings.NewReader(r.body)))
-		if rec.Code != http.StatusOK || rec.Body.Len() == 0 {
-			t.Errorf("%s %s on a recorder: %d with %d bytes, want a 200 body", r.method, r.path, rec.Code, rec.Body.Len())
+		srv.Handler().ServeHTTP(rec, httptest.NewRequest(r.method, r.path, strings.NewReader(body)))
+		if rec.Code != want || rec.Body.Len() == 0 {
+			t.Errorf("%s %s on a recorder: %d with %d bytes, want a %d body: %s", r.method, r.path, rec.Code, rec.Body.Len(), want, rec.Body)
 		}
 	}
 }
@@ -86,6 +115,102 @@ func TestDirectRoutesCanceled(t *testing.T) {
 		if rec.Code != http.StatusServiceUnavailable || !strings.Contains(rec.Body.String(), `"code":"`+codeCanceled+`"`) {
 			t.Errorf("%s %s under a canceled context: %d %q, want 503 %s", r.method, r.path, rec.Code, rec.Body, codeCanceled)
 		}
+	}
+}
+
+// chunkDeadline is a store whose ApplyBatch sees the request deadline
+// fire exactly between two chunks: wal.Store asks its context once per
+// chunk, the first after answers are nil whatever the clock says, and
+// the next one waits for the deadline.
+type chunkDeadline struct {
+	engine.DB
+	after int
+}
+
+type stallingContext struct {
+	context.Context
+	left *int
+}
+
+func (c stallingContext) Err() error {
+	if *c.left--; *c.left >= 0 {
+		return nil
+	}
+	<-c.Done()
+	return c.Context.Err()
+}
+
+func (d chunkDeadline) ApplyBatch(ctx context.Context, txns []db.Transaction) (int, error) {
+	left := d.after
+	return d.DB.ApplyBatch(stallingContext{ctx, &left}, txns)
+}
+
+// TestIngestDeadlineReportsApplied: the promise in handleIngest's
+// comment, which http.TimeoutHandler broke by answering for the
+// handler. A deadline that fires between ApplyBatch chunks answers 503
+// timeout with the durably applied count, the state holds exactly that
+// prefix, and resubmitting the rest completes it; one that fires before
+// anything applied answers the plain timeout envelope.
+func TestIngestDeadlineReportsApplied(t *testing.T) {
+	const n, chunk = 2*256 + 100, 256
+	logs := make([]string, n)
+	for i := range logs {
+		logs[i] = fmt.Sprintf("BEGIN d%d;\nINSERT INTO Products VALUES ('item %d', 'Toys', %d);\nUPDATE Products SET Price = %d WHERE Product = 'item %d';\nCOMMIT;\n", i, i, i, i+1, i/2)
+	}
+	snapshot := func(e engine.Reader) string {
+		var b bytes.Buffer
+		if err := provstore.SaveSnapshot(&b, e); err != nil {
+			t.Fatal(err)
+		}
+		return b.String()
+	}
+	// after applies a prefix of the log to an engine of the same start.
+	after := func(k int) string {
+		e := engine.New(engine.ModeNormalForm, figure1Database(t))
+		txns, err := parser.ParseSQLLog(e.Schema(), strings.Join(logs[:k], ""))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := e.ApplyAll(context.Background(), txns); err != nil {
+			t.Fatal(err)
+		}
+		return snapshot(e)
+	}
+	for _, chunks := range []int{0, 2} {
+		st, err := wal.Open(t.TempDir(), wal.WithMode(engine.ModeNormalForm), wal.WithInitialDatabase(figure1Database(t)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv := New(chunkDeadline{st, chunks}, WithTimeout(50*time.Millisecond), WithLogf(t.Logf))
+		rec := serveRaw(srv, "POST", "/v1/ingest", strings.Join(logs, ""))
+		if rec.Code != http.StatusServiceUnavailable {
+			t.Fatalf("deadline after %d chunks: %d %s", chunks, rec.Code, rec.Body)
+		}
+		applied := chunks * chunk
+		if chunks == 0 {
+			if rec.Body.String() != timeoutBody {
+				t.Errorf("deadline before anything applied: %q, want %q", rec.Body, timeoutBody)
+			}
+		} else {
+			got := decode[errorResponse](t, rec.Result()).Error
+			if got.Code != codeTimeout || got.Applied == nil || *got.Applied != applied {
+				t.Errorf("deadline after %d chunks: %s, want code %s and applied %d", chunks, rec.Body, codeTimeout, applied)
+			}
+		}
+		if snapshot(st) != after(applied) {
+			t.Errorf("deadline after %d chunks: the state is not the log's first %d transactions", chunks, applied)
+		}
+		srv.Close()
+		// The caller may safely resubmit the rest.
+		srv = New(st, WithLogf(t.Logf))
+		if rec := serveRaw(srv, "POST", "/v1/ingest", strings.Join(logs[applied:], "")); rec.Code != http.StatusOK {
+			t.Fatalf("resubmitting from %d: %d %s", applied, rec.Code, rec.Body)
+		}
+		if snapshot(st) != after(n) {
+			t.Errorf("resubmitting from %d does not reach the full log's state", applied)
+		}
+		srv.Close()
+		st.Close()
 	}
 }
 

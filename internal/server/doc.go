@@ -20,9 +20,11 @@
 //
 // The database-shaped answers (/v1/db and the what-ifs) are evaluated
 // and JSON-encoded in one chunked parallel pass over the pinned view —
-// see livejson.go — and, like the snapshot download, written straight
-// to the connection under the request deadline; every other route is
-// bounded by http.TimeoutHandler.
+// see livejson.go. Every response is written straight to the
+// connection, and every plain route is bounded by one mechanism: the
+// request context expires at the deadline and the connection's write
+// deadline follows it (Server.withDeadline). The stream routes
+// (/v1/subscribe, /v1/replication/stream) live until their client goes.
 //
 // Every endpoint is instrumented with expvar-compatible counters
 // (<endpoint>.requests, <endpoint>.errors, <endpoint>.latency_us),

@@ -2,6 +2,8 @@ package server
 
 import (
 	"bytes"
+	"context"
+	"errors"
 	"fmt"
 	"net/http"
 	"strconv"
@@ -31,34 +33,37 @@ type ingestStats struct {
 // fragment by default, ?syntax=datalog for the paper's notation) and
 // applies it. Read endpoints pin the MVCC horizon at entry and never
 // block while a large log streams in; each batch publishes atomically
-// when it commits. The response (and, on failure or client
-// disconnection, the error envelope) reports how many transactions
-// were durably applied — the caller may safely resubmit the rest.
+// when it commits. The response (and, on failure, at the request
+// deadline or on client disconnection, the error envelope) reports how
+// many transactions were durably applied — the caller may safely
+// resubmit the rest.
 //
 // The body is read once into a pooled buffer reserved from
-// Content-Length and copied once, into the string the parser scans.
-// Labels and values do not point into that string (see the parser
-// package comment), so it is garbage once the transactions are applied.
+// Content-Length and scanned where it lies. The engine only borrows
+// the transactions parsed from it (db.Transaction), so buffer and
+// batch are recycled together once the response no longer needs them:
+// labels and values do not point into either, datalog variable names
+// point into the buffer.
 func (s *Server) handleIngest(w http.ResponseWriter, req *http.Request) {
-	var parse func(*db.Schema, string) ([]db.Transaction, error)
+	var parse func(*db.Schema, []byte) (parser.Batch, error)
 	syntax := req.URL.Query().Get("syntax")
 	switch syntax {
 	case "", "sql":
-		parse = parser.ParseSQLLog
+		parse = parser.ParseSQLBatch
 	case "datalog":
-		parse = parser.ParseDatalogLog
+		parse = parser.ParseDatalogBatch
 	}
 	buf := ingestBufPool.Get().(*bytes.Buffer)
+	defer func() {
+		if buf.Cap() <= ingestBufKeep+bytes.MinRead {
+			buf.Reset()
+			ingestBufPool.Put(buf)
+		}
+	}()
 	if n := min(req.ContentLength, s.maxBody, ingestBufKeep); n > 0 {
 		buf.Grow(int(n) + bytes.MinRead) // ReadFrom wants MinRead spare to see EOF
 	}
-	_, err := buf.ReadFrom(http.MaxBytesReader(w, req.Body, s.maxBody))
-	src := buf.String()
-	if buf.Cap() <= ingestBufKeep+bytes.MinRead {
-		buf.Reset()
-		ingestBufPool.Put(buf)
-	}
-	if err != nil {
+	if _, err := buf.ReadFrom(http.MaxBytesReader(w, req.Body, s.maxBody)); err != nil {
 		writeBodyError(w, fmt.Errorf("reading log: %w", err))
 		return
 	}
@@ -68,21 +73,27 @@ func (s *Server) handleIngest(w http.ResponseWriter, req *http.Request) {
 	}
 	st := &s.ingest
 	st.requests.Add(1)
-	st.bodyBytes.Add(int64(len(src)))
+	st.bodyBytes.Add(int64(buf.Len()))
 
 	e := s.Engine()
 	start := time.Now()
-	txns, err := parse(e.Schema(), src)
+	batch, err := parse(e.Schema(), buf.Bytes())
 	parsed := time.Now()
 	st.parseUs.Add(parsed.Sub(start).Microseconds())
 	if err != nil {
 		writeError(w, http.StatusBadRequest, codeBadRequest, "parsing log: %v", err)
 		return
 	}
+	defer batch.Release() // before the buffer goes back
+	txns := batch.Txns
 	applied, err := e.ApplyBatch(req.Context(), txns)
 	st.applyUs.Add(time.Since(parsed).Microseconds())
 	st.txns.Add(int64(applied))
 	if err != nil {
+		if applied == 0 && errors.Is(err, context.DeadlineExceeded) {
+			writeContextError(w, err)
+			return
+		}
 		writeEngineErrorApplied(w, err, applied)
 		return
 	}
@@ -96,7 +107,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, req *http.Request) {
 	body = append(body, `,"transactions":`...)
 	body = strconv.AppendInt(body, int64(len(txns)), 10)
 	body = append(body, '}', '\n')
-	w.Header().Set("Content-Type", "application/json")
+	w.Header()["Content-Type"] = jsonContentType
 	w.WriteHeader(http.StatusOK)
 	_, _ = w.Write(body)
 }

@@ -13,10 +13,15 @@ import (
 	"hyperprov/internal/wal"
 )
 
+// jsonContentType is every JSON response's Content-Type header value,
+// assigned rather than Set: Set allocates a one-element slice per
+// response, and net/http never writes through header values.
+var jsonContentType = []string{"application/json"}
+
 // writeJSON renders v with a status code; encoding errors past the
 // header are unrecoverable and ignored.
 func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
+	w.Header()["Content-Type"] = jsonContentType
 	w.WriteHeader(status)
 	enc := json.NewEncoder(w)
 	enc.SetEscapeHTML(false)
@@ -49,9 +54,11 @@ const (
 	codeShedDeadline     = "shed_deadline"
 )
 
-// timeoutBody is the body served on deadline, by http.TimeoutHandler
-// and by writeContextError; it must stay in sync with the envelope
-// shape (it is written verbatim, not through writeError).
+// timeoutBody is the body writeContextError serves when the request
+// deadline fired before anything was answered (the bytes
+// http.TimeoutHandler served when routes still mounted on it); it must
+// stay in sync with the envelope shape — it is written verbatim, not
+// through writeError.
 const timeoutBody = `{"error":{"code":"` + codeTimeout + `","message":"request timed out"}}`
 
 type errorBody struct {
@@ -72,12 +79,11 @@ func writeError(w http.ResponseWriter, status int, code, format string, args ...
 }
 
 // writeContextError answers a request whose context ended before its
-// first byte, on the routes that enforce their own deadline (see
-// withDeadline): the body http.TimeoutHandler serves when the deadline
+// first byte (see withDeadline): 503 with timeoutBody when the deadline
 // fired, 503 canceled when the client went away.
 func writeContextError(w http.ResponseWriter, err error) {
 	if errors.Is(err, context.DeadlineExceeded) {
-		w.Header().Set("Content-Type", "application/json")
+		w.Header()["Content-Type"] = jsonContentType
 		w.WriteHeader(http.StatusServiceUnavailable)
 		_, _ = io.WriteString(w, timeoutBody)
 		return
@@ -88,14 +94,17 @@ func writeContextError(w http.ResponseWriter, err error) {
 // engineErrorStatus maps the engine's sentinel errors onto HTTP
 // statuses and envelope codes: unknown relation / attribute / index →
 // 404, malformed tuple → 400, a degraded persistent store → 503,
-// cancellation → 503, anything else from applying a log → 422.
+// the request deadline → 503 timeout, cancellation → 503 canceled,
+// anything else from applying a log → 422.
 func engineErrorStatus(err error) (int, string) {
 	switch {
 	case errors.Is(err, wal.ErrFollower):
 		return http.StatusForbidden, codeFollower
 	case errors.Is(err, wal.ErrReadOnly):
 		return http.StatusServiceUnavailable, codeReadOnly
-	case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
+	case errors.Is(err, context.DeadlineExceeded):
+		return http.StatusServiceUnavailable, codeTimeout
+	case errors.Is(err, context.Canceled):
 		return http.StatusServiceUnavailable, codeCanceled
 	case errors.Is(err, engine.ErrUnknownRelation):
 		return http.StatusNotFound, codeUnknownRelation

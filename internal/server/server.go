@@ -133,28 +133,19 @@ func New(eng engine.DB, opts ...Option) *Server {
 			methodsByPath[path] = append(methodsByPath[path], method)
 		}
 	}
-	// Every plain route is bounded by the request timeout, with panic
-	// recovery inside it so a panicking endpoint answers a typed 500
-	// rather than an empty reply. Small responses go through
-	// http.TimeoutHandler, which buffers the body to be able to answer
-	// 503 at the deadline; the materializing reads answer megabytes, so
-	// they enforce the same deadline themselves (withDeadline) and
-	// write straight to the connection.
-	buffered := func(h http.Handler) http.Handler {
-		h = s.recoverPanics(h)
-		if s.timeout > 0 {
-			h = http.TimeoutHandler(h, s.timeout, timeoutBody)
-		}
-		return h
-	}
-	direct := func(h http.Handler) http.Handler { return s.withDeadline(s.recoverPanics(h)) }
+	// Every plain route is bounded by the request deadline (withDeadline:
+	// the request context and the connection's write deadline — there is
+	// no other mechanism, and no buffered copy of any response), with
+	// panic recovery inside it so a panicking endpoint answers a typed
+	// 500 rather than an empty reply.
+	chain := func(h http.Handler) http.Handler { return s.withDeadline(s.recoverPanics(h)) }
 	mux := http.NewServeMux()
 	mount := func(pattern string, h http.Handler) {
 		register(pattern)
 		mux.Handle(pattern, h)
 	}
 	route := func(name, pattern string, h http.HandlerFunc) {
-		mount(pattern, buffered(s.metrics.instrument(name, h)))
+		mount(pattern, chain(s.metrics.instrument(name, h)))
 	}
 	// Route classification for admission: health and observability
 	// endpoints mount bare (never shed — a load balancer probing an
@@ -162,26 +153,23 @@ func New(eng engine.DB, opts ...Option) *Server {
 	// materializing reads, and writes each draw from their own class so
 	// saturation in one cannot starve another, and under overload the
 	// expensive reads shed first.
-	expensive := func(name, pattern string, h http.HandlerFunc) {
-		mount(pattern, direct(s.metrics.instrument(name, s.admit(admission.ClassExpensive, h))))
-	}
 	route("healthz", "GET /healthz", s.handleHealthz)
 	route("readyz", "GET /readyz", s.handleReadyz)
 	route("stats", "GET /v1/stats", s.handleStats)
 	route("schema", "GET /v1/schema", s.admit(admission.ClassRead, s.handleSchema))
 	route("annotation", "POST /v1/annotation", s.admit(admission.ClassRead, s.handleAnnotation))
 	route("indexes_list", "GET /v1/indexes", s.admit(admission.ClassRead, s.handleIndexList))
-	expensive("db", "GET /v1/db", s.handleDB)
-	expensive("whatif_deletion", "POST /v1/whatif/deletion", s.handleDeletion)
-	expensive("whatif_abort", "POST /v1/whatif/abort", s.handleAbort)
-	expensive("snapshot_save", "GET /v1/snapshot", s.handleSnapshotSave)
+	route("db", "GET /v1/db", s.admit(admission.ClassExpensive, s.handleDB))
+	route("whatif_deletion", "POST /v1/whatif/deletion", s.admit(admission.ClassExpensive, s.handleDeletion))
+	route("whatif_abort", "POST /v1/whatif/abort", s.admit(admission.ClassExpensive, s.handleAbort))
+	route("snapshot_save", "GET /v1/snapshot", s.admit(admission.ClassExpensive, s.handleSnapshotSave))
 	route("ingest", "POST /v1/ingest", s.admit(admission.ClassWrite, s.handleIngest))
 	route("indexes_build", "POST /v1/indexes", s.admit(admission.ClassWrite, s.handleIndexBuild))
 	route("indexes_drop", "DELETE /v1/indexes", s.admit(admission.ClassWrite, s.handleIndexDrop))
 	route("snapshot_load", "POST /v1/snapshot", s.admit(admission.ClassWrite, s.handleSnapshotLoad))
 	route("checkpoint", "POST /v1/checkpoint", s.admit(admission.ClassWrite, s.handleCheckpoint))
-	mount("GET /v1/metrics", buffered(http.HandlerFunc(s.metrics.serveHTTP)))
-	mount("GET /debug/vars", buffered(expvar.Handler()))
+	mount("GET /v1/metrics", chain(http.HandlerFunc(s.metrics.serveHTTP)))
+	mount("GET /debug/vars", chain(expvar.Handler()))
 	// The replication and subscription streams are long-lived flushed
 	// responses, so they mount outside any request timeout (which would
 	// kill the stream at the deadline). They get their own panic
@@ -230,11 +218,13 @@ func New(eng engine.DB, opts ...Option) *Server {
 // an envelope of a hundred bytes, or the tail of a body.
 const errorReplyWindow = time.Second
 
-// withDeadline bounds a handler that writes its response straight to
-// the connection by the request timeout, as http.TimeoutHandler bounds
-// the buffered routes: the request context expires at the deadline —
-// the handler checks it while it can still answer and serves
-// writeContextError — and the connection's write deadline, one
+// withDeadline bounds a handler by the request timeout. The request
+// context expires at the deadline: a request that arrives with it
+// already gone is answered here, and a handler that can outlast it —
+// admission wait, ApplyBatch between chunks, the materializing reads
+// before their first byte, the snapshot stream at every write — checks
+// it while it can still answer and serves writeContextError (ingest:
+// with the applied count). The connection's write deadline, one
 // errorReplyWindow later, cuts a body a stalled client stopped reading
 // (net/http clears it again after the response).
 func (s *Server) withDeadline(h http.Handler) http.Handler {
@@ -244,6 +234,10 @@ func (s *Server) withDeadline(h http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
 		ctx, cancel := context.WithTimeout(req.Context(), s.timeout)
 		defer cancel()
+		if err := ctx.Err(); err != nil {
+			writeContextError(w, err)
+			return
+		}
 		// Writers with no connection underneath (httptest recorders, a
 		// handler driven in-process) answer http.ErrNotSupported: there
 		// is no write to bound, and the context deadline still holds.

@@ -318,7 +318,7 @@ func (f *Follower) streamOnce(ctx context.Context) (progressed bool, err error) 
 	if len(p) == 0 || p[0] != msgHello {
 		return false, fmt.Errorf("%w: expected hello, got message type %d", ErrStreamCorrupt, msgType(p))
 	}
-	hello, err := decodeHello(&recDecoder{r: bytes.NewReader(p[1:])})
+	hello, err := decodeHello(&recDecoder{buf: p[1:]})
 	if err != nil {
 		return false, fmt.Errorf("%w: bad hello: %v", ErrStreamCorrupt, err)
 	}
@@ -344,16 +344,15 @@ func (f *Follower) streamOnce(ctx context.Context) (progressed bool, err error) 
 		}
 		switch msgType(p) {
 		case msgRecord:
-			d := &recDecoder{r: bytes.NewReader(p[1:])}
-			lsn, err := d.uvarint()
-			if err != nil {
-				return progressed, fmt.Errorf("%w: bad record frame: %v", ErrStreamCorrupt, err)
+			d := &recDecoder{buf: p[1:]}
+			lsn := d.uvarint()
+			if d.err != nil {
+				return progressed, fmt.Errorf("%w: bad record frame: %v", ErrStreamCorrupt, d.err)
 			}
-			payload := p[len(p)-d.r.Len():]
 			if want := s.LSN(); lsn != want {
 				return progressed, fmt.Errorf("%w: record LSN %d, expected %d", ErrStreamCorrupt, lsn, want)
 			}
-			if err := s.applyReplicated(payload); err != nil {
+			if err := s.applyReplicated(d.buf); err != nil {
 				return progressed, err
 			}
 			progressed = true
@@ -361,14 +360,10 @@ func (f *Follower) streamOnce(ctx context.Context) (progressed bool, err error) 
 			f.observeLeader(lsn+1, 0)
 			f.checkReady()
 		case msgHeartbeat:
-			d := &recDecoder{r: bytes.NewReader(p[1:])}
-			lsn, err := d.uvarint()
-			if err != nil {
-				return progressed, fmt.Errorf("%w: bad heartbeat: %v", ErrStreamCorrupt, err)
-			}
-			horizon, err := d.uvarint()
-			if err != nil {
-				return progressed, fmt.Errorf("%w: bad heartbeat: %v", ErrStreamCorrupt, err)
+			d := &recDecoder{buf: p[1:]}
+			lsn, horizon := d.uvarint(), d.uvarint()
+			if d.err != nil {
+				return progressed, fmt.Errorf("%w: bad heartbeat: %v", ErrStreamCorrupt, d.err)
 			}
 			f.observeLeader(lsn, horizon)
 			f.checkReady()
@@ -398,9 +393,8 @@ func (f *Follower) collectCheckpoint(next func() ([]byte, error), snapLSN uint64
 		case msgCkptChunk:
 			buf.Write(p[1:])
 		case msgCkptDone:
-			d := &recDecoder{r: bytes.NewReader(p[1:])}
-			lsn, err := d.uvarint()
-			if err != nil || lsn != snapLSN {
+			d := &recDecoder{buf: p[1:]}
+			if lsn := d.uvarint(); d.err != nil || lsn != snapLSN {
 				return nil, fmt.Errorf("%w: checkpoint done marker mismatch", ErrStreamCorrupt)
 			}
 			return buf.Bytes(), nil
@@ -697,16 +691,17 @@ func (s *Store) LSN() uint64 {
 // local WAL. Runs the same replay path recovery uses, so follower state
 // is byte-identical to a leader that logged the same records.
 func (s *Store) applyReplicated(payload []byte) error {
-	rec, err := decodeRecord(payload)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	defer s.replay.Reset()
+	rec, err := s.decodeBorrowed(payload)
 	if err != nil {
 		return fmt.Errorf("%w: %v", ErrStreamCorrupt, err)
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	if err := s.appendLocked(payload); err != nil {
 		return err
 	}
-	if err := s.applyDecoded(rec); err != nil {
+	if err := s.applyDecoded(&rec); err != nil {
 		return err
 	}
 	s.maybeCheckpointLocked()

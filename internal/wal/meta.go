@@ -1,7 +1,6 @@
 package wal
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"os"
@@ -47,36 +46,25 @@ func encodeSchema(e *recEncoder, schema *db.Schema) {
 // decodeSchema reads the canonical schema encoding with the usual
 // hostile-input bounds.
 func decodeSchema(d *recDecoder) (*db.Schema, error) {
-	nRels, err := d.count(maxWireCount, "relation")
-	if err != nil {
-		return nil, err
-	}
+	nRels := d.count(maxWireCount, "relation")
 	rels := make([]*db.RelationSchema, 0, min(nRels, 1024))
-	for i := uint64(0); i < nRels; i++ {
-		name, err := d.str()
-		if err != nil {
-			return nil, err
-		}
-		nAttrs, err := d.count(maxWireArity, "attribute")
-		if err != nil {
-			return nil, err
-		}
-		attrs := make([]db.Attribute, nAttrs)
+	for i := 0; i < nRels; i++ {
+		name := d.str()
+		attrs := make([]db.Attribute, d.count(maxWireArity, "attribute"))
 		for j := range attrs {
-			if attrs[j].Name, err = d.str(); err != nil {
-				return nil, err
-			}
-			kind, err := d.byte()
-			if err != nil {
-				return nil, err
-			}
-			attrs[j].Kind = db.Kind(kind)
+			attrs[j] = db.Attribute{Name: d.str(), Kind: db.Kind(d.byte())}
+		}
+		if d.err != nil {
+			return nil, d.err
 		}
 		rel, err := db.NewRelationSchema(name, attrs...)
 		if err != nil {
 			return nil, err
 		}
 		rels = append(rels, rel)
+	}
+	if d.err != nil {
+		return nil, d.err
 	}
 	return db.NewSchema(rels...)
 }
@@ -131,13 +119,9 @@ func readMeta(fs FS, dir string) (*metaInfo, error) {
 	if len(data) < len(metaMagic) || string(data[:len(metaMagic)]) != metaMagic {
 		return nil, fmt.Errorf("%w: bad META magic", ErrCorrupt)
 	}
-	d := &recDecoder{r: bytes.NewReader(data[len(metaMagic):])}
-	mode, err := d.byte()
-	if err != nil {
-		return nil, fmt.Errorf("%w: truncated META", ErrCorrupt)
-	}
-	hasInit, err := d.byte()
-	if err != nil {
+	d := &recDecoder{buf: data[len(metaMagic):]}
+	mode, hasInit := d.byte(), d.byte()
+	if d.err != nil {
 		return nil, fmt.Errorf("%w: truncated META", ErrCorrupt)
 	}
 	schema, err := decodeSchema(d)

@@ -4,8 +4,9 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
-	"io"
 	"math"
+	"strings"
+	"unsafe"
 
 	"hyperprov/internal/core"
 	"hyperprov/internal/db"
@@ -180,245 +181,193 @@ func encodeIndexOp(typ byte, rel, attr string) []byte {
 
 // --- decoding -----------------------------------------------------------
 
+// recDecoder reads a payload in place: buf is what is left of it, err
+// the first failure, after which everything decodes as zero. A
+// transaction record needs b, which the transaction is built in (one
+// builder per replay loop, reset per record: the apply only borrows
+// it); with a schema, relation and SQL variable names resolve to the
+// schema's own strings instead of a copy each.
 type recDecoder struct {
-	r *bytes.Reader
+	buf    []byte
+	err    error
+	b      *db.Builder
+	schema *db.Schema
 }
 
-func (d *recDecoder) byte() (byte, error) { return d.r.ReadByte() }
-
-func (d *recDecoder) uvarint() (uint64, error) { return binary.ReadUvarint(d.r) }
-
-func (d *recDecoder) varint() (int64, error) { return binary.ReadVarint(d.r) }
-
-func (d *recDecoder) str() (string, error) {
-	n, err := d.uvarint()
-	if err != nil {
-		return "", err
+func (d *recDecoder) fail(format string, args ...any) {
+	if d.err == nil {
+		d.err = fmt.Errorf(format, args...)
 	}
-	if n > maxWireString || n > uint64(d.r.Len()) {
-		return "", fmt.Errorf("wal: string length %d exceeds record", n)
-	}
-	buf := make([]byte, n)
-	if _, err := io.ReadFull(d.r, buf); err != nil {
-		return "", err
-	}
-	return string(buf), nil
+	d.buf = nil
 }
 
-func (d *recDecoder) value() (db.Value, error) {
-	kind, err := d.byte()
-	if err != nil {
-		return db.Value{}, err
+// take consumes n bytes; past the end it fails and returns zeros.
+func (d *recDecoder) take(n int) []byte {
+	if n > len(d.buf) {
+		d.fail("wal: record ends early")
+		return make([]byte, n)
 	}
-	switch db.Kind(kind) {
+	p := d.buf[:n]
+	d.buf = d.buf[n:]
+	return p
+}
+
+func (d *recDecoder) byte() byte { return d.take(1)[0] }
+
+func (d *recDecoder) uvarint() uint64 {
+	v, n := binary.Uvarint(d.buf)
+	if n <= 0 {
+		d.fail("wal: record ends early")
+		return 0
+	}
+	d.buf = d.buf[n:]
+	return v
+}
+
+func (d *recDecoder) varint() int64 {
+	v, n := binary.Varint(d.buf)
+	if n <= 0 {
+		d.fail("wal: record ends early")
+		return 0
+	}
+	d.buf = d.buf[n:]
+	return v
+}
+
+// view returns the next string as a view of the payload, for callers
+// that look it up or intern it (db.S clones on first sight).
+func (d *recDecoder) view() string {
+	n := d.uvarint()
+	if n > maxWireString || n > uint64(len(d.buf)) {
+		d.fail("wal: string length %d exceeds record", n)
+		return ""
+	}
+	p := d.take(int(n))
+	return unsafe.String(unsafe.SliceData(p), len(p))
+}
+
+func (d *recDecoder) str() string { return strings.Clone(d.view()) }
+
+func (d *recDecoder) value() db.Value {
+	switch kind := d.byte(); db.Kind(kind) {
 	case db.KindString:
-		s, err := d.str()
-		if err != nil {
-			return db.Value{}, err
-		}
-		return db.S(s), nil
+		return db.S(d.view())
 	case db.KindInt:
-		i, err := d.varint()
-		if err != nil {
-			return db.Value{}, err
-		}
-		return db.I(i), nil
+		return db.I(d.varint())
 	case db.KindFloat:
-		var b [8]byte
-		if _, err := io.ReadFull(d.r, b[:]); err != nil {
-			return db.Value{}, err
-		}
-		return db.F(math.Float64frombits(binary.LittleEndian.Uint64(b[:]))), nil
+		return db.F(math.Float64frombits(binary.LittleEndian.Uint64(d.take(8))))
 	default:
-		return db.Value{}, fmt.Errorf("wal: unknown value kind %d", kind)
+		d.fail("wal: unknown value kind %d", kind)
+		return db.Value{}
 	}
 }
 
-func (d *recDecoder) count(limit uint64, what string) (uint64, error) {
-	n, err := d.uvarint()
-	if err != nil {
-		return 0, err
+// count reads the number of elements that follow. An element takes at
+// least a byte, so a count beyond what is left of the record is as
+// implausible as one beyond the limit: nothing is ever allocated for
+// more elements than the record has bytes.
+func (d *recDecoder) count(limit uint64, what string) int {
+	n := d.uvarint()
+	if n > limit || n > uint64(len(d.buf)) {
+		d.fail("wal: implausible %s count %d", what, n)
+		return 0
 	}
-	if n > limit {
-		return 0, fmt.Errorf("wal: implausible %s count %d", what, n)
-	}
-	return n, nil
+	return int(n)
 }
 
-func (d *recDecoder) tuple() (db.Tuple, error) {
-	n, err := d.count(maxWireArity, "tuple arity")
-	if err != nil {
-		return nil, err
-	}
-	t := make(db.Tuple, n)
+func (d *recDecoder) tuple() db.Tuple {
+	t := make(db.Tuple, d.count(maxWireArity, "tuple arity")) // the engine keeps an inserted row
 	for i := range t {
-		if t[i], err = d.value(); err != nil {
-			return nil, err
-		}
+		t[i] = d.value()
 	}
-	return t, nil
+	return t
 }
 
-func (d *recDecoder) term() (db.Term, error) {
-	isConst, err := d.byte()
-	if err != nil {
-		return db.Term{}, err
+// term decodes position i of a pattern over rel (nil without a schema,
+// or when the schema lacks the relation the record names).
+func (d *recDecoder) term(rel *db.RelationSchema, i int) db.Term {
+	if d.byte() == 1 {
+		return db.Const(d.value())
 	}
-	if isConst == 1 {
-		v, err := d.value()
-		if err != nil {
-			return db.Term{}, err
-		}
-		return db.Const(v), nil
+	name := d.view()
+	if rel != nil && i < rel.Arity() && name == rel.VarName(i) {
+		name = rel.VarName(i) // as the SQL front end named it
+	} else {
+		name = strings.Clone(name)
 	}
-	name, err := d.str()
-	if err != nil {
-		return db.Term{}, err
+	ne := d.b.Values(d.count(maxWireCount, "disequality"))
+	for j := range ne {
+		ne[j] = d.value()
 	}
-	n, err := d.count(maxWireCount, "disequality")
-	if err != nil {
-		return db.Term{}, err
-	}
-	if n == 0 {
-		return db.AnyVar(name), nil
-	}
-	ne := make([]db.Value, n)
-	for i := range ne {
-		if ne[i], err = d.value(); err != nil {
-			return db.Term{}, err
-		}
-	}
-	return db.VarNotEq(name, ne...), nil
+	return db.VarNotEq(name, ne...)
 }
 
-func (d *recDecoder) pattern() (db.Pattern, error) {
-	n, err := d.count(maxWireArity, "pattern arity")
-	if err != nil {
-		return nil, err
-	}
-	p := make(db.Pattern, n)
+func (d *recDecoder) pattern(rel *db.RelationSchema) db.Pattern {
+	p := d.b.Pattern(d.count(maxWireArity, "pattern arity"))
 	for i := range p {
-		if p[i], err = d.term(); err != nil {
-			return nil, err
-		}
+		p[i] = d.term(rel, i)
 	}
-	return p, nil
+	return p
 }
 
-func (d *recDecoder) update() (db.Update, error) {
-	var u db.Update
-	kind, err := d.byte()
-	if err != nil {
-		return u, err
+func (d *recDecoder) update(u *db.Update) {
+	kind, name := d.byte(), d.view()
+	var rel *db.RelationSchema
+	if d.schema != nil {
+		rel = d.schema.Relation(name)
 	}
-	u.Kind = db.UpdateKind(kind)
-	if u.Rel, err = d.str(); err != nil {
-		return u, err
+	if rel != nil {
+		name = rel.Name
+	} else {
+		name = strings.Clone(name)
 	}
-	switch u.Kind {
+	switch u.Kind, u.Rel = db.UpdateKind(kind), name; u.Kind {
 	case db.OpInsert:
-		if u.Row, err = d.tuple(); err != nil {
-			return u, err
-		}
+		u.Row = d.tuple()
 	case db.OpDelete:
-		if u.Sel, err = d.pattern(); err != nil {
-			return u, err
-		}
+		u.Sel = d.pattern(rel)
 	case db.OpModify:
-		if u.Sel, err = d.pattern(); err != nil {
-			return u, err
-		}
-		n, err := d.count(maxWireArity, "set clause")
-		if err != nil {
-			return u, err
-		}
-		u.Set = make([]db.SetClause, n)
+		u.Sel = d.pattern(rel)
+		u.Set = d.b.Set(d.count(maxWireArity, "set clause"))
 		for i := range u.Set {
-			set, err := d.byte()
-			if err != nil {
-				return u, err
-			}
-			if set == 1 {
-				v, err := d.value()
-				if err != nil {
-					return u, err
-				}
-				u.Set[i] = db.SetTo(v)
+			if d.byte() == 1 {
+				u.Set[i] = db.SetTo(d.value())
 			}
 		}
 	default:
-		return u, fmt.Errorf("wal: unknown update kind %d", kind)
+		d.fail("wal: unknown update kind %d", kind)
 	}
-	n, err := d.count(maxWireCount, "condition")
-	if err != nil {
-		return u, err
+	for n := d.count(maxWireCount, "condition"); n > 0; n-- {
+		u.Conds = append(u.Conds, db.AttrCond{Left: int(d.varint()), Right: int(d.varint()), Neq: d.byte() == 1})
 	}
-	for i := uint64(0); i < n; i++ {
-		left, err := d.varint()
-		if err != nil {
-			return u, err
-		}
-		right, err := d.varint()
-		if err != nil {
-			return u, err
-		}
-		neq, err := d.byte()
-		if err != nil {
-			return u, err
-		}
-		u.Conds = append(u.Conds, db.AttrCond{Left: int(left), Right: int(right), Neq: neq == 1})
-	}
-	return u, nil
 }
 
-// decodeRecord parses one record payload (the bytes inside a frame).
-func decodeRecord(data []byte) (*Record, error) {
-	d := &recDecoder{r: bytes.NewReader(data)}
-	typ, err := d.byte()
-	if err != nil {
-		return nil, fmt.Errorf("wal: empty record")
+// record parses one record payload (the bytes inside a frame). Txn is
+// valid until the builder's next Reset.
+func (d *recDecoder) record() (Record, error) {
+	if len(d.buf) == 0 {
+		return Record{}, fmt.Errorf("wal: empty record")
 	}
-	rec := &Record{Type: typ}
-	switch typ {
+	rec := Record{Type: d.byte()}
+	switch rec.Type {
 	case recTxn:
-		t := &db.Transaction{}
-		if t.Label, err = d.str(); err != nil {
-			return nil, err
+		rec.Txn = &d.b.Transactions(1)[0]
+		rec.Txn.Label = d.str() // the engine keeps it
+		rec.Txn.Updates = d.b.Updates(d.count(maxWireCount, "update"))
+		for i := 0; i < len(rec.Txn.Updates) && d.err == nil; i++ {
+			d.update(&rec.Txn.Updates[i])
 		}
-		n, err := d.count(maxWireCount, "update")
-		if err != nil {
-			return nil, err
-		}
-		t.Updates = make([]db.Update, 0, min(n, 1024))
-		for i := uint64(0); i < n; i++ {
-			u, err := d.update()
-			if err != nil {
-				return nil, err
-			}
-			t.Updates = append(t.Updates, u)
-		}
-		rec.Txn = t
 	case recRestore:
-		if rec.Rel, err = d.str(); err != nil {
-			return nil, err
-		}
-		if rec.Tuple, err = d.tuple(); err != nil {
-			return nil, err
-		}
-		if rec.Ann, err = provstore.ReadExpr(d.r); err != nil {
-			return nil, err
+		rec.Rel, rec.Tuple = d.str(), d.tuple()
+		if d.err == nil {
+			rec.Ann, d.err = provstore.ReadExpr(bytes.NewReader(d.buf))
 		}
 	case recMinimize:
 		// no payload
 	case recBuildIndex, recDropIndex:
-		if rec.Rel, err = d.str(); err != nil {
-			return nil, err
-		}
-		if rec.Attr, err = d.str(); err != nil {
-			return nil, err
-		}
+		rec.Rel, rec.Attr = d.str(), d.str()
 	default:
-		return nil, fmt.Errorf("wal: unknown record type %d", typ)
+		d.fail("wal: unknown record type %d", rec.Type)
 	}
-	return rec, nil
+	return rec, d.err
 }

@@ -1,0 +1,89 @@
+package wal
+
+import (
+	"bytes"
+	"path/filepath"
+	"reflect"
+	"runtime/metrics"
+	"testing"
+
+	"hyperprov/internal/db"
+)
+
+// FuzzDecodeRecord feeds arbitrary payloads, seeded with the golden
+// segment's records, to the record decoder. It must not panic; it must
+// not allocate beyond a multiple of the payload's size whatever counts
+// the payload claims; what it accepts as a transaction must survive
+// encode and decode unchanged; and decoding into a recycled builder
+// with the schema's names — the replay loops' way — must give the
+// record a fresh decode gives, before and after a poisoned Reset.
+func FuzzDecodeRecord(f *testing.F) {
+	golden := filepath.Join("testdata", "golden")
+	meta, err := readMeta(OSFS{}, golden)
+	if err != nil {
+		f.Fatal(err)
+	}
+	seg, err := OSFS{}.ReadFile(filepath.Join(golden, segName(0)))
+	if err != nil {
+		f.Fatal(err)
+	}
+	sc := scanSegment(seg)
+	if sc.torn || len(sc.records) == 0 {
+		f.Fatalf("golden segment: %+v", sc)
+	}
+	for _, payload := range sc.records {
+		f.Add(payload)
+	}
+	f.Add([]byte{recTxn, 1, 'x', 0xff, 0xff, 0x3f})                       // a million updates in no bytes
+	f.Add([]byte{recTxn, 0, 1, byte(db.OpDelete), 1, 'R', 0xff, 0xff, 3}) // an arity of 65 535 likewise
+	f.Add([]byte{recTxn, 0xff, 0xff, 0xff, 0x07, 'x'})                    // a 16 MB label
+
+	db.PoisonOnReset.Store(true)
+	f.Cleanup(func() { db.PoisonOnReset.Store(false) })
+	var replay db.Builder
+	allocated := []metrics.Sample{{Name: "/gc/heap/allocs:bytes"}}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		fresh, err := decodeRecord(data)
+		if err != nil {
+			fresh = nil
+		}
+		// Again, now that the strings in it are interned: what is
+		// allocated is the decoder's own. An update is 120 bytes, a term
+		// 64, a value 16, chunks double, and no count claims more
+		// elements than there are bytes left. (A restore record's
+		// annotation is provstore's to bound. The metric is the
+		// process's and moves a span at a time: hence the 64 kB, and a
+		// reading that is the decoder's repeats.)
+		for try, limit := 0, uint64(1<<16+1024*len(data)); len(data) > 0 && data[0] != recRestore; try++ {
+			metrics.Read(allocated)
+			before := allocated[0].Value.Uint64()
+			_, _ = decodeRecord(data)
+			metrics.Read(allocated)
+			got := allocated[0].Value.Uint64() - before
+			if got <= limit {
+				break
+			}
+			if try == 3 {
+				t.Fatalf("decoding %d bytes allocates %d, want at most %d", len(data), got, limit)
+			}
+		}
+		for round := 0; round < 2; round++ {
+			rec, err := (&recDecoder{buf: data, b: &replay, schema: meta.schema}).record()
+			if (err == nil) != (fresh != nil) || (err == nil && !reflect.DeepEqual(&rec, fresh)) {
+				t.Fatalf("round %d: into a recycled builder: %+v, %v\nfresh: %+v", round, rec, err, fresh)
+			}
+			replay.Reset()
+		}
+		if fresh == nil || fresh.Type != recTxn {
+			return
+		}
+		encoded := encodeTxn(fresh.Txn)
+		again, err := decodeRecord(encoded)
+		if err != nil || !reflect.DeepEqual(again, fresh) {
+			t.Fatalf("decode(encode(t)) = %+v, %v\nt = %+v", again, err, fresh)
+		}
+		if !bytes.Equal(encodeTxn(again.Txn), encoded) {
+			t.Fatal("encode(decode(encode(t))) differs from encode(t)")
+		}
+	})
+}

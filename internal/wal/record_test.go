@@ -9,8 +9,6 @@ import (
 	"hyperprov/internal/workload"
 )
 
-// TestTxnCodecRoundTrip encodes generated hyperplane transactions and
-// checks decode reproduces them field for field.
 // encodeTxn renders one transaction's payload into a buffer of its own.
 func encodeTxn(t *db.Transaction) []byte {
 	var e recEncoder
@@ -18,6 +16,18 @@ func encodeTxn(t *db.Transaction) []byte {
 	return e.buf.Bytes()
 }
 
+// decodeRecord parses one record payload into a record the collector
+// owns: no schema to borrow names from, a builder that is never reset.
+func decodeRecord(data []byte) (*Record, error) {
+	rec, err := (&recDecoder{buf: data, b: new(db.Builder)}).record()
+	if err != nil {
+		return nil, err
+	}
+	return &rec, nil
+}
+
+// TestTxnCodecRoundTrip encodes generated hyperplane transactions and
+// checks decode reproduces them field for field.
 func TestTxnCodecRoundTrip(t *testing.T) {
 	_, txns, err := workload.Generate(workload.Config{
 		Tuples: 100, Pool: 20, Group: 2, Updates: 200,

@@ -205,6 +205,12 @@ type Store struct {
 	// records in it, reused under mu (see encodeChunkLocked).
 	enc         recEncoder
 	encPayloads [][]byte
+	// replay is where the replay loops — recovery's segment walk, a
+	// follower session's applyReplicated — decode each record's
+	// transaction: the engine only borrows it, so the slabs are taken
+	// back after every record. Under mu (recovery runs before the store
+	// is shared).
+	replay db.Builder
 
 	// Replication: registered follower streams. Each handle's position
 	// fences log pruning; attached handles receive committed records.
@@ -553,11 +559,19 @@ func (s *Store) recover(meta *metaInfo) error {
 // process already returned, so they are not failures; decode and
 // restore errors mean the log does not match the schema — corruption.
 func (s *Store) replayRecord(payload []byte) error {
-	rec, err := decodeRecord(payload)
+	defer s.replay.Reset()
+	rec, err := s.decodeBorrowed(payload)
 	if err != nil {
 		return err
 	}
-	return s.applyDecoded(rec)
+	return s.applyDecoded(&rec)
+}
+
+// decodeBorrowed decodes a record for the apply that follows: its
+// transaction lives in s.replay until the caller resets it, and its
+// relation and variable names are the schema's own strings.
+func (s *Store) decodeBorrowed(payload []byte) (Record, error) {
+	return (&recDecoder{buf: payload, b: &s.replay, schema: s.engine().Schema()}).record()
 }
 
 // applyDecoded applies one already-decoded record to the engine — the

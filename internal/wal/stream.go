@@ -83,37 +83,16 @@ func encodeHello(h helloMsg) []byte {
 }
 
 func decodeHello(d *recDecoder) (helloMsg, error) {
-	var h helloMsg
-	ver, err := d.byte()
-	if err != nil {
-		return h, err
+	if ver := d.byte(); d.err == nil && ver != streamVersion {
+		return helloMsg{}, fmt.Errorf("stream version %d, want %d", ver, streamVersion)
 	}
-	if ver != streamVersion {
-		return h, fmt.Errorf("stream version %d, want %d", ver, streamVersion)
+	h := helloMsg{resync: d.byte() == 1, mode: engine.Mode(d.byte()), target: d.uvarint(), horizon: d.uvarint(), snapLSN: d.uvarint()}
+	if d.err != nil {
+		return h, d.err
 	}
-	resync, err := d.byte()
-	if err != nil {
-		return h, err
-	}
-	h.resync = resync == 1
-	mode, err := d.byte()
-	if err != nil {
-		return h, err
-	}
-	h.mode = engine.Mode(mode)
-	if h.target, err = d.uvarint(); err != nil {
-		return h, err
-	}
-	if h.horizon, err = d.uvarint(); err != nil {
-		return h, err
-	}
-	if h.snapLSN, err = d.uvarint(); err != nil {
-		return h, err
-	}
-	if h.schema, err = decodeSchema(d); err != nil {
-		return h, err
-	}
-	return h, nil
+	var err error
+	h.schema, err = decodeSchema(d)
+	return h, err
 }
 
 func encodeStreamRecord(lsn uint64, payload []byte) []byte {

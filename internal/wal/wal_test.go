@@ -58,7 +58,7 @@ func tpccWorkload(t *testing.T) (*db.Database, []db.Transaction) {
 	return initial, g.Transactions(60)
 }
 
-func snapshotOf(t *testing.T, e engine.DB) []byte {
+func snapshotOf(t *testing.T, e engine.Reader) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	if err := provstore.SaveSnapshot(&buf, e); err != nil {
