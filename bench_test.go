@@ -468,8 +468,13 @@ func BenchmarkCheckpointEncode(b *testing.B) {
 // engine built off the clock; B/op is gated in CI. Expression nodes are
 // interned once per process — by the first op, or by a TPC-C benchmark
 // that ran before it — so compare runs of equal b.N and -bench set
-// (bench/baseline.json: one op after the bench-smoke set, 144 MB; alone,
-// 168 MB).
+// (bench/baseline.json: one op after the bench-smoke set, 130 MB). For
+// the same reason this benchmark cannot see the expr-intern stage: the
+// table is process-global and warm after the first iteration, so every
+// later op finds every node — at -benchtime 2x, 119 377 712 B/op with a
+// Go map entry, a 96-byte node and an operand slice per node,
+// 119 377 760 with 64-byte nodes chained in place. BenchmarkInternCold (internal/core) interns
+// into a fresh table per iteration and is that stage's benchmark.
 func BenchmarkEngineApplyTPCC(b *testing.B) {
 	initial, txns, err := benchutil.TPCCOpList(1, 12000)
 	if err != nil {

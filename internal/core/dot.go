@@ -24,14 +24,14 @@ func WriteDOT(w io.Writer, name string, e *Expr) error {
 		case OpZero:
 			label = "0"
 		case OpVar:
-			label = x.ann.Name
+			label = x.Annot().Name
 		default:
 			label = opSymbol(x.op)
 		}
 		if _, err := fmt.Fprintf(w, "  n%d [label=%q];\n", id, label); err != nil {
 			return 0, err
 		}
-		for _, k := range x.kids {
+		for _, k := range x.Children() {
 			kid, err := walk(k)
 			if err != nil {
 				return 0, err

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"slices"
 	"sync"
 	"sync/atomic"
 )
@@ -26,94 +27,66 @@ import (
 // re-canonicalizes such a tree, and Minimize/Normalize do so implicitly.
 //
 // Fingerprints are the 64-bit structural hashes of hashNode. They are
-// strong enough to shard and bucket on, but they are not assumed
-// collision-free: a bucket holds every canonical node with the same
-// fingerprint and lookups compare structurally (operator, annotation
-// and child identity) before declaring a hit, so a hash collision costs
-// a bucket scan, never a wrong canonical node. TestInternForcedCollision
-// pins this down.
+// strong enough to shard and slot on, but they are not assumed
+// collision-free: every probe compares the stored fingerprint and then
+// the structure (operator, annotation and child identity) before
+// declaring a hit, so a hash collision costs one more step along a
+// chain, never a wrong canonical node. TestInternForcedCollision pins
+// this down.
 //
-// Memory layout: canonical nodes are immortal (the table is append-only
-// for the process lifetime), which makes them ideal arena tenants. Each
-// shard slab-allocates its nodes from fixed-size chunks, so interning a
-// node costs one bump-pointer step instead of an individual heap object,
-// and the GC tracks thousands of nodes per allocation. Collision
-// overflow lists are chunked the same way (rare: they require a genuine
-// 64-bit fingerprint collision), so bucket growth never re-allocates a
-// slice.
+// Memory layout: the table is the nodes themselves. Each of the 64
+// lock-striped shards is a power-of-two array of chain heads over the
+// intrusive next pointer of Expr, so a canonical node costs its 64
+// bytes and its share of a head word — no map entry, no bucket, nothing
+// to allocate on a miss but the node — and can later be unlinked, where
+// a Go map entry could only be deleted by key. Canonical nodes are
+// immortal (the table is append-only for the process lifetime), hence
+// ideal arena tenants: each shard slab-allocates its nodes, and the
+// extension records of its variables and sums, from fixed-size chunks,
+// so interning is a bump-pointer step and the GC tracks a thousand
+// nodes per allocation.
 
 // internShardCount is the number of lock stripes of the intern table.
 // Power of two; 64 stripes keep contention negligible at GOMAXPROCS
 // well beyond typical core counts.
 const internShardCount = 64
 
-// arenaChunkLen is the number of Expr nodes per slab chunk.
+// arenaChunkLen is the number of values per slab chunk.
 const arenaChunkLen = 1024
 
-// exprArena bump-allocates immortal Expr nodes from fixed-size chunks.
-// Chunks are never re-allocated or copied: published *Expr pointers stay
-// valid (the nodes embed atomic memo fields and must never move). All
-// access happens under the owning shard's write lock.
-type exprArena struct {
-	cur  []Expr // current chunk; len(cur) slots used, allocated lazily
-	used int
+// internLoad is the number of nodes per chain head at which a shard
+// doubles its head array, relinking every node under its write lock. A
+// chain step is a cache miss on another node, a head word 8 bytes
+// allocated twice over by the doublings: at 2 a probe costs what it
+// costs at 1 for 14 bytes a node less, at 4 it is a quarter slower for
+// 7 more (BenchmarkInternCold has the table).
+const internLoad = 2
+
+// arena bump-allocates immortal values from fixed-size chunks. Chunks
+// are never re-allocated or copied: published pointers stay valid (the
+// values embed atomic fields and must never move). All access happens
+// under the owning shard's write lock.
+type arena[T any] struct {
+	free []T // unused tail of the current chunk
 }
 
-func (a *exprArena) alloc() *Expr {
-	if a.used == len(a.cur) {
-		a.cur = make([]Expr, arenaChunkLen)
-		a.used = 0
+func (a *arena[T]) alloc() *T {
+	if len(a.free) == 0 {
+		a.free = make([]T, arenaChunkLen)
 	}
-	n := &a.cur[a.used]
-	a.used++
-	return n
-}
-
-// bucketChunkLen is the capacity of one collision-overflow chunk.
-const bucketChunkLen = 4
-
-// exprBucket is a chunked list of canonical nodes sharing one
-// fingerprint beyond the first: appends fill the newest chunk in place
-// and link a fresh chunk when full, so growth never copies.
-type exprBucket struct {
-	nodes [bucketChunkLen]*Expr
-	n     int
-	next  *exprBucket // older, always-full chunks
-}
-
-func (b *exprBucket) each(f func(*Expr) bool) *Expr {
-	for c := b; c != nil; c = c.next {
-		for i := 0; i < c.n; i++ {
-			if f(c.nodes[i]) {
-				return c.nodes[i]
-			}
-		}
-	}
-	return nil
+	v := &a.free[0]
+	a.free = a.free[1:]
+	return v
 }
 
 type internShard struct {
 	mu sync.RWMutex
-	// first maps a structural fingerprint to the first canonical node
-	// carrying it — the only entry in the overwhelmingly common
-	// collision-free case, so a node costs one map slot, not a slice.
-	first map[uint64]*Expr
-	// rest holds any further canonical nodes under a fingerprint: only
-	// populated by a genuine 64-bit collision.
-	rest  map[uint64]*exprBucket
-	arena exprArena
-}
-
-// addRest appends a colliding node to the fingerprint's overflow bucket;
-// the caller holds the write lock.
-func (s *internShard) addRest(h uint64, n *Expr) {
-	b := s.rest[h]
-	if b == nil || b.n == bucketChunkLen {
-		b = &exprBucket{next: b}
-		s.rest[h] = b
-	}
-	b.nodes[b.n] = n
-	b.n++
+	// heads[slot(h)] starts the chain of every canonical node whose
+	// fingerprint falls in the slot; len(heads) is a power of two.
+	heads []*Expr
+	n     int // nodes linked
+	nodes arena[Expr]
+	exts  arena[exprExt]
 }
 
 type internTable struct {
@@ -128,40 +101,84 @@ var interns = newInternTable()
 func newInternTable() *internTable {
 	t := &internTable{}
 	for i := range t.shards {
-		t.shards[i].first = make(map[uint64]*Expr)
-		t.shards[i].rest = make(map[uint64]*exprBucket)
+		t.shards[i].heads = make([]*Expr, 8)
 	}
 	return t
 }
 
+// mix folds the high bits of a fingerprint into the low ones, so that
+// shard and slot choice are not just the low bits of the FNV state: the
+// shard is the low six bits of the result, the slot the bits above them.
+func mix(h uint64) uint64 { return h ^ h>>32 }
+
+// shard returns the lock stripe of a fingerprint. Callers compute it
+// once per constructor call and reuse it across the read probe and the
+// write path.
 func (t *internTable) shard(h uint64) *internShard {
-	// Fold the high bits in so shard choice is not just the low bits of
-	// the FNV state. Callers compute the shard once per constructor call
-	// and reuse it across the read probe and the write path.
-	return &t.shards[(h^h>>32)&(internShardCount-1)]
+	return &t.shards[mix(h)&(internShardCount-1)]
 }
 
-// sameNode reports whether the canonical node e represents (op, ann,
-// kids). Children are compared by identity: interned nodes only ever
-// hold canonical children, so pointer comparison is exact structural
-// comparison here.
-func sameNode(e *Expr, op Op, ann Annot, kids []*Expr) bool {
-	if e.op != op || e.ann != ann || len(e.kids) != len(kids) {
-		return false
-	}
-	for i := range kids {
-		if e.kids[i] != kids[i] {
-			return false
+// head returns the chain head slot of a fingerprint; the caller holds
+// the shard lock.
+func (s *internShard) head(h uint64) **Expr {
+	return &s.heads[mix(h)>>6&uint64(len(s.heads)-1)]
+}
+
+// find walks the fingerprint's chain for the canonical node (op, ann,
+// kids); the caller holds the shard lock. Children are compared by
+// identity: interned nodes only ever hold canonical children, so
+// pointer comparison is exact structural comparison here.
+func (s *internShard) find(op Op, ann Annot, kids []*Expr, h uint64) *Expr {
+	for e := *s.head(h); e != nil; e = e.next {
+		if e.hash == h && e.op == op && (op != OpVar || e.Annot() == ann) && slices.Equal(e.Children(), kids) {
+			return e
 		}
 	}
-	return true
+	return nil
+}
+
+// findBinary is find for a binary node given its children directly, so
+// the probe reads nothing but the chain's nodes.
+func (s *internShard) findBinary(op Op, l, r *Expr, h uint64) *Expr {
+	for e := *s.head(h); e != nil; e = e.next {
+		if e.hash == h && e.op == op && e.lr[0] == l && e.lr[1] == r {
+			return e
+		}
+	}
+	return nil
+}
+
+// insert links a fresh canonical node under the fingerprint h and
+// returns it for the caller to fill in its children; the caller holds
+// the write lock and has just failed to find the node.
+func (s *internShard) insert(t *internTable, op Op, size int64, h uint64) *Expr {
+	if s.n >= internLoad*len(s.heads) {
+		old := s.heads
+		s.heads = make([]*Expr, 2*len(old))
+		for _, e := range old {
+			for e != nil {
+				next, to := e.next, s.head(e.hash)
+				e.next, *to = *to, e
+				e = next
+			}
+		}
+	}
+	n := s.nodes.alloc()
+	n.op, n.interned, n.id, n.size, n.hash = op, true, t.nextID(), size, h
+	to := s.head(h)
+	n.next, *to = *to, n
+	s.n++
+	return n
 }
 
 // intern returns the canonical node for (op, ann, kids) under the
 // fingerprint h, inserting a fresh node on first sight. Every kid must
-// already be canonical; on a miss the kids slice is adopted by the
+// already be canonical; on a miss a sum's kids slice is adopted by the
 // table and must not be mutated by the caller.
 func (t *internTable) intern(op Op, ann Annot, kids []*Expr, h uint64) *Expr {
+	if op >= OpPlusI && op <= OpDotM {
+		return t.internBinary(op, kids[0], kids[1], h)
+	}
 	s := t.shard(h)
 	s.mu.RLock()
 	e := s.find(op, ann, kids, h)
@@ -185,13 +202,10 @@ func (t *internTable) intern(op Op, ann Annot, kids []*Expr, h uint64) *Expr {
 		t.hits.Add(1)
 		return e
 	}
-	n := s.arena.alloc()
-	n.op, n.id, n.ann, n.kids, n.size, n.hash, n.interned = op, t.nextID(), ann, kids, size, h, true
-	if _, taken := s.first[h]; !taken {
-		s.first[h] = n
-	} else {
-		s.addRest(h, n)
-	}
+	x := s.exts.alloc()
+	x.ann, x.kids = ann, kids
+	n := s.insert(t, op, size, h)
+	n.ext.Store(x)
 	s.mu.Unlock()
 	t.misses.Add(1)
 	return n
@@ -221,32 +235,19 @@ func LookupVar(a Annot) *Expr {
 	return e
 }
 
-// find scans the fingerprint's canonical nodes for (op, ann, kids); the
-// caller holds the shard lock.
-func (s *internShard) find(op Op, ann Annot, kids []*Expr, h uint64) *Expr {
-	if e, ok := s.first[h]; ok {
-		if sameNode(e, op, ann, kids) {
-			return e
-		}
-		if b := s.rest[h]; b != nil {
-			return b.each(func(e *Expr) bool { return sameNode(e, op, ann, kids) })
-		}
+// Lookup returns the canonical node structurally equal to e — e itself
+// if it is canonical — or nil if none has been interned. Like LookupVar
+// it never inserts.
+func Lookup(e *Expr) *Expr {
+	if e.interned {
+		return e
 	}
-	return nil
-}
-
-// findBinary is find for a binary node given its children directly, so
-// the probe needs no kids slice; the caller holds the shard lock.
-func (s *internShard) findBinary(op Op, l, r *Expr, h uint64) *Expr {
-	hit := func(e *Expr) bool {
-		return e.op == op && len(e.kids) == 2 && e.kids[0] == l && e.kids[1] == r
-	}
-	if e, ok := s.first[h]; ok {
-		if hit(e) {
-			return e
-		}
-		if b := s.rest[h]; b != nil {
-			return b.each(hit)
+	s := interns.shard(e.hash)
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	for n := *s.head(e.hash); n != nil; n = n.next {
+		if n.hash == e.hash && n.Equal(e) {
+			return n
 		}
 	}
 	return nil
@@ -254,8 +255,8 @@ func (s *internShard) findBinary(op Op, l, r *Expr, h uint64) *Expr {
 
 // internBinary returns the canonical node for op over the canonical
 // children l and r under the fingerprint h, interning on first sight.
-// The shard is resolved once for both the allocation-free hit probe and
-// the write path, and the kids slice is only allocated after a miss.
+// The shard is resolved once for both the hit probe and the write path,
+// and neither allocates: the operands are stored in the node.
 func (t *internTable) internBinary(op Op, l, r *Expr, h uint64) *Expr {
 	s := t.shard(h)
 	s.mu.RLock()
@@ -272,13 +273,8 @@ func (t *internTable) internBinary(op Op, l, r *Expr, h uint64) *Expr {
 		t.hits.Add(1)
 		return e
 	}
-	n := s.arena.alloc()
-	n.op, n.id, n.kids, n.size, n.hash, n.interned = op, t.nextID(), []*Expr{l, r}, 1+l.size+r.size, h, true
-	if _, taken := s.first[h]; !taken {
-		s.first[h] = n
-	} else {
-		s.addRest(h, n)
-	}
+	n := s.insert(t, op, 1+l.size+r.size, h)
+	n.lr = [2]*Expr{l, r}
 	s.mu.Unlock()
 	t.misses.Add(1)
 	return n
@@ -301,14 +297,14 @@ func Intern(e *Expr) *Expr {
 	case OpZero:
 		return zeroExpr
 	case OpVar:
-		return Var(e.ann)
+		return Var(e.Annot())
 	}
-	kids := make([]*Expr, len(e.kids))
-	for i, k := range e.kids {
+	kids := make([]*Expr, len(e.Children()))
+	for i, k := range e.Children() {
 		kids[i] = Intern(k)
 	}
 	// Interning children preserves structure, hence the structural hash.
-	return interns.intern(e.op, e.ann, kids, e.hash)
+	return interns.intern(e.op, Annot{}, kids, e.hash)
 }
 
 // InternTableStats is a snapshot of the global intern table counters.

@@ -26,31 +26,34 @@ func Minimize(e *Expr) *Expr {
 }
 
 func minimizeInterned(e *Expr) *Expr {
-	if m := e.minimized.Load(); m != nil {
+	if e.op <= OpVar {
+		return e // 0 and variables are minimal and carry no memo
+	}
+	x := e.memo()
+	if m := x.minimized.Load(); m != nil {
 		return m
 	}
 	m := minimizeStep(e)
 	// Minimize is idempotent (TestMinimizeIdempotent), so the result is
 	// its own fixed point; recording that saves the re-walk when a
 	// minimized expression is minimized again.
-	m.minimized.Store(m)
-	e.minimized.Store(m)
+	if m.op > OpVar {
+		m.memo().minimized.Store(m)
+	}
+	x.minimized.Store(m)
 	return m
 }
 
 func minimizeStep(e *Expr) *Expr {
-	switch e.op {
-	case OpZero, OpVar:
-		return e
-	case OpSum:
-		kids := make([]*Expr, 0, len(e.kids))
-		for _, k := range e.kids {
+	if e.op == OpSum {
+		kids := make([]*Expr, 0, len(e.Children()))
+		for _, k := range e.Children() {
 			m := minimizeInterned(k)
 			if m.IsZero() {
 				continue
 			}
 			if m.op == OpSum {
-				kids = append(kids, m.kids...)
+				kids = append(kids, m.Children()...)
 			} else {
 				kids = append(kids, m)
 			}
@@ -64,8 +67,8 @@ func minimizeStep(e *Expr) *Expr {
 		}
 		return Sum(SortedByHash(kids)...)
 	}
-	l := minimizeInterned(e.kids[0])
-	r := minimizeInterned(e.kids[1])
+	l := minimizeInterned(e.Left())
+	r := minimizeInterned(e.Right())
 	switch e.op {
 	case OpMinus:
 		if l.IsZero() {
@@ -86,7 +89,7 @@ func minimizeStep(e *Expr) *Expr {
 			return l
 		}
 	}
-	if l == e.kids[0] && r == e.kids[1] {
+	if l == e.Left() && r == e.Right() {
 		return e
 	}
 	return binary(e.op, l, r)

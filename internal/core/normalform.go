@@ -283,7 +283,7 @@ func (s *nfSum) add(c *Expr) {
 	if c.op == OpSum {
 		// Σ is flat: a summand that is itself a sum contributes its
 		// elements (axiom 11).
-		for _, k := range c.kids {
+		for _, k := range c.Children() {
 			s.add(k)
 		}
 		return

@@ -27,14 +27,14 @@ func (e *Expr) appendText(dst []byte, name func([]byte, string) []byte, top bool
 		return append(dst, '0')
 	case OpVar:
 		if name != nil {
-			return name(dst, e.ann.Name)
+			return name(dst, e.Annot().Name)
 		}
-		return append(dst, e.ann.Name...)
+		return append(dst, e.Annot().Name...)
 	}
 	if !top {
 		dst = append(dst, '(')
 	}
-	for i, k := range e.kids {
+	for i, k := range e.Children() {
 		if i > 0 {
 			dst = append(append(append(dst, ' '), opSymbol(e.op)...), ' ')
 		}

@@ -18,7 +18,7 @@ package core
 // isQueryVar reports whether e is a variable expression carrying the
 // annotation p.
 func isQueryVar(e *Expr, p Annot) bool {
-	return e.op == OpVar && e.ann == p
+	return e.op == OpVar && e.Annot() == p
 }
 
 // stripSamePhase removes from the root of e every operator layer that
@@ -57,7 +57,7 @@ func modContribution(c *Expr, p Annot) (contrib []*Expr, inserted bool) {
 		inner := c.Right().Left()
 		var sum []*Expr
 		if inner.op == OpSum {
-			sum = inner.kids
+			sum = inner.Children()
 		} else {
 			sum = []*Expr{inner}
 		}
@@ -94,47 +94,51 @@ func Normalize(e *Expr) *Expr {
 }
 
 func normalizeInterned(e *Expr) *Expr {
-	if n := e.normalized.Load(); n != nil {
+	if e.op <= OpVar {
+		return e // 0 and variables are normal and carry no memo
+	}
+	x := e.memo()
+	if n := x.normalized.Load(); n != nil {
 		return n
 	}
 	n := normalizeStep(e)
 	// Normalize is idempotent (TestNormalizeIdempotent): the result is
 	// its own normal form.
-	n.normalized.Store(n)
-	e.normalized.Store(n)
+	if n.op > OpVar {
+		n.memo().normalized.Store(n)
+	}
+	x.normalized.Store(n)
 	return n
 }
 
 func normalizeStep(e *Expr) *Expr {
 	switch e.op {
-	case OpZero, OpVar:
-		return e
 	case OpSum:
-		kids := make([]*Expr, len(e.kids))
-		for i, k := range e.kids {
+		kids := make([]*Expr, len(e.Children()))
+		for i, k := range e.Children() {
 			kids[i] = normalizeInterned(k)
 		}
 		return Sum(kids...)
 	case OpPlusI, OpMinus:
-		l := normalizeInterned(e.kids[0])
-		r := normalizeInterned(e.kids[1])
+		l := normalizeInterned(e.Left())
+		r := normalizeInterned(e.Right())
 		if r.op == OpVar {
-			l = stripSamePhase(l, r.ann) // Rules 1 and 2
+			l = stripSamePhase(l, r.Annot()) // Rules 1 and 2
 		}
 		return binary(e.op, l, r)
 	case OpDotM:
-		return binary(OpDotM, normalizeInterned(e.kids[0]), normalizeInterned(e.kids[1]))
+		return binary(OpDotM, normalizeInterned(e.Left()), normalizeInterned(e.Right()))
 	case OpPlusM:
-		l := normalizeInterned(e.kids[0])
-		r := normalizeInterned(e.kids[1])
+		l := normalizeInterned(e.Left())
+		r := normalizeInterned(e.Right())
 		if r.op != OpDotM || r.Right().op != OpVar {
 			return binary(OpPlusM, l, r)
 		}
-		p := r.Right().ann
+		p := r.Right().Annot()
 		inner := r.Left()
 		var raw []*Expr
 		if inner.op == OpSum {
-			raw = inner.kids
+			raw = inner.Children()
 		} else {
 			raw = []*Expr{inner}
 		}
@@ -164,7 +168,7 @@ func normalizeStep(e *Expr) *Expr {
 			prev := l.Right().Left()
 			var prevSum []*Expr
 			if prev.op == OpSum {
-				prevSum = prev.kids
+				prevSum = prev.Children()
 			} else {
 				prevSum = []*Expr{prev}
 			}

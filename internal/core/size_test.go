@@ -5,15 +5,29 @@ import (
 	"unsafe"
 )
 
-// TestExprSizeUnchanged: the dense node id lives in the padding after
-// op; a node must not have grown by it (every interned node is
-// immortal, so a word here is a word per node forever).
+// TestExprSizeUnchanged pins the node layout: one cache line per node
+// (every interned node is immortal, so a word here is a word per node
+// forever), the two operands of a binary node adjacent in the node —
+// Children slices them — and the dense id in the first word beside the
+// operator, where ID reads it.
 func TestExprSizeUnchanged(t *testing.T) {
-	if got := unsafe.Sizeof(Expr{}); got != 96 {
-		t.Fatalf("unsafe.Sizeof(core.Expr{}) = %d, want 96", got)
+	if got := unsafe.Sizeof(Expr{}); got > 64 {
+		t.Fatalf("unsafe.Sizeof(core.Expr{}) = %d, want at most 64", got)
 	}
 	if got := unsafe.Offsetof(Expr{}.id); got != 4 {
-		t.Fatalf("id sits at offset %d, want 4 (the padding after op)", got)
+		t.Fatalf("id sits at offset %d, want 4 (the first word, after op and interned)", got)
+	}
+	l, r := TupleVar("size-l"), TupleVar("size-r")
+	e := Minus(l, r)
+	kids := e.Children()
+	if len(kids) != 2 || &kids[0] != &e.lr[0] || &kids[1] != &e.lr[1] || kids[0] != l || kids[1] != r || e.Left() != l || e.Right() != r {
+		t.Fatal("Children() of a binary node is not the node's own two operand words")
+	}
+	if uintptr(unsafe.Pointer(&kids[1]))-uintptr(unsafe.Pointer(&kids[0])) != unsafe.Sizeof(l) {
+		t.Fatal("the operand words are not adjacent")
+	}
+	if n := testing.AllocsPerRun(100, func() { _ = e.Children(); _ = e.Child(1); _ = e.NumChildren() }); n != 0 {
+		t.Fatalf("reading a binary node's children allocates %v times", n)
 	}
 }
 

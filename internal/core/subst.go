@@ -21,19 +21,19 @@ func Subst(e *Expr, sub map[Annot]*Expr) *Expr {
 		case OpZero:
 			r = x
 		case OpVar:
-			if img, ok := sub[x.ann]; ok {
+			if img, ok := sub[x.Annot()]; ok {
 				r = img
 			} else {
 				r = x
 			}
 		case OpSum:
-			kids := make([]*Expr, len(x.kids))
-			for i, k := range x.kids {
+			kids := make([]*Expr, len(x.Children()))
+			for i, k := range x.Children() {
 				kids[i] = walk(k)
 			}
 			r = Sum(kids...)
 		default:
-			r = binary(x.op, walk(x.kids[0]), walk(x.kids[1]))
+			r = binary(x.op, walk(x.Left()), walk(x.Right()))
 		}
 		memo[x] = r
 		return r

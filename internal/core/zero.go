@@ -18,9 +18,9 @@ func SimplifyZero(e *Expr) *Expr {
 	case OpZero, OpVar:
 		return e
 	case OpSum:
-		kids := make([]*Expr, 0, len(e.kids))
+		kids := make([]*Expr, 0, len(e.Children()))
 		changed := false
-		for _, k := range e.kids {
+		for _, k := range e.Children() {
 			s := SimplifyZero(k)
 			if s != k {
 				changed = true
@@ -36,8 +36,8 @@ func SimplifyZero(e *Expr) *Expr {
 		}
 		return Sum(kids...)
 	}
-	l := SimplifyZero(e.kids[0])
-	r := SimplifyZero(e.kids[1])
+	l := SimplifyZero(e.Left())
+	r := SimplifyZero(e.Right())
 	switch e.op {
 	case OpMinus:
 		if l.IsZero() {
@@ -58,7 +58,7 @@ func SimplifyZero(e *Expr) *Expr {
 			return l // a op 0 = a
 		}
 	}
-	if l == e.kids[0] && r == e.kids[1] {
+	if l == e.Left() && r == e.Right() {
 		return e
 	}
 	return binary(e.op, l, r)

@@ -478,22 +478,16 @@ func (v view) ProvSize() int64 {
 	return v.sum(func(sh *shard) int64 { return sh.provSizeAt(v.s) })
 }
 
-// ProvDAGSize counts distinct expression nodes: shards count their
-// partitions in parallel into private seen sets, whose union dedupes
-// nodes shared across shards.
+// ProvDAGSize counts distinct expression nodes: shards mark their
+// partitions in parallel in private id-indexed sets, whose union — an
+// OR of bitset pages — dedupes nodes shared across shards.
 func (v view) ProvDAGSize() int64 {
-	sets := make([]map[*core.Expr]struct{}, len(v.e.shards))
-	v.e.fan(v.e.all, func(i int, sh *shard) {
-		sets[i] = make(map[*core.Expr]struct{})
-		sh.provDAGSizeAt(sets[i], v.s)
-	})
-	union := sets[0]
-	for _, set := range sets[1:] {
-		for x := range set {
-			union[x] = struct{}{}
-		}
+	sets := make([]core.NodeSet, len(v.e.shards))
+	v.e.fan(v.e.all, func(i int, sh *shard) { sh.provDAGSizeAt(&sets[i], v.s) })
+	for i := range sets[1:] {
+		sets[0].Union(&sets[1+i])
 	}
-	return int64(len(union))
+	return sets[0].Len()
 }
 
 // --- the engine's Reader surface: the view at the committed horizon -----
@@ -622,7 +616,7 @@ func (s *shard) provSizeAt(h uint64) int64 {
 }
 
 // provDAGSizeAt adds the partition's distinct nodes to seen.
-func (s *shard) provDAGSizeAt(seen map[*core.Expr]struct{}, h uint64) {
+func (s *shard) provDAGSizeAt(seen *core.NodeSet, h uint64) {
 	for _, name := range s.schema.Names() {
 		for _, r := range s.tables[name].list.snapshot() {
 			if v := r.at(h); v != nil {

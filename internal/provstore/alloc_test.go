@@ -3,9 +3,10 @@ package provstore_test
 // Allocation gate for the checkpoint encoder, next to the engine's
 // 0-allocs/op read gates (internal/engine/alloc_test.go). A checkpoint
 // runs under the store's write lock, so what it allocates is paid by
-// the transaction that triggered it: the row list, the pointer table
-// (sized once), the node table's buffer and the row ids — a few bytes
-// per byte of snapshot, not the tens the fingerprint buckets and
+// the transaction that triggered it: the row list, the id-indexed node
+// table (a 32-bit word per node id in use), the node table's buffer and
+// the row ids — two bytes per byte of snapshot (four when the table was
+// a pointer-keyed map), not the tens the fingerprint buckets and
 // per-node child slices used to cost.
 
 import (
@@ -45,7 +46,7 @@ func TestSaveSnapshotAllocsPerByteWritten(t *testing.T) {
 	runtime.ReadMemStats(&ms)
 	perByte := float64(ms.TotalAlloc-before) / float64(w.n)
 	t.Logf("%d rows, %d bytes written, %.2f bytes allocated per byte written", e.NumRows(), w.n, perByte)
-	if perByte > 6 {
-		t.Fatalf("SaveSnapshot allocated %.2f bytes per byte written, want ≤ 6", perByte)
+	if perByte > 3 {
+		t.Fatalf("SaveSnapshot allocated %.2f bytes per byte written, want ≤ 3", perByte)
 	}
 }

@@ -55,21 +55,23 @@ func prealloc(claimed, cap uint64) int {
 // Flush; Add returns the node index that identifies the expression in
 // the table (to be stored wherever the annotation is referenced).
 //
-// One children-first walk, keyed by pointer. Interned expressions are
-// pointer-equal iff structurally equal, so while every node seen is
-// interned the pointer table is the whole deduplication. Raw trees
+// One children-first walk. Canonical nodes are pointer-equal iff
+// structurally equal and carry dense ids, so for them an id-indexed
+// table of the numbers handed out is the whole deduplication. Raw trees
 // (DeepCopy results: the naive copy-on-write ablation) must match
 // structurally against everything emitted, and everything after them
-// against the raw nodes: the fingerprint buckets that needs are built
-// when the first raw node arrives, from the pointer table, and kept up
-// from then on. A node gets a fresh id exactly when nothing emitted
+// against the raw nodes: a raw node repeats an emitted canonical one
+// exactly when its canonical twin — found through the intern table,
+// which is the fingerprint index of every canonical node there is — has
+// a number, and the raw nodes emitted so far sit in fingerprint buckets
+// of their own. A node gets a fresh id exactly when nothing emitted
 // before it is structurally equal — the rule of the encoder that kept
-// buckets from the start (oracle_test.go), so every byte is unchanged;
+// buckets for everything (oracle_test.go), so every byte is unchanged;
 // DESIGN.md §3.14 has the argument.
 type Encoder struct {
 	w     *bufio.Writer
-	ptr   map[*core.Expr]uint64
-	index map[uint64][]dedupEntry // nil until a raw node arrives
+	ids   core.NodeIndex          // canonical node → table id
+	index map[uint64][]dedupEntry // emitted raw nodes by fingerprint
 	kids  []uint64                // child ids of the nodes on the walk's stack
 	next  uint64
 	buf   [binary.MaxVarintLen64]byte
@@ -82,12 +84,7 @@ type dedupEntry struct {
 }
 
 // NewEncoder returns an encoder writing the node table to w.
-func NewEncoder(w io.Writer) *Encoder { return newEncoder(w, 0) }
-
-// newEncoder presizes the pointer table for about nodes nodes.
-func newEncoder(w io.Writer, nodes int) *Encoder {
-	return &Encoder{w: bufio.NewWriter(w), ptr: make(map[*core.Expr]uint64, nodes)}
-}
+func NewEncoder(w io.Writer) *Encoder { return &Encoder{w: bufio.NewWriter(w)} }
 
 func (e *Encoder) uvarint(v uint64) {
 	if e.err != nil {
@@ -118,33 +115,36 @@ func (e *Encoder) Add(x *core.Expr) (uint64, error) {
 }
 
 func (e *Encoder) add(x *core.Expr) uint64 {
-	if id, ok := e.ptr[x]; ok {
-		return id
-	}
-	if e.index == nil && !x.Interned() {
-		e.index = make(map[uint64][]dedupEntry, len(e.ptr))
-		for prev, id := range e.ptr {
-			e.index[prev.Hash()] = append(e.index[prev.Hash()], dedupEntry{prev, id})
+	// x itself if canonical, else its canonical twin, if it has one.
+	if canon := core.Lookup(x); canon != nil {
+		if id, ok := e.ids.Get(canon); ok {
+			return id
 		}
 	}
 	h := x.Hash()
 	for _, prev := range e.index[h] {
 		if prev.expr.Equal(x) {
-			e.ptr[x] = prev.id
+			if x.Interned() {
+				e.ids.Set(x, prev.id)
+			}
 			return prev.id
 		}
 	}
 	// Children first: references always point backwards. Their ids sit
 	// on the kids stack above whatever the enclosing nodes have pushed.
 	base := len(e.kids)
-	for i := 0; i < x.NumChildren(); i++ {
-		id := e.add(x.Child(i))
+	for _, k := range x.Children() {
+		id := e.add(k) // grows e.kids: read it after the call
 		e.kids = append(e.kids, id)
 	}
 	id := e.next
 	e.next++
-	e.ptr[x] = id
-	if e.index != nil {
+	if x.Interned() {
+		e.ids.Set(x, id)
+	} else {
+		if e.index == nil {
+			e.index = make(map[uint64][]dedupEntry)
+		}
 		e.index[h] = append(e.index[h], dedupEntry{x, id})
 	}
 	e.emit(x, e.kids[base:])

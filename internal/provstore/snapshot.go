@@ -85,7 +85,7 @@ func SaveSnapshot(w io.Writer, src Source) error {
 	}
 
 	var table bytes.Buffer
-	enc := newEncoder(&table, len(flat))
+	enc := NewEncoder(&table)
 	ids := make([]uint64, len(flat))
 	for i := range flat {
 		ids[i] = enc.add(flat[i].ann)

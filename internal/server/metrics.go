@@ -35,18 +35,28 @@ func (r *statusRecorder) WriteHeader(code int) {
 func (r *statusRecorder) Unwrap() http.ResponseWriter { return r.ResponseWriter }
 
 // instrument wraps a handler with request, error and latency counters
-// keyed by the endpoint name.
+// keyed by the endpoint name. The two every request moves are resolved
+// here, once; the error counter is looked up by name when a request
+// fails, so the map lists it only for an endpoint that has failed.
 func (mt *metrics) instrument(name string, h http.Handler) http.Handler {
+	requests, latency := mt.counter(name+".requests"), mt.counter(name+".latency_us")
 	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
 		start := time.Now()
 		rec := &statusRecorder{ResponseWriter: w, status: http.StatusOK}
 		h.ServeHTTP(rec, req)
-		mt.m.Add(name+".requests", 1)
-		mt.m.Add(name+".latency_us", time.Since(start).Microseconds())
+		requests.Add(1)
+		latency.Add(time.Since(start).Microseconds())
 		if rec.status >= 400 {
 			mt.m.Add(name+".errors", 1)
 		}
 	})
+}
+
+// counter returns the map's counter of that name, entering it at zero
+// if it is new.
+func (mt *metrics) counter(key string) *expvar.Int {
+	mt.m.Add(key, 0)
+	return mt.m.Get(key).(*expvar.Int)
 }
 
 func (mt *metrics) serveHTTP(w http.ResponseWriter, req *http.Request) {

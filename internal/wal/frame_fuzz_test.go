@@ -1,0 +1,136 @@
+package wal
+
+import (
+	"bytes"
+	"encoding/binary"
+	"errors"
+	"io"
+	"path/filepath"
+	"runtime/metrics"
+	"testing"
+
+	"hyperprov/internal/engine"
+)
+
+// FuzzReadFrame feeds arbitrary byte streams, seeded with the frames the
+// leader's encoder writes for every message type, to the replication
+// frame reader. It must not panic; every failure is ErrStreamCorrupt and
+// only a stream that ends between frames is io.EOF; whatever it accepts
+// re-encodes to exactly the bytes it was read from; and it never holds
+// more than the bytes that arrived plus one growth step — a header is
+// eight bytes and may claim a gigabyte.
+func FuzzReadFrame(f *testing.F) {
+	golden := filepath.Join("testdata", "golden")
+	meta, err := readMeta(OSFS{}, golden)
+	if err != nil {
+		f.Fatal(err)
+	}
+	seg, err := OSFS{}.ReadFile(filepath.Join(golden, segName(0)))
+	if err != nil {
+		f.Fatal(err)
+	}
+	var stream bytes.Buffer
+	fw := &frameWriter{w: &stream}
+	msgs := [][]byte{
+		encodeHello(helloMsg{resync: true, mode: engine.ModeNormalForm, target: 7, horizon: 5, snapLSN: 3, schema: meta.schema}),
+		append([]byte{msgCkptChunk}, seg...),
+		encodeCkptDone(3),
+		encodeHeartbeat(7, 5),
+	}
+	for i, payload := range scanSegment(seg).records {
+		msgs = append(msgs, encodeStreamRecord(uint64(4+i), payload))
+	}
+	for _, m := range msgs {
+		if err := fw.writeMsg(m); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(appendFrame(nil, m))
+	}
+	f.Add(stream.Bytes())
+	f.Add(stream.Bytes()[:stream.Len()-3])                                             // the last frame breaks off
+	f.Add(binary.LittleEndian.AppendUint32(nil, maxRecordLen))                         // half a header
+	f.Add(binary.LittleEndian.AppendUint64(nil, maxRecordLen))                         // a gigabyte, claimed in eight bytes
+	f.Add(binary.LittleEndian.AppendUint64(nil, maxRecordLen+1))                       // more than any frame may claim
+	f.Add(append(binary.LittleEndian.AppendUint64(nil, 3*frameGrowStep), seg[:64]...)) // three steps claimed, 64 bytes sent
+
+	allocated := []metrics.Sample{{Name: "/gc/heap/allocs:bytes"}}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		// The buffers of one message double, each allocated only once the
+		// one before it is full of received bytes: under four times what
+		// arrived, plus the first step of a frame that never filled it.
+		// (The metric is the process's and moves a span at a time: hence
+		// the 64 kB, and a reading that is the reader's repeats.)
+		limit := uint64(1<<16 + frameGrowStep + 4*len(data))
+		for try := 0; ; try++ {
+			fr := newFrameReader(bytes.NewReader(data))
+			metrics.Read(allocated)
+			before := allocated[0].Value.Uint64()
+			off := 0
+			for {
+				payload, err := fr.readMsg()
+				if err != nil {
+					if err == io.EOF {
+						if off != len(data) {
+							t.Fatalf("io.EOF with %d of %d bytes consumed", off, len(data))
+						}
+					} else if !errors.Is(err, ErrStreamCorrupt) {
+						t.Fatalf("readMsg: %v, want ErrStreamCorrupt", err)
+					}
+					break
+				}
+				if cap(payload) != len(payload) {
+					t.Fatalf("a %d-byte payload is held in %d bytes", len(payload), cap(payload))
+				}
+				end := off + frameHeaderSize + len(payload)
+				if end > len(data) || !bytes.Equal(appendFrame(nil, payload), data[off:end]) {
+					t.Fatalf("the frame at %d does not re-encode to the bytes it was read from", off)
+				}
+				off = end
+			}
+			metrics.Read(allocated)
+			// Re-encoding each accepted frame above allocated its size again.
+			got := allocated[0].Value.Uint64() - before
+			if got <= limit+uint64(2*off) {
+				break
+			}
+			if try == 3 {
+				t.Fatalf("reading %d bytes allocates %d, want at most %d", len(data), got, limit+uint64(2*off))
+			}
+		}
+	})
+}
+
+// TestReadFrameGrowsWithTheBytes: a payload larger than one growth step
+// arrives whole through the doubling buffer, and a header that claims a
+// gigabyte over an empty stream costs one step, not the gigabyte.
+func TestReadFrameGrowsWithTheBytes(t *testing.T) {
+	big := bytes.Repeat([]byte("0123456789abcdef"), 5*frameGrowStep/16+1)
+	fr := newFrameReader(bytes.NewReader(appendFrame(appendFrame(nil, big), []byte("tail"))))
+	for _, want := range [][]byte{big, []byte("tail")} {
+		got, err := fr.readMsg()
+		if err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("readMsg = %d bytes, %v; want the %d-byte payload", len(got), err, len(want))
+		}
+	}
+	if _, err := fr.readMsg(); err != io.EOF {
+		t.Fatalf("after the last frame: %v, want io.EOF", err)
+	}
+
+	hostile := binary.LittleEndian.AppendUint64(nil, maxRecordLen)
+	allocs := testing.Benchmark(func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			_, err := newFrameReader(bytes.NewReader(hostile)).readMsg()
+			if !errors.Is(err, ErrStreamCorrupt) {
+				b.Fatalf("readMsg = %v, want ErrStreamCorrupt", err)
+			}
+		}
+	})
+	if got := allocs.AllocedBytesPerOp(); got > 1<<16+frameGrowStep+4096 {
+		t.Fatalf("a gigabyte claimed in eight bytes allocates %d bytes, want one %d-byte step beside the 64 KiB read buffer", got, frameGrowStep)
+	}
+	_, err := newFrameReader(bytes.NewReader(append(hostile, "short"...))).readMsg()
+	if want := "wal: replication stream is corrupt: truncated frame payload: unexpected EOF"; err == nil || err.Error() != want {
+		t.Fatalf("a short stream answers %q, want %q", err, want)
+	}
+}

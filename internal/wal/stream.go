@@ -137,9 +137,17 @@ func (fw *frameWriter) writeMsg(payload []byte) error {
 	return nil
 }
 
+// frameGrowStep is the most a frame header can make the reader allocate
+// ahead of the payload bytes that have actually arrived: a checkpoint
+// chunk, the largest frame the leader writes as a matter of course,
+// still lands in one allocation, and a damaged or hostile length costs
+// its sender proportional input, not the reader a gigabyte.
+const frameGrowStep = 2 * ckptChunkSize
+
 // frameReader reads CRC-checked frames off a transport. Any damage —
 // short read, oversized length, CRC mismatch — is ErrStreamCorrupt;
-// a clean EOF between frames is io.EOF.
+// a clean EOF between frames is io.EOF. Every message is a buffer of
+// its own (recDecoder reads payloads in place and callers keep them).
 type frameReader struct {
 	r   *bufio.Reader
 	hdr [frameHeaderSize]byte
@@ -161,9 +169,21 @@ func (fr *frameReader) readMsg() ([]byte, error) {
 	if length > maxRecordLen {
 		return nil, fmt.Errorf("%w: implausible frame length %d", ErrStreamCorrupt, length)
 	}
-	payload := make([]byte, length)
-	if _, err := io.ReadFull(fr.r, payload); err != nil {
-		return nil, fmt.Errorf("%w: truncated frame payload: %v", ErrStreamCorrupt, err)
+	// The buffer doubles once it is full of received bytes, so it never
+	// holds more than they plus one step, itself at most what arrived.
+	payload := make([]byte, 0, min(int(length), frameGrowStep))
+	for len(payload) < int(length) {
+		if len(payload) == cap(payload) {
+			payload = append(make([]byte, 0, min(int(length), 2*cap(payload))), payload...)
+		}
+		n, err := io.ReadFull(fr.r, payload[len(payload):cap(payload)])
+		payload = payload[:len(payload)+n]
+		if err != nil {
+			if err == io.EOF && len(payload) > 0 {
+				err = io.ErrUnexpectedEOF // the frame broke off, however the reads fell
+			}
+			return nil, fmt.Errorf("%w: truncated frame payload: %v", ErrStreamCorrupt, err)
+		}
 	}
 	if crc32.Checksum(payload, crcTable) != sum {
 		return nil, fmt.Errorf("%w: frame CRC mismatch", ErrStreamCorrupt)
