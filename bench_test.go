@@ -27,6 +27,7 @@ import (
 	"hyperprov/internal/engine"
 	"hyperprov/internal/parser"
 	"hyperprov/internal/provstore"
+	"hyperprov/internal/server"
 	"hyperprov/internal/tpcc"
 	"hyperprov/internal/wal"
 	"hyperprov/internal/workload"
@@ -78,10 +79,10 @@ func runEngines(b *testing.B, initial *db.Database, txns []db.Transaction) {
 	// Process-cumulative GC pause percentiles, recorded into the bench
 	// artifact next to B/op (the allocation-free hot path shows up here
 	// as flat pause tails under load).
-	p50, p90, p99 := benchutil.GCPausePercentiles()
-	b.ReportMetric(p50, "gc_pause_p50_us")
-	b.ReportMetric(p90, "gc_pause_p90_us")
-	b.ReportMetric(p99, "gc_pause_p99_us")
+	ms := server.ReadMemoryStats()
+	b.ReportMetric(ms.GCPauseP50us, "gc_pause_p50_us")
+	b.ReportMetric(ms.GCPauseP90us, "gc_pause_p90_us")
+	b.ReportMetric(ms.GCPauseP99us, "gc_pause_p99_us")
 }
 
 // BenchmarkFig7_TPCC regenerates Figures 7a/7b: time and memory overhead

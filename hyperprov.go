@@ -9,7 +9,6 @@ import (
 	"hyperprov/internal/engine"
 	"hyperprov/internal/parser"
 	"hyperprov/internal/provstore"
-	"hyperprov/internal/subscribe"
 	"hyperprov/internal/upstruct"
 	"hyperprov/internal/wal"
 )
@@ -148,10 +147,6 @@ type Reader = engine.Reader
 // was taken.
 type View = engine.View
 
-// MVCCStats are the version-storage counters of an engine (committed
-// horizon, epochs allocated, row versions held).
-type MVCCStats = engine.MVCCStats
-
 // Horizon-sequence helpers: EpochSeq returns the horizon pinning
 // everything up to and including epoch k (pass it to DB.At); SeqEpoch
 // extracts the epoch from a horizon sequence.
@@ -169,15 +164,6 @@ type Option = engine.Option
 
 // Mode selects the provenance representation.
 type Mode = engine.Mode
-
-// IndexInfo describes one secondary index (see DB.IndexStats):
-// identity, manual-vs-advisor origin and posting-list volume.
-type IndexInfo = engine.IndexInfo
-
-// PlannerStats are the scan planner's cumulative counters: full vs
-// index vs intersection scans, advisor auto-builds and posting-list
-// compaction sweeps (see DB.PlannerStats).
-type PlannerStats = engine.PlannerStats
 
 // Engine modes: the definition-following construction with no axioms,
 // and the incrementally maintained normal form.
@@ -265,10 +251,6 @@ type Store = wal.Store
 // StoreOption configures OpenDir.
 type StoreOption = wal.Option
 
-// StoreStats are the durability counters of a Store (LSN, checkpoint
-// positions, sync and recovery counts, read-only state).
-type StoreStats = wal.StoreStats
-
 // SyncPolicy is the WAL durability level: fsync every commit, on a
 // timer, or never (leave it to the OS).
 type SyncPolicy = wal.SyncPolicy
@@ -286,17 +268,15 @@ const (
 var OpenDir = wal.Open
 
 // Store options: bootstrap inputs (mode, schema or initial database,
-// engine options such as WithShards), durability (sync policy and
-// interval), and log shape (segment size, automatic checkpoint cadence).
+// engine options such as WithShards) and the sync policy. The
+// operational ones — sync interval, segment size, checkpoint cadence,
+// replication — are internal/wal's, where cmd/hyperprov takes them from.
 var (
 	WithMode            = wal.WithMode
 	WithSchema          = wal.WithSchema
 	WithInitialDatabase = wal.WithInitialDatabase
 	WithEngineOptions   = wal.WithEngineOptions
 	WithSync            = wal.WithSync
-	WithSyncInterval    = wal.WithSyncInterval
-	WithSegmentSize     = wal.WithSegmentSize
-	WithCheckpointEvery = wal.WithCheckpointEvery
 	ParseSyncPolicy     = wal.ParseSyncPolicy
 )
 
@@ -307,94 +287,6 @@ var (
 	ErrCorrupt  = wal.ErrCorrupt
 	ErrClosed   = wal.ErrClosed
 )
-
-// --- replication (internal/wal) ------------------------------------------
-
-// Follower is a read replica of a Store: it tails the leader's
-// replication stream into a local WAL directory (promotable to leader
-// by reopening it with OpenDir), serves the full read surface at its
-// replayed MVCC horizon, and refuses writes with ErrFollower.
-type Follower = wal.Follower
-
-// FollowerStats is a follower's replication-lag summary.
-type FollowerStats = wal.FollowerStats
-
-// StreamSource dials one replication stream; HTTPSource is the
-// production implementation against a leader's HTTP endpoint.
-type StreamSource = wal.StreamSource
-
-// OpenFollower opens a directory as a replica of the leader behind the
-// StreamSource and starts the apply loop.
-var OpenFollower = wal.OpenFollower
-
-// HTTPSource dials GET <base>/v1/replication/stream on a leader.
-var HTTPSource = wal.HTTPSource
-
-// Replication failures.
-var (
-	// ErrFollower reports a write attempted on a follower.
-	ErrFollower = wal.ErrFollower
-	// ErrStreamCorrupt reports a damaged replication frame; followers
-	// reconnect and resume from their durably applied position.
-	ErrStreamCorrupt = wal.ErrStreamCorrupt
-)
-
-// --- live subscriptions (internal/subscribe) -----------------------------
-
-// CommitEvent is one message of the engine's change-notification bus:
-// a committed transaction (or restore/minimize/reset), the MVCC
-// horizon it advanced to, and the rows it touched. Install a
-// CommitHook with DB.SetCommitHook to consume the bus directly; hooks
-// run on the committing goroutine and must not block.
-type (
-	CommitEvent = engine.CommitEvent
-	CommitKind  = engine.CommitKind
-	CommitHook  = engine.CommitHook
-	RowRef      = engine.RowRef
-)
-
-// Commit-event kinds.
-const (
-	CommitTxn      = engine.CommitTxn
-	CommitRestore  = engine.CommitRestore
-	CommitMinimize = engine.CommitMinimize
-	CommitReset    = engine.CommitReset
-)
-
-// SubscriptionManager maintains live provenance subscriptions over the
-// commit-event bus: register a deletion-propagation or abort what-if,
-// or an annotation watch, once, and receive exact incremental deltas
-// as transactions commit. SubConn is one client connection (a bounded
-// frame queue), SubSpec the subscription description. Subscribe and
-// SubConn.Next hand frames out in their wire encoding — one JSON
-// object and a newline, the bytes /v1/subscribe writes as ND-JSON or
-// SSE; json.Unmarshal one into a SubFrame (ack/delta/resync/error) to
-// inspect it.
-type (
-	SubscriptionManager = subscribe.Manager
-	SubConn             = subscribe.Conn
-	SubSpec             = subscribe.Spec
-	SubFrame            = subscribe.Frame
-	SubRow              = subscribe.Row
-	SubKind             = subscribe.Kind
-	SubscriptionStats   = subscribe.Stats
-)
-
-// Subscription kinds.
-const (
-	SubDeletion = subscribe.KindDeletion
-	SubAbort    = subscribe.KindAbort
-	SubWatch    = subscribe.KindWatch
-)
-
-// NewSubscriptionManager builds a manager over d and installs its
-// commit hook; call Close to uninstall it. One manager serves any
-// number of connections and subscriptions.
-var NewSubscriptionManager = subscribe.NewManager
-
-// ErrSubscriptionClosed reports a read from a subscription connection
-// whose manager or connection was closed.
-var ErrSubscriptionClosed = subscribe.ErrClosed
 
 // --- Update-Structures (internal/upstruct) ------------------------------
 

@@ -70,8 +70,9 @@ type View interface {
 // against it: the Reader surface at the live horizon, annotated
 // transaction application, and MVCC time travel. *Engine is the one
 // implementation in this package; it stays an interface because the
-// persistent stores (wal.Store, wal.Follower) implement it by wrapping
-// an engine.
+// persistent stores (wal.Store, wal.Follower) implement it too: their
+// reads are the methods of the Handle they embed, their writes their
+// own — logged, or refused.
 //
 // Writes observe transaction granularity: a transaction's effects
 // publish atomically to the read horizon at commit, and readers pin

@@ -424,10 +424,8 @@ func (s *shard) compact(ix *colIndex, pl *postingList) {
 //
 // A selection whose every term is an =-constant can match one tuple
 // only, so it is a point lookup (see lookupPinned) whatever indexes
-// exist. Otherwise access-path choice is cost-based: every indexed
-// column that the pattern pins to an =-constant is a candidate, the
-// shortest posting list wins, and the two shortest are merge-intersected
-// when the runner-up is within maxIntersectRatio of the winner. Columns
+// exist. Otherwise access-path choice is cost-based over the indexed
+// columns that the pattern pins to an =-constant (see pick). Columns
 // constrained only by ≠ (or free) never qualify, so ≠-only selections
 // fall back to the full scan. When auto-indexing is on, the advisor
 // counts each =-pinned unindexed column and builds its index the moment
@@ -446,32 +444,61 @@ func (s *shard) scan(tbl *table, u db.Update) []*row {
 		return s.fullScan(tbl, u)
 	}
 
-	var best, second *postingList
-	for i, term := range u.Sel {
+	best, second, empty := s.pick(ti, u.Sel, func(i int, ix *colIndex) (*colIndex, bool) {
+		if ix == nil && s.idx.threshold > 0 {
+			ti.scans[i]++
+			if ti.scans[i] >= s.idx.threshold {
+				// The build runs inside the write epoch in flight, which
+				// is where the index's history starts.
+				ix = s.buildColIndexLocked(tbl, ti, i, true, EpochSeq(s.curEpoch))
+				s.idx.autoBuilds.Add(1)
+			}
+		}
+		return ix, true
+	})
+	switch {
+	case empty:
+		return nil
+	case best == nil:
+		return s.fullScan(tbl, u)
+	case second != nil:
+		cand := intersectByPosInto(s.getScanBuf(), best.rows, second.rows)
+		out := s.filterRows(cand, u)
+		s.putScanBuf(cand)
+		return out
+	}
+	return s.filterRows(best.rows, u)
+}
+
+// pick is the planner's one rule, for the write path (scan) and the
+// pinned read path (planAt) alike. Every column the selection pins to an
+// =-constant is offered to use in pattern order, with its index or nil:
+// use answers the index to consult (nil skips the column; here scan's
+// advisor builds one and planAt judges history), or false to give up on
+// indexes. The shortest list consulted wins, and the runner-up comes
+// with it when the two are to be merge-intersected: the winner at least
+// minIntersectLen long, the runner-up within maxIntersectRatio of it.
+// Every matchable row holding a value is in that value's list, so an
+// absent list proves the selection empty. best == nil otherwise means
+// the caller walks the relation. pick counts the decision and allocates
+// nothing (use must not escape).
+func (s *shard) pick(ti *tableIndexes, sel db.Pattern, use func(i int, ix *colIndex) (*colIndex, bool)) (best, second *postingList, empty bool) {
+	for i, term := range sel {
 		if !term.IsConst() {
 			continue
 		}
-		ix := ti.cols[i]
+		ix, ok := use(i, ti.cols[i])
+		if !ok {
+			best = nil
+			break
+		}
 		if ix == nil {
-			if s.idx.threshold > 0 {
-				ti.scans[i]++
-				if ti.scans[i] >= s.idx.threshold {
-					// The build runs inside the write epoch in flight, which
-					// is where the index's history starts.
-					ix = s.buildColIndexLocked(tbl, ti, i, true, EpochSeq(s.curEpoch))
-					s.idx.autoBuilds.Add(1)
-				}
-			}
-			if ix == nil {
-				continue
-			}
+			continue
 		}
 		pl := ix.byValue[term.Value()]
 		if pl == nil {
-			// Every matchable row holding this value is in the index, so
-			// an absent list proves the selection matches nothing.
 			s.idx.indexScans.Add(1)
-			return nil
+			return nil, nil, true
 		}
 		switch {
 		case best == nil || len(pl.rows) < len(best.rows):
@@ -480,20 +507,16 @@ func (s *shard) scan(tbl *table, u db.Update) []*row {
 			second = pl
 		}
 	}
-	if best == nil {
+	switch {
+	case best == nil:
 		s.idx.fullScans.Add(1)
-		return s.fullScan(tbl, u)
-	}
-	if second != nil && len(best.rows) >= minIntersectLen &&
-		len(second.rows) <= maxIntersectRatio*len(best.rows) {
+	case second != nil && len(best.rows) >= minIntersectLen && len(second.rows) <= maxIntersectRatio*len(best.rows):
 		s.idx.intersectScans.Add(1)
-		cand := intersectByPosInto(s.getScanBuf(), best.rows, second.rows)
-		out := s.filterRows(cand, u)
-		s.putScanBuf(cand)
-		return out
+		return best, second, false
+	default:
+		s.idx.indexScans.Add(1)
 	}
-	s.idx.indexScans.Add(1)
-	return s.filterRows(best.rows, u)
+	return best, nil, false
 }
 
 // lookupPinned answers a selection pinning every attribute: only the
@@ -574,48 +597,26 @@ func (s *shard) filterRows(rows []*row, u db.Update) []*row {
 // be filtered (possibly the whole list), or none=true when an index
 // proves the selection empty. The caller holds the read lock.
 func (s *shard) planAt(tbl *table, u db.Update, h uint64) (rows []*row, none bool) {
-	if ti := s.idx.tables[tbl.rel.Name]; ti != nil {
-		var best, second *postingList
-		usable := true
-		for i, term := range u.Sel {
-			if !term.IsConst() {
-				continue
-			}
-			ix := ti.cols[i]
-			if ix == nil {
-				continue
-			}
-			if ix.compacted || h < ix.since {
-				usable = false
-				break
-			}
-			pl := ix.byValue[term.Value()]
-			if pl == nil {
-				// No row was ever matchable with this value while the
-				// index was live, so the selection matches nothing at any
-				// covered horizon.
-				s.idx.indexScans.Add(1)
-				return nil, true
-			}
-			switch {
-			case best == nil || len(pl.rows) < len(best.rows):
-				best, second = pl, best
-			case second == nil || len(pl.rows) < len(second.rows):
-				second = pl
-			}
-		}
-		if usable && best != nil {
-			if second != nil && len(best.rows) >= minIntersectLen &&
-				len(second.rows) <= maxIntersectRatio*len(best.rows) {
-				s.idx.intersectScans.Add(1)
-				return intersectByPos(best.rows, second.rows), false
-			}
-			s.idx.indexScans.Add(1)
-			return best.rows, false
-		}
+	ti := s.idx.tables[tbl.rel.Name]
+	if ti == nil {
+		s.idx.fullScans.Add(1)
+		return tbl.list.snapshot(), false
 	}
-	s.idx.fullScans.Add(1)
-	return tbl.list.snapshot(), false
+	// An index serves horizon h only while its history is intact: no row
+	// was ever compacted out of it and it existed by h. One that does not
+	// sends the whole selection to the full list.
+	best, second, empty := s.pick(ti, u.Sel, func(_ int, ix *colIndex) (*colIndex, bool) {
+		return ix, ix == nil || !ix.compacted && h >= ix.since
+	})
+	switch {
+	case empty:
+		return nil, true
+	case best == nil:
+		return tbl.list.snapshot(), false
+	case second != nil:
+		return intersectByPosInto(nil, best.rows, second.rows), false
+	}
+	return best.rows, false
 }
 
 // selectAt is the planner at a pinned horizon: it validates the pattern
@@ -661,15 +662,10 @@ func (s *shard) selectAt(rel string, sel db.Pattern, h uint64, f func(r *row)) e
 	return nil
 }
 
-// intersectByPos merges two position-ordered row lists into their
-// intersection, still position-ordered. Positions are unique per table,
-// so pointer identity and position identity coincide.
-func intersectByPos(a, b []*row) []*row {
-	return intersectByPosInto(nil, a, b)
-}
-
-// intersectByPosInto is intersectByPos appending into a caller-supplied
-// buffer (the write path passes a recycled scan buffer).
+// intersectByPosInto appends to out (the write path passes a recycled
+// scan buffer) the intersection of two position-ordered row lists, still
+// position-ordered. Positions are unique per table, so pointer identity
+// and position identity coincide.
 func intersectByPosInto(out []*row, a, b []*row) []*row {
 	if len(b) < len(a) {
 		a, b = b, a

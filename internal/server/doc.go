@@ -8,15 +8,16 @@
 // horizon at entry and run lock-free against its version chains, so
 // they never block behind (or stall) /v1/ingest — readers observe the
 // database at batch-commit granularity, never mid-transaction, and a
-// long read streams one consistent epoch snapshot end to end. (An
-// earlier revision serialized reads against writes with the engine's
-// RWMutex; that description is superseded — there is no longer a
-// reader-visible engine lock.) The endpoints that time-travel accept
+// long read streams one consistent epoch snapshot end to end; there is
+// no reader-visible engine lock. The endpoints that time-travel accept
 // ?as_of=N to run against the database as of epoch N. The server holds
-// no lock of its own either: the engine reference is an atomic pointer
-// captured once per request, so loading a snapshot over POST
-// /v1/snapshot swaps the served engine while in-flight requests keep
-// streaming from the one they started with.
+// no lock of its own either: an in-memory engine is served through an
+// engine.Handle that each request resolves once at entry, so loading a
+// snapshot over POST /v1/snapshot is one Swap of the served engine while
+// in-flight requests keep streaming from the one they started with (a
+// persistent store or follower swaps engines through its own handle).
+// The subscription manager listens on the same handle and hears the swap
+// as a CommitReset. Every route, streams included, is mounted on one mux.
 //
 // The database-shaped answers (/v1/db and the what-ifs) are evaluated
 // and JSON-encoded in one chunked parallel pass over the pinned view —

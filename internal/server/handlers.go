@@ -355,19 +355,7 @@ func (s *Server) handleDeletion(w http.ResponseWriter, req *http.Request) {
 		writeBodyError(w, err)
 		return
 	}
-	if len(dr.Tuples) == 0 {
-		writeError(w, http.StatusBadRequest, codeBadRequest, "no tuple annotations given")
-		return
-	}
-	e, ok := s.asOfReader(w, req)
-	if !ok {
-		return
-	}
-	dead := make([]core.Annot, len(dr.Tuples))
-	for i, name := range dr.Tuples {
-		dead[i] = core.TupleAnnot(name)
-	}
-	s.serveLive(w, req, e, upstruct.Dead(dead...))
+	s.serveWhatIf(w, req, dr.Tuples, "tuple annotations", core.TupleAnnot)
 }
 
 type abortRequest struct {
@@ -383,17 +371,23 @@ func (s *Server) handleAbort(w http.ResponseWriter, req *http.Request) {
 		writeBodyError(w, err)
 		return
 	}
-	if len(ar.Labels) == 0 {
-		writeError(w, http.StatusBadRequest, codeBadRequest, "no transaction labels given")
+	s.serveWhatIf(w, req, ar.Labels, "transaction labels", core.QueryAnnot)
+}
+
+// serveWhatIf serves the database under the valuation that kills the
+// named annotations — what both what-ifs are.
+func (s *Server) serveWhatIf(w http.ResponseWriter, req *http.Request, names []string, what string, annot func(string) core.Annot) {
+	if len(names) == 0 {
+		writeError(w, http.StatusBadRequest, codeBadRequest, "no %s given", what)
 		return
 	}
 	e, ok := s.asOfReader(w, req)
 	if !ok {
 		return
 	}
-	dead := make([]core.Annot, len(ar.Labels))
-	for i, l := range ar.Labels {
-		dead[i] = core.QueryAnnot(l)
+	dead := make([]core.Annot, len(names))
+	for i, name := range names {
+		dead[i] = annot(name)
 	}
 	s.serveLive(w, req, e, upstruct.Dead(dead...))
 }
@@ -480,16 +474,16 @@ func (l *limitReader) Read(p []byte) (int, error) {
 // ?shards=N restores into N storage shards (default 1); the snapshot
 // bytes are identical either way.
 func (s *Server) handleSnapshotLoad(w http.ResponseWriter, req *http.Request) {
-	if _, ok := s.Engine().(*wal.Store); ok {
+	if _, ok := s.db.(*wal.Follower); ok {
+		// The desync hazard below, plus the apply loop would keep writing
+		// to the store the swap just abandoned.
+		writeError(w, http.StatusForbidden, codeFollower, "server is a replication follower; its state comes from the leader")
+		return
+	}
+	if s.mem == nil {
 		// Swapping an in-memory engine over a persistent store would
 		// silently fork the served state from the WAL on disk.
 		writeError(w, http.StatusConflict, codeNotPersistent, "server is running on a persistent store; snapshot load would desync it from the log")
-		return
-	}
-	if _, ok := s.Engine().(*wal.Follower); ok {
-		// Same desync hazard, plus the apply loop would keep writing to
-		// the store the swap just abandoned.
-		writeError(w, http.StatusForbidden, codeFollower, "server is a replication follower; its state comes from the leader")
 		return
 	}
 	var opts []engine.Option
@@ -517,6 +511,6 @@ func (s *Server) handleSnapshotLoad(w http.ResponseWriter, req *http.Request) {
 		writeError(w, http.StatusBadRequest, codeBadRequest, "loading snapshot: %v", err)
 		return
 	}
-	s.setEngine(e)
+	s.mem.Swap(e)
 	writeJSON(w, http.StatusOK, map[string]any{"rows": e.NumRows(), "mode": e.Mode().String()})
 }

@@ -7,7 +7,6 @@ import (
 	"net/http"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"hyperprov/internal/admission"
@@ -23,22 +22,16 @@ const maxBodyBytes = 64 << 20
 // overrides it.
 const DefaultTimeout = 30 * time.Second
 
-// engineRef pairs the served engine with its swap generation. Handlers
-// load the ref once at entry, so a concurrent snapshot load never
-// splits one request across two engines — and because the ref is an
-// atomic pointer, a slow reader pinned on the old engine's MVCC
-// horizon keeps streaming from it without blocking the swap (or being
-// blocked by it).
-type engineRef struct {
-	db  engine.DB
-	gen uint64
-}
-
 // Server serves one provenance engine over HTTP — any engine.DB (an
 // Engine, or a persistent store or follower wrapping one) behind the
 // same handlers. The zero value is not usable; construct with New.
 type Server struct {
-	eng atomic.Pointer[engineRef] // swapped whole by snapshot load
+	// db is what New was given. mem is set when that is an in-memory
+	// *engine.Engine: the server then serves it through a handle, and a
+	// snapshot load is a Swap on it. A persistent store or follower
+	// replaces its engine through a handle of its own.
+	db  engine.DB
+	mem *engine.Handle
 
 	metrics *metrics
 	timeout time.Duration
@@ -57,8 +50,9 @@ type Server struct {
 	ingest ingestStats
 
 	// subs maintains the live provenance subscriptions served at
-	// /v1/subscribe, fed by the engine's commit-event bus. Snapshot
-	// loads rebind it to the new engine (see setEngine).
+	// /v1/subscribe, fed by the commit-event bus of the handle (or the
+	// store) behind the server, so it follows every engine swap as a
+	// CommitReset.
 	subs *subscribe.Manager
 
 	// drainCtx is canceled by DrainStreams to end the long-lived
@@ -93,8 +87,14 @@ func New(eng engine.DB, opts ...Option) *Server {
 		maxBody: maxBodyBytes,
 	}
 	s.drainCtx, s.drainCancel = context.WithCancel(context.Background())
-	s.eng.Store(&engineRef{db: eng, gen: 1})
-	s.subs = subscribe.NewManager(eng)
+	if e, ok := eng.(*engine.Engine); ok {
+		s.mem = new(engine.Handle)
+		s.mem.Swap(e)
+		s.subs = subscribe.NewManager(s.mem)
+	} else {
+		s.db = eng
+		s.subs = subscribe.NewManager(eng)
+	}
 	for _, o := range opts {
 		o(s)
 	}
@@ -128,10 +128,13 @@ func New(eng engine.DB, opts ...Option) *Server {
 	// distinguish a wrong method on a known path (405 + Allow) from an
 	// unknown path (404), both through the typed error envelope.
 	methodsByPath := map[string][]string{}
-	register := func(pattern string) {
+	// One mux holds every route, so a request is resolved once.
+	mux := http.NewServeMux()
+	mount := func(pattern string, h http.Handler) {
 		if method, path, ok := strings.Cut(pattern, " "); ok {
 			methodsByPath[path] = append(methodsByPath[path], method)
 		}
+		mux.Handle(pattern, h)
 	}
 	// Every plain route is bounded by the request deadline (withDeadline:
 	// the request context and the connection's write deadline — there is
@@ -139,11 +142,6 @@ func New(eng engine.DB, opts ...Option) *Server {
 	// panic recovery inside it so a panicking endpoint answers a typed
 	// 500 rather than an empty reply.
 	chain := func(h http.Handler) http.Handler { return s.withDeadline(s.recoverPanics(h)) }
-	mux := http.NewServeMux()
-	mount := func(pattern string, h http.Handler) {
-		register(pattern)
-		mux.Handle(pattern, h)
-	}
 	route := func(name, pattern string, h http.HandlerFunc) {
 		mount(pattern, chain(s.metrics.instrument(name, h)))
 	}
@@ -178,9 +176,7 @@ func New(eng engine.DB, opts ...Option) *Server {
 	// Streams admit under ClassStream and hold their slot for the
 	// connection's lifetime — past the cap a reconnect storm sheds
 	// immediately (no queue) instead of piling up handshakes.
-	root := http.NewServeMux()
-	register("GET /v1/replication/stream")
-	root.Handle("GET /v1/replication/stream", s.recoverPanics(s.admit(admission.ClassStream, func(w http.ResponseWriter, req *http.Request) {
+	mount("GET /v1/replication/stream", s.recoverPanics(s.admit(admission.ClassStream, func(w http.ResponseWriter, req *http.Request) {
 		s.metrics.m.Add("replication_stream.requests", 1)
 		s.handleReplicationStream(w, req)
 	})))
@@ -188,28 +184,21 @@ func New(eng engine.DB, opts ...Option) *Server {
 		s.metrics.m.Add("subscribe.requests", 1)
 		s.handleSubscribe(w, req)
 	}))
-	register("GET /v1/subscribe")
-	root.Handle("GET /v1/subscribe", subscribeHandler)
-	register("POST /v1/subscribe")
-	root.Handle("POST /v1/subscribe", subscribeHandler)
-	// The fallback settles routing for everything the stream routes did
-	// not claim: requests matching an inner-mux pattern go to their
-	// route's chain; the rest answer a typed envelope — 405 with
-	// an Allow header when the path exists under other methods, 404
-	// otherwise (Go's mux would answer both as bare text).
-	root.Handle("/", http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
-		if _, pattern := mux.Handler(req); pattern != "" {
-			mux.ServeHTTP(w, req)
-			return
-		}
+	mount("GET /v1/subscribe", subscribeHandler)
+	mount("POST /v1/subscribe", subscribeHandler)
+	// The fallback takes what no route claimed and answers a typed
+	// envelope — 405 with an Allow header when the path exists under
+	// other methods, 404 otherwise (Go's mux would answer both as bare
+	// text).
+	mux.HandleFunc("/", func(w http.ResponseWriter, req *http.Request) {
 		if allow, known := methodsByPath[req.URL.Path]; known {
 			w.Header().Set("Allow", strings.Join(allow, ", "))
 			writeError(w, http.StatusMethodNotAllowed, codeMethodNotAllowed, "method %s is not allowed for %s", req.Method, req.URL.Path)
 			return
 		}
 		writeError(w, http.StatusNotFound, codeUnknownRoute, "unknown route %s", req.URL.Path)
-	}))
-	s.handler = root
+	})
+	s.handler = mux
 	return s
 }
 
@@ -277,32 +266,27 @@ func (s *Server) Close() {
 func (s *Server) Subscriptions() *subscribe.Manager { return s.subs }
 
 // Engine returns the currently served engine. Lock-free: callers that
-// need a consistent engine across several calls must capture the
-// result once (handlers do, at entry) rather than call Engine
-// repeatedly.
-func (s *Server) Engine() engine.DB { return s.eng.Load().db }
+// need a consistent engine across several calls capture the result once
+// (handlers do, at entry) — a concurrent snapshot load then never splits
+// one request across two engines, and a slow reader pinned on the old
+// engine's MVCC horizon keeps streaming from it without blocking the
+// swap (or being blocked by it).
+func (s *Server) Engine() engine.DB {
+	if s.mem != nil {
+		return s.mem.Engine()
+	}
+	return s.db
+}
 
 // EngineGeneration reports how many engines this server has served: 1
 // for the engine it was constructed with, +1 per snapshot load. Reads
 // that captured an earlier generation keep answering from it.
-func (s *Server) EngineGeneration() uint64 { return s.eng.Load().gen }
-
-func (s *Server) setEngine(e engine.DB) {
-	for {
-		old := s.eng.Load()
-		if s.eng.CompareAndSwap(old, &engineRef{db: e, gen: old.gen + 1}) {
-			// Move the subscription manager with the served engine: live
-			// subscriptions rebuild against the new state and their
-			// clients resync, instead of going silent on the old engine.
-			s.subs.Rebind(e)
-			return
-		}
+func (s *Server) EngineGeneration() uint64 {
+	if s.mem != nil {
+		return s.mem.Swaps()
 	}
+	return 1
 }
-
-// ExpvarMap returns the per-endpoint counter map, for publishing under
-// a process-global expvar name.
-func (s *Server) ExpvarMap() *expvar.Map { return s.metrics.m }
 
 // PublishExpvar publishes the counters into the process-global expvar
 // namespace (served at GET /debug/vars) under the given name. Publish

@@ -8,34 +8,27 @@ import (
 	"hyperprov/internal/wal"
 )
 
-// statsSection contributes one named group of /v1/stats fields. The
-// response stays one flat JSON object (plus the nested wal /
-// replication / subscriptions blocks), so the registry exists for
-// composition, not response shape: each concern owns its collector,
-// and a new subsystem adds a section instead of growing a monolith.
-// Field names are part of the stable API — documented in DESIGN.md and
-// depended on by clients and tests; never rename, only add.
-type statsSection struct {
-	name    string
-	collect func(s *Server, e engine.DB, out map[string]any)
-}
-
-// statsSections is the registry, in collection order. Later sections
-// may not overwrite earlier fields (names are disjoint by
-// construction).
-var statsSections = []statsSection{
-	{"engine", collectEngineStats},
-	{"intern", collectInternStats},
-	{"mvcc", collectMVCCStats},
-	{"planner", collectPlannerStats},
-	{"wal", collectWALStats},
-	{"replication", collectReplicationStats},
-	{"sharding", collectShardingStats},
-	{"subscriptions", collectSubscriptionStats},
-	{"admission", collectAdmissionStats},
-	{"whatif", collectWhatifStats},
-	{"ingest", collectIngestStats},
-	{"memory", collectMemoryStats},
+// statsSections are the collectors of /v1/stats, each contributing one
+// group of fields, in collection order. The response stays one flat
+// JSON object (plus the nested wal / replication / subscriptions
+// blocks), so the list exists for composition, not response shape: each
+// concern owns its collector, and a new subsystem adds one instead of
+// growing a monolith. Field names are part of the stable API —
+// documented in DESIGN.md and depended on by clients and tests; never
+// rename, only add — and disjoint between collectors by construction.
+var statsSections = []func(s *Server, e engine.DB, out map[string]any){
+	collectEngineStats,
+	collectInternStats,
+	collectMVCCStats,
+	collectPlannerStats,
+	collectWALStats,
+	collectReplicationStats,
+	collectShardingStats,
+	collectSubscriptionStats,
+	collectAdmissionStats,
+	collectWhatifStats,
+	collectIngestStats,
+	collectMemoryStats,
 }
 
 // collectEngineStats reports the size measures: provSize is the
@@ -136,8 +129,8 @@ func collectAdmissionStats(s *Server, e engine.DB, out map[string]any) {
 func (s *Server) handleStats(w http.ResponseWriter, req *http.Request) {
 	e := s.Engine()
 	stats := make(map[string]any, 32)
-	for _, sec := range statsSections {
-		sec.collect(s, e, stats)
+	for _, collect := range statsSections {
+		collect(s, e, stats)
 	}
 	writeJSON(w, http.StatusOK, stats)
 }

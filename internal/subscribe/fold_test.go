@@ -119,7 +119,7 @@ func (f *folder) commit(t testing.TB, n int) {
 // fold folds the oldest recorded event and reads the frames it queued,
 // which hands their buffers back to the pool.
 func (f *folder) fold() {
-	f.m.applyEvent(f.d, f.events[0])
+	f.m.applyEvent(f.events[0])
 	f.events = f.events[1:]
 	for {
 		if _, err := f.c.Next(Polled); err != nil {

@@ -15,15 +15,27 @@ import (
 // ErrClosed reports a read from a closed connection or manager.
 var ErrClosed = errors.New("subscribe: connection closed")
 
-// item is one unit of dispatcher work: a commit event and the engine it
-// came from, or a sync barrier.
+// item is one unit of dispatcher work: a commit event, with the number
+// of resets the hook had heard when it queued it, or a sync barrier.
 type item struct {
-	src  engine.DB
-	ev   engine.CommitEvent
-	sync chan struct{}
+	ev     engine.CommitEvent
+	resets uint64
+	sync   chan struct{}
 }
 
-// Manager maintains every live subscription against one engine.DB. It
+// source is what the manager reads and listens to: an engine, a
+// persistent store or follower, or the engine.Handle a server swaps
+// snapshot loads through. Whoever replaces the engine behind it
+// announces that on the hook as a CommitReset (engine.Handle.Swap), so
+// the manager never learns which engine it is talking to.
+type source interface {
+	At(seq uint64) engine.View
+	Horizon() uint64
+	Schema() *db.Schema
+	SetCommitHook(engine.CommitHook)
+}
+
+// Manager maintains every live subscription against one source. It
 // consumes the engine's commit-event bus on a dedicated dispatcher
 // goroutine: the commit hook only enqueues onto a bounded channel (or,
 // on overflow, sets a lost flag and drops — the write path is never
@@ -33,7 +45,7 @@ type item struct {
 // the next read returns a full snapshot.
 type Manager struct {
 	mu sync.Mutex
-	d  engine.DB
+	d  source
 	// subs is every subscription in registration order — the order of a
 	// commit's frames; whatifs and watches (by relation) index it for the
 	// dispatcher, so a touched row is offered only to the subscriptions
@@ -58,6 +70,10 @@ type Manager struct {
 
 	nsubs   atomic.Int64
 	lastSeq atomic.Uint64 // newest horizon the dispatcher has folded in
+	// resets counts the CommitResets heard. An event queued under an
+	// earlier count comes from the engine a reset has since replaced: its
+	// epoch means nothing against the new one, and the rebuild covers it.
+	resets atomic.Uint64
 
 	events, qdrops, deltas, fanout, cdrops, resyncs, rebuilds, respec, frameBytes atomic.Uint64
 }
@@ -74,38 +90,37 @@ const (
 
 // NewManager builds a manager over d and installs its commit hook.
 // Close must be called to uninstall it and stop the dispatcher.
-func NewManager(d engine.DB) *Manager {
+func NewManager(d source) *Manager {
 	m := &Manager{d: d, conns: make(map[*Conn]struct{}), items: make(chan item, queueDepth), stop: make(chan struct{})}
 	m.lastSeq.Store(d.Horizon())
 	m.wg.Add(1)
 	go m.dispatch()
-	d.SetCommitHook(m.hookFor(d))
+	d.SetCommitHook(m.hook)
 	return m
 }
 
-// hookFor is the commit hook: it tags events with the engine that
-// produced them, so events from an engine replaced by Rebind are
-// recognized and dropped. It runs on the committing goroutine with
+// hook is the commit hook. It runs on the committing goroutine with
 // engine locks held and must never block: overflow drops the event and
 // flags a rebuild. ev.Rows is the engine's buffer, borrowed for the
 // call (engine.CommitHook), so an event that is queued takes an
 // exact-size copy — the only per-commit allocation of the hook, and
 // only while a subscription exists.
-func (m *Manager) hookFor(src engine.DB) engine.CommitHook {
-	return func(ev engine.CommitEvent) {
-		m.events.Add(1)
-		if m.nsubs.Load() == 0 && ev.Kind != engine.CommitReset {
-			// No subscriptions: just track the horizon; nothing to fold.
-			m.storeLastSeq(ev.Seq)
-			return
-		}
-		ev.Rows = slices.Clone(ev.Rows)
-		select {
-		case m.items <- item{src: src, ev: ev}:
-		default:
-			m.qdrops.Add(1)
-			m.lost.Store(true)
-		}
+func (m *Manager) hook(ev engine.CommitEvent) {
+	m.events.Add(1)
+	if m.nsubs.Load() == 0 && ev.Kind != engine.CommitReset {
+		// No subscriptions: just track the horizon; nothing to fold.
+		m.storeLastSeq(ev.Seq)
+		return
+	}
+	if ev.Kind == engine.CommitReset {
+		m.resets.Add(1)
+	}
+	ev.Rows = slices.Clone(ev.Rows)
+	select {
+	case m.items <- item{ev: ev, resets: m.resets.Load()}:
+	default:
+		m.qdrops.Add(1)
+		m.lost.Store(true)
 	}
 }
 
@@ -130,8 +145,8 @@ func (m *Manager) dispatch() {
 			// After an overflow the rebuild horizon covers this event too.
 			if m.lost.Swap(false) || it.sync == nil && it.ev.Kind == engine.CommitReset {
 				m.rebuild()
-			} else if it.sync == nil {
-				m.applyEvent(it.src, it.ev)
+			} else if it.sync == nil && it.resets == m.resets.Load() {
+				m.applyEvent(it.ev)
 			}
 			if it.sync != nil {
 				close(it.sync)
@@ -148,12 +163,9 @@ func (m *Manager) dispatch() {
 // watches on its relation, which record how it moves them; then every
 // moved subscription's frame is assembled from the shared row
 // encodings.
-func (m *Manager) applyEvent(src engine.DB, ev engine.CommitEvent) {
+func (m *Manager) applyEvent(ev engine.CommitEvent) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if src != m.d {
-		return // stale engine, already rebound away from
-	}
 	m.storeLastSeq(ev.Seq)
 	// Every subscription the event applies to has acknowledged a horizon
 	// in the epoch before it (At snaps to epoch boundaries), so they
@@ -244,8 +256,8 @@ func (m *Manager) send(s *sub, frame *[]byte, fail string) {
 }
 
 // rebuild moves every subscription to the live horizon and flags it
-// for resync, after a queue overflow, an engine swap (CommitReset) or a
-// Rebind. The resync frame is built when the client reads it.
+// for resync, after a queue overflow or an engine swap (CommitReset).
+// The resync frame is built when the client reads it.
 func (m *Manager) rebuild() {
 	m.rebuilds.Add(1)
 	m.mu.Lock()
@@ -274,29 +286,6 @@ func (m *Manager) Sync() {
 	}
 }
 
-// Rebind switches the manager to a new engine (the snapshot-load path
-// replaces the server's engine wholesale): the hook moves and every
-// subscription is rebuilt against the new engine. Events still in
-// flight from the old engine are dropped by source tag.
-func (m *Manager) Rebind(d engine.DB) {
-	m.mu.Lock()
-	if m.closed || d == m.d {
-		m.mu.Unlock()
-		return
-	}
-	old := m.d
-	m.d = d
-	m.mu.Unlock()
-	old.SetCommitHook(nil)
-	d.SetCommitHook(m.hookFor(d))
-	// Force a rebuild even if no further commits arrive on d. Blocking
-	// is fine: this is not the commit path, and the dispatcher drains.
-	select {
-	case m.items <- item{src: d, ev: engine.CommitEvent{Kind: engine.CommitReset}}:
-	case <-m.stop:
-	}
-}
-
 // Close uninstalls the hook, stops the dispatcher and closes every
 // connection. Idempotent.
 func (m *Manager) Close() {
@@ -306,13 +295,12 @@ func (m *Manager) Close() {
 		return
 	}
 	m.closed = true
-	d := m.d
 	conns := make([]*Conn, 0, len(m.conns))
 	for c := range m.conns {
 		conns = append(conns, c)
 	}
 	m.mu.Unlock()
-	d.SetCommitHook(nil)
+	m.d.SetCommitHook(nil)
 	close(m.stop)
 	m.wg.Wait()
 	for _, c := range conns {
@@ -335,7 +323,7 @@ type Stats struct {
 	Fanout uint64 `json:"fanout"`
 	// FrameDrops counts frames dropped on slow connections, Resyncs the
 	// snapshot (or error) frames served to repair them, Rebuilds the
-	// moves to the live horizon (overflow, engine swap, rebind).
+	// moves to the live horizon (overflow, engine swap).
 	FrameDrops uint64 `json:"frameDrops"`
 	Resyncs    uint64 `json:"resyncs"`
 	Rebuilds   uint64 `json:"rebuilds"`

@@ -11,7 +11,7 @@ package subscribe_test
 // to. The behavioral tests cover commit-order delivery, slow and
 // stalled subscribers (the write path must never block), concurrent
 // subscribe/unsubscribe under -race, and delivery across an engine
-// swap (Rebind).
+// swap (engine.Handle.Swap).
 
 import (
 	"bytes"
@@ -340,27 +340,29 @@ func TestProtocolDifferential(t *testing.T) {
 	}
 }
 
-// tapDB is an engine whose installed commit hook the test can also
-// fire, to inject the events only a wal.Store's engine swap produces.
-type tapDB struct {
-	engine.DB
+// tapHandle is a handle whose installed commit hook the test can also
+// fire, to inject a reset without an engine swap behind it.
+type tapHandle struct {
+	*engine.Handle
 	hook engine.CommitHook
 }
 
-func (d *tapDB) SetCommitHook(h engine.CommitHook) {
+func (d *tapHandle) SetCommitHook(h engine.CommitHook) {
 	d.hook = h
-	d.DB.SetCommitHook(h)
+	d.Handle.SetCommitHook(h)
 }
 
-// TestProtocolAcrossResetAndRebind: a CommitReset event and a Rebind to
-// a brand-new engine (the snapshot-load path) both flag every
-// subscription for resync; the client must reconverge through the
+// TestProtocolAcrossResetAndRebind: a CommitReset event and a Swap of
+// the handle to a brand-new engine (the snapshot-load path) both flag
+// every subscription for resync; the client must reconverge through the
 // resync and stay exact for commits after it, and late events from the
-// engine rebound away from must be ignored.
+// engine swapped away from must be ignored.
 func TestProtocolAcrossResetAndRebind(t *testing.T) {
 	initialA, txnsA := testWorkload(t, 11)
-	d1 := &tapDB{DB: engine.Open(engine.ModeNormalForm, initialA, engine.WithInitialAnnotations(testAnnot))}
-	m := subscribe.NewManager(d1)
+	d1 := engine.New(engine.ModeNormalForm, initialA, engine.WithInitialAnnotations(testAnnot))
+	h := &tapHandle{Handle: new(engine.Handle)}
+	h.Swap(d1)
+	m := subscribe.NewManager(h)
 	defer m.Close()
 	c := m.Attach(64)
 	specs := testSpecs(d1, txnsA)
@@ -374,7 +376,7 @@ func TestProtocolAcrossResetAndRebind(t *testing.T) {
 	}
 
 	hz := d1.Horizon()
-	d1.hook(engine.CommitEvent{Kind: engine.CommitReset, Epoch: engine.SeqEpoch(hz), Seq: hz})
+	h.hook(engine.CommitEvent{Kind: engine.CommitReset, Epoch: engine.SeqEpoch(hz), Seq: hz})
 	mi.check(m, c, d1, specs, "reset")
 	if got := mi.frames["resync"]; got != len(specs) {
 		t.Fatalf("a reset offered %d resyncs for %d subscriptions", got, len(specs))
@@ -387,10 +389,10 @@ func TestProtocolAcrossResetAndRebind(t *testing.T) {
 	}
 
 	initialB, txnsB := testWorkload(t, 13)
-	d2 := engine.Open(engine.ModeNormalForm, initialB,
+	d2 := engine.New(engine.ModeNormalForm, initialB,
 		engine.WithShards(2),
 		engine.WithInitialAnnotations(testAnnot))
-	m.Rebind(d2)
+	h.Swap(d2)
 	// The old engine keeps committing after the swap; its events must
 	// not reach the subscriptions now maintained against d2.
 	if err := d1.ApplyAll(context.Background(), txnsA[15:]); err != nil {
@@ -403,10 +405,10 @@ func TestProtocolAcrossResetAndRebind(t *testing.T) {
 		mi.check(m, c, d2, specs, fmt.Sprintf("after rebind, txn %d", i))
 	}
 	if got := mi.frames["resync"]; got != 2*len(specs) {
-		t.Fatalf("reset + rebind offered %d resyncs for %d subscriptions", got, len(specs))
+		t.Fatalf("reset + swap offered %d resyncs for %d subscriptions", got, len(specs))
 	}
 	if st := m.StatsSnapshot(); st.Rebuilds != 2 {
-		t.Fatalf("reset + rebind rebuilt %d times: %+v", st.Rebuilds, st)
+		t.Fatalf("reset + swap rebuilt %d times: %+v", st.Rebuilds, st)
 	}
 }
 

@@ -1,6 +1,8 @@
 // Package wal is the durability subsystem: a segmented, checksummed
-// write-ahead log plus checkpointing and crash recovery around either
-// provenance engine.
+// write-ahead log plus checkpointing and crash recovery around the
+// provenance engine. A Store (and a Follower reading through one) embeds
+// the engine.Handle it serves the engine through — its whole read surface
+// and its commit hook; recovery and a follower resync Swap the engine.
 //
 // The paper makes durability cheap here: the Theorem 5.3 normal form is
 // maintained incrementally per transaction (§5), so the log record for

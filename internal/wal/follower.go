@@ -38,8 +38,9 @@ var ErrStreamStalled = errors.New("wal: replication stream stalled (no frames wi
 // follower's bootstrap point (epoch numbering is per process life,
 // exactly as with Store recovery).
 //
-// It implements engine.DB: the read surface delegates to the replayed
-// engine at its committed horizon; every write returns ErrFollower.
+// It implements engine.DB: the read surface is the embedded handle's —
+// the replayed engine at its committed horizon — and every write returns
+// ErrFollower.
 //
 // Internally the follower is a single-goroutine engine loop fed by a
 // channel message service: a reader goroutine per connection decodes
@@ -48,11 +49,18 @@ var ErrStreamStalled = errors.New("wal: replication stream stalled (no frames wi
 // corrupt frames and leader restarts all collapse to the same path:
 // drop the connection and redial from the durably applied LSN.
 type Follower struct {
+	// The handle every store shell of this follower serves through: the
+	// read surface and the commit hook are its methods, so they outlive
+	// resyncs (each a Swap, a CommitReset to the hook), and the hook rides
+	// the replay loop — every replicated record emits its commit event off
+	// the local engine, in the follower's own epoch numbering.
+	*engine.Handle
+
 	dir string
 	src StreamSource
 	o   options
 
-	core atomic.Pointer[Store] // nil until bootstrapped
+	core atomic.Pointer[Store] // nil until bootstrapped; LSN, local WAL, teardown
 
 	cancel  context.CancelFunc
 	wg      sync.WaitGroup
@@ -113,23 +121,7 @@ type FollowerStats struct {
 // checkpoint cadence, engine options, FS. Mode and schema come from the
 // leader.
 func OpenFollower(ctx context.Context, dir string, src StreamSource, opts ...Option) (*Follower, error) {
-	o := options{
-		mode:         engine.ModeNormalForm,
-		sync:         SyncAlways,
-		interval:     50 * time.Millisecond,
-		segSize:      16 << 20,
-		heartbeat:    500 * time.Millisecond,
-		fs:           OSFS{},
-		redialBase:   admission.DefaultBackoffBase,
-		redialCap:    admission.DefaultBackoffCap,
-		stallTimeout: 10 * time.Second,
-	}
-	for _, opt := range opts {
-		opt(&o)
-	}
-	if o.segSize < 1<<10 {
-		o.segSize = 1 << 10
-	}
+	o := newOptions(opts)
 	if err := o.fs.MkdirAll(dir); err != nil {
 		return nil, err
 	}
@@ -137,7 +129,7 @@ func OpenFollower(ctx context.Context, dir string, src StreamSource, opts ...Opt
 	if err != nil {
 		return nil, err
 	}
-	f := &Follower{dir: dir, src: src, o: o, bootCh: make(chan struct{})}
+	f := &Follower{Handle: new(engine.Handle), dir: dir, src: src, o: o, bootCh: make(chan struct{})}
 	f.breaker = admission.Breaker{Budget: o.breakerBudget, Cooldown: o.breakerCooldown}
 	meta, err := readMeta(o.fs, dir)
 	switch {
@@ -148,7 +140,7 @@ func OpenFollower(ctx context.Context, dir string, src StreamSource, opts ...Opt
 		release()
 		return nil, err
 	default:
-		s := &Store{dir: dir, fs: o.fs, release: release, opts: o}
+		s := &Store{Handle: f.Handle, dir: dir, fs: o.fs, release: release, opts: o}
 		if err := s.recover(meta); err != nil {
 			release()
 			return nil, err
@@ -332,8 +324,6 @@ func (f *Follower) streamOnce(ctx context.Context) (progressed bool, err error) 
 		return false, err
 	}
 	progressed = hello.resync // a shipped checkpoint is progress
-	f.observeLeader(hello.target, hello.horizon)
-	f.setFirstTarget(hello.target)
 	f.checkReady()
 
 	s := f.core.Load()
@@ -408,16 +398,16 @@ func (f *Follower) collectCheckpoint(next func() ([]byte, error), snapLSN uint64
 // handshake: bootstrap an empty store for an incremental stream from
 // zero, install the shipped checkpoint for a resync (discarding any
 // divergent or superseded local state), or nothing for a plain resume.
+// Once that has succeeded it records where the hello says the leader is
+// — before a first core is published, because publishing is what lets
+// OpenFollower return and /readyz be asked: a follower that is behind
+// must never be seen with no lag.
 func (f *Follower) installHello(hello helloMsg, ckpt []byte) error {
 	s := f.core.Load()
 	switch {
 	case hello.resync:
 		if s == nil {
-			ns, err := newFollowerCore(f.dir, f.releaseOnly, f.o)
-			if err != nil {
-				return err
-			}
-			s = ns
+			s = f.newCore()
 		}
 		// On error the Store shell is discarded; the directory lock stays
 		// with f.releaseOnly (when no core exists yet) so the retry can
@@ -426,19 +416,19 @@ func (f *Follower) installHello(hello helloMsg, ckpt []byte) error {
 			return err
 		}
 	case s == nil:
-		// Incremental from zero: the leader bootstrapped empty, so an
-		// empty local engine plus the record stream reproduces it.
-		ns, err := newFollowerCore(f.dir, f.releaseOnly, f.o)
-		if err != nil {
-			return err
-		}
-		if err := ns.bootstrapEmptyFollower(hello.mode, hello.schema); err != nil {
+		// Incremental from zero: the leader bootstrapped empty, so the
+		// bootstrap of an empty leader with its mode and schema — the same
+		// META, engine and first segment — plus the record stream
+		// reproduces it.
+		ns := f.newCore()
+		ns.opts.mode, ns.opts.schema, ns.opts.initial = hello.mode, hello.schema, nil
+		if err := ns.bootstrap(); err != nil {
 			return err
 		}
 		s = ns
-	default:
-		return nil // plain incremental resume
 	}
+	f.observeLeader(hello.target, hello.horizon)
+	f.setFirstTarget(hello.target)
 	if f.core.Load() == nil {
 		s.startSyncLoop()
 		f.core.Store(s)
@@ -539,8 +529,10 @@ func (f *Follower) WALStats() StoreStats {
 // Dir returns the local data directory.
 func (f *Follower) Dir() string { return f.dir }
 
-// Close stops the apply loop and closes the local store.
-func (f *Follower) Close() error {
+// shut is the teardown Close and Crash share: stop the apply loop, then
+// shut the local store the same way, or release the directory lock when
+// no store was ever established.
+func (f *Follower) shut(crash bool) error {
 	f.closeMu.Lock()
 	defer f.closeMu.Unlock()
 	if f.closed {
@@ -550,7 +542,7 @@ func (f *Follower) Close() error {
 	f.cancel()
 	f.wg.Wait()
 	if s := f.core.Load(); s != nil {
-		return s.Close()
+		return s.shut(crash)
 	}
 	if f.releaseOnly != nil {
 		f.releaseOnly()
@@ -558,90 +550,15 @@ func (f *Follower) Close() error {
 	return nil
 }
 
+// Close stops the apply loop and closes the local store.
+func (f *Follower) Close() error { return f.shut(false) }
+
 // Crash stops the apply loop and abandons the local store without
 // flushing or syncing, simulating follower process death mid-apply.
 // Test hook, mirroring Store.Crash.
-func (f *Follower) Crash() {
-	f.closeMu.Lock()
-	defer f.closeMu.Unlock()
-	if f.closed {
-		return
-	}
-	f.closed = true
-	f.cancel()
-	f.wg.Wait()
-	if s := f.core.Load(); s != nil {
-		s.Crash()
-		return
-	}
-	if f.releaseOnly != nil {
-		f.releaseOnly()
-	}
-}
+func (f *Follower) Crash() { _ = f.shut(true) }
 
-// db returns the core store; OpenFollower only returns once it exists,
-// so read delegation never sees nil.
-func (f *Follower) db() *Store { return f.core.Load() }
-
-// --- engine.DB: reads delegate, writes refuse ---------------------------
-
-// Mode implements engine.DB.
-func (f *Follower) Mode() engine.Mode { return f.db().Mode() }
-
-// Schema implements engine.DB.
-func (f *Follower) Schema() *db.Schema { return f.db().Schema() }
-
-// Relations implements engine.DB.
-func (f *Follower) Relations() []string { return f.db().Relations() }
-
-// Annotation implements engine.DB.
-func (f *Follower) Annotation(rel string, t db.Tuple) *core.Expr { return f.db().Annotation(rel, t) }
-
-// NF implements engine.DB.
-func (f *Follower) NF(rel string, t db.Tuple) *core.NF { return f.db().NF(rel, t) }
-
-// EachRow implements engine.DB.
-func (f *Follower) EachRow(rel string, fn func(t db.Tuple, ann *core.Expr)) { f.db().EachRow(rel, fn) }
-
-// Rows implements engine.DB.
-func (f *Follower) Rows(fn func(rel string, t db.Tuple, ann *core.Expr)) { f.db().Rows(fn) }
-
-// Select implements engine.DB.
-func (f *Follower) Select(rel string, sel db.Pattern) ([]db.Tuple, error) {
-	return f.db().Select(rel, sel)
-}
-
-// NumRows implements engine.DB.
-func (f *Follower) NumRows() int { return f.db().NumRows() }
-
-// SupportSize implements engine.DB.
-func (f *Follower) SupportSize() int { return f.db().SupportSize() }
-
-// ProvSize implements engine.DB.
-func (f *Follower) ProvSize() int64 { return f.db().ProvSize() }
-
-// ProvDAGSize implements engine.DB.
-func (f *Follower) ProvDAGSize() int64 { return f.db().ProvDAGSize() }
-
-// At implements engine.DB.
-func (f *Follower) At(seq uint64) engine.View { return f.db().At(seq) }
-
-// Horizon implements engine.DB.
-func (f *Follower) Horizon() uint64 { return f.db().Horizon() }
-
-// WaitHorizon implements engine.DB.
-func (f *Follower) WaitHorizon(ctx context.Context, seq uint64) error {
-	return f.db().WaitHorizon(ctx, seq)
-}
-
-// MVCCStats implements engine.DB.
-func (f *Follower) MVCCStats() engine.MVCCStats { return f.db().MVCCStats() }
-
-// IndexStats implements engine.DB.
-func (f *Follower) IndexStats() []engine.IndexInfo { return f.db().IndexStats() }
-
-// PlannerStats implements engine.DB.
-func (f *Follower) PlannerStats() engine.PlannerStats { return f.db().PlannerStats() }
+// --- engine.DB: reads are the handle's, writes refuse --------------------
 
 // ApplyTransaction implements engine.DB; followers refuse writes.
 func (f *Follower) ApplyTransaction(*db.Transaction) error { return ErrFollower }
@@ -666,14 +583,6 @@ func (f *Follower) DropIndex(string, string) error { return ErrFollower }
 
 // MinimizeAll implements engine.DB; followers refuse writes.
 func (f *Follower) MinimizeAll(context.Context) (int64, error) { return 0, ErrFollower }
-
-// SetCommitHook implements engine.DB: the hook rides the replay loop —
-// each replicated record the follower applies emits commit events off
-// its local engine (with the follower's own epoch numbering), and a
-// resync that swaps the replayed engine announces itself as a
-// CommitReset. The core store persists across resyncs, so the hook
-// survives them.
-func (f *Follower) SetCommitHook(h engine.CommitHook) { f.db().SetCommitHook(h) }
 
 // --- follower-side store plumbing ---------------------------------------
 
@@ -708,30 +617,12 @@ func (s *Store) applyReplicated(payload []byte) error {
 	return nil
 }
 
-// newFollowerCore shapes a Store over a fresh (META-less) follower
-// directory. The caller supplies the identity via
-// bootstrapEmptyFollower or resyncFromCheckpoint before using it.
-func newFollowerCore(dir string, release func(), o options) (*Store, error) {
-	if release == nil {
-		return nil, fmt.Errorf("wal: follower core already established")
-	}
-	return &Store{dir: dir, fs: o.fs, release: release, opts: o}, nil
-}
-
-// bootstrapEmptyFollower initialises a follower directory for an
-// incremental-from-zero stream: META plus an empty engine, exactly the
-// layout a leader bootstrap with no initial rows produces.
-func (s *Store) bootstrapEmptyFollower(mode engine.Mode, schema *db.Schema) error {
-	s.setEngine(engine.NewEmpty(mode, schema, s.opts.engOpts...))
-	if err := writeMeta(s.fs, s.dir, mode, schema, false); err != nil {
-		return err
-	}
-	lw, err := openLogWriter(s.fs, s.dir, s.opts.segSize, 0, 0, 0, 0)
-	if err != nil {
-		return err
-	}
-	s.lw = lw
-	return nil
+// newCore shapes a Store over the fresh (META-less) follower directory,
+// serving through the follower's handle and taking the directory lock
+// the follower holds while it has no core. The caller supplies the
+// identity via bootstrap or resyncFromCheckpoint before using it.
+func (f *Follower) newCore() *Store {
+	return &Store{Handle: f.Handle, dir: f.dir, fs: f.o.fs, release: f.releaseOnly, opts: f.o}
 }
 
 // resyncFromCheckpoint replaces the local state with the leader's
@@ -784,7 +675,7 @@ func (s *Store) resyncFromCheckpoint(mode engine.Mode, schema *db.Schema, snapLS
 	// jumps to can be read (LSN takes s.mu), so no reader of the stats
 	// sees the jump without the resync that caused it.
 	resyncs.Add(1)
-	s.setEngine(eng)
+	s.Swap(eng)
 	s.lw = lw
 	s.lsn = snapLSN
 	s.ckptLSN = snapLSN
@@ -793,30 +684,11 @@ func (s *Store) resyncFromCheckpoint(mode engine.Mode, schema *db.Schema, snapLS
 	return nil
 }
 
-// writeBlobAtomic lands data at name via temp file + fsync + rename.
+// writeBlobAtomic lands data at name via writeAtomic, under the
+// temporary name name.tmp.
 func writeBlobAtomic(fs FS, dir, name string, data []byte) error {
-	tmp := filepath.Join(dir, name+".tmp")
-	f, err := fs.Create(tmp)
-	if err != nil {
+	return writeAtomic(fs, dir, name+".tmp", name, func(w io.Writer) error {
+		_, err := w.Write(data)
 		return err
-	}
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		_ = fs.Remove(tmp)
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		_ = fs.Remove(tmp)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		_ = fs.Remove(tmp)
-		return err
-	}
-	if err := fs.Rename(tmp, filepath.Join(dir, name)); err != nil {
-		_ = fs.Remove(tmp)
-		return err
-	}
-	return fs.SyncDir(dir)
+	})
 }

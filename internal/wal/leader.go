@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -51,12 +52,18 @@ func (s *Store) registerStream(h *streamHandle, pos uint64) error {
 
 func (s *Store) unregisterStream(h *streamHandle) {
 	s.mu.Lock()
+	h.detachLocked()
+	delete(s.streams, h)
+	s.mu.Unlock()
+}
+
+// detachLocked ends the handle's live tail, if it has one: the drain
+// loop reading the closed channel goes back to the log on disk.
+func (h *streamHandle) detachLocked() {
 	if h.ch != nil {
 		close(h.ch)
 		h.ch = nil
 	}
-	delete(s.streams, h)
-	s.mu.Unlock()
 }
 
 // setStreamPos advances the handle's fence.
@@ -91,19 +98,13 @@ func (s *Store) attachStream(h *streamHandle, pos uint64) (ch chan streamRec, ls
 // redialing (where they find the restarted leader).
 func (s *Store) closeStreamsLocked() {
 	for h := range s.streams {
-		if h.ch != nil {
-			close(h.ch)
-			h.ch = nil
-		}
+		h.detachLocked()
 	}
 }
 
 func (s *Store) detachStream(h *streamHandle) {
 	s.mu.Lock()
-	if h.ch != nil {
-		close(h.ch)
-		h.ch = nil
-	}
+	h.detachLocked()
 	s.mu.Unlock()
 }
 
@@ -130,8 +131,7 @@ func (s *Store) publishStreamLocked(base uint64, payloads [][]byte) {
 			select {
 			case h.ch <- streamRec{lsn: base + uint64(i), payload: p}:
 			default:
-				close(h.ch)
-				h.ch = nil
+				h.detachLocked()
 				s.streamLagDrops.Add(1)
 			}
 			if h.ch == nil {
@@ -178,10 +178,10 @@ func (s *Store) planStream(from uint64) (streamPlan, error) {
 	}
 	plan := streamPlan{
 		hello: helloMsg{
-			mode:    s.engine().Mode(),
+			mode:    s.Mode(),
 			target:  s.lsn,
-			horizon: s.engine().Horizon(),
-			schema:  s.engine().Schema(),
+			horizon: s.Horizon(),
+			schema:  s.Schema(),
 		},
 		pos: from,
 	}
@@ -229,23 +229,17 @@ var errNoCheckpoint = errors.New("wal: no checkpoint to resync from")
 // is: handshake (planStream), optional checkpoint bootstrap, catch-up
 // from the on-disk log, then live tailing with heartbeats — falling
 // back to disk catch-up whenever the follower cannot keep up with the
-// in-memory fan-out. Safe to call concurrently from any number of
-// followers; the store keeps accepting writes throughout.
-func (s *Store) ServeStream(ctx context.Context, w http.ResponseWriter, from uint64) error {
-	return s.serveStream(ctx, w, from)
-}
-
-// serveStream is ServeStream over any io.Writer (tests use pipes).
-func (s *Store) serveStream(ctx context.Context, w interface{ Write([]byte) (int, error) }, from uint64) error {
+// in-memory fan-out. Frames are flushed one by one when w is an
+// http.Flusher. Safe to call concurrently from any number of followers;
+// the store keeps accepting writes throughout.
+func (s *Store) ServeStream(ctx context.Context, w io.Writer, from uint64) error {
 	h := &streamHandle{}
 	if err := s.registerStream(h, from); err != nil {
 		return err
 	}
 	defer s.unregisterStream(h)
 	fw := &frameWriter{w: w}
-	if fl, ok := w.(http.Flusher); ok {
-		fw.fl = fl
-	}
+	fw.fl, _ = w.(http.Flusher)
 
 	plan, err := s.planStream(from)
 	if errors.Is(err, errNoCheckpoint) {
@@ -305,7 +299,7 @@ func (s *Store) serveStream(ctx context.Context, w interface{ Write([]byte) (int
 				pos = m.lsn + 1
 			case <-hb.C:
 				s.mu.Lock()
-				lsn, horizon := s.lsn, s.engine().Horizon()
+				lsn, horizon := s.lsn, s.Horizon()
 				s.mu.Unlock()
 				if err := fw.writeMsg(encodeHeartbeat(lsn, horizon)); err != nil {
 					return err

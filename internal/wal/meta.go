@@ -69,7 +69,8 @@ func decodeSchema(d *recDecoder) (*db.Schema, error) {
 	return db.NewSchema(rels...)
 }
 
-// writeMeta persists the store identity via temp file + fsync + atomic
+// writeMeta persists the store identity via temp file (META.tmp, which
+// bootstrap cleans up after an interrupted first open) + fsync + atomic
 // rename, like every other durable write in this package.
 func writeMeta(fs FS, dir string, mode engine.Mode, schema *db.Schema, hasInit bool) error {
 	var e recEncoder
@@ -81,30 +82,7 @@ func writeMeta(fs FS, dir string, mode engine.Mode, schema *db.Schema, hasInit b
 		e.byte(0)
 	}
 	encodeSchema(&e, schema)
-	tmp := filepath.Join(dir, "META.tmp")
-	f, err := fs.Create(tmp)
-	if err != nil {
-		return err
-	}
-	if _, err := f.Write(e.buf.Bytes()); err != nil {
-		f.Close()
-		_ = fs.Remove(tmp)
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		_ = fs.Remove(tmp)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		_ = fs.Remove(tmp)
-		return err
-	}
-	if err := fs.Rename(tmp, filepath.Join(dir, metaName)); err != nil {
-		_ = fs.Remove(tmp)
-		return err
-	}
-	return fs.SyncDir(dir)
+	return writeBlobAtomic(fs, dir, metaName, e.buf.Bytes())
 }
 
 // readMeta loads the store identity; errNoMeta when absent.

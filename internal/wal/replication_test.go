@@ -2,7 +2,9 @@ package wal_test
 
 import (
 	"context"
+	"encoding/binary"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
@@ -525,5 +527,99 @@ func BenchmarkReplicaLag(b *testing.B) {
 		for f.ReplicaStats().AppliedLSN < target {
 			time.Sleep(50 * time.Microsecond)
 		}
+	}
+}
+
+// handshakeGate passes a replication stream through to the end of the
+// handshake — hello and, for a resync, the shipped checkpoint — and
+// holds the first record or heartbeat frame, and everything after it,
+// until released: the follower behind it has bootstrapped and applied
+// nothing.
+type handshakeGate struct {
+	ctx     context.Context
+	rc      io.ReadCloser
+	release <-chan struct{}
+	pending []byte
+	open    bool
+}
+
+func (g *handshakeGate) Read(p []byte) (int, error) {
+	if len(g.pending) == 0 && !g.open {
+		// One whole frame: length (LE32) and CRC32, then the payload, whose
+		// first byte is the message type.
+		var hdr [8]byte
+		if _, err := io.ReadFull(g.rc, hdr[:]); err != nil {
+			return 0, err
+		}
+		frame := append(hdr[:], make([]byte, binary.LittleEndian.Uint32(hdr[:4]))...)
+		if _, err := io.ReadFull(g.rc, frame[8:]); err != nil {
+			return 0, err
+		}
+		if len(frame) > 8 && frame[8] >= 4 { // msgRecord or msgHeartbeat
+			select {
+			case <-g.release:
+				g.open = true
+			case <-g.ctx.Done():
+				return 0, g.ctx.Err()
+			}
+		}
+		g.pending = frame
+	}
+	if len(g.pending) > 0 {
+		n := copy(p, g.pending)
+		g.pending = g.pending[n:]
+		return n, nil
+	}
+	return g.rc.Read(p)
+}
+
+func (g *handshakeGate) Close() error { return g.rc.Close() }
+
+// TestFollowerLagKnownAtOpen: the hello says where the leader is, and a
+// follower records it before it publishes the store the hello made it
+// build — so the first thing anyone can ask a freshly opened follower
+// that is behind already answers with its lag. (Recorded after, a
+// /readyz racing OpenFollower's return could read lag 0 from a replica
+// that had applied nothing.) Both bootstrap shapes: incremental from
+// zero, and a resync from the leader's initial checkpoint.
+func TestFollowerLagKnownAtOpen(t *testing.T) {
+	initial, txns := pinnedWorkload(t)
+	for name, boot := range map[string]wal.Option{
+		"from_zero": wal.WithSchema(initial.Schema()),
+		"resync":    wal.WithInitialDatabase(initial),
+	} {
+		t.Run(name, func(t *testing.T) {
+			st, err := wal.Open(t.TempDir(), boot, wal.WithSync(wal.SyncNever), wal.WithHeartbeatEvery(10*time.Millisecond))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer st.Close()
+			if err := st.ApplyAll(context.Background(), txns[:20]); err != nil {
+				t.Fatal(err)
+			}
+			_, src := startLeaderServer(t, st)
+			release := make(chan struct{})
+			gated := func(ctx context.Context, from uint64) (io.ReadCloser, error) {
+				rc, err := src(ctx, from)
+				if err != nil {
+					return nil, err
+				}
+				return &handshakeGate{ctx: ctx, rc: rc, release: release}, nil
+			}
+			f := openTestFollower(t, t.TempDir(), gated, wal.WithSync(wal.SyncNever))
+			if rs := f.ReplicaStats(); rs.LagRecords != 20 || rs.SyncTarget != 20 || rs.Ready {
+				t.Fatalf("first observation of a follower 20 records behind: %+v", rs)
+			}
+			close(release)
+			waitApplied(t, f, 20)
+			for deadline := time.Now().Add(30 * time.Second); !f.Ready(); time.Sleep(time.Millisecond) {
+				if time.Now().After(deadline) {
+					t.Fatalf("caught-up follower never became ready: %+v", f.ReplicaStats())
+				}
+			}
+			if rs := f.ReplicaStats(); rs.LagRecords != 0 {
+				t.Fatalf("caught-up follower: %+v", rs)
+			}
+		})
 	}
 }

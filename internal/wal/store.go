@@ -5,12 +5,13 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"path/filepath"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"hyperprov/internal/admission"
 	"hyperprov/internal/core"
 	"hyperprov/internal/db"
 	"hyperprov/internal/engine"
@@ -49,32 +50,25 @@ const (
 	SyncNever
 )
 
+// syncPolicyNames are the policies' names, as printed and as parsed.
+var syncPolicyNames = [...]string{SyncAlways: "always", SyncInterval: "interval", SyncNever: "never"}
+
 // String names the policy as accepted by ParseSyncPolicy.
 func (p SyncPolicy) String() string {
-	switch p {
-	case SyncAlways:
-		return "always"
-	case SyncInterval:
-		return "interval"
-	case SyncNever:
-		return "never"
-	default:
-		return fmt.Sprintf("SyncPolicy(%d)", uint8(p))
+	if int(p) < len(syncPolicyNames) {
+		return syncPolicyNames[p]
 	}
+	return fmt.Sprintf("SyncPolicy(%d)", uint8(p))
 }
 
 // ParseSyncPolicy parses "always", "interval" or "never".
 func ParseSyncPolicy(s string) (SyncPolicy, error) {
-	switch s {
-	case "always":
-		return SyncAlways, nil
-	case "interval":
-		return SyncInterval, nil
-	case "never":
-		return SyncNever, nil
-	default:
-		return SyncAlways, fmt.Errorf("wal: unknown sync policy %q (want always, interval or never)", s)
+	for p, name := range syncPolicyNames {
+		if s == name {
+			return SyncPolicy(p), nil
+		}
 	}
+	return SyncAlways, fmt.Errorf("wal: unknown sync policy %q (want always, interval or never)", s)
 }
 
 // options collects Open configuration.
@@ -101,6 +95,31 @@ type options struct {
 
 // Option configures Open.
 type Option func(*options)
+
+// newOptions applies opts over the defaults of Open and OpenFollower.
+func newOptions(opts []Option) options {
+	o := options{
+		mode:         engine.ModeNormalForm,
+		sync:         SyncAlways,
+		interval:     50 * time.Millisecond,
+		segSize:      16 << 20,
+		heartbeat:    500 * time.Millisecond,
+		fs:           OSFS{},
+		redialBase:   admission.DefaultBackoffBase,
+		redialCap:    admission.DefaultBackoffCap,
+		stallTimeout: 10 * time.Second,
+	}
+	for _, opt := range opts {
+		opt(&o)
+	}
+	if o.segSize < 1<<10 {
+		o.segSize = 1 << 10
+	}
+	if o.heartbeat <= 0 {
+		o.heartbeat = 500 * time.Millisecond
+	}
+	return o
+}
 
 // WithMode selects the provenance mode for a new store. Ignored when
 // the directory already exists — the persisted mode wins.
@@ -187,12 +206,14 @@ type Store struct {
 	dir string
 	fs  FS
 
-	mu sync.Mutex
-	// eng holds the served engine behind an atomic pointer: writers
-	// (bootstrap, recovery, follower resync) swap it under mu, but the
-	// lock-free read surface loads it without the lock — a follower
-	// resync replacing the engine must not race pinned readers.
-	eng       atomic.Pointer[engine.Engine]
+	// The handle is the engine being served and the whole read surface,
+	// lock-free: bootstrap, recovery and a follower resync Swap it (under
+	// mu once the store is shared); pinned readers never notice, a commit
+	// hook on the store hears a CommitReset. A follower's store shares its
+	// follower's handle.
+	*engine.Handle
+
+	mu        sync.Mutex
 	lw        *logWriter
 	lsn       uint64 // next LSN to assign
 	ckptLSN   uint64 // records below this are in the latest checkpoint
@@ -240,50 +261,9 @@ type Store struct {
 	streamsServed  atomic.Uint64
 	resyncsServed  atomic.Uint64
 	streamLagDrops atomic.Uint64
-
-	// hook is the commit-event subscriber, re-installed on every engine
-	// this store serves (recovery and follower resyncs swap engines;
-	// the subscriber must not notice beyond a reset event).
-	hookMu sync.Mutex
-	hook   engine.CommitHook
 }
 
 var _ engine.DB = (*Store)(nil)
-
-// engine loads the served engine without taking mu — the read
-// delegation surface is lock-free, exactly like the engine itself.
-func (s *Store) engine() *engine.Engine { return s.eng.Load() }
-
-// setEngine swaps the served engine. Callers hold mu (or, during
-// Open/bootstrap, have exclusive ownership of the store). A commit
-// hook installed on the store moves to the new engine, and the swap is
-// announced to it as a CommitReset at the new engine's horizon:
-// subscribers must rebuild, exactly as after a follower resync.
-func (s *Store) setEngine(e *engine.Engine) {
-	s.hookMu.Lock()
-	h := s.hook
-	s.hookMu.Unlock()
-	if e != nil && h != nil {
-		e.SetCommitHook(h)
-	}
-	s.eng.Store(e)
-	if e != nil && h != nil {
-		hz := e.Horizon()
-		h(engine.CommitEvent{Kind: engine.CommitReset, Epoch: engine.SeqEpoch(hz), Seq: hz})
-	}
-}
-
-// SetCommitHook implements engine.DB: the hook is installed on the
-// engine currently served and survives engine swaps (recovery,
-// follower resync), each announced as a CommitReset.
-func (s *Store) SetCommitHook(h engine.CommitHook) {
-	s.hookMu.Lock()
-	s.hook = h
-	s.hookMu.Unlock()
-	if e := s.engine(); e != nil {
-		e.SetCommitHook(h)
-	}
-}
 
 // StoreStats is a point-in-time summary of the durability subsystem.
 type StoreStats struct {
@@ -321,23 +301,7 @@ type StoreStats struct {
 // directory is locked against concurrent opens for the lifetime of the
 // store.
 func Open(dir string, opts ...Option) (*Store, error) {
-	o := options{
-		mode:      engine.ModeNormalForm,
-		sync:      SyncAlways,
-		interval:  50 * time.Millisecond,
-		segSize:   16 << 20,
-		heartbeat: 500 * time.Millisecond,
-		fs:        OSFS{},
-	}
-	for _, opt := range opts {
-		opt(&o)
-	}
-	if o.segSize < 1<<10 {
-		o.segSize = 1 << 10
-	}
-	if o.heartbeat <= 0 {
-		o.heartbeat = 500 * time.Millisecond
-	}
+	o := newOptions(opts)
 	if err := o.fs.MkdirAll(dir); err != nil {
 		return nil, err
 	}
@@ -345,8 +309,15 @@ func Open(dir string, opts ...Option) (*Store, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := &Store{dir: dir, fs: o.fs, release: release, opts: o}
-	if err := s.open(); err != nil {
+	s := &Store{Handle: new(engine.Handle), dir: dir, fs: o.fs, release: release, opts: o}
+	meta, err := readMeta(s.fs, s.dir)
+	switch {
+	case errors.Is(err, errNoMeta):
+		err = s.bootstrap()
+	case err == nil:
+		err = s.recover(meta)
+	}
+	if err != nil {
 		release()
 		return nil, err
 	}
@@ -363,17 +334,6 @@ func (s *Store) startSyncLoop() {
 	s.stopSync = make(chan struct{})
 	s.syncWG.Add(1)
 	go s.syncLoop()
-}
-
-func (s *Store) open() error {
-	meta, err := readMeta(s.fs, s.dir)
-	if errors.Is(err, errNoMeta) {
-		return s.bootstrap()
-	}
-	if err != nil {
-		return err
-	}
-	return s.recover(meta)
 }
 
 // bootstrap initialises a fresh data directory: META, an initial
@@ -417,8 +377,8 @@ func (s *Store) bootstrap() error {
 		}
 		initial = db.NewDatabase(s.opts.schema)
 	}
-	s.setEngine(engine.New(s.opts.mode, initial, s.opts.engOpts...))
-	hasInit := s.engine().NumRows() > 0
+	s.Swap(engine.New(s.opts.mode, initial, s.opts.engOpts...))
+	hasInit := s.NumRows() > 0
 	if hasInit {
 		// The bootstrap rows exist only in memory; a checkpoint is the
 		// sole durable copy, so its failure fails Open.
@@ -426,7 +386,7 @@ func (s *Store) bootstrap() error {
 			return fmt.Errorf("wal: initial checkpoint: %w", err)
 		}
 	}
-	if err := writeMeta(s.fs, s.dir, s.engine().Mode(), s.engine().Schema(), hasInit); err != nil {
+	if err := writeMeta(s.fs, s.dir, s.Mode(), s.Schema(), hasInit); err != nil {
 		return err
 	}
 	s.hasInit = hasInit
@@ -453,31 +413,27 @@ func (s *Store) recover(meta *metaInfo) error {
 	// segment-chain walk below verifies against replayStart.
 	var replayStart uint64
 	var loadErr error
-	s.setEngine(nil)
-	for i := len(ckptSeqs) - 1; i >= 0; i-- {
+	var eng *engine.Engine
+	for i := len(ckptSeqs) - 1; i >= 0 && eng == nil; i-- {
 		data, err := s.fs.ReadFile(filepath.Join(s.dir, ckptName(ckptSeqs[i])))
 		if err != nil {
 			loadErr = err
 			continue
 		}
-		eng, err := provstore.LoadSnapshot(bytes.NewReader(data), s.opts.engOpts...)
-		if err != nil {
-			loadErr = err
-			continue
+		if eng, loadErr = provstore.LoadSnapshot(bytes.NewReader(data), s.opts.engOpts...); loadErr == nil {
+			replayStart = ckptSeqs[i]
 		}
-		s.setEngine(eng)
-		replayStart = ckptSeqs[i]
-		break
 	}
-	if s.engine() == nil {
+	if eng == nil {
 		if len(ckptSeqs) > 0 {
 			return fmt.Errorf("%w: no loadable checkpoint: %v", ErrCorrupt, loadErr)
 		}
 		if meta.hasInit {
 			return fmt.Errorf("%w: initial checkpoint is missing", ErrCorrupt)
 		}
-		s.setEngine(engine.NewEmpty(meta.mode, meta.schema, s.opts.engOpts...))
+		eng = engine.NewEmpty(meta.mode, meta.schema, s.opts.engOpts...)
 	}
+	s.Swap(eng)
 
 	segs, err := listSeqFiles(s.fs, s.dir, segPrefix, segSuffix)
 	if err != nil {
@@ -571,7 +527,7 @@ func (s *Store) replayRecord(payload []byte) error {
 // transaction lives in s.replay until the caller resets it, and its
 // relation and variable names are the schema's own strings.
 func (s *Store) decodeBorrowed(payload []byte) (Record, error) {
-	return (&recDecoder{buf: payload, b: &s.replay, schema: s.engine().Schema()}).record()
+	return (&recDecoder{buf: payload, b: &s.replay, schema: s.Engine().Schema()}).record()
 }
 
 // applyDecoded applies one already-decoded record to the engine — the
@@ -579,19 +535,19 @@ func (s *Store) decodeBorrowed(payload []byte) (Record, error) {
 func (s *Store) applyDecoded(rec *Record) error {
 	switch rec.Type {
 	case recTxn:
-		_ = s.engine().ApplyTransaction(rec.Txn)
+		_ = s.Engine().ApplyTransaction(rec.Txn)
 	case recRestore:
-		if err := s.engine().RestoreRow(rec.Rel, rec.Tuple, rec.Ann); err != nil {
+		if err := s.Engine().RestoreRow(rec.Rel, rec.Tuple, rec.Ann); err != nil {
 			return err
 		}
 	case recMinimize:
-		if _, err := s.engine().MinimizeAll(context.Background()); err != nil {
+		if _, err := s.Engine().MinimizeAll(context.Background()); err != nil {
 			return err
 		}
 	case recBuildIndex:
-		_ = s.engine().BuildIndex(rec.Rel, rec.Attr)
+		_ = s.Engine().BuildIndex(rec.Rel, rec.Attr)
 	case recDropIndex:
-		_ = s.engine().DropIndex(rec.Rel, rec.Attr)
+		_ = s.Engine().DropIndex(rec.Rel, rec.Attr)
 	}
 	return nil
 }
@@ -616,6 +572,18 @@ func (s *Store) degradeLocked(cause error) error {
 	return s.roError()
 }
 
+// writableLocked is the guard every logged operation starts with: a
+// closed store refuses, a degraded one answers its typed first cause.
+func (s *Store) writableLocked() error {
+	if s.closed {
+		return ErrClosed
+	}
+	if s.readOnly.Load() {
+		return s.roError()
+	}
+	return nil
+}
+
 // commitLocked makes the appended records as durable as the sync
 // policy promises: fsync for SyncAlways, flush-to-OS otherwise.
 func (s *Store) commitLocked() error {
@@ -634,11 +602,8 @@ func (s *Store) commitLocked() error {
 // read-only: the log may hold a prefix of the group, so no further
 // writes can be acknowledged safely.
 func (s *Store) appendLocked(payloads ...[]byte) error {
-	if s.closed {
-		return ErrClosed
-	}
-	if s.readOnly.Load() {
-		return s.roError()
+	if err := s.writableLocked(); err != nil {
+		return err
 	}
 	for _, p := range payloads {
 		if err := s.lw.append(p); err != nil {
@@ -663,7 +628,7 @@ func (s *Store) appendLocked(payloads ...[]byte) error {
 // fail are applied sequentially so the engine's partial-effect
 // semantics — and its error text — are preserved exactly.
 func (s *Store) checkTxn(t *db.Transaction) bool {
-	schema := s.engine().Schema()
+	schema := s.Engine().Schema()
 	for i := range t.Updates {
 		u := &t.Updates[i]
 		if schema.Relation(u.Rel) == nil {
@@ -692,7 +657,7 @@ func (s *Store) applyTxnLocked(t *db.Transaction) error {
 	if err := s.appendLocked(s.encodeChunkLocked([]db.Transaction{*t})...); err != nil {
 		return err
 	}
-	err := s.engine().ApplyTransaction(t)
+	err := s.Engine().ApplyTransaction(t)
 	s.maybeCheckpointLocked()
 	return err
 }
@@ -768,7 +733,7 @@ func (s *Store) applyChunk(chunk []db.Transaction) (applied int, err error) {
 		}
 		// Validated above: cannot fail, so the batch pipeline's
 		// stop-on-error nondeterminism is unreachable here.
-		applied, err = s.engine().ApplyBatch(context.Background(), chunk)
+		applied, err = s.Engine().ApplyBatch(context.Background(), chunk)
 		s.maybeCheckpointLocked()
 		return applied, err
 	}
@@ -788,9 +753,9 @@ func (s *Store) applyChunk(chunk []db.Transaction) (applied int, err error) {
 func (s *Store) RestoreRow(rel string, t db.Tuple, ann *core.Expr) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	r := s.engine().Schema().Relation(rel)
+	r := s.Engine().Schema().Relation(rel)
 	if r == nil || t.Conforms(r) != nil {
-		return s.engine().RestoreRow(rel, t, ann)
+		return s.Engine().RestoreRow(rel, t, ann)
 	}
 	payload, err := encodeRestore(rel, t, ann)
 	if err != nil {
@@ -799,7 +764,7 @@ func (s *Store) RestoreRow(rel string, t db.Tuple, ann *core.Expr) error {
 	if err := s.appendLocked(payload); err != nil {
 		return err
 	}
-	if err := s.engine().RestoreRow(rel, t, ann); err != nil {
+	if err := s.Engine().RestoreRow(rel, t, ann); err != nil {
 		return err
 	}
 	s.maybeCheckpointLocked()
@@ -814,13 +779,10 @@ func (s *Store) RestoreRow(rel string, t db.Tuple, ann *core.Expr) error {
 func (s *Store) MinimizeAll(ctx context.Context) (int64, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.closed {
-		return 0, ErrClosed
+	if err := s.writableLocked(); err != nil {
+		return 0, err
 	}
-	if s.readOnly.Load() {
-		return 0, s.roError()
-	}
-	n, err := s.engine().MinimizeAll(ctx)
+	n, err := s.Engine().MinimizeAll(ctx)
 	if err != nil {
 		return n, err
 	}
@@ -835,60 +797,50 @@ func (s *Store) MinimizeAll(ctx context.Context) (int64, error) {
 // recovery rebuilds it. Indexes are pure access paths: a lost index
 // record changes no answer, so replay errors are ignored.
 func (s *Store) BuildIndex(rel, attr string) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return ErrClosed
-	}
-	if s.readOnly.Load() {
-		return s.roError()
-	}
-	if err := s.engine().BuildIndex(rel, attr); err != nil {
-		return err
-	}
-	return s.appendLocked(encodeIndexOp(recBuildIndex, rel, attr))
+	return s.indexOp(recBuildIndex, (*engine.Engine).BuildIndex, rel, attr)
 }
 
 // DropIndex drops the index, then logs it.
 func (s *Store) DropIndex(rel, attr string) error {
+	return s.indexOp(recDropIndex, (*engine.Engine).DropIndex, rel, attr)
+}
+
+func (s *Store) indexOp(rec byte, op func(e *engine.Engine, rel, attr string) error, rel, attr string) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.closed {
-		return ErrClosed
-	}
-	if s.readOnly.Load() {
-		return s.roError()
-	}
-	if err := s.engine().DropIndex(rel, attr); err != nil {
+	if err := s.writableLocked(); err != nil {
 		return err
 	}
-	return s.appendLocked(encodeIndexOp(recDropIndex, rel, attr))
+	if err := op(s.Engine(), rel, attr); err != nil {
+		return err
+	}
+	return s.appendLocked(encodeIndexOp(rec, rel, attr))
 }
 
 // --- checkpointing ------------------------------------------------------
 
 // countWriter counts the bytes that reached the file.
 type countWriter struct {
-	File
+	w io.Writer
 	n int64
 }
 
 func (c *countWriter) Write(p []byte) (int, error) {
-	n, err := c.File.Write(p)
+	n, err := c.w.Write(p)
 	c.n += int64(n)
 	return n, err
 }
 
-// writeCheckpoint snapshots the engine to checkpoint-<lsn> via a temp
-// file, fsync and atomic rename, and returns the file's size.
-func (s *Store) writeCheckpoint(lsn uint64) (int64, error) {
-	tmp := filepath.Join(s.dir, "checkpoint.tmp")
-	file, err := s.fs.Create(tmp)
+// writeAtomic is how every durable file of this package other than a
+// log segment lands: written to tmp, fsynced and closed, renamed over
+// name, the directory fsynced. A failure before the rename removes tmp.
+func writeAtomic(fs FS, dir, tmp, name string, write func(w io.Writer) error) error {
+	tmp = filepath.Join(dir, tmp)
+	f, err := fs.Create(tmp)
 	if err != nil {
-		return 0, err
+		return err
 	}
-	f := &countWriter{File: file}
-	err = provstore.SaveSnapshot(f, s.engine())
+	err = write(f)
 	if err == nil {
 		err = f.Sync()
 	}
@@ -896,13 +848,24 @@ func (s *Store) writeCheckpoint(lsn uint64) (int64, error) {
 		err = cerr
 	}
 	if err == nil {
-		err = s.fs.Rename(tmp, filepath.Join(s.dir, ckptName(lsn)))
+		err = fs.Rename(tmp, filepath.Join(dir, name))
 	}
 	if err != nil {
-		_ = s.fs.Remove(tmp)
-		return 0, err
+		_ = fs.Remove(tmp)
+		return err
 	}
-	return f.n, s.fs.SyncDir(s.dir)
+	return fs.SyncDir(dir)
+}
+
+// writeCheckpoint snapshots the engine to checkpoint-<lsn> (temporary
+// name checkpoint.tmp) and returns the file's size.
+func (s *Store) writeCheckpoint(lsn uint64) (int64, error) {
+	var cw countWriter
+	err := writeAtomic(s.fs, s.dir, "checkpoint.tmp", ckptName(lsn), func(w io.Writer) error {
+		cw.w = w
+		return provstore.SaveSnapshot(&cw, s.Engine())
+	})
+	return cw.n, err
 }
 
 // Checkpoint snapshots the current state, rotates the log, and prunes
@@ -916,11 +879,8 @@ func (s *Store) Checkpoint() error {
 }
 
 func (s *Store) checkpointLocked() error {
-	if s.closed {
-		return ErrClosed
-	}
-	if s.readOnly.Load() {
-		return s.roError()
+	if err := s.writableLocked(); err != nil {
+		return err
 	}
 	start := time.Now()
 	lsn := s.lsn
@@ -944,36 +904,26 @@ func (s *Store) checkpointLocked() error {
 	// position, so a follower catching up from disk never has its
 	// segment removed mid-read.
 	fence := s.minStreamPosLocked()
-	if names, err := s.fs.ReadDir(s.dir); err == nil {
-		var starts []uint64
-		for _, name := range names {
-			if v, ok := parseSeqName(name, segPrefix, segSuffix); ok {
-				starts = append(starts, v)
-			}
+	ckpts, _ := listSeqFiles(s.fs, s.dir, ckptPrefix, ckptSuffix)
+	for _, v := range ckpts {
+		if v < lsn {
+			_ = s.fs.Remove(filepath.Join(s.dir, ckptName(v)))
 		}
-		sort.Slice(starts, func(i, j int) bool { return starts[i] < starts[j] })
-		segEnd := func(v uint64) uint64 {
-			// A segment's records end where the next one starts; the
-			// live segment (start == lsn after the rotate above) always
-			// bounds the last old one.
-			i := sort.Search(len(starts), func(i int) bool { return starts[i] > v })
-			if i < len(starts) {
-				return starts[i]
-			}
-			return lsn
-		}
-		for _, name := range names {
-			if v, ok := parseSeqName(name, segPrefix, segSuffix); ok && v < lsn && v != s.lw.start {
-				if segEnd(v) <= fence {
-					_ = s.fs.Remove(filepath.Join(s.dir, name))
-				}
-			}
-			if v, ok := parseSeqName(name, ckptPrefix, ckptSuffix); ok && v < lsn {
-				_ = s.fs.Remove(filepath.Join(s.dir, name))
-			}
-		}
-		_ = s.fs.SyncDir(s.dir)
 	}
+	segs, _ := listSeqFiles(s.fs, s.dir, segPrefix, segSuffix)
+	for i, v := range segs {
+		// A segment's records end where the next one starts; the live
+		// segment (start == lsn after the rotate above) always bounds the
+		// last old one.
+		end := lsn
+		if i+1 < len(segs) {
+			end = segs[i+1]
+		}
+		if v < lsn && v != s.lw.start && end <= fence {
+			_ = s.fs.Remove(filepath.Join(s.dir, segName(v)))
+		}
+	}
+	_ = s.fs.SyncDir(s.dir)
 	held := time.Since(start).Microseconds()
 	s.ckptLastUs.Store(held)
 	s.ckptLastBytes.Store(size)
@@ -1020,8 +970,11 @@ func (s *Store) syncLoop() {
 	}
 }
 
-// Close syncs and closes the log and releases the directory lock.
-func (s *Store) Close() error {
+// shut is the teardown Close and Crash share: stop the sync timer, mark
+// the store closed, cut the replication streams, let go of the log —
+// synced and closed, or with crash abandoned as a dying process would
+// leave it — and release the directory lock.
+func (s *Store) shut(crash bool) error {
 	if s.stopSync != nil {
 		select {
 		case <-s.stopSync:
@@ -1038,36 +991,24 @@ func (s *Store) Close() error {
 	s.closed = true
 	s.closeStreamsLocked()
 	var err error
-	if !s.readOnly.Load() {
-		err = s.lw.close()
-	} else {
+	switch {
+	case crash:
+		s.lw.crash()
+	case s.readOnly.Load():
 		_ = s.lw.f.Close()
+	default:
+		err = s.lw.close()
 	}
 	s.release()
 	return err
 }
 
+// Close syncs and closes the log and releases the directory lock.
+func (s *Store) Close() error { return s.shut(false) }
+
 // Crash abandons buffered log bytes and drops the store without
 // flushing or syncing, simulating process death mid-write. Test hook.
-func (s *Store) Crash() {
-	if s.stopSync != nil {
-		select {
-		case <-s.stopSync:
-		default:
-			close(s.stopSync)
-		}
-		s.syncWG.Wait()
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return
-	}
-	s.closed = true
-	s.closeStreamsLocked()
-	s.lw.crash()
-	s.release()
-}
+func (s *Store) Crash() { _ = s.shut(true) }
 
 // Dir returns the data directory.
 func (s *Store) Dir() string { return s.dir }
@@ -1108,67 +1049,3 @@ func (s *Store) Stats() StoreStats {
 	}
 	return st
 }
-
-// --- read side: pure delegation (the engine has its own locks) ----------
-
-// Mode implements engine.DB.
-func (s *Store) Mode() engine.Mode { return s.engine().Mode() }
-
-// Schema implements engine.DB.
-func (s *Store) Schema() *db.Schema { return s.engine().Schema() }
-
-// Relations implements engine.DB.
-func (s *Store) Relations() []string { return s.engine().Relations() }
-
-// IndexStats implements engine.DB.
-func (s *Store) IndexStats() []engine.IndexInfo { return s.engine().IndexStats() }
-
-// PlannerStats implements engine.DB.
-func (s *Store) PlannerStats() engine.PlannerStats { return s.engine().PlannerStats() }
-
-// Annotation implements engine.DB.
-func (s *Store) Annotation(rel string, t db.Tuple) *core.Expr { return s.engine().Annotation(rel, t) }
-
-// NF implements engine.DB.
-func (s *Store) NF(rel string, t db.Tuple) *core.NF { return s.engine().NF(rel, t) }
-
-// EachRow implements engine.DB.
-func (s *Store) EachRow(rel string, f func(t db.Tuple, ann *core.Expr)) { s.engine().EachRow(rel, f) }
-
-// Rows implements engine.DB.
-func (s *Store) Rows(f func(rel string, t db.Tuple, ann *core.Expr)) { s.engine().Rows(f) }
-
-// Select implements engine.DB.
-func (s *Store) Select(rel string, sel db.Pattern) ([]db.Tuple, error) {
-	return s.engine().Select(rel, sel)
-}
-
-// NumRows implements engine.DB.
-func (s *Store) NumRows() int { return s.engine().NumRows() }
-
-// SupportSize implements engine.DB.
-func (s *Store) SupportSize() int { return s.engine().SupportSize() }
-
-// ProvSize implements engine.DB.
-func (s *Store) ProvSize() int64 { return s.engine().ProvSize() }
-
-// ProvDAGSize implements engine.DB.
-func (s *Store) ProvDAGSize() int64 { return s.engine().ProvDAGSize() }
-
-// At implements engine.DB: a pinned read-only view of the underlying
-// engine. Views do not read the log, so the history they can pin starts
-// at the state the engine was recovered (or opened) with — epochs from
-// a previous process life are replayed into the recovery horizon, not
-// preserved individually.
-func (s *Store) At(seq uint64) engine.View { return s.engine().At(seq) }
-
-// Horizon implements engine.DB.
-func (s *Store) Horizon() uint64 { return s.engine().Horizon() }
-
-// WaitHorizon implements engine.DB.
-func (s *Store) WaitHorizon(ctx context.Context, seq uint64) error {
-	return s.engine().WaitHorizon(ctx, seq)
-}
-
-// MVCCStats implements engine.DB.
-func (s *Store) MVCCStats() engine.MVCCStats { return s.engine().MVCCStats() }
