@@ -753,6 +753,18 @@ func (e *Engine) RestoreRow(rel string, t db.Tuple, ann *core.Expr) error {
 	return err
 }
 
+// Restore is RestoreRow in bulk, for snapshot loading: fill runs inside
+// one write epoch spanning every shard and stores a row with each call of
+// add, in call order; the epoch commits — one CommitRestore — when fill
+// returns, with the rows added before an error kept.
+func (e *Engine) Restore(fill func(add func(rel string, t db.Tuple, ann *core.Expr) error) error) error {
+	epoch, collect := e.begin(e.all, 0, "")
+	defer e.finish(e.all, epoch, CommitRestore, "", collect)
+	return fill(func(rel string, t db.Tuple, ann *core.Expr) error {
+		return e.shards[db.ShardOfTuple(t, len(e.shards))].restoreRow(rel, t, ann)
+	})
+}
+
 // MinimizeAll applies the zero-axiom post-processing of Proposition 5.5
 // to every stored annotation (normal-form mode only; the naive mode is
 // deliberately axiom-free), every shard's partition in parallel under

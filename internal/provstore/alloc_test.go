@@ -2,12 +2,13 @@ package provstore_test
 
 // Allocation gate for the checkpoint encoder, next to the engine's
 // 0-allocs/op read gates (internal/engine/alloc_test.go). A checkpoint
-// runs under the store's write lock, so what it allocates is paid by
-// the transaction that triggered it: the row list, the id-indexed node
-// table (a 32-bit word per node id in use), the node table's buffer and
-// the row ids — two bytes per byte of snapshot (four when the table was
-// a pointer-keyed map), not the tens the fingerprint buckets and
-// per-node child slices used to cost.
+// encodes a pinned view beside the writers, so what it allocates lands
+// in the heap they allocate from and in the collector they share. It is
+// one streaming pass: the id index (a 32-bit word per node id in use),
+// the string dictionary, one bufio buffer, one row buffer and a window
+// of 256 rows — under half a byte per byte of snapshot, where the row
+// list, the buffered node table and the row ids of the two-pass writer
+// took two, on a file two thirds larger.
 
 import (
 	"context"
@@ -46,7 +47,9 @@ func TestSaveSnapshotAllocsPerByteWritten(t *testing.T) {
 	runtime.ReadMemStats(&ms)
 	perByte := float64(ms.TotalAlloc-before) / float64(w.n)
 	t.Logf("%d rows, %d bytes written, %.2f bytes allocated per byte written", e.NumRows(), w.n, perByte)
-	if perByte > 3 {
-		t.Fatalf("SaveSnapshot allocated %.2f bytes per byte written, want ≤ 3", perByte)
+	// 0.47 alone, 0.51 after the package's other tests have spread the
+	// process's node ids over more pages of the index.
+	if perByte > 0.6 {
+		t.Fatalf("SaveSnapshot allocated %.2f bytes per byte written, want ≤ 0.6", perByte)
 	}
 }

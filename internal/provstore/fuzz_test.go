@@ -6,7 +6,6 @@ import (
 
 	"hyperprov/internal/core"
 	"hyperprov/internal/db"
-	"hyperprov/internal/engine"
 	"hyperprov/internal/provstore"
 )
 
@@ -41,23 +40,27 @@ func FuzzReadExpr(f *testing.F) {
 // FuzzLoadSnapshot checks the snapshot loader never panics and that
 // everything it accepts round-trips through SaveSnapshot.
 func FuzzLoadSnapshot(f *testing.F) {
-	sch := exampleSnapshotBytes(f)
-	f.Add(sch)
 	f.Add([]byte("HPRV1\n"))
+	f.Add([]byte("HPRV2\n"))
 	f.Add([]byte{})
-	// Truncations of a valid snapshot exercise every mid-structure EOF
-	// path; single-bit flips exercise the malformed-tag and bad-count
-	// paths with otherwise plausible surroundings.
-	for _, cut := range []int{7, len(sch) / 4, len(sch) / 2, len(sch) - 1} {
-		if cut > 0 && cut < len(sch) {
-			f.Add(sch[:cut])
+	// Both formats (hostile_test.go's images).
+	for _, img := range sweptSnapshots(f) {
+		sch := img.raw
+		f.Add(sch)
+		// Truncations of a valid snapshot exercise every mid-structure
+		// EOF path; single-bit flips exercise the malformed-tag and
+		// bad-count paths with otherwise plausible surroundings.
+		for _, cut := range []int{7, len(sch) / 4, len(sch) / 2, len(sch) - 1} {
+			if cut > 0 && cut < len(sch) {
+				f.Add(sch[:cut])
+			}
 		}
-	}
-	for _, pos := range []int{8, len(sch) / 3, len(sch) / 2, len(sch) - 2} {
-		if pos > 0 && pos < len(sch) {
-			flipped := bytes.Clone(sch)
-			flipped[pos] ^= 0x40
-			f.Add(flipped)
+		for _, pos := range []int{8, len(sch) / 3, len(sch) / 2, len(sch) - 2} {
+			if pos > 0 && pos < len(sch) {
+				flipped := bytes.Clone(sch)
+				flipped[pos] ^= 0x40
+				f.Add(flipped)
+			}
 		}
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -73,23 +76,6 @@ func FuzzLoadSnapshot(f *testing.F) {
 			t.Fatalf("re-saved snapshot does not load: %v", err)
 		}
 	})
-}
-
-func exampleSnapshotBytes(f *testing.F) []byte {
-	f.Helper()
-	sch, err := dbSchemaForFuzz()
-	if err != nil {
-		f.Fatal(err)
-	}
-	e := engine.NewEmpty(engine.ModeNormalForm, sch)
-	if err := e.RestoreRow("R", fuzzTuple(), core.PlusI(core.TupleVar("x"), core.QueryVar("p"))); err != nil {
-		f.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := provstore.SaveSnapshot(&buf, e); err != nil {
-		f.Fatal(err)
-	}
-	return buf.Bytes()
 }
 
 func dbSchemaForFuzz() (*db.Schema, error) {

@@ -11,28 +11,66 @@ import (
 	"hyperprov/internal/core"
 	"hyperprov/internal/db"
 	"hyperprov/internal/engine"
+	"hyperprov/internal/tpcc"
 	"hyperprov/internal/workload"
 )
 
-// Differential tests of SaveSnapshot against the encoder it replaced
-// (oracle_test.go), sequential and with worker goroutines: the bytes
-// must be the same in every case, because checkpoints, follower
-// bootstraps and the golden fixtures written by the old encoder must
-// keep loading and re-saving unchanged.
+// Differential tests of the snapshot format against the frozen version 1
+// encoder (oracle_test.go), sequential and with worker goroutines. The
+// oracle's bytes are the reference for what a snapshot holds: whatever
+// SaveSnapshot writes must load to an engine whose oracle bytes are the
+// source's, the oracle's own bytes — what checkpoints, follower
+// bootstraps and the golden fixtures held before version 2 — must keep
+// loading to the same, and SaveSnapshot's bytes must be a function of
+// that state alone.
 
-func mustEqualOracle(t *testing.T, name string, src Source) []byte {
+func oracleBytes(t *testing.T, name string, src Source) []byte {
+	t.Helper()
+	var want bytes.Buffer
+	if err := oracleSaveSnapshot(&want, src, 1); err != nil {
+		t.Fatalf("%s: oracle: %v", name, err)
+	}
+	var par bytes.Buffer
+	if err := oracleSaveSnapshot(&par, src, 4); err != nil {
+		t.Fatalf("%s: oracle: %v", name, err)
+	}
+	if !bytes.Equal(want.Bytes(), par.Bytes()) {
+		t.Fatalf("%s: the oracle's bytes depend on its worker count", name)
+	}
+	return want.Bytes()
+}
+
+// mustRoundTripOracle saves src in the current format and returns the
+// bytes, having checked that they and the oracle's version 1 bytes both
+// load (with opts) to the state src holds — compared as oracle bytes —
+// and that the loaded engine saves the same current-format bytes again.
+func mustRoundTripOracle(t *testing.T, name string, src Source, opts ...engine.Option) []byte {
 	t.Helper()
 	var got bytes.Buffer
 	if err := SaveSnapshot(&got, src); err != nil {
 		t.Fatalf("%s: %v", name, err)
 	}
-	for _, workers := range []int{1, 4} {
-		var want bytes.Buffer
-		if err := oracleSaveSnapshot(&want, src, workers); err != nil {
-			t.Fatalf("%s: oracle: %v", name, err)
+	if !bytes.HasPrefix(got.Bytes(), []byte("HPRV2\n")) {
+		t.Fatalf("%s: SaveSnapshot wrote magic %q", name, got.Bytes()[:6])
+	}
+	want := oracleBytes(t, name, src)
+	for version, raw := range map[string][]byte{"v2": got.Bytes(), "v1": want} {
+		back, err := LoadSnapshot(bytes.NewReader(raw), opts...)
+		if err != nil {
+			t.Fatalf("%s: loading %s: %v", name, version, err)
 		}
-		if !bytes.Equal(got.Bytes(), want.Bytes()) {
-			t.Fatalf("%s: snapshot differs from the oracle's (workers=%d): %d vs %d bytes", name, workers, got.Len(), want.Len())
+		if hz := back.Horizon(); engine.SeqEpoch(hz) != 1 {
+			t.Fatalf("%s: %s loaded in %d epochs, want one restore epoch", name, version, engine.SeqEpoch(hz))
+		}
+		if !bytes.Equal(want, oracleBytes(t, name+"/reloaded", back)) {
+			t.Fatalf("%s: %s save→load changed the state (as oracle bytes)", name, version)
+		}
+		var again bytes.Buffer
+		if err := SaveSnapshot(&again, back); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if !bytes.Equal(got.Bytes(), again.Bytes()) {
+			t.Fatalf("%s: %s save→load→save drifted: %d vs %d bytes", name, version, got.Len(), again.Len())
 		}
 	}
 	return got.Bytes()
@@ -46,7 +84,8 @@ func TestSnapshotMatchesOracleEngines(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, mode := range []engine.Mode{engine.ModeNaive, engine.ModeNormalForm} {
-			for _, shards := range []int{1, 8} {
+			var oneShard []byte
+			for _, shards := range []int{1, 2, 8} {
 				name := fmt.Sprintf("seed=%d/%v/shards=%d", seed, mode, shards)
 				e := engine.Open(mode, initial, engine.WithShards(shards))
 				if err := e.ApplyAll(context.Background(), txns); err != nil {
@@ -55,17 +94,39 @@ func TestSnapshotMatchesOracleEngines(t *testing.T) {
 				if mode == engine.ModeNaive && !hasRawAnnotation(e) {
 					t.Fatalf("%s: the copy-on-write naive engine holds no raw tree — the lazy-index path is not covered", name)
 				}
-				raw := mustEqualOracle(t, name, e)
-				// And through a load: RestoreRow'd annotations re-save
-				// to the same bytes.
-				back, err := LoadSnapshot(bytes.NewReader(raw), engine.WithShards(shards))
-				if err != nil {
-					t.Fatalf("%s: %v", name, err)
-				}
-				if !bytes.Equal(raw, mustEqualOracle(t, name+"/reloaded", back)) {
-					t.Fatalf("%s: save→load→save drifted", name)
+				raw := mustRoundTripOracle(t, name, e, engine.WithShards(shards))
+				if shards == 1 {
+					oneShard = raw
+				} else if !bytes.Equal(oneShard, raw) {
+					t.Fatalf("%s: snapshot bytes differ from the one-shard engine's", name)
 				}
 			}
+		}
+	}
+}
+
+// TestSnapshotMatchesOracleTPCC is the same over TPC-C, whose rows are
+// what the row encoding was shaped on: versions of one logical row,
+// counters, decimal amounts, a few thousand distinct strings.
+func TestSnapshotMatchesOracleTPCC(t *testing.T) {
+	g := tpcc.NewGenerator(tpcc.Scaled(0.01))
+	initial, err := g.InitialDatabase()
+	if err != nil {
+		t.Fatal(err)
+	}
+	txns := g.Transactions(300)
+	var oneShard []byte
+	for _, shards := range []int{1, 2, 8} {
+		e := engine.Open(engine.ModeNormalForm, initial, engine.WithShards(shards))
+		if err := e.ApplyAll(context.Background(), txns); err != nil {
+			t.Fatal(err)
+		}
+		raw := mustRoundTripOracle(t, fmt.Sprintf("tpcc/shards=%d", shards), e, engine.WithShards(shards))
+		if shards == 1 {
+			oneShard = raw
+			t.Logf("%d rows: %d bytes, the oracle's version 1 takes %d", e.NumRows(), len(raw), len(oracleBytes(t, "tpcc", e)))
+		} else if !bytes.Equal(oneShard, raw) {
+			t.Fatalf("shards=%d: snapshot bytes differ from the one-shard engine's", shards)
 		}
 	}
 }
@@ -88,7 +149,6 @@ type listSource struct {
 
 func (l listSource) Mode() engine.Mode  { return engine.ModeNaive }
 func (l listSource) Schema() *db.Schema { return l.schema }
-func (l listSource) NumRows() int       { return len(l.anns) }
 func (l listSource) Rows(f func(string, db.Tuple, *core.Expr)) {
 	for i, ann := range l.anns {
 		f(l.rels[i], db.Tuple{db.I(int64(i))}, ann)
@@ -144,10 +204,7 @@ func TestSnapshotMatchesOracleMixedRawAndInterned(t *testing.T) {
 			}
 			src.rels = append(src.rels, rel)
 		}
-		raw := mustEqualOracle(t, name, src)
-		if _, err := LoadSnapshot(bytes.NewReader(raw)); err != nil {
-			t.Fatalf("%s: snapshot does not load: %v", name, err)
-		}
+		mustRoundTripOracle(t, name, src)
 	}
 	// A source that breaks the relation order is refused, not misfiled.
 	bad := listSource{schema: schema, rels: []string{"B", "A"}, anns: interned[:2]}
@@ -157,7 +214,8 @@ func TestSnapshotMatchesOracleMixedRawAndInterned(t *testing.T) {
 }
 
 // TestGoldenSnapshotsMatchOracle: the pre-interning fixtures load and
-// re-save byte for byte through both encoders.
+// re-save byte for byte through the oracle, directly and by way of the
+// current format.
 func TestGoldenSnapshotsMatchOracle(t *testing.T) {
 	for _, file := range []string{"pre_interning_naive.snap", "pre_interning_nf.snap"} {
 		raw, err := os.ReadFile(filepath.Join("testdata", file))
@@ -168,8 +226,9 @@ func TestGoldenSnapshotsMatchOracle(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.Equal(raw, mustEqualOracle(t, file, e)) {
+		if !bytes.Equal(raw, oracleBytes(t, file, e)) {
 			t.Fatalf("%s: re-saved bytes differ from the fixture", file)
 		}
+		mustRoundTripOracle(t, file, e)
 	}
 }

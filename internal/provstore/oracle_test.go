@@ -4,7 +4,9 @@ package provstore
 // walk, kept verbatim (names prefixed) as the oracle of
 // oracle_diff_test.go: fingerprint buckets from the first node on, and
 // worker goroutines building local node tables that a sequential merge
-// replays. Its bytes define the format.
+// replays. Its bytes define version 1 of the format, which nothing else
+// writes any more: LoadSnapshot still reads it, and what a version 2 file
+// restores is checked by re-saving through this encoder.
 
 import (
 	"bufio"
@@ -12,12 +14,15 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"math"
 	"runtime"
 	"sync"
 
 	"hyperprov/internal/core"
 	"hyperprov/internal/db"
 )
+
+const oracleMagic = "HPRV1\n"
 
 // oracleEncoder writes expressions into a shared node table with structural
 // deduplication: each distinct subterm is emitted once, with children
@@ -307,7 +312,7 @@ func oracleSaveSnapshot(w io.Writer, src Source, workers int) error {
 		workers = runtime.GOMAXPROCS(0)
 	}
 	bw := bufio.NewWriter(w)
-	if _, err := bw.WriteString(snapshotMagic); err != nil {
+	if _, err := bw.WriteString(oracleMagic); err != nil {
 		return err
 	}
 	if err := bw.WriteByte(byte(src.Mode())); err != nil {
@@ -368,7 +373,7 @@ func oracleSaveSnapshot(w io.Writer, src Source, workers int) error {
 		writeUvarint(bw, uint64(len(idxs)))
 		for _, i := range idxs {
 			for j, v := range flat[i].tuple {
-				if err := writeValue(bw, rel.Attrs[j].Kind, v); err != nil {
+				if err := oracleWriteValue(bw, rel.Attrs[j].Kind, v); err != nil {
 					return err
 				}
 			}
@@ -376,4 +381,21 @@ func oracleSaveSnapshot(w io.Writer, src Source, workers int) error {
 		}
 	}
 	return bw.Flush()
+}
+
+func oracleWriteValue(w *bufio.Writer, kind db.Kind, v db.Value) error {
+	if v.Kind() != kind {
+		return fmt.Errorf("provstore: value kind %v where %v expected", v.Kind(), kind)
+	}
+	switch kind {
+	case db.KindString:
+		writeString(w, v.Str())
+	case db.KindInt:
+		_, _ = w.Write(binary.AppendVarint(w.AvailableBuffer(), v.Int()))
+	case db.KindFloat:
+		_, _ = w.Write(binary.LittleEndian.AppendUint64(w.AvailableBuffer(), math.Float64bits(v.Float())))
+	default:
+		return fmt.Errorf("provstore: unknown kind %v", kind)
+	}
+	return nil
 }

@@ -2,7 +2,6 @@ package provstore
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -13,32 +12,57 @@ import (
 	"hyperprov/internal/engine"
 )
 
-// snapshotMagic identifies the snapshot format (version 1).
-const snapshotMagic = "HPRV1\n"
+// snapshotMagic identifies the format SaveSnapshot writes (version 2).
+// LoadSnapshot also reads version 1, which nothing writes any more.
+const snapshotMagic = "HPRV2\n"
+
+// Version 2 stores, after the magic, the mode byte and the schema, one
+// stream of items per relation in schema order, told apart by a leading
+// tag: a node tag (0–6) starts one node of the shared expression table
+// exactly as Encoder.emit writes it, taking the next node id; tagRow a
+// row; tagEnd closes the relation. A row comes after exactly those nodes
+// of its annotation that nothing earlier in the file emitted, children
+// first (the order of one Encoder walk over the row list), and holds
+//
+//	mask    ⌈arity/8⌉ bytes; bit j (from the low bit of byte j/8) says
+//	        column j repeats the previous row of the relation, which for
+//	        the first row is 0, +0.0 and "" throughout
+//	values  the other columns in order: an integer as the zig-zag varint
+//	        of its wrapping difference to the previous row's; a string as
+//	        a uvarint id into the dictionary of the file's strings in
+//	        first-appearance order, id = len(dictionary) followed by the
+//	        string it adds (uvarint length, bytes); a float as a uvarint
+//	        zigzag(n)<<2|form — form 1 the integer n, form 2 n/100, when
+//	        that is the float to the bit — or a 0 byte and the 8 raw
+//	        little-endian bytes
+//	root    uvarint distance back from the next node id to the annotation
+//	        (1: the node just before the row)
+const (
+	tagRow byte = 7
+	tagEnd byte = 8
+)
 
 // Source is the engine surface the snapshot writer needs: the mode, the
 // schema, and one deterministic pass over every stored row, relations
-// in schema order. engine.Engine and its pinned views satisfy it
-// (engine.Reader embeds it) and stream rows in the same order for every
-// shard count, so the snapshot bytes are independent of it. NumRows sizes
-// the row list; a commit between it and Rows only makes the list grow.
+// in schema order. engine.Engine and its pinned views satisfy it and
+// stream rows in the same order for every shard count, so the snapshot
+// bytes are independent of it.
 type Source interface {
 	Mode() engine.Mode
 	Schema() *db.Schema
-	NumRows() int
 	Rows(f func(rel string, t db.Tuple, ann *core.Expr))
 }
 
-// SaveSnapshot persists the engine's entire annotated database: the
-// schema, one shared expression node table (structurally deduplicated),
-// and every stored row — including tombstones — with a reference into
-// the table. The result can be restored with LoadSnapshot into either
-// engine mode.
+// SaveSnapshot persists the source's entire annotated database: the
+// schema and every stored row — including tombstones — each behind the
+// expression nodes it is first to need (structurally deduplicated across
+// the file). LoadSnapshot restores the result into either engine mode.
 //
-// The row list is collected in one src.Rows pass — a consistent cut, in
-// deterministic order — and the annotations are then encoded in that
-// order by one Encoder walk, so the bytes are a function of the state
-// alone: identical across engine implementations and shard counts.
+// It is one src.Rows pass — a consistent cut, in deterministic order —
+// encoded as it streams, so the bytes are a function of the state alone:
+// identical across engine implementations and shard counts. No row is
+// kept beyond a window of 256; what grows with the state is the
+// encoder's id index and the string dictionary.
 func SaveSnapshot(w io.Writer, src Source) error {
 	bw := bufio.NewWriter(w)
 	if _, err := bw.WriteString(snapshotMagic); err != nil {
@@ -49,9 +73,11 @@ func SaveSnapshot(w io.Writer, src Source) error {
 	}
 	schema := src.Schema()
 	names := schema.Names()
+	rw := rowWriter{w: bw, enc: Encoder{w: bw}, dict: make(map[uint64]uint64)}
 	writeUvarint(bw, uint64(len(names)))
 	for _, name := range names {
 		rel := schema.Relation(name)
+		rw.rels = append(rw.rels, rel)
 		writeString(bw, rel.Name)
 		writeUvarint(bw, uint64(len(rel.Attrs)))
 		for _, a := range rel.Attrs {
@@ -59,74 +85,199 @@ func SaveSnapshot(w io.Writer, src Source) error {
 			_ = bw.WriteByte(byte(a.Kind))
 		}
 	}
-
-	// Collect the rows. Rows pins one horizon for the whole pass, so
-	// this is one consistent cut even while transactions apply
-	// concurrently; the collected expressions are immutable (the engine
-	// never mutates nodes in place), so encoding afterwards reads the
-	// same values. Relations arrive in schema order: ends[i] is where
-	// relation i's rows stop, 0 while it has none.
-	type flatRow struct {
-		tuple db.Tuple
-		ann   *core.Expr
+	src.Rows(rw.queue)
+	rw.flush()
+	for rw.err == nil && rw.cur < len(rw.rels) {
+		rw.endRelation()
 	}
-	flat := make([]flatRow, 0, src.NumRows())
-	ends := make([]int, len(names)+1)
-	cur := 0
-	src.Rows(func(name string, t db.Tuple, ann *core.Expr) {
-		for cur < len(names) && names[cur] != name {
-			cur++
-		}
-		flat = append(flat, flatRow{tuple: t, ann: ann})
-		ends[cur] = len(flat)
-	})
-	if ends[len(names)] != 0 {
-		return fmt.Errorf("provstore: source streamed its relations out of schema order")
-	}
-
-	var table bytes.Buffer
-	enc := NewEncoder(&table)
-	ids := make([]uint64, len(flat))
-	for i := range flat {
-		ids[i] = enc.add(flat[i].ann)
-	}
-	if err := enc.Flush(); err != nil {
-		return err
-	}
-	writeUvarint(bw, enc.Len())
-	if _, err := bw.Write(table.Bytes()); err != nil {
-		return err
-	}
-
-	i := 0
-	for r, name := range names {
-		rel := schema.Relation(name)
-		end := max(i, ends[r])
-		writeUvarint(bw, uint64(end-i))
-		for ; i < end; i++ {
-			for j, v := range flat[i].tuple {
-				if err := writeValue(bw, rel.Attrs[j].Kind, v); err != nil {
-					return err
-				}
-			}
-			writeUvarint(bw, ids[i])
-		}
+	if rw.err != nil {
+		return rw.err
 	}
 	return bw.Flush()
 }
 
-// LoadSnapshot restores an annotated database saved by SaveSnapshot.
-// The engine mode is taken from the snapshot; in normal-form mode every
-// restored annotation becomes the tuple's base expression. Options pass
-// through to engine.NewEmpty — engine.WithShards(n) restores into n
-// storage shards; the default is one.
+// rowWriter is the state of one SaveSnapshot pass.
+type rowWriter struct {
+	w    *bufio.Writer
+	enc  Encoder // writes the nodes, into w
+	rels []*db.RelationSchema
+	cur  int               // relation being streamed; len(rels) after the last
+	prev []db.Value        // its previous row; nil before the first
+	dict map[uint64]uint64 // string value word → dictionary id
+	buf  []byte            // the row under construction
+	err  error
+
+	// The pass takes turns: the source resolves up to 256 rows into the
+	// window, then they are encoded. Resolving a row (its version chain)
+	// and encoding one (its annotation's nodes, its tuple) are chains of
+	// cache misses on disjoint memory: row by row they run end to end, in
+	// turns the loads of one kind overlap, and queue reads a word of each
+	// annotation's root so that row finds it cached (−40 % encode time).
+	window [256]struct {
+		rel string
+		t   db.Tuple
+		ann *core.Expr
+	}
+	n       int
+	touched uint64 // what queue read: a store keeps the read
+}
+
+// zeroRow is the row a relation's first row is encoded against.
+func zeroRow(rel *db.RelationSchema) []db.Value {
+	row := make([]db.Value, len(rel.Attrs))
+	for j, a := range rel.Attrs {
+		switch a.Kind {
+		case db.KindInt:
+			row[j] = db.I(0)
+		case db.KindFloat:
+			row[j] = db.F(0)
+		default:
+			row[j] = db.S("")
+		}
+	}
+	return row
+}
+
+// endRelation closes the current relation's stream and moves to the next.
+func (rw *rowWriter) endRelation() {
+	rw.err = rw.w.WriteByte(tagEnd)
+	rw.cur++
+	rw.prev = nil
+}
+
+func (rw *rowWriter) queue(rel string, t db.Tuple, ann *core.Expr) {
+	if rw.n == len(rw.window) {
+		rw.flush()
+	}
+	w := &rw.window[rw.n]
+	w.rel, w.t, w.ann = rel, t, ann
+	rw.n++
+	rw.touched += ann.Hash()
+}
+
+func (rw *rowWriter) flush() {
+	for i := range rw.window[:rw.n] {
+		rw.row(rw.window[i].rel, rw.window[i].t, rw.window[i].ann)
+	}
+	rw.n = 0
+}
+
+func (rw *rowWriter) row(name string, t db.Tuple, ann *core.Expr) {
+	for rw.err == nil && rw.cur < len(rw.rels) && rw.rels[rw.cur].Name != name {
+		rw.endRelation()
+	}
+	if rw.err == nil && rw.cur == len(rw.rels) {
+		rw.err = fmt.Errorf("provstore: source streamed its relations out of schema order")
+	}
+	if rw.err != nil {
+		return
+	}
+	attrs := rw.rels[rw.cur].Attrs
+	if len(t) != len(attrs) {
+		rw.err = fmt.Errorf("provstore: tuple of arity %d in relation %s of arity %d", len(t), name, len(attrs))
+		return
+	}
+	if rw.prev == nil {
+		rw.prev = zeroRow(rw.rels[rw.cur])
+	}
+	root := rw.enc.add(ann)
+	buf := append(rw.buf[:0], tagRow)
+	for i := 0; i < len(attrs); i += 8 {
+		buf = append(buf, 0)
+	}
+	for j, v := range t {
+		switch {
+		case v.Kind() != attrs[j].Kind:
+			rw.err = fmt.Errorf("provstore: value kind %v where %v expected", v.Kind(), attrs[j].Kind)
+			return
+		case v == rw.prev[j]:
+			buf[1+j/8] |= 1 << (j % 8) // the mask follows the tag
+			continue
+		}
+		switch v.Kind() {
+		case db.KindInt:
+			buf = binary.AppendVarint(buf, v.Int()-rw.prev[j].Int())
+		case db.KindFloat:
+			buf = appendFloat(buf, v.Float())
+		default: // a string
+			id, known := rw.dict[v.Word()]
+			if !known {
+				id = uint64(len(rw.dict))
+				rw.dict[v.Word()] = id
+			}
+			buf = binary.AppendUvarint(buf, id)
+			if !known {
+				s := v.Str()
+				buf = append(binary.AppendUvarint(buf, uint64(len(s))), s...)
+			}
+		}
+		rw.prev[j] = v
+	}
+	rw.buf = binary.AppendUvarint(buf, rw.enc.next-root)
+	if rw.err = rw.enc.err; rw.err == nil {
+		_, rw.err = rw.w.Write(rw.buf)
+	}
+}
+
+// shortFloatLimit bounds the integers of the short float forms: below
+// it the header uvarint takes at most the 8 bytes of the raw payload.
+const shortFloatLimit = 1 << 50
+
+// appendFloat encodes f in a short form when one decodes to f's exact
+// bits — -0, NaNs, infinities and sums like 0.1+0.2 do not — else raw.
+func appendFloat(buf []byte, f float64) []byte {
+	for form, scale := range [...]float64{1, 100} {
+		if x := f * scale; math.Abs(x) < shortFloatLimit {
+			n := int64(math.Round(x))
+			if math.Float64bits(float64(n)/scale) == math.Float64bits(f) {
+				return binary.AppendUvarint(buf, (uint64(n<<1)^uint64(n>>63))<<2|uint64(form+1))
+			}
+		}
+	}
+	return binary.LittleEndian.AppendUint64(append(buf, 0), math.Float64bits(f))
+}
+
+func readFloat(r *bufio.Reader) (float64, error) {
+	h, err := binary.ReadUvarint(r)
+	if err != nil {
+		return 0, err
+	}
+	n := float64(int64(h>>3) ^ -int64(h>>2&1))
+	switch {
+	case h == 0:
+		var raw [8]byte
+		_, err := io.ReadFull(r, raw[:])
+		return math.Float64frombits(binary.LittleEndian.Uint64(raw[:])), err
+	case h&3 == 1:
+		return n, nil
+	case h&3 == 2:
+		return n / 100, nil
+	}
+	return 0, fmt.Errorf("%w: float header %#x", ErrMalformed, h)
+}
+
+// restoreFunc is the add of engine.Restore.
+type restoreFunc = func(rel string, t db.Tuple, ann *core.Expr) error
+
+// LoadSnapshot restores an annotated database saved by SaveSnapshot, in
+// the current format or version 1, as one restore epoch. The engine mode
+// is taken from the snapshot; in normal-form mode every restored
+// annotation becomes the tuple's base expression. Options pass through
+// to engine.NewEmpty — engine.WithShards(n) restores into n storage
+// shards; the default is one.
 func LoadSnapshot(r io.Reader, opts ...engine.Option) (*engine.Engine, error) {
 	br := bufio.NewReader(r)
 	magic := make([]byte, len(snapshotMagic))
 	if _, err := io.ReadFull(br, magic); err != nil {
 		return nil, err
 	}
-	if string(magic) != snapshotMagic {
+	var readRows func(*bufio.Reader, []*db.RelationSchema, restoreFunc) error
+	switch string(magic) {
+	case snapshotMagic:
+		readRows = readRowsV2
+	case "HPRV1\n":
+		readRows = readRowsV1
+	default:
 		return nil, fmt.Errorf("%w: bad snapshot magic %q", ErrMalformed, magic)
 	}
 	modeByte, err := br.ReadByte()
@@ -179,48 +330,141 @@ func LoadSnapshot(r io.Reader, opts ...engine.Option) (*engine.Engine, error) {
 	if err != nil {
 		return nil, err
 	}
+	e := engine.NewEmpty(mode, schema, opts...)
+	if err := e.Restore(func(add restoreFunc) error { return readRows(br, rels, add) }); err != nil {
+		return nil, err
+	}
+	return e, nil
+}
 
+// readRowsV2 decodes the relation streams of version 2. Everything it
+// keeps — nodes, dictionary, tuples — grows as the bytes that pay for it
+// arrive.
+func readRowsV2(br *bufio.Reader, rels []*db.RelationSchema, add restoreFunc) error {
+	dec := &Decoder{r: br}
+	var dict []db.Value
+	for _, rel := range rels {
+		prev := db.Tuple(zeroRow(rel))
+		mask := make([]byte, (len(rel.Attrs)+7)/8)
+	stream:
+		for {
+			tag, err := br.ReadByte()
+			switch {
+			case err != nil:
+				return err
+			case tag == tagEnd:
+				break stream
+			case tag <= tagSum:
+				_ = br.UnreadByte()
+				if err := dec.readNode(); err != nil {
+					return err
+				}
+				continue
+			case tag != tagRow:
+				return fmt.Errorf("%w: unknown item tag %d", ErrMalformed, tag)
+			}
+			if _, err := io.ReadFull(br, mask); err != nil {
+				return err
+			}
+			if n := len(rel.Attrs); n%8 != 0 && mask[n/8]>>(n%8) != 0 {
+				return fmt.Errorf("%w: row mask wider than the relation's arity %d", ErrMalformed, n)
+			}
+			t := make(db.Tuple, len(rel.Attrs))
+			for j, a := range rel.Attrs {
+				if mask[j/8]>>(j%8)&1 != 0 {
+					t[j] = prev[j]
+					continue
+				}
+				switch a.Kind {
+				case db.KindInt:
+					d, err := binary.ReadVarint(br)
+					if err != nil {
+						return err
+					}
+					t[j] = db.I(prev[j].Int() + d)
+				case db.KindFloat:
+					f, err := readFloat(br)
+					if err != nil {
+						return err
+					}
+					t[j] = db.F(f)
+				case db.KindString:
+					id, err := binary.ReadUvarint(br)
+					if err != nil {
+						return err
+					}
+					if id > uint64(len(dict)) {
+						return fmt.Errorf("%w: dictionary reference %d (have %d)", ErrMalformed, id, len(dict))
+					}
+					if id == uint64(len(dict)) {
+						s, err := readString(br)
+						if err != nil {
+							return err
+						}
+						dict = append(dict, db.S(s))
+					}
+					t[j] = dict[id]
+				default:
+					return fmt.Errorf("%w: unknown kind %v", ErrMalformed, a.Kind)
+				}
+			}
+			back, err := binary.ReadUvarint(br)
+			if err != nil {
+				return err
+			}
+			if back == 0 || back > uint64(len(dec.nodes)) {
+				return fmt.Errorf("%w: annotation %d nodes back (have %d)", ErrMalformed, back, len(dec.nodes))
+			}
+			if err := add(rel.Name, t, dec.nodes[uint64(len(dec.nodes))-back]); err != nil {
+				return err
+			}
+			prev = t
+		}
+	}
+	return nil
+}
+
+// readRowsV1 decodes the body of version 1: the whole node table behind
+// its count, then per relation a row count and the rows, every value
+// written out and the annotation as a node id.
+func readRowsV1(br *bufio.Reader, rels []*db.RelationSchema, add restoreFunc) error {
 	nNodes, err := binary.ReadUvarint(br)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if nNodes > 1<<40 {
-		return nil, fmt.Errorf("%w: implausible node count %d", ErrMalformed, nNodes)
+		return fmt.Errorf("%w: implausible node count %d", ErrMalformed, nNodes)
 	}
-	dec := NewDecoder(br)
+	dec := &Decoder{r: br}
 	if err := dec.ReadNodes(nNodes); err != nil {
-		return nil, err
+		return err
 	}
-
-	e := engine.NewEmpty(mode, schema, opts...)
 	for _, rel := range rels {
 		nRows, err := binary.ReadUvarint(br)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		for i := uint64(0); i < nRows; i++ {
 			t := make(db.Tuple, len(rel.Attrs))
 			for j, a := range rel.Attrs {
-				v, err := readValue(br, a.Kind)
-				if err != nil {
-					return nil, err
+				if t[j], err = readValue(br, a.Kind); err != nil {
+					return err
 				}
-				t[j] = v
 			}
 			id, err := binary.ReadUvarint(br)
 			if err != nil {
-				return nil, err
+				return err
 			}
 			ann, err := dec.Expr(id)
 			if err != nil {
-				return nil, err
+				return err
 			}
-			if err := e.RestoreRow(rel.Name, t, ann); err != nil {
-				return nil, err
+			if err := add(rel.Name, t, ann); err != nil {
+				return err
 			}
 		}
 	}
-	return e, nil
+	return nil
 }
 
 // writeUvarint appends into the writer's own spare room: a local
@@ -259,23 +503,6 @@ func readString(r *bufio.Reader) (string, error) {
 		}
 	}
 	return string(buf), nil
-}
-
-func writeValue(w *bufio.Writer, kind db.Kind, v db.Value) error {
-	if v.Kind() != kind {
-		return fmt.Errorf("provstore: value kind %v where %v expected", v.Kind(), kind)
-	}
-	switch kind {
-	case db.KindString:
-		writeString(w, v.Str())
-	case db.KindInt:
-		_, _ = w.Write(binary.AppendVarint(w.AvailableBuffer(), v.Int()))
-	case db.KindFloat:
-		_, _ = w.Write(binary.LittleEndian.AppendUint64(w.AvailableBuffer(), math.Float64bits(v.Float())))
-	default:
-		return fmt.Errorf("provstore: unknown kind %v", kind)
-	}
-	return nil
 }
 
 func readValue(r *bufio.Reader, kind db.Kind) (db.Value, error) {

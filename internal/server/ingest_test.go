@@ -98,8 +98,9 @@ func TestIngestStatsSection(t *testing.T) {
 	}
 }
 
-// TestCheckpointStatsInWALSection: what a checkpoint cost the writer is
-// in the wal section after it ran.
+// TestCheckpointStatsInWALSection: what a checkpoint took, and how much
+// of that it held the store's lock — all a writer can have waited for —
+// is in the wal section after it ran, and in the expvar map.
 func TestCheckpointStatsInWALSection(t *testing.T) {
 	st, err := wal.Open(t.TempDir(), wal.WithMode(engine.ModeNormalForm), wal.WithInitialDatabase(figure1Database(t)))
 	if err != nil {
@@ -131,5 +132,17 @@ func TestCheckpointStatsInWALSection(t *testing.T) {
 	last, total := after["checkpointLastMs"].(float64), after["checkpointTotalMs"].(float64)
 	if last <= 0 || total < last {
 		t.Errorf("checkpointLastMs = %v, checkpointTotalMs = %v after two checkpoints", last, total)
+	}
+	if held, ok := after["checkpointHeldMs"].(float64); !ok || held <= 0 || held > total {
+		t.Errorf("checkpointHeldMs = %v of checkpointTotalMs = %v", after["checkpointHeldMs"], total)
+	}
+	if after["checkpointsSkipped"] != 0.0 {
+		t.Errorf("checkpointsSkipped = %v with no cadence", after["checkpointsSkipped"])
+	}
+	vars := decode[map[string]any](t, serveRaw(srv, "GET", "/v1/metrics", "").Result())["wal"].(map[string]any)
+	for _, name := range []string{"checkpointHeldMs", "checkpointsSkipped"} {
+		if vars[name] != after[name] {
+			t.Errorf("expvar wal.%s = %v, /v1/stats has %v", name, vars[name], after[name])
+		}
 	}
 }

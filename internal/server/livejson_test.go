@@ -183,8 +183,8 @@ func TestLiveJSONDifferential(t *testing.T) {
 			waitFollowerLSN(t, follower, store.Stats().LSN)
 
 			// Time travel to the state after half the transactions. A
-			// follower bootstrapped from a checkpoint spends one epoch per
-			// restored row, so its epochs run ahead of the leader's by a
+			// follower bootstrapped from a checkpoint spends one epoch on
+			// restoring it, so its epochs are the leader's shifted by a
 			// constant: count back from each engine's own horizon.
 			behind := uint64(len(txns) - len(txns)/2)
 			asOf := func(e engine.DB) uint64 { return e.MVCCStats().HorizonEpoch - behind }

@@ -27,9 +27,20 @@
 //
 // where the CRC covers the payload. Appends go through a configurable
 // sync policy (always | interval | never); batched applies group-commit
-// a whole chunk under a single fsync. Checkpoints are written to a temp
-// file, fsynced, and atomically renamed; log segments wholly covered by
-// a successful checkpoint are deleted.
+// a whole chunk under a single fsync.
+//
+// A checkpoint is a pinned view, in three steps. Under the store's lock:
+// note the LSN, rotate so that the live segment starts there, pin the
+// engine's view at the horizon (every engine write is versioned, so the
+// view is the state at that LSN and stays it). With the lock released,
+// writers appending and applying meanwhile: encode the view into
+// checkpoint.tmp, fsync, rename to checkpoint-<LSN>. Under the lock
+// again: publish the checkpoint LSN and delete the checkpoints and log
+// segments it supersedes, except segments a replication stream still
+// reads. Checkpoint runs the three in its caller; the automatic cadence
+// runs the first in the write that crosses the threshold and the rest on
+// a goroutine, one checkpoint at a time. DESIGN.md "Durability &
+// recovery" has the crash windows; recovery removes a dead *.tmp.
 //
 // Recovery on Open loads the newest loadable checkpoint and replays the
 // log suffix, stopping cleanly at the first damaged record: damage at

@@ -14,7 +14,10 @@ import (
 
 // faultWorkload drives one store lifetime over the injected filesystem:
 // bootstrap, batched and single applies, a manual checkpoint, more
-// applies, close. It returns how many transactions were acknowledged
+// applies, close, with the cadence starting a background checkpoint in
+// each half. It waits for those where they start, so the filesystem sees
+// the same operations in the same order on every run and the Nth is the
+// same fault site. It returns how many transactions were acknowledged
 // (applied without error) and the first write-path error.
 func faultWorkload(dir string, fs *iofault.FS) (acked int, firstErr error) {
 	initial, txns, err := tinyWorkload()
@@ -25,13 +28,14 @@ func faultWorkload(dir string, fs *iofault.FS) (acked int, firstErr error) {
 		wal.WithMode(engine.ModeNormalForm),
 		wal.WithInitialDatabase(initial),
 		wal.WithSegmentSize(2048),
-		wal.WithCheckpointEvery(25),
+		wal.WithCheckpointEvery(9),
 		wal.WithFS(fs),
 	)
 	if err != nil {
 		return 0, err
 	}
 	defer st.Close()
+	defer st.WaitCheckpoint()
 	record := func(err error) bool {
 		if err != nil {
 			if firstErr == nil {
@@ -59,6 +63,7 @@ func faultWorkload(dir string, fs *iofault.FS) (acked int, firstErr error) {
 			return acked, firstErr
 		}
 		acked = end
+		st.WaitCheckpoint()
 	}
 	if err := st.Checkpoint(); err != nil && firstErr == nil {
 		firstErr = err
@@ -67,6 +72,7 @@ func faultWorkload(dir string, fs *iofault.FS) (acked int, firstErr error) {
 		if !record(st.ApplyTransaction(&txns[i])) {
 			break
 		}
+		st.WaitCheckpoint()
 	}
 	return acked, firstErr
 }

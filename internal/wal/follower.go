@@ -640,6 +640,8 @@ func (s *Store) resyncFromCheckpoint(mode engine.Mode, schema *db.Schema, snapLS
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	// A checkpoint of the state being replaced must not land behind this.
+	s.stopCheckpointLocked(ckptCancel)
 	if s.lw != nil {
 		s.lw.crash()
 		s.lw = nil

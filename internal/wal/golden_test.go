@@ -12,6 +12,7 @@ import (
 	"hyperprov/internal/db"
 	"hyperprov/internal/engine"
 	"hyperprov/internal/parser"
+	"hyperprov/internal/provstore"
 	"hyperprov/internal/wal"
 )
 
@@ -19,10 +20,14 @@ import (
 // checkpoint and one segment) was written by the record encoder and the
 // allocating decoder as they stood before transactions were borrowed.
 // It pins the WAL bytes — whatever the current code writes for the same
-// operations must be those files — and it is a parent-written directory
-// for recovery to replay through the in-place decoder. Rewrite it only
-// for a deliberate format change: go test ./internal/wal/ -run
-// TestGoldenDataDirectory -update-golden.
+// operations must be that META and that segment — and it is a
+// parent-written directory for recovery to replay through the in-place
+// decoder. Its checkpoint is in version 1 of the snapshot format, which
+// nothing writes any more and every recovery must keep loading: it stays
+// as it is, and must hold the state of the checkpoint the current code
+// writes. Rewrite META and the segment only for a deliberate format
+// change: go test ./internal/wal/ -run TestGoldenDataDirectory
+// -update-golden.
 var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/golden from what the current code writes")
 
 const goldenSQL = `
@@ -145,14 +150,12 @@ func TestGoldenDataDirectory(t *testing.T) {
 	fresh := t.TempDir()
 	state := writeGolden(t, fresh)
 	written := readDir(t, fresh)
+	const ckpt = "checkpoint-0000000000000000.ckpt"
 	if *updateGolden {
-		if err := os.RemoveAll(golden); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.MkdirAll(golden, 0o755); err != nil {
-			t.Fatal(err)
-		}
 		for name, data := range written {
+			if name == ckpt {
+				continue
+			}
 			if err := os.WriteFile(filepath.Join(golden, name), data, 0o644); err != nil {
 				t.Fatal(err)
 			}
@@ -163,6 +166,21 @@ func TestGoldenDataDirectory(t *testing.T) {
 		t.Fatalf("golden directory has %d files, the same operations wrote %d; want META, a checkpoint and a segment", len(want), len(written))
 	}
 	for name, data := range want {
+		if name == ckpt {
+			if !bytes.HasPrefix(data, []byte("HPRV1\n")) || !bytes.HasPrefix(written[name], []byte("HPRV2\n")) {
+				t.Errorf("%s: want the golden one in version 1 and the current code writing version 2", name)
+			}
+			old, err := provstore.LoadSnapshot(bytes.NewReader(data))
+			if err != nil {
+				t.Fatalf("%s: the golden checkpoint does not load: %v", name, err)
+			}
+			cur, err := provstore.LoadSnapshot(bytes.NewReader(written[name]))
+			if err != nil {
+				t.Fatal(err)
+			}
+			requireSameBytes(t, "golden checkpoint against the one the current code writes", snapshotOf(t, cur), snapshotOf(t, old))
+			continue
+		}
 		if !bytes.Equal(written[name], data) {
 			t.Errorf("%s: the current code writes %d bytes that differ from the golden %d", name, len(written[name]), len(data))
 		}

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"path/filepath"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -222,6 +223,13 @@ type Store struct {
 	release   func() // directory lock
 	hasInit   bool   // bootstrap database had rows (lives in META)
 
+	// At most one checkpoint is in flight: ckptDone is non-nil from the
+	// step that pins its view to the step that prunes behind it, with mu
+	// released in between (see checkpoint), and closed then. ckptStop
+	// tells the encode in between to give up (see stopCheckpointLocked).
+	ckptDone chan struct{}
+	ckptStop atomic.Int32
+
 	// enc and encPayloads are applyChunk's record buffer and the
 	// records in it, reused under mu (see encodeChunkLocked).
 	enc         recEncoder
@@ -246,16 +254,18 @@ type Store struct {
 	opts options
 
 	// counters (atomic: read by Stats without mu)
-	appended  atomic.Uint64
-	syncs     atomic.Uint64
-	ckpts     atomic.Uint64
-	ckptFails atomic.Uint64
-	replayed  uint64 // set once during Open
-	truncated int64  // torn-tail bytes discarded during Open
-	recovered bool
+	appended    atomic.Uint64
+	syncs       atomic.Uint64
+	ckpts       atomic.Uint64
+	ckptFails   atomic.Uint64
+	ckptSkipped atomic.Uint64
+	replayed    uint64 // set once during Open
+	truncated   int64  // torn-tail bytes discarded during Open
+	recovered   bool
 
-	// what checkpoints cost the writer (they run under mu)
-	ckptLastUs, ckptLastBytes, ckptTotalUs atomic.Int64
+	// what checkpoints took, start to finish, and how much of that they
+	// held mu — the only part a writer can wait for
+	ckptLastUs, ckptLastBytes, ckptTotalUs, ckptHeldUs atomic.Int64
 
 	// replication counters
 	streamsServed  atomic.Uint64
@@ -281,12 +291,17 @@ type StoreStats struct {
 	ReadOnly       bool   `json:"read_only"`
 	ReadOnlyCause  string `json:"read_only_cause,omitempty"`
 
-	// How long the last completed checkpoint held the writer (encode,
-	// fsync, rename, rotate, prune), its file's size, and the time all
-	// of them held it so far.
+	// How long the last completed checkpoint took (rotate, encode, fsync,
+	// rename, prune), its file's size, and the time all of them took so
+	// far. They encode with the store's lock released: CheckpointHeldMs
+	// is the part of that total during which they did hold it, the most
+	// writers can have waited for them. CheckpointsSkipped counts cadence
+	// thresholds crossed while a checkpoint was in flight.
 	CheckpointLastMs    float64 `json:"checkpointLastMs"`
 	CheckpointLastBytes int64   `json:"checkpointLastBytes"`
 	CheckpointTotalMs   float64 `json:"checkpointTotalMs"`
+	CheckpointHeldMs    float64 `json:"checkpointHeldMs"`
+	CheckpointsSkipped  uint64  `json:"checkpointsSkipped"`
 
 	// Leader-side replication counters.
 	ActiveStreams  int    `json:"active_streams"`
@@ -382,7 +397,7 @@ func (s *Store) bootstrap() error {
 	if hasInit {
 		// The bootstrap rows exist only in memory; a checkpoint is the
 		// sole durable copy, so its failure fails Open.
-		if _, err := s.writeCheckpoint(0); err != nil {
+		if _, err := s.writeCheckpoint(0, s.Engine()); err != nil {
 			return fmt.Errorf("wal: initial checkpoint: %w", err)
 		}
 	}
@@ -404,6 +419,18 @@ func (s *Store) bootstrap() error {
 func (s *Store) recover(meta *metaInfo) error {
 	s.recovered = true
 	s.hasInit = meta.hasInit
+	// A process that died inside a checkpoint (or a follower inside a
+	// resync) left up to a checkpoint's worth of bytes under a temporary
+	// name, never to be read.
+	names, err := s.fs.ReadDir(s.dir)
+	if err != nil {
+		return err
+	}
+	for _, name := range names {
+		if strings.HasSuffix(name, ".tmp") {
+			_ = s.fs.Remove(filepath.Join(s.dir, name)) // or it stays: garbage, not damage
+		}
+	}
 	ckptSeqs, err := listSeqFiles(s.fs, s.dir, ckptPrefix, ckptSuffix)
 	if err != nil {
 		return err
@@ -819,13 +846,31 @@ func (s *Store) indexOp(rec byte, op func(e *engine.Engine, rel, attr string) er
 
 // --- checkpointing ------------------------------------------------------
 
-// countWriter counts the bytes that reached the file.
-type countWriter struct {
-	w io.Writer
-	n int64
+// What stopCheckpointLocked asks of a checkpoint in flight, and the
+// error its encode then fails with.
+const (
+	ckptCancel  int32 = 1 + iota // not wanted any more: stop encoding, clean up
+	ckptAbandon                  // stop where a dying process would, cleaning up nothing
+)
+
+var ckptStopErrs = [...]error{
+	ckptCancel:  errors.New("wal: checkpoint cancelled"),
+	ckptAbandon: errors.New("wal: checkpoint abandoned"),
 }
 
-func (c *countWriter) Write(p []byte) (int, error) {
+// ckptWriter is the checkpoint file as the encoder sees it: it counts the
+// bytes that reached the file and fails once the store has asked the
+// checkpoint to stop.
+type ckptWriter struct {
+	w    io.Writer
+	n    int64
+	stop *atomic.Int32
+}
+
+func (c *ckptWriter) Write(p []byte) (int, error) {
+	if how := c.stop.Load(); how != 0 {
+		return 0, ckptStopErrs[how]
+	}
 	n, err := c.w.Write(p)
 	c.n += int64(n)
 	return n, err
@@ -833,7 +878,9 @@ func (c *countWriter) Write(p []byte) (int, error) {
 
 // writeAtomic is how every durable file of this package other than a
 // log segment lands: written to tmp, fsynced and closed, renamed over
-// name, the directory fsynced. A failure before the rename removes tmp.
+// name, the directory fsynced. A failure before the rename removes tmp —
+// unless it stands for the death of the process (ckptAbandon), which
+// would not have.
 func writeAtomic(fs FS, dir, tmp, name string, write func(w io.Writer) error) error {
 	tmp = filepath.Join(dir, tmp)
 	f, err := fs.Create(tmp)
@@ -851,54 +898,111 @@ func writeAtomic(fs FS, dir, tmp, name string, write func(w io.Writer) error) er
 		err = fs.Rename(tmp, filepath.Join(dir, name))
 	}
 	if err != nil {
-		_ = fs.Remove(tmp)
+		if !errors.Is(err, ckptStopErrs[ckptAbandon]) {
+			_ = fs.Remove(tmp)
+		}
 		return err
 	}
 	return fs.SyncDir(dir)
 }
 
-// writeCheckpoint snapshots the engine to checkpoint-<lsn> (temporary
-// name checkpoint.tmp) and returns the file's size.
-func (s *Store) writeCheckpoint(lsn uint64) (int64, error) {
-	var cw countWriter
-	err := writeAtomic(s.fs, s.dir, "checkpoint.tmp", ckptName(lsn), func(w io.Writer) error {
+const ckptTmpName = "checkpoint.tmp"
+
+// writeCheckpoint snapshots src, the state after the first lsn records,
+// to checkpoint-<lsn> (temporary name checkpoint.tmp) and returns the
+// file's size.
+func (s *Store) writeCheckpoint(lsn uint64, src provstore.Source) (int64, error) {
+	cw := ckptWriter{stop: &s.ckptStop}
+	err := writeAtomic(s.fs, s.dir, ckptTmpName, ckptName(lsn), func(w io.Writer) error {
 		cw.w = w
-		return provstore.SaveSnapshot(&cw, s.Engine())
+		return provstore.SaveSnapshot(&cw, src)
 	})
 	return cw.n, err
 }
 
 // Checkpoint snapshots the current state, rotates the log, and prunes
-// segments and checkpoints the new checkpoint supersedes. On failure
-// the store keeps running on the log alone — a failed checkpoint loses
+// segments and checkpoints the new checkpoint supersedes; it returns
+// when all of that is done, having first waited for a checkpoint the
+// automatic cadence may have in flight. Writers are not held up while
+// the snapshot is encoded and written (see checkpoint). On failure the
+// store keeps running on the log alone — a failed checkpoint loses
 // nothing.
 func (s *Store) Checkpoint() error {
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.checkpointLocked()
-}
-
-func (s *Store) checkpointLocked() error {
-	if err := s.writableLocked(); err != nil {
-		return err
-	}
-	start := time.Now()
-	lsn := s.lsn
-	size, err := s.writeCheckpoint(lsn)
+	s.waitCheckpointLocked()
+	lsn, view, start, err := s.beginCheckpointLocked()
+	s.mu.Unlock()
 	if err != nil {
 		return err
 	}
-	s.ckptLSN = lsn
-	s.sinceCkpt = 0
-	s.ckpts.Add(1)
-	// Rotate so the live segment starts at the checkpoint LSN, then
-	// prune everything the checkpoint supersedes. Failures here leave
-	// stale files recovery knows to skip, so they are best-effort.
+	return s.checkpoint(lsn, view, start)
+}
+
+// waitCheckpointLocked returns once no checkpoint is in flight, mu held
+// as on entry but released while it waits.
+func (s *Store) waitCheckpointLocked() {
+	for s.ckptDone != nil {
+		done := s.ckptDone
+		s.mu.Unlock()
+		<-done
+		s.mu.Lock()
+	}
+}
+
+// stopCheckpointLocked ends a checkpoint in flight the given way and
+// waits for it to be gone (releasing mu meanwhile): nothing of it touches
+// the directory afterwards.
+func (s *Store) stopCheckpointLocked(how int32) {
+	s.ckptStop.Store(how)
+	s.waitCheckpointLocked()
+	s.ckptStop.Store(0)
+}
+
+// beginCheckpointLocked is a checkpoint's first step, under mu with none
+// in flight: note the LSN, rotate so that the live segment starts there,
+// pin the state at that LSN — every engine write is versioned and none
+// runs while mu is held, so the view at the horizon is it — and restart
+// the cadence. The caller releases mu and runs checkpoint.
+func (s *Store) beginCheckpointLocked() (lsn uint64, view engine.View, start time.Time, err error) {
+	if err := s.writableLocked(); err != nil {
+		return 0, nil, start, err
+	}
+	start = time.Now()
+	defer func() { s.ckptHeldUs.Add(time.Since(start).Microseconds()) }()
 	if s.lw.count > 0 {
 		if err := s.lw.rotate(); err != nil {
-			return s.degradeLocked(err)
+			return 0, nil, start, s.degradeLocked(err)
 		}
 	}
+	s.sinceCkpt = 0
+	s.ckptDone = make(chan struct{})
+	return s.lsn, s.At(s.Horizon()), start, nil
+}
+
+// checkpoint is the rest of the checkpoint begun at start: encode the
+// view into checkpoint-<lsn> without mu — writers append to the rotated
+// log and apply to newer versions meanwhile — then, under mu again,
+// publish it and prune what it supersedes. A crash before the rename
+// recovers from the previous checkpoint across the rotated segment chain
+// (removing checkpoint.tmp), one after it from the new checkpoint.
+func (s *Store) checkpoint(lsn uint64, view engine.View, start time.Time) error {
+	size, err := s.writeCheckpoint(lsn, view)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	relocked := time.Now()
+	defer func() {
+		s.ckptHeldUs.Add(time.Since(relocked).Microseconds())
+		close(s.ckptDone)
+		s.ckptDone = nil
+	}()
+	if err != nil || s.closed {
+		// Closed after the rename: the file stands, recovery will use it.
+		return err
+	}
+	s.ckptLSN = lsn
+	s.ckpts.Add(1)
+	// Prune everything the checkpoint supersedes. Failures here leave
+	// stale files recovery knows to skip, so they are best-effort.
 	// Active replication streams fence pruning: a segment is deleted
 	// only if every record it can hold precedes the slowest stream's
 	// position, so a follower catching up from disk never has its
@@ -912,37 +1016,52 @@ func (s *Store) checkpointLocked() error {
 	}
 	segs, _ := listSeqFiles(s.fs, s.dir, segPrefix, segSuffix)
 	for i, v := range segs {
-		// A segment's records end where the next one starts; the live
-		// segment (start == lsn after the rotate above) always bounds the
-		// last old one.
+		// A segment's records end where the next one starts; the segment
+		// that was live when the checkpoint began (it starts at lsn) always
+		// bounds the last old one.
 		end := lsn
 		if i+1 < len(segs) {
 			end = segs[i+1]
 		}
-		if v < lsn && v != s.lw.start && end <= fence {
+		if v < lsn && end <= fence {
 			_ = s.fs.Remove(filepath.Join(s.dir, segName(v)))
 		}
 	}
 	_ = s.fs.SyncDir(s.dir)
-	held := time.Since(start).Microseconds()
-	s.ckptLastUs.Store(held)
+	took := time.Since(start).Microseconds()
+	s.ckptLastUs.Store(took)
 	s.ckptLastBytes.Store(size)
-	s.ckptTotalUs.Add(held)
+	s.ckptTotalUs.Add(took)
 	return nil
 }
 
-// maybeCheckpointLocked runs the automatic checkpoint cadence. An
-// automatic checkpoint failure must not fail the apply that triggered
-// it (the log holds the data); it is counted and retried at the next
+// maybeCheckpointLocked runs the automatic checkpoint cadence: the write
+// that crosses the threshold begins a checkpoint — its LSN is that
+// write's, whatever the scheduler does next — and a goroutine carries it
+// through; while one is in flight a threshold crossing is skipped. An
+// automatic checkpoint failure must not fail the apply that triggered it
+// (the log holds the data); it is counted and retried at the next
 // threshold crossing.
 func (s *Store) maybeCheckpointLocked() {
 	if s.opts.ckptEach == 0 || s.sinceCkpt < s.opts.ckptEach {
 		return
 	}
-	if err := s.checkpointLocked(); err != nil {
+	if s.ckptDone != nil {
+		s.ckptSkipped.Add(1)
+		s.sinceCkpt = 0
+		return
+	}
+	lsn, view, start, err := s.beginCheckpointLocked()
+	if err != nil {
 		s.ckptFails.Add(1)
 		s.sinceCkpt = 0 // back off until the next full interval
+		return
 	}
+	go func() {
+		if s.checkpoint(lsn, view, start) != nil {
+			s.ckptFails.Add(1)
+		}
+	}()
 }
 
 // --- lifecycle ----------------------------------------------------------
@@ -971,9 +1090,10 @@ func (s *Store) syncLoop() {
 }
 
 // shut is the teardown Close and Crash share: stop the sync timer, mark
-// the store closed, cut the replication streams, let go of the log —
-// synced and closed, or with crash abandoned as a dying process would
-// leave it — and release the directory lock.
+// the store closed, cancel a checkpoint in flight, cut the replication
+// streams, let go of the log — synced and closed, or with crash both it
+// and the checkpoint abandoned as a dying process would leave them — and
+// release the directory lock.
 func (s *Store) shut(crash bool) error {
 	if s.stopSync != nil {
 		select {
@@ -989,6 +1109,11 @@ func (s *Store) shut(crash bool) error {
 		return nil
 	}
 	s.closed = true
+	if crash {
+		s.stopCheckpointLocked(ckptAbandon)
+	} else {
+		s.stopCheckpointLocked(ckptCancel)
+	}
 	s.closeStreamsLocked()
 	var err error
 	switch {
@@ -1043,6 +1168,8 @@ func (s *Store) Stats() StoreStats {
 		CheckpointLastMs:    float64(s.ckptLastUs.Load()) / 1e3,
 		CheckpointLastBytes: s.ckptLastBytes.Load(),
 		CheckpointTotalMs:   float64(s.ckptTotalUs.Load()) / 1e3,
+		CheckpointHeldMs:    float64(s.ckptHeldUs.Load()) / 1e3,
+		CheckpointsSkipped:  s.ckptSkipped.Load(),
 	}
 	if cause, ok := s.roCause.Load().(error); ok {
 		st.ReadOnlyCause = cause.Error()

@@ -14,7 +14,10 @@ import (
 	"hyperprov/internal/wal"
 )
 
-const tortureDirEnv = "HYPERPROV_WAL_TORTURE_DIR"
+const (
+	tortureDirEnv  = "HYPERPROV_WAL_TORTURE_DIR"
+	tortureCkptEnv = "HYPERPROV_WAL_TORTURE_CKPT_EVERY"
+)
 
 // TestCrashTortureChildProcess is the re-exec target of the torture
 // harness: it opens (or recovers) the store in the directory named by
@@ -26,6 +29,10 @@ func TestCrashTortureChildProcess(t *testing.T) {
 	if dir == "" {
 		t.Skip("torture child: run by TestCrashTorture")
 	}
+	ckptEvery, err := strconv.ParseUint(os.Getenv(tortureCkptEnv), 10, 64)
+	if err != nil {
+		t.Fatalf("%s: %v", tortureCkptEnv, err)
+	}
 	initial, txns := smallWorkload(t)
 	st, err := wal.Open(dir,
 		wal.WithMode(engine.ModeNormalForm),
@@ -33,7 +40,7 @@ func TestCrashTortureChildProcess(t *testing.T) {
 		wal.WithEngineOptions(engine.WithShards(4)),
 		wal.WithSync(wal.SyncAlways),
 		wal.WithSegmentSize(2048),
-		wal.WithCheckpointEvery(23),
+		wal.WithCheckpointEvery(ckptEvery),
 	)
 	if err != nil {
 		fmt.Printf("CHILD-ERR open: %v\n", err)
@@ -59,7 +66,15 @@ func TestCrashTortureChildProcess(t *testing.T) {
 // child acknowledged survived and (b) the recovered state is
 // byte-identical to a never-crashed oracle at the recovered prefix.
 // The final round lets the child finish and checks full equality.
-func TestCrashTorture(t *testing.T) {
+func TestCrashTorture(t *testing.T) { crashTorture(t, 23) }
+
+// TestCrashTortureBackgroundCheckpoints is the same with a checkpoint
+// begun every 8 records: the child is then inside a background checkpoint
+// — rotated, encoding, renaming or pruning — for much of its life, and
+// that is where the SIGKILLs land.
+func TestCrashTortureBackgroundCheckpoints(t *testing.T) { crashTorture(t, 8) }
+
+func crashTorture(t *testing.T, ckptEvery int) {
 	if testing.Short() {
 		t.Skip("subprocess torture test")
 	}
@@ -73,7 +88,7 @@ func TestCrashTorture(t *testing.T) {
 	for round := 0; round < 4; round++ {
 		final := round == 3
 		cmd := exec.Command(os.Args[0], "-test.run=TestCrashTortureChildProcess$", "-test.v")
-		cmd.Env = append(os.Environ(), tortureDirEnv+"="+dir)
+		cmd.Env = append(os.Environ(), tortureDirEnv+"="+dir, tortureCkptEnv+"="+strconv.Itoa(ckptEvery))
 		out, err := cmd.StdoutPipe()
 		if err != nil {
 			t.Fatal(err)
