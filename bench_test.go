@@ -464,6 +464,65 @@ func BenchmarkCheckpointEncode(b *testing.B) {
 	b.ReportMetric(float64(e.NumRows()), "rows")
 }
 
+// BenchmarkColdStart measures the two ways a server gets its rows, bytes
+// to a ready engine, each through the one loader. csv_200k is the wire
+// benchmark's bulk_scan bootstrap: the 200 000-row CSV db.WriteCSV wrote,
+// through db.CSVRows and engine.Load (parse beside build, tables and
+// intern head arrays reserved). snapshot_tpcc12k is oltp_point's
+// recovery: the snapshot of the state its 12 000 TPC-C transactions
+// leave, through provstore.LoadSnapshot (decode beside restore). Both
+// report rows/s; B/op is gated in CI. The intern table is process-global,
+// so only a first op (-benchtime 1x in a fresh process) names its rows as
+// a cold start does; later ones find every name.
+func BenchmarkColdStart(b *testing.B) {
+	report := func(b *testing.B, rows int) {
+		b.ReportMetric(float64(rows)*float64(b.N)/b.Elapsed().Seconds(), "rows/s")
+	}
+	b.Run("csv_200k", func(b *testing.B) {
+		initial, _ := syntheticWorkload(b, workload.Config{Tuples: 200000, Pool: 1000, Updates: 1, Seed: 1})
+		var file bytes.Buffer
+		if err := db.WriteCSV(&file, initial.Instance("R")); err != nil {
+			b.Fatal(err)
+		}
+		rs := initial.Schema().Relation("R")
+		b.ReportAllocs()
+		b.SetBytes(int64(file.Len()))
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			e, err := engine.Load(engine.ModeNormalForm, initial.Schema(), func(emit func(db.RowBatch) error) error {
+				return db.CSVRows(rs, file.Bytes(), emit)
+			})
+			if err != nil || e.NumRows() != 200000 {
+				b.Fatal(e.NumRows(), err)
+			}
+		}
+		report(b, 200000)
+	})
+	b.Run("snapshot_tpcc12k", func(b *testing.B) {
+		initial, txns, err := benchutil.TPCCOpList(1, 12000)
+		if err != nil {
+			b.Fatal(err)
+		}
+		e := engine.New(engine.ModeNormalForm, initial, engine.WithAutoIndex(4))
+		if _, err := e.ApplyBatch(context.Background(), txns); err != nil {
+			b.Fatal(err)
+		}
+		var snap bytes.Buffer
+		if err := provstore.SaveSnapshot(&snap, e); err != nil {
+			b.Fatal(err)
+		}
+		b.ReportAllocs()
+		b.SetBytes(int64(snap.Len()))
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := provstore.LoadSnapshot(bytes.NewReader(snap.Bytes())); err != nil {
+				b.Fatal(err)
+			}
+		}
+		report(b, e.NumRows())
+	})
+}
+
 // BenchmarkEngineApplyTPCC measures engine apply alone — route, scan
 // plan, normal-form rewrite, expression interning, version and column
 // storage — on the wire benchmark's oltp_point op list (seed 1, 12 000

@@ -40,6 +40,7 @@ import (
 	"os"
 	"sort"
 	"strings"
+	"time"
 
 	"hyperprov/internal/core"
 	"hyperprov/internal/db"
@@ -140,41 +141,48 @@ func parseMode(name string) (engine.Mode, error) {
 	}
 }
 
-// loadCSVDatabase builds the initial database from the -data CSV files,
-// deriving each relation schema from its header; it returns the
-// database and the relation names in sorted order.
-func loadCSVDatabase(data dataFlags) (*db.Database, []string, error) {
-	var names []string
-	for rel := range data {
-		names = append(names, rel)
-	}
-	sort.Strings(names)
-	var rels []*db.RelationSchema
-	contents := make(map[string][]byte)
-	for _, rel := range names {
-		raw, err := os.ReadFile(data[rel])
-		if err != nil {
-			return nil, nil, err
+// csvSource is the -data CSV files as an engine's initial rows: every
+// relation's schema from its file's header, relations in sorted order,
+// rows straight from the files' bytes (db.CSVRows). Nothing is read until
+// it is called; *read is then how long the files took to read.
+func csvSource(data dataFlags, read *time.Duration) func() (*db.Schema, db.RowSource, error) {
+	return func() (*db.Schema, db.RowSource, error) {
+		start := time.Now()
+		var names []string
+		for rel := range data {
+			names = append(names, rel)
 		}
-		contents[rel] = raw
-		header := strings.SplitN(string(raw), "\n", 2)[0]
-		rs, err := db.ReadCSVSchema(rel, strings.Split(strings.TrimSpace(header), ","))
-		if err != nil {
-			return nil, nil, err
+		sort.Strings(names)
+		rels, files := make([]*db.RelationSchema, len(names)), make([][]byte, len(names))
+		for i, rel := range names {
+			var err error
+			if files[i], err = os.ReadFile(data[rel]); err != nil {
+				return nil, nil, err
+			}
+			if rels[i], err = db.CSVSchema(rel, files[i]); err != nil {
+				return nil, nil, err
+			}
 		}
-		rels = append(rels, rs)
+		schema, err := db.NewSchema(rels...)
+		*read = time.Since(start)
+		return schema, func(emit func(db.RowBatch) error) error {
+			for i, rs := range rels {
+				if err := db.CSVRows(rs, files[i], emit); err != nil {
+					return err
+				}
+			}
+			return nil
+		}, err
 	}
-	schema, err := db.NewSchema(rels...)
-	if err != nil {
-		return nil, nil, err
+}
+
+// bootedFromCSV completes the boot record of an engine csvSource's rows
+// were loaded into (read > 0: the source was called): where they came
+// from and what reading them took.
+func bootedFromCSV(e *engine.Engine, read time.Duration) {
+	if b := e.Boot(); read > 0 {
+		b.Source, b.ReadMs = "csv", engine.Ms(read)
 	}
-	initial := db.NewDatabase(schema)
-	for _, rel := range names {
-		if _, err := db.ReadCSV(initial, rel, strings.NewReader(string(contents[rel]))); err != nil {
-			return nil, nil, err
-		}
-	}
-	return initial, names, nil
 }
 
 // loadCSVEngine builds an in-memory engine from the -data CSV files.
@@ -185,17 +193,24 @@ func loadCSVEngine(data dataFlags, modeName string, opts ...engine.Option) (engi
 	if err != nil {
 		return nil, nil, err
 	}
-	initial, names, err := loadCSVDatabase(data)
+	var read time.Duration
+	schema, rows, err := csvSource(data, &read)()
 	if err != nil {
 		return nil, nil, err
 	}
-	return engine.Open(m, initial, opts...), names, nil
+	e, err := engine.Load(m, schema, rows, opts...)
+	if err != nil {
+		return nil, nil, err
+	}
+	bootedFromCSV(e, read)
+	e.Boot().TotalMs += engine.Ms(read)
+	return e, schema.Names(), nil
 }
 
 // openStore opens (or bootstraps) the persistent store in -data-dir.
 // CSV data, when given, seeds a fresh directory only; an existing one
 // recovers from its latest checkpoint plus the log suffix and the CSV
-// files are ignored.
+// files are not read.
 func openStore(dir, syncName, modeName string, ckptEvery int, data dataFlags, engOpts []engine.Option) (*wal.Store, []string, error) {
 	pol, err := wal.ParseSyncPolicy(syncName)
 	if err != nil {
@@ -213,17 +228,15 @@ func openStore(dir, syncName, modeName string, ckptEvery int, data dataFlags, en
 	if ckptEvery > 0 {
 		opts = append(opts, wal.WithCheckpointEvery(uint64(ckptEvery)))
 	}
+	var read time.Duration
 	if len(data) > 0 {
-		initial, _, err := loadCSVDatabase(data)
-		if err != nil {
-			return nil, nil, err
-		}
-		opts = append(opts, wal.WithInitialDatabase(initial))
+		opts = append(opts, wal.WithInitialSource(csvSource(data, &read)))
 	}
 	st, err := wal.Open(dir, opts...)
 	if err != nil {
 		return nil, nil, err
 	}
+	bootedFromCSV(st.Engine(), read)
 	return st, st.Schema().Names(), nil
 }
 

@@ -153,7 +153,7 @@ func runServe(args []string) error {
 		srv = server.New(e, srvOpts...)
 	}
 	srv.PublishExpvar("hyperprov")
-	logger.Printf("serving %d rows (%s) on %s", srv.Engine().NumRows(), srv.Engine().Mode(), *addr)
+	logger.Printf("serving %d rows (%s) on %s; boot %+v", srv.Engine().NumRows(), srv.Engine().Mode(), *addr, engine.BootOf(srv.Engine()))
 
 	// Background ingestion: the engine answers reads at transaction
 	// granularity while the log applies.

@@ -46,27 +46,9 @@ func QueryAnnot(name string) Annot { return Annot{Name: name, Kind: KindQuery} }
 // String returns the annotation name.
 func (a Annot) String() string { return a.Name }
 
-// AnnotSeq hands out fresh, uniquely named annotations. It is used by
-// the provenance engines to annotate initial database tuples and by
-// tests and generators. The zero value is ready to use.
-type AnnotSeq struct {
-	prefix string
-	kind   AnnotKind
-	n      int
+// Vars returns the variables of the fresh annotations prefix<from> …
+// prefix<from+n-1> of the given kind, interned as one batch (see
+// internTable.vars): what an engine names its initial rows by.
+func Vars(prefix string, kind AnnotKind, from, n int) []*Expr {
+	return interns.vars(prefix, kind, from, n)
 }
-
-// NewAnnotSeq returns a sequence producing annotations prefix0, prefix1, …
-// of the given kind.
-func NewAnnotSeq(prefix string, kind AnnotKind) *AnnotSeq {
-	return &AnnotSeq{prefix: prefix, kind: kind}
-}
-
-// Next returns the next fresh annotation in the sequence.
-func (s *AnnotSeq) Next() Annot {
-	a := Annot{Name: fmt.Sprintf("%s%d", s.prefix, s.n), Kind: s.kind}
-	s.n++
-	return a
-}
-
-// Count reports how many annotations have been handed out.
-func (s *AnnotSeq) Count() int { return s.n }

@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"slices"
+	"strconv"
 	"sync"
 	"sync/atomic"
 )
@@ -148,20 +149,36 @@ func (s *internShard) findBinary(op Op, l, r *Expr, h uint64) *Expr {
 	return nil
 }
 
+// headsFor is the head count a shard doubling from 8 at internLoad nodes
+// per head has reached once it holds n nodes.
+func headsFor(n int) int {
+	l := 8
+	for n > internLoad*l {
+		l *= 2
+	}
+	return l
+}
+
+// relink moves every node onto a head array of the given size; the
+// caller holds the write lock.
+func (s *internShard) relink(size int) {
+	old := s.heads
+	s.heads = make([]*Expr, size)
+	for _, e := range old {
+		for e != nil {
+			next, to := e.next, s.head(e.hash)
+			e.next, *to = *to, e
+			e = next
+		}
+	}
+}
+
 // insert links a fresh canonical node under the fingerprint h and
 // returns it for the caller to fill in its children; the caller holds
 // the write lock and has just failed to find the node.
 func (s *internShard) insert(t *internTable, op Op, size int64, h uint64) *Expr {
 	if s.n >= internLoad*len(s.heads) {
-		old := s.heads
-		s.heads = make([]*Expr, 2*len(old))
-		for _, e := range old {
-			for e != nil {
-				next, to := e.next, s.head(e.hash)
-				e.next, *to = *to, e
-				e = next
-			}
-		}
+		s.relink(2 * len(s.heads))
 	}
 	n := s.nodes.alloc()
 	n.op, n.interned, n.id, n.size, n.hash = op, true, t.nextID(), size, h
@@ -187,16 +204,20 @@ func (t *internTable) intern(op Op, ann Annot, kids []*Expr, h uint64) *Expr {
 		t.hits.Add(1)
 		return e
 	}
+	return t.internMiss(s, op, ann, kids, h)
+}
 
+// internMiss is intern behind a failed read probe, and the whole of it
+// for a node expected to be new: one chain walk under the write lock —
+// another goroutine may have interned the node since the probe, and only
+// the winner takes an arena slot, so the canonical pointer stays unique —
+// then the insert.
+func (t *internTable) internMiss(s *internShard, op Op, ann Annot, kids []*Expr, h uint64) *Expr {
 	size := int64(1)
 	for _, k := range kids {
 		size += k.size
 	}
-
 	s.mu.Lock()
-	// Re-check under the write lock: another goroutine may have interned
-	// the same node between the two lock acquisitions; only the winner
-	// takes an arena slot, so the canonical pointer stays unique.
 	if e := s.find(op, ann, kids, h); e != nil {
 		s.mu.Unlock()
 		t.hits.Add(1)
@@ -209,6 +230,44 @@ func (t *internTable) intern(op Op, ann Annot, kids []*Expr, h uint64) *Expr {
 	s.mu.Unlock()
 	t.misses.Add(1)
 	return n
+}
+
+// vars interns the variables prefix<from> … prefix<from+n-1> as one batch
+// and returns them in order. The names are hashed first, so every shard's
+// head array is sized once for the nodes it is about to take instead of
+// relinking them at each doubling on the way; each name then costs one
+// chain walk under the write lock. Sizes are headsFor's: a shard that
+// took fewer nodes than counted (names interned before) is cut back, so
+// the table ends as single interns would leave it.
+func (t *internTable) vars(prefix string, kind AnnotKind, from, n int) []*Expr {
+	annots, hs, out := make([]Annot, n), make([]uint64, n), make([]*Expr, n)
+	var per [internShardCount]int
+	for i := range annots {
+		var buf [24]byte
+		annots[i] = Annot{Name: string(strconv.AppendInt(append(buf[:0], prefix...), int64(from+i), 10)), Kind: kind}
+		hs[i] = hashNode(OpVar, annots[i], nil)
+		per[mix(hs[i])&(internShardCount-1)]++
+	}
+	resize := func(ahead bool) {
+		for i := range t.shards {
+			s := &t.shards[i]
+			s.mu.Lock()
+			want := headsFor(s.n)
+			if ahead {
+				want = max(headsFor(s.n+per[i]), len(s.heads))
+			}
+			if want != len(s.heads) && per[i] > 0 {
+				s.relink(want)
+			}
+			s.mu.Unlock()
+		}
+	}
+	resize(true)
+	for i, a := range annots {
+		out[i] = t.internMiss(t.shard(hs[i]), OpVar, a, nil, hs[i])
+	}
+	resize(false)
+	return out
 }
 
 // nextID counts the new canonical node and returns its dense id. The

@@ -9,6 +9,7 @@ package core
 import (
 	"fmt"
 	"runtime"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -365,4 +366,41 @@ func TestInternStatsCounters(t *testing.T) {
 		t.Fatalf("re-construction changed Nodes: %+v -> %+v", after, again)
 	}
 	_ = v
+}
+
+// TestVarsReserveWhatDoublingReaches: a batch of fresh variables leaves
+// every shard's head array at the size interning them one by one does —
+// the reservation ahead is exact, also where some of the names were
+// interned before and a shard takes fewer nodes than the batch counted —
+// and returns the nodes single interns find.
+func TestVarsReserveWhatDoublingReaches(t *testing.T) {
+	for _, n := range []int{0, 1, 15, 16, 17, 1000, 196608, 200000} {
+		for _, known := range []int{0, n / 3} {
+			bulk, single := newInternTable(), newInternTable()
+			for i := 0; i < n; i++ {
+				a := Annot{Name: "t" + strconv.Itoa(i), Kind: KindTuple}
+				if i%3 == 0 && i/3 < known {
+					// In both tables before the batch arrives.
+					bulk.intern(OpVar, a, nil, hashNode(OpVar, a, nil))
+				}
+				single.intern(OpVar, a, nil, hashNode(OpVar, a, nil))
+			}
+			vars := bulk.vars("t", KindTuple, 0, n)
+			if len(vars) != n || bulk.nodes.Load() != single.nodes.Load() {
+				t.Fatalf("n=%d known=%d: %d variables, %d nodes; single interns made %d", n, known, len(vars), bulk.nodes.Load(), single.nodes.Load())
+			}
+			for i, v := range vars {
+				a := Annot{Name: "t" + strconv.Itoa(i), Kind: KindTuple}
+				if v.Annot() != a || v != bulk.intern(OpVar, a, nil, hashNode(OpVar, a, nil)) {
+					t.Fatalf("n=%d: variable %d is %v", n, i, v)
+				}
+			}
+			for i := range bulk.shards {
+				b, s := &bulk.shards[i], &single.shards[i]
+				if b.n != s.n || len(b.heads) != len(s.heads) || len(b.heads) != headsFor(b.n) {
+					t.Fatalf("n=%d known=%d shard %d: %d nodes on %d heads; single interns leave %d on %d", n, known, i, b.n, len(b.heads), s.n, len(s.heads))
+				}
+			}
+		}
+	}
 }

@@ -1,9 +1,6 @@
 package db
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // Instance is one relation's extent under set semantics: a dense tuple
 // slice for fast scans (hyperplane updates scan whole relations) plus a
@@ -37,33 +34,9 @@ func (in *Instance) Each(f func(t Tuple)) {
 }
 
 // Tuples returns the tuples sorted by key (a deterministic order for
-// display and tests). Keys are built once per tuple, not per comparison:
-// engines seed their row order from this and sort 2n·log n fresh key
-// strings would dominate whole-benchmark allocation.
-func (in *Instance) Tuples() []Tuple {
-	out := make([]Tuple, len(in.list))
-	copy(out, in.list)
-	keys := make([]string, len(out))
-	for i := range out {
-		keys[i] = out[i].Key()
-	}
-	// Keys are unique (set semantics), so this unstable sort yields the
-	// same total order the previous by-key sort.Slice did.
-	sort.Sort(&tuplesByKey{tuples: out, keys: keys})
-	return out
-}
-
-type tuplesByKey struct {
-	tuples []Tuple
-	keys   []string
-}
-
-func (s *tuplesByKey) Len() int           { return len(s.tuples) }
-func (s *tuplesByKey) Less(i, j int) bool { return s.keys[i] < s.keys[j] }
-func (s *tuplesByKey) Swap(i, j int) {
-	s.tuples[i], s.tuples[j] = s.tuples[j], s.tuples[i]
-	s.keys[i], s.keys[j] = s.keys[j], s.keys[i]
-}
+// display and tests), each key rendered once: engines seed their row
+// order from this.
+func (in *Instance) Tuples() []Tuple { return sortByKey(in.list) }
 
 // put inserts or overwrites a tuple.
 func (in *Instance) put(key string, t Tuple) {
@@ -121,6 +94,35 @@ func (d *Database) NumTuples() int {
 		n += len(in.list)
 	}
 	return n
+}
+
+// RowBatch is a run of one relation's rows on their way into an engine.
+type RowBatch struct {
+	Rel  string
+	Rows []Tuple
+	// Total, on a relation's first batch, is the number of rows the
+	// relation will deliver in all; the loader sizes its tables by it.
+	Total int
+	// Restart voids what the relation delivered so far (its rows turned
+	// out not to be in key order): this batch is its first again.
+	Restart bool
+}
+
+// RowSource delivers the rows an engine starts from (engine.Load):
+// relations in schema order, each one's rows in Key order without
+// duplicates — the order the initial annotations t0, t1, … are named in —
+// batch by batch; it stops at emit's first error and returns it.
+type RowSource func(emit func(RowBatch) error) error
+
+// Rows is the database's RowSource: one batch per relation.
+func (d *Database) Rows(emit func(RowBatch) error) error {
+	for _, rel := range d.schema.Names() {
+		rows := d.instances[rel].Tuples()
+		if err := emit(RowBatch{Rel: rel, Rows: rows, Total: len(rows)}); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // InsertTuple adds a tuple directly (initial loading, not an update

@@ -33,6 +33,14 @@
 // nothing a reader can observe. DB and View stay interfaces because the
 // persistent stores of package wal implement and forward them.
 //
+// An engine starts from rows through one bulk path: Load takes a
+// db.RowSource — a Database's rows for New, CSV batches for the server —
+// names the rows t0, t1, … in the order delivered and sizes its tables
+// once from the announced counts; Restore is its counterpart for rows
+// that bring their annotations (a snapshot). Either source runs on a
+// goroutine of its own beside the stores (pipe). Boot records where the
+// start-up went.
+//
 // Specialization helpers (Specialize, LiveDB, DeletionPropagation,
 // AbortTransactions, AccessControl, Certify) map the symbolic
 // provenance into concrete Update-Structures for the applications of

@@ -178,39 +178,21 @@ type Engine struct {
 	rowMu   sync.Mutex
 	rowBufs [][]RowRef
 
+	boot BootStats // see Boot
+
 	routedTxns     atomic.Uint64 // locked a single shard
 	rendezvousTxns atomic.Uint64 // pinned, spanning several shards
 	fanoutTxns     atomic.Uint64 // evaluated against every shard of several
 }
 
 // New builds an engine in the given mode from an initial database, over
-// WithShards(n) storage shards (default 1). Each initial tuple is
-// annotated with a fresh tuple annotation (t0, t1, … unless
-// WithInitialAnnotations overrides the naming) in relation order, then
-// sorted-key order, so annotation names do not depend on the shard
-// count; the input database is not modified or referenced afterwards.
+// WithShards(n) storage shards (default 1): Load over the database's rows
+// — relation order, then sorted-key order. The input database is not
+// modified or referenced afterwards.
 func New(mode Mode, initial *db.Database, opts ...Option) *Engine {
-	cfg := newConfig(opts)
-	schema := initial.Schema()
-	e := &Engine{mode: mode, schema: schema, all: make([]int, cfg.shards)}
-	e.tracker.init(e.emit)
-	for i := range e.all {
-		e.all[i] = i
-		e.shards = append(e.shards, newShard(mode, schema, cfg))
-	}
-	names := core.NewAnnotSeq("t", core.KindTuple)
-	var seq uint64
-	for _, rel := range schema.Names() {
-		for _, t := range initial.Instance(rel).Tuples() {
-			var a core.Annot
-			if cfg.initAnnot != nil {
-				a = cfg.initAnnot(rel, t)
-			} else {
-				a = names.Next()
-			}
-			e.shards[db.ShardOfTuple(t, cfg.shards)].load(rel, newRow(t, seq, core.Var(a), true))
-			seq++
-		}
+	e, err := Load(mode, initial.Schema(), initial.Rows, opts...)
+	if err != nil {
+		panic(err) // a Database delivers its own schema's tuples, in order
 	}
 	return e
 }
@@ -218,7 +200,17 @@ func New(mode Mode, initial *db.Database, opts ...Option) *Engine {
 // NewEmpty is New over a schema with no initial tuples, for snapshot
 // restoration and streaming ingestion.
 func NewEmpty(mode Mode, schema *db.Schema, opts ...Option) *Engine {
-	return New(mode, db.NewDatabase(schema), opts...)
+	return newEngine(mode, schema, newConfig(opts))
+}
+
+func newEngine(mode Mode, schema *db.Schema, cfg *config) *Engine {
+	e := &Engine{mode: mode, schema: schema, all: make([]int, cfg.shards), boot: BootStats{Source: "empty"}}
+	e.tracker.init(e.emit)
+	for i := range e.all {
+		e.all[i] = i
+		e.shards = append(e.shards, newShard(mode, schema, cfg))
+	}
+	return e
 }
 
 // Mode reports the provenance representation in use.
@@ -745,24 +737,55 @@ func (e *Engine) ApplyBatch(ctx context.Context, txns []db.Transaction) (applied
 // provstore). Each restore is its own write epoch, committed to the
 // tracker like a transaction.
 func (e *Engine) RestoreRow(rel string, t db.Tuple, ann *core.Expr) error {
-	si := db.ShardOfTuple(t, len(e.shards))
+	fp := t.Fingerprint()
+	si := db.ShardOfFingerprint(fp, len(e.shards))
 	set := e.all[si : si+1]
 	epoch, collect := e.begin(set, 0, "")
-	err := e.shards[si].restoreRow(rel, t, ann)
+	err := e.shards[si].restoreRow(rel, t, fp, ann)
 	e.finish(set, epoch, CommitRestore, "", collect)
 	return err
+}
+
+// restoreItem is one add of a Restore on its way to the shards.
+type restoreItem struct {
+	rel string
+	t   db.Tuple
+	ann *core.Expr
 }
 
 // Restore is RestoreRow in bulk, for snapshot loading: fill runs inside
 // one write epoch spanning every shard and stores a row with each call of
 // add, in call order; the epoch commits — one CommitRestore — when fill
-// returns, with the rows added before an error kept.
+// returns, with the rows added before an error kept. fill runs beside the
+// stores (see pipe): a decoder reads and interns the next rows while
+// these go in, so add answers for an earlier row's failure, and Restore
+// returns the first failure in row order, a store's before fill's own.
 func (e *Engine) Restore(fill func(add func(rel string, t db.Tuple, ann *core.Expr) error) error) error {
 	epoch, collect := e.begin(e.all, 0, "")
 	defer e.finish(e.all, epoch, CommitRestore, "", collect)
-	return fill(func(rel string, t db.Tuple, ann *core.Expr) error {
-		return e.shards[db.ShardOfTuple(t, len(e.shards))].restoreRow(rel, t, ann)
+	_, _, err := pipe(func(emit func([]restoreItem) error) error {
+		batch := make([]restoreItem, 0, 256)
+		err := fill(func(rel string, t db.Tuple, ann *core.Expr) (err error) {
+			if batch = append(batch, restoreItem{rel, t, ann}); len(batch) == cap(batch) {
+				err = emit(batch)
+				batch = make([]restoreItem, 0, cap(batch))
+			}
+			return err
+		})
+		if eerr := emit(batch); err == nil {
+			err = eerr
+		}
+		return err
+	}, func(batch []restoreItem) error {
+		for _, it := range batch {
+			fp := it.t.Fingerprint()
+			if err := e.owner(fp).restoreRow(it.rel, it.t, fp, it.ann); err != nil {
+				return err
+			}
+		}
+		return nil
 	})
+	return err
 }
 
 // MinimizeAll applies the zero-axiom post-processing of Proposition 5.5

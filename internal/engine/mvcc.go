@@ -137,21 +137,29 @@ func (l *rowList) len() int { return int(l.n.Load()) }
 // append adds a row at the end. Writer-only (under the shard lock).
 func (l *rowList) append(r *row) {
 	n := int(l.n.Load())
-	arr := l.arr.Load()
-	if arr == nil || n == len(*arr) {
-		capacity := 16
-		if arr != nil && len(*arr) > 0 {
-			capacity = 2 * len(*arr)
-		}
-		grown := make([]*row, capacity)
-		if arr != nil {
-			copy(grown, *arr)
-		}
-		arr = &grown
-		l.arr.Store(arr)
-	}
+	arr := l.reserve(1)
 	(*arr)[n] = r
 	l.n.Store(int64(n + 1))
+}
+
+// reserve makes room for n more rows (n ≥ 1), in the capacity doubling
+// from 16 reaches for that many. Writer-only.
+func (l *rowList) reserve(n int) *[]*row {
+	n += int(l.n.Load())
+	arr := l.arr.Load()
+	if arr != nil && n <= len(*arr) {
+		return arr
+	}
+	capacity := 16
+	for capacity < n {
+		capacity *= 2
+	}
+	grown := make([]*row, capacity)
+	if arr != nil {
+		copy(grown, *arr)
+	}
+	l.arr.Store(&grown)
+	return &grown
 }
 
 // snapshot returns the published prefix as a read-only slice.

@@ -77,7 +77,6 @@ func (t *table) get(fp uint64, tu db.Tuple) *row {
 // add stores a new row (writer-only): fingerprint map, columnar mirror,
 // then the list append that publishes the row to ordered readers.
 func (t *table) add(r *row) {
-	r.fp = r.tuple.Fingerprint()
 	n := t.list.len()
 	r.pos = n
 	t.rows.add(r)
@@ -143,21 +142,25 @@ func newShard(mode Mode, schema *db.Schema, cfg *config) *shard {
 		idx:        newIndexManager(cfg.autoIndex),
 	}
 	for _, name := range schema.Names() {
-		tbl := &table{rel: schema.Relation(name)}
-		tbl.cols.init(len(tbl.rel.Attrs))
-		s.tables[name] = tbl
+		s.tables[name] = newTable(schema.Relation(name))
 	}
 	return s
 }
 
+func newTable(rel *db.RelationSchema) *table {
+	tbl := &table{rel: rel}
+	tbl.cols.init(len(rel.Attrs))
+	return tbl
+}
+
 // newRow builds a row created at seq together with its first version,
-// annotated ann, in one allocation.
-func newRow(t db.Tuple, seq uint64, ann *core.Expr, live bool) *row {
+// annotated ann, in one allocation; fp is the tuple's fingerprint.
+func newRow(t db.Tuple, fp, seq uint64, ann *core.Expr, live bool) *row {
 	rv := &struct {
 		row
 		first version
 	}{}
-	rv.tuple, rv.seq = t, seq
+	rv.tuple, rv.fp, rv.seq = t, fp, seq
 	rv.first.born, rv.first.live = seq, live
 	rv.first.setExpr(ann)
 	rv.head.Store(&rv.first)
@@ -168,6 +171,13 @@ func newRow(t db.Tuple, seq uint64, ann *core.Expr, live bool) *row {
 func (s *shard) load(rel string, r *row) {
 	s.versions.Add(1)
 	s.tables[rel].add(r)
+}
+
+// dropLoaded forgets the rows loaded into a relation so far: their source
+// delivers the relation again (db.RowBatch.Restart).
+func (s *shard) dropLoaded(rel string) {
+	s.versions.Add(-uint64(s.tables[rel].list.len()))
+	s.tables[rel] = newTable(s.tables[rel].rel)
 }
 
 // counter resets and lends this shard's creation counter to an epoch
@@ -215,11 +225,11 @@ func (s *shard) touch(tbl *table, r *row) {
 // row with tbl.add (after any same-epoch mutation it performs through
 // mutable — in-flight versions are invisible to readers regardless,
 // because their epoch is beyond every committed horizon).
-func (s *shard) newVersionedRow(t db.Tuple) *row {
+func (s *shard) newVersionedRow(t db.Tuple, fp uint64) *row {
 	seq := s.curEpoch<<32 | *s.created
 	*s.created++
 	s.versions.Add(1)
-	return newRow(t, seq, core.Zero(), false)
+	return newRow(t, fp, seq, core.Zero(), false)
 }
 
 // mutable returns the version of r the current write epoch may mutate
@@ -264,11 +274,12 @@ func (s *shard) simplify(x *core.Expr) *core.Expr {
 
 // insert applies the current query as the insertion of one tuple.
 func (s *shard) insert(tbl *table, t db.Tuple) {
-	r := tbl.get(t.Fingerprint(), t)
+	fp := t.Fingerprint()
+	r := tbl.get(fp, t)
 	fresh := r == nil
 	wasMatchable := !fresh && s.matchable(r)
 	if fresh {
-		r = s.newVersionedRow(t)
+		r = s.newVersionedRow(t, fp)
 		tbl.add(r)
 	}
 	v := s.mutable(r)
@@ -421,7 +432,7 @@ func (s *shard) absorbModTarget(tbl *table, g *modGroup, pe *core.Expr) {
 	fresh := r == nil
 	wasMatchable := !fresh && s.matchable(r)
 	if fresh {
-		r = s.newVersionedRow(g.target)
+		r = s.newVersionedRow(g.target, g.fp)
 		tbl.add(r)
 	}
 	v := s.mutable(r)
@@ -439,9 +450,10 @@ func (s *shard) absorbModTarget(tbl *table, g *modGroup, pe *core.Expr) {
 	s.touch(tbl, r)
 }
 
-// restoreRow stores a tuple with an explicit annotation in the open
-// epoch, overwriting any existing row for the same tuple.
-func (s *shard) restoreRow(rel string, t db.Tuple, ann *core.Expr) error {
+// restoreRow stores a tuple (of fingerprint fp) with an explicit
+// annotation in the open epoch, overwriting any existing row for the same
+// tuple.
+func (s *shard) restoreRow(rel string, t db.Tuple, fp uint64, ann *core.Expr) error {
 	tbl := s.tables[rel]
 	if tbl == nil {
 		return fmt.Errorf("engine: %w %s", ErrUnknownRelation, rel)
@@ -449,11 +461,11 @@ func (s *shard) restoreRow(rel string, t db.Tuple, ann *core.Expr) error {
 	if err := t.Conforms(tbl.rel); err != nil {
 		return fmt.Errorf("engine: %w: %v", ErrBadTuple, err)
 	}
-	r := tbl.get(t.Fingerprint(), t)
+	r := tbl.get(fp, t)
 	fresh := r == nil
 	wasMatchable := !fresh && s.matchable(r)
 	if fresh {
-		r = s.newVersionedRow(t)
+		r = s.newVersionedRow(t, fp)
 	}
 	v := s.mutable(r)
 	v.setExpr(ann)

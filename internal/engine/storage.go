@@ -76,7 +76,7 @@ func (m *rowMap) get(fp uint64, t db.Tuple) *row {
 func (m *rowMap) add(r *row) {
 	tab := m.tab.Load()
 	if tab == nil || 4*(m.n+1) > 3*len(tab.slots) {
-		tab = m.grow(tab)
+		tab = m.reserve(1)
 	}
 	m.n++
 	for i := r.fp & tab.mask; ; i = (i + 1) & tab.mask {
@@ -87,14 +87,21 @@ func (m *rowMap) add(r *row) {
 	}
 }
 
-// grow rebuilds into a doubled slot array and publishes it. Readers
-// holding the old generation still see every row inserted before the
-// grow; rows added after only land in the new one — the same
-// only-eventually-visible guarantee a concurrent map store has anyway.
-func (m *rowMap) grow(old *rowSlots) *rowSlots {
+// reserve makes room for n ≥ 1 more rows — in the slot array doubling from 16
+// under a 3/4 load reaches for that many, so a table reserved once and
+// one grown row by row end up the same size — rebuilding into a fresh
+// array and publishing it. Readers holding the old generation still see
+// every row inserted before; rows added after only land in the new one —
+// the same only-eventually-visible guarantee a concurrent map store has
+// anyway.
+func (m *rowMap) reserve(n int) *rowSlots {
+	old := m.tab.Load()
 	size := 16
-	if old != nil {
-		size = 2 * len(old.slots)
+	for 4*(m.n+n) > 3*size {
+		size *= 2
+	}
+	if old != nil && len(old.slots) >= size {
+		return old
 	}
 	tab := &rowSlots{mask: uint64(size - 1), slots: make([]atomic.Pointer[row], size)}
 	if old != nil {

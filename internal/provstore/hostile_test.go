@@ -6,6 +6,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 
 	"hyperprov/internal/core"
@@ -83,6 +84,13 @@ func TestHostileSnapshotHeader(t *testing.T) {
 // version 1 decoder had on node ids and row counts, for the interleaved
 // layout.
 func TestHostileRowStreams(t *testing.T) {
+	// The decoder runs on a goroutine of its own: refused or not, a load
+	// leaves none behind.
+	defer func(base int) {
+		if n := settledGoroutines(base); n > base {
+			t.Errorf("%d goroutines after the loads, %d before", n, base)
+		}
+	}(runtime.NumGoroutine())
 	// R(a int, b string, c float), then the stream of its one relation.
 	hdr := []byte("HPRV2\n\x01\x01\x01R\x03\x01a\x01\x01b\x00\x01c\x02")
 	const tagRow, tagEnd = 7, 8

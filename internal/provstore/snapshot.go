@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"time"
 
 	"hyperprov/internal/core"
 	"hyperprov/internal/db"
@@ -266,6 +267,7 @@ type restoreFunc = func(rel string, t db.Tuple, ann *core.Expr) error
 // to engine.NewEmpty — engine.WithShards(n) restores into n storage
 // shards; the default is one.
 func LoadSnapshot(r io.Reader, opts ...engine.Option) (*engine.Engine, error) {
+	start := time.Now()
 	br := bufio.NewReader(r)
 	magic := make([]byte, len(snapshotMagic))
 	if _, err := io.ReadFull(br, magic); err != nil {
@@ -334,6 +336,8 @@ func LoadSnapshot(r io.Reader, opts ...engine.Option) (*engine.Engine, error) {
 	if err := e.Restore(func(add restoreFunc) error { return readRows(br, rels, add) }); err != nil {
 		return nil, err
 	}
+	took := engine.Ms(time.Since(start))
+	*e.Boot() = engine.BootStats{Source: "checkpoint", Rows: e.NumRows(), LoadMs: took, TotalMs: took}
 	return e, nil
 }
 
@@ -342,7 +346,7 @@ func LoadSnapshot(r io.Reader, opts ...engine.Option) (*engine.Engine, error) {
 // arrive.
 func readRowsV2(br *bufio.Reader, rels []*db.RelationSchema, add restoreFunc) error {
 	dec := &Decoder{r: br}
-	var dict []db.Value
+	var dict, slab []db.Value // slab: room for the next rows' values, 64 KiB at a time
 	for _, rel := range rels {
 		prev := db.Tuple(zeroRow(rel))
 		mask := make([]byte, (len(rel.Attrs)+7)/8)
@@ -369,7 +373,11 @@ func readRowsV2(br *bufio.Reader, rels []*db.RelationSchema, add restoreFunc) er
 			if n := len(rel.Attrs); n%8 != 0 && mask[n/8]>>(n%8) != 0 {
 				return fmt.Errorf("%w: row mask wider than the relation's arity %d", ErrMalformed, n)
 			}
-			t := make(db.Tuple, len(rel.Attrs))
+			if len(slab) < len(rel.Attrs) {
+				slab = make([]db.Value, max(len(rel.Attrs), 4096))
+			}
+			t := db.Tuple(slab[:len(rel.Attrs):len(rel.Attrs)])
+			slab = slab[len(t):]
 			for j, a := range rel.Attrs {
 				if mask[j/8]>>(j%8)&1 != 0 {
 					t[j] = prev[j]

@@ -98,6 +98,57 @@ func TestIngestStatsSection(t *testing.T) {
 	}
 }
 
+// TestBootStatsSection: /v1/stats and the expvar map say where the served
+// engine's start-up went — one boot section with every stage field, the
+// same in both, for an engine loaded in memory, a bootstrapped store, a
+// recovered one and a snapshot swapped in.
+func TestBootStatsSection(t *testing.T) {
+	fields := []string{"source", "rows", "read_ms", "parse_ms", "build_ms", "checkpoint_ms", "load_ms", "replayed_records", "replay_ms", "total_ms"}
+	check := func(srv *Server, source string, positive ...string) {
+		t.Helper()
+		boot, _ := decode[map[string]any](t, serveRaw(srv, "GET", "/v1/stats", "").Result())["boot"].(map[string]any)
+		vars, _ := decode[map[string]any](t, serveRaw(srv, "GET", "/v1/metrics", "").Result())["boot"].(map[string]any)
+		if len(boot) != len(fields) || boot["source"] != source || boot["rows"] != 4.0 {
+			t.Fatalf("boot = %v, want source %s, 4 rows and the fields %v", boot, source, fields)
+		}
+		for _, name := range fields {
+			if boot[name] == nil || boot[name] != vars[name] {
+				t.Errorf("%s: boot.%s = %v, expvar has %v", source, name, boot[name], vars[name])
+			}
+		}
+		for _, name := range append(positive, "total_ms") {
+			if v, _ := boot[name].(float64); v <= 0 {
+				t.Errorf("%s: boot.%s = %v, want it positive", source, name, boot[name])
+			}
+		}
+	}
+	mem := New(figure1Engine(t, engine.ModeNormalForm), WithLogf(t.Logf))
+	defer mem.Close()
+	check(mem, "database", "build_ms")
+	snap := serveRaw(mem, "GET", "/v1/snapshot", "").Body.String()
+	if rec := serveRaw(mem, "POST", "/v1/snapshot", snap); rec.Code != http.StatusOK {
+		t.Fatalf("POST /v1/snapshot: %d %s", rec.Code, rec.Body)
+	}
+	check(mem, "checkpoint", "load_ms")
+
+	dir := t.TempDir()
+	for _, want := range []struct {
+		source   string
+		positive []string
+	}{{"database", []string{"build_ms", "checkpoint_ms"}}, {"checkpoint", []string{"load_ms"}}} {
+		st, err := wal.Open(dir, wal.WithMode(engine.ModeNormalForm), wal.WithInitialDatabase(figure1Database(t)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv := New(st, WithLogf(t.Logf))
+		check(srv, want.source, want.positive...)
+		srv.Close()
+		if err := st.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 // TestCheckpointStatsInWALSection: what a checkpoint took, and how much
 // of that it held the store's lock — all a writer can have waited for —
 // is in the wal section after it ran, and in the expvar map.

@@ -119,6 +119,7 @@ func New(eng engine.DB, opts ...Option) *Server {
 		}
 		return nil
 	}))
+	s.metrics.m.Set("boot", expvar.Func(func() any { return engine.BootOf(s.Engine()) }))
 	s.metrics.m.Set("memory", expvar.Func(func() any { return ReadMemoryStats() }))
 	s.metrics.m.Set("admission", expvar.Func(func() any { return s.adm.StatsSnapshot() }))
 	s.metrics.m.Set("subscriptions", expvar.Func(func() any { return s.subs.StatsSnapshot() }))

@@ -18,6 +18,7 @@ import (
 // rename, only add — and disjoint between collectors by construction.
 var statsSections = []func(s *Server, e engine.DB, out map[string]any){
 	collectEngineStats,
+	collectBootStats,
 	collectInternStats,
 	collectMVCCStats,
 	collectPlannerStats,
@@ -43,6 +44,12 @@ func collectEngineStats(s *Server, e engine.DB, out map[string]any) {
 	out["provSize"] = e.ProvSize()
 	out["provDagSize"] = e.ProvDAGSize()
 	out["engineGeneration"] = s.EngineGeneration()
+}
+
+// collectBootStats reports where the served engine's start-up went (see
+// engine.BootStats): the stage table of a cold start.
+func collectBootStats(s *Server, e engine.DB, out map[string]any) {
+	out["boot"] = engine.BootOf(e)
 }
 
 // collectInternStats reports the process-global intern table counters.

@@ -2,6 +2,7 @@ package wal_test
 
 import (
 	"context"
+	"errors"
 	"os"
 	"path/filepath"
 	"strings"
@@ -99,16 +100,16 @@ const gatedCkptEvery = 20
 // openGated opens a store over the gated filesystem, applies transactions
 // until the cadence starts a checkpoint, and returns with that checkpoint
 // blocked inside its first write and next transactions applied.
-func openGated(t *testing.T, dir string, initial *db.Database, txns []db.Transaction) (st *wal.Store, fs *gateFS, next int) {
+func openGated(t *testing.T, dir string, initial *db.Database, txns []db.Transaction, opts ...wal.Option) (st *wal.Store, fs *gateFS, next int) {
 	t.Helper()
 	fs = newGateFS()
-	st, err := wal.Open(dir,
+	st, err := wal.Open(dir, append([]wal.Option{
 		wal.WithMode(engine.ModeNormalForm),
 		wal.WithInitialDatabase(initial),
 		wal.WithSegmentSize(2048),
 		wal.WithCheckpointEvery(gatedCkptEvery),
 		wal.WithFS(fs),
-	)
+	}, opts...)...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -300,5 +301,88 @@ func TestCheckpointStoppedMidEncode(t *testing.T) {
 				t.Fatalf("checkpoint after recovery at LSN %d, want %d", got, next)
 			}
 		})
+	}
+}
+
+// TestConcurrentClose: several goroutines close a store — under the
+// interval sync policy, whose timer they all must stop, with a checkpoint
+// held mid-encode — and every Close returns only once the store is
+// closed: none while the first still waits for the cancelled checkpoint,
+// all without error, and none closes the timer's channel a second time.
+func TestConcurrentClose(t *testing.T) {
+	initial, txns := smallWorkload(t)
+	dir := t.TempDir()
+	st, fs, next := openGated(t, dir, initial, txns, wal.WithSync(wal.SyncInterval), wal.WithSyncInterval(time.Millisecond))
+	const closers = 4
+	returned := make(chan error, closers)
+	for i := 0; i < closers; i++ {
+		go func() { returned <- st.Close() }()
+	}
+	for deadline := time.Now().Add(20 * time.Second); !st.CheckpointStopping(); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("no Close asked the checkpoint to stop")
+		}
+	}
+	// The others have had the time to get as far as they will.
+	select {
+	case err := <-returned:
+		t.Fatalf("a Close returned (%v) with the checkpoint still writing", err)
+	case <-time.After(50 * time.Millisecond):
+	}
+	fs.open()
+	for i := 0; i < closers; i++ {
+		if err := <-returned; err != nil {
+			t.Errorf("Close: %v", err)
+		}
+	}
+	if err := st.ApplyTransaction(&txns[next]); !errors.Is(err, wal.ErrClosed) {
+		t.Errorf("apply after Close: %v, want ErrClosed", err)
+	}
+	noTmpFiles(t, dir)
+	re, err := wal.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	requireSameBytes(t, "reopened after the concurrent Close",
+		snapshotOf(t, oracleAt(t, engine.ModeNormalForm, initial, txns, next)), snapshotOf(t, re))
+}
+
+// TestExistingDirectoryNeverReadsItsSource: the initial rows are a source
+// bootstrap calls on a fresh directory only — a reopen does not call it,
+// so it neither pays for nor depends on what the store was seeded from.
+func TestExistingDirectoryNeverReadsItsSource(t *testing.T) {
+	initial, txns := smallWorkload(t)
+	dir := t.TempDir()
+	calls := 0
+	source := wal.WithInitialSource(func() (*db.Schema, db.RowSource, error) {
+		calls++
+		if calls > 1 {
+			return nil, nil, errors.New("the source is gone")
+		}
+		return initial.Schema(), initial.Rows, nil
+	})
+	st, err := wal.Open(dir, wal.WithMode(engine.ModeNormalForm), source)
+	if err != nil || calls != 1 {
+		t.Fatalf("bootstrap: %v, source called %d times", err, calls)
+	}
+	if b := st.Engine().Boot(); b.Source != "database" || b.Rows != st.NumRows() || b.CheckpointMs <= 0 || b.TotalMs < b.CheckpointMs {
+		t.Errorf("boot record of the bootstrap: %+v", *b)
+	}
+	if err := st.ApplyAll(context.Background(), txns[:10]); err != nil {
+		t.Fatal(err)
+	}
+	want := snapshotOf(t, st)
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	re, err := wal.Open(dir, wal.WithMode(engine.ModeNormalForm), source)
+	if err != nil || calls != 1 {
+		t.Fatalf("reopen: %v, source called %d times", err, calls)
+	}
+	defer re.Close()
+	requireSameBytes(t, "reopened without its source", want, snapshotOf(t, re))
+	if b := re.Engine().Boot(); b.Source != "checkpoint" || b.ReplayedRecords != 10 || b.LoadMs <= 0 || b.TotalMs < b.LoadMs {
+		t.Errorf("boot record of the recovery: %+v", *b)
 	}
 }

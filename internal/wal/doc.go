@@ -42,6 +42,14 @@
 // a goroutine, one checkpoint at a time. DESIGN.md "Durability &
 // recovery" has the crash windows; recovery removes a dead *.tmp.
 //
+// A fresh directory is bootstrapped from a lazily opened row source
+// (WithInitialSource; WithInitialDatabase adapts a database in memory):
+// engine.Load builds the engine straight from the rows — CSV batches with
+// no db.Database in between, when cmd/hyperprov supplies them — and their
+// checkpoint is the store's first. An existing directory never opens the
+// source: a restart neither reads nor needs what it was seeded from. The
+// engine's Boot record says where either start-up went.
+//
 // Recovery on Open loads the newest loadable checkpoint and replays the
 // log suffix, stopping cleanly at the first damaged record: damage at
 // the tail of the final segment (a torn or short write from the crash)

@@ -421,7 +421,7 @@ func (f *Follower) installHello(hello helloMsg, ckpt []byte) error {
 		// META, engine and first segment — plus the record stream
 		// reproduces it.
 		ns := f.newCore()
-		ns.opts.mode, ns.opts.schema, ns.opts.initial = hello.mode, hello.schema, nil
+		ns.opts.mode, ns.opts.schema, ns.opts.source = hello.mode, hello.schema, nil
 		if err := ns.bootstrap(); err != nil {
 			return err
 		}
@@ -638,6 +638,7 @@ func (s *Store) resyncFromCheckpoint(mode engine.Mode, schema *db.Schema, snapLS
 	if err != nil {
 		return fmt.Errorf("%w: shipped checkpoint: %v", ErrStreamCorrupt, err)
 	}
+	eng.Boot().Source = "leader"
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	// A checkpoint of the state being replaced must not land behind this.

@@ -620,6 +620,11 @@ func TestFollowerLagKnownAtOpen(t *testing.T) {
 			if rs := f.ReplicaStats(); rs.LagRecords != 0 {
 				t.Fatalf("caught-up follower: %+v", rs)
 			}
+			// The boot record names where the follower's engine came from.
+			want := map[string]string{"from_zero": "empty", "resync": "leader"}[name]
+			if b := engine.BootOf(f); b.Source != want || (want == "leader") != (b.LoadMs > 0) {
+				t.Errorf("boot record of the follower: %+v, want source %s", b, want)
+			}
 		})
 	}
 }

@@ -76,7 +76,7 @@ func ParseSyncPolicy(s string) (SyncPolicy, error) {
 type options struct {
 	mode      engine.Mode
 	schema    *db.Schema
-	initial   *db.Database
+	source    func() (*db.Schema, db.RowSource, error)
 	engOpts   []engine.Option
 	sync      SyncPolicy
 	interval  time.Duration
@@ -129,10 +129,18 @@ func WithMode(m engine.Mode) Option { return func(o *options) { o.mode = m } }
 // WithSchema supplies the schema for bootstrapping an empty store.
 func WithSchema(s *db.Schema) Option { return func(o *options) { o.schema = s } }
 
-// WithInitialDatabase bootstraps a new store from an initial database;
-// its rows become the initial checkpoint. Ignored when the directory
-// already holds a store.
-func WithInitialDatabase(d *db.Database) Option { return func(o *options) { o.initial = d } }
+// WithInitialSource bootstraps a new store from the rows open delivers
+// over the schema it returns; they become the initial checkpoint. open is
+// called only when the directory holds no store yet: an existing one
+// recovers without reading, or needing, what it was bootstrapped from.
+func WithInitialSource(open func() (*db.Schema, db.RowSource, error)) Option {
+	return func(o *options) { o.source = open }
+}
+
+// WithInitialDatabase is WithInitialSource over a database in memory.
+func WithInitialDatabase(d *db.Database) Option {
+	return WithInitialSource(func() (*db.Schema, db.RowSource, error) { return d.Schema(), d.Rows, nil })
+}
 
 // WithEngineOptions passes options (sharding, auto-indexing, ...) to
 // the underlying engine on every open. The shard count may differ
@@ -250,6 +258,7 @@ type Store struct {
 
 	stopSync chan struct{}
 	syncWG   sync.WaitGroup
+	closeMu  sync.Mutex // serialises shut
 
 	opts options
 
@@ -356,6 +365,7 @@ func (s *Store) startSyncLoop() {
 // segment. Refuses a directory that already holds store files without
 // a META (a half-deleted or foreign directory).
 func (s *Store) bootstrap() error {
+	start := time.Now()
 	names, err := s.fs.ReadDir(s.dir)
 	if err != nil {
 		return err
@@ -385,21 +395,33 @@ func (s *Store) bootstrap() error {
 			return err
 		}
 	}
-	initial := s.opts.initial
-	if initial == nil {
-		if s.opts.schema == nil {
-			return fmt.Errorf("wal: a new store needs WithSchema or WithInitialDatabase")
+	var eng *engine.Engine
+	switch {
+	case s.opts.source != nil:
+		schema, rows, err := s.opts.source()
+		if err == nil {
+			eng, err = engine.Load(s.opts.mode, schema, rows, s.opts.engOpts...)
 		}
-		initial = db.NewDatabase(s.opts.schema)
+		if err != nil {
+			return err
+		}
+	case s.opts.schema != nil:
+		eng = engine.NewEmpty(s.opts.mode, s.opts.schema, s.opts.engOpts...)
+	default:
+		return fmt.Errorf("wal: a new store needs WithSchema or WithInitialDatabase")
 	}
-	s.Swap(engine.New(s.opts.mode, initial, s.opts.engOpts...))
+	boot := eng.Boot()
+	defer func() { boot.TotalMs = engine.Ms(time.Since(start)) }()
+	s.Swap(eng)
 	hasInit := s.NumRows() > 0
 	if hasInit {
 		// The bootstrap rows exist only in memory; a checkpoint is the
 		// sole durable copy, so its failure fails Open.
-		if _, err := s.writeCheckpoint(0, s.Engine()); err != nil {
+		began := time.Now()
+		if _, err := s.writeCheckpoint(0, eng); err != nil {
 			return fmt.Errorf("wal: initial checkpoint: %w", err)
 		}
+		boot.CheckpointMs = engine.Ms(time.Since(began))
 	}
 	if err := writeMeta(s.fs, s.dir, s.Mode(), s.Schema(), hasInit); err != nil {
 		return err
@@ -417,6 +439,7 @@ func (s *Store) bootstrap() error {
 // the log suffix. Tail damage in the final segment is truncated; damage
 // anywhere else is ErrCorrupt.
 func (s *Store) recover(meta *metaInfo) error {
+	start := time.Now()
 	s.recovered = true
 	s.hasInit = meta.hasInit
 	// A process that died inside a checkpoint (or a follower inside a
@@ -461,6 +484,12 @@ func (s *Store) recover(meta *metaInfo) error {
 		eng = engine.NewEmpty(meta.mode, meta.schema, s.opts.engOpts...)
 	}
 	s.Swap(eng)
+	// Nothing else reads the engine's boot record before Open returns.
+	boot, loaded := eng.Boot(), time.Now()
+	defer func() {
+		boot.ReplayedRecords, boot.ReplayMs = s.replayed, engine.Ms(time.Since(loaded))
+		boot.TotalMs = engine.Ms(time.Since(start))
+	}()
 
 	segs, err := listSeqFiles(s.fs, s.dir, segPrefix, segSuffix)
 	if err != nil {
@@ -1095,13 +1124,14 @@ func (s *Store) syncLoop() {
 // and the checkpoint abandoned as a dying process would leave them — and
 // release the directory lock.
 func (s *Store) shut(crash bool) error {
+	// One teardown at a time, start to finish: a second Close returns only
+	// once the store is closed, like Follower.shut's.
+	s.closeMu.Lock()
+	defer s.closeMu.Unlock()
 	if s.stopSync != nil {
-		select {
-		case <-s.stopSync:
-		default:
-			close(s.stopSync)
-		}
+		close(s.stopSync)
 		s.syncWG.Wait()
+		s.stopSync = nil
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
