@@ -357,7 +357,7 @@ func BenchmarkAblationParallelUsage(b *testing.B) {
 // BenchmarkProvstoreSnapshot measures the storage layer: saving and
 // loading a whole annotated database through the deduplicating codec.
 // save reports snapshot_bytes, the size of the file: a function of the
-// state alone, so CI gates it at no growth at all.
+// state alone, so TestBenchCeilings holds it at no growth at all.
 func BenchmarkProvstoreSnapshot(b *testing.B) {
 	cfg := workload.Default(benchScale)
 	initial, txns := syntheticWorkload(b, cfg)
@@ -391,7 +391,8 @@ func BenchmarkProvstoreSnapshot(b *testing.B) {
 // BenchmarkIngestParse measures the server's front end on the bodies
 // the wire benchmark's oltp_point sends: TPC-C transactions, one SQL
 // log each. borrowed is the path /v1/ingest takes — ParseSQLBatch over
-// the body's bytes, released after each — and its B/op, gated in CI, is
+// the body's bytes, released after each — and its B/op (held per
+// transaction by internal/parser's TestBatchAllocsWhatTheEngineKeeps) is
 // what an engine keeps of a transaction: rows and a label. owned is
 // ParseSQLLog, whose result the collector owns whole. One op parses
 // all the bodies.
@@ -438,7 +439,8 @@ func BenchmarkIngestParse(b *testing.B) {
 // BenchmarkCheckpointEncode measures the encode stage of a checkpoint,
 // which runs on a pinned view beside the writers: SaveSnapshot of the
 // state 5 000 TPC-C transactions leave, to io.Discard. B/op — the id
-// index and the string dictionary, nothing per row — is gated in CI.
+// index and the string dictionary, nothing per row — is held per byte
+// written by internal/provstore's TestSaveSnapshotAllocsPerByteWritten.
 func BenchmarkCheckpointEncode(b *testing.B) {
 	g := tpcc.NewGenerator(tpcc.Scaled(benchScale))
 	initial, err := g.InitialDatabase()
@@ -471,9 +473,9 @@ func BenchmarkCheckpointEncode(b *testing.B) {
 // intern head arrays reserved). snapshot_tpcc12k is oltp_point's
 // recovery: the snapshot of the state its 12 000 TPC-C transactions
 // leave, through provstore.LoadSnapshot (decode beside restore). Both
-// report rows/s; B/op is gated in CI. The intern table is process-global,
-// so only a first op (-benchtime 1x in a fresh process) names its rows as
-// a cold start does; later ones find every name.
+// report rows/s; TestBenchCeilings holds B/op. The intern table is
+// process-global, so only a first op (-benchtime 1x in a fresh process)
+// names its rows as a cold start does; later ones find every name.
 func BenchmarkColdStart(b *testing.B) {
 	report := func(b *testing.B, rows int) {
 		b.ReportMetric(float64(rows)*float64(b.N)/b.Elapsed().Seconds(), "rows/s")
@@ -528,11 +530,10 @@ func BenchmarkColdStart(b *testing.B) {
 // storage — on the wire benchmark's oltp_point op list (seed 1, 12 000
 // TPC-C transactions; internal/engine's TestApplyAllocsPerTxn gates the
 // same run per transaction). One op applies the whole list to a fresh
-// engine built off the clock; B/op is gated in CI. Expression nodes are
-// interned once per process — by the first op, or by a TPC-C benchmark
-// that ran before it — so compare runs of equal b.N and -bench set
-// (bench/baseline.json: one op after the bench-smoke set, 130 MB). For
-// the same reason this benchmark cannot see the expr-intern stage: the
+// engine built off the clock. Expression nodes are interned once per
+// process — by the first op, or by a TPC-C benchmark that ran before it
+// — so compare runs of equal b.N and -bench set (one op after the
+// bench-smoke set reads 130 MB). For the same reason this benchmark cannot see the expr-intern stage: the
 // table is process-global and warm after the first iteration, so every
 // later op finds every node — at -benchtime 2x, 119 377 712 B/op with a
 // Go map entry, a 96-byte node and an operand slice per node,

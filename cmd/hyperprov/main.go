@@ -35,6 +35,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -72,39 +73,21 @@ func main() {
 		}
 		return
 	}
-	data := dataFlags{}
-	flag.Var(data, "data", "relation data as Relation=file.csv (repeatable)")
-	logPath := flag.String("log", "", "transaction log file")
-	syntax := flag.String("syntax", "sql", "log syntax: sql or datalog")
-	mode := flag.String("mode", "nf", "provenance mode: nf (normal form) or naive")
-	show := flag.String("show", "", "relation to print (default: all)")
-	abort := flag.String("abort", "", "comma-separated transaction labels to abort hypothetically")
-	minimize := flag.Bool("minimize", true, "apply the zero-axiom minimization to printed annotations")
-	all := flag.Bool("all", false, "include tombstoned tuples (outside the live database)")
-	explain := flag.Bool("explain", false, "print a human-readable account of each annotation")
-	saveSnap := flag.String("save-snapshot", "", "write the annotated database to this file after the run")
-	loadSnap := flag.String("load-snapshot", "", "restore an annotated database instead of loading CSV data (-data is then ignored)")
-	shards := flag.Int("shards", 1, "partition the engine's rows across N storage shards with independent write locks")
-	autoIndex := flag.Int("autoindex", 0, "auto-build a column index after N =-pinned scans without one (0 disables the advisor)")
-	dataDir := flag.String("data-dir", "", "persist to a write-ahead-logged directory (bootstrapped from -data on first use, recovered afterwards)")
-	syncPolicy := flag.String("sync", "always", "WAL durability: always, interval, or never (with -data-dir)")
-	ckptEvery := flag.Int("checkpoint-every", 0, "checkpoint after N logged records, 0 = only when the run finishes (with -data-dir)")
-	asOf := flag.Int64("as-of", -1, "print the database as of this MVCC epoch instead of the latest state (-1 = latest; epoch 0 is the initial load, each applied batch commits one more)")
+	var cfg runConfig
+	cfg.register(flag.CommandLine, "transaction log file", "-data is", "when the run finishes")
+	flag.StringVar(&cfg.show, "show", "", "relation to print (default: all)")
+	flag.StringVar(&cfg.abort, "abort", "", "comma-separated transaction labels to abort hypothetically")
+	flag.BoolVar(&cfg.minimize, "minimize", true, "apply the zero-axiom minimization to printed annotations")
+	flag.BoolVar(&cfg.all, "all", false, "include tombstoned tuples (outside the live database)")
+	flag.BoolVar(&cfg.explain, "explain", false, "print a human-readable account of each annotation")
+	flag.StringVar(&cfg.saveSnap, "save-snapshot", "", "write the annotated database to this file after the run")
+	flag.Int64Var(&cfg.asOf, "as-of", -1, "print the database as of this MVCC epoch instead of the latest state (-1 = latest; epoch 0 is the initial load, each applied batch commits one more)")
 	flag.Parse()
 
-	persistent := *dataDir != ""
-	if *loadSnap == "" && !persistent && (len(data) == 0 || *logPath == "") {
+	if cfg.loadSnap == "" && cfg.dataDir == "" && (len(cfg.data) == 0 || cfg.logPath == "") {
 		fmt.Fprintln(os.Stderr, "usage: hyperprov -data Rel=file.csv -log txns.sql [flags]")
 		flag.PrintDefaults()
 		os.Exit(2)
-	}
-	cfg := runConfig{
-		data: data, logPath: *logPath, syntax: *syntax, mode: *mode,
-		show: *show, abort: *abort, minimize: *minimize, all: *all,
-		explain: *explain, saveSnap: *saveSnap, loadSnap: *loadSnap,
-		shards: *shards, autoIndex: *autoIndex,
-		dataDir: *dataDir, syncPolicy: *syncPolicy, ckptEvery: *ckptEvery,
-		asOf: *asOf,
 	}
 	if err := run(cfg); err != nil {
 		fmt.Fprintln(os.Stderr, "hyperprov:", err)
@@ -112,22 +95,91 @@ func main() {
 	}
 }
 
+// source is what both commands are told about the database they open:
+// where it comes from (a data directory, a snapshot or CSV files), the
+// log to apply to it and how its engine is set up.
+type source struct {
+	data       dataFlags
+	logPath    string
+	syntax     string
+	mode       string
+	loadSnap   string
+	shards     int
+	autoIndex  int
+	dataDir    string
+	syncPolicy string
+	ckptEvery  int
+}
+
+// register declares the source's flags on fs. The three arguments are
+// where the commands' help differs: what -log is, what -load-snapshot
+// makes moot, and when a store is checkpointed under -checkpoint-every 0.
+func (s *source) register(fs *flag.FlagSet, logUse, snapIgnores, ckptAtZero string) {
+	s.data = dataFlags{}
+	fs.Var(s.data, "data", "relation data as Relation=file.csv (repeatable)")
+	fs.StringVar(&s.logPath, "log", "", logUse)
+	fs.StringVar(&s.syntax, "syntax", "sql", "log syntax: sql or datalog")
+	fs.StringVar(&s.mode, "mode", "nf", "provenance mode: nf (normal form) or naive")
+	fs.StringVar(&s.loadSnap, "load-snapshot", "", "restore an annotated database instead of loading CSV data ("+snapIgnores+" then ignored)")
+	fs.IntVar(&s.shards, "shards", 1, "partition the engine's rows across N storage shards with independent write locks")
+	fs.IntVar(&s.autoIndex, "autoindex", 0, "auto-build a column index after N =-pinned scans without one (0 disables the advisor)")
+	fs.StringVar(&s.dataDir, "data-dir", "", "persist to a write-ahead-logged directory (bootstrapped from -data on first use, recovered afterwards)")
+	fs.StringVar(&s.syncPolicy, "sync", "always", "WAL durability: always, interval, or never (with -data-dir)")
+	fs.IntVar(&s.ckptEvery, "checkpoint-every", 0, "checkpoint after N logged records, 0 = only "+ckptAtZero+" (with -data-dir)")
+}
+
+// engineOptions are the engine settings the flags select. They are
+// access paths only: annotations and snapshots are identical in every
+// configuration.
+func (s *source) engineOptions() []engine.Option {
+	return []engine.Option{engine.WithShards(s.shards), engine.WithAutoIndex(s.autoIndex)}
+}
+
+// open opens the database the flags name: the data directory, else the
+// snapshot, else the CSV files. finish closes it.
+func (s *source) open() (engine.DB, error) {
+	switch {
+	case s.dataDir != "":
+		if s.loadSnap != "" {
+			return nil, errors.New("-load-snapshot cannot be combined with -data-dir (the directory has its own checkpoints)")
+		}
+		return s.openStore()
+	case s.loadSnap != "":
+		f, err := os.Open(s.loadSnap)
+		if err != nil {
+			return nil, err
+		}
+		defer f.Close()
+		snap, err := provstore.LoadSnapshot(f, s.engineOptions()...)
+		if err != nil {
+			return nil, err
+		}
+		return snap, nil
+	default:
+		return s.loadCSV()
+	}
+}
+
+// finish closes what open returned. For a data directory that is one
+// final checkpoint, so that the next start restores from a snapshot
+// instead of replaying the whole log (its failure is worth a line, no
+// more: the log holds everything), then the Close that releases the
+// directory lock; for an engine in memory, nothing.
+func finish(e engine.DB) (ckptErr, closeErr error) {
+	if st, persistent := e.(*wal.Store); persistent {
+		return st.Checkpoint(), st.Close()
+	}
+	return nil, nil
+}
+
 type runConfig struct {
-	data               dataFlags
-	logPath            string
-	syntax             string
-	mode               string
-	show               string
-	abort              string
-	minimize, all      bool
-	explain            bool
-	saveSnap, loadSnap string
-	shards             int
-	autoIndex          int
-	dataDir            string
-	syncPolicy         string
-	ckptEvery          int
-	asOf               int64
+	source
+	show          string
+	abort         string
+	minimize, all bool
+	explain       bool
+	saveSnap      string
+	asOf          int64
 }
 
 func parseMode(name string) (engine.Mode, error) {
@@ -185,59 +237,57 @@ func bootedFromCSV(e *engine.Engine, read time.Duration) {
 	}
 }
 
-// loadCSVEngine builds an in-memory engine from the -data CSV files.
-// Options select the shard count or the index advisor — annotations
-// and snapshots are identical in every configuration.
-func loadCSVEngine(data dataFlags, modeName string, opts ...engine.Option) (engine.DB, []string, error) {
-	m, err := parseMode(modeName)
+// loadCSV builds an in-memory engine from the -data CSV files.
+func (s *source) loadCSV() (engine.DB, error) {
+	m, err := parseMode(s.mode)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	var read time.Duration
-	schema, rows, err := csvSource(data, &read)()
+	schema, rows, err := csvSource(s.data, &read)()
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	e, err := engine.Load(m, schema, rows, opts...)
+	e, err := engine.Load(m, schema, rows, s.engineOptions()...)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	bootedFromCSV(e, read)
 	e.Boot().TotalMs += engine.Ms(read)
-	return e, schema.Names(), nil
+	return e, nil
 }
 
 // openStore opens (or bootstraps) the persistent store in -data-dir.
 // CSV data, when given, seeds a fresh directory only; an existing one
 // recovers from its latest checkpoint plus the log suffix and the CSV
 // files are not read.
-func openStore(dir, syncName, modeName string, ckptEvery int, data dataFlags, engOpts []engine.Option) (*wal.Store, []string, error) {
-	pol, err := wal.ParseSyncPolicy(syncName)
+func (s *source) openStore() (engine.DB, error) {
+	pol, err := wal.ParseSyncPolicy(s.syncPolicy)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	m, err := parseMode(modeName)
+	m, err := parseMode(s.mode)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	opts := []wal.Option{
 		wal.WithMode(m),
 		wal.WithSync(pol),
-		wal.WithEngineOptions(engOpts...),
+		wal.WithEngineOptions(s.engineOptions()...),
 	}
-	if ckptEvery > 0 {
-		opts = append(opts, wal.WithCheckpointEvery(uint64(ckptEvery)))
+	if s.ckptEvery > 0 {
+		opts = append(opts, wal.WithCheckpointEvery(uint64(s.ckptEvery)))
 	}
 	var read time.Duration
-	if len(data) > 0 {
-		opts = append(opts, wal.WithInitialSource(csvSource(data, &read)))
+	if len(s.data) > 0 {
+		opts = append(opts, wal.WithInitialSource(csvSource(s.data, &read)))
 	}
-	st, err := wal.Open(dir, opts...)
+	st, err := wal.Open(s.dataDir, opts...)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	bootedFromCSV(st.Engine(), read)
-	return st, st.Schema().Names(), nil
+	return st, nil
 }
 
 // parseLog parses a transaction log in the given syntax.
@@ -253,50 +303,21 @@ func parseLog(e engine.DB, syntax, src string) ([]db.Transaction, error) {
 }
 
 func run(cfg runConfig) error {
-	var e engine.DB
-	var txns []db.Transaction
-	var names []string
-
-	opts := []engine.Option{engine.WithShards(cfg.shards), engine.WithAutoIndex(cfg.autoIndex)}
-	switch {
-	case cfg.dataDir != "":
-		if cfg.loadSnap != "" {
-			return fmt.Errorf("-load-snapshot cannot be combined with -data-dir (the directory has its own checkpoints)")
-		}
-		st, ns, err := openStore(cfg.dataDir, cfg.syncPolicy, cfg.mode, cfg.ckptEvery, cfg.data, opts)
-		if err != nil {
-			return err
-		}
-		defer func() {
-			// Fold the whole run into one checkpoint so the next open
-			// starts from a snapshot instead of replaying the log.
-			if err := st.Checkpoint(); err != nil {
-				fmt.Fprintln(os.Stderr, "hyperprov: final checkpoint:", err)
-			}
-			if err := st.Close(); err != nil {
-				fmt.Fprintln(os.Stderr, "hyperprov: close:", err)
-			}
-		}()
-		e, names = st, ns
-	case cfg.loadSnap != "":
-		f, err := os.Open(cfg.loadSnap)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		e, err = provstore.LoadSnapshot(f, opts...)
-		if err != nil {
-			return err
-		}
-		names = e.Schema().Names()
-	default:
-		var err error
-		e, names, err = loadCSVEngine(cfg.data, cfg.mode, opts...)
-		if err != nil {
-			return err
-		}
+	e, err := cfg.open()
+	if err != nil {
+		return err
 	}
+	defer func() {
+		ckptErr, closeErr := finish(e)
+		if ckptErr != nil {
+			fmt.Fprintln(os.Stderr, "hyperprov: final checkpoint:", ckptErr)
+		}
+		if closeErr != nil {
+			fmt.Fprintln(os.Stderr, "hyperprov: close:", closeErr)
+		}
+	}()
 
+	var txns []db.Transaction
 	if cfg.logPath != "" {
 		logSrc, err := os.ReadFile(cfg.logPath)
 		if err != nil {
@@ -333,7 +354,7 @@ func run(cfg runConfig) error {
 		fmt.Printf("-- hypothetical database with transactions aborted: %s\n", cfg.abort)
 	}
 
-	printRels := names
+	printRels := r.Schema().Names()
 	if cfg.show != "" {
 		printRels = []string{cfg.show}
 	}

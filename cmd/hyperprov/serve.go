@@ -15,7 +15,6 @@ import (
 
 	"hyperprov/internal/admission"
 	"hyperprov/internal/engine"
-	"hyperprov/internal/provstore"
 	"hyperprov/internal/server"
 	"hyperprov/internal/wal"
 )
@@ -27,20 +26,11 @@ import (
 // then shuts down gracefully.
 func runServe(args []string) error {
 	fs := flag.NewFlagSet("hyperprov serve", flag.ExitOnError)
-	data := dataFlags{}
-	fs.Var(data, "data", "relation data as Relation=file.csv (repeatable)")
+	var src source
+	src.register(fs, "transaction log to ingest in the background after startup", "-data and -mode are", "via POST /v1/checkpoint and shutdown")
 	addr := fs.String("addr", ":8080", "listen address")
-	logPath := fs.String("log", "", "transaction log to ingest in the background after startup")
-	syntax := fs.String("syntax", "sql", "log syntax: sql or datalog")
-	mode := fs.String("mode", "nf", "provenance mode: nf (normal form) or naive")
-	loadSnap := fs.String("load-snapshot", "", "restore an annotated database instead of loading CSV data (-data and -mode are then ignored)")
-	shards := fs.Int("shards", 1, "partition the engine's rows across N storage shards with independent write locks")
-	autoIndex := fs.Int("autoindex", 0, "auto-build a column index after N =-pinned scans without one (0 disables the advisor)")
 	timeout := fs.Duration("timeout", server.DefaultTimeout, "per-request timeout (0 disables)")
 	grace := fs.Duration("shutdown-grace", 10*time.Second, "how long in-flight requests may finish on shutdown")
-	dataDir := fs.String("data-dir", "", "persist to a write-ahead-logged directory (bootstrapped from -data on first use, recovered afterwards)")
-	syncPolicy := fs.String("sync", "always", "WAL durability: always, interval, or never (with -data-dir)")
-	ckptEvery := fs.Int("checkpoint-every", 0, "checkpoint after N logged records, 0 = only via POST /v1/checkpoint and shutdown (with -data-dir)")
 	follow := fs.String("follow", "", "run as a read replica of the leader at this base URL (e.g. http://leader:8080); requires -data-dir, refuses writes")
 	pprofOn := fs.Bool("pprof", false, "expose net/http/pprof under /debug/pprof/ (heap and allocs profiles verify the zero-allocation read path)")
 	maxInflight := fs.Int("max-inflight", 0, "concurrent expensive requests (db dumps, what-ifs, snapshot saves); 0 = unlimited")
@@ -56,21 +46,20 @@ func runServe(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if *loadSnap == "" && len(data) == 0 && *dataDir == "" {
+	if src.loadSnap == "" && len(src.data) == 0 && src.dataDir == "" {
 		fs.Usage()
 		return errors.New("need -data Rel=file.csv, -load-snapshot, or -data-dir")
 	}
 	if *follow != "" {
 		switch {
-		case *dataDir == "":
+		case src.dataDir == "":
 			return errors.New("-follow needs -data-dir for the replica's local WAL")
-		case len(data) > 0, *loadSnap != "", *logPath != "":
+		case len(src.data) > 0, src.loadSnap != "", src.logPath != "":
 			return errors.New("-follow replicates from the leader; -data, -load-snapshot and -log do not apply")
 		}
 	}
 
 	logger := log.New(os.Stderr, "hyperprov: ", log.LstdFlags)
-	engOpts := []engine.Option{engine.WithShards(*shards), engine.WithAutoIndex(*autoIndex)}
 	admCfg := admission.Unlimited()
 	admCfg.MinService = *minService
 	for class, limit := range map[admission.Class]int{
@@ -95,74 +84,52 @@ func runServe(args []string) error {
 		server.WithAdmission(admCfg),
 		server.WithMaxBodyBytes(*maxBody),
 	}
-	var srv *server.Server
-	var store *wal.Store
+	var served engine.DB
 	var follower *wal.Follower
-	switch {
-	case *follow != "":
-		sp, err := wal.ParseSyncPolicy(*syncPolicy)
+	if *follow != "" {
+		sp, err := wal.ParseSyncPolicy(src.syncPolicy)
 		if err != nil {
 			return err
 		}
 		walOpts := []wal.Option{
 			wal.WithSync(sp),
-			wal.WithCheckpointEvery(uint64(*ckptEvery)),
-			wal.WithEngineOptions(engOpts...),
+			wal.WithCheckpointEvery(uint64(src.ckptEvery)),
+			wal.WithEngineOptions(src.engineOptions()...),
 			wal.WithReconnectBudget(*reconnectBudget, 0),
 			wal.WithStreamStallTimeout(*stallTimeout),
 		}
 		// Bound only the initial bootstrap wait; once the local engine
 		// exists the follower reconnects forever on its own.
 		bootCtx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
-		fl, err := wal.OpenFollower(bootCtx, *dataDir, wal.HTTPSource(*follow, nil), walOpts...)
+		fl, err := wal.OpenFollower(bootCtx, src.dataDir, wal.HTTPSource(*follow, nil), walOpts...)
 		cancel()
 		if err != nil {
 			return fmt.Errorf("opening follower: %w", err)
 		}
-		follower = fl
-		srv = server.New(fl, srvOpts...)
+		served, follower = fl, fl
 		rs := fl.ReplicaStats()
-		logger.Printf("following %s from %s at LSN %d (leader LSN %d)", *follow, *dataDir, rs.AppliedLSN, rs.LeaderLSN)
-	case *dataDir != "":
-		if *loadSnap != "" {
-			return errors.New("-load-snapshot cannot be combined with -data-dir (the directory has its own checkpoints)")
-		}
-		st, _, err := openStore(*dataDir, *syncPolicy, *mode, *ckptEvery, data, engOpts)
-		if err != nil {
+		logger.Printf("following %s from %s at LSN %d (leader LSN %d)", *follow, src.dataDir, rs.AppliedLSN, rs.LeaderLSN)
+	} else {
+		var err error
+		if served, err = src.open(); err != nil {
 			return err
 		}
-		store = st
-		srv = server.New(st, srvOpts...)
-		logger.Printf("persistent store %s at LSN %d (sync=%s)", *dataDir, st.Stats().LSN, *syncPolicy)
-	case *loadSnap != "":
-		f, err := os.Open(*loadSnap)
-		if err != nil {
-			return err
+		if st, persistent := served.(*wal.Store); persistent {
+			logger.Printf("persistent store %s at LSN %d (sync=%s)", src.dataDir, st.Stats().LSN, src.syncPolicy)
 		}
-		e, err := provstore.LoadSnapshot(f, engOpts...)
-		f.Close()
-		if err != nil {
-			return err
-		}
-		srv = server.New(e, srvOpts...)
-	default:
-		e, _, err := loadCSVEngine(data, *mode, engOpts...)
-		if err != nil {
-			return err
-		}
-		srv = server.New(e, srvOpts...)
 	}
+	srv := server.New(served, srvOpts...)
 	srv.PublishExpvar("hyperprov")
 	logger.Printf("serving %d rows (%s) on %s; boot %+v", srv.Engine().NumRows(), srv.Engine().Mode(), *addr, engine.BootOf(srv.Engine()))
 
 	// Background ingestion: the engine answers reads at transaction
 	// granularity while the log applies.
-	if *logPath != "" {
-		src, err := os.ReadFile(*logPath)
+	if src.logPath != "" {
+		text, err := os.ReadFile(src.logPath)
 		if err != nil {
 			return err
 		}
-		txns, err := parseLog(srv.Engine(), *syntax, string(src))
+		txns, err := parseLog(srv.Engine(), src.syntax, string(text))
 		if err != nil {
 			return err
 		}
@@ -172,7 +139,7 @@ func runServe(args []string) error {
 				logger.Printf("background ingestion failed: %v", err)
 				return
 			}
-			logger.Printf("ingested %d transactions from %s in %v", len(txns), *logPath, time.Since(start).Round(time.Millisecond))
+			logger.Printf("ingested %d transactions from %s in %v", len(txns), src.logPath, time.Since(start).Round(time.Millisecond))
 		}()
 	}
 
@@ -218,21 +185,17 @@ func runServe(args []string) error {
 	if err := httpSrv.Shutdown(shutdownCtx); err != nil {
 		return fmt.Errorf("shutdown: %w", err)
 	}
-	if store != nil {
-		// One final checkpoint so the next start restores from a
-		// snapshot instead of replaying the whole log, then release the
-		// directory lock.
-		if err := store.Checkpoint(); err != nil {
-			logger.Printf("final checkpoint: %v", err)
-		}
-		if err := store.Close(); err != nil {
-			return fmt.Errorf("closing store: %w", err)
-		}
-	}
 	if follower != nil {
 		if err := follower.Close(); err != nil {
 			return fmt.Errorf("closing follower: %w", err)
 		}
+	}
+	ckptErr, closeErr := finish(served)
+	if ckptErr != nil {
+		logger.Printf("final checkpoint: %v", ckptErr)
+	}
+	if closeErr != nil {
+		return fmt.Errorf("closing store: %w", closeErr)
 	}
 	logger.Printf("bye")
 	return nil

@@ -139,7 +139,9 @@ type DB = engine.DB
 // Reader is the lock-free read surface shared by live engines and
 // pinned time-travel views: annotation lookup, deterministic row
 // streaming and the size measures, all resolved against one committed
-// MVCC horizon.
+// MVCC horizon. It is sealed: a type of another package is a Reader by
+// embedding one (an engine, a view, a store), not by declaring the
+// methods.
 type Reader = engine.Reader
 
 // View is a read-only database pinned at one MVCC horizon, as returned

@@ -6,7 +6,6 @@ import (
 	"io"
 	"time"
 
-	"hyperprov/internal/core"
 	"hyperprov/internal/db"
 	"hyperprov/internal/engine"
 	"hyperprov/internal/tpcc"
@@ -340,7 +339,3 @@ func Ablations(w io.Writer, scale float64) error {
 	tbl.Fprint(w)
 	return nil
 }
-
-// AnnotOf recomputes the initial annotation used by RunOverhead for a
-// tuple, for callers that need to target it in valuations.
-func AnnotOf(rel string, t db.Tuple) core.Annot { return KeyAnnot(rel, t) }

@@ -75,7 +75,9 @@ func (u Update) RouteTuples() (tuples []Tuple, ok bool) {
 		return []Tuple{t}, true
 	case OpModify:
 		t, pinned := u.Sel.PinnedTuple()
-		if !pinned {
+		if !pinned || len(u.Set) > len(t) {
+			// More SET clauses than attributes has no target; Validate
+			// rejects the update wherever it would apply.
 			return nil, false
 		}
 		return []Tuple{t, u.Target(t)}, true

@@ -58,9 +58,6 @@ var strShards = func() *[strShardCount]strShard {
 	return &tab
 }()
 
-// internStrCount counts distinct interned strings (for stats).
-var internStrCount atomic.Int64
-
 // strShardFor hashes the payload (FNV-1a) and folds to a shard index.
 func strShardFor(s string) uint64 {
 	h := fnvOffset64
@@ -99,7 +96,6 @@ func internString(s string) uint32 {
 		}
 		sh.n.Store(local + 1)
 		sh.ids[s] = id
-		internStrCount.Add(1)
 	}
 	sh.mu.Unlock()
 	return id
@@ -113,14 +109,4 @@ func lookupString(id uint32) string {
 		panic(fmt.Sprintf("db: unknown string id %d", id))
 	}
 	return (*sh.strs.Load())[idx]
-}
-
-// StringInternStats reports the size of the global string intern table.
-type StringInternStats struct {
-	Strings int64 `json:"strings"` // distinct payloads interned (excluding the reserved "")
-}
-
-// InternedStrings returns counters for the global string table.
-func InternedStrings() StringInternStats {
-	return StringInternStats{Strings: internStrCount.Load()}
 }

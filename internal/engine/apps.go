@@ -1,6 +1,8 @@
 package engine
 
 import (
+	"context"
+
 	"hyperprov/internal/core"
 	"hyperprov/internal/db"
 	"hyperprov/internal/upstruct"
@@ -11,44 +13,23 @@ import (
 // (including tombstone rows, whose values typically evaluate to the
 // structure's zero). Rows stream in deterministic order: relations in
 // schema order, rows in insertion order — identical to EachRow and
-// SpecializeParallel, and identical for every shard count — never map
-// order. This is the generic "provenance usage" operation
-// of Section 6: all applications below are thin wrappers over it, sound
-// by Proposition 4.2. The MVCC horizon is pinned once on entry (the
-// view's own horizon when e is a View), so the streamed rows form one
-// consistent epoch snapshot, lock-free against concurrent writers;
-// wrappers that forward At/Horizon (wal.Store, wal.Follower) resolve to
-// the engine underneath (see pin); the rows of several shards merge to
-// global insertion order first.
+// identical for every shard count — never map order. This is the generic
+// "provenance usage" operation of Section 6: all applications below are
+// thin wrappers over it, sound by Proposition 4.2. It is the chunk walk
+// of SpecializeParallel on the caller's goroutine alone: the MVCC horizon
+// is pinned once on entry (the view's own when e is a View, the served
+// engine's behind a wal.Store or wal.Follower), so the streamed rows form
+// one consistent epoch snapshot, lock-free against concurrent writers;
+// the rows of several shards merge to global insertion order first.
 func Specialize[T any](e Reader, s upstruct.Structure[T], env upstruct.Env[T], f func(rel string, t db.Tuple, v T)) {
-	p, ok := pin(e)
-	if !ok {
-		// Generic fallback over materialized annotations.
-		e.Rows(func(rel string, t db.Tuple, ann *core.Expr) {
-			f(rel, t, upstruct.Eval(ann, s, env))
-		})
-		return
-	}
-	for _, rel := range p.e.schema.Names() {
-		for _, r := range p.rows(rel) {
-			if ver := r.at(p.s); ver != nil {
-				f(rel, r.tuple, upstruct.EvalNF(&ver.nf, s, env))
-			}
-		}
-	}
+	_ = SpecializeParallel(context.Background(), e, s, env, 1, f) // the background context never ends
 }
 
 // BoolRestrict materializes the database selected by a Boolean
 // valuation: the result contains exactly the tuples whose provenance
-// evaluates to true.
+// evaluates to true — BoolRestrictParallel with one worker.
 func BoolRestrict(e Reader, env upstruct.Env[bool]) *db.Database {
-	out := db.NewDatabase(e.Schema())
-	Specialize[bool](e, upstruct.Bool, env, func(rel string, t db.Tuple, v bool) {
-		if v {
-			// Tuples stored by the engine conform by construction.
-			_ = out.InsertTuple(rel, t)
-		}
-	})
+	out, _ := BoolRestrictParallel(context.Background(), e, env, 1) // the background context never ends
 	return out
 }
 

@@ -27,14 +27,28 @@ var (
 )
 
 // Reader is the provenance-usage read side shared by the live engine,
-// pinned views and the persistent wrappers around them: annotation lookup, deterministic row streaming and the
-// size measures. All methods resolve against one committed MVCC
-// horizon — the newest one for a live engine, the pinned one for a
-// View — lock-free, so they never block behind (or stall) a concurrent
-// ApplyAll. The streaming methods (EachRow, Rows) visit rows in the
-// same deterministic order on every implementation and for every shard
-// count: relations in schema order, rows in global insertion order.
+// pinned views and the persistent wrappers around them: annotation
+// lookup, deterministic row streaming and the size measures. All methods
+// resolve against one committed MVCC horizon — the newest one for a live
+// engine, the pinned one for a View — lock-free, so they never block
+// behind (or stall) a concurrent ApplyAll. The streaming methods
+// (EachRow, Rows) visit rows in the same deterministic order on every
+// implementation and for every shard count: relations in schema order,
+// rows in global insertion order.
+//
+// The interface is sealed: its unexported method is declared by the
+// pinned view, the Engine and the Handle only, so another package has a
+// Reader by embedding one of them (wal.Store and wal.Follower embed a
+// Handle) or an interface holding one, never by writing the methods out.
+// Every Reader therefore is a pinned view of an engine, and the
+// valuation passes (Specialize*, BoolRestrict*, LiveChunks), ShardStatsOf
+// and BootOf walk that view's rows directly: there is no second, generic
+// implementation of them to keep in step with the first.
 type Reader interface {
+	// view pins the reader: a view answers itself, an engine (or the
+	// handle holding one) its view at the committed horizon.
+	view() view
+
 	Mode() Mode
 	Schema() *db.Schema
 	Relations() []string

@@ -33,6 +33,16 @@
 // nothing a reader can observe. DB and View stay interfaces because the
 // persistent stores of package wal implement and forward them.
 //
+// Two doors lead to the storage underneath, and both are checked. Every
+// update applies through Engine.apply, which admits what
+// db.Update.Validate admits — the hyperplane fragment: arity, kinds, no
+// repeated variable — and fails the transaction with ErrBadTuple
+// otherwise, its epoch committed and its locks released as for any failed
+// query. Every read goes through a pinned view: Reader is sealed by an
+// unexported method only the view, the Engine and the Handle declare, so
+// a Reader from another package embeds one of them and the valuation
+// passes walk native rows for whatever they are handed.
+//
 // An engine starts from rows through one bulk path: Load takes a
 // db.RowSource — a Database's rows for New, CSV batches for the server —
 // names the rows t0, t1, … in the order delivered and sizes its tables

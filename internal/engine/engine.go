@@ -408,7 +408,10 @@ func (e *Engine) route(t *db.Transaction) (set, dest []int) {
 
 // apply runs one transaction as a write epoch over its lock set: the
 // touched rows freeze and the epoch commits whether or not a query
-// fails, so a failed transaction's earlier queries stay applied.
+// fails, so a failed transaction's earlier queries stay applied. Every
+// write reaches storage through here — direct calls, batches, recovery,
+// a follower's replay — and each update passes checkUpdate right before
+// it applies.
 func (e *Engine) apply(t *db.Transaction, set, dest []int, epoch uint64) error {
 	epoch, collect := e.begin(set, epoch, t.Label)
 	var err error
@@ -417,28 +420,43 @@ func (e *Engine) apply(t *db.Transaction, set, dest []int, epoch uint64) error {
 		if dest != nil {
 			d = dest[i]
 		}
-		if aerr := e.applyUpdate(t.Updates[i], set, d); aerr != nil {
-			err = fmt.Errorf("transaction %s, query %d: %w", t.Label, i, aerr)
+		if cerr := checkUpdate(e.schema, &t.Updates[i]); cerr != nil {
+			err = fmt.Errorf("transaction %s, query %d: %w", t.Label, i, cerr)
 			break
 		}
+		e.applyUpdate(t.Updates[i], set, d)
 	}
 	e.finish(set, epoch, CommitTxn, t.Label, collect)
 	return err
 }
 
-// applyUpdate executes one update query of the open transaction: on
-// shard d when routing pinned it there (the planner then answers a
+// checkUpdate admits an update to storage, or a selection to the
+// planner: db.Update.Validate is this repository's definition of the
+// hyperplane fragment (arity, kinds, no repeated variable), the only
+// updates Prop. 3.5 and Thm. 5.3 speak about, and the storage layer
+// below indexes columns by it unguarded. It allocates nothing on an
+// update it admits.
+func checkUpdate(s *db.Schema, u *db.Update) error {
+	if err := u.Validate(s); err != nil {
+		if s.Relation(u.Rel) == nil {
+			return fmt.Errorf("engine: %w %s", ErrUnknownRelation, u.Rel)
+		}
+		return fmt.Errorf("engine: %w: %v", ErrBadTuple, err)
+	}
+	return nil
+}
+
+// applyUpdate executes one checked update query of the open transaction:
+// on shard d when routing pinned it there (the planner then answers a
 // fully constant selection with a point lookup), across the locked set
 // otherwise.
-func (e *Engine) applyUpdate(u db.Update, set []int, d int) error {
+func (e *Engine) applyUpdate(u db.Update, set []int, d int) {
 	if d < 0 {
-		return e.fanUpdate(u, set)
+		e.fanUpdate(u, set)
+		return
 	}
 	sh := e.shards[d]
 	tbl := sh.tables[u.Rel]
-	if tbl == nil {
-		return fmt.Errorf("engine: %w %s", ErrUnknownRelation, u.Rel)
-	}
 	switch u.Kind {
 	case db.OpInsert:
 		sh.insert(tbl, u.Row)
@@ -448,30 +466,21 @@ func (e *Engine) applyUpdate(u db.Update, set []int, d int) error {
 		sources := sh.scan(tbl, u)
 		e.modifyRows(sh, u, sources)
 		sh.putScanBuf(sources)
-	default:
-		return fmt.Errorf("engine: unknown update kind %v", u.Kind)
 	}
-	return nil
 }
 
-// fanUpdate executes an unpinned update on every shard of the set. (Its
+// fanUpdate executes an unpinned update — a deletion or a modification,
+// an insertion's row always pins it — on every shard of the set. (Its
 // own function: the closures move u to the heap, which a pinned update
 // must not pay for.)
-func (e *Engine) fanUpdate(u db.Update, set []int) error {
-	if e.schema.Relation(u.Rel) == nil {
-		return fmt.Errorf("engine: %w %s", ErrUnknownRelation, u.Rel)
-	}
-	switch u.Kind {
-	case db.OpDelete:
-		// Deletions touch rows in place, so shards need no coordination
-		// beyond the locks already held.
-		e.fan(set, func(_ int, sh *shard) { sh.delete(sh.tables[u.Rel], u) })
-	case db.OpModify:
+func (e *Engine) fanUpdate(u db.Update, set []int) {
+	if u.Kind == db.OpModify {
 		e.fanModify(u, set)
-	default:
-		return fmt.Errorf("engine: unknown update kind %v", u.Kind)
+		return
 	}
-	return nil
+	// Deletions touch rows in place, so shards need no coordination
+	// beyond the locks already held.
+	e.fan(set, func(_ int, sh *shard) { sh.delete(sh.tables[u.Rel], u) })
 }
 
 // fanModify evaluates an unpinned modification: every shard scans its
@@ -950,13 +959,6 @@ func (e *Engine) Stats() ShardStats {
 	return st
 }
 
-// ShardStatsOf reports the Stats of the engine serving r, looking
-// through views and persistent wrappers (see pin); ok=false on a
-// foreign Reader.
-func ShardStatsOf(r Reader) (st ShardStats, ok bool) {
-	v, ok := pin(r)
-	if !ok {
-		return ShardStats{}, false
-	}
-	return v.e.Stats(), true
-}
+// ShardStatsOf reports the Stats of the engine serving r, behind a view
+// or a persistent wrapper alike.
+func ShardStatsOf(r Reader) ShardStats { return r.view().e.Stats() }

@@ -91,6 +91,7 @@ func (h *Handle) Swap(e *Engine) {
 
 // --- the read surface, from the engine held at the moment of the call ---
 
+func (h *Handle) view() view          { return h.Engine().view() }
 func (h *Handle) Mode() Mode          { return h.Engine().Mode() }
 func (h *Handle) Schema() *db.Schema  { return h.Engine().Schema() }
 func (h *Handle) Relations() []string { return h.Engine().Relations() }

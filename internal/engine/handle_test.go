@@ -8,8 +8,40 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"hyperprov/internal/core"
+	"hyperprov/internal/db"
 	"hyperprov/internal/engine"
 )
+
+// engine.Reader is sealed. handReader writes every exported method of
+// it out and still is none: the unexported one cannot be declared from
+// another package. embedReader has it the only way such a package can —
+// by embedding a Reader, as wal.Store does through its Handle — so
+// whatever is a Reader pins a view of an engine.
+type handReader struct{}
+
+func (handReader) Mode() engine.Mode                             { return 0 }
+func (handReader) Schema() *db.Schema                            { return nil }
+func (handReader) Relations() []string                           { return nil }
+func (handReader) Annotation(string, db.Tuple) *core.Expr        { return nil }
+func (handReader) NF(string, db.Tuple) *core.NF                  { return nil }
+func (handReader) EachRow(string, func(db.Tuple, *core.Expr))    {}
+func (handReader) Rows(func(string, db.Tuple, *core.Expr))       {}
+func (handReader) Select(string, db.Pattern) ([]db.Tuple, error) { return nil, nil }
+func (handReader) NumRows() int                                  { return 0 }
+func (handReader) SupportSize() int                              { return 0 }
+func (handReader) ProvSize() int64                               { return 0 }
+func (handReader) ProvDAGSize() int64                            { return 0 }
+
+type embedReader struct{ engine.Reader }
+
+var _ engine.Reader = embedReader{}
+
+func TestReaderIsSealed(t *testing.T) {
+	if _, is := any(handReader{}).(engine.Reader); is {
+		t.Fatal("a type of another package implements engine.Reader without embedding one")
+	}
+}
 
 // handleEvents records what a handle's subscriber hears; the hook runs
 // on committing goroutines, so the record is locked.

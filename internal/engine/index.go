@@ -539,13 +539,12 @@ func (s *shard) lookupPinned(tbl *table, u db.Update, t db.Tuple) []*row {
 // columnar mirror prefilters it against the attribute's word column, so
 // non-matching rows cost one 8-byte compare and no row or version
 // pointer is chased for them. Equal words mean equal values only within
-// one kind, and nothing validates an update handed to ApplyTransaction,
-// so a constant of another kind than its attribute skips the prefilter;
-// MatchesTuple stays the decision either way.
+// one kind, which is the attribute's for every constant of an update
+// that reached storage (checkUpdate); MatchesTuple stays the decision.
 func (s *shard) fullScan(tbl *table, u db.Update) []*row {
 	rows := tbl.list.snapshot()
 	ci := firstConstTerm(u.Sel)
-	if ci < 0 || u.Sel[ci].Value().Kind() != tbl.rel.Attrs[ci].Kind {
+	if ci < 0 {
 		return s.filterRows(rows, u)
 	}
 	want := u.Sel[ci].Value().Word()
@@ -635,17 +634,13 @@ func (s *shard) planAt(tbl *table, u db.Update, h uint64) (rows []*row, none boo
 // because deletions are the pure-selection update shape the planner
 // consumes.
 func (s *shard) selectAt(rel string, sel db.Pattern, h uint64, f func(r *row)) error {
-	tbl := s.tables[rel]
-	if tbl == nil {
-		return fmt.Errorf("engine: %w %s", ErrUnknownRelation, rel)
-	}
 	u := db.Delete(rel, sel)
-	if err := u.Validate(s.schema); err != nil {
-		return fmt.Errorf("engine: %w: %v", ErrBadTuple, err)
+	if err := checkUpdate(s.schema, &u); err != nil {
+		return err
 	}
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	rows, none := s.planAt(tbl, u, h)
+	rows, none := s.planAt(s.tables[rel], u, h)
 	if none {
 		return nil
 	}

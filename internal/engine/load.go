@@ -35,14 +35,9 @@ func Ms(d time.Duration) float64 { return float64(d.Microseconds()) / 1e3 }
 // completes it before anything else can read it.
 func (e *Engine) Boot() *BootStats { return &e.boot }
 
-// BootOf reports the Boot record of the engine serving r, looking through
-// views and persistent wrappers (see pin); zero on a foreign Reader.
-func BootOf(r Reader) BootStats {
-	if v, ok := pin(r); ok {
-		return v.e.boot
-	}
-	return BootStats{}
-}
+// BootOf reports the Boot record of the engine serving r, behind a view
+// or a persistent wrapper alike.
+func BootOf(r Reader) BootStats { return r.view().e.boot }
 
 // errPipeStopped is what emit answers a producer whose consumer failed.
 var errPipeStopped = errors.New("engine: load stopped")

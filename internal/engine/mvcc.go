@@ -332,11 +332,11 @@ func (e *Engine) At(seq uint64) View {
 }
 
 // view is the database pinned at one horizon: the one implementation of
-// the Reader surface. The engine's own Reader methods are the view at
-// the committed horizon (now); At hands out a pointer, which is cheaper
-// to put behind the View interface than the two words by value. All
-// methods are lock-free reads against the version chains, except that
-// Select plans under the shards' read locks.
+// the Reader surface. The engine's own Reader methods are its view at
+// the committed horizon; At hands out a pointer, which is cheaper to put
+// behind the View interface than the two words by value. All methods are
+// lock-free reads against the version chains, except that Select plans
+// under the shards' read locks.
 type view struct {
 	e *Engine
 	s uint64
@@ -344,7 +344,9 @@ type view struct {
 
 var _ View = (*view)(nil)
 
-func (e *Engine) now() view { return view{e: e, s: e.Horizon()} }
+// view is what seals Reader (see there): every Reader resolves to one.
+func (v view) view() view    { return v }
+func (e *Engine) view() view { return view{e: e, s: e.Horizon()} }
 
 func (v view) Mode() Mode          { return v.e.mode }
 func (v view) Schema() *db.Schema  { return v.e.schema }
@@ -504,11 +506,11 @@ func (v view) ProvDAGSize() int64 {
 // committed horizon, or nil if the tuple was never stored. In
 // normal-form mode the expression is materialized from the NF
 // representation. Lock-free: concurrent transactions never block it.
-func (e *Engine) Annotation(rel string, t db.Tuple) *core.Expr { return e.now().Annotation(rel, t) }
+func (e *Engine) Annotation(rel string, t db.Tuple) *core.Expr { return e.view().Annotation(rel, t) }
 
 // NF returns the normal-form value of the tuple in ModeNormalForm at
 // the committed horizon, or nil. The returned NF must not be mutated.
-func (e *Engine) NF(rel string, t db.Tuple) *core.NF { return e.now().NF(rel, t) }
+func (e *Engine) NF(rel string, t db.Tuple) *core.NF { return e.view().NF(rel, t) }
 
 // EachRow calls f for every row of the relation visible at the
 // committed horizon (including tombstones outside the support) with its
@@ -520,19 +522,19 @@ func (e *Engine) NF(rel string, t db.Tuple) *core.NF { return e.now().NF(rel, t)
 // horizon is pinned on entry, so the visited rows form one consistent
 // epoch snapshot even while transactions commit concurrently; f may
 // freely call back into the engine.
-func (e *Engine) EachRow(rel string, f func(t db.Tuple, ann *core.Expr)) { e.now().EachRow(rel, f) }
+func (e *Engine) EachRow(rel string, f func(t db.Tuple, ann *core.Expr)) { e.view().EachRow(rel, f) }
 
 // Rows calls f for every row visible at the committed horizon —
 // relations in schema order, rows in insertion order — with the horizon
 // pinned once for the whole pass, so the visited rows form one
 // consistent cut across shards even while transactions are applied
 // concurrently. Snapshot saving uses this.
-func (e *Engine) Rows(f func(rel string, t db.Tuple, ann *core.Expr)) { e.now().Rows(f) }
+func (e *Engine) Rows(f func(rel string, t db.Tuple, ann *core.Expr)) { e.view().Rows(f) }
 
 // Select implements Reader: the tuples the selection pattern matches
 // at the committed horizon, in insertion order, through the planner.
 func (e *Engine) Select(rel string, sel db.Pattern) ([]db.Tuple, error) {
-	return e.now().Select(rel, sel)
+	return e.view().Select(rel, sel)
 }
 
 // SelectEach streams the tuples matching the selection at the
@@ -558,15 +560,15 @@ func (e *Engine) SelectEach(rel string, sel db.Pattern, f func(db.Tuple)) error 
 // horizon, including tombstones and tuples outside the support (the
 // paper's "database size" under provenance tracking, which exceeds the
 // plain database by ~2% on TPC-C).
-func (e *Engine) NumRows() int { return e.now().NumRows() }
+func (e *Engine) NumRows() int { return e.view().NumRows() }
 
 // SupportSize reports the number of visible rows whose annotation is
 // not syntactically zero.
-func (e *Engine) SupportSize() int { return e.now().SupportSize() }
+func (e *Engine) SupportSize() int { return e.view().SupportSize() }
 
 // ProvSize reports the total provenance size (tree size summed over all
 // visible rows) — the size measure of the paper's Section 6.
-func (e *Engine) ProvSize() int64 { return e.now().ProvSize() }
+func (e *Engine) ProvSize() int64 { return e.view().ProvSize() }
 
 // ProvDAGSize reports the number of distinct expression nodes backing
 // all visible annotations: shared subterms — shared within a row,
@@ -575,7 +577,7 @@ func (e *Engine) ProvSize() int64 { return e.now().ProvSize() }
 // memory for this engine's provenance, the companion measure to
 // ProvSize's per-occurrence tree count (the paper's Fig. 7b/8b report
 // the latter; the stats endpoint reports both).
-func (e *Engine) ProvDAGSize() int64 { return e.now().ProvDAGSize() }
+func (e *Engine) ProvDAGSize() int64 { return e.view().ProvDAGSize() }
 
 // --- horizon-pinned measures of one shard -------------------------------
 

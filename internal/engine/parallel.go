@@ -19,25 +19,6 @@ import (
 // evaluation.
 const walkChunkRows = 1024
 
-// pin resolves a Reader to the engine view behind it. Views carry
-// their horizon; everything else that can pin one — the live engine, and
-// wrappers forwarding At/Horizon such as wal.Store, wal.Follower or an
-// embedding struct — is pinned through its own At(Horizon()), so the
-// set of wrappers is open. ok=false means a foreign Reader that only
-// the generic Rows-based fallbacks can serve.
-func pin(r Reader) (v view, ok bool) {
-	if d, isDB := r.(interface {
-		At(seq uint64) View
-		Horizon() uint64
-	}); isDB {
-		r = d.At(d.Horizon())
-	}
-	if p, isView := r.(*view); isView {
-		return *p, true
-	}
-	return view{}, false
-}
-
 // rowChunk is one relation-homogeneous run of at most walkChunkRows
 // rows.
 type rowChunk struct {
@@ -78,10 +59,6 @@ func (v view) chunks() []rowChunk {
 	return chunks
 }
 
-// chunkWalks counts chunked passes; tests assert that wrapped readers
-// reach the walker instead of the generic fallback.
-var chunkWalks atomic.Uint64
-
 // walkChunks is the one parallel loop of the package: up to workers
 // goroutines (the caller's own when one suffices) pull chunk indexes
 // from a shared counter and run the visitor newVisit built for them, so
@@ -91,7 +68,6 @@ var chunkWalks atomic.Uint64
 // on cancellation chunks already started still complete and ctx.Err()
 // is returned.
 func walkChunks(ctx context.Context, chunks []rowChunk, workers int, newVisit func() (visit func(i int, c rowChunk), ev boolEval)) error {
-	chunkWalks.Add(1)
 	var next atomic.Int64
 	pull := func() {
 		visit, ev := newVisit()
@@ -125,9 +101,10 @@ func walkChunks(ctx context.Context, chunks []rowChunk, workers int, newVisit fu
 // the structure's operations must be pure, so evaluation parallelizes
 // trivially; f is called from multiple goroutines and must be safe for
 // concurrent use (or accumulate per chunk as LiveChunks does). With one
-// worker rows stream in Specialize's order. The MVCC horizon is pinned
-// once at entry (a View's own pinned horizon is used as-is), so the
-// pass is lock-free and consistent against concurrent writers. ctx is
+// worker rows stream in order on the caller's goroutine: that is
+// Specialize. The MVCC horizon is pinned once at entry (a View's own
+// pinned horizon is used as-is), so the pass is lock-free and
+// consistent against concurrent writers. ctx is
 // checked at chunk boundaries; on cancellation the pass stops early —
 // chunks already started still complete — and ctx.Err() is returned.
 // This is a beyond-the-paper extension: provenance usage is the
@@ -140,14 +117,7 @@ func SpecializeParallel[T any](ctx context.Context, e Reader, s upstruct.Structu
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	p, ok := pin(e)
-	if !ok {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		Specialize(e, s, env, f)
-		return nil
-	}
+	p := e.view()
 	chunks := p.chunks()
 	defer putChunkBuf(chunks)
 	visit := func(_ int, c rowChunk) {
@@ -172,14 +142,12 @@ type Chunk struct {
 // boolEval evaluates annotations under one Boolean valuation: a
 // valuation kernel, or the generic tree walk under an opaque Env.
 type boolEval interface {
-	Eval(*core.Expr) bool
 	EvalNF(*core.NF) bool
 }
 
-// envEval is the generic Eval/EvalNF in the Boolean structure.
+// envEval is the generic EvalNF in the Boolean structure.
 type envEval struct{ env upstruct.Env[bool] }
 
-func (e envEval) Eval(x *core.Expr) bool { return upstruct.Eval(x, upstruct.Bool, e.env) }
 func (e envEval) EvalNF(n *core.NF) bool { return upstruct.EvalNF(n, upstruct.Bool, e.env) }
 
 // kernelPool recycles the what-if workers' valuation kernels, so a
@@ -225,15 +193,7 @@ func liveChunks[R any](ctx context.Context, r Reader, workers int, newEval func(
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	p, ok := pin(r)
-	if !ok {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		ev := newEval()
-		defer putEval(ev)
-		return liveChunksGeneric(r, ev, visit), nil
-	}
+	p := r.view()
 	chunks := p.chunks()
 	defer putChunkBuf(chunks)
 	out := make([]R, len(chunks))
@@ -256,40 +216,14 @@ func liveChunks[R any](ctx context.Context, r Reader, workers int, newEval func(
 	return out, nil
 }
 
-// liveChunksGeneric is the sequential LiveChunks of a foreign Reader,
-// cut into the same chunk shape over materialized annotations.
-func liveChunksGeneric[R any](r Reader, ev boolEval, visit func(c Chunk, live []db.Tuple) R) []R {
-	var out []R
-	c := Chunk{}
-	live := make([]db.Tuple, 0, walkChunkRows)
-	flush := func() {
-		if c.Rows > 0 {
-			out = append(out, visit(c, live))
-		}
-		c = Chunk{}
-		live = live[:0]
-	}
-	r.Rows(func(rel string, t db.Tuple, ann *core.Expr) {
-		if rel != c.Rel || c.Rows == walkChunkRows {
-			flush()
-			c.Rel = rel
-		}
-		c.Rows++
-		if ev.Eval(ann) {
-			live = append(live, t)
-		}
-	})
-	flush()
-	return out
-}
-
 // BoolRestrictParallel materializes the database selected by a Boolean
 // valuation using parallel evaluation: the LiveChunks walk under the
 // generic evaluator (env is opaque, so there is nothing to resolve or
 // memoise), with each chunk's live tuples copied out and inserted in
-// chunk order, so the result's insertion order matches the sequential
-// BoolRestrict for any shard count (or view, or wrapper). env must be
-// safe for concurrent use. On cancellation, (nil, ctx.Err()) is returned.
+// chunk order, so the result's insertion order is the same for any
+// worker count (BoolRestrict is this with one) and shard count, view or
+// wrapper. env must be safe for concurrent use. On cancellation,
+// (nil, ctx.Err()) is returned.
 func BoolRestrictParallel(ctx context.Context, e Reader, env upstruct.Env[bool], workers int) (*db.Database, error) {
 	type hits struct {
 		rel    string

@@ -108,13 +108,12 @@ func collectReplicationStats(s *Server, e engine.DB, out map[string]any) {
 // collectShardingStats looks through persistent wrappers for the
 // engine's shard count, routing counters and row distribution.
 func collectShardingStats(s *Server, e engine.DB, out map[string]any) {
-	if st, ok := engine.ShardStatsOf(e); ok {
-		out["shards"] = st.Shards
-		out["shardRouted"] = st.Routed
-		out["shardRendezvous"] = st.Rendezvous
-		out["shardFanout"] = st.FanOut
-		out["rowsPerShard"] = st.RowsPerShard
-	}
+	st := engine.ShardStatsOf(e)
+	out["shards"] = st.Shards
+	out["shardRouted"] = st.Routed
+	out["shardRendezvous"] = st.Rendezvous
+	out["shardFanout"] = st.FanOut
+	out["rowsPerShard"] = st.RowsPerShard
 }
 
 // collectSubscriptionStats reports the live-subscription manager's

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"hyperprov/internal/db"
+	"hyperprov/internal/engine"
 )
 
 // FuzzDecodeRecord feeds arbitrary payloads, seeded with the golden
@@ -16,7 +17,11 @@ import (
 // the payload claims; what it accepts as a transaction must survive
 // encode and decode unchanged; and decoding into a recycled builder
 // with the schema's names — the replay loops' way — must give the
-// record a fresh decode gives, before and after a poisoned Reset.
+// record a fresh decode gives, before and after a poisoned Reset. And
+// whatever decodes into a transaction applies to an engine over the
+// golden schema — rows in both relations, one shard and several — without
+// a panic: the decoder bounds counts, not arities or kinds, which are
+// the engine's check.
 func FuzzDecodeRecord(f *testing.F) {
 	golden := filepath.Join("testdata", "golden")
 	meta, err := readMeta(OSFS{}, golden)
@@ -38,6 +43,11 @@ func FuzzDecodeRecord(f *testing.F) {
 	f.Add([]byte{recTxn, 0, 1, byte(db.OpDelete), 1, 'R', 0xff, 0xff, 3}) // an arity of 65 535 likewise
 	f.Add([]byte{recTxn, 0xff, 0xff, 0xff, 0x07, 'x'})                    // a 16 MB label
 
+	rows := db.Transaction{Label: "rows", Updates: []db.Update{
+		db.Insert("Parts", db.Tuple{db.I(1), db.S("bolt"), db.F(0.25)}),
+		db.Insert("Stock", db.Tuple{db.S("north"), db.I(1), db.I(40)}),
+		db.Insert("Stock", db.Tuple{db.S("south"), db.I(1), db.I(7)}),
+	}}
 	db.PoisonOnReset.Store(true)
 	f.Cleanup(func() { db.PoisonOnReset.Store(false) })
 	var replay db.Builder
@@ -84,6 +94,13 @@ func FuzzDecodeRecord(f *testing.F) {
 		}
 		if !bytes.Equal(encodeTxn(again.Txn), encoded) {
 			t.Fatal("encode(decode(encode(t))) differs from encode(t)")
+		}
+		for _, shards := range []int{1, 4} {
+			e := engine.NewEmpty(meta.mode, meta.schema, engine.WithShards(shards))
+			if err := e.ApplyTransaction(&rows); err != nil {
+				t.Fatal(err)
+			}
+			_ = e.ApplyTransaction(fresh.Txn)
 		}
 	})
 }

@@ -570,6 +570,10 @@ func (s *Store) recover(meta *metaInfo) error {
 // replay errors are deterministic re-runs of errors the original
 // process already returned, so they are not failures; decode and
 // restore errors mean the log does not match the schema — corruption.
+// The one exception is a log from a build that did not yet check each
+// update with Validate: a hand-built update it applied (a mis-kinded
+// constant, a repeated variable) is refused here, silently — README's
+// migration note.
 func (s *Store) replayRecord(payload []byte) error {
 	defer s.replay.Reset()
 	rec, err := s.decodeBorrowed(payload)
@@ -678,27 +682,6 @@ func (s *Store) appendLocked(payloads ...[]byte) error {
 	return nil
 }
 
-// checkTxn mirrors the engine's static apply checks (the only errors
-// ApplyTransaction can return). Transactions that pass never fail to
-// apply, which keeps the batched path deterministic; transactions that
-// fail are applied sequentially so the engine's partial-effect
-// semantics — and its error text — are preserved exactly.
-func (s *Store) checkTxn(t *db.Transaction) bool {
-	schema := s.Engine().Schema()
-	for i := range t.Updates {
-		u := &t.Updates[i]
-		if schema.Relation(u.Rel) == nil {
-			return false
-		}
-		switch u.Kind {
-		case db.OpInsert, db.OpDelete, db.OpModify:
-		default:
-			return false
-		}
-	}
-	return true
-}
-
 // ApplyTransaction logs the transaction, commits it per the sync
 // policy, then applies it to the engine. The engine's apply errors are
 // deterministic, so a logged transaction that fails mid-way replays to
@@ -776,12 +759,13 @@ func (s *Store) encodeChunkLocked(chunk []db.Transaction) [][]byte {
 func (s *Store) applyChunk(chunk []db.Transaction) (applied int, err error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	firstBad := len(chunk)
-	for i := range chunk {
-		if !s.checkTxn(&chunk[i]) {
-			firstBad = i
-			break
-		}
+	// A transaction fails to apply exactly when one of its updates fails
+	// db.Update.Validate, the engine's one check (checkUpdate) — find the
+	// first such.
+	schema := s.Engine().Schema()
+	firstBad := 0
+	for firstBad < len(chunk) && chunk[firstBad].Validate(schema) == nil {
+		firstBad++
 	}
 	if firstBad == len(chunk) {
 		if err := s.appendLocked(s.encodeChunkLocked(chunk)...); err != nil {
@@ -793,10 +777,11 @@ func (s *Store) applyChunk(chunk []db.Transaction) (applied int, err error) {
 		s.maybeCheckpointLocked()
 		return applied, err
 	}
-	// A transaction in this chunk will fail its static checks: fall
-	// back to the sequential path, stopping at the first error exactly
-	// like engine.ApplyAll does.
-	for i := 0; i <= firstBad && i < len(chunk); i++ {
+	// A transaction in this chunk will fail: fall back to the sequential
+	// path, stopping at the first error exactly like engine.ApplyAll does,
+	// so the engine's partial-effect semantics — and its error text — are
+	// preserved exactly.
+	for i := range chunk[:firstBad+1] {
 		if err := s.applyTxnLocked(&chunk[i]); err != nil {
 			return i, err
 		}
