@@ -603,10 +603,10 @@ func BenchmarkWALApply(b *testing.B) {
 // pinned workload (workload.GeneratePinned): every selection names one
 // concrete tuple, so the planner resolves it with an O(1) point lookup
 // on every shard count and the engine routes each transaction to the
-// one shard it touches. What is left to compare is the batch pipeline
-// (one worker per shard, the tracker's reordering) against the in-order
-// apply of a lone shard: the "speedup8" sub-benchmark reports one-shard
-// time over 8-shard time directly.
+// one shard it touches. Every shard count applies the batch in log
+// order, so what is left to compare is routing and the per-shard lock
+// sets against the lone shard's: the "speedup8" sub-benchmark reports
+// one-shard time over 8-shard time directly.
 func BenchmarkApplySharded(b *testing.B) {
 	cfg := workload.Config{Tuples: 4000, Updates: 1500, QueriesPerTxn: 1, Seed: 3}
 	initial, txns, err := workload.GeneratePinned(cfg)

@@ -121,10 +121,12 @@ func WithLiveMatching(on bool) Option {
 // Engine is a provenance-tracking database: every stored tuple carries
 // an UP[X] annotation. It is one coordinator — the epoch counter, the
 // epoch tracker that turns commits into a monotone read horizon and
-// in-order commit events, update routing and the batch pipeline — over
-// N ≥ 1 storage shards (WithShards) that partition every relation's
-// rows by tuple fingerprint, each behind its own write lock, so
-// transactions touching disjoint shards apply concurrently.
+// in-order commit events, and update routing — over N ≥ 1 storage
+// shards (WithShards) that partition every relation's rows by tuple
+// fingerprint, each behind its own write lock, so concurrent callers
+// whose transactions touch disjoint shards apply in parallel. A batch
+// is its transactions applied one after another, in log order, on
+// every shard count.
 //
 // Writes. An update whose =-constant constraints pin every attribute
 // (db.Update.RouteTuples) touches one known row and locks only the
@@ -166,9 +168,9 @@ type Engine struct {
 	// passes); it is the high half of every row sequence number.
 	epoch atomic.Uint64
 
-	// tracker converts epoch commits, which shard workers deliver out of
-	// order, into the monotone read horizon and the in-order event
-	// stream (see mvcc.go).
+	// tracker converts epoch commits, which concurrent writers on
+	// disjoint shards deliver out of order, into the monotone read
+	// horizon and the in-order event stream (see mvcc.go).
 	tracker epochTracker
 
 	// hook is the commit-event subscriber, called by the tracker. rowBufs
@@ -305,18 +307,14 @@ func (e *Engine) emit(ev CommitEvent) {
 // number, with the set's write locks held until finish; collect reports
 // whether a hook is installed and the epoch's rows are wanted. Locks are
 // taken in ascending order (the global lock order; keeps concurrent
-// multi-shard epochs deadlock-free). epoch is the number a batch
-// dispatcher already allocated in log order, or 0 to allocate one here,
-// under the locks: epochs then reach every shard in allocation order,
-// so two of them that share a shard apply in the order they are
-// numbered.
-func (e *Engine) begin(set []int, epoch uint64, label string) (uint64, bool) {
+// multi-shard epochs deadlock-free) and the epoch is allocated under
+// them, so epochs reach every shard in allocation order: two that share
+// a shard apply in the order they are numbered.
+func (e *Engine) begin(set []int, label string) (uint64, bool) {
 	for _, si := range set {
 		e.shards[si].mu.Lock()
 	}
-	if epoch == 0 {
-		epoch = e.epoch.Add(1)
-	}
+	epoch := e.epoch.Add(1)
 	collect := e.hook.Load() != nil
 	created := e.shards[set[0]].counter()
 	for _, si := range set {
@@ -409,11 +407,11 @@ func (e *Engine) route(t *db.Transaction) (set, dest []int) {
 // apply runs one transaction as a write epoch over its lock set: the
 // touched rows freeze and the epoch commits whether or not a query
 // fails, so a failed transaction's earlier queries stay applied. Every
-// write reaches storage through here — direct calls, batches, recovery,
-// a follower's replay — and each update passes checkUpdate right before
-// it applies.
-func (e *Engine) apply(t *db.Transaction, set, dest []int, epoch uint64) error {
-	epoch, collect := e.begin(set, epoch, t.Label)
+// transaction reaches storage through here — direct calls, batches,
+// recovery, a follower's replay — and each update passes checkUpdate
+// right before it applies.
+func (e *Engine) apply(t *db.Transaction, set, dest []int) error {
+	epoch, collect := e.begin(set, t.Label)
 	var err error
 	for i := range t.Updates {
 		d := 0
@@ -546,57 +544,7 @@ func (e *Engine) modifyRows(lender *shard, u db.Update, sources []*row) {
 // insertion that creates a row, nothing else.
 func (e *Engine) ApplyTransaction(t *db.Transaction) error {
 	set, dest := e.route(t)
-	return e.apply(t, set, dest, 0)
-}
-
-// shardTask is one transaction in flight through the ApplyBatch worker
-// pool.
-type shardTask struct {
-	txn       *db.Transaction
-	idx       int // position in the batch (ApplyBatch progress tracking)
-	epoch     uint64
-	set, dest []int
-	// pending counts the involved workers that have not yet reached the
-	// task; the last one to arrive executes it (the per-transaction
-	// epoch barrier), then closes done.
-	pending atomic.Int32
-	done    chan struct{}
-}
-
-// batchTracker tracks which batch positions applied successfully and
-// reports the length of the contiguous applied prefix.
-type batchTracker struct {
-	mu   sync.Mutex
-	done map[int]struct{}
-	low  int // txns[0:low] all applied
-}
-
-func newBatchTracker() *batchTracker {
-	return &batchTracker{done: make(map[int]struct{})}
-}
-
-func (t *batchTracker) complete(i int) {
-	t.mu.Lock()
-	if i != t.low {
-		t.done[i] = struct{}{}
-		t.mu.Unlock()
-		return
-	}
-	t.low++
-	for {
-		if _, ok := t.done[t.low]; !ok {
-			break
-		}
-		delete(t.done, t.low)
-		t.low++
-	}
-	t.mu.Unlock()
-}
-
-func (t *batchTracker) prefix() int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.low
+	return e.apply(t, set, dest)
 }
 
 // ApplyAll runs a sequence of transactions; see ApplyBatch, which also
@@ -606,138 +554,29 @@ func (e *Engine) ApplyAll(ctx context.Context, txns []db.Transaction) error {
 	return err
 }
 
-// ApplyBatch applies a batch of transactions and returns the length of
-// the contiguous batch prefix durably applied (and visible to readers).
-// On a nil error applied == len(txns); after a cancellation or failure,
-// txns[:applied] need not be replayed — WAL recovery and replication
-// resume from txns[applied:], and transaction applied+1 failed or was
-// never started.
-//
-// One shard applies the batch in order, one transaction per lock hold,
-// so readers observe transaction-granular progress. Several pipeline it
-// through one worker per shard: the dispatcher classifies each
-// transaction in log order and enqueues it on every involved shard's
-// queue. Single-shard transactions execute on their shard's worker
-// alone, so streaks bound for different shards apply in parallel;
-// multi-shard and fan-out transactions rendezvous — the last involved
-// worker to reach the task executes it holding all involved write
-// locks, which preserves per-shard log order (every queue is FIFO and
-// dispatch order is the log order). Because workers complete out of log
-// order, transactions after a failed one may also have applied (they
-// are deliberately not counted: the prefix is the resumable part), and
-// transactions enqueued but skipped after the first failure never
-// execute.
-//
-// txns is borrowed like ApplyTransaction's t: every worker is done with
-// it when ApplyBatch returns.
-//
-// ctx is checked before each dispatch; on cancellation or error,
-// transactions already dispatched still complete, and the first error
-// in dispatch order is returned. Routing statistics merge
-// deterministically (see Stats) because classification happens on the
-// dispatcher, in log order.
+// ApplyBatch applies a batch of transactions in log order, one
+// ApplyTransaction after another, and returns how many applied. On a nil
+// error applied == len(txns). Otherwise txns[:applied] applied,
+// txns[applied] failed — its queries before the failing one stay applied,
+// as ApplyTransaction leaves them — or was not started because ctx was
+// done (checked before each transaction), and nothing after it ran: WAL
+// recovery and replication resume from txns[applied:]. The state is the
+// same on every shard count, down to the snapshot bytes, and readers
+// observe it transaction by transaction. txns is borrowed like
+// ApplyTransaction's t.
 func (e *Engine) ApplyBatch(ctx context.Context, txns []db.Transaction) (applied int, err error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	n := len(e.shards)
-	if n == 1 {
-		for i := range txns {
-			if err := ctx.Err(); err != nil {
-				return i, err
-			}
-			if err := e.ApplyTransaction(&txns[i]); err != nil {
-				return i, err
-			}
-		}
-		return len(txns), nil
-	}
-
-	var (
-		errMu      sync.Mutex
-		firstErr   error
-		firstEpoch uint64
-	)
-	fail := func(epoch uint64, err error) {
-		errMu.Lock()
-		if firstErr == nil || epoch < firstEpoch {
-			firstErr, firstEpoch = err, epoch
-		}
-		errMu.Unlock()
-	}
-	failed := func() bool {
-		errMu.Lock()
-		defer errMu.Unlock()
-		return firstErr != nil
-	}
-	bt := newBatchTracker()
-	// run executes a task on the worker that owns it (the lone or the
-	// last involved one). Skipped tasks still commit their epoch, as an
-	// empty transaction: the horizon must not stall behind an epoch
-	// that will never run.
-	run := func(tk *shardTask) {
-		if failed() {
-			e.tracker.commit(tk.epoch, CommitEvent{})
-		} else if err := e.apply(tk.txn, tk.set, tk.dest, tk.epoch); err != nil {
-			fail(tk.epoch, err)
-		} else {
-			bt.complete(tk.idx)
-		}
-	}
-
-	queues := make([]chan *shardTask, n)
-	for i := range queues {
-		queues[i] = make(chan *shardTask, 64)
-	}
-	var wg sync.WaitGroup
-	for si := 0; si < n; si++ {
-		wg.Add(1)
-		go func(si int) {
-			defer wg.Done()
-			for tk := range queues[si] {
-				if len(tk.set) == 1 {
-					run(tk)
-					continue
-				}
-				if tk.pending.Add(-1) > 0 {
-					// Other involved workers have not reached the barrier;
-					// wait for the last of them to execute the transaction.
-					<-tk.done
-					continue
-				}
-				run(tk)
-				close(tk.done)
-			}
-		}(si)
-	}
-
 	for i := range txns {
-		if ctx.Err() != nil || failed() {
-			break
+		if err := ctx.Err(); err != nil {
+			return i, err
 		}
-		set, dest := e.route(&txns[i])
-		tk := &shardTask{txn: &txns[i], idx: i, epoch: e.epoch.Add(1), set: set, dest: dest}
-		if len(set) > 1 {
-			tk.pending.Store(int32(len(set)))
-			tk.done = make(chan struct{})
-		}
-		for _, si := range set {
-			queues[si] <- tk
+		if err := e.ApplyTransaction(&txns[i]); err != nil {
+			return i, err
 		}
 	}
-	for _, q := range queues {
-		close(q)
-	}
-	wg.Wait()
-
-	applied = bt.prefix()
-	errMu.Lock()
-	err = firstErr
-	errMu.Unlock()
-	if err != nil {
-		return applied, err
-	}
-	return applied, ctx.Err()
+	return len(txns), nil
 }
 
 // RestoreRow stores a tuple with an explicit annotation on the shard
@@ -749,7 +588,7 @@ func (e *Engine) RestoreRow(rel string, t db.Tuple, ann *core.Expr) error {
 	fp := t.Fingerprint()
 	si := db.ShardOfFingerprint(fp, len(e.shards))
 	set := e.all[si : si+1]
-	epoch, collect := e.begin(set, 0, "")
+	epoch, collect := e.begin(set, "")
 	err := e.shards[si].restoreRow(rel, t, fp, ann)
 	e.finish(set, epoch, CommitRestore, "", collect)
 	return err
@@ -770,7 +609,7 @@ type restoreItem struct {
 // these go in, so add answers for an earlier row's failure, and Restore
 // returns the first failure in row order, a store's before fill's own.
 func (e *Engine) Restore(fill func(add func(rel string, t db.Tuple, ann *core.Expr) error) error) error {
-	epoch, collect := e.begin(e.all, 0, "")
+	epoch, collect := e.begin(e.all, "")
 	defer e.finish(e.all, epoch, CommitRestore, "", collect)
 	_, _, err := pipe(func(emit func([]restoreItem) error) error {
 		batch := make([]restoreItem, 0, 256)
@@ -809,7 +648,7 @@ func (e *Engine) Restore(fill func(add func(rel string, t db.Tuple, ann *core.Ex
 // (minimization is idempotent and preserves equivalence, so a partial
 // pass is still a correct state).
 func (e *Engine) MinimizeAll(ctx context.Context) (int64, error) {
-	epoch, collect := e.begin(e.all, 0, "")
+	epoch, collect := e.begin(e.all, "")
 	sizes := make([]int64, len(e.shards))
 	errs := make([]error, len(e.shards))
 	e.fan(e.all, func(i int, sh *shard) { sizes[i], errs[i] = sh.minimize(ctx) })

@@ -71,8 +71,9 @@ type postingList struct {
 }
 
 // insert adds a row, keeping position order. New rows carry the largest
-// position and append; a revived row (compacted away while dead)
-// re-enters at its sorted position. Returns false if already present.
+// position and append; a revived row — matchable again, and possibly
+// compacted out of the list while it was not — re-enters by binary search
+// on its unique position. Returns false if already present.
 func (pl *postingList) insert(r *row) bool {
 	n := len(pl.rows)
 	if n == 0 || pl.rows[n-1].pos < r.pos {
@@ -242,7 +243,7 @@ func (s *shard) buildIndex(rel, attr string, since uint64) error {
 // state. Unmatchable rows (tombstones under live matching, syntactic
 // zeros) are skipped — they are exactly what compaction would drop —
 // and re-enter their lists if they ever become matchable again (see
-// indexRevive).
+// indexAdd).
 func (s *shard) buildColIndexLocked(tbl *table, ti *tableIndexes, col int, auto bool, since uint64) *colIndex {
 	ix := &colIndex{
 		col:     col,
@@ -331,9 +332,8 @@ func (s *shard) indexStats() []IndexInfo {
 
 // --- maintenance hooks --------------------------------------------------
 
-// indexAdd registers a newly created row with every index of its table.
-// New rows carry the largest position, so this is an append on every
-// touched posting list.
+// indexAdd registers a row that is new or matchable again with every
+// index of its table (see postingList.insert).
 func (s *shard) indexAdd(tbl *table, r *row) {
 	ti := s.idx.tables[tbl.rel.Name]
 	if ti == nil {
@@ -374,15 +374,6 @@ func (s *shard) indexDead(tbl *table, r *row) {
 			s.compact(ix, pl)
 		}
 	}
-}
-
-// indexRevive re-registers a row that became matchable again (an
-// insertion or modification target landing on a tombstoned tuple, or a
-// snapshot restore overwriting one). The row may have been compacted
-// out of any subset of its lists, so each list is checked by binary
-// search on the row's unique position.
-func (s *shard) indexRevive(tbl *table, r *row) {
-	s.indexAdd(tbl, r)
 }
 
 // compact drops the unmatchable rows of one posting list in place,
@@ -552,10 +543,7 @@ func (s *shard) fullScan(tbl *table, u db.Update) []*row {
 	left := rows
 	for _, words := range tbl.cols.cols[ci].chunks() {
 		words = words[:min(len(words), len(left))]
-		for i, w := range words {
-			if w != want {
-				continue
-			}
+		for i := indexWord(words, want); i < len(words); i += 1 + indexWord(words[i+1:], want) {
 			if r := left[i]; s.matchable(r) && u.MatchesTuple(r.tuple) {
 				out = append(out, r)
 			}
@@ -564,6 +552,23 @@ func (s *shard) fullScan(tbl *table, u db.Update) []*row {
 	}
 	s.idx.examined(len(rows), len(out))
 	return out
+}
+
+// indexWord returns the index of the first word equal to want, or
+// len(words). It is the hot loop of every full scan, kept out of line on
+// purpose: at the head of its own 32-byte-aligned function the loop never
+// straddles a 64-byte line, while inlined into fullScan its speed moved by
+// a third with unrelated edits elsewhere in the binary (EXPERIMENTS.md,
+// PR 25).
+//
+//go:noinline
+func indexWord(words []uint64, want uint64) int {
+	for i, w := range words {
+		if w == want {
+			return i
+		}
+	}
+	return len(words)
 }
 
 // firstConstTerm returns the index of the first =-constant term of the

@@ -178,13 +178,13 @@ func (l *rowList) snapshot() []*row {
 }
 
 // epochTracker turns out-of-order epoch completions into a monotone
-// horizon and an in-order event stream. Shard workers of a batched
-// apply commit epochs as they finish, not in dispatch order; the
-// horizon only advances to epoch k once every epoch ≤ k has committed,
-// so a pinned reader never observes epoch k+1 without k (which would
-// break the prefix-replay equivalence the differential tests check).
-// Every allocated epoch must be committed exactly once — including
-// transactions skipped after a failure — or the horizon stalls.
+// horizon and an in-order event stream. Concurrent writers on disjoint
+// shards commit their epochs as they finish, not in allocation order;
+// the horizon only advances to epoch k once every epoch ≤ k has
+// committed, so a pinned reader never observes epoch k+1 without k
+// (which would break the prefix-replay equivalence the differential
+// tests check). Every allocated epoch must be committed exactly once
+// (finish does), or the horizon stalls.
 type epochTracker struct {
 	mu sync.Mutex
 	// done parks the events of epochs that committed ahead of a
@@ -360,9 +360,8 @@ func (v view) AsOf() uint64 { return v.s }
 // shard's list is already in that order (its epochs are allocated under
 // its write lock) and the visible rows are a prefix of it, trimmed by
 // the sequence column without chasing row pointers. Several shards'
-// lists each hold a part of that order — and a batch dispatcher numbers
-// epochs before they reach a shard — so their visible rows are gathered
-// and sorted. Lock-free either way:
+// lists each hold a part of that order, so their visible rows are
+// gathered and sorted. Lock-free either way:
 // lists are snapshotted and rows beyond the horizon excluded up front,
 // so callers only resolve versions.
 func (v view) rows(rel string) []*row {

@@ -349,23 +349,40 @@ func TestApplyBatchReportsApplied(t *testing.T) {
 		return e.Annotation("R", db.Tuple{db.I(int64(i))}) != nil
 	}
 
-	for _, shards := range []int{1, 8} {
+	// A failed batch is a log prefix on every shard count: txns[:bad]
+	// applied, the bad transaction's query before its failing one applied,
+	// nothing after — and so the one-shard engine's snapshot bytes.
+	// Repeated, because a scheduling-dependent apply order shows only in
+	// some runs.
+	const bad = 40
+	failing := func() []db.Transaction {
+		txns := mkTxns(64)
+		txns[bad].Updates = append(txns[bad].Updates, db.Insert("NoSuchRel", db.Tuple{db.I(1)}))
+		return txns
+	}
+	one := engine.OpenEmpty(engine.ModeNormalForm, schema)
+	if applied, err := one.ApplyBatch(context.Background(), failing()); err == nil || applied != bad {
+		t.Fatalf("one shard: applied = %d, err = %v; want %d and the bad transaction's error", applied, err, bad)
+	}
+	want := snapshotBytes(t, one)
+	for _, shards := range []int{1, 2, 8} {
 		t.Run(fmt.Sprintf("shards%d/failure", shards), func(t *testing.T) {
-			e := engine.OpenEmpty(engine.ModeNormalForm, schema, engine.WithShards(shards))
-			txns := mkTxns(64)
-			// An invalid transaction in the middle: unknown relation.
-			bad := 40
-			txns[bad].Updates = []db.Update{db.Insert("NoSuchRel", db.Tuple{db.I(1)})}
-			applied, err := e.ApplyBatch(context.Background(), txns)
-			if err == nil {
-				t.Fatalf("ApplyBatch with a bad transaction: err = nil")
-			}
-			if applied < 0 || applied > bad {
-				t.Fatalf("applied = %d, want 0..%d (the bad transaction cannot be applied)", applied, bad)
-			}
-			for i := 0; i < applied; i++ {
-				if !present(e, i) {
-					t.Fatalf("applied = %d but transaction %d is not visible", applied, i)
+			for run := 0; run < 20; run++ {
+				e := engine.OpenEmpty(engine.ModeNormalForm, schema, engine.WithShards(shards))
+				applied, err := e.ApplyBatch(context.Background(), failing())
+				if err == nil {
+					t.Fatalf("run %d: ApplyBatch with a bad transaction: err = nil", run)
+				}
+				if applied != bad {
+					t.Fatalf("run %d: applied = %d, want %d (the index of the bad transaction)", run, applied, bad)
+				}
+				for i := range 64 {
+					if got := present(e, i); got != (i <= bad) {
+						t.Fatalf("run %d: transaction %d visible = %v, want %v", run, i, got, i <= bad)
+					}
+				}
+				if got := snapshotBytes(t, e); !bytes.Equal(got, want) {
+					t.Fatalf("run %d: snapshot differs from the one-shard engine's after the failed batch", run)
 				}
 			}
 		})

@@ -289,12 +289,8 @@ func (s *shard) insert(tbl *table, t db.Tuple) {
 		v.nf.Insert(s.cur)
 	}
 	v.live = true
-	if fresh {
+	if fresh || !wasMatchable {
 		s.indexAdd(tbl, r)
-	} else if !wasMatchable {
-		// A tombstoned tuple came back to life: its posting entries may
-		// have been compacted away, so re-register it.
-		s.indexRevive(tbl, r)
 	}
 	s.touch(tbl, r)
 }
@@ -442,10 +438,8 @@ func (s *shard) absorbModTarget(tbl *table, g *modGroup, pe *core.Expr) {
 		v.nf.AbsorbMod(g.contrib, g.inserted, s.cur)
 	}
 	v.live = true
-	if fresh {
+	if fresh || !wasMatchable {
 		s.indexAdd(tbl, r)
-	} else if !wasMatchable {
-		s.indexRevive(tbl, r)
 	}
 	s.touch(tbl, r)
 }

@@ -453,6 +453,12 @@ func (c ctxReader) Read(p []byte) (int, error) {
 	return c.r.Read(p)
 }
 
+// maxLoadShards bounds a snapshot load's ?shards=: every shard costs
+// about 900 bytes before the first row arrives, so the count is an
+// allocation the client would otherwise choose. 256 is far beyond any
+// shard count the repository runs.
+const maxLoadShards = 256
+
 // limitReader records whether an http.MaxBytesReader underneath it hit
 // its cap, for callers whose downstream decoder hides the error chain.
 type limitReader struct {
@@ -471,8 +477,8 @@ func (l *limitReader) Read(p []byte) (int, error) {
 
 // handleSnapshotLoad restores a snapshot and atomically swaps it in as
 // the served engine; in-flight requests finish against the old one.
-// ?shards=N restores into N storage shards (default 1); the snapshot
-// bytes are identical either way.
+// ?shards=N restores into N storage shards (default 1, at most
+// maxLoadShards); the snapshot bytes are identical either way.
 func (s *Server) handleSnapshotLoad(w http.ResponseWriter, req *http.Request) {
 	if _, ok := s.db.(*wal.Follower); ok {
 		// The desync hazard below, plus the apply loop would keep writing
@@ -487,7 +493,7 @@ func (s *Server) handleSnapshotLoad(w http.ResponseWriter, req *http.Request) {
 		return
 	}
 	var opts []engine.Option
-	if n, present, err := posIntQuery(req, "shards", "a positive integer"); err != nil {
+	if n, present, err := posIntQuery(req, "shards", maxLoadShards); err != nil {
 		writeError(w, http.StatusBadRequest, codeBadRequest, "%v", err)
 		return
 	} else if present {

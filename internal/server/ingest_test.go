@@ -3,12 +3,14 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
 
+	"hyperprov/internal/db"
 	"hyperprov/internal/engine"
 	"hyperprov/internal/wal"
 )
@@ -55,6 +57,54 @@ func TestIngestResponseBytes(t *testing.T) {
 	srv.Handler().ServeHTTP(rec, req)
 	if rec.Code != http.StatusOK || rec.Body.String() != encoded(2, 2, 3) {
 		t.Errorf("chunked: %d %q", rec.Code, rec.Body.String())
+	}
+}
+
+// widerSchema serves an engine under a schema naming one relation more
+// than the engine holds, so a log the parser accepts can still fail to
+// apply: the parsers admit only updates db.Update.Validate admits, which
+// is the engine's one check.
+type widerSchema struct {
+	engine.DB
+	s *db.Schema
+}
+
+func (w widerSchema) Schema() *db.Schema { return w.s }
+
+// TestIngestFailedBatchIsPrefix: an ingest whose transaction 40 of 64
+// fails answers applied = 40 and leaves exactly the log prefix — the
+// one-shard server's snapshot bytes — on every shard count. Repeated,
+// because a scheduling-dependent apply order shows only in some runs.
+func TestIngestFailedBatchIsPrefix(t *testing.T) {
+	attr := db.Attribute{Name: "K", Kind: db.KindInt}
+	schema := db.MustSchema(db.MustRelationSchema("R", attr))
+	wider := db.MustSchema(db.MustRelationSchema("R", attr), db.MustRelationSchema("Gone", attr))
+	const bad = 40
+	var log strings.Builder
+	for i := range 64 {
+		fmt.Fprintf(&log, "BEGIN t%d; INSERT INTO R VALUES (%d);", i, i)
+		if i == bad {
+			log.WriteString(" INSERT INTO Gone VALUES (1);")
+		}
+		log.WriteString(" COMMIT;\n")
+	}
+	ingest := func(shards int) []byte {
+		srv := New(widerSchema{engine.OpenEmpty(engine.ModeNormalForm, schema, engine.WithShards(shards)), wider}, WithLogf(t.Logf))
+		defer srv.Close()
+		rec := serveRaw(srv, "POST", "/v1/ingest", log.String())
+		got := decode[errorResponse](t, rec.Result())
+		if rec.Code == http.StatusOK || got.Error.Applied == nil || *got.Error.Applied != bad {
+			t.Fatalf("shards=%d: %d %s, want an error envelope with applied %d", shards, rec.Code, rec.Body, bad)
+		}
+		return serveRaw(srv, "GET", "/v1/snapshot", "").Body.Bytes()
+	}
+	want := ingest(1)
+	for _, shards := range []int{2, 8} {
+		for run := 0; run < 20; run++ {
+			if got := ingest(shards); !bytes.Equal(got, want) {
+				t.Fatalf("shards=%d, run %d: /v1/snapshot differs from the one-shard server's", shards, run)
+			}
+		}
 	}
 }
 

@@ -7,9 +7,11 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"hyperprov/internal/engine"
 	"hyperprov/internal/parser"
@@ -216,6 +218,40 @@ func TestSnapshotLoadSwapRace(t *testing.T) {
 	stats := decode[map[string]any](t, mustGet(t, client, ts.URL+"/v1/stats"))
 	if got := uint64(stats["engineGeneration"].(float64)); got != 2+loads {
 		t.Fatalf("stats engineGeneration = %d, want %d", got, 2+loads)
+	}
+}
+
+// TestSnapshotLoadRefusesHugeShardCount: ?shards= above 256 is refused
+// with a 400 before the body is read — not an allocation of about 900
+// bytes a shard that the client chose — and the served engine stays as
+// it was.
+func TestSnapshotLoadRefusesHugeShardCount(t *testing.T) {
+	srv := New(figure1Engine(t, engine.ModeNormalForm), WithLogf(t.Logf))
+	defer srv.Close()
+	snap := serveRaw(srv, "GET", "/v1/snapshot", "").Body.String()
+	served, gen := srv.Engine(), srv.EngineGeneration()
+	for _, n := range []int{1 << 16, 257} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		start := time.Now()
+		rec := serveRaw(srv, "POST", fmt.Sprintf("/v1/snapshot?shards=%d", n), snap)
+		took := time.Since(start)
+		runtime.ReadMemStats(&after)
+		if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), `"bad_request"`) {
+			t.Errorf("shards=%d: %d %s, want 400 bad_request", n, rec.Code, rec.Body)
+		}
+		if took > time.Second {
+			t.Errorf("shards=%d: answered after %v", n, took)
+		}
+		if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 256<<10 {
+			t.Errorf("shards=%d: the refusal allocated %d bytes", n, alloc)
+		}
+		if srv.Engine() != served || srv.EngineGeneration() != gen {
+			t.Errorf("shards=%d: the refused load replaced the served engine", n)
+		}
+	}
+	if rec := serveRaw(srv, "POST", "/v1/snapshot?shards=256", snap); rec.Code != http.StatusOK {
+		t.Fatalf("shards=256: %d %s, want 200", rec.Code, rec.Body)
 	}
 }
 

@@ -42,11 +42,12 @@ func intQuery(req *http.Request, name, what string) (val int, ok bool, err error
 	return n, true, nil
 }
 
-// posIntQuery is intQuery rejecting zero and negative values with the
-// same message shape.
-func posIntQuery(req *http.Request, name, what string) (val int, ok bool, err error) {
+// posIntQuery is intQuery admitting only 1..max, with the same message
+// shape.
+func posIntQuery(req *http.Request, name string, max int) (val int, ok bool, err error) {
+	what := fmt.Sprintf("an integer from 1 to %d", max)
 	n, ok, err := intQuery(req, name, what)
-	if err == nil && ok && n < 1 {
+	if err == nil && ok && (n < 1 || n > max) {
 		err = fmt.Errorf("%s parameter %q is not %s", name, req.URL.Query().Get(name), what)
 	}
 	return n, ok, err

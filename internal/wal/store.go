@@ -683,21 +683,11 @@ func (s *Store) appendLocked(payloads ...[]byte) error {
 }
 
 // ApplyTransaction logs the transaction, commits it per the sync
-// policy, then applies it to the engine. The engine's apply errors are
-// deterministic, so a logged transaction that fails mid-way replays to
-// the identical partial state.
+// policy, then applies it to the engine: ApplyBatch of one. The engine's
+// apply errors are deterministic, so a logged transaction that fails
+// mid-way replays to the identical partial state.
 func (s *Store) ApplyTransaction(t *db.Transaction) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.applyTxnLocked(t)
-}
-
-func (s *Store) applyTxnLocked(t *db.Transaction) error {
-	if err := s.appendLocked(s.encodeChunkLocked([]db.Transaction{*t})...); err != nil {
-		return err
-	}
-	err := s.Engine().ApplyTransaction(t)
-	s.maybeCheckpointLocked()
+	_, err := s.applyChunk([]db.Transaction{*t})
 	return err
 }
 
@@ -756,37 +746,29 @@ func (s *Store) encodeChunkLocked(chunk []db.Transaction) [][]byte {
 	return s.encPayloads
 }
 
+// applyChunk logs and applies a chunk of ApplyBatch, or the part of it
+// up to and including the first transaction that fails, under one group
+// commit, and reports how many applied. A transaction fails to apply
+// exactly when one of its updates fails db.Update.Validate, the engine's
+// one check (checkUpdate), so the log never holds a transaction the
+// engine did not reach, and the failing one replays to the same partial
+// state and error.
 func (s *Store) applyChunk(chunk []db.Transaction) (applied int, err error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	// A transaction fails to apply exactly when one of its updates fails
-	// db.Update.Validate, the engine's one check (checkUpdate) — find the
-	// first such.
 	schema := s.Engine().Schema()
-	firstBad := 0
-	for firstBad < len(chunk) && chunk[firstBad].Validate(schema) == nil {
-		firstBad++
-	}
-	if firstBad == len(chunk) {
-		if err := s.appendLocked(s.encodeChunkLocked(chunk)...); err != nil {
-			return 0, err
-		}
-		// Validated above: cannot fail, so the batch pipeline's
-		// stop-on-error nondeterminism is unreachable here.
-		applied, err = s.Engine().ApplyBatch(context.Background(), chunk)
-		s.maybeCheckpointLocked()
-		return applied, err
-	}
-	// A transaction in this chunk will fail: fall back to the sequential
-	// path, stopping at the first error exactly like engine.ApplyAll does,
-	// so the engine's partial-effect semantics — and its error text — are
-	// preserved exactly.
-	for i := range chunk[:firstBad+1] {
-		if err := s.applyTxnLocked(&chunk[i]); err != nil {
-			return i, err
+	for i := range chunk {
+		if chunk[i].Validate(schema) != nil {
+			chunk = chunk[:i+1]
+			break
 		}
 	}
-	return firstBad + 1, nil
+	if err := s.appendLocked(s.encodeChunkLocked(chunk)...); err != nil {
+		return 0, err
+	}
+	applied, err = s.Engine().ApplyBatch(context.Background(), chunk)
+	s.maybeCheckpointLocked()
+	return applied, err
 }
 
 // RestoreRow validates statically, logs, then applies. Invalid calls

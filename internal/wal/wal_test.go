@@ -339,6 +339,48 @@ func TestDurableRestoreRow(t *testing.T) {
 	requireSameBytes(t, "restore", snapshotOf(t, oracle), snapshotOf(t, re))
 }
 
+// TestFailingChunkIsOneGroupCommit: a batch whose transaction k fails
+// mid-way logs transactions 0..k — the failing one too, which replays to
+// the same partial state — under one fsync, and a crash right after
+// recovers the live engine's bytes.
+func TestFailingChunkIsOneGroupCommit(t *testing.T) {
+	initial, txns := smallWorkload(t)
+	const k = 9
+	batch := append([]db.Transaction(nil), txns[:20]...)
+	batch[k].Updates = append(append([]db.Update(nil), txns[k].Updates...),
+		db.Update{Kind: db.OpDelete, Rel: "missing", Sel: db.Pattern{db.AnyVar("x")}})
+	for _, shards := range []int{1, 4} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			dir := t.TempDir()
+			opt := wal.WithEngineOptions(engine.WithShards(shards))
+			st, err := wal.Open(dir, wal.WithSync(wal.SyncAlways), wal.WithInitialDatabase(initial), opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			before := st.Stats()
+			applied, err := st.ApplyBatch(context.Background(), batch)
+			if err == nil || applied != k {
+				t.Fatalf("applied %d, err %v; want %d and the failing transaction's error", applied, err, k)
+			}
+			after := st.Stats()
+			if syncs := after.Syncs - before.Syncs; syncs != 1 {
+				t.Errorf("%d fsyncs for the failing chunk, want 1", syncs)
+			}
+			if recs := after.Appended - before.Appended; recs != k+1 {
+				t.Errorf("%d records appended, want %d", recs, k+1)
+			}
+			want := snapshotOf(t, st)
+			st.Crash()
+			re, err := wal.Open(dir, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer re.Close()
+			requireSameBytes(t, "recovered", want, snapshotOf(t, re))
+		})
+	}
+}
+
 // TestApplyErrorsAreDeterministic logs transactions that fail mid-way
 // (unknown relation on the second update) and checks the partial state
 // replays identically, with the engine's error text passed through.

@@ -178,7 +178,7 @@ func Generate(cfg Config) (*db.Database, []db.Transaction, error) {
 // the database state). Such updates resolve with the planner's O(1)
 // point lookup instead of an O(rows) scan, and across several shards
 // each locks only the shard owning its tuple, so this workload isolates
-// routing and the batch pipeline — it is the input of the sharded-apply
+// routing and per-shard lock sets — it is the input of the sharded-apply
 // benchmarks.
 func GeneratePinned(cfg Config) (*db.Database, []db.Transaction, error) {
 	if cfg.QueriesPerTxn <= 0 {
