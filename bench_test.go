@@ -599,56 +599,6 @@ func BenchmarkWALApply(b *testing.B) {
 	}
 }
 
-// BenchmarkApplySharded measures batched transaction apply on the fully
-// pinned workload (workload.GeneratePinned): every selection names one
-// concrete tuple, so the planner resolves it with an O(1) point lookup
-// on every shard count and the engine routes each transaction to the
-// one shard it touches. Every shard count applies the batch in log
-// order, so what is left to compare is routing and the per-shard lock
-// sets against the lone shard's: the "speedup8" sub-benchmark reports
-// one-shard time over 8-shard time directly.
-func BenchmarkApplySharded(b *testing.B) {
-	cfg := workload.Config{Tuples: 4000, Updates: 1500, QueriesPerTxn: 1, Seed: 3}
-	initial, txns, err := workload.GeneratePinned(cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	apply := func(b *testing.B, e engine.DB) time.Duration {
-		b.Helper()
-		start := time.Now()
-		if err := e.ApplyAll(context.Background(), txns); err != nil {
-			b.Fatal(err)
-		}
-		return time.Since(start)
-	}
-	variants := []struct {
-		name string
-		open func() engine.DB
-	}{
-		{"shards1", func() engine.DB { return engine.New(engine.ModeNormalForm, initial, engine.WithShards(1)) }},
-		{"shards2", func() engine.DB { return engine.New(engine.ModeNormalForm, initial, engine.WithShards(2)) }},
-		{"shards8", func() engine.DB { return engine.New(engine.ModeNormalForm, initial, engine.WithShards(8)) }},
-	}
-	for _, v := range variants {
-		b.Run(v.name, func(b *testing.B) {
-			var total time.Duration
-			for i := 0; i < b.N; i++ {
-				total += apply(b, v.open())
-			}
-			b.ReportMetric(float64(total.Nanoseconds())/float64(b.N), "prov_apply_sharded_ns")
-		})
-	}
-	b.Run("speedup8", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			t1 := apply(b, engine.New(engine.ModeNormalForm, initial, engine.WithShards(1)))
-			t8 := apply(b, engine.New(engine.ModeNormalForm, initial, engine.WithShards(8)))
-			if t8 > 0 {
-				b.ReportMetric(float64(t1)/float64(t8), "speedup_shards8")
-			}
-		}
-	})
-}
-
 // BenchmarkScanPlanner measures the cost-based scan planner on the
 // partially-pinned multi-column workload (workload.GenerateMultiColumn):
 // selections pin grp, grp+cat, or mix = with ≠, so the planner's point
@@ -693,15 +643,6 @@ func BenchmarkScanPlanner(b *testing.B) {
 		{"indexed", openIndexed},
 		{"autoindex", func() engine.DB {
 			return engine.New(engine.ModeNormalForm, initial, engine.WithAutoIndex(4))
-		}},
-		{"indexed_shards8", func() engine.DB {
-			e := engine.New(engine.ModeNormalForm, initial, engine.WithShards(8))
-			for _, attr := range []string{"grp", "cat"} {
-				if err := e.BuildIndex("R", attr); err != nil {
-					b.Fatal(err)
-				}
-			}
-			return e
 		}},
 	}
 	for _, v := range variants {
@@ -783,7 +724,7 @@ func BenchmarkMVCCReadDuringApply(b *testing.B) {
 	probe := db.Tuple{db.I(3), db.I(3)}
 
 	for i := 0; i < b.N; i++ {
-		e := engine.Open(engine.ModeNormalForm, initial, engine.WithShards(8))
+		e := engine.Open(engine.ModeNormalForm, initial)
 		done := make(chan time.Duration)
 		go func() {
 			start := time.Now()

@@ -104,7 +104,6 @@ type source struct {
 	syntax     string
 	mode       string
 	loadSnap   string
-	shards     int
 	autoIndex  int
 	dataDir    string
 	syncPolicy string
@@ -121,7 +120,7 @@ func (s *source) register(fs *flag.FlagSet, logUse, snapIgnores, ckptAtZero stri
 	fs.StringVar(&s.syntax, "syntax", "sql", "log syntax: sql or datalog")
 	fs.StringVar(&s.mode, "mode", "nf", "provenance mode: nf (normal form) or naive")
 	fs.StringVar(&s.loadSnap, "load-snapshot", "", "restore an annotated database instead of loading CSV data ("+snapIgnores+" then ignored)")
-	fs.IntVar(&s.shards, "shards", 1, "partition the engine's rows across N storage shards with independent write locks")
+	fs.Int("shards", 1, "deprecated and ignored: the engine stores its rows in one partition")
 	fs.IntVar(&s.autoIndex, "autoindex", 0, "auto-build a column index after N =-pinned scans without one (0 disables the advisor)")
 	fs.StringVar(&s.dataDir, "data-dir", "", "persist to a write-ahead-logged directory (bootstrapped from -data on first use, recovered afterwards)")
 	fs.StringVar(&s.syncPolicy, "sync", "always", "WAL durability: always, interval, or never (with -data-dir)")
@@ -132,7 +131,7 @@ func (s *source) register(fs *flag.FlagSet, logUse, snapIgnores, ckptAtZero stri
 // access paths only: annotations and snapshots are identical in every
 // configuration.
 func (s *source) engineOptions() []engine.Option {
-	return []engine.Option{engine.WithShards(s.shards), engine.WithAutoIndex(s.autoIndex)}
+	return []engine.Option{engine.WithAutoIndex(s.autoIndex)}
 }
 
 // open opens the database the flags name: the data directory, else the

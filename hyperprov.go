@@ -157,8 +157,8 @@ var (
 	SeqEpoch = engine.SeqEpoch
 )
 
-// Engine is the provenance-tracking database: one coordinator over
-// WithShards(n) storage shards with independent write locks.
+// Engine is the provenance-tracking database: one storage partition
+// behind one write lock, with lock-free MVCC reads.
 type Engine = engine.Engine
 
 // Option configures an engine built by Open or New.
@@ -174,15 +174,12 @@ const (
 	ModeNormalForm = engine.ModeNormalForm
 )
 
-// Engine construction and options. New builds the engine over one
-// storage shard by default and over n under WithShards(n); the shard
-// count is an access-path choice, so annotations and snapshot bytes are
-// identical for every n. Open is New returning the DB interface.
+// Engine construction and options. Open is New returning the DB
+// interface.
 var (
 	Open                   = engine.Open
 	OpenEmpty              = engine.OpenEmpty
 	New                    = engine.New
-	WithShards             = engine.WithShards
 	WithCopyOnWrite        = engine.WithCopyOnWrite
 	WithEagerZeroAxioms    = engine.WithEagerZeroAxioms
 	WithInitialAnnotations = engine.WithInitialAnnotations
@@ -193,6 +190,12 @@ var (
 	// choices — annotations and snapshot bytes are identical either way.
 	WithAutoIndex = engine.WithAutoIndex
 )
+
+// WithShards sets nothing.
+//
+// Deprecated: the engine stores its rows in one partition; the option is
+// accepted so that existing callers compile (see engine.WithShards).
+var WithShards = engine.WithShards
 
 // Provenance applications (Section 4 of the paper).
 var (
@@ -222,12 +225,11 @@ var (
 // Provenance storage (package provstore): SaveSnapshot persists an
 // annotated database — a live engine or a pinned time-travel View —
 // with a structurally deduplicated expression table; LoadSnapshot
-// restores it; the bytes are independent of the shard count.
+// restores it; the bytes are a function of the state alone.
 func SaveSnapshot(w io.Writer, e Reader) error { return provstore.SaveSnapshot(w, e) }
 
 // LoadSnapshot restores an annotated database saved by SaveSnapshot.
-// Options pass through to New — WithShards(n) restores into n storage
-// shards.
+// Options pass through to NewEmpty.
 func LoadSnapshot(r io.Reader, opts ...Option) (*Engine, error) {
 	return provstore.LoadSnapshot(r, opts...)
 }
@@ -270,7 +272,7 @@ const (
 var OpenDir = wal.Open
 
 // Store options: bootstrap inputs (mode, schema or initial database,
-// engine options such as WithShards) and the sync policy. The
+// engine options such as WithAutoIndex) and the sync policy. The
 // operational ones — sync interval, segment size, checkpoint cadence,
 // replication — are internal/wal's, where cmd/hyperprov takes them from.
 var (

@@ -1,9 +1,6 @@
 package core
 
-import (
-	"math"
-	"math/bits"
-)
+import "math"
 
 // Sets and tables of expression nodes, indexed by node id. A DAG walk
 // that keyed a Go map by *Expr paid ≈ 75 bytes and a hash per distinct
@@ -43,24 +40,6 @@ func (s *NodeSet) Add(e *Expr) bool {
 	*w |= bit
 	s.n++
 	return true
-}
-
-// Union adds every node of o to s: page-wise ORs, so merging the
-// per-shard sets of a parallel walk costs words, not nodes.
-func (s *NodeSet) Union(o *NodeSet) {
-	for e := range o.noID {
-		s.Add(e)
-	}
-	for i, op := range o.pages {
-		if op == nil {
-			continue
-		}
-		p := page(&s.pages, uint32(i))
-		for w, v := range op {
-			s.n += int64(bits.OnesCount64(v &^ p[w]))
-			p[w] |= v
-		}
-	}
 }
 
 // page returns page i of a lazily paged table, allocating it (and the

@@ -38,9 +38,9 @@ const (
 )
 
 // Fingerprint returns a 64-bit FNV-1a hash of the tuple's kind tags and
-// payload words. It identifies the tuple for shard routing and row-map
-// lookup without building the Key() string, so the apply/read hot path
-// stays allocation-free; probe sites disambiguate hash collisions with
+// payload words. It identifies the tuple for row-map lookup without
+// building the Key() string, so the apply/read hot path stays
+// allocation-free; probe sites disambiguate hash collisions with
 // Equal. Fingerprints hash interned string ids, so they are process-
 // local and must never be persisted — Key() remains the durable
 // encoding.

@@ -108,7 +108,7 @@ func TestValueEqualitySemantics(t *testing.T) {
 
 // TestTupleFingerprintKeyConsistency: Equal, == of the underlying
 // values, Fingerprint and Key must all agree — the fingerprint is the
-// hot-path identity (table probes, shard routing) and the key the
+// hot-path identity (table probes) and the key the
 // durable one (snapshots, WAL), so a disagreement corrupts one store
 // or the other.
 func TestTupleFingerprintKeyConsistency(t *testing.T) {
@@ -138,18 +138,6 @@ func TestTupleFingerprintKeyConsistency(t *testing.T) {
 			}
 			if eq && a.Fingerprint() != b.Fingerprint() {
 				t.Fatalf("equal tuples with different fingerprints: %v", a)
-			}
-		}
-	}
-	// Shard routing is total and consistent for every shard count.
-	for _, shards := range []int{1, 2, 3, 7} {
-		for _, tu := range tuples {
-			got := db.ShardOfTuple(tu, shards)
-			if got < 0 || got >= shards {
-				t.Fatalf("ShardOfTuple out of range: %d of %d", got, shards)
-			}
-			if got != db.ShardOfFingerprint(tu.Fingerprint(), shards) {
-				t.Fatal("ShardOfTuple disagrees with ShardOfFingerprint")
 			}
 		}
 	}

@@ -134,10 +134,9 @@ func TestAllocFreeReads(t *testing.T) {
 	}
 }
 
-// TestAllocFreeShardedPointReads: fingerprint routing keeps point
-// lookups allocation-free across several shards too (no Key() string on
-// the routing path), and they answer with the very expression a
-// one-shard engine holds.
+// TestAllocFreeShardedPointReads: an engine opened with the deprecated
+// WithShards (see sharded_test.go) keeps point lookups allocation-free,
+// and they answer with the very expression the engine without it holds.
 func TestAllocFreeShardedPointReads(t *testing.T) {
 	initial, txns := allocWorkload(t)
 	one := engine.New(engine.ModeNormalForm, initial)
@@ -145,25 +144,23 @@ func TestAllocFreeShardedPointReads(t *testing.T) {
 		t.Fatalf("apply: %v", err)
 	}
 	tup := pickTuple(t, one)
-	for _, n := range []int{2, 3, 4, 8} {
-		se := engine.New(engine.ModeNormalForm, initial, engine.WithShards(n))
-		if err := se.ApplyAll(context.Background(), txns); err != nil {
-			t.Fatalf("apply: %v", err)
-		}
-		assertZeroAllocs(t, "Sharded.Annotation", func() {
-			sinkExpr = se.Annotation("R", tup)
-		})
-		if sinkExpr == nil || sinkExpr != one.Annotation("R", tup) {
-			t.Fatalf("shards=%d: Annotation = %v, one shard holds %v", n, sinkExpr, one.Annotation("R", tup))
-		}
-		assertZeroAllocs(t, "Sharded.NF", func() {
-			sinkNF = se.NF("R", tup)
-		})
+	se := engine.New(engine.ModeNormalForm, initial, engine.WithShards(oldShards))
+	if err := se.ApplyAll(context.Background(), txns); err != nil {
+		t.Fatalf("apply: %v", err)
 	}
+	assertZeroAllocs(t, "Sharded.Annotation", func() {
+		sinkExpr = se.Annotation("R", tup)
+	})
+	if sinkExpr == nil || sinkExpr != one.Annotation("R", tup) {
+		t.Fatalf("Annotation = %v, without the option %v", sinkExpr, one.Annotation("R", tup))
+	}
+	assertZeroAllocs(t, "Sharded.NF", func() {
+		sinkNF = se.NF("R", tup)
+	})
 }
 
 // applyAllocsPerTxn replays an op list in-process on the engine the
-// server builds for the wire benchmark — one shard, the advisor at 4 —
+// server builds for the wire benchmark — the advisor at 4 —
 // and returns what the write path allocated per transaction.
 func applyAllocsPerTxn(t *testing.T, initial *db.Database, txns []db.Transaction, hook engine.CommitHook) (kB, mallocs float64) {
 	t.Helper()
@@ -189,8 +186,8 @@ func applyAllocsPerTxn(t *testing.T, initial *db.Database, txns []db.Transaction
 // entry, a 96-byte node and an operand slice per expression node the
 // cold replay read 13.59 kB and 84.4, and reads 11.43 and 62.7 — what
 // the warm replay allocates plus 64 bytes a node — gated 5 % above. A
-// commit hook adds next to nothing: an epoch that commits in order lends
-// its rows straight to the hook from a recycled buffer.
+// commit hook adds next to nothing: an epoch lends its rows straight to
+// the hook from a recycled buffer.
 func TestApplyAllocsPerTxn(t *testing.T) {
 	if raceEnabled || testing.Short() {
 		t.Skip("allocation counts are taken without the race detector, on the full op list")

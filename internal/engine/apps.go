@@ -12,15 +12,14 @@ import (
 // Update-Structure under the valuation env and streams the results to f
 // (including tombstone rows, whose values typically evaluate to the
 // structure's zero). Rows stream in deterministic order: relations in
-// schema order, rows in insertion order — identical to EachRow and
-// identical for every shard count — never map order. This is the generic
+// schema order, rows in insertion order — identical to EachRow — never
+// map order. This is the generic
 // "provenance usage" operation of Section 6: all applications below are
 // thin wrappers over it, sound by Proposition 4.2. It is the chunk walk
 // of SpecializeParallel on the caller's goroutine alone: the MVCC horizon
 // is pinned once on entry (the view's own when e is a View, the served
 // engine's behind a wal.Store or wal.Follower), so the streamed rows form
-// one consistent epoch snapshot, lock-free against concurrent writers;
-// the rows of several shards merge to global insertion order first.
+// one consistent epoch snapshot, lock-free against concurrent writers.
 func Specialize[T any](e Reader, s upstruct.Structure[T], env upstruct.Env[T], f func(rel string, t db.Tuple, v T)) {
 	_ = SpecializeParallel(context.Background(), e, s, env, 1, f) // the background context never ends
 }

@@ -5,9 +5,9 @@ package engine_test
 // write-path scans on =-constant terms; an engine whose scans resolve
 // through index posting lists (row-wise) instead must reach the exact
 // same state — identical rows, identical interned annotation pointers,
-// byte-identical snapshots. Randomized workloads drive all three scan
-// paths (columnar full scan, posting list, fan-out over 2, 3, 4 and 8
-// shards) against each other, at every committed epoch, and point selections are re-checked against a naive
+// byte-identical snapshots. Randomized workloads drive both scan paths
+// (columnar full scan, posting list) against each other, at every
+// committed epoch, and point selections are re-checked against a naive
 // row-wise filter of the full relation.
 
 import (
@@ -17,7 +17,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"hyperprov/internal/core"
 	"hyperprov/internal/db"
 	"hyperprov/internal/engine"
 	"hyperprov/internal/workload"
@@ -33,7 +32,7 @@ func columnarConfigs() []workload.Config {
 	}
 	// Chunk boundaries of the word columns: tables one row short of, at
 	// and one row past k full chunks, which the updates then grow across
-	// the boundary (a shard's share of them crosses the small chunks).
+	// the boundary.
 	for k := 1; k <= 2; k++ {
 		for d := -1; d <= 1; d++ {
 			cfgs = append(cfgs, workload.Config{
@@ -54,20 +53,13 @@ func TestColumnarVsRowWiseDifferential(t *testing.T) {
 				t.Fatalf("generate: %v", err)
 			}
 			// colEng scans through the columnar prefilter (no index);
-			// idxEng resolves the same selections through posting lists;
-			// the shEngs partition rows and fan scans out.
+			// idxEng resolves the same selections through posting lists.
 			colEng := engine.New(engine.ModeNormalForm, initial)
 			idxEng := engine.New(engine.ModeNormalForm, initial)
 			if err := idxEng.BuildIndex("R", "grp"); err != nil {
 				t.Fatalf("build index: %v", err)
 			}
 			engines := map[string]engine.DB{"columnar": colEng, "indexed": idxEng}
-			var shEngs []*engine.Engine
-			for _, n := range shardCounts {
-				sh := engine.New(engine.ModeNormalForm, initial, engine.WithShards(n))
-				shEngs = append(shEngs, sh)
-				engines[fmt.Sprintf("sharded%d", n)] = sh
-			}
 			for _, e := range engines {
 				if err := e.ApplyAll(context.Background(), txns); err != nil {
 					t.Fatalf("apply: %v", err)
@@ -85,23 +77,12 @@ func TestColumnarVsRowWiseDifferential(t *testing.T) {
 				}
 			}
 
-			// Snapshot byte-identity across all three scan paths.
-			colSnap := snapshotBytes(t, colEng)
-			if !bytes.Equal(colSnap, snapshotBytes(t, idxEng)) {
+			// Snapshot byte-identity across both scan paths, at the end and
+			// at every epoch on the way.
+			if !bytes.Equal(snapshotBytes(t, colEng), snapshotBytes(t, idxEng)) {
 				t.Fatal("columnar vs indexed snapshots differ")
 			}
-			for _, sh := range shEngs {
-				if !bytes.Equal(colSnap, snapshotBytes(t, sh)) {
-					t.Fatal("columnar vs sharded snapshots differ")
-				}
-				// The shards hold the same interned annotation pointers.
-				sh.Rows(func(rel string, tu db.Tuple, ann *core.Expr) {
-					if colRows[rel+"\x00"+tu.Key()] != ann {
-						t.Fatalf("row %v: columnar and %d-shard annotations differ", tu, sh.NumShards())
-					}
-				})
-				diffEveryEpoch(t, fmt.Sprintf("shards=%d", sh.NumShards()), colEng, sh)
-			}
+			diffEveryEpoch(t, "indexed", colEng, idxEng)
 
 			// Point selections against a naive row-wise reference.
 			all, err := colEng.Select("R", db.AllPattern(5))

@@ -251,8 +251,9 @@ func TestConcurrentReadersDuringIngestion(t *testing.T) {
 // strictly increasing in row sequence, and — the transactions conflict
 // on purpose, so no other order reproduces it — the view at every epoch
 // k equal to a serial replay of the first k labels in event order,
-// annotation pointers included, down to the final snapshot bytes on one
-// shard and on four.
+// annotation pointers included, down to the final snapshot bytes. The
+// shards=4 subtest opens the engine with the deprecated WithShards(4),
+// which must change nothing.
 func TestConcurrentApplyTransaction(t *testing.T) {
 	schema := db.MustSchema(db.MustRelationSchema("R",
 		db.Attribute{Name: "K", Kind: db.KindInt},
@@ -280,8 +281,8 @@ func TestConcurrentApplyTransaction(t *testing.T) {
 			}}
 		}
 	}
-	replay := func(shards int, labels []string, each func(k int, e *engine.Engine)) *engine.Engine {
-		e := engine.New(engine.ModeNormalForm, initial, engine.WithShards(shards))
+	replay := func(labels []string, each func(k int, e *engine.Engine)) *engine.Engine {
+		e := engine.New(engine.ModeNormalForm, initial)
 		for k, label := range labels {
 			if err := e.ApplyTransaction(byLabel[label]); err != nil {
 				t.Fatal(err)
@@ -335,7 +336,7 @@ func TestConcurrentApplyTransaction(t *testing.T) {
 				t.Fatalf("a table list is out of sequence order: %s", where)
 			}
 
-			serial := replay(1, labels, func(k int, serial *engine.Engine) {
+			serial := replay(labels, func(k int, serial *engine.Engine) {
 				at := e.At(engine.EpochSeq(uint64(k)))
 				if got, want := at.NumRows(), serial.NumRows(); got != want {
 					t.Fatalf("epoch %d: %d rows, serial replay %d", k, got, want)
@@ -344,12 +345,8 @@ func TestConcurrentApplyTransaction(t *testing.T) {
 				diffStreams(t, fmt.Sprintf("epoch %d", k), want, got)
 				diffPointers(t, fmt.Sprintf("epoch %d", k), want, got)
 			})
-			final := snapshotOf(t, e)
-			if !bytes.Equal(final, snapshotOf(t, serial)) {
-				t.Fatal("final snapshot differs from the serial replay on one shard")
-			}
-			if !bytes.Equal(final, snapshotOf(t, replay(4, labels, nil))) {
-				t.Fatal("final snapshot differs from the serial replay on four shards")
+			if !bytes.Equal(snapshotOf(t, e), snapshotOf(t, serial)) {
+				t.Fatal("final snapshot differs from the serial replay")
 			}
 		})
 	}

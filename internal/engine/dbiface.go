@@ -33,16 +33,15 @@ var (
 // engine, the pinned one for a View — lock-free, so they never block
 // behind (or stall) a concurrent ApplyAll. The streaming methods
 // (EachRow, Rows) visit rows in the same deterministic order on every
-// implementation and for every shard count: relations in schema order,
-// rows in global insertion order.
+// implementation: relations in schema order, rows in insertion order.
 //
 // The interface is sealed: its unexported method is declared by the
 // pinned view, the Engine and the Handle only, so another package has a
 // Reader by embedding one of them (wal.Store and wal.Follower embed a
 // Handle) or an interface holding one, never by writing the methods out.
 // Every Reader therefore is a pinned view of an engine, and the
-// valuation passes (Specialize*, BoolRestrict*, LiveChunks), ShardStatsOf
-// and BootOf walk that view's rows directly: there is no second, generic
+// valuation passes (Specialize*, BoolRestrict*, LiveChunks) and BootOf
+// walk that view's rows directly: there is no second, generic
 // implementation of them to keep in step with the first.
 type Reader interface {
 	// view pins the reader: a view answers itself, an engine (or the

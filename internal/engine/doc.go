@@ -26,15 +26,14 @@
 // per the package tests, does) coincide with the all-true Boolean
 // valuation of either provenance mode.
 //
-// There is one engine type. Engine is a coordinator — epochs, the read
-// horizon, commit events, update routing, views — over N ≥ 1 storage
-// shards (WithShards) that hold rows, versions and indexes; the shard
-// count, like an index, changes access paths and lock granularity and
-// nothing a reader can observe. DB and View stay interfaces because the
-// persistent stores of package wal implement and forward them.
+// There is one engine type. Engine owns one storage partition — rows,
+// versions, indexes and the scan planner behind one write lock — and
+// keeps the epochs, the read horizon, the commit events and the views on
+// top of it. DB and View stay interfaces because the persistent stores of
+// package wal implement and forward them.
 //
 // Two doors lead to the storage underneath, and both are checked. Every
-// update applies through Engine.apply, which admits what
+// update applies through Engine.ApplyTransaction, which admits what
 // db.Update.Validate admits — the hyperplane fragment: arity, kinds, no
 // repeated variable — and fails the transaction with ErrBadTuple
 // otherwise, its epoch committed and its locks released as for any failed

@@ -76,7 +76,7 @@ func TestHandleSwap(t *testing.T) {
 	half := len(txns) / 2
 	e1 := engine.New(engine.ModeNormalForm, initial)
 	applyTxns(t, e1, txns[:half])
-	e2 := engine.New(engine.ModeNormalForm, initial, engine.WithShards(2))
+	e2 := engine.New(engine.ModeNormalForm, initial)
 	applyTxns(t, e2, txns)
 
 	var h engine.Handle
@@ -154,7 +154,7 @@ func TestHandleSwapConcurrent(t *testing.T) {
 	initial, txns := mvccWorkload(t)
 	engines := []*engine.Engine{
 		engine.New(engine.ModeNormalForm, initial),
-		engine.New(engine.ModeNormalForm, initial, engine.WithShards(2)),
+		engine.New(engine.ModeNormalForm, initial),
 	}
 	replaced := engine.New(engine.ModeNormalForm, initial)
 	var h engine.Handle

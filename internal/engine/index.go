@@ -119,10 +119,10 @@ type tableIndexes struct {
 	scans   map[int]int // advisor: =-pinned scan count per unindexed column
 }
 
-// indexManager is the per-shard index state: one tableIndexes per
-// relation (created lazily) and the planner counters. The counters are
-// atomics because PlannerStats may be read while a transaction holds
-// the write lock; everything else is guarded by the shard lock.
+// indexManager is the index state: one tableIndexes per relation
+// (created lazily) and the planner counters. The counters are atomics
+// because PlannerStats may be read while a transaction holds the write
+// lock; everything else is guarded by the write lock.
 type indexManager struct {
 	threshold int // auto-build after this many pinned scans; 0 disables
 	tables    map[string]*tableIndexes
@@ -178,8 +178,7 @@ type IndexInfo struct {
 // PlannerStats are the scan planner's cumulative counters: how
 // selections were resolved and how much index maintenance ran.
 // FullScans + IndexScans + IntersectScans + PointLookups is the number
-// of selections planned (per shard: a fanned-out selection counts once
-// on every shard).
+// of selections planned.
 type PlannerStats struct {
 	// FullScans counts selections resolved by walking tbl.list (no
 	// indexed =-constrained column, e.g. ≠-only patterns).
@@ -218,8 +217,8 @@ func (m *indexManager) stats() PlannerStats {
 	}
 }
 
-// buildIndex creates the hash index on this shard's partition of the
-// relation (see Engine.BuildIndex); since is the horizon from which the
+// buildIndex creates the hash index on the relation (see
+// Engine.BuildIndex); since is the horizon from which the
 // index covers the matchable set. The caller holds the write lock.
 func (s *shard) buildIndex(rel, attr string, since uint64) error {
 	tbl := s.tables[rel]
@@ -271,7 +270,7 @@ func (s *shard) buildColIndexLocked(tbl *table, ti *tableIndexes, col int, auto 
 	return ix
 }
 
-// dropIndex removes this shard's index on the named attribute, or
+// dropIndex removes the index on the named attribute, or
 // returns ErrUnknownIndex; the relation must exist either way. The
 // caller holds the write lock.
 func (s *shard) dropIndex(rel, attr string) error {
@@ -297,7 +296,7 @@ func (s *shard) dropIndex(rel, attr string) error {
 	return nil
 }
 
-// indexStats reports every index of the shard — relations in schema
+// indexStats reports every index — relations in schema
 // order, attributes in column order — with its current posting-list
 // volume.
 func (s *shard) indexStats() []IndexInfo {

@@ -45,7 +45,7 @@ var errPipeStopped = errors.New("engine: load stopped")
 // pipe runs produce on a goroutine of its own and consume on the
 // caller's, handing over what produce emits through a bounded channel, in
 // order: a parser or decoder works on the next batch while the loader
-// stores this one — the two share no lock, so it pays on one shard too. A
+// stores this one — the two share no lock. A
 // consume error stops the producer at its next emit and is the error
 // returned; otherwise produce's is. pipe returns once produce has, so no
 // goroutine outlives it, and reports how long each side worked, waits on
@@ -90,10 +90,10 @@ func pipe[B any](produce func(emit func(B) error) error, consume func(B) error) 
 // wal.Store feed it CSV files with no Database in between. Each row gets
 // a fresh tuple annotation (t0, t1, … unless WithInitialAnnotations
 // overrides the naming) in the order delivered — relation order, then key
-// order — so names depend on the data alone, never on the shard count or
-// on how the source batched. The source runs beside the loader (see
-// pipe). From a relation's announced row count (RowBatch.Total) a
-// one-shard engine sizes the row map and row list once, and the fresh
+// order — so names depend on the data alone, never on how the source
+// batched. The source runs beside the loader (see pipe). From a
+// relation's announced row count (RowBatch.Total) the engine sizes the
+// row map and row list once, and the fresh
 // names size the intern table's head arrays once (core.Vars), to exactly
 // the capacities doubling would have reached: the heap after a load, and
 // every later growth step, are what row-by-row loading leaves.
@@ -126,9 +126,7 @@ type loader struct {
 func (l *loader) add(b db.RowBatch) error {
 	if l.rel == nil || b.Rel != l.rel.Name || b.Restart {
 		if l.rel != nil && b.Rel == l.rel.Name {
-			for _, sh := range l.e.shards {
-				sh.dropLoaded(b.Rel)
-			}
+			l.e.sh.dropLoaded(b.Rel)
 			l.seq = l.first
 		} else {
 			names := l.e.schema.Names()
@@ -143,7 +141,7 @@ func (l *loader) add(b db.RowBatch) error {
 		if l.initAnnot == nil {
 			l.vars = core.Vars("t", core.KindTuple, int(l.first), b.Total)
 		}
-		if tbl := l.e.shards[0].tables[b.Rel]; len(l.e.shards) == 1 && b.Total > 0 {
+		if tbl := l.e.sh.tables[b.Rel]; b.Total > 0 {
 			tbl.rows.reserve(b.Total)
 			tbl.list.reserve(b.Total)
 		}
@@ -162,7 +160,7 @@ func (l *loader) add(b db.RowBatch) error {
 			ann = l.vars[l.seq-l.first]
 		}
 		fp := t.Fingerprint()
-		l.e.owner(fp).load(b.Rel, newRow(t, fp, l.seq, ann, true))
+		l.e.sh.load(b.Rel, newRow(t, fp, l.seq, ann, true))
 		l.seq++
 	}
 	return nil

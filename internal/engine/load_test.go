@@ -59,9 +59,9 @@ func TestLoadReservesWhatDoublingReaches(t *testing.T) {
 		one := NewEmpty(ModeNormalForm, loadTestSchema())
 		for i, tu := range rows {
 			fp := tu.Fingerprint()
-			one.shards[0].load("A", newRow(tu, fp, uint64(i), core.Zero(), true))
+			one.sh.load("A", newRow(tu, fp, uint64(i), core.Zero(), true))
 		}
-		got, want := e.shards[0].tables["A"], one.shards[0].tables["A"]
+		got, want := e.sh.tables["A"], one.sh.tables["A"]
 		slots := func(tb *table) int {
 			if tab := tb.rows.tab.Load(); tab != nil {
 				return len(tab.slots)
@@ -86,8 +86,8 @@ func TestLoadReservesWhatDoublingReaches(t *testing.T) {
 
 // TestLoadRestart: a source that takes a relation back (its rows turned
 // out not to be in key order) and delivers it again leaves the engine New
-// builds from the rows — same names, same order, same versions — for every
-// shard count; later relations carry on from the restarted one's last name.
+// builds from the rows — same names, same order, same versions; later
+// relations carry on from the restarted one's last name.
 func TestLoadRestart(t *testing.T) {
 	rows := keyOrdered(3000)
 	d := db.NewDatabase(loadTestSchema())
@@ -108,21 +108,19 @@ func TestLoadRestart(t *testing.T) {
 		}
 		return emit(db.RowBatch{Rel: "B", Total: 1, Rows: []db.Tuple{{db.I(7)}}})
 	}
-	for _, shards := range []int{1, 4} {
-		want := New(ModeNormalForm, d, WithShards(shards))
-		got, err := Load(ModeNormalForm, d.Schema(), src, WithShards(shards))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got.MVCCStats().Versions != want.MVCCStats().Versions {
-			t.Errorf("shards=%d: %d versions, want %d", shards, got.MVCCStats().Versions, want.MVCCStats().Versions)
-		}
-		var gotRows, wantRows []string
-		got.Rows(func(rel string, tu db.Tuple, ann *core.Expr) { gotRows = append(gotRows, rel+tu.Key()+ann.String()) })
-		want.Rows(func(rel string, tu db.Tuple, ann *core.Expr) { wantRows = append(wantRows, rel+tu.Key()+ann.String()) })
-		if strings.Join(gotRows, "\n") != strings.Join(wantRows, "\n") {
-			t.Errorf("shards=%d: rows differ from New's (%d vs %d)", shards, len(gotRows), len(wantRows))
-		}
+	want := New(ModeNormalForm, d)
+	got, err := Load(ModeNormalForm, d.Schema(), src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.MVCCStats().Versions != want.MVCCStats().Versions {
+		t.Errorf("%d versions, want %d", got.MVCCStats().Versions, want.MVCCStats().Versions)
+	}
+	var gotRows, wantRows []string
+	got.Rows(func(rel string, tu db.Tuple, ann *core.Expr) { gotRows = append(gotRows, rel+tu.Key()+ann.String()) })
+	want.Rows(func(rel string, tu db.Tuple, ann *core.Expr) { wantRows = append(wantRows, rel+tu.Key()+ann.String()) })
+	if strings.Join(gotRows, "\n") != strings.Join(wantRows, "\n") {
+		t.Errorf("rows differ from New's (%d vs %d)", len(gotRows), len(wantRows))
 	}
 }
 

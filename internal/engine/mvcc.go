@@ -2,7 +2,6 @@ package engine
 
 import (
 	"context"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -18,8 +17,8 @@ import (
 // already), and with MVCC each row's annotation history is itself
 // append-only: a row holds an atomic pointer to an immutable chain of
 // versions, each valid over the sequence interval [born of this
-// version, born of the next). Writers — still serialized per engine by
-// the write lock — publish a new head per touched row per epoch;
+// version, born of the next). Writers — serialized by the write lock —
+// publish a new head per touched row per epoch;
 // readers pin a horizon sequence on entry and resolve every row against
 // it, so Annotation, NF, EachRow, Rows, Specialize* and BoolRestrict*
 // run lock-free against a concurrent ApplyAll.
@@ -80,7 +79,7 @@ func clampSeq(seq, horizon uint64) uint64 {
 //
 // A version is mutable only while its epoch is open — it is then
 // invisible to every reader (all horizons precede the open epoch) and
-// the writer is single-threaded per shard, so in-place updates within
+// the writer is single-threaded, so in-place updates within
 // an epoch are race-free and cost nothing over the pre-MVCC engine.
 type version struct {
 	prev *version
@@ -120,7 +119,7 @@ func (r *row) at(s uint64) *version {
 }
 
 // rowList is an append-only row slice readable without locks. The
-// writer (serialized by the shard write lock) stores the element
+// writer (serialized by the write lock) stores the element
 // before publishing the new length; readers load the length first and
 // clamp against the array they observe, so a torn grow is never
 // exposed. Capacity grows by the usual doubling, copying into a fresh
@@ -134,7 +133,7 @@ type rowList struct {
 // len reports the published length.
 func (l *rowList) len() int { return int(l.n.Load()) }
 
-// append adds a row at the end. Writer-only (under the shard lock).
+// append adds a row at the end. Writer-only (under the write lock).
 func (l *rowList) append(r *row) {
 	n := int(l.n.Load())
 	arr := l.reserve(1)
@@ -177,59 +176,33 @@ func (l *rowList) snapshot() []*row {
 	return (*arr)[:n:n]
 }
 
-// epochTracker turns out-of-order epoch completions into a monotone
-// horizon and an in-order event stream. Concurrent writers on disjoint
-// shards commit their epochs as they finish, not in allocation order;
-// the horizon only advances to epoch k once every epoch ≤ k has
-// committed, so a pinned reader never observes epoch k+1 without k
-// (which would break the prefix-replay equivalence the differential
-// tests check). Every allocated epoch must be committed exactly once
-// (finish does), or the horizon stalls.
+// epochTracker publishes committed epochs: the monotone read horizon,
+// the in-order event stream and the wake-up of horizon waiters. Epochs
+// are allocated and committed under the write lock (Engine.begin and
+// finish), so they reach commit one at a time and in allocation order: a
+// pinned reader never observes epoch k+1 without k. Every allocated epoch
+// must be committed exactly once (finish does), or the horizon stalls.
 type epochTracker struct {
-	mu sync.Mutex
-	// done parks the events of epochs that committed ahead of a
-	// predecessor; an epoch that commits in order (every epoch of a
-	// one-shard engine) never enters it.
-	done    map[uint64]CommitEvent
-	low     uint64 // epochs 1..low have all committed
 	horizon atomic.Uint64
 	note    horizonNote
 
-	// emit is called under mu for every epoch the horizon newly covers,
-	// in increasing epoch order and after the horizon store — the
-	// in-order commit-event edge. It must not block (see CommitHook).
+	// emit is called for every committed epoch, in increasing epoch order
+	// and after the horizon store — the in-order commit-event edge. It
+	// must not block (see CommitHook).
 	emit func(ev CommitEvent)
 }
 
 func (t *epochTracker) init(emit func(ev CommitEvent)) {
-	t.done = make(map[uint64]CommitEvent)
 	t.horizon.Store(seqCounterMask) // epoch 0 (initial rows) is visible
 	t.emit = emit
 }
 
-// commit records that the epoch finished, with the event announcing it.
+// commit publishes the epoch with the event announcing it. The caller
+// holds the write lock.
 func (t *epochTracker) commit(epoch uint64, ev CommitEvent) {
 	ev.Epoch, ev.Seq = epoch, EpochSeq(epoch)
-	t.mu.Lock()
-	if epoch != t.low+1 {
-		t.done[epoch] = ev
-		t.mu.Unlock()
-		return
-	}
-	t.low++
-	for {
-		if _, ok := t.done[t.low+1]; !ok {
-			break
-		}
-		t.low++
-	}
-	t.horizon.Store(EpochSeq(t.low))
+	t.horizon.Store(ev.Seq)
 	t.emit(ev)
-	for k := epoch + 1; k <= t.low; k++ {
-		t.emit(t.done[k])
-		delete(t.done, k)
-	}
-	t.mu.Unlock()
 	t.note.wake()
 }
 
@@ -298,8 +271,8 @@ type MVCCStats struct {
 }
 
 // Horizon returns the newest committed read horizon: the largest
-// sequence s such that every epoch ≤ SeqEpoch(s) has committed on every
-// shard it touched. At(Horizon()) pins the current state.
+// sequence s such that every epoch ≤ SeqEpoch(s) has committed.
+// At(Horizon()) pins the current state.
 func (e *Engine) Horizon() uint64 { return e.tracker.horizon.Load() }
 
 // WaitHorizon blocks until the committed horizon reaches seq or ctx is
@@ -311,15 +284,10 @@ func (e *Engine) WaitHorizon(ctx context.Context, seq uint64) error {
 	return e.tracker.note.waitHorizon(ctx, e.Horizon, seq)
 }
 
-// MVCCStats reports the engine's version-storage counters, versions
-// summed over shards.
+// MVCCStats reports the engine's version-storage counters.
 func (e *Engine) MVCCStats() MVCCStats {
 	h := e.Horizon()
-	st := MVCCStats{HorizonEpoch: SeqEpoch(h), HorizonSeq: h, Epochs: e.epoch.Load()}
-	for _, sh := range e.shards {
-		st.Versions += sh.versions.Load()
-	}
-	return st
+	return MVCCStats{HorizonEpoch: SeqEpoch(h), HorizonSeq: h, Epochs: e.epoch.Load(), Versions: e.sh.versions.Load()}
 }
 
 // At returns a read-only view of the database at the given horizon
@@ -336,7 +304,7 @@ func (e *Engine) At(seq uint64) View {
 // the committed horizon; At hands out a pointer, which is cheaper to put
 // behind the View interface than the two words by value. All methods are
 // lock-free reads against the version chains, except that Select plans
-// under the shards' read locks.
+// under the read lock.
 type view struct {
 	e *Engine
 	s uint64
@@ -356,50 +324,34 @@ func (v view) Relations() []string { return v.e.schema.Names() }
 func (v view) AsOf() uint64 { return v.s }
 
 // rows returns the relation's rows visible at the pinned horizon, in
-// global insertion order — sequence order, whatever the partition. One
-// shard's list is already in that order (its epochs are allocated under
-// its write lock) and the visible rows are a prefix of it, trimmed by
-// the sequence column without chasing row pointers. Several shards'
-// lists each hold a part of that order, so their visible rows are
-// gathered and sorted. Lock-free either way:
-// lists are snapshotted and rows beyond the horizon excluded up front,
-// so callers only resolve versions.
+// insertion order. The table list is in sequence order (epochs are
+// allocated under the write lock), so the visible rows are a prefix of
+// it, trimmed by the sequence column without chasing row pointers.
+// Lock-free: the list is snapshotted and rows beyond the horizon excluded
+// up front, so callers only resolve versions.
 func (v view) rows(rel string) []*row {
-	tbl := v.e.shards[0].tables[rel]
+	tbl := v.e.sh.tables[rel]
 	if tbl == nil {
 		return nil
 	}
-	if len(v.e.shards) == 1 {
-		rows := tbl.list.snapshot()
-		n := len(rows)
-		for n > 0 && tbl.cols.seqs.at(n-1) > v.s {
-			n--
-		}
-		return rows[:n]
+	rows := tbl.list.snapshot()
+	n := len(rows)
+	for n > 0 && tbl.cols.seqs.at(n-1) > v.s {
+		n--
 	}
-	var out []*row
-	for _, sh := range v.e.shards {
-		for _, r := range sh.tables[rel].list.snapshot() {
-			if r.seq <= v.s {
-				out = append(out, r)
-			}
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].seq < out[j].seq })
-	return out
+	return rows[:n]
 }
 
 // find returns the version of the tuple's row visible at the pinned
-// horizon, from the shard owning it, or nil. Fingerprint routing plus a
-// fingerprint probe: the steady-state point lookup allocates nothing
-// (enforced by TestAllocFreeReads), and no Key() string is built.
+// horizon, or nil. A fingerprint probe: the steady-state point lookup
+// allocates nothing (enforced by TestAllocFreeReads), and no Key() string
+// is built.
 func (v view) find(rel string, t db.Tuple) *version {
-	fp := t.Fingerprint()
-	tbl := v.e.owner(fp).tables[rel]
+	tbl := v.e.sh.tables[rel]
 	if tbl == nil {
 		return nil
 	}
-	r := tbl.get(fp, t)
+	r := tbl.get(t.Fingerprint(), t)
 	if r == nil {
 		return nil
 	}
@@ -443,61 +395,20 @@ func (v view) Rows(f func(rel string, t db.Tuple, ann *core.Expr)) {
 	}
 }
 
-// Select runs the pinned-horizon planner on every shard and merges the
-// matches to global insertion order.
+// Select runs the planner at the pinned horizon.
 func (v view) Select(rel string, sel db.Pattern) ([]db.Tuple, error) {
-	var rows []*row
-	for _, sh := range v.e.shards {
-		if err := sh.selectAt(rel, sel, v.s, func(r *row) { rows = append(rows, r) }); err != nil {
-			return nil, err
-		}
-	}
-	if len(v.e.shards) > 1 {
-		// Shard-local scans come back in shard insertion order; sequence
-		// numbers are globally unique and define the merged order.
-		sort.Slice(rows, func(i, j int) bool { return rows[i].seq < rows[j].seq })
-	}
-	out := make([]db.Tuple, len(rows))
-	for i, r := range rows {
-		out[i] = r.tuple
+	var out []db.Tuple
+	err := v.e.sh.selectAt(rel, sel, v.s, func(r *row) { out = append(out, r.tuple) })
+	if err != nil {
+		return nil, err
 	}
 	return out, nil
 }
 
-// sum adds up a per-shard measure, the shards evaluated concurrently.
-func (v view) sum(f func(sh *shard) int64) int64 {
-	per := make([]int64, len(v.e.shards))
-	v.e.fan(v.e.all, func(i int, sh *shard) { per[i] = f(sh) })
-	var n int64
-	for _, c := range per {
-		n += c
-	}
-	return n
-}
-
-func (v view) NumRows() int {
-	return int(v.sum(func(sh *shard) int64 { return int64(sh.numRowsAt(v.s)) }))
-}
-
-func (v view) SupportSize() int {
-	return int(v.sum(func(sh *shard) int64 { return int64(sh.supportSizeAt(v.s)) }))
-}
-
-func (v view) ProvSize() int64 {
-	return v.sum(func(sh *shard) int64 { return sh.provSizeAt(v.s) })
-}
-
-// ProvDAGSize counts distinct expression nodes: shards mark their
-// partitions in parallel in private id-indexed sets, whose union — an
-// OR of bitset pages — dedupes nodes shared across shards.
-func (v view) ProvDAGSize() int64 {
-	sets := make([]core.NodeSet, len(v.e.shards))
-	v.e.fan(v.e.all, func(i int, sh *shard) { sh.provDAGSizeAt(&sets[i], v.s) })
-	for i := range sets[1:] {
-		sets[0].Union(&sets[1+i])
-	}
-	return sets[0].Len()
-}
+func (v view) NumRows() int       { return v.e.sh.numRowsAt(v.s) }
+func (v view) SupportSize() int   { return v.e.sh.supportSizeAt(v.s) }
+func (v view) ProvSize() int64    { return v.e.sh.provSizeAt(v.s) }
+func (v view) ProvDAGSize() int64 { return v.e.sh.provDAGSizeAt(v.s) }
 
 // --- the engine's Reader surface: the view at the committed horizon -----
 
@@ -515,8 +426,8 @@ func (e *Engine) NF(rel string, t db.Tuple) *core.NF { return e.view().NF(rel, t
 // committed horizon (including tombstones outside the support) with its
 // tuple and annotation, in deterministic insertion order (the same
 // order Specialize and SpecializeParallel stream rows) — never map
-// order, and the same for every shard count, so snapshot bytes and
-// streamed results are stable across runs. In normal-form mode
+// order, so snapshot bytes and streamed results are stable across runs.
+// In normal-form mode
 // annotations are materialized per call. The pass is lock-free and the
 // horizon is pinned on entry, so the visited rows form one consistent
 // epoch snapshot even while transactions commit concurrently; f may
@@ -526,8 +437,8 @@ func (e *Engine) EachRow(rel string, f func(t db.Tuple, ann *core.Expr)) { e.vie
 // Rows calls f for every row visible at the committed horizon —
 // relations in schema order, rows in insertion order — with the horizon
 // pinned once for the whole pass, so the visited rows form one
-// consistent cut across shards even while transactions are applied
-// concurrently. Snapshot saving uses this.
+// consistent cut even while transactions are applied concurrently.
+// Snapshot saving uses this.
 func (e *Engine) Rows(f func(rel string, t db.Tuple, ann *core.Expr)) { e.view().Rows(f) }
 
 // Select implements Reader: the tuples the selection pattern matches
@@ -537,22 +448,13 @@ func (e *Engine) Select(rel string, sel db.Pattern) ([]db.Tuple, error) {
 }
 
 // SelectEach streams the tuples matching the selection at the
-// committed horizon to f, in insertion order, through the planner. On
-// one shard that is Select without materializing the result slice —
-// with an indexed =-constrained column the steady-state pass allocates
-// nothing (enforced by TestAllocFreeReads); across several the merged
-// order needs the sequence sort, so the result is materialized first.
-// f must not retain the tuples across engine mutations it triggers
-// itself.
+// committed horizon to f, in insertion order, through the planner: Select
+// without materializing the result slice — with an indexed
+// =-constrained column the steady-state pass allocates nothing (enforced
+// by TestAllocFreeReads). f must not retain the tuples across engine
+// mutations it triggers itself.
 func (e *Engine) SelectEach(rel string, sel db.Pattern, f func(db.Tuple)) error {
-	if len(e.shards) == 1 {
-		return e.shards[0].selectAt(rel, sel, e.Horizon(), func(r *row) { f(r.tuple) })
-	}
-	tuples, err := e.Select(rel, sel)
-	for _, t := range tuples {
-		f(t)
-	}
-	return err
+	return e.sh.selectAt(rel, sel, e.Horizon(), func(r *row) { f(r.tuple) })
 }
 
 // NumRows reports the total number of rows visible at the committed
@@ -578,7 +480,7 @@ func (e *Engine) ProvSize() int64 { return e.view().ProvSize() }
 // the latter; the stats endpoint reports both).
 func (e *Engine) ProvDAGSize() int64 { return e.view().ProvDAGSize() }
 
-// --- horizon-pinned measures of one shard -------------------------------
+// --- horizon-pinned measures ---------------------------------------------
 
 func (s *shard) numRowsAt(h uint64) int {
 	n := 0
@@ -624,13 +526,15 @@ func (s *shard) provSizeAt(h uint64) int64 {
 	return n
 }
 
-// provDAGSizeAt adds the partition's distinct nodes to seen.
-func (s *shard) provDAGSizeAt(seen *core.NodeSet, h uint64) {
+// provDAGSizeAt counts the distinct nodes of the visible annotations.
+func (s *shard) provDAGSizeAt(h uint64) int64 {
+	var seen core.NodeSet
 	for _, name := range s.schema.Names() {
 		for _, r := range s.tables[name].list.snapshot() {
 			if v := r.at(h); v != nil {
-				v.annotation().DAGSizeInto(seen)
+				v.annotation().DAGSizeInto(&seen)
 			}
 		}
 	}
+	return seen.Len()
 }

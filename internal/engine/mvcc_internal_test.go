@@ -15,19 +15,17 @@ func seqTestSchema(t *testing.T) *db.Schema {
 	))
 }
 
-// collectSeqs maps every stored row's sequence number to the row, over
-// all shards, failing on a duplicate.
+// collectSeqs maps every stored row's sequence number to the row,
+// failing on a duplicate.
 func collectSeqs(t *testing.T, e *Engine) map[uint64]string {
 	t.Helper()
 	seqs := make(map[uint64]string)
-	for _, sh := range e.shards {
-		for _, rel := range e.schema.Names() {
-			for _, r := range sh.tables[rel].list.snapshot() {
-				if prev, dup := seqs[r.seq]; dup {
-					t.Fatalf("rows %s and %s/%s share seq %#x", prev, rel, r.tuple, r.seq)
-				}
-				seqs[r.seq] = rel + "/" + r.tuple.String()
+	for _, rel := range e.schema.Names() {
+		for _, r := range e.sh.tables[rel].list.snapshot() {
+			if prev, dup := seqs[r.seq]; dup {
+				t.Fatalf("rows %s and %s/%s share seq %#x", prev, rel, r.tuple, r.seq)
 			}
+			seqs[r.seq] = rel + "/" + r.tuple.String()
 		}
 	}
 	return seqs
@@ -38,7 +36,8 @@ func collectSeqs(t *testing.T, e *Engine) map[uint64]string {
 // (direct ApplyTransaction calls, no ApplyAll) used to leave every row
 // at sequence 0, which collapses MVCC validity intervals. Every live
 // row — across initial load and any mix of apply paths — must carry a
-// distinct sequence number, for every shard count, and the same one.
+// distinct sequence number. The shards=N subtests open the engine with
+// the deprecated WithShards(N), which must leave every number as it is.
 func TestRowSeqUniqueness(t *testing.T) {
 	schema := seqTestSchema(t)
 	initial := db.NewDatabase(schema)
@@ -89,7 +88,7 @@ func TestRowSeqUniqueness(t *testing.T) {
 			}
 			for s, who := range seqs {
 				if one[s] != who {
-					t.Fatalf("seq %#x is %s here and %q on one shard", s, who, one[s])
+					t.Fatalf("seq %#x is %s here and %q without the option", s, who, one[s])
 				}
 			}
 		})
@@ -131,7 +130,7 @@ func TestScanAtCompactedIndexFallsBack(t *testing.T) {
 
 	// Simulate a sweep having dropped entries: history above since is
 	// gone, so even covered horizons must fall back.
-	e.shards[0].idx.tables["R"].cols[1].compacted = true
+	e.sh.idx.tables["R"].cols[1].compacted = true
 	before = e.PlannerStats()
 	got, err = e.At(h).Select("R", sel)
 	if err != nil {

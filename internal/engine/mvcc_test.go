@@ -4,9 +4,11 @@ package engine_test
 // pinned at epoch k of one engine that applied the whole log must be
 // indistinguishable — annotations, normal forms, row streams, size
 // measures, and snapshot bytes — from a fresh engine that stopped
-// after the first k transactions. The check runs across both engine
-// implementations and both provenance modes, so the lock-free version
-// chains are held to exactly the behavior of the old locked reads.
+// after the first k transactions. The check runs in both provenance
+// modes, so the lock-free version chains are held to exactly the
+// behavior of the old locked reads. Subtests named after a shard count
+// above one open the engine with the deprecated WithShards, which must
+// change nothing (see sharded_test.go).
 
 import (
 	"bytes"
@@ -285,25 +287,22 @@ func TestSelectTimeTravel(t *testing.T) {
 					}
 				}
 			}
-			if shards == 1 {
-				// Gating counters, single engine only (shards each count):
-				// a pre-index epoch falls back to the full scan, the final
-				// horizon is served by the index.
-				before := full.PlannerStats()
-				if _, err := full.At(engine.EpochSeq(2)).Select("R", sels[0]); err != nil {
-					t.Fatal(err)
-				}
-				mid := full.PlannerStats()
-				if mid.FullScans != before.FullScans+1 {
-					t.Fatalf("pre-index epoch served by the index: %+v -> %+v", before, mid)
-				}
-				if _, err := full.Select("R", sels[0]); err != nil {
-					t.Fatal(err)
-				}
-				after := full.PlannerStats()
-				if after.IndexScans != mid.IndexScans+1 {
-					t.Fatalf("covered horizon not served by the index: %+v -> %+v", mid, after)
-				}
+			// Gating counters: a pre-index epoch falls back to the full
+			// scan, the final horizon is served by the index.
+			before := full.PlannerStats()
+			if _, err := full.At(engine.EpochSeq(2)).Select("R", sels[0]); err != nil {
+				t.Fatal(err)
+			}
+			mid := full.PlannerStats()
+			if mid.FullScans != before.FullScans+1 {
+				t.Fatalf("pre-index epoch served by the index: %+v -> %+v", before, mid)
+			}
+			if _, err := full.Select("R", sels[0]); err != nil {
+				t.Fatal(err)
+			}
+			after := full.PlannerStats()
+			if after.IndexScans != mid.IndexScans+1 {
+				t.Fatalf("covered horizon not served by the index: %+v -> %+v", mid, after)
 			}
 		})
 	}
@@ -349,11 +348,9 @@ func TestApplyBatchReportsApplied(t *testing.T) {
 		return e.Annotation("R", db.Tuple{db.I(int64(i))}) != nil
 	}
 
-	// A failed batch is a log prefix on every shard count: txns[:bad]
-	// applied, the bad transaction's query before its failing one applied,
-	// nothing after — and so the one-shard engine's snapshot bytes.
-	// Repeated, because a scheduling-dependent apply order shows only in
-	// some runs.
+	// A failed batch is a log prefix: txns[:bad] applied, the bad
+	// transaction's query before its failing one applied, nothing after —
+	// and so the snapshot bytes of a reference engine that applied it.
 	const bad = 40
 	failing := func() []db.Transaction {
 		txns := mkTxns(64)
@@ -362,28 +359,26 @@ func TestApplyBatchReportsApplied(t *testing.T) {
 	}
 	one := engine.OpenEmpty(engine.ModeNormalForm, schema)
 	if applied, err := one.ApplyBatch(context.Background(), failing()); err == nil || applied != bad {
-		t.Fatalf("one shard: applied = %d, err = %v; want %d and the bad transaction's error", applied, err, bad)
+		t.Fatalf("reference: applied = %d, err = %v; want %d and the bad transaction's error", applied, err, bad)
 	}
 	want := snapshotBytes(t, one)
 	for _, shards := range []int{1, 2, 8} {
 		t.Run(fmt.Sprintf("shards%d/failure", shards), func(t *testing.T) {
-			for run := 0; run < 20; run++ {
-				e := engine.OpenEmpty(engine.ModeNormalForm, schema, engine.WithShards(shards))
-				applied, err := e.ApplyBatch(context.Background(), failing())
-				if err == nil {
-					t.Fatalf("run %d: ApplyBatch with a bad transaction: err = nil", run)
+			e := engine.OpenEmpty(engine.ModeNormalForm, schema, engine.WithShards(shards))
+			applied, err := e.ApplyBatch(context.Background(), failing())
+			if err == nil {
+				t.Fatal("ApplyBatch with a bad transaction: err = nil")
+			}
+			if applied != bad {
+				t.Fatalf("applied = %d, want %d (the index of the bad transaction)", applied, bad)
+			}
+			for i := range 64 {
+				if got := present(e, i); got != (i <= bad) {
+					t.Fatalf("transaction %d visible = %v, want %v", i, got, i <= bad)
 				}
-				if applied != bad {
-					t.Fatalf("run %d: applied = %d, want %d (the index of the bad transaction)", run, applied, bad)
-				}
-				for i := range 64 {
-					if got := present(e, i); got != (i <= bad) {
-						t.Fatalf("run %d: transaction %d visible = %v, want %v", run, i, got, i <= bad)
-					}
-				}
-				if got := snapshotBytes(t, e); !bytes.Equal(got, want) {
-					t.Fatalf("run %d: snapshot differs from the one-shard engine's after the failed batch", run)
-				}
+			}
+			if got := snapshotBytes(t, e); !bytes.Equal(got, want) {
+				t.Fatal("snapshot differs from the reference engine's after the failed batch")
 			}
 		})
 		t.Run(fmt.Sprintf("shards%d/precancelled", shards), func(t *testing.T) {

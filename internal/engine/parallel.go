@@ -161,7 +161,7 @@ var kernelPool = sync.Pool{New: func() any { return upstruct.NewKernel(nil) }}
 // only during the call. The visit results come back in chunk order —
 // relations in schema order, rows in insertion order — so
 // concatenating what they hold reproduces the sequential BoolRestrict
-// order for any workers and shard count; chunks with no live tuple are
+// order for any workers; chunks with no live tuple are
 // visited too. Nothing is materialized per row: this is the building
 // block for consumers that fold live tuples straight into their own
 // output (the HTTP server into response bytes). Each worker evaluates
@@ -221,7 +221,7 @@ func liveChunks[R any](ctx context.Context, r Reader, workers int, newEval func(
 // generic evaluator (env is opaque, so there is nothing to resolve or
 // memoise), with each chunk's live tuples copied out and inserted in
 // chunk order, so the result's insertion order is the same for any
-// worker count (BoolRestrict is this with one) and shard count, view or
+// worker count (BoolRestrict is this with one), view or
 // wrapper. env must be safe for concurrent use. On cancellation,
 // (nil, ctx.Err()) is returned.
 func BoolRestrictParallel(ctx context.Context, e Reader, env upstruct.Env[bool], workers int) (*db.Database, error) {

@@ -34,8 +34,8 @@ func plannerConfigs() []indexConfig {
 // for random databases and random hyperplane transactions (constants, ≠
 // constraints and free variables mixed), annotations, streaming order
 // and snapshot bytes must be identical with indexes off, manually built
-// on every column, and advisor-built — across shards ∈ {1, 8}, both
-// provenance modes, and both matchability semantics.
+// on every column, and advisor-built — in both provenance modes and
+// under both matchability semantics.
 func TestPlannerDifferential(t *testing.T) {
 	r := rand.New(rand.NewSource(601))
 	for trial := 0; trial < 15; trial++ {
@@ -50,26 +50,20 @@ func TestPlannerDifferential(t *testing.T) {
 				want := streamRows(base)
 				wantSnap := snapshotOf(t, base)
 				for _, cfg := range plannerConfigs() {
-					for _, shards := range []int{1, 8} {
-						label := fmt.Sprintf("trial %d %s live=%v %s shards=%d",
-							trial, mode, live, cfg.name, shards)
-						opts := append([]engine.Option{
-							engine.WithShards(shards),
-							engine.WithLiveMatching(live),
-						}, cfg.opts...)
-						e := engine.Open(mode, initial, opts...)
-						for _, attr := range cfg.manual {
-							if err := e.BuildIndex("R", attr); err != nil {
-								t.Fatalf("%s: BuildIndex: %v", label, err)
-							}
+					label := fmt.Sprintf("trial %d %s live=%v %s", trial, mode, live, cfg.name)
+					opts := append([]engine.Option{engine.WithLiveMatching(live)}, cfg.opts...)
+					e := engine.Open(mode, initial, opts...)
+					for _, attr := range cfg.manual {
+						if err := e.BuildIndex("R", attr); err != nil {
+							t.Fatalf("%s: BuildIndex: %v", label, err)
 						}
-						if err := e.ApplyAll(context.Background(), txns); err != nil {
-							t.Fatalf("%s: %v", label, err)
-						}
-						diffStreams(t, label, want, streamRows(e))
-						if !bytes.Equal(wantSnap, snapshotOf(t, e)) {
-							t.Fatalf("%s: snapshot bytes differ from unindexed single engine", label)
-						}
+					}
+					if err := e.ApplyAll(context.Background(), txns); err != nil {
+						t.Fatalf("%s: %v", label, err)
+					}
+					diffStreams(t, label, want, streamRows(e))
+					if !bytes.Equal(wantSnap, snapshotOf(t, e)) {
+						t.Fatalf("%s: snapshot bytes differ from the unindexed engine", label)
 					}
 				}
 			}
@@ -98,56 +92,51 @@ func TestPlannerDifferentialMultiColumn(t *testing.T) {
 	wantSnap := snapshotOf(t, base)
 
 	for _, cfg := range plannerConfigs()[1:] { // manual, autoindex
-		for _, shards := range []int{1, 8} {
-			label := fmt.Sprintf("%s shards=%d", cfg.name, shards)
-			opts := append([]engine.Option{engine.WithShards(shards)}, cfg.opts...)
-			e := engine.Open(engine.ModeNormalForm, initial, opts...)
-			if cfg.name == "manual" {
-				// The workload pins grp and cat; id/val indexes would sit idle.
-				for _, attr := range []string{"grp", "cat"} {
-					if err := e.BuildIndex("R", attr); err != nil {
-						t.Fatal(err)
-					}
+		e := engine.Open(engine.ModeNormalForm, initial, cfg.opts...)
+		if cfg.name == "manual" {
+			// The workload pins grp and cat; id/val indexes would sit idle.
+			for _, attr := range []string{"grp", "cat"} {
+				if err := e.BuildIndex("R", attr); err != nil {
+					t.Fatal(err)
 				}
 			}
-			if err := e.ApplyAll(context.Background(), txns); err != nil {
-				t.Fatalf("%s: %v", label, err)
-			}
-			diffStreams(t, label, want, streamRows(e))
-			if !bytes.Equal(wantSnap, snapshotOf(t, e)) {
-				t.Fatalf("%s: snapshot bytes differ", label)
-			}
-			ps := e.PlannerStats()
-			if ps.IndexScans == 0 {
-				t.Fatalf("%s: workload never index-scanned: %+v", label, ps)
-			}
-			if ps.FullScans == 0 {
-				t.Fatalf("%s: ≠-only selections never fell back to full scan: %+v", label, ps)
-			}
-			if cfg.name == "manual" && shards == 1 && ps.IntersectScans == 0 {
-				t.Fatalf("%s: grp+cat selections never merge-intersected: %+v", label, ps)
-			}
-			if cfg.name == "autoindex" && ps.AutoBuilds == 0 {
-				t.Fatalf("%s: advisor never built an index: %+v", label, ps)
-			}
+		}
+		if err := e.ApplyAll(context.Background(), txns); err != nil {
+			t.Fatalf("%s: %v", cfg.name, err)
+		}
+		diffStreams(t, cfg.name, want, streamRows(e))
+		if !bytes.Equal(wantSnap, snapshotOf(t, e)) {
+			t.Fatalf("%s: snapshot bytes differ", cfg.name)
+		}
+		ps := e.PlannerStats()
+		if ps.IndexScans == 0 {
+			t.Fatalf("%s: workload never index-scanned: %+v", cfg.name, ps)
+		}
+		if ps.FullScans == 0 {
+			t.Fatalf("%s: ≠-only selections never fell back to full scan: %+v", cfg.name, ps)
+		}
+		if cfg.name == "manual" && ps.IntersectScans == 0 {
+			t.Fatalf("%s: grp+cat selections never merge-intersected: %+v", cfg.name, ps)
+		}
+		if cfg.name == "autoindex" && ps.AutoBuilds == 0 {
+			t.Fatalf("%s: advisor never built an index: %+v", cfg.name, ps)
 		}
 	}
 }
 
-// TestConcurrentAutoIndexStress drives a sharded engine with the
+// TestConcurrentAutoIndexStress drives an engine with the
 // advisor enabled while readers hammer the statistics and annotation
 // endpoints and a maintenance goroutine builds and drops an index in a
 // loop. Run under -race (the CI race job does), this is the memory-model
 // contract for concurrent auto-index builds: scans mutate index state
-// only under each shard's write lock, the planner counters are atomics.
+// only under the write lock, the planner counters are atomics.
 func TestConcurrentAutoIndexStress(t *testing.T) {
 	wcfg := workload.Config{Tuples: 400, Group: 40, Updates: 200, QueriesPerTxn: 2, Seed: 607}
 	initial, txns, err := workload.GenerateMultiColumn(wcfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := engine.Open(engine.ModeNormalForm, initial,
-		engine.WithShards(8), engine.WithAutoIndex(2))
+	e := engine.Open(engine.ModeNormalForm, initial, engine.WithAutoIndex(2))
 
 	done := make(chan struct{})
 	var wg sync.WaitGroup
@@ -209,16 +198,16 @@ func TestConcurrentAutoIndexStress(t *testing.T) {
 	}
 }
 
-// TestShardedIndexStatsMerge: IndexStats on a sharded engine merges the
-// per-shard indexes into one row per (relation, attribute), and
-// PlannerStats sums the shard counters.
+// TestShardedIndexStatsMerge: with the deprecated WithShards (see
+// sharded_test.go) IndexStats reports one row per (relation, attribute)
+// and PlannerStats counts the scans.
 func TestShardedIndexStatsMerge(t *testing.T) {
 	wcfg := workload.Config{Tuples: 200, Group: 20, Updates: 40, QueriesPerTxn: 2, Seed: 611}
 	initial, txns, err := workload.GenerateMultiColumn(wcfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := engine.Open(engine.ModeNormalForm, initial, engine.WithShards(4))
+	e := engine.Open(engine.ModeNormalForm, initial, engine.WithShards(oldShards))
 	if err := e.BuildIndex("R", "grp"); err != nil {
 		t.Fatal(err)
 	}
@@ -230,12 +219,12 @@ func TestShardedIndexStatsMerge(t *testing.T) {
 	}
 	infos := e.IndexStats()
 	if len(infos) != 2 {
-		t.Fatalf("want one merged row per index, got %d: %+v", len(infos), infos)
+		t.Fatalf("want one row per index, got %d: %+v", len(infos), infos)
 	}
 	var totalEntries int
 	for _, info := range infos {
 		if info.Rel != "R" || (info.Attr != "grp" && info.Attr != "cat") {
-			t.Fatalf("unexpected merged index row: %+v", info)
+			t.Fatalf("unexpected index row: %+v", info)
 		}
 		if info.Auto {
 			t.Fatalf("manual index reported as auto: %+v", info)
@@ -243,11 +232,11 @@ func TestShardedIndexStatsMerge(t *testing.T) {
 		totalEntries += info.Entries
 	}
 	if totalEntries == 0 {
-		t.Fatal("merged IndexStats reports no posting entries")
+		t.Fatal("IndexStats reports no posting entries")
 	}
 	ps := e.PlannerStats()
 	if ps.IndexScans == 0 && ps.IntersectScans == 0 {
-		t.Fatalf("sharded PlannerStats summed to nothing: %+v", ps)
+		t.Fatalf("PlannerStats counted no index scan: %+v", ps)
 	}
 }
 
@@ -349,9 +338,8 @@ func unpinV(txns []db.Transaction) []db.Transaction {
 // lookup: a selection pinning every attribute, answered by one probe of
 // the fingerprint map, leaves exactly the state the same selection
 // leaves when it is phrased so as to walk the relation or a posting
-// list — row order, annotation pointers and snapshot bytes — on one
-// shard and on eight, in both modes and under both matchability
-// semantics.
+// list — row order, annotation pointers and snapshot bytes — in both
+// modes and under both matchability semantics.
 func TestPlannerDifferentialPinned(t *testing.T) {
 	initial, pinned := pinnedFamilyLog(rand.New(rand.NewSource(617)))
 	unpinned := unpinV(pinned)
@@ -367,45 +355,43 @@ func TestPlannerDifferentialPinned(t *testing.T) {
 		for _, live := range []bool{false, true} {
 			var want []streamedRow
 			var wantSnap []byte
-			for _, shards := range []int{1, 8} {
-				for _, path := range []string{"probe", "fullscan", "indexscan"} {
-					label := fmt.Sprintf("%s live=%v shards=%d %s", mode, live, shards, path)
-					e := engine.New(mode, initial, engine.WithShards(shards), engine.WithLiveMatching(live))
-					txns := unpinned
-					switch path {
-					case "probe":
-						txns = pinned
-					case "indexscan":
-						if err := e.BuildIndex("R", "K"); err != nil {
-							t.Fatal(err)
-						}
+			for _, path := range []string{"probe", "fullscan", "indexscan"} {
+				label := fmt.Sprintf("%s live=%v %s", mode, live, path)
+				e := engine.New(mode, initial, engine.WithLiveMatching(live))
+				txns := unpinned
+				switch path {
+				case "probe":
+					txns = pinned
+				case "indexscan":
+					if err := e.BuildIndex("R", "K"); err != nil {
+						t.Fatal(err)
 					}
-					if err := e.ApplyAll(context.Background(), txns); err != nil {
-						t.Fatalf("%s: %v", label, err)
-					}
-					got := streamRows(e)
-					if want == nil {
-						want, wantSnap = got, snapshotOf(t, e)
-					}
-					diffStreams(t, label, want, got)
-					if mode == engine.ModeNormalForm {
-						diffPointers(t, label, want, got)
-					}
-					if !bytes.Equal(wantSnap, snapshotOf(t, e)) {
-						t.Fatalf("%s: snapshot bytes differ from the probing one-shard engine", label)
-					}
-					// The access path under test is the one that ran, and every
-					// planned selection is counted under exactly one of the four.
-					ps := e.PlannerStats()
-					switch {
-					case path == "probe" && ps.PointLookups == 0,
-						path == "fullscan" && (ps.FullScans == 0 || ps.PointLookups+ps.IndexScans != 0),
-						path == "indexscan" && (ps.IndexScans == 0 || ps.PointLookups != 0):
-						t.Fatalf("%s: planner counters %+v", label, ps)
-					}
-					if planned := ps.FullScans + ps.IndexScans + ps.IntersectScans + ps.PointLookups; shards == 1 && planned != selections {
-						t.Fatalf("%s: %d selections planned, the log holds %d: %+v", label, planned, selections, ps)
-					}
+				}
+				if err := e.ApplyAll(context.Background(), txns); err != nil {
+					t.Fatalf("%s: %v", label, err)
+				}
+				got := streamRows(e)
+				if want == nil {
+					want, wantSnap = got, snapshotOf(t, e)
+				}
+				diffStreams(t, label, want, got)
+				if mode == engine.ModeNormalForm {
+					diffPointers(t, label, want, got)
+				}
+				if !bytes.Equal(wantSnap, snapshotOf(t, e)) {
+					t.Fatalf("%s: snapshot bytes differ from the probing engine", label)
+				}
+				// The access path under test is the one that ran, and every
+				// planned selection is counted under exactly one of the four.
+				ps := e.PlannerStats()
+				switch {
+				case path == "probe" && ps.PointLookups == 0,
+					path == "fullscan" && (ps.FullScans == 0 || ps.PointLookups+ps.IndexScans != 0),
+					path == "indexscan" && (ps.IndexScans == 0 || ps.PointLookups != 0):
+					t.Fatalf("%s: planner counters %+v", label, ps)
+				}
+				if planned := ps.FullScans + ps.IndexScans + ps.IntersectScans + ps.PointLookups; planned != selections {
+					t.Fatalf("%s: %d selections planned, the log holds %d: %+v", label, planned, selections, ps)
 				}
 			}
 		}

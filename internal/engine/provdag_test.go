@@ -35,12 +35,11 @@ func mapWalkDAGSize(r engine.Reader) int64 {
 
 // TestProvDAGSizeEqualsMapWalk: the id-indexed count equals the
 // definition-following walk on TPC-C and Section 6.2 synthetic
-// histories, on one shard and on eight (a node shared across shards
-// counted once by the union of their sets), in normal-form mode, in
-// naive mode over shared nodes, and in naive copy-on-write mode (the
-// naive default), whose annotations are raw trees without ids (the
-// set's pointer fallback) — at the live horizon and at a historical
-// one.
+// histories, in normal-form mode, in naive mode over shared nodes, and
+// in naive copy-on-write mode (the naive default), whose annotations are
+// raw trees without ids (the set's pointer fallback) — at the live
+// horizon and at a historical one. The shards8 subtests open the engine
+// with the deprecated WithShards(8), which must change nothing.
 func TestProvDAGSizeEqualsMapWalk(t *testing.T) {
 	tpccInitial, tpccTxns, err := benchutil.TPCCOpList(41, 400)
 	if err != nil {

@@ -45,7 +45,7 @@ func TestRestoreRowLiveMatchesTreeWalk(t *testing.T) {
 				t.Fatalf("seed %d, %v: %d of %d rows dead — the history does not exercise both values", seed, mode, dead, len(want))
 			}
 			for _, rel := range dst.schema.Names() {
-				for _, r := range dst.shards[0].tables[rel].list.snapshot() {
+				for _, r := range dst.sh.tables[rel].list.snapshot() {
 					if got := r.at(dst.Horizon()).live; got != want[rel+"/"+r.tuple.Key()] {
 						t.Fatalf("seed %d, %v: %s%v restored live=%v, tree walk says %v", seed, mode, rel, r.tuple, got, !got)
 					}

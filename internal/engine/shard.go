@@ -18,20 +18,17 @@ import (
 type row struct {
 	tuple db.Tuple
 	// fp is the tuple's db.Tuple.Fingerprint, cached at insertion: the
-	// rowMap probes compare it before tuple equality, and shard routing
-	// reuses it, so the hot path never rebuilds Key() strings (keys
-	// survive only in snapshots and the WAL, where byte-compatibility
-	// matters).
+	// rowMap probes compare it before tuple equality, so the hot path
+	// never rebuilds Key() strings (keys survive only in snapshots and the
+	// WAL, where byte-compatibility matters).
 	fp uint64
 	// touched is the epoch of the last transaction that touched the row:
 	// what keeps a row once in its transaction's freeze list and event.
 	touched uint64
-	// seq is the row's global creation sequence number,
-	// epoch<<32|counter: the epoch is the transaction (or restore) that
-	// created the row and the counter its creation index within that
-	// epoch, counted across every shard the epoch spans. Sequence numbers
-	// are unique per engine, so sorting by seq reproduces exactly the
-	// insertion order a one-shard engine would have used, and a row is
+	// seq is the row's creation sequence number, epoch<<32|counter: the
+	// epoch is the transaction (or restore) that created the row and the
+	// counter its creation index within that epoch. Sequence numbers are
+	// unique per engine and increase along the table list, and a row is
 	// visible at horizon s iff seq ≤ s.
 	seq uint64
 	// pos is the row's position in its table's list — unique per table
@@ -84,13 +81,12 @@ func (t *table) add(r *row) {
 	t.list.append(r)
 }
 
-// shard is one storage partition of an Engine: the rows whose
-// fingerprint folds to it with their version chains, the columnar
-// mirror, the secondary indexes and the scan planner over them, behind
-// its own write lock. It knows nothing of epoch allocation, horizons,
-// hooks or views: the coordinator opens a write epoch on it, runs the
-// epoch's steps and ends it, all under mu, and readers resolve its rows
-// against a horizon the coordinator pinned.
+// shard is the storage partition of an Engine: the rows with their
+// version chains, the columnar mirror, the secondary indexes and the scan
+// planner over them, behind the write lock. It knows nothing of epoch
+// allocation, horizons, hooks or views: the engine opens a write epoch on
+// it, runs the epoch's steps and ends it, all under mu, and readers
+// resolve its rows against a horizon the engine pinned.
 type shard struct {
 	mu sync.RWMutex // serializes writers (readers are lock-free)
 
@@ -102,13 +98,11 @@ type shard struct {
 	liveMatch  bool
 
 	// The write epoch in flight, set by open: its number, the query
-	// annotation its updates carry, its row-creation counter — one per
-	// epoch, lent by the first shard the epoch spans (own) — and whether
-	// the coordinator wants the touched rows back from end.
+	// annotation its updates carry, the rows it has created so far and
+	// whether the engine wants the touched rows back from end.
 	curEpoch uint64
 	cur      core.Annot
-	created  *uint64
-	own      uint64
+	created  uint64
 	collect  bool
 	// touched lists the rows of the open epoch, each once, with the
 	// table holding it: end freezes them and names them for the event.
@@ -131,7 +125,7 @@ type shard struct {
 }
 
 // newShard builds a shard with empty tables for every relation.
-func newShard(mode Mode, schema *db.Schema, cfg *config) *shard {
+func newShard(mode Mode, schema *db.Schema, cfg config) *shard {
 	s := &shard{
 		mode:       mode,
 		schema:     schema,
@@ -180,26 +174,19 @@ func (s *shard) dropLoaded(rel string) {
 	s.tables[rel] = newTable(s.tables[rel].rel)
 }
 
-// counter resets and lends this shard's creation counter to an epoch
-// whose lock set it heads.
-func (s *shard) counter() *uint64 {
-	s.own = 0
-	return &s.own
-}
-
-// open starts write epoch `epoch` on the shard: versions it writes are
-// born in the epoch, rows it creates draw their sequence numbers from
-// created, and label names the query annotation of a transaction's
-// updates. The caller holds mu until after end.
-func (s *shard) open(epoch uint64, created *uint64, label string, collect bool) {
-	s.curEpoch, s.created, s.collect = epoch, created, collect
+// open starts write epoch `epoch`: versions it writes are born in the
+// epoch, rows it creates are numbered from epoch<<32 on, and label names
+// the query annotation of a transaction's updates. The caller holds mu
+// until after end.
+func (s *shard) open(epoch uint64, label string, collect bool) {
+	s.curEpoch, s.created, s.collect = epoch, 0, collect
 	s.cur = core.QueryAnnot(label)
 }
 
 // end closes the epoch: every row a transaction touched is frozen, so
 // that the next one (with a different annotation) layers on top, and —
-// when the coordinator collects — the epoch's rows are appended to rows
-// for its commit event.
+// when the engine collects — the epoch's rows are appended to rows for
+// its commit event.
 func (s *shard) end(rows []RowRef) []RowRef {
 	for _, t := range s.touched {
 		t.r.latest().nf.Freeze()
@@ -226,8 +213,8 @@ func (s *shard) touch(tbl *table, r *row) {
 // mutable — in-flight versions are invisible to readers regardless,
 // because their epoch is beyond every committed horizon).
 func (s *shard) newVersionedRow(t db.Tuple, fp uint64) *row {
-	seq := s.curEpoch<<32 | *s.created
-	*s.created++
+	seq := s.curEpoch<<32 | s.created
+	s.created++
 	s.versions.Add(1)
 	return newRow(t, fp, seq, core.Zero(), false)
 }
@@ -272,6 +259,25 @@ func (s *shard) simplify(x *core.Expr) *core.Expr {
 	return x
 }
 
+// apply executes one checked update query of the open transaction.
+func (s *shard) apply(u db.Update) {
+	tbl := s.tables[u.Rel]
+	switch u.Kind {
+	case db.OpInsert:
+		s.insert(tbl, u.Row)
+	case db.OpDelete:
+		rows := s.scan(tbl, u)
+		for _, r := range rows {
+			s.deleteRow(tbl, r)
+		}
+		s.putScanBuf(rows)
+	case db.OpModify:
+		sources := s.scan(tbl, u)
+		s.modify(tbl, u, sources)
+		s.putScanBuf(sources)
+	}
+}
+
 // insert applies the current query as the insertion of one tuple.
 func (s *shard) insert(tbl *table, t db.Tuple) {
 	fp := t.Fingerprint()
@@ -295,16 +301,6 @@ func (s *shard) insert(tbl *table, t db.Tuple) {
 	s.touch(tbl, r)
 }
 
-// delete applies the current query as a deletion to this shard's part
-// of the selection.
-func (s *shard) delete(tbl *table, u db.Update) {
-	rows := s.scan(tbl, u)
-	for _, r := range rows {
-		s.deleteRow(tbl, r)
-	}
-	s.putScanBuf(rows)
-}
-
 // deleteRow applies the current query as a deletion (−M for modify
 // sources) to one row. Callers only pass matchable rows (scan filters),
 // so a row that is unmatchable afterwards made a real transition and
@@ -321,6 +317,30 @@ func (s *shard) deleteRow(tbl *table, r *row) {
 		s.indexDead(tbl, r)
 	}
 	s.touch(tbl, r)
+}
+
+// modify runs a modification over its source rows, in scan order:
+// capture every source's pre-query contribution into its target's group,
+// delete the sources (−M p), then let each target absorb old +M
+// ((Σ sources) ·M p); a target that is itself a source (necessarily a
+// self-map) absorbs into its post-deletion annotation, yielding the
+// paper's fifth normal-form shape.
+func (s *shard) modify(tbl *table, u db.Update, sources []*row) {
+	if len(sources) == 0 {
+		return
+	}
+	for _, src := range sources {
+		target := u.Target(src.tuple)
+		s.captureContribution(s.mod.group(target, target.Fingerprint()), src)
+	}
+	for _, src := range sources {
+		s.deleteRow(tbl, src)
+	}
+	pe := core.Var(s.cur)
+	for _, g := range s.mod.order[:s.mod.n] {
+		s.absorbModTarget(tbl, g, pe)
+	}
+	s.mod.reset()
 }
 
 // modGroup accumulates, per target tuple, the provenance contributions
@@ -480,7 +500,7 @@ func (s *shard) restoreRow(rel string, t db.Tuple, fp uint64, ann *core.Expr) er
 }
 
 // minimize applies the zero-axiom post-processing of Proposition 5.5 to
-// every annotation of the partition in the open epoch and returns the
+// every annotation in the open epoch and returns the
 // provenance size afterwards; ctx is checked between relations.
 func (s *shard) minimize(ctx context.Context) (int64, error) {
 	var n int64

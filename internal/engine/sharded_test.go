@@ -17,10 +17,15 @@ import (
 	"hyperprov/internal/workload"
 )
 
-// shardCounts are the partitions held against the one-shard engine,
-// which keeps its own independent references (the paper's literals, the
-// plain-database oracles, the provstore goldens).
-var shardCounts = []int{2, 3, 4, 8}
+// The engine stores its rows in one partition, and WithShards is
+// deprecated: it sets nothing. The TestSharded* tests open an engine with
+// it, as callers of the sharded engine did, and hold that engine to the
+// one opened without it on each workload the shard counts were checked
+// on: the same rows in the same order, the same interned annotation
+// pointers and the same snapshot bytes, at every committed epoch. The
+// engine without the option keeps its own independent references (the
+// paper's literals, the plain-database oracles, the provstore goldens).
+const oldShards = 8
 
 // streamedRow captures one streamed row: relation, key and annotation,
 // in the engine's deterministic iteration order.
@@ -38,21 +43,21 @@ func streamRows(e engine.Reader) []streamedRow {
 	return out
 }
 
-// diffStreams asserts the equivalence contract across shard counts:
+// diffStreams asserts the equivalence contract between two engines:
 // same rows, same order, structurally identical annotations.
-func diffStreams(t *testing.T, label string, single, sharded []streamedRow) {
+func diffStreams(t *testing.T, label string, want, got []streamedRow) {
 	t.Helper()
-	if len(single) != len(sharded) {
-		t.Fatalf("%s: row counts differ: single %d, sharded %d", label, len(single), len(sharded))
+	if len(want) != len(got) {
+		t.Fatalf("%s: row counts differ: want %d, got %d", label, len(want), len(got))
 	}
-	for i := range single {
-		a, b := single[i], sharded[i]
+	for i := range want {
+		a, b := want[i], got[i]
 		if a.rel != b.rel || a.key != b.key {
-			t.Fatalf("%s: row %d order differs: single %s/%s, sharded %s/%s",
+			t.Fatalf("%s: row %d order differs: want %s/%s, got %s/%s",
 				label, i, a.rel, a.key, b.rel, b.key)
 		}
 		if !a.ann.Equal(b.ann) {
-			t.Fatalf("%s: row %d (%s/%s) annotations differ:\n  single  %v\n  sharded %v",
+			t.Fatalf("%s: row %d (%s/%s) annotations differ:\n  want %v\n  got  %v",
 				label, i, a.rel, a.key, a.ann, b.ann)
 		}
 	}
@@ -78,37 +83,34 @@ func snapshotOf(t *testing.T, e engine.Reader) []byte {
 	return buf.Bytes()
 }
 
-// diffEveryEpoch holds an engine of several shards to the one-shard
-// engine that applied the same log at every committed epoch, not only
-// the last: the views pinned at epoch k stream the same rows in the same
-// order with identical annotations — the same interned pointer in
-// normal-form mode — and save byte-identical snapshots.
-func diffEveryEpoch(t *testing.T, label string, single, sharded engine.DB) {
+// diffEveryEpoch holds an engine to a reference engine that applied the
+// same log at every committed epoch, not only the last: the views pinned
+// at epoch k stream the same rows in the same order with identical
+// annotations — the same interned pointer in normal-form mode — and save
+// byte-identical snapshots.
+func diffEveryEpoch(t *testing.T, label string, ref, e engine.DB) {
 	t.Helper()
-	last := engine.SeqEpoch(single.Horizon())
-	if got := engine.SeqEpoch(sharded.Horizon()); got != last {
-		t.Fatalf("%s: horizon epoch %d, single %d", label, got, last)
+	last := engine.SeqEpoch(ref.Horizon())
+	if got := engine.SeqEpoch(e.Horizon()); got != last {
+		t.Fatalf("%s: horizon epoch %d, reference %d", label, got, last)
 	}
 	for k := uint64(0); k <= last; k++ {
 		at := fmt.Sprintf("%s, epoch %d", label, k)
-		a, b := single.At(engine.EpochSeq(k)), sharded.At(engine.EpochSeq(k))
+		a, b := ref.At(engine.EpochSeq(k)), e.At(engine.EpochSeq(k))
 		want, got := streamRows(a), streamRows(b)
 		diffStreams(t, at, want, got)
-		if single.Mode() == engine.ModeNormalForm {
+		if ref.Mode() == engine.ModeNormalForm {
 			diffPointers(t, at, want, got)
 		}
 		if !bytes.Equal(snapshotOf(t, a), snapshotOf(t, b)) {
-			t.Fatalf("%s: snapshot bytes differ from single engine", at)
+			t.Fatalf("%s: snapshot bytes differ from the reference", at)
 		}
 	}
 }
 
-// TestShardedMatchesSingleRandom is the core differential test: random
-// databases and random hyperplane transactions (the same generator the
-// oracle tests use, so selections mix constants, ≠ constraints and free
-// variables) must leave a sharded engine row-for-row identical to the
-// single engine for every shard count, in both modes, including the
-// serialized snapshot bytes.
+// TestShardedMatchesSingleRandom: random databases and random hyperplane
+// transactions (the same generator the oracle tests use, so selections
+// mix constants, ≠ constraints and free variables), in both modes.
 func TestShardedMatchesSingleRandom(t *testing.T) {
 	r := rand.New(rand.NewSource(501))
 	for trial := 0; trial < 30; trial++ {
@@ -121,39 +123,31 @@ func TestShardedMatchesSingleRandom(t *testing.T) {
 			}
 			want := streamRows(single)
 			wantSnap := snapshotOf(t, single)
-			for _, n := range shardCounts {
-				sh := engine.New(mode, initial, engine.WithShards(n))
-				if sh.NumShards() != n {
-					t.Fatalf("NumShards = %d, want %d", sh.NumShards(), n)
-				}
-				if err := sh.ApplyAll(context.Background(), txns); err != nil {
-					t.Fatal(err)
-				}
-				label := mode.String()
-				diffStreams(t, label, want, streamRows(sh))
-				diffEveryEpoch(t, fmt.Sprintf("trial %d, %s, shards=%d", trial, label, n), single, sh)
-				if !bytes.Equal(wantSnap, snapshotOf(t, sh)) {
-					t.Fatalf("trial %d, %s, shards=%d: snapshot bytes differ from single engine",
-						trial, label, n)
-				}
-				if got, want := sh.NumRows(), single.NumRows(); got != want {
-					t.Fatalf("NumRows: sharded %d, single %d", got, want)
-				}
-				if got, want := sh.ProvSize(), single.ProvSize(); got != want {
-					t.Fatalf("ProvSize: sharded %d, single %d", got, want)
-				}
-				if !engine.LiveDB(sh).Equal(engine.LiveDB(single)) {
-					t.Fatalf("trial %d, %s, shards=%d: live databases diverge", trial, label, n)
-				}
+			sh := engine.New(mode, initial, engine.WithShards(oldShards))
+			if err := sh.ApplyAll(context.Background(), txns); err != nil {
+				t.Fatal(err)
+			}
+			label := mode.String()
+			diffStreams(t, label, want, streamRows(sh))
+			diffEveryEpoch(t, fmt.Sprintf("trial %d, %s", trial, label), single, sh)
+			if !bytes.Equal(wantSnap, snapshotOf(t, sh)) {
+				t.Fatalf("trial %d, %s: snapshot bytes differ", trial, label)
+			}
+			if got, want := sh.NumRows(), single.NumRows(); got != want {
+				t.Fatalf("NumRows: %d, without the option %d", got, want)
+			}
+			if got, want := sh.ProvSize(), single.ProvSize(); got != want {
+				t.Fatalf("ProvSize: %d, without the option %d", got, want)
+			}
+			if !engine.LiveDB(sh).Equal(engine.LiveDB(single)) {
+				t.Fatalf("trial %d, %s: live databases diverge", trial, label)
 			}
 		}
 	}
 }
 
-// TestShardedMatchesSinglePinned runs the fully pinned workload — the
-// one the sharded benchmarks use — and checks both the equivalence
-// contract and the routing statistics: with one update per transaction
-// every transaction is pinned, so nothing fans out.
+// TestShardedMatchesSinglePinned runs the fully pinned workload: every
+// selection is a point lookup.
 func TestShardedMatchesSinglePinned(t *testing.T) {
 	cfg := workload.Config{Tuples: 200, Updates: 300, QueriesPerTxn: 1, Seed: 7}
 	initial, txns, err := workload.GeneratePinned(cfg)
@@ -167,46 +161,22 @@ func TestShardedMatchesSinglePinned(t *testing.T) {
 		}
 		want := streamRows(single)
 		wantSnap := snapshotOf(t, single)
-		// One shard is every transaction's destination: all routed.
-		if st := single.Stats(); st.Shards != 1 || st.Routed != uint64(len(txns)) || st.Rendezvous+st.FanOut != 0 {
-			t.Errorf("%s: one shard reports %+v for %d transactions", mode, st, len(txns))
+		sh := engine.New(mode, initial, engine.WithShards(oldShards))
+		if err := sh.ApplyAll(context.Background(), txns); err != nil {
+			t.Fatal(err)
 		}
-		for _, n := range shardCounts {
-			sh := engine.New(mode, initial, engine.WithShards(n))
-			if err := sh.ApplyAll(context.Background(), txns); err != nil {
-				t.Fatal(err)
-			}
-			diffStreams(t, mode.String(), want, streamRows(sh))
-			if !bytes.Equal(wantSnap, snapshotOf(t, sh)) {
-				t.Fatalf("%s, shards=%d: snapshot bytes differ", mode, n)
-			}
-			diffEveryEpoch(t, fmt.Sprintf("%s, shards=%d", mode, n), single, sh)
-			st := sh.Stats()
-			if st.FanOut != 0 {
-				t.Errorf("%s, shards=%d: pinned workload fanned out %d transactions", mode, n, st.FanOut)
-			}
-			if st.Routed+st.Rendezvous != uint64(len(txns)) {
-				t.Errorf("%s, shards=%d: routed %d + rendezvous %d ≠ %d transactions",
-					mode, n, st.Routed, st.Rendezvous, len(txns))
-			}
-			if st.Routed == 0 {
-				t.Errorf("%s, shards=%d: no transaction took the single-shard fast path", mode, n)
-			}
-			rows := 0
-			for _, c := range st.RowsPerShard {
-				rows += c
-			}
-			if rows != sh.NumRows() {
-				t.Errorf("%s, shards=%d: RowsPerShard sums to %d, NumRows is %d", mode, n, rows, sh.NumRows())
-			}
+		diffStreams(t, mode.String(), want, streamRows(sh))
+		if !bytes.Equal(wantSnap, snapshotOf(t, sh)) {
+			t.Fatalf("%s: snapshot bytes differ", mode)
 		}
+		diffEveryEpoch(t, mode.String(), single, sh)
 	}
 }
 
 // TestShardedMatchesSingleWorkload runs the paper's synthetic workload
-// (group selections over the numeric column — nothing is pinned, so
-// every transaction fans out) through Open and checks the contract plus
-// the valuation surface: Specialize in the bool and set structures.
+// (group selections over the numeric column, nothing pinned) through Open
+// and checks the contract plus the valuation surface: Specialize in the
+// bool and set structures.
 func TestShardedMatchesSingleWorkload(t *testing.T) {
 	cfg := workload.Default(0.002)
 	cfg.QueriesPerTxn = 5
@@ -216,9 +186,6 @@ func TestShardedMatchesSingleWorkload(t *testing.T) {
 	}
 	for _, mode := range []engine.Mode{engine.ModeNaive, engine.ModeNormalForm} {
 		single := engine.Open(mode, initial)
-		if n := single.(*engine.Engine).NumShards(); n != 1 {
-			t.Fatalf("Open without WithShards built %d shards", n)
-		}
 		if err := single.ApplyAll(context.Background(), txns); err != nil {
 			t.Fatal(err)
 		}
@@ -233,36 +200,31 @@ func TestShardedMatchesSingleWorkload(t *testing.T) {
 		engine.Specialize[upstruct.Set](single, upstruct.Sets, setEnv, func(rel string, tp db.Tuple, v upstruct.Set) {
 			wantSets = append(wantSets, v)
 		})
-		for _, n := range shardCounts {
-			sh := engine.Open(mode, initial, engine.WithShards(n))
-			if got := sh.(*engine.Engine).NumShards(); got != n {
-				t.Fatalf("Open with WithShards(%d) built %d shards", n, got)
+		sh := engine.Open(mode, initial, engine.WithShards(oldShards))
+		if err := sh.ApplyAll(context.Background(), txns); err != nil {
+			t.Fatal(err)
+		}
+		diffStreams(t, mode.String(), want, streamRows(sh))
+		diffEveryEpoch(t, mode.String(), single, sh)
+		i := 0
+		engine.Specialize[bool](sh, upstruct.Bool, boolEnv, func(rel string, tp db.Tuple, v bool) {
+			if i < len(wantBool) && v != wantBool[i] {
+				t.Fatalf("%s: bool specialization diverges at row %d", mode, i)
 			}
-			if err := sh.ApplyAll(context.Background(), txns); err != nil {
-				t.Fatal(err)
+			i++
+		})
+		if i != len(wantBool) {
+			t.Fatalf("%s: bool specialization visited %d rows, want %d", mode, i, len(wantBool))
+		}
+		j := 0
+		engine.Specialize[upstruct.Set](sh, upstruct.Sets, setEnv, func(rel string, tp db.Tuple, v upstruct.Set) {
+			if j < len(wantSets) && !v.Equal(wantSets[j]) {
+				t.Fatalf("%s: set specialization diverges at row %d", mode, j)
 			}
-			diffStreams(t, mode.String(), want, streamRows(sh))
-			diffEveryEpoch(t, fmt.Sprintf("%s, shards=%d", mode, n), single, sh)
-			i := 0
-			engine.Specialize[bool](sh, upstruct.Bool, boolEnv, func(rel string, tp db.Tuple, v bool) {
-				if i < len(wantBool) && v != wantBool[i] {
-					t.Fatalf("shards=%d: bool specialization diverges at row %d", n, i)
-				}
-				i++
-			})
-			if i != len(wantBool) {
-				t.Fatalf("shards=%d: bool specialization visited %d rows, want %d", n, i, len(wantBool))
-			}
-			j := 0
-			engine.Specialize[upstruct.Set](sh, upstruct.Sets, setEnv, func(rel string, tp db.Tuple, v upstruct.Set) {
-				if j < len(wantSets) && !v.Equal(wantSets[j]) {
-					t.Fatalf("shards=%d: set specialization diverges at row %d", n, j)
-				}
-				j++
-			})
-			if j != len(wantSets) {
-				t.Fatalf("shards=%d: set specialization visited %d rows, want %d", n, j, len(wantSets))
-			}
+			j++
+		})
+		if j != len(wantSets) {
+			t.Fatalf("%s: set specialization visited %d rows, want %d", mode, j, len(wantSets))
 		}
 	}
 }
@@ -270,7 +232,7 @@ func TestShardedMatchesSingleWorkload(t *testing.T) {
 // TestShardedMatchesSingleTPCC runs the TPC-C-derived log (realistic
 // transaction shapes: multi-update transactions mixing pinned and
 // hyperplane selections across several relations) through the same
-// differential check.
+// check.
 func TestShardedMatchesSingleTPCC(t *testing.T) {
 	g := tpcc.NewGenerator(tpcc.Scaled(0.02))
 	initial, err := g.InitialDatabase()
@@ -284,23 +246,20 @@ func TestShardedMatchesSingleTPCC(t *testing.T) {
 	}
 	want := streamRows(single)
 	wantSnap := snapshotOf(t, single)
-	for _, n := range shardCounts {
-		sh := engine.New(engine.ModeNormalForm, initial, engine.WithShards(n))
-		if err := sh.ApplyAll(context.Background(), txns); err != nil {
-			t.Fatal(err)
-		}
-		diffStreams(t, "tpcc", want, streamRows(sh))
-		if !bytes.Equal(wantSnap, snapshotOf(t, sh)) {
-			t.Fatalf("shards=%d: TPC-C snapshot bytes differ from single engine", n)
-		}
-		diffEveryEpoch(t, fmt.Sprintf("tpcc, shards=%d", n), single, sh)
+	sh := engine.New(engine.ModeNormalForm, initial, engine.WithShards(oldShards))
+	if err := sh.ApplyAll(context.Background(), txns); err != nil {
+		t.Fatal(err)
 	}
+	diffStreams(t, "tpcc", want, streamRows(sh))
+	if !bytes.Equal(wantSnap, snapshotOf(t, sh)) {
+		t.Fatal("TPC-C snapshot bytes differ")
+	}
+	diffEveryEpoch(t, "tpcc", single, sh)
 }
 
-// TestShardedSnapshotRoundTrip: snapshots restore into engines of any
-// shard count (RestoreRow routes by fingerprint), and re-saving
-// reproduces the original bytes — at the end and, one restore epoch per
-// row, at every epoch on the way, next to a one-shard restore.
+// TestShardedSnapshotRoundTrip: a snapshot restored with the option
+// re-saves to the original bytes — at the end and at every epoch on the
+// way, next to a restore without it.
 func TestShardedSnapshotRoundTrip(t *testing.T) {
 	cfg := workload.Config{Tuples: 150, Updates: 200, QueriesPerTxn: 3, Seed: 11}
 	initial, txns, err := workload.GeneratePinned(cfg)
@@ -317,32 +276,27 @@ func TestShardedSnapshotRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(orig, snapshotOf(t, single)) {
-		t.Fatal("one shard: save→load→save not byte-idempotent")
+		t.Fatal("save→load→save not byte-idempotent")
 	}
-	for _, n := range shardCounts {
-		restored, err := provstore.LoadSnapshot(bytes.NewReader(orig), engine.WithShards(n))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := restored.NumShards(); got != n {
-			t.Fatalf("LoadSnapshot with WithShards(%d) built %d shards", n, got)
-		}
-		if !bytes.Equal(orig, snapshotOf(t, restored)) {
-			t.Fatalf("shards=%d: save→load→save not byte-idempotent", n)
-		}
-		diffEveryEpoch(t, fmt.Sprintf("restored, shards=%d", n), single, restored)
+	restored, err := provstore.LoadSnapshot(bytes.NewReader(orig), engine.WithShards(oldShards))
+	if err != nil {
+		t.Fatal(err)
 	}
+	if !bytes.Equal(orig, snapshotOf(t, restored)) {
+		t.Fatal("with the option: save→load→save not byte-idempotent")
+	}
+	diffEveryEpoch(t, "restored", single, restored)
 }
 
 // TestShardedApplyAllCancellation: a canceled context stops the batched
-// apply at a shard boundary with context.Canceled.
+// apply with context.Canceled, and the engine stays usable.
 func TestShardedApplyAllCancellation(t *testing.T) {
 	cfg := workload.Config{Tuples: 100, Updates: 200, QueriesPerTxn: 1, Seed: 13}
 	initial, txns, err := workload.GeneratePinned(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sh := engine.New(engine.ModeNormalForm, initial, engine.WithShards(4))
+	sh := engine.New(engine.ModeNormalForm, initial, engine.WithShards(oldShards))
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	if err := sh.ApplyAll(ctx, txns); err == nil {
@@ -354,17 +308,17 @@ func TestShardedApplyAllCancellation(t *testing.T) {
 	}
 }
 
-// TestShardedConcurrentReadersDuringApply hammers the read surface of
-// an eight-shard engine while ApplyAll ingests a batch on another
-// goroutine — run with -race. Afterwards the state must match a single
-// engine that applied the same log.
+// TestShardedConcurrentReadersDuringApply hammers the read surface while
+// ApplyAll ingests a batch on another goroutine — run with -race.
+// Afterwards the state must match an engine that applied the same log
+// undisturbed.
 func TestShardedConcurrentReadersDuringApply(t *testing.T) {
 	cfg := workload.Config{Tuples: 300, Updates: 400, QueriesPerTxn: 2, Seed: 17}
 	initial, txns, err := workload.GeneratePinned(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sh := engine.New(engine.ModeNormalForm, initial, engine.WithShards(8))
+	sh := engine.New(engine.ModeNormalForm, initial, engine.WithShards(oldShards))
 
 	var probe db.Tuple
 	sh.EachRow("R", func(tp db.Tuple, ann *core.Expr) {
@@ -429,8 +383,8 @@ func TestShardedConcurrentReadersDuringApply(t *testing.T) {
 	diffStreams(t, "post-stress", streamRows(single), streamRows(sh))
 }
 
-// TestShardedMinimizeAll: minimization over shards gives the same sizes
-// and annotations as over the single engine.
+// TestShardedMinimizeAll: minimization with the option gives the same
+// size and annotations as without it.
 func TestShardedMinimizeAll(t *testing.T) {
 	r := rand.New(rand.NewSource(509))
 	initial := randDB(r, 8)
@@ -443,18 +397,16 @@ func TestShardedMinimizeAll(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, n := range shardCounts {
-		sh := engine.New(engine.ModeNormalForm, initial, engine.WithShards(n))
-		if err := sh.ApplyAll(context.Background(), txns); err != nil {
-			t.Fatal(err)
-		}
-		gotSize, err := sh.MinimizeAll(context.Background())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if gotSize != wantSize {
-			t.Errorf("shards=%d: MinimizeAll size %d, single %d", n, gotSize, wantSize)
-		}
-		diffStreams(t, "minimized", streamRows(single), streamRows(sh))
+	sh := engine.New(engine.ModeNormalForm, initial, engine.WithShards(oldShards))
+	if err := sh.ApplyAll(context.Background(), txns); err != nil {
+		t.Fatal(err)
 	}
+	gotSize, err := sh.MinimizeAll(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if gotSize != wantSize {
+		t.Errorf("MinimizeAll size %d, without the option %d", gotSize, wantSize)
+	}
+	diffStreams(t, "minimized", streamRows(single), streamRows(sh))
 }

@@ -28,7 +28,7 @@ import (
 //     or version pointer, and visibility counting walks the sequence
 //     column without touching rows at all.
 //
-// Memory model: the writer is serialized by the shard write lock. It
+// Memory model: the writer is serialized by the write lock. It
 // stores elements with plain writes, then publishes them through an
 // atomic store (the map's slot pointer, or the table list's length);
 // readers load the atomic first and only then read the plainly-written
@@ -44,7 +44,7 @@ type rowSlots struct {
 
 // rowMap is the fingerprint-keyed row index of a table. Readers use
 // get concurrently with a writer's add; the writer is serialized by
-// the shard lock.
+// the write lock.
 type rowMap struct {
 	tab atomic.Pointer[rowSlots]
 	n   int // writer-only: rows stored
@@ -70,7 +70,7 @@ func (m *rowMap) get(fp uint64, t db.Tuple) *row {
 	}
 }
 
-// add stores a new row (writer-only, under the shard lock). The row's
+// add stores a new row (writer-only, under the write lock). The row's
 // fp must be set. Load is kept under 3/4 so reader probes always
 // terminate at an empty slot.
 func (m *rowMap) add(r *row) {
@@ -126,7 +126,7 @@ func (m *rowMap) reserve(n int) *rowSlots {
 // allocates (and the runtime zeroes) at a time, and what a full scan
 // streams through between two slice headers. Small chunks cost
 // allocations and loop restarts, large ones an unused tail per column
-// per table per shard. Replaying the wire benchmark's 12 000 TPC-C
+// per table. Replaying the wire benchmark's 12 000 TPC-C
 // transactions (TestApplyAllocsPerTxn's list) the whole apply allocates
 // 13.86 kB and 89.5 mallocs per transaction at 2⁶ words, 13.66 / 85.7
 // at 2⁸, 13.63 / 84.7 at 2¹⁰, 13.65 / 84.5 at 2¹² and 13.85 / 84.5 at
@@ -226,10 +226,9 @@ func (c *colStore) append(t db.Tuple, seq uint64, n int) {
 
 // --- writer scratch ------------------------------------------------------
 
-// getScanBuf returns an empty row buffer from the shard's free-list.
+// getScanBuf returns an empty row buffer from the writer's free-list.
 // The free-list is writer-owned: every caller of scan/filterRows holds
-// the shard's write lock (fanModify holds each shard's lock while that
-// shard scans), so no synchronization is needed. Buffers handed out by
+// the write lock, so no synchronization is needed. Buffers handed out by
 // scan must come back through putScanBuf once the update is done with
 // them — an unpaired buffer is merely garbage-collected, never corrupt.
 func (s *shard) getScanBuf() []*row {

@@ -135,7 +135,7 @@ func TestKindMismatchedConstant(t *testing.T) {
 // size — and the free-list still never retains a row.
 func TestScanBufReleaseIsResultSized(t *testing.T) {
 	const rows = 20000
-	e := kvEngine(t, rows).shards[0]
+	e := kvEngine(t, rows).sh
 	tbl := e.tables["R"]
 	all := db.Delete("R", db.Pattern{db.VarNotEq("k", db.I(-1)), db.AnyVar("v")})
 	e.mu.Lock()
@@ -175,7 +175,7 @@ func TestScanBufReleaseIsResultSized(t *testing.T) {
 // buffer — so asking for a tuple that is not there, or one that is,
 // allocates nothing once both are warm.
 func TestPinnedScanAllocFree(t *testing.T) {
-	e := kvEngine(t, 100).shards[0]
+	e := kvEngine(t, 100).sh
 	tbl := e.tables["R"]
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -208,7 +208,7 @@ func TestPinnedScanAllocFree(t *testing.T) {
 func TestModifyScratchBounded(t *testing.T) {
 	const rows = 100000
 	e := kvEngine(t, rows)
-	mod := &e.shards[0].mod
+	mod := &e.sh.mod
 	retained := func() (bytes int) {
 		s := mod
 		if s.n != 0 || len(s.groups) != 0 {
@@ -257,8 +257,9 @@ func TestModifyScratchBounded(t *testing.T) {
 // TestCommitHookRowsBorrowed: ev.Rows is valid during the hook call
 // only. A hook that keeps the slice without copying reads wiped entries
 // once the call returned (and would read the next epoch's rows after
-// that); a hook that copies keeps the epoch's rows — on the plain
-// engine and through the sharded coordinator.
+// that); a hook that copies keeps the epoch's rows. The shards=4 subtest
+// opens the engine with the deprecated WithShards(4), which must change
+// nothing.
 func TestCommitHookRowsBorrowed(t *testing.T) {
 	for _, shards := range []int{1, 4} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {

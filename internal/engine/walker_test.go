@@ -42,8 +42,7 @@ func tupleKeys(d *db.Database) []string {
 // TestChunkWalkerThroughWrappers: SpecializeParallel, LiveChunks and
 // BoolRestrictParallel walk the pinned view's chunks behind a forwarding
 // wrapper and behind views — same tuples in the same order as the
-// sequential BoolRestrict on the bare engine, for every worker count
-// and shard count.
+// sequential BoolRestrict on the bare engine, for every worker count.
 func TestChunkWalkerThroughWrappers(t *testing.T) {
 	cfg := workload.Default(0.003) // 3000 rows: several chunks
 	cfg.QueriesPerTxn = 5
@@ -56,77 +55,75 @@ func TestChunkWalkerThroughWrappers(t *testing.T) {
 	val := upstruct.Dead(core.QueryAnnot(txns[0].Label), core.TupleAnnot("t7"))
 	ctx := context.Background()
 
-	for _, shards := range []int{1, 4} {
-		e := Open(ModeNormalForm, initial, WithShards(shards))
-		if err := e.ApplyAll(ctx, txns); err != nil {
-			t.Fatal(err)
-		}
-		want := tupleKeys(BoolRestrict(e, env))
-		if len(want) <= 2*walkChunkRows {
-			t.Fatalf("only %d live tuples: the test needs several chunks", len(want))
-		}
-		mid := e.At(EpochSeq(uint64(len(txns) / 2)))
-		wantMid := tupleKeys(BoolRestrict(mid, env))
+	e := Open(ModeNormalForm, initial)
+	if err := e.ApplyAll(ctx, txns); err != nil {
+		t.Fatal(err)
+	}
+	want := tupleKeys(BoolRestrict(e, env))
+	if len(want) <= 2*walkChunkRows {
+		t.Fatalf("only %d live tuples: the test needs several chunks", len(want))
+	}
+	mid := e.At(EpochSeq(uint64(len(txns) / 2)))
+	wantMid := tupleKeys(BoolRestrict(mid, env))
 
-		readers := []struct {
-			name string
-			r    Reader
-			want []string
-		}{
-			{"engine", e, want},
-			{"wrapper", wrappedDB{DB: e, t: t}, want},
-			{"view", mid, wantMid},
-			{"wrapped view", struct{ View }{mid}, wantMid},
-		}
-		for _, rd := range readers {
-			for _, workers := range []int{1, 2, 7} {
-				name := fmt.Sprintf("shards=%d/%s/workers=%d", shards, rd.name, workers)
+	readers := []struct {
+		name string
+		r    Reader
+		want []string
+	}{
+		{"engine", e, want},
+		{"wrapper", wrappedDB{DB: e, t: t}, want},
+		{"view", mid, wantMid},
+		{"wrapped view", struct{ View }{mid}, wantMid},
+	}
+	for _, rd := range readers {
+		for _, workers := range []int{1, 2, 7} {
+			name := fmt.Sprintf("%s/workers=%d", rd.name, workers)
 
-				d, err := BoolRestrictParallel(ctx, rd.r, env, workers)
-				if err != nil {
-					t.Fatalf("%s: %v", name, err)
-				}
-				if got := tupleKeys(d); !slices.Equal(got, rd.want) {
-					t.Errorf("%s: BoolRestrictParallel differs from BoolRestrict (%d vs %d tuples, or order)", name, len(got), len(rd.want))
-				}
+			d, err := BoolRestrictParallel(ctx, rd.r, env, workers)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			if got := tupleKeys(d); !slices.Equal(got, rd.want) {
+				t.Errorf("%s: BoolRestrictParallel differs from BoolRestrict (%d vs %d tuples, or order)", name, len(got), len(rd.want))
+			}
 
-				parts, err := LiveChunks(ctx, rd.r, val, workers, func(c Chunk, live []db.Tuple) []string {
-					keys := make([]string, len(live))
-					for i, tp := range live {
-						keys[i] = c.Rel + "/" + tp.Key()
-					}
-					return keys
-				})
-				if err != nil {
-					t.Fatalf("%s: %v", name, err)
+			parts, err := LiveChunks(ctx, rd.r, val, workers, func(c Chunk, live []db.Tuple) []string {
+				keys := make([]string, len(live))
+				for i, tp := range live {
+					keys[i] = c.Rel + "/" + tp.Key()
 				}
-				var got []string
-				for _, p := range parts {
-					got = append(got, p...)
-				}
-				if !slices.Equal(got, rd.want) {
-					t.Errorf("%s: LiveChunks concatenation differs from BoolRestrict", name)
-				}
+				return keys
+			})
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			var got []string
+			for _, p := range parts {
+				got = append(got, p...)
+			}
+			if !slices.Equal(got, rd.want) {
+				t.Errorf("%s: LiveChunks concatenation differs from BoolRestrict", name)
+			}
 
-				var rows, live atomic.Int64
-				err = SpecializeParallel[bool](ctx, rd.r, upstruct.Bool, env, workers, func(_ string, _ db.Tuple, v bool) {
-					rows.Add(1)
-					if v {
-						live.Add(1)
-					}
-				})
-				if err != nil {
-					t.Fatalf("%s: %v", name, err)
+			var rows, live atomic.Int64
+			err = SpecializeParallel[bool](ctx, rd.r, upstruct.Bool, env, workers, func(_ string, _ db.Tuple, v bool) {
+				rows.Add(1)
+				if v {
+					live.Add(1)
 				}
-				if int(live.Load()) != len(rd.want) {
-					t.Errorf("%s: SpecializeParallel saw %d live of %d rows, want %d live", name, live.Load(), rows.Load(), len(rd.want))
-				}
+			})
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			if int(live.Load()) != len(rd.want) {
+				t.Errorf("%s: SpecializeParallel saw %d live of %d rows, want %d live", name, live.Load(), rows.Load(), len(rd.want))
+			}
 
-				// The same resolution serves the stats endpoint's sharding
-				// section: every reader has an engine behind it.
-				if st := ShardStatsOf(rd.r); st.Shards != shards {
-					t.Errorf("%s: ShardStatsOf = %+v", name, st)
-				}
+			// The same resolution serves the stats endpoint's boot
+			// section: every reader has an engine behind it.
+			if b := BootOf(rd.r); b.Source != "database" || b.Rows != initial.NumTuples() {
+				t.Errorf("%s: BootOf = %+v", name, b)
 			}
 		}
 	}

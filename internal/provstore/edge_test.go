@@ -135,7 +135,7 @@ func TestSnapshotEdgeValues(t *testing.T) {
 	src.add("Nullary", y)
 	raw := mustRoundTripOracle(t, "edge values", src)
 
-	back, err := LoadSnapshot(bytes.NewReader(raw), engine.WithShards(3))
+	back, err := LoadSnapshot(bytes.NewReader(raw))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -305,8 +305,7 @@ func oracleEncodeAll(enc *oracleEncoder, anns []*core.Expr, workers int) ([]uint
 // sequentially in chunk order. The merge assigns node ids in exactly
 // the first-visit order a sequential encode would use, so the output is
 // byte-identical for every worker count (the differential tests check
-// this), and byte-identical across engine implementations and shard
-// counts.
+// this), and byte-identical across engine implementations.
 func oracleSaveSnapshot(w io.Writer, src Source, workers int) error {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)

@@ -46,8 +46,8 @@ const (
 // Source is the engine surface the snapshot writer needs: the mode, the
 // schema, and one deterministic pass over every stored row, relations
 // in schema order. engine.Engine and its pinned views satisfy it and
-// stream rows in the same order for every shard count, so the snapshot
-// bytes are independent of it.
+// stream rows in insertion order, so the snapshot bytes are a function
+// of the state alone.
 type Source interface {
 	Mode() engine.Mode
 	Schema() *db.Schema
@@ -61,7 +61,7 @@ type Source interface {
 //
 // It is one src.Rows pass — a consistent cut, in deterministic order —
 // encoded as it streams, so the bytes are a function of the state alone:
-// identical across engine implementations and shard counts. No row is
+// identical across engine implementations and options. No row is
 // kept beyond a window of 256; what grows with the state is the
 // encoder's id index and the string dictionary.
 func SaveSnapshot(w io.Writer, src Source) error {
@@ -264,8 +264,8 @@ type restoreFunc = func(rel string, t db.Tuple, ann *core.Expr) error
 // the current format or version 1, as one restore epoch. The engine mode
 // is taken from the snapshot; in normal-form mode every restored
 // annotation becomes the tuple's base expression. Options pass through
-// to engine.NewEmpty — engine.WithShards(n) restores into n storage
-// shards; the default is one.
+// to engine.NewEmpty (a server swapping the result in passes the
+// replaced engine's Options).
 func LoadSnapshot(r io.Reader, opts ...engine.Option) (*engine.Engine, error) {
 	start := time.Now()
 	br := bufio.NewReader(r)

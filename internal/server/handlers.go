@@ -453,12 +453,6 @@ func (c ctxReader) Read(p []byte) (int, error) {
 	return c.r.Read(p)
 }
 
-// maxLoadShards bounds a snapshot load's ?shards=: every shard costs
-// about 900 bytes before the first row arrives, so the count is an
-// allocation the client would otherwise choose. 256 is far beyond any
-// shard count the repository runs.
-const maxLoadShards = 256
-
 // limitReader records whether an http.MaxBytesReader underneath it hit
 // its cap, for callers whose downstream decoder hides the error chain.
 type limitReader struct {
@@ -476,9 +470,9 @@ func (l *limitReader) Read(p []byte) (int, error) {
 }
 
 // handleSnapshotLoad restores a snapshot and atomically swaps it in as
-// the served engine; in-flight requests finish against the old one.
-// ?shards=N restores into N storage shards (default 1, at most
-// maxLoadShards); the snapshot bytes are identical either way.
+// the served engine; in-flight requests finish against the old one. The
+// new engine takes the settings of the one it replaces (index advisor,
+// matching, axioms).
 func (s *Server) handleSnapshotLoad(w http.ResponseWriter, req *http.Request) {
 	if _, ok := s.db.(*wal.Follower); ok {
 		// The desync hazard below, plus the apply loop would keep writing
@@ -492,18 +486,11 @@ func (s *Server) handleSnapshotLoad(w http.ResponseWriter, req *http.Request) {
 		writeError(w, http.StatusConflict, codeNotPersistent, "server is running on a persistent store; snapshot load would desync it from the log")
 		return
 	}
-	var opts []engine.Option
-	if n, present, err := posIntQuery(req, "shards", maxLoadShards); err != nil {
-		writeError(w, http.StatusBadRequest, codeBadRequest, "%v", err)
-		return
-	} else if present {
-		opts = append(opts, engine.WithShards(n))
-	}
 	// The snapshot decoder wraps reader errors in its own context, so a
 	// limit hit is recorded by the tracking reader rather than recovered
 	// from the error chain.
 	lr := &limitReader{r: http.MaxBytesReader(w, req.Body, s.maxBody)}
-	e, err := provstore.LoadSnapshot(ctxReader{ctx: req.Context(), r: lr}, opts...)
+	e, err := provstore.LoadSnapshot(ctxReader{ctx: req.Context(), r: lr}, s.mem.Engine().Options()...)
 	if err != nil {
 		if lr.hit {
 			writeError(w, http.StatusRequestEntityTooLarge, codeBodyTooLarge,

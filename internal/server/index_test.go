@@ -1,6 +1,7 @@
 package server
 
 import (
+	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -104,18 +105,16 @@ func TestIndexEndpoints(t *testing.T) {
 	}
 	stats := decode[map[string]any](t, resp)
 	for _, key := range []string{"plannerFullScans", "plannerIndexScans", "plannerIntersectScans", "plannerPointLookups",
-		"plannerAutoBuilds", "plannerCompactions", "plannerRowsScanned", "plannerRowsMatched", "indexes",
-		"shards", "shardRouted", "shardRendezvous", "shardFanout", "rowsPerShard"} {
+		"plannerAutoBuilds", "plannerCompactions", "plannerRowsScanned", "plannerRowsMatched", "indexes"} {
 		if _, ok := stats[key]; !ok {
 			t.Errorf("/v1/stats missing %q: %v", key, stats)
 		}
 	}
-	// The sharding section comes from every engine, one shard included.
-	if n, _ := stats["shards"].(float64); n != 1 {
-		t.Errorf("/v1/stats shards = %v, want 1", stats["shards"])
-	}
-	if per, _ := stats["rowsPerShard"].([]any); len(per) != 1 {
-		t.Errorf("/v1/stats rowsPerShard = %v, want one count", stats["rowsPerShard"])
+	// The engine stores its rows in one partition: no sharding section.
+	for _, key := range []string{"shards", "shardRouted", "shardRendezvous", "shardFanout", "rowsPerShard"} {
+		if _, ok := stats[key]; ok {
+			t.Errorf("/v1/stats still has %q", key)
+		}
 	}
 	if n, _ := stats["indexes"].(float64); n != 2 {
 		t.Errorf("/v1/stats indexes = %v, want 2", stats["indexes"])
@@ -190,5 +189,32 @@ func TestIndexEndpointErrors(t *testing.T) {
 			t.Fatal(err)
 		}
 		check(resp, want.status, want.code)
+	}
+}
+
+// TestSnapshotLoadKeepsEngineSettings: the engine a snapshot load swaps
+// in takes the settings of the one it replaces, so an in-memory server
+// with auto-indexing keeps its advisor — two =-pinned scans after the
+// load build the index.
+func TestSnapshotLoadKeepsEngineSettings(t *testing.T) {
+	src := New(figure1Engine(t, engine.ModeNormalForm), WithLogf(t.Logf))
+	defer src.Close()
+	snap := serveRaw(src, "GET", "/v1/snapshot", "").Body.String()
+
+	srv := New(engine.OpenEmpty(engine.ModeNormalForm, src.Engine().Schema(), engine.WithAutoIndex(2)), WithLogf(t.Logf))
+	defer srv.Close()
+	if rec := serveRaw(srv, "POST", "/v1/snapshot", snap); rec.Code != http.StatusOK {
+		t.Fatalf("snapshot load: %d %s", rec.Code, rec.Body)
+	}
+	const scans = "UPDATE Products SET Price = 50 WHERE Category = 'Sport';\nUPDATE Products SET Price = 60 WHERE Category = 'Sport';\n"
+	if rec := serveRaw(srv, "POST", "/v1/ingest?syntax=sql", scans); rec.Code != http.StatusOK {
+		t.Fatalf("ingest: %d %s", rec.Code, rec.Body)
+	}
+	var list indexListJSON
+	if err := json.Unmarshal(serveRaw(srv, "GET", "/v1/indexes", "").Body.Bytes(), &list); err != nil {
+		t.Fatal(err)
+	}
+	if len(list.Indexes) != 1 || list.Indexes[0].Attr != "Category" || !list.Indexes[0].Auto {
+		t.Fatalf("after the load and two pinned scans /v1/indexes lists %+v, want the auto-built Products.Category", list.Indexes)
 	}
 }

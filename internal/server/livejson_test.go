@@ -161,7 +161,7 @@ func oracleBody(d *db.Database) []byte {
 // TestLiveJSONDifferential requires the fused kernel's bodies to be
 // byte-identical to the oracle (sequential BoolRestrict on the plain
 // engine → dbJSON → json.Encoder) over seeded random schemas and
-// values × {plain engine, 8 shards, wal.Store, wal.Follower} × {live,
+// values × {plain engine, wal.Store, wal.Follower} × {live,
 // ?as_of=} × workers {1,2,7} × the three endpoints, with
 // Content-Length set to the body's length.
 func TestLiveJSONDifferential(t *testing.T) {
@@ -173,9 +173,8 @@ func TestLiveJSONDifferential(t *testing.T) {
 			ctx := context.Background()
 
 			plain := engine.Open(engine.ModeNormalForm, initial)
-			sharded := engine.Open(engine.ModeNormalForm, initial, engine.WithShards(8))
 			_, store, _, follower := startLeaderPairOn(t, initial)
-			for _, e := range []engine.DB{plain, sharded, store} {
+			for _, e := range []engine.DB{plain, store} {
 				if err := e.ApplyAll(ctx, txns); err != nil {
 					t.Fatal(err)
 				}
@@ -209,7 +208,7 @@ func TestLiveJSONDifferential(t *testing.T) {
 			engines := []struct {
 				name string
 				e    engine.DB
-			}{{"plain", plain}, {"shards=8", sharded}, {"wal.Store", store}, {"wal.Follower", follower}}
+			}{{"plain", plain}, {"wal.Store", store}, {"wal.Follower", follower}}
 
 			for _, ep := range endpoints {
 				wants := map[bool][]byte{

@@ -42,17 +42,6 @@ func intQuery(req *http.Request, name, what string) (val int, ok bool, err error
 	return n, true, nil
 }
 
-// posIntQuery is intQuery admitting only 1..max, with the same message
-// shape.
-func posIntQuery(req *http.Request, name string, max int) (val int, ok bool, err error) {
-	what := fmt.Sprintf("an integer from 1 to %d", max)
-	n, ok, err := intQuery(req, name, what)
-	if err == nil && ok && (n < 1 || n > max) {
-		err = fmt.Errorf("%s parameter %q is not %s", name, req.URL.Query().Get(name), what)
-	}
-	return n, ok, err
-}
-
 // workersParam parses the optional ?workers= query parameter. A
 // non-numeric value is an error (the caller answers 400); numeric
 // values are clamped to [1, 4×GOMAXPROCS] so a client cannot request an

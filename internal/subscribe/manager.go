@@ -124,8 +124,10 @@ func (m *Manager) hook(ev engine.CommitEvent) {
 	}
 }
 
-// storeLastSeq advances lastSeq monotonically (an engine of several
-// shards may report an epoch after a tracker batch already covered it).
+// storeLastSeq advances lastSeq monotonically: the hook stores it on the
+// committing goroutine while no subscription exists, the dispatcher when
+// it folds or rebuilds, and an event still queued for the dispatcher is
+// older than one the hook has recorded since.
 func (m *Manager) storeLastSeq(seq uint64) {
 	for {
 		cur := m.lastSeq.Load()

@@ -283,11 +283,13 @@ func (mi *mirror) check(m *subscribe.Manager, c *subscribe.Conn, d engine.DB, sp
 }
 
 // TestProtocolDifferential drives the matrix: the §6.2 synthetic and
-// the TPC-C history × shards {1, 8} × both provenance modes × a roomy
-// and a 1-frame connection buffer (which drops most frames and forces
-// a resync per subscription per commit), comparing the client's
-// composed state to a from-scratch recompute after every single
-// committed transaction, and once more after a minimization pass.
+// the TPC-C history × both provenance modes × a roomy and a 1-frame
+// connection buffer (which drops most frames and forces a resync per
+// subscription per commit), comparing the client's composed state to a
+// from-scratch recompute after every single committed transaction, and
+// once more after a minimization pass. The shards=8 subtests open the
+// engine with the deprecated engine.WithShards(8), which must change
+// nothing.
 func TestProtocolDifferential(t *testing.T) {
 	type history struct {
 		name    string
@@ -389,9 +391,7 @@ func TestProtocolAcrossResetAndRebind(t *testing.T) {
 	}
 
 	initialB, txnsB := testWorkload(t, 13)
-	d2 := engine.New(engine.ModeNormalForm, initialB,
-		engine.WithShards(2),
-		engine.WithInitialAnnotations(testAnnot))
+	d2 := engine.New(engine.ModeNormalForm, initialB, engine.WithInitialAnnotations(testAnnot))
 	h.Swap(d2)
 	// The old engine keeps committing after the swap; its events must
 	// not reach the subscriptions now maintained against d2.
@@ -465,9 +465,7 @@ func TestCommitOrderDelivery(t *testing.T) {
 // must repair it with a resync snapshot matching a fresh recompute.
 func TestStalledSubscriberNeverBlocksApply(t *testing.T) {
 	initial, txns := testWorkload(t, 7)
-	d := engine.Open(engine.ModeNormalForm, initial,
-		engine.WithShards(4),
-		engine.WithInitialAnnotations(testAnnot))
+	d := engine.Open(engine.ModeNormalForm, initial, engine.WithInitialAnnotations(testAnnot))
 	m := subscribe.NewManager(d)
 	defer m.Close()
 	c := m.Attach(1)
@@ -498,9 +496,7 @@ func TestStalledSubscriberNeverBlocksApply(t *testing.T) {
 // that lived through all of it.
 func TestConcurrentSubscribeUnsubscribe(t *testing.T) {
 	initial, txns := testWorkload(t, 9)
-	d := engine.Open(engine.ModeNormalForm, initial,
-		engine.WithShards(4),
-		engine.WithInitialAnnotations(testAnnot))
+	d := engine.Open(engine.ModeNormalForm, initial, engine.WithInitialAnnotations(testAnnot))
 	m := subscribe.NewManager(d)
 	defer m.Close()
 

@@ -76,10 +76,11 @@ func checkReader(t *testing.T, name string, r engine.Reader, k *upstruct.Kernel,
 }
 
 // TestKernelEqualsEvalOnHistories: TPC-C and the §6.2 synthetic
-// workload × both modes (and the naive mode's copy-on-write raw trees)
-// × shards 1 and 8; each dead set once with a kernel built before the
-// history ran — its names unknown, its memo filled epoch by epoch —
-// and once with a fresh kernel at the end.
+// workload × both modes (and the naive mode's copy-on-write raw trees);
+// each dead set once with a kernel built before the history ran — its
+// names unknown, its memo filled epoch by epoch — and once with a fresh
+// kernel at the end. The shards=8 subtests open the engine with the
+// deprecated engine.WithShards(8), which must change nothing.
 func TestKernelEqualsEvalOnHistories(t *testing.T) {
 	g := tpcc.NewGenerator(tpcc.Scaled(0.003))
 	tpInitial, err := g.InitialDatabase()

@@ -31,8 +31,8 @@ type borrowLoad struct {
 
 // borrowOutcome is everything observable a run leaves behind.
 type borrowOutcome struct {
-	// states holds, per request, the snapshot of each target (one
-	// shard, four shards, the store, its follower) once it applied.
+	// states holds, per request, the snapshot of each target (the
+	// engine, the store, its follower) once it applied.
 	states [][]byte
 	// epochs holds, per time-travelling target, the snapshot at every
 	// epoch, taken after the last request was released and poisoned.
@@ -40,7 +40,7 @@ type borrowOutcome struct {
 	// hooks holds what a commit hook may keep of each event, frames the
 	// bytes of every frame 32 subscriptions were sent, wal the segment
 	// bytes of the leader's and the follower's directories.
-	hooks  [2][]hookEvent
+	hooks  []hookEvent
 	frames [2][]byte
 	wal    [2][]byte
 }
@@ -82,9 +82,8 @@ func borrowSpecs(ld borrowLoad) []subscribe.Spec {
 	return specs
 }
 
-// runBorrowLoad sends the load's requests to an engine of one shard, an
-// engine of four, a persistent store and — through its replication
-// stream — a follower. Owned, transactions come from the Parse*Log
+// runBorrowLoad sends the load's requests to an engine, a persistent
+// store and — through its replication stream — a follower. Owned, transactions come from the Parse*Log
 // entry points and nothing is recycled but the follower's decoder
 // slabs; borrowed, they come from pooled batches over a request buffer,
 // every Reset poisons what it takes back (the follower's decoder
@@ -97,13 +96,10 @@ func runBorrowLoad(t *testing.T, ld borrowLoad, borrowed bool) borrowOutcome {
 	schema := ld.initial.Schema()
 	var out borrowOutcome
 
-	one := engine.New(engine.ModeNormalForm, ld.initial)
-	four := engine.New(engine.ModeNormalForm, ld.initial, engine.WithShards(4))
-	for i, e := range []*engine.Engine{one, four} {
-		e.SetCommitHook(func(ev engine.CommitEvent) {
-			out.hooks[i] = append(out.hooks[i], hookEvent{ev.Epoch, ev.Kind, ev.Label, slices.Clone(ev.Rows)})
-		})
-	}
+	e := engine.New(engine.ModeNormalForm, ld.initial)
+	e.SetCommitHook(func(ev engine.CommitEvent) {
+		out.hooks = append(out.hooks, hookEvent{ev.Epoch, ev.Kind, ev.Label, slices.Clone(ev.Rows)})
+	})
 	dirs := [2]string{t.TempDir(), t.TempDir()}
 	st, err := wal.Open(dirs[0], wal.WithMode(engine.ModeNormalForm), wal.WithInitialDatabase(ld.initial), wal.WithSync(wal.SyncNever))
 	if err != nil {
@@ -131,7 +127,7 @@ func runBorrowLoad(t *testing.T, ld borrowLoad, borrowed bool) borrowOutcome {
 	drained, stop := context.WithCancel(ctx)
 	stop() // Next on an empty queue returns instead of waiting
 
-	writers := []engine.DB{one, four, st}
+	writers := []engine.DB{e, st}
 	for lo, n := 0, 1; lo < len(ld.txns); lo, n = lo+n, n%4+1 {
 		text, err := ld.format(schema, ld.txns[lo:min(lo+n, len(ld.txns))])
 		if err != nil {
@@ -203,7 +199,7 @@ func runBorrowLoad(t *testing.T, ld borrowLoad, borrowed bool) borrowOutcome {
 // TestBorrowedTransactionsLeaveNothingBehind is the borrow contract
 // (db.Transaction) checked from outside: a transaction's slices and the
 // bytes it was parsed from may be recycled the moment Apply returns,
-// because nothing — storage shards, WAL and replication stream,
+// because nothing — storage, WAL and replication stream,
 // follower replay, commit hooks, subscriptions — keeps any of it but
 // rows and labels. Every snapshot, at every request and then at every
 // epoch, every retained hook event, every subscription frame and every
@@ -233,10 +229,10 @@ func TestBorrowedTransactionsLeaveNothingBehind(t *testing.T) {
 				t.Fatalf("%d and %d states, %d and %d epochs", len(want.states), len(got.states), len(want.epochs), len(got.epochs))
 			}
 			for i := range want.states {
-				// Four targets per request; the owned run's one-shard
-				// engine is the reference for all of them.
-				if ref := want.states[i-i%4]; !bytes.Equal(want.states[i], ref) || !bytes.Equal(got.states[i], ref) {
-					t.Fatalf("request %d, target %d: snapshot differs from the owned one-shard engine's", i/4, i%4)
+				// Three targets per request; the owned run's engine is the
+				// reference for all of them.
+				if ref := want.states[i-i%3]; !bytes.Equal(want.states[i], ref) || !bytes.Equal(got.states[i], ref) {
+					t.Fatalf("request %d, target %d: snapshot differs from the owned engine's", i/3, i%3)
 				}
 			}
 			for i := range want.epochs {
@@ -244,10 +240,8 @@ func TestBorrowedTransactionsLeaveNothingBehind(t *testing.T) {
 					t.Fatalf("epoch snapshot %d changed after its transaction was recycled", i)
 				}
 			}
-			for i := range want.hooks {
-				if len(want.hooks[i]) < len(ld.txns) || !reflect.DeepEqual(want.hooks[i], got.hooks[i]) {
-					t.Errorf("hook %d: retained events differ (%d and %d)", i, len(want.hooks[i]), len(got.hooks[i]))
-				}
+			if len(want.hooks) < len(ld.txns) || !reflect.DeepEqual(want.hooks, got.hooks) {
+				t.Errorf("hook: retained events differ (%d and %d)", len(want.hooks), len(got.hooks))
 			}
 			for i, who := range []string{"leader", "follower"} {
 				if len(want.frames[i]) == 0 || !bytes.Equal(want.frames[i], got.frames[i]) {

@@ -10,7 +10,7 @@
 // binary encoding, and replay is exactly re-running ApplyTransaction —
 // landing bit-identical annotations and snapshot bytes (the package's
 // differential tests prove recovered state equals a never-crashed
-// oracle byte for byte, for any shard count and either mode).
+// oracle byte for byte, in either mode).
 //
 // Layout of a data directory:
 //

@@ -14,7 +14,7 @@ import (
 
 // promptly runs f on a goroutine of its own and fails the test when f
 // panics, or has not returned after a second: a writer that died holding
-// a shard's write lock leaves the next one waiting for good.
+// the write lock leaves the next one waiting for good.
 func promptly(t *testing.T, what string, f func()) {
 	t.Helper()
 	done := make(chan any, 1)
@@ -36,9 +36,11 @@ func promptly(t *testing.T, what string, f func()) {
 // db.Update.Validate admits, handed to the library directly (the parsers
 // never build one), is an ErrBadTuple error of its transaction — second
 // in it, so the first update stays applied, as for any failed query. It
-// is not a panic under a shard's write lock that blocks the next writer,
-// and not a logged record that every later recovery of the directory, and
-// every follower, dies replaying.
+// is not a panic under the write lock that blocks the next writer, and
+// not a logged record that every later recovery of the directory, and
+// every follower, dies replaying: they replay both logged failures and
+// count them (replayFailed). The shards=4 subtests open with the
+// deprecated engine.WithShards(4), which must change nothing.
 func TestMalformedUpdateNeitherWedgesNorBricks(t *testing.T) {
 	stock := func(site string) db.Tuple { return db.Tuple{db.S(site), db.I(7), db.I(1)} }
 	all := db.AllPattern(3)
@@ -127,6 +129,9 @@ func TestMalformedUpdateNeitherWedgesNorBricks(t *testing.T) {
 				f := openTestFollower(t, t.TempDir(), src)
 				waitApplied(t, f, st.Stats().LSN)
 				requireSameBytes(t, "follower", want, snapshotOf(t, f))
+				if n := f.WALStats().ReplayFailed; n != 2 {
+					t.Errorf("the follower counted %d failed replays, want the 2 logged failures", n)
+				}
 
 				st.Crash()
 				var re *wal.Store
@@ -136,6 +141,9 @@ func TestMalformedUpdateNeitherWedgesNorBricks(t *testing.T) {
 				}
 				defer re.Close()
 				requireSameBytes(t, "recovered", want, snapshotOf(t, re))
+				if n := re.Stats().ReplayFailed; n != 2 {
+					t.Errorf("recovery counted %d failed replays, want the 2 logged failures", n)
+				}
 			})
 		}
 	}

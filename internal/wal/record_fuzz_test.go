@@ -19,8 +19,7 @@ import (
 // with the schema's names — the replay loops' way — must give the
 // record a fresh decode gives, before and after a poisoned Reset. And
 // whatever decodes into a transaction applies to an engine over the
-// golden schema — rows in both relations, one shard and several — without
-// a panic: the decoder bounds counts, not arities or kinds, which are
+// golden schema — rows in both relations — without a panic: the decoder bounds counts, not arities or kinds, which are
 // the engine's check.
 func FuzzDecodeRecord(f *testing.F) {
 	golden := filepath.Join("testdata", "golden")
@@ -95,12 +94,10 @@ func FuzzDecodeRecord(f *testing.F) {
 		if !bytes.Equal(encodeTxn(again.Txn), encoded) {
 			t.Fatal("encode(decode(encode(t))) differs from encode(t)")
 		}
-		for _, shards := range []int{1, 4} {
-			e := engine.NewEmpty(meta.mode, meta.schema, engine.WithShards(shards))
-			if err := e.ApplyTransaction(&rows); err != nil {
-				t.Fatal(err)
-			}
-			_ = e.ApplyTransaction(fresh.Txn)
+		e := engine.NewEmpty(meta.mode, meta.schema)
+		if err := e.ApplyTransaction(&rows); err != nil {
+			t.Fatal(err)
 		}
+		_ = e.ApplyTransaction(fresh.Txn)
 	})
 }

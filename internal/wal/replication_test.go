@@ -21,7 +21,7 @@ import (
 )
 
 // pinnedWorkload generates the fully pinned update sequence (every
-// selection names one concrete live tuple), the shard-routing fast path.
+// selection names one concrete live tuple), the planner's point lookup.
 func pinnedWorkload(t *testing.T) (*db.Database, []db.Transaction) {
 	t.Helper()
 	initial, txns, err := workload.GeneratePinned(workload.Config{
@@ -179,7 +179,9 @@ func requireSameReads(t *testing.T, label string, want, got engine.Reader) {
 // mid-workload, then fed the rest over the stream, must answer the
 // entire read API byte-identically to the leader — snapshots,
 // annotations, NFs, Selects, and ?as_of= time travel at every epoch —
-// swept over shard counts, both provenance modes, and three workloads.
+// swept over both provenance modes and three workloads. The shards=8
+// subtests open the leader with the deprecated engine.WithShards(8),
+// which must change nothing.
 func TestReplicationDifferential(t *testing.T) {
 	type load struct {
 		name string
@@ -213,12 +215,9 @@ func TestReplicationDifferential(t *testing.T) {
 						t.Fatalf("ApplyAll: %v", err)
 					}
 					_, src := startLeaderServer(t, st)
-					// The follower runs with the opposite shard count
-					// (replicated state is engine-shape independent) and
-					// never checkpoints locally, so its bootstrap point
-					// stays readable below.
+					// The follower never checkpoints locally, so its
+					// bootstrap point stays readable below.
 					f := openTestFollower(t, t.TempDir(), src,
-						wal.WithEngineOptions(engine.WithShards(9-shards)),
 						wal.WithSync(wal.SyncNever),
 						wal.WithSegmentSize(4096),
 					)

@@ -142,9 +142,9 @@ func WithInitialDatabase(d *db.Database) Option {
 	return WithInitialSource(func() (*db.Schema, db.RowSource, error) { return d.Schema(), d.Rows, nil })
 }
 
-// WithEngineOptions passes options (sharding, auto-indexing, ...) to
-// the underlying engine on every open. The shard count may differ
-// between opens: snapshot and log bytes are engine-shape independent.
+// WithEngineOptions passes options (auto-indexing, ...) to the
+// underlying engine on every open. They may differ between opens: they
+// choose access paths, and snapshot and log bytes do not depend on them.
 func WithEngineOptions(opts ...engine.Option) Option {
 	return func(o *options) { o.engOpts = append(o.engOpts, opts...) }
 }
@@ -268,9 +268,13 @@ type Store struct {
 	ckpts       atomic.Uint64
 	ckptFails   atomic.Uint64
 	ckptSkipped atomic.Uint64
-	replayed    uint64 // set once during Open
-	truncated   int64  // torn-tail bytes discarded during Open
-	recovered   bool
+	// replayFailed counts replayed transactions that failed again: the
+	// failing transaction a failed chunk logged, and updates an older
+	// build applied that Validate now refuses (README's migration note).
+	replayFailed atomic.Uint64
+	replayed     uint64 // set once during Open
+	truncated    int64  // torn-tail bytes discarded during Open
+	recovered    bool
 
 	// what checkpoints took, start to finish, and how much of that they
 	// held mu — the only part a writer can wait for
@@ -296,6 +300,7 @@ type StoreStats struct {
 	CheckpointErrs uint64 `json:"checkpoint_failures"`
 	Recovered      bool   `json:"recovered"`
 	Replayed       uint64 `json:"replayed_records"`
+	ReplayFailed   uint64 `json:"replayFailed"`
 	TruncatedTail  int64  `json:"truncated_tail_bytes"`
 	ReadOnly       bool   `json:"read_only"`
 	ReadOnlyCause  string `json:"read_only_cause,omitempty"`
@@ -572,8 +577,8 @@ func (s *Store) recover(meta *metaInfo) error {
 // restore errors mean the log does not match the schema — corruption.
 // The one exception is a log from a build that did not yet check each
 // update with Validate: a hand-built update it applied (a mis-kinded
-// constant, a repeated variable) is refused here, silently — README's
-// migration note.
+// constant, a repeated variable) is refused here — README's migration
+// note. Either way the refusal is counted (StoreStats.ReplayFailed).
 func (s *Store) replayRecord(payload []byte) error {
 	defer s.replay.Reset()
 	rec, err := s.decodeBorrowed(payload)
@@ -595,7 +600,9 @@ func (s *Store) decodeBorrowed(payload []byte) (Record, error) {
 func (s *Store) applyDecoded(rec *Record) error {
 	switch rec.Type {
 	case recTxn:
-		_ = s.Engine().ApplyTransaction(rec.Txn)
+		if s.Engine().ApplyTransaction(rec.Txn) != nil {
+			s.replayFailed.Add(1)
+		}
 	case recRestore:
 		if err := s.Engine().RestoreRow(rec.Rel, rec.Tuple, rec.Ann); err != nil {
 			return err
@@ -1155,6 +1162,7 @@ func (s *Store) Stats() StoreStats {
 		CheckpointErrs: s.ckptFails.Load(),
 		Recovered:      s.recovered,
 		Replayed:       s.replayed,
+		ReplayFailed:   s.replayFailed.Load(),
 		TruncatedTail:  s.truncated,
 		ReadOnly:       s.readOnly.Load(),
 		ActiveStreams:  active,

@@ -37,7 +37,6 @@ func TestCrashTortureChildProcess(t *testing.T) {
 	st, err := wal.Open(dir,
 		wal.WithMode(engine.ModeNormalForm),
 		wal.WithInitialDatabase(initial),
-		wal.WithEngineOptions(engine.WithShards(4)),
 		wal.WithSync(wal.SyncAlways),
 		wal.WithSegmentSize(2048),
 		wal.WithCheckpointEvery(ckptEvery),
@@ -133,7 +132,7 @@ func crashTorture(t *testing.T, ckptEvery int) {
 		}
 
 		// Parent-side verification between rounds.
-		st, err := wal.Open(dir, wal.WithEngineOptions(engine.WithShards(2)))
+		st, err := wal.Open(dir)
 		if err != nil {
 			t.Fatalf("round %d: parent reopen: %v", round, err)
 		}

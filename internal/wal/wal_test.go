@@ -86,11 +86,11 @@ func requireSameBytes(t *testing.T, label string, want, got []byte) {
 }
 
 // TestCrashRecoveryDifferential is the tentpole acceptance test: for
-// random and TPC-C workloads, both modes, shard counts 1 and 8, a store
-// crashed mid-workload recovers to exactly the state a never-crashed
-// engine reaches with the recovered record prefix — byte-identical
-// snapshots — and recovery is independent of the shard count it reopens
-// with.
+// random and TPC-C workloads in both modes, a store crashed mid-workload
+// recovers to exactly the state a never-crashed engine reaches with the
+// recovered record prefix — byte-identical snapshots. The shards=8
+// subtests open the store with the deprecated engine.WithShards(8),
+// which must change nothing.
 func TestCrashRecoveryDifferential(t *testing.T) {
 	type load struct {
 		name string
@@ -104,11 +104,11 @@ func TestCrashRecoveryDifferential(t *testing.T) {
 				t.Run(name, func(t *testing.T) {
 					initial, txns := ld.gen(t)
 					dir := t.TempDir()
-					open := func(sh int) *wal.Store {
+					open := func() *wal.Store {
 						st, err := wal.Open(dir,
 							wal.WithMode(mode),
 							wal.WithInitialDatabase(initial),
-							wal.WithEngineOptions(engine.WithShards(sh)),
+							wal.WithEngineOptions(engine.WithShards(shards)),
 							wal.WithSync(wal.SyncAlways),
 							wal.WithSegmentSize(4096),
 							wal.WithCheckpointEvery(40),
@@ -118,7 +118,7 @@ func TestCrashRecoveryDifferential(t *testing.T) {
 						}
 						return st
 					}
-					st := open(shards)
+					st := open()
 					// First half through the batched path, then a crash
 					// mid-way through the sequential path.
 					half := len(txns) / 2
@@ -133,33 +133,26 @@ func TestCrashRecoveryDifferential(t *testing.T) {
 					}
 					st.Crash()
 
-					// Reopen with the opposite shard count: log and
-					// snapshot bytes are engine-shape independent.
-					for _, reShards := range []int{shards, 9 - shards} {
-						re, err := wal.Open(dir,
-							wal.WithEngineOptions(engine.WithShards(reShards)),
-							wal.WithSync(wal.SyncAlways),
-							wal.WithSegmentSize(4096),
-						)
-						if err != nil {
-							t.Fatalf("reopen shards=%d: %v", reShards, err)
-						}
-						stats := re.Stats()
-						if got := int(stats.LSN); got != crashAt {
-							t.Fatalf("recovered LSN %d, want %d acked records", got, crashAt)
-						}
-						if !stats.Recovered {
-							t.Fatalf("stats.Recovered = false after recovery")
-						}
-						oracle := oracleAt(t, mode, initial, txns, crashAt)
-						requireSameBytes(t, fmt.Sprintf("reopen shards=%d", reShards),
-							snapshotOf(t, oracle), snapshotOf(t, re))
-						re.Crash()
+					// Reopen without the bootstrap options: the data
+					// directory alone recovers.
+					re, err := wal.Open(dir, wal.WithSync(wal.SyncAlways), wal.WithSegmentSize(4096))
+					if err != nil {
+						t.Fatalf("reopen: %v", err)
 					}
+					stats := re.Stats()
+					if got := int(stats.LSN); got != crashAt {
+						t.Fatalf("recovered LSN %d, want %d acked records", got, crashAt)
+					}
+					if !stats.Recovered {
+						t.Fatalf("stats.Recovered = false after recovery")
+					}
+					oracle := oracleAt(t, mode, initial, txns, crashAt)
+					requireSameBytes(t, "reopen", snapshotOf(t, oracle), snapshotOf(t, re))
+					re.Crash()
 
 					// Continue past the crash on a final reopen, close
 					// cleanly, reopen once more: checkpoint + suffix.
-					re := open(shards)
+					re = open()
 					for i := crashAt; i < len(txns); i++ {
 						if err := re.ApplyTransaction(&txns[i]); err != nil {
 							t.Fatalf("ApplyTransaction %d after recovery: %v", i, err)
@@ -168,9 +161,9 @@ func TestCrashRecoveryDifferential(t *testing.T) {
 					if err := re.Close(); err != nil {
 						t.Fatalf("close: %v", err)
 					}
-					final := open(shards)
+					final := open()
 					defer final.Close()
-					oracle := oracleAt(t, mode, initial, txns, len(txns))
+					oracle = oracleAt(t, mode, initial, txns, len(txns))
 					requireSameBytes(t, "final", snapshotOf(t, oracle), snapshotOf(t, final))
 				})
 			}
@@ -341,8 +334,10 @@ func TestDurableRestoreRow(t *testing.T) {
 
 // TestFailingChunkIsOneGroupCommit: a batch whose transaction k fails
 // mid-way logs transactions 0..k — the failing one too, which replays to
-// the same partial state — under one fsync, and a crash right after
-// recovers the live engine's bytes.
+// the same partial state and is counted as a failed replay — under one
+// fsync, and a crash right after recovers the live engine's bytes. The
+// shards=4 subtest opens the store with the deprecated
+// engine.WithShards(4), which must change nothing.
 func TestFailingChunkIsOneGroupCommit(t *testing.T) {
 	initial, txns := smallWorkload(t)
 	const k = 9
@@ -377,6 +372,9 @@ func TestFailingChunkIsOneGroupCommit(t *testing.T) {
 			}
 			defer re.Close()
 			requireSameBytes(t, "recovered", want, snapshotOf(t, re))
+			if n := re.Stats().ReplayFailed; n != 1 {
+				t.Errorf("recovery counted %d failed replays, want the logged failing transaction", n)
+			}
 		})
 	}
 }

@@ -176,10 +176,8 @@ func Generate(cfg Config) (*db.Database, []db.Transaction, error) {
 // which every selection is a fully pinned constant pattern: each delete
 // and modify names one concrete live tuple (tracked through a mirror of
 // the database state). Such updates resolve with the planner's O(1)
-// point lookup instead of an O(rows) scan, and across several shards
-// each locks only the shard owning its tuple, so this workload isolates
-// routing and per-shard lock sets — it is the input of the sharded-apply
-// benchmarks.
+// point lookup instead of an O(rows) scan. The chaos and replication
+// tests use it for a log whose every update names its row.
 func GeneratePinned(cfg Config) (*db.Database, []db.Transaction, error) {
 	if cfg.QueriesPerTxn <= 0 {
 		cfg.QueriesPerTxn = 1
@@ -264,8 +262,7 @@ func GeneratePinned(cfg Config) (*db.Database, []db.Transaction, error) {
 //     costs a scan but matches nothing).
 //
 // No selection pins every attribute, so every delete/modify goes
-// through a posting-list or full scan — fanned out per shard when there
-// are several — never through the point lookup.
+// through a posting-list or full scan, never through the point lookup.
 func GenerateMultiColumn(cfg Config) (*db.Database, []db.Transaction, error) {
 	if cfg.Group <= 0 {
 		cfg.Group = 1
