@@ -157,8 +157,8 @@ var (
 	SeqEpoch = engine.SeqEpoch
 )
 
-// Engine is the provenance-tracking database: one storage partition
-// behind one write lock, with lock-free MVCC reads.
+// Engine is the provenance-tracking database: one object behind one
+// write lock, with lock-free MVCC reads.
 type Engine = engine.Engine
 
 // Option configures an engine built by Open or New.

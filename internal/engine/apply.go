@@ -1,9 +1,7 @@
 package engine
 
 import (
-	"context"
 	"fmt"
-	"sync"
 	"sync/atomic"
 
 	"hyperprov/internal/core"
@@ -41,12 +39,13 @@ type row struct {
 	head atomic.Pointer[version]
 }
 
-// touchedRow is one entry of shard.touched.
+// touchedRow is one entry of Engine.touched.
 type touchedRow struct {
 	tbl *table
 	r   *row
 }
 
+// table is everything the engine keeps for one relation.
 type table struct {
 	rel *db.RelationSchema
 	// rows indexes rows by tuple fingerprint (see storage.go). Entries
@@ -63,12 +62,15 @@ type table struct {
 	// word per value, with a parallel sequence column; planner full scans
 	// and visibility counting read those instead of chasing row pointers.
 	cols colStore
+	// idx holds the relation's secondary indexes and the advisor's
+	// counters (index.go), guarded by the write lock.
+	idx tableIndexes
 }
 
-// get returns the row stored for the tuple (fp must be the tuple's
-// fingerprint), or nil. Lock-free and allocation-free.
-func (t *table) get(fp uint64, tu db.Tuple) *row {
-	return t.rows.get(fp, tu)
+func newTable(rel *db.RelationSchema) *table {
+	tbl := &table{rel: rel, idx: tableIndexes{cols: make(map[int]*colIndex), scans: make(map[int]int)}}
+	tbl.cols.init(len(rel.Attrs))
+	return tbl
 }
 
 // add stores a new row (writer-only): fingerprint map, columnar mirror,
@@ -79,72 +81,6 @@ func (t *table) add(r *row) {
 	t.rows.add(r)
 	t.cols.append(r.tuple, r.seq, n)
 	t.list.append(r)
-}
-
-// shard is the storage partition of an Engine: the rows with their
-// version chains, the columnar mirror, the secondary indexes and the scan
-// planner over them, behind the write lock. It knows nothing of epoch
-// allocation, horizons, hooks or views: the engine opens a write epoch on
-// it, runs the epoch's steps and ends it, all under mu, and readers
-// resolve its rows against a horizon the engine pinned.
-type shard struct {
-	mu sync.RWMutex // serializes writers (readers are lock-free)
-
-	mode       Mode
-	schema     *db.Schema
-	tables     map[string]*table
-	cow        bool
-	zeroAxioms bool
-	liveMatch  bool
-
-	// The write epoch in flight, set by open: its number, the query
-	// annotation its updates carry, the rows it has created so far and
-	// whether the engine wants the touched rows back from end.
-	curEpoch uint64
-	cur      core.Annot
-	created  uint64
-	collect  bool
-	// touched lists the rows of the open epoch, each once, with the
-	// table holding it: end freezes them and names them for the event.
-	touched []touchedRow
-
-	// versions counts row versions ever created (MVCCStats).
-	versions atomic.Uint64
-
-	// idx is the secondary-index manager: per-column hash indexes, the
-	// adaptive advisor and the planner counters (see index.go).
-	idx *indexManager
-
-	// Writer-owned scratch, guarded by the write lock like every other
-	// scan-path structure: the free-list recycling scan result buffers
-	// (see storage.go), the grouping state of the modification in flight
-	// and the tuple a fully pinned selection probes with.
-	scanBufs [][]*row
-	mod      modScratch
-	pinned   db.Tuple
-}
-
-// newShard builds a shard with empty tables for every relation.
-func newShard(mode Mode, schema *db.Schema, cfg config) *shard {
-	s := &shard{
-		mode:       mode,
-		schema:     schema,
-		tables:     make(map[string]*table),
-		cow:        cfg.cow,
-		zeroAxioms: cfg.zeroAxioms,
-		liveMatch:  cfg.liveMatch,
-		idx:        newIndexManager(cfg.autoIndex),
-	}
-	for _, name := range schema.Names() {
-		s.tables[name] = newTable(schema.Relation(name))
-	}
-	return s
-}
-
-func newTable(rel *db.RelationSchema) *table {
-	tbl := &table{rel: rel}
-	tbl.cols.init(len(rel.Attrs))
-	return tbl
 }
 
 // newRow builds a row created at seq together with its first version,
@@ -162,48 +98,24 @@ func newRow(t db.Tuple, fp, seq uint64, ann *core.Expr, live bool) *row {
 }
 
 // load stores one row of the initial database (epoch 0).
-func (s *shard) load(rel string, r *row) {
-	s.versions.Add(1)
-	s.tables[rel].add(r)
+func (e *Engine) load(rel string, r *row) {
+	e.versions.Add(1)
+	e.tables[rel].add(r)
 }
 
 // dropLoaded forgets the rows loaded into a relation so far: their source
 // delivers the relation again (db.RowBatch.Restart).
-func (s *shard) dropLoaded(rel string) {
-	s.versions.Add(-uint64(s.tables[rel].list.len()))
-	s.tables[rel] = newTable(s.tables[rel].rel)
+func (e *Engine) dropLoaded(rel string) {
+	e.versions.Add(-uint64(e.tables[rel].list.len()))
+	e.tables[rel] = newTable(e.tables[rel].rel)
 }
 
-// open starts write epoch `epoch`: versions it writes are born in the
-// epoch, rows it creates are numbered from epoch<<32 on, and label names
-// the query annotation of a transaction's updates. The caller holds mu
-// until after end.
-func (s *shard) open(epoch uint64, label string, collect bool) {
-	s.curEpoch, s.created, s.collect = epoch, 0, collect
-	s.cur = core.QueryAnnot(label)
-}
-
-// end closes the epoch: every row a transaction touched is frozen, so
-// that the next one (with a different annotation) layers on top, and —
-// when the engine collects — the epoch's rows are appended to rows for
-// its commit event.
-func (s *shard) end(rows []RowRef) []RowRef {
-	for _, t := range s.touched {
-		t.r.latest().nf.Freeze()
-		if s.collect {
-			rows = append(rows, RowRef{Rel: t.tbl.rel.Name, Tuple: t.r.tuple})
-		}
-	}
-	s.touched = s.touched[:0]
-	return rows
-}
-
-func (s *shard) touch(tbl *table, r *row) {
-	if r.touched != s.curEpoch {
-		// The freeze-tracking dedup is also what keeps each touched row in
-		// the commit event exactly once per epoch.
-		r.touched = s.curEpoch
-		s.touched = append(s.touched, touchedRow{tbl, r})
+// touch lists a row the open epoch touched, once: finish freezes it and
+// names it in the commit event exactly once per epoch.
+func (e *Engine) touch(tbl *table, r *row) {
+	if epoch := e.epoch.Load(); r.touched != epoch {
+		r.touched = epoch
+		e.touched = append(e.touched, touchedRow{tbl, r})
 	}
 }
 
@@ -212,10 +124,10 @@ func (s *shard) touch(tbl *table, r *row) {
 // row with tbl.add (after any same-epoch mutation it performs through
 // mutable — in-flight versions are invisible to readers regardless,
 // because their epoch is beyond every committed horizon).
-func (s *shard) newVersionedRow(t db.Tuple, fp uint64) *row {
-	seq := s.curEpoch<<32 | s.created
-	s.created++
-	s.versions.Add(1)
+func (e *Engine) newVersionedRow(t db.Tuple, fp uint64) *row {
+	seq := e.epoch.Load()<<32 | e.created
+	e.created++
+	e.versions.Add(1)
 	return newRow(t, fp, seq, core.Zero(), false)
 }
 
@@ -224,14 +136,15 @@ func (s *shard) newVersionedRow(t db.Tuple, fp uint64) *row {
 // a copy-on-write successor born at epoch<<32, atomically published as
 // the new head. Readers pinned at or before the previous epoch keep
 // resolving the old head — that is the whole MVCC invariant.
-func (s *shard) mutable(r *row) *version {
+func (e *Engine) mutable(r *row) *version {
 	v := r.head.Load()
-	if v.born>>32 == s.curEpoch {
+	epoch := e.epoch.Load()
+	if v.born>>32 == epoch {
 		return v
 	}
 	// A committed form is frozen, so the struct copy is a full clone.
-	nv := &version{prev: v, born: s.curEpoch << 32, nf: v.nf, live: v.live}
-	s.versions.Add(1)
+	nv := &version{prev: v, born: epoch << 32, nf: v.nf, live: v.live}
+	e.versions.Add(1)
 	r.head.Store(nv)
 	return nv
 }
@@ -239,84 +152,84 @@ func (s *shard) mutable(r *row) *version {
 // matchable reports whether a row is a candidate for update selections
 // in the writer's view: rows in the formal support by default,
 // semantically live rows under WithLiveMatching.
-func (s *shard) matchable(r *row) bool {
-	return s.matchableV(r.latest())
+func (e *Engine) matchable(r *row) bool {
+	return e.matchableV(r.latest())
 }
 
 // matchableV is matchable over an already-resolved version (the
 // writer's head or a reader's horizon-pinned version).
-func (s *shard) matchableV(v *version) bool {
-	if s.liveMatch {
+func (e *Engine) matchableV(v *version) bool {
+	if e.cfg.liveMatch {
 		return v.live
 	}
 	return v.inSupport()
 }
 
-func (s *shard) simplify(x *core.Expr) *core.Expr {
-	if s.zeroAxioms {
+func (e *Engine) simplify(x *core.Expr) *core.Expr {
+	if e.cfg.zeroAxioms {
 		return core.SimplifyZero(x)
 	}
 	return x
 }
 
 // apply executes one checked update query of the open transaction.
-func (s *shard) apply(u db.Update) {
-	tbl := s.tables[u.Rel]
+func (e *Engine) apply(u db.Update) {
+	tbl := e.tables[u.Rel]
 	switch u.Kind {
 	case db.OpInsert:
-		s.insert(tbl, u.Row)
+		e.insert(tbl, u.Row)
 	case db.OpDelete:
-		rows := s.scan(tbl, u)
+		rows := e.scan(tbl, u)
 		for _, r := range rows {
-			s.deleteRow(tbl, r)
+			e.deleteRow(tbl, r)
 		}
-		s.putScanBuf(rows)
+		e.putScanBuf(rows)
 	case db.OpModify:
-		sources := s.scan(tbl, u)
-		s.modify(tbl, u, sources)
-		s.putScanBuf(sources)
+		sources := e.scan(tbl, u)
+		e.modify(tbl, u, sources)
+		e.putScanBuf(sources)
 	}
 }
 
 // insert applies the current query as the insertion of one tuple.
-func (s *shard) insert(tbl *table, t db.Tuple) {
+func (e *Engine) insert(tbl *table, t db.Tuple) {
 	fp := t.Fingerprint()
-	r := tbl.get(fp, t)
+	r := tbl.rows.get(fp, t)
 	fresh := r == nil
-	wasMatchable := !fresh && s.matchable(r)
+	wasMatchable := !fresh && e.matchable(r)
 	if fresh {
-		r = s.newVersionedRow(t, fp)
+		r = e.newVersionedRow(t, fp)
 		tbl.add(r)
 	}
-	v := s.mutable(r)
-	if s.mode == ModeNaive {
-		v.setExpr(s.simplify(core.PlusI(v.expr(), core.Var(s.cur))))
+	v := e.mutable(r)
+	if e.mode == ModeNaive {
+		v.setExpr(e.simplify(core.PlusI(v.expr(), core.Var(e.cur))))
 	} else {
-		v.nf.Insert(s.cur)
+		v.nf.Insert(e.cur)
 	}
 	v.live = true
 	if fresh || !wasMatchable {
-		s.indexAdd(tbl, r)
+		e.indexAdd(tbl, r)
 	}
-	s.touch(tbl, r)
+	e.touch(tbl, r)
 }
 
 // deleteRow applies the current query as a deletion (−M for modify
 // sources) to one row. Callers only pass matchable rows (scan filters),
 // so a row that is unmatchable afterwards made a real transition and
 // its posting entries are marked dead.
-func (s *shard) deleteRow(tbl *table, r *row) {
-	v := s.mutable(r)
-	if s.mode == ModeNaive {
-		v.setExpr(s.simplify(core.Minus(v.expr(), core.Var(s.cur))))
+func (e *Engine) deleteRow(tbl *table, r *row) {
+	v := e.mutable(r)
+	if e.mode == ModeNaive {
+		v.setExpr(e.simplify(core.Minus(v.expr(), core.Var(e.cur))))
 	} else {
-		v.nf.Delete(s.cur)
+		v.nf.Delete(e.cur)
 	}
 	v.live = false
-	if !s.matchable(r) {
-		s.indexDead(tbl, r)
+	if !e.matchable(r) {
+		e.indexDead(tbl, r)
 	}
-	s.touch(tbl, r)
+	e.touch(tbl, r)
 }
 
 // modify runs a modification over its source rows, in scan order:
@@ -325,22 +238,22 @@ func (s *shard) deleteRow(tbl *table, r *row) {
 // ((Σ sources) ·M p); a target that is itself a source (necessarily a
 // self-map) absorbs into its post-deletion annotation, yielding the
 // paper's fifth normal-form shape.
-func (s *shard) modify(tbl *table, u db.Update, sources []*row) {
+func (e *Engine) modify(tbl *table, u db.Update, sources []*row) {
 	if len(sources) == 0 {
 		return
 	}
 	for _, src := range sources {
 		target := u.Target(src.tuple)
-		s.captureContribution(s.mod.group(target, target.Fingerprint()), src)
+		e.captureContribution(e.mod.group(target, target.Fingerprint()), src)
 	}
 	for _, src := range sources {
-		s.deleteRow(tbl, src)
+		e.deleteRow(tbl, src)
 	}
-	pe := core.Var(s.cur)
-	for _, g := range s.mod.order[:s.mod.n] {
-		s.absorbModTarget(tbl, g, pe)
+	pe := core.Var(e.cur)
+	for _, g := range e.mod.order[:e.mod.n] {
+		e.absorbModTarget(tbl, g, pe)
 	}
-	s.mod.reset()
+	e.mod.reset()
 }
 
 // modGroup accumulates, per target tuple, the provenance contributions
@@ -425,11 +338,11 @@ func (s *modScratch) reset() {
 // captureContribution records one source row's pre-query annotation in
 // its target group (naive: the raw expression, deep-copied under cow;
 // normal form: the flattened Contribution).
-func (s *shard) captureContribution(g *modGroup, src *row) {
+func (e *Engine) captureContribution(g *modGroup, src *row) {
 	v := src.latest()
-	if s.mode == ModeNaive {
+	if e.mode == ModeNaive {
 		contrib := v.expr()
-		if s.cow {
+		if e.cfg.cow {
 			contrib = contrib.DeepCopy()
 		}
 		g.raw = append(g.raw, contrib)
@@ -443,100 +356,59 @@ func (s *shard) captureContribution(g *modGroup, src *row) {
 // absorbModTarget applies a completed modification group to its target
 // row, creating the row if the target tuple was never stored; pe is the
 // current query's variable.
-func (s *shard) absorbModTarget(tbl *table, g *modGroup, pe *core.Expr) {
-	r := tbl.get(g.fp, g.target)
+func (e *Engine) absorbModTarget(tbl *table, g *modGroup, pe *core.Expr) {
+	r := tbl.rows.get(g.fp, g.target)
 	fresh := r == nil
-	wasMatchable := !fresh && s.matchable(r)
+	wasMatchable := !fresh && e.matchable(r)
 	if fresh {
-		r = s.newVersionedRow(g.target, g.fp)
+		r = e.newVersionedRow(g.target, g.fp)
 		tbl.add(r)
 	}
-	v := s.mutable(r)
-	if s.mode == ModeNaive {
-		v.setExpr(s.simplify(core.PlusM(v.expr(), core.DotM(core.Sum(g.raw...), pe))))
+	v := e.mutable(r)
+	if e.mode == ModeNaive {
+		v.setExpr(e.simplify(core.PlusM(v.expr(), core.DotM(core.Sum(g.raw...), pe))))
 	} else {
-		v.nf.AbsorbMod(g.contrib, g.inserted, s.cur)
+		v.nf.AbsorbMod(g.contrib, g.inserted, e.cur)
 	}
 	v.live = true
 	if fresh || !wasMatchable {
-		s.indexAdd(tbl, r)
+		e.indexAdd(tbl, r)
 	}
-	s.touch(tbl, r)
+	e.touch(tbl, r)
 }
 
 // restoreRow stores a tuple (of fingerprint fp) with an explicit
 // annotation in the open epoch, overwriting any existing row for the same
-// tuple.
-func (s *shard) restoreRow(rel string, t db.Tuple, fp uint64, ann *core.Expr) error {
-	tbl := s.tables[rel]
+// tuple — also one an earlier add of the same epoch stored. Only an
+// epoch whose rows a hook wants lists them: a restore needs no freeze.
+func (e *Engine) restoreRow(rel string, t db.Tuple, fp uint64, ann *core.Expr) error {
+	tbl := e.tables[rel]
 	if tbl == nil {
 		return fmt.Errorf("engine: %w %s", ErrUnknownRelation, rel)
 	}
 	if err := t.Conforms(tbl.rel); err != nil {
 		return fmt.Errorf("engine: %w: %v", ErrBadTuple, err)
 	}
-	r := tbl.get(fp, t)
+	r := tbl.rows.get(fp, t)
 	fresh := r == nil
-	wasMatchable := !fresh && s.matchable(r)
+	wasMatchable := !fresh && e.matchable(r)
 	if fresh {
-		r = s.newVersionedRow(t, fp)
+		r = e.newVersionedRow(t, fp)
 	}
-	v := s.mutable(r)
+	v := e.mutable(r)
 	v.setExpr(ann)
 	v.live = ann.Live()
 	if fresh {
 		tbl.add(r)
 	}
 	switch {
-	case fresh, !wasMatchable && s.matchable(r):
-		s.indexAdd(tbl, r)
-	case wasMatchable && !s.matchable(r):
-		s.indexDead(tbl, r)
+	case fresh, !wasMatchable && e.matchable(r):
+		e.indexAdd(tbl, r)
+	case wasMatchable && !e.matchable(r):
+		e.indexDead(tbl, r)
 	}
-	if s.collect {
-		s.touched = append(s.touched, touchedRow{tbl, r})
+	if e.collect {
+		e.touch(tbl, r)
 	}
 	return nil
-}
-
-// minimize applies the zero-axiom post-processing of Proposition 5.5 to
-// every annotation in the open epoch and returns the
-// provenance size afterwards; ctx is checked between relations.
-func (s *shard) minimize(ctx context.Context) (int64, error) {
-	var n int64
-	for _, name := range s.schema.Names() {
-		tbl := s.tables[name]
-		if ctx != nil {
-			if err := ctx.Err(); err != nil {
-				return n, err
-			}
-		}
-		for _, r := range tbl.list.snapshot() {
-			v := r.latest()
-			if s.mode != ModeNormalForm {
-				n += v.expr().Size()
-				continue
-			}
-			old := v.nf.ToExpr()
-			m := core.Minimize(old)
-			n += m.Size()
-			if m == old {
-				// Hash-consing makes no-op minimizations pointer-equal:
-				// skip the version churn for already-minimal rows.
-				continue
-			}
-			wasMatchable := s.matchableV(v)
-			nv := s.mutable(r)
-			nv.setExpr(m)
-			if s.collect {
-				s.touched = append(s.touched, touchedRow{tbl, r})
-			}
-			// Minimization can collapse a zero-equivalent annotation
-			// to syntactic 0, taking the row out of the support.
-			if wasMatchable && !s.matchableV(nv) {
-				s.indexDead(tbl, r)
-			}
-		}
-	}
-	return n, nil
 }

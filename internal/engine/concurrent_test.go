@@ -299,8 +299,8 @@ func TestConcurrentApplyTransaction(t *testing.T) {
 			e := engine.New(engine.ModeNormalForm, initial, engine.WithShards(shards))
 			var epochs []uint64
 			var labels []string
-			// The tracker delivers events one at a time, so the hook needs no
-			// lock of its own.
+			// The engine emits each event under its write lock, one at a
+			// time, so the hook needs no lock of its own.
 			e.SetCommitHook(func(ev engine.CommitEvent) {
 				epochs = append(epochs, ev.Epoch)
 				labels = append(labels, ev.Label)

@@ -26,11 +26,11 @@
 // per the package tests, does) coincide with the all-true Boolean
 // valuation of either provenance mode.
 //
-// There is one engine type. Engine owns one storage partition — rows,
-// versions, indexes and the scan planner behind one write lock — and
-// keeps the epochs, the read horizon, the commit events and the views on
-// top of it. DB and View stay interfaces because the persistent stores of
-// package wal implement and forward them.
+// There is one engine type, and it is one object: Engine owns the rows,
+// their versions, the indexes and the scan planner, the epochs, the read
+// horizon and the commit events, behind one write lock; a view is the
+// engine pinned at a horizon. DB and View stay interfaces because the
+// persistent stores of package wal implement and forward them.
 //
 // Two doors lead to the storage underneath, and both are checked. Every
 // update applies through Engine.ApplyTransaction, which admits what

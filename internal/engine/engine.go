@@ -114,10 +114,10 @@ func WithLiveMatching(on bool) Option {
 }
 
 // Engine is a provenance-tracking database: every stored tuple carries
-// an UP[X] annotation. It owns one storage partition (shard.go): the
-// rows, their MVCC version chains, the columnar mirror, the indexes and
-// the scan planner, behind one write lock. On top of it the engine keeps
-// the epoch counter, the read horizon, the commit events and the views.
+// an UP[X] annotation. One object owns it all: the rows with their MVCC
+// version chains and columnar mirror (apply.go, storage.go), the indexes
+// and the scan planner (index.go), the epoch counter, the read horizon,
+// the commit events and the views (mvcc.go), behind one write lock.
 //
 // Writes. A transaction is one write epoch: the engine takes the write
 // lock, allocates the epoch, applies the updates in order, commits the
@@ -139,25 +139,55 @@ func WithLiveMatching(on bool) Option {
 // row's normal form depends on that row's annotation and the query
 // annotation only — is what lets them split the rows anywhere.
 type Engine struct {
+	// mu serializes writers: write epochs, BuildIndex and DropIndex.
+	// Select and IndexStats read the writer-owned index structures under
+	// it; every other read is lock-free.
+	mu sync.RWMutex
+
 	mode   Mode
 	schema *db.Schema
 	cfg    config // the settings it was built with (see Options)
-	sh     *shard
+	tables map[string]*table
 
 	// epoch numbers write epochs (transactions, restores, minimization
-	// passes); it is the high half of every row sequence number.
+	// passes); it is the high half of every row sequence number. Under mu
+	// it is the epoch in flight.
 	epoch atomic.Uint64
 
-	// tracker publishes committed epochs: the read horizon and the commit
-	// events (see mvcc.go).
-	tracker epochTracker
+	// The write epoch in flight, set by begin: the query annotation its
+	// updates carry, the rows it has created so far and whether a hook
+	// wants its rows. touched lists the rows it touched, each once, with
+	// the table holding them: finish freezes them and names them in the
+	// event.
+	cur     core.Annot
+	created uint64
+	collect bool
+	touched []touchedRow
 
-	// hook is the commit-event subscriber, called by the tracker. rowBufs
-	// recycles the events' Rows buffers: filled when an epoch ends, lent
-	// to the hook for one call, wiped, and reused.
-	hook    atomic.Pointer[CommitHook]
-	rowMu   sync.Mutex
-	rowBufs [][]RowRef
+	// horizon is the committed read horizon and note wakes its waiters:
+	// finish stores the one and rings the other (mvcc.go).
+	horizon atomic.Uint64
+	note    horizonNote
+
+	// hook is the commit-event subscriber. evRows is the events' Rows
+	// buffer: filled by finish, lent to the hook for one call, wiped and
+	// reused.
+	hook   atomic.Pointer[CommitHook]
+	evRows []RowRef
+
+	// versions counts row versions ever created (MVCCStats).
+	versions atomic.Uint64
+
+	// plan holds the scan planner's counters (index.go).
+	plan planCounters
+
+	// Writer-owned scratch, guarded by the write lock like every other
+	// scan-path structure: the free-list recycling scan result buffers
+	// (see storage.go), the grouping state of the modification in flight
+	// and the tuple a fully pinned selection probes with.
+	scanBufs [][]*row
+	mod      modScratch
+	pinned   db.Tuple
 
 	boot BootStats // see Boot
 }
@@ -179,9 +209,14 @@ func NewEmpty(mode Mode, schema *db.Schema, opts ...Option) *Engine {
 	return newEngine(mode, schema, newConfig(opts))
 }
 
+// newEngine builds an engine with empty tables for every relation, epoch
+// 0 (the initial rows) visible.
 func newEngine(mode Mode, schema *db.Schema, cfg config) *Engine {
-	e := &Engine{mode: mode, schema: schema, cfg: cfg, sh: newShard(mode, schema, cfg), boot: BootStats{Source: "empty"}}
-	e.tracker.init(e.emit)
+	e := &Engine{mode: mode, schema: schema, cfg: cfg, tables: make(map[string]*table), boot: BootStats{Source: "empty"}}
+	for _, name := range schema.Names() {
+		e.tables[name] = newTable(schema.Relation(name))
+	}
+	e.horizon.Store(seqCounterMask)
 	return e
 }
 
@@ -220,22 +255,8 @@ func (e *Engine) SetCommitHook(h CommitHook) {
 // bulk transaction must not pin its row list for the engine's lifetime.
 const evRowsKeep = 1024
 
-// eventRows returns an empty Rows buffer for an epoch's event, recycled
-// from an earlier event when emit has delivered one.
-func (e *Engine) eventRows() []RowRef {
-	e.rowMu.Lock()
-	defer e.rowMu.Unlock()
-	n := len(e.rowBufs)
-	if n == 0 {
-		return nil
-	}
-	buf := e.rowBufs[n-1]
-	e.rowBufs = e.rowBufs[:n-1]
-	return buf
-}
-
-// emit delivers one epoch's commit event. Called by the tracker under
-// its mutex, strictly in epoch order, after the horizon store — so a
+// emit delivers one epoch's commit event. finish calls it under the write
+// lock, strictly in epoch order, after the horizon store — so a
 // subscriber reading At(ev.Seq) observes the committed epoch.
 func (e *Engine) emit(ev CommitEvent) {
 	if hp := e.hook.Load(); hp != nil {
@@ -246,41 +267,51 @@ func (e *Engine) emit(ev CommitEvent) {
 	// epoch's rows.
 	clear(ev.Rows)
 	if c := cap(ev.Rows); c > 0 && c <= evRowsKeep {
-		e.rowMu.Lock()
-		e.rowBufs = append(e.rowBufs, ev.Rows[:0])
-		e.rowMu.Unlock()
+		e.evRows = ev.Rows[:0]
 	}
 }
 
 // --- write epochs -------------------------------------------------------
 
-// begin takes the write lock and opens a write epoch, returning its
-// number; collect reports whether a hook is installed and the epoch's
-// rows are wanted. The epoch is allocated under the lock, so epochs apply
-// in the order they are numbered.
-func (e *Engine) begin(label string) (uint64, bool) {
-	e.sh.mu.Lock()
-	epoch := e.epoch.Add(1)
-	collect := e.hook.Load() != nil
-	e.sh.open(epoch, label, collect)
-	return epoch, collect
+// begin takes the write lock and opens a write epoch: versions it writes
+// are born in the epoch, rows it creates are numbered from epoch<<32 on,
+// and label names the query annotation of a transaction's updates. The
+// epoch is allocated under the lock, so epochs apply in the order they
+// are numbered; collect records whether a hook is installed and the
+// epoch's rows are wanted.
+func (e *Engine) begin(label string) {
+	e.mu.Lock()
+	e.epoch.Add(1)
+	e.created, e.collect = 0, e.hook.Load() != nil
+	e.cur = core.QueryAnnot(label)
 }
 
-// finish ends the epoch, commits it — the read horizon advances to it and
-// its event is announced — and releases the write lock: every epoch
-// commits before the next one begins. An epoch that ran without a hook
+// finish ends the epoch, commits it and releases the write lock: every
+// epoch commits before the next one begins. The rows the epoch touched
+// freeze, so that the next one (with a different annotation) layers on
+// top; then the read horizon advances to the epoch, its event is
+// announced and horizon waiters wake. An epoch that ran without a hook
 // collected no rows; should one have been installed since, it hears a
 // CommitReset — the subscriber rebuilds from the horizon, which covers
 // the epoch — rather than an empty transaction that would silently skip
 // the epoch's rows.
-func (e *Engine) finish(epoch uint64, kind CommitKind, label string, collect bool) {
-	ev := CommitEvent{Kind: CommitReset}
-	if collect {
-		ev = CommitEvent{Kind: kind, Label: label, Rows: e.eventRows()}
+func (e *Engine) finish(kind CommitKind, label string) {
+	epoch := e.epoch.Load()
+	ev := CommitEvent{Epoch: epoch, Seq: EpochSeq(epoch), Kind: CommitReset}
+	if e.collect {
+		ev.Kind, ev.Label, ev.Rows, e.evRows = kind, label, e.evRows, nil
 	}
-	ev.Rows = e.sh.end(ev.Rows)
-	e.tracker.commit(epoch, ev)
-	e.sh.mu.Unlock()
+	for _, t := range e.touched {
+		t.r.latest().nf.Freeze()
+		if e.collect {
+			ev.Rows = append(ev.Rows, RowRef{Rel: t.tbl.rel.Name, Tuple: t.r.tuple})
+		}
+	}
+	e.touched = e.touched[:0]
+	e.horizon.Store(ev.Seq)
+	e.emit(ev)
+	e.note.wake()
+	e.mu.Unlock()
 }
 
 // ApplyTransaction runs a whole transaction as one write epoch. Its
@@ -294,16 +325,16 @@ func (e *Engine) finish(epoch uint64, kind CommitKind, label string, collect boo
 // the engine keeps its Label (inside the query annotation) and the Row of
 // an insertion that creates a row, nothing else.
 func (e *Engine) ApplyTransaction(t *db.Transaction) error {
-	epoch, collect := e.begin(t.Label)
+	e.begin(t.Label)
 	var err error
 	for i := range t.Updates {
 		if cerr := checkUpdate(e.schema, &t.Updates[i]); cerr != nil {
 			err = fmt.Errorf("transaction %s, query %d: %w", t.Label, i, cerr)
 			break
 		}
-		e.sh.apply(t.Updates[i])
+		e.apply(t.Updates[i])
 	}
-	e.finish(epoch, CommitTxn, t.Label, collect)
+	e.finish(CommitTxn, t.Label)
 	return err
 }
 
@@ -359,9 +390,9 @@ func (e *Engine) ApplyBatch(ctx context.Context, txns []db.Transaction) (applied
 // used by snapshot loading (package provstore). Each restore is its own
 // write epoch, committed like a transaction.
 func (e *Engine) RestoreRow(rel string, t db.Tuple, ann *core.Expr) error {
-	epoch, collect := e.begin("")
-	err := e.sh.restoreRow(rel, t, t.Fingerprint(), ann)
-	e.finish(epoch, CommitRestore, "", collect)
+	e.begin("")
+	err := e.restoreRow(rel, t, t.Fingerprint(), ann)
+	e.finish(CommitRestore, "")
 	return err
 }
 
@@ -375,13 +406,14 @@ type restoreItem struct {
 // Restore is RestoreRow in bulk, for snapshot loading: fill runs inside
 // one write epoch and stores a row with each call of add, in call order;
 // the epoch commits — one CommitRestore — when fill returns, with the
-// rows added before an error kept. fill runs beside the stores (see
-// pipe): a decoder reads and interns the next rows while these go in, so
-// add answers for an earlier row's failure, and Restore returns the first
-// failure in row order, a store's before fill's own.
+// rows added before an error kept. A tuple added twice keeps the later
+// annotation and is one row of the event. fill runs beside the stores
+// (see pipe): a decoder reads and interns the next rows while these go
+// in, so add answers for an earlier row's failure, and Restore returns
+// the first failure in row order, a store's before fill's own.
 func (e *Engine) Restore(fill func(add func(rel string, t db.Tuple, ann *core.Expr) error) error) error {
-	epoch, collect := e.begin("")
-	defer e.finish(epoch, CommitRestore, "", collect)
+	e.begin("")
+	defer e.finish(CommitRestore, "")
 	_, _, err := pipe(func(emit func([]restoreItem) error) error {
 		batch := make([]restoreItem, 0, 256)
 		err := fill(func(rel string, t db.Tuple, ann *core.Expr) (err error) {
@@ -397,7 +429,7 @@ func (e *Engine) Restore(fill func(add func(rel string, t db.Tuple, ann *core.Ex
 		return err
 	}, func(batch []restoreItem) error {
 		for _, it := range batch {
-			if err := e.sh.restoreRow(it.rel, it.t, it.t.Fingerprint(), it.ann); err != nil {
+			if err := e.restoreRow(it.rel, it.t, it.t.Fingerprint(), it.ann); err != nil {
 				return err
 			}
 		}
@@ -416,41 +448,42 @@ func (e *Engine) Restore(fill func(add func(rel string, t db.Tuple, ann *core.Ex
 // (minimization is idempotent and preserves equivalence, so a partial
 // pass is still a correct state).
 func (e *Engine) MinimizeAll(ctx context.Context) (int64, error) {
-	epoch, collect := e.begin("")
-	defer e.finish(epoch, CommitMinimize, "", collect)
-	return e.sh.minimize(ctx)
+	e.begin("")
+	defer e.finish(CommitMinimize, "")
+	var n int64
+	for _, name := range e.schema.Names() {
+		tbl := e.tables[name]
+		if ctx != nil {
+			if err := ctx.Err(); err != nil {
+				return n, err
+			}
+		}
+		for _, r := range tbl.list.snapshot() {
+			v := r.latest()
+			if e.mode != ModeNormalForm {
+				n += v.expr().Size()
+				continue
+			}
+			old := v.nf.ToExpr()
+			m := core.Minimize(old)
+			n += m.Size()
+			if m == old {
+				// Hash-consing makes no-op minimizations pointer-equal:
+				// skip the version churn for already-minimal rows.
+				continue
+			}
+			wasMatchable := e.matchableV(v)
+			nv := e.mutable(r)
+			nv.setExpr(m)
+			if e.collect {
+				e.touch(tbl, r)
+			}
+			// Minimization can collapse a zero-equivalent annotation
+			// to syntactic 0, taking the row out of the support.
+			if wasMatchable && !e.matchableV(nv) {
+				e.indexDead(tbl, r)
+			}
+		}
+	}
+	return n, nil
 }
-
-// --- secondary indexes --------------------------------------------------
-
-// BuildIndex creates a hash index on the named attribute of the
-// relation. Subsequent updates whose selection pattern constrains that
-// attribute to a constant may use the index instead of a full scan. Any
-// number of indexes may coexist per relation — building a second one on
-// a different attribute never replaces the first — and building an index
-// that already exists is a no-op (the index is already complete; an
-// advisor-built index is adopted as manual so DropIndex semantics stay
-// predictable). The index records as its history watermark the newest
-// epoch allocated, read under the write lock, so a historical scan never
-// mistakes an index built after an epoch for one that covers it.
-func (e *Engine) BuildIndex(rel, attr string) error {
-	e.sh.mu.Lock()
-	defer e.sh.mu.Unlock()
-	return e.sh.buildIndex(rel, attr, EpochSeq(e.epoch.Load()))
-}
-
-// DropIndex removes the index on the named attribute, or returns
-// ErrUnknownIndex (the HTTP layer maps it to 404) when there is none. The
-// relation must exist either way.
-func (e *Engine) DropIndex(rel, attr string) error {
-	e.sh.mu.Lock()
-	defer e.sh.mu.Unlock()
-	return e.sh.dropIndex(rel, attr)
-}
-
-// IndexStats reports every index of the engine — relations in schema
-// order, attributes in column order.
-func (e *Engine) IndexStats() []IndexInfo { return e.sh.indexStats() }
-
-// PlannerStats reports the scan planner's counters.
-func (e *Engine) PlannerStats() PlannerStats { return e.sh.idx.stats() }

@@ -11,7 +11,7 @@ const ColChunk = colChunk
 func ListsOutOfSeqOrder(e *Engine) string {
 	for _, rel := range e.schema.Names() {
 		var last uint64
-		for i, r := range e.sh.tables[rel].list.snapshot() {
+		for i, r := range e.tables[rel].list.snapshot() {
 			if i > 0 && r.seq <= last {
 				return fmt.Sprintf("%s[%d]: seq %#x after %#x", rel, i, r.seq, last)
 			}

@@ -112,21 +112,17 @@ type colIndex struct {
 }
 
 // tableIndexes holds every index of one relation plus the advisor's
-// pinned-scan counters for the columns that are not (yet) indexed.
+// pinned-scan counters for the columns that are not (yet) indexed. It is
+// a field of the relation's table, guarded by the write lock.
 type tableIndexes struct {
 	cols    map[int]*colIndex
 	ordered []*colIndex // build order; deterministic maintenance walks
 	scans   map[int]int // advisor: =-pinned scan count per unindexed column
 }
 
-// indexManager is the index state: one tableIndexes per relation
-// (created lazily) and the planner counters. The counters are atomics
-// because PlannerStats may be read while a transaction holds the write
-// lock; everything else is guarded by the write lock.
-type indexManager struct {
-	threshold int // auto-build after this many pinned scans; 0 disables
-	tables    map[string]*tableIndexes
-
+// planCounters are the scan planner's counters. They are atomics because
+// PlannerStats may be read while a transaction holds the write lock.
+type planCounters struct {
 	fullScans      atomic.Uint64
 	indexScans     atomic.Uint64
 	intersectScans atomic.Uint64
@@ -139,22 +135,9 @@ type indexManager struct {
 
 // examined records one resolved scan: how many candidates its access
 // path produced and how many of them the selection kept.
-func (m *indexManager) examined(scanned, matched int) {
+func (m *planCounters) examined(scanned, matched int) {
 	m.rowsScanned.Add(uint64(scanned))
 	m.rowsMatched.Add(uint64(matched))
-}
-
-func newIndexManager(threshold int) *indexManager {
-	return &indexManager{threshold: threshold, tables: make(map[string]*tableIndexes)}
-}
-
-func (m *indexManager) ensure(rel string) *tableIndexes {
-	ti := m.tables[rel]
-	if ti == nil {
-		ti = &tableIndexes{cols: make(map[int]*colIndex), scans: make(map[int]int)}
-		m.tables[rel] = ti
-	}
-	return ti
 }
 
 // IndexInfo describes one secondary index for IndexStats: identity,
@@ -204,24 +187,34 @@ type PlannerStats struct {
 	RowsMatched uint64 `json:"rowsMatched"`
 }
 
-func (m *indexManager) stats() PlannerStats {
+// PlannerStats reports the scan planner's counters.
+func (e *Engine) PlannerStats() PlannerStats {
 	return PlannerStats{
-		FullScans:      m.fullScans.Load(),
-		IndexScans:     m.indexScans.Load(),
-		IntersectScans: m.intersectScans.Load(),
-		PointLookups:   m.pointLookups.Load(),
-		AutoBuilds:     m.autoBuilds.Load(),
-		Compactions:    m.compactions.Load(),
-		RowsScanned:    m.rowsScanned.Load(),
-		RowsMatched:    m.rowsMatched.Load(),
+		FullScans:      e.plan.fullScans.Load(),
+		IndexScans:     e.plan.indexScans.Load(),
+		IntersectScans: e.plan.intersectScans.Load(),
+		PointLookups:   e.plan.pointLookups.Load(),
+		AutoBuilds:     e.plan.autoBuilds.Load(),
+		Compactions:    e.plan.compactions.Load(),
+		RowsScanned:    e.plan.rowsScanned.Load(),
+		RowsMatched:    e.plan.rowsMatched.Load(),
 	}
 }
 
-// buildIndex creates the hash index on the relation (see
-// Engine.BuildIndex); since is the horizon from which the
-// index covers the matchable set. The caller holds the write lock.
-func (s *shard) buildIndex(rel, attr string, since uint64) error {
-	tbl := s.tables[rel]
+// BuildIndex creates a hash index on the named attribute of the
+// relation. Subsequent updates whose selection pattern constrains that
+// attribute to a constant may use the index instead of a full scan. Any
+// number of indexes may coexist per relation — building a second one on
+// a different attribute never replaces the first — and building an index
+// that already exists is a no-op (the index is already complete; an
+// advisor-built index is adopted as manual so DropIndex semantics stay
+// predictable). The index records as its history watermark the newest
+// epoch allocated, read under the write lock, so a historical scan never
+// mistakes an index built after an epoch for one that covers it.
+func (e *Engine) BuildIndex(rel, attr string) error {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	tbl := e.tables[rel]
 	if tbl == nil {
 		return fmt.Errorf("engine: %w %s", ErrUnknownRelation, rel)
 	}
@@ -229,21 +222,21 @@ func (s *shard) buildIndex(rel, attr string, since uint64) error {
 	if col < 0 {
 		return fmt.Errorf("engine: %w: relation %s has no attribute %s", ErrUnknownAttribute, rel, attr)
 	}
-	ti := s.idx.ensure(rel)
-	if ix := ti.cols[col]; ix != nil {
+	if ix := tbl.idx.cols[col]; ix != nil {
 		ix.auto = false
 		return nil
 	}
-	s.buildColIndexLocked(tbl, ti, col, false, since)
+	e.buildColIndexLocked(tbl, col, false, EpochSeq(e.epoch.Load()))
 	return nil
 }
 
 // buildColIndexLocked materializes the index over the current table
-// state. Unmatchable rows (tombstones under live matching, syntactic
+// state; since is the horizon from which the index covers the matchable
+// set. Unmatchable rows (tombstones under live matching, syntactic
 // zeros) are skipped — they are exactly what compaction would drop —
 // and re-enter their lists if they ever become matchable again (see
 // indexAdd).
-func (s *shard) buildColIndexLocked(tbl *table, ti *tableIndexes, col int, auto bool, since uint64) *colIndex {
+func (e *Engine) buildColIndexLocked(tbl *table, col int, auto bool, since uint64) *colIndex {
 	ix := &colIndex{
 		col:     col,
 		attr:    tbl.rel.Attrs[col].Name,
@@ -252,7 +245,7 @@ func (s *shard) buildColIndexLocked(tbl *table, ti *tableIndexes, col int, auto 
 		byValue: make(map[db.Value]*postingList),
 	}
 	for _, r := range tbl.list.snapshot() {
-		if !s.matchable(r) {
+		if !e.matchable(r) {
 			continue
 		}
 		v := r.tuple[col]
@@ -264,23 +257,25 @@ func (s *shard) buildColIndexLocked(tbl *table, ti *tableIndexes, col int, auto 
 		pl.rows = append(pl.rows, r) // tbl.list is pos-ordered
 		ix.entries++
 	}
-	ti.cols[col] = ix
-	ti.ordered = append(ti.ordered, ix)
-	delete(ti.scans, col) // the advisor's job here is done
+	tbl.idx.cols[col] = ix
+	tbl.idx.ordered = append(tbl.idx.ordered, ix)
+	delete(tbl.idx.scans, col) // the advisor's job here is done
 	return ix
 }
 
-// dropIndex removes the index on the named attribute, or
-// returns ErrUnknownIndex; the relation must exist either way. The
-// caller holds the write lock.
-func (s *shard) dropIndex(rel, attr string) error {
-	tbl := s.tables[rel]
+// DropIndex removes the index on the named attribute, or returns
+// ErrUnknownIndex (the HTTP layer maps it to 404) when there is none. The
+// relation must exist either way.
+func (e *Engine) DropIndex(rel, attr string) error {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	tbl := e.tables[rel]
 	if tbl == nil {
 		return fmt.Errorf("engine: %w %s", ErrUnknownRelation, rel)
 	}
+	ti := &tbl.idx
 	col := tbl.rel.AttrIndex(attr)
-	ti := s.idx.tables[rel]
-	if col < 0 || ti == nil || ti.cols[col] == nil {
+	if col < 0 || ti.cols[col] == nil {
 		return fmt.Errorf("engine: %w %s.%s", ErrUnknownIndex, rel, attr)
 	}
 	delete(ti.cols, col)
@@ -296,18 +291,15 @@ func (s *shard) dropIndex(rel, attr string) error {
 	return nil
 }
 
-// indexStats reports every index — relations in schema
+// IndexStats reports every index of the engine — relations in schema
 // order, attributes in column order — with its current posting-list
 // volume.
-func (s *shard) indexStats() []IndexInfo {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
+func (e *Engine) IndexStats() []IndexInfo {
+	e.mu.RLock()
+	defer e.mu.RUnlock()
 	var out []IndexInfo
-	for _, rel := range s.schema.Names() {
-		ti := s.idx.tables[rel]
-		if ti == nil {
-			continue
-		}
+	for _, rel := range e.schema.Names() {
+		ti := &e.tables[rel].idx
 		cols := make([]int, 0, len(ti.cols))
 		for col := range ti.cols {
 			cols = append(cols, col)
@@ -333,12 +325,8 @@ func (s *shard) indexStats() []IndexInfo {
 
 // indexAdd registers a row that is new or matchable again with every
 // index of its table (see postingList.insert).
-func (s *shard) indexAdd(tbl *table, r *row) {
-	ti := s.idx.tables[tbl.rel.Name]
-	if ti == nil {
-		return
-	}
-	for _, ix := range ti.ordered {
+func (e *Engine) indexAdd(tbl *table, r *row) {
+	for _, ix := range tbl.idx.ordered {
 		v := r.tuple[ix.col]
 		pl := ix.byValue[v]
 		if pl == nil {
@@ -357,12 +345,8 @@ func (s *shard) indexAdd(tbl *table, r *row) {
 // invoke this on an actual matchable→unmatchable transition (scan and
 // lookupPinned never hand out unmatchable rows), so the dead counters
 // track reality; over-counting would only cause earlier sweeps.
-func (s *shard) indexDead(tbl *table, r *row) {
-	ti := s.idx.tables[tbl.rel.Name]
-	if ti == nil {
-		return
-	}
-	for _, ix := range ti.ordered {
+func (e *Engine) indexDead(tbl *table, r *row) {
+	for _, ix := range tbl.idx.ordered {
 		pl := ix.byValue[r.tuple[ix.col]]
 		if pl == nil {
 			continue
@@ -370,7 +354,7 @@ func (s *shard) indexDead(tbl *table, r *row) {
 		pl.dead++
 		ix.dead++
 		if 2*pl.dead > len(pl.rows) {
-			s.compact(ix, pl)
+			e.compact(ix, pl)
 		}
 	}
 }
@@ -380,10 +364,10 @@ func (s *shard) indexDead(tbl *table, r *row) {
 // when more than half the list is dead, and each sweep is linear in the
 // list, so total sweep work is linear in the number of entries ever
 // marked dead.
-func (s *shard) compact(ix *colIndex, pl *postingList) {
+func (e *Engine) compact(ix *colIndex, pl *postingList) {
 	kept := pl.rows[:0]
 	for _, r := range pl.rows {
-		if s.matchable(r) {
+		if e.matchable(r) {
 			kept = append(kept, r)
 		}
 	}
@@ -402,7 +386,7 @@ func (s *shard) compact(ix *colIndex, pl *postingList) {
 		// on (see planAt).
 		ix.compacted = true
 	}
-	s.idx.compactions.Add(1)
+	e.plan.compactions.Add(1)
 }
 
 // --- the planner --------------------------------------------------------
@@ -420,28 +404,20 @@ func (s *shard) compact(ix *colIndex, pl *postingList) {
 // fall back to the full scan. When auto-indexing is on, the advisor
 // counts each =-pinned unindexed column and builds its index the moment
 // the count crosses the threshold — including for the current scan.
-func (s *shard) scan(tbl *table, u db.Update) []*row {
-	if t, ok := u.Sel.AppendPinned(s.pinned); ok {
-		s.pinned = t
-		return s.lookupPinned(tbl, u, t)
+func (e *Engine) scan(tbl *table, u db.Update) []*row {
+	if t, ok := u.Sel.AppendPinned(e.pinned); ok {
+		e.pinned = t
+		return e.lookupPinned(tbl, u, t)
 	}
-	ti := s.idx.tables[tbl.rel.Name]
-	if ti == nil && s.idx.threshold > 0 {
-		ti = s.idx.ensure(tbl.rel.Name)
-	}
-	if ti == nil {
-		s.idx.fullScans.Add(1)
-		return s.fullScan(tbl, u)
-	}
-
-	best, second, empty := s.pick(ti, u.Sel, func(i int, ix *colIndex) (*colIndex, bool) {
-		if ix == nil && s.idx.threshold > 0 {
+	ti := &tbl.idx
+	best, second, empty := e.pick(ti, u.Sel, func(i int, ix *colIndex) (*colIndex, bool) {
+		if ix == nil && e.cfg.autoIndex > 0 {
 			ti.scans[i]++
-			if ti.scans[i] >= s.idx.threshold {
+			if ti.scans[i] >= e.cfg.autoIndex {
 				// The build runs inside the write epoch in flight, which
 				// is where the index's history starts.
-				ix = s.buildColIndexLocked(tbl, ti, i, true, EpochSeq(s.curEpoch))
-				s.idx.autoBuilds.Add(1)
+				ix = e.buildColIndexLocked(tbl, i, true, EpochSeq(e.epoch.Load()))
+				e.plan.autoBuilds.Add(1)
 			}
 		}
 		return ix, true
@@ -450,14 +426,14 @@ func (s *shard) scan(tbl *table, u db.Update) []*row {
 	case empty:
 		return nil
 	case best == nil:
-		return s.fullScan(tbl, u)
+		return e.fullScan(tbl, u)
 	case second != nil:
-		cand := intersectByPosInto(s.getScanBuf(), best.rows, second.rows)
-		out := s.filterRows(cand, u)
-		s.putScanBuf(cand)
+		cand := intersectByPosInto(e.getScanBuf(), best.rows, second.rows)
+		out := e.filterRows(cand, u)
+		e.putScanBuf(cand)
 		return out
 	}
-	return s.filterRows(best.rows, u)
+	return e.filterRows(best.rows, u)
 }
 
 // pick is the planner's one rule, for the write path (scan) and the
@@ -472,7 +448,7 @@ func (s *shard) scan(tbl *table, u db.Update) []*row {
 // absent list proves the selection empty. best == nil otherwise means
 // the caller walks the relation. pick counts the decision and allocates
 // nothing (use must not escape).
-func (s *shard) pick(ti *tableIndexes, sel db.Pattern, use func(i int, ix *colIndex) (*colIndex, bool)) (best, second *postingList, empty bool) {
+func (e *Engine) pick(ti *tableIndexes, sel db.Pattern, use func(i int, ix *colIndex) (*colIndex, bool)) (best, second *postingList, empty bool) {
 	for i, term := range sel {
 		if !term.IsConst() {
 			continue
@@ -487,7 +463,7 @@ func (s *shard) pick(ti *tableIndexes, sel db.Pattern, use func(i int, ix *colIn
 		}
 		pl := ix.byValue[term.Value()]
 		if pl == nil {
-			s.idx.indexScans.Add(1)
+			e.plan.indexScans.Add(1)
 			return nil, nil, true
 		}
 		switch {
@@ -499,12 +475,12 @@ func (s *shard) pick(ti *tableIndexes, sel db.Pattern, use func(i int, ix *colIn
 	}
 	switch {
 	case best == nil:
-		s.idx.fullScans.Add(1)
+		e.plan.fullScans.Add(1)
 	case second != nil && len(best.rows) >= minIntersectLen && len(second.rows) <= maxIntersectRatio*len(best.rows):
-		s.idx.intersectScans.Add(1)
+		e.plan.intersectScans.Add(1)
 		return best, second, false
 	default:
-		s.idx.indexScans.Add(1)
+		e.plan.indexScans.Add(1)
 	}
 	return best, nil, false
 }
@@ -514,13 +490,13 @@ func (s *shard) pick(ti *tableIndexes, sel db.Pattern, use func(i int, ix *colIn
 // allocation-free fingerprint probe, decided by the same matchable and
 // MatchesTuple as every other access path (attribute conditions, live
 // matching, tombstones and revived tuples behave as in a full scan).
-func (s *shard) lookupPinned(tbl *table, u db.Update, t db.Tuple) []*row {
-	s.idx.pointLookups.Add(1)
-	out := s.getScanBuf()
-	if r := tbl.get(t.Fingerprint(), t); r != nil && s.matchable(r) && u.MatchesTuple(r.tuple) {
+func (e *Engine) lookupPinned(tbl *table, u db.Update, t db.Tuple) []*row {
+	e.plan.pointLookups.Add(1)
+	out := e.getScanBuf()
+	if r := tbl.rows.get(t.Fingerprint(), t); r != nil && e.matchable(r) && u.MatchesTuple(r.tuple) {
 		out = append(out, r)
 	}
-	s.idx.examined(1, len(out))
+	e.plan.examined(1, len(out))
 	return out
 }
 
@@ -531,25 +507,25 @@ func (s *shard) lookupPinned(tbl *table, u db.Update, t db.Tuple) []*row {
 // pointer is chased for them. Equal words mean equal values only within
 // one kind, which is the attribute's for every constant of an update
 // that reached storage (checkUpdate); MatchesTuple stays the decision.
-func (s *shard) fullScan(tbl *table, u db.Update) []*row {
+func (e *Engine) fullScan(tbl *table, u db.Update) []*row {
 	rows := tbl.list.snapshot()
 	ci := firstConstTerm(u.Sel)
 	if ci < 0 {
-		return s.filterRows(rows, u)
+		return e.filterRows(rows, u)
 	}
 	want := u.Sel[ci].Value().Word()
-	out := s.getScanBuf()
+	out := e.getScanBuf()
 	left := rows
 	for _, words := range tbl.cols.cols[ci].chunks() {
 		words = words[:min(len(words), len(left))]
 		for i := indexWord(words, want); i < len(words); i += 1 + indexWord(words[i+1:], want) {
-			if r := left[i]; s.matchable(r) && u.MatchesTuple(r.tuple) {
+			if r := left[i]; e.matchable(r) && u.MatchesTuple(r.tuple) {
 				out = append(out, r)
 			}
 		}
 		left = left[len(words):]
 	}
-	s.idx.examined(len(rows), len(out))
+	e.plan.examined(len(rows), len(out))
 	return out
 }
 
@@ -585,30 +561,25 @@ func firstConstTerm(p db.Pattern) int {
 // rows, preserving their order. The result comes from the writer's
 // scan-buffer free-list; callers release it with putScanBuf when the
 // update is done with it.
-func (s *shard) filterRows(rows []*row, u db.Update) []*row {
-	out := s.getScanBuf()
+func (e *Engine) filterRows(rows []*row, u db.Update) []*row {
+	out := e.getScanBuf()
 	for _, r := range rows {
-		if s.matchable(r) && u.MatchesTuple(r.tuple) {
+		if e.matchable(r) && u.MatchesTuple(r.tuple) {
 			out = append(out, r)
 		}
 	}
-	s.idx.examined(len(rows), len(out))
+	e.plan.examined(len(rows), len(out))
 	return out
 }
 
 // planAt is selectAt's access-path choice: the candidate rows still to
 // be filtered (possibly the whole list), or none=true when an index
 // proves the selection empty. The caller holds the read lock.
-func (s *shard) planAt(tbl *table, u db.Update, h uint64) (rows []*row, none bool) {
-	ti := s.idx.tables[tbl.rel.Name]
-	if ti == nil {
-		s.idx.fullScans.Add(1)
-		return tbl.list.snapshot(), false
-	}
+func (e *Engine) planAt(tbl *table, u db.Update, h uint64) (rows []*row, none bool) {
 	// An index serves horizon h only while its history is intact: no row
 	// was ever compacted out of it and it existed by h. One that does not
 	// sends the whole selection to the full list.
-	best, second, empty := s.pick(ti, u.Sel, func(_ int, ix *colIndex) (*colIndex, bool) {
+	best, second, empty := e.pick(&tbl.idx, u.Sel, func(_ int, ix *colIndex) (*colIndex, bool) {
 		return ix, ix == nil || !ix.compacted && h >= ix.since
 	})
 	switch {
@@ -637,27 +608,27 @@ func (s *shard) planAt(tbl *table, u db.Update, h uint64) (rows []*row, none boo
 // beyond the counters). The pattern is wrapped as a deletion solely
 // because deletions are the pure-selection update shape the planner
 // consumes.
-func (s *shard) selectAt(rel string, sel db.Pattern, h uint64, f func(r *row)) error {
+func (e *Engine) selectAt(rel string, sel db.Pattern, h uint64, f func(r *row)) error {
 	u := db.Delete(rel, sel)
-	if err := checkUpdate(s.schema, &u); err != nil {
+	if err := checkUpdate(e.schema, &u); err != nil {
 		return err
 	}
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	rows, none := s.planAt(s.tables[rel], u, h)
+	e.mu.RLock()
+	defer e.mu.RUnlock()
+	rows, none := e.planAt(e.tables[rel], u, h)
 	if none {
 		return nil
 	}
 	matched := 0
 	for _, r := range rows {
 		v := r.at(h)
-		if v == nil || !s.matchableV(v) || !u.MatchesTuple(r.tuple) {
+		if v == nil || !e.matchableV(v) || !u.MatchesTuple(r.tuple) {
 			continue
 		}
 		matched++
 		f(r)
 	}
-	s.idx.examined(len(rows), matched)
+	e.plan.examined(len(rows), matched)
 	return nil
 }
 

@@ -126,7 +126,7 @@ type loader struct {
 func (l *loader) add(b db.RowBatch) error {
 	if l.rel == nil || b.Rel != l.rel.Name || b.Restart {
 		if l.rel != nil && b.Rel == l.rel.Name {
-			l.e.sh.dropLoaded(b.Rel)
+			l.e.dropLoaded(b.Rel)
 			l.seq = l.first
 		} else {
 			names := l.e.schema.Names()
@@ -141,7 +141,7 @@ func (l *loader) add(b db.RowBatch) error {
 		if l.initAnnot == nil {
 			l.vars = core.Vars("t", core.KindTuple, int(l.first), b.Total)
 		}
-		if tbl := l.e.sh.tables[b.Rel]; b.Total > 0 {
+		if tbl := l.e.tables[b.Rel]; b.Total > 0 {
 			tbl.rows.reserve(b.Total)
 			tbl.list.reserve(b.Total)
 		}
@@ -160,7 +160,7 @@ func (l *loader) add(b db.RowBatch) error {
 			ann = l.vars[l.seq-l.first]
 		}
 		fp := t.Fingerprint()
-		l.e.sh.load(b.Rel, newRow(t, fp, l.seq, ann, true))
+		l.e.load(b.Rel, newRow(t, fp, l.seq, ann, true))
 		l.seq++
 	}
 	return nil

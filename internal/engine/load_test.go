@@ -59,9 +59,9 @@ func TestLoadReservesWhatDoublingReaches(t *testing.T) {
 		one := NewEmpty(ModeNormalForm, loadTestSchema())
 		for i, tu := range rows {
 			fp := tu.Fingerprint()
-			one.sh.load("A", newRow(tu, fp, uint64(i), core.Zero(), true))
+			one.load("A", newRow(tu, fp, uint64(i), core.Zero(), true))
 		}
-		got, want := e.sh.tables["A"], one.sh.tables["A"]
+		got, want := e.tables["A"], one.tables["A"]
 		slots := func(tb *table) int {
 			if tab := tb.rows.tab.Load(); tab != nil {
 				return len(tab.slots)

@@ -176,36 +176,6 @@ func (l *rowList) snapshot() []*row {
 	return (*arr)[:n:n]
 }
 
-// epochTracker publishes committed epochs: the monotone read horizon,
-// the in-order event stream and the wake-up of horizon waiters. Epochs
-// are allocated and committed under the write lock (Engine.begin and
-// finish), so they reach commit one at a time and in allocation order: a
-// pinned reader never observes epoch k+1 without k. Every allocated epoch
-// must be committed exactly once (finish does), or the horizon stalls.
-type epochTracker struct {
-	horizon atomic.Uint64
-	note    horizonNote
-
-	// emit is called for every committed epoch, in increasing epoch order
-	// and after the horizon store — the in-order commit-event edge. It
-	// must not block (see CommitHook).
-	emit func(ev CommitEvent)
-}
-
-func (t *epochTracker) init(emit func(ev CommitEvent)) {
-	t.horizon.Store(seqCounterMask) // epoch 0 (initial rows) is visible
-	t.emit = emit
-}
-
-// commit publishes the epoch with the event announcing it. The caller
-// holds the write lock.
-func (t *epochTracker) commit(epoch uint64, ev CommitEvent) {
-	ev.Epoch, ev.Seq = epoch, EpochSeq(epoch)
-	t.horizon.Store(ev.Seq)
-	t.emit(ev)
-	t.note.wake()
-}
-
 // horizonNote publishes horizon advances to blocked waiters. wake is
 // called once per horizon advance — cheap next to the commit itself —
 // while readers that never wait never touch it. The bell channel is
@@ -238,25 +208,6 @@ func (n *horizonNote) bell() <-chan struct{} {
 	return ch
 }
 
-// waitHorizon blocks until horizon() >= seq or ctx is done. The
-// check-subscribe-recheck order closes the race with a concurrent wake.
-func (n *horizonNote) waitHorizon(ctx context.Context, horizon func() uint64, seq uint64) error {
-	for {
-		if horizon() >= seq {
-			return nil
-		}
-		bell := n.bell()
-		if horizon() >= seq {
-			return nil
-		}
-		select {
-		case <-ctx.Done():
-			return ctx.Err()
-		case <-bell:
-		}
-	}
-}
-
 // MVCCStats reports the version-storage state of an engine.
 type MVCCStats struct {
 	// HorizonEpoch is the newest fully visible transaction epoch.
@@ -273,21 +224,34 @@ type MVCCStats struct {
 // Horizon returns the newest committed read horizon: the largest
 // sequence s such that every epoch ≤ SeqEpoch(s) has committed.
 // At(Horizon()) pins the current state.
-func (e *Engine) Horizon() uint64 { return e.tracker.horizon.Load() }
+func (e *Engine) Horizon() uint64 { return e.horizon.Load() }
 
 // WaitHorizon blocks until the committed horizon reaches seq or ctx is
 // done. This is the horizon-publication hook replication followers (and
 // fenced reads) build on: a follower replaying a leader's log can park
 // readers until the epoch they demand has been replayed, without
 // polling. Sequences that are already visible return immediately.
+// The check-subscribe-recheck order closes the race with a concurrent
+// wake.
 func (e *Engine) WaitHorizon(ctx context.Context, seq uint64) error {
-	return e.tracker.note.waitHorizon(ctx, e.Horizon, seq)
+	for e.Horizon() < seq {
+		bell := e.note.bell()
+		if e.Horizon() >= seq {
+			return nil
+		}
+		select {
+		case <-ctx.Done():
+			return ctx.Err()
+		case <-bell:
+		}
+	}
+	return nil
 }
 
 // MVCCStats reports the engine's version-storage counters.
 func (e *Engine) MVCCStats() MVCCStats {
 	h := e.Horizon()
-	return MVCCStats{HorizonEpoch: SeqEpoch(h), HorizonSeq: h, Epochs: e.epoch.Load(), Versions: e.sh.versions.Load()}
+	return MVCCStats{HorizonEpoch: SeqEpoch(h), HorizonSeq: h, Epochs: e.epoch.Load(), Versions: e.versions.Load()}
 }
 
 // At returns a read-only view of the database at the given horizon
@@ -330,7 +294,7 @@ func (v view) AsOf() uint64 { return v.s }
 // Lock-free: the list is snapshotted and rows beyond the horizon excluded
 // up front, so callers only resolve versions.
 func (v view) rows(rel string) []*row {
-	tbl := v.e.sh.tables[rel]
+	tbl := v.e.tables[rel]
 	if tbl == nil {
 		return nil
 	}
@@ -347,11 +311,11 @@ func (v view) rows(rel string) []*row {
 // allocates nothing (enforced by TestAllocFreeReads), and no Key() string
 // is built.
 func (v view) find(rel string, t db.Tuple) *version {
-	tbl := v.e.sh.tables[rel]
+	tbl := v.e.tables[rel]
 	if tbl == nil {
 		return nil
 	}
-	r := tbl.get(t.Fingerprint(), t)
+	r := tbl.rows.get(t.Fingerprint(), t)
 	if r == nil {
 		return nil
 	}
@@ -398,17 +362,69 @@ func (v view) Rows(f func(rel string, t db.Tuple, ann *core.Expr)) {
 // Select runs the planner at the pinned horizon.
 func (v view) Select(rel string, sel db.Pattern) ([]db.Tuple, error) {
 	var out []db.Tuple
-	err := v.e.sh.selectAt(rel, sel, v.s, func(r *row) { out = append(out, r.tuple) })
+	err := v.e.selectAt(rel, sel, v.s, func(r *row) { out = append(out, r.tuple) })
 	if err != nil {
 		return nil, err
 	}
 	return out, nil
 }
 
-func (v view) NumRows() int       { return v.e.sh.numRowsAt(v.s) }
-func (v view) SupportSize() int   { return v.e.sh.supportSizeAt(v.s) }
-func (v view) ProvSize() int64    { return v.e.sh.provSizeAt(v.s) }
-func (v view) ProvDAGSize() int64 { return v.e.sh.provDAGSizeAt(v.s) }
+// NumRows walks the sequence columns: visibility counting touches no row
+// pointer.
+func (v view) NumRows() int {
+	n := 0
+	for _, name := range v.e.schema.Names() {
+		tbl := v.e.tables[name]
+		left := tbl.list.len()
+		for _, seqs := range tbl.cols.seqs.chunks() {
+			seqs = seqs[:min(len(seqs), left)]
+			left -= len(seqs)
+			for _, q := range seqs {
+				if q <= v.s {
+					n++
+				}
+			}
+		}
+	}
+	return n
+}
+
+func (v view) SupportSize() int {
+	n := 0
+	for _, name := range v.e.schema.Names() {
+		for _, r := range v.rows(name) {
+			if ver := r.at(v.s); ver != nil && ver.inSupport() {
+				n++
+			}
+		}
+	}
+	return n
+}
+
+func (v view) ProvSize() int64 {
+	var n int64
+	for _, name := range v.e.schema.Names() {
+		for _, r := range v.rows(name) {
+			if ver := r.at(v.s); ver != nil {
+				n += ver.nf.Size()
+			}
+		}
+	}
+	return n
+}
+
+// ProvDAGSize counts the distinct nodes of the visible annotations.
+func (v view) ProvDAGSize() int64 {
+	var seen core.NodeSet
+	for _, name := range v.e.schema.Names() {
+		for _, r := range v.rows(name) {
+			if ver := r.at(v.s); ver != nil {
+				ver.annotation().DAGSizeInto(&seen)
+			}
+		}
+	}
+	return seen.Len()
+}
 
 // --- the engine's Reader surface: the view at the committed horizon -----
 
@@ -454,7 +470,7 @@ func (e *Engine) Select(rel string, sel db.Pattern) ([]db.Tuple, error) {
 // by TestAllocFreeReads). f must not retain the tuples across engine
 // mutations it triggers itself.
 func (e *Engine) SelectEach(rel string, sel db.Pattern, f func(db.Tuple)) error {
-	return e.sh.selectAt(rel, sel, e.Horizon(), func(r *row) { f(r.tuple) })
+	return e.selectAt(rel, sel, e.Horizon(), func(r *row) { f(r.tuple) })
 }
 
 // NumRows reports the total number of rows visible at the committed
@@ -479,62 +495,3 @@ func (e *Engine) ProvSize() int64 { return e.view().ProvSize() }
 // ProvSize's per-occurrence tree count (the paper's Fig. 7b/8b report
 // the latter; the stats endpoint reports both).
 func (e *Engine) ProvDAGSize() int64 { return e.view().ProvDAGSize() }
-
-// --- horizon-pinned measures ---------------------------------------------
-
-func (s *shard) numRowsAt(h uint64) int {
-	n := 0
-	for _, name := range s.schema.Names() {
-		tbl := s.tables[name]
-		// Visibility counting walks the sequence column; no row pointer
-		// is touched.
-		left := tbl.list.len()
-		for _, seqs := range tbl.cols.seqs.chunks() {
-			seqs = seqs[:min(len(seqs), left)]
-			left -= len(seqs)
-			for _, q := range seqs {
-				if q <= h {
-					n++
-				}
-			}
-		}
-	}
-	return n
-}
-
-func (s *shard) supportSizeAt(h uint64) int {
-	n := 0
-	for _, name := range s.schema.Names() {
-		for _, r := range s.tables[name].list.snapshot() {
-			if v := r.at(h); v != nil && v.inSupport() {
-				n++
-			}
-		}
-	}
-	return n
-}
-
-func (s *shard) provSizeAt(h uint64) int64 {
-	var n int64
-	for _, name := range s.schema.Names() {
-		for _, r := range s.tables[name].list.snapshot() {
-			if v := r.at(h); v != nil {
-				n += v.nf.Size()
-			}
-		}
-	}
-	return n
-}
-
-// provDAGSizeAt counts the distinct nodes of the visible annotations.
-func (s *shard) provDAGSizeAt(h uint64) int64 {
-	var seen core.NodeSet
-	for _, name := range s.schema.Names() {
-		for _, r := range s.tables[name].list.snapshot() {
-			if v := r.at(h); v != nil {
-				v.annotation().DAGSizeInto(&seen)
-			}
-		}
-	}
-	return seen.Len()
-}

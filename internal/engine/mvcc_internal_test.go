@@ -21,7 +21,7 @@ func collectSeqs(t *testing.T, e *Engine) map[uint64]string {
 	t.Helper()
 	seqs := make(map[uint64]string)
 	for _, rel := range e.schema.Names() {
-		for _, r := range e.sh.tables[rel].list.snapshot() {
+		for _, r := range e.tables[rel].list.snapshot() {
 			if prev, dup := seqs[r.seq]; dup {
 				t.Fatalf("rows %s and %s/%s share seq %#x", prev, rel, r.tuple, r.seq)
 			}
@@ -130,7 +130,7 @@ func TestScanAtCompactedIndexFallsBack(t *testing.T) {
 
 	// Simulate a sweep having dropped entries: history above since is
 	// gone, so even covered horizons must fall back.
-	e.sh.idx.tables["R"].cols[1].compacted = true
+	e.tables["R"].idx.cols[1].compacted = true
 	before = e.PlannerStats()
 	got, err = e.At(h).Select("R", sel)
 	if err != nil {

@@ -14,6 +14,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -428,5 +429,45 @@ func TestApplyBatchReportsApplied(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestRestoreSameTupleTwice: a Restore that adds one tuple twice keeps
+// the later annotation in one row, and with a hook installed its
+// CommitRestore names that row once, as CommitEvent promises; the
+// snapshot is that of a single add of the later annotation.
+func TestRestoreSameTupleTwice(t *testing.T) {
+	schema := db.MustSchema(db.MustRelationSchema("R",
+		db.Attribute{Name: "K", Kind: db.KindInt},
+	))
+	tu := db.Tuple{db.I(1)}
+	first, later := core.Var(core.TupleAnnot("a")), core.Var(core.TupleAnnot("b"))
+	restore := func(anns ...*core.Expr) (*engine.Engine, []engine.CommitEvent) {
+		e := engine.NewEmpty(engine.ModeNormalForm, schema)
+		var events []engine.CommitEvent
+		e.SetCommitHook(func(ev engine.CommitEvent) {
+			ev.Rows = slices.Clone(ev.Rows)
+			events = append(events, ev)
+		})
+		err := e.Restore(func(add func(rel string, t db.Tuple, ann *core.Expr) error) error {
+			for _, ann := range anns {
+				if err := add("R", tu, ann); err != nil {
+					return err
+				}
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return e, events
+	}
+	twice, events := restore(first, later)
+	if len(events) != 1 || events[0].Kind != engine.CommitRestore || len(events[0].Rows) != 1 {
+		t.Fatalf("events %+v, want one CommitRestore naming one row", events)
+	}
+	once, _ := restore(later)
+	if !bytes.Equal(snapshotBytes(t, twice), snapshotBytes(t, once)) {
+		t.Fatal("adding a tuple twice saves other bytes than adding its later annotation once")
 	}
 }

@@ -44,8 +44,11 @@ func TestRestoreRowLiveMatchesTreeWalk(t *testing.T) {
 			if dead == 0 || dead == len(want) {
 				t.Fatalf("seed %d, %v: %d of %d rows dead — the history does not exercise both values", seed, mode, dead, len(want))
 			}
+			if cap(dst.touched) != 0 {
+				t.Fatalf("seed %d, %v: restores without a hook built a touched list", seed, mode)
+			}
 			for _, rel := range dst.schema.Names() {
-				for _, r := range dst.sh.tables[rel].list.snapshot() {
+				for _, r := range dst.tables[rel].list.snapshot() {
 					if got := r.at(dst.Horizon()).live; got != want[rel+"/"+r.tuple.Key()] {
 						t.Fatalf("seed %d, %v: %s%v restored live=%v, tree walk says %v", seed, mode, rel, r.tuple, got, !got)
 					}

@@ -13,13 +13,12 @@ import (
 	"hyperprov/internal/engine"
 	"hyperprov/internal/provstore"
 	"hyperprov/internal/tpcc"
-	"hyperprov/internal/upstruct"
 	"hyperprov/internal/workload"
 )
 
-// The engine stores its rows in one partition, and WithShards is
-// deprecated: it sets nothing. The TestSharded* tests open an engine with
-// it, as callers of the sharded engine did, and hold that engine to the
+// WithShards is deprecated: it sets nothing. TestWithShardsIsInert (at
+// the module root) checks that through the engine, the facade and a
+// store; the TestSharded* tests hold an engine opened with the option to
 // one opened without it on each workload the shard counts were checked
 // on: the same rows in the same order, the same interned annotation
 // pointers and the same snapshot bytes, at every committed epoch. The
@@ -108,75 +107,48 @@ func diffEveryEpoch(t *testing.T, label string, ref, e engine.DB) {
 	}
 }
 
+// inertOn applies txns, in each mode, to an engine built from initial
+// with the option and to one built without it, and holds the two to each
+// other at every epoch.
+func inertOn(t *testing.T, initial *db.Database, txns []db.Transaction, modes ...engine.Mode) {
+	t.Helper()
+	for _, mode := range modes {
+		ref := engine.New(mode, initial)
+		e := engine.New(mode, initial, engine.WithShards(oldShards))
+		for _, d := range []*engine.Engine{ref, e} {
+			if err := d.ApplyAll(context.Background(), txns); err != nil {
+				t.Fatal(err)
+			}
+		}
+		diffEveryEpoch(t, mode.String(), ref, e)
+	}
+}
+
+var bothModes = []engine.Mode{engine.ModeNaive, engine.ModeNormalForm}
+
 // TestShardedMatchesSingleRandom: random databases and random hyperplane
 // transactions (the same generator the oracle tests use, so selections
-// mix constants, ≠ constraints and free variables), in both modes.
+// mix constants, ≠ constraints and free variables).
 func TestShardedMatchesSingleRandom(t *testing.T) {
 	r := rand.New(rand.NewSource(501))
 	for trial := 0; trial < 30; trial++ {
 		initial := randDB(r, 2+r.Intn(10))
-		txns := randTxns(r, 1+r.Intn(3), 1+r.Intn(5))
-		for _, mode := range []engine.Mode{engine.ModeNaive, engine.ModeNormalForm} {
-			single := engine.New(mode, initial)
-			if err := single.ApplyAll(context.Background(), txns); err != nil {
-				t.Fatal(err)
-			}
-			want := streamRows(single)
-			wantSnap := snapshotOf(t, single)
-			sh := engine.New(mode, initial, engine.WithShards(oldShards))
-			if err := sh.ApplyAll(context.Background(), txns); err != nil {
-				t.Fatal(err)
-			}
-			label := mode.String()
-			diffStreams(t, label, want, streamRows(sh))
-			diffEveryEpoch(t, fmt.Sprintf("trial %d, %s", trial, label), single, sh)
-			if !bytes.Equal(wantSnap, snapshotOf(t, sh)) {
-				t.Fatalf("trial %d, %s: snapshot bytes differ", trial, label)
-			}
-			if got, want := sh.NumRows(), single.NumRows(); got != want {
-				t.Fatalf("NumRows: %d, without the option %d", got, want)
-			}
-			if got, want := sh.ProvSize(), single.ProvSize(); got != want {
-				t.Fatalf("ProvSize: %d, without the option %d", got, want)
-			}
-			if !engine.LiveDB(sh).Equal(engine.LiveDB(single)) {
-				t.Fatalf("trial %d, %s: live databases diverge", trial, label)
-			}
-		}
+		inertOn(t, initial, randTxns(r, 1+r.Intn(3), 1+r.Intn(5)), bothModes...)
 	}
 }
 
 // TestShardedMatchesSinglePinned runs the fully pinned workload: every
 // selection is a point lookup.
 func TestShardedMatchesSinglePinned(t *testing.T) {
-	cfg := workload.Config{Tuples: 200, Updates: 300, QueriesPerTxn: 1, Seed: 7}
-	initial, txns, err := workload.GeneratePinned(cfg)
+	initial, txns, err := workload.GeneratePinned(workload.Config{Tuples: 200, Updates: 300, QueriesPerTxn: 1, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, mode := range []engine.Mode{engine.ModeNaive, engine.ModeNormalForm} {
-		single := engine.New(mode, initial)
-		if err := single.ApplyAll(context.Background(), txns); err != nil {
-			t.Fatal(err)
-		}
-		want := streamRows(single)
-		wantSnap := snapshotOf(t, single)
-		sh := engine.New(mode, initial, engine.WithShards(oldShards))
-		if err := sh.ApplyAll(context.Background(), txns); err != nil {
-			t.Fatal(err)
-		}
-		diffStreams(t, mode.String(), want, streamRows(sh))
-		if !bytes.Equal(wantSnap, snapshotOf(t, sh)) {
-			t.Fatalf("%s: snapshot bytes differ", mode)
-		}
-		diffEveryEpoch(t, mode.String(), single, sh)
-	}
+	inertOn(t, initial, txns, bothModes...)
 }
 
 // TestShardedMatchesSingleWorkload runs the paper's synthetic workload
-// (group selections over the numeric column, nothing pinned) through Open
-// and checks the contract plus the valuation surface: Specialize in the
-// bool and set structures.
+// (group selections over the numeric column, nothing pinned).
 func TestShardedMatchesSingleWorkload(t *testing.T) {
 	cfg := workload.Default(0.002)
 	cfg.QueriesPerTxn = 5
@@ -184,77 +156,19 @@ func TestShardedMatchesSingleWorkload(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, mode := range []engine.Mode{engine.ModeNaive, engine.ModeNormalForm} {
-		single := engine.Open(mode, initial)
-		if err := single.ApplyAll(context.Background(), txns); err != nil {
-			t.Fatal(err)
-		}
-		want := streamRows(single)
-		boolEnv := func(a core.Annot) bool { return a.Name != "q1" }
-		setEnv := func(a core.Annot) upstruct.Set { return upstruct.NewSet(a.Name) }
-		var wantBool []bool
-		engine.Specialize[bool](single, upstruct.Bool, boolEnv, func(rel string, tp db.Tuple, v bool) {
-			wantBool = append(wantBool, v)
-		})
-		var wantSets []upstruct.Set
-		engine.Specialize[upstruct.Set](single, upstruct.Sets, setEnv, func(rel string, tp db.Tuple, v upstruct.Set) {
-			wantSets = append(wantSets, v)
-		})
-		sh := engine.Open(mode, initial, engine.WithShards(oldShards))
-		if err := sh.ApplyAll(context.Background(), txns); err != nil {
-			t.Fatal(err)
-		}
-		diffStreams(t, mode.String(), want, streamRows(sh))
-		diffEveryEpoch(t, mode.String(), single, sh)
-		i := 0
-		engine.Specialize[bool](sh, upstruct.Bool, boolEnv, func(rel string, tp db.Tuple, v bool) {
-			if i < len(wantBool) && v != wantBool[i] {
-				t.Fatalf("%s: bool specialization diverges at row %d", mode, i)
-			}
-			i++
-		})
-		if i != len(wantBool) {
-			t.Fatalf("%s: bool specialization visited %d rows, want %d", mode, i, len(wantBool))
-		}
-		j := 0
-		engine.Specialize[upstruct.Set](sh, upstruct.Sets, setEnv, func(rel string, tp db.Tuple, v upstruct.Set) {
-			if j < len(wantSets) && !v.Equal(wantSets[j]) {
-				t.Fatalf("%s: set specialization diverges at row %d", mode, j)
-			}
-			j++
-		})
-		if j != len(wantSets) {
-			t.Fatalf("%s: set specialization visited %d rows, want %d", mode, j, len(wantSets))
-		}
-	}
+	inertOn(t, initial, txns, bothModes...)
 }
 
-// TestShardedMatchesSingleTPCC runs the TPC-C-derived log (realistic
-// transaction shapes: multi-update transactions mixing pinned and
-// hyperplane selections across several relations) through the same
-// check.
+// TestShardedMatchesSingleTPCC runs the TPC-C-derived log (multi-update
+// transactions mixing pinned and hyperplane selections across several
+// relations).
 func TestShardedMatchesSingleTPCC(t *testing.T) {
 	g := tpcc.NewGenerator(tpcc.Scaled(0.02))
 	initial, err := g.InitialDatabase()
 	if err != nil {
 		t.Fatal(err)
 	}
-	txns := g.TransactionsForQueries(150)
-	single := engine.New(engine.ModeNormalForm, initial)
-	if err := single.ApplyAll(context.Background(), txns); err != nil {
-		t.Fatal(err)
-	}
-	want := streamRows(single)
-	wantSnap := snapshotOf(t, single)
-	sh := engine.New(engine.ModeNormalForm, initial, engine.WithShards(oldShards))
-	if err := sh.ApplyAll(context.Background(), txns); err != nil {
-		t.Fatal(err)
-	}
-	diffStreams(t, "tpcc", want, streamRows(sh))
-	if !bytes.Equal(wantSnap, snapshotOf(t, sh)) {
-		t.Fatal("TPC-C snapshot bytes differ")
-	}
-	diffEveryEpoch(t, "tpcc", single, sh)
+	inertOn(t, initial, g.TransactionsForQueries(150), engine.ModeNormalForm)
 }
 
 // TestShardedSnapshotRoundTrip: a snapshot restored with the option
@@ -389,24 +303,21 @@ func TestShardedMinimizeAll(t *testing.T) {
 	r := rand.New(rand.NewSource(509))
 	initial := randDB(r, 8)
 	txns := randTxns(r, 3, 4)
-	single := engine.New(engine.ModeNormalForm, initial)
-	if err := single.ApplyAll(context.Background(), txns); err != nil {
-		t.Fatal(err)
+	var sizes []int64
+	var streams [][]streamedRow
+	for _, opts := range [][]engine.Option{nil, {engine.WithShards(oldShards)}} {
+		e := engine.New(engine.ModeNormalForm, initial, opts...)
+		if err := e.ApplyAll(context.Background(), txns); err != nil {
+			t.Fatal(err)
+		}
+		n, err := e.MinimizeAll(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		sizes, streams = append(sizes, n), append(streams, streamRows(e))
 	}
-	wantSize, err := single.MinimizeAll(context.Background())
-	if err != nil {
-		t.Fatal(err)
+	if sizes[0] != sizes[1] {
+		t.Errorf("MinimizeAll size %d, without the option %d", sizes[1], sizes[0])
 	}
-	sh := engine.New(engine.ModeNormalForm, initial, engine.WithShards(oldShards))
-	if err := sh.ApplyAll(context.Background(), txns); err != nil {
-		t.Fatal(err)
-	}
-	gotSize, err := sh.MinimizeAll(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if gotSize != wantSize {
-		t.Errorf("MinimizeAll size %d, without the option %d", gotSize, wantSize)
-	}
-	diffStreams(t, "minimized", streamRows(single), streamRows(sh))
+	diffStreams(t, "minimized", streams[0], streams[1])
 }

@@ -231,10 +231,10 @@ func (c *colStore) append(t db.Tuple, seq uint64, n int) {
 // the write lock, so no synchronization is needed. Buffers handed out by
 // scan must come back through putScanBuf once the update is done with
 // them — an unpaired buffer is merely garbage-collected, never corrupt.
-func (s *shard) getScanBuf() []*row {
-	if n := len(s.scanBufs); n > 0 {
-		buf := s.scanBufs[n-1]
-		s.scanBufs = s.scanBufs[:n-1]
+func (e *Engine) getScanBuf() []*row {
+	if n := len(e.scanBufs); n > 0 {
+		buf := e.scanBufs[n-1]
+		e.scanBufs = e.scanBufs[:n-1]
 		return buf
 	}
 	return make([]*row, 0, 64)
@@ -246,10 +246,10 @@ func (s *shard) getScanBuf() []*row {
 // comes back here cleared — so a buffer that once held a huge selection
 // costs later updates their own result size, not its capacity. Accepts
 // nil (the absent-posting-list shortcut returns nil, not a buffer).
-func (s *shard) putScanBuf(buf []*row) {
+func (e *Engine) putScanBuf(buf []*row) {
 	if cap(buf) == 0 {
 		return
 	}
 	clear(buf)
-	s.scanBufs = append(s.scanBufs, buf[:0])
+	e.scanBufs = append(e.scanBufs, buf[:0])
 }

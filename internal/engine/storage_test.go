@@ -135,7 +135,7 @@ func TestKindMismatchedConstant(t *testing.T) {
 // size — and the free-list still never retains a row.
 func TestScanBufReleaseIsResultSized(t *testing.T) {
 	const rows = 20000
-	e := kvEngine(t, rows).sh
+	e := kvEngine(t, rows)
 	tbl := e.tables["R"]
 	all := db.Delete("R", db.Pattern{db.VarNotEq("k", db.I(-1)), db.AnyVar("v")})
 	e.mu.Lock()
@@ -175,7 +175,7 @@ func TestScanBufReleaseIsResultSized(t *testing.T) {
 // buffer — so asking for a tuple that is not there, or one that is,
 // allocates nothing once both are warm.
 func TestPinnedScanAllocFree(t *testing.T) {
-	e := kvEngine(t, 100).sh
+	e := kvEngine(t, 100)
 	tbl := e.tables["R"]
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -208,7 +208,7 @@ func TestPinnedScanAllocFree(t *testing.T) {
 func TestModifyScratchBounded(t *testing.T) {
 	const rows = 100000
 	e := kvEngine(t, rows)
-	mod := &e.sh.mod
+	mod := &e.mod
 	retained := func() (bytes int) {
 		s := mod
 		if s.n != 0 || len(s.groups) != 0 {

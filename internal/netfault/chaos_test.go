@@ -140,8 +140,13 @@ func (c *chaosRig) converge(f *wal.Follower) {
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
-	if !f.Ready() {
-		c.t.Fatal("caught-up follower is not ready")
+	// Readiness is set just after the applied LSN is published, so a
+	// caught-up follower may take a moment to say so.
+	for !f.Ready() {
+		if time.Now().After(deadline) {
+			c.t.Fatal("caught-up follower is not ready")
+		}
+		time.Sleep(2 * time.Millisecond)
 	}
 	want, got := snapshotBytes(c.t, c.leader), snapshotBytes(c.t, f)
 	if !bytes.Equal(want, got) {
