@@ -2,7 +2,7 @@ package engine_test
 
 // Allocation-regression gates for the hot read paths. The interning /
 // columnar-storage work makes a hard claim: once the engine is in
-// steady state, point lookups (Annotation, NF), indexed selections
+// steady state, point lookups (Annotation, NF), streaming selections
 // (SelectEach) and streaming passes (EachRow) allocate nothing — no
 // Key() strings, no scratch slices, no boxing. testing.AllocsPerRun
 // turns that claim into a regression test; if any of these gates start
@@ -88,8 +88,8 @@ func TestAllocFreeReads(t *testing.T) {
 				}
 			}
 
-			// Indexed streaming selection: =-pinned on the indexed grp
-			// column, planner resolves through the posting list.
+			// Streaming selection =-pinned on the indexed grp column:
+			// reads walk the visible rows, so the index plays no part.
 			if err := e.BuildIndex("R", "grp"); err != nil {
 				t.Fatalf("build index: %v", err)
 			}
@@ -107,8 +107,8 @@ func TestAllocFreeReads(t *testing.T) {
 				}
 			})
 
-			// Unindexed streaming selection still holds the gate (full
-			// list walk, no materialization).
+			// Streaming selection on the unindexed cat column: the same
+			// walk of the visible rows, no materialization.
 			selCat := db.Pattern{
 				db.AnyVar("id"),
 				db.AnyVar("grp"),

@@ -157,8 +157,8 @@ func filterRel(seq []visit, rels []string) []visit {
 // TestConcurrentReadersDuringIngestion hammers the read surface —
 // Annotation, EachRow, BoolRestrictParallel, NumRows/ProvSize — while
 // ApplyAll ingests the transaction log on another goroutine. Run with
-// -race; the RWMutex on Engine must serialize the surface with
-// transaction granularity. Afterwards the engine state must match a
+// -race; the lock-free reads must observe the surface with transaction
+// granularity. Afterwards the engine state must match a
 // reference engine that ingested the same log serially.
 func TestConcurrentReadersDuringIngestion(t *testing.T) {
 	for _, mode := range []engine.Mode{engine.ModeNaive, engine.ModeNormalForm} {

@@ -58,10 +58,9 @@ type Reader interface {
 	Rows(f func(rel string, t db.Tuple, ann *core.Expr))
 
 	// Select returns the tuples the hyperplane selection pattern matches
-	// at the reader's horizon, in insertion order, resolved through the
-	// scan planner: a secondary index whose recorded history covers the
-	// horizon serves the candidates (posting lists are interval-aware),
-	// otherwise the relation is walked with per-row version resolution.
+	// at the reader's horizon, in insertion order: the rows visible there
+	// are walked with per-row version resolution. No index is consulted;
+	// indexes serve the write path only.
 	Select(rel string, sel db.Pattern) ([]db.Tuple, error)
 
 	NumRows() int

@@ -116,8 +116,9 @@ func WithLiveMatching(on bool) Option {
 // Engine is a provenance-tracking database: every stored tuple carries
 // an UP[X] annotation. One object owns it all: the rows with their MVCC
 // version chains and columnar mirror (apply.go, storage.go), the indexes
-// and the scan planner (index.go), the epoch counter, the read horizon,
-// the commit events and the views (mvcc.go), behind one write lock.
+// and the scan planner of the write path (index.go), the epoch counter,
+// the read horizon, the commit events and the views (mvcc.go). Writers
+// serialize on one mutex; readers take no lock.
 //
 // Writes. A transaction is one write epoch: the engine takes the write
 // lock, allocates the epoch, applies the updates in order, commits the
@@ -128,21 +129,22 @@ func WithLiveMatching(on bool) Option {
 // another, in log order. Rows of epoch k carry seq = k<<32 | i, i
 // counting the rows the epoch created, in update order.
 //
-// Reads are lock-free: Annotation, NF, EachRow, Rows, Select, the size
-// measures, At and the package-level valuation entry points
-// (Specialize, SpecializeParallel, BoolRestrict*, LiveChunks, …) pin
-// the committed horizon on entry and resolve every row against the MVCC
-// version chains, so any number of provenance-usage queries run against
-// one consistent epoch while transactions commit concurrently. At(seq)
-// pins an older horizon for time travel. The valuation passes walk the
-// rows in parallel chunks (parallel.go); Theorem 5.3 locality — each
-// row's normal form depends on that row's annotation and the query
-// annotation only — is what lets them split the rows anywhere.
+// Reads are lock-free: Annotation, NF, EachRow, Rows, Select,
+// SelectEach, the size measures, At and the package-level valuation
+// entry points (Specialize, SpecializeParallel, BoolRestrict*,
+// LiveChunks, …) pin the committed horizon on entry and resolve every
+// row against the MVCC version chains, so any number of
+// provenance-usage queries run against one consistent epoch while
+// transactions commit concurrently; none uses an index. At(seq) pins an
+// older horizon for time travel. The valuation passes walk the rows in
+// parallel chunks (parallel.go); Theorem 5.3 locality — each row's
+// normal form depends on that row's annotation and the query annotation
+// only — is what lets them split the rows anywhere.
 type Engine struct {
-	// mu serializes writers: write epochs, BuildIndex and DropIndex.
-	// Select and IndexStats read the writer-owned index structures under
-	// it; every other read is lock-free.
-	mu sync.RWMutex
+	// mu serializes writers — write epochs, BuildIndex and DropIndex —
+	// and IndexStats, which reads the writer-owned indexes. No other read
+	// takes it.
+	mu sync.Mutex
 
 	mode   Mode
 	schema *db.Schema
@@ -338,8 +340,8 @@ func (e *Engine) ApplyTransaction(t *db.Transaction) error {
 	return err
 }
 
-// checkUpdate admits an update to storage, or a selection to the
-// planner: db.Update.Validate is this repository's definition of the
+// checkUpdate admits an update to storage, or a selection to Select:
+// db.Update.Validate is this repository's definition of the
 // hyperplane fragment (arity, kinds, no repeated variable), the only
 // updates Prop. 3.5 and Thm. 5.3 speak about, and the storage layer
 // below indexes columns by it unguarded. It allocates nothing on an

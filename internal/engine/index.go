@@ -8,7 +8,7 @@ import (
 	"hyperprov/internal/db"
 )
 
-// Secondary indexing and the cost-based scan planner.
+// Secondary indexing and the cost-based scan planner of the write path.
 //
 // The paper's reference implementation deliberately has no indices:
 // every update scans the relation. Theorem 5.3 makes access paths
@@ -22,6 +22,9 @@ import (
 // rows in exactly the order a full scan would. The differential tests
 // (planner_diff_test.go) enforce this contract: annotations, streaming
 // order and snapshot bytes are identical with indexing on and off.
+//
+// Indexes are the writer's own: they describe the latest state, live
+// under the write lock and keep no history. Reads never consult them.
 //
 // Three pieces cooperate:
 //
@@ -99,16 +102,6 @@ type colIndex struct {
 	entries int    // posting entries currently stored, across all lists
 	dead    int    // dead entries awaiting compaction, across all lists
 	sweeps  uint64 // compaction sweeps run
-	// Interval-awareness (MVCC): an index proves completeness only for
-	// the horizons whose matchable set it has fully observed. since is
-	// the earliest such horizon — the build itself skips rows that are
-	// unmatchable at build time, which may have been matchable at older
-	// epochs — and compacted records that a sweep has dropped entries
-	// since, losing history above since too. scanAt uses the index for a
-	// pinned horizon s iff s ≥ since and !compacted, and falls back to a
-	// full scan otherwise.
-	since     uint64
-	compacted bool
 }
 
 // tableIndexes holds every index of one relation plus the advisor's
@@ -158,10 +151,11 @@ type IndexInfo struct {
 	Compactions uint64 `json:"compactions"`
 }
 
-// PlannerStats are the scan planner's cumulative counters: how
+// PlannerStats are the scan planner's cumulative counters: how update
 // selections were resolved and how much index maintenance ran.
 // FullScans + IndexScans + IntersectScans + PointLookups is the number
-// of selections planned.
+// of update selections planned; Select and SelectEach are reads, walk
+// the rows at their horizon and count nowhere.
 type PlannerStats struct {
 	// FullScans counts selections resolved by walking tbl.list (no
 	// indexed =-constrained column, e.g. ≠-only patterns).
@@ -208,9 +202,7 @@ func (e *Engine) PlannerStats() PlannerStats {
 // a different attribute never replaces the first — and building an index
 // that already exists is a no-op (the index is already complete; an
 // advisor-built index is adopted as manual so DropIndex semantics stay
-// predictable). The index records as its history watermark the newest
-// epoch allocated, read under the write lock, so a historical scan never
-// mistakes an index built after an epoch for one that covers it.
+// predictable). Reads never use an index (see Select).
 func (e *Engine) BuildIndex(rel, attr string) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -226,22 +218,20 @@ func (e *Engine) BuildIndex(rel, attr string) error {
 		ix.auto = false
 		return nil
 	}
-	e.buildColIndexLocked(tbl, col, false, EpochSeq(e.epoch.Load()))
+	e.buildColIndexLocked(tbl, col, false)
 	return nil
 }
 
 // buildColIndexLocked materializes the index over the current table
-// state; since is the horizon from which the index covers the matchable
-// set. Unmatchable rows (tombstones under live matching, syntactic
+// state. Unmatchable rows (tombstones under live matching, syntactic
 // zeros) are skipped — they are exactly what compaction would drop —
 // and re-enter their lists if they ever become matchable again (see
 // indexAdd).
-func (e *Engine) buildColIndexLocked(tbl *table, col int, auto bool, since uint64) *colIndex {
+func (e *Engine) buildColIndexLocked(tbl *table, col int, auto bool) *colIndex {
 	ix := &colIndex{
 		col:     col,
 		attr:    tbl.rel.Attrs[col].Name,
 		auto:    auto,
-		since:   since,
 		byValue: make(map[db.Value]*postingList),
 	}
 	for _, r := range tbl.list.snapshot() {
@@ -295,8 +285,8 @@ func (e *Engine) DropIndex(rel, attr string) error {
 // order, attributes in column order — with its current posting-list
 // volume.
 func (e *Engine) IndexStats() []IndexInfo {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
+	e.mu.Lock()
+	defer e.mu.Unlock()
 	var out []IndexInfo
 	for _, rel := range e.schema.Names() {
 		ti := &e.tables[rel].idx
@@ -380,12 +370,6 @@ func (e *Engine) compact(ix *colIndex, pl *postingList) {
 	ix.dead -= pl.dead
 	pl.dead = 0
 	ix.sweeps++
-	if dropped > 0 {
-		// Dropped entries lose index-completeness for historical
-		// horizons; pinned-epoch scans fall back to full scans from now
-		// on (see planAt).
-		ix.compacted = true
-	}
 	e.plan.compactions.Add(1)
 }
 
@@ -409,19 +393,7 @@ func (e *Engine) scan(tbl *table, u db.Update) []*row {
 		e.pinned = t
 		return e.lookupPinned(tbl, u, t)
 	}
-	ti := &tbl.idx
-	best, second, empty := e.pick(ti, u.Sel, func(i int, ix *colIndex) (*colIndex, bool) {
-		if ix == nil && e.cfg.autoIndex > 0 {
-			ti.scans[i]++
-			if ti.scans[i] >= e.cfg.autoIndex {
-				// The build runs inside the write epoch in flight, which
-				// is where the index's history starts.
-				ix = e.buildColIndexLocked(tbl, i, true, EpochSeq(e.epoch.Load()))
-				e.plan.autoBuilds.Add(1)
-			}
-		}
-		return ix, true
-	})
+	best, second, empty := e.pick(tbl, u.Sel)
 	switch {
 	case empty:
 		return nil
@@ -436,27 +408,30 @@ func (e *Engine) scan(tbl *table, u db.Update) []*row {
 	return e.filterRows(best.rows, u)
 }
 
-// pick is the planner's one rule, for the write path (scan) and the
-// pinned read path (planAt) alike. Every column the selection pins to an
-// =-constant is offered to use in pattern order, with its index or nil:
-// use answers the index to consult (nil skips the column; here scan's
-// advisor builds one and planAt judges history), or false to give up on
-// indexes. The shortest list consulted wins, and the runner-up comes
-// with it when the two are to be merge-intersected: the winner at least
-// minIntersectLen long, the runner-up within maxIntersectRatio of it.
-// Every matchable row holding a value is in that value's list, so an
-// absent list proves the selection empty. best == nil otherwise means
-// the caller walks the relation. pick counts the decision and allocates
-// nothing (use must not escape).
-func (e *Engine) pick(ti *tableIndexes, sel db.Pattern, use func(i int, ix *colIndex) (*colIndex, bool)) (best, second *postingList, empty bool) {
+// pick is the planner's one rule. It visits the columns the selection
+// pins to an =-constant in pattern order; an unindexed one is counted by
+// the advisor, which builds its index once the count reaches the
+// threshold (the build is then used by this very scan). The shortest
+// list consulted wins, and the runner-up comes with it when the two are
+// to be merge-intersected: the winner at least minIntersectLen long, the
+// runner-up within maxIntersectRatio of it. Every matchable row holding
+// a value is in that value's list, so an absent list proves the
+// selection empty. best == nil otherwise means the caller walks the
+// relation. pick counts the decision and allocates nothing but the
+// indexes the advisor builds.
+func (e *Engine) pick(tbl *table, sel db.Pattern) (best, second *postingList, empty bool) {
+	ti := &tbl.idx
 	for i, term := range sel {
 		if !term.IsConst() {
 			continue
 		}
-		ix, ok := use(i, ti.cols[i])
-		if !ok {
-			best = nil
-			break
+		ix := ti.cols[i]
+		if ix == nil && e.cfg.autoIndex > 0 {
+			ti.scans[i]++
+			if ti.scans[i] >= e.cfg.autoIndex {
+				ix = e.buildColIndexLocked(tbl, i, true)
+				e.plan.autoBuilds.Add(1)
+			}
 		}
 		if ix == nil {
 			continue
@@ -572,68 +547,8 @@ func (e *Engine) filterRows(rows []*row, u db.Update) []*row {
 	return out
 }
 
-// planAt is selectAt's access-path choice: the candidate rows still to
-// be filtered (possibly the whole list), or none=true when an index
-// proves the selection empty. The caller holds the read lock.
-func (e *Engine) planAt(tbl *table, u db.Update, h uint64) (rows []*row, none bool) {
-	// An index serves horizon h only while its history is intact: no row
-	// was ever compacted out of it and it existed by h. One that does not
-	// sends the whole selection to the full list.
-	best, second, empty := e.pick(&tbl.idx, u.Sel, func(_ int, ix *colIndex) (*colIndex, bool) {
-		return ix, ix == nil || !ix.compacted && h >= ix.since
-	})
-	switch {
-	case empty:
-		return nil, true
-	case best == nil:
-		return tbl.list.snapshot(), false
-	case second != nil:
-		return intersectByPosInto(nil, best.rows, second.rows), false
-	}
-	return best.rows, false
-}
-
-// selectAt is the planner at a pinned horizon: it validates the pattern
-// and streams to f the rows the selection would have applied to as of
-// horizon h, in the same deterministic order scan would have produced
-// then. Posting lists are interval-aware — entries are never removed
-// except by compaction, so an index whose history is intact (h ≥ since,
-// never compacted) still proves completeness for old horizons, and the
-// absent-list shortcut still proves emptiness; otherwise the scan falls
-// back to the full list with per-row version resolution. Unlike the
-// lock-free read paths it takes the read lock: index structures are
-// writer-owned and mutated in place, and pinned-epoch planning is rare
-// enough that transaction-granular blocking is acceptable. The advisor
-// never runs here (historical scans must not mutate planner state
-// beyond the counters). The pattern is wrapped as a deletion solely
-// because deletions are the pure-selection update shape the planner
-// consumes.
-func (e *Engine) selectAt(rel string, sel db.Pattern, h uint64, f func(r *row)) error {
-	u := db.Delete(rel, sel)
-	if err := checkUpdate(e.schema, &u); err != nil {
-		return err
-	}
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	rows, none := e.planAt(e.tables[rel], u, h)
-	if none {
-		return nil
-	}
-	matched := 0
-	for _, r := range rows {
-		v := r.at(h)
-		if v == nil || !e.matchableV(v) || !u.MatchesTuple(r.tuple) {
-			continue
-		}
-		matched++
-		f(r)
-	}
-	e.plan.examined(len(rows), matched)
-	return nil
-}
-
-// intersectByPosInto appends to out (the write path passes a recycled
-// scan buffer) the intersection of two position-ordered row lists, still
+// intersectByPosInto appends to out (a recycled scan buffer) the
+// intersection of two position-ordered row lists, still
 // position-ordered. Positions are unique per table, so pointer identity
 // and position identity coincide.
 func intersectByPosInto(out []*row, a, b []*row) []*row {

@@ -20,8 +20,8 @@ import (
 // version, born of the next). Writers — serialized by the write lock —
 // publish a new head per touched row per epoch;
 // readers pin a horizon sequence on entry and resolve every row against
-// it, so Annotation, NF, EachRow, Rows, Specialize* and BoolRestrict*
-// run lock-free against a concurrent ApplyAll.
+// it, so Annotation, NF, EachRow, Rows, Select, Specialize* and
+// BoolRestrict* run lock-free against a concurrent ApplyAll.
 //
 // Visibility is published by a single atomic horizon: epoch k's
 // mutations become visible exactly when the horizon reaches
@@ -267,8 +267,7 @@ func (e *Engine) At(seq uint64) View {
 // the Reader surface. The engine's own Reader methods are its view at
 // the committed horizon; At hands out a pointer, which is cheaper to put
 // behind the View interface than the two words by value. All methods are
-// lock-free reads against the version chains, except that Select plans
-// under the read lock.
+// lock-free reads against the version chains.
 type view struct {
 	e *Engine
 	s uint64
@@ -359,14 +358,31 @@ func (v view) Rows(f func(rel string, t db.Tuple, ann *core.Expr)) {
 	}
 }
 
-// Select runs the planner at the pinned horizon.
+// Select collects what each streams.
 func (v view) Select(rel string, sel db.Pattern) ([]db.Tuple, error) {
 	var out []db.Tuple
-	err := v.e.selectAt(rel, sel, v.s, func(r *row) { out = append(out, r.tuple) })
-	if err != nil {
+	if err := v.each(rel, sel, func(t db.Tuple) { out = append(out, t) }); err != nil {
 		return nil, err
 	}
 	return out, nil
+}
+
+// each streams to f, in insertion order, the tuples of the rows visible
+// at the pinned horizon that are matchable there and match the pattern,
+// checked first as the selection of a deletion (the update that only
+// selects). It takes no lock and reads no index, so f may call back into
+// the engine, writes included.
+func (v view) each(rel string, sel db.Pattern, f func(db.Tuple)) error {
+	u := db.Delete(rel, sel)
+	if err := checkUpdate(v.e.schema, &u); err != nil {
+		return err
+	}
+	for _, r := range v.rows(rel) {
+		if ver := r.at(v.s); ver != nil && v.e.matchableV(ver) && u.MatchesTuple(r.tuple) {
+			f(r.tuple)
+		}
+	}
+	return nil
 }
 
 // NumRows walks the sequence columns: visibility counting touches no row
@@ -458,19 +474,18 @@ func (e *Engine) EachRow(rel string, f func(t db.Tuple, ann *core.Expr)) { e.vie
 func (e *Engine) Rows(f func(rel string, t db.Tuple, ann *core.Expr)) { e.view().Rows(f) }
 
 // Select implements Reader: the tuples the selection pattern matches
-// at the committed horizon, in insertion order, through the planner.
+// at the committed horizon, in insertion order. Lock-free.
 func (e *Engine) Select(rel string, sel db.Pattern) ([]db.Tuple, error) {
 	return e.view().Select(rel, sel)
 }
 
-// SelectEach streams the tuples matching the selection at the
-// committed horizon to f, in insertion order, through the planner: Select
-// without materializing the result slice — with an indexed
-// =-constrained column the steady-state pass allocates nothing (enforced
-// by TestAllocFreeReads). f must not retain the tuples across engine
-// mutations it triggers itself.
+// SelectEach streams the tuples matching the selection at the committed
+// horizon to f, in insertion order: Select without materializing the
+// result slice, and the steady-state pass allocates nothing (enforced by
+// TestAllocFreeReads). The horizon is pinned on entry and no lock is
+// held, so f may call back into the engine, writes included.
 func (e *Engine) SelectEach(rel string, sel db.Pattern, f func(db.Tuple)) error {
-	return e.selectAt(rel, sel, e.Horizon(), func(r *row) { f(r.tuple) })
+	return e.view().each(rel, sel, f)
 }
 
 // NumRows reports the total number of rows visible at the committed

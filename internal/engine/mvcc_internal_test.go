@@ -94,52 +94,3 @@ func TestRowSeqUniqueness(t *testing.T) {
 		})
 	}
 }
-
-// TestScanAtCompactedIndexFallsBack pins the gating rule that a
-// compaction sweep (which drops posting-list entries and with them the
-// history they proved) disqualifies an index from historical scans:
-// the pinned-horizon planner must take the full-scan path even for
-// horizons the index's since watermark covers.
-func TestScanAtCompactedIndexFallsBack(t *testing.T) {
-	schema := seqTestSchema(t)
-	e := New(ModeNormalForm, db.NewDatabase(schema))
-	tx := db.Transaction{Label: "t0", Updates: []db.Update{
-		db.Insert("R", db.Tuple{db.I(1), db.I(7)}),
-		db.Insert("R", db.Tuple{db.I(2), db.I(7)}),
-	}}
-	if err := e.ApplyTransaction(&tx); err != nil {
-		t.Fatal(err)
-	}
-	if err := e.BuildIndex("R", "V"); err != nil {
-		t.Fatal(err)
-	}
-	sel := db.Pattern{db.AnyVar("x"), db.Const(db.I(7))}
-	h := e.Horizon()
-
-	before := e.PlannerStats()
-	got, err := e.At(h).Select("R", sel)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 2 {
-		t.Fatalf("indexed select: %d rows, want 2", len(got))
-	}
-	if after := e.PlannerStats(); after.IndexScans != before.IndexScans+1 {
-		t.Fatalf("intact index at a covered horizon did not serve the scan: %+v -> %+v", before, after)
-	}
-
-	// Simulate a sweep having dropped entries: history above since is
-	// gone, so even covered horizons must fall back.
-	e.tables["R"].idx.cols[1].compacted = true
-	before = e.PlannerStats()
-	got, err = e.At(h).Select("R", sel)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 2 {
-		t.Fatalf("fallback select: %d rows, want 2", len(got))
-	}
-	if after := e.PlannerStats(); after.FullScans != before.FullScans+1 {
-		t.Fatalf("compacted index was still used for a historical scan: %+v -> %+v", before, after)
-	}
-}

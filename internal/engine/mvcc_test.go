@@ -18,6 +18,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"hyperprov/internal/core"
 	"hyperprov/internal/db"
@@ -221,11 +222,12 @@ func TestMVCCPinnedReadersDuringApply(t *testing.T) {
 	}
 }
 
-// TestSelectTimeTravel checks the interval-aware planner: Select
-// through a pinned view must agree with a fresh replay at every epoch
-// even when a secondary index was built long after the epoch being
-// queried — the index's since watermark forces the full-scan fallback
-// for horizons it cannot prove complete, and serves covered horizons.
+// TestSelectTimeTravel: Select through a pinned view agrees with a
+// fresh replay at every epoch, whatever index the engine holds — one
+// built long after the epochs queried, or one built before the log under
+// live matching, whose posting lists the log's deletions sweep. Reads
+// walk the rows visible at their horizon and never consult an index, so
+// neither its age nor its sweeps may change an answer.
 func TestSelectTimeTravel(t *testing.T) {
 	schema := db.MustSchema(db.MustRelationSchema("R",
 		db.Attribute{Name: "K", Kind: db.KindInt},
@@ -248,64 +250,164 @@ func TestSelectTimeTravel(t *testing.T) {
 	}
 	for _, shards := range []int{1, 8} {
 		t.Run(fmt.Sprintf("shards%d", shards), func(t *testing.T) {
-			full := engine.OpenEmpty(engine.ModeNormalForm, schema, engine.WithShards(shards))
-			for i := range txns {
-				txn := txns[i]
-				if err := full.ApplyTransaction(&txn); err != nil {
-					t.Fatal(err)
+			for _, early := range []bool{false, true} {
+				// Under live matching a deletion takes its row out of the
+				// posting lists' matchable set: the early index is swept.
+				opts := []engine.Option{engine.WithShards(shards), engine.WithLiveMatching(early)}
+				full := engine.OpenEmpty(engine.ModeNormalForm, schema, opts...)
+				if early {
+					if err := full.BuildIndex("R", "V"); err != nil {
+						t.Fatal(err)
+					}
 				}
-			}
-			// The index arrives only now: its history starts at the final
-			// horizon, so every earlier epoch must be answered without it.
-			if err := full.BuildIndex("R", "V"); err != nil {
-				t.Fatal(err)
-			}
-			for k := 0; k <= len(txns); k++ {
-				oracle := engine.OpenEmpty(engine.ModeNormalForm, schema, engine.WithShards(shards))
-				for i := 0; i < k; i++ {
+				for i := range txns {
 					txn := txns[i]
-					if err := oracle.ApplyTransaction(&txn); err != nil {
+					if err := full.ApplyTransaction(&txn); err != nil {
 						t.Fatal(err)
 					}
 				}
-				view := full.At(engine.EpochSeq(uint64(k)))
-				for si, sel := range sels {
-					want, err := oracle.Select("R", sel)
-					if err != nil {
+				if !early {
+					if err := full.BuildIndex("R", "V"); err != nil {
 						t.Fatal(err)
 					}
-					got, err := view.Select("R", sel)
-					if err != nil {
-						t.Fatal(err)
+				} else if info := full.IndexStats(); len(info) != 1 || info[0].Compactions == 0 {
+					t.Fatalf("the log swept no posting list of the early index: %+v", info)
+				}
+				for k := 0; k <= len(txns); k++ {
+					oracle := engine.OpenEmpty(engine.ModeNormalForm, schema, opts...)
+					for i := 0; i < k; i++ {
+						txn := txns[i]
+						if err := oracle.ApplyTransaction(&txn); err != nil {
+							t.Fatal(err)
+						}
 					}
-					if len(got) != len(want) {
-						t.Fatalf("epoch %d sel %d: %d rows, replay %d", k, si, len(got), len(want))
-					}
-					for i := range got {
-						if got[i].Key() != want[i].Key() {
-							t.Fatalf("epoch %d sel %d row %d: %s vs replay %s", k, si, i, got[i], want[i])
+					view := full.At(engine.EpochSeq(uint64(k)))
+					for si, sel := range sels {
+						want, err := oracle.Select("R", sel)
+						if err != nil {
+							t.Fatal(err)
+						}
+						got, err := view.Select("R", sel)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if len(got) != len(want) {
+							t.Fatalf("early=%v epoch %d sel %d: %d rows, replay %d", early, k, si, len(got), len(want))
+						}
+						for i := range got {
+							if got[i].Key() != want[i].Key() {
+								t.Fatalf("early=%v epoch %d sel %d row %d: %s vs replay %s", early, k, si, i, got[i], want[i])
+							}
 						}
 					}
 				}
 			}
-			// Gating counters: a pre-index epoch falls back to the full
-			// scan, the final horizon is served by the index.
-			before := full.PlannerStats()
-			if _, err := full.At(engine.EpochSeq(2)).Select("R", sels[0]); err != nil {
-				t.Fatal(err)
-			}
-			mid := full.PlannerStats()
-			if mid.FullScans != before.FullScans+1 {
-				t.Fatalf("pre-index epoch served by the index: %+v -> %+v", before, mid)
-			}
-			if _, err := full.Select("R", sels[0]); err != nil {
-				t.Fatal(err)
-			}
-			after := full.PlannerStats()
-			if after.IndexScans != mid.IndexScans+1 {
-				t.Fatalf("covered horizon not served by the index: %+v -> %+v", mid, after)
+		})
+	}
+}
+
+// indexedKV is an engine over R(K, V) holding (0,0), (1,0) and (2,1),
+// with an index on V: the selections of the lock-freedom tests below
+// pin V, the writes beside them maintain that index.
+func indexedKV(t *testing.T) *engine.Engine {
+	t.Helper()
+	e := engine.NewEmpty(engine.ModeNormalForm, db.MustSchema(db.MustRelationSchema("R",
+		db.Attribute{Name: "K", Kind: db.KindInt},
+		db.Attribute{Name: "V", Kind: db.KindInt},
+	)))
+	if err := e.BuildIndex("R", "V"); err != nil {
+		t.Fatal(err)
+	}
+	tx := db.Transaction{Label: "load", Updates: []db.Update{
+		db.Insert("R", db.Tuple{db.I(0), db.I(0)}),
+		db.Insert("R", db.Tuple{db.I(1), db.I(0)}),
+		db.Insert("R", db.Tuple{db.I(2), db.I(1)}),
+	}}
+	if err := e.ApplyTransaction(&tx); err != nil {
+		t.Fatal(err)
+	}
+	return e
+}
+
+// TestSelectEachCallbackWrites: SelectEach holds no lock across its
+// callback, so a callback that applies a transaction returns, and the
+// pass streams the rows of the horizon it pinned on entry — none of the
+// rows its own callback inserted.
+func TestSelectEachCallbackWrites(t *testing.T) {
+	e := indexedKV(t)
+	sel := db.Pattern{db.AnyVar("k"), db.Const(db.I(0))}
+	var seen []db.Tuple
+	done := make(chan error, 1)
+	go func() {
+		done <- e.SelectEach("R", sel, func(tu db.Tuple) {
+			seen = append(seen, tu)
+			tx := db.Transaction{Label: fmt.Sprintf("cb%d", len(seen)), Updates: []db.Update{
+				db.Insert("R", db.Tuple{db.I(int64(10 + len(seen))), db.I(0)}),
+			}}
+			if err := e.ApplyTransaction(&tx); err != nil {
+				t.Error(err)
 			}
 		})
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(3 * time.Second):
+		t.Fatal("a SelectEach whose callback writes did not return: the pass holds a lock the write needs")
+	}
+	if len(seen) != 2 {
+		t.Fatalf("the pass streamed %d tuples, want the 2 of its horizon: %v", len(seen), seen)
+	}
+	if all, err := e.Select("R", sel); err != nil || len(all) != 4 {
+		t.Fatalf("after the pass Select finds %d tuples (err %v), want 4", len(all), err)
+	}
+}
+
+// TestSelectBesideParkedCommit: with a commit hook parked inside a
+// transaction's commit — the write lock held — a pinned view's Select
+// and the live SelectEach still answer, the latter with the parked
+// epoch, which is visible before its hook runs.
+func TestSelectBesideParkedCommit(t *testing.T) {
+	e := indexedKV(t)
+	sel := db.Pattern{db.AnyVar("k"), db.Const(db.I(0))}
+	h := e.Horizon()
+	entered, release := make(chan struct{}), make(chan struct{})
+	e.SetCommitHook(func(engine.CommitEvent) {
+		close(entered)
+		<-release
+	})
+	written := make(chan error, 1)
+	go func() {
+		tx := db.Transaction{Label: "parked", Updates: []db.Update{db.Insert("R", db.Tuple{db.I(3), db.I(0)})}}
+		written <- e.ApplyTransaction(&tx)
+	}()
+	<-entered
+	var old []db.Tuple
+	var now int
+	var oldErr, nowErr error
+	answered := make(chan struct{})
+	go func() {
+		defer close(answered)
+		old, oldErr = e.At(h).Select("R", sel)
+		nowErr = e.SelectEach("R", sel, func(db.Tuple) { now++ })
+	}()
+	select {
+	case <-answered:
+	case <-time.After(2 * time.Second):
+		close(release)
+		t.Fatal("Select and SelectEach waited for a parked commit's write lock")
+	}
+	close(release)
+	if err := <-written; err != nil {
+		t.Fatal(err)
+	}
+	if oldErr != nil || nowErr != nil {
+		t.Fatalf("Select: %v, SelectEach: %v", oldErr, nowErr)
+	}
+	if len(old) != 2 || now != 3 {
+		t.Fatalf("the view before the commit selected %d tuples, the live pass %d: want 2 and 3", len(old), now)
 	}
 }
 

@@ -149,7 +149,7 @@ func requireSameReads(t *testing.T, label string, want, got engine.Reader) {
 					label, rel, tuples[i].Key(), w, g)
 			}
 		}
-		// Full-wildcard Select through the scan planner.
+		// Full-wildcard Select.
 		schema := want.Schema().Relation(rel)
 		pat := make(db.Pattern, len(schema.Attrs))
 		for i := range pat {
