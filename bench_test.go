@@ -18,6 +18,7 @@ import (
 	"bytes"
 	"context"
 	"io"
+	"runtime"
 	"testing"
 	"time"
 
@@ -264,14 +265,14 @@ func BenchmarkAblationCopyOnWrite(b *testing.B) {
 }
 
 // BenchmarkAblationIndex compares the paper's full-scan execution with
-// the hash-index extension.
+// the hash-index extension, both applied per transaction (ApplyEach).
 func BenchmarkAblationIndex(b *testing.B) {
 	cfg := workload.Default(benchScale)
 	initial, txns := syntheticWorkload(b, cfg)
 	b.Run("fullscan", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			e := engine.New(engine.ModeNormalForm, initial)
-			if err := e.ApplyAll(context.Background(), txns); err != nil {
+			if err := benchutil.ApplyEach(e, txns); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -282,7 +283,7 @@ func BenchmarkAblationIndex(b *testing.B) {
 			if err := e.BuildIndex("R", "grp"); err != nil {
 				b.Fatal(err)
 			}
-			if err := e.ApplyAll(context.Background(), txns); err != nil {
+			if err := benchutil.ApplyEach(e, txns); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -602,7 +603,9 @@ func BenchmarkWALApply(b *testing.B) {
 // BenchmarkScanPlanner measures the cost-based scan planner on the
 // partially-pinned multi-column workload (workload.GenerateMultiColumn):
 // selections pin grp, grp+cat, or mix = with ≠, so the planner's point
-// lookup never applies and every update is a posting-list or full scan. The "fullscan" variant is the paper's access path; "indexed"
+// lookup never applies and every update is a posting-list or full scan.
+// Every variant applies per transaction (benchutil.ApplyEach), so no
+// batch shares a column pass: "fullscan" is the paper's access path; "indexed"
 // builds the grp and cat indexes up front; "autoindex" starts cold and
 // lets the advisor build them after a few pinned scans. The speedup
 // sub-benchmark reports fullscan time over indexed time directly
@@ -621,7 +624,7 @@ func BenchmarkScanPlanner(b *testing.B) {
 	apply := func(b *testing.B, e engine.DB) time.Duration {
 		b.Helper()
 		start := time.Now()
-		if err := e.ApplyAll(context.Background(), txns); err != nil {
+		if err := benchutil.ApplyEach(e, txns); err != nil {
 			b.Fatal(err)
 		}
 		return time.Since(start)
@@ -668,13 +671,13 @@ func BenchmarkScanPlanner(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			start := time.Now()
 			cold := engine.New(engine.ModeNormalForm, tpccInitial)
-			if err := cold.ApplyAll(context.Background(), tpccTxns); err != nil {
+			if err := benchutil.ApplyEach(cold, tpccTxns); err != nil {
 				b.Fatal(err)
 			}
 			tFull := time.Since(start)
 			start = time.Now()
 			auto := engine.New(engine.ModeNormalForm, tpccInitial, engine.WithAutoIndex(4))
-			if err := auto.ApplyAll(context.Background(), tpccTxns); err != nil {
+			if err := benchutil.ApplyEach(auto, tpccTxns); err != nil {
 				b.Fatal(err)
 			}
 			tAuto := time.Since(start)
@@ -686,6 +689,98 @@ func BenchmarkScanPlanner(b *testing.B) {
 			}
 		}
 	})
+}
+
+// BenchmarkBatchScan measures the shared batch scans of engine.ApplyBatch
+// against the paper's access path, every selection walking its column
+// (benchutil.ApplyEach). "bulk" is the wire benchmark's bulk_scan shape —
+// 200 000 rows, unindexed grp = k selections, batches of 25 transactions
+// of 10 queries — and reports speedup_batch_scan (per-transaction time
+// over batched time) beside the bytes each path allocates per
+// transaction. "k=…" applies k one-query transactions whose grp = k
+// matches no row: k walks of the 200 000 words, or one batch's pass and
+// nothing past it. Where speedup_batch_scan crosses 1 with every group
+// passed is the break-even of a per-word set probe against indexWord,
+// which sets minBatchPass (below it the batch walks, and reads ≈ 1).
+func BenchmarkBatchScan(b *testing.B) {
+	const rows, batch = 200000, 25
+	initial, txns := syntheticWorkload(b, workload.Config{
+		Tuples: rows, Pool: 100, Group: 1, Updates: 1000, QueriesPerTxn: 10, MergeRatio: 0.1, Seed: 1,
+	})
+	batched := func(e engine.DB, txns []db.Transaction) error {
+		for len(txns) > 0 {
+			n := min(batch, len(txns))
+			if err := e.ApplyAll(context.Background(), txns[:n]); err != nil {
+				return err
+			}
+			txns = txns[n:]
+		}
+		return nil
+	}
+	// measure applies txns to e and returns the time and the bytes taken.
+	measure := func(b *testing.B, e engine.DB, txns []db.Transaction, apply func(engine.DB, []db.Transaction) error) (time.Duration, float64) {
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		before, start := ms.TotalAlloc, time.Now()
+		if err := apply(e, txns); err != nil {
+			b.Fatal(err)
+		}
+		dt := time.Since(start)
+		runtime.ReadMemStats(&ms)
+		return dt, float64(ms.TotalAlloc - before)
+	}
+	// pair applies txns through both paths — per transaction, then batched
+	// (apply[0], apply[1]) — running either first in turn, since the
+	// second finds the column in cache.
+	pair := func(b *testing.B, i int, e [2]engine.DB, txns []db.Transaction, apply [2]func(engine.DB, []db.Transaction) error) (dt [2]time.Duration, by [2]float64) {
+		for j := range 2 {
+			p := (i + j) % 2
+			dt[p], by[p] = measure(b, e[p], txns, apply[p])
+		}
+		return dt, by
+	}
+	b.Run("bulk", func(b *testing.B) {
+		var dt [2]time.Duration
+		var by [2]float64
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			e := [2]engine.DB{engine.New(engine.ModeNormalForm, initial), engine.New(engine.ModeNormalForm, initial)}
+			b.StartTimer()
+			t, n := pair(b, i, e, txns, [2]func(engine.DB, []db.Transaction) error{benchutil.ApplyEach, batched})
+			dt[0], dt[1], by[0], by[1] = dt[0]+t[0], dt[1]+t[1], by[0]+n[0], by[1]+n[1]
+			if ps := e[1].PlannerStats(); ps.BatchScans == 0 || ps.FullScans != e[0].PlannerStats().FullScans {
+				b.Fatalf("batched planner counters %+v", ps)
+			}
+		}
+		n := float64(b.N * len(txns))
+		b.ReportMetric(float64(dt[0])/float64(dt[1]), "speedup_batch_scan")
+		b.ReportMetric(by[0]/n, "B_per_txn_each")
+		b.ReportMetric(by[1]/n, "B_per_txn_batch")
+	})
+	whole := func(e engine.DB, txns []db.Transaction) error { return e.ApplyAll(context.Background(), txns) }
+	for _, k := range []int{1, 2, 4, 8, 32, 256} {
+		b.Run(multName("k", k), func(b *testing.B) {
+			sels := make([]db.Transaction, k)
+			for j := range sels {
+				sels[j] = db.Transaction{Label: "k", Updates: []db.Update{db.Delete("R", db.Pattern{
+					db.AnyVar("id"), db.Const(db.I(int64(rows + j))), db.AnyVar("cat"), db.AnyVar("val"), db.AnyVar("pad"),
+				})}}
+			}
+			e := engine.New(engine.ModeNormalForm, initial)
+			if err := benchutil.ApplyEach(e, sels); err != nil { // warm the column
+				b.Fatal(err)
+			}
+			b.ResetTimer()
+			var dt [2]time.Duration
+			for i := 0; i < b.N; i++ {
+				t, _ := pair(b, i, [2]engine.DB{e, e}, sels, [2]func(engine.DB, []db.Transaction) error{benchutil.ApplyEach, whole})
+				dt[0], dt[1] = dt[0]+t[0], dt[1]+t[1]
+			}
+			b.ReportMetric(float64(dt[0])/float64(dt[1]), "speedup_batch_scan")
+			b.ReportMetric(float64(dt[0].Nanoseconds())/float64(b.N*k), "ns_per_sel_each")
+			b.ReportMetric(float64(dt[1].Nanoseconds())/float64(b.N*k), "ns_per_sel_batch")
+		})
+	}
 }
 
 // BenchmarkMVCCReadDuringApply measures the tentpole claim of the MVCC

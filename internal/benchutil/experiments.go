@@ -266,8 +266,8 @@ func Prop51(w io.Writer, steps int) error {
 }
 
 // Ablations measures the design-choice ablations DESIGN.md calls out:
-// copy-on-write versus shared naive representation, the hash-index
-// access path, and Proposition 5.5 zero-minimization.
+// copy-on-write versus shared naive representation, the hash-index and
+// shared-batch-scan access paths, and Proposition 5.5 zero-minimization.
 func Ablations(w io.Writer, scale float64) error {
 	cfg := workload.Default(scale)
 	cfg.Updates = UpdateSeries(scale)[2]
@@ -284,7 +284,7 @@ func Ablations(w io.Writer, scale float64) error {
 	run := func(mode engine.Mode, opts ...engine.Option) (*engine.Engine, time.Duration, error) {
 		e := engine.New(mode, initial, opts...)
 		start := time.Now()
-		err := e.ApplyAll(context.Background(), txns)
+		err := ApplyEach(e, txns)
 		return e, time.Since(start), err
 	}
 
@@ -329,6 +329,13 @@ func Ablations(w io.Writer, scale float64) error {
 		return err
 	}
 	tbl.Add("normal form + hash index", time.Since(start), idx.ProvSize(), "beyond-paper access path")
+
+	batched := engine.New(engine.ModeNormalForm, initial)
+	start = time.Now()
+	if err := batched.ApplyAll(context.Background(), txns); err != nil {
+		return err
+	}
+	tbl.Add("normal form + shared batch scans", time.Since(start), batched.ProvSize(), "one column pass per batch")
 
 	lm, dt, err := run(engine.ModeNormalForm, engine.WithLiveMatching(true))
 	if err != nil {

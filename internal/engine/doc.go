@@ -29,9 +29,10 @@
 // There is one engine type, and it is one object: Engine owns the rows,
 // their versions, the indexes and the scan planner, the epochs, the read
 // horizon and the commit events. Writers serialize on one lock; a view
-// is the engine pinned at a horizon, read without one (indexes serve the
-// writer only). DB and View stay interfaces because the
-// persistent stores of package wal implement and forward them.
+// is the engine pinned at a horizon, read without one (indexes and a
+// batch's shared column passes serve the writer only). DB and View stay
+// interfaces because the persistent stores of package wal implement and
+// forward them.
 //
 // Two doors lead to the storage underneath, and both are checked. Every
 // update applies through Engine.ApplyTransaction, which admits what

@@ -126,7 +126,8 @@ func WithLiveMatching(on bool) Option {
 // order, the table lists are in sequence order, the rows visible at a
 // horizon are a prefix of them, and a transaction is visible when
 // ApplyTransaction returns. A batch is its transactions applied one after
-// another, in log order. Rows of epoch k carry seq = k<<32 | i, i
+// another, in log order, its unindexed =-selections sharing one pass per
+// column (batchScan). Rows of epoch k carry seq = k<<32 | i, i
 // counting the rows the epoch created, in update order.
 //
 // Reads are lock-free: Annotation, NF, EachRow, Rows, Select,
@@ -185,11 +186,13 @@ type Engine struct {
 
 	// Writer-owned scratch, guarded by the write lock like every other
 	// scan-path structure: the free-list recycling scan result buffers
-	// (see storage.go), the grouping state of the modification in flight
-	// and the tuple a fully pinned selection probes with.
+	// (see storage.go), the grouping state of the modification in flight,
+	// the tuple a fully pinned selection probes with and the column passes
+	// of the batch in flight (see batchScan).
 	scanBufs [][]*row
 	mod      modScratch
 	pinned   db.Tuple
+	batch    batchScan
 
 	boot BootStats // see Boot
 }
@@ -370,11 +373,15 @@ func (e *Engine) ApplyAll(ctx context.Context, txns []db.Transaction) error {
 // as ApplyTransaction leaves them — or was not started because ctx was
 // done (checked before each transaction), and nothing after it ran: WAL
 // recovery and replication resume from txns[applied:]. Readers observe
-// the batch transaction by transaction. txns is borrowed like
-// ApplyTransaction's t.
+// the batch transaction by transaction; its full scans share column
+// passes (batchScan), which select the rows each would alone, in the same
+// order. txns is borrowed like ApplyTransaction's t.
 func (e *Engine) ApplyBatch(ctx context.Context, txns []db.Transaction) (applied int, err error) {
 	if ctx == nil {
 		ctx = context.Background()
+	}
+	if e.prepareBatch(txns) {
+		defer e.endBatch()
 	}
 	for i := range txns {
 		if err := ctx.Err(); err != nil {

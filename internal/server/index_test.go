@@ -105,7 +105,7 @@ func TestIndexEndpoints(t *testing.T) {
 	}
 	stats := decode[map[string]any](t, resp)
 	for _, key := range []string{"plannerFullScans", "plannerIndexScans", "plannerIntersectScans", "plannerPointLookups",
-		"plannerAutoBuilds", "plannerCompactions", "plannerRowsScanned", "plannerRowsMatched", "indexes"} {
+		"plannerAutoBuilds", "plannerCompactions", "plannerBatchPasses", "plannerBatchScans", "plannerRowsScanned", "plannerRowsMatched", "indexes"} {
 		if _, ok := stats[key]; !ok {
 			t.Errorf("/v1/stats missing %q: %v", key, stats)
 		}

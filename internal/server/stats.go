@@ -79,6 +79,8 @@ func collectPlannerStats(s *Server, e engine.DB, out map[string]any) {
 	out["plannerPointLookups"] = ps.PointLookups
 	out["plannerAutoBuilds"] = ps.AutoBuilds
 	out["plannerCompactions"] = ps.Compactions
+	out["plannerBatchPasses"] = ps.BatchPasses
+	out["plannerBatchScans"] = ps.BatchScans
 	out["plannerRowsScanned"] = ps.RowsScanned
 	out["plannerRowsMatched"] = ps.RowsMatched
 	out["indexes"] = len(e.IndexStats())
