@@ -18,7 +18,10 @@ import (
 	"bytes"
 	"context"
 	"io"
+	"net/http"
+	"net/http/httptest"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -353,6 +356,68 @@ func BenchmarkAblationParallelUsage(b *testing.B) {
 			}
 		}
 	})
+}
+
+// discardWriter is a ResponseWriter that keeps nothing but the status
+// and the byte count.
+type discardWriter struct {
+	header http.Header
+	status int
+	n      int
+}
+
+func (w *discardWriter) Header() http.Header         { return w.header }
+func (w *discardWriter) WriteHeader(status int)      { w.status = status }
+func (w *discardWriter) Write(p []byte) (int, error) { w.n += len(p); return len(p), nil }
+
+// BenchmarkWhatIf is the wire benchmark's whatif_read in process: one
+// POST /v1/whatif/abort over 100 000 tuples after 20 000 updates, through
+// the server's real handler into a discarding writer, on GOMAXPROCS
+// workers (run it at -cpu 1,2). warm keeps the buffer and kernel pools
+// across ops; cold empties them before each op, off the clock, as a
+// what-if meets them after two collections. B/op is what the handler
+// allocates per what-if, body_bytes its response.
+func BenchmarkWhatIf(b *testing.B) {
+	initial, txns := syntheticWorkload(b, workload.Config{
+		Tuples: 100000, Pool: 2000, Group: 1, Updates: 20000, QueriesPerTxn: 10, Seed: 1,
+	})
+	e := engine.New(engine.ModeNormalForm, initial)
+	if err := e.ApplyAll(context.Background(), txns); err != nil {
+		b.Fatal(err)
+	}
+	srv := server.New(e, server.WithLogf(b.Logf))
+	defer srv.Close()
+	h := srv.Handler()
+	body := `{"labels":["` + txns[len(txns)/2].Label + `"]}`
+	w := &discardWriter{header: http.Header{}}
+	run := func(b *testing.B) {
+		w.status, w.n = 0, 0
+		h.ServeHTTP(w, httptest.NewRequest("POST", "/v1/whatif/abort", strings.NewReader(body)))
+		if w.status != http.StatusOK {
+			b.Fatalf("what-if answered %d", w.status)
+		}
+	}
+	for _, cold := range []bool{false, true} {
+		name := "warm"
+		if cold {
+			name = "cold"
+		}
+		b.Run(name, func(b *testing.B) {
+			run(b)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if cold {
+					b.StopTimer()
+					runtime.GC()
+					runtime.GC()
+					b.StartTimer()
+				}
+				run(b)
+			}
+			b.ReportMetric(float64(w.n), "body_bytes")
+		})
+	}
 }
 
 // BenchmarkProvstoreSnapshot measures the storage layer: saving and

@@ -44,12 +44,12 @@ func putChunkBuf(chunks []rowChunk) {
 	chunkPool.Put(&chunks)
 }
 
-// chunks cuts every relation's visible rows into fixed-size pieces in
-// the deterministic global order (schema order, then insertion order),
-// in a pooled buffer the caller returns through putChunkBuf.
-func (v view) chunks() []rowChunk {
+// chunks cuts the visible rows of each relation in rels, in that order,
+// into fixed-size pieces in insertion order, in a pooled buffer the
+// caller returns through putChunkBuf.
+func (v view) chunks(rels []string) []rowChunk {
 	chunks := (*chunkPool.Get().(*[]rowChunk))[:0]
-	for _, rel := range v.e.schema.Names() {
+	for _, rel := range rels {
 		rows := v.rows(rel)
 		for start := 0; start < len(rows); start += walkChunkRows {
 			end := min(start+walkChunkRows, len(rows))
@@ -59,25 +59,20 @@ func (v view) chunks() []rowChunk {
 	return chunks
 }
 
-// walkChunks is the one parallel loop of the package: up to workers
-// goroutines (the caller's own when one suffices) pull chunk indexes
-// from a shared counter and run the visitor newVisit built for them, so
-// a visitor may keep worker-private scratch — among it the evaluator
-// newVisit also returns, which goes back to its pool (putEval) when the
-// worker has pulled its last chunk. ctx is checked before every pull;
-// on cancellation chunks already started still complete and ctx.Err()
-// is returned.
-func walkChunks(ctx context.Context, chunks []rowChunk, workers int, newVisit func() (visit func(i int, c rowChunk), ev boolEval)) error {
+// walkChunks is SpecializeParallel's loop: up to workers goroutines (the
+// caller's own when one suffices) pull chunk indexes from a shared
+// counter and visit them in no particular order. ctx is checked before
+// every pull; on cancellation chunks already started still complete and
+// ctx.Err() is returned.
+func walkChunks(ctx context.Context, chunks []rowChunk, workers int, visit func(c rowChunk)) error {
 	var next atomic.Int64
 	pull := func() {
-		visit, ev := newVisit()
-		defer putEval(ev)
 		for ctx.Err() == nil {
 			i := int(next.Add(1)) - 1
 			if i >= len(chunks) {
 				return
 			}
-			visit(i, chunks[i])
+			visit(chunks[i])
 		}
 	}
 	if workers = min(workers, len(chunks)); workers <= 1 {
@@ -100,9 +95,9 @@ func walkChunks(ctx context.Context, chunks []rowChunk, workers int, newVisit fu
 // workers goroutines (0 = GOMAXPROCS). Expressions are immutable and
 // the structure's operations must be pure, so evaluation parallelizes
 // trivially; f is called from multiple goroutines and must be safe for
-// concurrent use (or accumulate per chunk as LiveChunks does). With one
-// worker rows stream in order on the caller's goroutine: that is
-// Specialize. The MVCC horizon is pinned once at entry (a View's own
+// concurrent use (or use LiveStream, which hands chunks back in order).
+// With one worker rows stream in order on the caller's goroutine: that
+// is Specialize. The MVCC horizon is pinned once at entry (a View's own
 // pinned horizon is used as-is), so the pass is lock-free and
 // consistent against concurrent writers. ctx is
 // checked at chunk boundaries; on cancellation the pass stops early —
@@ -118,129 +113,191 @@ func SpecializeParallel[T any](ctx context.Context, e Reader, s upstruct.Structu
 		workers = runtime.GOMAXPROCS(0)
 	}
 	p := e.view()
-	chunks := p.chunks()
+	chunks := p.chunks(p.e.schema.Names())
 	defer putChunkBuf(chunks)
-	visit := func(_ int, c rowChunk) {
+	return walkChunks(ctx, chunks, workers, func(c rowChunk) {
 		for _, r := range c.rows {
 			if ver := r.at(p.s); ver != nil {
 				f(c.rel, r.tuple, upstruct.EvalNF(&ver.nf, s, env))
 			}
 		}
-	}
-	return walkChunks(ctx, chunks, workers, func() (func(int, rowChunk), boolEval) { return visit, nil })
+	})
 }
 
-// Chunk describes one piece of a LiveChunks pass: a run of up to
-// walkChunkRows rows of one relation.
+// Chunk is one piece of a LiveStream pass: up to walkChunkRows rows of
+// relation Rel (Rows counts them, live or not), encoded into window slot
+// Slot, which takes no other chunk until emit has returned for this one.
 type Chunk struct {
-	// Rel is the relation the chunk's rows belong to.
-	Rel string
-	// Rows counts the rows evaluated, live or not.
-	Rows int
+	Rel        string
+	Rows, Slot int
 }
 
-// boolEval evaluates annotations under one Boolean valuation: a
-// valuation kernel, or the generic tree walk under an opaque Env.
-type boolEval interface {
-	EvalNF(*core.NF) bool
-}
+// streamWindowPerWorker sets the stream's lookahead. BenchmarkWhatIf/warm
+// (2 vCPU Xeon, median of 6 alternating runs) reads 1×, 2× and 4×
+// workers at 28.9 / 28.4 / 28.7 ms on -cpu 1 and 19.3 / 19.1 / 18.7 ms on
+// -cpu 2, inside the spread; cold pools cost 254 / 385 / 648 kB on -cpu 2.
+// 2× is the least that leaves every worker a chunk while the writer
+// holds one.
+const streamWindowPerWorker = 2
 
-// envEval is the generic EvalNF in the Boolean structure.
-type envEval struct{ env upstruct.Env[bool] }
-
-func (e envEval) EvalNF(n *core.NF) bool { return upstruct.EvalNF(n, upstruct.Bool, e.env) }
-
-// kernelPool recycles the what-if workers' valuation kernels, so a
-// request's memo pages are cleared, not allocated.
-var kernelPool = sync.Pool{New: func() any { return upstruct.NewKernel(nil) }}
-
-// LiveChunks evaluates the Boolean valuation val over every row r sees
-// and calls visit once per chunk — from the worker goroutine that
-// evaluated it — with the chunk's live tuples (those whose provenance
-// came out true) in insertion order. live is worker scratch, valid
-// only during the call. The visit results come back in chunk order —
-// relations in schema order, rows in insertion order — so
-// concatenating what they hold reproduces the sequential BoolRestrict
-// order for any workers; chunks with no live tuple are
-// visited too. Nothing is materialized per row: this is the building
-// block for consumers that fold live tuples straight into their own
-// output (the HTTP server into response bytes). Each worker evaluates
-// through its own pooled upstruct.Kernel, so a sub-expression shared
-// between rows is computed once per worker. Horizon pinning, workers
-// and ctx behave as in SpecializeParallel; on cancellation the results
-// are dropped and (nil, ctx.Err()) is returned.
-func LiveChunks[R any](ctx context.Context, r Reader, val *upstruct.Valuation, workers int, visit func(c Chunk, live []db.Tuple) R) ([]R, error) {
-	return liveChunks(ctx, r, workers, func() boolEval {
-		k := kernelPool.Get().(*upstruct.Kernel)
-		k.Reset(val)
-		return k
-	}, visit)
-}
-
-// putEval returns a worker's kernel to the pool when the worker is done.
-func putEval(ev boolEval) {
-	if k, pooled := ev.(*upstruct.Kernel); pooled {
-		kernelPool.Put(k)
-	}
-}
-
-// liveChunks is LiveChunks over any evaluator: newEval builds one
-// worker's.
-func liveChunks[R any](ctx context.Context, r Reader, workers int, newEval func() boolEval, visit func(c Chunk, live []db.Tuple) R) ([]R, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
+// StreamWindow is the number of slots of a LiveStream pass over workers
+// goroutines (0 = GOMAXPROCS).
+func StreamWindow(workers int) int {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	p := r.view()
-	chunks := p.chunks()
-	defer putChunkBuf(chunks)
-	out := make([]R, len(chunks))
-	err := walkChunks(ctx, chunks, workers, func() (func(int, rowChunk), boolEval) {
-		ev := newEval()
-		live := make([]db.Tuple, 0, walkChunkRows)
-		return func(i int, c rowChunk) {
-			live = live[:0]
-			for _, r := range c.rows {
-				if ver := r.at(p.s); ver != nil && ev.EvalNF(&ver.nf) {
-					live = append(live, r.tuple)
-				}
-			}
-			out[i] = visit(Chunk{Rel: c.rel, Rows: len(c.rows)}, live)
-		}, ev
-	})
-	if err != nil {
-		return nil, err
+	return streamWindowPerWorker * workers
+}
+
+// streamScratch is one stream worker's valuation kernel and live-tuple
+// slice. scratchPool recycles both, so a request's memo pages are
+// cleared, not allocated; the slice is cleared on put, so it pins no row.
+type streamScratch struct {
+	k    *upstruct.Kernel
+	live []db.Tuple
+}
+
+var scratchPool = sync.Pool{New: func() any {
+	return &streamScratch{k: upstruct.NewKernel(nil), live: make([]db.Tuple, 0, walkChunkRows)}
+}}
+
+func (sc *streamScratch) put() {
+	clear(sc.live[:cap(sc.live)])
+	scratchPool.Put(sc)
+}
+
+// LiveStream evaluates the Boolean valuation val over every row r sees
+// and streams the live tuples chunk by chunk, relations in the order
+// rels lists them, rows in insertion order. encode runs on the worker
+// that evaluated a chunk (its live tuples are valid during the call);
+// emit runs on the caller's goroutine and gets the chunks in order, the
+// first window (or all, if fewer) at once, then each as soon as it is
+// next, more telling whether chunks follow. Workers, each on a pooled
+// upstruct.Kernel, run at most StreamWindow(workers) chunks ahead of
+// emit. Horizon pinning, workers and ctx behave as in SpecializeParallel;
+// the pass ends at emit's first error or ctx.Err(), once every worker
+// has exited.
+func LiveStream(ctx context.Context, r Reader, val *upstruct.Valuation, workers int, rels []string, encode func(c Chunk, live []db.Tuple), emit func(ready []Chunk, more bool) error) error {
+	return liveStream(ctx, r, workers, rels, func(sc *streamScratch) func(*core.NF) bool {
+		sc.k.Reset(val)
+		return sc.k.EvalNF
+	}, encode, emit)
+}
+
+// liveStream is LiveStream over any Boolean evaluator: newEval builds one
+// worker's on its scratch. Chunk i+window is dispatched once chunk i is
+// emitted, so slot i % window is free; idle workers wait on the work
+// queue, which the caller closes when it returns.
+func liveStream(ctx context.Context, r Reader, workers int, rels []string, newEval func(*streamScratch) func(*core.NF) bool, encode func(Chunk, []db.Tuple), emit func([]Chunk, bool) error) error {
+	if ctx == nil {
+		ctx = context.Background()
 	}
-	return out, nil
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	window := StreamWindow(workers)
+	p := r.view()
+	chunks := p.chunks(rels)
+	defer putChunkBuf(chunks)
+	n := len(chunks)
+	at := func(i int) Chunk { return Chunk{Rel: chunks[i].rel, Rows: len(chunks[i].rows), Slot: i % window} }
+	ctx, cancel := context.WithCancel(ctx)
+	work, ready := make(chan int, window), make([]chan struct{}, window) // a window at most is dispatched and not emitted
+	for s := range ready {
+		ready[s] = make(chan struct{}, 1)
+	}
+	var wg sync.WaitGroup
+	defer wg.Wait() // runs last: cancel, close the queue, wait for the workers
+	defer close(work)
+	defer cancel()
+	// run evaluates and encodes chunk i and marks its slot ready, unless
+	// the pass is over: the caller then watches ctx, not the slot.
+	run := func(sc *streamScratch, eval func(*core.NF) bool, i int) {
+		if ctx.Err() != nil {
+			return
+		}
+		sc.live = sc.live[:0]
+		for _, r := range chunks[i].rows {
+			if ver := r.at(p.s); ver != nil && eval(&ver.nf) {
+				sc.live = append(sc.live, r.tuple)
+			}
+		}
+		encode(at(i), sc.live)
+		ready[i%window] <- struct{}{}
+	}
+	dispatch := func(i int) { work <- i }
+	if workers = min(window/streamWindowPerWorker, n); workers <= 1 { // 0 resolved to GOMAXPROCS
+		sc := scratchPool.Get().(*streamScratch)
+		defer sc.put()
+		eval := newEval(sc)
+		dispatch = func(i int) { run(sc, eval, i) }
+	} else {
+		wg.Add(workers)
+		for range workers {
+			go func() {
+				defer wg.Done()
+				sc := scratchPool.Get().(*streamScratch)
+				defer sc.put()
+				eval := newEval(sc)
+				for i := range work {
+					run(sc, eval, i)
+				}
+			}()
+		}
+	}
+
+	batch := make([]Chunk, 0, min(window, n))
+	for k, sent := 0, 0; ; {
+		for ; sent < min(k+window, n); sent++ {
+			dispatch(sent)
+		}
+		hi := min(max(k+1, window), n) // the first window at once, then chunk by chunk
+		batch = batch[:0]
+		for j := k; j < hi; j++ {
+			select {
+			case <-ready[j%window]:
+			case <-ctx.Done():
+				return ctx.Err()
+			}
+			batch = append(batch, at(j))
+		}
+		if err := emit(batch, hi < n); err != nil {
+			return err
+		}
+		if k = hi; k == n {
+			return nil
+		}
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+	}
 }
 
 // BoolRestrictParallel materializes the database selected by a Boolean
-// valuation using parallel evaluation: the LiveChunks walk under the
+// valuation using parallel evaluation: the LiveStream pass under the
 // generic evaluator (env is opaque, so there is nothing to resolve or
-// memoise), with each chunk's live tuples copied out and inserted in
-// chunk order, so the result's insertion order is the same for any
-// worker count (BoolRestrict is this with one), view or
-// wrapper. env must be safe for concurrent use. On cancellation,
-// (nil, ctx.Err()) is returned.
+// memoise) in schema order, each chunk's live tuples copied into its
+// slot and inserted as it is emitted, so the result's insertion order
+// is the same for any worker count (BoolRestrict is this with one),
+// view or wrapper. env must be safe for concurrent use. On
+// cancellation, (nil, ctx.Err()) is returned.
 func BoolRestrictParallel(ctx context.Context, e Reader, env upstruct.Env[bool], workers int) (*db.Database, error) {
-	type hits struct {
-		rel    string
-		tuples []db.Tuple
-	}
-	chunks, err := liveChunks(ctx, e, workers, func() boolEval { return envEval{env} }, func(c Chunk, live []db.Tuple) hits {
-		return hits{rel: c.Rel, tuples: append([]db.Tuple(nil), live...)}
-	})
+	hits := make([][]db.Tuple, StreamWindow(workers))
+	out := db.NewDatabase(e.Schema())
+	eval := func(n *core.NF) bool { return upstruct.EvalNF(n, upstruct.Bool, env) }
+	err := liveStream(ctx, e, workers, e.Schema().Names(), func(*streamScratch) func(*core.NF) bool { return eval },
+		func(c Chunk, live []db.Tuple) { hits[c.Slot] = append(hits[c.Slot][:0], live...) },
+		func(ready []Chunk, _ bool) error {
+			for _, c := range ready {
+				for _, t := range hits[c.Slot] {
+					// Tuples stored by the engine conform by construction.
+					_ = out.InsertTuple(c.Rel, t)
+				}
+			}
+			return nil
+		})
 	if err != nil {
 		return nil, err
-	}
-	out := db.NewDatabase(e.Schema())
-	for _, h := range chunks {
-		for _, t := range h.tuples {
-			// Tuples stored by the engine conform by construction.
-			_ = out.InsertTuple(h.rel, t)
-		}
 	}
 	return out, nil
 }

@@ -4,9 +4,11 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"slices"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"hyperprov/internal/core"
 	"hyperprov/internal/db"
@@ -31,18 +33,99 @@ func (w wrappedDB) EachRow(string, func(t db.Tuple, ann *core.Expr)) {
 	w.t.Error("a valuation pass streamed a wrapper's EachRow")
 }
 
-func tupleKeys(d *db.Database) []string {
+// tupleKeys lists d's tuples as rel/key, relations in the order given
+// (the schema's when none is), tuples in insertion order.
+func tupleKeys(d *db.Database, order ...string) []string {
+	if order == nil {
+		order = d.Schema().Names()
+	}
 	var keys []string
-	for _, rel := range d.Schema().Names() {
+	for _, rel := range order {
 		d.Instance(rel).Each(func(t db.Tuple) { keys = append(keys, rel+"/"+t.Key()) })
 	}
 	return keys
 }
 
-// TestChunkWalkerThroughWrappers: SpecializeParallel, LiveChunks and
-// BoolRestrictParallel walk the pinned view's chunks behind a forwarding
-// wrapper and behind views — same tuples in the same order as the
-// sequential BoolRestrict on the bare engine, for every worker count.
+// withRelations is d plus two relations declared after it, "A" with a
+// rows and "M" with m, so schema, sorted and reversed relation orders
+// all differ.
+func withRelations(t *testing.T, d *db.Database, a, m int) *db.Database {
+	t.Helper()
+	rels := []*db.RelationSchema{}
+	for _, name := range d.Schema().Names() {
+		rels = append(rels, d.Schema().Relation(name))
+	}
+	for _, name := range []string{"A", "M"} {
+		rels = append(rels, db.MustRelationSchema(name, db.Attribute{Name: "id", Kind: db.KindInt}, db.Attribute{Name: "v", Kind: db.KindString}))
+	}
+	out := db.NewDatabase(db.MustSchema(rels...))
+	for _, name := range d.Schema().Names() {
+		d.Instance(name).Each(func(tp db.Tuple) {
+			if err := out.InsertTuple(name, tp); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	for name, n := range map[string]int{"A": a, "M": m} {
+		for i := 0; i < n; i++ {
+			if err := out.InsertTuple(name, db.Tuple{db.I(int64(i)), db.S(fmt.Sprintf("%s%d", name, i%97))}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	return out
+}
+
+// relationOrders are the orders a stream is asked for: schema, sorted
+// and reversed schema.
+func relationOrders(s *db.Schema) map[string][]string {
+	sorted := slices.Clone(s.Names())
+	slices.Sort(sorted)
+	reversed := slices.Clone(s.Names())
+	slices.Reverse(reversed)
+	return map[string][]string{"schema": s.Names(), "sorted": sorted, "reversed": reversed}
+}
+
+// streamKeys collects a LiveStream pass as rel/key in emit order,
+// through per-slot scratch as a real consumer keeps it, and checks the
+// emit contract: the first call carries the first window (or every
+// chunk), later ones one chunk each, and only the last says no more.
+func streamKeys(t *testing.T, ctx context.Context, r Reader, val *upstruct.Valuation, workers int, rels []string) ([]string, error) {
+	t.Helper()
+	window := StreamWindow(workers)
+	slots := make([][]string, window)
+	var got []string
+	calls, ended := 0, false
+	err := LiveStream(ctx, r, val, workers, rels, func(c Chunk, live []db.Tuple) {
+		keys := slots[c.Slot][:0]
+		for _, tp := range live {
+			keys = append(keys, c.Rel+"/"+tp.Key())
+		}
+		slots[c.Slot] = keys
+	}, func(ready []Chunk, more bool) error {
+		if ended {
+			t.Errorf("emit called after more=false")
+		}
+		if calls++; calls > 1 && len(ready) != 1 || calls == 1 && more && len(ready) != window {
+			t.Errorf("emit call %d carried %d chunks (window %d, more %v)", calls, len(ready), window, more)
+		}
+		for _, c := range ready {
+			got = append(got, slots[c.Slot]...)
+		}
+		ended = !more
+		return nil
+	})
+	if err == nil && !ended {
+		t.Errorf("the stream ended without more=false")
+	}
+	return got, err
+}
+
+// TestChunkWalkerThroughWrappers: SpecializeParallel, LiveStream (in
+// schema, sorted and reversed relation order) and BoolRestrictParallel
+// walk the pinned view's chunks behind a forwarding wrapper and behind
+// views — same tuples in the same order as the sequential BoolRestrict
+// on the bare engine, for every worker count.
 func TestChunkWalkerThroughWrappers(t *testing.T) {
 	cfg := workload.Default(0.003) // 3000 rows: several chunks
 	cfg.QueriesPerTxn = 5
@@ -50,6 +133,7 @@ func TestChunkWalkerThroughWrappers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	initial = withRelations(t, initial, 1500, 2100)
 	dead := map[core.Annot]bool{core.QueryAnnot(txns[0].Label): false, core.TupleAnnot("t7"): false}
 	env := upstruct.MapEnv(dead, true)
 	val := upstruct.Dead(core.QueryAnnot(txns[0].Label), core.TupleAnnot("t7"))
@@ -59,24 +143,25 @@ func TestChunkWalkerThroughWrappers(t *testing.T) {
 	if err := e.ApplyAll(ctx, txns); err != nil {
 		t.Fatal(err)
 	}
-	want := tupleKeys(BoolRestrict(e, env))
-	if len(want) <= 2*walkChunkRows {
-		t.Fatalf("only %d live tuples: the test needs several chunks", len(want))
+	full := BoolRestrict(e, env)
+	if n := len(tupleKeys(full)); n <= 2*walkChunkRows {
+		t.Fatalf("only %d live tuples: the test needs several chunks", n)
 	}
 	mid := e.At(EpochSeq(uint64(len(txns) / 2)))
-	wantMid := tupleKeys(BoolRestrict(mid, env))
+	past := BoolRestrict(mid, env)
 
 	readers := []struct {
 		name string
 		r    Reader
-		want []string
+		want *db.Database
 	}{
-		{"engine", e, want},
-		{"wrapper", wrappedDB{DB: e, t: t}, want},
-		{"view", mid, wantMid},
-		{"wrapped view", struct{ View }{mid}, wantMid},
+		{"engine", e, full},
+		{"wrapper", wrappedDB{DB: e, t: t}, full},
+		{"view", mid, past},
+		{"wrapped view", struct{ View }{mid}, past},
 	}
 	for _, rd := range readers {
+		want := tupleKeys(rd.want)
 		for _, workers := range []int{1, 2, 7} {
 			name := fmt.Sprintf("%s/workers=%d", rd.name, workers)
 
@@ -84,26 +169,18 @@ func TestChunkWalkerThroughWrappers(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}
-			if got := tupleKeys(d); !slices.Equal(got, rd.want) {
-				t.Errorf("%s: BoolRestrictParallel differs from BoolRestrict (%d vs %d tuples, or order)", name, len(got), len(rd.want))
+			if got := tupleKeys(d); !slices.Equal(got, want) {
+				t.Errorf("%s: BoolRestrictParallel differs from BoolRestrict (%d vs %d tuples, or order)", name, len(got), len(want))
 			}
 
-			parts, err := LiveChunks(ctx, rd.r, val, workers, func(c Chunk, live []db.Tuple) []string {
-				keys := make([]string, len(live))
-				for i, tp := range live {
-					keys[i] = c.Rel + "/" + tp.Key()
+			for order, rels := range relationOrders(initial.Schema()) {
+				got, err := streamKeys(t, ctx, rd.r, val, workers, rels)
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
 				}
-				return keys
-			})
-			if err != nil {
-				t.Fatalf("%s: %v", name, err)
-			}
-			var got []string
-			for _, p := range parts {
-				got = append(got, p...)
-			}
-			if !slices.Equal(got, rd.want) {
-				t.Errorf("%s: LiveChunks concatenation differs from BoolRestrict", name)
+				if !slices.Equal(got, tupleKeys(rd.want, rels...)) {
+					t.Errorf("%s: LiveStream in %s order differs from BoolRestrict", name, order)
+				}
 			}
 
 			var rows, live atomic.Int64
@@ -116,8 +193,8 @@ func TestChunkWalkerThroughWrappers(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}
-			if int(live.Load()) != len(rd.want) {
-				t.Errorf("%s: SpecializeParallel saw %d live of %d rows, want %d live", name, live.Load(), rows.Load(), len(rd.want))
+			if int(live.Load()) != len(want) {
+				t.Errorf("%s: SpecializeParallel saw %d live of %d rows, want %d live", name, live.Load(), rows.Load(), len(want))
 			}
 
 			// The same resolution serves the stats endpoint's boot
@@ -142,12 +219,127 @@ func TestChunkWalkerCancellation(t *testing.T) {
 	allTrue := func(core.Annot) bool { return true }
 	for _, r := range []Reader{e, wrappedDB{DB: e, t: t}} {
 		visited := false
-		out, err := LiveChunks(ctx, r, upstruct.Dead(), 2, func(Chunk, []db.Tuple) int { visited = true; return 0 })
-		if !errors.Is(err, context.Canceled) || out != nil || visited {
-			t.Errorf("%T: LiveChunks on a cancelled context returned (%v, %v), visited=%v", r, out, err, visited)
+		err := LiveStream(ctx, r, upstruct.Dead(), 2, e.Schema().Names(),
+			func(Chunk, []db.Tuple) { visited = true },
+			func([]Chunk, bool) error { visited = true; return nil })
+		if !errors.Is(err, context.Canceled) || visited {
+			t.Errorf("%T: LiveStream on a cancelled context returned %v, visited=%v", r, err, visited)
 		}
 		if d, err := BoolRestrictParallel(ctx, r, allTrue, 2); !errors.Is(err, context.Canceled) || d != nil {
 			t.Errorf("%T: BoolRestrictParallel on a cancelled context returned (%v, %v)", r, d, err)
 		}
 	}
+}
+
+// waitGoroutines polls until no more goroutines run than base.
+func waitGoroutines(t *testing.T, base int) {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > base; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines, %d before the pass", runtime.NumGoroutine(), base)
+		}
+	}
+}
+
+// TestLiveStreamWindow holds LiveStream to its window: with emit held on
+// a channel, no worker encodes a chunk more than StreamWindow(workers)
+// ahead of what emit has returned; a context cancelled while emit is
+// held ends the pass with ctx.Err() and leaves no goroutine behind; and
+// every relation order comes out as BoolRestrict's tuples in that
+// order.
+func TestLiveStreamWindow(t *testing.T) {
+	initial, _, err := workload.Generate(workload.Default(0.006))
+	if err != nil {
+		t.Fatal(err)
+	}
+	initial = withRelations(t, initial, 5000, 300)
+	e := Open(ModeNormalForm, initial)
+	val := upstruct.Dead(core.TupleAnnot("t3"))
+	chunks := 0
+	for _, name := range initial.Schema().Names() {
+		chunks += (initial.Instance(name).Len() + walkChunkRows - 1) / walkChunkRows
+	}
+
+	t.Run("bounded", func(t *testing.T) {
+		for _, workers := range []int{1, 2, 3} {
+			window := int64(StreamWindow(workers))
+			if int64(chunks) < 2*window {
+				t.Fatalf("%d chunks do not exceed a window of %d twice", chunks, window)
+			}
+			var encoded, written, over atomic.Int64
+			release, done := make(chan struct{}), make(chan error, 1)
+			go func() {
+				done <- LiveStream(context.Background(), e, val, workers, initial.Schema().Names(), func(Chunk, []db.Tuple) {
+					if n := encoded.Add(1); n > written.Load()+window {
+						over.Store(n - written.Load())
+					}
+				}, func(ready []Chunk, _ bool) error {
+					<-release
+					written.Add(int64(len(ready)))
+					return nil
+				})
+			}()
+			for finished := false; !finished; {
+				time.Sleep(time.Millisecond) // the workers may run ahead while emit is held
+				select {
+				case release <- struct{}{}:
+				case err := <-done:
+					if err != nil {
+						t.Fatal(err)
+					}
+					finished = true
+				}
+			}
+			if n := over.Load(); n > 0 {
+				t.Errorf("workers=%d: a chunk was encoded %d ahead of emit, window %d", workers, n, window)
+			}
+			if encoded.Load() != int64(chunks) || written.Load() != int64(chunks) {
+				t.Errorf("workers=%d: %d chunks encoded and %d emitted, want %d", workers, encoded.Load(), written.Load(), chunks)
+			}
+		}
+	})
+
+	t.Run("cancelled in emit", func(t *testing.T) {
+		for _, workers := range []int{1, 2, 3} {
+			base := runtime.NumGoroutine()
+			ctx, cancel := context.WithCancel(context.Background())
+			entered, release, done := make(chan struct{}), make(chan struct{}), make(chan error, 1)
+			calls := 0
+			go func() {
+				done <- LiveStream(ctx, e, val, workers, initial.Schema().Names(), func(Chunk, []db.Tuple) {}, func([]Chunk, bool) error {
+					if calls++; calls == 2 { // past the first window, chunks remain
+						close(entered)
+						<-release
+					}
+					return nil
+				})
+			}()
+			<-entered
+			cancel()
+			close(release)
+			if err := <-done; !errors.Is(err, context.Canceled) {
+				t.Errorf("workers=%d: a pass cancelled in emit returned %v", workers, err)
+			}
+			if calls != 2 {
+				t.Errorf("workers=%d: emit called %d times, the pass should have ended at the second", workers, calls)
+			}
+			waitGoroutines(t, base)
+		}
+	})
+
+	t.Run("orders", func(t *testing.T) {
+		env := upstruct.MapEnv(map[core.Annot]bool{core.TupleAnnot("t3"): false}, true)
+		want := BoolRestrict(e, env)
+		for order, rels := range relationOrders(initial.Schema()) {
+			for _, workers := range []int{1, 2, 7} {
+				got, err := streamKeys(t, context.Background(), e, val, workers, rels)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !slices.Equal(got, tupleKeys(want, rels...)) {
+					t.Errorf("%s order, workers=%d: the stream's tuples differ from BoolRestrict's in that order", order, workers)
+				}
+			}
+		}
+	})
 }

@@ -5,9 +5,10 @@ package server
 // Allocation gate for the what-if read path, next to the engine's
 // 0-allocs/op point-read gates (internal/engine/alloc_test.go). The
 // claim: one what-if allocates per request and per worker — request
-// decode, the valuation map, the chunk result and part lists, worker
-// scratch — and nothing per row, so ten times the rows cost (almost)
-// the same number of allocations once the buffer pools are warm. Not
+// decode, the valuation map, the window's slots and channels, worker
+// scratch — and nothing per row or per chunk, so ten times the rows
+// cost (almost) the same number of allocations once the buffer pools
+// are warm, and (almost) the same bytes when they are cold. Not
 // built under the race detector, whose sync.Pool drops a quarter of
 // the puts on purpose.
 
@@ -42,6 +43,7 @@ func (w *discardWriter) WriteHeader(status int)      { w.status = status }
 func (w *discardWriter) Write(p []byte) (int, error) { w.n += len(p); return len(p), nil }
 
 func TestWhatIfAllocsIndependentOfRows(t *testing.T) {
+	var coldBytes [2]uint64
 	measure := func(tuples int) (allocs float64, bodyBytes int) {
 		initial, txns, err := workload.Generate(workload.Config{
 			Tuples: tuples, Pool: tuples / 50, Group: 1, Updates: tuples / 5,
@@ -67,6 +69,16 @@ func TestWhatIfAllocsIndependentOfRows(t *testing.T) {
 		if w.status != http.StatusOK || w.n < tuples {
 			t.Fatalf("%d tuples: what-if answered %d with %d bytes", tuples, w.status, w.n)
 		}
+		// Cold pools: the first collection moves every sync.Pool's
+		// contents to its victim cache, the second drops them, so this
+		// what-if pays for every buffer and kernel it uses.
+		runtime.GC()
+		runtime.GC()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		run()
+		runtime.ReadMemStats(&after)
+		coldBytes[min(tuples/100_000, 1)] = after.TotalAlloc - before.TotalAlloc
 		// A collection in the middle would empty the pools and charge
 		// the refill to whichever size was being measured.
 		defer debug.SetGCPercent(debug.SetGCPercent(-1))
@@ -77,6 +89,16 @@ func TestWhatIfAllocsIndependentOfRows(t *testing.T) {
 	t.Logf("allocs per what-if: %.0f over 10k rows (%d-byte body), %.0f over 100k rows (%d-byte body)", small, smallBytes, large, largeBytes)
 	if large-small > 8 {
 		t.Errorf("a what-if over 100k rows allocates %.0f times, over 10k rows %.0f: something allocates per row or per chunk", large, small)
+	}
+	// With cold pools a what-if allocates its window, not its body: one
+	// buffer per chunk was ≈ 7.7 MB over 100k rows.
+	smallCold, largeCold := int64(coldBytes[0]), int64(coldBytes[1])
+	t.Logf("bytes per what-if with cold pools: %d over 10k rows, %d over 100k rows", smallCold, largeCold)
+	if largeCold > 1<<20 {
+		t.Errorf("a what-if over 100k rows (a %d-byte body) allocates %d bytes with cold pools, want at most 1 MiB", largeBytes, largeCold)
+	}
+	if d := largeCold - smallCold; d > 256<<10 || d < -256<<10 {
+		t.Errorf("with cold pools a what-if allocates %d bytes over 100k rows and %d over 10k: more than 256 KiB apart", largeCold, smallCold)
 	}
 }
 

@@ -257,6 +257,8 @@ func TestWhatifStatsSection(t *testing.T) {
 		"whatifRowsEvaluated": 3 * 4, // the four Products rows, every time
 		"whatifRowsLive":      4 + 3 + 4,
 		"whatifWorkers":       9,
+		"whatifStreamed":      0, // four rows fit the first window
+		"whatifAborted":       0,
 	}
 	for name, v := range want {
 		if got[name] != v {

@@ -1,12 +1,13 @@
 package server
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"net/http"
 	"runtime"
 	"slices"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -18,18 +19,17 @@ import (
 
 // The what-if read path. /v1/db, /v1/whatif/deletion and
 // /v1/whatif/abort all answer "the database under this Boolean
-// valuation", and all through serveLive: engine.LiveChunks evaluates
-// the pinned MVCC view chunk by chunk, and each worker appends the
-// JSON of its chunk's live tuples straight into a pooled byte buffer —
-// no db.Database, no [][]any, no reflective encoder. When every chunk
-// is done the handler knows the body length, so errors and
-// cancellation up to that point still answer their typed envelopes;
-// then it writes Content-Length and the buffers in order. The bytes
-// are those json.Encoder (SetEscapeHTML(false)) produced for the
-// databaseJSON struct this replaces — the test oracle keeps that
-// rendering and the differential suite compares byte for byte.
+// valuation", and all through serveLive: engine.LiveStream evaluates
+// the pinned MVCC view chunk by chunk in the body's relation order, each
+// worker appends its chunk's live tuples as JSON to its window slot's
+// pooled buffer, and the handler writes each chunk as soon as it is
+// next. A body that ends inside the first window goes out with
+// Content-Length, and errors up to then answer typed envelopes; a longer
+// one goes out chunked, and an error after its first byte aborts the
+// connection. The bytes are json.Encoder's (SetEscapeHTML(false)) for
+// databaseJSON, the oracle the differential suite compares against.
 
-// liveBufCap sizes a fresh chunk buffer: a 1024-row chunk of a narrow
+// liveBufCap sizes a fresh slot buffer: a 1024-row chunk of a narrow
 // relation encodes to about half of it. liveBufKeep caps what goes
 // back to the pool, so one wide relation does not pin megabytes per
 // pooled buffer forever.
@@ -45,44 +45,99 @@ var liveBufPool = sync.Pool{
 	},
 }
 
-// liveChunk is one chunk's share of the response: `,[v,…]` per live
-// tuple (the writer drops a relation's leading comma).
-type liveChunk struct {
-	rel  string
+// liveSlot is one window slot: `,[v,…]` per live tuple of its last chunk
+// (the writer drops a relation's leading comma), in a buffer taken from
+// the pool at its first chunk and reused for every later one.
+type liveSlot struct {
 	buf  *[]byte
 	live int
-	rows int
 	err  error
 }
 
-func releaseLiveChunks(chunks []liveChunk) {
-	for _, c := range chunks {
-		if cap(*c.buf) <= liveBufKeep {
-			*c.buf = (*c.buf)[:0]
-			liveBufPool.Put(c.buf)
-		}
+// encode renders a chunk's live tuples on the worker that evaluated it.
+func (sl *liveSlot) encode(rel *db.RelationSchema, live []db.Tuple) {
+	if sl.buf == nil {
+		sl.buf = liveBufPool.Get().(*[]byte)
 	}
-}
-
-// encodeLiveChunk renders one chunk on the worker that evaluated it.
-func encodeLiveChunk(rel *db.RelationSchema, c engine.Chunk, live []db.Tuple) liveChunk {
-	out := liveChunk{rel: c.Rel, buf: liveBufPool.Get().(*[]byte), live: len(live), rows: c.Rows}
-	b := *out.buf
+	b := (*sl.buf)[:0]
+	sl.live, sl.err = len(live), nil
 	for _, t := range live {
 		b = append(b, ',')
 		var bad int
-		if b, bad = t.AppendJSON(b); bad >= 0 && out.err == nil {
-			out.err = fmt.Errorf("relation %s attribute %s: float value %v has no JSON encoding", rel.Name, rel.Attrs[bad].Name, t[bad])
+		if b, bad = t.AppendJSON(b); bad >= 0 && sl.err == nil {
+			sl.err = fmt.Errorf("relation %s attribute %s: float value %v has no JSON encoding", rel.Name, rel.Attrs[bad].Name, t[bad])
 		}
 	}
-	*out.buf = b
-	return out
+	*sl.buf = b
+}
+
+// liveBody renders the body around the slot buffers as chunks arrive in
+// sorted relation order: each relation is opened by its first chunk or a
+// later relation's, so an empty relation gets its glue too.
+type liveBody struct {
+	schema     *db.Schema
+	names      []string // sorted
+	opened     int      // relations whose glue is out
+	begun      bool     // the header and the body's first bytes are out
+	first      bool     // the open relation has no tuple out yet
+	rows, live int
+	glue       []byte
+}
+
+func (lb *liveBody) openNext() {
+	if lb.opened > 0 {
+		lb.glue = append(lb.glue, `]},`...)
+	}
+	rel := lb.schema.Relation(lb.names[lb.opened])
+	lb.glue = append(db.AppendJSONString(lb.glue, rel.Name), `:{"attrs":[`...)
+	for j, a := range rel.Attrs {
+		if j > 0 {
+			lb.glue = append(lb.glue, ',')
+		}
+		lb.glue = db.AppendJSONString(lb.glue, a.Name)
+	}
+	lb.glue = append(lb.glue, `],"tuples":[`...)
+	lb.opened, lb.first = lb.opened+1, true
+}
+
+// put passes the bytes of ready, and with !more the body's tail, to out.
+func (lb *liveBody) put(slots []liveSlot, ready []engine.Chunk, more bool, out func([]byte)) {
+	if !lb.begun {
+		lb.glue, lb.begun = append(lb.glue, `{"relations":{`...), true
+	}
+	for _, c := range ready {
+		for lb.opened == 0 || lb.names[lb.opened-1] != c.Rel {
+			lb.openNext()
+		}
+		sl := &slots[c.Slot]
+		lb.rows, lb.live = lb.rows+c.Rows, lb.live+sl.live
+		if b := *sl.buf; len(b) > 0 {
+			if lb.first {
+				b, lb.first = b[1:], false
+			}
+			out(lb.glue)
+			out(b)
+			lb.glue = lb.glue[:0]
+		}
+	}
+	if !more {
+		for lb.opened < len(lb.names) {
+			lb.openNext()
+		}
+		if lb.opened > 0 {
+			lb.glue = append(lb.glue, `]}`...)
+		}
+		lb.glue = strconv.AppendInt(append(lb.glue, `},"numTuples":`...), int64(lb.live), 10)
+		lb.glue = append(lb.glue, '}', '\n')
+	}
+	out(lb.glue)
+	lb.glue = lb.glue[:0]
 }
 
 // whatifStats accumulates the kernel's per-request measurements (see
 // collectWhatifStats for the field meanings).
 type whatifStats struct {
-	requests, rowsEvaluated, rowsLive, respBytes, evalEncodeUs, writeUs, workers atomic.Int64
+	requests, rowsEvaluated, rowsLive, respBytes, evalEncodeUs, writeUs, workers, streamed, aborted atomic.Int64
 }
 
 // serveLive answers the database selected by val over e — the live
@@ -100,118 +155,84 @@ func (s *Server) serveLive(w http.ResponseWriter, req *http.Request, e engine.Re
 	if workers == 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	start := time.Now()
-	schema := e.Schema()
-	chunks, err := engine.LiveChunks(req.Context(), e, val, workers, func(c engine.Chunk, live []db.Tuple) liveChunk {
-		return encodeLiveChunk(schema.Relation(c.Rel), c, live)
-	})
-	if err != nil {
+	start, schema := time.Now(), e.Schema()
+	body := liveBody{schema: schema, names: slices.Clone(schema.Names()), glue: make([]byte, 0, 512)}
+	slices.Sort(body.names)
+	slots := make([]liveSlot, engine.StreamWindow(workers))
+	defer func() {
+		for _, sl := range slots {
+			if sl.buf != nil && cap(*sl.buf) <= liveBufKeep {
+				*sl.buf = (*sl.buf)[:0]
+				liveBufPool.Put(sl.buf)
+			}
+		}
+	}()
+	var size int
+	var inWrite time.Duration
+	var werr error // the first failed write; later ones are skipped
+	write := func(p []byte) {
+		if werr == nil && len(p) > 0 {
+			t := time.Now()
+			var n int
+			n, werr = w.Write(p)
+			inWrite, size = inWrite+time.Since(t), size+n
+		}
+	}
+	streamed := false
+	err = engine.LiveStream(req.Context(), e, val, workers, body.names,
+		func(c engine.Chunk, live []db.Tuple) { slots[c.Slot].encode(schema.Relation(c.Rel), live) },
+		func(ready []engine.Chunk, more bool) error {
+			for _, c := range ready {
+				if err := slots[c.Slot].err; err != nil {
+					return err
+				}
+			}
+			if !body.begun { // the first window: the header goes first
+				w.Header()["Content-Type"] = jsonContentType
+				if streamed = more; !more {
+					n, dry := 0, body // put keeps nothing in glue between calls, so a copy may share it
+					dry.put(slots, ready, false, func(p []byte) { n += len(p) })
+					w.Header().Set("Content-Length", strconv.Itoa(n))
+				}
+				w.WriteHeader(http.StatusOK)
+			}
+			body.put(slots, ready, more, write)
+			return werr
+		})
+	st := &s.whatif
+	switch {
+	case err == nil:
+	case body.begun:
+		// The 200 header is out: an envelope now would make a body that
+		// half-parses. Abort; the client reads a truncated body.
+		st.aborted.Add(1)
+		panic(http.ErrAbortHandler)
+	case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
 		writeContextError(w, err)
 		return
+	default:
+		writeError(w, http.StatusInternalServerError, codeInternal, "encoding response: %v", err)
+		return
 	}
-	defer releaseLiveChunks(chunks)
-	evalEncode := time.Since(start)
-
-	// Chunks arrive in schema order, one contiguous run per relation;
-	// the body lists relations by sorted name.
-	type relRun struct {
-		schema *db.RelationSchema
-		lo, hi int
-	}
-	runs := make([]relRun, 0, len(schema.Names()))
-	rows, live, next := 0, 0, 0
-	for _, name := range schema.Names() {
-		run := relRun{schema: schema.Relation(name), lo: next}
-		for ; next < len(chunks) && chunks[next].rel == name; next++ {
-			c := &chunks[next]
-			if c.err != nil {
-				writeError(w, http.StatusInternalServerError, codeInternal, "encoding response: %v", c.err)
-				return
-			}
-			rows += c.rows
-			live += c.live
-		}
-		run.hi = next
-		runs = append(runs, run)
-	}
-	slices.SortFunc(runs, func(a, b relRun) int { return strings.Compare(a.schema.Name, b.schema.Name) })
-
-	// The glue between chunk buffers is appended to one small buffer
-	// and sliced as it grows; a reallocation leaves earlier slices on
-	// the old array, which nothing mutates.
-	glue := make([]byte, 0, 512)
-	parts := make([][]byte, 0, len(chunks)+len(runs)+1)
-	size := 0
-	cut := func(from int) {
-		parts = append(parts, glue[from:])
-		size += len(glue) - from
-	}
-	glue = append(glue, `{"relations":{`...)
-	from := 0
-	for i, run := range runs {
-		if i > 0 {
-			glue = append(glue, `]},`...)
-		}
-		glue = db.AppendJSONString(glue, run.schema.Name)
-		glue = append(glue, `:{"attrs":[`...)
-		for j, a := range run.schema.Attrs {
-			if j > 0 {
-				glue = append(glue, ',')
-			}
-			glue = db.AppendJSONString(glue, a.Name)
-		}
-		glue = append(glue, `],"tuples":[`...)
-		cut(from)
-		from = len(glue)
-		first := true
-		for _, c := range chunks[run.lo:run.hi] {
-			b := *c.buf
-			if len(b) == 0 {
-				continue
-			}
-			if first {
-				b, first = b[1:], false
-			}
-			parts = append(parts, b)
-			size += len(b)
-		}
-	}
-	if len(runs) > 0 {
-		glue = append(glue, `]}`...)
-	}
-	glue = append(glue, `},"numTuples":`...)
-	glue = strconv.AppendInt(glue, int64(live), 10)
-	glue = append(glue, '}', '\n')
-	cut(from)
-
-	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set("Content-Length", strconv.Itoa(size))
-	w.WriteHeader(http.StatusOK)
-	writeStart := time.Now()
-	for _, p := range parts {
-		if _, err := w.Write(p); err != nil {
-			// The client is gone or the write deadline passed; net/http
-			// closes a connection whose body fell short of Content-Length.
-			break
-		}
-	}
-
-	st := &s.whatif
 	st.requests.Add(1)
-	st.rowsEvaluated.Add(int64(rows))
-	st.rowsLive.Add(int64(live))
+	st.rowsEvaluated.Add(int64(body.rows))
+	st.rowsLive.Add(int64(body.live))
 	st.respBytes.Add(int64(size))
-	st.evalEncodeUs.Add(evalEncode.Microseconds())
-	st.writeUs.Add(time.Since(writeStart).Microseconds())
+	st.evalEncodeUs.Add((time.Since(start) - inWrite).Microseconds())
+	st.writeUs.Add(inWrite.Microseconds())
 	st.workers.Add(int64(workers))
+	if streamed {
+		st.streamed.Add(1)
+	}
 }
 
 // collectWhatifStats reports the what-if read path's cumulative
 // counters, updated once per answered /v1/db, /v1/whatif/deletion or
-// /v1/whatif/abort request: requests served, rows evaluated and rows
-// live among them, body bytes, microseconds in evaluate-and-encode and
-// in writing the body, and the worker counts summed (divide by
-// whatifRequests for the means).
+// /v1/whatif/abort request: requests, rows evaluated and live, body
+// bytes, microseconds waiting for the next chunk and inside Write
+// (together the body time), worker counts summed (divide by
+// whatifRequests), and responses sent chunked. whatifAborted counts
+// connections aborted after the first byte, which count nowhere else.
 func collectWhatifStats(s *Server, e engine.DB, out map[string]any) {
 	for name, v := range s.whatif.snapshot() {
 		out[name] = v
@@ -227,5 +248,7 @@ func (st *whatifStats) snapshot() map[string]int64 {
 		"whatifEvalEncodeUs":  st.evalEncodeUs.Load(),
 		"whatifWriteUs":       st.writeUs.Load(),
 		"whatifWorkers":       st.workers.Load(),
+		"whatifStreamed":      st.streamed.Load(),
+		"whatifAborted":       st.aborted.Load(),
 	}
 }

@@ -4,20 +4,25 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"math"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"regexp"
+	"runtime"
 	"strconv"
 	"strings"
 	"testing"
+	"time"
 
 	"hyperprov/internal/core"
 	"hyperprov/internal/db"
 	"hyperprov/internal/engine"
 	"hyperprov/internal/upstruct"
+	"hyperprov/internal/workload"
 )
 
 // nastyStrings are the payloads encoding/json treats specially: quotes
@@ -163,8 +168,11 @@ func oracleBody(d *db.Database) []byte {
 // engine → dbJSON → json.Encoder) over seeded random schemas and
 // values × {plain engine, wal.Store, wal.Follower} × {live,
 // ?as_of=} × workers {1,2,7} × the three endpoints, with
-// Content-Length set to the body's length.
+// Content-Length set to the body's length when the body fits the first
+// window and absent (a chunked body) when it does not. At workers=7
+// every body fits; at 1 and 2 the "big" relation passes the window.
 func TestLiveJSONDifferential(t *testing.T) {
+	covered := map[bool]bool{}
 	for _, seed := range []int64{1, 2, 3} {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
@@ -235,8 +243,21 @@ func TestLiveJSONDifferential(t *testing.T) {
 								t.Fatalf("%s: body differs from the oracle at byte %d:\n got …%q\nwant …%q",
 									name, firstDiff(got, want), around(got, firstDiff(got, want)), around(want, firstDiff(got, want)))
 							}
-							if cl := rec.Header().Get("Content-Length"); cl != strconv.Itoa(len(want)) {
-								t.Fatalf("%s: Content-Length %q, body has %d bytes", name, cl, len(want))
+							r := engine.Reader(eng.e)
+							if past {
+								r = eng.e.At(engine.EpochSeq(asOf(eng.e)))
+							}
+							fits := chunksOf(t, r) <= engine.StreamWindow(workers)
+							covered[fits] = true
+							wantCL := ""
+							if fits {
+								wantCL = strconv.Itoa(len(want))
+							}
+							if cl := rec.Header().Get("Content-Length"); cl != wantCL {
+								t.Fatalf("%s: Content-Length %q with a %d-byte body that fits the first window: %v", name, cl, len(want), fits)
+							}
+							if fits != (workers == 7) {
+								t.Fatalf("%s: the body fits the first window: %v; the test wants it to exactly at workers=7", name, fits)
 							}
 							if !numTuplesLast.Match(rec.Body.Bytes()) {
 								t.Fatalf("%s: numTuples is not the final field", name)
@@ -248,6 +269,21 @@ func TestLiveJSONDifferential(t *testing.T) {
 			}
 		})
 	}
+	if !covered[true] || !covered[false] {
+		t.Errorf("bodies that fit the first window covered: %v, bodies streamed past it: %v", covered[true], covered[false])
+	}
+}
+
+// chunksOf counts the chunks a stream over r cuts.
+func chunksOf(t *testing.T, r engine.Reader) int {
+	t.Helper()
+	n := 0
+	err := engine.LiveStream(context.Background(), r, upstruct.Dead(), 1, r.Schema().Names(),
+		func(engine.Chunk, []db.Tuple) {}, func(ready []engine.Chunk, _ bool) error { n += len(ready); return nil })
+	if err != nil {
+		t.Fatal(err)
+	}
+	return n
 }
 
 // numTuplesLast matches a body whose final field is the tuple count —
@@ -323,4 +359,111 @@ func TestUnencodableFloatAnswers500(t *testing.T) {
 		ts.Close()
 		srv.Close()
 	}
+}
+
+// TestWhatIfErrorAfterFirstByteAborts: a NaN in a row past the first
+// window is found after the 200 header and the first chunks are on the
+// wire. The connection is aborted, so the client's read of the chunked
+// body fails instead of returning a body that parses, whatifAborted
+// counts it, and the server goes on answering.
+func TestWhatIfErrorAfterFirstByteAborts(t *testing.T) {
+	const rows, bad = 5000, 4500 // the bad row is in chunk 4; the window at workers=2 is chunks 0–3
+	nan, err := db.ParseValue(db.KindFloat, "NaN")
+	if err != nil {
+		t.Fatal(err)
+	}
+	schema := db.MustSchema(db.MustRelationSchema("Readings",
+		db.Attribute{Name: "sensor", Kind: db.KindString},
+		db.Attribute{Name: "celsius", Kind: db.KindFloat}))
+	d := db.NewDatabase(schema)
+	for i := 0; i < rows; i++ {
+		v := db.F(20 + float64(i%10)/4)
+		if i == bad {
+			v = nan
+		}
+		if err := d.InsertTuple("Readings", db.Tuple{db.S(fmt.Sprintf("s%05d", i)), v}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if engine.StreamWindow(2) > bad/1024 {
+		t.Fatalf("the bad row's chunk %d is inside the first window of %d", bad/1024, engine.StreamWindow(2))
+	}
+	srv := New(engine.New(engine.ModeNormalForm, d), WithLogf(t.Logf))
+	defer srv.Close()
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	resp, err := ts.Client().Get(ts.URL + "/v1/db?workers=2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK || resp.ContentLength != -1 {
+		t.Fatalf("/v1/db answered %d with Content-Length %d, want a chunked 200", resp.StatusCode, resp.ContentLength)
+	}
+	if !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Fatalf("reading the body: %v after %d bytes, want io.ErrUnexpectedEOF", err, len(got))
+	}
+	if json.Valid(got) {
+		t.Fatalf("the truncated body parses")
+	}
+	if n := srv.whatif.aborted.Load(); n != 1 {
+		t.Errorf("whatifAborted = %d, want 1", n)
+	}
+	// The what-if without the bad row streams whole.
+	resp = postJSON(t, ts.Client(), ts.URL+"/v1/whatif/deletion?workers=2", deletionRequest{Tuples: []string{fmt.Sprintf("t%d", bad)}})
+	if got := decode[databaseJSON](t, resp); resp.StatusCode != http.StatusOK || got.NumTuples != rows-1 {
+		t.Fatalf("deletion of the bad tuple answered %d with %d tuples", resp.StatusCode, got.NumTuples)
+	}
+	if n := srv.whatif.streamed.Load(); n != 1 {
+		t.Errorf("whatifStreamed = %d, want 1", n)
+	}
+}
+
+// TestWhatIfStreamClientGone: a client that reads the first KiB of a
+// 100 k-row what-if and hangs up neither keeps the handler running nor
+// leaves a worker behind.
+func TestWhatIfStreamClientGone(t *testing.T) {
+	initial, txns, err := workload.Generate(workload.Config{
+		Tuples: 100_000, Pool: 2000, Group: 1, Updates: 20, QueriesPerTxn: 1, MergeRatio: 0.1, Seed: 7,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := engine.New(engine.ModeNormalForm, initial)
+	if err := e.ApplyAll(context.Background(), txns); err != nil {
+		t.Fatal(err)
+	}
+	srv := New(e, WithLogf(t.Logf))
+	defer srv.Close()
+	returned := make(chan struct{}, 1)
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
+		defer func() { returned <- struct{}{} }()
+		srv.Handler().ServeHTTP(w, req)
+	}))
+	defer ts.Close()
+	client := &http.Client{Transport: &http.Transport{DisableKeepAlives: true}}
+	base := runtime.NumGoroutine()
+
+	resp, err := client.Post(ts.URL+"/v1/whatif/abort?workers=2", "application/json",
+		strings.NewReader(`{"labels":["`+txns[0].Label+`"]}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := io.ReadFull(resp.Body, make([]byte, 1024)); err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d, reading the first KiB: %v", resp.StatusCode, err)
+	}
+	resp.Body.Close()
+	select {
+	case <-returned:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the handler is still running after the client hung up")
+	}
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > base; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines, %d before the request", runtime.NumGoroutine(), base)
+		}
+	}
+	t.Logf("whatifAborted = %d, whatifRequests = %d", srv.whatif.aborted.Load(), srv.whatif.requests.Load())
 }
