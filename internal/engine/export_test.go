@@ -6,6 +6,10 @@ import "fmt"
 // size tables around it.
 const ColChunk = colChunk
 
+// StreamWindow is the number of slots of a LiveStream pass over workers
+// (> 0) goroutines.
+func StreamWindow(workers int) int { return streamWindowPerWorker * workers }
+
 // ListsOutOfSeqOrder names the first table list that is not strictly
 // increasing in row sequence number, or returns "".
 func ListsOutOfSeqOrder(e *Engine) string {

@@ -125,29 +125,21 @@ func SpecializeParallel[T any](ctx context.Context, e Reader, s upstruct.Structu
 }
 
 // Chunk is one piece of a LiveStream pass: up to walkChunkRows rows of
-// relation Rel (Rows counts them, live or not), encoded into window slot
-// Slot, which takes no other chunk until emit has returned for this one.
-type Chunk struct {
-	Rel        string
-	Rows, Slot int
+// relation Rel (Rows counts them, live or not), encoded into Slot, one
+// of the window's slots, which the stream owns and hands no other chunk
+// until emit has returned for this one.
+type Chunk[S any] struct {
+	Rel  string
+	Rows int
+	Slot *S
 }
 
-// streamWindowPerWorker sets the stream's lookahead. BenchmarkWhatIf/warm
-// (2 vCPU Xeon, median of 6 alternating runs) reads 1×, 2× and 4×
-// workers at 28.9 / 28.4 / 28.7 ms on -cpu 1 and 19.3 / 19.1 / 18.7 ms on
-// -cpu 2, inside the spread; cold pools cost 254 / 385 / 648 kB on -cpu 2.
-// 2× is the least that leaves every worker a chunk while the writer
-// holds one.
+// streamWindowPerWorker sets the stream's lookahead in chunks per worker.
+// BenchmarkWhatIf's ns/op does not tell 1×, 2× and 4× apart; over the
+// wire (bench/e2e whatif_read, 2 vCPU Xeon, 20 alternating pairs) 2×
+// reads read_p50_ms 33.0 ms to 1×'s 35.7, lower in 15 of 20, for 28.7 kB
+// allocated per what-if to 25.0.
 const streamWindowPerWorker = 2
-
-// StreamWindow is the number of slots of a LiveStream pass over workers
-// goroutines (0 = GOMAXPROCS).
-func StreamWindow(workers int) int {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	return streamWindowPerWorker * workers
-}
 
 // streamScratch is one stream worker's valuation kernel and live-tuple
 // slice. scratchPool recycles both, so a request's memo pages are
@@ -169,15 +161,17 @@ func (sc *streamScratch) put() {
 // LiveStream evaluates the Boolean valuation val over every row r sees
 // and streams the live tuples chunk by chunk, relations in the order
 // rels lists them, rows in insertion order. encode runs on the worker
-// that evaluated a chunk (its live tuples are valid during the call);
-// emit runs on the caller's goroutine and gets the chunks in order, the
-// first window (or all, if fewer) at once, then each as soon as it is
-// next, more telling whether chunks follow. Workers, each on a pooled
-// upstruct.Kernel, run at most StreamWindow(workers) chunks ahead of
-// emit. Horizon pinning, workers and ctx behave as in SpecializeParallel;
-// the pass ends at emit's first error or ctx.Err(), once every worker
-// has exited.
-func LiveStream(ctx context.Context, r Reader, val *upstruct.Valuation, workers int, rels []string, encode func(c Chunk, live []db.Tuple), emit func(ready []Chunk, more bool) error) error {
+// that evaluated a chunk and renders its live tuples (valid during the
+// call) into the chunk's slot; emit runs on the caller's goroutine and
+// gets the chunks in order, the first window (or all, if fewer) at once,
+// then each as soon as it is next, more telling whether chunks follow.
+// Workers, each on a pooled upstruct.Kernel, run at most a window of
+// streamWindowPerWorker × workers chunks ahead of emit. Horizon pinning,
+// workers and ctx behave as in SpecializeParallel; the pass ends at
+// emit's first error or ctx.Err(), once every worker has exited, and
+// hands back the window's slots so the caller can recycle what they
+// hold.
+func LiveStream[S any](ctx context.Context, r Reader, val *upstruct.Valuation, workers int, rels []string, encode func(c Chunk[S], live []db.Tuple), emit func(ready []Chunk[S], more bool) error) ([]S, error) {
 	return liveStream(ctx, r, workers, rels, func(sc *streamScratch) func(*core.NF) bool {
 		sc.k.Reset(val)
 		return sc.k.EvalNF
@@ -188,19 +182,25 @@ func LiveStream(ctx context.Context, r Reader, val *upstruct.Valuation, workers 
 // worker's on its scratch. Chunk i+window is dispatched once chunk i is
 // emitted, so slot i % window is free; idle workers wait on the work
 // queue, which the caller closes when it returns.
-func liveStream(ctx context.Context, r Reader, workers int, rels []string, newEval func(*streamScratch) func(*core.NF) bool, encode func(Chunk, []db.Tuple), emit func([]Chunk, bool) error) error {
+func liveStream[S any](ctx context.Context, r Reader, workers int, rels []string, newEval func(*streamScratch) func(*core.NF) bool, encode func(Chunk[S], []db.Tuple), emit func([]Chunk[S], bool) error) ([]S, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	if err := ctx.Err(); err != nil {
-		return err
+		return nil, err
 	}
-	window := StreamWindow(workers)
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	window := streamWindowPerWorker * workers
+	slots := make([]S, window)
 	p := r.view()
 	chunks := p.chunks(rels)
 	defer putChunkBuf(chunks)
 	n := len(chunks)
-	at := func(i int) Chunk { return Chunk{Rel: chunks[i].rel, Rows: len(chunks[i].rows), Slot: i % window} }
+	at := func(i int) Chunk[S] {
+		return Chunk[S]{Rel: chunks[i].rel, Rows: len(chunks[i].rows), Slot: &slots[i%window]}
+	}
 	ctx, cancel := context.WithCancel(ctx)
 	work, ready := make(chan int, window), make([]chan struct{}, window) // a window at most is dispatched and not emitted
 	for s := range ready {
@@ -226,7 +226,7 @@ func liveStream(ctx context.Context, r Reader, workers int, rels []string, newEv
 		ready[i%window] <- struct{}{}
 	}
 	dispatch := func(i int) { work <- i }
-	if workers = min(window/streamWindowPerWorker, n); workers <= 1 { // 0 resolved to GOMAXPROCS
+	if workers = min(workers, n); workers <= 1 {
 		sc := scratchPool.Get().(*streamScratch)
 		defer sc.put()
 		eval := newEval(sc)
@@ -246,7 +246,7 @@ func liveStream(ctx context.Context, r Reader, workers int, rels []string, newEv
 		}
 	}
 
-	batch := make([]Chunk, 0, min(window, n))
+	batch := make([]Chunk[S], 0, min(window, n))
 	for k, sent := 0, 0; ; {
 		for ; sent < min(k+window, n); sent++ {
 			dispatch(sent)
@@ -257,18 +257,18 @@ func liveStream(ctx context.Context, r Reader, workers int, rels []string, newEv
 			select {
 			case <-ready[j%window]:
 			case <-ctx.Done():
-				return ctx.Err()
+				return slots, ctx.Err()
 			}
 			batch = append(batch, at(j))
 		}
 		if err := emit(batch, hi < n); err != nil {
-			return err
+			return slots, err
 		}
 		if k = hi; k == n {
-			return nil
+			return slots, nil
 		}
 		if err := ctx.Err(); err != nil {
-			return err
+			return slots, err
 		}
 	}
 }
@@ -282,14 +282,13 @@ func liveStream(ctx context.Context, r Reader, workers int, rels []string, newEv
 // view or wrapper. env must be safe for concurrent use. On
 // cancellation, (nil, ctx.Err()) is returned.
 func BoolRestrictParallel(ctx context.Context, e Reader, env upstruct.Env[bool], workers int) (*db.Database, error) {
-	hits := make([][]db.Tuple, StreamWindow(workers))
 	out := db.NewDatabase(e.Schema())
 	eval := func(n *core.NF) bool { return upstruct.EvalNF(n, upstruct.Bool, env) }
-	err := liveStream(ctx, e, workers, e.Schema().Names(), func(*streamScratch) func(*core.NF) bool { return eval },
-		func(c Chunk, live []db.Tuple) { hits[c.Slot] = append(hits[c.Slot][:0], live...) },
-		func(ready []Chunk, _ bool) error {
+	_, err := liveStream(ctx, e, workers, e.Schema().Names(), func(*streamScratch) func(*core.NF) bool { return eval },
+		func(c Chunk[[]db.Tuple], live []db.Tuple) { *c.Slot = append((*c.Slot)[:0], live...) },
+		func(ready []Chunk[[]db.Tuple], _ bool) error {
 			for _, c := range ready {
-				for _, t := range hits[c.Slot] {
+				for _, t := range *c.Slot {
 					// Tuples stored by the engine conform by construction.
 					_ = out.InsertTuple(c.Rel, t)
 				}

@@ -93,16 +93,15 @@ func relationOrders(s *db.Schema) map[string][]string {
 func streamKeys(t *testing.T, ctx context.Context, r Reader, val *upstruct.Valuation, workers int, rels []string) ([]string, error) {
 	t.Helper()
 	window := StreamWindow(workers)
-	slots := make([][]string, window)
 	var got []string
 	calls, ended := 0, false
-	err := LiveStream(ctx, r, val, workers, rels, func(c Chunk, live []db.Tuple) {
-		keys := slots[c.Slot][:0]
+	slots, err := LiveStream(ctx, r, val, workers, rels, func(c Chunk[[]string], live []db.Tuple) {
+		keys := (*c.Slot)[:0]
 		for _, tp := range live {
 			keys = append(keys, c.Rel+"/"+tp.Key())
 		}
-		slots[c.Slot] = keys
-	}, func(ready []Chunk, more bool) error {
+		*c.Slot = keys
+	}, func(ready []Chunk[[]string], more bool) error {
 		if ended {
 			t.Errorf("emit called after more=false")
 		}
@@ -110,13 +109,16 @@ func streamKeys(t *testing.T, ctx context.Context, r Reader, val *upstruct.Valua
 			t.Errorf("emit call %d carried %d chunks (window %d, more %v)", calls, len(ready), window, more)
 		}
 		for _, c := range ready {
-			got = append(got, slots[c.Slot]...)
+			got = append(got, *c.Slot...)
 		}
 		ended = !more
 		return nil
 	})
 	if err == nil && !ended {
 		t.Errorf("the stream ended without more=false")
+	}
+	if err == nil && len(slots) != window {
+		t.Errorf("the stream handed back %d slots, window %d", len(slots), window)
 	}
 	return got, err
 }
@@ -219,9 +221,9 @@ func TestChunkWalkerCancellation(t *testing.T) {
 	allTrue := func(core.Annot) bool { return true }
 	for _, r := range []Reader{e, wrappedDB{DB: e, t: t}} {
 		visited := false
-		err := LiveStream(ctx, r, upstruct.Dead(), 2, e.Schema().Names(),
-			func(Chunk, []db.Tuple) { visited = true },
-			func([]Chunk, bool) error { visited = true; return nil })
+		_, err := LiveStream(ctx, r, upstruct.Dead(), 2, e.Schema().Names(),
+			func(Chunk[struct{}], []db.Tuple) { visited = true },
+			func([]Chunk[struct{}], bool) error { visited = true; return nil })
 		if !errors.Is(err, context.Canceled) || visited {
 			t.Errorf("%T: LiveStream on a cancelled context returned %v, visited=%v", r, err, visited)
 		}
@@ -269,15 +271,16 @@ func TestLiveStreamWindow(t *testing.T) {
 			var encoded, written, over atomic.Int64
 			release, done := make(chan struct{}), make(chan error, 1)
 			go func() {
-				done <- LiveStream(context.Background(), e, val, workers, initial.Schema().Names(), func(Chunk, []db.Tuple) {
+				_, err := LiveStream(context.Background(), e, val, workers, initial.Schema().Names(), func(Chunk[struct{}], []db.Tuple) {
 					if n := encoded.Add(1); n > written.Load()+window {
 						over.Store(n - written.Load())
 					}
-				}, func(ready []Chunk, _ bool) error {
+				}, func(ready []Chunk[struct{}], _ bool) error {
 					<-release
 					written.Add(int64(len(ready)))
 					return nil
 				})
+				done <- err
 			}()
 			for finished := false; !finished; {
 				time.Sleep(time.Millisecond) // the workers may run ahead while emit is held
@@ -306,13 +309,14 @@ func TestLiveStreamWindow(t *testing.T) {
 			entered, release, done := make(chan struct{}), make(chan struct{}), make(chan error, 1)
 			calls := 0
 			go func() {
-				done <- LiveStream(ctx, e, val, workers, initial.Schema().Names(), func(Chunk, []db.Tuple) {}, func([]Chunk, bool) error {
+				_, err := LiveStream(ctx, e, val, workers, initial.Schema().Names(), func(Chunk[struct{}], []db.Tuple) {}, func([]Chunk[struct{}], bool) error {
 					if calls++; calls == 2 { // past the first window, chunks remain
 						close(entered)
 						<-release
 					}
 					return nil
 				})
+				done <- err
 			}()
 			<-entered
 			cancel()

@@ -101,7 +101,7 @@ func (lb *liveBody) openNext() {
 }
 
 // put passes the bytes of ready, and with !more the body's tail, to out.
-func (lb *liveBody) put(slots []liveSlot, ready []engine.Chunk, more bool, out func([]byte)) {
+func (lb *liveBody) put(ready []engine.Chunk[liveSlot], more bool, out func([]byte)) {
 	if !lb.begun {
 		lb.glue, lb.begun = append(lb.glue, `{"relations":{`...), true
 	}
@@ -109,9 +109,8 @@ func (lb *liveBody) put(slots []liveSlot, ready []engine.Chunk, more bool, out f
 		for lb.opened == 0 || lb.names[lb.opened-1] != c.Rel {
 			lb.openNext()
 		}
-		sl := &slots[c.Slot]
-		lb.rows, lb.live = lb.rows+c.Rows, lb.live+sl.live
-		if b := *sl.buf; len(b) > 0 {
+		lb.rows, lb.live = lb.rows+c.Rows, lb.live+c.Slot.live
+		if b := *c.Slot.buf; len(b) > 0 {
 			if lb.first {
 				b, lb.first = b[1:], false
 			}
@@ -158,15 +157,6 @@ func (s *Server) serveLive(w http.ResponseWriter, req *http.Request, e engine.Re
 	start, schema := time.Now(), e.Schema()
 	body := liveBody{schema: schema, names: slices.Clone(schema.Names()), glue: make([]byte, 0, 512)}
 	slices.Sort(body.names)
-	slots := make([]liveSlot, engine.StreamWindow(workers))
-	defer func() {
-		for _, sl := range slots {
-			if sl.buf != nil && cap(*sl.buf) <= liveBufKeep {
-				*sl.buf = (*sl.buf)[:0]
-				liveBufPool.Put(sl.buf)
-			}
-		}
-	}()
 	var size int
 	var inWrite time.Duration
 	var werr error // the first failed write; later ones are skipped
@@ -179,11 +169,11 @@ func (s *Server) serveLive(w http.ResponseWriter, req *http.Request, e engine.Re
 		}
 	}
 	streamed := false
-	err = engine.LiveStream(req.Context(), e, val, workers, body.names,
-		func(c engine.Chunk, live []db.Tuple) { slots[c.Slot].encode(schema.Relation(c.Rel), live) },
-		func(ready []engine.Chunk, more bool) error {
+	slots, err := engine.LiveStream(req.Context(), e, val, workers, body.names,
+		func(c engine.Chunk[liveSlot], live []db.Tuple) { c.Slot.encode(schema.Relation(c.Rel), live) },
+		func(ready []engine.Chunk[liveSlot], more bool) error {
 			for _, c := range ready {
-				if err := slots[c.Slot].err; err != nil {
+				if err := c.Slot.err; err != nil {
 					return err
 				}
 			}
@@ -191,14 +181,23 @@ func (s *Server) serveLive(w http.ResponseWriter, req *http.Request, e engine.Re
 				w.Header()["Content-Type"] = jsonContentType
 				if streamed = more; !more {
 					n, dry := 0, body // put keeps nothing in glue between calls, so a copy may share it
-					dry.put(slots, ready, false, func(p []byte) { n += len(p) })
+					dry.put(ready, false, func(p []byte) { n += len(p) })
 					w.Header().Set("Content-Length", strconv.Itoa(n))
 				}
 				w.WriteHeader(http.StatusOK)
+				if more { // chunked even if net/http could size it; a failed flush fails the next write
+					_ = http.NewResponseController(w).Flush()
+				}
 			}
-			body.put(slots, ready, more, write)
+			body.put(ready, more, write)
 			return werr
 		})
+	for _, sl := range slots {
+		if sl.buf != nil && cap(*sl.buf) <= liveBufKeep {
+			*sl.buf = (*sl.buf)[:0]
+			liveBufPool.Put(sl.buf)
+		}
+	}
 	st := &s.whatif
 	switch {
 	case err == nil:

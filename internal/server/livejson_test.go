@@ -247,7 +247,8 @@ func TestLiveJSONDifferential(t *testing.T) {
 							if past {
 								r = eng.e.At(engine.EpochSeq(asOf(eng.e)))
 							}
-							fits := chunksOf(t, r) <= engine.StreamWindow(workers)
+							first, chunks := firstWindow(t, r, workers)
+							fits := first == chunks
 							covered[fits] = true
 							wantCL := ""
 							if fits {
@@ -274,16 +275,23 @@ func TestLiveJSONDifferential(t *testing.T) {
 	}
 }
 
-// chunksOf counts the chunks a stream over r cuts.
-func chunksOf(t *testing.T, r engine.Reader) int {
+// firstWindow reports how many chunks the first emit of a stream over r
+// with workers carries (its first window, or every chunk) and how many
+// the stream cuts.
+func firstWindow(t *testing.T, r engine.Reader, workers int) (first, chunks int) {
 	t.Helper()
-	n := 0
-	err := engine.LiveStream(context.Background(), r, upstruct.Dead(), 1, r.Schema().Names(),
-		func(engine.Chunk, []db.Tuple) {}, func(ready []engine.Chunk, _ bool) error { n += len(ready); return nil })
+	_, err := engine.LiveStream(context.Background(), r, upstruct.Dead(), workers, r.Schema().Names(),
+		func(engine.Chunk[struct{}], []db.Tuple) {}, func(ready []engine.Chunk[struct{}], _ bool) error {
+			if chunks == 0 {
+				first = len(ready)
+			}
+			chunks += len(ready)
+			return nil
+		})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return n
+	return first, chunks
 }
 
 // numTuplesLast matches a body whose final field is the tuple count —
@@ -385,10 +393,11 @@ func TestWhatIfErrorAfterFirstByteAborts(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if engine.StreamWindow(2) > bad/1024 {
-		t.Fatalf("the bad row's chunk %d is inside the first window of %d", bad/1024, engine.StreamWindow(2))
+	e := engine.New(engine.ModeNormalForm, d)
+	if first, _ := firstWindow(t, e, 2); first > bad/1024 {
+		t.Fatalf("the bad row's chunk %d is inside the first window of %d", bad/1024, first)
 	}
-	srv := New(engine.New(engine.ModeNormalForm, d), WithLogf(t.Logf))
+	srv := New(e, WithLogf(t.Logf))
 	defer srv.Close()
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
@@ -418,6 +427,20 @@ func TestWhatIfErrorAfterFirstByteAborts(t *testing.T) {
 	}
 	if n := srv.whatif.streamed.Load(); n != 1 {
 		t.Errorf("whatifStreamed = %d, want 1", n)
+	}
+	// A body past the first window that is small enough for net/http to
+	// size on its own is chunked all the same.
+	var dead deletionRequest
+	for i := 1; i < rows; i++ {
+		dead.Tuples = append(dead.Tuples, fmt.Sprintf("t%d", i))
+	}
+	resp = postJSON(t, ts.Client(), ts.URL+"/v1/whatif/deletion?workers=2", dead)
+	if got := decode[databaseJSON](t, resp); resp.StatusCode != http.StatusOK || got.NumTuples != 1 || resp.ContentLength != -1 {
+		t.Fatalf("a one-tuple what-if past the first window answered %d with %d tuples and Content-Length %d, want a chunked 200",
+			resp.StatusCode, got.NumTuples, resp.ContentLength)
+	}
+	if n := srv.whatif.streamed.Load(); n != 2 {
+		t.Errorf("whatifStreamed = %d, want 2", n)
 	}
 }
 
