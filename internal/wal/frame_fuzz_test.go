@@ -5,6 +5,8 @@ import (
 	"encoding/binary"
 	"errors"
 	"io"
+	"math"
+	"math/rand"
 	"path/filepath"
 	"runtime/metrics"
 	"testing"
@@ -132,5 +134,51 @@ func TestReadFrameGrowsWithTheBytes(t *testing.T) {
 	_, err := newFrameReader(bytes.NewReader(append(hostile, "short"...))).readMsg()
 	if want := "wal: replication stream is corrupt: truncated frame payload: unexpected EOF"; err == nil || err.Error() != want {
 		t.Fatalf("a short stream answers %q, want %q", err, want)
+	}
+}
+
+// encodeStreamRecord is a record message as one payload — the type, the
+// LSN, the log's bytes — built the plain way: the reference
+// frameWriter.writeRecord must frame byte for byte.
+func encodeStreamRecord(lsn uint64, payload []byte) []byte {
+	var e recEncoder
+	e.byte(msgRecord)
+	e.uvarint(lsn)
+	e.buf.Write(payload)
+	return e.buf.Bytes()
+}
+
+// TestWriteRecordFrame: a record framed in place in the writer's reused
+// buffer is appendFrame of the reference message, for LSNs across every
+// uvarint width and payloads from empty to larger than any before them
+// (and shorter, so nothing of a longer frame survives in the buffer); and
+// once the buffer has grown, the live tail's per-record write allocates
+// nothing.
+func TestWriteRecordFrame(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	var got, want bytes.Buffer
+	fw := &frameWriter{w: &got}
+	for i := 0; i < 500; i++ {
+		lsn := rng.Uint64() >> rng.Intn(64)
+		switch i {
+		case 0, 1:
+			lsn = uint64(i)
+		case 2:
+			lsn = math.MaxUint64
+		}
+		payload := make([]byte, rng.Intn(3)*rng.Intn(2000))
+		rng.Read(payload)
+		if err := fw.writeRecord(lsn, payload); err != nil {
+			t.Fatal(err)
+		}
+		want.Write(appendFrame(nil, encodeStreamRecord(lsn, payload)))
+		if !bytes.Equal(got.Bytes(), want.Bytes()) {
+			t.Fatalf("record %d (LSN %d, %d-byte payload) framed differently from appendFrame(encodeStreamRecord(...))", i, lsn, len(payload))
+		}
+	}
+	payload := bytes.Repeat([]byte{7}, 300)
+	fw = &frameWriter{w: io.Discard}
+	if n := testing.AllocsPerRun(100, func() { _ = fw.writeRecord(1<<40, payload) }); n != 0 {
+		t.Fatalf("writeRecord allocates %.1f times per record, want 0", n)
 	}
 }

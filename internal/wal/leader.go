@@ -10,6 +10,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"sync/atomic"
 	"time"
 )
 
@@ -26,10 +27,10 @@ type streamRec struct {
 }
 
 // streamHandle is one follower's registration with the leader: its
-// read position (which fences log pruning) and, while attached, the
-// live-tail channel.
+// position, the next LSN it will be sent (which fences log pruning),
+// and, while attached, the live-tail channel.
 type streamHandle struct {
-	pos uint64         // guarded by the store mu
+	pos atomic.Uint64  // stored by ServeStream after every record it writes
 	ch  chan streamRec // non-nil only while attached; guarded by mu
 }
 
@@ -41,7 +42,7 @@ func (s *Store) registerStream(h *streamHandle, pos uint64) error {
 	if s.closed {
 		return ErrClosed
 	}
-	h.pos = pos
+	h.pos.Store(pos)
 	if s.streams == nil {
 		s.streams = make(map[*streamHandle]struct{})
 	}
@@ -66,13 +67,6 @@ func (h *streamHandle) detachLocked() {
 	}
 }
 
-// setStreamPos advances the handle's fence.
-func (s *Store) setStreamPos(h *streamHandle, pos uint64) {
-	s.mu.Lock()
-	h.pos = pos
-	s.mu.Unlock()
-}
-
 // attachStream flips the handle to live tailing if the follower has
 // caught up with the log end; otherwise it reports the current end so
 // the caller keeps reading from disk. The check and the attach happen
@@ -84,7 +78,6 @@ func (s *Store) attachStream(h *streamHandle, pos uint64) (ch chan streamRec, ls
 	if s.closed {
 		return nil, 0, ErrClosed
 	}
-	h.pos = pos
 	if pos < s.lsn {
 		return nil, s.lsn, nil
 	}
@@ -142,17 +135,16 @@ func (s *Store) publishStreamLocked(base uint64, payloads [][]byte) {
 }
 
 // minStreamPosLocked is the pruning fence: the smallest position any
-// registered stream still needs. Segments whose records all precede it
-// may be pruned; the rest are retained even if a checkpoint covers
-// them, so an active stream never has a segment deleted under it.
+// registered stream still needs, the first record it has not been sent.
+// Segments whose records all precede it may be pruned; the rest are
+// retained even if a checkpoint covers them, so an active stream never
+// has a segment deleted under it.
 func (s *Store) minStreamPosLocked() uint64 {
-	min := ^uint64(0)
+	fence := ^uint64(0)
 	for h := range s.streams {
-		if h.pos < min {
-			min = h.pos
-		}
+		fence = min(fence, h.pos.Load())
 	}
-	return min
+	return fence
 }
 
 // streamPlan is the decision the leader takes at handshake time.
@@ -252,7 +244,7 @@ func (s *Store) ServeStream(ctx context.Context, w io.Writer, from uint64) error
 		return err
 	}
 	pos := plan.pos
-	s.setStreamPos(h, pos)
+	h.pos.Store(pos)
 	if err := fw.writeMsg(encodeHello(plan.hello)); err != nil {
 		return err
 	}
@@ -293,7 +285,7 @@ func (s *Store) ServeStream(ctx context.Context, w io.Writer, from uint64) error
 					// Overflowed: the log has everything, go back to disk.
 					break drain
 				}
-				if err := fw.writeMsg(encodeStreamRecord(m.lsn, m.payload)); err != nil {
+				if err := h.send(fw, m.lsn, m.payload); err != nil {
 					return err
 				}
 				pos = m.lsn + 1
@@ -307,8 +299,19 @@ func (s *Store) ServeStream(ctx context.Context, w io.Writer, from uint64) error
 			}
 		}
 		s.detachStream(h)
-		s.setStreamPos(h, pos)
 	}
+}
+
+// send writes record lsn to the stream and moves the handle's fence past
+// it: a checkpoint may prune whatever every stream has been sent. A
+// follower that has not applied all of it yet and loses its connection
+// resyncs from the checkpoint instead of pinning the log meanwhile.
+func (h *streamHandle) send(fw *frameWriter, lsn uint64, payload []byte) error {
+	if err := fw.writeRecord(lsn, payload); err != nil {
+		return err
+	}
+	h.pos.Store(lsn + 1)
+	return nil
 }
 
 // streamCheckpoint ships the checkpoint file at lsn in chunks. The file
@@ -322,14 +325,8 @@ func (s *Store) streamCheckpoint(fw *frameWriter, lsn uint64) error {
 		return err
 	}
 	for off := 0; off < len(data); off += ckptChunkSize {
-		end := off + ckptChunkSize
-		if end > len(data) {
-			end = len(data)
-		}
-		msg := make([]byte, 0, 1+end-off)
-		msg = append(msg, msgCkptChunk)
-		msg = append(msg, data[off:end]...)
-		if err := fw.writeMsg(msg); err != nil {
+		chunk := data[off:min(off+ckptChunkSize, len(data))]
+		if err := fw.send(append(append(fw.frame(), msgCkptChunk), chunk...)); err != nil {
 			return err
 		}
 	}
@@ -374,12 +371,11 @@ func (s *Store) streamFromDisk(fw *frameWriter, h *streamHandle, pos, end uint64
 			if pos >= end {
 				break
 			}
-			if err := fw.writeMsg(encodeStreamRecord(pos, payload)); err != nil {
+			if err := h.send(fw, pos, payload); err != nil {
 				return pos, err
 			}
 			pos++
 		}
-		s.setStreamPos(h, pos)
 	}
 	return pos, nil
 }

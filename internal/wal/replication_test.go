@@ -3,10 +3,14 @@ package wal_test
 import (
 	"context"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strconv"
 	"strings"
 	"sync/atomic"
@@ -179,9 +183,8 @@ func requireSameReads(t *testing.T, label string, want, got engine.Reader) {
 // mid-workload, then fed the rest over the stream, must answer the
 // entire read API byte-identically to the leader — snapshots,
 // annotations, NFs, Selects, and ?as_of= time travel at every epoch —
-// swept over both provenance modes and three workloads. The shards=8
-// subtests open the leader with the deprecated engine.WithShards(8),
-// which must change nothing.
+// swept over both provenance modes and three workloads. (The shards=1
+// suffix is the name the cases had when a sharded twin ran beside them.)
 func TestReplicationDifferential(t *testing.T) {
 	type load struct {
 		name string
@@ -190,76 +193,72 @@ func TestReplicationDifferential(t *testing.T) {
 	loads := []load{{"random", smallWorkload}, {"pinned", pinnedWorkload}, {"tpcc", tpccWorkload}}
 	for _, ld := range loads {
 		for _, mode := range modes {
-			for _, shards := range []int{1, 8} {
-				name := fmt.Sprintf("%s/%s/shards=%d", ld.name, modeName(mode), shards)
-				t.Run(name, func(t *testing.T) {
-					initial, txns := ld.gen(t)
-					st, err := wal.Open(t.TempDir(),
-						wal.WithMode(mode),
-						wal.WithInitialDatabase(initial),
-						wal.WithEngineOptions(engine.WithShards(shards)),
-						wal.WithSync(wal.SyncNever),
-						wal.WithSegmentSize(4096),
-						wal.WithCheckpointEvery(40),
-						wal.WithHeartbeatEvery(20*time.Millisecond),
-					)
-					if err != nil {
-						t.Fatalf("open leader: %v", err)
-					}
-					defer st.Close()
+			t.Run(ld.name+"/"+modeName(mode)+"/shards=1", func(t *testing.T) {
+				initial, txns := ld.gen(t)
+				st, err := wal.Open(t.TempDir(),
+					wal.WithMode(mode),
+					wal.WithInitialDatabase(initial),
+					wal.WithSync(wal.SyncNever),
+					wal.WithSegmentSize(4096),
+					wal.WithCheckpointEvery(40),
+					wal.WithHeartbeatEvery(20*time.Millisecond),
+				)
+				if err != nil {
+					t.Fatalf("open leader: %v", err)
+				}
+				defer st.Close()
 
-					// First half before the follower exists: it arrives via
-					// checkpoint bootstrap + disk catch-up, not the live tail.
-					half := len(txns) / 2
-					if err := st.ApplyAll(context.Background(), txns[:half]); err != nil {
-						t.Fatalf("ApplyAll: %v", err)
+				// First half before the follower exists: it arrives via
+				// checkpoint bootstrap + disk catch-up, not the live tail.
+				half := len(txns) / 2
+				if err := st.ApplyAll(context.Background(), txns[:half]); err != nil {
+					t.Fatalf("ApplyAll: %v", err)
+				}
+				_, src := startLeaderServer(t, st)
+				// The follower never checkpoints locally, so its
+				// bootstrap point stays readable below.
+				f := openTestFollower(t, t.TempDir(), src,
+					wal.WithSync(wal.SyncNever),
+					wal.WithSegmentSize(4096),
+				)
+				// Second half lands while the follower is streaming live.
+				for i := half; i < len(txns); i++ {
+					if err := st.ApplyTransaction(&txns[i]); err != nil {
+						t.Fatalf("ApplyTransaction %d: %v", i, err)
 					}
-					_, src := startLeaderServer(t, st)
-					// The follower never checkpoints locally, so its
-					// bootstrap point stays readable below.
-					f := openTestFollower(t, t.TempDir(), src,
-						wal.WithSync(wal.SyncNever),
-						wal.WithSegmentSize(4096),
-					)
-					// Second half lands while the follower is streaming live.
-					for i := half; i < len(txns); i++ {
-						if err := st.ApplyTransaction(&txns[i]); err != nil {
-							t.Fatalf("ApplyTransaction %d: %v", i, err)
-						}
-					}
-					waitApplied(t, f, st.Stats().LSN)
+				}
+				waitApplied(t, f, st.Stats().LSN)
 
-					if !f.Ready() {
-						t.Fatal("caught-up follower is not ready")
-					}
-					requireSameBytes(t, "live state", snapshotOf(t, st), snapshotOf(t, f))
-					requireSameReads(t, "live state", st, f)
+				if !f.Ready() {
+					t.Fatal("caught-up follower is not ready")
+				}
+				requireSameBytes(t, "live state", snapshotOf(t, st), snapshotOf(t, f))
+				requireSameReads(t, "live state", st, f)
 
-					// Time travel: epoch numbering is per process life, so
-					// absolute epochs differ (the follower's bootstrap from
-					// the checkpoint at LSN c consumed its own epochs), but
-					// every record replicated after the bootstrap advanced
-					// both engines by exactly one write epoch. Views k
-					// epochs below the two horizons therefore pin the same
-					// record boundary and must agree row for row.
-					leaderEpoch := engine.SeqEpoch(st.Horizon())
-					followerEpoch := engine.SeqEpoch(f.Horizon())
-					c := f.WALStats().CheckpointLSN // bootstrap point: no local checkpoints ran
-					span := uint64(len(txns)) - c
-					for _, k := range []uint64{0, 1, span / 2, span - 1} {
-						if k >= span || k > leaderEpoch || k > followerEpoch {
-							continue
-						}
-						requireSameReads(t, fmt.Sprintf("as_of horizon-%d", k),
-							st.At(engine.EpochSeq(leaderEpoch-k)), f.At(engine.EpochSeq(followerEpoch-k)))
+				// Time travel: epoch numbering is per process life, so
+				// absolute epochs differ (the follower's bootstrap from
+				// the checkpoint at LSN c consumed its own epochs), but
+				// every record replicated after the bootstrap advanced
+				// both engines by exactly one write epoch. Views k
+				// epochs below the two horizons therefore pin the same
+				// record boundary and must agree row for row.
+				leaderEpoch := engine.SeqEpoch(st.Horizon())
+				followerEpoch := engine.SeqEpoch(f.Horizon())
+				c := f.WALStats().CheckpointLSN // bootstrap point: no local checkpoints ran
+				span := uint64(len(txns)) - c
+				for _, k := range []uint64{0, 1, span / 2, span - 1} {
+					if k >= span || k > leaderEpoch || k > followerEpoch {
+						continue
 					}
+					requireSameReads(t, fmt.Sprintf("as_of horizon-%d", k),
+						st.At(engine.EpochSeq(leaderEpoch-k)), f.At(engine.EpochSeq(followerEpoch-k)))
+				}
 
-					rs := f.ReplicaStats()
-					if rs.AppliedLSN != uint64(len(txns)) {
-						t.Fatalf("follower applied %d, want %d", rs.AppliedLSN, len(txns))
-					}
-				})
-			}
+				rs := f.ReplicaStats()
+				if rs.AppliedLSN != uint64(len(txns)) {
+					t.Fatalf("follower applied %d, want %d", rs.AppliedLSN, len(txns))
+				}
+			})
 		}
 	}
 }
@@ -626,4 +625,203 @@ func TestFollowerLagKnownAtOpen(t *testing.T) {
 			}
 		})
 	}
+}
+
+// churnSchema is one relation of keyed values that churn rewrites in
+// place, so the live state stays the same size however long it runs.
+var churnSchema = db.MustSchema(db.MustRelationSchema("Items",
+	db.Attribute{Name: "k", Kind: db.KindInt},
+	db.Attribute{Name: "v", Kind: db.KindInt}))
+
+// churn applies n transactions of constant-rate churn over a fixed space
+// of 64 keys, an insert, a modification and a deletion each, so that
+// every record the log appends is about the same size.
+func churn(t *testing.T, st *wal.Store, rng *rand.Rand, n int) {
+	t.Helper()
+	key := func() db.Term { return db.Const(db.I(rng.Int63n(64))) }
+	val := func() db.Value { return db.I(rng.Int63n(1000)) }
+	base := st.Stats().LSN
+	for i := range uint64(n) {
+		tx := db.Transaction{Label: fmt.Sprintf("c%06d", base+i), Updates: []db.Update{
+			db.Insert("Items", db.Tuple{db.I(rng.Int63n(64)), val()}),
+			db.Modify("Items", db.Pattern{key(), db.AnyVar("v")}, []db.SetClause{db.Keep(), db.SetTo(val())}),
+			db.Delete("Items", db.Pattern{key(), db.AnyVar("v")}),
+		}}
+		if err := st.ApplyTransaction(&tx); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// segmentFiles returns the LSN each log segment in dir starts at, in
+// order, and the bytes they hold together.
+func segmentFiles(t *testing.T, dir string) (starts []uint64, bytes int64) {
+	t.Helper()
+	names, err := filepath.Glob(filepath.Join(dir, "wal-*.seg"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range names { // Glob sorts; the names are fixed-width hex
+		var start uint64
+		if _, err := fmt.Sscanf(filepath.Base(name), "wal-%x.seg", &start); err != nil {
+			t.Fatal(err)
+		}
+		fi, err := os.Stat(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		starts, bytes = append(starts, start), bytes+fi.Size()
+	}
+	return starts, bytes
+}
+
+// TestLeaderLogPlateaus: under constant-rate churn over a fixed key
+// space, the log a leader keeps plateaus at one checkpoint interval, with
+// a follower tailing it as without one. A stream fences pruning at what
+// it has been sent, so a follower that keeps up pins nothing a checkpoint
+// covers. Checkpoint files are left out: they hold the provenance, which
+// grows with the history.
+func TestLeaderLogPlateaus(t *testing.T) {
+	const checkpoints, interval = 10, 100
+	for _, follower := range []bool{false, true} {
+		t.Run(fmt.Sprintf("follower=%t", follower), func(t *testing.T) {
+			st, err := wal.Open(t.TempDir(),
+				wal.WithSchema(churnSchema),
+				wal.WithSync(wal.SyncNever),
+				wal.WithSegmentSize(512),
+				wal.WithHeartbeatEvery(10*time.Millisecond),
+			)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer st.Close()
+			var f *wal.Follower
+			if follower {
+				_, src := startLeaderServer(t, st)
+				f = openTestFollower(t, t.TempDir(), src, wal.WithSync(wal.SyncNever))
+			}
+			rng := rand.New(rand.NewSource(31))
+			churn(t, st, rng, interval)
+			// retained[i]: the segment bytes after checkpoint i+1, once the
+			// interval of writes that follows it has landed.
+			var retained []int64
+			for range checkpoints {
+				if f != nil {
+					waitApplied(t, f, st.Stats().LSN)
+				}
+				if err := st.Checkpoint(); err != nil {
+					t.Fatal(err)
+				}
+				churn(t, st, rng, interval)
+				_, n := segmentFiles(t, st.Dir())
+				retained = append(retained, n)
+			}
+			t.Logf("retained segment bytes after each checkpoint: %v", retained)
+			third, last := retained[2], retained[len(retained)-1]
+			if third == 0 || 4*last > 5*third {
+				t.Fatalf("the log kept %d bytes after checkpoint %d and %d after the third: want a plateau (≤ 1.25×)",
+					last, checkpoints, third)
+			}
+			if f != nil {
+				waitApplied(t, f, st.Stats().LSN)
+				requireSameBytes(t, "after churn", snapshotOf(t, st), snapshotOf(t, f))
+			}
+		})
+	}
+}
+
+// stallingReader is a transport that stops delivering: once held is set,
+// the bytes of the read that sees it and everything after are withheld,
+// and the read blocks until the transport is cut. Whatever the leader
+// wrote meanwhile it counts as sent.
+type stallingReader struct {
+	ctx     context.Context
+	rc      io.ReadCloser
+	held    *atomic.Bool
+	stalled chan<- struct{}
+	cut     <-chan struct{}
+}
+
+func (r *stallingReader) Read(p []byte) (int, error) {
+	n, err := r.rc.Read(p)
+	if !r.held.Load() {
+		return n, err
+	}
+	select {
+	case r.stalled <- struct{}{}:
+	default:
+	}
+	select {
+	case <-r.cut:
+		return 0, errors.New("transport cut")
+	case <-r.ctx.Done():
+		return 0, r.ctx.Err()
+	}
+}
+
+func (r *stallingReader) Close() error { return r.rc.Close() }
+
+// TestFollowerResyncAfterSentPrune: the leader's fence is what a stream
+// has been sent, not what its follower applied. Records the leader wrote
+// into a transport that stopped delivering count as sent, so a checkpoint
+// prunes past the follower's applied LSN; once the transport is cut, the
+// follower redials from that LSN, takes a checkpoint resync (the only one
+// of its life: it first bootstrapped from an empty leader, incrementally)
+// and converges.
+func TestFollowerResyncAfterSentPrune(t *testing.T) {
+	st, err := wal.Open(t.TempDir(),
+		wal.WithSchema(churnSchema),
+		wal.WithSync(wal.SyncNever),
+		wal.WithSegmentSize(1024),
+		wal.WithHeartbeatEvery(10*time.Millisecond),
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	_, src := startLeaderServer(t, st)
+	var held atomic.Bool
+	stalled, cut := make(chan struct{}, 1), make(chan struct{})
+	gated := func(ctx context.Context, from uint64) (io.ReadCloser, error) {
+		rc, err := src(ctx, from)
+		if err != nil {
+			return nil, err
+		}
+		return &stallingReader{ctx: ctx, rc: rc, held: &held, stalled: stalled, cut: cut}, nil
+	}
+	f := openTestFollower(t, t.TempDir(), gated, wal.WithSync(wal.SyncNever))
+	rng := rand.New(rand.NewSource(37))
+	churn(t, st, rng, 60)
+	waitApplied(t, f, 60)
+
+	held.Store(true)
+	churn(t, st, rng, 60)
+	select {
+	case <-stalled:
+	case <-time.After(30 * time.Second):
+		t.Fatal("the transport never stalled")
+	}
+	deadline := time.Now().Add(30 * time.Second)
+	for st.Stats().StreamFenceLSN != st.Stats().LSN {
+		if time.Now().After(deadline) {
+			t.Fatalf("the leader sent up to %d of %d records", st.Stats().StreamFenceLSN, st.Stats().LSN)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if err := st.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	applied := f.ReplicaStats().AppliedLSN
+	if starts, _ := segmentFiles(t, st.Dir()); applied != 60 || len(starts) == 0 || starts[0] <= applied {
+		t.Fatalf("follower applied %d (want 60); the leader's log starts at %v: want it pruned past what the follower applied", applied, starts)
+	}
+
+	held.Store(false)
+	close(cut)
+	waitApplied(t, f, st.Stats().LSN)
+	if rs, ss := f.ReplicaStats(), st.Stats(); rs.Resyncs != 1 || ss.ResyncsServed != 1 {
+		t.Fatalf("follower resyncs %d, leader resyncs served %d; want 1 and 1", rs.Resyncs, ss.ResyncsServed)
+	}
+	requireSameBytes(t, "after sent-prune resync", snapshotOf(t, st), snapshotOf(t, f))
+	requireSameReads(t, "after sent-prune resync", st, f)
 }

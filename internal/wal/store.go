@@ -317,8 +317,11 @@ type StoreStats struct {
 	CheckpointHeldMs    float64 `json:"checkpointHeldMs"`
 	CheckpointsSkipped  uint64  `json:"checkpointsSkipped"`
 
-	// Leader-side replication counters.
+	// Leader-side replication counters. StreamFenceLSN is the first
+	// record some registered stream has not been sent yet, the most a
+	// checkpoint may prune up to (0 with no streams).
 	ActiveStreams  int    `json:"active_streams"`
+	StreamFenceLSN uint64 `json:"stream_fence_lsn"`
 	StreamsServed  uint64 `json:"streams_served"`
 	ResyncsServed  uint64 `json:"resyncs_served"`
 	StreamLagDrops uint64 `json:"stream_lag_drops"`
@@ -1007,9 +1010,9 @@ func (s *Store) checkpoint(lsn uint64, view engine.View, start time.Time) error 
 	// Prune everything the checkpoint supersedes. Failures here leave
 	// stale files recovery knows to skip, so they are best-effort.
 	// Active replication streams fence pruning: a segment is deleted
-	// only if every record it can hold precedes the slowest stream's
-	// position, so a follower catching up from disk never has its
-	// segment removed mid-read.
+	// only if every record it can hold has been sent to every stream, so
+	// a follower catching up from disk never has its segment removed
+	// mid-read, and one tailing live holds back nothing it already has.
 	fence := s.minStreamPosLocked()
 	ckpts, _ := listSeqFiles(s.fs, s.dir, ckptPrefix, ckptSuffix)
 	for _, v := range ckpts {
@@ -1149,7 +1152,10 @@ func (s *Store) ReadOnly() bool { return s.readOnly.Load() }
 func (s *Store) Stats() StoreStats {
 	s.mu.Lock()
 	lsn, ckptLSN := s.lsn, s.ckptLSN
-	active := len(s.streams)
+	active, fence := len(s.streams), uint64(0)
+	if active > 0 {
+		fence = s.minStreamPosLocked()
+	}
 	s.mu.Unlock()
 	st := StoreStats{
 		Dir:            s.dir,
@@ -1166,6 +1172,7 @@ func (s *Store) Stats() StoreStats {
 		TruncatedTail:  s.truncated,
 		ReadOnly:       s.readOnly.Load(),
 		ActiveStreams:  active,
+		StreamFenceLSN: fence,
 		StreamsServed:  s.streamsServed.Load(),
 		ResyncsServed:  s.resyncsServed.Load(),
 		StreamLagDrops: s.streamLagDrops.Load(),

@@ -95,14 +95,6 @@ func decodeHello(d *recDecoder) (helloMsg, error) {
 	return h, err
 }
 
-func encodeStreamRecord(lsn uint64, payload []byte) []byte {
-	var e recEncoder
-	e.byte(msgRecord)
-	e.uvarint(lsn)
-	e.buf.Write(payload)
-	return e.buf.Bytes()
-}
-
 func encodeHeartbeat(lsn, horizon uint64) []byte {
 	var e recEncoder
 	e.byte(msgHeartbeat)
@@ -119,7 +111,8 @@ func encodeCkptDone(lsn uint64) []byte {
 }
 
 // frameWriter frames messages onto a transport, flushing after every
-// message when the transport supports it (HTTP response streaming).
+// message when the transport supports it (HTTP response streaming). A
+// message is built in place in buf, reused from frame to frame.
 type frameWriter struct {
 	w   io.Writer
 	fl  http.Flusher
@@ -127,8 +120,30 @@ type frameWriter struct {
 }
 
 func (fw *frameWriter) writeMsg(payload []byte) error {
-	fw.buf = appendFrame(fw.buf[:0], payload)
-	if _, err := fw.w.Write(fw.buf); err != nil {
+	return fw.send(append(fw.frame(), payload...))
+}
+
+// writeRecord frames a record message — the type, the LSN, the payload
+// as the log holds it — with no buffer but the writer's own.
+func (fw *frameWriter) writeRecord(lsn uint64, payload []byte) error {
+	return fw.send(append(binary.AppendUvarint(append(fw.frame(), msgRecord), lsn), payload...))
+}
+
+// frame returns the reused buffer with a frame header reserved; the
+// caller appends the payload and sends it.
+func (fw *frameWriter) frame() []byte {
+	return append(fw.buf[:0], make([]byte, frameHeaderSize)...)
+}
+
+// send fills in the header of the frame b holds (length and CRC32C of
+// what follows it, as appendFrame writes them), writes the frame and
+// flushes. b becomes the writer's buffer.
+func (fw *frameWriter) send(b []byte) error {
+	fw.buf = b
+	payload := b[frameHeaderSize:]
+	binary.LittleEndian.PutUint32(b[0:4], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(b[4:8], crc32.Checksum(payload, crcTable))
+	if _, err := fw.w.Write(b); err != nil {
 		return err
 	}
 	if fw.fl != nil {
