@@ -170,7 +170,7 @@ type Engine struct {
 	// horizon is the committed read horizon and note wakes its waiters:
 	// finish stores the one and rings the other (mvcc.go).
 	horizon atomic.Uint64
-	note    horizonNote
+	note    Note
 
 	// hook is the commit-event subscriber. evRows is the events' Rows
 	// buffer: filled by finish, lent to the hook for one call, wiped and
@@ -315,7 +315,7 @@ func (e *Engine) finish(kind CommitKind, label string) {
 	e.touched = e.touched[:0]
 	e.horizon.Store(ev.Seq)
 	e.emit(ev)
-	e.note.wake()
+	e.note.Wake()
 	e.mu.Unlock()
 }
 

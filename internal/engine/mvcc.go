@@ -176,19 +176,20 @@ func (l *rowList) snapshot() []*row {
 	return (*arr)[:n:n]
 }
 
-// horizonNote publishes horizon advances to blocked waiters. wake is
-// called once per horizon advance — cheap next to the commit itself —
-// while readers that never wait never touch it. The bell channel is
-// closed on every advance and lazily re-armed, so a waiter loops: check
-// the horizon, grab the bell, check again, sleep.
-type horizonNote struct {
+// Note publishes the advances of a value — the engine's horizon, a
+// log's end — to blocked waiters. Wake is called once per advance —
+// cheap next to the commit itself — while readers that never wait never
+// touch it. The bell channel is closed on every advance and lazily
+// re-armed, so a waiter loops: check the value, grab the bell, check
+// again, sleep.
+type Note struct {
 	mu sync.Mutex
 	ch chan struct{}
 }
 
-// wake releases every current waiter. Called after the horizon store,
-// so a woken waiter re-reading the horizon observes the new value.
-func (n *horizonNote) wake() {
+// Wake releases every current waiter. Called after the value is stored,
+// so a woken waiter re-reading it observes the new value.
+func (n *Note) Wake() {
 	n.mu.Lock()
 	if n.ch != nil {
 		close(n.ch)
@@ -197,8 +198,8 @@ func (n *horizonNote) wake() {
 	n.mu.Unlock()
 }
 
-// bell returns a channel closed at the next horizon advance.
-func (n *horizonNote) bell() <-chan struct{} {
+// Bell returns a channel closed at the next Wake.
+func (n *Note) Bell() <-chan struct{} {
 	n.mu.Lock()
 	if n.ch == nil {
 		n.ch = make(chan struct{})
@@ -235,7 +236,7 @@ func (e *Engine) Horizon() uint64 { return e.horizon.Load() }
 // wake.
 func (e *Engine) WaitHorizon(ctx context.Context, seq uint64) error {
 	for e.Horizon() < seq {
-		bell := e.note.bell()
+		bell := e.note.Bell()
 		if e.Horizon() >= seq {
 			return nil
 		}

@@ -10,6 +10,7 @@ package iofault
 import (
 	"errors"
 	"fmt"
+	"io"
 	"strings"
 	"sync"
 
@@ -27,6 +28,7 @@ type Op string
 const (
 	OpCreate     Op = "create"
 	OpOpenAppend Op = "open-append"
+	OpOpen       Op = "open"
 	OpWrite      Op = "write"
 	OpSync       Op = "sync"
 	OpReadFile   Op = "read-file"
@@ -159,6 +161,15 @@ func (f *FS) OpenAppend(name string) (wal.File, error) {
 		return nil, err
 	}
 	return &file{fs: f, name: name, inner: inner}, nil
+}
+
+// Open implements wal.FS. Reads through the file it opens are not
+// faulted.
+func (f *FS) Open(name string) (io.ReadCloser, error) {
+	if _, fail := f.check(OpOpen, name); fail {
+		return nil, injected(OpOpen, name)
+	}
+	return f.inner.Open(name)
 }
 
 // ReadFile implements wal.FS.

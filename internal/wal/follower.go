@@ -591,7 +591,7 @@ func (f *Follower) MinimizeAll(context.Context) (int64, error) { return 0, ErrFo
 func (s *Store) LSN() uint64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.lsn
+	return s.lsn.Load()
 }
 
 // applyReplicated appends one replicated record to the local log and
@@ -680,7 +680,7 @@ func (s *Store) resyncFromCheckpoint(mode engine.Mode, schema *db.Schema, snapLS
 	resyncs.Add(1)
 	s.Swap(eng)
 	s.lw = lw
-	s.lsn = snapLSN
+	s.lsn.Store(snapLSN)
 	s.ckptLSN = snapLSN
 	s.sinceCkpt = 0
 	s.hasInit = true

@@ -151,9 +151,7 @@ func encodeStreamRecord(lsn uint64, payload []byte) []byte {
 // TestWriteRecordFrame: a record framed in place in the writer's reused
 // buffer is appendFrame of the reference message, for LSNs across every
 // uvarint width and payloads from empty to larger than any before them
-// (and shorter, so nothing of a longer frame survives in the buffer); and
-// once the buffer has grown, the live tail's per-record write allocates
-// nothing.
+// (and shorter, so nothing of a longer frame survives in the buffer).
 func TestWriteRecordFrame(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	var got, want bytes.Buffer
@@ -176,9 +174,42 @@ func TestWriteRecordFrame(t *testing.T) {
 			t.Fatalf("record %d (LSN %d, %d-byte payload) framed differently from appendFrame(encodeStreamRecord(...))", i, lsn, len(payload))
 		}
 	}
+}
+
+// TestTailSendAllocs: once its buffers have grown, a stream reads a
+// record out of the log and frames it onto the transport with no
+// allocation — refilling its read buffer from the open segment included.
+func TestTailSendAllocs(t *testing.T) {
+	dir := t.TempDir()
+	lw, err := openLogWriter(OSFS{}, dir, 1<<20, 0, 0, 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
 	payload := bytes.Repeat([]byte{7}, 300)
-	fw = &frameWriter{w: io.Discard}
-	if n := testing.AllocsPerRun(100, func() { _ = fw.writeRecord(1<<40, payload) }); n != 0 {
-		t.Fatalf("writeRecord allocates %.1f times per record, want 0", n)
+	for range 400 { // 123 kB: the measured records cross a refill
+		if err := lw.append(payload); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := lw.close(); err != nil {
+		t.Fatal(err)
+	}
+	tail := tailReader{fs: OSFS{}, dir: dir}
+	defer tail.close()
+	fw := &frameWriter{w: io.Discard}
+	var lsn uint64
+	send := func() {
+		p, err := tail.next(lsn)
+		if err != nil || !bytes.Equal(p, payload) {
+			t.Fatalf("record %d: %d bytes, %v", lsn, len(p), err)
+		}
+		if err := fw.writeRecord(lsn, p); err != nil {
+			t.Fatal(err)
+		}
+		lsn++
+	}
+	send() // opens the segment and grows both buffers
+	if n := testing.AllocsPerRun(300, send); n != 0 {
+		t.Fatalf("sending a record from the log allocates %.1f times, want 0", n)
 	}
 }

@@ -24,6 +24,8 @@ type FS interface {
 	Create(name string) (File, error)
 	// OpenAppend opens name for appending, creating it if absent.
 	OpenAppend(name string) (File, error)
+	// Open opens name for reading only.
+	Open(name string) (io.ReadCloser, error)
 	ReadFile(name string) ([]byte, error)
 	// ReadDir lists the names (not paths) of the directory entries.
 	ReadDir(dir string) ([]string, error)
@@ -50,6 +52,9 @@ func (OSFS) Create(name string) (File, error) {
 func (OSFS) OpenAppend(name string) (File, error) {
 	return os.OpenFile(name, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 }
+
+// Open implements FS.
+func (OSFS) Open(name string) (io.ReadCloser, error) { return os.Open(name) }
 
 // ReadFile implements FS.
 func (OSFS) ReadFile(name string) ([]byte, error) { return os.ReadFile(name) }

@@ -1,37 +1,25 @@
 package wal
 
 import (
-	"bytes"
+	"bufio"
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"io"
 	"net/http"
-	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"sync/atomic"
 	"time"
 )
 
-// streamChanCap bounds the live-tail buffer per follower. A follower
-// that falls further behind than this while attached is detached and
-// catches up from the on-disk log instead — the log is the queue; the
-// channel only covers the rendezvous.
-const streamChanCap = 4096
-
-// streamRec is one record fanned out to attached followers.
-type streamRec struct {
-	lsn     uint64
-	payload []byte
-}
-
-// streamHandle is one follower's registration with the leader: its
-// position, the next LSN it will be sent (which fences log pruning),
-// and, while attached, the live-tail channel.
+// streamHandle is one follower's registration with the leader: the next
+// LSN it will be sent, which fences log pruning.
 type streamHandle struct {
-	pos atomic.Uint64  // stored by ServeStream after every record it writes
-	ch  chan streamRec // non-nil only while attached; guarded by mu
+	pos atomic.Uint64 // stored by ServeStream after every record it writes
 }
 
 // registerStream adds a handle at position pos; pruning retains every
@@ -39,7 +27,7 @@ type streamHandle struct {
 func (s *Store) registerStream(h *streamHandle, pos uint64) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.closed {
+	if s.closed.Load() {
 		return ErrClosed
 	}
 	h.pos.Store(pos)
@@ -53,85 +41,32 @@ func (s *Store) registerStream(h *streamHandle, pos uint64) error {
 
 func (s *Store) unregisterStream(h *streamHandle) {
 	s.mu.Lock()
-	h.detachLocked()
 	delete(s.streams, h)
 	s.mu.Unlock()
 }
 
-// detachLocked ends the handle's live tail, if it has one: the drain
-// loop reading the closed channel goes back to the log on disk.
-func (h *streamHandle) detachLocked() {
-	if h.ch != nil {
-		close(h.ch)
-		h.ch = nil
-	}
-}
+// rung is a bell that has already rung: a stream behind the log end
+// goes straight on.
+var rung = func() chan struct{} {
+	ch := make(chan struct{})
+	close(ch)
+	return ch
+}()
 
-// attachStream flips the handle to live tailing if the follower has
-// caught up with the log end; otherwise it reports the current end so
-// the caller keeps reading from disk. The check and the attach happen
-// under the same mu hold as every append, so no record can fall between
-// disk catch-up and the channel.
-func (s *Store) attachStream(h *streamHandle, pos uint64) (ch chan streamRec, lsn uint64, err error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return nil, 0, ErrClosed
+// logEnd returns the log end — the next LSN it will assign — and a bell
+// that rings once that end has passed pos: rung already if it has. It
+// takes no lock, so a stream a commit wakes reads on while the writer
+// still applies under mu. The bell is taken before the end is read: a
+// commit or Close after that rings it, one before is seen.
+func (s *Store) logEnd(pos uint64) (end uint64, bell <-chan struct{}, err error) {
+	bell = s.tail.Bell()
+	if s.closed.Load() {
+		return 0, nil, ErrClosed
 	}
-	if pos < s.lsn {
-		return nil, s.lsn, nil
+	if end = s.lsn.Load(); pos < end {
+		return end, rung, nil
 	}
-	h.ch = make(chan streamRec, streamChanCap)
-	return h.ch, s.lsn, nil
-}
-
-// closeStreamsLocked wakes every attached stream on store close/crash:
-// their drain loops see the closed channel, re-check the store and exit
-// with ErrClosed, which drops the transport and sends followers back to
-// redialing (where they find the restarted leader).
-func (s *Store) closeStreamsLocked() {
-	for h := range s.streams {
-		h.detachLocked()
-	}
-}
-
-func (s *Store) detachStream(h *streamHandle) {
-	s.mu.Lock()
-	h.detachLocked()
-	s.mu.Unlock()
-}
-
-// publishStreamLocked fans freshly committed records out to attached
-// followers. Called under mu after the group commit succeeded, so
-// followers only ever see records the log has accepted. A follower
-// whose channel is full is detached (channel closed); it falls back to
-// reading the flushed log from disk. The payloads may sit in the
-// store's reused encode buffer, so the streams share a copy, made when
-// the first live stream needs it.
-func (s *Store) publishStreamLocked(base uint64, payloads [][]byte) {
-	var own [][]byte
-	for h := range s.streams {
-		if h.ch == nil {
-			continue
-		}
-		if own == nil {
-			own = make([][]byte, len(payloads))
-			for i, p := range payloads {
-				own[i] = bytes.Clone(p)
-			}
-		}
-		for i, p := range own {
-			select {
-			case h.ch <- streamRec{lsn: base + uint64(i), payload: p}:
-			default:
-				h.detachLocked()
-				s.streamLagDrops.Add(1)
-			}
-			if h.ch == nil {
-				break
-			}
-		}
-	}
+	return end, bell, nil
 }
 
 // minStreamPosLocked is the pruning fence: the smallest position any
@@ -165,13 +100,13 @@ type streamPlan struct {
 func (s *Store) planStream(from uint64) (streamPlan, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.closed {
+	if s.closed.Load() {
 		return streamPlan{}, ErrClosed
 	}
 	plan := streamPlan{
 		hello: helloMsg{
 			mode:    s.Mode(),
-			target:  s.lsn,
+			target:  s.lsn.Load(),
 			horizon: s.Horizon(),
 			schema:  s.Schema(),
 		},
@@ -186,7 +121,7 @@ func (s *Store) planStream(from uint64) (streamPlan, error) {
 		oldest = segs[0]
 	}
 	switch {
-	case from > s.lsn:
+	case from > s.lsn.Load():
 		plan.resync = true
 	case from < oldest:
 		plan.resync = true
@@ -217,13 +152,15 @@ func (s *Store) planStream(from uint64) (streamPlan, error) {
 var errNoCheckpoint = errors.New("wal: no checkpoint to resync from")
 
 // ServeStream streams the replication feed to one follower over w,
-// resuming at from, until ctx is done or a write fails. The sequence
-// is: handshake (planStream), optional checkpoint bootstrap, catch-up
-// from the on-disk log, then live tailing with heartbeats — falling
-// back to disk catch-up whenever the follower cannot keep up with the
-// in-memory fan-out. Frames are flushed one by one when w is an
-// http.Flusher. Safe to call concurrently from any number of followers;
-// the store keeps accepting writes throughout.
+// resuming at from, until ctx is done, a write fails or the store
+// closes. The sequence is: handshake (planStream), an optional checkpoint
+// bootstrap, then one loop — wait until the log end passes the stream's
+// position, a heartbeat is due or ctx ends, then send the records up to
+// that end, read from the log on disk. The log is the only queue: a
+// follower however far behind is sent what the retained segments hold.
+// Frames are flushed one by one when w is an http.Flusher. Safe to call
+// concurrently from any number of followers; the store keeps accepting
+// writes throughout.
 func (s *Store) ServeStream(ctx context.Context, w io.Writer, from uint64) error {
 	h := &streamHandle{}
 	if err := s.registerStream(h, from); err != nil {
@@ -255,50 +192,36 @@ func (s *Store) ServeStream(ctx context.Context, w io.Writer, from uint64) error
 		s.resyncsServed.Add(1)
 	}
 
+	tail := tailReader{fs: s.fs, dir: s.dir}
+	defer tail.close()
 	hb := time.NewTicker(s.opts.heartbeat)
 	defer hb.Stop()
 	for {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		// Catch up from the on-disk log until we draw level, then
-		// rendezvous onto the live channel under the append lock.
-		ch, end, err := s.attachStream(h, pos)
+		end, bell, err := s.logEnd(pos)
 		if err != nil {
 			return err
 		}
-		if ch == nil {
-			n, err := s.streamFromDisk(fw, h, pos, end)
+		select {
+		case <-ctx.Done():
+			return ctx.Err()
+		case <-bell:
+		case <-hb.C:
+			s.mu.Lock()
+			lsn, horizon := s.lsn.Load(), s.Horizon()
+			s.mu.Unlock()
+			if err := fw.writeMsg(encodeHeartbeat(lsn, horizon)); err != nil {
+				return err
+			}
+		}
+		for ; pos < end && ctx.Err() == nil; pos++ {
+			payload, err := tail.next(pos)
 			if err != nil {
 				return err
 			}
-			pos = n
-			continue
-		}
-	drain:
-		for {
-			select {
-			case <-ctx.Done():
-				return ctx.Err()
-			case m, ok := <-ch:
-				if !ok {
-					// Overflowed: the log has everything, go back to disk.
-					break drain
-				}
-				if err := h.send(fw, m.lsn, m.payload); err != nil {
-					return err
-				}
-				pos = m.lsn + 1
-			case <-hb.C:
-				s.mu.Lock()
-				lsn, horizon := s.lsn, s.Horizon()
-				s.mu.Unlock()
-				if err := fw.writeMsg(encodeHeartbeat(lsn, horizon)); err != nil {
-					return err
-				}
+			if err := h.send(fw, pos, payload); err != nil {
+				return err
 			}
 		}
-		s.detachStream(h)
 	}
 }
 
@@ -333,49 +256,88 @@ func (s *Store) streamCheckpoint(fw *frameWriter, lsn uint64) error {
 	return fw.writeMsg(encodeCkptDone(lsn))
 }
 
-// streamFromDisk streams records [pos, end) out of the segment files
-// and returns the new position. Committed records are always fully
-// flushed to the OS before end was observed, so the prefix read here is
-// complete even while the writer keeps appending; scanSegment's torn
-// tail (a racing flush) lies beyond end and is never consumed.
-func (s *Store) streamFromDisk(fw *frameWriter, h *streamHandle, pos, end uint64) (uint64, error) {
-	for pos < end {
-		segs, err := listSeqFiles(s.fs, s.dir, segPrefix, segSuffix)
+// tailReader reads one stream's records out of the log in LSN order. It
+// keeps the segment holding the next record open at the offset it has
+// read to, reads only the bytes appended since, through one reused
+// buffer, and at a segment's end opens the next one, which is named by
+// the LSN it starts at. Every record it is asked for is committed —
+// flushed before the log end passed it — so a segment that has no more
+// bytes has no more records. Pruning never removes a segment holding a
+// record the stream has not been sent, and keeps the retained log one
+// chain, so a missing segment is an error, never a wait.
+type tailReader struct {
+	fs      FS
+	dir     string
+	f       io.ReadCloser // segment holding record lsn; nil until the first next
+	r       *bufio.Reader // reads f
+	lsn     uint64        // LSN of the next frame r yields
+	hdr     [frameHeaderSize]byte
+	payload []byte
+}
+
+// next returns the payload of record lsn, valid until the following call.
+// The first call may name any retained record; each later one names the
+// record after the one before.
+func (t *tailReader) next(lsn uint64) ([]byte, error) {
+	if t.f == nil {
+		segs, err := listSeqFiles(t.fs, t.dir, segPrefix, segSuffix)
 		if err != nil {
-			return pos, err
+			return nil, err
 		}
-		idx := sort.Search(len(segs), func(i int) bool { return segs[i] > pos })
-		if idx == 0 {
-			return pos, fmt.Errorf("wal: log position %d is no longer retained", pos)
+		i := sort.Search(len(segs), func(i int) bool { return segs[i] > lsn })
+		if i == 0 {
+			return nil, fmt.Errorf("wal: log position %d is no longer retained", lsn)
 		}
-		start := segs[idx-1]
-		data, err := s.fs.ReadFile(filepath.Join(s.dir, segName(start)))
-		if err != nil {
-			if os.IsNotExist(err) {
-				// Pruned between listing and reading; the fence keeps
-				// everything >= pos, so a re-list finds the right file.
-				continue
-			}
-			return pos, err
-		}
-		sc := scanSegment(data)
-		if pos-start >= uint64(len(sc.records)) {
-			// pos is past this segment's records: the next segment (if
-			// rotated by now) holds it; re-list and retry.
-			if idx < len(segs) {
-				continue
-			}
-			return pos, nil
-		}
-		for _, payload := range sc.records[pos-start:] {
-			if pos >= end {
-				break
-			}
-			if err := h.send(fw, pos, payload); err != nil {
-				return pos, err
-			}
-			pos++
+		if err := t.open(segs[i-1]); err != nil {
+			return nil, err
 		}
 	}
-	return pos, nil
+	for {
+		if _, err := io.ReadFull(t.r, t.hdr[:]); err == io.EOF {
+			// The segment ended before record t.lsn: the next one starts there.
+			if err := t.open(t.lsn); err != nil {
+				return nil, err
+			}
+			continue
+		} else if err != nil {
+			return nil, fmt.Errorf("%w: record %d: %v", ErrCorrupt, t.lsn, err)
+		}
+		length := binary.LittleEndian.Uint32(t.hdr[0:4])
+		if length > maxRecordLen {
+			return nil, fmt.Errorf("%w: implausible length %d of record %d", ErrCorrupt, length, t.lsn)
+		}
+		t.payload = slices.Grow(t.payload[:0], int(length))[:length]
+		if _, err := io.ReadFull(t.r, t.payload); err != nil {
+			return nil, fmt.Errorf("%w: record %d: %v", ErrCorrupt, t.lsn, err)
+		}
+		if crc32.Checksum(t.payload, crcTable) != binary.LittleEndian.Uint32(t.hdr[4:8]) {
+			return nil, fmt.Errorf("%w: record %d fails its CRC", ErrCorrupt, t.lsn)
+		}
+		if t.lsn++; t.lsn > lsn {
+			return t.payload, nil
+		}
+	}
+}
+
+// open switches to the segment that starts at LSN start.
+func (t *tailReader) open(start uint64) error {
+	t.close()
+	name := segName(start)
+	f, err := t.fs.Open(filepath.Join(t.dir, name))
+	if err != nil {
+		return fmt.Errorf("wal: log position %d: segment %s: %w", start, name, err)
+	}
+	if t.r == nil {
+		t.r = bufio.NewReaderSize(f, 1<<16)
+	}
+	t.f, t.lsn = f, start
+	t.r.Reset(f)
+	return nil
+}
+
+func (t *tailReader) close() {
+	if t.f != nil {
+		t.f.Close()
+		t.f = nil
+	}
 }

@@ -13,6 +13,7 @@ import (
 	"path/filepath"
 	"strconv"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -20,6 +21,7 @@ import (
 	"hyperprov/internal/core"
 	"hyperprov/internal/db"
 	"hyperprov/internal/engine"
+	"hyperprov/internal/iofault"
 	"hyperprov/internal/wal"
 	"hyperprov/internal/workload"
 )
@@ -824,4 +826,169 @@ func TestFollowerResyncAfterSentPrune(t *testing.T) {
 	}
 	requireSameBytes(t, "after sent-prune resync", snapshotOf(t, st), snapshotOf(t, f))
 	requireSameReads(t, "after sent-prune resync", st, f)
+}
+
+// heldReader passes a transport through, except that no read starts
+// while hold is write-locked: the follower behind it receives nothing
+// more (one read already under way aside) until hold is unlocked.
+type heldReader struct {
+	io.ReadCloser
+	hold *sync.RWMutex
+}
+
+func (r heldReader) Read(p []byte) (int, error) {
+	r.hold.RLock()
+	r.hold.RUnlock()
+	return r.ReadCloser.Read(p)
+}
+
+// TestFollowerFarBehindWhileStreaming: a follower whose transport is held
+// while the leader commits more records than any in-memory queue held
+// (4 096) is sent them from the log once it is released, without a
+// resync, and converges. Meanwhile the fence is what the stream has been
+// sent: a checkpoint keeps every segment from it on.
+func TestFollowerFarBehindWhileStreaming(t *testing.T) {
+	st, err := wal.Open(t.TempDir(),
+		wal.WithSchema(churnSchema),
+		wal.WithSync(wal.SyncNever),
+		wal.WithSegmentSize(4096),
+		wal.WithHeartbeatEvery(10*time.Millisecond),
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	_, src := startLeaderServer(t, st)
+	var hold sync.RWMutex
+	held := func(ctx context.Context, from uint64) (io.ReadCloser, error) {
+		rc, err := src(ctx, from)
+		return heldReader{rc, &hold}, err
+	}
+	// No stall timeout: a held follower must not give up on its leader.
+	f := openTestFollower(t, t.TempDir(), held, wal.WithSync(wal.SyncNever), wal.WithStreamStallTimeout(0))
+	rng := rand.New(rand.NewSource(41))
+	churn(t, st, rng, 10)
+	waitApplied(t, f, 10)
+
+	hold.Lock()
+	var once sync.Once
+	release := func() { once.Do(hold.Unlock) }
+	defer release() // a failure while held must not leave the follower blocked
+	churn(t, st, rng, 4200)
+	if err := st.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	ss := st.Stats()
+	starts, _ := segmentFiles(t, st.Dir())
+	if ss.StreamFenceLSN > ss.LSN || len(starts) == 0 || starts[0] > ss.StreamFenceLSN {
+		t.Fatalf("fence %d of %d records; the log starts at %v: want it kept from the fence on", ss.StreamFenceLSN, ss.LSN, starts)
+	}
+	if applied := f.ReplicaStats().AppliedLSN; applied >= ss.LSN {
+		t.Fatalf("the held follower applied %d of %d records", applied, ss.LSN)
+	}
+	release()
+
+	waitApplied(t, f, ss.LSN)
+	for deadline := time.Now().Add(30 * time.Second); st.Stats().StreamFenceLSN != ss.LSN; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("fence %d after the follower applied all %d records", st.Stats().StreamFenceLSN, ss.LSN)
+		}
+	}
+	if rs := f.ReplicaStats(); rs.Resyncs != 0 || rs.Reconnects != 0 {
+		t.Fatalf("a follower far behind resynced %d and reconnected %d times, want neither", rs.Resyncs, rs.Reconnects)
+	}
+	requireSameBytes(t, "far behind", snapshotOf(t, st), snapshotOf(t, f))
+}
+
+// TestStreamLogHoleReturns: a stream whose next segment is missing from
+// the retained log ends with an error instead of waiting for it; at the
+// latest it ends with its context.
+func TestStreamLogHoleReturns(t *testing.T) {
+	st, err := wal.Open(t.TempDir(),
+		wal.WithSchema(churnSchema),
+		wal.WithSync(wal.SyncNever),
+		wal.WithSegmentSize(1024),
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	churn(t, st, rand.New(rand.NewSource(43)), 40)
+	starts, _ := segmentFiles(t, st.Dir())
+	if len(starts) < 3 {
+		t.Fatalf("segments %v, want three or more", starts)
+	}
+	if err := os.Remove(filepath.Join(st.Dir(), fmt.Sprintf("wal-%016x.seg", starts[1]))); err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+	defer cancel()
+	done := make(chan error, 1)
+	go func() { done <- st.ServeStream(ctx, io.Discard, 1) }()
+	select {
+	case err := <-done:
+		if err == nil {
+			t.Fatal("a stream across a hole in the log ended without an error")
+		}
+	case <-time.After(4 * time.Second):
+		t.Fatal("a stream across a hole in the log is still running 2 s after its context ended")
+	}
+}
+
+// TestPruneStopsAtFailedRemoval: a checkpoint that fails to remove the
+// oldest segment removes none after it, so the retained log stays one
+// chain, and a follower resuming inside that segment is sent the log from
+// there, without a resync, and converges — its first stream ending where
+// opening that segment fails, and the redial going through.
+func TestPruneStopsAtFailedRemoval(t *testing.T) {
+	initial, txns := smallWorkload(t)
+	fs := iofault.Wrap(wal.OSFS{})
+	st, err := wal.Open(t.TempDir(),
+		wal.WithInitialDatabase(initial),
+		wal.WithSync(wal.SyncNever),
+		wal.WithSegmentSize(1024),
+		wal.WithHeartbeatEvery(10*time.Millisecond),
+		wal.WithFS(fs),
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	_, src := startLeaderServer(t, st)
+	if err := st.ApplyAll(context.Background(), txns[:2]); err != nil {
+		t.Fatal(err)
+	}
+	fdir := t.TempDir()
+	f := openTestFollower(t, fdir, src, wal.WithSync(wal.SyncNever))
+	waitApplied(t, f, 2)
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for deadline := time.Now().Add(10 * time.Second); st.Stats().ActiveStreams != 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the closed follower's stream never unregistered")
+		}
+	}
+	if err := st.ApplyAll(context.Background(), txns[2:]); err != nil {
+		t.Fatal(err)
+	}
+	before, _ := segmentFiles(t, st.Dir())
+	if len(before) < 3 || before[0] != 0 || before[1] <= 2 {
+		t.Fatalf("segments %v: want the follower's position 2 inside the first of three or more", before)
+	}
+	fs.Inject(iofault.Fault{Op: iofault.OpRemove, Match: "wal-0000000000000000.seg", Nth: 1})
+	if err := st.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if after, _ := segmentFiles(t, st.Dir()); !fs.Tripped() || len(after) != len(before)+1 || after[0] != 0 {
+		t.Fatalf("segments %v before a checkpoint whose first removal failed, %v after: want all kept", before, after)
+	}
+
+	fs.Inject(iofault.Fault{Op: iofault.OpOpen, Match: "wal-0000000000000000.seg", Nth: 1})
+	re := openTestFollower(t, fdir, src, wal.WithSync(wal.SyncNever))
+	waitApplied(t, re, uint64(len(txns)))
+	if rs := re.ReplicaStats(); !fs.Tripped() || rs.Resyncs != 0 || rs.Reconnects == 0 {
+		t.Fatalf("open fault tripped %t; the follower resynced %d and reconnected %d times, want 0 and some", fs.Tripped(), rs.Resyncs, rs.Reconnects)
+	}
+	requireSameBytes(t, "resumed across a failed prune", snapshotOf(t, st), snapshotOf(t, re))
 }

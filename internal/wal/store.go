@@ -222,12 +222,14 @@ type Store struct {
 	// follower's handle.
 	*engine.Handle
 
-	mu        sync.Mutex
-	lw        *logWriter
-	lsn       uint64 // next LSN to assign
+	mu sync.Mutex
+	lw *logWriter
+	// lsn (the next LSN to assign) and closed change under mu; streams
+	// read them without it (logEnd).
+	lsn       atomic.Uint64
+	closed    atomic.Bool
 	ckptLSN   uint64 // records below this are in the latest checkpoint
 	sinceCkpt uint64
-	closed    bool
 	release   func() // directory lock
 	hasInit   bool   // bootstrap database had rows (lives in META)
 
@@ -250,8 +252,10 @@ type Store struct {
 	replay db.Builder
 
 	// Replication: registered follower streams. Each handle's position
-	// fences log pruning; attached handles receive committed records.
+	// fences log pruning. tail wakes the streams level with the log end
+	// at every commit while one is registered, and at Close.
 	streams map[*streamHandle]struct{}
+	tail    engine.Note
 
 	readOnly atomic.Bool
 	roCause  atomic.Value // error
@@ -281,9 +285,8 @@ type Store struct {
 	ckptLastUs, ckptLastBytes, ckptTotalUs, ckptHeldUs atomic.Int64
 
 	// replication counters
-	streamsServed  atomic.Uint64
-	resyncsServed  atomic.Uint64
-	streamLagDrops atomic.Uint64
+	streamsServed atomic.Uint64
+	resyncsServed atomic.Uint64
 }
 
 var _ engine.DB = (*Store)(nil)
@@ -319,7 +322,10 @@ type StoreStats struct {
 
 	// Leader-side replication counters. StreamFenceLSN is the first
 	// record some registered stream has not been sent yet, the most a
-	// checkpoint may prune up to (0 with no streams).
+	// checkpoint may prune up to (0 with no streams). StreamLagDrops is
+	// retired and always 0: streams read the log, so no follower is ever
+	// dropped for lagging. The field stays because stats names are a
+	// stable API.
 	ActiveStreams  int    `json:"active_streams"`
 	StreamFenceLSN uint64 `json:"stream_fence_lsn"`
 	StreamsServed  uint64 `json:"streams_served"`
@@ -564,7 +570,7 @@ func (s *Store) recover(meta *metaInfo) error {
 		}
 		segStart, segCount, segBytes = start, uint64(len(sc.records)), sc.goodLen
 	}
-	s.lsn = nextLSN
+	s.lsn.Store(nextLSN)
 	s.ckptLSN = replayStart
 	lw, err := openLogWriter(s.fs, s.dir, s.opts.segSize, segStart, segBytes, segCount, nextLSN)
 	if err != nil {
@@ -645,7 +651,7 @@ func (s *Store) degradeLocked(cause error) error {
 // writableLocked is the guard every logged operation starts with: a
 // closed store refuses, a degraded one answers its typed first cause.
 func (s *Store) writableLocked() error {
-	if s.closed {
+	if s.closed.Load() {
 		return ErrClosed
 	}
 	if s.readOnly.Load() {
@@ -683,12 +689,13 @@ func (s *Store) appendLocked(payloads ...[]byte) error {
 	if err := s.commitLocked(); err != nil {
 		return s.degradeLocked(err)
 	}
-	base := s.lsn
-	s.lsn += uint64(len(payloads))
+	s.lsn.Add(uint64(len(payloads)))
 	s.sinceCkpt += uint64(len(payloads))
 	s.appended.Add(uint64(len(payloads)))
-	// Committed (flushed at minimum): safe to fan out to followers.
-	s.publishStreamLocked(base, payloads)
+	// Committed (flushed at minimum): streams may read the records now.
+	if len(s.streams) > 0 {
+		s.tail.Wake()
+	}
 	return nil
 }
 
@@ -743,8 +750,8 @@ func (s *Store) ApplyBatch(ctx context.Context, txns []db.Transaction) (applied 
 // into the store's encode buffer, reused from chunk to chunk. When the
 // buffer grows mid-chunk the earlier payloads stay on the old array,
 // which nothing writes again. They are valid until the next call:
-// appendLocked copies them into the log writer and followers get copies
-// of their own.
+// appendLocked copies them into the log writer, and streams read them
+// back from the log.
 func (s *Store) encodeChunkLocked(chunk []db.Transaction) [][]byte {
 	s.enc.buf.Reset()
 	s.encPayloads = s.encPayloads[:0]
@@ -982,7 +989,7 @@ func (s *Store) beginCheckpointLocked() (lsn uint64, view engine.View, start tim
 	}
 	s.sinceCkpt = 0
 	s.ckptDone = make(chan struct{})
-	return s.lsn, s.At(s.Horizon()), start, nil
+	return s.lsn.Load(), s.At(s.Horizon()), start, nil
 }
 
 // checkpoint is the rest of the checkpoint begun at start: encode the
@@ -1001,7 +1008,7 @@ func (s *Store) checkpoint(lsn uint64, view engine.View, start time.Time) error 
 		close(s.ckptDone)
 		s.ckptDone = nil
 	}()
-	if err != nil || s.closed {
+	if err != nil || s.closed.Load() {
 		// Closed after the rename: the file stands, recovery will use it.
 		return err
 	}
@@ -1011,8 +1018,10 @@ func (s *Store) checkpoint(lsn uint64, view engine.View, start time.Time) error 
 	// stale files recovery knows to skip, so they are best-effort.
 	// Active replication streams fence pruning: a segment is deleted
 	// only if every record it can hold has been sent to every stream, so
-	// a follower catching up from disk never has its segment removed
-	// mid-read, and one tailing live holds back nothing it already has.
+	// no stream has the segment it reads next removed. Segments go
+	// oldest first, and the first that stays ends the pruning, so the
+	// retained log is always one chain a stream can walk segment by
+	// segment.
 	fence := s.minStreamPosLocked()
 	ckpts, _ := listSeqFiles(s.fs, s.dir, ckptPrefix, ckptSuffix)
 	for _, v := range ckpts {
@@ -1029,8 +1038,8 @@ func (s *Store) checkpoint(lsn uint64, view engine.View, start time.Time) error 
 		if i+1 < len(segs) {
 			end = segs[i+1]
 		}
-		if v < lsn && end <= fence {
-			_ = s.fs.Remove(filepath.Join(s.dir, segName(v)))
+		if v >= lsn || end > fence || s.fs.Remove(filepath.Join(s.dir, segName(v))) != nil {
+			break
 		}
 	}
 	_ = s.fs.SyncDir(s.dir)
@@ -1083,7 +1092,7 @@ func (s *Store) syncLoop() {
 			return
 		case <-t.C:
 			s.mu.Lock()
-			if !s.closed && !s.readOnly.Load() {
+			if !s.closed.Load() && !s.readOnly.Load() {
 				if err := s.lw.sync(); err != nil {
 					_ = s.degradeLocked(err)
 				} else {
@@ -1112,16 +1121,16 @@ func (s *Store) shut(crash bool) error {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.closed {
+	if s.closed.Load() {
 		return nil
 	}
-	s.closed = true
+	s.closed.Store(true)
 	if crash {
 		s.stopCheckpointLocked(ckptAbandon)
 	} else {
 		s.stopCheckpointLocked(ckptCancel)
 	}
-	s.closeStreamsLocked()
+	s.tail.Wake() // waiting streams see the store closed and end
 	var err error
 	switch {
 	case crash:
@@ -1151,7 +1160,7 @@ func (s *Store) ReadOnly() bool { return s.readOnly.Load() }
 // Stats summarizes the durability subsystem.
 func (s *Store) Stats() StoreStats {
 	s.mu.Lock()
-	lsn, ckptLSN := s.lsn, s.ckptLSN
+	lsn, ckptLSN := s.lsn.Load(), s.ckptLSN
 	active, fence := len(s.streams), uint64(0)
 	if active > 0 {
 		fence = s.minStreamPosLocked()
@@ -1175,7 +1184,6 @@ func (s *Store) Stats() StoreStats {
 		StreamFenceLSN: fence,
 		StreamsServed:  s.streamsServed.Load(),
 		ResyncsServed:  s.resyncsServed.Load(),
-		StreamLagDrops: s.streamLagDrops.Load(),
 
 		CheckpointLastMs:    float64(s.ckptLastUs.Load()) / 1e3,
 		CheckpointLastBytes: s.ckptLastBytes.Load(),

@@ -3,7 +3,6 @@ package wal_test
 import (
 	"bytes"
 	"context"
-	"fmt"
 	"testing"
 
 	"hyperprov/internal/core"
@@ -88,9 +87,8 @@ func requireSameBytes(t *testing.T, label string, want, got []byte) {
 // TestCrashRecoveryDifferential is the tentpole acceptance test: for
 // random and TPC-C workloads in both modes, a store crashed mid-workload
 // recovers to exactly the state a never-crashed engine reaches with the
-// recovered record prefix — byte-identical snapshots. The shards=8
-// subtests open the store with the deprecated engine.WithShards(8),
-// which must change nothing.
+// recovered record prefix — byte-identical snapshots. (The shards=1
+// suffix is the name the cases had when a sharded twin ran beside them.)
 func TestCrashRecoveryDifferential(t *testing.T) {
 	type load struct {
 		name string
@@ -99,74 +97,70 @@ func TestCrashRecoveryDifferential(t *testing.T) {
 	loads := []load{{"random", smallWorkload}, {"tpcc", tpccWorkload}}
 	for _, ld := range loads {
 		for _, mode := range modes {
-			for _, shards := range []int{1, 8} {
-				name := fmt.Sprintf("%s/%s/shards=%d", ld.name, modeName(mode), shards)
-				t.Run(name, func(t *testing.T) {
-					initial, txns := ld.gen(t)
-					dir := t.TempDir()
-					open := func() *wal.Store {
-						st, err := wal.Open(dir,
-							wal.WithMode(mode),
-							wal.WithInitialDatabase(initial),
-							wal.WithEngineOptions(engine.WithShards(shards)),
-							wal.WithSync(wal.SyncAlways),
-							wal.WithSegmentSize(4096),
-							wal.WithCheckpointEvery(40),
-						)
-						if err != nil {
-							t.Fatalf("open: %v", err)
-						}
-						return st
-					}
-					st := open()
-					// First half through the batched path, then a crash
-					// mid-way through the sequential path.
-					half := len(txns) / 2
-					if err := st.ApplyAll(context.Background(), txns[:half]); err != nil {
-						t.Fatalf("ApplyAll: %v", err)
-					}
-					crashAt := half + (len(txns)-half)/2
-					for i := half; i < crashAt; i++ {
-						if err := st.ApplyTransaction(&txns[i]); err != nil {
-							t.Fatalf("ApplyTransaction %d: %v", i, err)
-						}
-					}
-					st.Crash()
-
-					// Reopen without the bootstrap options: the data
-					// directory alone recovers.
-					re, err := wal.Open(dir, wal.WithSync(wal.SyncAlways), wal.WithSegmentSize(4096))
+			t.Run(ld.name+"/"+modeName(mode)+"/shards=1", func(t *testing.T) {
+				initial, txns := ld.gen(t)
+				dir := t.TempDir()
+				open := func() *wal.Store {
+					st, err := wal.Open(dir,
+						wal.WithMode(mode),
+						wal.WithInitialDatabase(initial),
+						wal.WithSync(wal.SyncAlways),
+						wal.WithSegmentSize(4096),
+						wal.WithCheckpointEvery(40),
+					)
 					if err != nil {
-						t.Fatalf("reopen: %v", err)
+						t.Fatalf("open: %v", err)
 					}
-					stats := re.Stats()
-					if got := int(stats.LSN); got != crashAt {
-						t.Fatalf("recovered LSN %d, want %d acked records", got, crashAt)
+					return st
+				}
+				st := open()
+				// First half through the batched path, then a crash
+				// mid-way through the sequential path.
+				half := len(txns) / 2
+				if err := st.ApplyAll(context.Background(), txns[:half]); err != nil {
+					t.Fatalf("ApplyAll: %v", err)
+				}
+				crashAt := half + (len(txns)-half)/2
+				for i := half; i < crashAt; i++ {
+					if err := st.ApplyTransaction(&txns[i]); err != nil {
+						t.Fatalf("ApplyTransaction %d: %v", i, err)
 					}
-					if !stats.Recovered {
-						t.Fatalf("stats.Recovered = false after recovery")
-					}
-					oracle := oracleAt(t, mode, initial, txns, crashAt)
-					requireSameBytes(t, "reopen", snapshotOf(t, oracle), snapshotOf(t, re))
-					re.Crash()
+				}
+				st.Crash()
 
-					// Continue past the crash on a final reopen, close
-					// cleanly, reopen once more: checkpoint + suffix.
-					re = open()
-					for i := crashAt; i < len(txns); i++ {
-						if err := re.ApplyTransaction(&txns[i]); err != nil {
-							t.Fatalf("ApplyTransaction %d after recovery: %v", i, err)
-						}
+				// Reopen without the bootstrap options: the data
+				// directory alone recovers.
+				re, err := wal.Open(dir, wal.WithSync(wal.SyncAlways), wal.WithSegmentSize(4096))
+				if err != nil {
+					t.Fatalf("reopen: %v", err)
+				}
+				stats := re.Stats()
+				if got := int(stats.LSN); got != crashAt {
+					t.Fatalf("recovered LSN %d, want %d acked records", got, crashAt)
+				}
+				if !stats.Recovered {
+					t.Fatalf("stats.Recovered = false after recovery")
+				}
+				oracle := oracleAt(t, mode, initial, txns, crashAt)
+				requireSameBytes(t, "reopen", snapshotOf(t, oracle), snapshotOf(t, re))
+				re.Crash()
+
+				// Continue past the crash on a final reopen, close
+				// cleanly, reopen once more: checkpoint + suffix.
+				re = open()
+				for i := crashAt; i < len(txns); i++ {
+					if err := re.ApplyTransaction(&txns[i]); err != nil {
+						t.Fatalf("ApplyTransaction %d after recovery: %v", i, err)
 					}
-					if err := re.Close(); err != nil {
-						t.Fatalf("close: %v", err)
-					}
-					final := open()
-					defer final.Close()
-					oracle = oracleAt(t, mode, initial, txns, len(txns))
-					requireSameBytes(t, "final", snapshotOf(t, oracle), snapshotOf(t, final))
-				})
-			}
+				}
+				if err := re.Close(); err != nil {
+					t.Fatalf("close: %v", err)
+				}
+				final := open()
+				defer final.Close()
+				oracle = oracleAt(t, mode, initial, txns, len(txns))
+				requireSameBytes(t, "final", snapshotOf(t, oracle), snapshotOf(t, final))
+			})
 		}
 	}
 }
@@ -335,48 +329,44 @@ func TestDurableRestoreRow(t *testing.T) {
 // TestFailingChunkIsOneGroupCommit: a batch whose transaction k fails
 // mid-way logs transactions 0..k — the failing one too, which replays to
 // the same partial state and is counted as a failed replay — under one
-// fsync, and a crash right after recovers the live engine's bytes. The
-// shards=4 subtest opens the store with the deprecated
-// engine.WithShards(4), which must change nothing.
+// fsync, and a crash right after recovers the live engine's bytes. (The
+// shards=1 subtest keeps the name it had beside a sharded twin.)
 func TestFailingChunkIsOneGroupCommit(t *testing.T) {
 	initial, txns := smallWorkload(t)
 	const k = 9
 	batch := append([]db.Transaction(nil), txns[:20]...)
 	batch[k].Updates = append(append([]db.Update(nil), txns[k].Updates...),
 		db.Update{Kind: db.OpDelete, Rel: "missing", Sel: db.Pattern{db.AnyVar("x")}})
-	for _, shards := range []int{1, 4} {
-		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			dir := t.TempDir()
-			opt := wal.WithEngineOptions(engine.WithShards(shards))
-			st, err := wal.Open(dir, wal.WithSync(wal.SyncAlways), wal.WithInitialDatabase(initial), opt)
-			if err != nil {
-				t.Fatal(err)
-			}
-			before := st.Stats()
-			applied, err := st.ApplyBatch(context.Background(), batch)
-			if err == nil || applied != k {
-				t.Fatalf("applied %d, err %v; want %d and the failing transaction's error", applied, err, k)
-			}
-			after := st.Stats()
-			if syncs := after.Syncs - before.Syncs; syncs != 1 {
-				t.Errorf("%d fsyncs for the failing chunk, want 1", syncs)
-			}
-			if recs := after.Appended - before.Appended; recs != k+1 {
-				t.Errorf("%d records appended, want %d", recs, k+1)
-			}
-			want := snapshotOf(t, st)
-			st.Crash()
-			re, err := wal.Open(dir, opt)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer re.Close()
-			requireSameBytes(t, "recovered", want, snapshotOf(t, re))
-			if n := re.Stats().ReplayFailed; n != 1 {
-				t.Errorf("recovery counted %d failed replays, want the logged failing transaction", n)
-			}
-		})
-	}
+	t.Run("shards=1", func(t *testing.T) {
+		dir := t.TempDir()
+		st, err := wal.Open(dir, wal.WithSync(wal.SyncAlways), wal.WithInitialDatabase(initial))
+		if err != nil {
+			t.Fatal(err)
+		}
+		before := st.Stats()
+		applied, err := st.ApplyBatch(context.Background(), batch)
+		if err == nil || applied != k {
+			t.Fatalf("applied %d, err %v; want %d and the failing transaction's error", applied, err, k)
+		}
+		after := st.Stats()
+		if syncs := after.Syncs - before.Syncs; syncs != 1 {
+			t.Errorf("%d fsyncs for the failing chunk, want 1", syncs)
+		}
+		if recs := after.Appended - before.Appended; recs != k+1 {
+			t.Errorf("%d records appended, want %d", recs, k+1)
+		}
+		want := snapshotOf(t, st)
+		st.Crash()
+		re, err := wal.Open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer re.Close()
+		requireSameBytes(t, "recovered", want, snapshotOf(t, re))
+		if n := re.Stats().ReplayFailed; n != 1 {
+			t.Errorf("recovery counted %d failed replays, want the logged failing transaction", n)
+		}
+	})
 }
 
 // TestApplyErrorsAreDeterministic logs transactions that fail mid-way
