@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -82,50 +83,32 @@ func (s *Server) handleSubscribe(w http.ResponseWriter, req *http.Request) {
 		return
 	}
 	defer conn.Close()
-	// Register everything before writing the status line so a bad spec
-	// is a clean 4xx rather than a mid-stream error frame.
-	acks := make([][]byte, 0, len(specs))
-	for _, sp := range specs {
-		ack, err := s.subs.Subscribe(conn, sp)
-		if err != nil {
-			if errors.Is(err, engine.ErrUnknownRelation) {
-				writeError(w, http.StatusNotFound, codeUnknownRelation, "%v", err)
-			} else {
-				writeError(w, http.StatusBadRequest, codeBadRequest, "%v", err)
-			}
-			return
-		}
-		acks = append(acks, ack)
+	// A bad spec is a clean 4xx rather than a mid-stream error frame.
+	if err := s.subs.Validate(specs); err != nil {
+		writeSubscribeError(w, err)
+		return
 	}
-
+	// Each ack streams before the next subscription is registered. The
+	// status line goes out with the first ack's first byte: until then a
+	// failure is an envelope; after it an unframeable ack is an error
+	// frame and the stream goes on.
 	if sse {
 		w.Header().Set("Content-Type", "text/event-stream")
 		w.Header().Set("Cache-Control", "no-cache")
 	} else {
 		w.Header().Set("Content-Type", "application/x-ndjson")
 	}
-	w.WriteHeader(http.StatusOK)
-	// Frames arrive encoded, newline included: ND-JSON writes them as
-	// they are, SSE wraps each in "data: " and a blank line.
-	write := func(frame []byte) bool {
-		if sse {
-			if _, err := w.Write(sseData); err != nil {
-				return false
-			}
+	out := &frameWriter{w: w, flusher: flusher, sse: sse}
+	for _, sp := range specs {
+		err := s.subs.SubscribeTo(conn, sp, out)
+		var unframeable *subscribe.UnframeableError
+		if err != nil && out.writes == 0 {
+			writeSubscribeError(w, err)
+			return
+		} else if errors.As(err, &unframeable) {
+			_, err = out.Write(unframeable.Frame)
 		}
-		if _, err := w.Write(frame); err != nil {
-			return false
-		}
-		if sse {
-			if _, err := w.Write(sseEnd); err != nil {
-				return false
-			}
-		}
-		flusher.Flush()
-		return true
-	}
-	for _, ack := range acks {
-		if !write(ack) {
+		if err != nil { // the manager closed, or the client went away
 			return
 		}
 	}
@@ -136,14 +119,55 @@ func (s *Server) handleSubscribe(w http.ResponseWriter, req *http.Request) {
 	ctx, cancel := context.WithCancel(req.Context())
 	defer cancel()
 	defer context.AfterFunc(s.drainCtx, cancel)()
-	for {
-		f, err := conn.Next(ctx)
-		if err != nil {
-			return
-		}
-		if !write(f) {
-			s.metrics.m.Add("subscribe.drops", 1)
-			return
-		}
+	for conn.NextTo(ctx, out) == nil {
+	}
+	if out.err != nil {
+		s.metrics.m.Add("subscribe.drops", 1)
+	}
+}
+
+// writeSubscribeError answers a subscription refused before the stream
+// began; ErrClosed means the server is shutting down.
+func writeSubscribeError(w http.ResponseWriter, err error) {
+	switch {
+	case errors.Is(err, engine.ErrUnknownRelation):
+		writeError(w, http.StatusNotFound, codeUnknownRelation, "%v", err)
+	case errors.Is(err, subscribe.ErrClosed):
+		writeError(w, http.StatusServiceUnavailable, codeCanceled, "server is shutting down")
+	default:
+		writeError(w, http.StatusBadRequest, codeBadRequest, "%v", err)
+	}
+}
+
+// frameWriter is the stream's sink: encoded frames, newline included,
+// arrive whole or a window at a time and are flushed as they come.
+// ND-JSON writes them as they are; SSE wraps each in "data: " and a
+// blank line (a frame's one raw newline is its last byte).
+type frameWriter struct {
+	w         http.ResponseWriter
+	flusher   http.Flusher
+	sse, open bool // open: an SSE frame is under way
+	writes    int
+	err       error
+}
+
+func (fw *frameWriter) Write(p []byte) (int, error) {
+	if fw.sse && !fw.open {
+		fw.write(sseData)
+	}
+	fw.open = !bytes.HasSuffix(p, sseEnd)
+	fw.write(p)
+	if fw.sse && !fw.open {
+		fw.write(sseEnd)
+	}
+	fw.flusher.Flush()
+	return len(p), fw.err
+}
+
+// write passes p on unless an earlier write failed.
+func (fw *frameWriter) write(p []byte) {
+	if fw.err == nil {
+		fw.writes++
+		_, fw.err = fw.w.Write(p)
 	}
 }

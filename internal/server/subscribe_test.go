@@ -10,6 +10,7 @@ import (
 	"net/http/httptest"
 	"net/url"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -360,6 +361,43 @@ func TestSubscribeBufferCeiling(t *testing.T) {
 	}
 	if st := srv.Subscriptions().StatsSnapshot(); st.RespecNodes != 0 || st.FrameBytes == 0 {
 		t.Fatalf("two watch acks must count frame bytes and no kernel nodes: %+v", st)
+	}
+}
+
+// TestSubscribeDuringClose: a server closing while subscriptions arrive
+// answers each with a stream, which Close then ends, or 503 canceled —
+// never 400, which would blame the client for the shutdown. A request
+// that attached before Close and registers after it met the closed
+// manager's ErrClosed, and was answered 400 bad_request.
+func TestSubscribeDuringClose(t *testing.T) {
+	srv := New(figure1Engine(t, engine.ModeNormalForm), WithLogf(t.Logf))
+	h := srv.Handler()
+	const requests = 200
+	codes := make(chan int, requests)
+	var wg sync.WaitGroup
+	for i := 0; i < requests; i++ {
+		if i == requests/2 {
+			wg.Add(1)
+			go func() { defer wg.Done(); srv.Close() }()
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, httptest.NewRequest("POST", "/v1/subscribe", strings.NewReader(
+				`{"subscriptions":[{"kind":"watch","rel":"Products"},{"kind":"deletion","tuples":["p1"]}]}`)))
+			codes <- rec.Code
+		}()
+	}
+	wg.Wait()
+	close(codes)
+	seen := map[int]int{}
+	for code := range codes {
+		seen[code]++
+	}
+	t.Logf("statuses: %v", seen)
+	if seen[http.StatusOK]+seen[http.StatusServiceUnavailable] != requests {
+		t.Fatalf("a subscription racing Close answered %v, want only 200 and 503", seen)
 	}
 }
 

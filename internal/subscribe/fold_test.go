@@ -10,6 +10,7 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"runtime/debug"
 	"slices"
 	"testing"
 	"time"
@@ -206,6 +207,100 @@ func TestFoldAllocsIndependentOfHistory(t *testing.T) {
 	t.Logf("allocations per folded commit: %.1f after 500 transactions, %.1f after 5 000", short, long)
 	if short > 12 || long > 12 || long-short > 3 {
 		t.Errorf("folding a commit allocates %.1f objects after 500 transactions and %.1f after 5 000: something allocates per row, node or state", short, long)
+	}
+}
+
+// snapshotSink is where TestSnapshotAllocsIndependentOfRows streams
+// snapshots: it counts the bytes, keeps the largest write, and notes a
+// write made while the manager's lock was held.
+type snapshotSink struct {
+	m            *Manager
+	bytes, large int
+	locked       bool
+}
+
+func (w *snapshotSink) Write(p []byte) (int, error) {
+	w.bytes, w.large = w.bytes+len(p), max(w.large, len(p))
+	if w.m.mu.TryLock() {
+		w.m.mu.Unlock()
+	} else {
+		w.locked = true
+	}
+	return len(p), nil
+}
+
+// TestSnapshotAllocsIndependentOfRows: an ack or resync streamed to a
+// writer allocates per snapshot — a pinned view, a closure per
+// relation — and not per row or per byte: its scratch and its window
+// are pooled. Over the wire benchmark's TPC-C state after 2 400 and
+// after 12 000 transactions, a deletion what-if's ack and a resync of
+// the whole 32-subscription mix, each measured after one warm-up, must
+// allocate less than a tenth of the bytes they write, write at most
+// frameKeep at a time, and never with the manager's lock held.
+func TestSnapshotAllocsIndependentOfRows(t *testing.T) {
+	if testing.Short() || raceEnabled {
+		t.Skip("applies 12 000 TPC-C transactions; the race detector's sync.Pool drops puts on purpose")
+	}
+	g := tpcc.NewGenerator(tpcc.Scaled(0.02))
+	initial, err := g.InitialDatabase()
+	if err != nil {
+		t.Fatal(err)
+	}
+	txns := g.Transactions(12000)
+	d := engine.Open(engine.ModeNormalForm, initial, engine.WithAutoIndex(4))
+	m := NewManager(d)
+	defer m.Close()
+	applied := 0
+	for _, history := range []int{2400, 12000} {
+		if err := d.ApplyAll(context.Background(), txns[applied:history]); err != nil {
+			t.Fatal(err)
+		}
+		applied = history
+		c := m.Attach(64)
+		for _, sp := range TPCCMix(initial, txns[:2400]) {
+			if _, err := m.Subscribe(c, sp); err != nil {
+				t.Fatal(err)
+			}
+		}
+		// measure streams one snapshot (or a round of them) to a fresh
+		// sink and reports what it allocated.
+		measure := func(stream func(w *snapshotSink)) (*snapshotSink, uint64) {
+			w := &snapshotSink{m: m}
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			stream(w)
+			runtime.ReadMemStats(&after)
+			return w, after.TotalAlloc - before.TotalAlloc
+		}
+		ack := func(id string) func(w *snapshotSink) {
+			return func(w *snapshotSink) {
+				if err := m.SubscribeTo(c, Spec{ID: id, Kind: KindDeletion, Tuples: []string{"t13", "t7"}}, w); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		resync := func(w *snapshotSink) {
+			m.rebuild()
+			for c.NextTo(Polled, w) == nil {
+			}
+		}
+		// The collector stays off while the pools hold what a warm-up filled.
+		gc := debug.SetGCPercent(-1)
+		for _, snap := range []struct {
+			name         string
+			warm, stream func(w *snapshotSink)
+		}{{"a deletion what-if's ack", ack("warm"), ack("measured")}, {"a resync of the mix", resync, resync}} {
+			measure(snap.warm)
+			w, alloc := measure(snap.stream)
+			t.Logf("%d transactions: %s allocates %d bytes for a %d-byte write, at most %d bytes at a time",
+				history, snap.name, alloc, w.bytes, w.large)
+			if alloc*10 >= uint64(w.bytes) || w.large > frameKeep || w.locked {
+				t.Errorf("%d transactions: %s allocates %d bytes for %d written, writes up to %d bytes at a time (window %d), lock held %v",
+					history, snap.name, alloc, w.bytes, w.large, frameKeep, w.locked)
+			}
+		}
+		debug.SetGCPercent(gc)
+		c.Close()
 	}
 }
 

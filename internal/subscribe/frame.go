@@ -2,6 +2,9 @@ package subscribe
 
 import (
 	"bytes"
+	"fmt"
+	"io"
+	"math"
 	"slices"
 	"strconv"
 	"sync"
@@ -25,10 +28,12 @@ import (
 //   - "resync": the client's copy went stale — the server dropped at
 //     least one frame rather than block the write path — and Rows is the
 //     full state at Epoch, replacing everything previously received.
-//   - "error": the subscription ended: its next frame could not be
-//     built (Message says why). Other IDs on the stream go on.
+//   - "error": the subscription ended: its next frame (or its ack, after
+//     the stream's first) could not be built (Message says why).
+//     Other IDs on the stream go on.
 //
 // Row lists come relations in schema order, tuples by Key() byte order.
+// Acks and resyncs are written as they render, frameKeep bytes at most.
 type Frame struct {
 	Type    string `json:"type"`
 	ID      string `json:"id,omitempty"`
@@ -81,13 +86,25 @@ type touched struct {
 	before, after *core.Expr // its annotation on either side of the commit, nil when absent
 	rel           int        // schema position, and
 	key           span       // Tuple.Key(): the wire order
-	head          span       // `{"rel":…,"tuple":[…]`, rendered by the first frame to carry the row and shared by the rest
-	bad           bool       // the tuple has a float JSON cannot carry
+	head          span       // `{"rel":…,"tuple":[…]`, rendered by a commit's first delta to carry the row and shared by the rest
 }
 
-// fold is the manager's scratch for one commit (or one snapshot),
-// reused from one to the next: the rows in play, their keys and shared
-// encodings in buf, and their wire order. Guarded by Manager.mu.
+// appendHead appends the row's `{"rel":…,"tuple":[…]`.
+func (r *touched) appendHead(b []byte) []byte {
+	b, _ = r.Tuple.AppendJSON(append(db.AppendJSONString(append(b, `{"rel":`...), r.Rel), `,"tuple":`...))
+	return b
+}
+
+// ann is the row's annotation on one side of the commit.
+func (r *touched) ann(after bool) *core.Expr {
+	if after {
+		return r.after
+	}
+	return r.before
+}
+
+// fold is the scratch for one commit (guarded by Manager.mu) or one
+// snapshot (pooled): the rows in play, their keys, their wire order.
 type fold struct {
 	rows  []touched
 	order []int32
@@ -96,7 +113,7 @@ type fold struct {
 
 func (f *fold) reset() {
 	if cap(f.rows) > 1<<14 {
-		*f = fold{} // a snapshot's worth of scratch is not kept for 25-row commits
+		*f = fold{} // a bulk commit's scratch is not kept for 25-row commits
 	}
 	f.rows, f.order, f.buf = f.rows[:0], f.order[:0], f.buf[:0]
 }
@@ -140,78 +157,143 @@ func appendHead(b []byte, typ string, s *sub, epoch uint64, label string) []byte
 	return b
 }
 
-// frame encodes one frame for s out of rows in play. A non-empty fail
-// says why there is no frame: a float JSON cannot carry, or more
-// annotation than maxFrameNodes.
-func (f *fold) frame(typ string, s *sub, epoch uint64, label string, lists ...rowList) (frame *[]byte, fail string) {
-	frame = framePool.Get().(*[]byte)
-	b := appendHead((*frame)[:0], typ, s, epoch, label)
+// appendError appends the error frame that ends s; fail says why.
+func appendError(b []byte, s *sub, fail string) []byte {
+	b = append(appendHead(b, "error", s, engine.SeqEpoch(s.since), ""), `,"code":"unframeable","message":`...)
+	return append(db.AppendJSONString(b, fail), '}', '\n')
+}
+
+// unframeable says why the rows of lists cannot be framed for s — a
+// float JSON cannot carry, or more annotation than maxFrameNodes — or
+// returns "", before frame writes a byte.
+func (f *fold) unframeable(s *sub, lists []rowList) string {
 	nodes := uint64(0)
 	for _, l := range lists {
-		for n, i := range l.rows {
+		for _, i := range l.rows {
 			r := &f.rows[i]
-			if r.head == (span{}) {
-				lo, bad := len(f.buf), 0
-				f.buf = db.AppendJSONString(append(f.buf, `{"rel":`...), r.Rel)
-				f.buf, bad = r.Tuple.AppendJSON(append(f.buf, `,"tuple":`...))
-				r.head, r.bad = span{lo, len(f.buf)}, bad >= 0
+			for _, v := range r.Tuple {
+				if f := v.Float(); math.IsNaN(f) || math.IsInf(f, 0) {
+					return "a member row holds a float with no JSON encoding"
+				}
 			}
-			if n == 0 {
+			if s.kern == nil { // watch rows carry their annotation; a size that overflowed counts as too large
+				if nodes += min(uint64(r.ann(l.after).Size()), maxFrameNodes+1); nodes > maxFrameNodes {
+					return "the frame's annotations exceed " + strconv.Itoa(maxFrameNodes) + " expression nodes"
+				}
+			}
+		}
+	}
+	return ""
+}
+
+// frame appends s's frame out of rows unframeable passed to b. With w
+// nil it returns the whole frame, sharing row heads with the commit's
+// other frames; otherwise b is a window, written to w whenever it
+// passes half of frameKeep and at the end, so it outgrows frameKeep
+// only for a row larger than half of it. n counts the bytes.
+func (f *fold) frame(b []byte, w io.Writer, typ string, s *sub, epoch uint64, label string, lists []rowList) (_ []byte, n int, err error) {
+	b = appendHead(b, typ, s, epoch, label)
+	for _, l := range lists {
+		for k, i := range l.rows {
+			if k == 0 {
 				b = append(append(append(b, `,"`...), l.name...), `":[`...)
 			} else {
 				b = append(b, ',')
 			}
-			b = append(b, f.buf[r.head.lo:r.head.hi]...)
-			ann := r.before
-			if l.after {
-				ann = r.after
+			r := &f.rows[i]
+			if w != nil {
+				b = r.appendHead(b)
+			} else {
+				if r.head == (span{}) {
+					lo := len(f.buf)
+					f.buf = r.appendHead(f.buf)
+					r.head = span{lo, len(f.buf)}
+				}
+				b = append(b, f.buf[r.head.lo:r.head.hi]...)
 			}
-			if s.kern == nil { // watch rows carry their annotation; a size that overflowed counts as too large
-				nodes += min(uint64(ann.Size()), maxFrameNodes+1)
-			}
-			switch {
-			case r.bad:
-				fail = "a member row holds a float with no JSON encoding"
-			case nodes > maxFrameNodes:
-				fail = "the frame's annotations exceed " + strconv.Itoa(maxFrameNodes) + " expression nodes"
-			case s.kern == nil && fail == "":
+			if s.kern == nil {
 				// Names are escaped one by one; the text between them is
 				// ASCII that JSON leaves alone.
-				b = append(ann.AppendText(append(b, `,"annotation":"`...), db.AppendJSONEscaped), '"')
+				b = append(r.ann(l.after).AppendText(append(b, `,"annotation":"`...), db.AppendJSONEscaped), '"')
 			}
 			b = append(b, '}')
+			if w != nil && len(b) >= frameKeep/2 {
+				n += len(b)
+				if _, err = w.Write(b); err != nil {
+					return b[:0], n, err
+				}
+				b = b[:0]
+			}
 		}
 		if len(l.rows) > 0 {
 			b = append(b, ']')
 		}
 	}
-	if *frame = append(b, '}', '\n'); fail != "" {
-		putFrame(frame)
-		return nil, fail
+	b = append(b, '}', '\n')
+	if n += len(b); w != nil {
+		_, err = w.Write(b)
+		b = b[:0]
 	}
-	return frame, ""
+	return b, n, err
 }
 
-// snapshot encodes s's full state at its own horizon — the rows of an
-// ack or resync frame — by streaming the pinned view through the
-// kernel (what-ifs) or the pattern (watches). Callers hold m.mu.
-func (m *Manager) snapshot(typ string, s *sub) (frame *[]byte, fail string) {
-	v, f := m.d.At(s.since), &m.fold
-	f.reset()
+// snapshot is an ack's or resync's scratch and render window.
+type snapshot struct {
+	fold
+	window []byte
+}
+
+var snapPool = sync.Pool{New: func() any { return &snapshot{window: make([]byte, 0, frameKeep)} }}
+
+// collect gathers s's rows at its horizon for an ack or resync through
+// the kernel (warming its memo) or the pattern, in wire order, and
+// decides framability. Callers hold m.mu; the render it returns reads
+// only the pinned view and s's head, so it runs after they release it.
+func (m *Manager) collect(typ string, s *sub) (render func(w io.Writer) error, fail string) {
+	v, sn := m.d.At(s.since), snapPool.Get().(*snapshot)
+	if s.kern != nil { // a what-if's members are most of the view
+		sn.rows, sn.order = slices.Grow(sn.rows, v.NumRows()), slices.Grow(sn.order, v.NumRows())
+	}
 	for ri, rel := range v.Schema().Names() {
 		if s.kern == nil && rel != s.spec.Rel {
 			continue
 		}
 		v.EachRow(rel, func(t db.Tuple, ann *core.Expr) {
 			if s.kern != nil && s.kern.Eval(ann) || s.kern == nil && !ann.IsZero() && s.pat.Matches(t) {
-				f.add(ri, engine.RowRef{Rel: rel, Tuple: t}).after = ann
+				sn.add(ri, engine.RowRef{Rel: rel, Tuple: t}).after = ann
 			}
 		})
 	}
 	m.countMisses(s)
-	f.sort()
-	if frame, fail = f.frame(typ, s, engine.SeqEpoch(s.since), "", rowList{"rows", f.order, true}); fail == "" {
-		m.frameBytes.Add(uint64(len(*frame)))
+	sn.sort()
+	lists, epoch := []rowList{{"rows", sn.order, true}}, engine.SeqEpoch(s.since)
+	if fail = sn.unframeable(s, lists); fail != "" {
+		sn.release()
+		return nil, fail
 	}
-	return frame, fail
+	return func(w io.Writer) error {
+		b, n, err := sn.frame(sn.window, w, typ, s, epoch, "", lists)
+		m.frameBytes.Add(uint64(n))
+		if cap(b) <= frameKeep {
+			sn.window = b
+		}
+		sn.release()
+		return err
+	}, ""
 }
+
+// release pools the snapshot, its scratch emptied so it pins no row.
+func (sn *snapshot) release() {
+	clear(sn.rows)
+	sn.rows, sn.order, sn.buf = sn.rows[:0], sn.order[:0], sn.buf[:0]
+	snapPool.Put(sn)
+}
+
+// UnframeableError is why an ack could not be built; Frame is the
+// "error" frame that ends the subscription on a stream under way.
+type UnframeableError struct {
+	ID, Reason string
+	Frame      []byte
+}
+
+func (e *UnframeableError) Error() string { return fmt.Sprintf("subscription %q: %s", e.ID, e.Reason) }

@@ -1,9 +1,11 @@
 package subscribe
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -163,8 +165,7 @@ func (m *Manager) dispatch() {
 // annotation is resolved once on either side of the commit — At(since)
 // before, At(ev.Seq) after — and offered to the what-ifs and to the
 // watches on its relation, which record how it moves them; then every
-// moved subscription's frame is assembled from the shared row
-// encodings.
+// moved subscription's frame is assembled from the commit's rows.
 func (m *Manager) applyEvent(ev engine.CommitEvent) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -222,8 +223,12 @@ func (m *Manager) applyEvent(ev engine.CommitEvent) {
 		}
 		m.deltas.Add(1)
 		if !s.needResync { // else the pending snapshot will include this delta
-			frame, fail := f.frame("delta", s, ev.Epoch, ev.Label,
-				rowList{"added", s.added, true}, rowList{"removed", s.removed, false}, rowList{"changed", s.changed, true})
+			lists := []rowList{{"added", s.added, true}, {"removed", s.removed, false}, {"changed", s.changed, true}}
+			frame, fail := (*[]byte)(nil), f.unframeable(s, lists)
+			if fail == "" {
+				frame = framePool.Get().(*[]byte)
+				*frame, _, _ = f.frame((*frame)[:0], nil, "delta", s, ev.Epoch, ev.Label, lists)
+			}
 			m.send(s, frame, fail)
 		}
 		s.added, s.removed, s.changed = s.added[:0], s.removed[:0], s.changed[:0]
@@ -362,7 +367,7 @@ func (m *Manager) StatsSnapshot() Stats {
 type Conn struct {
 	m    *Manager
 	ch   chan *[]byte
-	held *[]byte // the pooled buffer behind the frame the last Next returned
+	held bytes.Buffer // where Next returns frames
 	// note wakes a blocked Next when a subscription was flagged for
 	// resync without a frame making it onto ch.
 	note   chan struct{}
@@ -411,11 +416,44 @@ func (m *Manager) setSubs(subs []*sub) {
 	}
 }
 
+// Validate checks specs as Subscribe would, registering nothing, so a
+// bad one is refused before any ack streams.
+func (m *Manager) Validate(specs []Spec) error {
+	for i, sp := range specs {
+		if _, err := compile(m.d.Schema(), sp); err != nil {
+			return err
+		}
+		if sp.ID != "" && slices.ContainsFunc(specs[:i], func(o Spec) bool { return o.ID == sp.ID }) {
+			return fmt.Errorf("duplicate subscription id %q", sp.ID)
+		}
+	}
+	return nil
+}
+
 // Subscribe registers a subscription on the connection and returns its
 // encoded ack frame carrying the initial state. The caller must
 // deliver the ack before pumping Next: every queued frame for the ID
-// reflects commits after the ack's epoch.
+// reflects commits after the ack's epoch. An ack that cannot be framed
+// registers nothing and fails with an *UnframeableError.
 func (m *Manager) Subscribe(c *Conn, sp Spec) ([]byte, error) {
+	var ack bytes.Buffer
+	err := m.SubscribeTo(c, sp, &ack)
+	return ack.Bytes(), err
+}
+
+// SubscribeTo is Subscribe with the ack written to w a frameKeep window
+// at a time, the manager's lock released; a failure writes nothing.
+func (m *Manager) SubscribeTo(c *Conn, sp Spec, w io.Writer) error {
+	render, err := m.register(c, sp)
+	if err != nil {
+		return err
+	}
+	return render(w)
+}
+
+// register registers sp if its ack, collected at the live horizon, can
+// be framed, and returns the ack's render.
+func (m *Manager) register(c *Conn, sp Spec) (func(io.Writer) error, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if m.closed {
@@ -434,13 +472,17 @@ func (m *Manager) Subscribe(c *Conn, sp Spec) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
+	// Counted before the horizon is read, so the hook queues every commit
+	// past it even when s is the first subscription.
+	m.nsubs.Add(1)
 	s.since, s.conn = m.d.Horizon(), c
-	ack, fail := m.snapshot("ack", s)
+	render, fail := m.collect("ack", s)
 	if fail != "" {
-		return nil, fmt.Errorf("subscription %q: %s", sp.ID, fail)
+		m.nsubs.Add(-1)
+		return nil, &UnframeableError{ID: sp.ID, Reason: fail, Frame: appendError(nil, s, fail)}
 	}
 	m.setSubs(append(m.subs, s))
-	return *ack, nil
+	return render, nil
 }
 
 // Unsubscribe removes one subscription from the connection.
@@ -452,11 +494,12 @@ func (m *Manager) Unsubscribe(c *Conn, id string) bool {
 	return len(m.subs) < n
 }
 
-// takeResync builds the pending resync frame for the connection's
-// first stale subscription, if any — or, if its frames can no longer be
-// built, the error frame that ends it. Generated at read time: a client
-// behind on a quiet stream still repairs on its next read.
-func (m *Manager) takeResync(c *Conn) *[]byte {
+// takeResync collects the pending resync of the connection's first
+// stale subscription, if any — or, if its frames can no longer be
+// built, the error frame that ends it — and returns its render.
+// Generated at read time: a client behind on a quiet stream still
+// repairs on its next read.
+func (m *Manager) takeResync(c *Conn) func(io.Writer) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	for _, s := range m.subs {
@@ -465,17 +508,15 @@ func (m *Manager) takeResync(c *Conn) *[]byte {
 		}
 		s.needResync = false
 		m.resyncs.Add(1)
-		frame, fail := (*[]byte)(nil), s.fail
+		render, fail := (func(io.Writer) error)(nil), s.fail
 		if fail == "" {
-			frame, fail = m.snapshot("resync", s)
+			if render, fail = m.collect("resync", s); fail == "" {
+				return render
+			}
 		}
-		if fail != "" {
-			frame = framePool.Get().(*[]byte)
-			b := append(appendHead((*frame)[:0], "error", s, engine.SeqEpoch(s.since), ""), `,"code":"unframeable","message":`...)
-			*frame = append(db.AppendJSONString(b, fail), '}', '\n')
-			m.setSubs(slices.DeleteFunc(m.subs, func(x *sub) bool { return x == s }))
-		}
-		return frame
+		m.setSubs(slices.DeleteFunc(m.subs, func(x *sub) bool { return x == s }))
+		frame := appendError(nil, s, fail)
+		return func(w io.Writer) error { _, err := w.Write(frame); return err }
 	}
 	return nil
 }
@@ -486,28 +527,40 @@ func (m *Manager) takeResync(c *Conn) *[]byte {
 // Next is for one reader at a time. Resync frames are generated here,
 // so a stale client repairs even when no further commits arrive.
 func (c *Conn) Next(ctx context.Context) ([]byte, error) {
-	if c.held != nil {
-		putFrame(c.held)
-		c.held = nil
+	if c.held.Reset(); c.held.Cap() > frameKeep { // a large resync's buffer is not kept
+		c.held = bytes.Buffer{}
 	}
+	if err := c.NextTo(ctx, &c.held); err != nil {
+		return nil, err
+	}
+	return c.held.Bytes(), nil
+}
+
+// NextTo writes the connection's next frame to w, waiting as Next does;
+// a resync goes a frameKeep window at a time, the manager's lock
+// released.
+func (c *Conn) NextTo(ctx context.Context, w io.Writer) error {
 	for {
+		var frame *[]byte
 		select {
-		case c.held = <-c.ch:
-			return *c.held, nil
+		case frame = <-c.ch:
 		default:
+			if render := c.m.takeResync(c); render != nil {
+				return render(w)
+			}
+			select {
+			case frame = <-c.ch:
+			case <-c.note:
+				continue
+			case <-ctx.Done():
+				return ctx.Err()
+			case <-c.closed:
+				return ErrClosed
+			}
 		}
-		if c.held = c.m.takeResync(c); c.held != nil {
-			return *c.held, nil
-		}
-		select {
-		case c.held = <-c.ch:
-			return *c.held, nil
-		case <-c.note:
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		case <-c.closed:
-			return nil, ErrClosed
-		}
+		_, err := w.Write(*frame)
+		putFrame(frame)
+		return err
 	}
 }
 

@@ -287,9 +287,9 @@ func (mi *mirror) check(m *subscribe.Manager, c *subscribe.Conn, d engine.DB, sp
 // connection buffer (which drops most frames and forces a resync per
 // subscription per commit), comparing the client's composed state to a
 // from-scratch recompute after every single committed transaction, and
-// once more after a minimization pass. The shards=8 subtests open the
-// engine with the deprecated engine.WithShards(8), which must change
-// nothing.
+// once more after a minimization pass. Storage is one partition; the
+// subtests keep the shards=1 in their names that a sharded arm once
+// needed beside them.
 func TestProtocolDifferential(t *testing.T) {
 	type history struct {
 		name    string
@@ -307,36 +307,34 @@ func TestProtocolDifferential(t *testing.T) {
 			func(engine.Reader) []subscribe.Spec { return subscribe.TPCCMix(tpInitial, tpTxns) }},
 	}
 	for _, h := range histories {
-		for _, shards := range []int{1, 8} {
-			for _, mode := range []engine.Mode{engine.ModeNaive, engine.ModeNormalForm} {
-				for _, buffer := range []int{4096, 1} {
-					t.Run(fmt.Sprintf("%s/shards=%d/mode=%v/buffer=%d", h.name, shards, mode, buffer), func(t *testing.T) {
-						d := engine.Open(mode, h.initial, append([]engine.Option{engine.WithShards(shards)}, h.opts...)...)
-						m := subscribe.NewManager(d)
-						defer m.Close()
-						c := m.Attach(buffer)
-						specs := h.specs(d)
-						mi := newMirror(t, d.Schema())
-						mi.subscribeAll(m, c, specs)
-						for i := range h.txns {
-							if err := d.ApplyTransaction(&h.txns[i]); err != nil {
-								t.Fatalf("txn %d: %v", i, err)
-							}
-							mi.check(m, c, d, specs, fmt.Sprintf("txn %d", i))
+		for _, mode := range []engine.Mode{engine.ModeNaive, engine.ModeNormalForm} {
+			for _, buffer := range []int{4096, 1} {
+				t.Run(fmt.Sprintf("%s/shards=1/mode=%v/buffer=%d", h.name, mode, buffer), func(t *testing.T) {
+					d := engine.Open(mode, h.initial, h.opts...)
+					m := subscribe.NewManager(d)
+					defer m.Close()
+					c := m.Attach(buffer)
+					specs := h.specs(d)
+					mi := newMirror(t, d.Schema())
+					mi.subscribeAll(m, c, specs)
+					for i := range h.txns {
+						if err := d.ApplyTransaction(&h.txns[i]); err != nil {
+							t.Fatalf("txn %d: %v", i, err)
 						}
-						if _, err := d.MinimizeAll(context.Background()); err != nil {
-							t.Fatal(err)
-						}
-						mi.check(m, c, d, specs, "minimize")
-						st := m.StatsSnapshot()
-						if buffer == 1 && (st.FrameDrops == 0 || mi.frames["resync"] == 0) {
-							t.Fatalf("a 1-frame buffer forced no resync: %+v, frames %v", st, mi.frames)
-						}
-						if buffer > 1 && (st.FrameDrops != 0 || mi.frames["resync"] != 0 || mi.frames["delta"] == 0) {
-							t.Fatalf("a roomy buffer dropped frames: %+v, frames %v", st, mi.frames)
-						}
-					})
-				}
+						mi.check(m, c, d, specs, fmt.Sprintf("txn %d", i))
+					}
+					if _, err := d.MinimizeAll(context.Background()); err != nil {
+						t.Fatal(err)
+					}
+					mi.check(m, c, d, specs, "minimize")
+					st := m.StatsSnapshot()
+					if buffer == 1 && (st.FrameDrops == 0 || mi.frames["resync"] == 0) {
+						t.Fatalf("a 1-frame buffer forced no resync: %+v, frames %v", st, mi.frames)
+					}
+					if buffer > 1 && (st.FrameDrops != 0 || mi.frames["resync"] != 0 || mi.frames["delta"] == 0) {
+						t.Fatalf("a roomy buffer dropped frames: %+v, frames %v", st, mi.frames)
+					}
+				})
 			}
 		}
 	}
