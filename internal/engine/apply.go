@@ -30,10 +30,9 @@ type row struct {
 	// visible at horizon s iff seq ≤ s.
 	seq uint64
 	// pos is the row's position in its table's list — unique per table
-	// and monotone in insertion order. Posting lists are kept sorted by
-	// pos so index scans visit rows in full-scan order, and pos doubles
-	// as the membership key for binary-search reinsertion.
-	pos int
+	// and monotone in insertion order. Posting lists hold rows as their
+	// positions, kept sorted so index scans visit rows in full-scan order.
+	pos uint32
 	// head points at the newest version; readers resolve it against
 	// their pinned horizon with row.at.
 	head atomic.Pointer[version]
@@ -77,7 +76,7 @@ func newTable(rel *db.RelationSchema) *table {
 // then the list append that publishes the row to ordered readers.
 func (t *table) add(r *row) {
 	n := t.list.len()
-	r.pos = n
+	r.pos = uint32(n) // a relation holds fewer than 2³² rows: posting lists store uint32 positions
 	t.rows.add(r)
 	t.cols.append(r.tuple, r.seq, n)
 	t.list.append(r)

@@ -188,11 +188,12 @@ type Engine struct {
 	// scan-path structure: the free-list recycling scan result buffers
 	// (see storage.go), the grouping state of the modification in flight,
 	// the tuple a fully pinned selection probes with and the column passes
-	// of the batch in flight (see batchScan).
+	// of the batch in flight (see batchScan), an intersect scan's merge.
 	scanBufs [][]*row
 	mod      modScratch
 	pinned   db.Tuple
 	batch    batchScan
+	merged   postingList
 
 	boot BootStats // see Boot
 }

@@ -24,3 +24,19 @@ func ListsOutOfSeqOrder(e *Engine) string {
 	}
 	return ""
 }
+
+// PostingVolume sums the lengths of the posting lists of the index on
+// rel.attr and the position slots their chunks hold.
+func PostingVolume(e *Engine, rel, attr string) (entries, slots int) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	tbl := e.tables[rel]
+	for _, pl := range tbl.idx.cols[tbl.rel.AttrIndex(attr)].byValue {
+		entries += pl.n
+		slots += len(pl.head)
+		for _, c := range pl.rest {
+			slots += len(c)
+		}
+	}
+	return entries, slots
+}

@@ -32,7 +32,7 @@ import (
 // Four pieces cooperate:
 //
 //   - postingList/colIndex: one hash index per (relation, column).
-//     Lists are strictly ordered by row.pos; inserts append (new rows
+//     Lists hold row positions, strictly increasing; inserts append (new rows
 //     always have the largest pos), revivals of compacted-away rows
 //     re-enter by binary search. Rows that leave the matchable set
 //     (logical deletion under live matching, or an annotation becoming
@@ -71,32 +71,60 @@ const (
 	maxIntersectRatio = 4
 )
 
-// postingList holds the rows carrying one value in one indexed column,
-// in strictly increasing row position order (the relation's insertion
-// order, so index scans reproduce full-scan order). dead counts entries
-// whose row has left the matchable set since the last compaction.
+const postingInlineBits = 2 // a posting list's inline first chunk: four rows allocate nothing
+
+// postingList holds the positions (tbl.list indexes) of the rows carrying
+// one value in one indexed column, strictly increasing — insertion order,
+// so index scans reproduce full-scan order — in chunks laid out as a word
+// column's from an inline first one, never copied or moved. dead counts
+// entries whose row has left the matchable set since the last compaction.
 type postingList struct {
-	rows []*row
-	dead int
+	n, dead int
+	head    [1 << postingInlineBits]uint32
+	rest    [][]uint32 // chunks 1, 2, …
 }
 
-// insert adds a row, keeping position order. New rows carry the largest
-// position and append; a revived row — matchable again, and possibly
-// compacted out of the list while it was not — re-enters by binary search
-// on its unique position. Returns false if already present.
-func (pl *postingList) insert(r *row) bool {
-	n := len(pl.rows)
-	if n == 0 || pl.rows[n-1].pos < r.pos {
-		pl.rows = append(pl.rows, r)
+// from returns the slots from the i'th position to the end of its chunk.
+func (pl *postingList) from(i int) []uint32 {
+	if ci, off := chunkOf(i, postingInlineBits); ci > 0 {
+		return pl.rest[ci-1][off:]
+	}
+	return pl.head[i:]
+}
+
+// push appends a position, opening the chunk that starts at n (n long up
+// to colChunk, as a word column's) and counting its slots into *held.
+func (pl *postingList) push(p uint32, held *int) {
+	if ci, _ := chunkOf(pl.n, postingInlineBits); ci > len(pl.rest) {
+		pl.rest = append(pl.rest, make([]uint32, min(pl.n, colChunk)))
+		*held += min(pl.n, colChunk)
+	}
+	pl.from(pl.n)[0] = p
+	pl.n++
+}
+
+// insert adds a row position, keeping the order. New rows carry the
+// largest position and append; a revived row — matchable again, and
+// possibly compacted out of the list while it was not — re-enters by
+// binary search on its unique position, the entries after it moving up
+// one slot, a chunk at a time. Returns false if already present.
+func (pl *postingList) insert(p uint32, held *int) bool {
+	if pl.n == 0 || pl.from(pl.n - 1)[0] < p {
+		pl.push(p, held)
 		return true
 	}
-	i := sort.Search(n, func(i int) bool { return pl.rows[i].pos >= r.pos })
-	if i < n && pl.rows[i].pos == r.pos {
+	i := sort.Search(pl.n, func(i int) bool { return pl.from(i)[0] >= p })
+	if i < pl.n && pl.from(i)[0] == p {
 		return false
 	}
-	pl.rows = append(pl.rows, nil)
-	copy(pl.rows[i+1:], pl.rows[i:])
-	pl.rows[i] = r
+	pl.push(p, held)
+	for j, carry := i, p; j < pl.n; {
+		c := pl.from(j)
+		c = c[:min(len(c), pl.n-j)]
+		last := c[len(c)-1]
+		copy(c[1:], c)
+		c[0], carry, j = carry, last, j+len(c)
+	}
 	return true
 }
 
@@ -107,6 +135,7 @@ type colIndex struct {
 	auto    bool // built by the advisor rather than BuildIndex
 	byValue map[db.Value]*postingList
 	entries int    // posting entries currently stored, across all lists
+	held    int    // position slots the lists' chunks hold, inline ones included
 	dead    int    // dead entries awaiting compaction, across all lists
 	sweeps  uint64 // compaction sweeps run
 }
@@ -154,6 +183,8 @@ type IndexInfo struct {
 	Keys int `json:"keys"`
 	// Entries is the number of posting entries currently stored.
 	Entries int `json:"entries"`
+	// Bytes is what the lists' chunks of row positions hold.
+	Bytes int `json:"bytes"`
 	// Dead is the number of entries awaiting compaction.
 	Dead int `json:"dead"`
 	// Compactions counts amortized sweeps over this index's lists.
@@ -255,13 +286,7 @@ func (e *Engine) buildColIndexLocked(tbl *table, col int, auto bool) *colIndex {
 		if !e.matchable(r) {
 			continue
 		}
-		v := r.tuple[col]
-		pl := ix.byValue[v]
-		if pl == nil {
-			pl = &postingList{}
-			ix.byValue[v] = pl
-		}
-		pl.rows = append(pl.rows, r) // tbl.list is pos-ordered
+		ix.list(r.tuple[col]).push(r.pos, &ix.held) // tbl.list is pos-ordered
 		ix.entries++
 	}
 	tbl.idx.cols[col] = ix
@@ -320,6 +345,7 @@ func (e *Engine) IndexStats() []IndexInfo {
 				Auto:        ix.auto,
 				Keys:        len(ix.byValue),
 				Entries:     ix.entries,
+				Bytes:       4 * ix.held,
 				Dead:        ix.dead,
 				Compactions: ix.sweeps,
 			})
@@ -334,16 +360,21 @@ func (e *Engine) IndexStats() []IndexInfo {
 // index of its table (see postingList.insert).
 func (e *Engine) indexAdd(tbl *table, r *row) {
 	for _, ix := range tbl.idx.ordered {
-		v := r.tuple[ix.col]
-		pl := ix.byValue[v]
-		if pl == nil {
-			pl = &postingList{}
-			ix.byValue[v] = pl
-		}
-		if pl.insert(r) {
+		if ix.list(r.tuple[ix.col]).insert(r.pos, &ix.held) {
 			ix.entries++
 		}
 	}
+}
+
+// list returns the posting list of value v, created empty if need be.
+func (ix *colIndex) list(v db.Value) *postingList {
+	pl := ix.byValue[v]
+	if pl == nil {
+		pl = &postingList{}
+		ix.byValue[v] = pl
+		ix.held += len(pl.head)
+	}
+	return pl
 }
 
 // indexDead records that a row left the matchable set: its posting
@@ -360,30 +391,37 @@ func (e *Engine) indexDead(tbl *table, r *row) {
 		}
 		pl.dead++
 		ix.dead++
-		if 2*pl.dead > len(pl.rows) {
-			e.compact(ix, pl)
+		if 2*pl.dead > pl.n {
+			e.compact(tbl, ix, pl)
 		}
 	}
 }
 
-// compact drops the unmatchable rows of one posting list in place,
-// preserving position order. Amortization argument: a sweep runs only
-// when more than half the list is dead, and each sweep is linear in the
-// list, so total sweep work is linear in the number of entries ever
-// marked dead.
-func (e *Engine) compact(ix *colIndex, pl *postingList) {
-	kept := pl.rows[:0]
-	for _, r := range pl.rows {
-		if e.matchable(r) {
-			kept = append(kept, r)
+// retain keeps the positions keep accepts, in order, in place, and
+// frees the chunks past the kept length, counting them out of *held.
+func (pl *postingList) retain(keep func(p uint32) bool, held *int) {
+	kept := 0
+	for i := 0; i < pl.n; i++ {
+		if p := pl.from(i)[0]; keep(p) {
+			pl.from(kept)[0] = p
+			kept++
 		}
 	}
-	dropped := len(pl.rows) - len(kept)
-	for i := len(kept); i < len(pl.rows); i++ {
-		pl.rows[i] = nil
+	ci, _ := chunkOf(max(kept, 1)-1, postingInlineBits) // the last chunk kept
+	for k := ci; k < len(pl.rest); k++ {
+		*held, pl.rest[k] = *held-len(pl.rest[k]), nil
 	}
-	pl.rows = kept
-	ix.entries -= dropped
+	pl.rest, pl.n = pl.rest[:ci], kept
+}
+
+// compact drops the positions of unmatchable rows from one posting list
+// (see retain). Amortization argument: a sweep runs only when more than
+// half the list is dead, and each sweep is linear in the list, so total
+// sweep work is linear in the number of entries ever marked dead.
+func (e *Engine) compact(tbl *table, ix *colIndex, pl *postingList) {
+	rows, n := tbl.list.snapshot(), pl.n
+	pl.retain(func(p uint32) bool { return e.matchable(rows[p]) }, &ix.held)
+	ix.entries -= n - pl.n
 	ix.dead -= pl.dead
 	pl.dead = 0
 	ix.sweeps++
@@ -417,12 +455,27 @@ func (e *Engine) scan(tbl *table, u db.Update) []*row {
 	case best == nil:
 		return e.fullScan(tbl, u)
 	case second != nil:
-		cand := intersectByPosInto(e.getScanBuf(), best.rows, second.rows)
-		out := e.filterRows(cand, u)
-		e.putScanBuf(cand)
-		return out
+		best = e.intersectByPos(best, second)
 	}
-	return e.filterRows(best.rows, u)
+	rows, out := tbl.list.snapshot(), e.getScanBuf()
+	for i := 0; i < best.n; i++ {
+		if p := best.from(i)[0]; wordsMatch(tbl, int(p), u.Sel) && e.matchable(rows[p]) && u.MatchesTuple(rows[p].tuple) {
+			out = append(out, rows[p])
+		}
+	}
+	e.plan.examined(best.n, len(out))
+	return out
+}
+
+// wordsMatch tests a selection's =-constants against the word columns at
+// position p: candidates that fail are never loaded from the table list.
+func wordsMatch(tbl *table, p int, sel db.Pattern) bool {
+	for c := range sel {
+		if sel[c].IsConst() && tbl.cols.cols[c].at(p) != sel[c].Value().Word() {
+			return false
+		}
+	}
+	return true
 }
 
 // pick is the planner's one rule. It visits the columns the selection
@@ -459,16 +512,16 @@ func (e *Engine) pick(tbl *table, sel db.Pattern) (best, second *postingList, em
 			return nil, nil, true
 		}
 		switch {
-		case best == nil || len(pl.rows) < len(best.rows):
+		case best == nil || pl.n < best.n:
 			best, second = pl, best
-		case second == nil || len(pl.rows) < len(second.rows):
+		case second == nil || pl.n < second.n:
 			second = pl
 		}
 	}
 	switch {
 	case best == nil:
 		e.plan.fullScans.Add(1)
-	case second != nil && len(best.rows) >= minIntersectLen && len(second.rows) <= maxIntersectRatio*len(best.rows):
+	case second != nil && best.n >= minIntersectLen && second.n <= maxIntersectRatio*best.n:
 		e.plan.intersectScans.Add(1)
 		return best, second, false
 	default:
@@ -522,7 +575,7 @@ func (e *Engine) fullScan(tbl *table, u db.Update) []*row {
 	}
 	left := rows[n0:]
 	chunks := tbl.cols.cols[ci].chunks()
-	c, off := chunkOf(n0)
+	c, off := chunkOf(n0, colChunkMinBits)
 	for _, words := range chunks[c:] {
 		words = words[off:min(len(words), off+len(left))]
 		off = 0
@@ -752,22 +805,18 @@ func (e *Engine) filterRows(rows []*row, u db.Update) []*row {
 	return out
 }
 
-// intersectByPosInto appends to out (a recycled scan buffer) the
-// intersection of two position-ordered row lists, still
-// position-ordered. Positions are unique per table, so pointer identity
-// and position identity coincide.
-func intersectByPosInto(out []*row, a, b []*row) []*row {
-	if len(b) < len(a) {
-		a, b = b, a
-	}
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i].pos == b[j].pos:
-			out = append(out, a[i])
+// intersectByPos merges the positions two posting lists share into the
+// writer's scratch list e.merged, whose chunks the next one reuses.
+func (e *Engine) intersectByPos(a, b *postingList) *postingList {
+	out, held := &e.merged, 0
+	out.n = 0
+	for i, j := 0, 0; i < a.n && j < b.n; {
+		switch x, y := a.from(i)[0], b.from(j)[0]; {
+		case x == y:
+			out.push(x, &held)
 			i++
 			j++
-		case a[i].pos < b[j].pos:
+		case x < y:
 			i++
 		default:
 			j++

@@ -10,6 +10,7 @@ import (
 	"hyperprov/internal/core"
 	"hyperprov/internal/db"
 	"hyperprov/internal/engine"
+	"hyperprov/internal/workload"
 )
 
 // applyTxns applies transactions and fails the test on error.
@@ -76,6 +77,62 @@ func TestPostingListBoundedAfterChurn(t *testing.T) {
 	}
 	if ps := e.PlannerStats(); ps.Compactions == 0 {
 		t.Fatal("planner counters did not record the compactions")
+	}
+}
+
+// TestIndexStatsAfterChurn: IndexStats reports one row per manual index
+// and PlannerStats counts the scans that used them. After rounds of
+// insert-then-delete churn that compact lists under live matching, every
+// index's Entries is the sum of its list lengths and Bytes what their
+// chunks hold, pinned on this fixed history.
+func TestIndexStatsAfterChurn(t *testing.T) {
+	wcfg := workload.Config{Tuples: 200, Group: 20, Updates: 40, QueriesPerTxn: 2, Seed: 611}
+	initial, txns, err := workload.GenerateMultiColumn(wcfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := engine.New(engine.ModeNormalForm, initial, engine.WithLiveMatching(true))
+	for _, attr := range []string{"grp", "cat"} {
+		if err := e.BuildIndex("R", attr); err != nil {
+			t.Fatal(err)
+		}
+	}
+	applyTxns(t, e, txns)
+	infos := e.IndexStats()
+	if len(infos) != 2 {
+		t.Fatalf("want one row per index, got %d: %+v", len(infos), infos)
+	}
+	for _, info := range infos {
+		if info.Rel != "R" || (info.Attr != "grp" && info.Attr != "cat") || info.Auto || info.Entries == 0 {
+			t.Fatalf("unexpected index row: %+v", info)
+		}
+	}
+	if ps := e.PlannerStats(); ps.IndexScans == 0 && ps.IntersectScans == 0 {
+		t.Fatalf("PlannerStats counted no index scan: %+v", ps)
+	}
+
+	id := int64(1000)
+	for round := 0; round < 12; round++ {
+		ins := db.Transaction{Label: fmt.Sprintf("ins%d", round)}
+		for i := 0; i < 10+round*7; i++ {
+			ins.Updates = append(ins.Updates, db.Insert("R",
+				db.Tuple{db.I(id), db.I(int64(round % 3)), db.S("churn"), db.I(int64(i)), db.S("p")}))
+			id++
+		}
+		del := db.Transaction{Label: fmt.Sprintf("del%d", round), Updates: []db.Update{
+			db.Delete("R", db.Pattern{db.AnyVar("id"), db.AnyVar("g"), db.Const(db.S("churn")), db.AnyVar("v"), db.AnyVar("p")}),
+		}}
+		applyTxns(t, e, []db.Transaction{ins, del})
+	}
+	wantBytes := map[string]int{"grp": 944, "cat": 1296}
+	for _, info := range e.IndexStats() {
+		entries, slots := engine.PostingVolume(e, "R", info.Attr)
+		if info.Entries != entries || info.Bytes != 4*slots || info.Compactions == 0 {
+			t.Errorf("%s: %+v; the lists hold %d entries in %d B of chunks, want them equal and compactions run", info.Attr, info, entries, 4*slots)
+		}
+		if info.Bytes != wantBytes[info.Attr] {
+			t.Errorf("%s: Bytes = %d, want %d", info.Attr, info.Bytes, wantBytes[info.Attr])
+		}
 	}
 }
 

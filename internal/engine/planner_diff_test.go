@@ -198,48 +198,6 @@ func TestConcurrentAutoIndexStress(t *testing.T) {
 	}
 }
 
-// TestShardedIndexStatsMerge: with the deprecated WithShards (see
-// sharded_test.go) IndexStats reports one row per (relation, attribute)
-// and PlannerStats counts the scans.
-func TestShardedIndexStatsMerge(t *testing.T) {
-	wcfg := workload.Config{Tuples: 200, Group: 20, Updates: 40, QueriesPerTxn: 2, Seed: 611}
-	initial, txns, err := workload.GenerateMultiColumn(wcfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	e := engine.Open(engine.ModeNormalForm, initial, engine.WithShards(oldShards))
-	if err := e.BuildIndex("R", "grp"); err != nil {
-		t.Fatal(err)
-	}
-	if err := e.BuildIndex("R", "cat"); err != nil {
-		t.Fatal(err)
-	}
-	if err := e.ApplyAll(context.Background(), txns); err != nil {
-		t.Fatal(err)
-	}
-	infos := e.IndexStats()
-	if len(infos) != 2 {
-		t.Fatalf("want one row per index, got %d: %+v", len(infos), infos)
-	}
-	var totalEntries int
-	for _, info := range infos {
-		if info.Rel != "R" || (info.Attr != "grp" && info.Attr != "cat") {
-			t.Fatalf("unexpected index row: %+v", info)
-		}
-		if info.Auto {
-			t.Fatalf("manual index reported as auto: %+v", info)
-		}
-		totalEntries += info.Entries
-	}
-	if totalEntries == 0 {
-		t.Fatal("IndexStats reports no posting entries")
-	}
-	ps := e.PlannerStats()
-	if ps.IndexScans == 0 && ps.IntersectScans == 0 {
-		t.Fatalf("PlannerStats counted no index scan: %+v", ps)
-	}
-}
-
 // pinnedFamilyLog is a log over R(K, V), V ∈ 0…4, whose deletions and
 // modifications pin every attribute: rows present, absent, tombstoned
 // and revived, targets that are new, stored, or the source itself,

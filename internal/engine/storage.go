@@ -159,16 +159,17 @@ type wordCol struct {
 	dir atomic.Pointer[[][]uint64]
 }
 
-// chunkOf maps a position to its chunk and the offset within it.
-func chunkOf(n int) (ci, off int) {
+// chunkOf maps a position to its chunk and offset (chunks of 2^minBits,
+// 2^minBits, 2^(minBits+1), … colChunk/2, then colChunk entries).
+func chunkOf(n, minBits int) (ci, off int) {
 	switch {
 	case n >= colChunk:
-		return n>>colChunkBits + colChunkBits - colChunkMinBits, n & (colChunk - 1)
-	case n < colChunkMin:
+		return n>>colChunkBits + colChunkBits - minBits, n & (colChunk - 1)
+	case n < 1<<minBits:
 		return 0, n
 	}
 	k := bits.Len(uint(n)) - 1 // the chunk holds positions [2^k, 2^(k+1))
-	return k - colChunkMinBits + 1, n - 1<<k
+	return k - minBits + 1, n - 1<<k
 }
 
 // chunks returns the published chunks in position order. Together they
@@ -183,14 +184,14 @@ func (c *wordCol) chunks() [][]uint64 {
 
 // at returns the word at a published position.
 func (c *wordCol) at(n int) uint64 {
-	ci, off := chunkOf(n)
+	ci, off := chunkOf(n, colChunkMinBits)
 	return c.chunks()[ci][off]
 }
 
 // appendAt stores the word at position n (writer-only; n is the table
 // list's unpublished next length).
 func (c *wordCol) appendAt(n int, w uint64) {
-	ci, off := chunkOf(n)
+	ci, off := chunkOf(n, colChunkMinBits)
 	dir := c.chunks()
 	if ci == len(dir) {
 		// n is the first position of a chunk as long as everything before

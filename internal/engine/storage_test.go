@@ -45,7 +45,7 @@ func TestWordColChunkLayout(t *testing.T) {
 	}
 	wantCI, wantOff := 0, 0
 	for n := 0; n < 3*colChunk+2; n++ {
-		if ci, off := chunkOf(n); ci != wantCI || off != wantOff {
+		if ci, off := chunkOf(n, colChunkMinBits); ci != wantCI || off != wantOff {
 			t.Fatalf("chunkOf(%d) = (%d, %d), want (%d, %d)", n, ci, off, wantCI, wantOff)
 		}
 		c.appendAt(n, uint64(n)*7)

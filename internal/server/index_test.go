@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"testing"
 
@@ -16,6 +17,7 @@ type indexInfoJSON struct {
 	Auto        bool   `json:"auto"`
 	Keys        int    `json:"keys"`
 	Entries     int    `json:"entries"`
+	Bytes       int    `json:"bytes"`
 	Dead        int    `json:"dead"`
 	Compactions uint64 `json:"compactions"`
 }
@@ -90,12 +92,22 @@ func TestIndexEndpoints(t *testing.T) {
 		if info.Rel != "Products" || info.Auto {
 			t.Fatalf("unexpected index row %+v", info)
 		}
-		if info.Keys == 0 || info.Entries == 0 {
+		// Every posting list holds at least its inline chunk of four
+		// uint32 positions.
+		if info.Keys == 0 || info.Entries == 0 || info.Bytes < 16*info.Keys {
 			t.Fatalf("index %s.%s reports no volume: %+v", info.Rel, info.Attr, info)
 		}
 	}
 	if list.Planner.IndexScans == 0 {
 		t.Fatalf("ingest did not move the planner counters: %+v", list.Planner)
+	}
+	// The indexes expvar is the same listing.
+	resp, err = client.Get(ts.URL + "/v1/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if vars := decode[indexListJSON](t, resp); !slices.Equal(vars.Indexes, list.Indexes) {
+		t.Fatalf("indexes expvar %+v, /v1/indexes %+v", vars.Indexes, list.Indexes)
 	}
 
 	// Planner counters are also surfaced in /v1/stats.
