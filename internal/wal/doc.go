@@ -25,9 +25,11 @@
 //
 //	| length uint32 LE | CRC32C uint32 LE | payload |
 //
-// where the CRC covers the payload. Appends go through a configurable
-// sync policy (always | interval | never); batched applies group-commit
-// a whole chunk under a single fsync.
+// where the CRC covers the payload, which is never empty: every record
+// starts with its type byte. The replication stream uses the same
+// frames, and one writer and one reader (frame.go) serve both. Appends
+// go through a configurable sync policy (always | interval | never);
+// batched applies group-commit a whole chunk under a single fsync.
 //
 // A checkpoint is a pinned view, in three steps. Under the store's lock:
 // note the LSN, rotate so that the live segment starts there, pin the
@@ -54,7 +56,8 @@
 // log suffix, stopping cleanly at the first damaged record: damage at
 // the tail of the final segment (a torn or short write from the crash)
 // is truncated away, while damage in the middle of the log — a corrupt
-// record with intact records after it, or a broken segment chain — is a
+// record with a complete valid record right after it, or a broken
+// segment chain — is a
 // hard ErrCorrupt, because silently skipping it would replay a
 // different history than the one that was acknowledged.
 //

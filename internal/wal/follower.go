@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"path/filepath"
 	"sync"
 	"sync/atomic"
@@ -42,12 +43,13 @@ var ErrStreamStalled = errors.New("wal: replication stream stalled (no frames wi
 // the replayed engine at its committed horizon — and every write returns
 // ErrFollower.
 //
-// Internally the follower is a single-goroutine engine loop fed by a
-// channel message service: a reader goroutine per connection decodes
-// CRC-checked frames into a channel, and the apply loop — the only
-// goroutine that touches the store — consumes them. Disconnects,
-// corrupt frames and leader restarts all collapse to the same path:
-// drop the connection and redial from the durably applied LSN.
+// Internally the follower is one goroutine: it reads each CRC-checked
+// frame off the connection through the log's frame reader and applies it
+// before reading the next, and it is the only goroutine that touches the
+// store. Cancellation and the stall timer end a blocked read by closing
+// the transport. Disconnects, corrupt frames and leader restarts all
+// collapse to the same path: drop the connection and redial from the
+// durably applied LSN.
 type Follower struct {
 	// The handle every store shell of this follower serves through: the
 	// read surface and the commit hook are its methods, so they outlive
@@ -220,16 +222,11 @@ func sleepCtx(ctx context.Context, d time.Duration) bool {
 	}
 }
 
-// followerMsg is one decoded frame (or the reader's terminal error)
-// delivered to the apply loop.
-type followerMsg struct {
-	payload []byte
-	err     error
-}
-
 // streamOnce runs one replication session: dial, handshake, apply until
 // the connection drops. It reports whether any message was applied
-// (for backoff reset).
+// (for backoff reset). Frames are read on this goroutine, the only one
+// that touches the store, so a payload is applied before the next read
+// reuses its buffer; a read blocked on the transport ends by closing it.
 func (f *Follower) streamOnce(ctx context.Context) (progressed bool, err error) {
 	from := uint64(0)
 	if s := f.core.Load(); s != nil {
@@ -240,66 +237,37 @@ func (f *Follower) streamOnce(ctx context.Context) (progressed bool, err error) 
 		return false, err
 	}
 	defer rc.Close()
+	defer context.AfterFunc(ctx, func() { rc.Close() })()
 
-	// Message service: the reader decodes frames into msgs; the apply
-	// loop below is the single goroutine that touches the store. done
-	// unblocks the reader if the apply loop bails first.
-	msgs := make(chan followerMsg, 64)
-	done := make(chan struct{})
-	var rwg sync.WaitGroup
-	rwg.Add(1)
-	go func() {
-		defer rwg.Done()
-		fr := newFrameReader(rc)
-		for {
-			p, rerr := fr.readMsg()
-			m := followerMsg{payload: p, err: rerr}
-			select {
-			case msgs <- m:
-			case <-done:
-				return
-			}
-			if rerr != nil {
-				return
-			}
-		}
-	}()
-	defer rwg.Wait()
-	defer close(done)
-
-	// The stall timer bounds the silence between frames: heartbeats
-	// flow every heartbeat interval even on an idle leader, so a
-	// silent link past the timeout is partitioned, not just quiet. A
-	// nil timer (timeout disabled) leaves stallC nil, which never
-	// fires. On stall the transport is closed before returning so the
-	// reader goroutine unblocks and the session tears down cleanly.
-	var stall *time.Timer
-	if f.o.stallTimeout > 0 {
-		stall = time.NewTimer(f.o.stallTimeout)
-		defer stall.Stop()
+	// The stall timer, armed while a read waits, bounds the silence
+	// between frames: heartbeats flow every heartbeat interval even on an
+	// idle leader, so a silent link past the timeout is partitioned, not
+	// just quiet. With no timeout it never fires.
+	timeout := f.o.stallTimeout
+	if timeout <= 0 {
+		timeout = math.MaxInt64
 	}
+	var stalled atomic.Bool
+	stall := time.AfterFunc(timeout, func() { stalled.Store(true); rc.Close() })
+	defer stall.Stop()
+	fr := newFrameReader(rc, ErrStreamCorrupt)
 	next := func() ([]byte, error) {
-		var stallC <-chan time.Time
-		if stall != nil {
-			if !stall.Stop() {
-				select {
-				case <-stall.C:
-				default:
-				}
-			}
-			stall.Reset(f.o.stallTimeout)
-			stallC = stall.C
+		if err := ctx.Err(); err != nil {
+			return nil, err
 		}
-		select {
-		case <-ctx.Done():
+		stall.Reset(timeout)
+		p, err := fr.next()
+		stall.Stop()
+		switch {
+		case err == nil:
+			return p, nil
+		case ctx.Err() != nil:
 			return nil, ctx.Err()
-		case m := <-msgs:
-			return m.payload, m.err
-		case <-stallC:
+		case stalled.Load():
 			f.stalls.Add(1)
-			rc.Close()
 			return nil, ErrStreamStalled
 		}
+		return nil, err
 	}
 
 	// Handshake: hello first, always.

@@ -4,23 +4,55 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"io"
 	"math"
 	"math/rand"
+	"os"
 	"path/filepath"
+	"runtime"
 	"runtime/metrics"
 	"testing"
 
 	"hyperprov/internal/engine"
 )
 
+// appendFrame appends payload framed the plain way — the reference the
+// frameWriter of the log and of the stream must match byte for byte.
+func appendFrame(buf, payload []byte) []byte {
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(payload)))
+	buf = binary.LittleEndian.AppendUint32(buf, crc32.Checksum(payload, crcTable))
+	return append(buf, payload...)
+}
+
+// segmentRecords returns a copy of each record payload in a segment
+// image, failing on any damage.
+func segmentRecords(tb testing.TB, seg []byte) [][]byte {
+	tb.Helper()
+	var records [][]byte
+	fr := newFrameReader(bytes.NewReader(seg), ErrCorrupt)
+	for {
+		payload, err := fr.next()
+		if err == io.EOF {
+			return records
+		}
+		if err != nil {
+			tb.Fatalf("segment record %d: %v", len(records), err)
+		}
+		records = append(records, bytes.Clone(payload))
+	}
+}
+
 // FuzzReadFrame feeds arbitrary byte streams, seeded with the frames the
-// leader's encoder writes for every message type, to the replication
-// frame reader. It must not panic; every failure is ErrStreamCorrupt and
-// only a stream that ends between frames is io.EOF; whatever it accepts
-// re-encodes to exactly the bytes it was read from; and it never holds
-// more than the bytes that arrived plus one growth step — a header is
-// eight bytes and may claim a gigabyte.
+// leader's encoder writes for every message type, to the frame reader
+// that reads the replication stream and the log's segments alike. It must
+// not panic; every failure is ErrStreamCorrupt, and either a frame that
+// broke off or one that is damaged, and only a stream that ends between
+// frames is io.EOF; whatever it accepts is a non-empty payload that
+// re-encodes to exactly the bytes it was read from; its reused buffer
+// never exceeds the largest frame it read plus one growth step; and it
+// never allocates more than the bytes that arrived plus one growth step —
+// a header is eight bytes and may claim a gigabyte.
 func FuzzReadFrame(f *testing.F) {
 	golden := filepath.Join("testdata", "golden")
 	meta, err := readMeta(OSFS{}, golden)
@@ -39,7 +71,7 @@ func FuzzReadFrame(f *testing.F) {
 		encodeCkptDone(3),
 		encodeHeartbeat(7, 5),
 	}
-	for i, payload := range scanSegment(seg).records {
+	for i, payload := range segmentRecords(f, seg) {
 		msgs = append(msgs, encodeStreamRecord(uint64(4+i), payload))
 	}
 	for _, m := range msgs {
@@ -54,6 +86,7 @@ func FuzzReadFrame(f *testing.F) {
 	f.Add(binary.LittleEndian.AppendUint64(nil, maxRecordLen))                         // a gigabyte, claimed in eight bytes
 	f.Add(binary.LittleEndian.AppendUint64(nil, maxRecordLen+1))                       // more than any frame may claim
 	f.Add(append(binary.LittleEndian.AppendUint64(nil, 3*frameGrowStep), seg[:64]...)) // three steps claimed, 64 bytes sent
+	f.Add(appendFrame(nil, nil))                                                       // an empty frame: no record or message is
 
 	allocated := []metrics.Sample{{Name: "/gc/heap/allocs:bytes"}}
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -64,24 +97,28 @@ func FuzzReadFrame(f *testing.F) {
 		// the 64 kB, and a reading that is the reader's repeats.)
 		limit := uint64(1<<16 + frameGrowStep + 4*len(data))
 		for try := 0; ; try++ {
-			fr := newFrameReader(bytes.NewReader(data))
+			fr := newFrameReader(bytes.NewReader(data), ErrStreamCorrupt)
 			metrics.Read(allocated)
 			before := allocated[0].Value.Uint64()
-			off := 0
+			off, largest := 0, 0
 			for {
-				payload, err := fr.readMsg()
+				payload, err := fr.next()
 				if err != nil {
 					if err == io.EOF {
 						if off != len(data) {
 							t.Fatalf("io.EOF with %d of %d bytes consumed", off, len(data))
 						}
-					} else if !errors.Is(err, ErrStreamCorrupt) {
-						t.Fatalf("readMsg: %v, want ErrStreamCorrupt", err)
+					} else if !errors.Is(err, ErrStreamCorrupt) || !errors.Is(err, io.ErrUnexpectedEOF) && !errors.Is(err, errFrameDamaged) {
+						t.Fatalf("next: %v, want ErrStreamCorrupt, and a frame broken off or damaged", err)
 					}
 					break
 				}
-				if cap(payload) != len(payload) {
-					t.Fatalf("a %d-byte payload is held in %d bytes", len(payload), cap(payload))
+				if len(payload) == 0 {
+					t.Fatalf("the frame at %d is accepted with an empty payload", off)
+				}
+				largest = max(largest, len(payload))
+				if cap(fr.payload) > largest+frameGrowStep {
+					t.Fatalf("frames of at most %d bytes are read through a %d-byte buffer", largest, cap(fr.payload))
 				}
 				end := off + frameHeaderSize + len(payload)
 				if end > len(data) || !bytes.Equal(appendFrame(nil, payload), data[off:end]) {
@@ -107,14 +144,14 @@ func FuzzReadFrame(f *testing.F) {
 // gigabyte over an empty stream costs one step, not the gigabyte.
 func TestReadFrameGrowsWithTheBytes(t *testing.T) {
 	big := bytes.Repeat([]byte("0123456789abcdef"), 5*frameGrowStep/16+1)
-	fr := newFrameReader(bytes.NewReader(appendFrame(appendFrame(nil, big), []byte("tail"))))
+	fr := newFrameReader(bytes.NewReader(appendFrame(appendFrame(nil, big), []byte("tail"))), ErrStreamCorrupt)
 	for _, want := range [][]byte{big, []byte("tail")} {
-		got, err := fr.readMsg()
+		got, err := fr.next()
 		if err != nil || !bytes.Equal(got, want) {
-			t.Fatalf("readMsg = %d bytes, %v; want the %d-byte payload", len(got), err, len(want))
+			t.Fatalf("next = %d bytes, %v; want the %d-byte payload", len(got), err, len(want))
 		}
 	}
-	if _, err := fr.readMsg(); err != io.EOF {
+	if _, err := fr.next(); err != io.EOF {
 		t.Fatalf("after the last frame: %v, want io.EOF", err)
 	}
 
@@ -122,16 +159,16 @@ func TestReadFrameGrowsWithTheBytes(t *testing.T) {
 	allocs := testing.Benchmark(func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			_, err := newFrameReader(bytes.NewReader(hostile)).readMsg()
+			_, err := newFrameReader(bytes.NewReader(hostile), ErrStreamCorrupt).next()
 			if !errors.Is(err, ErrStreamCorrupt) {
-				b.Fatalf("readMsg = %v, want ErrStreamCorrupt", err)
+				b.Fatalf("next = %v, want ErrStreamCorrupt", err)
 			}
 		}
 	})
 	if got := allocs.AllocedBytesPerOp(); got > 1<<16+frameGrowStep+4096 {
 		t.Fatalf("a gigabyte claimed in eight bytes allocates %d bytes, want one %d-byte step beside the 64 KiB read buffer", got, frameGrowStep)
 	}
-	_, err := newFrameReader(bytes.NewReader(append(hostile, "short"...))).readMsg()
+	_, err := newFrameReader(bytes.NewReader(append(hostile, "short"...)), ErrStreamCorrupt).next()
 	if want := "wal: replication stream is corrupt: truncated frame payload: unexpected EOF"; err == nil || err.Error() != want {
 		t.Fatalf("a short stream answers %q, want %q", err, want)
 	}
@@ -212,4 +249,52 @@ func TestTailSendAllocs(t *testing.T) {
 	if n := testing.AllocsPerRun(300, send); n != 0 {
 		t.Fatalf("sending a record from the log allocates %.1f times, want 0", n)
 	}
+}
+
+// TestTailReaderAllocatesWhatIsThere: a retained segment whose next frame
+// claims maxRecordLen costs a stream's tail reader its 64 KiB read buffer
+// and one growth step, not a gigabyte per redialing follower.
+func TestTailReaderAllocatesWhatIsThere(t *testing.T) {
+	dir := t.TempDir()
+	lw, err := openLogWriter(OSFS{}, dir, 1<<20, 0, 0, 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for range 3 {
+		if err := lw.append(bytes.Repeat([]byte{7}, 300)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := lw.close(); err != nil {
+		t.Fatal(err)
+	}
+	seg, err := os.OpenFile(filepath.Join(dir, segName(0)), os.O_WRONLY|os.O_APPEND, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = seg.Write(append(binary.LittleEndian.AppendUint64(nil, maxRecordLen), make([]byte, 4096)...))
+	if cerr := seg.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	limit := uint64(1<<16 + frameGrowStep + 16<<10) // the bytes that arrived and a few opening the segment
+	var got uint64
+	for try := 0; try < 3; try++ {
+		tail := tailReader{fs: OSFS{}, dir: dir}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := tail.next(3)
+		runtime.ReadMemStats(&after)
+		tail.close()
+		if !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("reading record 3: %v, want ErrCorrupt", err)
+		}
+		if got = after.TotalAlloc - before.TotalAlloc; got <= limit {
+			return
+		}
+	}
+	t.Fatalf("a frame claiming %d bytes in front of 4 KiB costs the tail reader %d bytes, want at most %d", maxRecordLen, got, limit)
 }

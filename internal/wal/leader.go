@@ -1,16 +1,12 @@
 package wal
 
 import (
-	"bufio"
 	"context"
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"net/http"
 	"path/filepath"
-	"slices"
 	"sort"
 	"sync/atomic"
 	"time"
@@ -258,21 +254,19 @@ func (s *Store) streamCheckpoint(fw *frameWriter, lsn uint64) error {
 
 // tailReader reads one stream's records out of the log in LSN order. It
 // keeps the segment holding the next record open at the offset it has
-// read to, reads only the bytes appended since, through one reused
-// buffer, and at a segment's end opens the next one, which is named by
-// the LSN it starts at. Every record it is asked for is committed —
-// flushed before the log end passed it — so a segment that has no more
-// bytes has no more records. Pruning never removes a segment holding a
-// record the stream has not been sent, and keeps the retained log one
-// chain, so a missing segment is an error, never a wait.
+// read to, reads only the bytes appended since, through one frame reader,
+// and at a segment's end opens the next one, which is named by the LSN
+// it starts at. Every record it is asked for is committed — flushed
+// before the log end passed it — so a segment that has no more bytes has
+// no more records. Pruning never removes a segment holding a record the
+// stream has not been sent, and keeps the retained log one chain, so a
+// missing segment is an error, never a wait.
 type tailReader struct {
-	fs      FS
-	dir     string
-	f       io.ReadCloser // segment holding record lsn; nil until the first next
-	r       *bufio.Reader // reads f
-	lsn     uint64        // LSN of the next frame r yields
-	hdr     [frameHeaderSize]byte
-	payload []byte
+	fs  FS
+	dir string
+	f   io.ReadCloser // segment holding record lsn; nil until the first next
+	fr  *frameReader  // reads f
+	lsn uint64        // LSN of the next frame fr yields
 }
 
 // next returns the payload of record lsn, valid until the following call.
@@ -293,28 +287,18 @@ func (t *tailReader) next(lsn uint64) ([]byte, error) {
 		}
 	}
 	for {
-		if _, err := io.ReadFull(t.r, t.hdr[:]); err == io.EOF {
+		payload, err := t.fr.next()
+		if err == io.EOF {
 			// The segment ended before record t.lsn: the next one starts there.
 			if err := t.open(t.lsn); err != nil {
 				return nil, err
 			}
 			continue
 		} else if err != nil {
-			return nil, fmt.Errorf("%w: record %d: %v", ErrCorrupt, t.lsn, err)
-		}
-		length := binary.LittleEndian.Uint32(t.hdr[0:4])
-		if length > maxRecordLen {
-			return nil, fmt.Errorf("%w: implausible length %d of record %d", ErrCorrupt, length, t.lsn)
-		}
-		t.payload = slices.Grow(t.payload[:0], int(length))[:length]
-		if _, err := io.ReadFull(t.r, t.payload); err != nil {
-			return nil, fmt.Errorf("%w: record %d: %v", ErrCorrupt, t.lsn, err)
-		}
-		if crc32.Checksum(t.payload, crcTable) != binary.LittleEndian.Uint32(t.hdr[4:8]) {
-			return nil, fmt.Errorf("%w: record %d fails its CRC", ErrCorrupt, t.lsn)
+			return nil, fmt.Errorf("record %d: %w", t.lsn, err)
 		}
 		if t.lsn++; t.lsn > lsn {
-			return t.payload, nil
+			return payload, nil
 		}
 	}
 }
@@ -327,11 +311,11 @@ func (t *tailReader) open(start uint64) error {
 	if err != nil {
 		return fmt.Errorf("wal: log position %d: segment %s: %w", start, name, err)
 	}
-	if t.r == nil {
-		t.r = bufio.NewReaderSize(f, 1<<16)
+	if t.fr == nil {
+		t.fr = newFrameReader(f, ErrCorrupt)
 	}
 	t.f, t.lsn = f, start
-	t.r.Reset(f)
+	t.fr.reset(f)
 	return nil
 }
 

@@ -2,22 +2,12 @@ package wal
 
 import (
 	"bufio"
-	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"path/filepath"
 	"sort"
 	"strconv"
 	"strings"
 )
-
-// Frame layout: | length uint32 LE | CRC32C uint32 LE | payload |.
-const (
-	frameHeaderSize = 8
-	maxRecordLen    = 1 << 30
-)
-
-var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
 const (
 	segPrefix  = "wal-"
@@ -54,86 +44,6 @@ func parseSeqName(name, prefix, suffix string) (uint64, bool) {
 	return v, true
 }
 
-// appendFrame appends one framed record to buf and returns the result.
-func appendFrame(buf, payload []byte) []byte {
-	var hdr [frameHeaderSize]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[4:8], crc32.Checksum(payload, crcTable))
-	buf = append(buf, hdr[:]...)
-	return append(buf, payload...)
-}
-
-// segScan is the result of scanning one segment's bytes.
-type segScan struct {
-	// records holds the payloads of every valid record, in order.
-	records [][]byte
-	// goodLen is the byte offset just past the last valid record.
-	goodLen int64
-	// torn reports trailing damage consistent with a crashed write:
-	// a short header/payload, or a CRC-bad final frame.
-	torn bool
-	// midlog reports damage that cannot be a torn tail: a CRC-bad or
-	// oversized frame followed by at least one complete frame whose
-	// CRC verifies. Skipping it would replay a different history.
-	midlog bool
-}
-
-// scanSegment walks the framed records in data, classifying any damage.
-// Torn vs mid-log is decided by lookahead: if a later complete frame
-// checks out, the damage is in the middle of acknowledged history.
-func scanSegment(data []byte) segScan {
-	var s segScan
-	off := int64(0)
-	n := int64(len(data))
-	for off < n {
-		if n-off < frameHeaderSize {
-			s.torn = true
-			break
-		}
-		length := int64(binary.LittleEndian.Uint32(data[off : off+4]))
-		sum := binary.LittleEndian.Uint32(data[off+4 : off+8])
-		if length > maxRecordLen {
-			s.torn = true
-			if validFrameAfter(data[off+frameHeaderSize:]) {
-				s.midlog = true
-			}
-			break
-		}
-		if n-off-frameHeaderSize < length {
-			s.torn = true
-			break
-		}
-		payload := data[off+frameHeaderSize : off+frameHeaderSize+length]
-		if crc32.Checksum(payload, crcTable) != sum {
-			s.torn = true
-			if validFrameAfter(data[off+frameHeaderSize+length:]) {
-				s.midlog = true
-			}
-			break
-		}
-		s.records = append(s.records, payload)
-		off += frameHeaderSize + length
-		s.goodLen = off
-	}
-	return s
-}
-
-// validFrameAfter reports whether data starts a complete frame whose
-// CRC verifies, scanning forward over any residual garbage bytes is
-// deliberately NOT done: a frame boundary immediately after the bad
-// frame is the only placement a legitimate writer could have produced.
-func validFrameAfter(data []byte) bool {
-	if int64(len(data)) < frameHeaderSize {
-		return false
-	}
-	length := int64(binary.LittleEndian.Uint32(data[0:4]))
-	if length > maxRecordLen || int64(len(data))-frameHeaderSize < length {
-		return false
-	}
-	payload := data[frameHeaderSize : frameHeaderSize+length]
-	return crc32.Checksum(payload, crcTable) == binary.LittleEndian.Uint32(data[4:8])
-}
-
 // listSeqFiles returns the sorted sequence numbers of all files in dir
 // matching prefix/suffix (segments or checkpoints).
 func listSeqFiles(fs FS, dir, prefix, suffix string) ([]uint64, error) {
@@ -161,10 +71,10 @@ type logWriter struct {
 
 	f     File          // current segment
 	w     *bufio.Writer // buffers frames; flushed before any sync
+	fw    frameWriter   // frames onto w
 	start uint64        // LSN of the current segment's first record
 	count uint64        // records appended to the current segment
 	bytes int64         // bytes appended to the current segment
-	frame []byte        // append's scratch
 }
 
 // openLogWriter positions the writer to append records starting at
@@ -195,6 +105,7 @@ func openLogWriter(fs FS, dir string, segSize int64, segStart uint64, segBytes i
 		lw.start = nextLSN
 	}
 	lw.w = bufio.NewWriterSize(lw.f, 1<<16)
+	lw.fw.w = lw.w
 	return lw, nil
 }
 
@@ -206,12 +117,11 @@ func (lw *logWriter) append(payload []byte) error {
 			return err
 		}
 	}
-	lw.frame = appendFrame(lw.frame[:0], payload)
-	if _, err := lw.w.Write(lw.frame); err != nil {
+	if err := lw.fw.writeMsg(payload); err != nil {
 		return err
 	}
 	lw.count++
-	lw.bytes += int64(len(lw.frame))
+	lw.bytes += int64(frameHeaderSize + len(payload))
 	return nil
 }
 
@@ -234,7 +144,7 @@ func (lw *logWriter) rotate() error {
 		return err
 	}
 	lw.f = f
-	lw.w = bufio.NewWriterSize(f, 1<<16)
+	lw.w.Reset(f)
 	lw.start = next
 	lw.count = 0
 	lw.bytes = 0
@@ -264,6 +174,6 @@ func (lw *logWriter) close() error {
 // crash abandons buffered bytes and closes the file without flushing or
 // syncing — simulating process death for tests.
 func (lw *logWriter) crash() {
-	lw.w = bufio.NewWriterSize(lw.f, 1) // drop buffered frames
+	lw.w.Reset(lw.f) // drop buffered frames
 	_ = lw.f.Close()
 }

@@ -3,7 +3,6 @@ package wal_test
 import (
 	"context"
 	"errors"
-	"fmt"
 	"testing"
 	"time"
 
@@ -39,8 +38,7 @@ func promptly(t *testing.T, what string, f func()) {
 // is not a panic under the write lock that blocks the next writer, and
 // not a logged record that every later recovery of the directory, and
 // every follower, dies replaying: they replay both logged failures and
-// count them (replayFailed). The shards=4 subtests open with the
-// deprecated engine.WithShards(4), which must change nothing.
+// count them (replayFailed).
 func TestMalformedUpdateNeitherWedgesNorBricks(t *testing.T) {
 	stock := func(site string) db.Tuple { return db.Tuple{db.S(site), db.I(7), db.I(1)} }
 	all := db.AllPattern(3)
@@ -79,72 +77,69 @@ func TestMalformedUpdateNeitherWedgesNorBricks(t *testing.T) {
 	ctx := context.Background()
 
 	for name, u := range malformed {
-		for _, shards := range []int{1, 4} {
-			t.Run(fmt.Sprintf("%s/shards=%d", name, shards), func(t *testing.T) {
-				opt := engine.WithShards(shards)
-
-				e := engine.New(engine.ModeNormalForm, initial, opt)
-				promptly(t, "Engine.ApplyTransaction", func() {
-					tx := bad("b", u)
-					refused(t, "Engine.ApplyTransaction", e.ApplyTransaction(&tx))
-				})
-				if e.Annotation("Stock", stock("b")) == nil {
-					t.Error("engine: the update before the malformed one did not stay applied")
-				}
-				promptly(t, "engine: the next transaction", func() {
-					tx := good("g")
-					if err := e.ApplyTransaction(&tx); err != nil {
-						t.Error(err)
-					}
-				})
-
-				dir := t.TempDir()
-				st, err := wal.Open(dir, wal.WithInitialDatabase(initial), wal.WithEngineOptions(opt))
-				if err != nil {
-					t.Fatal(err)
-				}
-				defer st.Close()
-				promptly(t, "Store.ApplyTransaction", func() {
-					tx := bad("b", u)
-					refused(t, "Store.ApplyTransaction", st.ApplyTransaction(&tx))
-				})
-				promptly(t, "Store.ApplyBatch", func() {
-					applied, err := st.ApplyBatch(ctx, []db.Transaction{good("g1"), bad("b2", u), good("g3")})
-					if refused(t, "Store.ApplyBatch", err); applied != 1 {
-						t.Errorf("Store.ApplyBatch applied %d transactions, want the one before the malformed one", applied)
-					}
-				})
-				if st.Annotation("Stock", stock("b")) == nil || st.Annotation("Stock", stock("b2")) == nil || st.Annotation("Stock", stock("g3")) != nil {
-					t.Error("store: want each failed transaction's first update applied and nothing after the failed one of the batch")
-				}
-				promptly(t, "store: the next transaction", func() {
-					tx := good("g")
-					if err := st.ApplyTransaction(&tx); err != nil {
-						t.Error(err)
-					}
-				})
-				want := snapshotOf(t, st)
-
-				_, src := startLeaderServer(t, st)
-				f := openTestFollower(t, t.TempDir(), src)
-				waitApplied(t, f, st.Stats().LSN)
-				requireSameBytes(t, "follower", want, snapshotOf(t, f))
-				if n := f.WALStats().ReplayFailed; n != 2 {
-					t.Errorf("the follower counted %d failed replays, want the 2 logged failures", n)
-				}
-
-				st.Crash()
-				var re *wal.Store
-				promptly(t, "wal.Open after the crash", func() { re, err = wal.Open(dir, wal.WithEngineOptions(opt)) })
-				if err != nil {
-					t.Fatal(err)
-				}
-				defer re.Close()
-				requireSameBytes(t, "recovered", want, snapshotOf(t, re))
-				if n := re.Stats().ReplayFailed; n != 2 {
-					t.Errorf("recovery counted %d failed replays, want the 2 logged failures", n)
+		// Storage is one partition; the names keep their old shard suffix.
+		t.Run(name+"/shards=1", func(t *testing.T) {
+			e := engine.New(engine.ModeNormalForm, initial)
+			promptly(t, "Engine.ApplyTransaction", func() {
+				tx := bad("b", u)
+				refused(t, "Engine.ApplyTransaction", e.ApplyTransaction(&tx))
+			})
+			if e.Annotation("Stock", stock("b")) == nil {
+				t.Error("engine: the update before the malformed one did not stay applied")
+			}
+			promptly(t, "engine: the next transaction", func() {
+				tx := good("g")
+				if err := e.ApplyTransaction(&tx); err != nil {
+					t.Error(err)
 				}
 			})
-		}
+
+			dir := t.TempDir()
+			st, err := wal.Open(dir, wal.WithInitialDatabase(initial))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer st.Close()
+			promptly(t, "Store.ApplyTransaction", func() {
+				tx := bad("b", u)
+				refused(t, "Store.ApplyTransaction", st.ApplyTransaction(&tx))
+			})
+			promptly(t, "Store.ApplyBatch", func() {
+				applied, err := st.ApplyBatch(ctx, []db.Transaction{good("g1"), bad("b2", u), good("g3")})
+				if refused(t, "Store.ApplyBatch", err); applied != 1 {
+					t.Errorf("Store.ApplyBatch applied %d transactions, want the one before the malformed one", applied)
+				}
+			})
+			if st.Annotation("Stock", stock("b")) == nil || st.Annotation("Stock", stock("b2")) == nil || st.Annotation("Stock", stock("g3")) != nil {
+				t.Error("store: want each failed transaction's first update applied and nothing after the failed one of the batch")
+			}
+			promptly(t, "store: the next transaction", func() {
+				tx := good("g")
+				if err := st.ApplyTransaction(&tx); err != nil {
+					t.Error(err)
+				}
+			})
+			want := snapshotOf(t, st)
+
+			_, src := startLeaderServer(t, st)
+			f := openTestFollower(t, t.TempDir(), src)
+			waitApplied(t, f, st.Stats().LSN)
+			requireSameBytes(t, "follower", want, snapshotOf(t, f))
+			if n := f.WALStats().ReplayFailed; n != 2 {
+				t.Errorf("the follower counted %d failed replays, want the 2 logged failures", n)
+			}
+
+			st.Crash()
+			var re *wal.Store
+			promptly(t, "wal.Open after the crash", func() { re, err = wal.Open(dir) })
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer re.Close()
+			requireSameBytes(t, "recovered", want, snapshotOf(t, re))
+			if n := re.Stats().ReplayFailed; n != 2 {
+				t.Errorf("recovery counted %d failed replays, want the 2 logged failures", n)
+			}
+		})
 	}
 }

@@ -1,11 +1,16 @@
 package wal
 
 import (
+	"errors"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"hyperprov/internal/db"
+	"hyperprov/internal/engine"
 	"hyperprov/internal/workload"
 )
 
@@ -88,47 +93,62 @@ func TestDecodeRecordHostile(t *testing.T) {
 	}
 }
 
-// TestScanSegmentClassification checks the torn-vs-mid-log rules on
-// hand-built segment images.
+// recoverSegment recovers a store whose log is the one segment img and
+// reports the records it holds after recovery, the bytes recovery
+// truncated and the segment's length after it.
+func recoverSegment(t *testing.T, img []byte) (records uint64, truncated, size int64, err error) {
+	t.Helper()
+	dir := t.TempDir()
+	if err := writeMeta(OSFS{}, dir, engine.ModeNormalForm, workload.Schema(), false); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, segName(0))
+	if err := os.WriteFile(path, img, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	st, err := Open(dir)
+	if err != nil {
+		return 0, 0, 0, err
+	}
+	defer st.Close()
+	fi, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stats := st.Stats()
+	return stats.LSN, stats.TruncatedTail, fi.Size(), nil
+}
+
+// TestScanSegmentClassification checks recovery's torn-vs-mid-log rules
+// on hand-built segment images.
 func TestScanSegmentClassification(t *testing.T) {
 	recA := encodeTxn(&db.Transaction{Label: "a"})
 	recB := encodeTxn(&db.Transaction{Label: "b"})
 	recC := encodeTxn(&db.Transaction{Label: "c"})
 	full := appendFrame(appendFrame(appendFrame(nil, recA), recB), recC)
 	oneLen := int64(len(appendFrame(nil, recA)))
+	// torn reports a recovery that kept n records and cut the rest.
+	torn := func(t *testing.T, img []byte, n uint64) {
+		t.Helper()
+		records, truncated, size, err := recoverSegment(t, img)
+		if err != nil || records != n || size != int64(n)*oneLen || truncated != int64(len(img))-size {
+			t.Fatalf("recovered %d records, truncated %d bytes to %d, %v; want %d records in %d bytes", records, truncated, size, err, n, int64(n)*oneLen)
+		}
+	}
 
-	t.Run("clean", func(t *testing.T) {
-		sc := scanSegment(full)
-		if sc.torn || sc.midlog || len(sc.records) != 3 || sc.goodLen != int64(len(full)) {
-			t.Fatalf("clean scan: %+v", sc)
-		}
-	})
-	t.Run("short-header", func(t *testing.T) {
-		sc := scanSegment(full[:oneLen+3])
-		if !sc.torn || sc.midlog || len(sc.records) != 1 {
-			t.Fatalf("short header: %+v", sc)
-		}
-	})
-	t.Run("short-payload", func(t *testing.T) {
-		sc := scanSegment(full[:2*oneLen-2])
-		if !sc.torn || sc.midlog || len(sc.records) != 1 || sc.goodLen != oneLen {
-			t.Fatalf("short payload: %+v", sc)
-		}
-	})
+	t.Run("clean", func(t *testing.T) { torn(t, full, 3) })
+	t.Run("short-header", func(t *testing.T) { torn(t, full[:oneLen+3], 1) })
+	t.Run("short-payload", func(t *testing.T) { torn(t, full[:2*oneLen-2], 1) })
 	t.Run("crc-bad-final", func(t *testing.T) {
 		img := append([]byte(nil), full...)
 		img[len(img)-1] ^= 0xff
-		sc := scanSegment(img)
-		if !sc.torn || sc.midlog || len(sc.records) != 2 {
-			t.Fatalf("crc-bad final: %+v", sc)
-		}
+		torn(t, img, 2)
 	})
 	t.Run("crc-bad-midlog", func(t *testing.T) {
 		img := append([]byte(nil), full...)
 		img[oneLen+frameHeaderSize] ^= 0xff // corrupt record B's payload
-		sc := scanSegment(img)
-		if !sc.midlog || len(sc.records) != 1 {
-			t.Fatalf("crc-bad mid-log: %+v", sc)
+		if _, _, _, err := recoverSegment(t, img); !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), "intact records after it") {
+			t.Fatalf("crc-bad mid-log: %v, want ErrCorrupt for a damaged record with intact records after it", err)
 		}
 	})
 }

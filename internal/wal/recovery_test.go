@@ -2,6 +2,7 @@ package wal_test
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"os"
 	"path/filepath"
@@ -172,6 +173,50 @@ func TestTornFinalRecord(t *testing.T) {
 		}
 		re.Close()
 	}
+}
+
+// TestZeroFilledTailIsTorn: a crash that persisted the final segment's
+// length but not its last bytes leaves a frame whose payload is zeros,
+// with zeros after it. Eight zero bytes are an empty frame whose CRC
+// checks out, but no record is empty: recovery truncates the tail and
+// keeps every record before it, instead of refusing the directory for a
+// damaged record with an intact one after it.
+func TestZeroFilledTailIsTorn(t *testing.T) {
+	dir := t.TempDir()
+	st := applyN(t, dir, 24)
+	want := snapshotOf(t, st)
+	_, txns := smallWorkload(t)
+	if err := st.ApplyTransaction(&txns[24]); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	segs := dataFiles(t, dir, "wal-")
+	last := segs[len(segs)-1]
+	data, err := os.ReadFile(last)
+	if err != nil {
+		t.Fatal(err)
+	}
+	off := 0 // where the final frame starts
+	for at := 0; at < len(data); at += 8 + int(binary.LittleEndian.Uint32(data[at:])) {
+		off = at
+	}
+	clear(data[off+8:])
+	data = append(data, make([]byte, 16)...)
+	if err := os.WriteFile(last, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	re, err := wal.Open(dir)
+	if err != nil {
+		t.Fatalf("reopen with a zero-filled tail: %v", err)
+	}
+	defer re.Close()
+	if stats := re.Stats(); stats.LSN != 24 || stats.TruncatedTail != int64(len(data)-off) {
+		t.Fatalf("recovered LSN %d, truncated %d bytes; want 24 and the %d-byte tail", stats.LSN, stats.TruncatedTail, len(data)-off)
+	}
+	requireSameBytes(t, "zero-filled tail", want, snapshotOf(t, re))
 }
 
 // TestCorruptMidLogRecord flips a byte in an early record of the final

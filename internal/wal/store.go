@@ -526,6 +526,7 @@ func (s *Store) recover(meta *metaInfo) error {
 	var segStart, segCount uint64
 	var segBytes int64
 	expect := uint64(0)
+	fr := newFrameReader(nil, ErrCorrupt)
 	for i := startIdx; i < len(segs); i++ {
 		start := segs[i]
 		if i > startIdx && start != expect {
@@ -540,35 +541,44 @@ func (s *Store) recover(meta *metaInfo) error {
 		if err != nil {
 			return err
 		}
-		sc := scanSegment(data)
-		final := i == len(segs)-1
-		if sc.midlog {
-			return fmt.Errorf("%w: damaged record inside %s with intact records after it", ErrCorrupt, segName(start))
+		fr.reset(bytes.NewReader(data))
+		count := uint64(0)
+		for ; ; count++ {
+			payload, err := fr.next()
+			if err == io.EOF {
+				break
+			}
+			if err != nil {
+				// Damage followed by one complete valid frame, where the
+				// damaged one ends, is not a torn write: skipping it would
+				// replay a different history. Anything else is a crashed
+				// write's tail, which only the final segment may have.
+				if errors.Is(err, errFrameDamaged) {
+					if _, err := fr.next(); err == nil {
+						return fmt.Errorf("%w: damaged record inside %s with intact records after it", ErrCorrupt, segName(start))
+					}
+				}
+				if i < len(segs)-1 {
+					return fmt.Errorf("%w: damaged tail in non-final segment %s", ErrCorrupt, segName(start))
+				}
+				s.truncated = int64(len(data)) - fr.good
+				if err := s.fs.Truncate(path, fr.good); err != nil {
+					return err
+				}
+				break
+			}
+			if lsn := start + count; lsn >= replayStart {
+				if err := s.replayRecord(payload); err != nil {
+					return fmt.Errorf("%w: record %d: %v", ErrCorrupt, lsn, err)
+				}
+				s.replayed++
+			}
 		}
-		if sc.torn {
-			if !final {
-				return fmt.Errorf("%w: damaged tail in non-final segment %s", ErrCorrupt, segName(start))
-			}
-			s.truncated = int64(len(data)) - sc.goodLen
-			if err := s.fs.Truncate(path, sc.goodLen); err != nil {
-				return err
-			}
-		}
-		for j, payload := range sc.records {
-			lsn := start + uint64(j)
-			if lsn < replayStart {
-				continue
-			}
-			if err := s.replayRecord(payload); err != nil {
-				return fmt.Errorf("%w: record %d: %v", ErrCorrupt, lsn, err)
-			}
-			s.replayed++
-		}
-		expect = start + uint64(len(sc.records))
+		expect = start + count
 		if expect > nextLSN {
 			nextLSN = expect
 		}
-		segStart, segCount, segBytes = start, uint64(len(sc.records)), sc.goodLen
+		segStart, segCount, segBytes = start, count, fr.good
 	}
 	s.lsn.Store(nextLSN)
 	s.ckptLSN = replayStart
