@@ -37,6 +37,8 @@ var benchCeilings = []struct {
 	{"Fig7_TPCC|Fig8_Synthetic|ProvstoreSnapshot/save", "BenchmarkProvstoreSnapshot/save", "snapshot_bytes", 318985},
 	{"ColdStart", "BenchmarkColdStart/csv_200k", "B/op", 107370048 * 1.1},
 	{"ColdStart", "BenchmarkColdStart/snapshot_tpcc12k", "B/op", 111775976 * 1.1},
+	// The bulk_scan shape in process: batches of 25 over 200 000 rows.
+	{"BatchScan/bulk", "BenchmarkBatchScan/bulk", "B_per_txn_batch", 5510 * 1.1},
 }
 
 // TestBenchCeilings runs each group of benchmarks once (-benchtime 1x) in

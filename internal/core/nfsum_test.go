@@ -92,7 +92,7 @@ func TestNFSumAcrossDedupThreshold(t *testing.T) {
 			if want := PlusM(left, DotM(Sum(m.list...), pv)); n.ToExpr() != want {
 				t.Fatalf("minus=%v step %d: ToExpr() = %v, want the node %v", minus, step, n.ToExpr(), want)
 			}
-			if hasSet := n.sum.seen != nil; hasSet != (len(got) > sumScanMax) {
+			if hasSet := n.open.seen != nil; hasSet != (len(got) > sumScanMax) {
 				t.Fatalf("minus=%v step %d: %d summands (threshold %d), pointer set built: %v", minus, step, len(got), sumScanMax, hasSet)
 			}
 		}
@@ -105,8 +105,10 @@ func TestNFSumAcrossDedupThreshold(t *testing.T) {
 }
 
 // TestNFShortSumAllocatesOnce: absorbing a contribution into a fresh
-// form allocates the summand record and nothing else — no set, no
-// separate list — and the other shapes allocate nothing.
+// form allocates its open record, short summand storage inline, and
+// nothing else — no set, no separate list. A form opened from an
+// NFRecords and frozen back into it allocates nothing beyond the frozen
+// expression, whatever the shape.
 func TestNFShortSumAllocatesOnce(t *testing.T) {
 	p := QueryAnnot("p-alloc")
 	base, b := TupleVar("alloc-a"), []*Expr{TupleVar("alloc-b")}
@@ -117,12 +119,64 @@ func TestNFShortSumAllocatesOnce(t *testing.T) {
 	}); got != 1 {
 		t.Errorf("NFBase → NFMod with one summand: %v allocations, want 1", got)
 	}
+	var rs NFRecords
+	plusI := PlusI(base, Var(p)) // interned up front: Freeze below finds the node
 	if got := testing.AllocsPerRun(100, func() {
 		n = NF{base: base}
-		n.Insert(p)
+		rs.Open(&n).Insert(p)
 		n.Delete(p)
+		n.AbsorbMod(b, false, p)
 		n.AbsorbMod(nil, true, p)
-	}); got != 0 {
-		t.Errorf("Insert/Delete/inserted-AbsorbMod: %v allocations, want 0", got)
+		rs.Freeze(&n)
+	}); got != 0 || n.Base() != plusI {
+		t.Errorf("Insert/Delete/AbsorbMod on a recycled record: %v allocations and %v, want 0 and %v", got, n.Base(), plusI)
+	}
+}
+
+// TestNFRecordsRecycle: a record frozen back into an NFRecords comes out
+// of the next Open empty — shape NFBase, no p, no summands — whatever it
+// held, so a form that goes straight from its base to a modification
+// shape sums exactly its own contributions. A record that held more
+// than sumKeep summands (a set among them) comes back without that
+// storage, and the free list keeps at most nfRecordsKeep records.
+func TestNFRecordsRecycle(t *testing.T) {
+	p, q := QueryAnnot("p-rec"), QueryAnnot("q-rec")
+	var rs NFRecords
+	for _, n := range []int{1, sumKeep, sumKeep + 1, 2 * sumScanMax} {
+		var big []*Expr
+		for i := range n {
+			big = append(big, TupleVar(fmt.Sprintf("rec-%d", i)))
+		}
+		a := NF{base: TupleVar("rec-a")}
+		rs.Open(&a).AbsorbMod(big, false, p)
+		rs.Freeze(&a)
+		if a.open != nil || len(rs.free) != 1 {
+			t.Fatalf("%d summands: Freeze left the record on the form or lost it", n)
+		}
+		o := rs.free[0]
+		if o.kind != NFBase || o.p != (Annot{}) || len(o.list) != 0 || o.seen != nil || cap(o.list) > sumKeep {
+			t.Fatalf("%d summands: the record came back as shape %v, p %v, %d summands of %d kept, set %v", n, o.kind, o.p, len(o.list), cap(o.list), o.seen != nil)
+		}
+		b := NF{base: TupleVar("rec-b")}
+		c := []*Expr{TupleVar("rec-c")}
+		rs.Open(&b).AbsorbMod(c, false, q)
+		if b.open != o || b.Kind() != NFMod || len(b.Sum()) != 1 || b.Sum()[0] != c[0] {
+			t.Fatalf("%d summands: the reused record reads shape %v, sum %v", n, b.Kind(), b.Sum())
+		}
+		rs.Freeze(&b)
+		if want := PlusM(TupleVar("rec-b"), DotM(c[0], Var(q))); b.Base() != want {
+			t.Fatalf("%d summands: froze into %v, want %v", n, b.Base(), want)
+		}
+	}
+	forms := make([]NF, nfRecordsKeep+10)
+	for i := range forms {
+		forms[i].base = Zero()
+		rs.Open(&forms[i]).Insert(p)
+	}
+	for i := range forms {
+		rs.Freeze(&forms[i])
+	}
+	if len(rs.free) != nfRecordsKeep {
+		t.Fatalf("the free list holds %d records after %d froze, want %d", len(rs.free), len(forms), nfRecordsKeep)
 	}
 }

@@ -1,6 +1,9 @@
 package core
 
-import "fmt"
+import (
+	"fmt"
+	"maps"
+)
 
 // NFKind enumerates the five shapes of Theorem 5.3. Within a transaction
 // annotated p, the provenance of every tuple can be kept in one of these
@@ -56,15 +59,24 @@ func (k NFKind) String() string {
 // NF values are mutable and not safe for concurrent mutation.
 //
 // Layout: an NF is embedded by value in every row version the engine
-// stores, so at rest it is five words — the shape tag and the kind of p
-// share one — and everything only the modification shapes need sits
-// behind one pointer that Insert, Delete and Freeze reset to nil. A
-// frozen NF is therefore a plain value: copying the struct clones it.
+// stores, so at rest it is two words. What the open transaction needs
+// (shape, p, summands) sits in a record that Freeze folds into the base
+// and releases: a frozen NF is a plain value, and copying the struct
+// clones it. A form updated without a record from NFRecords allocates one.
 type NF struct {
 	base *Expr
-	sum  *nfSum // summands of NFMod/NFMinusMod; nil in every other shape
-	p    string // Annot.Name of p
-	pk   AnnotKind
+	open *nfOpen // the open transaction's state; nil in every frozen form
+}
+
+// nfOpen is a form's state within one transaction: shape, p, and the
+// summands in order of arrival (Σ ranges over a set, but prints and
+// encodes in that order) with, past sumScanMax of them, a set for dedup.
+// buf backs short lists, so a record is never copied.
+type nfOpen struct {
+	p    Annot
+	list []*Expr
+	seen map[*Expr]struct{}
+	buf  [2]*Expr
 	kind NFKind
 }
 
@@ -80,76 +92,116 @@ type NF struct {
 // below the crossover no workload here builds a set at all.
 const sumScanMax = 64
 
-// nfSum is the summand storage of the modification shapes: the
-// summands in insertion order (Σ ranges over a set, but its printed and
-// encoded order is the order of arrival) and, past sumScanMax of them,
-// the set that keeps dedup constant-time. buf backs short lists, so the
-// usual sum costs one allocation.
-type nfSum struct {
-	list []*Expr
-	seen map[*Expr]struct{}
-	buf  [2]*Expr
+// sumKeep is the most summands a record keeps storage for.
+const sumKeep = 32
+
+// become moves the record to shape k under p, dropping its summands.
+func (o *nfOpen) become(k NFKind, p Annot) {
+	o.kind, o.p, o.seen = k, p, nil
+	clear(o.list)
+	if o.list = o.list[:0]; cap(o.list) > sumKeep {
+		o.list = o.buf[:0]
+	}
 }
 
-// newSum returns summand storage holding a copy of list.
-func newSum(list []*Expr) *nfSum {
-	s := &nfSum{}
-	s.list = append(s.buf[:0], list...)
-	return s
+// NFRecords is one writer's free list of open records: Open gives a
+// form a record before an update, Freeze takes it back at the
+// transaction boundary, so a writer in steady state allocates none. Not
+// a sync.Pool, which every collection empties; not safe for concurrent
+// use.
+type NFRecords struct{ free []*nfOpen }
+
+// nfRecordsKeep bounds the free list — 80 kB of records, 256 kB of
+// summands behind them — so a huge transaction leaves nothing behind.
+const nfRecordsKeep = 1024
+
+// Open gives n a record unless it has one, and returns n.
+func (rs *NFRecords) Open(n *NF) *NF {
+	if k := len(rs.free); n.open == nil && k > 0 {
+		n.open, rs.free = rs.free[k-1], rs.free[:k-1]
+	}
+	return n
+}
+
+// Freeze is n.Freeze, keeping n's record for the next Open.
+func (rs *NFRecords) Freeze(n *NF) {
+	o := n.open
+	n.Freeze()
+	if o != nil && len(rs.free) < nfRecordsKeep {
+		rs.free = append(rs.free, o)
+	}
 }
 
 // NewNF returns a normal form in shape NFBase over the given base
 // expression (use Zero() for a tuple absent from the database).
 func NewNF(base *Expr) *NF {
-	return &NF{kind: NFBase, base: base}
+	return &NF{base: base}
+}
+
+// frozen is what a form without a record reads: shape NFBase, no p and
+// no summands. Only records from rec are ever written.
+var frozen nfOpen
+
+// st returns n's record, or frozen.
+func (n *NF) st() *nfOpen {
+	if n.open == nil {
+		return &frozen
+	}
+	return n.open
+}
+
+// rec returns n's record, allocating one for a form that has none.
+func (n *NF) rec() *nfOpen {
+	if n.open == nil {
+		n.open = new(nfOpen)
+		n.open.list = n.open.buf[:0]
+	}
+	return n.open
 }
 
 // Kind reports the current shape.
-func (n *NF) Kind() NFKind { return n.kind }
+func (n *NF) Kind() NFKind { return n.st().kind }
 
 // Base returns the base expression a.
 func (n *NF) Base() *Expr { return n.base }
 
 // P returns the transaction annotation p of a non-NFBase shape.
-func (n *NF) P() Annot { return Annot{Name: n.p, Kind: n.pk} }
+func (n *NF) P() Annot { return n.st().p }
 
 // Sum returns the summands b0…bn of a modification shape. The returned
 // slice must not be modified.
-func (n *NF) Sum() []*Expr {
-	if n.sum == nil {
-		return nil
-	}
-	return n.sum.list
-}
+func (n *NF) Sum() []*Expr { return n.st().list }
 
 // IsZero reports whether the normal form is (syntactically) the absent
 // annotation 0, i.e. shape NFBase over the literal 0. Tuples whose
 // normal form is zero are outside the support of the annotated relation.
-func (n *NF) IsZero() bool { return n.kind == NFBase && n.base.IsZero() }
+func (n *NF) IsZero() bool { return n.Kind() == NFBase && n.base.IsZero() }
+
+// Live reports the tuple's set-semantics membership: the base's
+// Expr.Live in shape NFBase, else in after an insertion or modification
+// and out after a deletion — ToExpr().Live() whenever every source of a
+// modification is live, as under the engine's live matching.
+func (n *NF) Live() bool {
+	k := n.Kind()
+	return k != NFMinus && (k != NFBase || n.base.Live())
+}
 
 // Clone returns an independent copy of n. The base and summand
 // expressions are shared (they are immutable).
 func (n *NF) Clone() *NF {
-	c := *n
-	if s := n.sum; s != nil {
-		c.sum = newSum(s.list)
-		if s.seen != nil {
-			c.sum.seen = make(map[*Expr]struct{}, len(s.seen))
-			for e := range s.seen {
-				c.sum.seen[e] = struct{}{}
-			}
-		}
+	c := &NF{base: n.base}
+	if o := n.open; o != nil {
+		c.open = &nfOpen{p: o.p, kind: o.kind, seen: maps.Clone(o.seen)}
+		c.open.list = append(c.open.buf[:0], o.list...)
 	}
-	return &c
+	return c
 }
 
 func (n *NF) checkP(p Annot) {
-	if n.kind != NFBase && n.P() != p {
-		panic(fmt.Sprintf("core: normal form carries transaction annotation %s but was updated under %s; call Freeze at transaction boundaries", n.p, p))
+	if n.Kind() != NFBase && n.P() != p {
+		panic(fmt.Sprintf("core: normal form carries transaction annotation %s but was updated under %s; call Freeze at transaction boundaries", n.P().Name, p))
 	}
 }
-
-func (n *NF) setP(p Annot) { n.p, n.pk = p.Name, p.Kind }
 
 // Insert applies an insertion annotated p to the tuple: the provenance
 // becomes old +I p, normalized by Rule 1 (an insertion overrides every
@@ -159,9 +211,7 @@ func (n *NF) setP(p Annot) { n.p, n.pk = p.Name, p.Kind }
 // base.
 func (n *NF) Insert(p Annot) {
 	n.checkP(p)
-	n.kind = NFPlusI
-	n.setP(p)
-	n.sum = nil
+	n.rec().become(NFPlusI, p)
 }
 
 // Delete applies a deletion (or the −M half of a modification) annotated
@@ -171,9 +221,7 @@ func (n *NF) Insert(p Annot) {
 // NFMinus over the unchanged base.
 func (n *NF) Delete(p Annot) {
 	n.checkP(p)
-	n.kind = NFMinus
-	n.setP(p)
-	n.sum = nil
+	n.rec().become(NFMinus, p)
 }
 
 // Contribution reports what this tuple contributes when it is a source
@@ -196,7 +244,7 @@ func (n *NF) Contribution() (contrib []*Expr, inserted bool) {
 // AppendContribution is Contribution appending to dst, for a caller
 // collecting the contributions of many sources into one list.
 func (n *NF) AppendContribution(dst []*Expr) (contrib []*Expr, inserted bool) {
-	switch n.kind {
+	switch n.Kind() {
 	case NFBase, NFMod:
 		if !n.base.IsZero() {
 			dst = append(dst, n.base)
@@ -230,14 +278,10 @@ func (n *NF) AppendContribution(dst []*Expr) (contrib []*Expr, inserted bool) {
 func (n *NF) AbsorbMod(contrib []*Expr, inserted bool, p Annot) {
 	n.checkP(p)
 	if inserted {
-		switch n.kind {
-		case NFPlusI:
-			// (a +I p) +M e = a +I p — already normalized (Rule 5).
-		default:
-			n.kind = NFPlusI
-			n.sum = nil
+		// (a +I p) +M e = a +I p — already normalized (Rule 5).
+		if n.Kind() != NFPlusI {
+			n.rec().become(NFPlusI, p)
 		}
-		n.setP(p)
 		return
 	}
 	nonZero := contrib
@@ -256,27 +300,25 @@ func (n *NF) AbsorbMod(contrib []*Expr, inserted bool, p Annot) {
 	if len(nonZero) == 0 {
 		return // Rule 3: an update based only on deleted tuples has no effect.
 	}
-	switch n.kind {
+	o := n.rec()
+	switch o.kind {
 	case NFBase:
-		n.kind = NFMod
+		o.kind = NFMod
 	case NFPlusI:
 		return // Rule 5.
 	case NFMinus:
-		n.kind = NFMinusMod
+		o.kind = NFMinusMod
 	case NFMod, NFMinusMod:
 		// merge below
 	}
-	n.setP(p)
-	if n.sum == nil {
-		n.sum = newSum(nil)
-	}
+	o.p = p
 	for _, c := range nonZero {
-		n.sum.add(c)
+		o.add(c)
 	}
 }
 
 // add appends c to the sum unless it is already a summand.
-func (s *nfSum) add(c *Expr) {
+func (o *nfOpen) add(c *Expr) {
 	if c.IsZero() {
 		return
 	}
@@ -284,7 +326,7 @@ func (s *nfSum) add(c *Expr) {
 		// Σ is flat: a summand that is itself a sum contributes its
 		// elements (axiom 11).
 		for _, k := range c.Children() {
-			s.add(k)
+			o.add(k)
 		}
 		return
 	}
@@ -292,33 +334,33 @@ func (s *nfSum) add(c *Expr) {
 	// no-op; raw expressions handed in by external callers are interned
 	// so the pointer comparisons below stay exact.
 	c = Intern(c)
-	if s.seen != nil {
-		if _, dup := s.seen[c]; dup {
+	if o.seen != nil {
+		if _, dup := o.seen[c]; dup {
 			return
 		}
-		s.seen[c] = struct{}{}
+		o.seen[c] = struct{}{}
 	} else {
-		for _, b := range s.list {
+		for _, b := range o.list {
 			if b == c {
 				return
 			}
 		}
-		if len(s.list) == sumScanMax {
-			s.seen = make(map[*Expr]struct{}, 2*sumScanMax)
-			for _, b := range s.list {
-				s.seen[b] = struct{}{}
+		if len(o.list) == sumScanMax {
+			o.seen = make(map[*Expr]struct{}, 2*sumScanMax)
+			for _, b := range o.list {
+				o.seen[b] = struct{}{}
 			}
-			s.seen[c] = struct{}{}
+			o.seen[c] = struct{}{}
 		}
 	}
-	s.list = append(s.list, c)
+	o.list = append(o.list, c)
 }
 
 // ToExpr materializes the normal form as an UP[X] expression, one of the
 // five shapes of Theorem 5.3. Summands keep their insertion order; use
 // Minimize for the canonical zero-minimized representation.
 func (n *NF) ToExpr() *Expr {
-	switch n.kind {
+	switch n.Kind() {
 	case NFBase:
 		return n.base
 	case NFPlusI:
@@ -336,7 +378,7 @@ func (n *NF) ToExpr() *Expr {
 
 // Size returns the tree size of ToExpr() without materializing it.
 func (n *NF) Size() int64 {
-	switch n.kind {
+	switch kind := n.Kind(); kind {
 	case NFBase:
 		return n.base.Size()
 	case NFPlusI, NFMinus:
@@ -350,7 +392,7 @@ func (n *NF) Size() int64 {
 			s++ // the Σ node
 		}
 		s += 3 + n.base.Size() // +M, ·M, p
-		if n.kind == NFMinusMod {
+		if kind == NFMinusMod {
 			s += 2 // −, p
 		}
 		return s
@@ -364,11 +406,8 @@ func (n *NF) Size() int64 {
 // that a following transaction (with a different annotation) can be
 // tracked incrementally on top of it.
 func (n *NF) Freeze() {
-	if n.kind == NFBase {
-		return
+	if o := n.open; o != nil {
+		n.base, n.open = n.ToExpr(), nil
+		o.become(NFBase, Annot{})
 	}
-	n.base = n.ToExpr()
-	n.kind = NFBase
-	n.setP(Annot{})
-	n.sum = nil
 }

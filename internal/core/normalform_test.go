@@ -239,3 +239,42 @@ func TestEvalNFMatchesEvalToExpr(t *testing.T) {
 		}
 	}
 }
+
+// TestNFLiveByShape: a normal form's membership is Expr.Live of its base
+// in shape NFBase and, in the open transaction, a function of the shape
+// alone — in after an insertion or a modification, out after a deletion
+// — over a zero, a live and a dead base. With a live summand it is
+// ToExpr().Live(), before and after Freeze; over dead summands only the
+// shape speaks (the engine's live matching never feeds a modification a
+// dead source).
+func TestNFLiveByShape(t *testing.T) {
+	p, q := core.QueryAnnot("p-live"), core.QueryAnnot("q-live")
+	live, dead := tv("live-b"), core.Minus(tv("live-b"), core.Var(q))
+	for _, base := range []*core.Expr{core.Zero(), tv("live-a"), core.Minus(tv("live-a"), core.Var(q))} {
+		for _, c := range []struct {
+			kind  core.NFKind
+			steps func(n *core.NF)
+			want  bool
+		}{
+			{core.NFBase, func(*core.NF) {}, base.Live()},
+			{core.NFPlusI, func(n *core.NF) { n.Insert(p) }, true},
+			{core.NFMinus, func(n *core.NF) { n.Delete(p) }, false},
+			{core.NFMod, func(n *core.NF) { n.AbsorbMod([]*core.Expr{live}, false, p) }, true},
+			{core.NFMinusMod, func(n *core.NF) { n.Delete(p); n.AbsorbMod([]*core.Expr{live}, false, p) }, true},
+		} {
+			n := core.NewNF(base)
+			c.steps(n)
+			if n.Kind() != c.kind || n.Live() != c.want || n.ToExpr().Live() != c.want {
+				t.Fatalf("base %v, shape %v: Live() = %v, ToExpr().Live() = %v, want %v", base, n.Kind(), n.Live(), n.ToExpr().Live(), c.want)
+			}
+			if n.Freeze(); n.Live() != c.want {
+				t.Fatalf("base %v, shape %v frozen: Live() = %v, want %v", base, c.kind, n.Live(), c.want)
+			}
+		}
+		n := core.NewNF(base)
+		n.AbsorbMod([]*core.Expr{dead}, false, p)
+		if !n.Live() || n.ToExpr().Live() != base.Live() {
+			t.Fatalf("base %v over a dead summand: Live() = %v, ToExpr().Live() = %v; want the shape's true and the base's %v", base, n.Live(), n.ToExpr().Live(), base.Live())
+		}
+	}
+}

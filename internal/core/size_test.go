@@ -68,11 +68,11 @@ func TestNodeIDsGrowFromTheLeaves(t *testing.T) {
 }
 
 // TestNFSizePinned: an NF is embedded by value in every row version the
-// engine stores (engine.TestVersionSizePinned), so at rest it is five
-// words: base, the summand pointer, p's name, and one word shared by
-// p's kind and the shape tag.
+// engine stores (engine.TestVersionSizePinned), so at rest it is two
+// words: base, and the pointer to the open transaction's record, nil in
+// every committed form.
 func TestNFSizePinned(t *testing.T) {
-	if got := unsafe.Sizeof(NF{}); got != 40 {
-		t.Fatalf("unsafe.Sizeof(core.NF{}) = %d, want 40", got)
+	if got := unsafe.Sizeof(NF{}); got != 16 {
+		t.Fatalf("unsafe.Sizeof(core.NF{}) = %d, want 16", got)
 	}
 }

@@ -84,13 +84,13 @@ func (t *table) add(r *row) {
 
 // newRow builds a row created at seq together with its first version,
 // annotated ann, in one allocation; fp is the tuple's fingerprint.
-func newRow(t db.Tuple, fp, seq uint64, ann *core.Expr, live bool) *row {
+func newRow(t db.Tuple, fp, seq uint64, ann *core.Expr) *row {
 	rv := &struct {
 		row
 		first version
 	}{}
 	rv.tuple, rv.fp, rv.seq = t, fp, seq
-	rv.first.born, rv.first.live = seq, live
+	rv.first.born = seq
 	rv.first.setExpr(ann)
 	rv.head.Store(&rv.first)
 	return &rv.row
@@ -127,7 +127,7 @@ func (e *Engine) newVersionedRow(t db.Tuple, fp uint64) *row {
 	seq := e.epoch.Load()<<32 | e.created
 	e.created++
 	e.versions.Add(1)
-	return newRow(t, fp, seq, core.Zero(), false)
+	return newRow(t, fp, seq, core.Zero())
 }
 
 // mutable returns the version of r the current write epoch may mutate
@@ -142,7 +142,7 @@ func (e *Engine) mutable(r *row) *version {
 		return v
 	}
 	// A committed form is frozen, so the struct copy is a full clone.
-	nv := &version{prev: v, born: epoch << 32, nf: v.nf, live: v.live}
+	nv := &version{prev: v, born: epoch << 32, nf: v.nf}
 	e.versions.Add(1)
 	r.head.Store(nv)
 	return nv
@@ -159,7 +159,7 @@ func (e *Engine) matchable(r *row) bool {
 // writer's head or a reader's horizon-pinned version).
 func (e *Engine) matchableV(v *version) bool {
 	if e.cfg.liveMatch {
-		return v.live
+		return v.nf.Live()
 	}
 	return v.inSupport()
 }
@@ -204,9 +204,8 @@ func (e *Engine) insert(tbl *table, t db.Tuple) {
 	if e.mode == ModeNaive {
 		v.setExpr(e.simplify(core.PlusI(v.expr(), core.Var(e.cur))))
 	} else {
-		v.nf.Insert(e.cur)
+		e.nfs.Open(&v.nf).Insert(e.cur)
 	}
-	v.live = true
 	if fresh || !wasMatchable {
 		e.indexAdd(tbl, r)
 	}
@@ -222,9 +221,8 @@ func (e *Engine) deleteRow(tbl *table, r *row) {
 	if e.mode == ModeNaive {
 		v.setExpr(e.simplify(core.Minus(v.expr(), core.Var(e.cur))))
 	} else {
-		v.nf.Delete(e.cur)
+		e.nfs.Open(&v.nf).Delete(e.cur)
 	}
-	v.live = false
 	if !e.matchable(r) {
 		e.indexDead(tbl, r)
 	}
@@ -367,9 +365,8 @@ func (e *Engine) absorbModTarget(tbl *table, g *modGroup, pe *core.Expr) {
 	if e.mode == ModeNaive {
 		v.setExpr(e.simplify(core.PlusM(v.expr(), core.DotM(core.Sum(g.raw...), pe))))
 	} else {
-		v.nf.AbsorbMod(g.contrib, g.inserted, e.cur)
+		e.nfs.Open(&v.nf).AbsorbMod(g.contrib, g.inserted, e.cur)
 	}
-	v.live = true
 	if fresh || !wasMatchable {
 		e.indexAdd(tbl, r)
 	}
@@ -396,7 +393,6 @@ func (e *Engine) restoreRow(rel string, t db.Tuple, fp uint64, ann *core.Expr) e
 	}
 	v := e.mutable(r)
 	v.setExpr(ann)
-	v.live = ann.Live()
 	if fresh {
 		tbl.add(r)
 	}

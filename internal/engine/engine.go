@@ -187,10 +187,12 @@ type Engine struct {
 	// Writer-owned scratch, guarded by the write lock like every other
 	// scan-path structure: the free-list recycling scan result buffers
 	// (see storage.go), the grouping state of the modification in flight,
+	// the open records of the epoch's normal forms (taken back by finish),
 	// the tuple a fully pinned selection probes with and the column passes
 	// of the batch in flight (see batchScan), an intersect scan's merge.
 	scanBufs [][]*row
 	mod      modScratch
+	nfs      core.NFRecords
 	pinned   db.Tuple
 	batch    batchScan
 	merged   postingList
@@ -308,7 +310,7 @@ func (e *Engine) finish(kind CommitKind, label string) {
 		ev.Kind, ev.Label, ev.Rows, e.evRows = kind, label, e.evRows, nil
 	}
 	for _, t := range e.touched {
-		t.r.latest().nf.Freeze()
+		e.nfs.Freeze(&t.r.latest().nf)
 		if e.collect {
 			ev.Rows = append(ev.Rows, RowRef{Rel: t.tbl.rel.Name, Tuple: t.r.tuple})
 		}

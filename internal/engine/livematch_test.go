@@ -8,6 +8,7 @@ import (
 	"hyperprov/internal/core"
 	"hyperprov/internal/db"
 	"hyperprov/internal/engine"
+	"hyperprov/internal/workload"
 )
 
 // TestLiveMatchingOracleLiveDB: with live matching the engine's scans
@@ -164,4 +165,54 @@ func TestLiveMatchingBoundsProvenanceGrowth(t *testing.T) {
 
 func labelFor(k int) string {
 	return "pay" + string(rune('a'+k%26)) + string(rune('a'+(k/26)%26))
+}
+
+// TestLiveMatchingMembershipIsDerived: a version stores no membership
+// bit — a committed row is selectable under live matching exactly when
+// its annotation is live (core.Expr.Live). Over the seeded differential
+// histories, in both modes and at every epoch, Select on an
+// all-variables pattern returns exactly the rows whose annotation at
+// that epoch is live, in insertion order.
+func TestLiveMatchingMembershipIsDerived(t *testing.T) {
+	for ci, cfg := range diffConfigs() {
+		initial, txns, err := workload.Generate(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, mode := range []engine.Mode{engine.ModeNaive, engine.ModeNormalForm} {
+			e := engine.New(mode, initial, engine.WithLiveMatching(true))
+			if err := e.ApplyAll(context.Background(), txns); err != nil {
+				t.Fatal(err)
+			}
+			dead := 0
+			for k := uint64(0); k <= e.MVCCStats().HorizonEpoch; k++ {
+				v := e.At(engine.EpochSeq(k))
+				for _, rel := range v.Relations() {
+					var want []string
+					v.EachRow(rel, func(tu db.Tuple, ann *core.Expr) {
+						if ann.Live() {
+							want = append(want, tu.Key())
+						} else {
+							dead++
+						}
+					})
+					got, err := v.Select(rel, db.AllPattern(len(v.Schema().Relation(rel).Attrs)))
+					if err != nil {
+						t.Fatal(err)
+					}
+					if len(got) != len(want) {
+						t.Fatalf("cfg %d, %v, epoch %d: Select returns %d rows of %s, %d are live", ci, mode, k, len(got), rel, len(want))
+					}
+					for i, tu := range got {
+						if tu.Key() != want[i] {
+							t.Fatalf("cfg %d, %v, epoch %d: Select's row %d of %s is %s, the live row there is %s", ci, mode, k, i, rel, tu.Key(), want[i])
+						}
+					}
+				}
+			}
+			if dead == 0 {
+				t.Fatalf("cfg %d, %v: no dead row at any epoch — the history does not exercise membership", ci, mode)
+			}
+		}
+	}
 }

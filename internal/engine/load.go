@@ -160,7 +160,7 @@ func (l *loader) add(b db.RowBatch) error {
 			ann = l.vars[l.seq-l.first]
 		}
 		fp := t.Fingerprint()
-		l.e.load(b.Rel, newRow(t, fp, l.seq, ann, true))
+		l.e.load(b.Rel, newRow(t, fp, l.seq, ann))
 		l.seq++
 	}
 	return nil

@@ -59,7 +59,7 @@ func TestLoadReservesWhatDoublingReaches(t *testing.T) {
 		one := NewEmpty(ModeNormalForm, loadTestSchema())
 		for i, tu := range rows {
 			fp := tu.Fingerprint()
-			one.load("A", newRow(tu, fp, uint64(i), core.Zero(), true))
+			one.load("A", newRow(tu, fp, uint64(i), core.Zero()))
 		}
 		got, want := e.tables["A"], one.tables["A"]
 		slots := func(tb *table) int {

@@ -65,17 +65,19 @@ func clampSeq(seq, horizon uint64) uint64 {
 }
 
 // version is one immutable-once-committed state of a row's provenance:
-// one 64-byte record holding the chain link, the birth sequence, the
-// normal form by value and the liveness bit. born is the sequence
-// number from which this version is current: the row's own creation
-// sequence for the first version, epoch<<32 for in-place epoch
-// mutations (a reader at horizon s sees the newest version with
-// born ≤ s). The chain via prev is ordered by strictly decreasing born.
+// one 32-byte record holding the chain link, the birth sequence and the
+// normal form by value. born is the sequence number from which this
+// version is current: the row's own creation sequence for the first
+// version, epoch<<32 for in-place epoch mutations (a reader at horizon
+// s sees the newest version with born ≤ s). The chain via prev is
+// ordered by strictly decreasing born.
 //
-// nf is the Theorem 5.3 normal form in ModeNormalForm. ModeNaive keeps
-// it in shape NFBase for good and uses the base slot for its raw
-// expression (expr/setExpr), so support, materialization, size and
-// evaluation read one representation in both modes.
+// nf is the Theorem 5.3 normal form in ModeNormalForm, committed as its
+// base alone (the open epoch's state is in records core.NFRecords
+// recycles). ModeNaive keeps it in shape NFBase for good and uses the
+// base slot for its raw expression (expr/setExpr), so support,
+// membership, materialization, size and evaluation read one
+// representation in both modes.
 //
 // A version is mutable only while its epoch is open — it is then
 // invisible to every reader (all horizons precede the open epoch) and
@@ -85,7 +87,6 @@ type version struct {
 	prev *version
 	born uint64
 	nf   core.NF
-	live bool // set-semantics membership, maintained per update
 }
 
 // expr returns the annotation of a version in shape NFBase: every

@@ -1,0 +1,82 @@
+package engine_test
+
+import (
+	"context"
+	"runtime"
+	"testing"
+
+	"hyperprov/internal/core"
+	"hyperprov/internal/wal"
+	"hyperprov/internal/workload"
+)
+
+// heapLive reads the live heap after a full collection.
+func heapLive() uint64 {
+	var ms runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&ms)
+	return ms.HeapAlloc
+}
+
+// TestResidentBytesPerRow gates what a resident row costs: bulk_scan's
+// shape scaled down tenfold — 20 000 rows, 420 transactions of 10
+// unindexed single-group selections in batches of 25, a pool of 420 —
+// is written to a data directory, checkpointed and closed, and the heap
+// a wal.Open of it holds is divided by its 25 381 rows. The intern table is
+// reported apart: it is process-global, outlives the store that filled
+// it (what the first Close leaves behind is its growth, nodes and their
+// extensions alike) and is already full when the directory reopens, so
+// what the open holds is the store's own. With 64-byte versions (a row
+// and its first version one 128-byte allocation) the store held 290.4 B
+// a row, with 32-byte ones (96 bytes together) 258.4; the ceiling is
+// 5 % above that.
+func TestResidentBytesPerRow(t *testing.T) {
+	if raceEnabled || testing.Short() {
+		t.Skip("heap sizes are taken without the race detector, on the full store")
+	}
+	const rows, txnsN, batch = 20000, 420, 25
+	initial, txns, err := workload.Generate(workload.Config{
+		Tuples: rows, Pool: txnsN, Group: 1, Updates: 10 * txnsN, QueriesPerTxn: 10, MergeRatio: 0.1, Seed: 36,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	base, nodes := heapLive(), core.InternStats().Nodes
+	s, err := wal.Open(dir, wal.WithInitialDatabase(initial))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < len(txns); i += batch {
+		if err := s.ApplyAll(context.Background(), txns[i:min(i+batch, len(txns))]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	closed, nodesClosed := heapLive(), core.InternStats().Nodes
+	if s, err = wal.Open(dir); err != nil {
+		t.Fatal(err)
+	}
+	open := heapLive()
+	n := float64(s.NumRows())
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	runtime.KeepAlive(initial)
+	runtime.KeepAlive(txns)
+	store := float64(open-closed) / n
+	intern := float64(closed-base) / n
+	t.Logf("%0.f rows: the store holds %.1f B a row after wal.Open; the intern table grew %.1f B a row (%d nodes, %.1f B a row at 64 B a node)",
+		n, store, intern, nodesClosed-nodes, float64(64*(nodesClosed-nodes))/n)
+	if grown := core.InternStats().Nodes - nodesClosed; grown != 0 {
+		t.Errorf("reopening the directory interned %d new nodes, want none", grown)
+	}
+	if store > 258.4*1.05 {
+		t.Errorf("a resident row costs %.1f B after wal.Open, want at most %.1f", store, 258.4*1.05)
+	}
+}

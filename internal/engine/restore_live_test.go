@@ -10,8 +10,8 @@ import (
 	"hyperprov/internal/workload"
 )
 
-// TestRestoreRowLiveMatchesTreeWalk: RestoreRow takes a row's live flag
-// from core.Expr.Live, memoized once per DAG node; it must be what the
+// TestRestoreRowLiveMatchesTreeWalk: a restored row's membership is its
+// annotation's core.Expr.Live, memoized once per DAG node; it must be what the
 // per-row tree walk it replaced computed — upstruct.Eval in the Boolean
 // structure with every annotation true — for interned NF annotations and
 // for the naive engine's raw copy-on-write trees alike.
@@ -49,7 +49,7 @@ func TestRestoreRowLiveMatchesTreeWalk(t *testing.T) {
 			}
 			for _, rel := range dst.schema.Names() {
 				for _, r := range dst.tables[rel].list.snapshot() {
-					if got := r.at(dst.Horizon()).live; got != want[rel+"/"+r.tuple.Key()] {
+					if got := r.at(dst.Horizon()).nf.Live(); got != want[rel+"/"+r.tuple.Key()] {
 						t.Fatalf("seed %d, %v: %s%v restored live=%v, tree walk says %v", seed, mode, rel, r.tuple, got, !got)
 					}
 				}

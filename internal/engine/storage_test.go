@@ -20,16 +20,22 @@ import (
 	"hyperprov/internal/upstruct"
 )
 
-// TestVersionSizePinned: a version is prev + born + the embedded normal
-// form + live in one 64-byte size class, and a row is another, so a
-// fresh row and its first version fill one 128-byte allocation. A word
-// here is a word per version forever.
+// TestVersionSizePinned: a version is prev + born + the embedded
+// two-word normal form, 32 bytes, and a row is 64, so a fresh row and
+// its first version fill one 96-byte allocation. A word here is a word
+// per version forever.
 func TestVersionSizePinned(t *testing.T) {
-	if got := unsafe.Sizeof(version{}); got != 64 {
-		t.Fatalf("unsafe.Sizeof(version{}) = %d, want 64", got)
+	if got := unsafe.Sizeof(version{}); got != 32 {
+		t.Fatalf("unsafe.Sizeof(version{}) = %d, want 32", got)
 	}
 	if got := unsafe.Sizeof(row{}); got != 64 {
 		t.Fatalf("unsafe.Sizeof(row{}) = %d, want 64", got)
+	}
+	if got := unsafe.Sizeof(struct {
+		row
+		first version
+	}{}); got != 96 {
+		t.Fatalf("a row and its first version take %d bytes, want 96", got)
 	}
 }
 
