@@ -37,8 +37,12 @@ var benchCeilings = []struct {
 	{"Fig7_TPCC|Fig8_Synthetic|ProvstoreSnapshot/save", "BenchmarkProvstoreSnapshot/save", "snapshot_bytes", 318985},
 	{"ColdStart", "BenchmarkColdStart/csv_200k", "B/op", 107370048 * 1.1},
 	{"ColdStart", "BenchmarkColdStart/snapshot_tpcc12k", "B/op", 111775976 * 1.1},
-	// The bulk_scan shape in process: batches of 25 over 200 000 rows.
-	{"BatchScan/bulk", "BenchmarkBatchScan/bulk", "B_per_txn_batch", 5510 * 1.1},
+	// The bulk_scan shape in process: batches of 25 over 200 000 rows,
+	// batched and one transaction at a time. 5 510 → 4 575 batched and
+	// 5 178 → 4 243 each: a modification copies a target tuple only for
+	// a row it creates.
+	{"BatchScan/bulk", "BenchmarkBatchScan/bulk", "B_per_txn_batch", 4575 * 1.1},
+	{"BatchScan/bulk", "BenchmarkBatchScan/bulk", "B_per_txn_each", 4243 * 1.1},
 }
 
 // TestBenchCeilings runs each group of benchmarks once (-benchtime 1x) in

@@ -329,3 +329,63 @@ func TestSchemaHelpers(t *testing.T) {
 		t.Error("duplicate relation accepted")
 	}
 }
+
+// TestAppendTargetProperty: over seeded random tuples and set clauses
+// (keep, or set a string, an int or a float), AppendTarget(buf, t) equals
+// Target(t), writes into buf's backing array whenever it is large enough,
+// and never writes into t.
+func TestAppendTargetProperty(t *testing.T) {
+	r := rand.New(rand.NewSource(37))
+	value := func() db.Value {
+		switch r.Intn(3) {
+		case 0:
+			return db.S(string(rune('a' + r.Intn(4))))
+		case 1:
+			return db.I(int64(r.Intn(5)))
+		default:
+			return db.F(float64(r.Intn(3)) / 2)
+		}
+	}
+	var buf db.Tuple
+	for range 2000 {
+		n := 1 + r.Intn(6)
+		tup, set := make(db.Tuple, n), make([]db.SetClause, n)
+		for i := range tup {
+			tup[i] = value()
+			if r.Intn(2) == 0 {
+				set[i] = db.SetTo(value())
+			}
+		}
+		u := db.Modify("R", nil, set)
+		orig := tup.Clone()
+		if r.Intn(4) == 0 {
+			buf = nil // now and then start over, so the buffer grows again
+		}
+		reuse := cap(buf) >= n
+		backing := buf[:cap(buf)]
+		got := u.AppendTarget(buf, tup)
+		want := u.Target(tup)
+		if !got.Equal(want) || len(got) != n {
+			t.Fatalf("AppendTarget(%v) with %v = %v, Target = %v", orig, set, got, want)
+		}
+		if reuse && &got[0] != &backing[0] {
+			t.Fatalf("AppendTarget into a buffer of capacity %d ≥ %d allocated", len(backing), n)
+		}
+		if !tup.Equal(orig) {
+			t.Fatalf("AppendTarget wrote into its source: %v, was %v", tup, orig)
+		}
+		if &want[0] == &tup[0] || &want[0] == &got[0] {
+			t.Fatal("Target returned a tuple sharing its source's or the buffer's array")
+		}
+		for i, c := range set {
+			w := orig[i]
+			if c.Set {
+				w = c.Val
+			}
+			if want[i] != w {
+				t.Fatalf("Target(%v)[%d] = %v under %+v, want %v", orig, i, want[i], c, w)
+			}
+		}
+		buf = got
+	}
+}

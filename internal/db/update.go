@@ -77,15 +77,22 @@ func Modify(rel string, sel Pattern, set []SetClause) Update {
 }
 
 // Target computes the tuple that t is modified into (the instantiation
-// of u2 for the instantiation t of u1).
+// of u2 for the instantiation t of u1) in a fresh tuple; AppendTarget
+// stages it in a buffer the caller reuses.
 func (u Update) Target(t Tuple) Tuple {
-	out := t.Clone()
+	return u.AppendTarget(make(Tuple, 0, len(t)), t)
+}
+
+// AppendTarget writes the target of t into dst[:0], reusing dst's backing
+// array when it is large enough, and returns it. t is only read.
+func (u Update) AppendTarget(dst, t Tuple) Tuple {
+	dst = append(dst[:0], t...)
 	for i, c := range u.Set {
 		if c.Set {
-			out[i] = c.Val
+			dst[i] = c.Val
 		}
 	}
-	return out
+	return dst
 }
 
 // IsIdentityOn reports whether the modification maps t to itself.

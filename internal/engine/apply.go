@@ -234,14 +234,24 @@ func (e *Engine) deleteRow(tbl *table, r *row) {
 // delete the sources (−M p), then let each target absorb old +M
 // ((Σ sources) ·M p); a target that is itself a source (necessarily a
 // self-map) absorbs into its post-deletion annotation, yielding the
-// paper's fifth normal-form shape.
+// paper's fifth normal-form shape. Targets are staged in e.staged: only one
+// no group or stored row holds is copied, for the row absorbModTarget adds.
 func (e *Engine) modify(tbl *table, u db.Update, sources []*row) {
 	if len(sources) == 0 {
 		return
 	}
 	for _, src := range sources {
-		target := u.Target(src.tuple)
-		e.captureContribution(e.mod.group(target, target.Fingerprint()), src)
+		e.staged = u.AppendTarget(e.staged, src.tuple)
+		fp := e.staged.Fingerprint()
+		g := e.mod.find(e.staged, fp)
+		if g == nil {
+			if r := tbl.rows.get(fp, e.staged); r != nil {
+				g = e.mod.group(r.tuple, fp, r)
+			} else {
+				g = e.mod.group(e.staged.Clone(), fp, nil)
+			}
+		}
+		e.captureContribution(g, src)
 	}
 	for _, src := range sources {
 		e.deleteRow(tbl, src)
@@ -257,9 +267,11 @@ func (e *Engine) modify(tbl *table, u db.Update, sources []*row) {
 // of the sources collapsing into it. Groups are found by target
 // fingerprint; collide chains the (vanishingly rare) distinct targets
 // sharing one fingerprint so a hash collision can never merge groups.
+// row is the target's stored row, nil for a target the modification creates.
 type modGroup struct {
 	target  db.Tuple
 	fp      uint64
+	row     *row
 	collide *modGroup
 	// naive: pre-query source annotations (copied under cow).
 	raw []*core.Expr
@@ -286,25 +298,27 @@ type modScratch struct {
 	n      int
 }
 
-// group returns the group collecting the target's sources, opening it
-// on first sight.
-func (s *modScratch) group(target db.Tuple, fp uint64) *modGroup {
+// find returns the group collecting the target's sources, or nil.
+func (s *modScratch) find(target db.Tuple, fp uint64) *modGroup {
 	g := s.groups[fp]
 	for g != nil && !g.target.Equal(target) {
 		g = g.collide
 	}
-	if g != nil {
-		return g
-	}
+	return g
+}
+
+// group opens the group of a target find missed, stored as row r (nil
+// if none); the group keeps target, so it must not be writer scratch.
+func (s *modScratch) group(target db.Tuple, fp uint64, r *row) *modGroup {
 	if s.n == len(s.order) {
 		s.order = append(s.order, new(modGroup))
 	}
 	if s.groups == nil {
 		s.groups = make(map[uint64]*modGroup)
 	}
-	g = s.order[s.n]
+	g := s.order[s.n]
 	s.n++
-	g.target, g.fp, g.collide = target, fp, s.groups[fp]
+	g.target, g.fp, g.row, g.collide = target, fp, r, s.groups[fp]
 	s.groups[fp] = g
 	return g
 }
@@ -354,7 +368,7 @@ func (e *Engine) captureContribution(g *modGroup, src *row) {
 // row, creating the row if the target tuple was never stored; pe is the
 // current query's variable.
 func (e *Engine) absorbModTarget(tbl *table, g *modGroup, pe *core.Expr) {
-	r := tbl.rows.get(g.fp, g.target)
+	r := g.row
 	fresh := r == nil
 	wasMatchable := !fresh && e.matchable(r)
 	if fresh {

@@ -188,12 +188,14 @@ type Engine struct {
 	// scan-path structure: the free-list recycling scan result buffers
 	// (see storage.go), the grouping state of the modification in flight,
 	// the open records of the epoch's normal forms (taken back by finish),
-	// the tuple a fully pinned selection probes with and the column passes
+	// the tuple a fully pinned selection probes with, a modification's
+	// staged target (no row, group or event holds it), the column passes
 	// of the batch in flight (see batchScan), an intersect scan's merge.
 	scanBufs [][]*row
 	mod      modScratch
 	nfs      core.NFRecords
 	pinned   db.Tuple
+	staged   db.Tuple
 	batch    batchScan
 	merged   postingList
 

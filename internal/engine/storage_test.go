@@ -260,6 +260,152 @@ func TestModifyScratchBounded(t *testing.T) {
 	retained()
 }
 
+// TestStagedTargetsNeverAliasScratch: a modification stages each target
+// in e.staged, and nothing it stores may keep that array. (a) Sources
+// collapsing onto a stored tuple add no row and leave that row's tuple
+// in its array. (b) Fresh targets, several in one transaction and then
+// across transactions, keep their values while later targets are staged;
+// no row's tuple shares the scratch, and a view pinned in between reads
+// the same tuples, while a reader goroutine walks the live rows.
+func TestStagedTargetsNeverAliasScratch(t *testing.T) {
+	overlaps := func(a, b db.Tuple) bool {
+		pa, pb := uintptr(unsafe.Pointer(unsafe.SliceData(a))), uintptr(unsafe.Pointer(unsafe.SliceData(b)))
+		size := unsafe.Sizeof(db.Value{})
+		return cap(a) > 0 && cap(b) > 0 && pa < pb+uintptr(cap(b))*size && pb < pa+uintptr(cap(a))*size
+	}
+	byV := func(v int64) db.Pattern { return db.Pattern{db.AnyVar("k"), db.Const(db.I(v))} }
+	setV := func(v int64) []db.SetClause { return []db.SetClause{db.Keep(), db.SetTo(db.I(v))} }
+	for _, mode := range []Mode{ModeNaive, ModeNormalForm} {
+		for _, live := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%v/live=%v", mode, live), func(t *testing.T) {
+				initial := db.NewDatabase(seqTestSchema(t))
+				for k := range int64(12) {
+					if err := initial.InsertTuple("R", kv(k, k%3)); err != nil {
+						t.Fatal(err)
+					}
+				}
+				e := New(mode, initial, WithLiveMatching(live))
+				tbl := e.tables["R"]
+				apply := func(label string, us ...db.Update) {
+					t.Helper()
+					tx := db.Transaction{Label: label, Updates: us}
+					if err := e.ApplyTransaction(&tx); err != nil {
+						t.Fatal(err)
+					}
+				}
+				noAlias := func() {
+					t.Helper()
+					if cap(e.staged) == 0 {
+						t.Fatal("no target was staged")
+					}
+					for _, r := range tbl.list.snapshot() {
+						if overlaps(r.tuple, e.staged) {
+							t.Fatalf("row %v shares the staged target's array", r.tuple)
+						}
+					}
+				}
+
+				// (a) (0,0), (3,0), (6,0), (9,0) collapse onto the stored (0,0), twice.
+				into := kv(0, 0)
+				stored := tbl.rows.get(into.Fingerprint(), into)
+				first, n := &stored.tuple[0], e.NumRows()
+				for _, label := range []string{"a1", "a2"} {
+					apply(label, db.Modify("R", byV(0), []db.SetClause{db.SetTo(db.I(0)), db.Keep()}))
+					if got := e.NumRows(); got != n {
+						t.Fatalf("%s: a modification onto a stored tuple made %d rows of %d", label, got, n)
+					}
+					if r := tbl.rows.get(into.Fingerprint(), into); r != stored || &r.tuple[0] != first {
+						t.Fatalf("%s: the stored target's row or tuple array moved", label)
+					}
+					noAlias()
+				}
+
+				// (b) Fresh targets: eight in one transaction, then new ones per transaction.
+				apply("b1", db.Modify("R", byV(1), setV(50)), db.Modify("R", byV(2), setV(60)))
+				noAlias()
+				pinned := e.At(e.Horizon()).(*view)
+				var want []db.Tuple
+				for _, r := range pinned.rows("R") {
+					want = append(want, r.tuple.Clone())
+				}
+				rowsBefore := tbl.list.snapshot()
+				// Under -race, a reader beside the writer races with any
+				// row whose tuple is the scratch being staged into.
+				stop, seen := make(chan struct{}), uint64(0)
+				var wg sync.WaitGroup
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for {
+						select {
+						case <-stop:
+							return
+						default:
+						}
+						for _, r := range e.At(e.Horizon()).(*view).rows("R") {
+							seen += r.tuple.Fingerprint()
+						}
+					}
+				}()
+				defer func() { close(stop); wg.Wait() }()
+				for i, v := range []int64{50, 60, 70, 80} {
+					apply(fmt.Sprintf("b%d", i+2), db.Modify("R", byV(v), setV(v+20)))
+					noAlias()
+					for j, r := range rowsBefore {
+						if !r.tuple.Equal(want[j]) {
+							t.Fatalf("after staging %d more targets row %d reads %v, want %v", i+1, j, r.tuple, want[j])
+						}
+					}
+					got := pinned.rows("R")
+					if len(got) != len(want) {
+						t.Fatalf("the pinned view holds %d rows, held %d", len(got), len(want))
+					}
+					for j, r := range got {
+						if !r.tuple.Equal(want[j]) {
+							t.Fatalf("the pinned view's row %d reads %v, read %v", j, r.tuple, want[j])
+						}
+					}
+				}
+				if got, wantN := e.NumRows(), len(want)+4*4; got != wantN {
+					t.Fatalf("%d rows after four modifications of four fresh targets each, want %d", got, wantN)
+				}
+			})
+		}
+	}
+}
+
+// TestModGroupsUnderCollision: two distinct targets forced to one
+// fingerprint open two groups on one collide chain, each found as its own,
+// and reset leaves neither reachable.
+func TestModGroupsUnderCollision(t *testing.T) {
+	var s modScratch
+	const fp = 42 // neither target's real fingerprint: the collision is forced
+	a, b := kv(1, 2), kv(2, 1)
+	ga := s.group(a, fp, nil)
+	if s.find(b, fp) != nil {
+		t.Fatal("find matched a distinct target by fingerprint alone")
+	}
+	gb := s.group(b, fp, nil)
+	if ga == gb || s.n != 2 || len(s.groups) != 1 || gb.collide != ga {
+		t.Fatalf("two colliding targets: groups %p %p, n=%d, %d map entries", ga, gb, s.n, len(s.groups))
+	}
+	if s.find(a, fp) != ga || s.find(b, fp) != gb {
+		t.Fatal("a colliding target found another target's group")
+	}
+	if s.find(kv(3, 3), fp) != nil {
+		t.Fatal("a third target on the chain found a group")
+	}
+	s.reset()
+	if s.n != 0 || len(s.groups) != 0 || s.find(a, fp) != nil || s.find(b, fp) != nil {
+		t.Fatalf("reset left groups reachable: n=%d, %d map entries", s.n, len(s.groups))
+	}
+	for _, g := range s.order {
+		if g.target != nil || g.row != nil || g.collide != nil {
+			t.Fatalf("reset left a spare group referencing %+v", g)
+		}
+	}
+}
+
 // TestCommitHookRowsBorrowed: ev.Rows is valid during the hook call
 // only. A hook that keeps the slice without copying reads wiped entries
 // once the call returned (and would read the next epoch's rows after
