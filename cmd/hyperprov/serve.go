@@ -41,7 +41,6 @@ func runServe(args []string) error {
 	queueWait := fs.Duration("queue-wait", time.Second, "longest a request may wait in a class queue before it is shed")
 	minService := fs.Duration("min-service", 0, "shed a queued request immediately if its deadline leaves less than this to actually serve it")
 	maxBody := fs.Int64("max-body-bytes", 64<<20, "largest accepted request body (ingest logs, snapshot uploads); oversize answers 413")
-	reconnectBudget := fs.Int("reconnect-budget", 0, "consecutive failed redials before the follower's circuit breaker opens for a cooldown (with -follow; 0 disables)")
 	stallTimeout := fs.Duration("stall-timeout", 10*time.Second, "silence on the replication stream before the follower declares it dead and redials (with -follow; 0 waits forever)")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -95,7 +94,6 @@ func runServe(args []string) error {
 			wal.WithSync(sp),
 			wal.WithCheckpointEvery(uint64(src.ckptEvery)),
 			wal.WithEngineOptions(src.engineOptions()...),
-			wal.WithReconnectBudget(*reconnectBudget, 0),
 			wal.WithStreamStallTimeout(*stallTimeout),
 		}
 		// Bound only the initial bootstrap wait; once the local engine

@@ -1,9 +1,7 @@
 // Package admission is the server's overload-protection toolbox:
 // per-class concurrency limits with small bounded wait queues, typed
-// load-shed errors, a three-state health summary (ok → degraded →
-// overloaded), and the client-side resilience primitives — full-jitter
-// exponential backoff and a circuit breaker — the replication follower
-// uses for its redial loop.
+// load-shed errors and a three-state health summary (ok → degraded →
+// overloaded).
 //
 // The controller divides work into classes (cheap point reads,
 // expensive materializations, writes, long-lived streams) so that

@@ -3,7 +3,7 @@
 // through the fault-injecting proxy and asserts the only acceptable
 // outcome — after every fault schedule heals, replicas and subscribers
 // reconverge to state byte-identical to the leader's, with the
-// resilience counters (stalls, reconnects, breaker trips) showing the
+// resilience counters (stalls, reconnects) showing the
 // machinery actually fired.
 package netfault_test
 
@@ -96,7 +96,7 @@ func (c *chaosRig) apply(n int) {
 
 // follower opens a replica dialing the leader through the proxy, tuned
 // aggressively so fault detection and redial cycles fit a test run:
-// short stall timeout, fast jittered redial, a real breaker.
+// short stall timeout, fast jittered redial.
 func (c *chaosRig) follower() *wal.Follower {
 	c.t.Helper()
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
@@ -106,7 +106,6 @@ func (c *chaosRig) follower() *wal.Follower {
 		wal.WithSegmentSize(4096),
 		wal.WithStreamStallTimeout(300*time.Millisecond),
 		wal.WithRedialBackoff(5*time.Millisecond, 50*time.Millisecond),
-		wal.WithReconnectBudget(8, 100*time.Millisecond),
 	)
 	if err != nil {
 		c.t.Fatalf("OpenFollower: %v", err)
@@ -135,8 +134,8 @@ func (c *chaosRig) converge(f *wal.Follower) {
 	for f.ReplicaStats().AppliedLSN < target {
 		if time.Now().After(deadline) {
 			rs := f.ReplicaStats()
-			c.t.Fatalf("follower stuck at LSN %d waiting for %d (stalls=%d reconnects=%d breaker=%+v lastError=%q)",
-				rs.AppliedLSN, target, rs.Stalls, rs.Reconnects, rs.Breaker, rs.LastError)
+			c.t.Fatalf("follower stuck at LSN %d waiting for %d (stalls=%d reconnects=%d lastError=%q)",
+				rs.AppliedLSN, target, rs.Stalls, rs.Reconnects, rs.LastError)
 		}
 		time.Sleep(2 * time.Millisecond)
 	}

@@ -144,6 +144,50 @@ func TestReplicationServerDifferential(t *testing.T) {
 	}
 }
 
+// TestStatsShapePinned pins the key sets of the replication and wal
+// blocks of /v1/stats, on a follower and on a leader. Stats names are
+// API: removing or renaming one has to edit these lists on purpose.
+// Keys marked optional are omitted when empty.
+func TestStatsShapePinned(t *testing.T) {
+	leader, st, follower, f := startLeaderPair(t)
+	waitFollowerLSN(t, f, st.Stats().LSN)
+	walKeys := []string{
+		"dir", "sync", "lsn", "checkpoint_lsn", "appended", "syncs",
+		"checkpoints", "checkpoint_failures", "recovered", "replayed_records",
+		"replayFailed", "truncated_tail_bytes", "read_only", "read_only_cause?",
+		"checkpointLastMs", "checkpointLastBytes", "checkpointTotalMs",
+		"checkpointHeldMs", "checkpointsSkipped", "active_streams",
+		"stream_fence_lsn", "streams_served", "resyncs_served",
+	}
+	replicationKeys := []string{
+		"ready", "applied_lsn", "leader_lsn", "lag_records", "epoch",
+		"leader_epoch", "lag_epochs", "sync_target", "reconnects", "resyncs",
+		"records_applied", "stalls", "last_error?",
+	}
+	check := func(who, block string, stats map[string]any, want []string) {
+		t.Helper()
+		got, ok := stats[block].(map[string]any)
+		if !ok {
+			t.Fatalf("%s stats has no %s block: %v", who, block, stats)
+		}
+		for _, k := range want {
+			name, optional := strings.CutSuffix(k, "?")
+			if _, ok := got[name]; !ok && !optional {
+				t.Errorf("%s %s block lacks %q", who, block, name)
+			}
+			delete(got, name)
+		}
+		for k := range got {
+			t.Errorf("%s %s block has unlisted key %q", who, block, k)
+		}
+	}
+	fstats := decode[map[string]any](t, mustGet(t, follower.Client(), follower.URL+"/v1/stats"))
+	check("follower", "replication", fstats, replicationKeys)
+	check("follower", "wal", fstats, walKeys)
+	lstats := decode[map[string]any](t, mustGet(t, leader.Client(), leader.URL+"/v1/stats"))
+	check("leader", "wal", lstats, walKeys)
+}
+
 // TestFollowerWriteRejection: every mutating endpoint on a follower
 // answers 403 with code follower; the read surface keeps working.
 func TestFollowerWriteRejection(t *testing.T) {

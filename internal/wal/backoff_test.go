@@ -15,67 +15,105 @@ func seq(draws ...float64) func() float64 {
 	}
 }
 
+// redialWith is the redial schedule newOptions builds from opts, drawing
+// its jitter from draws.
+func redialWith(opts []Option, draws ...float64) backoff {
+	b := newOptions(opts).redial
+	b.rand = seq(draws...)
+	return b
+}
+
 // TestFollowerRedialSchedule unit-tests the redial schedule with an
 // injected jitter source: full-jitter draws stay inside the doubling
-// ceilings, cap at the configured maximum, and restart after a
-// progress reset — so a fleet of replicas restarting together spreads
-// its redials instead of hammering the leader in lockstep.
+// ceilings, cap at the configured maximum, floor a zero draw at a
+// millisecond, and restart after a progress reset — so a fleet of
+// replicas restarting together spreads its redials instead of
+// hammering the leader in lockstep.
 func TestFollowerRedialSchedule(t *testing.T) {
-	f := &Follower{o: options{
-		redialBase: 10 * time.Millisecond,
-		redialCap:  80 * time.Millisecond,
-		redialRand: seq(0.999999),
-	}}
-	bo := f.redialSchedule()
+	bo := redialWith([]Option{WithRedialBackoff(10*time.Millisecond, 80*time.Millisecond)}, 0.999999)
 	ceilings := []time.Duration{10, 20, 40, 80, 80, 80} // ms, doubling then capped
 	for i, c := range ceilings {
-		got := bo.Next()
+		got := bo.next()
 		ceil := c * time.Millisecond
 		if got > ceil || got < ceil-time.Millisecond {
 			t.Fatalf("attempt %d: delay %v, want ≈%v", i, got, ceil)
 		}
 	}
+	bo.rand = seq(0)
+	if got := bo.next(); got != backoffFloor {
+		t.Fatalf("zero draw: %v, want the %v floor", got, backoffFloor)
+	}
+	if bo.attempt != len(ceilings)+1 {
+		t.Fatalf("attempt %d, want %d", bo.attempt, len(ceilings)+1)
+	}
 	// Progress resets the schedule to the first ceiling.
-	bo.Reset()
-	if got := bo.Next(); got > 10*time.Millisecond {
-		t.Fatalf("post-reset delay %v, want ≤ 10ms", got)
+	bo.reset()
+	bo.rand = seq(0.5)
+	if got := bo.next(); got != 5*time.Millisecond {
+		t.Fatalf("first delay after reset: %v, want 5ms (0.5 × 10ms)", got)
 	}
 }
 
 // TestFollowerRedialJitterDecorrelates: two followers with different
 // draws never sleep the same duration at the same attempt.
 func TestFollowerRedialJitterDecorrelates(t *testing.T) {
-	mk := func(r func() float64) *Follower {
-		return &Follower{o: options{redialBase: 50 * time.Millisecond, redialCap: 2 * time.Second, redialRand: r}}
+	for _, draws := range [][2]float64{{0.11, 0.83}, {0.2, 0.9}} {
+		a := redialWith(nil, draws[0])
+		b := redialWith(nil, draws[1])
+		for i := 0; i < 6; i++ {
+			if da, db := a.next(), b.next(); da == db {
+				t.Fatalf("draws %v, attempt %d: both replicas slept %v — lockstep redial", draws, i, da)
+			}
+		}
 	}
-	a := mk(seq(0.11)).redialSchedule()
-	b := mk(seq(0.83)).redialSchedule()
-	for i := 0; i < 6; i++ {
-		if da, db := a.Next(), b.Next(); da == db {
-			t.Fatalf("attempt %d: both replicas slept %v — lockstep redial", i, da)
+}
+
+// TestRedialBackoffDefaults: with no option, or with a non-positive base
+// or cap, the schedule runs from 50ms to 2s, reaches the cap and never
+// exceeds it, and a zero draw waits the floor. A zero ceiling would
+// cancel the floor: WithRedialBackoff(0, 0) would redial in a hot loop.
+func TestRedialBackoffDefaults(t *testing.T) {
+	for _, bc := range [][]time.Duration{nil, {0, 0}, {-time.Second, 0}, {0, -time.Second}} {
+		var opts []Option
+		if bc != nil {
+			opts = append(opts, WithRedialBackoff(bc[0], bc[1]))
+		}
+		bo := redialWith(opts, 0)
+		if d := bo.next(); d < backoffFloor {
+			t.Fatalf("WithRedialBackoff%v: zero draw waited %v, want ≥ %v", bc, d, backoffFloor)
+		}
+		if bo.base != 50*time.Millisecond || bo.cap != 2*time.Second {
+			t.Fatalf("WithRedialBackoff%v: base %v cap %v, want 50ms and 2s", bc, bo.base, bo.cap)
+		}
+		bo.reset()
+		bo.rand = seq(0.999999)
+		var last time.Duration
+		for i := 0; i < 12; i++ {
+			last = bo.next()
+			if last > bo.cap {
+				t.Fatalf("WithRedialBackoff%v: attempt %d exceeded the cap: %v", bc, i, last)
+			}
+		}
+		if last < bo.cap-time.Millisecond {
+			t.Fatalf("WithRedialBackoff%v: cap never reached: %v", bc, last)
 		}
 	}
 }
 
 // TestWithRedialBackoffPlumbs: the exported options reach the redial
-// schedule and the breaker.
+// schedule and the stall timeout.
 func TestWithRedialBackoffPlumbs(t *testing.T) {
-	var o options
-	WithRedialBackoff(7*time.Millisecond, 70*time.Millisecond)(&o)
-	WithReconnectBudget(3, time.Second)(&o)
-	WithStreamStallTimeout(250 * time.Millisecond)(&o)
-	if o.redialBase != 7*time.Millisecond || o.redialCap != 70*time.Millisecond {
-		t.Fatalf("redial options did not plumb: %+v", o)
-	}
-	if o.breakerBudget != 3 || o.breakerCooldown != time.Second {
-		t.Fatalf("breaker options did not plumb: %+v", o)
+	o := newOptions([]Option{
+		WithRedialBackoff(7*time.Millisecond, 70*time.Millisecond),
+		WithStreamStallTimeout(250 * time.Millisecond),
+	})
+	if o.redial.base != 7*time.Millisecond || o.redial.cap != 70*time.Millisecond {
+		t.Fatalf("redial options did not plumb: %+v", o.redial)
 	}
 	if o.stallTimeout != 250*time.Millisecond {
-		t.Fatalf("stall option did not plumb: %+v", o)
+		t.Fatalf("stall option did not plumb: %v", o.stallTimeout)
 	}
-	f := &Follower{o: o}
-	bo := f.redialSchedule()
-	if d := bo.Next(); d > 7*time.Millisecond {
+	if d := o.redial.next(); d > 7*time.Millisecond {
 		t.Fatalf("first delay %v exceeds the configured 7ms base ceiling", d)
 	}
 }

@@ -12,7 +12,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"hyperprov/internal/admission"
 	"hyperprov/internal/core"
 	"hyperprov/internal/db"
 	"hyperprov/internal/engine"
@@ -84,31 +83,25 @@ type Follower struct {
 	stalls      atomic.Uint64
 	lastErr     atomic.Value // string
 	releaseOnly func()       // dir lock before a core exists
-
-	// breaker guards the redial loop: after WithReconnectBudget
-	// consecutive no-progress sessions it opens for the cooldown. Its
-	// state is exported in ReplicaStats.
-	breaker admission.Breaker
 }
 
 var _ engine.DB = (*Follower)(nil)
 
 // FollowerStats is the replication lag summary a follower exposes.
 type FollowerStats struct {
-	Ready          bool                   `json:"ready"`
-	AppliedLSN     uint64                 `json:"applied_lsn"`
-	LeaderLSN      uint64                 `json:"leader_lsn"`
-	LagRecords     uint64                 `json:"lag_records"`
-	Epoch          uint64                 `json:"epoch"`
-	LeaderEpoch    uint64                 `json:"leader_epoch"`
-	LagEpochs      uint64                 `json:"lag_epochs"`
-	SyncTarget     uint64                 `json:"sync_target"`
-	Reconnects     uint64                 `json:"reconnects"`
-	Resyncs        uint64                 `json:"resyncs"`
-	RecordsApplied uint64                 `json:"records_applied"`
-	Stalls         uint64                 `json:"stalls"`
-	Breaker        admission.BreakerStats `json:"breaker"`
-	LastError      string                 `json:"last_error,omitempty"`
+	Ready          bool   `json:"ready"`
+	AppliedLSN     uint64 `json:"applied_lsn"`
+	LeaderLSN      uint64 `json:"leader_lsn"`
+	LagRecords     uint64 `json:"lag_records"`
+	Epoch          uint64 `json:"epoch"`
+	LeaderEpoch    uint64 `json:"leader_epoch"`
+	LagEpochs      uint64 `json:"lag_epochs"`
+	SyncTarget     uint64 `json:"sync_target"`
+	Reconnects     uint64 `json:"reconnects"`
+	Resyncs        uint64 `json:"resyncs"`
+	RecordsApplied uint64 `json:"records_applied"`
+	Stalls         uint64 `json:"stalls"`
+	LastError      string `json:"last_error,omitempty"`
 }
 
 // OpenFollower opens dir as a replica of the leader behind src and
@@ -132,7 +125,6 @@ func OpenFollower(ctx context.Context, dir string, src StreamSource, opts ...Opt
 		return nil, err
 	}
 	f := &Follower{Handle: new(engine.Handle), dir: dir, src: src, o: o, bootCh: make(chan struct{})}
-	f.breaker = admission.Breaker{Budget: o.breakerBudget, Cooldown: o.breakerCooldown}
 	meta, err := readMeta(o.fs, dir)
 	switch {
 	case errors.Is(err, errNoMeta):
@@ -164,29 +156,51 @@ func OpenFollower(ctx context.Context, dir string, src StreamSource, opts ...Opt
 	}
 }
 
-// redialSchedule builds the follower's full-jitter backoff from its
-// options; factored out so the schedule is unit-testable with an
-// injected jitter source.
-func (f *Follower) redialSchedule() admission.Backoff {
-	return admission.Backoff{Base: f.o.redialBase, Cap: f.o.redialCap, Rand: f.o.redialRand}
+// backoff is the follower's redial schedule, full-jitter exponential
+// (AWS style): the nth delay is uniform in [0, min(cap, base·2ⁿ)),
+// floored at a millisecond so a zero draw cannot hot-loop. Full jitter
+// decorrelates replicas that lose their leader together: they redial
+// spread across the window instead of in lockstep. newOptions sets
+// base, cap and rand (tests inject a deterministic draw sequence).
+type backoff struct {
+	base, cap time.Duration
+	rand      func() float64 // uniform in [0, 1)
+	attempt   int
 }
 
-// run redials the leader until the follower closes. Delays follow a
-// full-jitter exponential schedule (so restarting replica fleets don't
-// redial in lockstep) that resets whenever a session makes progress,
-// and the reconnect-budget circuit breaker — when armed — turns a run
-// of hopeless sessions into a quiet cooldown instead of a connection
-// grind.
+// backoffFloor keeps a zero jitter draw from redialing instantly.
+const backoffFloor = time.Millisecond
+
+// next returns the next delay and advances the schedule.
+func (b *backoff) next() time.Duration {
+	ceil := b.base
+	for i := 0; i < b.attempt && ceil < b.cap; i++ {
+		ceil *= 2
+	}
+	if ceil > b.cap {
+		ceil = b.cap
+	}
+	b.attempt++
+	d := time.Duration(b.rand() * float64(ceil))
+	if d < backoffFloor {
+		d = backoffFloor
+	}
+	if d > ceil {
+		d = ceil
+	}
+	return d
+}
+
+// reset rewinds the schedule to the first attempt.
+func (b *backoff) reset() { b.attempt = 0 }
+
+// run redials the leader until the follower closes. The only wait is
+// the full-jitter backoff, which resets whenever a session makes
+// progress.
 func (f *Follower) run(ctx context.Context) {
 	defer f.wg.Done()
-	backoff := f.redialSchedule()
+	redial := f.o.redial
 	for ctx.Err() == nil {
-		if wait, ok := f.breaker.Allow(); !ok {
-			if !sleepCtx(ctx, wait) {
-				return
-			}
-			continue
-		}
 		progressed, err := f.streamOnce(ctx)
 		if ctx.Err() != nil {
 			return
@@ -196,12 +210,9 @@ func (f *Follower) run(ctx context.Context) {
 		}
 		f.reconnects.Add(1)
 		if progressed {
-			backoff.Reset()
-			f.breaker.Success()
-		} else {
-			f.breaker.Failure()
+			redial.reset()
 		}
-		if !sleepCtx(ctx, backoff.Next()) {
+		if !sleepCtx(ctx, redial.next()) {
 			return
 		}
 	}
@@ -209,9 +220,6 @@ func (f *Follower) run(ctx context.Context) {
 
 // sleepCtx sleeps d or until ctx cancels; false means canceled.
 func sleepCtx(ctx context.Context, d time.Duration) bool {
-	if d <= 0 {
-		return ctx.Err() == nil
-	}
 	timer := time.NewTimer(d)
 	defer timer.Stop()
 	select {
@@ -458,7 +466,6 @@ func (f *Follower) ReplicaStats() FollowerStats {
 		Reconnects:     f.reconnects.Load(),
 		RecordsApplied: f.records.Load(),
 		Stalls:         f.stalls.Load(),
-		Breaker:        f.breaker.Snapshot(),
 	}
 	f.targetMu.Lock()
 	st.SyncTarget = f.syncTarget

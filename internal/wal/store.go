@@ -6,13 +6,13 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math/rand"
 	"path/filepath"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"hyperprov/internal/admission"
 	"hyperprov/internal/core"
 	"hyperprov/internal/db"
 	"hyperprov/internal/engine"
@@ -86,12 +86,8 @@ type options struct {
 	fs        FS
 
 	// Follower resilience knobs (ignored by leader stores).
-	redialBase      time.Duration
-	redialCap       time.Duration
-	redialRand      func() float64 // injectable jitter source for tests
-	breakerBudget   int
-	breakerCooldown time.Duration
-	stallTimeout    time.Duration
+	redial       backoff
+	stallTimeout time.Duration
 }
 
 // Option configures Open.
@@ -106,8 +102,7 @@ func newOptions(opts []Option) options {
 		segSize:      16 << 20,
 		heartbeat:    500 * time.Millisecond,
 		fs:           OSFS{},
-		redialBase:   admission.DefaultBackoffBase,
-		redialCap:    admission.DefaultBackoffCap,
+		redial:       backoff{rand: rand.Float64},
 		stallTimeout: 10 * time.Second,
 	}
 	for _, opt := range opts {
@@ -118,6 +113,15 @@ func newOptions(opts []Option) options {
 	}
 	if o.heartbeat <= 0 {
 		o.heartbeat = 500 * time.Millisecond
+	}
+	// The redial schedule's defaults, also for a non-positive value: a
+	// zero ceiling would cancel the backoff's floor and redial in a hot
+	// loop.
+	if o.redial.base <= 0 {
+		o.redial.base = 50 * time.Millisecond
+	}
+	if o.redial.cap <= 0 {
+		o.redial.cap = 2 * time.Second
 	}
 	return o
 }
@@ -175,23 +179,12 @@ func WithFS(fs FS) Option { return func(o *options) { o.fs = fs } }
 // full-jitter exponential, uniform in [0, min(cap, base·2ⁿ)), so N
 // replicas that lose their leader together spread their reconnects
 // across the window instead of redialing in lockstep. Defaults: 50ms
-// base, 2s cap. Ignored by leader stores.
+// base, 2s cap; a non-positive value keeps its default. Ignored by
+// leader stores.
 func WithRedialBackoff(base, cap time.Duration) Option {
 	return func(o *options) {
-		o.redialBase = base
-		o.redialCap = cap
-	}
-}
-
-// WithReconnectBudget arms a follower's redial circuit breaker: after
-// budget consecutive sessions that made no progress the follower stops
-// dialing for cooldown (then probes once, half-open). Zero budget (the
-// default) disables the breaker — the follower redials forever on
-// backoff alone. Ignored by leader stores.
-func WithReconnectBudget(budget int, cooldown time.Duration) Option {
-	return func(o *options) {
-		o.breakerBudget = budget
-		o.breakerCooldown = cooldown
+		o.redial.base = base
+		o.redial.cap = cap
 	}
 }
 
@@ -322,15 +315,11 @@ type StoreStats struct {
 
 	// Leader-side replication counters. StreamFenceLSN is the first
 	// record some registered stream has not been sent yet, the most a
-	// checkpoint may prune up to (0 with no streams). StreamLagDrops is
-	// retired and always 0: streams read the log, so no follower is ever
-	// dropped for lagging. The field stays because stats names are a
-	// stable API.
+	// checkpoint may prune up to (0 with no streams).
 	ActiveStreams  int    `json:"active_streams"`
 	StreamFenceLSN uint64 `json:"stream_fence_lsn"`
 	StreamsServed  uint64 `json:"streams_served"`
 	ResyncsServed  uint64 `json:"resyncs_served"`
-	StreamLagDrops uint64 `json:"stream_lag_drops"`
 }
 
 // Open opens (or bootstraps) the persistent store in dir. A fresh
