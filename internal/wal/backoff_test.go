@@ -25,10 +25,9 @@ func redialWith(opts []Option, draws ...float64) backoff {
 
 // TestFollowerRedialSchedule unit-tests the redial schedule with an
 // injected jitter source: full-jitter draws stay inside the doubling
-// ceilings, cap at the configured maximum, floor a zero draw at a
-// millisecond, and restart after a progress reset — so a fleet of
-// replicas restarting together spreads its redials instead of
-// hammering the leader in lockstep.
+// ceilings, cap at the configured maximum, and restart after a
+// progress reset — so a fleet of replicas restarting together spreads
+// its redials instead of hammering the leader in lockstep.
 func TestFollowerRedialSchedule(t *testing.T) {
 	bo := redialWith([]Option{WithRedialBackoff(10*time.Millisecond, 80*time.Millisecond)}, 0.999999)
 	ceilings := []time.Duration{10, 20, 40, 80, 80, 80} // ms, doubling then capped
@@ -39,16 +38,41 @@ func TestFollowerRedialSchedule(t *testing.T) {
 			t.Fatalf("attempt %d: delay %v, want ≈%v", i, got, ceil)
 		}
 	}
+	// Progress resets the schedule to the first ceiling.
+	bo.reset()
+	if got := bo.next(); got > 10*time.Millisecond {
+		t.Fatalf("post-reset delay %v, want ≤ 10ms", got)
+	}
+}
+
+// TestRedialBackoffFullJitterBounds: with the maximum draw the schedule
+// doubles up to the cap; with a zero draw it floors at a millisecond.
+func TestRedialBackoffFullJitterBounds(t *testing.T) {
+	bo := redialWith([]Option{WithRedialBackoff(50*time.Millisecond, 400*time.Millisecond)}, 0.999999)
+	want := []time.Duration{50, 100, 200, 400, 400} // ms ceilings
+	for i, w := range want {
+		got := bo.next()
+		ceil := w * time.Millisecond
+		if got > ceil || got < ceil-time.Millisecond {
+			t.Fatalf("attempt %d: %v, want ≈%v", i, got, ceil)
+		}
+	}
 	bo.rand = seq(0)
 	if got := bo.next(); got != backoffFloor {
 		t.Fatalf("zero draw: %v, want the %v floor", got, backoffFloor)
 	}
-	if bo.attempt != len(ceilings)+1 {
-		t.Fatalf("attempt %d, want %d", bo.attempt, len(ceilings)+1)
+}
+
+// TestRedialBackoffReset rewinds to the first ceiling.
+func TestRedialBackoffReset(t *testing.T) {
+	bo := redialWith([]Option{WithRedialBackoff(10*time.Millisecond, time.Second)}, 0.5)
+	bo.next()
+	bo.next()
+	bo.next()
+	if bo.attempt != 3 {
+		t.Fatalf("attempt %d, want 3", bo.attempt)
 	}
-	// Progress resets the schedule to the first ceiling.
 	bo.reset()
-	bo.rand = seq(0.5)
 	if got := bo.next(); got != 5*time.Millisecond {
 		t.Fatalf("first delay after reset: %v, want 5ms (0.5 × 10ms)", got)
 	}
@@ -57,13 +81,23 @@ func TestFollowerRedialSchedule(t *testing.T) {
 // TestFollowerRedialJitterDecorrelates: two followers with different
 // draws never sleep the same duration at the same attempt.
 func TestFollowerRedialJitterDecorrelates(t *testing.T) {
-	for _, draws := range [][2]float64{{0.11, 0.83}, {0.2, 0.9}} {
-		a := redialWith(nil, draws[0])
-		b := redialWith(nil, draws[1])
-		for i := 0; i < 6; i++ {
-			if da, db := a.next(), b.next(); da == db {
-				t.Fatalf("draws %v, attempt %d: both replicas slept %v — lockstep redial", draws, i, da)
-			}
+	a := redialWith(nil, 0.11)
+	b := redialWith(nil, 0.83)
+	for i := 0; i < 6; i++ {
+		if da, db := a.next(), b.next(); da == db {
+			t.Fatalf("attempt %d: both replicas slept %v — lockstep redial", i, da)
+		}
+	}
+}
+
+// TestRedialBackoffDecorrelates: two schedules with different draws
+// produce different delays at the same attempt — the lockstep-redial fix.
+func TestRedialBackoffDecorrelates(t *testing.T) {
+	a := redialWith(nil, 0.2)
+	b := redialWith(nil, 0.9)
+	for i := 0; i < 5; i++ {
+		if da, db := a.next(), b.next(); da == db {
+			t.Fatalf("attempt %d: both schedules drew %v", i, da)
 		}
 	}
 }
