@@ -67,7 +67,7 @@ func main() {
 	var cust hyperprov.Tuple
 	eng.EachRow(tpcc.Customer, func(t hyperprov.Tuple, ann *hyperprov.Expr) {
 		if cust == nil && ann.Size() > 1 {
-			cust = t
+			cust = t.Clone() // EachRow lends t
 		}
 	})
 	if cust != nil {

@@ -41,7 +41,7 @@ func main() {
 	var sampleAnn *hyperprov.Expr
 	eng.EachRow(tpcc.Customer, func(t hyperprov.Tuple, ann *hyperprov.Expr) {
 		if sample == nil && ann.Size() >= 5 && upstruct.Eval(ann, upstruct.Bool, allTrue) {
-			sample, sampleAnn = t, ann
+			sample, sampleAnn = t.Clone(), ann // EachRow lends t
 		}
 	})
 	if sample != nil {

@@ -12,8 +12,8 @@ import "sync/atomic"
 // empty and doubling from there, and leaves the old one to the slices
 // cut from it. Reset takes everything back at once; a Builder that is
 // never Reset is a plain allocator whose results the collector owns.
-// Rows and labels are not built here: the engine keeps them, so their
-// producers allocate each on its own, at its exact size.
+// Labels are not built here: the engine keeps them (they name its query
+// annotations), so their producers allocate each on its own.
 //
 // Not safe for concurrent use; the zero value is ready.
 type Builder struct {
@@ -24,8 +24,8 @@ type Builder struct {
 	vals  slab[Value]
 }
 
-// Transactions, Updates, Pattern, Set and Values (a term's disequality
-// constants) return n zeroed elements, nil for none.
+// Transactions, Updates, Pattern, Set and Values (an inserted row, a
+// term's disequality constants) return n zeroed elements, nil for none.
 func (b *Builder) Transactions(n int) []Transaction { return b.txns.take(n) }
 func (b *Builder) Updates(n int) []Update           { return b.ups.take(n) }
 func (b *Builder) Pattern(n int) Pattern            { return b.terms.take(n) }

@@ -178,9 +178,9 @@ func (u Update) String() string {
 // A transaction handed to an engine (engine.DB's ApplyTransaction,
 // ApplyAll, ApplyBatch) is borrowed for the call. Nothing behind that
 // call — engine, WAL, commit hooks, subscriptions — keeps any of it
-// past the return except Label and the Row of an insertion that
-// creates a row; update lists, patterns, SET lists and disequality
-// constants are the caller's again, to recycle (see Builder).
+// past the return except Label; update lists, inserted rows, patterns,
+// SET lists and disequality constants are the caller's again, to
+// recycle (see Builder).
 type Transaction struct {
 	// Label is the transaction's provenance annotation name (the paper's
 	// p ∈ P).

@@ -72,6 +72,11 @@ func I(v int64) Value { return Value{kind: KindInt, bits: uint64(v)} }
 // F returns a float value.
 func F(v float64) Value { return Value{kind: KindFloat, bits: math.Float64bits(v)} }
 
+// FromWord is the value of kind k whose payload word is w: it inverts
+// Word for a store that keeps a column's words and knows its kind. A
+// string word must be an id this process interned.
+func FromWord(k Kind, w uint64) Value { return Value{kind: k, bits: w} }
+
 // Kind reports the value's kind.
 func (v Value) Kind() Kind { return v.kind }
 

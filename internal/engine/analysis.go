@@ -57,6 +57,7 @@ type impactRow struct {
 func BuildImpact(e Reader) *Impact {
 	im := &Impact{e: e, index: make(map[core.Annot][]impactRow)}
 	e.Rows(func(rel string, t db.Tuple, ann *core.Expr) {
+		t = t.Clone() // Rows lends it
 		for a := range ann.Annots(nil) {
 			im.index[a] = append(im.index[a], impactRow{rel: rel, tuple: t})
 		}

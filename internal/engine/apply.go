@@ -12,13 +12,12 @@ import (
 // mvcc.go). Rows are retained after logical deletion (tombstones) so
 // that provenance can be inspected and updates can be undone by
 // valuation; the provenance itself lives in the versions reached
-// through head.
+// through head; its values are the table's words at pos (storage.go).
 type row struct {
-	tuple db.Tuple
 	// fp is the tuple's db.Tuple.Fingerprint, cached at insertion: the
-	// rowMap probes compare it before tuple equality, so the hot path
-	// never rebuilds Key() strings (keys survive only in snapshots and the
-	// WAL, where byte-compatibility matters).
+	// rowMap probes compare it before the words, so the hot path never
+	// rebuilds Key() strings (keys survive only in snapshots and the WAL,
+	// where byte-compatibility matters).
 	fp uint64
 	// touched is the epoch of the last transaction that touched the row:
 	// what keeps a row once in its transaction's freeze list and event.
@@ -57,9 +56,9 @@ type table struct {
 	// must not depend on map iteration. The rowList publication order
 	// (element before length) makes concurrent lock-free reads safe.
 	list rowList
-	// cols mirrors the tuples column-major (struct-of-arrays), one payload
-	// word per value, with a parallel sequence column; planner full scans
-	// and visibility counting read those instead of chasing row pointers.
+	// cols holds the tuples column-major (struct-of-arrays), one payload
+	// word per value, with a parallel sequence column; selections and
+	// visibility counting read those instead of chasing row pointers.
 	cols colStore
 	// idx holds the relation's secondary indexes and the advisor's
 	// counters (index.go), guarded by the write lock.
@@ -68,28 +67,33 @@ type table struct {
 
 func newTable(rel *db.RelationSchema) *table {
 	tbl := &table{rel: rel, idx: tableIndexes{cols: make(map[int]*colIndex), scans: make(map[int]int)}}
-	tbl.cols.init(len(rel.Attrs))
+	tbl.cols.init(rel)
+	tbl.rows.cols = &tbl.cols
 	return tbl
 }
 
-// add stores a new row (writer-only): fingerprint map, columnar mirror,
-// then the list append that publishes the row to ordered readers.
-func (t *table) add(r *row) {
+// add stores a new row holding tup (writer-only): its words first, then
+// the fingerprint map and the list append that publish the row to point
+// and ordered readers. tup is only read.
+func (t *table) add(r *row, tup db.Tuple) {
 	n := t.list.len()
 	r.pos = uint32(n) // a relation holds fewer than 2³² rows: posting lists store uint32 positions
+	t.cols.append(tup, r.seq, n)
 	t.rows.add(r)
-	t.cols.append(r.tuple, r.seq, n)
 	t.list.append(r)
 }
 
+// tuple builds r's tuple into dst[:0].
+func (t *table) tuple(r *row, dst db.Tuple) db.Tuple { return t.cols.tuple(int(r.pos), dst) }
+
 // newRow builds a row created at seq together with its first version,
 // annotated ann, in one allocation; fp is the tuple's fingerprint.
-func newRow(t db.Tuple, fp, seq uint64, ann *core.Expr) *row {
+func newRow(fp, seq uint64, ann *core.Expr) *row {
 	rv := &struct {
 		row
 		first version
 	}{}
-	rv.tuple, rv.fp, rv.seq = t, fp, seq
+	rv.fp, rv.seq = fp, seq
 	rv.first.born = seq
 	rv.first.setExpr(ann)
 	rv.head.Store(&rv.first)
@@ -97,9 +101,9 @@ func newRow(t db.Tuple, fp, seq uint64, ann *core.Expr) *row {
 }
 
 // load stores one row of the initial database (epoch 0).
-func (e *Engine) load(rel string, r *row) {
+func (e *Engine) load(rel string, r *row, t db.Tuple) {
 	e.versions.Add(1)
-	e.tables[rel].add(r)
+	e.tables[rel].add(r, t)
 }
 
 // dropLoaded forgets the rows loaded into a relation so far: their source
@@ -123,11 +127,11 @@ func (e *Engine) touch(tbl *table, r *row) {
 // row with tbl.add (after any same-epoch mutation it performs through
 // mutable — in-flight versions are invisible to readers regardless,
 // because their epoch is beyond every committed horizon).
-func (e *Engine) newVersionedRow(t db.Tuple, fp uint64) *row {
+func (e *Engine) newVersionedRow(fp uint64) *row {
 	seq := e.epoch.Load()<<32 | e.created
 	e.created++
 	e.versions.Add(1)
-	return newRow(t, fp, seq, core.Zero())
+	return newRow(fp, seq, core.Zero())
 }
 
 // mutable returns the version of r the current write epoch may mutate
@@ -197,8 +201,8 @@ func (e *Engine) insert(tbl *table, t db.Tuple) {
 	fresh := r == nil
 	wasMatchable := !fresh && e.matchable(r)
 	if fresh {
-		r = e.newVersionedRow(t, fp)
-		tbl.add(r)
+		r = e.newVersionedRow(fp)
+		tbl.add(r, t)
 	}
 	v := e.mutable(r)
 	if e.mode == ModeNaive {
@@ -234,22 +238,20 @@ func (e *Engine) deleteRow(tbl *table, r *row) {
 // delete the sources (−M p), then let each target absorb old +M
 // ((Σ sources) ·M p); a target that is itself a source (necessarily a
 // self-map) absorbs into its post-deletion annotation, yielding the
-// paper's fifth normal-form shape. Targets are staged in e.staged: only one
-// no group or stored row holds is copied, for the row absorbModTarget adds.
+// paper's fifth normal-form shape. Sources are built into e.source and
+// targets staged in e.staged; a group copies its target into the
+// scratch's vals, where a row absorbModTarget adds takes its words.
 func (e *Engine) modify(tbl *table, u db.Update, sources []*row) {
 	if len(sources) == 0 {
 		return
 	}
 	for _, src := range sources {
-		e.staged = u.AppendTarget(e.staged, src.tuple)
+		e.source = tbl.tuple(src, e.source)
+		e.staged = u.AppendTarget(e.staged, e.source)
 		fp := e.staged.Fingerprint()
 		g := e.mod.find(e.staged, fp)
 		if g == nil {
-			if r := tbl.rows.get(fp, e.staged); r != nil {
-				g = e.mod.group(r.tuple, fp, r)
-			} else {
-				g = e.mod.group(e.staged.Clone(), fp, nil)
-			}
+			g = e.mod.group(e.staged, fp, tbl.rows.get(fp, e.staged))
 		}
 		e.captureContribution(g, src)
 	}
@@ -290,12 +292,13 @@ const modScratchKeep = 16
 // writer (guarded by the write lock like the scan-buffer free-list):
 // the fingerprint-keyed chain map, the groups in first-sight order, and
 // the groups themselves with their contribution slices, reused from one
-// update to the next. order[:n] are the groups of the update in flight;
-// order[n:] are spare.
+// update to the next, and their targets back to back in vals. order[:n]
+// are the groups of the update in flight; order[n:] are spare.
 type modScratch struct {
 	groups map[uint64]*modGroup
 	order  []*modGroup
 	n      int
+	vals   []db.Value
 }
 
 // find returns the group collecting the target's sources, or nil.
@@ -308,7 +311,7 @@ func (s *modScratch) find(target db.Tuple, fp uint64) *modGroup {
 }
 
 // group opens the group of a target find missed, stored as row r (nil
-// if none); the group keeps target, so it must not be writer scratch.
+// if none), copying target into vals.
 func (s *modScratch) group(target db.Tuple, fp uint64, r *row) *modGroup {
 	if s.n == len(s.order) {
 		s.order = append(s.order, new(modGroup))
@@ -318,7 +321,9 @@ func (s *modScratch) group(target db.Tuple, fp uint64, r *row) *modGroup {
 	}
 	g := s.order[s.n]
 	s.n++
-	g.target, g.fp, g.row, g.collide = target, fp, r, s.groups[fp]
+	lo := len(s.vals)
+	s.vals = append(s.vals, target...)
+	g.target, g.fp, g.row, g.collide = s.vals[lo:len(s.vals):len(s.vals)], fp, r, s.groups[fp]
 	s.groups[fp] = g
 	return g
 }
@@ -343,7 +348,7 @@ func (s *modScratch) reset() {
 			g.contrib = contrib[:0]
 		}
 	}
-	s.n = 0
+	s.n, s.vals = 0, s.vals[:0]
 }
 
 // captureContribution records one source row's pre-query annotation in
@@ -372,8 +377,8 @@ func (e *Engine) absorbModTarget(tbl *table, g *modGroup, pe *core.Expr) {
 	fresh := r == nil
 	wasMatchable := !fresh && e.matchable(r)
 	if fresh {
-		r = e.newVersionedRow(g.target, g.fp)
-		tbl.add(r)
+		r = e.newVersionedRow(g.fp)
+		tbl.add(r, g.target)
 	}
 	v := e.mutable(r)
 	if e.mode == ModeNaive {
@@ -403,12 +408,12 @@ func (e *Engine) restoreRow(rel string, t db.Tuple, fp uint64, ann *core.Expr) e
 	fresh := r == nil
 	wasMatchable := !fresh && e.matchable(r)
 	if fresh {
-		r = e.newVersionedRow(t, fp)
+		r = e.newVersionedRow(fp)
 	}
 	v := e.mutable(r)
 	v.setExpr(ann)
 	if fresh {
-		tbl.add(r)
+		tbl.add(r, t)
 	}
 	switch {
 	case fresh, !wasMatchable && e.matchable(r):

@@ -149,7 +149,7 @@ func samePointersAt(t *testing.T, label string, ref, e *engine.Engine, epoch uin
 		ann *core.Expr
 	}
 	var want []visited
-	ref.At(engine.EpochSeq(epoch)).Rows(func(_ string, tp db.Tuple, ann *core.Expr) { want = append(want, visited{tp, ann}) })
+	ref.At(engine.EpochSeq(epoch)).Rows(func(_ string, tp db.Tuple, ann *core.Expr) { want = append(want, visited{tp.Clone(), ann}) })
 	i := 0
 	e.At(engine.EpochSeq(epoch)).Rows(func(_ string, tp db.Tuple, ann *core.Expr) {
 		if i >= len(want) || !want[i].t.Equal(tp) || want[i].ann != ann {

@@ -169,7 +169,7 @@ func TestConcurrentReadersDuringIngestion(t *testing.T) {
 			var probe db.Tuple
 			e.EachRow("R", func(tp db.Tuple, ann *core.Expr) {
 				if probe == nil {
-					probe = tp
+					probe = tp.Clone() // EachRow lends tp
 				}
 			})
 			if probe == nil {

@@ -34,6 +34,8 @@ var (
 // behind (or stall) a concurrent ApplyAll. The streaming methods
 // (EachRow, Rows) visit rows in the same deterministic order on every
 // implementation: relations in schema order, rows in insertion order.
+// They lend the tuple they pass: it is built from the word columns into
+// a buffer the pass reuses, so a callback that keeps one keeps a Clone.
 //
 // The interface is sealed: its unexported method is declared by the
 // pinned view, the Engine and the Handle only, so another package has a
@@ -95,8 +97,8 @@ type DB interface {
 
 	// The Apply methods borrow their transactions for the call: an
 	// implementation keeps nothing of one past the return but its Label
-	// and the Row of an insertion that creates a row (db.Transaction), so
-	// a caller may build the rest in memory it recycles (db.Builder).
+	// (db.Transaction), so a caller may build the rest in memory it
+	// recycles (db.Builder).
 	ApplyTransaction(t *db.Transaction) error
 	ApplyAll(ctx context.Context, txns []db.Transaction) error
 	// ApplyBatch is ApplyAll reporting the durably applied prefix: on a

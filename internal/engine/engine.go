@@ -189,12 +189,14 @@ type Engine struct {
 	// (see storage.go), the grouping state of the modification in flight,
 	// the open records of the epoch's normal forms (taken back by finish),
 	// the tuple a fully pinned selection probes with, a modification's
-	// staged target (no row, group or event holds it), the column passes
-	// of the batch in flight (see batchScan), an intersect scan's merge.
+	// source built from its words and its staged target (no row, group or
+	// event holds them), the column passes of the batch in flight (see
+	// batchScan), an intersect scan's merge.
 	scanBufs [][]*row
 	mod      modScratch
 	nfs      core.NFRecords
 	pinned   db.Tuple
+	source   db.Tuple
 	staged   db.Tuple
 	batch    batchScan
 	merged   postingList
@@ -261,7 +263,7 @@ func (e *Engine) SetCommitHook(h CommitHook) {
 	e.hook.Store(&h)
 }
 
-// evRowsKeep is the longest event row buffer kept for reuse (40 kB): one
+// evRowsKeep is the longest event row buffer kept for reuse (24 kB): one
 // bulk transaction must not pin its row list for the engine's lifetime.
 const evRowsKeep = 1024
 
@@ -272,9 +274,8 @@ func (e *Engine) emit(ev CommitEvent) {
 	if hp := e.hook.Load(); hp != nil {
 		(*hp)(ev)
 	}
-	// Rows was lent for the call: wipe it, so the buffer pins no tuple
-	// and a hook that kept the slice reads blanks instead of a later
-	// epoch's rows.
+	// Rows was lent for the call: wipe it, so a hook that kept the slice
+	// reads blanks instead of a later epoch's rows.
 	clear(ev.Rows)
 	if c := cap(ev.Rows); c > 0 && c <= evRowsKeep {
 		e.evRows = ev.Rows[:0]
@@ -314,7 +315,7 @@ func (e *Engine) finish(kind CommitKind, label string) {
 	for _, t := range e.touched {
 		e.nfs.Freeze(&t.r.latest().nf)
 		if e.collect {
-			ev.Rows = append(ev.Rows, RowRef{Rel: t.tbl.rel.Name, Tuple: t.r.tuple})
+			ev.Rows = append(ev.Rows, RowRef{Rel: t.tbl.rel.Name, Pos: t.r.pos})
 		}
 	}
 	e.touched = e.touched[:0]
@@ -332,8 +333,8 @@ func (e *Engine) finish(kind CommitKind, label string) {
 // queries stay applied. Every transaction reaches storage through here —
 // direct calls, batches, recovery, a follower's replay — and each update
 // passes checkUpdate right before it applies. t is borrowed for the call:
-// the engine keeps its Label (inside the query annotation) and the Row of
-// an insertion that creates a row, nothing else.
+// the engine keeps its Label (inside the query annotation), nothing else —
+// an inserted row's values are copied into the word columns.
 func (e *Engine) ApplyTransaction(t *db.Transaction) error {
 	e.begin(t.Label)
 	var err error

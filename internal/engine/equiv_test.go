@@ -189,7 +189,7 @@ func checkAnnotEquiv(t *testing.T, r *rand.Rand, e1, e2 *engine.Engine, name str
 	t.Helper()
 	seen := make(map[string]db.Tuple)
 	collect := func(e *engine.Engine) {
-		e.EachRow("R", func(tu db.Tuple, _ *core.Expr) { seen[tu.Key()] = tu })
+		e.EachRow("R", func(tu db.Tuple, _ *core.Expr) { seen[tu.Key()] = tu.Clone() })
 	}
 	collect(e1)
 	collect(e2)

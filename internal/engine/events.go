@@ -1,7 +1,5 @@
 package engine
 
-import "hyperprov/internal/db"
-
 // Commit events are the engine's change-notification bus: every
 // committed write epoch — a transaction, a snapshot restore, a
 // minimization pass — is announced to an installed CommitHook exactly
@@ -47,11 +45,12 @@ func (k CommitKind) String() string {
 	}
 }
 
-// RowRef names one stored row: the relation and the tuple (the row key
-// is Tuple.Key()).
+// RowRef names one stored row: its relation and its position in the
+// relation's table. Rows never move or change values: RowTuple builds
+// the tuple through any view the row is visible in.
 type RowRef struct {
-	Rel   string
-	Tuple db.Tuple
+	Rel string
+	Pos uint32
 }
 
 // CommitEvent describes one committed write epoch. Rows lists every row
@@ -77,10 +76,11 @@ type CommitEvent struct {
 // ev.Rows is valid for the duration of the call only: it is a buffer the
 // engine fills once per epoch, wipes when the hook returns and reuses
 // for the next epoch, so that a hook with nothing to do costs the write
-// path nothing. A hook that keeps rows past its return copies them
-// (slices.Clone); the tuples and relation names inside are immutable
-// and may be kept as they are, and so may Label. Nothing else of the
-// transaction behind an event reaches a hook: its update lists and
-// patterns are only borrowed from the caller of Apply (db.Transaction),
-// who may recycle them as soon as Apply returns.
+// path nothing. A hook that keeps rows past its return copies the refs,
+// which stay valid, as Label does; it reads a row's values with
+// RowTuple, into a buffer it owns. Nothing else of the transaction
+// behind an event
+// reaches a hook: its update lists and patterns are only borrowed from
+// the caller of Apply (db.Transaction), who may recycle them as soon as
+// Apply returns.
 type CommitHook func(ev CommitEvent)

@@ -286,7 +286,7 @@ func (e *Engine) buildColIndexLocked(tbl *table, col int, auto bool) *colIndex {
 		if !e.matchable(r) {
 			continue
 		}
-		ix.list(r.tuple[col]).push(r.pos, &ix.held) // tbl.list is pos-ordered
+		ix.list(tbl.cols.value(col, int(r.pos))).push(r.pos, &ix.held) // tbl.list is pos-ordered
 		ix.entries++
 	}
 	tbl.idx.cols[col] = ix
@@ -360,7 +360,7 @@ func (e *Engine) IndexStats() []IndexInfo {
 // index of its table (see postingList.insert).
 func (e *Engine) indexAdd(tbl *table, r *row) {
 	for _, ix := range tbl.idx.ordered {
-		if ix.list(r.tuple[ix.col]).insert(r.pos, &ix.held) {
+		if ix.list(tbl.cols.value(ix.col, int(r.pos))).insert(r.pos, &ix.held) {
 			ix.entries++
 		}
 	}
@@ -385,7 +385,7 @@ func (ix *colIndex) list(v db.Value) *postingList {
 // track reality; over-counting would only cause earlier sweeps.
 func (e *Engine) indexDead(tbl *table, r *row) {
 	for _, ix := range tbl.idx.ordered {
-		pl := ix.byValue[r.tuple[ix.col]]
+		pl := ix.byValue[tbl.cols.value(ix.col, int(r.pos))]
 		if pl == nil {
 			continue
 		}
@@ -459,23 +459,12 @@ func (e *Engine) scan(tbl *table, u db.Update) []*row {
 	}
 	rows, out := tbl.list.snapshot(), e.getScanBuf()
 	for i := 0; i < best.n; i++ {
-		if p := best.from(i)[0]; wordsMatch(tbl, int(p), u.Sel) && e.matchable(rows[p]) && u.MatchesTuple(rows[p].tuple) {
+		if p := best.from(i)[0]; tbl.cols.matches(int(p), &u) && e.matchable(rows[p]) {
 			out = append(out, rows[p])
 		}
 	}
 	e.plan.examined(best.n, len(out))
 	return out
-}
-
-// wordsMatch tests a selection's =-constants against the word columns at
-// position p: candidates that fail are never loaded from the table list.
-func wordsMatch(tbl *table, p int, sel db.Pattern) bool {
-	for c := range sel {
-		if sel[c].IsConst() && tbl.cols.cols[c].at(p) != sel[c].Value().Word() {
-			return false
-		}
-	}
-	return true
 }
 
 // pick is the planner's one rule. It visits the columns the selection
@@ -534,11 +523,12 @@ func (e *Engine) pick(tbl *table, sel db.Pattern) (best, second *postingList, em
 // row stored for the pinned tuple t can match, so the scan reduces to an
 // allocation-free fingerprint probe, decided by the same matchable and
 // MatchesTuple as every other access path (attribute conditions, live
-// matching, tombstones and revived tuples behave as in a full scan).
+// matching, tombstones and revived tuples behave as in a full scan); the
+// row holds t, so t is what the selection tests.
 func (e *Engine) lookupPinned(tbl *table, u db.Update, t db.Tuple) []*row {
 	e.plan.pointLookups.Add(1)
 	out := e.getScanBuf()
-	if r := tbl.rows.get(t.Fingerprint(), t); r != nil && e.matchable(r) && u.MatchesTuple(r.tuple) {
+	if r := tbl.rows.get(t.Fingerprint(), t); r != nil && e.matchable(r) && u.MatchesTuple(t) {
 		out = append(out, r)
 	}
 	e.plan.examined(1, len(out))
@@ -546,12 +536,12 @@ func (e *Engine) lookupPinned(tbl *table, u db.Update, t db.Tuple) []*row {
 }
 
 // fullScan is the paper's access path: walk the whole relation in
-// insertion order. When the selection carries an =-constant term, the
-// columnar mirror prefilters it against the attribute's word column, so
-// non-matching rows cost one 8-byte compare and no row or version
-// pointer is chased for them. Equal words mean equal values only within
-// one kind, which is the attribute's for every constant of an update
-// that reached storage (checkUpdate); MatchesTuple stays the decision.
+// insertion order. When the selection carries an =-constant term, its
+// attribute's word column prefilters it, so non-matching rows cost one
+// 8-byte compare and no row or version pointer is chased for them. Equal
+// words mean equal values only within one kind, which is the attribute's
+// for every constant of an update that reached storage (checkUpdate);
+// the whole selection is then decided on the words (colStore.matches).
 //
 // Inside ApplyBatch a column pass may already hold the rows below its end
 // n0 whose word is the constant (see batchScan): those are the candidates
@@ -560,7 +550,7 @@ func (e *Engine) fullScan(tbl *table, u db.Update) []*row {
 	rows := tbl.list.snapshot()
 	ci := firstConstTerm(u.Sel)
 	if ci < 0 {
-		return e.filterRows(rows, u)
+		return e.filterRows(tbl, rows, u)
 	}
 	want := u.Sel[ci].Value().Word()
 	out := e.getScanBuf()
@@ -569,7 +559,7 @@ func (e *Engine) fullScan(tbl *table, u db.Update) []*row {
 		e.plan.batchScans.Add(1)
 	}
 	for _, h := range hits {
-		if r := rows[h.pos]; e.matchable(r) && u.MatchesTuple(r.tuple) {
+		if r := rows[h.pos]; tbl.cols.matches(int(h.pos), &u) && e.matchable(r) {
 			out = append(out, r)
 		}
 	}
@@ -580,7 +570,7 @@ func (e *Engine) fullScan(tbl *table, u db.Update) []*row {
 		words = words[off:min(len(words), off+len(left))]
 		off = 0
 		for i := indexWord(words, want); i < len(words); i += 1 + indexWord(words[i+1:], want) {
-			if r := left[i]; e.matchable(r) && u.MatchesTuple(r.tuple) {
+			if r := left[i]; tbl.cols.matches(int(r.pos), &u) && e.matchable(r) {
 				out = append(out, r)
 			}
 		}
@@ -791,13 +781,13 @@ func firstConstTerm(p db.Pattern) int {
 }
 
 // filterRows applies matchability and the full selection to candidate
-// rows, preserving their order. The result comes from the writer's
+// rows of tbl, preserving their order. The result comes from the writer's
 // scan-buffer free-list; callers release it with putScanBuf when the
 // update is done with it.
-func (e *Engine) filterRows(rows []*row, u db.Update) []*row {
+func (e *Engine) filterRows(tbl *table, rows []*row, u db.Update) []*row {
 	out := e.getScanBuf()
 	for _, r := range rows {
-		if e.matchable(r) && u.MatchesTuple(r.tuple) {
+		if tbl.cols.matches(int(r.pos), &u) && e.matchable(r) {
 			out = append(out, r)
 		}
 	}

@@ -159,8 +159,7 @@ func (l *loader) add(b db.RowBatch) error {
 		} else {
 			ann = l.vars[l.seq-l.first]
 		}
-		fp := t.Fingerprint()
-		l.e.load(b.Rel, newRow(t, fp, l.seq, ann))
+		l.e.load(b.Rel, newRow(t.Fingerprint(), l.seq, ann), t)
 		l.seq++
 	}
 	return nil

@@ -58,8 +58,7 @@ func TestLoadReservesWhatDoublingReaches(t *testing.T) {
 		}
 		one := NewEmpty(ModeNormalForm, loadTestSchema())
 		for i, tu := range rows {
-			fp := tu.Fingerprint()
-			one.load("A", newRow(tu, fp, uint64(i), core.Zero()))
+			one.load("A", newRow(tu.Fingerprint(), uint64(i), core.Zero()), tu)
 		}
 		got, want := e.tables["A"], one.tables["A"]
 		slots := func(tb *table) int {

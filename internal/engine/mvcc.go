@@ -342,28 +342,74 @@ func (v view) NF(rel string, t db.Tuple) *core.NF {
 	return &ver.nf
 }
 
-func (v view) EachRow(rel string, f func(t db.Tuple, ann *core.Expr)) {
+// tupleBufs holds the buffers a pass builds tuples into from the word
+// columns and lends each callback in turn, so a warm pass allocates
+// nothing. A channel, not a sync.Pool: the race detector drops a pool's
+// puts at random, and the zero-allocation read gates run under it too.
+var tupleBufs = make(chan *db.Tuple, 64)
+
+// takeTuple takes a buffer from tupleBufs; giveTuple puts it back.
+func takeTuple() *db.Tuple {
+	select {
+	case b := <-tupleBufs:
+		return b
+	default:
+		return new(db.Tuple)
+	}
+}
+
+func giveTuple(b *db.Tuple) {
+	select {
+	case tupleBufs <- b:
+	default:
+	}
+}
+
+// eachRef calls f with every row of the relation visible at the pinned
+// horizon, in insertion order: its ref, its tuple (lent) and annotation.
+func (v view) eachRef(rel string, f func(ref RowRef, t db.Tuple, ann *core.Expr)) {
+	tbl, buf := v.e.tables[rel], takeTuple()
+	defer giveTuple(buf)
 	for _, r := range v.rows(rel) {
 		if ver := r.at(v.s); ver != nil {
-			f(r.tuple, ver.annotation())
+			*buf = tbl.tuple(r, *buf)
+			f(RowRef{Rel: rel, Pos: r.pos}, *buf, ver.annotation())
 		}
 	}
+}
+
+func (v view) EachRow(rel string, f func(t db.Tuple, ann *core.Expr)) {
+	v.eachRef(rel, func(_ RowRef, t db.Tuple, ann *core.Expr) { f(t, ann) })
 }
 
 func (v view) Rows(f func(rel string, t db.Tuple, ann *core.Expr)) {
 	for _, rel := range v.e.schema.Names() {
-		for _, r := range v.rows(rel) {
-			if ver := r.at(v.s); ver != nil {
-				f(rel, r.tuple, ver.annotation())
-			}
-		}
+		v.eachRef(rel, func(_ RowRef, t db.Tuple, ann *core.Expr) { f(rel, t, ann) })
 	}
 }
 
-// Select collects what each streams.
+// EachRowRef is r's EachRow that also names each row by its ref.
+func EachRowRef(r Reader, rel string, f func(ref RowRef, t db.Tuple, ann *core.Expr)) {
+	r.view().eachRef(rel, f)
+}
+
+// RowTuple builds the tuple of the row ref names into dst[:0], growing
+// dst only past its capacity, and returns it; ok is false, and the tuple
+// empty, when r's engine stores no row there. A row's values are the
+// same at every horizon, so any reader of the engine that stored the
+// row will do.
+func RowTuple(r Reader, ref RowRef, dst db.Tuple) (t db.Tuple, ok bool) {
+	tbl := r.view().e.tables[ref.Rel]
+	if tbl == nil || int(ref.Pos) >= tbl.list.len() {
+		return dst[:0], false
+	}
+	return tbl.cols.tuple(int(ref.Pos), dst), true
+}
+
+// Select collects what each streams, each tuple copied.
 func (v view) Select(rel string, sel db.Pattern) ([]db.Tuple, error) {
 	var out []db.Tuple
-	if err := v.each(rel, sel, func(t db.Tuple) { out = append(out, t) }); err != nil {
+	if err := v.each(rel, sel, func(t db.Tuple) { out = append(out, t.Clone()) }); err != nil {
 		return nil, err
 	}
 	return out, nil
@@ -372,16 +418,21 @@ func (v view) Select(rel string, sel db.Pattern) ([]db.Tuple, error) {
 // each streams to f, in insertion order, the tuples of the rows visible
 // at the pinned horizon that are matchable there and match the pattern,
 // checked first as the selection of a deletion (the update that only
-// selects). It takes no lock and reads no index, so f may call back into
-// the engine, writes included.
+// selects), each lent for the call. It takes no lock and reads no index,
+// so f may call back into the engine, writes included.
 func (v view) each(rel string, sel db.Pattern, f func(db.Tuple)) error {
 	u := db.Delete(rel, sel)
 	if err := checkUpdate(v.e.schema, &u); err != nil {
 		return err
 	}
+	tbl, buf := v.e.tables[rel], takeTuple()
+	defer giveTuple(buf)
 	for _, r := range v.rows(rel) {
-		if ver := r.at(v.s); ver != nil && v.e.matchableV(ver) && u.MatchesTuple(r.tuple) {
-			f(r.tuple)
+		if tbl.cols.matches(int(r.pos), &u) {
+			if ver := r.at(v.s); ver != nil && v.e.matchableV(ver) {
+				*buf = tbl.tuple(r, *buf)
+				f(*buf)
+			}
 		}
 	}
 	return nil
@@ -461,9 +512,9 @@ func (e *Engine) NF(rel string, t db.Tuple) *core.NF { return e.view().NF(rel, t
 // tuple and annotation, in deterministic insertion order (the same
 // order Specialize and SpecializeParallel stream rows) — never map
 // order, so snapshot bytes and streamed results are stable across runs.
-// In normal-form mode
-// annotations are materialized per call. The pass is lock-free and the
-// horizon is pinned on entry, so the visited rows form one consistent
+// The tuple is lent for the call: a caller that keeps it keeps a Clone.
+// In normal-form mode annotations are materialized per call. The pass is
+// lock-free and the horizon is pinned on entry, so the visited rows form one consistent
 // epoch snapshot even while transactions commit concurrently; f may
 // freely call back into the engine.
 func (e *Engine) EachRow(rel string, f func(t db.Tuple, ann *core.Expr)) { e.view().EachRow(rel, f) }
@@ -471,8 +522,8 @@ func (e *Engine) EachRow(rel string, f func(t db.Tuple, ann *core.Expr)) { e.vie
 // Rows calls f for every row visible at the committed horizon —
 // relations in schema order, rows in insertion order — with the horizon
 // pinned once for the whole pass, so the visited rows form one
-// consistent cut even while transactions are applied concurrently.
-// Snapshot saving uses this.
+// consistent cut even while transactions are applied concurrently. The
+// tuple is lent, as EachRow's. Snapshot saving uses this.
 func (e *Engine) Rows(f func(rel string, t db.Tuple, ann *core.Expr)) { e.view().Rows(f) }
 
 // Select implements Reader: the tuples the selection pattern matches
@@ -484,8 +535,9 @@ func (e *Engine) Select(rel string, sel db.Pattern) ([]db.Tuple, error) {
 // SelectEach streams the tuples matching the selection at the committed
 // horizon to f, in insertion order: Select without materializing the
 // result slice, and the steady-state pass allocates nothing (enforced by
-// TestAllocFreeReads). The horizon is pinned on entry and no lock is
-// held, so f may call back into the engine, writes included.
+// TestAllocFreeReads). Each tuple is lent for the call, as EachRow's. The
+// horizon is pinned on entry and no lock is held, so f may call back into
+// the engine, writes included.
 func (e *Engine) SelectEach(rel string, sel db.Pattern, f func(db.Tuple)) error {
 	return e.view().each(rel, sel, f)
 }

@@ -21,11 +21,12 @@ func collectSeqs(t *testing.T, e *Engine) map[uint64]string {
 	t.Helper()
 	seqs := make(map[uint64]string)
 	for _, rel := range e.schema.Names() {
-		for _, r := range e.tables[rel].list.snapshot() {
+		tbl := e.tables[rel]
+		for _, r := range tbl.list.snapshot() {
 			if prev, dup := seqs[r.seq]; dup {
-				t.Fatalf("rows %s and %s/%s share seq %#x", prev, rel, r.tuple, r.seq)
+				t.Fatalf("rows %s and %s/%s share seq %#x", prev, rel, tbl.tuple(r, nil), r.seq)
 			}
-			seqs[r.seq] = rel + "/" + r.tuple.String()
+			seqs[r.seq] = rel + "/" + tbl.tuple(r, nil).String()
 		}
 	}
 	return seqs

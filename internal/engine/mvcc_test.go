@@ -340,7 +340,7 @@ func TestSelectEachCallbackWrites(t *testing.T) {
 	done := make(chan error, 1)
 	go func() {
 		done <- e.SelectEach("R", sel, func(tu db.Tuple) {
-			seen = append(seen, tu)
+			seen = append(seen, tu.Clone())
 			tx := db.Transaction{Label: fmt.Sprintf("cb%d", len(seen)), Updates: []db.Update{
 				db.Insert("R", db.Tuple{db.I(int64(10 + len(seen))), db.I(0)}),
 			}}

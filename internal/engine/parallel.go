@@ -20,9 +20,10 @@ import (
 const walkChunkRows = 1024
 
 // rowChunk is one relation-homogeneous run of at most walkChunkRows
-// rows.
+// rows of table tbl.
 type rowChunk struct {
 	rel  string
+	tbl  *table
 	rows []*row
 }
 
@@ -53,7 +54,7 @@ func (v view) chunks(rels []string) []rowChunk {
 		rows := v.rows(rel)
 		for start := 0; start < len(rows); start += walkChunkRows {
 			end := min(start+walkChunkRows, len(rows))
-			chunks = append(chunks, rowChunk{rel: rel, rows: rows[start:end]})
+			chunks = append(chunks, rowChunk{rel: rel, tbl: v.e.tables[rel], rows: rows[start:end]})
 		}
 	}
 	return chunks
@@ -95,9 +96,9 @@ func walkChunks(ctx context.Context, chunks []rowChunk, workers int, visit func(
 // workers goroutines (0 = GOMAXPROCS). Expressions are immutable and
 // the structure's operations must be pure, so evaluation parallelizes
 // trivially; f is called from multiple goroutines and must be safe for
-// concurrent use (or use LiveStream, which hands chunks back in order).
-// With one worker rows stream in order on the caller's goroutine: that
-// is Specialize. The MVCC horizon is pinned once at entry (a View's own
+// concurrent use (or use LiveStream, which hands chunks back in order),
+// and the tuple it gets is lent for the call. With one worker rows
+// stream in order on the caller's goroutine: that is Specialize. The MVCC horizon is pinned once at entry (a View's own
 // pinned horizon is used as-is), so the pass is lock-free and
 // consistent against concurrent writers. ctx is
 // checked at chunk boundaries; on cancellation the pass stops early —
@@ -116,9 +117,12 @@ func SpecializeParallel[T any](ctx context.Context, e Reader, s upstruct.Structu
 	chunks := p.chunks(p.e.schema.Names())
 	defer putChunkBuf(chunks)
 	return walkChunks(ctx, chunks, workers, func(c rowChunk) {
+		buf := takeTuple()
+		defer giveTuple(buf)
 		for _, r := range c.rows {
 			if ver := r.at(p.s); ver != nil {
-				f(c.rel, r.tuple, upstruct.EvalNF(&ver.nf, s, env))
+				*buf = c.tbl.tuple(r, *buf)
+				f(c.rel, *buf, upstruct.EvalNF(&ver.nf, s, env))
 			}
 		}
 	})
@@ -141,27 +145,43 @@ type Chunk[S any] struct {
 // allocated per what-if to 25.0.
 const streamWindowPerWorker = 2
 
-// streamScratch is one stream worker's valuation kernel and live-tuple
-// slice. scratchPool recycles both, so a request's memo pages are
-// cleared, not allocated; the slice is cleared on put, so it pins no row.
+// streamScratch is one stream worker's valuation kernel, its chunk's
+// live rows and table, and the tuple they are lent in. scratchPool
+// recycles it, so a request's memo pages are cleared, not allocated; the
+// rows are cleared on put.
 type streamScratch struct {
 	k    *upstruct.Kernel
-	live []db.Tuple
+	rows []*row
+	tbl  *table
+	tup  db.Tuple
 }
 
 var scratchPool = sync.Pool{New: func() any {
-	return &streamScratch{k: upstruct.NewKernel(nil), live: make([]db.Tuple, 0, walkChunkRows)}
+	return &streamScratch{k: upstruct.NewKernel(nil), rows: make([]*row, 0, walkChunkRows)}
 }}
 
 func (sc *streamScratch) put() {
-	clear(sc.live[:cap(sc.live)])
+	clear(sc.rows[:cap(sc.rows)])
+	sc.tbl = nil
 	scratchPool.Put(sc)
+}
+
+// LiveRows is one chunk's live rows, as LiveStream's encode gets them:
+// Each lends their tuples in insertion order, each for its call only.
+type LiveRows struct{ sc *streamScratch }
+
+// Each calls f with each live tuple in turn.
+func (l LiveRows) Each(f func(t db.Tuple)) {
+	for _, r := range l.sc.rows {
+		l.sc.tup = l.sc.tbl.tuple(r, l.sc.tup)
+		f(l.sc.tup)
+	}
 }
 
 // LiveStream evaluates the Boolean valuation val over every row r sees
 // and streams the live tuples chunk by chunk, relations in the order
 // rels lists them, rows in insertion order. encode runs on the worker
-// that evaluated a chunk and renders its live tuples (valid during the
+// that evaluated a chunk and renders its live rows (valid during the
 // call) into the chunk's slot; emit runs on the caller's goroutine and
 // gets the chunks in order, the first window (or all, if fewer) at once,
 // then each as soon as it is next, more telling whether chunks follow.
@@ -171,7 +191,7 @@ func (sc *streamScratch) put() {
 // emit's first error or ctx.Err(), once every worker has exited, and
 // hands back the window's slots so the caller can recycle what they
 // hold.
-func LiveStream[S any](ctx context.Context, r Reader, val *upstruct.Valuation, workers int, rels []string, encode func(c Chunk[S], live []db.Tuple), emit func(ready []Chunk[S], more bool) error) ([]S, error) {
+func LiveStream[S any](ctx context.Context, r Reader, val *upstruct.Valuation, workers int, rels []string, encode func(c Chunk[S], live LiveRows), emit func(ready []Chunk[S], more bool) error) ([]S, error) {
 	return liveStream(ctx, r, workers, rels, func(sc *streamScratch) func(*core.NF) bool {
 		sc.k.Reset(val)
 		return sc.k.EvalNF
@@ -182,7 +202,7 @@ func LiveStream[S any](ctx context.Context, r Reader, val *upstruct.Valuation, w
 // worker's on its scratch. Chunk i+window is dispatched once chunk i is
 // emitted, so slot i % window is free; idle workers wait on the work
 // queue, which the caller closes when it returns.
-func liveStream[S any](ctx context.Context, r Reader, workers int, rels []string, newEval func(*streamScratch) func(*core.NF) bool, encode func(Chunk[S], []db.Tuple), emit func([]Chunk[S], bool) error) ([]S, error) {
+func liveStream[S any](ctx context.Context, r Reader, workers int, rels []string, newEval func(*streamScratch) func(*core.NF) bool, encode func(Chunk[S], LiveRows), emit func([]Chunk[S], bool) error) ([]S, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -216,13 +236,13 @@ func liveStream[S any](ctx context.Context, r Reader, workers int, rels []string
 		if ctx.Err() != nil {
 			return
 		}
-		sc.live = sc.live[:0]
+		sc.rows, sc.tbl = sc.rows[:0], chunks[i].tbl
 		for _, r := range chunks[i].rows {
 			if ver := r.at(p.s); ver != nil && eval(&ver.nf) {
-				sc.live = append(sc.live, r.tuple)
+				sc.rows = append(sc.rows, r)
 			}
 		}
-		encode(at(i), sc.live)
+		encode(at(i), LiveRows{sc})
 		ready[i%window] <- struct{}{}
 	}
 	dispatch := func(i int) { work <- i }
@@ -285,7 +305,10 @@ func BoolRestrictParallel(ctx context.Context, e Reader, env upstruct.Env[bool],
 	out := db.NewDatabase(e.Schema())
 	eval := func(n *core.NF) bool { return upstruct.EvalNF(n, upstruct.Bool, env) }
 	_, err := liveStream(ctx, e, workers, e.Schema().Names(), func(*streamScratch) func(*core.NF) bool { return eval },
-		func(c Chunk[[]db.Tuple], live []db.Tuple) { *c.Slot = append((*c.Slot)[:0], live...) },
+		func(c Chunk[[]db.Tuple], live LiveRows) {
+			*c.Slot = (*c.Slot)[:0]
+			live.Each(func(t db.Tuple) { *c.Slot = append(*c.Slot, t.Clone()) }) // the database keeps it
+		},
 		func(ready []Chunk[[]db.Tuple], _ bool) error {
 			for _, c := range ready {
 				for _, t := range *c.Slot {

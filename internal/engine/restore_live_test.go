@@ -48,9 +48,10 @@ func TestRestoreRowLiveMatchesTreeWalk(t *testing.T) {
 				t.Fatalf("seed %d, %v: restores without a hook built a touched list", seed, mode)
 			}
 			for _, rel := range dst.schema.Names() {
-				for _, r := range dst.tables[rel].list.snapshot() {
-					if got := r.at(dst.Horizon()).nf.Live(); got != want[rel+"/"+r.tuple.Key()] {
-						t.Fatalf("seed %d, %v: %s%v restored live=%v, tree walk says %v", seed, mode, rel, r.tuple, got, !got)
+				tbl := dst.tables[rel]
+				for _, r := range tbl.list.snapshot() {
+					if got, tu := r.at(dst.Horizon()).nf.Live(), tbl.tuple(r, nil); got != want[rel+"/"+tu.Key()] {
+						t.Fatalf("seed %d, %v: %s%v restored live=%v, tree walk says %v", seed, mode, rel, tu, got, !got)
 					}
 				}
 			}

@@ -237,7 +237,7 @@ func TestShardedConcurrentReadersDuringApply(t *testing.T) {
 	var probe db.Tuple
 	sh.EachRow("R", func(tp db.Tuple, ann *core.Expr) {
 		if probe == nil {
-			probe = tp
+			probe = tp.Clone() // EachRow lends tp
 		}
 	})
 	if probe == nil {

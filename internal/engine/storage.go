@@ -14,26 +14,26 @@ import (
 //     rows. Point lookups (pinned updates, Annotation/NF) probe a
 //     contiguous slot array by db.Tuple.Fingerprint — no Key() string
 //     is ever built on the lookup path — and disambiguate 64-bit
-//     collisions with Tuple.Equal. Rows are never deleted (tombstones
-//     persist), so probe sequences never break and the writer-only
-//     grow path can rebuild into a fresh array and publish it with a
-//     single atomic store.
+//     collisions by comparing the probe's values with the row's words.
+//     Rows are never deleted (tombstones persist), so probe sequences
+//     never break and the writer-only grow path can rebuild into a
+//     fresh array and publish it with a single atomic store.
 //
-//   - colStore: a struct-of-arrays mirror of the table's tuples — one
-//     payload-word column per attribute plus a parallel sequence
-//     column, all published with the rowList discipline (elements land
-//     before the list's length does, and the length load is the
-//     readers' happens-before edge). Planner full scans test one
-//     =-constant term against the column's words before chasing any row
-//     or version pointer, and visibility counting walks the sequence
-//     column without touching rows at all.
+//   - colStore: the table's values, struct-of-arrays — one payload-word
+//     column per attribute plus a parallel sequence column, all
+//     published with the rowList discipline (elements land before the
+//     list's length does, and the length load is the readers'
+//     happens-before edge). The words are the rows' only copy of their
+//     values, which readers build tuples from. Selections test terms
+//     against the words before chasing any row or version pointer, and
+//     visibility counting walks the sequence column alone.
 //
 // Memory model: the writer is serialized by the write lock. It
 // stores elements with plain writes, then publishes them through an
 // atomic store (the map's slot pointer, or the table list's length);
 // readers load the atomic first and only then read the plainly-written
 // memory, which is the same release/acquire pairing rowList has always
-// used.
+// used. A row's words land before either publishes the row.
 
 // rowSlots is one published generation of a rowMap: a power-of-two
 // slot array probed linearly from fp & mask.
@@ -42,18 +42,19 @@ type rowSlots struct {
 	slots []atomic.Pointer[row]
 }
 
-// rowMap is the fingerprint-keyed row index of a table. Readers use
-// get concurrently with a writer's add; the writer is serialized by
-// the write lock.
+// rowMap is the fingerprint-keyed row index of a table, whose words are
+// in cols. Readers use get concurrently with a writer's add; the writer
+// is serialized by the write lock.
 type rowMap struct {
-	tab atomic.Pointer[rowSlots]
-	n   int // writer-only: rows stored
+	tab  atomic.Pointer[rowSlots]
+	n    int // writer-only: rows stored
+	cols *colStore
 }
 
 // get returns the row stored for the tuple, or nil. Lock-free and
 // allocation-free: the probe compares fingerprints first and confirms
-// with tuple equality, so a fingerprint collision costs an extra
-// compare, never a wrong row.
+// with the words, so a fingerprint collision costs an extra compare,
+// never a wrong row.
 func (m *rowMap) get(fp uint64, t db.Tuple) *row {
 	tab := m.tab.Load()
 	if tab == nil {
@@ -64,7 +65,7 @@ func (m *rowMap) get(fp uint64, t db.Tuple) *row {
 		if r == nil {
 			return nil
 		}
-		if r.fp == fp && r.tuple.Equal(t) {
+		if r.fp == fp && m.cols.holds(int(r.pos), t) {
 			return r
 		}
 	}
@@ -205,24 +206,72 @@ func (c *wordCol) appendAt(n int, w uint64) {
 	dir[ci][off] = w
 }
 
-// colStore is the columnar mirror of a table: one word column per
-// attribute plus the parallel sequence column, indexed by row position.
+// colStore holds a table's values: one word column per attribute, whose
+// words have the kind kinds names, plus the parallel sequence column,
+// indexed by row position.
 type colStore struct {
-	cols []wordCol
-	seqs wordCol
+	kinds []db.Kind
+	cols  []wordCol
+	seqs  wordCol
 }
 
-func (c *colStore) init(arity int) {
-	c.cols = make([]wordCol, arity)
+func (c *colStore) init(rel *db.RelationSchema) {
+	c.kinds, c.cols = make([]db.Kind, len(rel.Attrs)), make([]wordCol, len(rel.Attrs))
+	for i, a := range rel.Attrs {
+		c.kinds[i] = a.Kind
+	}
 }
 
-// append mirrors one row at position n (writer-only, before the table
-// list publishes n+1).
+// append stores one row's values at position n (writer-only, before
+// the row is published); t is only read.
 func (c *colStore) append(t db.Tuple, seq uint64, n int) {
 	for i := range c.cols {
 		c.cols[i].appendAt(n, t[i].Word())
 	}
 	c.seqs.appendAt(n, seq)
+}
+
+// value returns column col's value at a published position.
+func (c *colStore) value(col, p int) db.Value {
+	return db.FromWord(c.kinds[col], c.cols[col].at(p))
+}
+
+// tuple builds the row at a published position into dst[:0].
+func (c *colStore) tuple(p int, dst db.Tuple) db.Tuple {
+	ci, off := chunkOf(p, colChunkMinBits)
+	dst = dst[:0]
+	for i := range c.cols {
+		dst = append(dst, db.FromWord(c.kinds[i], c.cols[i].chunks()[ci][off]))
+	}
+	return dst
+}
+
+// holds reports whether the row at a published position holds t.
+func (c *colStore) holds(p int, t db.Tuple) bool {
+	if len(t) != len(c.cols) {
+		return false
+	}
+	for i, v := range t {
+		if v != c.value(i, p) {
+			return false
+		}
+	}
+	return true
+}
+
+// matches is u.MatchesTuple for the row at a published position.
+func (c *colStore) matches(p int, u *db.Update) bool {
+	for i := range u.Sel {
+		if !u.Sel[i].MatchesValue(c.value(i, p)) {
+			return false
+		}
+	}
+	for _, cond := range u.Conds {
+		if (c.value(cond.Left, p) == c.value(cond.Right, p)) == cond.Neq {
+			return false
+		}
+	}
+	return true
 }
 
 // --- writer scratch ------------------------------------------------------

@@ -21,21 +21,22 @@ import (
 )
 
 // TestVersionSizePinned: a version is prev + born + the embedded
-// two-word normal form, 32 bytes, and a row is 64, so a fresh row and
-// its first version fill one 96-byte allocation. A word here is a word
-// per version forever.
+// two-word normal form, 32 bytes, and a row — no tuple, its values are
+// the word columns' — is 40, so a fresh row and its first version take
+// 72 bytes, one 80-byte allocation. A word here is a word per version
+// forever.
 func TestVersionSizePinned(t *testing.T) {
 	if got := unsafe.Sizeof(version{}); got != 32 {
 		t.Fatalf("unsafe.Sizeof(version{}) = %d, want 32", got)
 	}
-	if got := unsafe.Sizeof(row{}); got != 64 {
-		t.Fatalf("unsafe.Sizeof(row{}) = %d, want 64", got)
+	if got := unsafe.Sizeof(row{}); got != 40 {
+		t.Fatalf("unsafe.Sizeof(row{}) = %d, want 40", got)
 	}
 	if got := unsafe.Sizeof(struct {
 		row
 		first version
-	}{}); got != 96 {
-		t.Fatalf("a row and its first version take %d bytes, want 96", got)
+	}{}); got != 72 {
+		t.Fatalf("a row and its first version take %d bytes, want 72", got)
 	}
 }
 
@@ -260,13 +261,15 @@ func TestModifyScratchBounded(t *testing.T) {
 	retained()
 }
 
-// TestStagedTargetsNeverAliasScratch: a modification stages each target
-// in e.staged, and nothing it stores may keep that array. (a) Sources
-// collapsing onto a stored tuple add no row and leave that row's tuple
-// in its array. (b) Fresh targets, several in one transaction and then
-// across transactions, keep their values while later targets are staged;
-// no row's tuple shares the scratch, and a view pinned in between reads
-// the same tuples, while a reader goroutine walks the live rows.
+// TestStagedTargetsNeverAliasScratch: a modification builds each source
+// in e.source and stages its target in e.staged, and nothing it keeps —
+// a group's target, whose words a fresh row takes — may share those
+// arrays. (a) Sources collapsing onto a stored tuple add no row and leave
+// that row at its position with its words. (b) Fresh targets, several in
+// one transaction and then across transactions, keep their values while
+// later targets are staged; no group target shares the scratch, and a
+// view pinned in between reads the same tuples, while a reader goroutine
+// walks the live rows' words.
 func TestStagedTargetsNeverAliasScratch(t *testing.T) {
 	overlaps := func(a, b db.Tuple) bool {
 		pa, pb := uintptr(unsafe.Pointer(unsafe.SliceData(a))), uintptr(unsafe.Pointer(unsafe.SliceData(b)))
@@ -298,24 +301,23 @@ func TestStagedTargetsNeverAliasScratch(t *testing.T) {
 					if cap(e.staged) == 0 {
 						t.Fatal("no target was staged")
 					}
-					for _, r := range tbl.list.snapshot() {
-						if overlaps(r.tuple, e.staged) {
-							t.Fatalf("row %v shares the staged target's array", r.tuple)
-						}
+					if overlaps(e.mod.vals, e.staged) || overlaps(e.mod.vals, e.source) {
+						t.Fatal("the groups' targets share the staging scratch's array")
 					}
 				}
+				tuple := func(r *row) db.Tuple { return tbl.tuple(r, nil) }
 
 				// (a) (0,0), (3,0), (6,0), (9,0) collapse onto the stored (0,0), twice.
 				into := kv(0, 0)
 				stored := tbl.rows.get(into.Fingerprint(), into)
-				first, n := &stored.tuple[0], e.NumRows()
+				first, n := stored.pos, e.NumRows()
 				for _, label := range []string{"a1", "a2"} {
 					apply(label, db.Modify("R", byV(0), []db.SetClause{db.SetTo(db.I(0)), db.Keep()}))
 					if got := e.NumRows(); got != n {
 						t.Fatalf("%s: a modification onto a stored tuple made %d rows of %d", label, got, n)
 					}
-					if r := tbl.rows.get(into.Fingerprint(), into); r != stored || &r.tuple[0] != first {
-						t.Fatalf("%s: the stored target's row or tuple array moved", label)
+					if r := tbl.rows.get(into.Fingerprint(), into); r != stored || r.pos != first || !tuple(r).Equal(into) {
+						t.Fatalf("%s: the stored target's row, position or words moved", label)
 					}
 					noAlias()
 				}
@@ -326,11 +328,11 @@ func TestStagedTargetsNeverAliasScratch(t *testing.T) {
 				pinned := e.At(e.Horizon()).(*view)
 				var want []db.Tuple
 				for _, r := range pinned.rows("R") {
-					want = append(want, r.tuple.Clone())
+					want = append(want, tuple(r))
 				}
 				rowsBefore := tbl.list.snapshot()
 				// Under -race, a reader beside the writer races with any
-				// row whose tuple is the scratch being staged into.
+				// row whose words are written after it is published.
 				stop, seen := make(chan struct{}), uint64(0)
 				var wg sync.WaitGroup
 				wg.Add(1)
@@ -342,8 +344,10 @@ func TestStagedTargetsNeverAliasScratch(t *testing.T) {
 							return
 						default:
 						}
+						var buf db.Tuple
 						for _, r := range e.At(e.Horizon()).(*view).rows("R") {
-							seen += r.tuple.Fingerprint()
+							buf = tbl.tuple(r, buf)
+							seen += buf.Fingerprint()
 						}
 					}
 				}()
@@ -352,8 +356,8 @@ func TestStagedTargetsNeverAliasScratch(t *testing.T) {
 					apply(fmt.Sprintf("b%d", i+2), db.Modify("R", byV(v), setV(v+20)))
 					noAlias()
 					for j, r := range rowsBefore {
-						if !r.tuple.Equal(want[j]) {
-							t.Fatalf("after staging %d more targets row %d reads %v, want %v", i+1, j, r.tuple, want[j])
+						if got := tuple(r); !got.Equal(want[j]) {
+							t.Fatalf("after staging %d more targets row %d reads %v, want %v", i+1, j, got, want[j])
 						}
 					}
 					got := pinned.rows("R")
@@ -361,8 +365,8 @@ func TestStagedTargetsNeverAliasScratch(t *testing.T) {
 						t.Fatalf("the pinned view holds %d rows, held %d", len(got), len(want))
 					}
 					for j, r := range got {
-						if !r.tuple.Equal(want[j]) {
-							t.Fatalf("the pinned view's row %d reads %v, read %v", j, r.tuple, want[j])
+						if tu := tuple(r); !tu.Equal(want[j]) {
+							t.Fatalf("the pinned view's row %d reads %v, read %v", j, tu, want[j])
 						}
 					}
 				}
@@ -409,9 +413,9 @@ func TestModGroupsUnderCollision(t *testing.T) {
 // TestCommitHookRowsBorrowed: ev.Rows is valid during the hook call
 // only. A hook that keeps the slice without copying reads wiped entries
 // once the call returned (and would read the next epoch's rows after
-// that); a hook that copies keeps the epoch's rows. The shards=4 subtest
-// opens the engine with the deprecated WithShards(4), which must change
-// nothing.
+// that); a hook that copies keeps the epoch's refs, and RowTuple reads
+// their rows' values after the call. The shards=4 subtest opens the
+// engine with the deprecated WithShards(4), which must change nothing.
 func TestCommitHookRowsBorrowed(t *testing.T) {
 	for _, shards := range []int{1, 4} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
@@ -438,10 +442,10 @@ func TestCommitHookRowsBorrowed(t *testing.T) {
 					t.Fatalf("event %d: %d rows copied, %d kept, want 2 and 2", i, len(copied[i]), len(kept[i]))
 				}
 				for j, ref := range copied[i] {
-					if ref.Rel != "R" || ref.Tuple[1].Int() != int64(i) {
-						t.Fatalf("event %d: the copy holds %v", i, ref)
+					if tu, ok := RowTuple(d, ref, nil); !ok || ref.Rel != "R" || tu[1].Int() != int64(i) {
+						t.Fatalf("event %d: the copy holds %v, a row holding %v", i, ref, tu)
 					}
-					if k := kept[i][j]; k.Rel != "" || k.Tuple != nil {
+					if k := kept[i][j]; k != (RowRef{}) {
 						t.Fatalf("event %d: the uncopied slice still reads %v after the call", i, k)
 					}
 				}

@@ -95,11 +95,11 @@ func streamKeys(t *testing.T, ctx context.Context, r Reader, val *upstruct.Valua
 	window := StreamWindow(workers)
 	var got []string
 	calls, ended := 0, false
-	slots, err := LiveStream(ctx, r, val, workers, rels, func(c Chunk[[]string], live []db.Tuple) {
+	slots, err := LiveStream(ctx, r, val, workers, rels, func(c Chunk[[]string], live LiveRows) {
 		keys := (*c.Slot)[:0]
-		for _, tp := range live {
+		live.Each(func(tp db.Tuple) {
 			keys = append(keys, c.Rel+"/"+tp.Key())
-		}
+		})
 		*c.Slot = keys
 	}, func(ready []Chunk[[]string], more bool) error {
 		if ended {
@@ -222,7 +222,7 @@ func TestChunkWalkerCancellation(t *testing.T) {
 	for _, r := range []Reader{e, wrappedDB{DB: e, t: t}} {
 		visited := false
 		_, err := LiveStream(ctx, r, upstruct.Dead(), 2, e.Schema().Names(),
-			func(Chunk[struct{}], []db.Tuple) { visited = true },
+			func(Chunk[struct{}], LiveRows) { visited = true },
 			func([]Chunk[struct{}], bool) error { visited = true; return nil })
 		if !errors.Is(err, context.Canceled) || visited {
 			t.Errorf("%T: LiveStream on a cancelled context returned %v, visited=%v", r, err, visited)
@@ -271,7 +271,7 @@ func TestLiveStreamWindow(t *testing.T) {
 			var encoded, written, over atomic.Int64
 			release, done := make(chan struct{}), make(chan error, 1)
 			go func() {
-				_, err := LiveStream(context.Background(), e, val, workers, initial.Schema().Names(), func(Chunk[struct{}], []db.Tuple) {
+				_, err := LiveStream(context.Background(), e, val, workers, initial.Schema().Names(), func(Chunk[struct{}], LiveRows) {
 					if n := encoded.Add(1); n > written.Load()+window {
 						over.Store(n - written.Load())
 					}
@@ -309,7 +309,7 @@ func TestLiveStreamWindow(t *testing.T) {
 			entered, release, done := make(chan struct{}), make(chan struct{}), make(chan error, 1)
 			calls := 0
 			go func() {
-				_, err := LiveStream(ctx, e, val, workers, initial.Schema().Names(), func(Chunk[struct{}], []db.Tuple) {}, func([]Chunk[struct{}], bool) error {
+				_, err := LiveStream(ctx, e, val, workers, initial.Schema().Names(), func(Chunk[struct{}], LiveRows) {}, func([]Chunk[struct{}], bool) error {
 					if calls++; calls == 2 { // past the first window, chunks remain
 						close(entered)
 						<-release

@@ -190,7 +190,7 @@ func (l *logParser) query() (db.Update, string, error) {
 		if len(raws) != n {
 			return db.Update{}, "", fmt.Errorf("parser: insertion into %s needs %d constants, got %d", rel.Name, n, len(raws))
 		}
-		row := make(db.Tuple, n)
+		row := db.Tuple(l.b.Values(n))
 		for i, rt := range raws {
 			if !rt.isConst {
 				return db.Update{}, "", fmt.Errorf("parser: insertion terms must be constants (position %d)", i)

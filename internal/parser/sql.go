@@ -161,8 +161,8 @@ func (l *logParser) parseInsert() (db.Update, error) {
 	if err := l.expectPunct("("); err != nil {
 		return db.Update{}, err
 	}
-	row := make(db.Tuple, 0, rel.Arity())
-	for i := 0; i < rel.Arity(); i++ {
+	row := db.Tuple(l.b.Values(rel.Arity()))
+	for i := range row {
 		if i > 0 {
 			if err := l.expectPunct(","); err != nil {
 				return db.Update{}, err
@@ -172,7 +172,7 @@ func (l *logParser) parseInsert() (db.Update, error) {
 		if err != nil {
 			return db.Update{}, err
 		}
-		row = append(row, v)
+		row[i] = v
 	}
 	if err := l.expectPunct(")"); err != nil {
 		return db.Update{}, err

@@ -342,7 +342,7 @@ func oracleSaveSnapshot(w io.Writer, src Source, workers int) error {
 	}
 	var flat []flatRow
 	src.Rows(func(name string, t db.Tuple, ann *core.Expr) {
-		flat = append(flat, flatRow{rel: name, tuple: t, ann: ann})
+		flat = append(flat, flatRow{rel: name, tuple: t.Clone(), ann: ann}) // Rows lends t
 	})
 
 	anns := make([]*core.Expr, len(flat))

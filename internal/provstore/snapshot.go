@@ -114,12 +114,15 @@ type rowWriter struct {
 	// cache misses on disjoint memory: row by row they run end to end, in
 	// turns the loads of one kind overlap, and queue reads a word of each
 	// annotation's root so that row finds it cached (−40 % encode time).
+	// The source lends each tuple for its call, so the window's are
+	// copied into vals (32 kB); a window is full when either is.
 	window [256]struct {
 		rel string
 		t   db.Tuple
 		ann *core.Expr
 	}
-	n       int
+	vals    [2048]db.Value
+	n, nval int
 	touched uint64 // what queue read: a store keeps the read
 }
 
@@ -147,11 +150,12 @@ func (rw *rowWriter) endRelation() {
 }
 
 func (rw *rowWriter) queue(rel string, t db.Tuple, ann *core.Expr) {
-	if rw.n == len(rw.window) {
+	if rw.n == len(rw.window) || rw.nval+len(t) > len(rw.vals) {
 		rw.flush()
 	}
 	w := &rw.window[rw.n]
-	w.rel, w.t, w.ann = rel, t, ann
+	w.rel, w.t, w.ann = rel, append(rw.vals[rw.nval:rw.nval], t...), ann // a copy of its own if wider than vals
+	rw.nval += len(t)
 	rw.n++
 	rw.touched += ann.Hash()
 }
@@ -160,7 +164,7 @@ func (rw *rowWriter) flush() {
 	for i := range rw.window[:rw.n] {
 		rw.row(rw.window[i].rel, rw.window[i].t, rw.window[i].ann)
 	}
-	rw.n = 0
+	rw.n, rw.nval = 0, 0
 }
 
 func (rw *rowWriter) row(name string, t db.Tuple, ann *core.Expr) {

@@ -55,19 +55,20 @@ type liveSlot struct {
 }
 
 // encode renders a chunk's live tuples on the worker that evaluated it.
-func (sl *liveSlot) encode(rel *db.RelationSchema, live []db.Tuple) {
+func (sl *liveSlot) encode(rel *db.RelationSchema, live engine.LiveRows) {
 	if sl.buf == nil {
 		sl.buf = liveBufPool.Get().(*[]byte)
 	}
 	b := (*sl.buf)[:0]
-	sl.live, sl.err = len(live), nil
-	for _, t := range live {
+	sl.live, sl.err = 0, nil
+	live.Each(func(t db.Tuple) {
+		sl.live++
 		b = append(b, ',')
 		var bad int
 		if b, bad = t.AppendJSON(b); bad >= 0 && sl.err == nil {
 			sl.err = fmt.Errorf("relation %s attribute %s: float value %v has no JSON encoding", rel.Name, rel.Attrs[bad].Name, t[bad])
 		}
-	}
+	})
 	*sl.buf = b
 }
 
@@ -170,7 +171,7 @@ func (s *Server) serveLive(w http.ResponseWriter, req *http.Request, e engine.Re
 	}
 	streamed := false
 	slots, err := engine.LiveStream(req.Context(), e, val, workers, body.names,
-		func(c engine.Chunk[liveSlot], live []db.Tuple) { c.Slot.encode(schema.Relation(c.Rel), live) },
+		func(c engine.Chunk[liveSlot], live engine.LiveRows) { c.Slot.encode(schema.Relation(c.Rel), live) },
 		func(ready []engine.Chunk[liveSlot], more bool) error {
 			for _, c := range ready {
 				if err := c.Slot.err; err != nil {

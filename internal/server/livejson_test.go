@@ -281,7 +281,7 @@ func TestLiveJSONDifferential(t *testing.T) {
 func firstWindow(t *testing.T, r engine.Reader, workers int) (first, chunks int) {
 	t.Helper()
 	_, err := engine.LiveStream(context.Background(), r, upstruct.Dead(), workers, r.Schema().Names(),
-		func(engine.Chunk[struct{}], []db.Tuple) {}, func(ready []engine.Chunk[struct{}], _ bool) error {
+		func(engine.Chunk[struct{}], engine.LiveRows) {}, func(ready []engine.Chunk[struct{}], _ bool) error {
 			if chunks == 0 {
 				first = len(ready)
 			}

@@ -210,6 +210,35 @@ func TestFoldAllocsIndependentOfHistory(t *testing.T) {
 	}
 }
 
+// TestHookAllocsNothing: with subscriptions registered the commit hook
+// queues an event's row refs in a buffer the dispatcher handed back, so
+// once warm it allocates nothing per commit. The measured event is one
+// every subscription has folded in already (Seq 0), so the dispatcher
+// folds nothing and what is counted is the hook's.
+func TestHookAllocsNothing(t *testing.T) {
+	f := newFolder(t, 10)
+	defer f.m.Close()
+	f.commit(t, 4)
+	ev := f.events[len(f.events)-1]
+	if ev.Seq = 0; len(ev.Rows) == 0 {
+		t.Fatal("the event names no rows")
+	}
+	// The dispatcher waits on the lock while the hook fills the queue, so
+	// the warm-up leaves as many buffers as a measured run can hold.
+	f.m.mu.Lock()
+	for range queueDepth - 1 {
+		f.m.hook(ev)
+	}
+	f.m.mu.Unlock()
+	f.m.Sync()
+	if allocs := testing.AllocsPerRun(100, func() { f.m.hook(ev) }); allocs != 0 {
+		t.Fatalf("the commit hook allocates %v times per commit, want 0", allocs)
+	}
+	if st := f.m.StatsSnapshot(); st.EventDrops != 0 {
+		t.Fatalf("the hook dropped %d events", st.EventDrops)
+	}
+}
+
 // snapshotSink is where TestSnapshotAllocsIndependentOfRows streams
 // snapshots: it counts the bytes, keeps the largest write, and notes a
 // write made while the manager's lock was held.

@@ -80,7 +80,8 @@ const maxFrameNodes = 1 << 24
 // span is a byte range of the fold's scratch buffer.
 type span struct{ lo, hi int }
 
-// touched is one row a frame may carry.
+// touched is one row a frame may carry, named by its ref: its values
+// are read from the fold's view when a frame needs them.
 type touched struct {
 	engine.RowRef
 	before, after *core.Expr // its annotation on either side of the commit, nil when absent
@@ -89,9 +90,16 @@ type touched struct {
 	head          span       // `{"rel":…,"tuple":[…]`, rendered by a commit's first delta to carry the row and shared by the rest
 }
 
+// tuple builds r's values into the fold's scratch: valid until the next
+// call.
+func (f *fold) tuple(r *touched) db.Tuple {
+	f.tup, _ = engine.RowTuple(f.v, r.RowRef, f.tup) // add found the row
+	return f.tup
+}
+
 // appendHead appends the row's `{"rel":…,"tuple":[…]`.
-func (r *touched) appendHead(b []byte) []byte {
-	b, _ = r.Tuple.AppendJSON(append(db.AppendJSONString(append(b, `{"rel":`...), r.Rel), `,"tuple":`...))
+func (f *fold) appendHead(b []byte, r *touched) []byte {
+	b, _ = f.tuple(r).AppendJSON(append(db.AppendJSONString(append(b, `{"rel":`...), r.Rel), `,"tuple":`...))
 	return b
 }
 
@@ -104,24 +112,28 @@ func (r *touched) ann(after bool) *core.Expr {
 }
 
 // fold is the scratch for one commit (guarded by Manager.mu) or one
-// snapshot (pooled): the rows in play, their keys, their wire order.
+// snapshot (pooled): the rows in play, their keys, their wire order, the
+// view their values are read through and a tuple to read them into.
 type fold struct {
 	rows  []touched
 	order []int32
 	buf   []byte
+	v     engine.Reader
+	tup   db.Tuple
 }
 
-func (f *fold) reset() {
+// reset empties the fold for rows read through v.
+func (f *fold) reset(v engine.Reader) {
 	if cap(f.rows) > 1<<14 {
 		*f = fold{} // a bulk commit's scratch is not kept for 25-row commits
 	}
-	f.rows, f.order, f.buf = f.rows[:0], f.order[:0], f.buf[:0]
+	f.rows, f.order, f.buf, f.v = f.rows[:0], f.order[:0], f.buf[:0], v
 }
 
-// add puts a row in play, keyed for the wire order.
-func (f *fold) add(rel int, ref engine.RowRef) *touched {
+// add puts a row holding t in play, keyed for the wire order.
+func (f *fold) add(rel int, ref engine.RowRef, t db.Tuple) *touched {
 	lo := len(f.buf)
-	f.buf = ref.Tuple.AppendKey(f.buf)
+	f.buf = t.AppendKey(f.buf)
 	f.order = append(f.order, int32(len(f.rows)))
 	f.rows = append(f.rows, touched{RowRef: ref, rel: rel, key: span{lo, len(f.buf)}})
 	return &f.rows[len(f.rows)-1]
@@ -171,7 +183,7 @@ func (f *fold) unframeable(s *sub, lists []rowList) string {
 	for _, l := range lists {
 		for _, i := range l.rows {
 			r := &f.rows[i]
-			for _, v := range r.Tuple {
+			for _, v := range f.tuple(r) {
 				if f := v.Float(); math.IsNaN(f) || math.IsInf(f, 0) {
 					return "a member row holds a float with no JSON encoding"
 				}
@@ -202,11 +214,11 @@ func (f *fold) frame(b []byte, w io.Writer, typ string, s *sub, epoch uint64, la
 			}
 			r := &f.rows[i]
 			if w != nil {
-				b = r.appendHead(b)
+				b = f.appendHead(b, r)
 			} else {
 				if r.head == (span{}) {
 					lo := len(f.buf)
-					f.buf = r.appendHead(f.buf)
+					f.buf = f.appendHead(f.buf, r)
 					r.head = span{lo, len(f.buf)}
 				}
 				b = append(b, f.buf[r.head.lo:r.head.hi]...)
@@ -247,10 +259,13 @@ var snapPool = sync.Pool{New: func() any { return &snapshot{window: make([]byte,
 
 // collect gathers s's rows at its horizon for an ack or resync through
 // the kernel (warming its memo) or the pattern, in wire order, and
-// decides framability. Callers hold m.mu; the render it returns reads
-// only the pinned view and s's head, so it runs after they release it.
+// decides framability. It keeps refs, not values: the frame reads those
+// from the view as it renders. Callers hold m.mu; the render it returns
+// reads only the pinned view and s's head, so it runs after they release
+// it.
 func (m *Manager) collect(typ string, s *sub) (render func(w io.Writer) error, fail string) {
 	v, sn := m.d.At(s.since), snapPool.Get().(*snapshot)
+	sn.v = v           // release emptied the rest
 	if s.kern != nil { // a what-if's members are most of the view
 		sn.rows, sn.order = slices.Grow(sn.rows, v.NumRows()), slices.Grow(sn.order, v.NumRows())
 	}
@@ -258,9 +273,9 @@ func (m *Manager) collect(typ string, s *sub) (render func(w io.Writer) error, f
 		if s.kern == nil && rel != s.spec.Rel {
 			continue
 		}
-		v.EachRow(rel, func(t db.Tuple, ann *core.Expr) {
+		engine.EachRowRef(v, rel, func(ref engine.RowRef, t db.Tuple, ann *core.Expr) {
 			if s.kern != nil && s.kern.Eval(ann) || s.kern == nil && !ann.IsZero() && s.pat.Matches(t) {
-				sn.add(ri, engine.RowRef{Rel: rel, Tuple: t}).after = ann
+				sn.add(ri, ref, t).after = ann
 			}
 		})
 	}
@@ -282,10 +297,11 @@ func (m *Manager) collect(typ string, s *sub) (render func(w io.Writer) error, f
 	}, ""
 }
 
-// release pools the snapshot, its scratch emptied so it pins no row.
+// release pools the snapshot, its scratch emptied so it pins no row
+// and no engine.
 func (sn *snapshot) release() {
 	clear(sn.rows)
-	sn.rows, sn.order, sn.buf = sn.rows[:0], sn.order[:0], sn.buf[:0]
+	sn.rows, sn.order, sn.buf, sn.v = sn.rows[:0], sn.order[:0], sn.buf[:0], nil
 	snapPool.Put(sn)
 }
 

@@ -60,6 +60,7 @@ type Manager struct {
 	fold    fold
 
 	items  chan item
+	free   chan []engine.RowRef // the row buffers of folded events, for the hook
 	stop   chan struct{}
 	wg     sync.WaitGroup
 	closed bool
@@ -93,7 +94,7 @@ const (
 // NewManager builds a manager over d and installs its commit hook.
 // Close must be called to uninstall it and stop the dispatcher.
 func NewManager(d source) *Manager {
-	m := &Manager{d: d, conns: make(map[*Conn]struct{}), items: make(chan item, queueDepth), stop: make(chan struct{})}
+	m := &Manager{d: d, conns: make(map[*Conn]struct{}), items: make(chan item, queueDepth), free: make(chan []engine.RowRef, queueDepth), stop: make(chan struct{})}
 	m.lastSeq.Store(d.Horizon())
 	m.wg.Add(1)
 	go m.dispatch()
@@ -104,9 +105,9 @@ func NewManager(d source) *Manager {
 // hook is the commit hook. It runs on the committing goroutine with
 // engine locks held and must never block: overflow drops the event and
 // flags a rebuild. ev.Rows is the engine's buffer, borrowed for the
-// call (engine.CommitHook), so an event that is queued takes an
-// exact-size copy — the only per-commit allocation of the hook, and
-// only while a subscription exists.
+// call (engine.CommitHook), so an event that is queued takes a copy, in
+// a buffer the dispatcher hands back once it has folded the event in:
+// the hook allocates only when every buffer is in the queue.
 func (m *Manager) hook(ev engine.CommitEvent) {
 	m.events.Add(1)
 	if m.nsubs.Load() == 0 && ev.Kind != engine.CommitReset {
@@ -117,7 +118,12 @@ func (m *Manager) hook(ev engine.CommitEvent) {
 	if ev.Kind == engine.CommitReset {
 		m.resets.Add(1)
 	}
-	ev.Rows = slices.Clone(ev.Rows)
+	var rows []engine.RowRef
+	select {
+	case rows = <-m.free:
+	default:
+	}
+	ev.Rows = append(rows, ev.Rows...)
 	select {
 	case m.items <- item{ev: ev, resets: m.resets.Load()}:
 	default:
@@ -125,6 +131,10 @@ func (m *Manager) hook(ev engine.CommitEvent) {
 		m.lost.Store(true)
 	}
 }
+
+// freeRowsKeep is the longest row buffer the hook's free list keeps
+// (6 kB), so the queueDepth buffers it holds at most stay small.
+const freeRowsKeep = 256
 
 // storeLastSeq advances lastSeq monotonically: the hook stores it on the
 // committing goroutine while no subscription exists, the dispatcher when
@@ -151,6 +161,12 @@ func (m *Manager) dispatch() {
 				m.rebuild()
 			} else if it.sync == nil && it.resets == m.resets.Load() {
 				m.applyEvent(it.ev)
+			}
+			if rows := it.ev.Rows; cap(rows) > 0 && cap(rows) <= freeRowsKeep {
+				select {
+				case m.free <- rows[:0]: // for the hook
+				default:
+				}
 			}
 			if it.sync != nil {
 				close(it.sync)
@@ -183,12 +199,18 @@ func (m *Manager) applyEvent(ev engine.CommitEvent) {
 		return
 	}
 	f, rels := &m.fold, m.d.Schema().Names()
-	f.reset()
+	before, after := m.d.At(since), m.d.At(ev.Seq)
+	f.reset(after)
+	defer f.reset(nil) // the fold pins no engine between commits
 	for _, ref := range ev.Rows {
-		f.add(slices.Index(rels, ref.Rel), ref)
+		// A ref to no row comes from an engine a reset has just replaced:
+		// the rebuild it queued covers the event.
+		var ok bool
+		if f.tup, ok = engine.RowTuple(after, ref, f.tup); ok {
+			f.add(slices.Index(rels, ref.Rel), ref, f.tup)
+		}
 	}
 	f.sort()
-	before, after := m.d.At(since), m.d.At(ev.Seq)
 	fanout := uint64(0)
 	for _, i := range f.order {
 		r := &f.rows[i]
@@ -196,7 +218,8 @@ func (m *Manager) applyEvent(ev engine.CommitEvent) {
 		if len(m.whatifs)+len(watches) == 0 {
 			continue
 		}
-		r.before, r.after = before.Annotation(r.Rel, r.Tuple), after.Annotation(r.Rel, r.Tuple)
+		t := f.tuple(r)
+		r.before, r.after = before.Annotation(r.Rel, t), after.Annotation(r.Rel, t)
 		for _, s := range m.whatifs {
 			if s.since < ev.Seq {
 				fanout++
@@ -205,7 +228,7 @@ func (m *Manager) applyEvent(ev engine.CommitEvent) {
 		}
 		was, is := r.before != nil && !r.before.IsZero(), r.after != nil && !r.after.IsZero()
 		for _, s := range watches {
-			if s.since < ev.Seq && s.pat.Matches(r.Tuple) {
+			if s.since < ev.Seq && s.pat.Matches(t) {
 				fanout++
 				s.move(i, was, is, was && is && !r.before.Equal(r.after))
 			}

@@ -276,7 +276,7 @@ func (d *recDecoder) count(limit uint64, what string) int {
 }
 
 func (d *recDecoder) tuple() db.Tuple {
-	t := make(db.Tuple, d.count(maxWireArity, "tuple arity")) // the engine keeps an inserted row
+	t := db.Tuple(d.b.Values(d.count(maxWireArity, "tuple arity")))
 	for i := range t {
 		t[i] = d.value()
 	}

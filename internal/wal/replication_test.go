@@ -147,7 +147,7 @@ func requireSameReads(t *testing.T, label string, want, got engine.Reader) {
 		// NF agreement on a sample of rows (NF is derived per lookup, so
 		// checking every row of every relation would dominate the test).
 		var tuples []db.Tuple
-		want.EachRow(rel, func(tp db.Tuple, _ *core.Expr) { tuples = append(tuples, tp) })
+		want.EachRow(rel, func(tp db.Tuple, _ *core.Expr) { tuples = append(tuples, tp.Clone()) })
 		for i := 0; i < len(tuples); i += 1 + len(tuples)/16 {
 			w, g := nfString(want.NF(rel, tuples[i])), nfString(got.NF(rel, tuples[i]))
 			if w != g {
