@@ -12,7 +12,8 @@ import (
 // mvcc.go). Rows are retained after logical deletion (tombstones) so
 // that provenance can be inspected and updates can be undone by
 // valuation; the provenance itself lives in the versions reached
-// through head; its values are the table's words at pos (storage.go).
+// through head; its values and creation sequence are the table's
+// columns at pos (storage.go).
 type row struct {
 	// fp is the tuple's db.Tuple.Fingerprint, cached at insertion: the
 	// rowMap probes compare it before the words, so the hot path never
@@ -22,14 +23,8 @@ type row struct {
 	// touched is the epoch of the last transaction that touched the row:
 	// what keeps a row once in its transaction's freeze list and event.
 	touched uint64
-	// seq is the row's creation sequence number, epoch<<32|counter: the
-	// epoch is the transaction (or restore) that created the row and the
-	// counter its creation index within that epoch. Sequence numbers are
-	// unique per engine and increase along the table list, and a row is
-	// visible at horizon s iff seq ≤ s.
-	seq uint64
-	// pos is the row's position in its table's list — unique per table
-	// and monotone in insertion order. Posting lists hold rows as their
+	// pos is the row's position in its table — unique per table and
+	// monotone in insertion order. Posting lists hold rows as their
 	// positions, kept sorted so index scans visit rows in full-scan order.
 	pos uint32
 	// head points at the newest version; readers resolve it against
@@ -51,14 +46,11 @@ type table struct {
 	// while the serialized writer stores new rows; no Key() string is
 	// built on either side.
 	rows rowMap
-	// list holds the rows in insertion order; rows are never removed,
-	// and scans iterate it for determinism: the order of Σ summands
-	// must not depend on map iteration. The rowList publication order
-	// (element before length) makes concurrent lock-free reads safe.
-	list rowList
-	// cols holds the tuples column-major (struct-of-arrays), one payload
-	// word per value, with a parallel sequence column; selections and
-	// visibility counting read those instead of chasing row pointers.
+	// cols holds the table by position (struct-of-arrays): one payload
+	// word per value, the rows' creation sequences and the rows, in
+	// insertion order. Rows are never removed, and scans walk them in
+	// this order for determinism: the order of Σ summands must not
+	// depend on map iteration.
 	cols colStore
 	// idx holds the relation's secondary indexes and the advisor's
 	// counters (index.go), guarded by the write lock.
@@ -72,15 +64,15 @@ func newTable(rel *db.RelationSchema) *table {
 	return tbl
 }
 
-// add stores a new row holding tup (writer-only): its words first, then
-// the fingerprint map and the list append that publish the row to point
-// and ordered readers. tup is only read.
+// add stores a new row holding tup (writer-only): its columns first,
+// then the fingerprint map, then the length that publishes the row to
+// ordered readers. tup is only read.
 func (t *table) add(r *row, tup db.Tuple) {
-	n := t.list.len()
+	n := t.cols.len()
 	r.pos = uint32(n) // a relation holds fewer than 2³² rows: posting lists store uint32 positions
-	t.cols.append(tup, r.seq, n)
+	t.cols.append(r, tup, n)
 	t.rows.add(r)
-	t.list.append(r)
+	t.cols.n.Store(int64(n + 1))
 }
 
 // tuple builds r's tuple into dst[:0].
@@ -93,7 +85,7 @@ func newRow(fp, seq uint64, ann *core.Expr) *row {
 		row
 		first version
 	}{}
-	rv.fp, rv.seq = fp, seq
+	rv.fp = fp
 	rv.first.born = seq
 	rv.first.setExpr(ann)
 	rv.head.Store(&rv.first)
@@ -109,7 +101,7 @@ func (e *Engine) load(rel string, r *row, t db.Tuple) {
 // dropLoaded forgets the rows loaded into a relation so far: their source
 // delivers the relation again (db.RowBatch.Restart).
 func (e *Engine) dropLoaded(rel string) {
-	e.versions.Add(-uint64(e.tables[rel].list.len()))
+	e.versions.Add(-uint64(e.tables[rel].cols.len()))
 	e.tables[rel] = newTable(e.tables[rel].rel)
 }
 

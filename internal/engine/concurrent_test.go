@@ -42,7 +42,7 @@ func specializeOrder(e *engine.Engine) []visit {
 
 // TestSpecializeDeterministicOrder asserts that the serial and parallel
 // provenance-usage paths stream rows of each relation in the same,
-// deterministic sequence: insertion order via tbl.list, never map
+// deterministic sequence: insertion order by row position, never map
 // order. Specialize used to iterate the rows map, so the serial and
 // parallel paths disagreed and reruns shuffled the Σ summand order.
 func TestSpecializeDeterministicOrder(t *testing.T) {
@@ -72,7 +72,7 @@ func TestSpecializeDeterministicOrder(t *testing.T) {
 				t.Fatal("EachRow and Specialize disagree on row order")
 			}
 
-			// The parallel path chunks tbl.list in order; with the visit
+			// The parallel path chunks the positions in order; with the visit
 			// sequence recorded under a mutex and the per-chunk
 			// subsequences stitched back by position, every relation must
 			// see exactly the serial sequence. Chunks interleave, so we

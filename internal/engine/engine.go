@@ -123,7 +123,7 @@ func WithLiveMatching(on bool) Option {
 // Writes. A transaction is one write epoch: the engine takes the write
 // lock, allocates the epoch, applies the updates in order, commits the
 // epoch and releases the lock. Epochs therefore commit in allocation
-// order, the table lists are in sequence order, the rows visible at a
+// order, a table's positions are in sequence order, the rows visible at a
 // horizon are a prefix of them, and a transaction is visible when
 // ApplyTransaction returns. A batch is its transactions applied one after
 // another, in log order, its unindexed =-selections sharing one pass per
@@ -473,32 +473,34 @@ func (e *Engine) MinimizeAll(ctx context.Context) (int64, error) {
 				return n, err
 			}
 		}
-		for _, r := range tbl.list.snapshot() {
-			v := r.latest()
-			if e.mode != ModeNormalForm {
-				n += v.expr().Size()
-				continue
+		tbl.cols.eachRows(0, tbl.cols.len(), func(rows []*row) {
+			for _, r := range rows {
+				v := r.latest()
+				if e.mode != ModeNormalForm {
+					n += v.expr().Size()
+					continue
+				}
+				old := v.nf.ToExpr()
+				m := core.Minimize(old)
+				n += m.Size()
+				if m == old {
+					// Hash-consing makes no-op minimizations pointer-equal:
+					// skip the version churn for already-minimal rows.
+					continue
+				}
+				wasMatchable := e.matchableV(v)
+				nv := e.mutable(r)
+				nv.setExpr(m)
+				if e.collect {
+					e.touch(tbl, r)
+				}
+				// Minimization can collapse a zero-equivalent annotation
+				// to syntactic 0, taking the row out of the support.
+				if wasMatchable && !e.matchableV(nv) {
+					e.indexDead(tbl, r)
+				}
 			}
-			old := v.nf.ToExpr()
-			m := core.Minimize(old)
-			n += m.Size()
-			if m == old {
-				// Hash-consing makes no-op minimizations pointer-equal:
-				// skip the version churn for already-minimal rows.
-				continue
-			}
-			wasMatchable := e.matchableV(v)
-			nv := e.mutable(r)
-			nv.setExpr(m)
-			if e.collect {
-				e.touch(tbl, r)
-			}
-			// Minimization can collapse a zero-equivalent annotation
-			// to syntactic 0, taking the row out of the support.
-			if wasMatchable && !e.matchableV(nv) {
-				e.indexDead(tbl, r)
-			}
-		}
+		})
 	}
 	return n, nil
 }

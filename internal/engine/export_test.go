@@ -10,19 +10,36 @@ const ColChunk = colChunk
 // (> 0) goroutines.
 func StreamWindow(workers int) int { return streamWindowPerWorker * workers }
 
-// ListsOutOfSeqOrder names the first table list that is not strictly
-// increasing in row sequence number, or returns "".
+// ListsOutOfSeqOrder names the first table whose sequence column is not
+// strictly increasing with position, or whose row's oldest version is
+// not born at the row's column sequence, or returns "".
 func ListsOutOfSeqOrder(e *Engine) string {
 	for _, rel := range e.schema.Names() {
+		tbl := e.tables[rel]
 		var last uint64
-		for i, r := range e.tables[rel].list.snapshot() {
-			if i > 0 && r.seq <= last {
-				return fmt.Sprintf("%s[%d]: seq %#x after %#x", rel, i, r.seq, last)
+		for i, r := range rowsOf(tbl, tbl.cols.len()) {
+			seq := tbl.cols.seqs.at(i)
+			if i > 0 && seq <= last {
+				return fmt.Sprintf("%s[%d]: seq %#x after %#x", rel, i, seq, last)
 			}
-			last = r.seq
+			oldest := r.latest()
+			for oldest.prev != nil {
+				oldest = oldest.prev
+			}
+			if oldest.born != seq {
+				return fmt.Sprintf("%s[%d]: oldest version born %#x, column seq %#x", rel, i, oldest.born, seq)
+			}
+			last = seq
 		}
 	}
 	return ""
+}
+
+// rowsOf collects the rows at positions [0, n) of tbl, in order.
+func rowsOf(tbl *table, n int) []*row {
+	var out []*row
+	tbl.cols.eachRows(0, n, func(rows []*row) { out = append(out, rows...) })
+	return out
 }
 
 // PostingVolume sums the lengths of the posting lists of the index on

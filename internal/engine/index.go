@@ -21,7 +21,7 @@ import (
 // yields byte-identical provenance. That license is what this file
 // exploits: each relation may carry any number of per-column hash
 // indexes whose posting lists are kept in row-position order (the
-// tbl.list insertion order), so walking a posting list visits matching
+// table's insertion order), so walking a posting list visits matching
 // rows in exactly the order a full scan would. The differential tests
 // (planner_diff_test.go) enforce this contract: annotations, streaming
 // order and snapshot bytes are identical with indexing on and off.
@@ -55,7 +55,7 @@ import (
 //     the runner-up is close enough in size for the intersection to pay
 //     for itself. ≠-constraints and free variables never use an index
 //     on their own column; a selection with no indexed =-column falls
-//     back to the full tbl.list scan.
+//     back to the full scan of the table.
 //
 //   - shared batch scans (batchScan): ApplyBatch walks a column once for
 //     all of the batch's full scans on it, and fullScan takes the rows
@@ -73,7 +73,7 @@ const (
 
 const postingInlineBits = 2 // a posting list's inline first chunk: four rows allocate nothing
 
-// postingList holds the positions (tbl.list indexes) of the rows carrying
+// postingList holds the positions (row.pos) of the rows carrying
 // one value in one indexed column, strictly increasing — insertion order,
 // so index scans reproduce full-scan order — in chunks laid out as a word
 // column's from an inline first one, never copied or moved. dead counts
@@ -197,7 +197,7 @@ type IndexInfo struct {
 // of update selections planned; Select and SelectEach are reads, walk
 // the rows at their horizon and count nowhere.
 type PlannerStats struct {
-	// FullScans counts selections resolved by walking tbl.list (no
+	// FullScans counts selections resolved by walking the table (no
 	// indexed =-constrained column, e.g. ≠-only patterns).
 	FullScans uint64 `json:"fullScans"`
 	// IndexScans counts selections resolved by walking one posting list.
@@ -282,13 +282,14 @@ func (e *Engine) buildColIndexLocked(tbl *table, col int, auto bool) *colIndex {
 		auto:    auto,
 		byValue: make(map[db.Value]*postingList),
 	}
-	for _, r := range tbl.list.snapshot() {
-		if !e.matchable(r) {
-			continue
+	tbl.cols.eachRows(0, tbl.cols.len(), func(rows []*row) {
+		for _, r := range rows {
+			if e.matchable(r) {
+				ix.list(tbl.cols.value(col, int(r.pos))).push(r.pos, &ix.held) // rows come in pos order
+				ix.entries++
+			}
 		}
-		ix.list(tbl.cols.value(col, int(r.pos))).push(r.pos, &ix.held) // tbl.list is pos-ordered
-		ix.entries++
-	}
+	})
 	tbl.idx.cols[col] = ix
 	tbl.idx.ordered = append(tbl.idx.ordered, ix)
 	delete(tbl.idx.scans, col) // the advisor's job here is done
@@ -419,8 +420,8 @@ func (pl *postingList) retain(keep func(p uint32) bool, held *int) {
 // half the list is dead, and each sweep is linear in the list, so total
 // sweep work is linear in the number of entries ever marked dead.
 func (e *Engine) compact(tbl *table, ix *colIndex, pl *postingList) {
-	rows, n := tbl.list.snapshot(), pl.n
-	pl.retain(func(p uint32) bool { return e.matchable(rows[p]) }, &ix.held)
+	n := pl.n
+	pl.retain(func(p uint32) bool { return e.matchable(tbl.cols.row(int(p))) }, &ix.held)
 	ix.entries -= n - pl.n
 	ix.dead -= pl.dead
 	pl.dead = 0
@@ -433,7 +434,7 @@ func (e *Engine) compact(tbl *table, ix *colIndex, pl *postingList) {
 // scan returns the rows of the table that the selection applies to, in
 // deterministic order: the rows in support (annotation ≠ 0) by default,
 // only the semantically live rows under WithLiveMatching — always in
-// tbl.list insertion order, whatever access path resolves them.
+// the table's insertion order, whatever access path resolves them.
 //
 // A selection whose every term is an =-constant can match one tuple
 // only, so it is a point lookup (see lookupPinned) whatever indexes
@@ -457,10 +458,12 @@ func (e *Engine) scan(tbl *table, u db.Update) []*row {
 	case second != nil:
 		best = e.intersectByPos(best, second)
 	}
-	rows, out := tbl.list.snapshot(), e.getScanBuf()
+	out := e.getScanBuf()
 	for i := 0; i < best.n; i++ {
-		if p := best.from(i)[0]; tbl.cols.matches(int(p), &u) && e.matchable(rows[p]) {
-			out = append(out, rows[p])
+		if p := int(best.from(i)[0]); tbl.cols.matches(p, &u) {
+			if r := tbl.cols.row(p); e.matchable(r) {
+				out = append(out, r)
+			}
 		}
 	}
 	e.plan.examined(best.n, len(out))
@@ -547,36 +550,43 @@ func (e *Engine) lookupPinned(tbl *table, u db.Update, t db.Tuple) []*row {
 // n0 whose word is the constant (see batchScan): those are the candidates
 // there, and the words are walked from n0 on. Without a pass n0 is 0.
 func (e *Engine) fullScan(tbl *table, u db.Update) []*row {
-	rows := tbl.list.snapshot()
+	n, out := tbl.cols.len(), e.getScanBuf()
 	ci := firstConstTerm(u.Sel)
 	if ci < 0 {
-		return e.filterRows(tbl, rows, u)
+		tbl.cols.eachRows(0, n, func(rows []*row) {
+			for _, r := range rows {
+				if tbl.cols.matches(int(r.pos), &u) && e.matchable(r) {
+					out = append(out, r)
+				}
+			}
+		})
+		e.plan.examined(n, len(out))
+		return out
 	}
 	want := u.Sel[ci].Value().Word()
-	out := e.getScanBuf()
 	hits, n0 := e.batch.served(colRef{tbl, ci}, want)
 	if n0 > 0 {
 		e.plan.batchScans.Add(1)
 	}
 	for _, h := range hits {
-		if r := rows[h.pos]; tbl.cols.matches(int(h.pos), &u) && e.matchable(r) {
+		if r := tbl.cols.row(int(h.pos)); tbl.cols.matches(int(h.pos), &u) && e.matchable(r) {
 			out = append(out, r)
 		}
 	}
-	left := rows[n0:]
-	chunks := tbl.cols.cols[ci].chunks()
+	// The word and row columns share one chunk layout: chunk c of one
+	// holds the same positions as chunk c of the other.
+	words, rows := tbl.cols.cols[ci].chunks(), tbl.cols.rows.chunks()
 	c, off := chunkOf(n0, colChunkMinBits)
-	for _, words := range chunks[c:] {
-		words = words[off:min(len(words), off+len(left))]
-		off = 0
-		for i := indexWord(words, want); i < len(words); i += 1 + indexWord(words[i+1:], want) {
-			if r := left[i]; tbl.cols.matches(int(r.pos), &u) && e.matchable(r) {
+	for p := n0; p < n; c, off = c+1, 0 {
+		ws, rs := words[c][off:min(len(words[c]), off+n-p)], rows[c][off:]
+		for i := indexWord(ws, want); i < len(ws); i += 1 + indexWord(ws[i+1:], want) {
+			if r := rs[i]; tbl.cols.matches(int(r.pos), &u) && e.matchable(r) {
 				out = append(out, r)
 			}
 		}
-		left = left[len(words):]
+		p += len(ws)
 	}
-	e.plan.examined(len(hits)+len(rows)-n0, len(out))
+	e.plan.examined(len(hits)+n-n0, len(out))
 	return out
 }
 
@@ -743,7 +753,7 @@ func (e *Engine) prepareBatch(txns []db.Transaction) bool {
 // column's constants.
 func (e *Engine) pass(ref colRef) {
 	b := &e.batch
-	n0, pos, slots := min(ref.tbl.list.len(), math.MaxInt32), 0, b.slots
+	n0, pos, slots := min(ref.tbl.cols.len(), math.MaxInt32), 0, b.slots
 	for _, words := range ref.tbl.cols.cols[ref.col].chunks() {
 		words = words[:min(len(words), n0-pos)]
 		for i, w := range words {
@@ -778,21 +788,6 @@ func firstConstTerm(p db.Pattern) int {
 		}
 	}
 	return -1
-}
-
-// filterRows applies matchability and the full selection to candidate
-// rows of tbl, preserving their order. The result comes from the writer's
-// scan-buffer free-list; callers release it with putScanBuf when the
-// update is done with it.
-func (e *Engine) filterRows(tbl *table, rows []*row, u db.Update) []*row {
-	out := e.getScanBuf()
-	for _, r := range rows {
-		if tbl.cols.matches(int(r.pos), &u) && e.matchable(r) {
-			out = append(out, r)
-		}
-	}
-	e.plan.examined(len(rows), len(out))
-	return out
 }
 
 // intersectByPos merges the positions two posting lists share into the

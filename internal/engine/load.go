@@ -93,10 +93,11 @@ func pipe[B any](produce func(emit func(B) error) error, consume func(B) error) 
 // order — so names depend on the data alone, never on how the source
 // batched. The source runs beside the loader (see pipe). From a
 // relation's announced row count (RowBatch.Total) the engine sizes the
-// row map and row list once, and the fresh
-// names size the intern table's head arrays once (core.Vars), to exactly
-// the capacities doubling would have reached: the heap after a load, and
-// every later growth step, are what row-by-row loading leaves.
+// row map once, and the fresh names size the intern table's head arrays
+// once (core.Vars), to exactly the capacities doubling would have
+// reached: the heap after a load, and every later growth step, are what
+// row-by-row loading leaves. The columns need no sizing: they grow by
+// chunks that are never copied.
 func Load(mode Mode, schema *db.Schema, src db.RowSource, opts ...Option) (*Engine, error) {
 	start := time.Now()
 	cfg := newConfig(opts)
@@ -141,9 +142,8 @@ func (l *loader) add(b db.RowBatch) error {
 		if l.initAnnot == nil {
 			l.vars = core.Vars("t", core.KindTuple, int(l.first), b.Total)
 		}
-		if tbl := l.e.tables[b.Rel]; b.Total > 0 {
-			tbl.rows.reserve(b.Total)
-			tbl.list.reserve(b.Total)
+		if b.Total > 0 {
+			l.e.tables[b.Rel].rows.reserve(b.Total)
 		}
 	}
 	if l.initAnnot == nil && int(l.seq-l.first)+len(b.Rows) > len(l.vars) {

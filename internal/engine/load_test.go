@@ -45,8 +45,8 @@ func batched(rows []db.Tuple, size int) db.RowSource {
 }
 
 // TestLoadReservesWhatDoublingReaches: after Load of n announced rows the
-// row map's slot count and the row list's capacity are those of the same
-// rows stored one load at a time — reserving moves no later growth step.
+// row map's slot count is that of the same rows stored one load at a
+// time — reserving moves no later growth step.
 // (The intern table's half of the claim needs a table of its own:
 // core.TestVarsReserveWhatDoublingReaches.)
 func TestLoadReservesWhatDoublingReaches(t *testing.T) {
@@ -67,15 +67,8 @@ func TestLoadReservesWhatDoublingReaches(t *testing.T) {
 			}
 			return 0
 		}
-		capacity := func(tb *table) int {
-			if arr := tb.list.arr.Load(); arr != nil {
-				return len(*arr)
-			}
-			return 0
-		}
-		if e.NumRows() != n || slots(got) != slots(want) || capacity(got) != capacity(want) {
-			t.Errorf("n=%d: %d rows in %d slots, list capacity %d; one at a time: %d slots, capacity %d",
-				n, e.NumRows(), slots(got), capacity(got), slots(want), capacity(want))
+		if e.NumRows() != n || slots(got) != slots(want) {
+			t.Errorf("n=%d: %d rows in %d slots; one at a time: %d slots", n, e.NumRows(), slots(got), slots(want))
 		}
 		if b := e.Boot(); b.Rows != n || (n > 0) != (b.Source == "database") || (n == 0) != (b.Source == "empty") {
 			t.Errorf("n=%d: boot = %+v", n, *b)

@@ -3,7 +3,6 @@ package engine
 import (
 	"context"
 	"sync"
-	"sync/atomic"
 
 	"hyperprov/internal/core"
 	"hyperprov/internal/db"
@@ -119,64 +118,6 @@ func (r *row) at(s uint64) *version {
 	return nil
 }
 
-// rowList is an append-only row slice readable without locks. The
-// writer (serialized by the write lock) stores the element
-// before publishing the new length; readers load the length first and
-// clamp against the array they observe, so a torn grow is never
-// exposed. Capacity grows by the usual doubling, copying into a fresh
-// array — published atomically — so readers never see an array mutated
-// underneath an index they already validated.
-type rowList struct {
-	arr atomic.Pointer[[]*row]
-	n   atomic.Int64
-}
-
-// len reports the published length.
-func (l *rowList) len() int { return int(l.n.Load()) }
-
-// append adds a row at the end. Writer-only (under the write lock).
-func (l *rowList) append(r *row) {
-	n := int(l.n.Load())
-	arr := l.reserve(1)
-	(*arr)[n] = r
-	l.n.Store(int64(n + 1))
-}
-
-// reserve makes room for n more rows (n ≥ 1), in the capacity doubling
-// from 16 reaches for that many. Writer-only.
-func (l *rowList) reserve(n int) *[]*row {
-	n += int(l.n.Load())
-	arr := l.arr.Load()
-	if arr != nil && n <= len(*arr) {
-		return arr
-	}
-	capacity := 16
-	for capacity < n {
-		capacity *= 2
-	}
-	grown := make([]*row, capacity)
-	if arr != nil {
-		copy(grown, *arr)
-	}
-	l.arr.Store(&grown)
-	return &grown
-}
-
-// snapshot returns the published prefix as a read-only slice.
-func (l *rowList) snapshot() []*row {
-	n := int(l.n.Load())
-	arr := l.arr.Load()
-	if arr == nil {
-		return nil
-	}
-	if n > len(*arr) {
-		// The length was published against a newer array than the one we
-		// loaded; the prefix we can prove complete is the loaded array.
-		n = len(*arr)
-	}
-	return (*arr)[:n:n]
-}
-
 // Note publishes the advances of a value — the engine's horizon, a
 // log's end — to blocked waiters. Wake is called once per advance —
 // cheap next to the commit itself — while readers that never wait never
@@ -288,23 +229,22 @@ func (v view) Relations() []string { return v.e.schema.Names() }
 // AsOf returns the horizon sequence the view is pinned to.
 func (v view) AsOf() uint64 { return v.s }
 
-// rows returns the relation's rows visible at the pinned horizon, in
-// insertion order. The table list is in sequence order (epochs are
-// allocated under the write lock), so the visible rows are a prefix of
-// it, trimmed by the sequence column without chasing row pointers.
-// Lock-free: the list is snapshotted and rows beyond the horizon excluded
-// up front, so callers only resolve versions.
-func (v view) rows(rel string) []*row {
+// rows returns the relation's table and how many of its rows are
+// visible at the pinned horizon (0 for no table): positions are in
+// sequence order (epochs are allocated under the write lock), so the
+// visible rows are a prefix, trimmed from the published length by the
+// sequence column without chasing row pointers. Callers walk them with
+// colStore.eachRows and only resolve versions.
+func (v view) rows(rel string) (*table, int) {
 	tbl := v.e.tables[rel]
 	if tbl == nil {
-		return nil
+		return nil, 0
 	}
-	rows := tbl.list.snapshot()
-	n := len(rows)
+	n := tbl.cols.len()
 	for n > 0 && tbl.cols.seqs.at(n-1) > v.s {
 		n--
 	}
-	return rows[:n]
+	return tbl, n
 }
 
 // find returns the version of the tuple's row visible at the pinned
@@ -368,14 +308,20 @@ func giveTuple(b *db.Tuple) {
 // eachRef calls f with every row of the relation visible at the pinned
 // horizon, in insertion order: its ref, its tuple (lent) and annotation.
 func (v view) eachRef(rel string, f func(ref RowRef, t db.Tuple, ann *core.Expr)) {
-	tbl, buf := v.e.tables[rel], takeTuple()
-	defer giveTuple(buf)
-	for _, r := range v.rows(rel) {
-		if ver := r.at(v.s); ver != nil {
-			*buf = tbl.tuple(r, *buf)
-			f(RowRef{Rel: rel, Pos: r.pos}, *buf, ver.annotation())
-		}
+	tbl, n := v.rows(rel)
+	if n == 0 {
+		return
 	}
+	buf := takeTuple()
+	defer giveTuple(buf)
+	tbl.cols.eachRows(0, n, func(rows []*row) {
+		for _, r := range rows {
+			if ver := r.at(v.s); ver != nil {
+				*buf = tbl.tuple(r, *buf)
+				f(RowRef{Rel: rel, Pos: r.pos}, *buf, ver.annotation())
+			}
+		}
+	})
 }
 
 func (v view) EachRow(rel string, f func(t db.Tuple, ann *core.Expr)) {
@@ -400,7 +346,7 @@ func EachRowRef(r Reader, rel string, f func(ref RowRef, t db.Tuple, ann *core.E
 // row will do.
 func RowTuple(r Reader, ref RowRef, dst db.Tuple) (t db.Tuple, ok bool) {
 	tbl := r.view().e.tables[ref.Rel]
-	if tbl == nil || int(ref.Pos) >= tbl.list.len() {
+	if tbl == nil || int(ref.Pos) >= tbl.cols.len() {
 		return dst[:0], false
 	}
 	return tbl.cols.tuple(int(ref.Pos), dst), true
@@ -425,16 +371,19 @@ func (v view) each(rel string, sel db.Pattern, f func(db.Tuple)) error {
 	if err := checkUpdate(v.e.schema, &u); err != nil {
 		return err
 	}
-	tbl, buf := v.e.tables[rel], takeTuple()
+	tbl, n := v.rows(rel)
+	buf := takeTuple()
 	defer giveTuple(buf)
-	for _, r := range v.rows(rel) {
-		if tbl.cols.matches(int(r.pos), &u) {
-			if ver := r.at(v.s); ver != nil && v.e.matchableV(ver) {
-				*buf = tbl.tuple(r, *buf)
-				f(*buf)
+	tbl.cols.eachRows(0, n, func(rows []*row) {
+		for _, r := range rows {
+			if tbl.cols.matches(int(r.pos), &u) {
+				if ver := r.at(v.s); ver != nil && v.e.matchableV(ver) {
+					*buf = tbl.tuple(r, *buf)
+					f(*buf)
+				}
 			}
 		}
-	}
+	})
 	return nil
 }
 
@@ -444,7 +393,7 @@ func (v view) NumRows() int {
 	n := 0
 	for _, name := range v.e.schema.Names() {
 		tbl := v.e.tables[name]
-		left := tbl.list.len()
+		left := tbl.cols.len()
 		for _, seqs := range tbl.cols.seqs.chunks() {
 			seqs = seqs[:min(len(seqs), left)]
 			left -= len(seqs)
@@ -460,39 +409,40 @@ func (v view) NumRows() int {
 
 func (v view) SupportSize() int {
 	n := 0
-	for _, name := range v.e.schema.Names() {
-		for _, r := range v.rows(name) {
-			if ver := r.at(v.s); ver != nil && ver.inSupport() {
-				n++
-			}
+	v.eachVersion(func(ver *version) {
+		if ver.inSupport() {
+			n++
 		}
-	}
+	})
 	return n
 }
 
 func (v view) ProvSize() int64 {
 	var n int64
-	for _, name := range v.e.schema.Names() {
-		for _, r := range v.rows(name) {
-			if ver := r.at(v.s); ver != nil {
-				n += ver.nf.Size()
-			}
-		}
-	}
+	v.eachVersion(func(ver *version) { n += ver.nf.Size() })
 	return n
 }
 
 // ProvDAGSize counts the distinct nodes of the visible annotations.
 func (v view) ProvDAGSize() int64 {
 	var seen core.NodeSet
-	for _, name := range v.e.schema.Names() {
-		for _, r := range v.rows(name) {
-			if ver := r.at(v.s); ver != nil {
-				ver.annotation().DAGSizeInto(&seen)
-			}
-		}
-	}
+	v.eachVersion(func(ver *version) { ver.annotation().DAGSizeInto(&seen) })
 	return seen.Len()
+}
+
+// eachVersion calls f with the version of every row visible at the
+// pinned horizon, relations in schema order, rows in insertion order.
+func (v view) eachVersion(f func(ver *version)) {
+	for _, name := range v.e.schema.Names() {
+		tbl, n := v.rows(name)
+		tbl.cols.eachRows(0, n, func(rows []*row) {
+			for _, r := range rows {
+				if ver := r.at(v.s); ver != nil {
+					f(ver)
+				}
+			}
+		})
+	}
 }
 
 // --- the engine's Reader surface: the view at the committed horizon -----

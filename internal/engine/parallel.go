@@ -20,18 +20,19 @@ import (
 const walkChunkRows = 1024
 
 // rowChunk is one relation-homogeneous run of at most walkChunkRows
-// rows of table tbl.
+// rows of table tbl: its positions [lo, hi). From position walkChunkRows
+// on, a piece is one chunk of the table's columns.
 type rowChunk struct {
-	rel  string
-	tbl  *table
-	rows []*row
+	rel    string
+	tbl    *table
+	lo, hi int
 }
 
 // chunkPool recycles the chunk descriptor slices of the parallel
 // passes. Unlike the writer-owned scan-buffer free-list, parallel
 // passes run concurrently on the reader side, so this scratch really
 // needs sync.Pool. Descriptors are cleared on put so the pool never
-// pins row snapshots.
+// pins a table.
 var chunkPool = sync.Pool{
 	New: func() any {
 		s := make([]rowChunk, 0, 128)
@@ -51,10 +52,9 @@ func putChunkBuf(chunks []rowChunk) {
 func (v view) chunks(rels []string) []rowChunk {
 	chunks := (*chunkPool.Get().(*[]rowChunk))[:0]
 	for _, rel := range rels {
-		rows := v.rows(rel)
-		for start := 0; start < len(rows); start += walkChunkRows {
-			end := min(start+walkChunkRows, len(rows))
-			chunks = append(chunks, rowChunk{rel: rel, tbl: v.e.tables[rel], rows: rows[start:end]})
+		tbl, n := v.rows(rel)
+		for lo := 0; lo < n; lo += walkChunkRows {
+			chunks = append(chunks, rowChunk{rel: rel, tbl: tbl, lo: lo, hi: min(lo+walkChunkRows, n)})
 		}
 	}
 	return chunks
@@ -119,12 +119,14 @@ func SpecializeParallel[T any](ctx context.Context, e Reader, s upstruct.Structu
 	return walkChunks(ctx, chunks, workers, func(c rowChunk) {
 		buf := takeTuple()
 		defer giveTuple(buf)
-		for _, r := range c.rows {
-			if ver := r.at(p.s); ver != nil {
-				*buf = c.tbl.tuple(r, *buf)
-				f(c.rel, *buf, upstruct.EvalNF(&ver.nf, s, env))
+		c.tbl.cols.eachRows(c.lo, c.hi, func(rows []*row) {
+			for _, r := range rows {
+				if ver := r.at(p.s); ver != nil {
+					*buf = c.tbl.tuple(r, *buf)
+					f(c.rel, *buf, upstruct.EvalNF(&ver.nf, s, env))
+				}
 			}
-		}
+		})
 	})
 }
 
@@ -219,7 +221,7 @@ func liveStream[S any](ctx context.Context, r Reader, workers int, rels []string
 	defer putChunkBuf(chunks)
 	n := len(chunks)
 	at := func(i int) Chunk[S] {
-		return Chunk[S]{Rel: chunks[i].rel, Rows: len(chunks[i].rows), Slot: &slots[i%window]}
+		return Chunk[S]{Rel: chunks[i].rel, Rows: chunks[i].hi - chunks[i].lo, Slot: &slots[i%window]}
 	}
 	ctx, cancel := context.WithCancel(ctx)
 	work, ready := make(chan int, window), make([]chan struct{}, window) // a window at most is dispatched and not emitted
@@ -236,12 +238,15 @@ func liveStream[S any](ctx context.Context, r Reader, workers int, rels []string
 		if ctx.Err() != nil {
 			return
 		}
-		sc.rows, sc.tbl = sc.rows[:0], chunks[i].tbl
-		for _, r := range chunks[i].rows {
-			if ver := r.at(p.s); ver != nil && eval(&ver.nf) {
-				sc.rows = append(sc.rows, r)
+		c := chunks[i]
+		sc.rows, sc.tbl = sc.rows[:0], c.tbl
+		c.tbl.cols.eachRows(c.lo, c.hi, func(rows []*row) {
+			for _, r := range rows {
+				if ver := r.at(p.s); ver != nil && eval(&ver.nf) {
+					sc.rows = append(sc.rows, r)
+				}
 			}
-		}
+		})
 		encode(at(i), LiveRows{sc})
 		ready[i%window] <- struct{}{}
 	}

@@ -19,21 +19,22 @@ import (
 //     never break and the writer-only grow path can rebuild into a
 //     fresh array and publish it with a single atomic store.
 //
-//   - colStore: the table's values, struct-of-arrays — one payload-word
-//     column per attribute plus a parallel sequence column, all
-//     published with the rowList discipline (elements land before the
-//     list's length does, and the length load is the readers'
-//     happens-before edge). The words are the rows' only copy of their
-//     values, which readers build tuples from. Selections test terms
-//     against the words before chasing any row or version pointer, and
-//     visibility counting walks the sequence column alone.
+//   - colStore: the table by position, struct-of-arrays — one
+//     payload-word column per attribute, the sequence column and the
+//     row pointers, all in one chunk layout (chunkOf) whose chunks are
+//     never copied, and all published by one length. A row never moves
+//     (the relations only grow), so its position is its name for good.
+//     The words are the rows' only copy of their values, which readers
+//     build tuples from. Selections test terms against the words before
+//     chasing any row or version pointer, and visibility counting walks
+//     the sequence column alone.
 //
-// Memory model: the writer is serialized by the write lock. It
-// stores elements with plain writes, then publishes them through an
-// atomic store (the map's slot pointer, or the table list's length);
+// Memory model: the writer is serialized by the write lock. It stores
+// a row's words, sequence number and pointer with plain writes, then
+// the map's slot pointer, then the length, each an atomic store;
 // readers load the atomic first and only then read the plainly-written
-// memory, which is the same release/acquire pairing rowList has always
-// used. A row's words land before either publishes the row.
+// memory below it, a release/acquire pairing. A row's words land before
+// either publishes the row.
 
 // rowSlots is one published generation of a rowMap: a power-of-two
 // slot array probed linearly from fp & mask.
@@ -47,7 +48,6 @@ type rowSlots struct {
 // is serialized by the write lock.
 type rowMap struct {
 	tab  atomic.Pointer[rowSlots]
-	n    int // writer-only: rows stored
 	cols *colStore
 }
 
@@ -71,15 +71,15 @@ func (m *rowMap) get(fp uint64, t db.Tuple) *row {
 	}
 }
 
-// add stores a new row (writer-only, under the write lock). The row's
-// fp must be set. Load is kept under 3/4 so reader probes always
-// terminate at an empty slot.
+// add stores a new row (writer-only, under the write lock) before the
+// table's length publishes it, so every row below that length is in the
+// map already. The row's fp must be set. Load is kept under 3/4 so
+// reader probes always terminate at an empty slot.
 func (m *rowMap) add(r *row) {
 	tab := m.tab.Load()
-	if tab == nil || 4*(m.n+1) > 3*len(tab.slots) {
+	if tab == nil || 4*(m.cols.len()+1) > 3*len(tab.slots) {
 		tab = m.reserve(1)
 	}
-	m.n++
 	for i := r.fp & tab.mask; ; i = (i + 1) & tab.mask {
 		if tab.slots[i].Load() == nil {
 			tab.slots[i].Store(r)
@@ -98,7 +98,7 @@ func (m *rowMap) add(r *row) {
 func (m *rowMap) reserve(n int) *rowSlots {
 	old := m.tab.Load()
 	size := 16
-	for 4*(m.n+n) > 3*size {
+	for 4*(m.cols.len()+n) > 3*size {
 		size *= 2
 	}
 	if old != nil && len(old.slots) >= size {
@@ -144,20 +144,20 @@ const (
 	colChunkMin     = 1 << colChunkMinBits
 )
 
-// wordCol is one append-only column of 64-bit words: an attribute's
-// db.Value payloads (the kind is the attribute's, so it is not stored)
-// or the rows' sequence numbers. Words live in chunks that are never
-// copied or moved once allocated; a new chunk is published through a
-// directory one entry longer, stored atomically, and the word itself
-// lands before the table list publishes the length that covers it (see
-// the file comment).
+// column is one append-only column of a table: an attribute's db.Value
+// payload words (the kind is the attribute's, so it is not stored), the
+// rows' sequence numbers or the rows themselves. Elements live in chunks
+// that are never copied or moved once allocated; a new chunk is
+// published through a directory one entry longer, stored atomically, and
+// the element itself lands before the table publishes the length that
+// covers it (see the file comment).
 //
 // Chunk sizes run colChunkMin, colChunkMin, 2·colChunkMin, … up to
 // colChunk/2 — the doubling a growing slice would do, minus the copy —
 // and stay at colChunk from position colChunk on, so a one-row table
-// holds colChunkMin words per column, not a full chunk.
-type wordCol struct {
-	dir atomic.Pointer[[][]uint64]
+// holds colChunkMin elements per column, not a full chunk.
+type column[T any] struct {
+	dir atomic.Pointer[[][]T]
 }
 
 // chunkOf maps a position to its chunk and offset (chunks of 2^minBits,
@@ -174,24 +174,24 @@ func chunkOf(n, minBits int) (ci, off int) {
 }
 
 // chunks returns the published chunks in position order. Together they
-// cover at least every position below a table-list length loaded
-// before the call; the last one may extend past it.
-func (c *wordCol) chunks() [][]uint64 {
+// cover at least every position below a table length loaded before the
+// call; the last one may extend past it.
+func (c *column[T]) chunks() [][]T {
 	if dir := c.dir.Load(); dir != nil {
 		return *dir
 	}
 	return nil
 }
 
-// at returns the word at a published position.
-func (c *wordCol) at(n int) uint64 {
+// at returns the element at a published position.
+func (c *column[T]) at(n int) T {
 	ci, off := chunkOf(n, colChunkMinBits)
 	return c.chunks()[ci][off]
 }
 
-// appendAt stores the word at position n (writer-only; n is the table
-// list's unpublished next length).
-func (c *wordCol) appendAt(n int, w uint64) {
+// appendAt stores the element at position n (writer-only; n is the
+// table's unpublished next length).
+func (c *column[T]) appendAt(n int, w T) {
 	ci, off := chunkOf(n, colChunkMinBits)
 	dir := c.chunks()
 	if ci == len(dir) {
@@ -199,36 +199,63 @@ func (c *wordCol) appendAt(n int, w uint64) {
 		// it: the next power of two below colChunk, colChunk from there on.
 		// Readers holding the old directory never index past its length,
 		// so append may fill spare capacity in place.
-		grown := append(dir, make([]uint64, min(max(n, colChunkMin), colChunk)))
+		grown := append(dir, make([]T, min(max(n, colChunkMin), colChunk)))
 		c.dir.Store(&grown)
 		dir = grown
 	}
 	dir[ci][off] = w
 }
 
-// colStore holds a table's values: one word column per attribute, whose
-// words have the kind kinds names, plus the parallel sequence column,
-// indexed by row position.
+// colStore holds a table by position: one word column per attribute,
+// whose words have the kind kinds names, the sequence column and the
+// rows, all published by n, the table's length.
 type colStore struct {
 	kinds []db.Kind
-	cols  []wordCol
-	seqs  wordCol
+	cols  []column[uint64]
+	// seqs holds each row's creation sequence, epoch<<32|counter: the
+	// epoch is the transaction (or restore) that created the row and the
+	// counter its creation index within that epoch. Sequence numbers are
+	// unique per engine and increase with position, and a row is visible
+	// at horizon s iff its sequence is ≤ s.
+	seqs column[uint64]
+	rows column[*row]
+	n    atomic.Int64
 }
 
 func (c *colStore) init(rel *db.RelationSchema) {
-	c.kinds, c.cols = make([]db.Kind, len(rel.Attrs)), make([]wordCol, len(rel.Attrs))
+	c.kinds, c.cols = make([]db.Kind, len(rel.Attrs)), make([]column[uint64], len(rel.Attrs))
 	for i, a := range rel.Attrs {
 		c.kinds[i] = a.Kind
 	}
 }
 
-// append stores one row's values at position n (writer-only, before
-// the row is published); t is only read.
-func (c *colStore) append(t db.Tuple, seq uint64, n int) {
+// len returns the published length: every position below it is readable.
+func (c *colStore) len() int { return int(c.n.Load()) }
+
+// append stores row r, holding t, at the unpublished position n
+// (writer-only); t is only read. A fresh row's one version is born at
+// its creation sequence, which the sequence column keeps.
+func (c *colStore) append(r *row, t db.Tuple, n int) {
 	for i := range c.cols {
 		c.cols[i].appendAt(n, t[i].Word())
 	}
-	c.seqs.appendAt(n, seq)
+	c.seqs.appendAt(n, r.head.Load().born)
+	c.rows.appendAt(n, r)
+}
+
+// row returns the row at a published position.
+func (c *colStore) row(p int) *row { return c.rows.at(p) }
+
+// eachRows calls f with the rows at the published positions [lo, hi), in
+// order, one chunk's slice at a time.
+func (c *colStore) eachRows(lo, hi int, f func(rows []*row)) {
+	chunks := c.rows.chunks()
+	for lo < hi {
+		ci, off := chunkOf(lo, colChunkMinBits)
+		rows := chunks[ci][off:min(len(chunks[ci]), off+hi-lo)]
+		f(rows)
+		lo += len(rows)
+	}
 }
 
 // value returns column col's value at a published position.
@@ -277,7 +304,7 @@ func (c *colStore) matches(p int, u *db.Update) bool {
 // --- writer scratch ------------------------------------------------------
 
 // getScanBuf returns an empty row buffer from the writer's free-list.
-// The free-list is writer-owned: every caller of scan/filterRows holds
+// The free-list is writer-owned: every caller of scan holds
 // the write lock, so no synchronization is needed. Buffers handed out by
 // scan must come back through putScanBuf once the update is done with
 // them — an unpaired buffer is merely garbage-collected, never corrupt.

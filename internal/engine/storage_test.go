@@ -21,22 +21,22 @@ import (
 )
 
 // TestVersionSizePinned: a version is prev + born + the embedded
-// two-word normal form, 32 bytes, and a row — no tuple, its values are
-// the word columns' — is 40, so a fresh row and its first version take
-// 72 bytes, one 80-byte allocation. A word here is a word per version
-// forever.
+// two-word normal form, 32 bytes, and a row — no tuple and no sequence
+// number, its values and creation sequence are the columns' — is 32, so
+// a fresh row and its first version take 64 bytes, one 64-byte
+// allocation. A word here is a word per version forever.
 func TestVersionSizePinned(t *testing.T) {
 	if got := unsafe.Sizeof(version{}); got != 32 {
 		t.Fatalf("unsafe.Sizeof(version{}) = %d, want 32", got)
 	}
-	if got := unsafe.Sizeof(row{}); got != 40 {
-		t.Fatalf("unsafe.Sizeof(row{}) = %d, want 40", got)
+	if got := unsafe.Sizeof(row{}); got != 32 {
+		t.Fatalf("unsafe.Sizeof(row{}) = %d, want 32", got)
 	}
 	if got := unsafe.Sizeof(struct {
 		row
 		first version
-	}{}); got != 72 {
-		t.Fatalf("a row and its first version take %d bytes, want 72", got)
+	}{}); got != 64 {
+		t.Fatalf("a row and its first version take %d bytes, want 64", got)
 	}
 }
 
@@ -45,7 +45,7 @@ func TestVersionSizePinned(t *testing.T) {
 // colChunk — words read back from where they were appended, and a
 // one-row column holds one minimum chunk, not a full one.
 func TestWordColChunkLayout(t *testing.T) {
-	var c wordCol
+	var c column[uint64]
 	c.appendAt(0, 42)
 	if dir := c.chunks(); len(dir) != 1 || len(dir[0]) != colChunkMin {
 		t.Fatalf("a one-row column holds %d chunks, the first of %d words; want 1 of %d", len(dir), len(dir[0]), colChunkMin)
@@ -75,6 +75,43 @@ func TestWordColChunkLayout(t *testing.T) {
 	for n := 0; n < 3*colChunk+2; n++ {
 		if got := c.at(n); got != uint64(n)*7 {
 			t.Fatalf("at(%d) = %d, want %d", n, got, n*7)
+		}
+	}
+}
+
+// TestEachRowsRanges: eachRows visits exactly the positions lo … hi-1,
+// in order, for ranges that start, end on and straddle every chunk
+// boundary of the layout, and none for an empty range.
+func TestEachRowsRanges(t *testing.T) {
+	const n = 2*colChunk + 5
+	var c colStore
+	for p := 0; p < n; p++ {
+		c.rows.appendAt(p, &row{pos: uint32(p)})
+	}
+	c.n.Store(n)
+	var edges []int
+	for b := colChunkMin; b <= 2*colChunk; b *= 2 {
+		edges = append(edges, b)
+	}
+	for _, b := range edges {
+		for _, lo := range []int{0, b - 1, b, b + 1} {
+			for _, hi := range []int{lo, b - 1, b, b + 1, n} {
+				if hi < lo {
+					continue
+				}
+				next := lo
+				c.eachRows(lo, hi, func(rows []*row) {
+					for _, r := range rows {
+						if int(r.pos) != next {
+							t.Fatalf("[%d, %d): visited position %d, want %d", lo, hi, r.pos, next)
+						}
+						next++
+					}
+				})
+				if next != hi {
+					t.Fatalf("[%d, %d): stopped at %d", lo, hi, next)
+				}
+			}
 		}
 	}
 }
@@ -161,7 +198,7 @@ func TestScanBufReleaseIsResultSized(t *testing.T) {
 	}
 	// Mark a slot far past any small result: a release that walks the
 	// capacity would wipe it.
-	mark := tbl.list.snapshot()[0]
+	mark := tbl.cols.row(0)
 	pooled[len(pooled)-1] = mark
 	one := e.scan(tbl, db.Delete("R", db.Pattern{db.Const(db.I(5)), db.AnyVar("v")}))
 	if len(one) != 1 || cap(one) != cap(pooled) {
@@ -327,10 +364,10 @@ func TestStagedTargetsNeverAliasScratch(t *testing.T) {
 				noAlias()
 				pinned := e.At(e.Horizon()).(*view)
 				var want []db.Tuple
-				for _, r := range pinned.rows("R") {
+				for _, r := range rowsOf(pinned.rows("R")) {
 					want = append(want, tuple(r))
 				}
-				rowsBefore := tbl.list.snapshot()
+				rowsBefore := rowsOf(tbl, tbl.cols.len())
 				// Under -race, a reader beside the writer races with any
 				// row whose words are written after it is published.
 				stop, seen := make(chan struct{}), uint64(0)
@@ -345,7 +382,7 @@ func TestStagedTargetsNeverAliasScratch(t *testing.T) {
 						default:
 						}
 						var buf db.Tuple
-						for _, r := range e.At(e.Horizon()).(*view).rows("R") {
+						for _, r := range rowsOf(e.At(e.Horizon()).(*view).rows("R")) {
 							buf = tbl.tuple(r, buf)
 							seen += buf.Fingerprint()
 						}
@@ -360,7 +397,7 @@ func TestStagedTargetsNeverAliasScratch(t *testing.T) {
 							t.Fatalf("after staging %d more targets row %d reads %v, want %v", i+1, j, got, want[j])
 						}
 					}
-					got := pinned.rows("R")
+					got := rowsOf(pinned.rows("R"))
 					if len(got) != len(want) {
 						t.Fatalf("the pinned view holds %d rows, held %d", len(got), len(want))
 					}
@@ -414,51 +451,47 @@ func TestModGroupsUnderCollision(t *testing.T) {
 // only. A hook that keeps the slice without copying reads wiped entries
 // once the call returned (and would read the next epoch's rows after
 // that); a hook that copies keeps the epoch's refs, and RowTuple reads
-// their rows' values after the call. The shards=4 subtest opens the
-// engine with the deprecated WithShards(4), which must change nothing.
+// their rows' values after the call.
 func TestCommitHookRowsBorrowed(t *testing.T) {
-	for _, shards := range []int{1, 4} {
-		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			initial := db.NewDatabase(seqTestSchema(t))
-			d := Open(ModeNormalForm, initial, WithShards(shards))
-			var kept, copied [][]RowRef
-			d.SetCommitHook(func(ev CommitEvent) {
-				kept = append(kept, ev.Rows)
-				copied = append(copied, slices.Clone(ev.Rows))
-			})
-			for i := int64(0); i < 3; i++ {
-				tx := db.Transaction{Label: fmt.Sprintf("t%d", i), Updates: []db.Update{
-					db.Insert("R", kv(2*i, i)), db.Insert("R", kv(2*i+1, i)),
-				}}
-				if err := d.ApplyTransaction(&tx); err != nil {
-					t.Fatal(err)
-				}
+	initial := db.NewDatabase(seqTestSchema(t))
+	d := Open(ModeNormalForm, initial)
+	var kept, copied [][]RowRef
+	d.SetCommitHook(func(ev CommitEvent) {
+		kept = append(kept, ev.Rows)
+		copied = append(copied, slices.Clone(ev.Rows))
+	})
+	for i := int64(0); i < 3; i++ {
+		tx := db.Transaction{Label: fmt.Sprintf("t%d", i), Updates: []db.Update{
+			db.Insert("R", kv(2*i, i)), db.Insert("R", kv(2*i+1, i)),
+		}}
+		if err := d.ApplyTransaction(&tx); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(copied) != 3 {
+		t.Fatalf("%d events for 3 transactions", len(copied))
+	}
+	for i := range copied {
+		if len(copied[i]) != 2 || len(kept[i]) != 2 {
+			t.Fatalf("event %d: %d rows copied, %d kept, want 2 and 2", i, len(copied[i]), len(kept[i]))
+		}
+		for j, ref := range copied[i] {
+			if tu, ok := RowTuple(d, ref, nil); !ok || ref.Rel != "R" || tu[1].Int() != int64(i) {
+				t.Fatalf("event %d: the copy holds %v, a row holding %v", i, ref, tu)
 			}
-			if len(copied) != 3 {
-				t.Fatalf("%d events for 3 transactions", len(copied))
+			if k := kept[i][j]; k != (RowRef{}) {
+				t.Fatalf("event %d: the uncopied slice still reads %v after the call", i, k)
 			}
-			for i := range copied {
-				if len(copied[i]) != 2 || len(kept[i]) != 2 {
-					t.Fatalf("event %d: %d rows copied, %d kept, want 2 and 2", i, len(copied[i]), len(kept[i]))
-				}
-				for j, ref := range copied[i] {
-					if tu, ok := RowTuple(d, ref, nil); !ok || ref.Rel != "R" || tu[1].Int() != int64(i) {
-						t.Fatalf("event %d: the copy holds %v, a row holding %v", i, ref, tu)
-					}
-					if k := kept[i][j]; k != (RowRef{}) {
-						t.Fatalf("event %d: the uncopied slice still reads %v after the call", i, k)
-					}
-				}
-			}
-		})
+		}
 	}
 }
 
 // TestReadersAcrossChunkGrowth (run under -race): lock-free readers of
-// the word columns — NumRows counting the sequence column,
-// SpecializeParallel trimming by it — and SelectEach run across a writer
-// whose inserts cross chunk boundaries and directory growth. Every pass
-// must see one committed epoch: whole transactions, never a torn one.
+// the columns — NumRows counting the sequence column, SpecializeParallel
+// trimming by it, EachRow and LiveStream walking the rows column — and
+// SelectEach run across a writer whose inserts cross chunk boundaries
+// and directory growth. Every pass must see one committed epoch: whole
+// transactions, never a torn one.
 func TestReadersAcrossChunkGrowth(t *testing.T) {
 	const perTxn, txns = 64, 3 * colChunk / 64
 	e := kvEngine(t, 1)
@@ -516,6 +549,22 @@ func TestReadersAcrossChunkGrowth(t *testing.T) {
 					t.Error(err)
 				}
 				whole("SelectEach", matched+1)
+				each := 0
+				e.EachRow("R", func(db.Tuple, *core.Expr) { each++ })
+				whole("EachRow", each)
+				streamed, live := 0, 0
+				_, err = LiveStream(context.Background(), e, upstruct.Dead(), 2, []string{"R"},
+					func(c Chunk[int], rows LiveRows) { *c.Slot = 0; rows.Each(func(db.Tuple) { *c.Slot++ }) },
+					func(ready []Chunk[int], _ bool) error {
+						for _, c := range ready {
+							streamed, live = streamed+c.Rows, live+*c.Slot
+						}
+						return nil
+					})
+				whole("LiveStream", streamed)
+				if err != nil || live != streamed {
+					t.Errorf("LiveStream found %d of %d rows live under the all-true valuation (err %v)", live, streamed, err)
+				}
 				passes.Add(1)
 			}
 		}()
