@@ -451,38 +451,43 @@ func TestModGroupsUnderCollision(t *testing.T) {
 // only. A hook that keeps the slice without copying reads wiped entries
 // once the call returned (and would read the next epoch's rows after
 // that); a hook that copies keeps the epoch's refs, and RowTuple reads
-// their rows' values after the call.
+// their rows' values after the call. The shards=4 subtest opens the
+// engine with the deprecated WithShards(4), which must change nothing.
 func TestCommitHookRowsBorrowed(t *testing.T) {
-	initial := db.NewDatabase(seqTestSchema(t))
-	d := Open(ModeNormalForm, initial)
-	var kept, copied [][]RowRef
-	d.SetCommitHook(func(ev CommitEvent) {
-		kept = append(kept, ev.Rows)
-		copied = append(copied, slices.Clone(ev.Rows))
-	})
-	for i := int64(0); i < 3; i++ {
-		tx := db.Transaction{Label: fmt.Sprintf("t%d", i), Updates: []db.Update{
-			db.Insert("R", kv(2*i, i)), db.Insert("R", kv(2*i+1, i)),
-		}}
-		if err := d.ApplyTransaction(&tx); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if len(copied) != 3 {
-		t.Fatalf("%d events for 3 transactions", len(copied))
-	}
-	for i := range copied {
-		if len(copied[i]) != 2 || len(kept[i]) != 2 {
-			t.Fatalf("event %d: %d rows copied, %d kept, want 2 and 2", i, len(copied[i]), len(kept[i]))
-		}
-		for j, ref := range copied[i] {
-			if tu, ok := RowTuple(d, ref, nil); !ok || ref.Rel != "R" || tu[1].Int() != int64(i) {
-				t.Fatalf("event %d: the copy holds %v, a row holding %v", i, ref, tu)
+	for _, shards := range []int{1, 4} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			initial := db.NewDatabase(seqTestSchema(t))
+			d := Open(ModeNormalForm, initial, WithShards(shards))
+			var kept, copied [][]RowRef
+			d.SetCommitHook(func(ev CommitEvent) {
+				kept = append(kept, ev.Rows)
+				copied = append(copied, slices.Clone(ev.Rows))
+			})
+			for i := int64(0); i < 3; i++ {
+				tx := db.Transaction{Label: fmt.Sprintf("t%d", i), Updates: []db.Update{
+					db.Insert("R", kv(2*i, i)), db.Insert("R", kv(2*i+1, i)),
+				}}
+				if err := d.ApplyTransaction(&tx); err != nil {
+					t.Fatal(err)
+				}
 			}
-			if k := kept[i][j]; k != (RowRef{}) {
-				t.Fatalf("event %d: the uncopied slice still reads %v after the call", i, k)
+			if len(copied) != 3 {
+				t.Fatalf("%d events for 3 transactions", len(copied))
 			}
-		}
+			for i := range copied {
+				if len(copied[i]) != 2 || len(kept[i]) != 2 {
+					t.Fatalf("event %d: %d rows copied, %d kept, want 2 and 2", i, len(copied[i]), len(kept[i]))
+				}
+				for j, ref := range copied[i] {
+					if tu, ok := RowTuple(d, ref, nil); !ok || ref.Rel != "R" || tu[1].Int() != int64(i) {
+						t.Fatalf("event %d: the copy holds %v, a row holding %v", i, ref, tu)
+					}
+					if k := kept[i][j]; k != (RowRef{}) {
+						t.Fatalf("event %d: the uncopied slice still reads %v after the call", i, k)
+					}
+				}
+			}
+		})
 	}
 }
 
