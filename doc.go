@@ -27,7 +27,7 @@
 //     Boolean/set/trust instances and the semiring bridge;
 //   - the SQL / datalog front ends (internal/parser).
 //
-// See examples/ for runnable walkthroughs (the paper's running example,
-// access control, deletion propagation, certification and a TPC-C
-// session) and cmd/ for the command-line tools.
+// The package examples walk through the paper's running example, access
+// control, deletion propagation, certification, impact analysis and a
+// TPC-C session, with checked output; cmd/ holds the command-line tools.
 package hyperprov

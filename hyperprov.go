@@ -327,14 +327,16 @@ func Eval[T any](e *Expr, s upstruct.Structure[T], env func(Annot) T) T {
 // Specialize evaluates every stored annotation of the reader — a live
 // engine or a pinned View — in the given structure, streaming results
 // to f; SpecializeParallel spreads evaluation over workers goroutines
-// (0 = GOMAXPROCS).
+// (0 = GOMAXPROCS). f's tuple is lent for the call: a callback that
+// keeps it keeps t.Clone().
 func Specialize[T any](e Reader, s upstruct.Structure[T], env func(Annot) T, f func(rel string, t Tuple, v T)) {
 	engine.Specialize(e, s, env, f)
 }
 
 // SpecializeParallel is Specialize with parallel row evaluation; f must
-// be safe for concurrent use. ctx cancels the pass at chunk boundaries
-// (nil means context.Background()).
+// be safe for concurrent use, and its tuple is lent as Specialize's.
+// ctx cancels the pass at chunk boundaries (nil means
+// context.Background()).
 func SpecializeParallel[T any](ctx context.Context, e Reader, s upstruct.Structure[T], env func(Annot) T, workers int, f func(rel string, t Tuple, v T)) error {
 	return engine.SpecializeParallel(ctx, e, s, env, workers, f)
 }

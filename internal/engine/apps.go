@@ -13,7 +13,8 @@ import (
 // (including tombstone rows, whose values typically evaluate to the
 // structure's zero). Rows stream in deterministic order: relations in
 // schema order, rows in insertion order — identical to EachRow — never
-// map order. This is the generic
+// map order. f's tuple is lent for the call: a callback that keeps it
+// keeps t.Clone(). This is the generic
 // "provenance usage" operation of Section 6: all applications below are
 // thin wrappers over it, sound by Proposition 4.2. It is the chunk walk
 // of SpecializeParallel on the caller's goroutine alone: the MVCC horizon
@@ -96,7 +97,7 @@ func Certify(e Reader, l float64, env upstruct.Env[upstruct.Trust]) *db.Database
 	out := db.NewDatabase(e.Schema())
 	Specialize[upstruct.Trust](e, st, env, func(rel string, t db.Tuple, v upstruct.Trust) {
 		if st.Trusted(v) {
-			_ = out.InsertTuple(rel, t)
+			_ = out.InsertTuple(rel, t.Clone()) // the database keeps it
 		}
 	})
 	return out

@@ -149,6 +149,21 @@ func TestCertifySemantics(t *testing.T) {
 	if !strict.Instance("Products").Contains(bike120) {
 		t.Error("original bike should certify at L=0.85 (the untrusted sale did not happen)")
 	}
+	// Each certified tuple is its own: Specialize lends its tuple, so a
+	// stored alias would turn every row into the last one streamed.
+	for _, d := range []*db.Database{certified, strict} {
+		in := d.Instance("Products")
+		keys := map[string]bool{}
+		in.Each(func(tu db.Tuple) {
+			keys[tu.Key()] = true
+			if !in.Contains(tu) {
+				t.Errorf("certified row %v is not under its own key", tu)
+			}
+		})
+		if len(keys) != in.Len() {
+			t.Errorf("certified rows carry %d distinct keys, want %d", len(keys), in.Len())
+		}
+	}
 }
 
 // TestSpecializeVisitsAllRows: Specialize streams tombstones too, with

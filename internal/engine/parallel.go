@@ -97,7 +97,8 @@ func walkChunks(ctx context.Context, chunks []rowChunk, workers int, visit func(
 // the structure's operations must be pure, so evaluation parallelizes
 // trivially; f is called from multiple goroutines and must be safe for
 // concurrent use (or use LiveStream, which hands chunks back in order),
-// and the tuple it gets is lent for the call. With one worker rows
+// and the tuple it gets is lent for the call (a callback that keeps it
+// keeps t.Clone()). With one worker rows
 // stream in order on the caller's goroutine: that is Specialize. The MVCC horizon is pinned once at entry (a View's own
 // pinned horizon is used as-is), so the pass is lock-free and
 // consistent against concurrent writers. ctx is
