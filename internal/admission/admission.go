@@ -271,29 +271,23 @@ type ClassStats struct {
 // Shed is the class's total shed count.
 func (cs ClassStats) Shed() uint64 { return cs.ShedQueueFull + cs.ShedDeadline + cs.ShedOverload }
 
-// Stats is the controller snapshot served under /v1/stats and expvar.
+// Stats is the controller snapshot served under /v1/stats: the folded
+// state, each class's counters, and Shed, their shed total.
 type Stats struct {
 	State   string                `json:"state"`
 	Classes map[string]ClassStats `json:"classes"`
+	Shed    uint64                `json:"shed"`
 }
 
 // StatsSnapshot collects the per-class counters.
 func (c *Controller) StatsSnapshot() Stats {
 	st := Stats{State: c.State().String(), Classes: make(map[string]ClassStats, NumClasses)}
 	for i, l := range c.classes {
-		st.Classes[Class(i).String()] = l.snapshot()
+		cs := l.snapshot()
+		st.Classes[Class(i).String()] = cs
+		st.Shed += cs.Shed()
 	}
 	return st
-}
-
-// TotalShed sums sheds across classes (the chaos CI job asserts it
-// moved).
-func (c *Controller) TotalShed() uint64 {
-	var n uint64
-	for _, l := range c.classes {
-		n += l.snapshot().Shed()
-	}
-	return n
 }
 
 // limiter is one class's semaphore plus FIFO wait queue.

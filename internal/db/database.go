@@ -217,28 +217,16 @@ func (d *Database) Clone() *Database {
 }
 
 // Equal reports whether two databases over the same schema contain the
-// same tuples.
+// same tuples, each filed under its own key (see Diff).
 func (d *Database) Equal(o *Database) bool {
-	if len(d.instances) != len(o.instances) {
-		return false
-	}
-	for name, in := range d.instances {
-		oin := o.instances[name]
-		if oin == nil || len(in.list) != len(oin.list) {
-			return false
-		}
-		for k := range in.index {
-			if _, ok := oin.index[k]; !ok {
-				return false
-			}
-		}
-	}
-	return true
+	return len(d.instances) == len(o.instances) && d.Diff(o) == ""
 }
 
 // Diff returns a human-readable description of the first few differences
 // between two databases, or "" when they are equal. For test failure
-// messages.
+// messages. A tuple changed after it was inserted (a lent tuple kept
+// without a Clone) no longer matches the key it is filed under, and is
+// named as a difference too.
 func (d *Database) Diff(o *Database) string {
 	out := ""
 	count := 0
@@ -254,14 +242,18 @@ func (d *Database) Diff(o *Database) string {
 			add(fmt.Sprintf("relation %s missing on right", name))
 			continue
 		}
-		for _, t := range in.list {
-			if _, ok := oin.index[t.Key()]; !ok {
-				add(fmt.Sprintf("%s: %v only on left", name, t))
-			}
-		}
-		for _, t := range oin.list {
-			if _, ok := in.index[t.Key()]; !ok {
-				add(fmt.Sprintf("%s: %v only on right", name, t))
+		for _, side := range [2]struct {
+			a, b  *Instance
+			where string
+		}{{in, oin, "left"}, {oin, in, "right"}} {
+			for i, t := range side.a.list {
+				key := t.Key()
+				if j, ok := side.a.index[key]; !ok || j != i {
+					add(fmt.Sprintf("%s: %v on %s is not filed under its key", name, t, side.where))
+				}
+				if _, ok := side.b.index[key]; !ok {
+					add(fmt.Sprintf("%s: %v only on %s", name, t, side.where))
+				}
 			}
 		}
 	}

@@ -262,6 +262,31 @@ func TestCloneIndependence(t *testing.T) {
 	}
 }
 
+// TestEqualCatchesReusedTuple: a tuple whose backing array is
+// overwritten after insertion (a lent tuple kept without a Clone) no
+// longer matches the key it is filed under, and Equal against a fresh
+// copy says so; Diff names the row.
+func TestEqualCatchesReusedTuple(t *testing.T) {
+	buf := db.Tuple{db.S("Kids mnt bike"), db.S("Sport"), db.I(120)}
+	fresh, shared := db.NewDatabase(productsSchema()), db.NewDatabase(productsSchema())
+	if err := fresh.InsertTuple("Products", buf.Clone()); err != nil {
+		t.Fatal(err)
+	}
+	if err := shared.InsertTuple("Products", buf); err != nil {
+		t.Fatal(err)
+	}
+	if !shared.Equal(fresh) {
+		t.Fatalf("equal databases compare unequal: %s", shared.Diff(fresh))
+	}
+	buf[1], buf[2] = db.S("Kids"), db.I(90)
+	if shared.Equal(fresh) || fresh.Equal(shared) {
+		t.Fatal("a tuple overwritten after insertion compares equal to the row it was")
+	}
+	if diff := shared.Diff(fresh); !strings.Contains(diff, "(Kids mnt bike, Kids, 90) on left is not filed under its key") {
+		t.Fatalf("Diff does not name the overwritten row:\n%s", diff)
+	}
+}
+
 func TestCSVRoundTrip(t *testing.T) {
 	d := productsDB(t)
 	var buf bytes.Buffer

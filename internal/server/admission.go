@@ -39,7 +39,6 @@ func (s *Server) admit(class admission.Class, h http.HandlerFunc) http.HandlerFu
 	return func(w http.ResponseWriter, req *http.Request) {
 		release, err := s.adm.Admit(req.Context(), class)
 		if err != nil {
-			s.metrics.m.Add("admission.shed", 1)
 			writeShed(w, err)
 			return
 		}

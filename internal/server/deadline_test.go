@@ -235,7 +235,7 @@ func TestStatusRecorderUnwraps(t *testing.T) {
 }
 
 // TestWhatifStatsSection: the what-if read path's counters appear in
-// /v1/stats and the expvar map, and move once per request.
+// /v1/stats, and only there, and move once per request.
 func TestWhatifStatsSection(t *testing.T) {
 	srv := New(figure1Engine(t, engine.ModeNormalForm), WithLogf(t.Logf))
 	defer srv.Close()
@@ -248,9 +248,7 @@ func TestWhatifStatsSection(t *testing.T) {
 	if rec := serveRaw(srv, "GET", "/v1/db?workers=x", ""); rec.Code != http.StatusBadRequest {
 		t.Fatalf("bad workers parameter answered %d", rec.Code)
 	}
-	if body := serveRaw(srv, "GET", "/v1/metrics", "").Body.String(); !strings.Contains(body, `"whatifRequests":3`) {
-		t.Errorf("expvar map has no whatif section with three requests: %s", body)
-	}
+	noMetricsSection(t, srv, "whatif")
 	got := decode[map[string]any](t, serveRaw(srv, "GET", "/v1/stats", "").Result())
 	want := map[string]float64{
 		"whatifRequests":      3,
@@ -276,4 +274,16 @@ func serveRaw(srv *Server, method, url, body string) *httptest.ResponseRecorder 
 	rec := httptest.NewRecorder()
 	srv.Handler().ServeHTTP(rec, httptest.NewRequest(method, url, strings.NewReader(body)))
 	return rec
+}
+
+// noMetricsSection fails t if /v1/metrics carries any of the named
+// sections: each is rendered in /v1/stats (or /v1/indexes) only.
+func noMetricsSection(t *testing.T, srv *Server, names ...string) {
+	t.Helper()
+	vars := decode[map[string]any](t, serveRaw(srv, "GET", "/v1/metrics", "").Result())
+	for _, name := range names {
+		if v, ok := vars[name]; ok {
+			t.Errorf("/v1/metrics carries a %s section: %v", name, v)
+		}
+	}
 }

@@ -28,7 +28,9 @@
 // (/v1/subscribe, /v1/replication/stream) live until their client goes.
 //
 // Every endpoint is instrumented with expvar-compatible counters
-// (<endpoint>.requests, <endpoint>.errors, <endpoint>.latency_us),
-// served at GET /v1/metrics and publishable into the process-global
-// expvar namespace (see Server.PublishExpvar) for /debug/vars.
+// (<endpoint>.requests, <endpoint>.errors, <endpoint>.latency_us), which
+// with a few event counters (panics, aborted snapshot saves, stream
+// requests and drops) are served at GET /v1/metrics and publishable into
+// the process-global expvar namespace (see Server.PublishExpvar) for
+// /debug/vars. Subsystem state is rendered once, by GET /v1/stats.
 package server

@@ -119,17 +119,10 @@ func (s *Server) handleIngest(w http.ResponseWriter, req *http.Request) {
 // and any checkpoint the commit triggered) — "where did this commit
 // spend its time" is the two means against the endpoint's latency_us.
 func collectIngestStats(s *Server, e engine.DB, out map[string]any) {
-	for name, v := range s.ingest.snapshot() {
-		out[name] = v
-	}
-}
-
-func (st *ingestStats) snapshot() map[string]int64 {
-	return map[string]int64{
-		"ingestRequests":  st.requests.Load(),
-		"ingestTxns":      st.txns.Load(),
-		"ingestBodyBytes": st.bodyBytes.Load(),
-		"ingestParseUs":   st.parseUs.Load(),
-		"ingestApplyUs":   st.applyUs.Load(),
-	}
+	st := &s.ingest
+	out["ingestRequests"] = st.requests.Load()
+	out["ingestTxns"] = st.txns.Load()
+	out["ingestBodyBytes"] = st.bodyBytes.Load()
+	out["ingestParseUs"] = st.parseUs.Load()
+	out["ingestApplyUs"] = st.applyUs.Load()
 }

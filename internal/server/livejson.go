@@ -234,21 +234,14 @@ func (s *Server) serveLive(w http.ResponseWriter, req *http.Request, e engine.Re
 // whatifRequests), and responses sent chunked. whatifAborted counts
 // connections aborted after the first byte, which count nowhere else.
 func collectWhatifStats(s *Server, e engine.DB, out map[string]any) {
-	for name, v := range s.whatif.snapshot() {
-		out[name] = v
-	}
-}
-
-func (st *whatifStats) snapshot() map[string]int64 {
-	return map[string]int64{
-		"whatifRequests":      st.requests.Load(),
-		"whatifRowsEvaluated": st.rowsEvaluated.Load(),
-		"whatifRowsLive":      st.rowsLive.Load(),
-		"whatifRespBytes":     st.respBytes.Load(),
-		"whatifEvalEncodeUs":  st.evalEncodeUs.Load(),
-		"whatifWriteUs":       st.writeUs.Load(),
-		"whatifWorkers":       st.workers.Load(),
-		"whatifStreamed":      st.streamed.Load(),
-		"whatifAborted":       st.aborted.Load(),
-	}
+	st := &s.whatif
+	out["whatifRequests"] = st.requests.Load()
+	out["whatifRowsEvaluated"] = st.rowsEvaluated.Load()
+	out["whatifRowsLive"] = st.rowsLive.Load()
+	out["whatifRespBytes"] = st.respBytes.Load()
+	out["whatifEvalEncodeUs"] = st.evalEncodeUs.Load()
+	out["whatifWriteUs"] = st.writeUs.Load()
+	out["whatifWorkers"] = st.workers.Load()
+	out["whatifStreamed"] = st.streamed.Load()
+	out["whatifAborted"] = st.aborted.Load()
 }

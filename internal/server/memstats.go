@@ -12,7 +12,7 @@ import (
 // way to watch that claim in production is GC behavior — live heap,
 // pause distribution, cycle count. These gauges come from
 // runtime/metrics (the GC-internal accounting, cheap to sample) and
-// are served both in /v1/stats (memory section) and the expvar map.
+// are served in the memory section of /v1/stats.
 
 // memMetricNames are the runtime/metrics samples the memory section
 // reads. Read defensively: a name missing in some future runtime

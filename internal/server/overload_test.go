@@ -134,8 +134,26 @@ func TestOverloadShedsTyped(t *testing.T) {
 	if got := stats["health"]; got != "overloaded" {
 		t.Fatalf("stats health %v, want overloaded", got)
 	}
-	if srv.Admission().TotalShed() == 0 {
-		t.Fatal("TotalShed is zero after sheds")
+	// admission.shed is the controller's own total: above 0 after the
+	// sheds, and the sum of every class's three shed counters.
+	adm, _ := stats["admission"].(map[string]any)
+	shed, _ := adm["shed"].(float64)
+	if shed <= 0 {
+		t.Fatalf("admission.shed = %v after sheds, want > 0 (admission %v)", adm["shed"], adm)
+	}
+	var perClass float64
+	for name, c := range adm["classes"].(map[string]any) {
+		cs := c.(map[string]any)
+		for _, k := range []string{"shed_queue_full", "shed_deadline", "shed_overload"} {
+			v, ok := cs[k].(float64)
+			if !ok {
+				t.Fatalf("class %s has no %s: %v", name, k, cs)
+			}
+			perClass += v
+		}
+	}
+	if shed != perClass {
+		t.Fatalf("admission.shed = %v, the classes' sheds sum to %v", shed, perClass)
 	}
 
 	// Pressure gone: the state decays back to ok within the window.

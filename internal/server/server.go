@@ -12,7 +12,6 @@ import (
 	"hyperprov/internal/admission"
 	"hyperprov/internal/engine"
 	"hyperprov/internal/subscribe"
-	"hyperprov/internal/wal"
 )
 
 // maxBodyBytes caps request bodies (JSON, logs and snapshots alike).
@@ -98,33 +97,6 @@ func New(eng engine.DB, opts ...Option) *Server {
 	for _, o := range opts {
 		o(s)
 	}
-	// Planner and index gauges live next to the endpoint counters in the
-	// same expvar map (served at /v1/metrics and, once published,
-	// /debug/vars). Func closures read through s.Engine() so a snapshot
-	// load swapping the engine swaps the gauges too.
-	s.metrics.m.Set("planner", expvar.Func(func() any { return s.Engine().PlannerStats() }))
-	s.metrics.m.Set("indexes", expvar.Func(func() any { return s.Engine().IndexStats() }))
-	s.metrics.m.Set("wal", expvar.Func(func() any {
-		switch e := s.Engine().(type) {
-		case *wal.Store:
-			return e.Stats()
-		case *wal.Follower:
-			return e.WALStats()
-		}
-		return nil
-	}))
-	s.metrics.m.Set("replication", expvar.Func(func() any {
-		if f, ok := s.Engine().(*wal.Follower); ok {
-			return f.ReplicaStats()
-		}
-		return nil
-	}))
-	s.metrics.m.Set("boot", expvar.Func(func() any { return engine.BootOf(s.Engine()) }))
-	s.metrics.m.Set("memory", expvar.Func(func() any { return ReadMemoryStats() }))
-	s.metrics.m.Set("admission", expvar.Func(func() any { return s.adm.StatsSnapshot() }))
-	s.metrics.m.Set("subscriptions", expvar.Func(func() any { return s.subs.StatsSnapshot() }))
-	s.metrics.m.Set("whatif", expvar.Func(func() any { return s.whatif.snapshot() }))
-	s.metrics.m.Set("ingest", expvar.Func(func() any { return s.ingest.snapshot() }))
 	// methodsByPath records every registered route so the fallback can
 	// distinguish a wrong method on a known path (405 + Allow) from an
 	// unknown path (404), both through the typed error envelope.

@@ -233,6 +233,29 @@ func TestServerEndpoints(t *testing.T) {
 	if counters["annotation.errors"] != nil {
 		t.Fatalf("unexpected annotation errors: %v", counters["annotation.errors"])
 	}
+	// The map holds per-request counters only: each mounted route's
+	// three and the event counters nothing else records. Subsystem state
+	// is rendered by /v1/stats alone, so a gauge added here fails.
+	allowed := map[string]bool{
+		"panics": true, "snapshot_save.aborts": true,
+		"replication_stream.requests": true, "replication_stream.drops": true,
+		"subscribe.requests": true, "subscribe.drops": true,
+	}
+	for _, route := range []string{"healthz", "readyz", "stats", "schema", "annotation", "indexes_list", "db", "whatif_deletion",
+		"whatif_abort", "snapshot_save", "ingest", "indexes_build", "indexes_drop", "snapshot_load", "checkpoint"} {
+		for _, counter := range []string{".requests", ".latency_us"} {
+			if counters[route+counter] == nil {
+				t.Errorf("metrics missing %s%s", route, counter)
+			}
+			allowed[route+counter] = true
+		}
+		allowed[route+".errors"] = true
+	}
+	for key, v := range counters {
+		if !allowed[key] {
+			t.Errorf("metrics carry %s = %v, which is neither a route's counter nor an event counter", key, v)
+		}
+	}
 }
 
 func TestServerErrors(t *testing.T) {
