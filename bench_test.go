@@ -535,8 +535,8 @@ func BenchmarkCheckpointEncode(b *testing.B) {
 // BenchmarkColdStart measures the two ways a server gets its rows, bytes
 // to a ready engine, each through the one loader. csv_200k is the wire
 // benchmark's bulk_scan bootstrap: the 200 000-row CSV db.WriteCSV wrote,
-// through db.CSVRows and engine.Load (parse beside build, tables and
-// intern head arrays reserved). snapshot_tpcc12k is oltp_point's
+// through db.CSVRows and engine.Load (parse beside build, tables
+// reserved). snapshot_tpcc12k is oltp_point's
 // recovery: the snapshot of the state its 12 000 TPC-C transactions
 // leave, through provstore.LoadSnapshot (decode beside restore). Both
 // report rows/s; TestBenchCeilings holds B/op. The intern table is

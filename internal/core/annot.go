@@ -47,8 +47,8 @@ func QueryAnnot(name string) Annot { return Annot{Name: name, Kind: KindQuery} }
 func (a Annot) String() string { return a.Name }
 
 // Vars returns the variables of the fresh annotations prefix<from> …
-// prefix<from+n-1> of the given kind, interned as one batch (see
-// internTable.vars): what an engine names its initial rows by.
+// prefix<from+n-1> of the given kind, interned as one batch: what an
+// engine names its initial rows by.
 func Vars(prefix string, kind AnnotKind, from, n int) []*Expr {
 	return interns.vars(prefix, kind, from, n)
 }

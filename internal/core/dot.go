@@ -20,13 +20,13 @@ func WriteDOT(w io.Writer, name string, e *Expr) error {
 		id := n
 		n++
 		label := ""
-		switch x.op {
+		switch x.Op() {
 		case OpZero:
 			label = "0"
 		case OpVar:
 			label = x.Annot().Name
 		default:
-			label = opSymbol(x.op)
+			label = opSymbol(x.Op())
 		}
 		if _, err := fmt.Fprintf(w, "  n%d [label=%q];\n", id, label); err != nil {
 			return 0, err

@@ -2,8 +2,10 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"sort"
+	"sync"
 	"sync/atomic"
 )
 
@@ -60,26 +62,63 @@ func (o Op) String() string {
 // which is the size measure used throughout the paper's evaluation;
 // DAGSize reports the deduplicated measure. Construct expressions only
 // through the exported constructors; the zero value of Expr is not
-// valid. Expr values must never be copied (live and ext are atomic).
+// valid. Expr values must never be copied (meta and ext are atomic).
 //
-// Layout: one 64-byte cache line, and a canonical node is immortal, so
-// a word here is a word per node forever. A binary node — nearly every
-// node of an update history — holds its operands itself, a canonical
-// node is its own intern-table entry, and what only some nodes need
-// sits behind ext. Raw (DeepCopy) nodes are the same struct with
-// interned false, id 0 and next never linked.
+// Layout: 48 bytes, and a canonical node is immortal, so a word here is
+// a word per node forever. One word, meta, packs the header; only Live
+// writes it after birth, so every header read is one atomic load. A
+// binary node — nearly every node of an update history — holds its
+// operands itself, a canonical node is its own intern-table entry, and
+// what only some nodes need sits behind ext. Raw (DeepCopy) nodes are
+// the same struct with interned false, id 0 and next never linked.
 type Expr struct {
-	op       Op
-	interned bool
-	id       uint32        // dense process-local identity (see ID)
-	live     atomic.Uint32 // caches Live: 0 not computed, 1 false, 2 true
-	hash     uint64
-	size     int64
-	lr       [2]*Expr // operands of a binary node; Children slices them
-	next     *Expr    // chains the canonical nodes of one intern-table slot
+	id   uint32        // dense process-local identity (see ID)
+	meta atomic.Uint32 // op, interned, Live cache and tree size
+	hash uint64
+	lr   [2]*Expr // operands of a binary node; Children slices them
+	next *Expr    // chains the canonical nodes of one intern-table slot
 	// ext is set at birth on a variable and a sum and created on demand
 	// (memo) when Minimize or Normalize first meet a binary node.
 	ext atomic.Pointer[exprExt]
+}
+
+// The bits of Expr.meta, from the low end: the operator, the interned
+// flag, the Live cache (0 not computed, 1 false, 2 true) and the tree
+// size. A size of metaBig or more stores metaBig there and the exact
+// size beside the node: in bigSizes for a canonical node (immortal, so
+// nothing there goes stale), behind a raw node's unlinked next for a
+// raw one. No benchmark history comes near 2²⁶ nodes in one tree.
+const (
+	metaOpBits    = 3
+	metaInterned  = 1 << metaOpBits
+	metaLiveShift = metaOpBits + 1
+	metaSizeShift = metaLiveShift + 2
+	metaBig       = 1<<(32-metaSizeShift) - 1
+)
+
+var bigSizes sync.Map // *Expr → int64
+
+// setMeta writes the header of a node that is not yet published; flags
+// is metaInterned or 0.
+func (e *Expr) setMeta(op Op, flags uint32, size int64) {
+	if size >= metaBig {
+		if flags != 0 {
+			bigSizes.Store(e, size)
+		} else {
+			e.next = &Expr{hash: uint64(size)}
+		}
+		size = metaBig
+	}
+	e.meta.Store(uint32(op) | flags | uint32(size)<<metaSizeShift)
+}
+
+// addSize adds tree sizes, saturating at math.MaxInt64: a DAG of 64
+// nodes can describe a tree of 2⁶⁴ nodes.
+func addSize(a, b int64) int64 {
+	if a > math.MaxInt64-b {
+		return math.MaxInt64
+	}
+	return a + b
 }
 
 // exprExt is what only some nodes need: a variable's annotation, a
@@ -110,7 +149,14 @@ func (e *Expr) memo() *exprExt {
 
 // zeroExpr is the canonical 0 node; Zero always returns it, so a
 // syntactic zero test is a pointer or op comparison.
-var zeroExpr = &Expr{op: OpZero, size: 1, hash: hashNode(OpZero, Annot{}, nil), interned: true}
+var zeroExpr = newNode(OpZero, metaInterned, 1, hashNode(OpZero, Annot{}, nil))
+
+// newNode returns a node of no arena: the 0 node and raw ones.
+func newNode(op Op, flags uint32, size int64, h uint64) *Expr {
+	e := &Expr{hash: h}
+	e.setMeta(op, flags, size)
+	return e
+}
 
 // Zero returns the distinguished 0 expression.
 func Zero() *Expr { return zeroExpr }
@@ -132,11 +178,13 @@ func binary(op Op, l, r *Expr) *Expr {
 	// constructor chains (Sum over Minus over Var) hash two words per
 	// level instead of re-walking structure.
 	h := hashBinary(op, l.hash, r.hash)
-	if !l.interned || !r.interned {
+	if !l.Interned() || !r.Interned() {
 		// A raw (DeepCopy'd) child makes the parent raw: raw trees model
 		// the paper's unshared tree memory and must not pollute the
 		// intern table with nodes whose children are not canonical.
-		return &Expr{op: op, lr: [2]*Expr{l, r}, size: 1 + l.size + r.size, hash: h}
+		e := newNode(op, 0, addSize(1, addSize(l.Size(), r.Size())), h)
+		e.lr = [2]*Expr{l, r}
+		return e
 	}
 	return interns.internBinary(op, l, r, h)
 }
@@ -158,12 +206,12 @@ func DotM(l, r *Expr) *Expr { return binary(OpDotM, l, r) }
 // nested sums are flattened one level, matching the paper's treatment of
 // Σ over a set of expressions.
 func Sum(kids ...*Expr) *Expr {
-	if len(kids) == 1 && kids[0].op != OpSum {
+	if len(kids) == 1 && kids[0].Op() != OpSum {
 		return kids[0]
 	}
 	flat := make([]*Expr, 0, len(kids))
 	for _, k := range kids {
-		if k.op == OpSum {
+		if k.Op() == OpSum {
 			flat = append(flat, k.Children()...)
 		} else {
 			flat = append(flat, k)
@@ -177,24 +225,24 @@ func Sum(kids ...*Expr) *Expr {
 	}
 	h := hashNode(OpSum, Annot{}, flat)
 	for _, k := range flat {
-		if !k.interned {
+		if !k.Interned() {
 			size := int64(1)
 			for _, c := range flat {
-				size += c.size
+				size = addSize(size, c.Size())
 			}
-			return (&Expr{op: OpSum, size: size, hash: h}).newExt(Annot{}, flat)
+			return newNode(OpSum, 0, size, h).newExt(Annot{}, flat)
 		}
 	}
 	return interns.intern(OpSum, Annot{}, flat, h)
 }
 
 // Op reports the node kind.
-func (e *Expr) Op() Op { return e.op }
+func (e *Expr) Op() Op { return Op(e.meta.Load() & (1<<metaOpBits - 1)) }
 
 // Annot returns the basic annotation of an OpVar node; it panics on any
 // other node kind.
 func (e *Expr) Annot() Annot {
-	if e.op != OpVar {
+	if e.Op() != OpVar {
 		panic("core: Annot called on non-variable expression")
 	}
 	return e.ext.Load().ann
@@ -210,10 +258,10 @@ func (e *Expr) Child(i int) *Expr { return e.Children()[i] }
 // operand words of the node itself, so the call allocates nothing. The
 // returned slice must not be modified.
 func (e *Expr) Children() []*Expr {
-	switch {
-	case e.op == OpSum:
+	switch op := e.Op(); {
+	case op == OpSum:
 		return e.ext.Load().kids
-	case e.op >= OpPlusI:
+	case op >= OpPlusI:
 		return e.lr[:]
 	}
 	return nil
@@ -227,8 +275,17 @@ func (e *Expr) Right() *Expr { return e.lr[1] }
 
 // Size returns the tree size (number of nodes, shared nodes counted per
 // occurrence) of the expression. This is the provenance-size measure of
-// the paper's Section 6.
-func (e *Expr) Size() int64 { return e.size }
+// the paper's Section 6. It saturates at math.MaxInt64.
+func (e *Expr) Size() int64 {
+	switch s := int64(e.meta.Load() >> metaSizeShift); {
+	case s < metaBig:
+		return s
+	case !e.Interned():
+		return int64(e.next.hash)
+	}
+	s, _ := bigSizes.Load(e)
+	return s.(int64)
+}
 
 // ID returns the dense identity the intern table gave a canonical node:
 // 1, 2, 3, … in interning order, so a node's id is larger than the id
@@ -245,20 +302,20 @@ func (e *Expr) Hash() uint64 { return e.hash }
 // IsZero reports whether the expression is the literal 0. Per Section 3.1
 // a tuple is in the support of an annotated relation iff its annotation
 // is not (syntactically) 0.
-func (e *Expr) IsZero() bool { return e.op == OpZero }
+func (e *Expr) IsZero() bool { return e.Op() == OpZero }
 
 // Live reports whether a tuple annotated e is in the database when
 // nothing is deleted and no transaction aborted: e's value in the
 // Boolean structure of Section 4.1 (+I, +M and Σ are ∨, ·M is ∧, a − b
 // is a ∧ ¬b, 0 is false) with every annotation true. Nodes are
 // immutable, so the value is computed once per node — a walk of the
-// DAG, not of the tree — and a racing computation stores the same value.
+// DAG, not of the tree — and a racing computation sets the same bits.
 func (e *Expr) Live() bool {
-	if m := e.live.Load(); m != 0 {
-		return m == 2
+	if l := e.meta.Load() >> metaLiveShift & 3; l != 0 {
+		return l == 2
 	}
 	var v bool
-	switch e.op {
+	switch e.Op() {
 	case OpVar:
 		v = true
 	case OpSum:
@@ -272,10 +329,11 @@ func (e *Expr) Live() bool {
 	case OpMinus:
 		v = e.lr[0].Live() && !e.lr[1].Live()
 	}
+	bits := uint32(1) << metaLiveShift
 	if v {
-		e.live.Store(2)
-	} else {
-		e.live.Store(1)
+		bits <<= 1
+	}
+	for m := e.meta.Load(); !e.meta.CompareAndSwap(m, m|bits); m = e.meta.Load() {
 	}
 	return v
 }
@@ -291,11 +349,11 @@ func (e *Expr) Equal(o *Expr) bool {
 	if e == nil || o == nil {
 		return e == o
 	}
-	if e.interned && o.interned {
+	if e.Interned() && o.Interned() {
 		// Distinct canonical nodes are structurally distinct.
 		return false
 	}
-	if e.hash != o.hash || e.op != o.op || (e.op == OpVar && e.Annot() != o.Annot()) {
+	if e.hash != o.hash || e.Op() != o.Op() || (e.Op() == OpVar && e.Annot() != o.Annot()) {
 		return false
 	}
 	return slices.EqualFunc(e.Children(), o.Children(), (*Expr).Equal)
@@ -308,11 +366,12 @@ func (e *Expr) Equal(o *Expr) bool {
 // on top of them), so the copy-on-write configuration keeps paying the
 // paper's tree-shaped memory. Intern restores canonical sharing.
 func (e *Expr) DeepCopy() *Expr {
-	if e.op == OpZero {
+	op := e.Op()
+	if op == OpZero {
 		return zeroExpr
 	}
-	c := &Expr{op: e.op, size: e.size, hash: e.hash}
-	switch e.op {
+	c := newNode(op, 0, e.Size(), e.hash)
+	switch op {
 	case OpVar:
 		return c.newExt(e.Annot(), nil)
 	case OpSum:
@@ -343,7 +402,7 @@ func (e *Expr) Annots(into map[Annot]struct{}) map[Annot]struct{} {
 		into = make(map[Annot]struct{})
 	}
 	var seen *NodeSet
-	if e.size > annotsTreeWalk {
+	if e.Size() > annotsTreeWalk {
 		seen = new(NodeSet)
 	}
 	var walk func(x *Expr)
@@ -351,7 +410,7 @@ func (e *Expr) Annots(into map[Annot]struct{}) map[Annot]struct{} {
 		if seen != nil && !seen.Add(x) {
 			return
 		}
-		if x.op == OpVar {
+		if x.Op() == OpVar {
 			into[x.Annot()] = struct{}{}
 			return
 		}

@@ -36,16 +36,17 @@ import (
 // this down.
 //
 // Memory layout: the table is the nodes themselves. Each of the 64
-// lock-striped shards is a power-of-two array of chain heads over the
-// intrusive next pointer of Expr, so a canonical node costs its 64
+// lock-striped shards is a power-of-two number of chain heads over the
+// intrusive next pointer of Expr, so a canonical node costs its 48
 // bytes and its share of a head word — no map entry, no bucket, nothing
 // to allocate on a miss but the node — and can later be unlinked, where
-// a Go map entry could only be deleted by key. Canonical nodes are
-// immortal (the table is append-only for the process lifetime), hence
-// ideal arena tenants: each shard slab-allocates its nodes, and the
-// extension records of its variables and sums, from fixed-size chunks,
-// so interning is a bump-pointer step and the GC tracks a thousand
-// nodes per allocation.
+// a Go map entry could only be deleted by key. The heads sit in
+// segments that a doubling appends to and never copies (see grow).
+// Canonical nodes are immortal (the table is append-only for the
+// process lifetime), hence ideal arena tenants: each shard
+// slab-allocates its nodes, and the extension records of its variables
+// and sums, from fixed-size chunks, so interning is a bump-pointer step
+// and the GC tracks a thousand nodes per allocation.
 
 // internShardCount is the number of lock stripes of the intern table.
 // Power of two; 64 stripes keep contention negligible at GOMAXPROCS
@@ -56,12 +57,15 @@ const internShardCount = 64
 const arenaChunkLen = 1024
 
 // internLoad is the number of nodes per chain head at which a shard
-// doubles its head array, relinking every node under its write lock. A
-// chain step is a cache miss on another node, a head word 8 bytes
-// allocated twice over by the doublings: at 2 a probe costs what it
-// costs at 1 for 14 bytes a node less, at 4 it is a quarter slower for
-// 7 more (BenchmarkInternCold has the table).
+// doubles its heads, splitting every chain under its write lock. A
+// chain step is a cache miss on another node, a head word 8 bytes: at 1
+// a probe is a tenth faster for 8 bytes a node more, at 4 a fifth slower
+// for 4 bytes less (BenchmarkInternCold has the table).
 const internLoad = 2
+
+// segLen is the number of chain heads per segment (the first one serves
+// the doublings from 8 heads too).
+const segLen = 256
 
 // arena bump-allocates immortal values from fixed-size chunks. Chunks
 // are never re-allocated or copied: published pointers stay valid (the
@@ -82,9 +86,10 @@ func (a *arena[T]) alloc() *T {
 
 type internShard struct {
 	mu sync.RWMutex
-	// heads[slot(h)] starts the chain of every canonical node whose
-	// fingerprint falls in the slot; len(heads) is a power of two.
-	heads []*Expr
+	// Head i, of the 2^level, starts the chain of every canonical node
+	// whose slot bits (see head) are i; it is segs[i/segLen][i%segLen].
+	segs  []*[segLen]*Expr
+	level uint
 	n     int // nodes linked
 	nodes arena[Expr]
 	exts  arena[exprExt]
@@ -102,7 +107,7 @@ var interns = newInternTable()
 func newInternTable() *internTable {
 	t := &internTable{}
 	for i := range t.shards {
-		t.shards[i].heads = make([]*Expr, 8)
+		t.shards[i].segs, t.shards[i].level = []*[segLen]*Expr{new([segLen]*Expr)}, 3
 	}
 	return t
 }
@@ -122,8 +127,10 @@ func (t *internTable) shard(h uint64) *internShard {
 // head returns the chain head slot of a fingerprint; the caller holds
 // the shard lock.
 func (s *internShard) head(h uint64) **Expr {
-	return &s.heads[mix(h)>>6&uint64(len(s.heads)-1)]
+	return s.slot(mix(h) >> 6 & (1<<s.level - 1))
 }
+
+func (s *internShard) slot(i uint64) **Expr { return &s.segs[i/segLen][i%segLen] }
 
 // find walks the fingerprint's chain for the canonical node (op, ann,
 // kids); the caller holds the shard lock. Children are compared by
@@ -131,7 +138,7 @@ func (s *internShard) head(h uint64) **Expr {
 // pointer comparison is exact structural comparison here.
 func (s *internShard) find(op Op, ann Annot, kids []*Expr, h uint64) *Expr {
 	for e := *s.head(h); e != nil; e = e.next {
-		if e.hash == h && e.op == op && (op != OpVar || e.Annot() == ann) && slices.Equal(e.Children(), kids) {
+		if e.hash == h && e.Op() == op && (op != OpVar || e.Annot() == ann) && slices.Equal(e.Children(), kids) {
 			return e
 		}
 	}
@@ -139,34 +146,34 @@ func (s *internShard) find(op Op, ann Annot, kids []*Expr, h uint64) *Expr {
 }
 
 // findBinary is find for a binary node given its children directly, so
-// the probe reads nothing but the chain's nodes.
-func (s *internShard) findBinary(op Op, l, r *Expr, h uint64) *Expr {
-	for e := *s.head(h); e != nil; e = e.next {
-		if e.hash == h && e.op == op && e.lr[0] == l && e.lr[1] == r {
+// the probe reads nothing but the chain's nodes, from its first node e
+// on (small enough to inline into both of internBinary's probes).
+func findBinary(e *Expr, op Op, l, r *Expr, h uint64) *Expr {
+	for ; e != nil; e = e.next {
+		if e.hash == h && e.Op() == op && e.lr[0] == l && e.lr[1] == r {
 			return e
 		}
 	}
 	return nil
 }
 
-// headsFor is the head count a shard doubling from 8 at internLoad nodes
-// per head has reached once it holds n nodes.
-func headsFor(n int) int {
-	l := 8
-	for n > internLoad*l {
-		l *= 2
+// grow doubles the heads: it appends segments for the upper half and
+// moves each node of chain i whose next slot bit is set to chain
+// i + 2^level, so no head is copied; the caller holds the write lock.
+func (s *internShard) grow() {
+	half := uint64(1) << s.level
+	for i := max(half, segLen); i < 2*half; i += segLen {
+		s.segs = append(s.segs, new([segLen]*Expr))
 	}
-	return l
-}
-
-// relink moves every node onto a head array of the given size; the
-// caller holds the write lock.
-func (s *internShard) relink(size int) {
-	old := s.heads
-	s.heads = make([]*Expr, size)
-	for _, e := range old {
-		for e != nil {
-			next, to := e.next, s.head(e.hash)
+	s.level++
+	for i := uint64(0); i < half; i++ {
+		lo, hi := s.slot(i), s.slot(i+half)
+		e := *lo
+		for *lo = nil; e != nil; {
+			next, to := e.next, lo
+			if mix(e.hash)>>6&half != 0 {
+				to = hi
+			}
 			e.next, *to = *to, e
 			e = next
 		}
@@ -177,11 +184,12 @@ func (s *internShard) relink(size int) {
 // returns it for the caller to fill in its children; the caller holds
 // the write lock and has just failed to find the node.
 func (s *internShard) insert(t *internTable, op Op, size int64, h uint64) *Expr {
-	if s.n >= internLoad*len(s.heads) {
-		s.relink(2 * len(s.heads))
+	if s.n >= internLoad<<s.level {
+		s.grow()
 	}
 	n := s.nodes.alloc()
-	n.op, n.interned, n.id, n.size, n.hash = op, true, t.nextID(), size, h
+	n.id, n.hash = t.nextID(), h
+	n.setMeta(op, metaInterned, size)
 	to := s.head(h)
 	n.next, *to = *to, n
 	s.n++
@@ -215,7 +223,7 @@ func (t *internTable) intern(op Op, ann Annot, kids []*Expr, h uint64) *Expr {
 func (t *internTable) internMiss(s *internShard, op Op, ann Annot, kids []*Expr, h uint64) *Expr {
 	size := int64(1)
 	for _, k := range kids {
-		size += k.size
+		size = addSize(size, k.Size())
 	}
 	s.mu.Lock()
 	if e := s.find(op, ann, kids, h); e != nil {
@@ -233,40 +241,34 @@ func (t *internTable) internMiss(s *internShard, op Op, ann Annot, kids []*Expr,
 }
 
 // vars interns the variables prefix<from> … prefix<from+n-1> as one batch
-// and returns them in order. The names are hashed first, so every shard's
-// head array is sized once for the nodes it is about to take instead of
-// relinking them at each doubling on the way; each name then costs one
-// chain walk under the write lock. Sizes are headsFor's: a shard that
-// took fewer nodes than counted (names interned before) is cut back, so
-// the table ends as single interns would leave it.
+// and returns them in order. Each shard first doubles to the heads single
+// interns of its new names would leave it, so the chain walks, one under
+// the write lock per name, run below the load it ends at, not up to twice.
 func (t *internTable) vars(prefix string, kind AnnotKind, from, n int) []*Expr {
 	annots, hs, out := make([]Annot, n), make([]uint64, n), make([]*Expr, n)
-	var per [internShardCount]int
+	var fresh [internShardCount]int
 	for i := range annots {
 		var buf [24]byte
 		annots[i] = Annot{Name: string(strconv.AppendInt(append(buf[:0], prefix...), int64(from+i), 10)), Kind: kind}
 		hs[i] = hashNode(OpVar, annots[i], nil)
-		per[mix(hs[i])&(internShardCount-1)]++
-	}
-	resize := func(ahead bool) {
-		for i := range t.shards {
-			s := &t.shards[i]
-			s.mu.Lock()
-			want := headsFor(s.n)
-			if ahead {
-				want = max(headsFor(s.n+per[i]), len(s.heads))
-			}
-			if want != len(s.heads) && per[i] > 0 {
-				s.relink(want)
-			}
-			s.mu.Unlock()
+		s := t.shard(hs[i])
+		s.mu.RLock()
+		if s.find(OpVar, annots[i], nil, hs[i]) == nil {
+			fresh[mix(hs[i])&(internShardCount-1)]++
 		}
+		s.mu.RUnlock()
 	}
-	resize(true)
+	for i := range t.shards {
+		s := &t.shards[i]
+		s.mu.Lock()
+		for s.n+fresh[i] > internLoad<<s.level {
+			s.grow()
+		}
+		s.mu.Unlock()
+	}
 	for i, a := range annots {
 		out[i] = t.internMiss(t.shard(hs[i]), OpVar, a, nil, hs[i])
 	}
-	resize(false)
 	return out
 }
 
@@ -298,7 +300,7 @@ func LookupVar(a Annot) *Expr {
 // if it is canonical — or nil if none has been interned. Like LookupVar
 // it never inserts.
 func Lookup(e *Expr) *Expr {
-	if e.interned {
+	if e.Interned() {
 		return e
 	}
 	s := interns.shard(e.hash)
@@ -319,7 +321,7 @@ func Lookup(e *Expr) *Expr {
 func (t *internTable) internBinary(op Op, l, r *Expr, h uint64) *Expr {
 	s := t.shard(h)
 	s.mu.RLock()
-	e := s.findBinary(op, l, r, h)
+	e := findBinary(*s.head(h), op, l, r, h)
 	s.mu.RUnlock()
 	if e != nil {
 		t.hits.Add(1)
@@ -327,12 +329,12 @@ func (t *internTable) internBinary(op Op, l, r *Expr, h uint64) *Expr {
 	}
 
 	s.mu.Lock()
-	if e := s.findBinary(op, l, r, h); e != nil {
+	if e := findBinary(*s.head(h), op, l, r, h); e != nil {
 		s.mu.Unlock()
 		t.hits.Add(1)
 		return e
 	}
-	n := s.insert(t, op, 1+l.size+r.size, h)
+	n := s.insert(t, op, addSize(1, addSize(l.Size(), r.Size())), h)
 	n.lr = [2]*Expr{l, r}
 	s.mu.Unlock()
 	t.misses.Add(1)
@@ -342,17 +344,17 @@ func (t *internTable) internBinary(op Op, l, r *Expr, h uint64) *Expr {
 // Interned reports whether e is a canonical node of the intern table
 // (true for everything built through the constructors; false only for
 // DeepCopy results and their enclosing raw trees).
-func (e *Expr) Interned() bool { return e.interned }
+func (e *Expr) Interned() bool { return e.meta.Load()&metaInterned != 0 }
 
 // Intern returns the canonical representative of e: e itself if it is
 // already canonical, otherwise the interned node of the identical
 // structure, interning bottom-up. The cost is linear in the number of
 // non-canonical nodes reachable from e.
 func Intern(e *Expr) *Expr {
-	if e == nil || e.interned {
+	if e == nil || e.Interned() {
 		return e
 	}
-	switch e.op {
+	switch e.Op() {
 	case OpZero:
 		return zeroExpr
 	case OpVar:
@@ -363,7 +365,7 @@ func Intern(e *Expr) *Expr {
 		kids[i] = Intern(k)
 	}
 	// Interning children preserves structure, hence the structural hash.
-	return interns.intern(e.op, Annot{}, kids, e.hash)
+	return interns.intern(e.Op(), Annot{}, kids, e.hash)
 }
 
 // InternTableStats is a snapshot of the global intern table counters.

@@ -81,12 +81,12 @@ func TestInternForcedCollision(t *testing.T) {
 	// past the load factor rehashes with the whole collision chain in
 	// place, and no rehash may drop, duplicate or confuse a node.
 	const more = 200
-	slots := len(sh.heads)
+	slots := 1 << sh.level
 	for i := 0; i < more; i++ {
 		tab.intern(OpVar, TupleAnnot(fmt.Sprintf("collision-%d", i)), nil, h)
 	}
-	if len(sh.heads) <= slots || sh.n != 3+more {
-		t.Fatalf("shard holds %d nodes over %d slots (was %d): the collisions did not force a rehash", sh.n, len(sh.heads), slots)
+	if 1<<sh.level <= slots || sh.n != 3+more {
+		t.Fatalf("shard holds %d nodes over %d slots (was %d): the collisions did not force a rehash", sh.n, 1<<sh.level, slots)
 	}
 	for i := 0; i < more; i++ {
 		a := TupleAnnot(fmt.Sprintf("collision-%d", i))
@@ -130,7 +130,7 @@ func TestInternRawTreesStayRaw(t *testing.T) {
 
 // TestInternConcurrent hammers the sharded table from many goroutines
 // building the same expressions — enough distinct ones that every shard
-// doubles its head array several times while the others are probing it
+// doubles its heads several times while the others are probing it
 // — with LookupVar readers beside them; every goroutine must observe
 // the same canonical pointers, and a lookup either misses or answers
 // the node the writers got. Run with -race (CI does).
@@ -140,7 +140,7 @@ func TestInternConcurrent(t *testing.T) {
 		for i := range interns.shards {
 			s := &interns.shards[i]
 			s.mu.RLock()
-			n += len(s.heads)
+			n += 1 << s.level
 			s.mu.RUnlock()
 		}
 		return n
@@ -216,18 +216,19 @@ func internColdLeaves() []*Expr {
 	return leaves
 }
 
-// TestInternBytesPerNode: a canonical binary node costs its 64 bytes
+// TestInternBytesPerNode: a canonical binary node costs its 48 bytes
 // and its share of a chain head — no table entry beside it, no operand
 // slice, no allocation of its own — and finding it again costs nothing.
 // The count starts at an empty table and includes everything the table
 // allocates: the nodes, the unused tail of each shard's newest chunk
-// and every head array, the outgrown ones too, which is 8 to 16 bytes a
-// node depending on how long ago the shards last doubled — 76.1 at
-// 500 000, at 1.9 nodes per slot; 84.9 at BenchmarkInternCold's 300 000,
-// at 1.1 and with a third of a chunk per shard unused, where the two Go
-// maps over 96-byte nodes this replaced read 184.1 and 1.01 mallocs.
-// That second size is the benchmark's one op, held to the B/op it read
-// when its ceiling was set (25 455 232) plus a tenth.
+// and the head segments, which are never copied, so none is outgrown:
+// 4 to 8 bytes a node depending on how long ago the shards last doubled
+// — 55.1 at 500 000, at 1.9 nodes per slot; 60.4 at BenchmarkInternCold's
+// 300 000, at 1.1 and with a third of a chunk per shard unused, where
+// 64-byte nodes over head arrays copied at each doubling read 76.1 and
+// 84.9, and the two Go maps over 96-byte nodes before them 184.1 and
+// 1.01 mallocs. That second size is the benchmark's one op, held to the
+// B/op it read when its ceiling was set (25 455 232) plus a tenth.
 func TestInternBytesPerNode(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates shadow memory per access")
@@ -236,7 +237,7 @@ func TestInternBytesPerNode(t *testing.T) {
 	for _, c := range []struct {
 		n        int
 		maxBytes float64
-	}{{500000, 80}, {internColdN, 25455232 * 1.1 / internColdN}} {
+	}{{500000, 60}, {internColdN, 25455232 * 1.1 / internColdN}} {
 		nodes := make([]*Expr, 0, c.n)
 		var tab *internTable
 		measure := func(f func()) (bytes, mallocs float64) {
@@ -292,21 +293,25 @@ const internColdN = 300000
 // cannot see what a node costs; this one sees nothing else. B/node
 // counts every byte the table allocates from empty.
 //
-// It is also the measurement behind internLoad — medians of five
-// interleaved rounds, one 2.1 GHz core, on a host whose speed drifts by
+// It is also the measurement behind internLoad — medians of ten
+// interleaved rounds, two vCPUs of a shared host whose speed drifts by
 // a third between rounds, so read the columns against each other:
 //
 //	nodes/slot   B/node   ns/hit   ns/miss
-//	    1         98.8     222      358
-//	    2         84.9     226      383
-//	    4         77.9     285      501
-//	    8         73.9     304      542
+//	    1         68.3     223      404
+//	    2         60.4     249      472
+//	    4         56.4     297      670
+//	    8         54.4     419      948
 //
-// Of the 84.9 bytes 64 are the node, 5.9 the unused tail of each shard's
-// newest chunk and 14 the head arrays, half of them outgrown. The two
-// Go maps over 96-byte nodes with operand slices that the chains
-// replaced read 184.1 bytes, 1.01 mallocs, 345 ns per hit and 536 per
-// miss by the same count.
+// Of the 60.4 bytes 48 are the node, 4.4 the unused tail of each shard's
+// newest chunk, 7.0 the head segments and one the first segments, the
+// segment lists and the table itself. With 64-byte nodes and head
+// arrays copied at each doubling the same count read 84.8 (64, 5.9 and
+// 14, half of the heads outgrown) at 257 and 465 ns in the same rounds;
+// linear hashing (one head split per insert) read 57.4 at 313 and 629;
+// the two Go maps over 96-byte nodes with operand slices that the
+// chains replaced read 184.1 bytes, 1.01 mallocs, 345 ns per hit and
+// 536 per miss.
 func BenchmarkInternCold(b *testing.B) {
 	const n = internColdN
 	nodes, leaves := make([]*Expr, 0, n), internColdLeaves()
@@ -388,10 +393,10 @@ func TestInternStatsCounters(t *testing.T) {
 }
 
 // TestVarsReserveWhatDoublingReaches: a batch of fresh variables leaves
-// every shard's head array at the size interning them one by one does —
-// the reservation ahead is exact, also where some of the names were
-// interned before and a shard takes fewer nodes than the batch counted —
-// and returns the nodes single interns find.
+// every shard with the heads interning them one by one does — the count
+// doubling from 8 at internLoad nodes a head reaches, also where some of
+// the names were interned before — and returns the nodes single interns
+// find.
 func TestVarsReserveWhatDoublingReaches(t *testing.T) {
 	for _, n := range []int{0, 1, 15, 16, 17, 1000, 196608, 200000} {
 		for _, known := range []int{0, n / 3} {
@@ -416,8 +421,12 @@ func TestVarsReserveWhatDoublingReaches(t *testing.T) {
 			}
 			for i := range bulk.shards {
 				b, s := &bulk.shards[i], &single.shards[i]
-				if b.n != s.n || len(b.heads) != len(s.heads) || len(b.heads) != headsFor(b.n) {
-					t.Fatalf("n=%d known=%d shard %d: %d nodes on %d heads; single interns leave %d on %d", n, known, i, b.n, len(b.heads), s.n, len(s.heads))
+				heads := 8
+				for b.n > internLoad*heads {
+					heads *= 2
+				}
+				if b.n != s.n || b.level != s.level || 1<<b.level != heads {
+					t.Fatalf("n=%d known=%d shard %d: %d nodes on %d heads; single interns leave %d on %d, doubling reaches %d", n, known, i, b.n, 1<<b.level, s.n, 1<<s.level, heads)
 				}
 			}
 		}

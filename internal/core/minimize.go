@@ -26,7 +26,7 @@ func Minimize(e *Expr) *Expr {
 }
 
 func minimizeInterned(e *Expr) *Expr {
-	if e.op <= OpVar {
+	if e.Op() <= OpVar {
 		return e // 0 and variables are minimal and carry no memo
 	}
 	x := e.memo()
@@ -37,7 +37,7 @@ func minimizeInterned(e *Expr) *Expr {
 	// Minimize is idempotent (TestMinimizeIdempotent), so the result is
 	// its own fixed point; recording that saves the re-walk when a
 	// minimized expression is minimized again.
-	if m.op > OpVar {
+	if m.Op() > OpVar {
 		m.memo().minimized.Store(m)
 	}
 	x.minimized.Store(m)
@@ -45,14 +45,14 @@ func minimizeInterned(e *Expr) *Expr {
 }
 
 func minimizeStep(e *Expr) *Expr {
-	if e.op == OpSum {
+	if e.Op() == OpSum {
 		kids := make([]*Expr, 0, len(e.Children()))
 		for _, k := range e.Children() {
 			m := minimizeInterned(k)
 			if m.IsZero() {
 				continue
 			}
-			if m.op == OpSum {
+			if m.Op() == OpSum {
 				kids = append(kids, m.Children()...)
 			} else {
 				kids = append(kids, m)
@@ -69,7 +69,7 @@ func minimizeStep(e *Expr) *Expr {
 	}
 	l := minimizeInterned(e.Left())
 	r := minimizeInterned(e.Right())
-	switch e.op {
+	switch e.Op() {
 	case OpMinus:
 		if l.IsZero() {
 			return zeroExpr
@@ -92,7 +92,7 @@ func minimizeStep(e *Expr) *Expr {
 	if l == e.Left() && r == e.Right() {
 		return e
 	}
-	return binary(e.op, l, r)
+	return binary(e.Op(), l, r)
 }
 
 // dedupExprs removes structural duplicates, keeping first occurrences.

@@ -322,7 +322,7 @@ func (o *nfOpen) add(c *Expr) {
 	if c.IsZero() {
 		return
 	}
-	if c.op == OpSum {
+	if c.Op() == OpSum {
 		// Σ is flat: a summand that is itself a sum contributes its
 		// elements (axiom 11).
 		for _, k := range c.Children() {

@@ -22,7 +22,7 @@ func (e *Expr) AppendText(dst []byte, name func(dst []byte, s string) []byte) []
 }
 
 func (e *Expr) appendText(dst []byte, name func([]byte, string) []byte, top bool) []byte {
-	switch e.op {
+	switch e.Op() {
 	case OpZero:
 		return append(dst, '0')
 	case OpVar:
@@ -36,7 +36,7 @@ func (e *Expr) appendText(dst []byte, name func([]byte, string) []byte, top bool
 	}
 	for i, k := range e.Children() {
 		if i > 0 {
-			dst = append(append(append(dst, ' '), opSymbol(e.op)...), ' ')
+			dst = append(append(append(dst, ' '), opSymbol(e.Op())...), ' ')
 		}
 		dst = k.appendText(dst, name, false)
 	}

@@ -18,7 +18,7 @@ package core
 // isQueryVar reports whether e is a variable expression carrying the
 // annotation p.
 func isQueryVar(e *Expr, p Annot) bool {
-	return e.op == OpVar && e.Annot() == p
+	return e.Op() == OpVar && e.Annot() == p
 }
 
 // stripSamePhase removes from the root of e every operator layer that
@@ -29,9 +29,9 @@ func isQueryVar(e *Expr, p Annot) bool {
 func stripSamePhase(e *Expr, p Annot) *Expr {
 	for {
 		switch {
-		case (e.op == OpPlusI || e.op == OpMinus) && isQueryVar(e.Right(), p):
+		case (e.Op() == OpPlusI || e.Op() == OpMinus) && isQueryVar(e.Right(), p):
 			e = e.Left()
-		case e.op == OpPlusM && e.Right().op == OpDotM && isQueryVar(e.Right().Right(), p):
+		case e.Op() == OpPlusM && e.Right().Op() == OpDotM && isQueryVar(e.Right().Right(), p):
 			e = e.Left()
 		default:
 			return e
@@ -49,20 +49,20 @@ func modContribution(c *Expr, p Annot) (contrib []*Expr, inserted bool) {
 	switch {
 	case c.IsZero():
 		return nil, false
-	case c.op == OpPlusI && isQueryVar(c.Right(), p):
+	case c.Op() == OpPlusI && isQueryVar(c.Right(), p):
 		return nil, true
-	case c.op == OpMinus && isQueryVar(c.Right(), p):
+	case c.Op() == OpMinus && isQueryVar(c.Right(), p):
 		return nil, false
-	case c.op == OpPlusM && c.Right().op == OpDotM && isQueryVar(c.Right().Right(), p):
+	case c.Op() == OpPlusM && c.Right().Op() == OpDotM && isQueryVar(c.Right().Right(), p):
 		inner := c.Right().Left()
 		var sum []*Expr
-		if inner.op == OpSum {
+		if inner.Op() == OpSum {
 			sum = inner.Children()
 		} else {
 			sum = []*Expr{inner}
 		}
 		left := c.Left()
-		if left.op == OpMinus && isQueryVar(left.Right(), p) {
+		if left.Op() == OpMinus && isQueryVar(left.Right(), p) {
 			// (a − p) +M (Σ ·M p): axiom 12 — only the summands pass through.
 			return sum, false
 		}
@@ -94,7 +94,7 @@ func Normalize(e *Expr) *Expr {
 }
 
 func normalizeInterned(e *Expr) *Expr {
-	if e.op <= OpVar {
+	if e.Op() <= OpVar {
 		return e // 0 and variables are normal and carry no memo
 	}
 	x := e.memo()
@@ -104,7 +104,7 @@ func normalizeInterned(e *Expr) *Expr {
 	n := normalizeStep(e)
 	// Normalize is idempotent (TestNormalizeIdempotent): the result is
 	// its own normal form.
-	if n.op > OpVar {
+	if n.Op() > OpVar {
 		n.memo().normalized.Store(n)
 	}
 	x.normalized.Store(n)
@@ -112,7 +112,7 @@ func normalizeInterned(e *Expr) *Expr {
 }
 
 func normalizeStep(e *Expr) *Expr {
-	switch e.op {
+	switch e.Op() {
 	case OpSum:
 		kids := make([]*Expr, len(e.Children()))
 		for i, k := range e.Children() {
@@ -122,22 +122,22 @@ func normalizeStep(e *Expr) *Expr {
 	case OpPlusI, OpMinus:
 		l := normalizeInterned(e.Left())
 		r := normalizeInterned(e.Right())
-		if r.op == OpVar {
+		if r.Op() == OpVar {
 			l = stripSamePhase(l, r.Annot()) // Rules 1 and 2
 		}
-		return binary(e.op, l, r)
+		return binary(e.Op(), l, r)
 	case OpDotM:
 		return binary(OpDotM, normalizeInterned(e.Left()), normalizeInterned(e.Right()))
 	case OpPlusM:
 		l := normalizeInterned(e.Left())
 		r := normalizeInterned(e.Right())
-		if r.op != OpDotM || r.Right().op != OpVar {
+		if r.Op() != OpDotM || r.Right().Op() != OpVar {
 			return binary(OpPlusM, l, r)
 		}
 		p := r.Right().Annot()
 		inner := r.Left()
 		var raw []*Expr
-		if inner.op == OpSum {
+		if inner.Op() == OpSum {
 			raw = inner.Children()
 		} else {
 			raw = []*Expr{inner}
@@ -161,13 +161,13 @@ func normalizeStep(e *Expr) *Expr {
 			return l // Rule 3.
 		}
 		switch {
-		case l.op == OpPlusI && isQueryVar(l.Right(), p):
+		case l.Op() == OpPlusI && isQueryVar(l.Right(), p):
 			return l // Rule 5.
-		case l.op == OpPlusM && l.Right().op == OpDotM && isQueryVar(l.Right().Right(), p):
+		case l.Op() == OpPlusM && l.Right().Op() == OpDotM && isQueryVar(l.Right().Right(), p):
 			// Rules 6/7: merge into the existing modification layer.
 			prev := l.Right().Left()
 			var prevSum []*Expr
-			if prev.op == OpSum {
+			if prev.Op() == OpSum {
 				prevSum = prev.Children()
 			} else {
 				prevSum = []*Expr{prev}

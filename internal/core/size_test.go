@@ -1,21 +1,24 @@
 package core
 
 import (
+	"fmt"
+	"math"
+	"sync"
 	"testing"
 	"unsafe"
 )
 
-// TestExprSizeUnchanged pins the node layout: one cache line per node
-// (every interned node is immortal, so a word here is a word per node
+// TestExprSizeUnchanged pins the node layout: 48 bytes a node (every
+// interned node is immortal, so a word here is a word per node
 // forever), the two operands of a binary node adjacent in the node —
 // Children slices them — and the dense id in the first word beside the
-// operator, where ID reads it.
+// packed header, where ID reads it.
 func TestExprSizeUnchanged(t *testing.T) {
-	if got := unsafe.Sizeof(Expr{}); got > 64 {
-		t.Fatalf("unsafe.Sizeof(core.Expr{}) = %d, want at most 64", got)
+	if got := unsafe.Sizeof(Expr{}); got != 48 {
+		t.Fatalf("unsafe.Sizeof(core.Expr{}) = %d, want 48", got)
 	}
-	if got := unsafe.Offsetof(Expr{}.id); got != 4 {
-		t.Fatalf("id sits at offset %d, want 4 (the first word, after op and interned)", got)
+	if got := unsafe.Offsetof(Expr{}.id); got != 0 {
+		t.Fatalf("id sits at offset %d, want 0 (the first word, before the packed header)", got)
 	}
 	l, r := TupleVar("size-l"), TupleVar("size-r")
 	e := Minus(l, r)
@@ -75,4 +78,96 @@ func TestNFSizePinned(t *testing.T) {
 	if got := unsafe.Sizeof(NF{}); got != 16 {
 		t.Fatalf("unsafe.Sizeof(core.NF{}) = %d, want 16", got)
 	}
+}
+
+// TestSizeSaturates: tree sizes past what the packed header holds are
+// exact, and past int64 they saturate instead of wrapping. A chain of
+// 63 doublings is a 64-node DAG whose tree has 2⁶⁴ − 1 nodes; read as a
+// wrapped -1, Annots took it for a small tree and walked all of it.
+func TestSizeSaturates(t *testing.T) {
+	a := TupleVar("sat-a")
+	for _, raw := range []bool{false, true} {
+		x := a
+		if raw {
+			x = a.DeepCopy()
+		}
+		var chain []*Expr // chain[k] is k doublings of a: 2^(k+1) − 1 nodes
+		for k := 0; k <= 63; k++ {
+			chain = append(chain, x)
+			x = PlusI(x, x)
+		}
+		top := chain[63]
+		if top.Interned() == raw || !top.Live() {
+			t.Fatalf("raw=%v: the chain's top is interned=%v, live=%v", raw, top.Interned(), top.Live())
+		}
+		for _, c := range []struct {
+			e    *Expr
+			want int64
+		}{
+			{chain[24], 1<<25 - 1},
+			{chain[25], 1<<26 - 1}, // the first size the header does not hold
+			{PlusI(chain[25], a), 1<<26 + 1},
+			{chain[26], 1<<27 - 1},
+			{chain[61], 1<<62 - 1},
+			{chain[62], math.MaxInt64},
+			{top, math.MaxInt64},
+			{PlusI(top, top), math.MaxInt64},
+			{Sum(top, chain[40]), math.MaxInt64},
+		} {
+			if got := c.e.Size(); got != c.want {
+				t.Fatalf("raw=%v: a tree of %d nodes reads Size() %d", raw, c.want, got)
+			}
+		}
+		if got := top.Annots(nil); len(got) != 1 {
+			t.Fatalf("raw=%v: Annots of the doubling chain = %v, want {%s}", raw, got, a.Annot())
+		} else if _, ok := got[a.Annot()]; !ok {
+			t.Fatalf("raw=%v: Annots of the doubling chain = %v, want {%s}", raw, got, a.Annot())
+		}
+		if i := Intern(chain[5]); !i.Interned() || i.Size() != 1<<6-1 || i.Op() != OpPlusI {
+			t.Fatalf("raw=%v: the interned chain reads %v, size %d", raw, i.Op(), i.Size())
+		}
+	}
+}
+
+// TestNodeMetaConcurrent: Live sets its bits in the word that also holds
+// the operator, the interned flag and the size, while other goroutines
+// read all four; every reader sees the header the node was built with
+// and every Live answer agrees. Run with -race (CI does).
+func TestNodeMetaConcurrent(t *testing.T) {
+	const nodes, workers = 512, 8
+	p := QueryVar("meta-p")
+	type node struct {
+		e        *Expr
+		op       Op
+		interned bool
+		size     int64
+		live     bool
+	}
+	var all []node
+	for i := 0; i < nodes; i++ {
+		v := TupleVar(fmt.Sprintf("meta-%d", i))
+		all = append(all, []node{
+			{Minus(v, p), OpMinus, true, 3, false},
+			{PlusI(Minus(v, p), p), OpPlusI, true, 5, true},
+			{DotM(v, Minus(p, v)), OpDotM, true, 5, false},
+			{Sum(v, Minus(v, p)), OpSum, true, 5, true},
+			{PlusM(v.DeepCopy(), p), OpPlusM, false, 3, true},
+		}...)
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range all {
+				n := all[(i*7+w*nodes/workers)%len(all)]
+				if n.e.Live() != n.live || n.e.Op() != n.op || n.e.Interned() != n.interned || n.e.Size() != n.size {
+					t.Errorf("%s: live %v op %v interned %v size %d, want %v %v %v %d",
+						n.e, n.e.Live(), n.e.Op(), n.e.Interned(), n.e.Size(), n.live, n.op, n.interned, n.size)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }

@@ -17,7 +17,7 @@ func Subst(e *Expr, sub map[Annot]*Expr) *Expr {
 			return r
 		}
 		var r *Expr
-		switch x.op {
+		switch x.Op() {
 		case OpZero:
 			r = x
 		case OpVar:
@@ -33,7 +33,7 @@ func Subst(e *Expr, sub map[Annot]*Expr) *Expr {
 			}
 			r = Sum(kids...)
 		default:
-			r = binary(x.op, walk(x.Left()), walk(x.Right()))
+			r = binary(x.Op(), walk(x.Left()), walk(x.Right()))
 		}
 		memo[x] = r
 		return r

@@ -14,7 +14,7 @@ package core
 // deletion-propagation, access-control and certification semantics of
 // Section 4.1). The result is equivalent to e in UP[X].
 func SimplifyZero(e *Expr) *Expr {
-	switch e.op {
+	switch e.Op() {
 	case OpZero, OpVar:
 		return e
 	case OpSum:
@@ -38,7 +38,7 @@ func SimplifyZero(e *Expr) *Expr {
 	}
 	l := SimplifyZero(e.Left())
 	r := SimplifyZero(e.Right())
-	switch e.op {
+	switch e.Op() {
 	case OpMinus:
 		if l.IsZero() {
 			return zeroExpr // 0 − a = 0
@@ -61,5 +61,5 @@ func SimplifyZero(e *Expr) *Expr {
 	if l == e.Left() && r == e.Right() {
 		return e
 	}
-	return binary(e.op, l, r)
+	return binary(e.Op(), l, r)
 }

@@ -93,11 +93,10 @@ func pipe[B any](produce func(emit func(B) error) error, consume func(B) error) 
 // order — so names depend on the data alone, never on how the source
 // batched. The source runs beside the loader (see pipe). From a
 // relation's announced row count (RowBatch.Total) the engine sizes the
-// row map once, and the fresh names size the intern table's head arrays
-// once (core.Vars), to exactly the capacities doubling would have
-// reached: the heap after a load, and every later growth step, are what
-// row-by-row loading leaves. The columns need no sizing: they grow by
-// chunks that are never copied.
+// row map once and interns the fresh names as one batch (core.Vars).
+// Neither the intern table's heads nor the columns need sizing: they
+// grow by segments and chunks that are never copied, so the heap after
+// a load is what row-by-row loading leaves.
 func Load(mode Mode, schema *db.Schema, src db.RowSource, opts ...Option) (*Engine, error) {
 	start := time.Now()
 	cfg := newConfig(opts)

@@ -4,6 +4,7 @@ import (
 	"context"
 	"runtime"
 	"testing"
+	"unsafe"
 
 	"hyperprov/internal/core"
 	"hyperprov/internal/wal"
@@ -74,8 +75,9 @@ func TestResidentBytesPerRow(t *testing.T) {
 	runtime.KeepAlive(txns)
 	store := float64(open-closed) / n
 	intern := float64(closed-base) / n
-	t.Logf("%0.f rows: the store holds %.1f B a row after wal.Open; the intern table grew %.1f B a row (%d nodes, %.1f B a row at 64 B a node)",
-		n, store, intern, nodesClosed-nodes, float64(64*(nodesClosed-nodes))/n)
+	node := unsafe.Sizeof(core.Expr{})
+	t.Logf("%0.f rows: the store holds %.1f B a row after wal.Open; the intern table grew %.1f B a row (%d nodes, %.1f B a row at %d B a node)",
+		n, store, intern, nodesClosed-nodes, float64(int64(node)*(nodesClosed-nodes))/n, node)
 	if grown := core.InternStats().Nodes - nodesClosed; grown != 0 {
 		t.Errorf("reopening the directory interned %d new nodes, want none", grown)
 	}
