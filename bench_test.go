@@ -624,6 +624,44 @@ func BenchmarkEngineApplyTPCC(b *testing.B) {
 	b.ReportMetric(float64(len(txns)), "txns")
 }
 
+// BenchmarkAnnotationLookup measures the point read — Engine.Annotation:
+// a row-map probe by fingerprint, the row's record and words, the
+// version visible at the horizon — over the end state of
+// BenchmarkEngineApplyTPCC's op list. One op is one probe; the ops cycle
+// through every 37th row in Rows order, relations interleaved, so
+// consecutive probes land in unrelated cache lines.
+func BenchmarkAnnotationLookup(b *testing.B) {
+	initial, txns, err := benchutil.TPCCOpList(1, 12000)
+	if err != nil {
+		b.Fatal(err)
+	}
+	e := engine.New(engine.ModeNormalForm, initial, engine.WithAutoIndex(4))
+	if _, err := e.ApplyBatch(context.Background(), txns); err != nil {
+		b.Fatal(err)
+	}
+	type probe struct {
+		rel string
+		t   db.Tuple
+	}
+	var probes []probe
+	i := 0
+	e.Rows(func(rel string, t db.Tuple, _ *core.Expr) {
+		if i%37 == 0 {
+			probes = append(probes, probe{rel, t.Clone()})
+		}
+		i++
+	})
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		p := &probes[i%len(probes)]
+		if e.Annotation(p.rel, p.t) == nil {
+			b.Fatalf("no annotation for %s%v", p.rel, p.t)
+		}
+	}
+	b.ReportMetric(float64(len(probes)), "probes")
+}
+
 // BenchmarkWALApply measures the durability tax: the synthetic workload
 // applied through the write-ahead-logged store at each sync policy,
 // next to the plain in-memory engine as the baseline. sync=never pays

@@ -167,9 +167,12 @@ func applyAllocsPerTxn(t *testing.T, initial *db.Database, txns []db.Transaction
 // columns, 6.57 and 36.2. With the row pointers a column too and no
 // sequence number in the row (a row and its first version one 64-byte
 // object, not an 80-byte one) it read 6.12 and 36.2. With 48-byte
-// expression nodes over head segments that are never copied it reads
-// 5.60 and 36.3 — what the warm replay allocates plus 48 bytes a node
-// and its share of the heads — gated 5 % above. A commit hook adds next to
+// expression nodes over head segments that are never copied it read
+// 5.60 and 36.3. With a row and its first version one 56-byte element
+// of the table's record column, written in place, and a row map of
+// 4-byte positions it reads 5.02 and 18.5 — what the warm replay
+// allocates plus 48 bytes a node and its share of the heads — gated 5 %
+// above. A commit hook adds next to
 // nothing: an epoch lends refs to its rows straight to the hook from a
 // recycled buffer.
 func TestApplyAllocsPerTxn(t *testing.T) {
@@ -182,8 +185,8 @@ func TestApplyAllocsPerTxn(t *testing.T) {
 	}
 	kB, mallocs := applyAllocsPerTxn(t, initial, txns, nil)
 	t.Logf("engine apply: %.2f kB and %.1f mallocs per transaction", kB, mallocs)
-	if kB > 5.88 || mallocs > 38.0 {
-		t.Errorf("engine apply allocates %.2f kB and %.1f mallocs per transaction, want at most 5.88 kB and 38.0", kB, mallocs)
+	if kB > 5.27 || mallocs > 19.5 {
+		t.Errorf("engine apply allocates %.2f kB and %.1f mallocs per transaction, want at most 5.27 kB and 19.5", kB, mallocs)
 	}
 	// The first replay interned the log's expression nodes, so the hook's
 	// cost is read between two warm replays.

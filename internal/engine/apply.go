@@ -13,7 +13,7 @@ import (
 // that provenance can be inspected and updates can be undone by
 // valuation; the provenance itself lives in the versions reached
 // through head; its values and creation sequence are the table's
-// columns at pos (storage.go).
+// columns at pos (storage.go), where its record holds the row itself.
 type row struct {
 	// fp is the tuple's db.Tuple.Fingerprint, cached at insertion: the
 	// rowMap probes compare it before the words, so the hot path never
@@ -22,7 +22,8 @@ type row struct {
 	fp uint64
 	// touched is the epoch of the last transaction that touched the row:
 	// what keeps a row once in its transaction's freeze list and event.
-	touched uint64
+	// Epochs fit in 32 bits: a sequence number is epoch<<32|counter.
+	touched uint32
 	// pos is the row's position in its table — unique per table and
 	// monotone in insertion order. Posting lists hold rows as their
 	// positions, kept sorted so index scans visit rows in full-scan order.
@@ -30,6 +31,14 @@ type row struct {
 	// head points at the newest version; readers resolve it against
 	// their pinned horizon with row.at.
 	head atomic.Pointer[version]
+}
+
+// rowRec is a row together with its first version: one element of the
+// table's record column, written in place where the row is created, so a
+// new row allocates nothing of its own.
+type rowRec struct {
+	row
+	first version
 }
 
 // touchedRow is one entry of Engine.touched.
@@ -41,13 +50,13 @@ type touchedRow struct {
 // table is everything the engine keeps for one relation.
 type table struct {
 	rel *db.RelationSchema
-	// rows indexes rows by tuple fingerprint (see storage.go). Entries
-	// are never deleted (tombstones persist), so readers probe lock-free
-	// while the serialized writer stores new rows; no Key() string is
-	// built on either side.
+	// rows indexes row positions by tuple fingerprint (see storage.go).
+	// Entries are never deleted (tombstones persist), so readers probe
+	// lock-free while the serialized writer stores new rows; no Key()
+	// string is built on either side.
 	rows rowMap
 	// cols holds the table by position (struct-of-arrays): one payload
-	// word per value, the rows' creation sequences and the rows, in
+	// word per value, the rows' creation sequences and their records, in
 	// insertion order. Rows are never removed, and scans walk them in
 	// this order for determinism: the order of Σ summands must not
 	// depend on map iteration.
@@ -64,38 +73,33 @@ func newTable(rel *db.RelationSchema) *table {
 	return tbl
 }
 
-// add stores a new row holding tup (writer-only): its columns first,
-// then the fingerprint map, then the length that publishes the row to
-// ordered readers. tup is only read.
-func (t *table) add(r *row, tup db.Tuple) {
+// create stores a new row holding tup (writer-only), fingerprint fp,
+// created at seq with a first version annotated ann, at the table's next
+// position: its record and columns first, then the fingerprint map, then
+// the length that publishes the row to ordered readers. tup is only read.
+func (t *table) create(fp, seq uint64, ann *core.Expr, tup db.Tuple) *row {
 	n := t.cols.len()
-	r.pos = uint32(n) // a relation holds fewer than 2³² rows: posting lists store uint32 positions
-	t.cols.append(r, tup, n)
-	t.rows.add(r)
+	rec := t.cols.recs.slotAt(n)
+	rec.fp, rec.pos = fp, uint32(n) // a relation holds fewer than 2³² rows: posting lists store uint32 positions
+	rec.first.born = seq
+	rec.first.setExpr(ann)
+	rec.head.Store(&rec.first)
+	for i := range t.cols.cols {
+		t.cols.cols[i].appendAt(n, tup[i].Word())
+	}
+	t.cols.seqs.appendAt(n, seq)
+	t.rows.add(n, fp)
 	t.cols.n.Store(int64(n + 1))
+	return &rec.row
 }
 
 // tuple builds r's tuple into dst[:0].
 func (t *table) tuple(r *row, dst db.Tuple) db.Tuple { return t.cols.tuple(int(r.pos), dst) }
 
-// newRow builds a row created at seq together with its first version,
-// annotated ann, in one allocation; fp is the tuple's fingerprint.
-func newRow(fp, seq uint64, ann *core.Expr) *row {
-	rv := &struct {
-		row
-		first version
-	}{}
-	rv.fp = fp
-	rv.first.born = seq
-	rv.first.setExpr(ann)
-	rv.head.Store(&rv.first)
-	return &rv.row
-}
-
 // load stores one row of the initial database (epoch 0).
-func (e *Engine) load(rel string, r *row, t db.Tuple) {
+func (e *Engine) load(rel string, seq uint64, ann *core.Expr, t db.Tuple) {
 	e.versions.Add(1)
-	e.tables[rel].add(r, t)
+	e.tables[rel].create(t.Fingerprint(), seq, ann, t)
 }
 
 // dropLoaded forgets the rows loaded into a relation so far: their source
@@ -108,22 +112,21 @@ func (e *Engine) dropLoaded(rel string) {
 // touch lists a row the open epoch touched, once: finish freezes it and
 // names it in the commit event exactly once per epoch.
 func (e *Engine) touch(tbl *table, r *row) {
-	if epoch := e.epoch.Load(); r.touched != epoch {
+	if epoch := uint32(e.epoch.Load()); r.touched != epoch {
 		r.touched = epoch
 		e.touched = append(e.touched, touchedRow{tbl, r})
 	}
 }
 
-// newVersionedRow creates a row with a zero-annotated first version
-// born at the epoch's next creation sequence. The caller publishes the
-// row with tbl.add (after any same-epoch mutation it performs through
-// mutable — in-flight versions are invisible to readers regardless,
-// because their epoch is beyond every committed horizon).
-func (e *Engine) newVersionedRow(fp uint64) *row {
+// create stores a new row holding t (of fingerprint fp) with a
+// zero-annotated first version born at the epoch's next creation
+// sequence. Its epoch is beyond every committed horizon, so readers that
+// find the row skip its version while the writer mutates it in place.
+func (e *Engine) create(tbl *table, fp uint64, t db.Tuple) *row {
 	seq := e.epoch.Load()<<32 | e.created
 	e.created++
 	e.versions.Add(1)
-	return newRow(fp, seq, core.Zero())
+	return tbl.create(fp, seq, core.Zero(), t)
 }
 
 // mutable returns the version of r the current write epoch may mutate
@@ -193,8 +196,7 @@ func (e *Engine) insert(tbl *table, t db.Tuple) {
 	fresh := r == nil
 	wasMatchable := !fresh && e.matchable(r)
 	if fresh {
-		r = e.newVersionedRow(fp)
-		tbl.add(r, t)
+		r = e.create(tbl, fp, t)
 	}
 	v := e.mutable(r)
 	if e.mode == ModeNaive {
@@ -369,8 +371,7 @@ func (e *Engine) absorbModTarget(tbl *table, g *modGroup, pe *core.Expr) {
 	fresh := r == nil
 	wasMatchable := !fresh && e.matchable(r)
 	if fresh {
-		r = e.newVersionedRow(g.fp)
-		tbl.add(r, g.target)
+		r = e.create(tbl, g.fp, g.target)
 	}
 	v := e.mutable(r)
 	if e.mode == ModeNaive {
@@ -386,7 +387,7 @@ func (e *Engine) absorbModTarget(tbl *table, g *modGroup, pe *core.Expr) {
 
 // restoreRow stores a tuple (of fingerprint fp) with an explicit
 // annotation in the open epoch, overwriting any existing row for the same
-// tuple — also one an earlier add of the same epoch stored. Only an
+// tuple — also one an earlier restore of the same epoch stored. Only an
 // epoch whose rows a hook wants lists them: a restore needs no freeze.
 func (e *Engine) restoreRow(rel string, t db.Tuple, fp uint64, ann *core.Expr) error {
 	tbl := e.tables[rel]
@@ -400,13 +401,9 @@ func (e *Engine) restoreRow(rel string, t db.Tuple, fp uint64, ann *core.Expr) e
 	fresh := r == nil
 	wasMatchable := !fresh && e.matchable(r)
 	if fresh {
-		r = e.newVersionedRow(fp)
+		r = e.create(tbl, fp, t)
 	}
-	v := e.mutable(r)
-	v.setExpr(ann)
-	if fresh {
-		tbl.add(r, t)
-	}
+	e.mutable(r).setExpr(ann)
 	switch {
 	case fresh, !wasMatchable && e.matchable(r):
 		e.indexAdd(tbl, r)

@@ -473,8 +473,9 @@ func (e *Engine) MinimizeAll(ctx context.Context) (int64, error) {
 				return n, err
 			}
 		}
-		tbl.cols.eachRows(0, tbl.cols.len(), func(rows []*row) {
-			for _, r := range rows {
+		tbl.cols.eachRows(0, tbl.cols.len(), func(recs []rowRec) {
+			for i := range recs {
+				r := &recs[i].row
 				v := r.latest()
 				if e.mode != ModeNormalForm {
 					n += v.expr().Size()

@@ -38,7 +38,11 @@ func ListsOutOfSeqOrder(e *Engine) string {
 // rowsOf collects the rows at positions [0, n) of tbl, in order.
 func rowsOf(tbl *table, n int) []*row {
 	var out []*row
-	tbl.cols.eachRows(0, n, func(rows []*row) { out = append(out, rows...) })
+	tbl.cols.eachRows(0, n, func(recs []rowRec) {
+		for i := range recs {
+			out = append(out, &recs[i].row)
+		}
+	})
 	return out
 }
 

@@ -282,9 +282,9 @@ func (e *Engine) buildColIndexLocked(tbl *table, col int, auto bool) *colIndex {
 		auto:    auto,
 		byValue: make(map[db.Value]*postingList),
 	}
-	tbl.cols.eachRows(0, tbl.cols.len(), func(rows []*row) {
-		for _, r := range rows {
-			if e.matchable(r) {
+	tbl.cols.eachRows(0, tbl.cols.len(), func(recs []rowRec) {
+		for i := range recs {
+			if r := &recs[i].row; e.matchable(r) {
 				ix.list(tbl.cols.value(col, int(r.pos))).push(r.pos, &ix.held) // rows come in pos order
 				ix.entries++
 			}
@@ -553,9 +553,9 @@ func (e *Engine) fullScan(tbl *table, u db.Update) []*row {
 	n, out := tbl.cols.len(), e.getScanBuf()
 	ci := firstConstTerm(u.Sel)
 	if ci < 0 {
-		tbl.cols.eachRows(0, n, func(rows []*row) {
-			for _, r := range rows {
-				if tbl.cols.matches(int(r.pos), &u) && e.matchable(r) {
+		tbl.cols.eachRows(0, n, func(recs []rowRec) {
+			for i := range recs {
+				if r := &recs[i].row; tbl.cols.matches(int(r.pos), &u) && e.matchable(r) {
 					out = append(out, r)
 				}
 			}
@@ -573,14 +573,14 @@ func (e *Engine) fullScan(tbl *table, u db.Update) []*row {
 			out = append(out, r)
 		}
 	}
-	// The word and row columns share one chunk layout: chunk c of one
+	// The word and record columns share one chunk layout: chunk c of one
 	// holds the same positions as chunk c of the other.
-	words, rows := tbl.cols.cols[ci].chunks(), tbl.cols.rows.chunks()
+	words, recs := tbl.cols.cols[ci].chunks(), tbl.cols.recs.chunks()
 	c, off := chunkOf(n0, colChunkMinBits)
 	for p := n0; p < n; c, off = c+1, 0 {
-		ws, rs := words[c][off:min(len(words[c]), off+n-p)], rows[c][off:]
+		ws, rs := words[c][off:min(len(words[c]), off+n-p)], recs[c][off:]
 		for i := indexWord(ws, want); i < len(ws); i += 1 + indexWord(ws[i+1:], want) {
-			if r := rs[i]; tbl.cols.matches(int(r.pos), &u) && e.matchable(r) {
+			if r := &rs[i].row; tbl.cols.matches(int(r.pos), &u) && e.matchable(r) {
 				out = append(out, r)
 			}
 		}

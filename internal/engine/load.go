@@ -158,7 +158,7 @@ func (l *loader) add(b db.RowBatch) error {
 		} else {
 			ann = l.vars[l.seq-l.first]
 		}
-		l.e.load(b.Rel, newRow(t.Fingerprint(), l.seq, ann), t)
+		l.e.load(b.Rel, l.seq, ann, t)
 		l.seq++
 	}
 	return nil

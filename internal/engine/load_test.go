@@ -58,7 +58,7 @@ func TestLoadReservesWhatDoublingReaches(t *testing.T) {
 		}
 		one := NewEmpty(ModeNormalForm, loadTestSchema())
 		for i, tu := range rows {
-			one.load("A", newRow(tu.Fingerprint(), uint64(i), core.Zero()), tu)
+			one.load("A", uint64(i), core.Zero(), tu)
 		}
 		got, want := e.tables["A"], one.tables["A"]
 		slots := func(tb *table) int {

@@ -233,7 +233,7 @@ func (v view) AsOf() uint64 { return v.s }
 // visible at the pinned horizon (0 for no table): positions are in
 // sequence order (epochs are allocated under the write lock), so the
 // visible rows are a prefix, trimmed from the published length by the
-// sequence column without chasing row pointers. Callers walk them with
+// sequence column without reading a record. Callers walk them with
 // colStore.eachRows and only resolve versions.
 func (v view) rows(rel string) (*table, int) {
 	tbl := v.e.tables[rel]
@@ -314,8 +314,9 @@ func (v view) eachRef(rel string, f func(ref RowRef, t db.Tuple, ann *core.Expr)
 	}
 	buf := takeTuple()
 	defer giveTuple(buf)
-	tbl.cols.eachRows(0, n, func(rows []*row) {
-		for _, r := range rows {
+	tbl.cols.eachRows(0, n, func(recs []rowRec) {
+		for i := range recs {
+			r := &recs[i].row
 			if ver := r.at(v.s); ver != nil {
 				*buf = tbl.tuple(r, *buf)
 				f(RowRef{Rel: rel, Pos: r.pos}, *buf, ver.annotation())
@@ -374,9 +375,9 @@ func (v view) each(rel string, sel db.Pattern, f func(db.Tuple)) error {
 	tbl, n := v.rows(rel)
 	buf := takeTuple()
 	defer giveTuple(buf)
-	tbl.cols.eachRows(0, n, func(rows []*row) {
-		for _, r := range rows {
-			if tbl.cols.matches(int(r.pos), &u) {
+	tbl.cols.eachRows(0, n, func(recs []rowRec) {
+		for i := range recs {
+			if r := &recs[i].row; tbl.cols.matches(int(r.pos), &u) {
 				if ver := r.at(v.s); ver != nil && v.e.matchableV(ver) {
 					*buf = tbl.tuple(r, *buf)
 					f(*buf)
@@ -388,7 +389,7 @@ func (v view) each(rel string, sel db.Pattern, f func(db.Tuple)) error {
 }
 
 // NumRows walks the sequence columns: visibility counting touches no row
-// pointer.
+// record.
 func (v view) NumRows() int {
 	n := 0
 	for _, name := range v.e.schema.Names() {
@@ -435,9 +436,9 @@ func (v view) ProvDAGSize() int64 {
 func (v view) eachVersion(f func(ver *version)) {
 	for _, name := range v.e.schema.Names() {
 		tbl, n := v.rows(name)
-		tbl.cols.eachRows(0, n, func(rows []*row) {
-			for _, r := range rows {
-				if ver := r.at(v.s); ver != nil {
+		tbl.cols.eachRows(0, n, func(recs []rowRec) {
+			for i := range recs {
+				if ver := recs[i].at(v.s); ver != nil {
 					f(ver)
 				}
 			}

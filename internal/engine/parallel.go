@@ -120,8 +120,9 @@ func SpecializeParallel[T any](ctx context.Context, e Reader, s upstruct.Structu
 	return walkChunks(ctx, chunks, workers, func(c rowChunk) {
 		buf := takeTuple()
 		defer giveTuple(buf)
-		c.tbl.cols.eachRows(c.lo, c.hi, func(rows []*row) {
-			for _, r := range rows {
+		c.tbl.cols.eachRows(c.lo, c.hi, func(recs []rowRec) {
+			for i := range recs {
+				r := &recs[i].row
 				if ver := r.at(p.s); ver != nil {
 					*buf = c.tbl.tuple(r, *buf)
 					f(c.rel, *buf, upstruct.EvalNF(&ver.nf, s, env))
@@ -241,10 +242,10 @@ func liveStream[S any](ctx context.Context, r Reader, workers int, rels []string
 		}
 		c := chunks[i]
 		sc.rows, sc.tbl = sc.rows[:0], c.tbl
-		c.tbl.cols.eachRows(c.lo, c.hi, func(rows []*row) {
-			for _, r := range rows {
-				if ver := r.at(p.s); ver != nil && eval(&ver.nf) {
-					sc.rows = append(sc.rows, r)
+		c.tbl.cols.eachRows(c.lo, c.hi, func(recs []rowRec) {
+			for i := range recs {
+				if ver := recs[i].at(p.s); ver != nil && eval(&ver.nf) {
+					sc.rows = append(sc.rows, &recs[i].row)
 				}
 			}
 		})

@@ -11,41 +11,54 @@ import (
 // readable without locks:
 //
 //   - rowMap: an open-addressing hash table from tuple fingerprints to
-//     rows. Point lookups (pinned updates, Annotation/NF) probe a
-//     contiguous slot array by db.Tuple.Fingerprint — no Key() string
-//     is ever built on the lookup path — and disambiguate 64-bit
-//     collisions by comparing the probe's values with the row's words.
-//     Rows are never deleted (tombstones persist), so probe sequences
-//     never break and the writer-only grow path can rebuild into a
-//     fresh array and publish it with a single atomic store.
+//     row positions. Point lookups (pinned updates, Annotation/NF) probe
+//     a contiguous array of 4-byte slots by db.Tuple.Fingerprint — no
+//     Key() string is ever built on the lookup path — and disambiguate
+//     64-bit collisions by comparing the probe's values with the row's
+//     words. Rows are never deleted (tombstones persist), so probe
+//     sequences never break and the writer-only grow path can rebuild
+//     into a fresh array and publish it with a single atomic store.
 //
 //   - colStore: the table by position, struct-of-arrays — one
 //     payload-word column per attribute, the sequence column and the
-//     row pointers, all in one chunk layout (chunkOf) whose chunks are
-//     never copied, and all published by one length. A row never moves
-//     (the relations only grow), so its position is its name for good.
-//     The words are the rows' only copy of their values, which readers
-//     build tuples from. Selections test terms against the words before
-//     chasing any row or version pointer, and visibility counting walks
-//     the sequence column alone.
+//     row records (a row and its first version, rowRec), all in one
+//     chunk layout (chunkOf) whose chunks are never copied, and all
+//     published by one length. A row never moves (the relations only
+//     grow), so its position is its name for good, and a pointer to its
+//     record stays valid for good. The words are the rows' only copy of
+//     their values, which readers build tuples from. Selections test
+//     terms against the words before chasing any version pointer, and
+//     visibility counting walks the sequence column alone.
 //
-// Memory model: the writer is serialized by the write lock. It stores
-// a row's words, sequence number and pointer with plain writes, then
-// the map's slot pointer, then the length, each an atomic store;
-// readers load the atomic first and only then read the plainly-written
-// memory below it, a release/acquire pairing. A row's words land before
-// either publishes the row.
+// Memory model: the writer is serialized by the write lock. It stores a
+// new row's record (and a new chunk's directory, atomically), words and
+// sequence number with plain writes, then the map's slot, then the
+// length, each an atomic store; readers load the atomic first and only
+// then read the plainly-written memory below it, a release/acquire
+// pairing. A row's record and words land before either publishes it.
 
 // rowSlots is one published generation of a rowMap: a power-of-two
-// slot array probed linearly from fp & mask.
+// slot array probed linearly from fp & mask. A slot holds a position
+// + 1, 0 being empty.
 type rowSlots struct {
 	mask  uint64
-	slots []atomic.Pointer[row]
+	slots []atomic.Uint32
 }
 
-// rowMap is the fingerprint-keyed row index of a table, whose words are
-// in cols. Readers use get concurrently with a writer's add; the writer
-// is serialized by the write lock.
+// put stores position p of fingerprint fp in the first empty slot of
+// its probe sequence.
+func (tab *rowSlots) put(fp uint64, p int) {
+	for i := fp & tab.mask; ; i = (i + 1) & tab.mask {
+		if tab.slots[i].Load() == 0 {
+			tab.slots[i].Store(uint32(p + 1))
+			return
+		}
+	}
+}
+
+// rowMap is the fingerprint-keyed row index of a table, whose records
+// and words are in cols. Readers use get concurrently with a writer's
+// add; the writer is serialized by the write lock.
 type rowMap struct {
 	tab  atomic.Pointer[rowSlots]
 	cols *colStore
@@ -61,40 +74,36 @@ func (m *rowMap) get(fp uint64, t db.Tuple) *row {
 		return nil
 	}
 	for i := fp & tab.mask; ; i = (i + 1) & tab.mask {
-		r := tab.slots[i].Load()
-		if r == nil {
+		s := tab.slots[i].Load()
+		if s == 0 {
 			return nil
 		}
-		if r.fp == fp && m.cols.holds(int(r.pos), t) {
+		if r := m.cols.row(int(s - 1)); r.fp == fp && m.cols.holds(int(s-1), t) {
 			return r
 		}
 	}
 }
 
-// add stores a new row (writer-only, under the write lock) before the
+// add stores the new row at the unpublished position p (writer-only,
+// under the write lock), after its record and words and before the
 // table's length publishes it, so every row below that length is in the
-// map already. The row's fp must be set. Load is kept under 3/4 so
-// reader probes always terminate at an empty slot.
-func (m *rowMap) add(r *row) {
+// map already. Load is kept under 3/4 so reader probes always terminate
+// at an empty slot.
+func (m *rowMap) add(p int, fp uint64) {
 	tab := m.tab.Load()
-	if tab == nil || 4*(m.cols.len()+1) > 3*len(tab.slots) {
+	if tab == nil || 4*(p+1) > 3*len(tab.slots) {
 		tab = m.reserve(1)
 	}
-	for i := r.fp & tab.mask; ; i = (i + 1) & tab.mask {
-		if tab.slots[i].Load() == nil {
-			tab.slots[i].Store(r)
-			return
-		}
-	}
+	tab.put(fp, p)
 }
 
 // reserve makes room for n ≥ 1 more rows — in the slot array doubling from 16
 // under a 3/4 load reaches for that many, so a table reserved once and
 // one grown row by row end up the same size — rebuilding into a fresh
-// array and publishing it. Readers holding the old generation still see
-// every row inserted before; rows added after only land in the new one —
-// the same only-eventually-visible guarantee a concurrent map store has
-// anyway.
+// array from the records' fingerprints and publishing it. Readers
+// holding the old generation still see every row inserted before; rows
+// added after only land in the new one — the same
+// only-eventually-visible guarantee a concurrent map store has anyway.
 func (m *rowMap) reserve(n int) *rowSlots {
 	old := m.tab.Load()
 	size := 16
@@ -104,21 +113,12 @@ func (m *rowMap) reserve(n int) *rowSlots {
 	if old != nil && len(old.slots) >= size {
 		return old
 	}
-	tab := &rowSlots{mask: uint64(size - 1), slots: make([]atomic.Pointer[row], size)}
-	if old != nil {
-		for i := range old.slots {
-			r := old.slots[i].Load()
-			if r == nil {
-				continue
-			}
-			for j := r.fp & tab.mask; ; j = (j + 1) & tab.mask {
-				if tab.slots[j].Load() == nil {
-					tab.slots[j].Store(r)
-					break
-				}
-			}
+	tab := &rowSlots{mask: uint64(size - 1), slots: make([]atomic.Uint32, size)}
+	m.cols.eachRows(0, m.cols.len(), func(recs []rowRec) {
+		for i := range recs {
+			tab.put(recs[i].fp, int(recs[i].pos))
 		}
-	}
+	})
 	m.tab.Store(tab)
 	return tab
 }
@@ -146,7 +146,7 @@ const (
 
 // column is one append-only column of a table: an attribute's db.Value
 // payload words (the kind is the attribute's, so it is not stored), the
-// rows' sequence numbers or the rows themselves. Elements live in chunks
+// rows' sequence numbers or their records. Elements live in chunks
 // that are never copied or moved once allocated; a new chunk is
 // published through a directory one entry longer, stored atomically, and
 // the element itself lands before the table publishes the length that
@@ -189,9 +189,10 @@ func (c *column[T]) at(n int) T {
 	return c.chunks()[ci][off]
 }
 
-// appendAt stores the element at position n (writer-only; n is the
-// table's unpublished next length).
-func (c *column[T]) appendAt(n int, w T) {
+// slotAt returns the address of the element at position n (writer-only;
+// n is the table's unpublished next length), allocating its chunk when n
+// is the chunk's first position.
+func (c *column[T]) slotAt(n int) *T {
 	ci, off := chunkOf(n, colChunkMinBits)
 	dir := c.chunks()
 	if ci == len(dir) {
@@ -203,12 +204,15 @@ func (c *column[T]) appendAt(n int, w T) {
 		c.dir.Store(&grown)
 		dir = grown
 	}
-	dir[ci][off] = w
+	return &dir[ci][off]
 }
+
+// appendAt stores the element at position n (writer-only, as slotAt).
+func (c *column[T]) appendAt(n int, w T) { *c.slotAt(n) = w }
 
 // colStore holds a table by position: one word column per attribute,
 // whose words have the kind kinds names, the sequence column and the
-// rows, all published by n, the table's length.
+// row records, all published by n, the table's length.
 type colStore struct {
 	kinds []db.Kind
 	cols  []column[uint64]
@@ -218,7 +222,7 @@ type colStore struct {
 	// unique per engine and increase with position, and a row is visible
 	// at horizon s iff its sequence is ≤ s.
 	seqs column[uint64]
-	rows column[*row]
+	recs column[rowRec]
 	n    atomic.Int64
 }
 
@@ -232,29 +236,22 @@ func (c *colStore) init(rel *db.RelationSchema) {
 // len returns the published length: every position below it is readable.
 func (c *colStore) len() int { return int(c.n.Load()) }
 
-// append stores row r, holding t, at the unpublished position n
-// (writer-only); t is only read. A fresh row's one version is born at
-// its creation sequence, which the sequence column keeps.
-func (c *colStore) append(r *row, t db.Tuple, n int) {
-	for i := range c.cols {
-		c.cols[i].appendAt(n, t[i].Word())
-	}
-	c.seqs.appendAt(n, r.head.Load().born)
-	c.rows.appendAt(n, r)
+// row returns the row at a published position, or at one a rowMap slot
+// holds.
+func (c *colStore) row(p int) *row {
+	ci, off := chunkOf(p, colChunkMinBits)
+	return &c.recs.chunks()[ci][off].row
 }
 
-// row returns the row at a published position.
-func (c *colStore) row(p int) *row { return c.rows.at(p) }
-
-// eachRows calls f with the rows at the published positions [lo, hi), in
-// order, one chunk's slice at a time.
-func (c *colStore) eachRows(lo, hi int, f func(rows []*row)) {
-	chunks := c.rows.chunks()
+// eachRows calls f with the records at the published positions [lo, hi),
+// in order, one chunk's slice at a time.
+func (c *colStore) eachRows(lo, hi int, f func(recs []rowRec)) {
+	chunks := c.recs.chunks()
 	for lo < hi {
 		ci, off := chunkOf(lo, colChunkMinBits)
-		rows := chunks[ci][off:min(len(chunks[ci]), off+hi-lo)]
-		f(rows)
-		lo += len(rows)
+		recs := chunks[ci][off:min(len(chunks[ci]), off+hi-lo)]
+		f(recs)
+		lo += len(recs)
 	}
 }
 

@@ -1,8 +1,8 @@
 package engine
 
 // White-box tests of the write path's storage and scratch: the chunked
-// word columns, the one-record version, the writer-owned buffers and
-// the borrowed commit-event rows.
+// word and record columns, the one-record version, the writer-owned
+// buffers and the borrowed commit-event rows.
 
 import (
 	"context"
@@ -22,21 +22,23 @@ import (
 
 // TestVersionSizePinned: a version is prev + born + the embedded
 // two-word normal form, 32 bytes, and a row — no tuple and no sequence
-// number, its values and creation sequence are the columns' — is 32, so
-// a fresh row and its first version take 64 bytes, one 64-byte
-// allocation. A word here is a word per version forever.
+// number, its values and creation sequence are the columns', and a
+// 32-bit touched epoch beside its 32-bit position — is 24, so a fresh
+// row and its first version take 56 bytes, one element of the record
+// column and no allocation of their own; the row map spends a 4-byte
+// slot on it. A word here is a word per version or per row forever.
 func TestVersionSizePinned(t *testing.T) {
 	if got := unsafe.Sizeof(version{}); got != 32 {
 		t.Fatalf("unsafe.Sizeof(version{}) = %d, want 32", got)
 	}
-	if got := unsafe.Sizeof(row{}); got != 32 {
-		t.Fatalf("unsafe.Sizeof(row{}) = %d, want 32", got)
+	if got := unsafe.Sizeof(row{}); got != 24 {
+		t.Fatalf("unsafe.Sizeof(row{}) = %d, want 24", got)
 	}
-	if got := unsafe.Sizeof(struct {
-		row
-		first version
-	}{}); got != 64 {
-		t.Fatalf("a row and its first version take %d bytes, want 64", got)
+	if got := unsafe.Sizeof(rowRec{}); got != 56 {
+		t.Fatalf("a row and its first version take %d bytes, want 56", got)
+	}
+	if got := unsafe.Sizeof(rowSlots{}.slots[0]); got != 4 {
+		t.Fatalf("a row map slot takes %d bytes, want 4", got)
 	}
 }
 
@@ -86,7 +88,7 @@ func TestEachRowsRanges(t *testing.T) {
 	const n = 2*colChunk + 5
 	var c colStore
 	for p := 0; p < n; p++ {
-		c.rows.appendAt(p, &row{pos: uint32(p)})
+		c.recs.slotAt(p).pos = uint32(p)
 	}
 	c.n.Store(n)
 	var edges []int
@@ -100,10 +102,10 @@ func TestEachRowsRanges(t *testing.T) {
 					continue
 				}
 				next := lo
-				c.eachRows(lo, hi, func(rows []*row) {
-					for _, r := range rows {
-						if int(r.pos) != next {
-							t.Fatalf("[%d, %d): visited position %d, want %d", lo, hi, r.pos, next)
+				c.eachRows(lo, hi, func(recs []rowRec) {
+					for i := range recs {
+						if int(recs[i].pos) != next {
+							t.Fatalf("[%d, %d): visited position %d, want %d", lo, hi, recs[i].pos, next)
 						}
 						next++
 					}
@@ -493,10 +495,11 @@ func TestCommitHookRowsBorrowed(t *testing.T) {
 
 // TestReadersAcrossChunkGrowth (run under -race): lock-free readers of
 // the columns — NumRows counting the sequence column, SpecializeParallel
-// trimming by it, EachRow and LiveStream walking the rows column — and
-// SelectEach run across a writer whose inserts cross chunk boundaries
-// and directory growth. Every pass must see one committed epoch: whole
-// transactions, never a torn one.
+// trimming by it, EachRow and LiveStream walking the record column,
+// point lookups going from a row map slot to a record chunk the writer
+// may just have allocated — and SelectEach run across a writer whose
+// inserts cross chunk boundaries and directory growth. Every pass must
+// see one committed epoch: whole transactions, never a torn one.
 func TestReadersAcrossChunkGrowth(t *testing.T) {
 	const perTxn, txns = 64, 3 * colChunk / 64
 	e := kvEngine(t, 1)
@@ -541,6 +544,24 @@ func TestReadersAcrossChunkGrowth(t *testing.T) {
 				}
 				last = n
 				view := e.At(e.Horizon())
+				// The newest key n covers is found, holding its own tuple; the
+				// key past it is absent or, committed since, holds its own.
+				for k := n - 1; k <= n; k++ {
+					want := kv(int64(k), int64(min(k, 1)))
+					found, pinned := e.Annotation("R", want) != nil, view.Annotation("R", want) != nil
+					if k == n-1 && !(found && pinned) {
+						t.Errorf("key %d of the %d rows NumRows read: found %v, at the pinned view %v", k, n, found, pinned)
+					}
+					r := e.tables["R"].rows.get(want.Fingerprint(), want)
+					if r == nil && (found || pinned) {
+						t.Errorf("key %d: annotated, then missing from the row map", k)
+					}
+					if r != nil {
+						if got, _ := RowTuple(e, RowRef{Rel: "R", Pos: r.pos}, nil); !got.Equal(want) {
+							t.Errorf("the row map found %v for %v", got, want)
+						}
+					}
+				}
 				var mu sync.Mutex
 				seen := 0
 				err := SpecializeParallel[bool](context.Background(), view, upstruct.Bool,
