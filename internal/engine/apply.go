@@ -67,7 +67,8 @@ type table struct {
 }
 
 func newTable(rel *db.RelationSchema) *table {
-	tbl := &table{rel: rel, idx: tableIndexes{cols: make(map[int]*colIndex), scans: make(map[int]int)}}
+	n := len(rel.Attrs)
+	tbl := &table{rel: rel, idx: tableIndexes{cols: make([]*colIndex, n), scans: make([]int, n)}}
 	tbl.cols.init(rel)
 	tbl.rows.cols = &tbl.cols
 	return tbl
@@ -75,8 +76,9 @@ func newTable(rel *db.RelationSchema) *table {
 
 // create stores a new row holding tup (writer-only), fingerprint fp,
 // created at seq with a first version annotated ann, at the table's next
-// position: its record and columns first, then the fingerprint map, then
-// the length that publishes the row to ordered readers. tup is only read.
+// position: its record and columns first, then the fingerprint map and
+// the lists of the table's indexes, then the length that publishes the
+// row to ordered readers. tup is only read.
 func (t *table) create(fp, seq uint64, ann *core.Expr, tup db.Tuple) *row {
 	n := t.cols.len()
 	rec := t.cols.recs.slotAt(n)
@@ -89,6 +91,11 @@ func (t *table) create(fp, seq uint64, ann *core.Expr, tup db.Tuple) *row {
 	}
 	t.cols.seqs.appendAt(n, seq)
 	t.rows.add(n, fp)
+	for i, ix := range t.idx.cols {
+		if ix != nil {
+			ix.list(t.cols.value(i, n)).push(uint32(n), &ix.held)
+		}
+	}
 	t.cols.n.Store(int64(n + 1))
 	return &rec.row
 }
@@ -193,9 +200,7 @@ func (e *Engine) apply(u db.Update) {
 func (e *Engine) insert(tbl *table, t db.Tuple) {
 	fp := t.Fingerprint()
 	r := tbl.rows.get(fp, t)
-	fresh := r == nil
-	wasMatchable := !fresh && e.matchable(r)
-	if fresh {
+	if r == nil {
 		r = e.create(tbl, fp, t)
 	}
 	v := e.mutable(r)
@@ -204,25 +209,17 @@ func (e *Engine) insert(tbl *table, t db.Tuple) {
 	} else {
 		e.nfs.Open(&v.nf).Insert(e.cur)
 	}
-	if fresh || !wasMatchable {
-		e.indexAdd(tbl, r)
-	}
 	e.touch(tbl, r)
 }
 
 // deleteRow applies the current query as a deletion (−M for modify
-// sources) to one row. Callers only pass matchable rows (scan filters),
-// so a row that is unmatchable afterwards made a real transition and
-// its posting entries are marked dead.
+// sources) to one row.
 func (e *Engine) deleteRow(tbl *table, r *row) {
 	v := e.mutable(r)
 	if e.mode == ModeNaive {
 		v.setExpr(e.simplify(core.Minus(v.expr(), core.Var(e.cur))))
 	} else {
 		e.nfs.Open(&v.nf).Delete(e.cur)
-	}
-	if !e.matchable(r) {
-		e.indexDead(tbl, r)
 	}
 	e.touch(tbl, r)
 }
@@ -368,9 +365,7 @@ func (e *Engine) captureContribution(g *modGroup, src *row) {
 // current query's variable.
 func (e *Engine) absorbModTarget(tbl *table, g *modGroup, pe *core.Expr) {
 	r := g.row
-	fresh := r == nil
-	wasMatchable := !fresh && e.matchable(r)
-	if fresh {
+	if r == nil {
 		r = e.create(tbl, g.fp, g.target)
 	}
 	v := e.mutable(r)
@@ -378,9 +373,6 @@ func (e *Engine) absorbModTarget(tbl *table, g *modGroup, pe *core.Expr) {
 		v.setExpr(e.simplify(core.PlusM(v.expr(), core.DotM(core.Sum(g.raw...), pe))))
 	} else {
 		e.nfs.Open(&v.nf).AbsorbMod(g.contrib, g.inserted, e.cur)
-	}
-	if fresh || !wasMatchable {
-		e.indexAdd(tbl, r)
 	}
 	e.touch(tbl, r)
 }
@@ -398,18 +390,10 @@ func (e *Engine) restoreRow(rel string, t db.Tuple, fp uint64, ann *core.Expr) e
 		return fmt.Errorf("engine: %w: %v", ErrBadTuple, err)
 	}
 	r := tbl.rows.get(fp, t)
-	fresh := r == nil
-	wasMatchable := !fresh && e.matchable(r)
-	if fresh {
+	if r == nil {
 		r = e.create(tbl, fp, t)
 	}
 	e.mutable(r).setExpr(ann)
-	switch {
-	case fresh, !wasMatchable && e.matchable(r):
-		e.indexAdd(tbl, r)
-	case wasMatchable && !e.matchable(r):
-		e.indexDead(tbl, r)
-	}
 	if e.collect {
 		e.touch(tbl, r)
 	}

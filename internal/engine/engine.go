@@ -190,8 +190,8 @@ type Engine struct {
 	// the open records of the epoch's normal forms (taken back by finish),
 	// the tuple a fully pinned selection probes with, a modification's
 	// source built from its words and its staged target (no row, group or
-	// event holds them), the column passes of the batch in flight (see
-	// batchScan), an intersect scan's merge.
+	// event holds them) and the column passes of the batch in flight (see
+	// batchScan).
 	scanBufs [][]*row
 	mod      modScratch
 	nfs      core.NFRecords
@@ -199,7 +199,6 @@ type Engine struct {
 	source   db.Tuple
 	staged   db.Tuple
 	batch    batchScan
-	merged   postingList
 
 	boot BootStats // see Boot
 }
@@ -489,16 +488,9 @@ func (e *Engine) MinimizeAll(ctx context.Context) (int64, error) {
 					// skip the version churn for already-minimal rows.
 					continue
 				}
-				wasMatchable := e.matchableV(v)
-				nv := e.mutable(r)
-				nv.setExpr(m)
+				e.mutable(r).setExpr(m)
 				if e.collect {
 					e.touch(tbl, r)
-				}
-				// Minimization can collapse a zero-equivalent annotation
-				// to syntactic 0, taking the row out of the support.
-				if wasMatchable && !e.matchableV(nv) {
-					e.indexDead(tbl, r)
 				}
 			}
 		})

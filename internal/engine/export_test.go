@@ -1,6 +1,11 @@
 package engine
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+
+	"hyperprov/internal/db"
+)
 
 // ColChunk is the word-column chunk size, for the black-box tests that
 // size tables around it.
@@ -60,4 +65,34 @@ func PostingVolume(e *Engine, rel, attr string) (entries, slots int) {
 		}
 	}
 	return entries, slots
+}
+
+// PostingListsOffRows names the first index of e whose posting lists are
+// not exactly its table's rows — the list of value v holding, in order,
+// the positions whose column word is v, and no other list — or returns "".
+func PostingListsOffRows(e *Engine) string {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	for _, rel := range e.schema.Names() {
+		tbl := e.tables[rel]
+		for col, ix := range tbl.idx.cols {
+			if ix == nil {
+				continue
+			}
+			want := map[db.Value][]uint32{}
+			for p := range tbl.cols.len() {
+				v := tbl.cols.value(col, p)
+				want[v] = append(want[v], uint32(p))
+			}
+			if len(ix.byValue) != len(want) {
+				return fmt.Sprintf("%s.%s: %d lists, %d values in the column", rel, ix.attr, len(ix.byValue), len(want))
+			}
+			for v, ps := range want {
+				if pl := ix.byValue[v]; pl == nil || !slices.Equal(positions(pl), ps) {
+					return fmt.Sprintf("%s.%s = %v: list %v, rows at %v", rel, ix.attr, v, pl, ps)
+				}
+			}
+		}
+	}
+	return ""
 }

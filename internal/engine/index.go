@@ -5,7 +5,6 @@ import (
 	"math"
 	"math/bits"
 	"slices"
-	"sort"
 	"sync/atomic"
 
 	"hyperprov/internal/db"
@@ -31,15 +30,13 @@ import (
 //
 // Four pieces cooperate:
 //
-//   - postingList/colIndex: one hash index per (relation, column).
-//     Lists hold row positions, strictly increasing; inserts append (new rows
-//     always have the largest pos), revivals of compacted-away rows
-//     re-enter by binary search. Rows that leave the matchable set
-//     (logical deletion under live matching, or an annotation becoming
-//     syntactic zero) only bump a dead counter; once a list is more
-//     than half dead it is compacted in place — the amortized sweep
-//     that keeps churn-heavy posting lists proportional to their
-//     matchable rows instead of growing without bound.
+//   - postingList/colIndex: one hash index per (relation, column). The
+//     list of value v holds the position of every row of the table whose
+//     column holds v, strictly increasing: table.create appends each new
+//     row (it has the largest position) and nothing else writes a list,
+//     since a row never moves or changes its values. Whether a row is
+//     matchable — in the support, or live under WithLiveMatching — is
+//     decided per candidate at scan time, as on every other access path.
 //
 //   - the advisor: counts, per (relation, column), how many scans
 //     arrived with that column pinned to an =-constant but unindexed.
@@ -50,38 +47,25 @@ import (
 //
 //   - the planner inside scan(): answers a selection that pins every
 //     attribute with one probe of the fingerprint map; otherwise probes
-//     every indexed =-constrained column of the selection, walks the
-//     shortest posting list, and merge-intersects the two shortest when
-//     the runner-up is close enough in size for the intersection to pay
-//     for itself. ≠-constraints and free variables never use an index
-//     on their own column; a selection with no indexed =-column falls
-//     back to the full scan of the table.
+//     every indexed =-constrained column of the selection and walks the
+//     shortest posting list. ≠-constraints and free variables never use
+//     an index on their own column; a selection with no indexed =-column
+//     falls back to the full scan of the table.
 //
 //   - shared batch scans (batchScan): ApplyBatch walks a column once for
 //     all of the batch's full scans on it, and fullScan takes the rows
 //     below that pass's end from it.
-
-// minIntersectLen and maxIntersectRatio gate the two-list intersection:
-// the shortest list must be at least minIntersectLen entries for the
-// merge to beat per-row pattern checks, and the runner-up must be at
-// most maxIntersectRatio times longer, or the merge walks mostly
-// non-intersecting entries.
-const (
-	minIntersectLen   = 64
-	maxIntersectRatio = 4
-)
 
 const postingInlineBits = 2 // a posting list's inline first chunk: four rows allocate nothing
 
 // postingList holds the positions (row.pos) of the rows carrying
 // one value in one indexed column, strictly increasing — insertion order,
 // so index scans reproduce full-scan order — in chunks laid out as a word
-// column's from an inline first one, never copied or moved. dead counts
-// entries whose row has left the matchable set since the last compaction.
+// column's from an inline first one, never copied or moved.
 type postingList struct {
-	n, dead int
-	head    [1 << postingInlineBits]uint32
-	rest    [][]uint32 // chunks 1, 2, …
+	n    int
+	head [1 << postingInlineBits]uint32
+	rest [][]uint32 // chunks 1, 2, …
 }
 
 // from returns the slots from the i'th position to the end of its chunk.
@@ -103,65 +87,34 @@ func (pl *postingList) push(p uint32, held *int) {
 	pl.n++
 }
 
-// insert adds a row position, keeping the order. New rows carry the
-// largest position and append; a revived row — matchable again, and
-// possibly compacted out of the list while it was not — re-enters by
-// binary search on its unique position, the entries after it moving up
-// one slot, a chunk at a time. Returns false if already present.
-func (pl *postingList) insert(p uint32, held *int) bool {
-	if pl.n == 0 || pl.from(pl.n - 1)[0] < p {
-		pl.push(p, held)
-		return true
-	}
-	i := sort.Search(pl.n, func(i int) bool { return pl.from(i)[0] >= p })
-	if i < pl.n && pl.from(i)[0] == p {
-		return false
-	}
-	pl.push(p, held)
-	for j, carry := i, p; j < pl.n; {
-		c := pl.from(j)
-		c = c[:min(len(c), pl.n-j)]
-		last := c[len(c)-1]
-		copy(c[1:], c)
-		c[0], carry, j = carry, last, j+len(c)
-	}
-	return true
-}
-
 // colIndex is a hash index over one column of a relation.
 type colIndex struct {
-	col     int
 	attr    string
 	auto    bool // built by the advisor rather than BuildIndex
 	byValue map[db.Value]*postingList
-	entries int    // posting entries currently stored, across all lists
-	held    int    // position slots the lists' chunks hold, inline ones included
-	dead    int    // dead entries awaiting compaction, across all lists
-	sweeps  uint64 // compaction sweeps run
+	held    int // position slots the lists' chunks hold, inline ones included
 }
 
 // tableIndexes holds every index of one relation plus the advisor's
-// pinned-scan counters for the columns that are not (yet) indexed. It is
-// a field of the relation's table, guarded by the write lock.
+// pinned-scan counters for the columns that are not (yet) indexed, both
+// by column. It is a field of the relation's table, guarded by the write
+// lock.
 type tableIndexes struct {
-	cols    map[int]*colIndex
-	ordered []*colIndex // build order; deterministic maintenance walks
-	scans   map[int]int // advisor: =-pinned scan count per unindexed column
+	cols  []*colIndex // nil where the column has no index
+	scans []int       // advisor: =-pinned scan count per unindexed column
 }
 
 // planCounters are the scan planner's counters. They are atomics because
 // PlannerStats may be read while a transaction holds the write lock.
 type planCounters struct {
-	fullScans      atomic.Uint64
-	indexScans     atomic.Uint64
-	intersectScans atomic.Uint64
-	pointLookups   atomic.Uint64
-	autoBuilds     atomic.Uint64
-	compactions    atomic.Uint64
-	batchPasses    atomic.Uint64
-	batchScans     atomic.Uint64
-	rowsScanned    atomic.Uint64
-	rowsMatched    atomic.Uint64
+	fullScans    atomic.Uint64
+	indexScans   atomic.Uint64
+	pointLookups atomic.Uint64
+	autoBuilds   atomic.Uint64
+	batchPasses  atomic.Uint64
+	batchScans   atomic.Uint64
+	rowsScanned  atomic.Uint64
+	rowsMatched  atomic.Uint64
 }
 
 // examined records one resolved scan: how many candidates its access
@@ -173,28 +126,21 @@ func (m *planCounters) examined(scanned, matched int) {
 
 // IndexInfo describes one secondary index for IndexStats: identity,
 // origin (manual or advisor-built) and current posting-list volume.
-// Entries−Dead approximates the matchable rows reachable through the
-// index; Dead entries are dropped by the next compaction of their list.
 type IndexInfo struct {
 	Rel  string `json:"rel"`
 	Attr string `json:"attr"`
 	Auto bool   `json:"auto"`
 	// Keys is the number of distinct values (posting lists).
 	Keys int `json:"keys"`
-	// Entries is the number of posting entries currently stored.
+	// Entries is the number of posting entries: one per row of the table.
 	Entries int `json:"entries"`
 	// Bytes is what the lists' chunks of row positions hold.
 	Bytes int `json:"bytes"`
-	// Dead is the number of entries awaiting compaction.
-	Dead int `json:"dead"`
-	// Compactions counts amortized sweeps over this index's lists.
-	Compactions uint64 `json:"compactions"`
 }
 
 // PlannerStats are the scan planner's cumulative counters: how update
-// selections were resolved and how much index maintenance ran.
-// FullScans + IndexScans + IntersectScans + PointLookups is the number
-// of update selections planned; Select and SelectEach are reads, walk
+// selections were resolved. FullScans + IndexScans + PointLookups is the
+// number of update selections planned; Select and SelectEach are reads, walk
 // the rows at their horizon and count nowhere.
 type PlannerStats struct {
 	// FullScans counts selections resolved by walking the table (no
@@ -202,16 +148,11 @@ type PlannerStats struct {
 	FullScans uint64 `json:"fullScans"`
 	// IndexScans counts selections resolved by walking one posting list.
 	IndexScans uint64 `json:"indexScans"`
-	// IntersectScans counts selections resolved by merge-intersecting
-	// the two shortest candidate posting lists.
-	IntersectScans uint64 `json:"intersectScans"`
 	// PointLookups counts update selections pinning every attribute to an
 	// =-constant, answered by one probe of the fingerprint map.
 	PointLookups uint64 `json:"pointLookups"`
 	// AutoBuilds counts indexes built by the advisor.
 	AutoBuilds uint64 `json:"autoBuilds"`
-	// Compactions counts posting-list compaction sweeps.
-	Compactions uint64 `json:"compactions"`
 	// BatchPasses counts the column passes batches ran; BatchScans the
 	// full scans (a subset of FullScans) that took their rows below the
 	// pass's end from one instead of walking them (see batchScan).
@@ -220,7 +161,7 @@ type PlannerStats struct {
 	// RowsScanned counts the candidates scans examined: column words (or
 	// rows) on a full scan — a pass's words once, then a served scan's
 	// hits and the words past the pass — posting entries on an index
-	// scan, merge outputs on an intersect scan, one on a point lookup.
+	// scan, one on a point lookup.
 	// RowsMatched counts the rows they selected; the ratio is the
 	// planner's selectivity.
 	RowsScanned uint64 `json:"rowsScanned"`
@@ -230,16 +171,14 @@ type PlannerStats struct {
 // PlannerStats reports the scan planner's counters.
 func (e *Engine) PlannerStats() PlannerStats {
 	return PlannerStats{
-		FullScans:      e.plan.fullScans.Load(),
-		IndexScans:     e.plan.indexScans.Load(),
-		IntersectScans: e.plan.intersectScans.Load(),
-		PointLookups:   e.plan.pointLookups.Load(),
-		AutoBuilds:     e.plan.autoBuilds.Load(),
-		Compactions:    e.plan.compactions.Load(),
-		BatchPasses:    e.plan.batchPasses.Load(),
-		BatchScans:     e.plan.batchScans.Load(),
-		RowsScanned:    e.plan.rowsScanned.Load(),
-		RowsMatched:    e.plan.rowsMatched.Load(),
+		FullScans:    e.plan.fullScans.Load(),
+		IndexScans:   e.plan.indexScans.Load(),
+		PointLookups: e.plan.pointLookups.Load(),
+		AutoBuilds:   e.plan.autoBuilds.Load(),
+		BatchPasses:  e.plan.batchPasses.Load(),
+		BatchScans:   e.plan.batchScans.Load(),
+		RowsScanned:  e.plan.rowsScanned.Load(),
+		RowsMatched:  e.plan.rowsMatched.Load(),
 	}
 }
 
@@ -270,29 +209,19 @@ func (e *Engine) BuildIndex(rel, attr string) error {
 	return nil
 }
 
-// buildColIndexLocked materializes the index over the current table
-// state. Unmatchable rows (tombstones under live matching, syntactic
-// zeros) are skipped — they are exactly what compaction would drop —
-// and re-enter their lists if they ever become matchable again (see
-// indexAdd).
+// buildColIndexLocked materializes the index over every row of the
+// table; table.create appends the rows after them.
 func (e *Engine) buildColIndexLocked(tbl *table, col int, auto bool) *colIndex {
 	ix := &colIndex{
-		col:     col,
 		attr:    tbl.rel.Attrs[col].Name,
 		auto:    auto,
 		byValue: make(map[db.Value]*postingList),
 	}
-	tbl.cols.eachRows(0, tbl.cols.len(), func(recs []rowRec) {
-		for i := range recs {
-			if r := &recs[i].row; e.matchable(r) {
-				ix.list(tbl.cols.value(col, int(r.pos))).push(r.pos, &ix.held) // rows come in pos order
-				ix.entries++
-			}
-		}
-	})
+	for p := range tbl.cols.len() {
+		ix.list(tbl.cols.value(col, p)).push(uint32(p), &ix.held)
+	}
 	tbl.idx.cols[col] = ix
-	tbl.idx.ordered = append(tbl.idx.ordered, ix)
-	delete(tbl.idx.scans, col) // the advisor's job here is done
+	tbl.idx.scans[col] = 0 // the advisor's job here is done
 	return ix
 }
 
@@ -311,16 +240,9 @@ func (e *Engine) DropIndex(rel, attr string) error {
 	if col < 0 || ti.cols[col] == nil {
 		return fmt.Errorf("engine: %w %s.%s", ErrUnknownIndex, rel, attr)
 	}
-	delete(ti.cols, col)
-	for i, ix := range ti.ordered {
-		if ix.col == col {
-			ti.ordered = append(ti.ordered[:i], ti.ordered[i+1:]...)
-			break
-		}
-	}
-	// Reset the advisor counter: a dropped index must re-earn an
+	// Reset the advisor counter too: a dropped index must re-earn an
 	// auto-build instead of reappearing on the next pinned scan.
-	delete(ti.scans, col)
+	ti.cols[col], ti.scans[col] = nil, 0
 	return nil
 }
 
@@ -332,39 +254,21 @@ func (e *Engine) IndexStats() []IndexInfo {
 	defer e.mu.Unlock()
 	var out []IndexInfo
 	for _, rel := range e.schema.Names() {
-		ti := &e.tables[rel].idx
-		cols := make([]int, 0, len(ti.cols))
-		for col := range ti.cols {
-			cols = append(cols, col)
-		}
-		sort.Ints(cols)
-		for _, col := range cols {
-			ix := ti.cols[col]
-			out = append(out, IndexInfo{
-				Rel:         rel,
-				Attr:        ix.attr,
-				Auto:        ix.auto,
-				Keys:        len(ix.byValue),
-				Entries:     ix.entries,
-				Bytes:       4 * ix.held,
-				Dead:        ix.dead,
-				Compactions: ix.sweeps,
-			})
+		tbl := e.tables[rel]
+		for _, ix := range tbl.idx.cols {
+			if ix != nil {
+				out = append(out, IndexInfo{
+					Rel:     rel,
+					Attr:    ix.attr,
+					Auto:    ix.auto,
+					Keys:    len(ix.byValue),
+					Entries: tbl.cols.len(),
+					Bytes:   4 * ix.held,
+				})
+			}
 		}
 	}
 	return out
-}
-
-// --- maintenance hooks --------------------------------------------------
-
-// indexAdd registers a row that is new or matchable again with every
-// index of its table (see postingList.insert).
-func (e *Engine) indexAdd(tbl *table, r *row) {
-	for _, ix := range tbl.idx.ordered {
-		if ix.list(tbl.cols.value(ix.col, int(r.pos))).insert(r.pos, &ix.held) {
-			ix.entries++
-		}
-	}
 }
 
 // list returns the posting list of value v, created empty if need be.
@@ -376,57 +280,6 @@ func (ix *colIndex) list(v db.Value) *postingList {
 		ix.held += len(pl.head)
 	}
 	return pl
-}
-
-// indexDead records that a row left the matchable set: its posting
-// entries stay in place but count toward each list's dead ratio, and a
-// list that crosses 50% dead is compacted on the spot. Callers only
-// invoke this on an actual matchable→unmatchable transition (scan and
-// lookupPinned never hand out unmatchable rows), so the dead counters
-// track reality; over-counting would only cause earlier sweeps.
-func (e *Engine) indexDead(tbl *table, r *row) {
-	for _, ix := range tbl.idx.ordered {
-		pl := ix.byValue[tbl.cols.value(ix.col, int(r.pos))]
-		if pl == nil {
-			continue
-		}
-		pl.dead++
-		ix.dead++
-		if 2*pl.dead > pl.n {
-			e.compact(tbl, ix, pl)
-		}
-	}
-}
-
-// retain keeps the positions keep accepts, in order, in place, and
-// frees the chunks past the kept length, counting them out of *held.
-func (pl *postingList) retain(keep func(p uint32) bool, held *int) {
-	kept := 0
-	for i := 0; i < pl.n; i++ {
-		if p := pl.from(i)[0]; keep(p) {
-			pl.from(kept)[0] = p
-			kept++
-		}
-	}
-	ci, _ := chunkOf(max(kept, 1)-1, postingInlineBits) // the last chunk kept
-	for k := ci; k < len(pl.rest); k++ {
-		*held, pl.rest[k] = *held-len(pl.rest[k]), nil
-	}
-	pl.rest, pl.n = pl.rest[:ci], kept
-}
-
-// compact drops the positions of unmatchable rows from one posting list
-// (see retain). Amortization argument: a sweep runs only when more than
-// half the list is dead, and each sweep is linear in the list, so total
-// sweep work is linear in the number of entries ever marked dead.
-func (e *Engine) compact(tbl *table, ix *colIndex, pl *postingList) {
-	n := pl.n
-	pl.retain(func(p uint32) bool { return e.matchable(tbl.cols.row(int(p))) }, &ix.held)
-	ix.entries -= n - pl.n
-	ix.dead -= pl.dead
-	pl.dead = 0
-	ix.sweeps++
-	e.plan.compactions.Add(1)
 }
 
 // --- the planner --------------------------------------------------------
@@ -449,14 +302,12 @@ func (e *Engine) scan(tbl *table, u db.Update) []*row {
 		e.pinned = t
 		return e.lookupPinned(tbl, u, t)
 	}
-	best, second, empty := e.pick(tbl, u.Sel)
+	best, empty := e.pick(tbl, u.Sel)
 	switch {
 	case empty:
 		return nil
 	case best == nil:
 		return e.fullScan(tbl, u)
-	case second != nil:
-		best = e.intersectByPos(best, second)
 	}
 	out := e.getScanBuf()
 	for i := 0; i < best.n; i++ {
@@ -474,14 +325,11 @@ func (e *Engine) scan(tbl *table, u db.Update) []*row {
 // pins to an =-constant in pattern order; an unindexed one is counted by
 // the advisor, which builds its index once the count reaches the
 // threshold (the build is then used by this very scan). The shortest
-// list consulted wins, and the runner-up comes with it when the two are
-// to be merge-intersected: the winner at least minIntersectLen long, the
-// runner-up within maxIntersectRatio of it. Every matchable row holding
-// a value is in that value's list, so an absent list proves the
-// selection empty. best == nil otherwise means the caller walks the
-// relation. pick counts the decision and allocates nothing but the
-// indexes the advisor builds.
-func (e *Engine) pick(tbl *table, sel db.Pattern) (best, second *postingList, empty bool) {
+// list consulted wins. Every row holding a value is in that value's
+// list, so an absent list proves the selection empty. best == nil
+// otherwise means the caller walks the relation. pick counts the
+// decision and allocates nothing but the indexes the advisor builds.
+func (e *Engine) pick(tbl *table, sel db.Pattern) (best *postingList, empty bool) {
 	ti := &tbl.idx
 	for i, term := range sel {
 		if !term.IsConst() {
@@ -501,25 +349,18 @@ func (e *Engine) pick(tbl *table, sel db.Pattern) (best, second *postingList, em
 		pl := ix.byValue[term.Value()]
 		if pl == nil {
 			e.plan.indexScans.Add(1)
-			return nil, nil, true
+			return nil, true
 		}
-		switch {
-		case best == nil || pl.n < best.n:
-			best, second = pl, best
-		case second == nil || pl.n < second.n:
-			second = pl
+		if best == nil || pl.n < best.n {
+			best = pl
 		}
 	}
-	switch {
-	case best == nil:
+	if best == nil {
 		e.plan.fullScans.Add(1)
-	case second != nil && best.n >= minIntersectLen && second.n <= maxIntersectRatio*best.n:
-		e.plan.intersectScans.Add(1)
-		return best, second, false
-	default:
+	} else {
 		e.plan.indexScans.Add(1)
 	}
-	return best, nil, false
+	return best, false
 }
 
 // lookupPinned answers a selection pinning every attribute: only the
@@ -788,24 +629,4 @@ func firstConstTerm(p db.Pattern) int {
 		}
 	}
 	return -1
-}
-
-// intersectByPos merges the positions two posting lists share into the
-// writer's scratch list e.merged, whose chunks the next one reuses.
-func (e *Engine) intersectByPos(a, b *postingList) *postingList {
-	out, held := &e.merged, 0
-	out.n = 0
-	for i, j := 0, 0; i < a.n && j < b.n; {
-		switch x, y := a.from(i)[0], b.from(j)[0]; {
-		case x == y:
-			out.push(x, &held)
-			i++
-			j++
-		case x < y:
-			i++
-		default:
-			j++
-		}
-	}
-	return out
 }

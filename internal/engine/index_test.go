@@ -32,10 +32,12 @@ func findIndex(infos []engine.IndexInfo, rel, attr string) *engine.IndexInfo {
 }
 
 // TestPostingListBoundedAfterChurn is the tombstone-bloat regression
-// test: under live matching, rounds of insert-then-delete churn must not
-// grow posting lists without bound — amortized compaction has to keep
-// the stored entries proportional to the matchable rows, not to the
-// total rows ever inserted.
+// test: a posting list holds one entry per row of its table and a
+// deleted tuple keeps its row, so churn never grows an index beyond its
+// table. Under live matching, rounds of insert-then-delete over a fixed
+// key space revive the same rows: from the first round on the index's
+// Entries and Bytes stay constant. With fresh ids every round the table
+// grows, and Entries equals its rows.
 func TestPostingListBoundedAfterChurn(t *testing.T) {
 	e := engine.New(engine.ModeNormalForm, randDB(rand.New(rand.NewSource(1)), 0),
 		engine.WithLiveMatching(true))
@@ -43,47 +45,43 @@ func TestPostingListBoundedAfterChurn(t *testing.T) {
 		t.Fatal(err)
 	}
 	const rounds, perRound = 30, 50
-	id := int64(1000) // distinct ids each round, so every row is fresh
-	for round := 0; round < rounds; round++ {
-		var ins db.Transaction
-		ins.Label = fmt.Sprintf("ins%d", round)
+	churn := func(label string, id int64) *engine.IndexInfo {
+		ins := db.Transaction{Label: "ins" + label}
 		for i := 0; i < perRound; i++ {
 			ins.Updates = append(ins.Updates, db.Insert("R",
-				db.Tuple{db.I(id), db.S("a"), db.I(int64(i))}))
-			id++
+				db.Tuple{db.I(id + int64(i)), db.S("a"), db.I(int64(i))}))
 		}
-		del := db.Transaction{Label: fmt.Sprintf("del%d", round), Updates: []db.Update{
+		del := db.Transaction{Label: "del" + label, Updates: []db.Update{
 			db.Delete("R", db.Pattern{db.AnyVar("id"), db.Const(db.S("a")), db.AnyVar("v")}),
 		}}
 		applyTxns(t, e, []db.Transaction{ins, del})
+		info := findIndex(e.IndexStats(), "R", "cat")
+		if info == nil {
+			t.Fatal("index on R.cat disappeared")
+		}
+		if entries, slots := engine.PostingVolume(e, "R", "cat"); info.Entries != entries || info.Bytes != 4*slots || entries != e.NumRows() {
+			t.Fatalf("round %s: %+v; the lists hold %d entries in %d B of chunks, the table %d rows", label, info, entries, 4*slots, e.NumRows())
+		}
+		return info
 	}
-	info := findIndex(e.IndexStats(), "R", "cat")
-	if info == nil {
-		t.Fatal("index on R.cat disappeared")
+	first := churn("0", 1000)
+	for round := 1; round < rounds; round++ {
+		if info := churn(fmt.Sprint(round), 1000); info.Entries != first.Entries || info.Bytes != first.Bytes {
+			t.Fatalf("round %d over the same keys: %+v, first round %+v", round, info, first)
+		}
 	}
-	total := rounds * perRound
-	// Every round ends with zero live "a" rows; without compaction the
-	// list would hold all `total` tombstones. The 50% dead trigger bounds
-	// the stored entries by roughly one round's worth of churn.
-	if bound := 2*perRound + 2; info.Entries > bound {
-		t.Fatalf("posting-list bloat: %d entries stored after churning %d rows (want <= %d)",
-			info.Entries, total, bound)
+	if first.Entries != perRound {
+		t.Fatalf("first round: %d entries for %d rows", first.Entries, perRound)
 	}
-	if info.Compactions == 0 {
-		t.Fatal("no compaction sweeps ran during churn")
-	}
-	if info.Dead > info.Entries {
-		t.Fatalf("dead count %d exceeds stored entries %d", info.Dead, info.Entries)
-	}
-	if ps := e.PlannerStats(); ps.Compactions == 0 {
-		t.Fatal("planner counters did not record the compactions")
+	for round := 0; round < rounds; round++ { // distinct ids each round, so every row is fresh
+		churn(fmt.Sprintf("fresh%d", round), 2000+int64(round*perRound))
 	}
 }
 
 // TestIndexStatsAfterChurn: IndexStats reports one row per manual index
 // and PlannerStats counts the scans that used them. After rounds of
-// insert-then-delete churn that compact lists under live matching, every
-// index's Entries is the sum of its list lengths and Bytes what their
+// insert-then-delete churn under live matching, every index's Entries is
+// the sum of its list lengths and the table's rows, and Bytes what their
 // chunks hold, pinned on this fixed history.
 func TestIndexStatsAfterChurn(t *testing.T) {
 	wcfg := workload.Config{Tuples: 200, Group: 20, Updates: 40, QueriesPerTxn: 2, Seed: 611}
@@ -107,7 +105,7 @@ func TestIndexStatsAfterChurn(t *testing.T) {
 			t.Fatalf("unexpected index row: %+v", info)
 		}
 	}
-	if ps := e.PlannerStats(); ps.IndexScans == 0 && ps.IntersectScans == 0 {
+	if ps := e.PlannerStats(); ps.IndexScans == 0 {
 		t.Fatalf("PlannerStats counted no index scan: %+v", ps)
 	}
 
@@ -124,11 +122,11 @@ func TestIndexStatsAfterChurn(t *testing.T) {
 		}}
 		applyTxns(t, e, []db.Transaction{ins, del})
 	}
-	wantBytes := map[string]int{"grp": 944, "cat": 1296}
+	wantBytes := map[string]int{"grp": 5888, "cat": 6656}
 	for _, info := range e.IndexStats() {
 		entries, slots := engine.PostingVolume(e, "R", info.Attr)
-		if info.Entries != entries || info.Bytes != 4*slots || info.Compactions == 0 {
-			t.Errorf("%s: %+v; the lists hold %d entries in %d B of chunks, want them equal and compactions run", info.Attr, info, entries, 4*slots)
+		if info.Entries != entries || info.Bytes != 4*slots || entries != e.NumRows() {
+			t.Errorf("%s: %+v; the lists hold %d entries in %d B of chunks, the table %d rows: want the entries equal", info.Attr, info, entries, 4*slots, e.NumRows())
 		}
 		if info.Bytes != wantBytes[info.Attr] {
 			t.Errorf("%s: Bytes = %d, want %d", info.Attr, info.Bytes, wantBytes[info.Attr])
@@ -360,6 +358,73 @@ func TestAnnotationsIdenticalUnderIndexes(t *testing.T) {
 					t.Errorf("trial %d %s: annotation of %v differs under manual indexes", trial, mode, tu)
 				}
 			})
+		}
+	}
+}
+
+// TestPostingListsHoldEveryRow: after every transaction of seeded random
+// logs — both modes, both matchability semantics, one index built before
+// the log and one in the middle of it — the list of each value holds, in
+// order, exactly the positions of the rows whose column holds it. Rows
+// leaving the matchable set (a MinimizeAll pass, a restore to 0, a
+// deletion under live matching) stay listed, and a revived tuple is
+// listed once, at its own position.
+func TestPostingListsHoldEveryRow(t *testing.T) {
+	r := rand.New(rand.NewSource(43))
+	for trial := 0; trial < 12; trial++ {
+		initial := randDB(r, 4+r.Intn(12))
+		txns := randTxns(r, 6, 2+r.Intn(5))
+		victim := randTuple(r)
+		for _, mode := range []engine.Mode{engine.ModeNaive, engine.ModeNormalForm} {
+			for _, live := range []bool{false, true} {
+				label := fmt.Sprintf("trial %d %s live=%v", trial, mode, live)
+				e := engine.New(mode, initial, engine.WithLiveMatching(live))
+				check := func(step string) {
+					t.Helper()
+					if msg := engine.PostingListsOffRows(e); msg != "" {
+						t.Fatalf("%s, %s: %s", label, step, msg)
+					}
+				}
+				if err := e.BuildIndex("R", "cat"); err != nil {
+					t.Fatal(err)
+				}
+				check("built before the log")
+				for i := range txns {
+					if i == len(txns)/2 {
+						if err := e.BuildIndex("R", "val"); err != nil {
+							t.Fatal(err)
+						}
+						check("built mid-log")
+					}
+					txn := txns[i]
+					if err := e.ApplyTransaction(&txn); err != nil {
+						t.Fatal(err)
+					}
+					check(txn.Label)
+				}
+				if _, err := e.MinimizeAll(context.Background()); err != nil {
+					t.Fatal(err)
+				}
+				check("MinimizeAll")
+				if err := e.RestoreRow("R", victim, core.Zero()); err != nil {
+					t.Fatal(err)
+				}
+				check("restore to 0")
+				pin := db.Pattern{db.Const(victim[0]), db.Const(victim[1]), db.Const(victim[2])}
+				for _, txn := range []db.Transaction{
+					{Label: "revive", Updates: []db.Update{db.Insert("R", victim)}},
+					{Label: "kill", Updates: []db.Update{db.Delete("R", pin)}},
+					{Label: "revive again", Updates: []db.Update{db.Insert("R", victim)}},
+				} {
+					if err := e.ApplyTransaction(&txn); err != nil {
+						t.Fatal(err)
+					}
+					check(txn.Label)
+				}
+				if got, err := e.Select("R", pin); err != nil || len(got) != 1 {
+					t.Fatalf("%s: the revived tuple reads %v, %v", label, got, err)
+				}
+			}
 		}
 	}
 }

@@ -75,10 +75,8 @@ func collectPlannerStats(s *Server, e engine.DB, out map[string]any) {
 	ps := e.PlannerStats()
 	out["plannerFullScans"] = ps.FullScans
 	out["plannerIndexScans"] = ps.IndexScans
-	out["plannerIntersectScans"] = ps.IntersectScans
 	out["plannerPointLookups"] = ps.PointLookups
 	out["plannerAutoBuilds"] = ps.AutoBuilds
-	out["plannerCompactions"] = ps.Compactions
 	out["plannerBatchPasses"] = ps.BatchPasses
 	out["plannerBatchScans"] = ps.BatchScans
 	out["plannerRowsScanned"] = ps.RowsScanned

@@ -253,8 +253,8 @@ func GeneratePinned(cfg Config) (*db.Database, []db.Transaction, error) {
 // a fixed mix:
 //
 //   - grp pinned, everything else free (single-index scan),
-//   - grp and cat both pinned (multi-candidate: planner picks the
-//     shorter posting list, possibly intersecting),
+//   - grp and cat both pinned (multi-candidate: planner walks the
+//     shorter posting list),
 //   - grp pinned with a ≠ constraint on cat (mixed =/≠: the = column
 //     can use its index, the ≠ filters per row),
 //   - rarely, only a ≠ constraint on cat (no =-pinned column: the
