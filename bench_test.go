@@ -541,7 +541,8 @@ func BenchmarkCheckpointEncode(b *testing.B) {
 // leave, through provstore.LoadSnapshot (decode beside restore). Both
 // report rows/s; TestBenchCeilings holds B/op. The intern table is
 // process-global, so only a first op (-benchtime 1x in a fresh process)
-// names its rows as a cold start does; later ones find every name.
+// names its rows as a cold start does; a later csv_200k op finds its
+// names' range and resolves each by arithmetic, minting nothing.
 func BenchmarkColdStart(b *testing.B) {
 	report := func(b *testing.B, rows int) {
 		b.ReportMetric(float64(rows)*float64(b.N)/b.Elapsed().Seconds(), "rows/s")

@@ -46,9 +46,11 @@ func QueryAnnot(name string) Annot { return Annot{Name: name, Kind: KindQuery} }
 // String returns the annotation name.
 func (a Annot) String() string { return a.Name }
 
-// Vars returns the variables of the fresh annotations prefix<from> …
+// Vars returns the variables of the annotations prefix<from> …
 // prefix<from+n-1> of the given kind, interned as one batch: what an
-// engine names its initial rows by.
+// engine names its initial rows by. Names no one interned before become
+// range leaves (see leaves.go); the returned slice is their table, to be
+// read, never modified.
 func Vars(prefix string, kind AnnotKind, from, n int) []*Expr {
 	return interns.vars(prefix, kind, from, n)
 }

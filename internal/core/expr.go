@@ -5,8 +5,10 @@ import (
 	"math"
 	"slices"
 	"sort"
+	"strconv"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 )
 
 // Op enumerates the node kinds of UP[X] expressions.
@@ -67,18 +69,21 @@ func (o Op) String() string {
 // Layout: 48 bytes, and a canonical node is immortal, so a word here is
 // a word per node forever. One word, meta, packs the header; only Live
 // writes it after birth, so every header read is one atomic load. A
-// binary node — nearly every node of an update history — holds its
-// operands itself, a canonical node is its own intern-table entry, and
-// what only some nodes need sits behind ext. Raw (DeepCopy) nodes are
-// the same struct with interned false, id 0 and next never linked.
+// binary node — nearly every node of an update history — and a
+// canonical sum of two hold their operands themselves, a canonical node
+// is its own intern-table entry, and what only some nodes need sits
+// behind ext. A range leaf (Vars) has neither ext nor a chain link.
+// Raw (DeepCopy) nodes are the same struct with interned false, id 0
+// and next never linked.
 type Expr struct {
 	id   uint32        // dense process-local identity (see ID)
 	meta atomic.Uint32 // op, interned, Live cache and tree size
 	hash uint64
-	lr   [2]*Expr // operands of a binary node; Children slices them
+	lr   [2]*Expr // operands of a binary node or a sum of two
 	next *Expr    // chains the canonical nodes of one intern-table slot
-	// ext is set at birth on a variable and a sum and created on demand
-	// (memo) when Minimize or Normalize first meet a binary node.
+	// ext is set at birth on a variable other than a range leaf and on a
+	// larger sum, and created on demand (memo) when Minimize or
+	// Normalize first meet a binary node or a sum of two.
 	ext atomic.Pointer[exprExt]
 }
 
@@ -121,25 +126,45 @@ func addSize(a, b int64) int64 {
 	return a + b
 }
 
-// exprExt is what only some nodes need: a variable's annotation, a
-// sum's children, the Minimize/Normalize results of a canonical
-// composite node. Both functions are deterministic and return interned
-// output, so a racing double computation stores the same pointer twice;
-// the memo fields are atomic only to keep concurrent readers defined.
+// exprExt is what only some nodes need: a variable's annotation or a
+// sum's children, which share two words, and the Minimize/Normalize
+// results of a canonical composite node. Both functions are
+// deterministic and return interned output, so a racing double
+// computation stores the same pointer twice; the memo fields are atomic
+// only to keep concurrent readers defined.
 type exprExt struct {
-	ann                   Annot   // OpVar
-	kids                  []*Expr // OpSum
+	// data is a variable's name bytes or a sum's first child; n is the
+	// name's length<<8 | its kind, or the number of children.
+	data                  unsafe.Pointer
+	n                     int
 	minimized, normalized atomic.Pointer[Expr]
 }
 
+// set stores a variable's annotation or a sum's children.
+func (x *exprExt) set(op Op, ann Annot, kids []*Expr) {
+	if op == OpSum {
+		x.data, x.n = unsafe.Pointer(unsafe.SliceData(kids)), len(kids)
+	} else {
+		x.data, x.n = unsafe.Pointer(unsafe.StringData(ann.Name)), len(ann.Name)<<8|int(ann.Kind)
+	}
+}
+
+func (x *exprExt) annot() Annot {
+	return Annot{Name: unsafe.String((*byte)(x.data), x.n>>8), Kind: AnnotKind(x.n)}
+}
+
+func (x *exprExt) kids() []*Expr { return unsafe.Slice((**Expr)(x.data), x.n) }
+
 // newExt returns e after giving it a fresh extension record.
-func (e *Expr) newExt(ann Annot, kids []*Expr) *Expr {
-	e.ext.Store(&exprExt{ann: ann, kids: kids})
+func (e *Expr) newExt(op Op, ann Annot, kids []*Expr) *Expr {
+	x := new(exprExt)
+	x.set(op, ann, kids)
+	e.ext.Store(x)
 	return e
 }
 
 // memo returns the node's extension record, creating it if e is a
-// binary node that had no use for one so far.
+// binary node or a sum of two that had no use for one so far.
 func (e *Expr) memo() *exprExt {
 	if e.ext.Load() == nil {
 		e.ext.CompareAndSwap(nil, new(exprExt))
@@ -209,6 +234,10 @@ func Sum(kids ...*Expr) *Expr {
 	if len(kids) == 1 && kids[0].Op() != OpSum {
 		return kids[0]
 	}
+	if len(kids) == 2 && kids[0].Op() != OpSum && kids[1].Op() != OpSum {
+		// A sum of two is a binary node: its fingerprint is hashBinary's.
+		return binary(OpSum, kids[0], kids[1])
+	}
 	flat := make([]*Expr, 0, len(kids))
 	for _, k := range kids {
 		if k.Op() == OpSum {
@@ -230,7 +259,7 @@ func Sum(kids ...*Expr) *Expr {
 			for _, c := range flat {
 				size = addSize(size, c.Size())
 			}
-			return newNode(OpSum, 0, size, h).newExt(Annot{}, flat)
+			return newNode(OpSum, 0, size, h).newExt(OpSum, Annot{}, flat)
 		}
 	}
 	return interns.intern(OpSum, Annot{}, flat, h)
@@ -240,12 +269,40 @@ func Sum(kids ...*Expr) *Expr {
 func (e *Expr) Op() Op { return Op(e.meta.Load() & (1<<metaOpBits - 1)) }
 
 // Annot returns the basic annotation of an OpVar node; it panics on any
-// other node kind.
+// other node kind. A leaf Vars minted has no annotation stored: its name
+// is derived here, the one place that allocates for it (AppendAnnot and
+// IsVar do not).
 func (e *Expr) Annot() Annot {
 	if e.Op() != OpVar {
 		panic("core: Annot called on non-variable expression")
 	}
-	return e.ext.Load().ann
+	if x := e.ext.Load(); x != nil {
+		return x.annot()
+	}
+	var buf [32]byte
+	name, kind := e.AppendAnnot(buf[:0])
+	return Annot{Name: string(name), Kind: kind}
+}
+
+// AppendAnnot appends the name of an OpVar node's annotation to dst and
+// returns its kind: Annot without building the name.
+func (e *Expr) AppendAnnot(dst []byte) ([]byte, AnnotKind) {
+	if x := e.ext.Load(); x != nil {
+		a := x.annot()
+		return append(dst, a.Name...), a.Kind
+	}
+	r, i := interns.ranges.Load().rangeOf(e)
+	return strconv.AppendInt(append(dst, r.prefix...), int64(i), 10), r.kind
+}
+
+// IsVar reports whether e is the variable of the annotation a.
+func (e *Expr) IsVar(a Annot) bool {
+	if e.Op() != OpVar {
+		return false
+	}
+	var buf [32]byte
+	name, kind := e.AppendAnnot(buf[:0])
+	return kind == a.Kind && string(name) == a.Name
 }
 
 // NumChildren reports the number of children.
@@ -254,13 +311,13 @@ func (e *Expr) NumChildren() int { return len(e.Children()) }
 // Child returns the i'th child.
 func (e *Expr) Child(i int) *Expr { return e.Children()[i] }
 
-// Children returns the children slice — for a binary node the two
-// operand words of the node itself, so the call allocates nothing. The
-// returned slice must not be modified.
+// Children returns the children slice — for a binary node and a sum
+// of two that Sum built the two operand words of the node itself, so
+// the call allocates nothing. The returned slice must not be modified.
 func (e *Expr) Children() []*Expr {
 	switch op := e.Op(); {
-	case op == OpSum:
-		return e.ext.Load().kids
+	case op == OpSum && e.lr[0] == nil:
+		return e.ext.Load().kids()
 	case op >= OpPlusI:
 		return e.lr[:]
 	}
@@ -373,13 +430,13 @@ func (e *Expr) DeepCopy() *Expr {
 	c := newNode(op, 0, e.Size(), e.hash)
 	switch op {
 	case OpVar:
-		return c.newExt(e.Annot(), nil)
+		return c.newExt(OpVar, e.Annot(), nil)
 	case OpSum:
 		kids := make([]*Expr, len(e.Children()))
 		for i, k := range e.Children() {
 			kids[i] = k.DeepCopy()
 		}
-		return c.newExt(Annot{}, kids)
+		return c.newExt(OpSum, Annot{}, kids)
 	}
 	c.lr = [2]*Expr{e.lr[0].DeepCopy(), e.lr[1].DeepCopy()}
 	return c

@@ -3,7 +3,6 @@ package core
 import (
 	"math"
 	"slices"
-	"strconv"
 	"sync"
 	"sync/atomic"
 )
@@ -37,24 +36,34 @@ import (
 //
 // Memory layout: the table is the nodes themselves. Each of the 64
 // lock-striped shards is a power-of-two number of chain heads over the
-// intrusive next pointer of Expr, so a canonical node costs its 48
-// bytes and its share of a head word — no map entry, no bucket, nothing
-// to allocate on a miss but the node — and can later be unlinked, where
-// a Go map entry could only be deleted by key. The heads sit in
-// segments that a doubling appends to and never copies (see grow).
-// Canonical nodes are immortal (the table is append-only for the
-// process lifetime), hence ideal arena tenants: each shard
-// slab-allocates its nodes, and the extension records of its variables
-// and sums, from fixed-size chunks, so interning is a bump-pointer step
-// and the GC tracks a thousand nodes per allocation.
+// intrusive next pointer of Expr, so a chained node costs its 48 bytes
+// and its share of a head word — no map entry, no bucket, nothing to
+// allocate on a miss but the node — and can later be unlinked, where a
+// Go map entry could only be deleted by key. The heads sit in segments
+// that a doubling appends to and never copies (see grow). A sum of two
+// is stored as a binary node is, its operands in the node; a variable
+// and a larger sum add a 32-byte extension record. The leaves Vars mints
+// for initial rows are chained nowhere: a leaf costs its 48 bytes, a
+// word of its range's table and its share of a head word, its name
+// resolved by arithmetic (see leaves.go). Canonical nodes are immortal
+// (the table is append-only for the process lifetime), hence ideal arena
+// tenants: each shard slab-allocates its nodes and its extension records
+// from fixed-size chunks, so interning is a bump-pointer step and the GC
+// tracks a thousand nodes per allocation.
 
 // internShardCount is the number of lock stripes of the intern table.
 // Power of two; 64 stripes keep contention negligible at GOMAXPROCS
 // well beyond typical core counts.
 const internShardCount = 64
 
-// arenaChunkLen is the number of values per slab chunk.
-const arenaChunkLen = 1024
+// arenaChunkLen is the number of nodes per slab chunk, extChunkLen the
+// number of extension records: one node in seventeen has one over the
+// bulk_scan workload's updates, so their chunks are smaller, and so is
+// each shard's unused tail of them.
+const (
+	arenaChunkLen = 1024
+	extChunkLen   = 16
+)
 
 // internLoad is the number of nodes per chain head at which a shard
 // doubles its heads, splitting every chain under its write lock. A
@@ -75,9 +84,9 @@ type arena[T any] struct {
 	free []T // unused tail of the current chunk
 }
 
-func (a *arena[T]) alloc() *T {
+func (a *arena[T]) alloc(chunk int) *T {
 	if len(a.free) == 0 {
-		a.free = make([]T, arenaChunkLen)
+		a.free = make([]T, chunk)
 	}
 	v := &a.free[0]
 	a.free = a.free[1:]
@@ -91,12 +100,18 @@ type internShard struct {
 	segs  []*[segLen]*Expr
 	level uint
 	n     int // nodes linked
-	nodes arena[Expr]
-	exts  arena[exprExt]
+	// leaves counts the range leaves born in this shard (leaves.go).
+	// They are linked nowhere but count toward the load at which the
+	// heads double, so the heads grow where they grew when leaves were
+	// chained, and a doubling lands in the same stretch of interning.
+	leaves int
+	nodes  arena[Expr]
+	exts   arena[exprExt]
 }
 
 type internTable struct {
 	shards [internShardCount]internShard
+	ranges atomic.Pointer[varRanges] // the leaves vars minted (leaves.go)
 	nodes  atomic.Int64
 	hits   atomic.Int64
 	misses atomic.Int64
@@ -184,10 +199,10 @@ func (s *internShard) grow() {
 // returns it for the caller to fill in its children; the caller holds
 // the write lock and has just failed to find the node.
 func (s *internShard) insert(t *internTable, op Op, size int64, h uint64) *Expr {
-	if s.n >= internLoad<<s.level {
+	if s.n+s.leaves >= internLoad<<s.level {
 		s.grow()
 	}
-	n := s.nodes.alloc()
+	n := s.nodes.alloc(arenaChunkLen)
 	n.id, n.hash = t.nextID(), h
 	n.setMeta(op, metaInterned, size)
 	to := s.head(h)
@@ -198,11 +213,17 @@ func (s *internShard) insert(t *internTable, op Op, size int64, h uint64) *Expr 
 
 // intern returns the canonical node for (op, ann, kids) under the
 // fingerprint h, inserting a fresh node on first sight. Every kid must
-// already be canonical; on a miss a sum's kids slice is adopted by the
-// table and must not be mutated by the caller.
+// already be canonical; on a miss the kids slice of a sum of three or
+// more is adopted by the table and must not be mutated by the caller.
 func (t *internTable) intern(op Op, ann Annot, kids []*Expr, h uint64) *Expr {
-	if op >= OpPlusI && op <= OpDotM {
+	if op >= OpPlusI && op <= OpDotM || op == OpSum && len(kids) == 2 {
 		return t.internBinary(op, kids[0], kids[1], h)
+	}
+	if op == OpVar {
+		if e := t.ranges.Load().leaf(ann); e != nil {
+			t.hits.Add(1)
+			return e
+		}
 	}
 	s := t.shard(h)
 	s.mu.RLock()
@@ -215,61 +236,33 @@ func (t *internTable) intern(op Op, ann Annot, kids []*Expr, h uint64) *Expr {
 	return t.internMiss(s, op, ann, kids, h)
 }
 
-// internMiss is intern behind a failed read probe, and the whole of it
-// for a node expected to be new: one chain walk under the write lock —
-// another goroutine may have interned the node since the probe, and only
-// the winner takes an arena slot, so the canonical pointer stays unique —
-// then the insert.
+// internMiss is intern behind a failed read probe: one chain walk under
+// the write lock — another goroutine may have interned the node since the
+// probe, and only the winner takes an arena slot, so the canonical pointer
+// stays unique; for a variable also a look at the ranges, which vars
+// registers only while holding every lock — then the insert.
 func (t *internTable) internMiss(s *internShard, op Op, ann Annot, kids []*Expr, h uint64) *Expr {
 	size := int64(1)
 	for _, k := range kids {
 		size = addSize(size, k.Size())
 	}
 	s.mu.Lock()
-	if e := s.find(op, ann, kids, h); e != nil {
+	e := s.find(op, ann, kids, h)
+	if e == nil && op == OpVar {
+		e = t.ranges.Load().leaf(ann)
+	}
+	if e != nil {
 		s.mu.Unlock()
 		t.hits.Add(1)
 		return e
 	}
-	x := s.exts.alloc()
-	x.ann, x.kids = ann, kids
+	x := s.exts.alloc(extChunkLen)
+	x.set(op, ann, kids)
 	n := s.insert(t, op, size, h)
 	n.ext.Store(x)
 	s.mu.Unlock()
 	t.misses.Add(1)
 	return n
-}
-
-// vars interns the variables prefix<from> … prefix<from+n-1> as one batch
-// and returns them in order. Each shard first doubles to the heads single
-// interns of its new names would leave it, so the chain walks, one under
-// the write lock per name, run below the load it ends at, not up to twice.
-func (t *internTable) vars(prefix string, kind AnnotKind, from, n int) []*Expr {
-	annots, hs, out := make([]Annot, n), make([]uint64, n), make([]*Expr, n)
-	var fresh [internShardCount]int
-	for i := range annots {
-		var buf [24]byte
-		annots[i] = Annot{Name: string(strconv.AppendInt(append(buf[:0], prefix...), int64(from+i), 10)), Kind: kind}
-		hs[i] = hashNode(OpVar, annots[i], nil)
-		s := t.shard(hs[i])
-		s.mu.RLock()
-		if s.find(OpVar, annots[i], nil, hs[i]) == nil {
-			fresh[mix(hs[i])&(internShardCount-1)]++
-		}
-		s.mu.RUnlock()
-	}
-	for i := range t.shards {
-		s := &t.shards[i]
-		s.mu.Lock()
-		for s.n+fresh[i] > internLoad<<s.level {
-			s.grow()
-		}
-		s.mu.Unlock()
-	}
-	for i, a := range annots {
-		out[i] = t.internMiss(t.shard(hs[i]), OpVar, a, nil, hs[i])
-	}
-	return out
 }
 
 // nextID counts the new canonical node and returns its dense id. The
@@ -286,12 +279,20 @@ func (t *internTable) nextID() uint32 {
 // LookupVar returns the canonical node of the basic annotation a if
 // one has been interned, nil otherwise. Unlike Var it never inserts: a
 // what-if naming an annotation the database has never seen must not
-// grow the immortal table.
+// grow the immortal table. A miss looks at the ranges again under the
+// shard's lock: a range whose ids a caller may already have counted
+// (upstruct.Dead) is registered before that lock is released.
 func LookupVar(a Annot) *Expr {
+	if e := interns.ranges.Load().leaf(a); e != nil {
+		return e
+	}
 	h := hashNode(OpVar, a, nil)
 	s := interns.shard(h)
 	s.mu.RLock()
 	e := s.find(OpVar, a, nil, h)
+	if e == nil {
+		e = interns.ranges.Load().leaf(a)
+	}
 	s.mu.RUnlock()
 	return e
 }
@@ -302,6 +303,9 @@ func LookupVar(a Annot) *Expr {
 func Lookup(e *Expr) *Expr {
 	if e.Interned() {
 		return e
+	}
+	if e.Op() == OpVar {
+		return LookupVar(e.Annot())
 	}
 	s := interns.shard(e.hash)
 	s.mu.RLock()

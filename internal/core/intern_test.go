@@ -9,6 +9,7 @@ package core
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -125,6 +126,38 @@ func TestInternRawTreesStayRaw(t *testing.T) {
 	}
 	if !e.Equal(c) || !c.Equal(e) {
 		t.Fatal("raw/interned structural equality broken")
+	}
+}
+
+// TestSumOfTwoHoldsItsOperands: a sum of two keeps its operands in the
+// node, as a binary node does, and carries no extension record until a
+// memo needs one; its fingerprint, its flattening into a larger sum and
+// its round trip through DeepCopy and Intern are a sum's. A variable's
+// annotation survives the extension record's shared words, whatever its
+// kind.
+func TestSumOfTwoHoldsItsOperands(t *testing.T) {
+	a, b, c := TupleVar("s2a"), TupleVar("s2b"), QueryVar("s2p")
+	s := Sum(a, b)
+	if s.Op() != OpSum || s.ext.Load() != nil || s.Left() != a || s.Right() != b || !slices.Equal(s.Children(), []*Expr{a, b}) {
+		t.Fatalf("Sum(a, b) = %v with children %v", s, s.Children())
+	}
+	if s != Sum(a, b) || s.Hash() != hashNode(OpSum, Annot{}, []*Expr{a, b}) || s.Size() != 3 || s.String() != "s2a + s2b" {
+		t.Fatalf("Sum(a, b) is not one canonical sum: %v, size %d", s, s.Size())
+	}
+	if raw := s.DeepCopy(); raw.Interned() || Intern(raw) != s || Sum(raw.Child(0), b).Interned() || Intern(Sum(raw.Child(0), b)) != s {
+		t.Fatal("a raw sum of two does not canonicalize to the sum")
+	}
+	if Minimize(s) != s || s.ext.Load() == nil || !slices.Equal(s.Children(), []*Expr{a, b}) {
+		t.Fatal("the memo Minimize left hid the operands of a sum of two")
+	}
+	three := Sum(s, c)
+	if three.ext.Load() == nil || !slices.Equal(three.Children(), []*Expr{a, b, c}) || three != Sum(a, b, c) {
+		t.Fatalf("Sum(Sum(a, b), c) = %v", three)
+	}
+	for _, an := range []Annot{TupleAnnot(""), QueryAnnot("p"), {Name: "kind-seven", Kind: 7}} {
+		if v := Var(an); v.Annot() != an || !v.IsVar(an) || v.DeepCopy().Annot() != an {
+			t.Fatalf("Var(%q, %v).Annot() = %+v", an.Name, an.Kind, v.Annot())
+		}
 	}
 }
 
@@ -392,43 +425,176 @@ func TestInternStatsCounters(t *testing.T) {
 	_ = v
 }
 
-// TestVarsReserveWhatDoublingReaches: a batch of fresh variables leaves
-// every shard with the heads interning them one by one does — the count
-// doubling from 8 at internLoad nodes a head reaches, also where some of
-// the names were interned before — and returns the nodes single interns
-// find.
-func TestVarsReserveWhatDoublingReaches(t *testing.T) {
-	for _, n := range []int{0, 1, 15, 16, 17, 1000, 196608, 200000} {
-		for _, known := range []int{0, n / 3} {
-			bulk, single := newInternTable(), newInternTable()
+// linked counts the nodes linked into the global table's chains.
+func linked() (n int) {
+	for i := range interns.shards {
+		s := &interns.shards[i]
+		s.mu.RLock()
+		n += s.n
+		s.mu.RUnlock()
+	}
+	return n
+}
+
+// TestVarsMintOneLeafPerName: for every index of a batch, Vars, Var,
+// LookupVar and intern return one pointer — a name interned before the
+// batch keeps that node — the leaf renders its name and hashes as the
+// variable always did, and Vars links no node into a chain but leaves
+// every shard with the heads its nodes and leaves reach by doubling. A
+// second, overlapping batch finds the first one's leaves and mints only
+// the rest; names outside every range resolve into none.
+func TestVarsMintOneLeafPerName(t *testing.T) {
+	for _, n := range []int{0, 1, 15, 16, 17, 1000, 200000} {
+		for _, known := range slices.Compact([]int{0, n / 3}) {
+			prefix := fmt.Sprintf("vars%dk%d_", n, known)
+			annot := func(i int) Annot { return TupleAnnot(prefix + strconv.Itoa(i)) }
+			before := map[int]*Expr{}
 			for i := 0; i < n; i++ {
-				a := Annot{Name: "t" + strconv.Itoa(i), Kind: KindTuple}
 				if i%3 == 0 && i/3 < known {
-					// In both tables before the batch arrives.
-					bulk.intern(OpVar, a, nil, hashNode(OpVar, a, nil))
-				}
-				single.intern(OpVar, a, nil, hashNode(OpVar, a, nil))
-			}
-			vars := bulk.vars("t", KindTuple, 0, n)
-			if len(vars) != n || bulk.nodes.Load() != single.nodes.Load() {
-				t.Fatalf("n=%d known=%d: %d variables, %d nodes; single interns made %d", n, known, len(vars), bulk.nodes.Load(), single.nodes.Load())
-			}
-			for i, v := range vars {
-				a := Annot{Name: "t" + strconv.Itoa(i), Kind: KindTuple}
-				if v.Annot() != a || v != bulk.intern(OpVar, a, nil, hashNode(OpVar, a, nil)) {
-					t.Fatalf("n=%d: variable %d is %v", n, i, v)
+					before[i] = Var(annot(i))
 				}
 			}
-			for i := range bulk.shards {
-				b, s := &bulk.shards[i], &single.shards[i]
+			chains, nodes := linked(), InternStats().Nodes
+			vars := Vars(prefix, KindTuple, 0, n)
+			if got := linked(); got != chains {
+				t.Fatalf("n=%d known=%d: Vars linked %d nodes into chains", n, known, got-chains)
+			}
+			for i := range interns.shards {
+				s := &interns.shards[i]
+				s.mu.RLock()
 				heads := 8
-				for b.n > internLoad*heads {
+				for s.n+s.leaves > internLoad*heads {
 					heads *= 2
 				}
-				if b.n != s.n || b.level != s.level || 1<<b.level != heads {
-					t.Fatalf("n=%d known=%d shard %d: %d nodes on %d heads; single interns leave %d on %d, doubling reaches %d", n, known, i, b.n, 1<<b.level, s.n, 1<<s.level, heads)
+				if 1<<s.level != heads {
+					t.Errorf("n=%d known=%d shard %d: %d heads for %d nodes and %d leaves; doubling reaches %d", n, known, i, 1<<s.level, s.n, s.leaves, heads)
+				}
+				s.mu.RUnlock()
+			}
+			if got := InternStats().Nodes - nodes; got != int64(n-len(before)) {
+				t.Fatalf("n=%d known=%d: Vars minted %d nodes, want %d", n, known, got, n-len(before))
+			}
+			again := Vars(prefix, KindTuple, n/2, n)
+			if got := InternStats().Nodes - nodes; got != int64(n+n/2-len(before)) || linked() != chains {
+				t.Fatalf("n=%d known=%d: the overlapping batch left %d nodes, want %d", n, known, got, n+n/2-len(before))
+			}
+			for i := 0; i < n+n/2; i++ {
+				a, v := annot(i), again[max(i-n/2, 0)]
+				if i < n {
+					v = vars[i]
+				}
+				if i >= n/2 && again[i-n/2] != v {
+					t.Fatalf("n=%d known=%d: the batches disagree at %d", n, known, i)
+				}
+				if w, ok := before[i]; ok && v != w {
+					t.Fatalf("n=%d known=%d: %s lost the node interned before the batch", n, known, a.Name)
+				}
+				text, kind := v.AppendAnnot(nil)
+				if v != Var(a) || v != LookupVar(a) || v != interns.intern(OpVar, a, nil, hashNode(OpVar, a, nil)) ||
+					v.Annot() != a || !v.IsVar(a) || string(text) != a.Name || kind != a.Kind || v.String() != a.Name ||
+					v.Hash() != hashNode(OpVar, a, nil) || !v.Interned() || v.Size() != 1 || !v.Live() {
+					t.Fatalf("n=%d known=%d: variable %d is %v (%s)", n, known, i, v, text)
+				}
+			}
+			for _, a := range []Annot{
+				TupleAnnot(prefix + "05"), TupleAnnot(prefix + "-1"), TupleAnnot(prefix), TupleAnnot(prefix + "00"),
+				TupleAnnot(prefix + strconv.Itoa(n+n/2)), QueryAnnot(prefix + "1"), TupleAnnot(prefix[:len(prefix)-1] + "1"),
+			} {
+				if v := LookupVar(a); v != nil {
+					t.Fatalf("n=%d known=%d: %s of kind %v resolved to %v", n, known, a.Name, a.Kind, v)
 				}
 			}
 		}
 	}
+}
+
+// TestRangeLookupsBesideMinting: names are looked up and interned from
+// several goroutines while batches mint the ranges that hold them, some
+// names before their batch and some after; every goroutine must see one
+// canonical node per name, and a lookup either misses or answers it. Run
+// with -race (CI does).
+func TestRangeLookupsBesideMinting(t *testing.T) {
+	const batches, per, workers = 16, 512, 4
+	annot := func(i int) Annot { return TupleAnnot("race_" + strconv.Itoa(i)) }
+	seen := make([][]*Expr, workers)
+	var wg sync.WaitGroup
+	wg.Add(1 + workers)
+	go func() {
+		defer wg.Done()
+		for b := 0; b < batches; b++ {
+			Vars("race_", KindTuple, b*per, per)
+		}
+	}()
+	for w := 0; w < workers; w++ {
+		seen[w] = make([]*Expr, batches*per)
+		go func(w int) {
+			defer wg.Done()
+			for k := 0; k < 3*batches*per; k++ {
+				i := (k*7919 + w*104729) % (batches * per)
+				v := LookupVar(annot(i))
+				if w%2 == 0 || v == nil && k%5 == 0 {
+					v = Var(annot(i))
+				}
+				if v == nil {
+					continue
+				}
+				if seen[w][i] == nil {
+					seen[w][i] = v
+				} else if seen[w][i] != v {
+					t.Errorf("worker %d saw two nodes for %s", w, annot(i).Name)
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	all := Vars("race_", KindTuple, 0, batches*per)
+	for w := range seen {
+		for i, v := range seen[w] {
+			if v != nil && v != all[i] {
+				t.Fatalf("worker %d saw %p for %s, the batch answers %p", w, v, annot(i).Name, all[i])
+			}
+		}
+	}
+	for i, v := range all {
+		if v != Var(annot(i)) || v.Annot() != annot(i) {
+			t.Fatalf("%s is %v after the batches", annot(i).Name, v)
+		}
+	}
+}
+
+// BenchmarkVars mints 200 000 fresh names per op, as an engine names
+// the rows of a 200 000-row load: the time, the bytes allocated, the
+// bytes still live with the variables held (after a collection), and
+// the mallocs, per name. Take it in a fresh process (-benchtime 1x): the
+// live figure holds whatever the op leaves behind in the table.
+func BenchmarkVars(b *testing.B) {
+	const n = 200000
+	var alloc, live, mallocs float64
+	for i := 0; i < b.N; i++ {
+		var before, after runtime.MemStats
+		b.StopTimer()
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		b.StartTimer()
+		prefix := "t" // an engine's names, the first time
+		if i > 0 {
+			prefix = fmt.Sprintf("bv%d_", i)
+		}
+		vars := Vars(prefix, KindTuple, 0, n)
+		b.StopTimer()
+		runtime.ReadMemStats(&after)
+		alloc += float64(after.TotalAlloc - before.TotalAlloc)
+		mallocs += float64(after.Mallocs - before.Mallocs)
+		runtime.GC()
+		runtime.ReadMemStats(&after)
+		live += float64(after.HeapAlloc) - float64(before.HeapAlloc)
+		runtime.KeepAlive(vars)
+		b.StartTimer()
+	}
+	per := float64(b.N) * n
+	b.ReportMetric(alloc/per, "B/leaf")
+	b.ReportMetric(live/per, "live_B/leaf")
+	b.ReportMetric(mallocs/per, "mallocs/leaf")
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/per, "ns/leaf")
 }

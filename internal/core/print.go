@@ -1,6 +1,9 @@
 package core
 
-import "unsafe"
+import (
+	"strconv"
+	"unsafe"
+)
 
 // String renders the expression in the paper's notation, e.g.
 // "(p1 +M (p3 *M p)) - p". Binary operators are written infix with
@@ -16,7 +19,9 @@ func (e *Expr) String() string {
 // string. Every annotation name goes through name — nil appends it
 // as it is — so a caller embedding the text in a quoted format can
 // escape names in place: the rest is ASCII operators, parentheses,
-// spaces and "0", which no format this repository writes escapes.
+// spaces and "0", which no format this repository writes escapes. Of a
+// leaf Vars minted only the prefix goes through name; its index is
+// appended after it, ASCII digits too.
 func (e *Expr) AppendText(dst []byte, name func(dst []byte, s string) []byte) []byte {
 	return e.appendText(dst, name, true)
 }
@@ -26,10 +31,15 @@ func (e *Expr) appendText(dst []byte, name func([]byte, string) []byte, top bool
 	case OpZero:
 		return append(dst, '0')
 	case OpVar:
-		if name != nil {
-			return name(dst, e.Annot().Name)
+		if name == nil {
+			dst, _ = e.AppendAnnot(dst)
+			return dst
 		}
-		return append(dst, e.Annot().Name...)
+		if x := e.ext.Load(); x != nil {
+			return name(dst, x.annot().Name)
+		}
+		r, i := interns.ranges.Load().rangeOf(e)
+		return strconv.AppendInt(name(dst, r.prefix), int64(i), 10)
 	}
 	if !top {
 		dst = append(dst, '(')

@@ -18,7 +18,7 @@ package core
 // isQueryVar reports whether e is a variable expression carrying the
 // annotation p.
 func isQueryVar(e *Expr, p Annot) bool {
-	return e.Op() == OpVar && e.Annot() == p
+	return e.IsVar(p)
 }
 
 // stripSamePhase removes from the root of e every operator layer that

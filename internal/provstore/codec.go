@@ -75,6 +75,7 @@ type Encoder struct {
 	kids  []uint64                // child ids of the nodes on the walk's stack
 	next  uint64
 	buf   [binary.MaxVarintLen64]byte
+	name  []byte // the annotation name being written
 	err   error
 }
 
@@ -94,10 +95,10 @@ func (e *Encoder) uvarint(v uint64) {
 	_, e.err = e.w.Write(e.buf[:n])
 }
 
-func (e *Encoder) str(s string) {
+func (e *Encoder) str(s []byte) {
 	e.uvarint(uint64(len(s)))
 	if e.err == nil {
-		_, e.err = e.w.WriteString(s)
+		_, e.err = e.w.Write(s)
 	}
 }
 
@@ -162,9 +163,10 @@ func (e *Encoder) emit(x *core.Expr, kids []uint64) {
 		e.byte(tagZero)
 	case core.OpVar:
 		e.byte(tagVar)
-		a := x.Annot()
-		e.byte(byte(a.Kind))
-		e.str(a.Name)
+		var kind core.AnnotKind
+		e.name, kind = x.AppendAnnot(e.name[:0])
+		e.byte(byte(kind))
+		e.str(e.name)
 	case core.OpPlusI, core.OpMinus, core.OpPlusM, core.OpDotM:
 		e.byte(binaryTags[x.Op()])
 		e.uvarint(kids[0])

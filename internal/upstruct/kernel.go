@@ -59,7 +59,7 @@ func Dead(annots ...core.Annot) *Valuation {
 // annot is the valuation of one basic annotation.
 func (v *Valuation) annot(a core.Annot) bool {
 	for _, d := range v.dead {
-		if d.Annot() == a {
+		if d.IsVar(a) {
 			return false
 		}
 	}

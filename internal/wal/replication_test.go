@@ -900,6 +900,50 @@ func TestFollowerFarBehindWhileStreaming(t *testing.T) {
 	requireSameBytes(t, "far behind", snapshotOf(t, st), snapshotOf(t, f))
 }
 
+// TestFollowerCatchUpSyncs: a follower under SyncAlways held while the
+// leader commits 4 200 records, then released, catches up; the fsyncs
+// that costs are logged and bounded by the records it applied. Today it
+// fsyncs once per record (ROADMAP item 6 measures its group commit
+// against this reading).
+func TestFollowerCatchUpSyncs(t *testing.T) {
+	st, err := wal.Open(t.TempDir(),
+		wal.WithSchema(churnSchema),
+		wal.WithSync(wal.SyncNever),
+		wal.WithHeartbeatEvery(10*time.Millisecond),
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	_, src := startLeaderServer(t, st)
+	var hold sync.RWMutex
+	held := func(ctx context.Context, from uint64) (io.ReadCloser, error) {
+		rc, err := src(ctx, from)
+		return heldReader{rc, &hold}, err
+	}
+	f := openTestFollower(t, t.TempDir(), held, wal.WithSync(wal.SyncAlways), wal.WithStreamStallTimeout(0))
+	rng := rand.New(rand.NewSource(47))
+	churn(t, st, rng, 10)
+	waitApplied(t, f, 10)
+	hold.Lock()
+	var once sync.Once
+	release := func() { once.Do(hold.Unlock) }
+	defer release() // a failure while held must not leave the follower blocked
+	from, before := f.ReplicaStats().AppliedLSN, f.WALStats().Syncs
+	churn(t, st, rng, 4200)
+	lsn := st.Stats().LSN
+	release()
+	waitApplied(t, f, lsn)
+	applied, syncs := lsn-from, f.WALStats().Syncs-before
+	t.Logf("catching up %d records took %d fsyncs", applied, syncs)
+	if syncs > applied {
+		t.Errorf("catching up %d records took %d fsyncs, more than one a record", applied, syncs)
+	}
+	if rs := f.ReplicaStats(); rs.Resyncs != 0 {
+		t.Fatalf("the follower resynced %d times, want none", rs.Resyncs)
+	}
+}
+
 // TestStreamLogHoleReturns: a stream whose next segment is missing from
 // the retained log ends with an error instead of waiting for it; at the
 // latest it ends with its context.
