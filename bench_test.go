@@ -20,6 +20,8 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"runtime"
 	"strings"
 	"testing"
@@ -668,6 +670,10 @@ func BenchmarkAnnotationLookup(b *testing.B) {
 // next to the plain in-memory engine as the baseline. sync=never pays
 // only the encoding and buffered writes, sync=interval adds a
 // background fsync every 50ms, sync=always fsyncs inside every commit.
+// tpcc_sql logs the TPC-C mix as the SQL front end parses it, the
+// transactions oltp_point sends, under sync=never. Each reports
+// wal_B_per_txn, the log's bytes over its transactions: a function of
+// the code alone, which TestBenchCeilings pins.
 func BenchmarkWALApply(b *testing.B) {
 	cfg := workload.Default(benchScale)
 	initial, txns := syntheticWorkload(b, cfg)
@@ -679,29 +685,59 @@ func BenchmarkWALApply(b *testing.B) {
 			}
 		}
 	})
-	for _, pol := range []wal.SyncPolicy{wal.SyncNever, wal.SyncInterval, wal.SyncAlways} {
-		b.Run("sync="+pol.String(), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				dir := b.TempDir()
-				b.StartTimer()
-				st, err := wal.Open(dir,
-					wal.WithMode(engine.ModeNormalForm),
-					wal.WithInitialDatabase(initial),
-					wal.WithSync(pol),
-				)
+	logged := func(b *testing.B, initial *db.Database, txns []db.Transaction, pol wal.SyncPolicy) {
+		var logBytes int64
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			dir := b.TempDir()
+			b.StartTimer()
+			st, err := wal.Open(dir,
+				wal.WithMode(engine.ModeNormalForm),
+				wal.WithInitialDatabase(initial),
+				wal.WithSync(pol),
+			)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if err := st.ApplyAll(context.Background(), txns); err != nil {
+				b.Fatal(err)
+			}
+			if err := st.Close(); err != nil {
+				b.Fatal(err)
+			}
+			b.StopTimer()
+			segs, err := filepath.Glob(filepath.Join(dir, "wal-*.seg"))
+			if err != nil {
+				b.Fatal(err)
+			}
+			logBytes = 0
+			for _, seg := range segs {
+				fi, err := os.Stat(seg)
 				if err != nil {
 					b.Fatal(err)
 				}
-				if err := st.ApplyAll(context.Background(), txns); err != nil {
-					b.Fatal(err)
-				}
-				if err := st.Close(); err != nil {
-					b.Fatal(err)
-				}
+				logBytes += fi.Size()
 			}
-		})
+			b.StartTimer()
+		}
+		b.ReportMetric(float64(logBytes)/float64(len(txns)), "wal_B_per_txn")
 	}
+	for _, pol := range []wal.SyncPolicy{wal.SyncNever, wal.SyncInterval, wal.SyncAlways} {
+		b.Run("sync="+pol.String(), func(b *testing.B) { logged(b, initial, txns, pol) })
+	}
+	b.Run("tpcc_sql", func(b *testing.B) {
+		b.StopTimer()
+		initial, txns := tpccWorkload(b, 4000)
+		text, err := parser.FormatSQLLog(initial.Schema(), txns)
+		if err == nil {
+			txns, err = parser.ParseSQLLog(initial.Schema(), text)
+		}
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		logged(b, initial, txns, wal.SyncNever)
+	})
 }
 
 // BenchmarkScanPlanner measures the cost-based scan planner on the

@@ -270,8 +270,9 @@ func (e *Expr) Op() Op { return Op(e.meta.Load() & (1<<metaOpBits - 1)) }
 
 // Annot returns the basic annotation of an OpVar node; it panics on any
 // other node kind. A leaf Vars minted has no annotation stored: its name
-// is derived here, the one place that allocates for it (AppendAnnot and
-// IsVar do not).
+// is derived here — a piece of its range's page of names once a
+// LeafAnnot has built the page, else a string of its own, the one place
+// that allocates for it (AppendAnnot and IsVar do not).
 func (e *Expr) Annot() Annot {
 	if e.Op() != OpVar {
 		panic("core: Annot called on non-variable expression")
@@ -279,9 +280,26 @@ func (e *Expr) Annot() Annot {
 	if x := e.ext.Load(); x != nil {
 		return x.annot()
 	}
+	r, i := interns.ranges.Load().rangeOf(e)
+	if name, ok := r.name(i, false); ok {
+		return Annot{Name: name, Kind: r.kind}
+	}
 	var buf [32]byte
-	name, kind := e.AppendAnnot(buf[:0])
-	return Annot{Name: string(name), Kind: kind}
+	return Annot{Name: string(strconv.AppendInt(append(buf[:0], r.prefix...), int64(i), 10)), Kind: r.kind}
+}
+
+// LeafAnnot is Annot for a walk that values many leaves (upstruct.Eval):
+// a leaf Vars minted is named by a piece of its range's page of names,
+// which the first LeafAnnot on the page builds, so the walk allocates
+// once per page of leaves instead of once per leaf. Point lookups use
+// Annot, which builds no page.
+func (e *Expr) LeafAnnot() Annot {
+	if e.Op() == OpVar && e.ext.Load() == nil {
+		r, i := interns.ranges.Load().rangeOf(e)
+		name, _ := r.name(i, true)
+		return Annot{Name: name, Kind: r.kind}
+	}
+	return e.Annot()
 }
 
 // AppendAnnot appends the name of an OpVar node's annotation to dst and

@@ -491,7 +491,7 @@ func TestVarsMintOneLeafPerName(t *testing.T) {
 				}
 				text, kind := v.AppendAnnot(nil)
 				if v != Var(a) || v != LookupVar(a) || v != interns.intern(OpVar, a, nil, hashNode(OpVar, a, nil)) ||
-					v.Annot() != a || !v.IsVar(a) || string(text) != a.Name || kind != a.Kind || v.String() != a.Name ||
+					v.Annot() != a || v.LeafAnnot() != a || !v.IsVar(a) || string(text) != a.Name || kind != a.Kind || v.String() != a.Name ||
 					v.Hash() != hashNode(OpVar, a, nil) || !v.Interned() || v.Size() != 1 || !v.Live() {
 					t.Fatalf("n=%d known=%d: variable %d is %v (%s)", n, known, i, v, text)
 				}
@@ -511,8 +511,8 @@ func TestVarsMintOneLeafPerName(t *testing.T) {
 // TestRangeLookupsBesideMinting: names are looked up and interned from
 // several goroutines while batches mint the ranges that hold them, some
 // names before their batch and some after; every goroutine must see one
-// canonical node per name, and a lookup either misses or answers it. Run
-// with -race (CI does).
+// canonical node per name, and a lookup either misses or answers it, and
+// name it as it was asked for. Run with -race (CI does).
 func TestRangeLookupsBesideMinting(t *testing.T) {
 	const batches, per, workers = 16, 512, 4
 	annot := func(i int) Annot { return TupleAnnot("race_" + strconv.Itoa(i)) }
@@ -537,6 +537,10 @@ func TestRangeLookupsBesideMinting(t *testing.T) {
 				}
 				if v == nil {
 					continue
+				}
+				if v.LeafAnnot() != annot(i) { // a page of names built beside the others
+					t.Errorf("worker %d: %s is named %s", w, annot(i).Name, v.LeafAnnot().Name)
+					return
 				}
 				if seen[w][i] == nil {
 					seen[w][i] = v

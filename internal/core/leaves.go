@@ -6,6 +6,7 @@ import (
 	"math"
 	"slices"
 	"strconv"
+	"sync/atomic"
 )
 
 // This file holds the intern table's range leaves: the variables Vars
@@ -45,6 +46,56 @@ type varRange struct {
 	from   int
 	first  uint32
 	leaves []*Expr
+	// names are the range's pages of names (see name), none until built.
+	names atomic.Pointer[[]atomic.Pointer[string]]
+}
+
+// namePage is how many names of a range one page holds.
+const namePage = 256
+
+// name returns the name of index i of the range as a piece of its page —
+// the names of namePage consecutive indices back to back in one string —
+// and whether there is one: a page is built by the first call that asks
+// to build it (a walk valuing many leaves), never when the range is
+// minted.
+func (r *varRange) name(i int, build bool) (string, bool) {
+	pages := r.names.Load()
+	if pages == nil {
+		if !build {
+			return "", false
+		}
+		fresh := make([]atomic.Pointer[string], (len(r.leaves)+namePage-1)/namePage)
+		r.names.CompareAndSwap(nil, &fresh)
+		pages = r.names.Load()
+	}
+	k := (i - r.from) / namePage
+	start := r.from + k*namePage
+	page := (*pages)[k].Load()
+	if page == nil {
+		if !build {
+			return "", false
+		}
+		end := min(start+namePage, r.from+len(r.leaves))
+		b := make([]byte, 0, (end-start)*len(r.prefix)+digitsBelow(end)-digitsBelow(start))
+		for j := start; j < end; j++ {
+			b = strconv.AppendInt(append(b, r.prefix...), int64(j), 10)
+		}
+		s := string(b)
+		(*pages)[k].CompareAndSwap(nil, &s)
+		page = (*pages)[k].Load()
+	}
+	off := (i-start)*len(r.prefix) + digitsBelow(i) - digitsBelow(start)
+	return (*page)[off : off+len(r.prefix)+digitsBelow(i+1)-digitsBelow(i)], true
+}
+
+// digitsBelow returns how many decimal digits the numbers 0 … n-1 take:
+// one each, and one more each for those of at least 10, 100, ….
+func digitsBelow(n int) int {
+	d := n
+	for p := 10; p > 0 && p < n; p *= 10 {
+		d += n - p
+	}
+	return d
 }
 
 // rangeKey is what a name's ranges share besides its index.

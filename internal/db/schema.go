@@ -90,20 +90,23 @@ func (r *RelationSchema) String() string {
 	return b.String()
 }
 
-// Schema is a set of relation schemas keyed by relation name.
+// Schema is a set of relation schemas keyed by relation name, in
+// declaration order.
 type Schema struct {
-	byName map[string]*RelationSchema
+	byName map[string]int // position in rels
+	rels   []*RelationSchema
 	order  []string
 }
 
 // NewSchema builds a schema from relation schemas, rejecting duplicates.
 func NewSchema(rels ...*RelationSchema) (*Schema, error) {
-	s := &Schema{byName: make(map[string]*RelationSchema, len(rels))}
+	s := &Schema{byName: make(map[string]int, len(rels))}
 	for _, r := range rels {
 		if _, dup := s.byName[r.Name]; dup {
 			return nil, fmt.Errorf("db: duplicate relation %s", r.Name)
 		}
-		s.byName[r.Name] = r
+		s.byName[r.Name] = len(s.rels)
+		s.rels = append(s.rels, r)
 		s.order = append(s.order, r.Name)
 	}
 	return s, nil
@@ -119,7 +122,30 @@ func MustSchema(rels ...*RelationSchema) *Schema {
 }
 
 // Relation returns the schema of the named relation, or nil.
-func (s *Schema) Relation(name string) *RelationSchema { return s.byName[name] }
+func (s *Schema) Relation(name string) *RelationSchema {
+	if i, ok := s.byName[name]; ok {
+		return s.rels[i]
+	}
+	return nil
+}
+
+// Position returns the named relation's position in declaration order,
+// or -1.
+func (s *Schema) Position(name string) int {
+	if i, ok := s.byName[name]; ok {
+		return i
+	}
+	return -1
+}
+
+// At returns the relation at position i of declaration order, or nil
+// when i is out of range.
+func (s *Schema) At(i int) *RelationSchema {
+	if i < 0 || i >= len(s.rels) {
+		return nil
+	}
+	return s.rels[i]
+}
 
 // Names returns the relation names in declaration order. The returned
 // slice must not be modified.

@@ -28,13 +28,13 @@ var edgeFloats = []float64{
 	(1<<50 - 1) / 100.0, (1 << 50) / 100.0, 11258999068426.23, 11258999068426.25, 1e15 + 0.3,
 }
 
-// TestFloatFormsAreExact: whatever appendFloat writes, readFloat reads
+// TestFloatFormsAreExact: whatever AppendFloat writes, readFloat reads
 // back to the bit; integers and hundredths below the limit take a short
 // form, and nothing takes more than the raw nine bytes.
 func TestFloatFormsAreExact(t *testing.T) {
 	check := func(f float64, wantShort bool) {
 		t.Helper()
-		enc := appendFloat(nil, f)
+		enc := AppendFloat(nil, f)
 		got, err := readFloat(bufio.NewReader(bytes.NewReader(enc)))
 		if err != nil || math.Float64bits(got) != math.Float64bits(f) {
 			t.Fatalf("%v (%#x) encoded as %x read back as %v (%#x), err %v", f, math.Float64bits(f), enc, got, math.Float64bits(got), err)
@@ -54,7 +54,7 @@ func TestFloatFormsAreExact(t *testing.T) {
 		check(float64(n%(1<<40))/100, true)
 	}
 	for _, f := range []float64{math.Copysign(0, -1), math.NaN(), math.Inf(1), tenth + fifth, 1 << 50} {
-		if enc := appendFloat(nil, f); len(enc) != 9 || enc[0] != 0 {
+		if enc := AppendFloat(nil, f); len(enc) != 9 || enc[0] != 0 {
 			t.Errorf("%v encoded as %x, want the raw form", f, enc)
 		}
 	}

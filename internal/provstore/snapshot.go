@@ -203,7 +203,7 @@ func (rw *rowWriter) row(name string, t db.Tuple, ann *core.Expr) {
 		case db.KindInt:
 			buf = binary.AppendVarint(buf, v.Int()-rw.prev[j].Int())
 		case db.KindFloat:
-			buf = appendFloat(buf, v.Float())
+			buf = AppendFloat(buf, v.Float())
 		default: // a string
 			id, known := rw.dict[v.Word()]
 			if !known {
@@ -228,9 +228,12 @@ func (rw *rowWriter) row(name string, t db.Tuple, ann *core.Expr) {
 // it the header uvarint takes at most the 8 bytes of the raw payload.
 const shortFloatLimit = 1 << 50
 
-// appendFloat encodes f in a short form when one decodes to f's exact
-// bits — -0, NaNs, infinities and sums like 0.1+0.2 do not — else raw.
-func appendFloat(buf []byte, f float64) []byte {
+// AppendFloat encodes f in a short form when one decodes to f's exact
+// bits — n or n/100 in a uvarint header — else raw: a zero header and
+// the 8 little-endian bytes of its bits (-0, NaNs, infinities and sums
+// like 0.1+0.2). The snapshot's rows and the WAL's schema-relative
+// records write floats this way.
+func AppendFloat(buf []byte, f float64) []byte {
 	for form, scale := range [...]float64{1, 100} {
 		if x := f * scale; math.Abs(x) < shortFloatLimit {
 			n := int64(math.Round(x))
@@ -242,23 +245,33 @@ func appendFloat(buf []byte, f float64) []byte {
 	return binary.LittleEndian.AppendUint64(append(buf, 0), math.Float64bits(f))
 }
 
+// FloatHeader decodes the header uvarint AppendFloat wrote: the value
+// of a short form, or raw when the 8 bytes of the bits follow.
+func FloatHeader(h uint64) (f float64, raw bool, err error) {
+	n := float64(int64(h>>3) ^ -int64(h>>2&1))
+	switch {
+	case h == 0:
+		return 0, true, nil
+	case h&3 == 1:
+		return n, false, nil
+	case h&3 == 2:
+		return n / 100, false, nil
+	}
+	return 0, false, fmt.Errorf("%w: float header %#x", ErrMalformed, h)
+}
+
 func readFloat(r *bufio.Reader) (float64, error) {
 	h, err := binary.ReadUvarint(r)
 	if err != nil {
 		return 0, err
 	}
-	n := float64(int64(h>>3) ^ -int64(h>>2&1))
-	switch {
-	case h == 0:
-		var raw [8]byte
-		_, err := io.ReadFull(r, raw[:])
-		return math.Float64frombits(binary.LittleEndian.Uint64(raw[:])), err
-	case h&3 == 1:
-		return n, nil
-	case h&3 == 2:
-		return n / 100, nil
+	f, raw, err := FloatHeader(h)
+	if raw {
+		var b [8]byte
+		_, err = io.ReadFull(r, b[:])
+		f = math.Float64frombits(binary.LittleEndian.Uint64(b[:]))
 	}
-	return 0, fmt.Errorf("%w: float header %#x", ErrMalformed, h)
+	return f, err
 }
 
 // restoreFunc is the add of engine.Restore.

@@ -52,7 +52,7 @@ func Eval[T any](e *core.Expr, s Structure[T], env Env[T]) T {
 	case core.OpZero:
 		return s.Zero()
 	case core.OpVar:
-		return env(e.Annot())
+		return env(e.LeafAnnot())
 	case core.OpSum:
 		kids := e.Children()
 		acc := Eval(kids[0], s, env)

@@ -269,3 +269,20 @@ func TestEvalNFAgainstExprOnSets(t *testing.T) {
 		t.Errorf("access control result = %v", a)
 	}
 }
+
+// TestEvalMapEnvAllocatesNothing: valuing an expression over range
+// leaves — the initial rows' annotations, which store no name — and a
+// chained variable through MapEnv allocates nothing: a leaf's name is a
+// piece of its range's page of names, built once.
+func TestEvalMapEnvAllocatesNothing(t *testing.T) {
+	leaves := core.Vars("evalalloc", core.KindTuple, 0, 3)
+	q := core.Var(core.QueryAnnot("evalalloc-q"))
+	e := core.PlusI(core.Minus(core.DotM(leaves[0], q), leaves[1]), leaves[2])
+	env := upstruct.MapEnv(map[core.Annot]bool{core.TupleAnnot("evalalloc0"): false, core.TupleAnnot("evalalloc2"): false}, true)
+	if upstruct.Eval(e, upstruct.Bool, env) {
+		t.Fatal("the valuation deleting evalalloc0 and evalalloc2 keeps the tuple")
+	}
+	if n := testing.AllocsPerRun(100, func() { upstruct.Eval(e, upstruct.Bool, env) }); n != 0 {
+		t.Fatalf("Eval with MapEnv over three range leaves and a chained variable allocates %.1f times, want 0", n)
+	}
+}

@@ -302,7 +302,10 @@ func (f *Follower) streamOnce(ctx context.Context) (progressed bool, err error) 
 	progressed = hello.resync // a shipped checkpoint is progress
 	f.checkReady()
 
+	// Records join a group while the next frame is already buffered: the
+	// group is applied before a read could wait.
 	s := f.core.Load()
+	var group replayGroup
 	for {
 		p, err := next()
 		if err != nil {
@@ -315,16 +318,10 @@ func (f *Follower) streamOnce(ctx context.Context) (progressed bool, err error) 
 			if d.err != nil {
 				return progressed, fmt.Errorf("%w: bad record frame: %v", ErrStreamCorrupt, d.err)
 			}
-			if want := s.LSN(); lsn != want {
+			if want := s.LSN() + uint64(len(group.payloads)); lsn != want {
 				return progressed, fmt.Errorf("%w: record LSN %d, expected %d", ErrStreamCorrupt, lsn, want)
 			}
-			if err := s.applyReplicated(d.buf); err != nil {
-				return progressed, err
-			}
-			progressed = true
-			f.records.Add(1)
-			f.observeLeader(lsn+1, 0)
-			f.checkReady()
+			group.add(d.buf)
 		case msgHeartbeat:
 			d := &recDecoder{buf: p[1:]}
 			lsn, horizon := d.uvarint(), d.uvarint()
@@ -335,6 +332,15 @@ func (f *Follower) streamOnce(ctx context.Context) (progressed bool, err error) 
 			f.checkReady()
 		default:
 			return progressed, fmt.Errorf("%w: unexpected message type %d mid-stream", ErrStreamCorrupt, msgType(p))
+		}
+		if n := len(group.payloads); n > 0 && (group.full() || !fr.buffered()) {
+			if err := s.applyReplicated(&group); err != nil {
+				return progressed, err
+			}
+			progressed = true
+			f.records.Add(uint64(n))
+			f.observeLeader(s.LSN(), 0)
+			f.checkReady()
 		}
 	}
 }
@@ -569,27 +575,13 @@ func (s *Store) LSN() uint64 {
 	return s.lsn.Load()
 }
 
-// applyReplicated appends one replicated record to the local log and
-// applies it, validating the payload decodes before anything is
-// persisted — a corrupt payload must fail the session, not poison the
-// local WAL. Runs the same replay path recovery uses, so follower state
-// is byte-identical to a leader that logged the same records.
-func (s *Store) applyReplicated(payload []byte) error {
+// applyReplicated logs and applies a group of replicated records as
+// recovery replays the log, so follower state is byte-identical to a
+// leader's that logged the same records.
+func (s *Store) applyReplicated(g *replayGroup) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	defer s.replay.Reset()
-	rec, err := s.decodeBorrowed(payload)
-	if err != nil {
-		return fmt.Errorf("%w: %v", ErrStreamCorrupt, err)
-	}
-	if err := s.appendLocked(payload); err != nil {
-		return err
-	}
-	if err := s.applyDecoded(&rec); err != nil {
-		return err
-	}
-	s.maybeCheckpointLocked()
-	return nil
+	return s.replayLocked(g, s.lsn.Load(), ErrStreamCorrupt, true)
 }
 
 // newCore shapes a Store over the fresh (META-less) follower directory,

@@ -97,6 +97,16 @@ func (fr *frameReader) reset(r io.Reader) {
 	fr.good = 0
 }
 
+// buffered reports whether the next frame is whole in the reader's
+// buffer, so next returns it without waiting on the source.
+func (fr *frameReader) buffered() bool {
+	if fr.r.Buffered() < frameHeaderSize {
+		return false
+	}
+	h, _ := fr.r.Peek(frameHeaderSize)
+	return fr.r.Buffered()-frameHeaderSize >= int(binary.LittleEndian.Uint32(h))
+}
+
 // next returns the next frame's payload. A clean end between frames is
 // io.EOF; a frame that breaks off wraps io.ErrUnexpectedEOF (or the
 // transport's own error), one that is there but wrong errFrameDamaged,

@@ -17,17 +17,19 @@ import (
 )
 
 // The golden data directory (testdata/golden: META, the initial
-// checkpoint and one segment) was written by the record encoder and the
-// allocating decoder as they stood before transactions were borrowed.
-// It pins the WAL bytes — whatever the current code writes for the same
-// operations must be that META and that segment — and it is a
-// parent-written directory for recovery to replay through the in-place
-// decoder. Its checkpoint is in version 1 of the snapshot format, which
-// nothing writes any more and every recovery must keep loading: it stays
-// as it is, and must hold the state of the checkpoint the current code
-// writes. Rewrite META and the segment only for a deliberate format
-// change: go test ./internal/wal/ -run TestGoldenDataDirectory
-// -update-golden.
+// checkpoint and one segment) pins the WAL bytes: whatever the current
+// code writes for the golden operations must be that META and that
+// segment, whose transactions are schema-relative records but for the
+// one that fails. testdata/golden-type1 is the same directory as the
+// self-describing record form wrote it, before transactions were logged
+// schema-relative; it is never rewritten, and recovery must replay
+// both, through the in-place decoder, to the state the operations
+// leave. Their checkpoint is in version 1 of the snapshot format, which
+// nothing writes any more and every recovery must keep loading: it
+// stays as it is, and must hold the state of the checkpoint the current
+// code writes. Rewrite testdata/golden's META and segment only for a
+// deliberate format change: go test ./internal/wal/ -run
+// TestGoldenDataDirectory -update-golden.
 var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/golden from what the current code writes")
 
 const goldenSQL = `
@@ -185,10 +187,22 @@ func TestGoldenDataDirectory(t *testing.T) {
 			t.Errorf("%s: the current code writes %d bytes that differ from the golden %d", name, len(written[name]), len(data))
 		}
 	}
-	// Recovery replays the golden segment to the state the operations
-	// left behind.
+	requireRecovers(t, golden, state)
+}
+
+// TestGoldenType1Directory: the directory the self-describing record
+// form wrote recovers, unedited, to the state the golden operations
+// leave.
+func TestGoldenType1Directory(t *testing.T) {
+	requireRecovers(t, filepath.Join("testdata", "golden-type1"), writeGolden(t, t.TempDir()))
+}
+
+// requireRecovers opens a copy of the data directory golden and
+// requires the golden operations' 11 records replayed to state.
+func requireRecovers(t *testing.T, golden string, state []byte) {
+	t.Helper()
 	replayed := t.TempDir()
-	for name, data := range want {
+	for name, data := range readDir(t, golden) {
 		if err := os.WriteFile(filepath.Join(replayed, name), data, 0o644); err != nil {
 			t.Fatal(err)
 		}
@@ -201,5 +215,5 @@ func TestGoldenDataDirectory(t *testing.T) {
 	if n := st.Stats().Replayed; n != 11 {
 		t.Errorf("recovery replayed %d records, want 11", n)
 	}
-	requireSameBytes(t, "recovered golden directory", state, snapshotOf(t, st))
+	requireSameBytes(t, "recovered "+golden, state, snapshotOf(t, st))
 }

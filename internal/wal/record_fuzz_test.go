@@ -11,36 +11,41 @@ import (
 	"hyperprov/internal/engine"
 )
 
-// FuzzDecodeRecord feeds arbitrary payloads, seeded with the golden
-// segment's records, to the record decoder. It must not panic; it must
-// not allocate beyond a multiple of the payload's size whatever counts
-// the payload claims; what it accepts as a transaction must survive
-// encode and decode unchanged; and decoding into a recycled builder
-// with the schema's names — the replay loops' way — must give the
-// record a fresh decode gives, before and after a poisoned Reset. And
-// whatever decodes into a transaction applies to an engine over the
-// golden schema — rows in both relations — without a panic: the decoder bounds counts, not arities or kinds, which are
-// the engine's check.
+// FuzzDecodeRecord feeds arbitrary payloads, seeded with the records of
+// both golden segments — the schema-relative form and the
+// self-describing one — to the record decoder, with the golden schema.
+// It must not panic; it must not allocate beyond a multiple of the
+// payload's size whatever counts the payload claims; what it accepts as
+// a transaction must survive encode and decode unchanged, encoded as the
+// store would log it; and decoding into a recycled builder — the replay
+// loops' way — must give the record a fresh decode gives, before and
+// after a poisoned Reset. And whatever decodes into a transaction
+// applies to an engine over the golden schema — rows in both relations —
+// without a panic: the decoder bounds counts, not arities or kinds of
+// the self-describing form, which are the engine's check.
 func FuzzDecodeRecord(f *testing.F) {
-	golden := filepath.Join("testdata", "golden")
-	meta, err := readMeta(OSFS{}, golden)
+	meta, err := readMeta(OSFS{}, filepath.Join("testdata", "golden"))
 	if err != nil {
 		f.Fatal(err)
 	}
-	seg, err := OSFS{}.ReadFile(filepath.Join(golden, segName(0)))
-	if err != nil {
-		f.Fatal(err)
-	}
-	records := segmentRecords(f, seg)
-	if len(records) == 0 {
-		f.Fatal("the golden segment holds no records")
-	}
-	for _, payload := range records {
-		f.Add(payload)
+	for _, dir := range []string{"golden", "golden-type1"} {
+		seg, err := OSFS{}.ReadFile(filepath.Join("testdata", dir, segName(0)))
+		if err != nil {
+			f.Fatal(err)
+		}
+		records := segmentRecords(f, seg)
+		if len(records) == 0 {
+			f.Fatalf("the %s segment holds no records", dir)
+		}
+		for _, payload := range records {
+			f.Add(payload)
+		}
 	}
 	f.Add([]byte{recTxn, 1, 'x', 0xff, 0xff, 0x3f})                       // a million updates in no bytes
 	f.Add([]byte{recTxn, 0, 1, byte(db.OpDelete), 1, 'R', 0xff, 0xff, 3}) // an arity of 65 535 likewise
 	f.Add([]byte{recTxn, 0xff, 0xff, 0xff, 0x07, 'x'})                    // a 16 MB label
+	f.Add([]byte{recSchemaTxn, 0, 2, byte(db.OpInsert), 0, 2})            // a row that ends early
+	f.Add([]byte{recSchemaTxn, 0, 1, byte(db.OpDelete), 0xff, 0xff, 3})   // a relation the schema lacks
 
 	rows := db.Transaction{Label: "rows", Updates: []db.Update{
 		db.Insert("Parts", db.Tuple{db.I(1), db.S("bolt"), db.F(0.25)}),
@@ -52,7 +57,7 @@ func FuzzDecodeRecord(f *testing.F) {
 	var replay db.Builder
 	allocated := []metrics.Sample{{Name: "/gc/heap/allocs:bytes"}}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		fresh, err := decodeRecord(data)
+		fresh, err := decodeRecord(data, meta.schema)
 		if err != nil {
 			fresh = nil
 		}
@@ -66,7 +71,7 @@ func FuzzDecodeRecord(f *testing.F) {
 		for try, limit := 0, uint64(1<<16+1024*len(data)); len(data) > 0 && data[0] != recRestore; try++ {
 			metrics.Read(allocated)
 			before := allocated[0].Value.Uint64()
-			_, _ = decodeRecord(data)
+			_, _ = decodeRecord(data, meta.schema)
 			metrics.Read(allocated)
 			got := allocated[0].Value.Uint64() - before
 			if got <= limit {
@@ -83,15 +88,15 @@ func FuzzDecodeRecord(f *testing.F) {
 			}
 			replay.Reset()
 		}
-		if fresh == nil || fresh.Type != recTxn {
+		if fresh == nil || fresh.Txn == nil {
 			return
 		}
-		encoded := encodeTxn(fresh.Txn)
-		again, err := decodeRecord(encoded)
-		if err != nil || !reflect.DeepEqual(again, fresh) {
+		encoded := encodeAs(meta.schema, fresh.Txn)
+		again, err := decodeRecord(encoded, meta.schema)
+		if err != nil || !reflect.DeepEqual(again.Txn, fresh.Txn) {
 			t.Fatalf("decode(encode(t)) = %+v, %v\nt = %+v", again, err, fresh)
 		}
-		if !bytes.Equal(encodeTxn(again.Txn), encoded) {
+		if !bytes.Equal(encodeAs(meta.schema, again.Txn), encoded) {
 			t.Fatal("encode(decode(encode(t))) differs from encode(t)")
 		}
 		e := engine.NewEmpty(meta.mode, meta.schema)

@@ -277,7 +277,12 @@ func TestCorruptNonFinalSegment(t *testing.T) {
 // recovery must refuse.
 func TestMissingSegment(t *testing.T) {
 	dir := t.TempDir()
-	st := applyN(t, dir, 60)
+	st := applyN(t, dir, 50)
+	// Again: a hundred records fill three segments.
+	_, txns := smallWorkload(t)
+	if err := st.ApplyAll(context.Background(), txns); err != nil {
+		t.Fatal(err)
+	}
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
 	}

@@ -902,9 +902,10 @@ func TestFollowerFarBehindWhileStreaming(t *testing.T) {
 
 // TestFollowerCatchUpSyncs: a follower under SyncAlways held while the
 // leader commits 4 200 records, then released, catches up; the fsyncs
-// that costs are logged and bounded by the records it applied. Today it
-// fsyncs once per record (ROADMAP item 6 measures its group commit
-// against this reading).
+// that costs are logged and bounded by a sixteenth of the records it
+// applied. A follower commits every group of records it finds already
+// buffered with one fsync (it took one a record before replay was
+// grouped).
 func TestFollowerCatchUpSyncs(t *testing.T) {
 	st, err := wal.Open(t.TempDir(),
 		wal.WithSchema(churnSchema),
@@ -936,8 +937,8 @@ func TestFollowerCatchUpSyncs(t *testing.T) {
 	waitApplied(t, f, lsn)
 	applied, syncs := lsn-from, f.WALStats().Syncs-before
 	t.Logf("catching up %d records took %d fsyncs", applied, syncs)
-	if syncs > applied {
-		t.Errorf("catching up %d records took %d fsyncs, more than one a record", applied, syncs)
+	if syncs > applied/16 {
+		t.Errorf("catching up %d records took %d fsyncs, more than one per 16 records", applied, syncs)
 	}
 	if rs := f.ReplicaStats(); rs.Resyncs != 0 {
 		t.Fatalf("the follower resynced %d times, want none", rs.Resyncs)
@@ -957,7 +958,7 @@ func TestStreamLogHoleReturns(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer st.Close()
-	churn(t, st, rand.New(rand.NewSource(43)), 40)
+	churn(t, st, rand.New(rand.NewSource(43)), 80)
 	starts, _ := segmentFiles(t, st.Dir())
 	if len(starts) < 3 {
 		t.Fatalf("segments %v, want three or more", starts)
