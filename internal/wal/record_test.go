@@ -341,3 +341,23 @@ func TestGroupedReplayEqualsRecordByRecord(t *testing.T) {
 		}
 	}
 }
+
+// TestReplayGroupEmptyPayload: a replication record message whose
+// payload is empty after its LSN ends the follower's group and fails it
+// as corrupt, without a panic.
+func TestReplayGroupEmptyPayload(t *testing.T) {
+	var g replayGroup
+	g.add(encodeTxn(&db.Transaction{Label: "a"}))
+	if g.full() {
+		t.Fatal("a group of one transaction is full")
+	}
+	g.add(nil)
+	if !g.full() {
+		t.Fatal("an empty payload does not end the group")
+	}
+	st := &Store{Handle: new(engine.Handle)}
+	st.Swap(engine.NewEmpty(engine.ModeNormalForm, codecSchema(t)))
+	if err := st.replayLocked(&g, 7, ErrStreamCorrupt, false); !errors.Is(err, ErrStreamCorrupt) || !strings.Contains(err.Error(), "record 8") {
+		t.Fatalf("replaying an empty record: %v, want ErrStreamCorrupt at record 8", err)
+	}
+}

@@ -610,7 +610,13 @@ func (g *replayGroup) add(p []byte) {
 
 func (g *replayGroup) full() bool {
 	n := len(g.payloads)
-	return n >= applyAllChunk || len(g.buf) >= groupBytes || n > 0 && g.payloads[n-1][0] != recTxn && g.payloads[n-1][0] != recSchemaTxn
+	if n == 0 {
+		return false
+	}
+	// A stream's record message may carry an empty payload: it ends the
+	// group, and fails to decode.
+	p := g.payloads[n-1]
+	return n >= applyAllChunk || len(g.buf) >= groupBytes || len(p) == 0 || p[0] != recTxn && p[0] != recSchemaTxn
 }
 
 // replayLocked re-applies a group, its first record at LSN first, and
