@@ -135,7 +135,7 @@ func TestSourcesThroughBothCommands(t *testing.T) {
 		return data
 	}
 	want := saved("csv.snap", csv, log)
-	if !bytes.HasPrefix(want, []byte("HPRV2\n")) {
+	if !bytes.HasPrefix(want, []byte("HPRV3\n")) {
 		t.Fatalf("-save-snapshot wrote %q…", want[:min(len(want), 8)])
 	}
 	snapshot, store := []string{"-load-snapshot", path("csv.snap")}, []string{"-data-dir", path("d"), "-sync", "never"}

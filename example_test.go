@@ -459,7 +459,7 @@ func ExampleBuildImpact() {
 	// from prior state
 	//   input tuple t:CUSTOMER:i24|i6|i1|s11:BARABLEPRES|s8:first-24|s2:GC|f0.36|f-10|f10|i1|i0|s12:customerdata
 	//
-	// snapshot: 344698 bytes for 6707 provenance nodes; restored live db equals original: true
+	// snapshot: 344608 bytes for 6707 provenance nodes; restored live db equals original: true
 }
 
 // A provenance-tracked TPC-C session (the Section 6.1 workload): a scaled

@@ -313,6 +313,23 @@ func (e *Expr) AppendAnnot(dst []byte) ([]byte, AnnotKind) {
 	return strconv.AppendInt(append(dst, r.prefix...), int64(i), 10), r.kind
 }
 
+// LeafIndex reports an OpVar node as prefix<i> of its kind, i a
+// canonical decimal index of at most 18 digits (t17, not t017), without
+// building the name; ok is false for other names. A range leaf and a
+// variable interned by name answer alike.
+func (e *Expr) LeafIndex() (prefix string, kind AnnotKind, i int, ok bool) {
+	if x := e.ext.Load(); x != nil {
+		a := x.annot()
+		prefix, i, ok = splitIndex(a.Name)
+		return prefix, a.Kind, i, ok
+	}
+	r, i := interns.ranges.Load().rangeOf(e)
+	return r.prefix, r.kind, i, i <= MaxLeafIndex
+}
+
+// MaxLeafIndex is the largest index LeafIndex reports.
+const MaxLeafIndex = 999_999_999_999_999_999
+
 // IsVar reports whether e is the variable of the annotation a.
 func (e *Expr) IsVar(a Annot) bool {
 	if e.Op() != OpVar {

@@ -508,6 +508,44 @@ func TestVarsMintOneLeafPerName(t *testing.T) {
 	}
 }
 
+// TestRangesOutOfOrderAndLeafIndex: batches of one prefix minted
+// after, before and between each other (above the prefix's ranges a
+// range, below them by name) each resolve their names, and LeafIndex
+// reports a range leaf and a variable interned by name as the same
+// (prefix, kind, i), with ok false for names that are no canonical
+// index.
+func TestRangesOutOfOrderAndLeafIndex(t *testing.T) {
+	const prefix = "ooo_"
+	ranges := map[int][]*Expr{}
+	for _, from := range []int{100, 0, 200, 50, 300} {
+		chains := linked()
+		ranges[from] = Vars(prefix, KindTuple, from, 10)
+		if got, want := linked()-chains, map[bool]int{true: 10}[from < 100]; got != want {
+			t.Fatalf("the batch from %d linked %d names into chains, want %d", from, got, want)
+		}
+		for f, leaves := range ranges {
+			for j, v := range leaves {
+				a := TupleAnnot(prefix + strconv.Itoa(f+j))
+				p, kind, i, ok := v.LeafIndex()
+				if LookupVar(a) != v || p != prefix || kind != KindTuple || i != f+j || !ok {
+					t.Fatalf("after the range from %d: %s resolves to %v, LeafIndex (%q, %v, %d, %v)", from, a.Name, LookupVar(a), p, kind, i, ok)
+				}
+			}
+		}
+	}
+	for name, want := range map[string]int{"ooo_named7": 7, "ooo_named0": 0, "999999999999999999": MaxLeafIndex} {
+		p, kind, i, ok := QueryVar(name).LeafIndex()
+		if !ok || p+strconv.Itoa(i) != name || i != want || kind != KindQuery {
+			t.Errorf("%s: LeafIndex (%q, %v, %d, %v)", name, p, kind, i, ok)
+		}
+	}
+	for _, name := range []string{"ooo_named07", "ooo_named", "1000000000000000000", ""} {
+		if _, _, _, ok := QueryVar(name).LeafIndex(); ok {
+			t.Errorf("%q reads as an index", name)
+		}
+	}
+}
+
 // TestRangeLookupsBesideMinting: names are looked up and interned from
 // several goroutines while batches mint the ranges that hold them, some
 // names before their batch and some after; every goroutine must see one

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"cmp"
 	"maps"
 	"math"
 	"slices"
@@ -33,9 +32,10 @@ import (
 // shard's write lock, after probing the chains for each of its names, so
 // a name some chain already links keeps that node (and is left out of
 // the range); a chain insert of a variable re-reads the registry under
-// its shard's lock, so a name a range holds is never linked. The
-// registry is replaced whole on every registration, never written in
-// place, so lookups load it without a lock.
+// its shard's lock, so a name a range holds is never linked. A
+// registration appends past the lengths lookups read to, and publishes
+// the lengths by atomic stores, so lookups load the registry without a
+// lock.
 
 // varRange is a run of leaves: the annotations prefix<from> …
 // prefix<from+len(leaves)-1> of one kind, with the ids first …
@@ -105,9 +105,11 @@ type rangeKey struct {
 }
 
 // varRanges is the table's registry: the ranges of each key sorted by
-// from (disjoint), and all of them sorted by first id.
+// from (disjoint), and all of them sorted by first id. A key's ranges
+// sit behind a pointer of their own, so registering a run of a key
+// copies neither the map nor the other keys' lists.
 type varRanges struct {
-	byName map[rangeKey][]*varRange
+	byName map[rangeKey]*atomic.Pointer[[]*varRange]
 	byID   []*varRange
 }
 
@@ -156,10 +158,10 @@ func search(list []*varRange, x int, at func(*varRange) int) *varRange {
 
 // list returns the ranges of k.
 func (rs *varRanges) list(k rangeKey) []*varRange {
-	if rs == nil {
+	if rs == nil || rs.byName[k] == nil {
 		return nil
 	}
-	return rs.byName[k]
+	return *rs.byName[k].Load()
 }
 
 // leafAt returns the leaf of index i among the ranges of one key, or nil.
@@ -187,18 +189,31 @@ func (rs *varRanges) rangeOf(e *Expr) (*varRange, int) {
 	return r, r.from + int(e.id-r.first)
 }
 
-// with returns the registry plus the runs of k, which hold ids above
-// every range registered so far.
-func (rs *varRanges) with(k rangeKey, runs []*varRange) *varRanges {
-	out := &varRanges{byName: map[rangeKey][]*varRange{}}
-	if rs != nil {
-		maps.Copy(out.byName, rs.byName)
-		out.byID = slices.Clip(rs.byID)
+// register publishes the runs of k, which hold ids above every range
+// registered so far and indexes above every range of k; the caller
+// holds every shard lock. The registry and k's list are appended in
+// place (a reader reads a slice only up to its length), and the
+// registry is stored first, so a leaf found by name finds its range by
+// id. A registration costs its runs, and a new key a copy of the map.
+func (t *internTable) register(k rangeKey, runs []*varRange) {
+	out := &varRanges{}
+	if rs := t.ranges.Load(); rs != nil {
+		out.byName, out.byID = rs.byName, rs.byID
 	}
-	list := append(slices.Clone(out.byName[k]), runs...)
-	slices.SortFunc(list, func(a, b *varRange) int { return cmp.Compare(a.from, b.from) })
-	out.byName[k], out.byID = list, append(out.byID, runs...)
-	return out
+	list := out.byName[k]
+	if list == nil {
+		list = new(atomic.Pointer[[]*varRange])
+		list.Store(new([]*varRange))
+		out.byName = maps.Clone(out.byName)
+		if out.byName == nil {
+			out.byName = map[rangeKey]*atomic.Pointer[[]*varRange]{}
+		}
+		out.byName[k] = list
+	}
+	out.byID = append(out.byID, runs...)
+	t.ranges.Store(out)
+	grown := append(*list.Load(), runs...)
+	list.Store(&grown)
 }
 
 // hashIndexed is hashNode of the variable prefix<i>, continuing h, the
@@ -230,8 +245,9 @@ func (s *internShard) findIndexed(h uint64, prefix string, kind AnnotKind, i int
 // fresh names, its table a piece of the returned slice — and linked into
 // no chain; each shard then doubles its heads to what its leaves count
 // for. A prefix ending in a digit (its index would read as part of
-// another prefix's) and a batch whose ids would pass 2³²−1 intern name by
-// name.
+// another prefix's) and a batch whose ids would pass 2³²−1 intern name
+// by name, and so does a fresh name below a range of its key: a key's
+// ranges are only ever appended, never re-sorted.
 func (t *internTable) vars(prefix string, kind AnnotKind, from, n int) []*Expr {
 	out := make([]*Expr, n)
 	k := rangeKey{prefix, kind}
@@ -246,8 +262,7 @@ func (t *internTable) vars(prefix string, kind AnnotKind, from, n int) []*Expr {
 	if fresh == 0 {
 		return out
 	}
-	if prefix != "" && prefix[len(prefix)-1] >= '0' && prefix[len(prefix)-1] <= '9' || from < 0 ||
-		t.nodes.Load()+int64(fresh) > math.MaxUint32 {
+	byName := func() []*Expr {
 		for i, e := range out {
 			if e == nil {
 				a := Annot{Name: prefix + strconv.Itoa(from+i), Kind: kind}
@@ -256,18 +271,25 @@ func (t *internTable) vars(prefix string, kind AnnotKind, from, n int) []*Expr {
 		}
 		return out
 	}
+	if prefix != "" && prefix[len(prefix)-1] >= '0' && prefix[len(prefix)-1] <= '9' || from < 0 ||
+		t.nodes.Load()+int64(fresh) > math.MaxUint32 {
+		return byName()
+	}
 	h := hashHeader(OpVar, Annot{Name: prefix, Kind: kind})
 	for i := range t.shards {
 		t.shards[i].mu.Lock()
 	}
 	// Under every lock no node is linked and no range registered: check
-	// each name against what may have come since the first look.
+	// each name against what may have come since the first look, and
+	// leave a fresh one below the key's last range to byName.
 	moved := t.ranges.Load() != rs
-	rs = t.ranges.Load()
-	list = rs.list(k)
+	list, last := t.ranges.Load().list(k), -1
+	if len(list) > 0 {
+		last = list[len(list)-1].from
+	}
 	var runs []*varRange
 	first := uint32(t.nodes.Load()) + 1
-	next := first
+	next, found := first, 0
 	for i, e := range out {
 		if e != nil {
 			continue
@@ -281,6 +303,9 @@ func (t *internTable) vars(prefix string, kind AnnotKind, from, n int) []*Expr {
 			out[i] = s.findIndexed(hi, prefix, kind, from+i)
 		}
 		if out[i] != nil {
+			found++
+		}
+		if out[i] != nil || from+i < last {
 			continue
 		}
 		s.leaves++
@@ -299,9 +324,9 @@ func (t *internTable) vars(prefix string, kind AnnotKind, from, n int) []*Expr {
 	minted := int64(next - first)
 	t.nodes.Add(minted)
 	t.misses.Add(minted)
-	t.hits.Add(int64(fresh) - minted)
+	t.hits.Add(int64(found))
 	if len(runs) > 0 {
-		t.ranges.Store(rs.with(k, runs))
+		t.register(k, runs)
 	}
 	for i := range t.shards {
 		s := &t.shards[i]
@@ -310,5 +335,5 @@ func (t *internTable) vars(prefix string, kind AnnotKind, from, n int) []*Expr {
 		}
 		s.mu.Unlock()
 	}
-	return out
+	return byName()
 }

@@ -5,10 +5,10 @@ package provstore_test
 // encodes a pinned view beside the writers, so what it allocates lands
 // in the heap they allocate from and in the collector they share. It is
 // one streaming pass: the id index (a 32-bit word per node id in use),
-// the string dictionary, one bufio buffer, one row buffer and a window
-// of 256 rows — under half a byte per byte of snapshot, where the row
-// list, the buffered node table and the row ids of the two-pass writer
-// took two, on a file two thirds larger.
+// the string and prefix dictionaries, one bufio buffer, one row buffer
+// and a window of 256 rows — about half a byte per byte of a version 2
+// snapshot, where the row list, the buffered node table and the row ids
+// of the two-pass writer took two, on a file two thirds larger.
 
 import (
 	"context"
@@ -45,11 +45,17 @@ func TestSaveSnapshotAllocsPerByteWritten(t *testing.T) {
 		t.Fatal(err)
 	}
 	runtime.ReadMemStats(&ms)
-	perByte := float64(ms.TotalAlloc-before) / float64(w.n)
-	t.Logf("%d rows, %d bytes written, %.2f bytes allocated per byte written", e.NumRows(), w.n, perByte)
-	// 0.47 alone, 0.51 after the package's other tests have spread the
-	// process's node ids over more pages of the index.
-	if perByte > 0.6 {
-		t.Fatalf("SaveSnapshot allocated %.2f bytes per byte written, want ≤ 0.6", perByte)
+	allocated := ms.TotalAlloc - before
+	t.Logf("%d rows, %d bytes written, %d bytes allocated (%.2f per byte written)",
+		e.NumRows(), w.n, allocated, float64(allocated)/float64(w.n))
+	// The bound is what the version 2 writer allocated for this pass
+	// with the package's other tests before it (472 288 B alone), when
+	// it wrote 935 378 bytes: 0.55 per byte. Version 3 writes 768 401
+	// bytes for the same state, so the ratio rose with nothing added per
+	// byte; the prefix dictionary is a few entries, and the window's
+	// tuples became a stride of vals (the writer fits five pages, not
+	// six): 509 176 B, 464 640 alone.
+	if allocated > 516_824 {
+		t.Fatalf("SaveSnapshot allocated %d bytes, want ≤ 516 824", allocated)
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"strconv"
 
 	"hyperprov/internal/core"
 )
@@ -20,6 +21,9 @@ const (
 	tagPlusM byte = 4
 	tagDotM  byte = 5
 	tagSum   byte = 6
+	// Snapshot version 3 only (see Encoder.emitVar).
+	tagVarAt byte = 9
+	tagNext  byte = 10 // + the variable's kind, tuple or query
 )
 
 // ErrMalformed wraps every structural decoding failure — bad magic,
@@ -77,6 +81,67 @@ type Encoder struct {
 	buf   [binary.MaxVarintLen64]byte
 	name  []byte // the annotation name being written
 	err   error
+
+	// compact is snapshot version 3: a child is its distance back from
+	// the node's own id, a variable prefix<i> is written by index.
+	compact bool
+	leaves  leafState
+	dict    map[leafKey]int // leaves.entries by key
+}
+
+// leafKey is what the variables of one dictionary entry share.
+type leafKey struct {
+	prefix string
+	kind   core.AnnotKind
+}
+
+// leafState is what version 3 writes and reads indexed variables
+// against: the (prefix, kind) pairs in first-appearance order with the
+// last index written in each, and for tuple and query variables the
+// entry of the previous one, plus one. It takes at most maxLeafKeys
+// entries, each of a prefix of at most maxLeafPrefix bytes: a load mints
+// leaves for that many keys at most, and a name built from an entry
+// (Decoder.mint) costs at most maxLeafPrefix bytes more than its index.
+type leafState struct {
+	entries []leafEntry
+	run     [2]int
+}
+
+type leafEntry struct {
+	leafKey
+	last int
+}
+
+const (
+	maxLeafKeys   = 64
+	maxLeafPrefix = 32
+)
+
+// admit adds key as an entry whose last index is i, if the dictionary
+// takes it.
+func (s *leafState) admit(key leafKey, i int) bool {
+	if len(s.entries) == maxLeafKeys || len(key.prefix) > maxLeafPrefix {
+		return false
+	}
+	s.entries = append(s.entries, leafEntry{leafKey: key})
+	s.wrote(len(s.entries)-1, i)
+	return true
+}
+
+// next returns the entry a tagNext of the kind continues, or −1.
+func (s *leafState) next(kind core.AnnotKind) int {
+	if int(kind) < len(s.run) {
+		return s.run[kind] - 1
+	}
+	return -1
+}
+
+// wrote records index i as the last of entry id.
+func (s *leafState) wrote(id, i int) {
+	s.entries[id].last = i
+	if kind := s.entries[id].kind; int(kind) < len(s.run) {
+		s.run[kind] = id + 1
+	}
 }
 
 type dedupEntry struct {
@@ -99,6 +164,12 @@ func (e *Encoder) str(s []byte) {
 	e.uvarint(uint64(len(s)))
 	if e.err == nil {
 		_, e.err = e.w.Write(s)
+	}
+}
+
+func (e *Encoder) varint(v int64) {
+	if e.err == nil {
+		_, e.err = e.w.Write(binary.AppendVarint(e.buf[:0], v))
 	}
 }
 
@@ -162,26 +233,73 @@ func (e *Encoder) emit(x *core.Expr, kids []uint64) {
 	case core.OpZero:
 		e.byte(tagZero)
 	case core.OpVar:
-		e.byte(tagVar)
-		var kind core.AnnotKind
-		e.name, kind = x.AppendAnnot(e.name[:0])
-		e.byte(byte(kind))
-		e.str(e.name)
+		e.emitVar(x)
 	case core.OpPlusI, core.OpMinus, core.OpPlusM, core.OpDotM:
 		e.byte(binaryTags[x.Op()])
-		e.uvarint(kids[0])
-		e.uvarint(kids[1])
+		e.ref(kids[0])
+		e.ref(kids[1])
 	case core.OpSum:
 		e.byte(tagSum)
 		e.uvarint(uint64(len(kids)))
 		for _, k := range kids {
-			e.uvarint(k)
+			e.ref(k)
 		}
 	default:
 		if e.err == nil {
 			e.err = fmt.Errorf("provstore: unknown op %v", x.Op())
 		}
 	}
+}
+
+// ref writes a reference to the node with id k from the node being
+// emitted, whose id is e.next−1: the id itself, or in version 3 the
+// distance back to it (1: the node just before).
+func (e *Encoder) ref(k uint64) {
+	if e.compact {
+		k = e.next - 1 - k
+	}
+	e.uvarint(k)
+}
+
+// emitVar writes a variable. Version 3 writes one named prefix<i> (see
+// core.Expr.LeafIndex) whose (prefix, kind) is in the dictionary by its
+// index: tagNext+kind when i follows the previous tuple or query
+// variable of its kind, in that variable's entry; else tagVarAt, the
+// uvarint entry id and the zig-zag varint of i minus one more than the
+// entry's last index. Every other variable is tagVar, the kind byte and
+// the name, and in version 3 a name prefix<i> written so adds its entry
+// if the dictionary admits it.
+func (e *Encoder) emitVar(x *core.Expr) {
+	var key leafKey
+	var i, id int
+	var ok, known bool
+	if e.compact {
+		if key.prefix, key.kind, i, ok = x.LeafIndex(); ok {
+			id, known = e.dict[key]
+		}
+	}
+	switch {
+	case known && e.leaves.next(key.kind) == id && e.leaves.entries[id].last+1 == i:
+		e.byte(tagNext + byte(key.kind))
+	case known:
+		e.byte(tagVarAt)
+		e.uvarint(uint64(id))
+		e.varint(int64(i - e.leaves.entries[id].last - 1))
+	default:
+		e.byte(tagVar)
+		var kind core.AnnotKind
+		e.name, kind = x.AppendAnnot(e.name[:0])
+		e.byte(byte(kind))
+		e.str(e.name)
+		if ok && e.leaves.admit(key, i) {
+			if e.dict == nil {
+				e.dict = make(map[leafKey]int)
+			}
+			e.dict[key] = len(e.leaves.entries) - 1
+		}
+		return
+	}
+	e.leaves.wrote(id, i)
 }
 
 // Len reports the number of table nodes written so far (the DAG size of
@@ -198,14 +316,22 @@ func (e *Encoder) Flush() error {
 
 // Decoder reads a node table produced by Encoder.
 type Decoder struct {
-	r     *bufio.Reader
-	nodes []*core.Expr
+	r       *bufio.Reader
+	nodes   []*core.Expr
+	compact bool // snapshot version 3 (see Encoder.compact)
+	leaves  leafState
+	// run is the latest run of indexed variables, index from on in one
+	// entry: nodes[at:at+n], nil until mint interns them.
+	run struct{ entry, from, at, n int }
 }
 
-// NewDecoder returns a decoder reading from r.
-func NewDecoder(r io.Reader) *Decoder {
-	return &Decoder{r: bufio.NewReader(r)}
-}
+// minRun is the shortest run mint interns as one range of leaves
+// (core.Vars registers each under every stripe's lock); a shorter one is
+// interned name by name. A run in the wire benchmark's checkpoints is
+// one leaf (a transaction's label, a tuple's leaf inside an updated
+// row's annotation) or at least 64 (initial rows), all but 48 of up to
+// 15 600, so bounds of 4, 16 and 64 load them alike (EXPERIMENTS.md).
+const minRun = 16
 
 // ReadNodes consumes exactly n table nodes.
 func (d *Decoder) ReadNodes(n uint64) error {
@@ -221,7 +347,37 @@ func (d *Decoder) child(id uint64) (*core.Expr, error) {
 	if id >= uint64(len(d.nodes)) {
 		return nil, fmt.Errorf("%w: forward node reference %d (have %d)", ErrMalformed, id, len(d.nodes))
 	}
+	if d.run.n > 0 && id >= uint64(d.run.at) {
+		d.mint()
+	}
 	return d.nodes[id], nil
+}
+
+// mint interns the pending run: by one core.Vars call from minRun
+// variables on, which makes the names no one interned before range
+// leaves, as an engine's initial rows are.
+func (d *Decoder) mint() {
+	r := &d.run
+	ent := d.leaves.entries[r.entry]
+	if r.n >= minRun {
+		copy(d.nodes[r.at:], core.Vars(ent.prefix, ent.kind, r.from, r.n))
+	} else {
+		for j := range r.n {
+			d.nodes[r.at+j] = core.Var(core.Annot{Name: ent.prefix + strconv.Itoa(r.from+j), Kind: ent.kind})
+		}
+	}
+	r.n = 0
+}
+
+// leaf takes the next node id for index i of entry id.
+func (d *Decoder) leaf(id, i int) {
+	d.leaves.wrote(id, i)
+	if r := &d.run; r.entry != id || r.from+r.n != i || r.at+r.n != len(d.nodes) {
+		d.mint()
+		r.entry, r.from, r.at = id, i, len(d.nodes)
+	}
+	d.run.n++
+	d.nodes = append(d.nodes, nil)
 }
 
 func (d *Decoder) readNode() error {
@@ -237,11 +393,17 @@ func (d *Decoder) readNode() error {
 		if err != nil {
 			return err
 		}
-		name, err := d.readString()
+		name, err := readString(d.r)
 		if err != nil {
 			return err
 		}
-		d.nodes = append(d.nodes, core.Var(core.Annot{Name: name, Kind: core.AnnotKind(kind)}))
+		x := core.Var(core.Annot{Name: name, Kind: core.AnnotKind(kind)})
+		if d.compact {
+			if prefix, kind, i, ok := x.LeafIndex(); ok {
+				d.leaves.admit(leafKey{prefix, kind}, i)
+			}
+		}
+		d.nodes = append(d.nodes, x)
 	case tagPlusI, tagMinus, tagPlusM, tagDotM:
 		l, err := d.readRef()
 		if err != nil {
@@ -286,7 +448,33 @@ func (d *Decoder) readNode() error {
 		// rely on the encoder only emitting sums as they appear in
 		// expressions (already flat, ≥2 children).
 		d.nodes = append(d.nodes, core.Sum(kids...))
-	default:
+	case tagVarAt, tagNext + byte(core.KindTuple), tagNext + byte(core.KindQuery):
+		if !d.compact {
+			break
+		}
+		// Index i = last+1+v of entry id (see Encoder.emitVar).
+		id, v := d.leaves.next(core.AnnotKind(tag-tagNext)), int64(0)
+		if tag == tagVarAt {
+			u, err := binary.ReadUvarint(d.r)
+			if err != nil {
+				return err
+			}
+			if v, err = binary.ReadVarint(d.r); err != nil {
+				return err
+			}
+			id = int(min(u, uint64(len(d.leaves.entries))))
+		}
+		if id < 0 || id == len(d.leaves.entries) {
+			return fmt.Errorf("%w: tag %d names no prefix", ErrMalformed, tag)
+		}
+		next := int64(d.leaves.entries[id].last) + 1 // in [1, MaxLeafIndex+1]
+		if v < -next || v > core.MaxLeafIndex-next {
+			return fmt.Errorf("%w: index %d past %d", ErrMalformed, v, next)
+		}
+		d.leaf(id, int(next+v))
+		return nil
+	}
+	if tag > tagSum {
 		return fmt.Errorf("%w: unknown node tag %d", ErrMalformed, tag)
 	}
 	return nil
@@ -297,15 +485,13 @@ func (d *Decoder) readRef() (*core.Expr, error) {
 	if err != nil {
 		return nil, err
 	}
-	return d.child(id)
-}
-
-func (d *Decoder) readString() (string, error) {
-	return readString(d.r)
-}
-
-// Expr returns the decoded expression with the given node id.
-func (d *Decoder) Expr(id uint64) (*core.Expr, error) {
+	if d.compact {
+		// The node being read takes the id len(d.nodes).
+		if id == 0 || id > uint64(len(d.nodes)) {
+			return nil, fmt.Errorf("%w: node reference %d back (have %d)", ErrMalformed, id, len(d.nodes))
+		}
+		id = uint64(len(d.nodes)) - id
+	}
 	return d.child(id)
 }
 
@@ -342,9 +528,9 @@ func ReadExpr(r io.Reader) (*core.Expr, error) {
 	if err != nil {
 		return nil, err
 	}
-	dec := NewDecoder(br)
+	dec := &Decoder{r: br}
 	if err := dec.ReadNodes(count); err != nil {
 		return nil, err
 	}
-	return dec.Expr(root)
+	return dec.child(root)
 }

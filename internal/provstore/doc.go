@@ -21,9 +21,17 @@
 // view, streamed: each row follows the table nodes it is first to need,
 // and is written against the row before it — a mask of the columns that
 // repeat, integer deltas, strings by dictionary id, floats as integers
-// or hundredths where that is exact (snapshot.go has the layout,
-// DESIGN.md §3.14 the byte-level table). The stored support keeps every
-// dead tuple, so the file grows with history and is what a data
-// directory holds; version 1 of the format, a whole node table followed
-// by rows written out value by value, is read and no longer written.
+// or hundredths where that is exact. Version 3 writes a child node as
+// its distance back, a variable prefix<i> by its index in a dictionary
+// of at most 64 prefixes of at most 32 bytes (one byte when it follows
+// the previous variable of its kind) and a row repeating the previous
+// row's annotation as one tag; loading it mints each run of 16 or more
+// such variables as range leaves through one core.Vars call, and a
+// shorter one name by name (snapshot.go and codec.go have the layout, DESIGN.md
+// §3.14 the byte-level table). The stored support keeps every dead
+// tuple, so the file grows with history and is what a data directory
+// holds. Earlier versions are read and no longer written: version 2 is
+// version 3 with absolute child ids and every variable by name, read by
+// the same row-stream reader; version 1 is a whole node table followed
+// by rows written out value by value.
 package provstore

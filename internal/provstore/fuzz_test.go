@@ -42,8 +42,9 @@ func FuzzReadExpr(f *testing.F) {
 func FuzzLoadSnapshot(f *testing.F) {
 	f.Add([]byte("HPRV1\n"))
 	f.Add([]byte("HPRV2\n"))
+	f.Add([]byte("HPRV3\n"))
 	f.Add([]byte{})
-	// Both formats (hostile_test.go's images).
+	// All three versions (hostile_test.go's images).
 	for _, img := range sweptSnapshots(f) {
 		sch := img.raw
 		f.Add(sch)

@@ -14,9 +14,13 @@ package provstore
 
 import (
 	"bytes"
+	"context"
 	"os"
 	"path/filepath"
 	"testing"
+
+	"hyperprov/internal/engine"
+	"hyperprov/internal/workload"
 )
 
 func TestGoldenPreInterningSnapshots(t *testing.T) {
@@ -65,6 +69,52 @@ func TestGoldenPreInterningSnapshots(t *testing.T) {
 			}
 			if !bytes.Equal(oracleBytes(t, tc.file, e2), raw) {
 				t.Fatal("second-generation snapshot drifted from the fixture bytes")
+			}
+		})
+	}
+}
+
+// TestGoldenV2Snapshots: testdata/v2_*.snap are the version 2 writer's
+// snapshots of the same workload applied by engine.New in each mode
+// (every data directory from the streaming format's first day to the
+// prefix dictionary holds version 2). They load unedited to the state
+// the workload leaves — the live database has no difference, and the
+// loaded engine saves the version 3 bytes of the engine that ran it.
+func TestGoldenV2Snapshots(t *testing.T) {
+	cfg := workload.Config{Tuples: 40, Pool: 10, Group: 2, Updates: 30, QueriesPerTxn: 3, MergeRatio: 0.5, Seed: 42}
+	for file, mode := range map[string]engine.Mode{"v2_naive.snap": engine.ModeNaive, "v2_nf.snap": engine.ModeNormalForm} {
+		t.Run(file, func(t *testing.T) {
+			raw, err := os.ReadFile(filepath.Join("testdata", file))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.HasPrefix(raw, []byte("HPRV2\n")) {
+				t.Fatalf("%s is not in version 2", file)
+			}
+			back, err := LoadSnapshot(bytes.NewReader(raw))
+			if err != nil {
+				t.Fatal(err)
+			}
+			initial, txns, err := workload.Generate(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			src := engine.New(mode, initial)
+			if err := src.ApplyAll(context.Background(), txns); err != nil {
+				t.Fatal(err)
+			}
+			if d := engine.LiveDB(back).Diff(engine.LiveDB(src)); d != "" || back.NumRows() != src.NumRows() {
+				t.Fatalf("loaded %d rows, want %d; difference: %s", back.NumRows(), src.NumRows(), d)
+			}
+			var want, got bytes.Buffer
+			if err := SaveSnapshot(&want, src); err != nil {
+				t.Fatal(err)
+			}
+			if err := SaveSnapshot(&got, back); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got.Bytes(), want.Bytes()) {
+				t.Fatalf("re-saved %d bytes, the source engine saves %d others", got.Len(), want.Len())
 			}
 		})
 	}

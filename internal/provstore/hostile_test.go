@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"runtime"
+	"strings"
 	"testing"
 
 	"hyperprov/internal/core"
@@ -131,6 +133,118 @@ func TestHostileRowStreams(t *testing.T) {
 	}
 }
 
+// TestHostileV3Streams: what version 3 adds to a row stream — indexed
+// variables, continuations, distances back and repeated roots — is
+// checked against the state the bytes before it established. Each
+// refusal is ErrMalformed, and a refused load allocates what a load of
+// the empty database does, plus the first slab of values once a row is
+// read and a little for each input byte, whatever the bytes claim: 64 B,
+// or 160 B where nearly every byte mints a leaf by name.
+func TestHostileV3Streams(t *testing.T) {
+	// R(a int, b string, c float), then the stream of its one relation.
+	hdr := []byte("HPRV3\n\x01\x01\x01R\x03\x01a\x01\x01b\x00\x01c\x02")
+	const tagPlusI, tagRow, tagEnd, tagVarAt, tagNext, tagRowSame = 2, 7, 8, 9, 10, 12
+	name := func(s string) []byte { return append([]byte{1, byte(core.KindTuple), byte(len(s))}, s...) }
+	x0 := name("x0") // by name: adds the prefix x, last index 0
+	cat := func(parts ...[]byte) []byte { return bytes.Join(parts, nil) }
+	end := []byte{tagEnd}
+	// x0, x1, x1 +ᵢ x0; a row annotated with the sum and one repeating it.
+	good := cat(hdr, x0, []byte{tagNext, tagPlusI, 1, 2}, []byte{tagRow, 0, 2, 0, 1, 's', 2<<2 | 1, 1}, []byte{tagRowSame, 0b110, 4}, end)
+	e, err := provstore.LoadSnapshot(bytes.NewReader(good))
+	want := core.PlusI(core.TupleVar("x1"), core.TupleVar("x0"))
+	if err != nil || e.NumRows() != 2 || e.Annotation("R", db.Tuple{db.I(1), db.S("s"), db.F(1)}) != want ||
+		e.Annotation("R", db.Tuple{db.I(3), db.S("s"), db.F(1)}) != want {
+		t.Fatalf("the well-formed stream: %v", err)
+	}
+	empty := cat(hdr, end)
+	if _, err := provstore.LoadSnapshot(bytes.NewReader(empty)); err != nil {
+		t.Fatal(err)
+	}
+	allocated := func(data []byte) uint64 {
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		before := ms.TotalAlloc
+		for range 20 {
+			_, _ = provstore.LoadSnapshot(bytes.NewReader(data))
+		}
+		runtime.ReadMemStats(&ms)
+		return (ms.TotalAlloc - before) / 20
+	}
+	base := allocated(empty)
+	cases := map[string][]byte{
+		"continuation before any variable":    cat(hdr, []byte{tagNext}),
+		"continuation of a kind not seen":     cat(hdr, x0, []byte{tagNext + byte(core.KindQuery)}),
+		"continuation past the largest index": cat(hdr, name("x999999999999999999"), []byte{tagNext}),
+		"index past the largest":              cat(hdr, x0, uv([]byte{tagVarAt, 0}, core.MaxLeafIndex<<1)),
+		"index below zero":                    cat(hdr, x0, []byte{tagVarAt, 0, 3}),
+		"index overflowing int64":             cat(hdr, x0, uv([]byte{tagVarAt, 0}, 1<<64-2)),
+		"prefix past the dictionary":          cat(hdr, x0, []byte{tagVarAt, 1, 0}),
+		"prefix before any variable":          cat(hdr, []byte{tagVarAt, 0, 0}),
+		"reference distance zero":             cat(hdr, x0, []byte{tagPlusI, 0, 1}),
+		"reference beyond the table":          cat(hdr, x0, []byte{tagPlusI, 1, 2}),
+		"repeated root on the first row":      cat(hdr, x0, []byte{tagRowSame, 0b111}, end),
+		"version 3 tag in version 2":          cat([]byte("HPRV2\n"), hdr[6:], x0, []byte{tagNext}),
+		"repeated root in version 2":          cat([]byte("HPRV2\n"), hdr[6:], []byte{1, 0, 1, 'x', tagRow, 0b111, 1, tagRowSame, 0b111}, end),
+		// A prefix past 32 bytes takes no entry, so nothing continues it
+		// (else each run of 15 would build 15 names of 1 MiB).
+		"runs of a long prefix": cat(hdr, uv([]byte{1, byte(core.KindTuple)}, 1<<20+1), bytes.Repeat([]byte{'x'}, 1<<20), []byte{'0'},
+			bytes.Repeat(append([]byte{tagVarAt, 0, 2}, bytes.Repeat([]byte{tagNext}, 14)...), 70)),
+	}
+	// Thousands of prefixes, each continued 16 times: the dictionary takes
+	// the first 64, and the rest continue the last of those in ascending
+	// runs, each a range of one key.
+	var prefixes []byte
+	for k := range 4000 {
+		prefixes = append(append(prefixes, name(fmt.Sprintf("p%dx0", k))...), bytes.Repeat([]byte{tagNext}, 16)...)
+	}
+	cases["thousands of prefixes"] = cat(hdr, prefixes, []byte{tagNext + 3})
+	// A byte can mint a leaf, and a leaf by name (a run shorter than 16)
+	// costs its 48-byte node, a 32-byte extension and its name, at most a
+	// 32-byte prefix and 18 digits (DESIGN.md §3.14): streams that mint a
+	// leaf by name for nearly every byte take up to 160 B a byte.
+	long := strings.Repeat("y", 32)
+	var alternating, descending []byte
+	for range 20000 {
+		alternating = append(alternating, tagNext, tagNext+byte(core.KindQuery))
+	}
+	// Runs of 16 from 999 968 down: core.Vars takes the first as a range
+	// and interns the others, each below it, by name.
+	for range 2000 {
+		descending = append(binary.AppendVarint(append(descending, tagVarAt, 0), -32), bytes.Repeat([]byte{tagNext}, 15)...)
+	}
+	perByte := map[string]uint64{}
+	for label, stream := range map[string][]byte{
+		"continuations of two kinds":     alternating,
+		"runs of one prefix, descending": descending,
+	} {
+		cases[label] = cat(hdr, name(long+"999999"), []byte{1, byte(core.KindQuery), 33}, []byte(long+"0"), stream, []byte{tagNext + 3})
+		perByte[label] = 160
+	}
+	for name, data := range cases {
+		// The first load of each interns what it names. It may also open
+		// a chunk of nodes and one of extensions in each of the intern
+		// table's 64 shards (48 KiB and 512 B) and double the table's
+		// heads, so it is held to 256 B a byte: what grows faster than
+		// the input (names built from a long prefix, a registry copied
+		// for each range) passes that within a few thousand bytes.
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		before := ms.TotalAlloc
+		_, err := provstore.LoadSnapshot(bytes.NewReader(data))
+		runtime.ReadMemStats(&ms)
+		if !errors.Is(err, provstore.ErrMalformed) {
+			t.Errorf("%s: err = %v, want ErrMalformed", name, err)
+		}
+		// A row takes the first 64 KiB slab of values.
+		if n := ms.TotalAlloc - before; n > base+64<<10+64*(48<<10+512)+256*uint64(len(data)) {
+			t.Errorf("%s: the first load allocated %d bytes for %d input bytes, the empty database takes %d", name, n, len(data), base)
+		}
+		if n := allocated(data); n > base+64<<10+max(64, perByte[name])*uint64(len(data)) {
+			t.Errorf("%s: %d bytes allocated for %d input bytes, the empty database takes %d", name, n, len(data), base)
+		}
+	}
+}
+
 // TestSnapshotTruncationsNeverPanic loads every prefix of a valid
 // snapshot: each must return an error (only the full image loads), and
 // none may panic.
@@ -178,26 +292,36 @@ type namedSnapshot struct {
 // sweptSnapshots are the valid images the sweeps damage and the fuzzer
 // starts from: in the current format the one-row example and the
 // pre-interning workload re-saved (repeated columns, dictionary hits,
-// old-node roots), and in version 1, which must stay as safe to read,
-// the fixture as it is.
+// old-node roots, repeated roots, runs of leaves), and in versions 1 and
+// 2, which must stay as safe to read, the fixtures as they are.
 func sweptSnapshots(t testing.TB) []namedSnapshot {
 	t.Helper()
-	v1, err := os.ReadFile(filepath.Join("testdata", "pre_interning_nf.snap"))
-	if err != nil {
-		t.Fatal(err)
+	read := func(name, magic string) []byte {
+		raw, err := os.ReadFile(filepath.Join("testdata", name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.HasPrefix(raw, []byte(magic)) {
+			t.Fatalf("%s: want magic %q", name, magic)
+		}
+		return raw
 	}
+	v1 := read("pre_interning_nf.snap", "HPRV1\n")
 	e, err := provstore.LoadSnapshot(bytes.NewReader(v1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	var v2 bytes.Buffer
-	if err := provstore.SaveSnapshot(&v2, e); err != nil {
+	var v3 bytes.Buffer
+	if err := provstore.SaveSnapshot(&v3, e); err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.HasPrefix(v1, []byte("HPRV1\n")) || !bytes.HasPrefix(v2.Bytes(), []byte("HPRV2\n")) {
-		t.Fatal("want the fixture in version 1 and its re-save in version 2")
+	if !bytes.HasPrefix(v3.Bytes(), []byte("HPRV3\n")) {
+		t.Fatal("want the fixture re-saved in version 3")
 	}
-	return []namedSnapshot{{"v2 example", exampleSnapshotBytesT(t)}, {"v2 workload", v2.Bytes()}, {"v1 fixture", v1}}
+	return []namedSnapshot{
+		{"v3 example", exampleSnapshotBytesT(t)}, {"v3 workload", v3.Bytes()},
+		{"v2 fixture", read("v2_nf.snap", "HPRV2\n")}, {"v1 fixture", v1},
+	}
 }
 
 func exampleSnapshotBytesT(t testing.TB) []byte {

@@ -50,11 +50,11 @@ func mustRoundTripOracle(t *testing.T, name string, src Source, opts ...engine.O
 	if err := SaveSnapshot(&got, src); err != nil {
 		t.Fatalf("%s: %v", name, err)
 	}
-	if !bytes.HasPrefix(got.Bytes(), []byte("HPRV2\n")) {
+	if !bytes.HasPrefix(got.Bytes(), []byte("HPRV3\n")) {
 		t.Fatalf("%s: SaveSnapshot wrote magic %q", name, got.Bytes()[:6])
 	}
 	want := oracleBytes(t, name, src)
-	for version, raw := range map[string][]byte{"v2": got.Bytes(), "v1": want} {
+	for version, raw := range map[string][]byte{"v3": got.Bytes(), "v1": want} {
 		back, err := LoadSnapshot(bytes.NewReader(raw), opts...)
 		if err != nil {
 			t.Fatalf("%s: loading %s: %v", name, version, err)

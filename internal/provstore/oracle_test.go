@@ -5,7 +5,7 @@ package provstore
 // oracle_diff_test.go: fingerprint buckets from the first node on, and
 // worker goroutines building local node tables that a sequential merge
 // replays. Its bytes define version 1 of the format, which nothing else
-// writes any more: LoadSnapshot still reads it, and what a version 2 file
+// writes any more: LoadSnapshot still reads it, and what a later file
 // restores is checked by re-saving through this encoder.
 
 import (

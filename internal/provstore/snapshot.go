@@ -13,13 +13,14 @@ import (
 	"hyperprov/internal/engine"
 )
 
-// snapshotMagic identifies the format SaveSnapshot writes (version 2).
-// LoadSnapshot also reads version 1, which nothing writes any more.
-const snapshotMagic = "HPRV2\n"
+// snapshotMagic identifies the format SaveSnapshot writes (version 3).
+// LoadSnapshot also reads versions 1 and 2, which nothing writes any
+// more.
+const snapshotMagic = "HPRV3\n"
 
-// Version 2 stores, after the magic, the mode byte and the schema, one
-// stream of items per relation in schema order, told apart by a leading
-// tag: a node tag (0–6) starts one node of the shared expression table
+// Versions 2 and 3 store, after the magic, the mode byte and the schema,
+// one stream of items per relation in schema order, told apart by a
+// leading tag: a node tag starts one node of the shared expression table
 // exactly as Encoder.emit writes it, taking the next node id; tagRow a
 // row; tagEnd closes the relation. A row comes after exactly those nodes
 // of its annotation that nothing earlier in the file emitted, children
@@ -38,9 +39,15 @@ const snapshotMagic = "HPRV2\n"
 //	        little-endian bytes
 //	root    uvarint distance back from the next node id to the annotation
 //	        (1: the node just before the row)
+//
+// Version 3 writes nodes compactly (Encoder.compact: child references
+// as distances back, variables prefix<i> by index), and a row whose
+// annotation is the previous row's of its relation as tagRowSame, with
+// no root.
 const (
-	tagRow byte = 7
-	tagEnd byte = 8
+	tagRow     byte = 7
+	tagEnd     byte = 8
+	tagRowSame byte = 12
 )
 
 // Source is the engine surface the snapshot writer needs: the mode, the
@@ -74,7 +81,7 @@ func SaveSnapshot(w io.Writer, src Source) error {
 	}
 	schema := src.Schema()
 	names := schema.Names()
-	rw := rowWriter{w: bw, enc: Encoder{w: bw}, dict: make(map[uint64]uint64)}
+	rw := rowWriter{w: bw, enc: Encoder{w: bw, compact: true}, dict: make(map[uint64]uint64)}
 	writeUvarint(bw, uint64(len(names)))
 	for _, name := range names {
 		rel := schema.Relation(name)
@@ -104,6 +111,7 @@ type rowWriter struct {
 	rels []*db.RelationSchema
 	cur  int               // relation being streamed; len(rels) after the last
 	prev []db.Value        // its previous row; nil before the first
+	root uint64            // the previous row's annotation
 	dict map[uint64]uint64 // string value word → dictionary id
 	buf  []byte            // the row under construction
 	err  error
@@ -115,14 +123,13 @@ type rowWriter struct {
 	// turns the loads of one kind overlap, and queue reads a word of each
 	// annotation's root so that row finds it cached (−40 % encode time).
 	// The source lends each tuple for its call, so the window's are
-	// copied into vals (32 kB); a window is full when either is.
-	window [256]struct {
-		rel string
-		t   db.Tuple
-		ann *core.Expr
-	}
+	// copied into vals (32 kB), back to back: a window holds rows of one
+	// relation and arity, and is full when either array is.
+	window  [256]*core.Expr // the rows' annotations
 	vals    [2048]db.Value
-	n, nval int
+	n       int
+	rel     string // the window's relation
+	arity   int
 	touched uint64 // what queue read: a store keeps the read
 }
 
@@ -150,21 +157,24 @@ func (rw *rowWriter) endRelation() {
 }
 
 func (rw *rowWriter) queue(rel string, t db.Tuple, ann *core.Expr) {
-	if rw.n == len(rw.window) || rw.nval+len(t) > len(rw.vals) {
+	if rw.n == len(rw.window) || (rw.n+1)*len(t) > len(rw.vals) || rel != rw.rel || len(t) != rw.arity {
 		rw.flush()
+		if rw.rel, rw.arity = rel, len(t); len(t) > len(rw.vals) {
+			rw.row(rel, t, ann) // wider than the window holds
+			return
+		}
 	}
-	w := &rw.window[rw.n]
-	w.rel, w.t, w.ann = rel, append(rw.vals[rw.nval:rw.nval], t...), ann // a copy of its own if wider than vals
-	rw.nval += len(t)
+	copy(rw.vals[rw.n*len(t):], t)
+	rw.window[rw.n] = ann
 	rw.n++
 	rw.touched += ann.Hash()
 }
 
 func (rw *rowWriter) flush() {
-	for i := range rw.window[:rw.n] {
-		rw.row(rw.window[i].rel, rw.window[i].t, rw.window[i].ann)
+	for i, ann := range rw.window[:rw.n] {
+		rw.row(rw.rel, rw.vals[i*rw.arity:(i+1)*rw.arity], ann)
 	}
-	rw.n, rw.nval = 0, 0
+	rw.n = 0
 }
 
 func (rw *rowWriter) row(name string, t db.Tuple, ann *core.Expr) {
@@ -182,11 +192,16 @@ func (rw *rowWriter) row(name string, t db.Tuple, ann *core.Expr) {
 		rw.err = fmt.Errorf("provstore: tuple of arity %d in relation %s of arity %d", len(t), name, len(attrs))
 		return
 	}
-	if rw.prev == nil {
+	first := rw.prev == nil
+	if first {
 		rw.prev = zeroRow(rw.rels[rw.cur])
 	}
 	root := rw.enc.add(ann)
+	same := !first && root == rw.root
 	buf := append(rw.buf[:0], tagRow)
+	if same {
+		buf[0] = tagRowSame
+	}
 	for i := 0; i < len(attrs); i += 8 {
 		buf = append(buf, 0)
 	}
@@ -218,7 +233,9 @@ func (rw *rowWriter) row(name string, t db.Tuple, ann *core.Expr) {
 		}
 		rw.prev[j] = v
 	}
-	rw.buf = binary.AppendUvarint(buf, rw.enc.next-root)
+	if rw.buf, rw.root = buf, root; !same {
+		rw.buf = binary.AppendUvarint(buf, rw.enc.next-root)
+	}
 	if rw.err = rw.enc.err; rw.err == nil {
 		_, rw.err = rw.w.Write(rw.buf)
 	}
@@ -278,7 +295,7 @@ func readFloat(r *bufio.Reader) (float64, error) {
 type restoreFunc = func(rel string, t db.Tuple, ann *core.Expr) error
 
 // LoadSnapshot restores an annotated database saved by SaveSnapshot, in
-// the current format or version 1, as one restore epoch. The engine mode
+// version 1, 2 or 3, as one restore epoch. The engine mode
 // is taken from the snapshot; in normal-form mode every restored
 // annotation becomes the tuple's base expression. Options pass through
 // to engine.NewEmpty (a server swapping the result in passes the
@@ -290,13 +307,8 @@ func LoadSnapshot(r io.Reader, opts ...engine.Option) (*engine.Engine, error) {
 	if _, err := io.ReadFull(br, magic); err != nil {
 		return nil, err
 	}
-	var readRows func(*bufio.Reader, []*db.RelationSchema, restoreFunc) error
-	switch string(magic) {
-	case snapshotMagic:
-		readRows = readRowsV2
-	case "HPRV1\n":
-		readRows = readRowsV1
-	default:
+	version := magic[4]
+	if string(magic[:4]) != snapshotMagic[:4] || magic[5] != '\n' || version < '1' || version > snapshotMagic[4] {
 		return nil, fmt.Errorf("%w: bad snapshot magic %q", ErrMalformed, magic)
 	}
 	modeByte, err := br.ReadByte()
@@ -350,7 +362,12 @@ func LoadSnapshot(r io.Reader, opts ...engine.Option) (*engine.Engine, error) {
 		return nil, err
 	}
 	e := engine.NewEmpty(mode, schema, opts...)
-	if err := e.Restore(func(add restoreFunc) error { return readRows(br, rels, add) }); err != nil {
+	if err := e.Restore(func(add restoreFunc) error {
+		if version == '1' {
+			return readRowsV1(br, rels, add)
+		}
+		return readRowStreams(br, rels, add, version == '3')
+	}); err != nil {
 		return nil, err
 	}
 	took := engine.Ms(time.Since(start))
@@ -358,31 +375,51 @@ func LoadSnapshot(r io.Reader, opts ...engine.Option) (*engine.Engine, error) {
 	return e, nil
 }
 
-// readRowsV2 decodes the relation streams of version 2. Everything it
-// keeps — nodes, dictionary, tuples — grows as the bytes that pay for it
-// arrive.
-func readRowsV2(br *bufio.Reader, rels []*db.RelationSchema, add restoreFunc) error {
-	dec := &Decoder{r: br}
+// readRowStreams decodes the relation streams of version 2, or of
+// version 3 when v3. Everything it keeps — nodes, dictionaries, tuples —
+// grows as the bytes that pay for it arrive. Rows reach add a window of
+// rowWindow at a time, so that the run of leaves a window's annotations
+// continue is interned by one core.Vars call (Decoder.mint), not one a
+// row. Measured on the wire benchmark's checkpoints, a window of 256
+// (the writer's) loads as fast with half again the allocations, and one
+// of 4 096 loads slower (EXPERIMENTS.md).
+func readRowStreams(br *bufio.Reader, rels []*db.RelationSchema, add restoreFunc, v3 bool) error {
+	const rowWindow = 1024
+	dec := &Decoder{r: br, compact: v3}
 	var dict, slab []db.Value // slab: room for the next rows' values, 64 KiB at a time
+	type row struct {
+		t    db.Tuple
+		root uint64
+	}
+	window := make([]row, 0, rowWindow)
+	flush := func(rel string) error {
+		for _, r := range window {
+			ann, _ := dec.child(r.root) // checked when the row was read
+			if err := add(rel, r.t, ann); err != nil {
+				return err
+			}
+		}
+		window = window[:0]
+		return nil
+	}
 	for _, rel := range rels {
 		prev := db.Tuple(zeroRow(rel))
 		mask := make([]byte, (len(rel.Attrs)+7)/8)
-	stream:
+		root, first := uint64(0), true
 		for {
 			tag, err := br.ReadByte()
-			switch {
-			case err != nil:
+			if err != nil {
 				return err
-			case tag == tagEnd:
-				break stream
-			case tag <= tagSum:
+			}
+			if tag == tagEnd {
+				break
+			}
+			if tag != tagRow && (!v3 || tag != tagRowSame) {
 				_ = br.UnreadByte()
 				if err := dec.readNode(); err != nil {
 					return err
 				}
 				continue
-			case tag != tagRow:
-				return fmt.Errorf("%w: unknown item tag %d", ErrMalformed, tag)
 			}
 			if _, err := io.ReadFull(br, mask); err != nil {
 				return err
@@ -433,17 +470,29 @@ func readRowsV2(br *bufio.Reader, rels []*db.RelationSchema, add restoreFunc) er
 					return fmt.Errorf("%w: unknown kind %v", ErrMalformed, a.Kind)
 				}
 			}
-			back, err := binary.ReadUvarint(br)
-			if err != nil {
-				return err
+			if tag == tagRowSame {
+				if first {
+					return fmt.Errorf("%w: the first row of %s repeats a root", ErrMalformed, rel.Name)
+				}
+			} else {
+				back, err := binary.ReadUvarint(br)
+				if err != nil {
+					return err
+				}
+				if back == 0 || back > uint64(len(dec.nodes)) {
+					return fmt.Errorf("%w: annotation %d nodes back (have %d)", ErrMalformed, back, len(dec.nodes))
+				}
+				root = uint64(len(dec.nodes)) - back
 			}
-			if back == 0 || back > uint64(len(dec.nodes)) {
-				return fmt.Errorf("%w: annotation %d nodes back (have %d)", ErrMalformed, back, len(dec.nodes))
+			if window = append(window, row{t, root}); len(window) == rowWindow {
+				if err := flush(rel.Name); err != nil {
+					return err
+				}
 			}
-			if err := add(rel.Name, t, dec.nodes[uint64(len(dec.nodes))-back]); err != nil {
-				return err
-			}
-			prev = t
+			prev, first = t, false
+		}
+		if err := flush(rel.Name); err != nil {
+			return err
 		}
 	}
 	return nil
@@ -480,7 +529,7 @@ func readRowsV1(br *bufio.Reader, rels []*db.RelationSchema, add restoreFunc) er
 			if err != nil {
 				return err
 			}
-			ann, err := dec.Expr(id)
+			ann, err := dec.child(id)
 			if err != nil {
 				return err
 			}

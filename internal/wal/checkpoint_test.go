@@ -275,7 +275,7 @@ func TestCheckpointStoppedMidEncode(t *testing.T) {
 				}
 				// What a follower killed inside a resync leaves.
 				stale := filepath.Join(dir, "checkpoint-0000000000000007.ckpt.tmp")
-				if err := os.WriteFile(stale, []byte("HPRV2\n"), 0o644); err != nil {
+				if err := os.WriteFile(stale, []byte("HPRV3\n"), 0o644); err != nil {
 					t.Fatal(err)
 				}
 			} else {

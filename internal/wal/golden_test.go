@@ -169,8 +169,8 @@ func TestGoldenDataDirectory(t *testing.T) {
 	}
 	for name, data := range want {
 		if name == ckpt {
-			if !bytes.HasPrefix(data, []byte("HPRV1\n")) || !bytes.HasPrefix(written[name], []byte("HPRV2\n")) {
-				t.Errorf("%s: want the golden one in version 1 and the current code writing version 2", name)
+			if !bytes.HasPrefix(data, []byte("HPRV1\n")) || !bytes.HasPrefix(written[name], []byte("HPRV3\n")) {
+				t.Errorf("%s: want the golden one in version 1 and the current code writing version 3", name)
 			}
 			old, err := provstore.LoadSnapshot(bytes.NewReader(data))
 			if err != nil {
@@ -197,6 +197,48 @@ func TestGoldenType1Directory(t *testing.T) {
 	requireRecovers(t, filepath.Join("testdata", "golden-type1"), writeGolden(t, t.TempDir()))
 }
 
+// TestGoldenV2Directory: testdata/golden-v2 is the golden directory as
+// the version 2 writer left it after the golden operations, a reopen
+// and a checkpoint — META, a version 2 checkpoint of the whole state
+// (range leaves, a variable restored by name, query labels, normal-form
+// sums) and an empty segment. It is never rewritten. Recovery loads it,
+// unedited, to the state the operations leave: nothing replays, the
+// live database has no difference, and the recovered store saves the
+// version 3 bytes of the store that ran the operations.
+func TestGoldenV2Directory(t *testing.T) {
+	dir := filepath.Join("testdata", "golden-v2")
+	const ckpt = "checkpoint-000000000000000b.ckpt"
+	files := readDir(t, dir)
+	if len(files) != 3 || !bytes.HasPrefix(files[ckpt], []byte("HPRV2\n")) {
+		t.Fatalf("golden-v2 holds %d files; want META, a version 2 %s and a segment", len(files), ckpt)
+	}
+	src := t.TempDir()
+	state := writeGolden(t, src)
+	ran, err := wal.Open(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ran.Close()
+	replayed := t.TempDir()
+	for name, data := range files {
+		if err := os.WriteFile(filepath.Join(replayed, name), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st, err := wal.Open(replayed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	if n := st.Stats().Replayed; n != 0 {
+		t.Errorf("recovery replayed %d records, want none", n)
+	}
+	if d := engine.LiveDB(st).Diff(engine.LiveDB(ran)); d != "" {
+		t.Errorf("recovered golden-v2 differs from the golden operations' state: %s", d)
+	}
+	requireSameBytes(t, "recovered golden-v2", state, snapshotOf(t, st))
+}
+
 // requireRecovers opens a copy of the data directory golden and
 // requires the golden operations' 11 records replayed to state.
 func requireRecovers(t *testing.T, golden string, state []byte) {
@@ -216,4 +258,59 @@ func requireRecovers(t *testing.T, golden string, state []byte) {
 		t.Errorf("recovery replayed %d records, want 11", n)
 	}
 	requireSameBytes(t, "recovered "+golden, state, snapshotOf(t, st))
+}
+
+// TestSnapshotBytesAcrossBoots: one state reached three ways — an engine
+// booted from CSV files, one loaded from the snapshot of that boot, and
+// a store recovered from its data directory (a checkpoint and the log),
+// each then or before applying the same transactions — saves the same
+// bytes.
+func TestSnapshotBytesAcrossBoots(t *testing.T) {
+	initial, txns := smallWorkload(t)
+	ctx := context.Background()
+	schema := initial.Schema()
+	files := map[string][]byte{}
+	for _, rel := range schema.Names() {
+		var buf bytes.Buffer
+		if err := db.WriteCSV(&buf, initial.Instance(rel)); err != nil {
+			t.Fatal(err)
+		}
+		files[rel] = buf.Bytes()
+	}
+	csv, err := engine.Load(engine.ModeNormalForm, schema, func(emit func(db.RowBatch) error) error {
+		for _, rel := range schema.Names() {
+			if err := db.CSVRows(schema.Relation(rel), files[rel], emit); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := provstore.LoadSnapshot(bytes.NewReader(snapshotOf(t, csv)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	st, err := wal.Open(dir, wal.WithMode(engine.ModeNormalForm), wal.WithInitialDatabase(initial), wal.WithSegmentSize(2048))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range []engine.DB{csv, loaded, st} {
+		if err := e.ApplyAll(ctx, txns); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	recovered, err := wal.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer recovered.Close()
+	want := snapshotOf(t, csv)
+	requireSameBytes(t, "snapshot-loaded engine", want, snapshotOf(t, loaded))
+	requireSameBytes(t, "recovered store", want, snapshotOf(t, recovered))
 }

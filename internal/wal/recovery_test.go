@@ -28,6 +28,9 @@ func applyN(t *testing.T, dir string, n int, opts ...wal.Option) *wal.Store {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if n > len(txns) {
+		t.Fatalf("applyN: %d transactions asked of a workload of %d", n, len(txns))
+	}
 	if err := st.ApplyAll(context.Background(), txns[:n]); err != nil {
 		t.Fatal(err)
 	}
@@ -251,7 +254,12 @@ func TestCorruptMidLogRecord(t *testing.T) {
 // hard error, never truncation.
 func TestCorruptNonFinalSegment(t *testing.T) {
 	dir := t.TempDir()
-	st := applyN(t, dir, 60) // small segments: several rotations
+	st := applyN(t, dir, 50) // small segments: several rotations
+	// Ten more, real ones: the workload's first, again.
+	_, txns := smallWorkload(t)
+	if err := st.ApplyAll(context.Background(), txns[:10]); err != nil {
+		t.Fatal(err)
+	}
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
 	}
