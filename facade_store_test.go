@@ -67,9 +67,9 @@ COMMIT;
 	}
 }
 
-// TestWithShardsIsInert: WithShards is deprecated and sets nothing. An
-// engine given WithShards(8) — the engine's option, the facade's alias or
-// a store's engine options — saves the bytes of one built without it at
+// TestWithShardsIsInert: engine.WithShards is deprecated and sets
+// nothing. An engine given WithShards(8) — directly or through a store's
+// engine options — saves the bytes of one built without it at
 // every epoch, and the Options() it reports rebuild an engine that
 // behaves as the plain one's do (here: the index advisor it was given).
 // Two engines built independently from one input and log saving the same
@@ -103,20 +103,18 @@ func TestWithShardsIsInert(t *testing.T) {
 		if len(rebuiltPlain.IndexStats()) == 0 {
 			t.Fatalf("%v: the workload builds no index, so Options() is not exercised", mode)
 		}
-		for name, opt := range map[string]hyperprov.Option{"engine": engine.WithShards(8), "facade": hyperprov.WithShards(8)} {
-			e := build(hyperprov.WithAutoIndex(2), opt)
-			for k := uint64(0); k <= hyperprov.SeqEpoch(plain.Horizon()); k++ {
-				if !bytes.Equal(snap(plain.At(hyperprov.EpochSeq(k))), snap(e.At(hyperprov.EpochSeq(k)))) {
-					t.Fatalf("%v, %s option: epoch %d saves other bytes than without it", mode, name, k)
-				}
-			}
-			rebuilt := build(e.Options()...)
-			if !reflect.DeepEqual(rebuilt.IndexStats(), rebuiltPlain.IndexStats()) || rebuilt.PlannerStats() != rebuiltPlain.PlannerStats() {
-				t.Fatalf("%v, %s option: an engine built from its Options() plans otherwise than one built from the plain engine's", mode, name)
+		e := build(hyperprov.WithAutoIndex(2), engine.WithShards(8))
+		for k := uint64(0); k <= hyperprov.SeqEpoch(plain.Horizon()); k++ {
+			if !bytes.Equal(snap(plain.At(hyperprov.EpochSeq(k))), snap(e.At(hyperprov.EpochSeq(k)))) {
+				t.Fatalf("%v: epoch %d saves other bytes than without the option", mode, k)
 			}
 		}
+		rebuilt := build(e.Options()...)
+		if !reflect.DeepEqual(rebuilt.IndexStats(), rebuiltPlain.IndexStats()) || rebuilt.PlannerStats() != rebuiltPlain.PlannerStats() {
+			t.Fatalf("%v: an engine built from its Options() plans otherwise than one built from the plain engine's", mode)
+		}
 		st, err := hyperprov.OpenDir(t.TempDir(), hyperprov.WithMode(mode), hyperprov.WithInitialDatabase(initial),
-			hyperprov.WithEngineOptions(hyperprov.WithAutoIndex(2), hyperprov.WithShards(8)), hyperprov.WithSync(hyperprov.SyncNever))
+			hyperprov.WithEngineOptions(hyperprov.WithAutoIndex(2), engine.WithShards(8)), hyperprov.WithSync(hyperprov.SyncNever))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -191,12 +191,6 @@ var (
 	WithAutoIndex = engine.WithAutoIndex
 )
 
-// WithShards sets nothing.
-//
-// Deprecated: the engine stores its rows in one partition; the option is
-// accepted so that existing callers compile (see engine.WithShards).
-var WithShards = engine.WithShards
-
 // Provenance applications (Section 4 of the paper).
 var (
 	LiveDB              = engine.LiveDB

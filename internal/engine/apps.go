@@ -16,11 +16,12 @@ import (
 // map order. f's tuple is lent for the call: a callback that keeps it
 // keeps t.Clone(). This is the generic
 // "provenance usage" operation of Section 6: all applications below are
-// thin wrappers over it, sound by Proposition 4.2. It is the chunk walk
-// of SpecializeParallel on the caller's goroutine alone: the MVCC horizon
-// is pinned once on entry (the view's own when e is a View, the served
-// engine's behind a wal.Store or wal.Follower), so the streamed rows form
-// one consistent epoch snapshot, lock-free against concurrent writers.
+// thin wrappers over it, sound by Proposition 4.2. It is
+// SpecializeParallel with one worker, the chunk pipeline on the caller's
+// goroutine alone: the MVCC horizon is pinned once on entry (the view's
+// own when e is a View, the served engine's behind a wal.Store or
+// wal.Follower), so the streamed rows form one consistent epoch
+// snapshot, lock-free against concurrent writers.
 func Specialize[T any](e Reader, s upstruct.Structure[T], env upstruct.Env[T], f func(rel string, t db.Tuple, v T)) {
 	_ = SpecializeParallel(context.Background(), e, s, env, 1, f) // the background context never ends
 }

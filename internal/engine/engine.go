@@ -81,8 +81,9 @@ func WithInitialAnnotations(f func(rel string, t db.Tuple) core.Annot) Option {
 // WithShards sets nothing: an engine stores its rows in one partition.
 //
 // Deprecated: storage sharding was removed (EXPERIMENTS.md, "One storage
-// partition"); the option is accepted so that existing callers compile,
-// and n is ignored.
+// partition"); n is ignored. The option stays only because the wire
+// benchmark (bench/e2e) still passes WithShards(1), which is to be
+// dropped there first.
 func WithShards(n int) Option {
 	return func(*config) {}
 }
@@ -133,7 +134,7 @@ func WithLiveMatching(on bool) Option {
 // Reads are lock-free: Annotation, NF, EachRow, Rows, Select,
 // SelectEach, the size measures, At and the package-level valuation
 // entry points (Specialize, SpecializeParallel, BoolRestrict*,
-// LiveChunks, …) pin the committed horizon on entry and resolve every
+// LiveStream, …) pin the committed horizon on entry and resolve every
 // row against the MVCC version chains, so any number of
 // provenance-usage queries run against one consistent epoch while
 // transactions commit concurrently; none uses an index. At(seq) pins an

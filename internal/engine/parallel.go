@@ -4,19 +4,16 @@ import (
 	"context"
 	"runtime"
 	"sync"
-	"sync/atomic"
 
-	"hyperprov/internal/core"
 	"hyperprov/internal/db"
 	"hyperprov/internal/upstruct"
 )
 
-// walkChunkRows is the unit of work of the chunked walker: workers pull
-// chunks of this many rows until none are left, so a skewed relation or
-// a slow worker never leaves the others idle, and a per-chunk result
-// (a tuple slice, an encoded buffer) stays cache-sized. Cancellation is
-// observed between chunks, i.e. within about a millisecond of
-// evaluation.
+// walkChunkRows is the unit of work of the chunk pipeline (liveStream):
+// workers take chunks of this many rows from its queue, so a skewed
+// relation is spread over all of them, and a per-chunk result (a tuple
+// slice, an encoded buffer) stays cache-sized. Cancellation is observed
+// between chunks, i.e. within about a millisecond of evaluation.
 const walkChunkRows = 1024
 
 // rowChunk is one relation-homogeneous run of at most walkChunkRows
@@ -60,76 +57,35 @@ func (v view) chunks(rels []string) []rowChunk {
 	return chunks
 }
 
-// walkChunks is SpecializeParallel's loop: up to workers goroutines (the
-// caller's own when one suffices) pull chunk indexes from a shared
-// counter and visit them in no particular order. ctx is checked before
-// every pull; on cancellation chunks already started still complete and
-// ctx.Err() is returned.
-func walkChunks(ctx context.Context, chunks []rowChunk, workers int, visit func(c rowChunk)) error {
-	var next atomic.Int64
-	pull := func() {
-		for ctx.Err() == nil {
-			i := int(next.Add(1)) - 1
-			if i >= len(chunks) {
-				return
-			}
-			visit(chunks[i])
-		}
-	}
-	if workers = min(workers, len(chunks)); workers <= 1 {
-		pull()
-		return ctx.Err()
-	}
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			pull()
-		}()
-	}
-	wg.Wait()
-	return ctx.Err()
-}
-
 // SpecializeParallel is Specialize with row evaluation spread over
 // workers goroutines (0 = GOMAXPROCS). Expressions are immutable and
 // the structure's operations must be pure, so evaluation parallelizes
 // trivially; f is called from multiple goroutines and must be safe for
 // concurrent use (or use LiveStream, which hands chunks back in order),
 // and the tuple it gets is lent for the call (a callback that keeps it
-// keeps t.Clone()). With one worker rows
-// stream in order on the caller's goroutine: that is Specialize. The MVCC horizon is pinned once at entry (a View's own
-// pinned horizon is used as-is), so the pass is lock-free and
-// consistent against concurrent writers. ctx is
-// checked at chunk boundaries; on cancellation the pass stops early —
-// chunks already started still complete — and ctx.Err() is returned.
+// keeps t.Clone()). With one worker rows stream in order on the
+// caller's goroutine: that is Specialize. The pass is LiveStream's
+// chunk pipeline with f in the per-row test, which keeps no row: the
+// MVCC horizon is pinned once at entry (a View's own pinned horizon is
+// used as-is), so the pass is lock-free and consistent against
+// concurrent writers. ctx is checked at chunk boundaries; on
+// cancellation the pass stops early — chunks already started still
+// complete, before it returns — and ctx.Err() is returned.
 // This is a beyond-the-paper extension: provenance usage is the
 // measurement of Figures 7c/8c, and valuation is embarrassingly
 // parallel, unlike the re-execution baseline.
 func SpecializeParallel[T any](ctx context.Context, e Reader, s upstruct.Structure[T], env upstruct.Env[T], workers int, f func(rel string, t db.Tuple, v T)) error {
-	if ctx == nil {
-		ctx = context.Background()
+	_, err := liveStream(ctx, e, workers, e.Schema().Names(), func(sc *streamScratch) func(string, *row, *version) bool {
+		return func(rel string, r *row, ver *version) bool {
+			sc.tup = sc.tbl.tuple(r, sc.tup)
+			f(rel, sc.tup, upstruct.EvalNF(&ver.nf, s, env))
+			return false
+		}
+	}, func(Chunk[struct{}], LiveRows) {}, func([]Chunk[struct{}], bool) error { return nil })
+	if err == nil && ctx != nil {
+		err = ctx.Err() // cancelled in the last chunks, after every one was emitted
 	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	p := e.view()
-	chunks := p.chunks(p.e.schema.Names())
-	defer putChunkBuf(chunks)
-	return walkChunks(ctx, chunks, workers, func(c rowChunk) {
-		buf := takeTuple()
-		defer giveTuple(buf)
-		c.tbl.cols.eachRows(c.lo, c.hi, func(recs []rowRec) {
-			for i := range recs {
-				r := &recs[i].row
-				if ver := r.at(p.s); ver != nil {
-					*buf = c.tbl.tuple(r, *buf)
-					f(c.rel, *buf, upstruct.EvalNF(&ver.nf, s, env))
-				}
-			}
-		})
-	})
+	return err
 }
 
 // Chunk is one piece of a LiveStream pass: up to walkChunkRows rows of
@@ -196,17 +152,21 @@ func (l LiveRows) Each(f func(t db.Tuple)) {
 // hands back the window's slots so the caller can recycle what they
 // hold.
 func LiveStream[S any](ctx context.Context, r Reader, val *upstruct.Valuation, workers int, rels []string, encode func(c Chunk[S], live LiveRows), emit func(ready []Chunk[S], more bool) error) ([]S, error) {
-	return liveStream(ctx, r, workers, rels, func(sc *streamScratch) func(*core.NF) bool {
+	return liveStream(ctx, r, workers, rels, func(sc *streamScratch) func(string, *row, *version) bool {
 		sc.k.Reset(val)
-		return sc.k.EvalNF
+		return func(_ string, _ *row, ver *version) bool { return sc.k.EvalNF(&ver.nf) }
 	}, encode, emit)
 }
 
-// liveStream is LiveStream over any Boolean evaluator: newEval builds one
-// worker's on its scratch. Chunk i+window is dispatched once chunk i is
-// emitted, so slot i % window is free; idle workers wait on the work
-// queue, which the caller closes when it returns.
-func liveStream[S any](ctx context.Context, r Reader, workers int, rels []string, newEval func(*streamScratch) func(*core.NF) bool, encode func(Chunk[S], LiveRows), emit func([]Chunk[S], bool) error) ([]S, error) {
+// liveStream is the one chunk pipeline of the valuation passes: a
+// chunk's live rows are the visible rows keep returns true for, and
+// newKeep builds one worker's keep on its scratch (sc.tbl is the
+// chunk's table while keep runs). Chunk i+window is dispatched once
+// chunk i is emitted, so slot i % window is free; idle workers wait on
+// the work queue, which the caller closes when it returns. A slow chunk
+// holds emit, so once a window of later chunks is done the other
+// workers idle until it is.
+func liveStream[S any](ctx context.Context, r Reader, workers int, rels []string, newKeep func(*streamScratch) func(rel string, r *row, ver *version) bool, encode func(Chunk[S], LiveRows), emit func([]Chunk[S], bool) error) ([]S, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -236,7 +196,7 @@ func liveStream[S any](ctx context.Context, r Reader, workers int, rels []string
 	defer cancel()
 	// run evaluates and encodes chunk i and marks its slot ready, unless
 	// the pass is over: the caller then watches ctx, not the slot.
-	run := func(sc *streamScratch, eval func(*core.NF) bool, i int) {
+	run := func(sc *streamScratch, keep func(string, *row, *version) bool, i int) {
 		if ctx.Err() != nil {
 			return
 		}
@@ -244,7 +204,7 @@ func liveStream[S any](ctx context.Context, r Reader, workers int, rels []string
 		sc.rows, sc.tbl = sc.rows[:0], c.tbl
 		c.tbl.cols.eachRows(c.lo, c.hi, func(recs []rowRec) {
 			for i := range recs {
-				if ver := recs[i].at(p.s); ver != nil && eval(&ver.nf) {
+				if ver := recs[i].at(p.s); ver != nil && keep(c.rel, &recs[i].row, ver) {
 					sc.rows = append(sc.rows, &recs[i].row)
 				}
 			}
@@ -256,8 +216,8 @@ func liveStream[S any](ctx context.Context, r Reader, workers int, rels []string
 	if workers = min(workers, n); workers <= 1 {
 		sc := scratchPool.Get().(*streamScratch)
 		defer sc.put()
-		eval := newEval(sc)
-		dispatch = func(i int) { run(sc, eval, i) }
+		keep := newKeep(sc)
+		dispatch = func(i int) { run(sc, keep, i) }
 	} else {
 		wg.Add(workers)
 		for range workers {
@@ -265,9 +225,9 @@ func liveStream[S any](ctx context.Context, r Reader, workers int, rels []string
 				defer wg.Done()
 				sc := scratchPool.Get().(*streamScratch)
 				defer sc.put()
-				eval := newEval(sc)
+				keep := newKeep(sc)
 				for i := range work {
-					run(sc, eval, i)
+					run(sc, keep, i)
 				}
 			}()
 		}
@@ -310,8 +270,8 @@ func liveStream[S any](ctx context.Context, r Reader, workers int, rels []string
 // cancellation, (nil, ctx.Err()) is returned.
 func BoolRestrictParallel(ctx context.Context, e Reader, env upstruct.Env[bool], workers int) (*db.Database, error) {
 	out := db.NewDatabase(e.Schema())
-	eval := func(n *core.NF) bool { return upstruct.EvalNF(n, upstruct.Bool, env) }
-	_, err := liveStream(ctx, e, workers, e.Schema().Names(), func(*streamScratch) func(*core.NF) bool { return eval },
+	keep := func(_ string, _ *row, ver *version) bool { return upstruct.EvalNF(&ver.nf, upstruct.Bool, env) }
+	_, err := liveStream(ctx, e, workers, e.Schema().Names(), func(*streamScratch) func(string, *row, *version) bool { return keep },
 		func(c Chunk[[]db.Tuple], live LiveRows) {
 			*c.Slot = (*c.Slot)[:0]
 			live.Each(func(t db.Tuple) { *c.Slot = append(*c.Slot, t.Clone()) }) // the database keeps it

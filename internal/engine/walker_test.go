@@ -209,7 +209,11 @@ func TestChunkWalkerThroughWrappers(t *testing.T) {
 }
 
 // TestChunkWalkerCancellation: a context that ended before the pass
-// yields ctx.Err() and no results, behind a wrapper too.
+// yields ctx.Err() and no results, behind a wrapper too; one cancelled
+// from inside SpecializeParallel's f in the middle of the pass yields
+// ctx.Err() once every worker has exited — no f call after the pass
+// returns, no goroutine left — for any worker count, behind an engine,
+// a view and a wrapper.
 func TestChunkWalkerCancellation(t *testing.T) {
 	initial, _, err := workload.Generate(workload.Default(0.003))
 	if err != nil {
@@ -229,6 +233,36 @@ func TestChunkWalkerCancellation(t *testing.T) {
 		}
 		if d, err := BoolRestrictParallel(ctx, r, allTrue, 2); !errors.Is(err, context.Canceled) || d != nil {
 			t.Errorf("%T: BoolRestrictParallel on a cancelled context returned (%v, %v)", r, d, err)
+		}
+		visited = false
+		err = SpecializeParallel[bool](ctx, r, upstruct.Bool, allTrue, 2, func(string, db.Tuple, bool) { visited = true })
+		if !errors.Is(err, context.Canceled) || visited {
+			t.Errorf("%T: SpecializeParallel on a cancelled context returned %v, visited=%v", r, err, visited)
+		}
+	}
+
+	readers := map[string]Reader{"engine": e, "view": e.At(EpochSeq(0)), "wrapper": wrappedDB{DB: e, t: t}}
+	for name, r := range readers {
+		for _, workers := range []int{1, 2, 7} {
+			base := runtime.NumGoroutine()
+			ctx, cancel := context.WithCancel(context.Background())
+			var calls atomic.Int64
+			var returned atomic.Bool
+			err := SpecializeParallel[bool](ctx, r, upstruct.Bool, allTrue, workers, func(string, db.Tuple, bool) {
+				if returned.Load() {
+					t.Errorf("%s, workers=%d: f called after the pass returned", name, workers)
+				}
+				if calls.Add(1) == walkChunkRows+walkChunkRows/2 {
+					cancel()
+					time.Sleep(5 * time.Millisecond) // the rest of the chunk would run after a pass that did not wait
+				}
+			})
+			returned.Store(true)
+			if !errors.Is(err, context.Canceled) {
+				t.Errorf("%s, workers=%d: a pass cancelled from f returned %v", name, workers, err)
+			}
+			waitGoroutines(t, base)
+			cancel()
 		}
 	}
 }

@@ -143,10 +143,6 @@ func (e *Expr) Depth() int {
 	}
 }
 
-// IsDeleted reports whether the top of the expression records a
-// deletion.
-func (e *Expr) IsDeleted() bool { return e.kind == kindVersion && e.op == OpDelete }
-
 // String renders the expression in the paper's notation, e.g.
 // "U^t1_{T2,5}(I^t1_{T,2}(x1))".
 func (e *Expr) String() string {

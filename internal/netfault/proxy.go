@@ -100,13 +100,6 @@ func (p *Proxy) Heal() {
 	p.mu.Unlock()
 }
 
-// Partitioned reports whether the link is currently blackholed.
-func (p *Proxy) Partitioned() bool {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.partitioned
-}
-
 // ResetAll kills every live connection with an abortive close (RST
 // where the platform allows it) — the mid-stream reset fault. New
 // connections keep working; callers loop ResetAll for flap schedules.
@@ -114,14 +107,6 @@ func (p *Proxy) ResetAll() {
 	for _, c := range p.snapshot() {
 		p.resets.Add(1)
 		c.close(true)
-	}
-}
-
-// DropAll closes every live connection cleanly (FIN), simulating an
-// idle-timeout or load-balancer drain.
-func (p *Proxy) DropAll() {
-	for _, c := range p.snapshot() {
-		c.close(false)
 	}
 }
 

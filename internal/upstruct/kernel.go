@@ -72,7 +72,9 @@ func (v *Valuation) annot(a core.Annot) bool {
 }
 
 // leaf is annot on a Var node: identity decides for a canonical node,
-// the name for a raw one and while a dead annotation has no node.
+// the name for a raw one and while a dead annotation has no node. A
+// canonical node is held to each pending annotation by IsVar, which
+// builds no name (a range leaf stores none).
 func (v *Valuation) leaf(e *core.Expr) bool {
 	if id := e.ID(); id != 0 {
 		if id < v.clean {
@@ -83,9 +85,12 @@ func (v *Valuation) leaf(e *core.Expr) bool {
 				return false
 			}
 		}
-		if len(v.pending) == 0 {
-			return true
+		for _, p := range v.pending {
+			if e.IsVar(p) {
+				return false
+			}
 		}
+		return true
 	}
 	return v.annot(e.Annot())
 }

@@ -345,6 +345,29 @@ func TestKernelResetAndUnknownNames(t *testing.T) {
 	}
 }
 
+// TestKernelPendingLeavesAllocateNothing: range leaves minted after
+// their valuation, which named one of them while it had no node, are
+// valued by IsVar against the pending name, without building any
+// leaf's name: the dead one comes out false, the others true, and a
+// pass over all of them allocates nothing.
+func TestKernelPendingLeavesAllocateNothing(t *testing.T) {
+	k := upstruct.NewKernel(upstruct.Dead(core.TupleAnnot("pendalloc40")))
+	leaves := core.Vars("pendalloc", core.KindTuple, 0, 64)
+	for i, e := range leaves {
+		if got := k.Eval(e); got != (i != 40) {
+			t.Fatalf("leaf pendalloc%d valued %v", i, got)
+		}
+	}
+	pass := func() {
+		for _, e := range leaves {
+			k.Eval(e)
+		}
+	}
+	if n := testing.AllocsPerRun(100, pass); n != 0 {
+		t.Fatalf("a kernel pass over 64 range leaves with a pending dead name allocates %.0f times, want 0", n)
+	}
+}
+
 // FuzzKernelEqualsEval: for any expression the parser accepts, kernel
 // and oracle agree under dead sets drawn from the expression's own
 // annotations, on the canonical DAG and on its raw copy.
