@@ -40,10 +40,7 @@ func (b *Builder) Values(n int) []Value             { return b.vals.take(n) }
 var PoisonOnReset atomic.Bool
 
 // Reset takes back every slice handed out since the last Reset: their
-// holders must be done with them. One chunk per slab is kept, cleared:
-// a slab that ran through several this cycle trades them for one twice
-// what they handed out, so a body the size of the last one is served
-// without allocating again, up to slabMax.
+// holders must be done with them. One chunk per slab is kept, cleared.
 func (b *Builder) Reset() {
 	poison, v := PoisonOnReset.Load(), Value{kind: 0xff}
 	b.txns.reset(poison, Transaction{Label: "\xffpoisoned"})
@@ -53,21 +50,15 @@ func (b *Builder) Reset() {
 	b.vals.reset(poison, v)
 }
 
-// chunkMax caps, in elements, how far chunks double, so a last chunk wastes little.
-const chunkMax = 1 << 13
+// slabMax caps, in elements, how far chunks double and what a Reset
+// keeps: a larger chunk served one outsized request and goes with it.
+const slabMax = 1 << 13
 
-// slabMax caps, in elements, what a Reset keeps: a cycle that handed out
-// more served one outsized body and its chunks go with it. A
-// 256-transaction TPC-C body — the store's group-commit chunk — takes
-// about 15 000 terms.
-const slabMax = 1 << 15
-
-// slab is the current chunk at its full length, how much of it is
-// handed out, and how much the chunks this cycle left behind handed out.
+// slab is the current chunk at its full length and how much of it is
+// handed out.
 type slab[T any] struct {
-	buf   []T
-	used  int
-	spent int
+	buf  []T
+	used int
 }
 
 func (s *slab[T]) take(n int) []T {
@@ -75,8 +66,7 @@ func (s *slab[T]) take(n int) []T {
 		return nil
 	}
 	if len(s.buf)-s.used < n {
-		s.spent += s.used
-		s.buf, s.used = make([]T, max(n, min(2*len(s.buf), chunkMax))), 0
+		s.buf, s.used = make([]T, max(n, min(2*len(s.buf), slabMax))), 0
 	}
 	s.used += n
 	return s.buf[s.used-n : s.used : s.used]
@@ -88,13 +78,9 @@ func (s *slab[T]) reset(poison bool, junk T) {
 			s.buf[i] = junk
 		}
 	}
-	switch need := s.spent + s.used; {
-	case poison || need > slabMax:
+	if poison || len(s.buf) > slabMax {
 		*s = slab[T]{}
-	case len(s.buf) < need:
-		*s = slab[T]{buf: make([]T, min(2*need, slabMax))}
-	default:
-		clear(s.buf[:s.used])
-		s.used, s.spent = 0, 0
 	}
+	clear(s.buf[:s.used])
+	s.used = 0
 }

@@ -10,7 +10,6 @@ package parser
 // whose sync.Pool drops a quarter of the puts on purpose.
 
 import (
-	"runtime"
 	"runtime/debug"
 	"testing"
 
@@ -91,50 +90,5 @@ func TestBatchAllocsWhatTheEngineKeeps(t *testing.T) {
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	if allocs := testing.AllocsPerRun(20, parse); inserts == 0 || allocs > 1 {
 		t.Fatalf("ParseSQLBatch: %.0f allocs for a label and %d inserted rows, want 1", allocs, inserts)
-	}
-}
-
-// TestBatchSlabsKeptForGroupCommitBodies: a warm pooled parser keeps
-// the slab chunks a body used across Release, so a 256-transaction
-// TPC-C body (the store's group-commit chunk) allocates about what a
-// one-transaction body does a transaction — its labels — instead of
-// fresh chunks every round.
-func TestBatchSlabsKeptForGroupCommitBodies(t *testing.T) {
-	s := tpcc.Schema()
-	perTxn := func(n int) float64 {
-		cfg := tpcc.DefaultConfig()
-		cfg.Seed = 7
-		src, err := FormatSQLLog(s, tpcc.NewGenerator(cfg).Transactions(n))
-		if err != nil {
-			t.Fatal(err)
-		}
-		body := []byte(src)
-		parse := func() {
-			batch, err := ParseSQLBatch(s, body)
-			if err != nil {
-				t.Fatal(err)
-			}
-			batch.Release()
-		}
-		for i := 0; i < 4; i++ {
-			parse()
-		}
-		const rounds = 50
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		for i := 0; i < rounds; i++ {
-			parse()
-		}
-		runtime.ReadMemStats(&after)
-		return float64(after.TotalAlloc-before.TotalAlloc) / rounds / float64(n)
-	}
-	// A collection in the middle would empty the pool, and a move to
-	// another P would miss the parser put on this one.
-	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	one, big := perTxn(1), perTxn(256)
-	t.Logf("bytes a transaction: %.0f for a 1-transaction body, %.0f for 25, %.0f for 256", one, perTxn(25), big)
-	if big > 2*one {
-		t.Fatalf("a 256-transaction body allocates %.0f bytes a transaction, a 1-transaction body %.0f", big, one)
 	}
 }
