@@ -23,6 +23,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"runtime/metrics"
 	"strings"
 	"testing"
 	"time"
@@ -591,6 +592,66 @@ func BenchmarkColdStart(b *testing.B) {
 			}
 		}
 		report(b, e.NumRows())
+	})
+}
+
+// BenchmarkGCScan measures what the garbage collector sees of a resident
+// store, a measurement only (nothing gates it): csv_200k is
+// BenchmarkColdStart's 200 000-row CSV load, bulk_scan the wire
+// benchmark's bulk_scan shape in process (BenchmarkBatchScan's bulk:
+// 1 000 unindexed grp = k selections in batches of 25 over those rows).
+// gc_scan_heap_MB is what the op leaves of runtime/metrics'
+// /gc/scan/heap:bytes after a full collection, and gc_cpu_ms the
+// /cpu/classes/gc/total:cpu-seconds spent from before the op through
+// that collection.
+func BenchmarkGCScan(b *testing.B) {
+	read := func() (scan uint64, cpu float64) {
+		runtime.GC()
+		s := []metrics.Sample{{Name: "/gc/scan/heap:bytes"}, {Name: "/cpu/classes/gc/total:cpu-seconds"}}
+		metrics.Read(s)
+		return s[0].Value.Uint64(), s[1].Value.Float64()
+	}
+	measure := func(b *testing.B, op func() engine.DB) {
+		var scan, cpu float64
+		for i := 0; i < b.N; i++ {
+			scan0, cpu0 := read()
+			e := op()
+			scan1, cpu1 := read()
+			runtime.KeepAlive(e)
+			scan, cpu = scan+float64(scan1)-float64(scan0), cpu+cpu1-cpu0
+		}
+		b.ReportMetric(scan/float64(b.N)/(1<<20), "gc_scan_heap_MB")
+		b.ReportMetric(cpu/float64(b.N)*1e3, "gc_cpu_ms")
+	}
+	initial, txns := syntheticWorkload(b, workload.Config{
+		Tuples: 200000, Pool: 100, Group: 1, Updates: 1000, QueriesPerTxn: 10, MergeRatio: 0.1, Seed: 1,
+	})
+	b.Run("csv_200k", func(b *testing.B) {
+		var file bytes.Buffer
+		if err := db.WriteCSV(&file, initial.Instance("R")); err != nil {
+			b.Fatal(err)
+		}
+		rs := initial.Schema().Relation("R")
+		measure(b, func() engine.DB {
+			e, err := engine.Load(engine.ModeNormalForm, initial.Schema(), func(emit func(db.RowBatch) error) error {
+				return db.CSVRows(rs, file.Bytes(), emit)
+			})
+			if err != nil {
+				b.Fatal(err)
+			}
+			return e
+		})
+	})
+	b.Run("bulk_scan", func(b *testing.B) {
+		measure(b, func() engine.DB {
+			e := engine.New(engine.ModeNormalForm, initial)
+			for i := 0; i < len(txns); i += 25 {
+				if err := e.ApplyAll(context.Background(), txns[i:min(i+25, len(txns))]); err != nil {
+					b.Fatal(err)
+				}
+			}
+			return e
+		})
 	})
 }
 

@@ -8,43 +8,37 @@ import (
 	"hyperprov/internal/db"
 )
 
-// row is one stored tuple together with its version chain (see
-// mvcc.go). Rows are retained after logical deletion (tombstones) so
-// that provenance can be inspected and updates can be undone by
-// valuation; the provenance itself lives in the versions reached
-// through head; its values and creation sequence are the table's
-// columns at pos (storage.go), where its record holds the row itself.
+// row is one stored tuple: one element of its table's record column. Rows
+// are retained after logical deletion (tombstones) so that provenance
+// can be inspected and updates can be undone by valuation; its values
+// and creation sequence are the table's columns at pos (storage.go), its
+// provenance the versions of the table's version column reached through
+// head (mvcc.go).
 type row struct {
 	// fp is the tuple's db.Tuple.Fingerprint, cached at insertion: the
 	// rowMap probes compare it before the words, so the hot path never
 	// rebuilds Key() strings (keys survive only in snapshots and the WAL,
 	// where byte-compatibility matters).
 	fp uint64
-	// touched is the epoch of the last transaction that touched the row:
-	// what keeps a row once in its transaction's freeze list and event.
-	// Epochs fit in 32 bits: a sequence number is epoch<<32|counter.
-	touched uint32
+	// tix is the row's entry in Engine.touched while the open epoch
+	// writes it (see owns): writer-only.
+	tix uint32
 	// pos is the row's position in its table — unique per table and
 	// monotone in insertion order. Posting lists hold rows as their
 	// positions, kept sorted so index scans visit rows in full-scan order.
 	pos uint32
-	// head points at the newest version; readers resolve it against
-	// their pinned horizon with row.at.
-	head atomic.Pointer[version]
+	// head names the newest version (a version reference, 0 for none
+	// yet); readers resolve it against their pinned horizon with
+	// table.at.
+	head atomic.Uint32
 }
 
-// rowRec is a row together with its first version: one element of the
-// table's record column, written in place where the row is created, so a
-// new row allocates nothing of its own.
-type rowRec struct {
-	row
-	first version
-}
-
-// touchedRow is one entry of Engine.touched.
+// touchedRow is one entry of Engine.touched: a row the open epoch
+// writes, its table and its open normal form.
 type touchedRow struct {
 	tbl *table
 	r   *row
+	nf  core.NF
 }
 
 // table is everything the engine keeps for one relation.
@@ -61,6 +55,12 @@ type table struct {
 	// this order for determinism: the order of Σ summands must not
 	// depend on map iteration.
 	cols colStore
+	// vers holds every version of the table's rows, in the order they
+	// were written, nvers of them (mvcc.go): append-only, in cols' chunk
+	// layout. Only the writer appends; readers reach an entry through a
+	// row's head, and MVCCStats reads nvers.
+	vers  column[version]
+	nvers atomic.Uint32
 	// idx holds the relation's secondary indexes and the advisor's
 	// counters (index.go), guarded by the write lock.
 	idx tableIndexes
@@ -75,17 +75,14 @@ func newTable(rel *db.RelationSchema) *table {
 }
 
 // create stores a new row holding tup (writer-only), fingerprint fp,
-// created at seq with a first version annotated ann, at the table's next
-// position: its record and columns first, then the fingerprint map and
-// the lists of the table's indexes, then the length that publishes the
-// row to ordered readers. tup is only read.
-func (t *table) create(fp, seq uint64, ann *core.Expr, tup db.Tuple) *row {
+// created at seq with no version yet, at the table's next position: its
+// record and columns first, then the fingerprint map and the lists of the
+// table's indexes, then the length that publishes the row to ordered
+// readers. tup is only read.
+func (t *table) create(fp, seq uint64, tup db.Tuple) *row {
 	n := t.cols.len()
-	rec := t.cols.recs.slotAt(n)
-	rec.fp, rec.pos = fp, uint32(n) // a relation holds fewer than 2³² rows: posting lists store uint32 positions
-	rec.first.born = seq
-	rec.first.setExpr(ann)
-	rec.head.Store(&rec.first)
+	r := t.cols.rows.slotAt(n)
+	r.fp, r.pos = fp, uint32(n) // a relation holds fewer than 2³² rows: posting lists store uint32 positions
 	for i := range t.cols.cols {
 		t.cols.cols[i].appendAt(n, tup[i].Word())
 	}
@@ -97,77 +94,88 @@ func (t *table) create(fp, seq uint64, ann *core.Expr, tup db.Tuple) *row {
 		}
 	}
 	t.cols.n.Store(int64(n + 1))
-	return &rec.row
+	return r
 }
 
 // tuple builds r's tuple into dst[:0].
 func (t *table) tuple(r *row, dst db.Tuple) db.Tuple { return t.cols.tuple(int(r.pos), dst) }
 
-// load stores one row of the initial database (epoch 0).
+// load stores one row of the initial database (epoch 0) and its first
+// version.
 func (e *Engine) load(rel string, seq uint64, ann *core.Expr, t db.Tuple) {
-	e.versions.Add(1)
-	e.tables[rel].create(t.Fingerprint(), seq, ann, t)
+	tbl := e.tables[rel]
+	tbl.push(tbl.create(t.Fingerprint(), seq, t), ann, 0)
 }
 
 // dropLoaded forgets the rows loaded into a relation so far: their source
 // delivers the relation again (db.RowBatch.Restart).
 func (e *Engine) dropLoaded(rel string) {
-	e.versions.Add(-uint64(e.tables[rel].cols.len()))
 	e.tables[rel] = newTable(e.tables[rel].rel)
 }
 
-// touch lists a row the open epoch touched, once: finish freezes it and
-// names it in the commit event exactly once per epoch.
-func (e *Engine) touch(tbl *table, r *row) {
-	if epoch := uint32(e.epoch.Load()); r.touched != epoch {
-		r.touched = epoch
-		e.touched = append(e.touched, touchedRow{tbl, r})
-	}
-}
-
-// create stores a new row holding t (of fingerprint fp) with a
-// zero-annotated first version born at the epoch's next creation
-// sequence. Its epoch is beyond every committed horizon, so readers that
-// find the row skip its version while the writer mutates it in place.
+// create stores a new row holding t (of fingerprint fp), created at the
+// epoch's next creation sequence. It has no version until the epoch
+// commits (see finish), so readers that find the row skip it.
 func (e *Engine) create(tbl *table, fp uint64, t db.Tuple) *row {
 	seq := e.epoch.Load()<<32 | e.created
 	e.created++
-	e.versions.Add(1)
-	return tbl.create(fp, seq, core.Zero(), t)
+	return tbl.create(fp, seq, t)
 }
 
-// mutable returns the version of r the current write epoch may mutate
-// in place: the head itself when this epoch already owns it, otherwise
-// a copy-on-write successor born at epoch<<32, atomically published as
-// the new head. Readers pinned at or before the previous epoch keep
-// resolving the old head — that is the whole MVCC invariant.
-func (e *Engine) mutable(r *row) *version {
-	v := r.head.Load()
-	epoch := e.epoch.Load()
-	if v.born>>32 == epoch {
-		return v
+// mutable returns the normal form of r the open epoch writes, valid until
+// the next call: on the epoch's first write of r, a new entry of
+// e.touched holding r's newest annotation, which finish freezes into r's
+// next version and names in the commit event, once.
+func (e *Engine) mutable(tbl *table, r *row) *core.NF {
+	if !e.owns(r) {
+		r.tix = uint32(len(e.touched))
+		e.touched = append(e.touched, touchedRow{tbl: tbl, r: r, nf: *core.NewNF(tbl.newest(r))})
 	}
-	// A committed form is frozen, so the struct copy is a full clone.
-	nv := &version{prev: v, born: epoch << 32, nf: v.nf}
-	e.versions.Add(1)
-	r.head.Store(nv)
-	return nv
+	return &e.touched[r.tix].nf
+}
+
+// owns reports whether the open epoch has written r: its tix names its
+// entry. finish wipes the list, so an index left from an earlier epoch
+// names another row's entry or none.
+func (e *Engine) owns(r *row) bool { return int(r.tix) < len(e.touched) && e.touched[r.tix].r == r }
+
+// form returns r's normal form as the writer sees it: the open epoch's
+// when the epoch has written r, else its newest version's, frozen.
+func (e *Engine) form(tbl *table, r *row) core.NF {
+	if e.owns(r) {
+		return e.touched[r.tix].nf
+	}
+	return *core.NewNF(tbl.newest(r))
+}
+
+// setBase makes x r's whole annotation in the open epoch (a restore or a
+// minimization): through mutable when a hook wants the epoch's rows, else
+// appended at once, frozen and invisible until the epoch commits, so the
+// epoch builds no touched list.
+func (e *Engine) setBase(tbl *table, r *row, x *core.Expr) {
+	if e.collect {
+		*e.mutable(tbl, r) = *core.NewNF(x)
+		return
+	}
+	tbl.push(r, x, uint32(e.epoch.Load()))
 }
 
 // matchable reports whether a row is a candidate for update selections
 // in the writer's view: rows in the formal support by default,
 // semantically live rows under WithLiveMatching.
-func (e *Engine) matchable(r *row) bool {
-	return e.matchableV(r.latest())
+func (e *Engine) matchable(tbl *table, r *row) bool {
+	nf := e.form(tbl, r)
+	return e.matchableNF(&nf)
 }
 
-// matchableV is matchable over an already-resolved version (the
-// writer's head or a reader's horizon-pinned version).
-func (e *Engine) matchableV(v *version) bool {
+// matchableNF is matchable over an already-resolved normal form (the
+// writer's or, frozen, a reader's horizon-pinned version's): the form is
+// in the support when it is not syntactically 0 (Section 3.1).
+func (e *Engine) matchableNF(n *core.NF) bool {
 	if e.cfg.liveMatch {
-		return v.nf.Live()
+		return n.Live()
 	}
-	return v.inSupport()
+	return !n.IsZero()
 }
 
 func (e *Engine) simplify(x *core.Expr) *core.Expr {
@@ -203,25 +211,23 @@ func (e *Engine) insert(tbl *table, t db.Tuple) {
 	if r == nil {
 		r = e.create(tbl, fp, t)
 	}
-	v := e.mutable(r)
+	nf := e.mutable(tbl, r)
 	if e.mode == ModeNaive {
-		v.setExpr(e.simplify(core.PlusI(v.expr(), core.Var(e.cur))))
+		*nf = *core.NewNF(e.simplify(core.PlusI(nf.Base(), core.Var(e.cur))))
 	} else {
-		e.nfs.Open(&v.nf).Insert(e.cur)
+		e.nfs.Open(nf).Insert(e.cur)
 	}
-	e.touch(tbl, r)
 }
 
 // deleteRow applies the current query as a deletion (−M for modify
 // sources) to one row.
 func (e *Engine) deleteRow(tbl *table, r *row) {
-	v := e.mutable(r)
+	nf := e.mutable(tbl, r)
 	if e.mode == ModeNaive {
-		v.setExpr(e.simplify(core.Minus(v.expr(), core.Var(e.cur))))
+		*nf = *core.NewNF(e.simplify(core.Minus(nf.Base(), core.Var(e.cur))))
 	} else {
-		e.nfs.Open(&v.nf).Delete(e.cur)
+		e.nfs.Open(nf).Delete(e.cur)
 	}
-	e.touch(tbl, r)
 }
 
 // modify runs a modification over its source rows, in scan order:
@@ -244,7 +250,7 @@ func (e *Engine) modify(tbl *table, u db.Update, sources []*row) {
 		if g == nil {
 			g = e.mod.group(e.staged, fp, tbl.rows.get(fp, e.staged))
 		}
-		e.captureContribution(g, src)
+		e.captureContribution(tbl, g, src)
 	}
 	for _, src := range sources {
 		e.deleteRow(tbl, src)
@@ -345,17 +351,17 @@ func (s *modScratch) reset() {
 // captureContribution records one source row's pre-query annotation in
 // its target group (naive: the raw expression, deep-copied under cow;
 // normal form: the flattened Contribution).
-func (e *Engine) captureContribution(g *modGroup, src *row) {
-	v := src.latest()
+func (e *Engine) captureContribution(tbl *table, g *modGroup, src *row) {
+	nf := e.form(tbl, src)
 	if e.mode == ModeNaive {
-		contrib := v.expr()
+		contrib := nf.Base()
 		if e.cfg.cow {
 			contrib = contrib.DeepCopy()
 		}
 		g.raw = append(g.raw, contrib)
 	} else {
 		var ins bool
-		g.contrib, ins = v.nf.AppendContribution(g.contrib)
+		g.contrib, ins = nf.AppendContribution(g.contrib)
 		g.inserted = g.inserted || ins
 	}
 }
@@ -368,19 +374,18 @@ func (e *Engine) absorbModTarget(tbl *table, g *modGroup, pe *core.Expr) {
 	if r == nil {
 		r = e.create(tbl, g.fp, g.target)
 	}
-	v := e.mutable(r)
+	nf := e.mutable(tbl, r)
 	if e.mode == ModeNaive {
-		v.setExpr(e.simplify(core.PlusM(v.expr(), core.DotM(core.Sum(g.raw...), pe))))
+		*nf = *core.NewNF(e.simplify(core.PlusM(nf.Base(), core.DotM(core.Sum(g.raw...), pe))))
 	} else {
-		e.nfs.Open(&v.nf).AbsorbMod(g.contrib, g.inserted, e.cur)
+		e.nfs.Open(nf).AbsorbMod(g.contrib, g.inserted, e.cur)
 	}
-	e.touch(tbl, r)
 }
 
 // restoreRow stores a tuple (of fingerprint fp) with an explicit
 // annotation in the open epoch, overwriting any existing row for the same
-// tuple — also one an earlier restore of the same epoch stored. Only an
-// epoch whose rows a hook wants lists them: a restore needs no freeze.
+// tuple — also one an earlier restore of the same epoch stored (see
+// setBase).
 func (e *Engine) restoreRow(rel string, t db.Tuple, fp uint64, ann *core.Expr) error {
 	tbl := e.tables[rel]
 	if tbl == nil {
@@ -393,9 +398,6 @@ func (e *Engine) restoreRow(rel string, t db.Tuple, fp uint64, ann *core.Expr) e
 	if r == nil {
 		r = e.create(tbl, fp, t)
 	}
-	e.mutable(r).setExpr(ann)
-	if e.collect {
-		e.touch(tbl, r)
-	}
+	e.setBase(tbl, r, ann)
 	return nil
 }

@@ -55,7 +55,7 @@ type Reader interface {
 	Relations() []string
 
 	Annotation(rel string, t db.Tuple) *core.Expr
-	NF(rel string, t db.Tuple) *core.NF
+	NF(rel string, t db.Tuple) core.NF
 	EachRow(rel string, f func(t db.Tuple, ann *core.Expr))
 	Rows(f func(rel string, t db.Tuple, ann *core.Expr))
 

@@ -160,9 +160,10 @@ type Engine struct {
 
 	// The write epoch in flight, set by begin: the query annotation its
 	// updates carry, the rows it has created so far and whether a hook
-	// wants its rows. touched lists the rows it touched, each once, with
-	// the table holding them: finish freezes them and names them in the
-	// event.
+	// wants its rows. touched lists the rows it writes, each once, with
+	// the table holding them and the open normal form it writes (see
+	// mutable): finish freezes each into the row's next version and names
+	// the rows in the event.
 	cur     core.Annot
 	created uint64
 	collect bool
@@ -178,9 +179,6 @@ type Engine struct {
 	// reused.
 	hook   atomic.Pointer[CommitHook]
 	evRows []RowRef
-
-	// versions counts row versions ever created (MVCCStats).
-	versions atomic.Uint64
 
 	// plan holds the scan planner's counters (index.go).
 	plan planCounters
@@ -263,8 +261,9 @@ func (e *Engine) SetCommitHook(h CommitHook) {
 	e.hook.Store(&h)
 }
 
-// evRowsKeep is the longest event row buffer kept for reuse (24 kB): one
-// bulk transaction must not pin its row list for the engine's lifetime.
+// evRowsKeep is the longest event row buffer, and touched list, kept for
+// reuse (24 and 32 kB): one bulk transaction must not pin its row list for
+// the engine's lifetime.
 const evRowsKeep = 1024
 
 // emit delivers one epoch's commit event. finish calls it under the write
@@ -298,11 +297,11 @@ func (e *Engine) begin(label string) {
 }
 
 // finish ends the epoch, commits it and releases the write lock: every
-// epoch commits before the next one begins. The rows the epoch touched
-// freeze, so that the next one (with a different annotation) layers on
-// top; then the read horizon advances to the epoch, its event is
-// announced and horizon waiters wake. An epoch that ran without a hook
-// collected no rows; should one have been installed since, it hears a
+// epoch commits before the next one begins. The forms the epoch wrote
+// freeze, each appended as its row's next version, so that the next
+// epoch (with a different annotation) layers on top; then the read
+// horizon advances to the epoch, its event is announced and horizon
+// waiters wake. An epoch that ran without a hook collected no rows; should one have been installed since, it hears a
 // CommitReset — the subscriber rebuilds from the horizon, which covers
 // the epoch — rather than an empty transaction that would silently skip
 // the epoch's rows.
@@ -312,13 +311,17 @@ func (e *Engine) finish(kind CommitKind, label string) {
 	if e.collect {
 		ev.Kind, ev.Label, ev.Rows, e.evRows = kind, label, e.evRows, nil
 	}
-	for _, t := range e.touched {
-		e.nfs.Freeze(&t.r.latest().nf)
+	for i := range e.touched {
+		t := &e.touched[i]
+		e.nfs.Freeze(&t.nf)
+		t.tbl.push(t.r, t.nf.Base(), uint32(epoch))
 		if e.collect {
 			ev.Rows = append(ev.Rows, RowRef{Rel: t.tbl.rel.Name, Pos: t.r.pos})
 		}
 	}
-	e.touched = e.touched[:0]
+	if e.touched = e.touched[:0]; cap(e.touched) > evRowsKeep {
+		e.touched = nil
+	}
 	e.horizon.Store(ev.Seq)
 	e.emit(ev)
 	e.note.Wake()
@@ -473,15 +476,14 @@ func (e *Engine) MinimizeAll(ctx context.Context) (int64, error) {
 				return n, err
 			}
 		}
-		tbl.cols.eachRows(0, tbl.cols.len(), func(recs []rowRec) {
-			for i := range recs {
-				r := &recs[i].row
-				v := r.latest()
+		tbl.cols.eachRows(0, tbl.cols.len(), func(rows []row) {
+			for i := range rows {
+				r := &rows[i]
+				old := tbl.newest(r)
 				if e.mode != ModeNormalForm {
-					n += v.expr().Size()
+					n += old.Size()
 					continue
 				}
-				old := v.nf.ToExpr()
 				m := core.Minimize(old)
 				n += m.Size()
 				if m == old {
@@ -489,10 +491,7 @@ func (e *Engine) MinimizeAll(ctx context.Context) (int64, error) {
 					// skip the version churn for already-minimal rows.
 					continue
 				}
-				e.mutable(r).setExpr(m)
-				if e.collect {
-					e.touch(tbl, r)
-				}
+				e.setBase(tbl, r, m)
 			}
 		})
 	}

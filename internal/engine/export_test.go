@@ -17,7 +17,7 @@ func StreamWindow(workers int) int { return streamWindowPerWorker * workers }
 
 // ListsOutOfSeqOrder names the first table whose sequence column is not
 // strictly increasing with position, or whose row's oldest version is
-// not born at the row's column sequence, or returns "".
+// not born in the epoch of the row's column sequence, or returns "".
 func ListsOutOfSeqOrder(e *Engine) string {
 	for _, rel := range e.schema.Names() {
 		tbl := e.tables[rel]
@@ -27,12 +27,12 @@ func ListsOutOfSeqOrder(e *Engine) string {
 			if i > 0 && seq <= last {
 				return fmt.Sprintf("%s[%d]: seq %#x after %#x", rel, i, seq, last)
 			}
-			oldest := r.latest()
-			for oldest.prev != nil {
-				oldest = oldest.prev
+			oldest := tbl.vers.ref(int(r.head.Load() - 1))
+			for oldest.prev != 0 {
+				oldest = tbl.vers.ref(int(oldest.prev - 1))
 			}
-			if oldest.born != seq {
-				return fmt.Sprintf("%s[%d]: oldest version born %#x, column seq %#x", rel, i, oldest.born, seq)
+			if uint64(oldest.epoch) != SeqEpoch(seq) {
+				return fmt.Sprintf("%s[%d]: oldest version born in epoch %d, column seq %#x", rel, i, oldest.epoch, seq)
 			}
 			last = seq
 		}
@@ -43,9 +43,9 @@ func ListsOutOfSeqOrder(e *Engine) string {
 // rowsOf collects the rows at positions [0, n) of tbl, in order.
 func rowsOf(tbl *table, n int) []*row {
 	var out []*row
-	tbl.cols.eachRows(0, n, func(recs []rowRec) {
-		for i := range recs {
-			out = append(out, &recs[i].row)
+	tbl.cols.eachRows(0, n, func(rows []row) {
+		for i := range rows {
+			out = append(out, &rows[i])
 		}
 	})
 	return out

@@ -97,7 +97,7 @@ func (h *Handle) Schema() *db.Schema  { return h.Engine().Schema() }
 func (h *Handle) Relations() []string { return h.Engine().Relations() }
 
 func (h *Handle) Annotation(rel string, t db.Tuple) *core.Expr { return h.Engine().Annotation(rel, t) }
-func (h *Handle) NF(rel string, t db.Tuple) *core.NF           { return h.Engine().NF(rel, t) }
+func (h *Handle) NF(rel string, t db.Tuple) core.NF            { return h.Engine().NF(rel, t) }
 func (h *Handle) EachRow(rel string, f func(t db.Tuple, ann *core.Expr)) {
 	h.Engine().EachRow(rel, f)
 }

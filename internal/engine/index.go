@@ -312,7 +312,7 @@ func (e *Engine) scan(tbl *table, u db.Update) []*row {
 	out := e.getScanBuf()
 	for i := 0; i < best.n; i++ {
 		if p := int(best.from(i)[0]); tbl.cols.matches(p, &u) {
-			if r := tbl.cols.row(p); e.matchable(r) {
+			if r := tbl.cols.row(p); e.matchable(tbl, r) {
 				out = append(out, r)
 			}
 		}
@@ -372,7 +372,7 @@ func (e *Engine) pick(tbl *table, sel db.Pattern) (best *postingList, empty bool
 func (e *Engine) lookupPinned(tbl *table, u db.Update, t db.Tuple) []*row {
 	e.plan.pointLookups.Add(1)
 	out := e.getScanBuf()
-	if r := tbl.rows.get(t.Fingerprint(), t); r != nil && e.matchable(r) && u.MatchesTuple(t) {
+	if r := tbl.rows.get(t.Fingerprint(), t); r != nil && e.matchable(tbl, r) && u.MatchesTuple(t) {
 		out = append(out, r)
 	}
 	e.plan.examined(1, len(out))
@@ -394,9 +394,9 @@ func (e *Engine) fullScan(tbl *table, u db.Update) []*row {
 	n, out := tbl.cols.len(), e.getScanBuf()
 	ci := firstConstTerm(u.Sel)
 	if ci < 0 {
-		tbl.cols.eachRows(0, n, func(recs []rowRec) {
-			for i := range recs {
-				if r := &recs[i].row; tbl.cols.matches(int(r.pos), &u) && e.matchable(r) {
+		tbl.cols.eachRows(0, n, func(rows []row) {
+			for i := range rows {
+				if r := &rows[i]; tbl.cols.matches(int(r.pos), &u) && e.matchable(tbl, r) {
 					out = append(out, r)
 				}
 			}
@@ -410,18 +410,18 @@ func (e *Engine) fullScan(tbl *table, u db.Update) []*row {
 		e.plan.batchScans.Add(1)
 	}
 	for _, h := range hits {
-		if r := tbl.cols.row(int(h.pos)); tbl.cols.matches(int(h.pos), &u) && e.matchable(r) {
+		if r := tbl.cols.row(int(h.pos)); tbl.cols.matches(int(h.pos), &u) && e.matchable(tbl, r) {
 			out = append(out, r)
 		}
 	}
 	// The word and record columns share one chunk layout: chunk c of one
 	// holds the same positions as chunk c of the other.
-	words, recs := tbl.cols.cols[ci].chunks(), tbl.cols.recs.chunks()
+	words, rows := tbl.cols.cols[ci].chunks(), tbl.cols.rows.chunks()
 	c, off := chunkOf(n0, colChunkMinBits)
 	for p := n0; p < n; c, off = c+1, 0 {
-		ws, rs := words[c][off:min(len(words[c]), off+n-p)], recs[c][off:]
+		ws, rs := words[c][off:min(len(words[c]), off+n-p)], rows[c][off:]
 		for i := indexWord(ws, want); i < len(ws); i += 1 + indexWord(ws[i+1:], want) {
-			if r := &rs[i].row; tbl.cols.matches(int(r.pos), &u) && e.matchable(r) {
+			if r := &rs[i]; tbl.cols.matches(int(r.pos), &u) && e.matchable(tbl, r) {
 				out = append(out, r)
 			}
 		}

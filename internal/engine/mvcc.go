@@ -14,10 +14,11 @@ import (
 // Row storage is append-only at two granularities. Tables never remove
 // rows (tombstones persist — that is the paper's Section 3.1 semantics
 // already), and with MVCC each row's annotation history is itself
-// append-only: a row holds an atomic pointer to an immutable chain of
-// versions, each valid over the sequence interval [born of this
+// append-only: a row holds an atomic reference to the newest of its
+// versions, entries of its table's version column chained by their prev
+// references, each valid over the sequence interval [born of this
 // version, born of the next). Writers — serialized by the write lock —
-// publish a new head per touched row per epoch;
+// append one version and publish a new head per touched row per epoch;
 // readers pin a horizon sequence on entry and resolve every row against
 // it, so Annotation, NF, EachRow, Rows, Select, Specialize* and
 // BoolRestrict* run lock-free against a concurrent ApplyAll.
@@ -63,59 +64,54 @@ func clampSeq(seq, horizon uint64) uint64 {
 	return seq
 }
 
-// version is one immutable-once-committed state of a row's provenance:
-// one 32-byte record holding the chain link, the birth sequence and the
-// normal form by value. born is the sequence number from which this
-// version is current: the row's own creation sequence for the first
-// version, epoch<<32 for in-place epoch mutations (a reader at horizon
-// s sees the newest version with born ≤ s). The chain via prev is
-// ordered by strictly decreasing born.
-//
-// nf is the Theorem 5.3 normal form in ModeNormalForm, committed as its
-// base alone (the open epoch's state is in records core.NFRecords
-// recycles). ModeNaive keeps it in shape NFBase for good and uses the
-// base slot for its raw expression (expr/setExpr), so support,
-// membership, materialization, size and evaluation read one
-// representation in both modes.
-//
-// A version is mutable only while its epoch is open — it is then
-// invisible to every reader (all horizons precede the open epoch) and
-// the writer is single-threaded, so in-place updates within
-// an epoch are race-free and cost nothing over the pre-MVCC engine.
+// version is one state of a row's provenance, a 16-byte entry of its
+// table's version column: the annotation, frozen (the Theorem 5.3 normal
+// form's base, or the naive mode's raw expression), the epoch that wrote
+// it and prev, the row's previous version. A version is named by its
+// position in the column plus one, 0 naming none, as a row's head does.
+// It is current from its birth — the row's creation sequence for a first
+// version, epoch<<32 for a later one — until the next one's; prev runs
+// through decreasing epochs (a tuple restored twice in one epoch keeps
+// both versions of it). A version is written once, frozen: the form an
+// epoch writes lives in Engine.touched, where no reader looks, and
+// finish appends it and then stores the row's head, before the horizon
+// store that publishes the epoch.
 type version struct {
-	prev *version
-	born uint64
-	nf   core.NF
+	base  *core.Expr
+	prev  uint32
+	epoch uint32
 }
 
-// expr returns the annotation of a version in shape NFBase: every
-// version of the naive mode, and every committed one of either.
-func (v *version) expr() *core.Expr { return v.nf.Base() }
-
-// setExpr makes x the version's whole annotation.
-func (v *version) setExpr(x *core.Expr) { v.nf = *core.NewNF(x) }
-
-// inSupport reports whether the version is in the relation per Section
-// 3.1: its annotation is not syntactically 0.
-func (v *version) inSupport() bool { return !v.nf.IsZero() }
-
-// annotation materializes the version's provenance expression.
-// Committed normal forms are frozen (shape NFBase), so this is a pure
-// read and safe to call concurrently.
-func (v *version) annotation() *core.Expr { return v.nf.ToExpr() }
-
-// latest returns the row's newest version (the writer's view).
-func (r *row) latest() *version { return r.head.Load() }
-
-// at resolves the row at horizon s: the newest version born at or
-// before s, or nil when the row did not exist yet.
-func (r *row) at(s uint64) *version {
-	for v := r.head.Load(); v != nil; v = v.prev {
-		if v.born <= s {
+// at resolves r at horizon s: its newest version born at or before s, or
+// nil. s must cover r's creation (its sequence): a first version counts
+// as born when its epoch begins.
+func (t *table) at(r *row, s uint64) *version {
+	for ref := r.head.Load(); ref != 0; {
+		v := t.vers.ref(int(ref - 1))
+		if uint64(v.epoch)<<32 <= s {
 			return v
 		}
+		ref = v.prev
 	}
 	return nil
+}
+
+// newest returns the annotation of r's newest version, or 0 for a row
+// that has none yet (writer-only).
+func (t *table) newest(r *row) *core.Expr {
+	if ref := r.head.Load(); ref != 0 {
+		return t.vers.ref(int(ref - 1)).base
+	}
+	return core.Zero()
+}
+
+// push appends x as r's newest version, born in epoch, and then publishes
+// it as r's head (writer-only). A table holds fewer than 2³² versions.
+func (t *table) push(r *row, x *core.Expr, epoch uint32) {
+	n := t.nvers.Load()
+	*t.vers.slotAt(int(n)) = version{base: x, prev: r.head.Load(), epoch: epoch}
+	t.nvers.Store(n + 1)
+	r.head.Store(n + 1)
 }
 
 // Note publishes the advances of a value — the engine's horizon, a
@@ -194,7 +190,11 @@ func (e *Engine) WaitHorizon(ctx context.Context, seq uint64) error {
 // MVCCStats reports the engine's version-storage counters.
 func (e *Engine) MVCCStats() MVCCStats {
 	h := e.Horizon()
-	return MVCCStats{HorizonEpoch: SeqEpoch(h), HorizonSeq: h, Epochs: e.epoch.Load(), Versions: e.versions.Load()}
+	st := MVCCStats{HorizonEpoch: SeqEpoch(h), HorizonSeq: h, Epochs: e.epoch.Load()}
+	for _, tbl := range e.tables {
+		st.Versions += uint64(tbl.nvers.Load())
+	}
+	return st
 }
 
 // At returns a read-only view of the database at the given horizon
@@ -250,36 +250,32 @@ func (v view) rows(rel string) (*table, int) {
 // find returns the version of the tuple's row visible at the pinned
 // horizon, or nil. A fingerprint probe: the steady-state point lookup
 // allocates nothing (enforced by TestAllocFreeReads), and no Key() string
-// is built.
+// is built. Only a horizon inside epoch 0 can precede a row whose epoch it
+// covers, so only there is the row's creation sequence read.
 func (v view) find(rel string, t db.Tuple) *version {
 	tbl := v.e.tables[rel]
 	if tbl == nil {
 		return nil
 	}
 	r := tbl.rows.get(t.Fingerprint(), t)
-	if r == nil {
+	if r == nil || v.s&seqCounterMask != seqCounterMask && tbl.cols.seqs.at(int(r.pos)) > v.s {
 		return nil
 	}
-	return r.at(v.s)
+	return tbl.at(r, v.s)
 }
 
 func (v view) Annotation(rel string, t db.Tuple) *core.Expr {
-	ver := v.find(rel, t)
-	if ver == nil {
-		return nil
+	if ver := v.find(rel, t); ver != nil {
+		return ver.base
 	}
-	return ver.annotation()
+	return nil
 }
 
-func (v view) NF(rel string, t db.Tuple) *core.NF {
-	if v.e.mode != ModeNormalForm {
-		return nil
+func (v view) NF(rel string, t db.Tuple) core.NF {
+	if ver := v.find(rel, t); ver != nil && v.e.mode == ModeNormalForm {
+		return *core.NewNF(ver.base)
 	}
-	ver := v.find(rel, t)
-	if ver == nil {
-		return nil
-	}
-	return &ver.nf
+	return core.NF{}
 }
 
 // tupleBufs holds the buffers a pass builds tuples into from the word
@@ -314,12 +310,12 @@ func (v view) eachRef(rel string, f func(ref RowRef, t db.Tuple, ann *core.Expr)
 	}
 	buf := takeTuple()
 	defer giveTuple(buf)
-	tbl.cols.eachRows(0, n, func(recs []rowRec) {
-		for i := range recs {
-			r := &recs[i].row
-			if ver := r.at(v.s); ver != nil {
+	tbl.cols.eachRows(0, n, func(rows []row) {
+		for i := range rows {
+			r := &rows[i]
+			if ver := tbl.at(r, v.s); ver != nil {
 				*buf = tbl.tuple(r, *buf)
-				f(RowRef{Rel: rel, Pos: r.pos}, *buf, ver.annotation())
+				f(RowRef{Rel: rel, Pos: r.pos}, *buf, ver.base)
 			}
 		}
 	})
@@ -375,10 +371,10 @@ func (v view) each(rel string, sel db.Pattern, f func(db.Tuple)) error {
 	tbl, n := v.rows(rel)
 	buf := takeTuple()
 	defer giveTuple(buf)
-	tbl.cols.eachRows(0, n, func(recs []rowRec) {
-		for i := range recs {
-			if r := &recs[i].row; tbl.cols.matches(int(r.pos), &u) {
-				if ver := r.at(v.s); ver != nil && v.e.matchableV(ver) {
+	tbl.cols.eachRows(0, n, func(rows []row) {
+		for i := range rows {
+			if r := &rows[i]; tbl.cols.matches(int(r.pos), &u) {
+				if ver := tbl.at(r, v.s); ver != nil && v.e.matchableNF(core.NewNF(ver.base)) {
 					*buf = tbl.tuple(r, *buf)
 					f(*buf)
 				}
@@ -411,7 +407,7 @@ func (v view) NumRows() int {
 func (v view) SupportSize() int {
 	n := 0
 	v.eachVersion(func(ver *version) {
-		if ver.inSupport() {
+		if !ver.base.IsZero() {
 			n++
 		}
 	})
@@ -420,14 +416,14 @@ func (v view) SupportSize() int {
 
 func (v view) ProvSize() int64 {
 	var n int64
-	v.eachVersion(func(ver *version) { n += ver.nf.Size() })
+	v.eachVersion(func(ver *version) { n += ver.base.Size() })
 	return n
 }
 
 // ProvDAGSize counts the distinct nodes of the visible annotations.
 func (v view) ProvDAGSize() int64 {
 	var seen core.NodeSet
-	v.eachVersion(func(ver *version) { ver.annotation().DAGSizeInto(&seen) })
+	v.eachVersion(func(ver *version) { ver.base.DAGSizeInto(&seen) })
 	return seen.Len()
 }
 
@@ -436,9 +432,9 @@ func (v view) ProvDAGSize() int64 {
 func (v view) eachVersion(f func(ver *version)) {
 	for _, name := range v.e.schema.Names() {
 		tbl, n := v.rows(name)
-		tbl.cols.eachRows(0, n, func(recs []rowRec) {
-			for i := range recs {
-				if ver := recs[i].at(v.s); ver != nil {
+		tbl.cols.eachRows(0, n, func(rows []row) {
+			for i := range rows {
+				if ver := tbl.at(&rows[i], v.s); ver != nil {
 					f(ver)
 				}
 			}
@@ -455,8 +451,9 @@ func (v view) eachVersion(f func(ver *version)) {
 func (e *Engine) Annotation(rel string, t db.Tuple) *core.Expr { return e.view().Annotation(rel, t) }
 
 // NF returns the normal-form value of the tuple in ModeNormalForm at
-// the committed horizon, or nil. The returned NF must not be mutated.
-func (e *Engine) NF(rel string, t db.Tuple) *core.NF { return e.view().NF(rel, t) }
+// the committed horizon, or the zero NF (whose Base is nil). A committed
+// form is frozen: shape NFBase over its annotation.
+func (e *Engine) NF(rel string, t db.Tuple) core.NF { return e.view().NF(rel, t) }
 
 // EachRow calls f for every row of the relation visible at the
 // committed horizon (including tombstones outside the support) with its

@@ -100,14 +100,14 @@ func TestMVCCTimeTravelDifferential(t *testing.T) {
 							t.Fatalf("epoch %d row %d:\nview:   %s\nreplay: %s", k, i, vRows[i], oRows[i])
 						}
 					}
-					// NF agreement on every replayed row (nil on both sides
-					// in naive mode).
+					// NF agreement on every replayed row (the zero NF on
+					// both sides in naive mode).
 					oracle.Rows(func(rel string, tp db.Tuple, _ *core.Expr) {
 						vn, on := view.NF(rel, tp), oracle.NF(rel, tp)
 						switch {
-						case (vn == nil) != (on == nil):
+						case (vn.Base() == nil) != (on.Base() == nil):
 							t.Fatalf("epoch %d: NF presence differs for %s %s", k, rel, tp)
-						case vn != nil && vn.ToExpr() != on.ToExpr():
+						case vn.Base() != nil && vn.ToExpr() != on.ToExpr():
 							t.Fatalf("epoch %d: NF differs for %s %s", k, rel, tp)
 						}
 					})

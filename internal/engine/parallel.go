@@ -78,7 +78,7 @@ func SpecializeParallel[T any](ctx context.Context, e Reader, s upstruct.Structu
 	_, err := liveStream(ctx, e, workers, e.Schema().Names(), func(sc *streamScratch) func(string, *row, *version) bool {
 		return func(rel string, r *row, ver *version) bool {
 			sc.tup = sc.tbl.tuple(r, sc.tup)
-			f(rel, sc.tup, upstruct.EvalNF(&ver.nf, s, env))
+			f(rel, sc.tup, upstruct.Eval(ver.base, s, env))
 			return false
 		}
 	}, func(Chunk[struct{}], LiveRows) {}, func([]Chunk[struct{}], bool) error { return nil })
@@ -154,7 +154,7 @@ func (l LiveRows) Each(f func(t db.Tuple)) {
 func LiveStream[S any](ctx context.Context, r Reader, val *upstruct.Valuation, workers int, rels []string, encode func(c Chunk[S], live LiveRows), emit func(ready []Chunk[S], more bool) error) ([]S, error) {
 	return liveStream(ctx, r, workers, rels, func(sc *streamScratch) func(string, *row, *version) bool {
 		sc.k.Reset(val)
-		return func(_ string, _ *row, ver *version) bool { return sc.k.EvalNF(&ver.nf) }
+		return func(_ string, _ *row, ver *version) bool { return sc.k.Eval(ver.base) }
 	}, encode, emit)
 }
 
@@ -202,10 +202,10 @@ func liveStream[S any](ctx context.Context, r Reader, workers int, rels []string
 		}
 		c := chunks[i]
 		sc.rows, sc.tbl = sc.rows[:0], c.tbl
-		c.tbl.cols.eachRows(c.lo, c.hi, func(recs []rowRec) {
-			for i := range recs {
-				if ver := recs[i].at(p.s); ver != nil && keep(c.rel, &recs[i].row, ver) {
-					sc.rows = append(sc.rows, &recs[i].row)
+		c.tbl.cols.eachRows(c.lo, c.hi, func(rows []row) {
+			for i := range rows {
+				if ver := c.tbl.at(&rows[i], p.s); ver != nil && keep(c.rel, &rows[i], ver) {
+					sc.rows = append(sc.rows, &rows[i])
 				}
 			}
 		})
@@ -270,7 +270,7 @@ func liveStream[S any](ctx context.Context, r Reader, workers int, rels []string
 // cancellation, (nil, ctx.Err()) is returned.
 func BoolRestrictParallel(ctx context.Context, e Reader, env upstruct.Env[bool], workers int) (*db.Database, error) {
 	out := db.NewDatabase(e.Schema())
-	keep := func(_ string, _ *row, ver *version) bool { return upstruct.EvalNF(&ver.nf, upstruct.Bool, env) }
+	keep := func(_ string, _ *row, ver *version) bool { return upstruct.Eval(ver.base, upstruct.Bool, env) }
 	_, err := liveStream(ctx, e, workers, e.Schema().Names(), func(*streamScratch) func(string, *row, *version) bool { return keep },
 		func(c Chunk[[]db.Tuple], live LiveRows) {
 			*c.Slot = (*c.Slot)[:0]

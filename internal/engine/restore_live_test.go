@@ -50,7 +50,7 @@ func TestRestoreRowLiveMatchesTreeWalk(t *testing.T) {
 			for _, rel := range dst.schema.Names() {
 				tbl := dst.tables[rel]
 				for _, r := range rowsOf(tbl, tbl.cols.len()) {
-					if got, tu := r.at(dst.Horizon()).nf.Live(), tbl.tuple(r, nil); got != want[rel+"/"+tu.Key()] {
+					if got, tu := tbl.at(r, dst.Horizon()).base.Live(), tbl.tuple(r, nil); got != want[rel+"/"+tu.Key()] {
 						t.Fatalf("seed %d, %v: %s%v restored live=%v, tree walk says %v", seed, mode, rel, tu, got, !got)
 					}
 				}

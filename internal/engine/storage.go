@@ -21,14 +21,15 @@ import (
 //
 //   - colStore: the table by position, struct-of-arrays — one
 //     payload-word column per attribute, the sequence column and the
-//     row records (a row and its first version, rowRec), all in one
-//     chunk layout (chunkOf) whose chunks are never copied, and all
-//     published by one length. A row never moves (the relations only
-//     grow), so its position is its name for good, and a pointer to its
-//     record stays valid for good. The words are the rows' only copy of
-//     their values, which readers build tuples from. Selections test
-//     terms against the words before chasing any version pointer, and
-//     visibility counting walks the sequence column alone.
+//     row records, all in one chunk layout (chunkOf) whose chunks are
+//     never copied, and all published by one length. A row never moves
+//     (the relations only grow), so its position is its name for good,
+//     and a pointer to its record stays valid for good. The words are
+//     the rows' only copy of their values, which readers build tuples
+//     from. Selections test terms against the words before resolving any
+//     version, and visibility counting walks the sequence column alone.
+//     The versions are a column of their own, in the same layout, by
+//     order of writing (table.vers, mvcc.go).
 //
 // Memory model: the writer is serialized by the write lock. It stores a
 // new row's record (and a new chunk's directory, atomically), words and
@@ -114,29 +115,29 @@ func (m *rowMap) reserve(n int) *rowSlots {
 		return old
 	}
 	tab := &rowSlots{mask: uint64(size - 1), slots: make([]atomic.Uint32, size)}
-	m.cols.eachRows(0, m.cols.len(), func(recs []rowRec) {
-		for i := range recs {
-			tab.put(recs[i].fp, int(recs[i].pos))
+	m.cols.eachRows(0, m.cols.len(), func(rows []row) {
+		for i := range rows {
+			tab.put(rows[i].fp, int(rows[i].pos))
 		}
 	})
 	m.tab.Store(tab)
 	return tab
 }
 
-// colChunkBits sizes the chunks of a word column: what the write path
+// colChunkBits sizes the chunks of a column: what the write path
 // allocates (and the runtime zeroes) at a time, and what a full scan
 // streams through between two slice headers. Small chunks cost
 // allocations and loop restarts, large ones an unused tail per column
-// per table. Replaying the wire benchmark's 12 000 TPC-C
-// transactions (TestApplyAllocsPerTxn's list) the whole apply allocates
-// 13.86 kB and 89.5 mallocs per transaction at 2⁶ words, 13.66 / 85.7
-// at 2⁸, 13.63 / 84.7 at 2¹⁰, 13.65 / 84.5 at 2¹² and 13.85 / 84.5 at
-// 2¹⁴ and 2¹⁶; a 10-update transaction of =-constant full scans over
-// 200 000 rows takes 1 528 µs at 2⁶, 1 196 at 2⁸, 963 at 2¹⁰ and
-// 979 at 2¹⁴ (medians of five interleaved runs that each spread by a
-// third; 16-byte db.Value columns took 2 575). 2¹⁰ is the bytes minimum
-// and past the knee of the scan curve; an 8 KiB chunk also stays a
-// small-object allocation.
+// per table. Replaying the wire benchmark's 12 000 TPC-C transactions
+// (TestApplyAllocsPerTxn's list), the whole apply allocates 4.65 kB and
+// 8.2 mallocs per transaction at 2⁸ entries, 4.60 / 6.9 at 2¹⁰ and
+// 4.60 / 6.5 at 2¹²; an unindexed =-constant selection walking 200 000
+// words (BenchmarkBatchScan/k=8's ns_per_sel_each, medians of five
+// interleaved runs that each spread by a third) takes 269 µs at 2⁸, 195
+// at 2¹⁰ and 182 at 2¹². 2¹⁰ is at the bytes minimum and past the knee of
+// the scan curve, and its chunks stay small-object allocations: 8 KiB of
+// words, 16 KiB of versions and 24 KiB of rows, where 2¹² makes the last
+// two 64 and 96 KiB.
 const (
 	colChunkBits    = 10
 	colChunk        = 1 << colChunkBits
@@ -146,11 +147,11 @@ const (
 
 // column is one append-only column of a table: an attribute's db.Value
 // payload words (the kind is the attribute's, so it is not stored), the
-// rows' sequence numbers or their records. Elements live in chunks
-// that are never copied or moved once allocated; a new chunk is
-// published through a directory one entry longer, stored atomically, and
-// the element itself lands before the table publishes the length that
-// covers it (see the file comment).
+// rows' sequence numbers, their records or their versions. Elements
+// live in chunks that are never copied or moved once allocated; a new
+// chunk is published through a directory one entry longer, stored
+// atomically, and the element itself lands before the table publishes
+// the length (or the row its head) that covers it (see the file comment).
 //
 // Chunk sizes run colChunkMin, colChunkMin, 2·colChunkMin, … up to
 // colChunk/2 — the doubling a growing slice would do, minus the copy —
@@ -184,9 +185,12 @@ func (c *column[T]) chunks() [][]T {
 }
 
 // at returns the element at a published position.
-func (c *column[T]) at(n int) T {
+func (c *column[T]) at(n int) T { return *c.ref(n) }
+
+// ref returns the address of the element at a published position.
+func (c *column[T]) ref(n int) *T {
 	ci, off := chunkOf(n, colChunkMinBits)
-	return c.chunks()[ci][off]
+	return &c.chunks()[ci][off]
 }
 
 // slotAt returns the address of the element at position n (writer-only;
@@ -222,7 +226,7 @@ type colStore struct {
 	// unique per engine and increase with position, and a row is visible
 	// at horizon s iff its sequence is ≤ s.
 	seqs column[uint64]
-	recs column[rowRec]
+	rows column[row]
 	n    atomic.Int64
 }
 
@@ -238,20 +242,17 @@ func (c *colStore) len() int { return int(c.n.Load()) }
 
 // row returns the row at a published position, or at one a rowMap slot
 // holds.
-func (c *colStore) row(p int) *row {
-	ci, off := chunkOf(p, colChunkMinBits)
-	return &c.recs.chunks()[ci][off].row
-}
+func (c *colStore) row(p int) *row { return c.rows.ref(p) }
 
 // eachRows calls f with the records at the published positions [lo, hi),
 // in order, one chunk's slice at a time.
-func (c *colStore) eachRows(lo, hi int, f func(recs []rowRec)) {
-	chunks := c.recs.chunks()
+func (c *colStore) eachRows(lo, hi int, f func(rows []row)) {
+	chunks := c.rows.chunks()
 	for lo < hi {
 		ci, off := chunkOf(lo, colChunkMinBits)
-		recs := chunks[ci][off:min(len(chunks[ci]), off+hi-lo)]
-		f(recs)
-		lo += len(recs)
+		rows := chunks[ci][off:min(len(chunks[ci]), off+hi-lo)]
+		f(rows)
+		lo += len(rows)
 	}
 }
 

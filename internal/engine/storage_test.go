@@ -1,8 +1,8 @@
 package engine
 
 // White-box tests of the write path's storage and scratch: the chunked
-// word and record columns, the one-record version, the writer-owned
-// buffers and the borrowed commit-event rows.
+// word, record and version columns, the writer-owned buffers and the
+// borrowed commit-event rows.
 
 import (
 	"context"
@@ -20,22 +20,20 @@ import (
 	"hyperprov/internal/upstruct"
 )
 
-// TestVersionSizePinned: a version is prev + born + the embedded
-// two-word normal form, 32 bytes, and a row — no tuple and no sequence
-// number, its values and creation sequence are the columns', and a
-// 32-bit touched epoch beside its 32-bit position — is 24, so a fresh
-// row and its first version take 56 bytes, one element of the record
-// column and no allocation of their own; the row map spends a 4-byte
+// TestVersionSizePinned: a version is its frozen annotation, a 32-bit
+// prev reference and a 32-bit epoch, 16 bytes, and a row — no tuple and
+// no sequence number, its values and creation sequence are the columns',
+// a 32-bit head reference, its 32-bit position and the writer's 32-bit
+// touched-list entry — is 24 (4 of them padding), so a fresh row and its first version
+// take 40 bytes, an element of the record column and one of the version
+// column, and no allocation of their own; the row map spends a 4-byte
 // slot on it. A word here is a word per version or per row forever.
 func TestVersionSizePinned(t *testing.T) {
-	if got := unsafe.Sizeof(version{}); got != 32 {
-		t.Fatalf("unsafe.Sizeof(version{}) = %d, want 32", got)
+	if got := unsafe.Sizeof(version{}); got != 16 {
+		t.Fatalf("unsafe.Sizeof(version{}) = %d, want 16", got)
 	}
 	if got := unsafe.Sizeof(row{}); got != 24 {
 		t.Fatalf("unsafe.Sizeof(row{}) = %d, want 24", got)
-	}
-	if got := unsafe.Sizeof(rowRec{}); got != 56 {
-		t.Fatalf("a row and its first version take %d bytes, want 56", got)
 	}
 	if got := unsafe.Sizeof(rowSlots{}.slots[0]); got != 4 {
 		t.Fatalf("a row map slot takes %d bytes, want 4", got)
@@ -88,7 +86,7 @@ func TestEachRowsRanges(t *testing.T) {
 	const n = 2*colChunk + 5
 	var c colStore
 	for p := 0; p < n; p++ {
-		c.recs.slotAt(p).pos = uint32(p)
+		c.rows.slotAt(p).pos = uint32(p)
 	}
 	c.n.Store(n)
 	var edges []int
@@ -102,10 +100,10 @@ func TestEachRowsRanges(t *testing.T) {
 					continue
 				}
 				next := lo
-				c.eachRows(lo, hi, func(recs []rowRec) {
-					for i := range recs {
-						if int(recs[i].pos) != next {
-							t.Fatalf("[%d, %d): visited position %d, want %d", lo, hi, recs[i].pos, next)
+				c.eachRows(lo, hi, func(rows []row) {
+					for i := range rows {
+						if int(rows[i].pos) != next {
+							t.Fatalf("[%d, %d): visited position %d, want %d", lo, hi, rows[i].pos, next)
 						}
 						next++
 					}
@@ -497,23 +495,39 @@ func TestCommitHookRowsBorrowed(t *testing.T) {
 // the columns — NumRows counting the sequence column, SpecializeParallel
 // trimming by it, EachRow and LiveStream walking the record column,
 // point lookups going from a row map slot to a record chunk the writer
-// may just have allocated — and SelectEach run across a writer whose
-// inserts cross chunk boundaries and directory growth. Every pass must
-// see one committed epoch: whole transactions, never a torn one.
+// may just have allocated, views pinned to the newest and to older
+// epochs walking the initial row's prev references back through the
+// version column — and SelectEach run across a writer whose inserts
+// cross chunk boundaries and directory growth of both columns. Every
+// pass must see one committed epoch: whole transactions, never a torn
+// one. Each transaction also deletes and re-inserts the initial row and
+// modifies the previous transaction's first row onto itself twice: a row
+// written twice in an epoch gets exactly one new version there. A pinned
+// view must read the initial row's annotation alike before and after the
+// writer moved on, and at the end. (A row modified onto itself in every
+// epoch would double its tree each time, and SpecializeParallel's
+// tree-walking Eval with it.)
 func TestReadersAcrossChunkGrowth(t *testing.T) {
 	const perTxn, txns = 64, 3 * colChunk / 64
 	e := kvEngine(t, 1)
+	hot := kv(0, 0)
 	stop := make(chan struct{})
 	var passes atomic.Int64
+	var readMu sync.Mutex
+	read := map[uint64]*core.Expr{} // the hot row's annotation, as pinned views read it
 	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
 		defer close(stop)
 		for i := 0; i < txns; i++ {
-			tx := db.Transaction{Label: fmt.Sprintf("t%d", i)}
+			tx := db.Transaction{Label: fmt.Sprintf("t%d", i), Updates: []db.Update{db.Delete("R", db.Pattern{db.Const(db.I(0)), db.Const(db.I(0))}), db.Insert("R", hot)}}
 			for j := 0; j < perTxn; j++ {
 				tx.Updates = append(tx.Updates, db.Insert("R", kv(int64(1+i*perTxn+j), 1)))
+			}
+			if i > 0 {
+				self := db.Modify("R", db.Pattern{db.Const(db.I(int64(1 + (i-1)*perTxn))), db.AnyVar("v")}, []db.SetClause{db.Keep(), db.SetTo(db.I(1))})
+				tx.Updates = append(tx.Updates, self, self)
 			}
 			if err := e.ApplyTransaction(&tx); err != nil {
 				t.Error(err)
@@ -544,6 +558,8 @@ func TestReadersAcrossChunkGrowth(t *testing.T) {
 				}
 				last = n
 				view := e.At(e.Horizon())
+				older := e.At(EpochSeq(SeqEpoch(view.AsOf()) / 2))
+				pinned := [2]*core.Expr{view.Annotation("R", hot), older.Annotation("R", hot)}
 				// The newest key n covers is found, holding its own tuple; the
 				// key past it is absent or, committed since, holds its own.
 				for k := n - 1; k <= n; k++ {
@@ -591,6 +607,14 @@ func TestReadersAcrossChunkGrowth(t *testing.T) {
 				if err != nil || live != streamed {
 					t.Errorf("LiveStream found %d of %d rows live under the all-true valuation (err %v)", live, streamed, err)
 				}
+				for i, v := range []View{view, older} {
+					if got := v.Annotation("R", hot); got == nil || got != pinned[i] {
+						t.Errorf("the view at epoch %d read the hot row as %v, then as %v", SeqEpoch(v.AsOf()), pinned[i], got)
+					}
+					readMu.Lock()
+					read[v.AsOf()] = pinned[i]
+					readMu.Unlock()
+				}
 				passes.Add(1)
 			}
 		}()
@@ -599,5 +623,29 @@ func TestReadersAcrossChunkGrowth(t *testing.T) {
 	t.Logf("%d reader passes beside %d transactions", passes.Load(), txns)
 	if got, want := e.NumRows(), 1+perTxn*txns; got != want {
 		t.Fatalf("%d rows after the writer finished, want %d", got, want)
+	}
+	for s, ann := range read {
+		if got := e.At(s).Annotation("R", hot); got != ann {
+			t.Errorf("epoch %d: the hot row reads %v, a view pinned there read %v", SeqEpoch(s), got, ann)
+		}
+	}
+	// One version a row per epoch that wrote it: every chain runs through
+	// strictly decreasing epochs, the initial row's through all of them.
+	tbl := e.tables["R"]
+	for _, r := range rowsOf(tbl, tbl.cols.len()) {
+		var epochs []uint32
+		for ref := r.head.Load(); ref != 0; ref = tbl.vers.ref(int(ref - 1)).prev {
+			if v := tbl.vers.ref(int(ref - 1)); len(epochs) == 0 || v.epoch < epochs[len(epochs)-1] {
+				epochs = append(epochs, v.epoch)
+			} else {
+				t.Fatalf("row %v: a version of epoch %d below one of epoch %d", tbl.tuple(r, nil), v.epoch, epochs[len(epochs)-1])
+			}
+		}
+		if r.pos == 0 && len(epochs) != txns+1 {
+			t.Errorf("the initial row has versions of epochs %v, want %d down to 0", epochs, txns)
+		}
+	}
+	if got, want := e.MVCCStats().Versions, uint64(1+(perTxn+1)*txns+txns-1); got != want {
+		t.Errorf("%d versions, want %d: one a row per epoch that wrote it", got, want)
 	}
 }

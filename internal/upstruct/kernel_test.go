@@ -64,8 +64,8 @@ func checkReader(t *testing.T, name string, r engine.Reader, k *upstruct.Kernel,
 		if got, want := k.Eval(ann), upstruct.Eval(ann, upstruct.Bool, env); got != want {
 			t.Fatalf("%s: %s%v: kernel %v, Eval %v on %s", name, rel, tu, got, want, ann)
 		}
-		if nf := r.NF(rel, tu); nf != nil {
-			if got, want := k.EvalNF(nf), upstruct.EvalNF(nf, upstruct.Bool, env); got != want {
+		if nf := r.NF(rel, tu); nf.Base() != nil {
+			if got, want := k.EvalNF(&nf), upstruct.EvalNF(&nf, upstruct.Bool, env); got != want {
 				t.Fatalf("%s: %s%v: kernel EvalNF %v, EvalNF %v", name, rel, tu, got, want)
 			}
 		}

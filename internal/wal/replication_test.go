@@ -97,9 +97,9 @@ func waitApplied(t *testing.T, f *wal.Follower, lsn uint64) {
 }
 
 // nfString renders an NF's observable shape for comparison. Naive-mode
-// engines answer nil NFs; nil must compare equal to nil.
-func nfString(n *core.NF) string {
-	if n == nil {
+// engines answer the zero NF, which must compare equal to itself.
+func nfString(n core.NF) string {
+	if n.Base() == nil {
 		return "<nil>"
 	}
 	var b strings.Builder
