@@ -511,13 +511,9 @@ func BenchmarkIngestParse(b *testing.B) {
 // index and the string dictionary, nothing per row — is held per byte
 // written by internal/provstore's TestSaveSnapshotAllocsPerByteWritten.
 func BenchmarkCheckpointEncode(b *testing.B) {
-	g := tpcc.NewGenerator(tpcc.Scaled(benchScale))
-	initial, err := g.InitialDatabase()
-	if err != nil {
-		b.Fatal(err)
-	}
+	initial, txns := checkpointWorkload(b)
 	e := engine.New(engine.ModeNormalForm, initial, engine.WithAutoIndex(4))
-	if err := e.ApplyAll(context.Background(), g.Transactions(5000)); err != nil {
+	if err := e.ApplyAll(context.Background(), txns); err != nil {
 		b.Fatal(err)
 	}
 	var size bytes.Buffer
@@ -533,6 +529,51 @@ func BenchmarkCheckpointEncode(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(e.NumRows()), "rows")
+}
+
+// checkpointWorkload is the initial database and the 5 000 TPC-C
+// transactions whose end state the checkpoint benchmarks write.
+func checkpointWorkload(b *testing.B) (*db.Database, []db.Transaction) {
+	g := tpcc.NewGenerator(tpcc.Scaled(benchScale))
+	initial, err := g.InitialDatabase()
+	if err != nil {
+		b.Fatal(err)
+	}
+	return initial, g.Transactions(5000)
+}
+
+// BenchmarkCheckpointFile is BenchmarkCheckpointEncode's state written
+// as the store writes a checkpoint: Store.Checkpoint after the 5 000
+// transactions went through the log, the snapshot encoded into a gzip
+// member, fsynced and renamed. MB/s is of the snapshot's bytes;
+// ckpt_file_bytes is the file's size, which TestBenchCeilings pins, and
+// ckpt_ms an op's time.
+func BenchmarkCheckpointFile(b *testing.B) {
+	initial, txns := checkpointWorkload(b)
+	st, err := wal.Open(b.TempDir(), wal.WithMode(engine.ModeNormalForm), wal.WithInitialDatabase(initial),
+		wal.WithEngineOptions(engine.WithAutoIndex(4)), wal.WithSync(wal.SyncNever))
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer st.Close()
+	if err := st.ApplyAll(context.Background(), txns); err != nil {
+		b.Fatal(err)
+	}
+	var raw bytes.Buffer
+	if err := provstore.SaveSnapshot(&raw, st); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.SetBytes(int64(raw.Len()))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := st.Checkpoint(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(st.Stats().CheckpointLastBytes), "ckpt_file_bytes")
+	b.ReportMetric(float64(b.Elapsed().Microseconds())/1e3/float64(b.N), "ckpt_ms")
 }
 
 // BenchmarkColdStart measures the two ways a server gets its rows, bytes

@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"sync"
 
+	"hyperprov/internal/core"
 	"hyperprov/internal/db"
 	"hyperprov/internal/upstruct"
 )
@@ -76,9 +77,20 @@ func (v view) chunks(rels []string) []rowChunk {
 // parallel, unlike the re-execution baseline.
 func SpecializeParallel[T any](ctx context.Context, e Reader, s upstruct.Structure[T], env upstruct.Env[T], workers int, f func(rel string, t db.Tuple, v T)) error {
 	_, err := liveStream(ctx, e, workers, e.Schema().Names(), func(sc *streamScratch) func(string, *row, *version) bool {
+		// A row's base holds the previous base twice for each time it was
+		// modified onto itself: the memo makes a row cost its DAG, not the
+		// tree's 2^k nodes. Cleared a row at a time, it stays row-sized,
+		// and a map a large row grew is dropped, not cleared, so that it
+		// does not tax every later clear.
+		memo := map[*core.Expr]T{}
 		return func(rel string, r *row, ver *version) bool {
+			if len(memo) > 256 {
+				memo = map[*core.Expr]T{}
+			} else {
+				clear(memo)
+			}
 			sc.tup = sc.tbl.tuple(r, sc.tup)
-			f(rel, sc.tup, upstruct.Eval(ver.base, s, env))
+			f(rel, sc.tup, upstruct.EvalMemo(ver.base, s, env, memo))
 			return false
 		}
 	}, func(Chunk[struct{}], LiveRows) {}, func([]Chunk[struct{}], bool) error { return nil })

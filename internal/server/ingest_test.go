@@ -7,6 +7,8 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -222,11 +224,17 @@ func TestCheckpointStatsInWALSection(t *testing.T) {
 			t.Fatalf("checkpoint: %d %s", rec.Code, rec.Body)
 		}
 	}
-	var snap bytes.Buffer
-	snap.Write(serveRaw(srv, "GET", "/v1/snapshot", "").Body.Bytes())
+	ckpts, err := filepath.Glob(filepath.Join(st.Dir(), "checkpoint-*.ckpt"))
+	if err != nil || len(ckpts) != 1 {
+		t.Fatalf("checkpoint files %v (%v), want the last one alone", ckpts, err)
+	}
+	file, err := os.Stat(ckpts[0])
+	if err != nil {
+		t.Fatal(err)
+	}
 	after := walStats()
-	if after["checkpointLastBytes"] != float64(snap.Len()) {
-		t.Errorf("checkpointLastBytes = %v, the snapshot has %d bytes", after["checkpointLastBytes"], snap.Len())
+	if after["checkpointLastBytes"] != float64(file.Size()) {
+		t.Errorf("checkpointLastBytes = %v, the checkpoint file has %d bytes", after["checkpointLastBytes"], file.Size())
 	}
 	last, total := after["checkpointLastMs"].(float64), after["checkpointTotalMs"].(float64)
 	if last <= 0 || total < last {

@@ -46,31 +46,51 @@ func MapEnv[T any](m map[core.Annot]T, def T) Env[T] {
 
 // Eval specializes the abstract provenance expression e into the
 // structure s under the valuation env. Σ nodes fold left over Plus; an
-// empty sum evaluates to Zero.
+// empty sum evaluates to Zero. It walks e as a tree: a node shared by k
+// parents is evaluated k times, so a row modified onto itself in each of
+// n epochs (whose base holds the previous base twice) costs 2^n. EvalMemo
+// walks the DAG.
 func Eval[T any](e *core.Expr, s Structure[T], env Env[T]) T {
+	return EvalMemo(e, s, env, nil)
+}
+
+// EvalMemo is Eval evaluating each inner node of e once: memo holds the
+// values of the inner nodes evaluated so far (nodes are canonical, so a
+// shared subexpression is one pointer), and the caller clears it when
+// env changes. A nil memo is Eval's tree walk.
+func EvalMemo[T any](e *core.Expr, s Structure[T], env Env[T], memo map[*core.Expr]T) T {
 	switch e.Op() {
 	case core.OpZero:
 		return s.Zero()
 	case core.OpVar:
 		return env(e.LeafAnnot())
+	}
+	if v, ok := memo[e]; ok {
+		return v
+	}
+	var v T
+	switch e.Op() {
 	case core.OpSum:
 		kids := e.Children()
-		acc := Eval(kids[0], s, env)
+		v = EvalMemo(kids[0], s, env, memo)
 		for _, k := range kids[1:] {
-			acc = s.Plus(acc, Eval(k, s, env))
+			v = s.Plus(v, EvalMemo(k, s, env, memo))
 		}
-		return acc
 	case core.OpPlusI:
-		return s.PlusI(Eval(e.Left(), s, env), Eval(e.Right(), s, env))
+		v = s.PlusI(EvalMemo(e.Left(), s, env, memo), EvalMemo(e.Right(), s, env, memo))
 	case core.OpPlusM:
-		return s.PlusM(Eval(e.Left(), s, env), Eval(e.Right(), s, env))
+		v = s.PlusM(EvalMemo(e.Left(), s, env, memo), EvalMemo(e.Right(), s, env, memo))
 	case core.OpDotM:
-		return s.DotM(Eval(e.Left(), s, env), Eval(e.Right(), s, env))
+		v = s.DotM(EvalMemo(e.Left(), s, env, memo), EvalMemo(e.Right(), s, env, memo))
 	case core.OpMinus:
-		return s.Minus(Eval(e.Left(), s, env), Eval(e.Right(), s, env))
+		v = s.Minus(EvalMemo(e.Left(), s, env, memo), EvalMemo(e.Right(), s, env, memo))
 	default:
 		panic(fmt.Sprintf("upstruct: unknown op %v", e.Op()))
 	}
+	if memo != nil {
+		memo[e] = v
+	}
+	return v
 }
 
 // EvalNF specializes a normal-form value without materializing its

@@ -1,12 +1,15 @@
 package wal_test
 
 import (
+	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -385,4 +388,164 @@ func TestExistingDirectoryNeverReadsItsSource(t *testing.T) {
 	if b := re.Engine().Boot(); b.Source != "checkpoint" || b.ReplayedRecords != 10 || b.LoadMs <= 0 || b.TotalMs < b.LoadMs {
 		t.Errorf("boot record of the recovery: %+v", *b)
 	}
+}
+
+// TestDamagedCheckpointCaught flips one byte of the newest checkpoint —
+// in its gzip header, its deflate body, its CRC-32 and its length — and
+// for each flip recovers the directory and bootstraps a follower from the
+// checkpoint as the leader ships it. Recovery ends in the never-crashed
+// oracle's state or fails with ErrCorrupt, the follower in the leader's
+// state or with ErrStreamCorrupt; neither ever yields another state. A
+// flip that leaves the payload and its checksum as they were (the
+// header's MTIME, XFL and OS bytes) still loads; one in the magic, the
+// method, the CRC-32 or the length never does, nor a byte appended.
+func TestDamagedCheckpointCaught(t *testing.T) {
+	initial, txns := smallWorkload(t)
+	dir := t.TempDir()
+	st, err := wal.Open(dir, wal.WithMode(engine.ModeNormalForm), wal.WithInitialDatabase(initial))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range txns {
+		if err := st.ApplyTransaction(&txns[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := st.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	lsn := st.Stats().CheckpointLSN
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	want := snapshotOf(t, oracleAt(t, engine.ModeNormalForm, initial, txns, len(txns)))
+	files := readDir(t, dir)
+	name := fmt.Sprintf("checkpoint-%016x.ckpt", lsn)
+	ckpt := files[name]
+	if ckpts := dataFiles(t, dir, "checkpoint-"); len(ckpts) != 1 || len(ckpt) < 18 || ckpt[0] != 0x1f || ckpt[1] != 0x8b {
+		t.Fatalf("checkpoints %v, the newest %d bytes starting % x; want one gzip member", ckpts, len(ckpt), ckpt[:min(len(ckpt), 2)])
+	}
+
+	const (
+		loads = iota
+		fails
+		either // fails, or loads what the oracle holds
+	)
+	n := len(ckpt)
+	flips := []struct {
+		part string
+		off  int
+		want int
+	}{
+		{"none", -1, loads},
+		{"ID1", 0, fails}, {"ID2", 1, fails}, {"CM", 2, fails}, {"FLG", 3, either},
+		{"MTIME", 4, loads}, {"MTIME", 7, loads}, {"XFL", 8, loads}, {"OS", 9, loads},
+		{"deflate", 10, either}, {"deflate", 11, either}, {"deflate", n / 2, either}, {"deflate", n - 9, either},
+		{"CRC-32", n - 8, fails}, {"CRC-32", n - 5, fails}, {"ISIZE", n - 4, fails}, {"ISIZE", n - 1, fails},
+		{"trailing", n, fails}, // a byte after the member
+	}
+	for _, f := range flips {
+		damaged := bytes.Clone(ckpt)
+		switch {
+		case f.off == n:
+			damaged = append(damaged, 0)
+		case f.off >= 0:
+			damaged[f.off] ^= 0x5a
+		}
+		label := fmt.Sprintf("%s byte %d", f.part, f.off)
+		check := func(how string, got []byte, err, corrupt error) {
+			t.Helper()
+			switch {
+			case err != nil && !errors.Is(err, corrupt):
+				t.Errorf("%s: %s failed with %v, want %v", label, how, err, corrupt)
+			case err != nil && f.want == loads:
+				t.Errorf("%s: %s failed (%v) on a flip that changes no payload", label, how, err)
+			case err == nil && f.want == fails:
+				t.Errorf("%s: %s loaded a damaged checkpoint", label, how)
+			case err == nil && !bytes.Equal(got, want):
+				t.Errorf("%s: %s gives %d snapshot bytes that differ from the oracle's %d", label, how, len(got), len(want))
+			}
+		}
+
+		rdir := t.TempDir()
+		for fn, data := range files {
+			if fn == name {
+				data = damaged
+			}
+			if err := os.WriteFile(filepath.Join(rdir, fn), data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var got []byte
+		re, err := wal.Open(rdir)
+		if err == nil {
+			got = snapshotOf(t, re)
+			re.Close()
+		}
+		check("recovery", got, err, wal.ErrCorrupt)
+
+		if err := os.WriteFile(filepath.Join(dir, name), damaged, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		got = nil
+		fs, err := wal.ShipCheckpoint(st, t.TempDir(), lsn)
+		if err == nil {
+			got = snapshotOf(t, fs)
+			fs.Close()
+		}
+		check("a follower shipped it", got, err, wal.ErrStreamCorrupt)
+	}
+}
+
+// TestCheckpointsShareOneWriter: every checkpoint of a store goes through
+// the one gzip writer the store owns. Cadence checkpoints begun by the
+// writes, Checkpoint calls in a loop beside them and a Close that cancels
+// whichever is in flight take turns on it (go test -race checks that they
+// never overlap), and the directory they leave recovers to the oracle's
+// state.
+func TestCheckpointsShareOneWriter(t *testing.T) {
+	initial, txns := smallWorkload(t)
+	dir := t.TempDir()
+	st, err := wal.Open(dir, wal.WithMode(engine.ModeNormalForm), wal.WithInitialDatabase(initial),
+		wal.WithCheckpointEvery(5), wal.WithSync(wal.SyncNever))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var closing atomic.Bool
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for {
+			if err := st.Checkpoint(); err != nil {
+				if !closing.Load() {
+					t.Errorf("Checkpoint before Close: %v", err)
+				}
+				return
+			}
+		}
+	}()
+	half := len(txns) / 2
+	for i := 0; i < half; i++ {
+		if err := st.ApplyTransaction(&txns[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// A few more of the loop's, so that Close meets one in flight.
+	for deadline, at := time.Now().Add(20*time.Second), st.Stats().Checkpoints; st.Stats().Checkpoints < at+3; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d checkpoints in 20 s", st.Stats().Checkpoints-at)
+		}
+	}
+	closing.Store(true)
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	<-done
+	re, err := wal.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	requireSameBytes(t, "reopened after checkpoints from three doors",
+		snapshotOf(t, oracleAt(t, engine.ModeNormalForm, initial, txns, half)), snapshotOf(t, re))
 }

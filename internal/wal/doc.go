@@ -18,8 +18,10 @@
 //	LOCK                     advisory lock, held while the store is open
 //	wal-%016x.seg            log segments; the hex name is the LSN of the
 //	                         segment's first record
-//	checkpoint-%016x.ckpt    provstore snapshots; the hex name is the LSN
-//	                         the checkpoint covers (records < LSN are in it)
+//	checkpoint-%016x.ckpt    provstore snapshots, each one gzip member
+//	                         (older builds wrote them bare; both load); the
+//	                         hex name is the LSN the checkpoint covers
+//	                         (records < LSN are in it)
 //
 // Every log record is framed as
 //
@@ -36,10 +38,10 @@
 // engine's view at the horizon (every engine write is versioned, so the
 // view is the state at that LSN and stays it). With the lock released,
 // writers appending and applying meanwhile: encode the view into
-// checkpoint.tmp, fsync, rename to checkpoint-<LSN>. Under the lock
-// again: publish the checkpoint LSN and delete the checkpoints and log
-// segments it supersedes, except segments a replication stream still
-// reads. Checkpoint runs the three in its caller; the automatic cadence
+// checkpoint.tmp through the store's gzip writer, fsync, rename to
+// checkpoint-<LSN>. Under the lock again: publish the checkpoint LSN and
+// delete the checkpoints and log segments it supersedes, except segments
+// a replication stream still reads. Checkpoint runs the three in its caller; the automatic cadence
 // runs the first in the write that crosses the threshold and the rest on
 // a goroutine, one checkpoint at a time. DESIGN.md "Durability &
 // recovery" has the crash windows; recovery removes a dead *.tmp.
@@ -52,8 +54,9 @@
 // source: a restart neither reads nor needs what it was seeded from. The
 // engine's Boot record says where either start-up went.
 //
-// Recovery on Open loads the newest loadable checkpoint and replays the
-// log suffix, stopping cleanly at the first damaged record: damage at
+// Recovery on Open loads the newest loadable checkpoint (a gzip member
+// loads only if its CRC-32 and length match and nothing follows it) and
+// replays the log suffix, stopping cleanly at the first damaged record: damage at
 // the tail of the final segment (a torn or short write from the crash)
 // is truncated away, while damage in the middle of the log — a corrupt
 // record with a complete valid record right after it, or a broken

@@ -15,7 +15,6 @@ import (
 	"hyperprov/internal/core"
 	"hyperprov/internal/db"
 	"hyperprov/internal/engine"
-	"hyperprov/internal/provstore"
 )
 
 // ErrFollower reports a write attempted on a replication follower.
@@ -601,7 +600,7 @@ func (f *Follower) newCore() *Store {
 // one that replays divergent records on top of the new checkpoint.
 // resyncs counts the installs that succeeded.
 func (s *Store) resyncFromCheckpoint(mode engine.Mode, schema *db.Schema, snapLSN uint64, ckpt []byte, resyncs *atomic.Uint64) error {
-	eng, err := provstore.LoadSnapshot(bytes.NewReader(ckpt), s.opts.engOpts...)
+	eng, err := loadCheckpoint(ckpt, s.opts.engOpts...)
 	if err != nil {
 		return fmt.Errorf("%w: shipped checkpoint: %v", ErrStreamCorrupt, err)
 	}

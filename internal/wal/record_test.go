@@ -312,7 +312,7 @@ func TestGroupedReplayEqualsRecordByRecord(t *testing.T) {
 			}
 		}
 		ckpt, _ := os.ReadFile(filepath.Join(dir, ckptName(0)))
-		eng, err := provstore.LoadSnapshot(bytes.NewReader(ckpt))
+		eng, err := loadCheckpoint(ckpt)
 		if err != nil {
 			t.Fatal(err)
 		}
