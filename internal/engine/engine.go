@@ -80,10 +80,9 @@ func WithInitialAnnotations(f func(rel string, t db.Tuple) core.Annot) Option {
 
 // WithShards sets nothing: an engine stores its rows in one partition.
 //
-// Deprecated: storage sharding was removed (EXPERIMENTS.md, "One storage
-// partition"); n is ignored. The option stays only because the wire
-// benchmark (bench/e2e) still passes WithShards(1), which is to be
-// dropped there first.
+// Deprecated: storage sharding was removed (CHANGES.md, PR 26); n is
+// ignored. The option stays only because the wire benchmark (bench/e2e)
+// still passes WithShards(1), which is to be dropped there first.
 func WithShards(n int) Option {
 	return func(*config) {}
 }

@@ -435,7 +435,7 @@ func (e *Engine) fullScan(tbl *table, u db.Update) []*row {
 // len(words). It is the hot loop of every full scan, kept out of line on
 // purpose: at the head of its own 32-byte-aligned function the loop never
 // straddles a 64-byte line, while inlined into fullScan its speed moved by
-// a third with unrelated edits elsewhere in the binary (EXPERIMENTS.md,
+// a third with unrelated edits elsewhere in the binary (CHANGES.md,
 // PR 25).
 //
 //go:noinline

@@ -327,10 +327,10 @@ type Decoder struct {
 
 // minRun is the shortest run mint interns as one range of leaves
 // (core.Vars registers each under every stripe's lock); a shorter one is
-// interned name by name. A run in the wire benchmark's checkpoints is
-// one leaf (a transaction's label, a tuple's leaf inside an updated
-// row's annotation) or at least 64 (initial rows), all but 48 of up to
-// 15 600, so bounds of 4, 16 and 64 load them alike (EXPERIMENTS.md).
+// interned name by name. A run in the wire benchmark's checkpoints is one
+// leaf (a transaction's label, a tuple's leaf inside an updated row's
+// annotation) or at least 64 (initial rows), all but 48 of up to 15 600,
+// so bounds of 4, 16 and 64 load them alike (BENCH_49.json decoder_*).
 const minRun = 16
 
 // ReadNodes consumes exactly n table nodes.

@@ -382,7 +382,7 @@ func LoadSnapshot(r io.Reader, opts ...engine.Option) (*engine.Engine, error) {
 // continue is interned by one core.Vars call (Decoder.mint), not one a
 // row. Measured on the wire benchmark's checkpoints, a window of 256
 // (the writer's) loads as fast with half again the allocations, and one
-// of 4 096 loads slower (EXPERIMENTS.md).
+// of 4 096 loads slower (BENCH_49.json, decoder_bounds).
 func readRowStreams(br *bufio.Reader, rels []*db.RelationSchema, add restoreFunc, v3 bool) error {
 	const rowWindow = 1024
 	dec := &Decoder{r: br, compact: v3}
