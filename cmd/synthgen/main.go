@@ -11,10 +11,9 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
 
+	"hyperprov/cmd/internal/datadir"
 	"hyperprov/internal/db"
-	"hyperprov/internal/parser"
 	"hyperprov/internal/workload"
 )
 
@@ -45,36 +44,7 @@ func run(cfg workload.Config, outdir string, syntax string) error {
 	if err != nil {
 		return err
 	}
-	if err := os.MkdirAll(outdir, 0o755); err != nil {
-		return err
-	}
-	f, err := os.Create(filepath.Join(outdir, "R.csv"))
-	if err != nil {
-		return err
-	}
-	if err := db.WriteCSV(f, initial.Instance("R")); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	logName := "txns.sql"
-	var log string
-	var err2 error
-	switch syntax {
-	case "sql":
-		log, err2 = parser.FormatSQLLog(initial.Schema(), txns)
-	case "datalog":
-		logName = "txns.dl"
-		log, err2 = parser.FormatDatalogLog(initial.Schema(), txns)
-	default:
-		err2 = fmt.Errorf("unknown syntax %q", syntax)
-	}
-	if err2 != nil {
-		return err2
-	}
-	if err := os.WriteFile(filepath.Join(outdir, logName), []byte(log), 0o644); err != nil {
+	if err := datadir.Write(outdir, initial, txns, syntax); err != nil {
 		return err
 	}
 	fmt.Printf("wrote %d tuples and %d transactions (%d update queries) to %s\n",

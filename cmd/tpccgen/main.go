@@ -11,10 +11,9 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
 
+	"hyperprov/cmd/internal/datadir"
 	"hyperprov/internal/db"
-	"hyperprov/internal/parser"
 	"hyperprov/internal/tpcc"
 )
 
@@ -42,38 +41,7 @@ func run(scale float64, queries int, outdir string, seed int64, syntax string) e
 	}
 	txns := g.TransactionsForQueries(queries)
 
-	if err := os.MkdirAll(outdir, 0o755); err != nil {
-		return err
-	}
-	for _, rel := range initial.Schema().Names() {
-		f, err := os.Create(filepath.Join(outdir, rel+".csv"))
-		if err != nil {
-			return err
-		}
-		if err := db.WriteCSV(f, initial.Instance(rel)); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-	}
-	logName := "txns.sql"
-	var log string
-	var err2 error
-	switch syntax {
-	case "sql":
-		log, err2 = parser.FormatSQLLog(initial.Schema(), txns)
-	case "datalog":
-		logName = "txns.dl"
-		log, err2 = parser.FormatDatalogLog(initial.Schema(), txns)
-	default:
-		err2 = fmt.Errorf("unknown syntax %q", syntax)
-	}
-	if err2 != nil {
-		return err2
-	}
-	if err := os.WriteFile(filepath.Join(outdir, logName), []byte(log), 0o644); err != nil {
+	if err := datadir.Write(outdir, initial, txns, syntax); err != nil {
 		return err
 	}
 	fmt.Printf("wrote %d tuples across %d relations and %d transactions (%d update queries) to %s\n",

@@ -11,9 +11,9 @@ import (
 // row is one stored tuple: one element of its table's record column. Rows
 // are retained after logical deletion (tombstones) so that provenance
 // can be inspected and updates can be undone by valuation; its values
-// and creation sequence are the table's columns at pos (storage.go), its
-// provenance the versions of the table's version column reached through
-// head (mvcc.go).
+// are the table's word columns at pos (storage.go), its provenance the
+// versions of the table's version column reached through head (mvcc.go),
+// the first of them born in the epoch that created the row.
 type row struct {
 	// fp is the tuple's db.Tuple.Fingerprint, cached at insertion: the
 	// rowMap probes compare it before the words, so the hot path never
@@ -50,10 +50,9 @@ type table struct {
 	// string is built on either side.
 	rows rowMap
 	// cols holds the table by position (struct-of-arrays): one payload
-	// word per value, the rows' creation sequences and their records, in
-	// insertion order. Rows are never removed, and scans walk them in
-	// this order for determinism: the order of Σ summands must not
-	// depend on map iteration.
+	// word per value and the rows' records, in insertion order. Rows are
+	// never removed, and scans walk them in this order for determinism:
+	// the order of Σ summands must not depend on map iteration.
 	cols colStore
 	// vers holds every version of the table's rows, in the order they
 	// were written, nvers of them (mvcc.go): append-only, in cols' chunk
@@ -74,19 +73,19 @@ func newTable(rel *db.RelationSchema) *table {
 	return tbl
 }
 
-// create stores a new row holding tup (writer-only), fingerprint fp,
-// created at seq with no version yet, at the table's next position: its
-// record and columns first, then the fingerprint map and the lists of the
-// table's indexes, then the length that publishes the row to ordered
-// readers. tup is only read.
-func (t *table) create(fp, seq uint64, tup db.Tuple) *row {
+// create stores a new row holding tup (writer-only), fingerprint fp, at
+// the table's next position: its record and columns first, then the
+// fingerprint map and the lists of the table's indexes, then the length
+// that publishes the row to ordered readers. tup is only read. The row
+// has no version until its creator pushes one (load, or finish when the
+// epoch commits), and readers skip a row with no version at their horizon.
+func (t *table) create(fp uint64, tup db.Tuple) *row {
 	n := t.cols.len()
 	r := t.cols.rows.slotAt(n)
 	r.fp, r.pos = fp, uint32(n) // a relation holds fewer than 2³² rows: posting lists store uint32 positions
 	for i := range t.cols.cols {
 		t.cols.cols[i].appendAt(n, tup[i].Word())
 	}
-	t.cols.seqs.appendAt(n, seq)
 	t.rows.add(n, fp)
 	for i, ix := range t.idx.cols {
 		if ix != nil {
@@ -102,24 +101,15 @@ func (t *table) tuple(r *row, dst db.Tuple) db.Tuple { return t.cols.tuple(int(r
 
 // load stores one row of the initial database (epoch 0) and its first
 // version.
-func (e *Engine) load(rel string, seq uint64, ann *core.Expr, t db.Tuple) {
+func (e *Engine) load(rel string, ann *core.Expr, t db.Tuple) {
 	tbl := e.tables[rel]
-	tbl.push(tbl.create(t.Fingerprint(), seq, t), ann, 0)
+	tbl.push(tbl.create(t.Fingerprint(), t), ann, 0)
 }
 
 // dropLoaded forgets the rows loaded into a relation so far: their source
 // delivers the relation again (db.RowBatch.Restart).
 func (e *Engine) dropLoaded(rel string) {
 	e.tables[rel] = newTable(e.tables[rel].rel)
-}
-
-// create stores a new row holding t (of fingerprint fp), created at the
-// epoch's next creation sequence. It has no version until the epoch
-// commits (see finish), so readers that find the row skip it.
-func (e *Engine) create(tbl *table, fp uint64, t db.Tuple) *row {
-	seq := e.epoch.Load()<<32 | e.created
-	e.created++
-	return tbl.create(fp, seq, t)
 }
 
 // mutable returns the normal form of r the open epoch writes, valid until
@@ -209,7 +199,7 @@ func (e *Engine) insert(tbl *table, t db.Tuple) {
 	fp := t.Fingerprint()
 	r := tbl.rows.get(fp, t)
 	if r == nil {
-		r = e.create(tbl, fp, t)
+		r = tbl.create(fp, t)
 	}
 	nf := e.mutable(tbl, r)
 	if e.mode == ModeNaive {
@@ -372,7 +362,7 @@ func (e *Engine) captureContribution(tbl *table, g *modGroup, src *row) {
 func (e *Engine) absorbModTarget(tbl *table, g *modGroup, pe *core.Expr) {
 	r := g.row
 	if r == nil {
-		r = e.create(tbl, g.fp, g.target)
+		r = tbl.create(g.fp, g.target)
 	}
 	nf := e.mutable(tbl, r)
 	if e.mode == ModeNaive {
@@ -396,7 +386,7 @@ func (e *Engine) restoreRow(rel string, t db.Tuple, fp uint64, ann *core.Expr) e
 	}
 	r := tbl.rows.get(fp, t)
 	if r == nil {
-		r = e.create(tbl, fp, t)
+		r = tbl.create(fp, t)
 	}
 	e.setBase(tbl, r, ann)
 	return nil

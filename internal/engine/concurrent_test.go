@@ -247,13 +247,11 @@ func TestConcurrentReadersDuringIngestion(t *testing.T) {
 // TestConcurrentApplyTransaction (run under -race): eight goroutines
 // call ApplyTransaction on one engine while a hook records every event.
 // Whatever order the engine serialized them in, it must be an order:
-// events 1…K each exactly once and in sequence, every table list
-// strictly increasing in row sequence, and — the transactions conflict
-// on purpose, so no other order reproduces it — the view at every epoch
-// k equal to a serial replay of the first k labels in event order,
-// annotation pointers included, down to the final snapshot bytes. The
-// shards=4 subtest opens the engine with the deprecated WithShards(4),
-// which must change nothing.
+// events 1…K each exactly once and in sequence, every table list in
+// creation-epoch order, and — the transactions conflict on purpose, so
+// no other order reproduces it — the view at every epoch k equal to a
+// serial replay of the first k labels in event order, annotation
+// pointers included, down to the final snapshot bytes.
 func TestConcurrentApplyTransaction(t *testing.T) {
 	schema := db.MustSchema(db.MustRelationSchema("R",
 		db.Attribute{Name: "K", Kind: db.KindInt},
@@ -294,60 +292,58 @@ func TestConcurrentApplyTransaction(t *testing.T) {
 		return e
 	}
 
-	for _, shards := range []int{1, 4} {
-		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			e := engine.New(engine.ModeNormalForm, initial, engine.WithShards(shards))
-			var epochs []uint64
-			var labels []string
-			// The engine emits each event under its write lock, one at a
-			// time, so the hook needs no lock of its own.
-			e.SetCommitHook(func(ev engine.CommitEvent) {
-				epochs = append(epochs, ev.Epoch)
-				labels = append(labels, ev.Label)
-			})
-			var wg sync.WaitGroup
-			for w := 0; w < writers; w++ {
-				wg.Add(1)
-				go func(w int) {
-					defer wg.Done()
-					for i := 0; i < perWriter; i++ {
-						if err := e.ApplyTransaction(byLabel[fmt.Sprintf("w%d.%d", w, i)]); err != nil {
-							t.Error(err)
-						}
-					}
-				}(w)
-			}
-			wg.Wait()
-
-			if len(epochs) != writers*perWriter {
-				t.Fatalf("%d events for %d transactions", len(epochs), writers*perWriter)
-			}
-			heard := make(map[string]bool)
-			for i, epoch := range epochs {
-				if epoch != uint64(i+1) {
-					t.Fatalf("event %d announces epoch %d", i+1, epoch)
-				}
-				if byLabel[labels[i]] == nil || heard[labels[i]] {
-					t.Fatalf("event %d carries label %q a second time, or one never applied", i+1, labels[i])
-				}
-				heard[labels[i]] = true
-			}
-			if where := engine.ListsOutOfSeqOrder(e); where != "" {
-				t.Fatalf("a table list is out of sequence order: %s", where)
-			}
-
-			serial := replay(labels, func(k int, serial *engine.Engine) {
-				at := e.At(engine.EpochSeq(uint64(k)))
-				if got, want := at.NumRows(), serial.NumRows(); got != want {
-					t.Fatalf("epoch %d: %d rows, serial replay %d", k, got, want)
-				}
-				want, got := streamRows(serial), streamRows(at)
-				diffStreams(t, fmt.Sprintf("epoch %d", k), want, got)
-				diffPointers(t, fmt.Sprintf("epoch %d", k), want, got)
-			})
-			if !bytes.Equal(snapshotOf(t, e), snapshotOf(t, serial)) {
-				t.Fatal("final snapshot differs from the serial replay")
-			}
+	t.Run("shards=1", func(t *testing.T) {
+		e := engine.New(engine.ModeNormalForm, initial)
+		var epochs []uint64
+		var labels []string
+		// The engine emits each event under its write lock, one at a
+		// time, so the hook needs no lock of its own.
+		e.SetCommitHook(func(ev engine.CommitEvent) {
+			epochs = append(epochs, ev.Epoch)
+			labels = append(labels, ev.Label)
 		})
-	}
+		var wg sync.WaitGroup
+		for w := 0; w < writers; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				for i := 0; i < perWriter; i++ {
+					if err := e.ApplyTransaction(byLabel[fmt.Sprintf("w%d.%d", w, i)]); err != nil {
+						t.Error(err)
+					}
+				}
+			}(w)
+		}
+		wg.Wait()
+
+		if len(epochs) != writers*perWriter {
+			t.Fatalf("%d events for %d transactions", len(epochs), writers*perWriter)
+		}
+		heard := make(map[string]bool)
+		for i, epoch := range epochs {
+			if epoch != uint64(i+1) {
+				t.Fatalf("event %d announces epoch %d", i+1, epoch)
+			}
+			if byLabel[labels[i]] == nil || heard[labels[i]] {
+				t.Fatalf("event %d carries label %q a second time, or one never applied", i+1, labels[i])
+			}
+			heard[labels[i]] = true
+		}
+		if where := engine.ListsOutOfCreationOrder(e); where != "" {
+			t.Fatalf("a table list is out of creation order: %s", where)
+		}
+
+		serial := replay(labels, func(k int, serial *engine.Engine) {
+			at := e.At(engine.EpochSeq(uint64(k)))
+			if got, want := at.NumRows(), serial.NumRows(); got != want {
+				t.Fatalf("epoch %d: %d rows, serial replay %d", k, got, want)
+			}
+			want, got := streamRows(serial), streamRows(at)
+			diffStreams(t, fmt.Sprintf("epoch %d", k), want, got)
+			diffPointers(t, fmt.Sprintf("epoch %d", k), want, got)
+		})
+		if !bytes.Equal(snapshotOf(t, e), snapshotOf(t, serial)) {
+			t.Fatal("final snapshot differs from the serial replay")
+		}
+	})
 }

@@ -123,12 +123,12 @@ func WithLiveMatching(on bool) Option {
 // Writes. A transaction is one write epoch: the engine takes the write
 // lock, allocates the epoch, applies the updates in order, commits the
 // epoch and releases the lock. Epochs therefore commit in allocation
-// order, a table's positions are in sequence order, the rows visible at a
-// horizon are a prefix of them, and a transaction is visible when
-// ApplyTransaction returns. A batch is its transactions applied one after
-// another, in log order, its unindexed =-selections sharing one pass per
-// column (batchScan). Rows of epoch k carry seq = k<<32 | i, i
-// counting the rows the epoch created, in update order.
+// order, a table's positions are in the order of the epochs that created
+// them, and a transaction is visible when ApplyTransaction returns. A row's
+// first version is born in the epoch that created it, so the rows visible
+// at a horizon are a prefix of the positions. A batch is its transactions
+// applied one after another, in log order, its unindexed =-selections
+// sharing one pass per column (batchScan).
 //
 // Reads are lock-free: Annotation, NF, EachRow, Rows, Select,
 // SelectEach, the size measures, At and the package-level valuation
@@ -153,18 +153,16 @@ type Engine struct {
 	tables map[string]*table
 
 	// epoch numbers write epochs (transactions, restores, minimization
-	// passes); it is the high half of every row sequence number. Under mu
-	// it is the epoch in flight.
+	// passes); it is the high half of every horizon sequence (EpochSeq).
+	// Under mu it is the epoch in flight.
 	epoch atomic.Uint64
 
 	// The write epoch in flight, set by begin: the query annotation its
-	// updates carry, the rows it has created so far and whether a hook
-	// wants its rows. touched lists the rows it writes, each once, with
-	// the table holding them and the open normal form it writes (see
-	// mutable): finish freezes each into the row's next version and names
-	// the rows in the event.
+	// updates carry and whether a hook wants its rows. touched lists the
+	// rows it writes, each once, with the table holding them and the open
+	// normal form it writes (see mutable): finish freezes each into the
+	// row's next version and names the rows in the event.
 	cur     core.Annot
-	created uint64
 	collect bool
 	touched []touchedRow
 
@@ -283,15 +281,15 @@ func (e *Engine) emit(ev CommitEvent) {
 // --- write epochs -------------------------------------------------------
 
 // begin takes the write lock and opens a write epoch: versions it writes
-// are born in the epoch, rows it creates are numbered from epoch<<32 on,
-// and label names the query annotation of a transaction's updates. The
-// epoch is allocated under the lock, so epochs apply in the order they
-// are numbered; collect records whether a hook is installed and the
-// epoch's rows are wanted.
+// are born in the epoch, the first versions of the rows it creates
+// included, and label names the query annotation of a transaction's
+// updates. The epoch is allocated under the lock, so epochs apply in the
+// order they are numbered; collect records whether a hook is installed
+// and the epoch's rows are wanted.
 func (e *Engine) begin(label string) {
 	e.mu.Lock()
 	e.epoch.Add(1)
-	e.created, e.collect = 0, e.hook.Load() != nil
+	e.collect = e.hook.Load() != nil
 	e.cur = core.QueryAnnot(label)
 }
 

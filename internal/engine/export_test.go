@@ -15,29 +15,40 @@ const ColChunk = colChunk
 // (> 0) goroutines.
 func StreamWindow(workers int) int { return streamWindowPerWorker * workers }
 
-// ListsOutOfSeqOrder names the first table whose sequence column is not
-// strictly increasing with position, or whose row's oldest version is
-// not born in the epoch of the row's column sequence, or returns "".
-func ListsOutOfSeqOrder(e *Engine) string {
+// ListsOutOfCreationOrder names the first table holding a row with no
+// version, or a row created in an earlier epoch than the row before it
+// (a row's creation epoch is its oldest version's), or returns "". On
+// this order a view's visible rows are a prefix of the positions.
+func ListsOutOfCreationOrder(e *Engine) string {
 	for _, rel := range e.schema.Names() {
 		tbl := e.tables[rel]
-		var last uint64
+		var last uint32
 		for i, r := range rowsOf(tbl, tbl.cols.len()) {
-			seq := tbl.cols.seqs.at(i)
-			if i > 0 && seq <= last {
-				return fmt.Sprintf("%s[%d]: seq %#x after %#x", rel, i, seq, last)
+			born, ok := creationEpoch(tbl, r)
+			if !ok {
+				return fmt.Sprintf("%s[%d]: no version", rel, i)
 			}
-			oldest := tbl.vers.ref(int(r.head.Load() - 1))
-			for oldest.prev != 0 {
-				oldest = tbl.vers.ref(int(oldest.prev - 1))
+			if born < last {
+				return fmt.Sprintf("%s[%d]: created in epoch %d after a row of epoch %d", rel, i, born, last)
 			}
-			if uint64(oldest.epoch) != SeqEpoch(seq) {
-				return fmt.Sprintf("%s[%d]: oldest version born in epoch %d, column seq %#x", rel, i, oldest.epoch, seq)
-			}
-			last = seq
+			last = born
 		}
 	}
 	return ""
+}
+
+// creationEpoch returns the epoch of r's oldest version, false for a row
+// with none.
+func creationEpoch(tbl *table, r *row) (uint32, bool) {
+	ref := r.head.Load()
+	if ref == 0 {
+		return 0, false
+	}
+	v := tbl.vers.ref(int(ref - 1))
+	for v.prev != 0 {
+		v = tbl.vers.ref(int(v.prev - 1))
+	}
+	return v.epoch, true
 }
 
 // rowsOf collects the rows at positions [0, n) of tbl, in order.

@@ -105,29 +105,29 @@ func Load(mode Mode, schema *db.Schema, src db.RowSource, opts ...Option) (*Engi
 	if err != nil {
 		return nil, err
 	}
-	if l.seq > 0 {
-		l.e.boot = BootStats{Source: "database", Rows: int(l.seq), ParseMs: Ms(parse), BuildMs: Ms(build), TotalMs: Ms(time.Since(start))}
+	if l.n > 0 {
+		l.e.boot = BootStats{Source: "database", Rows: int(l.n), ParseMs: Ms(parse), BuildMs: Ms(build), TotalMs: Ms(time.Since(start))}
 	}
 	return l.e, nil
 }
 
 // loader is the state of one Load: the relation being delivered (next its
-// schema position + 1), the sequence numbers of its first row and of the
-// next one, and the fresh variables interned for its announced rows.
+// schema position + 1), how many rows came before its first and before
+// the next one, and the fresh variables interned for its announced rows.
 type loader struct {
-	e          *Engine
-	initAnnot  func(rel string, t db.Tuple) core.Annot
-	rel        *db.RelationSchema
-	next       int
-	first, seq uint64
-	vars       []*core.Expr
+	e         *Engine
+	initAnnot func(rel string, t db.Tuple) core.Annot
+	rel       *db.RelationSchema
+	next      int
+	first, n  uint64
+	vars      []*core.Expr
 }
 
 func (l *loader) add(b db.RowBatch) error {
 	if l.rel == nil || b.Rel != l.rel.Name || b.Restart {
 		if l.rel != nil && b.Rel == l.rel.Name {
 			l.e.dropLoaded(b.Rel)
-			l.seq = l.first
+			l.n = l.first
 		} else {
 			names := l.e.schema.Names()
 			for l.next < len(names) && names[l.next] != b.Rel {
@@ -136,7 +136,7 @@ func (l *loader) add(b db.RowBatch) error {
 			if l.next == len(names) {
 				return fmt.Errorf("engine: %w %s (or out of schema order)", ErrUnknownRelation, b.Rel)
 			}
-			l.rel, l.first = l.e.schema.Relation(b.Rel), l.seq
+			l.rel, l.first = l.e.schema.Relation(b.Rel), l.n
 		}
 		if l.initAnnot == nil {
 			l.vars = core.Vars("t", core.KindTuple, int(l.first), b.Total)
@@ -145,7 +145,7 @@ func (l *loader) add(b db.RowBatch) error {
 			l.e.tables[b.Rel].rows.reserve(b.Total)
 		}
 	}
-	if l.initAnnot == nil && int(l.seq-l.first)+len(b.Rows) > len(l.vars) {
+	if l.initAnnot == nil && int(l.n-l.first)+len(b.Rows) > len(l.vars) {
 		return fmt.Errorf("engine: source delivered more rows of %s than the %d it announced", b.Rel, len(l.vars))
 	}
 	for _, t := range b.Rows {
@@ -156,10 +156,10 @@ func (l *loader) add(b db.RowBatch) error {
 		if l.initAnnot != nil {
 			ann = core.Var(l.initAnnot(b.Rel, t))
 		} else {
-			ann = l.vars[l.seq-l.first]
+			ann = l.vars[l.n-l.first]
 		}
-		l.e.load(b.Rel, l.seq, ann, t)
-		l.seq++
+		l.e.load(b.Rel, ann, t)
+		l.n++
 	}
 	return nil
 }

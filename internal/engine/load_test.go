@@ -57,8 +57,8 @@ func TestLoadReservesWhatDoublingReaches(t *testing.T) {
 			t.Fatal(err)
 		}
 		one := NewEmpty(ModeNormalForm, loadTestSchema())
-		for i, tu := range rows {
-			one.load("A", uint64(i), core.Zero(), tu)
+		for _, tu := range rows {
+			one.load("A", core.Zero(), tu)
 		}
 		got, want := e.tables["A"], one.tables["A"]
 		slots := func(tb *table) int {

@@ -8,8 +8,7 @@ import (
 	"hyperprov/internal/db"
 )
 
-// Multi-version concurrency control over the epoch<<32|counter sequence
-// numbers.
+// Multi-version concurrency control over write epochs.
 //
 // Row storage is append-only at two granularities. Tables never remove
 // rows (tombstones persist — that is the paper's Section 3.1 semantics
@@ -24,19 +23,20 @@ import (
 // BoolRestrict* run lock-free against a concurrent ApplyAll.
 //
 // Visibility is published by a single atomic horizon: epoch k's
-// mutations become visible exactly when the horizon reaches
-// k<<32|seqCounterMask, and the atomic store/load pair carries the
-// happens-before edge that makes every version written under epoch ≤ k
-// safe to read without locks. Versions born in an epoch beyond the
-// reader's horizon are skipped by walking the chain; a row whose
-// creation sequence is beyond the horizon is invisible entirely.
+// mutations become visible exactly when the horizon reaches EpochSeq(k),
+// and the atomic store/load pair carries the happens-before edge that
+// makes every version written under epoch ≤ k safe to read without
+// locks. Versions born in an epoch beyond the reader's horizon are
+// skipped by walking the chain; a row whose first version is beyond the
+// horizon (born in the epoch that created the row) is invisible entirely.
 //
 // The same machinery provides time travel: At(seq) returns a read-only
 // View pinned to any committed horizon, and EpochSeq converts a
 // transaction epoch to its horizon sequence.
 
-// seqCounterMask is the low (creation-counter) half of a sequence
-// number; epoch k is fully visible at horizon k<<32|seqCounterMask.
+// seqCounterMask is the low half of a sequence number: epoch k is fully
+// visible at horizon k<<32|seqCounterMask, and a sequence with any other
+// low half is a cut inside its epoch.
 const seqCounterMask = 1<<32 - 1
 
 // EpochSeq returns the horizon sequence at which transaction epoch k is
@@ -49,17 +49,13 @@ func EpochSeq(epoch uint64) uint64 { return epoch<<32 | seqCounterMask }
 func SeqEpoch(seq uint64) uint64 { return seq >> 32 }
 
 // clampSeq normalizes a requested read horizon: never beyond the
-// committed horizon, and never mid-epoch — mutation versions of epoch k
-// are born at k<<32, so a cut inside epoch k would expose a
-// half-applied transaction. Mid-epoch requests snap down to the last
-// fully committed epoch (epoch 0 only ever creates rows, so a partial
-// epoch-0 cut is already consistent and passes through).
+// committed horizon, and never mid-epoch — versions of epoch k are born
+// at k<<32, so a cut inside epoch k would expose a half-applied
+// transaction. Mid-epoch requests snap down to the last fully committed
+// epoch, and one inside epoch 0, which has none before it, pins epoch 0.
 func clampSeq(seq, horizon uint64) uint64 {
-	if seq > horizon {
-		seq = horizon
-	}
-	if seq&seqCounterMask != seqCounterMask && seq>>32 > 0 {
-		seq = EpochSeq(seq>>32 - 1)
+	if seq = min(seq, horizon); seq&seqCounterMask != seqCounterMask {
+		seq = EpochSeq(max(SeqEpoch(seq), 1) - 1)
 	}
 	return seq
 }
@@ -69,8 +65,8 @@ func clampSeq(seq, horizon uint64) uint64 {
 // form's base, or the naive mode's raw expression), the epoch that wrote
 // it and prev, the row's previous version. A version is named by its
 // position in the column plus one, 0 naming none, as a row's head does.
-// It is current from its birth — the row's creation sequence for a first
-// version, epoch<<32 for a later one — until the next one's; prev runs
+// It is current from its birth, epoch<<32, until the next one's; a row's
+// first version is born in the epoch that created the row, and prev runs
 // through decreasing epochs (a tuple restored twice in one epoch keeps
 // both versions of it). A version is written once, frozen: the form an
 // epoch writes lives in Engine.touched, where no reader looks, and
@@ -83,8 +79,8 @@ type version struct {
 }
 
 // at resolves r at horizon s: its newest version born at or before s, or
-// nil. s must cover r's creation (its sequence): a first version counts
-// as born when its epoch begins.
+// nil for a row created after s or not yet committed. It alone decides
+// whether a row is visible at a view.
 func (t *table) at(r *row, s uint64) *version {
 	for ref := r.head.Load(); ref != 0; {
 		v := t.vers.ref(int(ref - 1))
@@ -230,10 +226,11 @@ func (v view) Relations() []string { return v.e.schema.Names() }
 func (v view) AsOf() uint64 { return v.s }
 
 // rows returns the relation's table and how many of its rows are
-// visible at the pinned horizon (0 for no table): positions are in
-// sequence order (epochs are allocated under the write lock), so the
-// visible rows are a prefix, trimmed from the published length by the
-// sequence column without reading a record. Callers walk them with
+// visible at the pinned horizon (0 for no table). Positions are in the
+// order of the epochs that created them (epochs are allocated under the
+// write lock), and a row's first version is born in its creation epoch,
+// so the visible rows are a prefix: the published length trimmed of the
+// rows with no version at the horizon. Callers walk them with
 // colStore.eachRows and only resolve versions.
 func (v view) rows(rel string) (*table, int) {
 	tbl := v.e.tables[rel]
@@ -241,7 +238,7 @@ func (v view) rows(rel string) (*table, int) {
 		return nil, 0
 	}
 	n := tbl.cols.len()
-	for n > 0 && tbl.cols.seqs.at(n-1) > v.s {
+	for n > 0 && tbl.at(tbl.cols.row(n-1), v.s) == nil {
 		n--
 	}
 	return tbl, n
@@ -250,15 +247,14 @@ func (v view) rows(rel string) (*table, int) {
 // find returns the version of the tuple's row visible at the pinned
 // horizon, or nil. A fingerprint probe: the steady-state point lookup
 // allocates nothing (enforced by TestAllocFreeReads), and no Key() string
-// is built. Only a horizon inside epoch 0 can precede a row whose epoch it
-// covers, so only there is the row's creation sequence read.
+// is built.
 func (v view) find(rel string, t db.Tuple) *version {
 	tbl := v.e.tables[rel]
 	if tbl == nil {
 		return nil
 	}
 	r := tbl.rows.get(t.Fingerprint(), t)
-	if r == nil || v.s&seqCounterMask != seqCounterMask && tbl.cols.seqs.at(int(r.pos)) > v.s {
+	if r == nil {
 		return nil
 	}
 	return tbl.at(r, v.s)
@@ -384,22 +380,13 @@ func (v view) each(rel string, sel db.Pattern, f func(db.Tuple)) error {
 	return nil
 }
 
-// NumRows walks the sequence columns: visibility counting touches no row
-// record.
+// NumRows sums the visible prefixes: counting reads only the rows
+// trimmed off the end.
 func (v view) NumRows() int {
 	n := 0
 	for _, name := range v.e.schema.Names() {
-		tbl := v.e.tables[name]
-		left := tbl.cols.len()
-		for _, seqs := range tbl.cols.seqs.chunks() {
-			seqs = seqs[:min(len(seqs), left)]
-			left -= len(seqs)
-			for _, q := range seqs {
-				if q <= v.s {
-					n++
-				}
-			}
-		}
+		_, k := v.rows(name)
+		n += k
 	}
 	return n
 }

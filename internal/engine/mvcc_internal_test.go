@@ -15,85 +15,72 @@ func seqTestSchema(t *testing.T) *db.Schema {
 	))
 }
 
-// collectSeqs maps every stored row's sequence number, as the sequence
-// column holds it, to the row, failing on a duplicate.
-func collectSeqs(t *testing.T, e *Engine) map[uint64]string {
+// creationEpochs maps every stored row to its creation epoch, the epoch
+// of its oldest version, failing on a row with no version.
+func creationEpochs(t *testing.T, e *Engine) map[string]uint32 {
 	t.Helper()
-	seqs := make(map[uint64]string)
+	out := make(map[string]uint32)
 	for _, rel := range e.schema.Names() {
 		tbl := e.tables[rel]
-		for p, r := range rowsOf(tbl, tbl.cols.len()) {
-			seq := tbl.cols.seqs.at(p)
-			if prev, dup := seqs[seq]; dup {
-				t.Fatalf("rows %s and %s/%s share seq %#x", prev, rel, tbl.tuple(r, nil), seq)
+		for _, r := range rowsOf(tbl, tbl.cols.len()) {
+			born, ok := creationEpoch(tbl, r)
+			if !ok {
+				t.Fatalf("row %s/%s has no version", rel, tbl.tuple(r, nil))
 			}
-			seqs[seq] = rel + "/" + tbl.tuple(r, nil).String()
+			out[rel+"/"+tbl.tuple(r, nil).String()] = born
 		}
 	}
-	return seqs
+	return out
 }
 
-// TestRowSeqUniqueness is the satellite regression for the
-// version-ordering bug: an engine applied without a batch dispatcher
-// (direct ApplyTransaction calls, no ApplyAll) used to leave every row
-// at sequence 0, which collapses MVCC validity intervals. Every live
-// row — across initial load and any mix of apply paths — must carry a
-// distinct sequence number, and its oldest version must be born at it.
-// The shards=N subtests open the engine with the deprecated
-// WithShards(N), which must leave every number as it is.
+// TestRowSeqUniqueness is the regression for the version-ordering bug
+// where an engine applied without a batch dispatcher (direct
+// ApplyTransaction calls, no ApplyAll) left every row in epoch 0, which
+// collapses MVCC validity intervals. Visibility rests on each row's
+// oldest version being born in the epoch that created it: the initial
+// load's rows in epoch 0, transaction i's rows in epoch i, none of them
+// in epoch 0, creation epochs never decreasing with position, and the
+// view at epoch k holding exactly the rows created up to k.
 func TestRowSeqUniqueness(t *testing.T) {
 	schema := seqTestSchema(t)
 	initial := db.NewDatabase(schema)
+	want := make(map[string]uint32)
 	for i := int64(0); i < 4; i++ {
-		if err := initial.InsertTuple("R", db.Tuple{db.I(i), db.I(0)}); err != nil {
+		tu := db.Tuple{db.I(i), db.I(0)}
+		if err := initial.InsertTuple("R", tu); err != nil {
 			t.Fatal(err)
 		}
+		want["R/"+tu.String()] = 0
 	}
-	txn := func(i int64) db.Transaction {
-		return db.Transaction{
-			Label: fmt.Sprintf("t%d", i),
-			Updates: []db.Update{
-				db.Insert("R", db.Tuple{db.I(100 + i), db.I(1)}),
-				db.Insert("R", db.Tuple{db.I(200 + i), db.I(2)}),
-			},
+	const txns = 6
+	t.Run("shards=1", func(t *testing.T) {
+		e := New(ModeNormalForm, initial)
+		for i := int64(0); i < txns; i++ {
+			tx := db.Transaction{Label: fmt.Sprintf("t%d", i)}
+			for _, tu := range []db.Tuple{{db.I(100 + i), db.I(1)}, {db.I(200 + i), db.I(2)}} {
+				tx.Updates = append(tx.Updates, db.Insert("R", tu))
+				want["R/"+tu.String()] = uint32(i + 1)
+			}
+			if err := e.ApplyTransaction(&tx); err != nil {
+				t.Fatal(err)
+			}
 		}
-	}
-	var one map[uint64]string
-	for _, shards := range []int{1, 2, 3, 4, 8} {
-		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			e := New(ModeNormalForm, initial, WithShards(shards))
-			for i := int64(0); i < 6; i++ {
-				tx := txn(i)
-				if err := e.ApplyTransaction(&tx); err != nil {
-					t.Fatal(err)
-				}
+		if where := ListsOutOfCreationOrder(e); where != "" {
+			t.Fatalf("a table is out of creation order: %s", where)
+		}
+		got := creationEpochs(t, e)
+		if len(got) != len(want) {
+			t.Fatalf("%d rows, want %d", len(got), len(want))
+		}
+		for who, epoch := range want {
+			if born, ok := got[who]; !ok || born != epoch {
+				t.Fatalf("row %s created in epoch %d (stored: %v), want %d", who, born, ok, epoch)
 			}
-			seqs := collectSeqs(t, e)
-			if where := ListsOutOfSeqOrder(e); where != "" {
-				t.Fatalf("a table is out of sequence order: %s", where)
+		}
+		for k := uint64(0); k <= txns; k++ {
+			if n, want := e.At(EpochSeq(k)).NumRows(), 4+2*int(k); n != want {
+				t.Fatalf("epoch %d: %d rows visible, want %d", k, n, want)
 			}
-			if want := 4 + 2*6; len(seqs) != want {
-				t.Fatalf("got %d distinct seqs, want %d rows", len(seqs), want)
-			}
-			// The initial load is epoch 0; every transaction's rows must sit
-			// in a later epoch, not at the zero value.
-			later := 0
-			for s := range seqs {
-				if SeqEpoch(s) > 0 {
-					later++
-				}
-			}
-			if want := 2 * 6; later != want {
-				t.Fatalf("%d rows in post-initial epochs, want %d (direct applies left rows at epoch 0)", later, want)
-			}
-			if one == nil {
-				one = seqs
-			}
-			for s, who := range seqs {
-				if one[s] != who {
-					t.Fatalf("seq %#x is %s here and %q without the option", s, who, one[s])
-				}
-			}
-		})
-	}
+		}
+	})
 }

@@ -136,32 +136,30 @@ func TestMVCCTimeTravelDifferential(t *testing.T) {
 // while the engine keeps applying transactions after them.
 func TestMVCCViewStability(t *testing.T) {
 	initial, txns := mvccWorkload(t)
-	for _, shards := range []int{1, 8} {
-		t.Run(fmt.Sprintf("shards%d", shards), func(t *testing.T) {
-			e := engine.Open(engine.ModeNormalForm, initial, engine.WithShards(shards))
-			half := len(txns) / 2
-			if err := e.ApplyAll(context.Background(), txns[:half]); err != nil {
-				t.Fatalf("apply: %v", err)
-			}
-			view := e.At(e.Horizon())
-			before := snapshotBytes(t, view)
-			if err := e.ApplyAll(context.Background(), txns[half:]); err != nil {
-				t.Fatalf("apply rest: %v", err)
-			}
-			if !bytes.Equal(before, snapshotBytes(t, view)) {
-				t.Fatalf("pinned view changed after %d further transactions", len(txns)-half)
-			}
-			if e.Horizon() <= view.AsOf() {
-				t.Fatalf("horizon did not advance past the pinned view")
-			}
-			// At with the latest-horizon sentinel tracks the live state.
-			latest := snapshotBytes(t, e.At(e.Horizon()))
-			live := snapshotBytes(t, e)
-			if !bytes.Equal(latest, live) {
-				t.Fatalf("At(Horizon()) and live engine snapshots differ")
-			}
-		})
-	}
+	t.Run("shards1", func(t *testing.T) {
+		e := engine.Open(engine.ModeNormalForm, initial)
+		half := len(txns) / 2
+		if err := e.ApplyAll(context.Background(), txns[:half]); err != nil {
+			t.Fatalf("apply: %v", err)
+		}
+		view := e.At(e.Horizon())
+		before := snapshotBytes(t, view)
+		if err := e.ApplyAll(context.Background(), txns[half:]); err != nil {
+			t.Fatalf("apply rest: %v", err)
+		}
+		if !bytes.Equal(before, snapshotBytes(t, view)) {
+			t.Fatalf("pinned view changed after %d further transactions", len(txns)-half)
+		}
+		if e.Horizon() <= view.AsOf() {
+			t.Fatalf("horizon did not advance past the pinned view")
+		}
+		// At with the latest-horizon sentinel tracks the live state.
+		latest := snapshotBytes(t, e.At(e.Horizon()))
+		live := snapshotBytes(t, e)
+		if !bytes.Equal(latest, live) {
+			t.Fatalf("At(Horizon()) and live engine snapshots differ")
+		}
+	})
 }
 
 // TestMVCCPinnedReadersDuringApply is the -race stress of the
@@ -414,8 +412,8 @@ func TestSelectBesideParkedCommit(t *testing.T) {
 
 // TestAtClampsMidEpoch pins At's clamping: cutting inside an epoch
 // would expose a half-applied batch, so a mid-epoch sequence snaps
-// down to the previous epoch boundary, and sequences beyond the
-// horizon clamp to it.
+// down to the previous epoch boundary, one inside epoch 0 pins epoch 0
+// with all its rows, and sequences beyond the horizon clamp to it.
 func TestAtClampsMidEpoch(t *testing.T) {
 	initial, txns := mvccWorkload(t)
 	e := engine.Open(engine.ModeNormalForm, initial)
@@ -424,6 +422,15 @@ func TestAtClampsMidEpoch(t *testing.T) {
 	}
 	if got, want := e.At(engine.EpochSeq(2)+1).AsOf(), engine.EpochSeq(2); got != want {
 		t.Fatalf("mid-epoch cut: AsOf = %#x, want snap to %#x", got, want)
+	}
+	for _, seq := range []uint64{0, engine.EpochSeq(0) - 1} {
+		v := e.At(seq)
+		if got, want := v.AsOf(), engine.EpochSeq(0); got != want {
+			t.Fatalf("cut at %#x inside epoch 0: AsOf = %#x, want %#x", seq, got, want)
+		}
+		if got, want := v.NumRows(), initial.NumTuples(); got != want {
+			t.Fatalf("cut at %#x inside epoch 0: %d rows, want the initial %d", seq, got, want)
+		}
 	}
 	if got, want := e.At(^uint64(0)-1).AsOf(), e.Horizon(); got != want {
 		t.Fatalf("beyond-horizon cut: AsOf = %#x, want clamp to %#x", got, want)

@@ -37,8 +37,9 @@ func heapLive() uint64 {
 // element of the table's record column, no allocation of their own, and
 // a row map of 4-byte positions in place of 8-byte pointers 118.5, and
 // with a 24-byte row in the record column and each version a 16-byte
-// entry of the table's version column (40 bytes together) 104.1; the
-// ceiling is 5 % above that. The intern table's growth is gated too, 5 %
+// entry of the table's version column (40 bytes together) 104.1, and
+// with no 8-byte creation sequence column beside them 96.4; the ceiling
+// is 5 % above that. The intern table's growth is gated too, 5 %
 // above what a fresh process reads (run with earlier tests it reads
 // less: they named these rows already): 302.8 B a row while each
 // initial row's annotation was a chained variable with an extension
@@ -91,8 +92,8 @@ func TestResidentBytesPerRow(t *testing.T) {
 	if grown := core.InternStats().Nodes - nodesClosed; grown != 0 {
 		t.Errorf("reopening the directory interned %d new nodes, want none", grown)
 	}
-	if store > 104.1*1.05 {
-		t.Errorf("a resident row costs %.1f B after wal.Open, want at most %.1f", store, 104.1*1.05)
+	if store > 96.4*1.05 {
+		t.Errorf("a resident row costs %.1f B after wal.Open, want at most %.1f", store, 96.4*1.05)
 	}
 	if intern > 140.9*1.05 {
 		t.Errorf("the intern table grew %.1f B a row, want at most %.1f", intern, 140.9*1.05)

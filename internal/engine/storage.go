@@ -20,23 +20,22 @@ import (
 //     into a fresh array and publish it with a single atomic store.
 //
 //   - colStore: the table by position, struct-of-arrays — one
-//     payload-word column per attribute, the sequence column and the
-//     row records, all in one chunk layout (chunkOf) whose chunks are
-//     never copied, and all published by one length. A row never moves
-//     (the relations only grow), so its position is its name for good,
-//     and a pointer to its record stays valid for good. The words are
-//     the rows' only copy of their values, which readers build tuples
-//     from. Selections test terms against the words before resolving any
-//     version, and visibility counting walks the sequence column alone.
-//     The versions are a column of their own, in the same layout, by
-//     order of writing (table.vers, mvcc.go).
+//     payload-word column per attribute and the row records, all in one
+//     chunk layout (chunkOf) whose chunks are never copied, and all
+//     published by one length. A row never moves (the relations only
+//     grow), so its position is its name for good, and a pointer to its
+//     record stays valid for good. The words are the rows' only copy of
+//     their values, which readers build tuples from. Selections test
+//     terms against the words before resolving any version. The versions
+//     are a column of their own, in the same layout, by order of writing
+//     (table.vers, mvcc.go); a row is visible from its first version on.
 //
 // Memory model: the writer is serialized by the write lock. It stores a
-// new row's record (and a new chunk's directory, atomically), words and
-// sequence number with plain writes, then the map's slot, then the
-// length, each an atomic store; readers load the atomic first and only
-// then read the plainly-written memory below it, a release/acquire
-// pairing. A row's record and words land before either publishes it.
+// new row's record (and a new chunk's directory, atomically) and words
+// with plain writes, then the map's slot, then the length, each an
+// atomic store; readers load the atomic first and only then read the
+// plainly-written memory below it, a release/acquire pairing. A row's
+// record and words land before either publishes it.
 
 // rowSlots is one published generation of a rowMap: a power-of-two
 // slot array probed linearly from fp & mask. A slot holds a position
@@ -147,7 +146,7 @@ const (
 
 // column is one append-only column of a table: an attribute's db.Value
 // payload words (the kind is the attribute's, so it is not stored), the
-// rows' sequence numbers, their records or their versions. Elements
+// rows' records or their versions. Elements
 // live in chunks that are never copied or moved once allocated; a new
 // chunk is published through a directory one entry longer, stored
 // atomically, and the element itself lands before the table publishes
@@ -215,19 +214,13 @@ func (c *column[T]) slotAt(n int) *T {
 func (c *column[T]) appendAt(n int, w T) { *c.slotAt(n) = w }
 
 // colStore holds a table by position: one word column per attribute,
-// whose words have the kind kinds names, the sequence column and the
-// row records, all published by n, the table's length.
+// whose words have the kind kinds names, and the row records, all
+// published by n, the table's length.
 type colStore struct {
 	kinds []db.Kind
 	cols  []column[uint64]
-	// seqs holds each row's creation sequence, epoch<<32|counter: the
-	// epoch is the transaction (or restore) that created the row and the
-	// counter its creation index within that epoch. Sequence numbers are
-	// unique per engine and increase with position, and a row is visible
-	// at horizon s iff its sequence is ≤ s.
-	seqs column[uint64]
-	rows column[row]
-	n    atomic.Int64
+	rows  column[row]
+	n     atomic.Int64
 }
 
 func (c *colStore) init(rel *db.RelationSchema) {

@@ -21,13 +21,13 @@ import (
 )
 
 // TestVersionSizePinned: a version is its frozen annotation, a 32-bit
-// prev reference and a 32-bit epoch, 16 bytes, and a row — no tuple and
-// no sequence number, its values and creation sequence are the columns',
-// a 32-bit head reference, its 32-bit position and the writer's 32-bit
-// touched-list entry — is 24 (4 of them padding), so a fresh row and its first version
-// take 40 bytes, an element of the record column and one of the version
-// column, and no allocation of their own; the row map spends a 4-byte
-// slot on it. A word here is a word per version or per row forever.
+// prev reference and a 32-bit epoch, 16 bytes, and a row — no tuple,
+// its values are the columns', a 32-bit head reference, its 32-bit
+// position and the writer's 32-bit touched-list entry — is 24 (4 of them
+// padding), so a fresh row and its first version take 40 bytes, an
+// element of the record column and one of the version column, and no
+// allocation of their own; the row map spends a 4-byte slot on it. A
+// word here is a word per version or per row forever.
 func TestVersionSizePinned(t *testing.T) {
 	if got := unsafe.Sizeof(version{}); got != 16 {
 		t.Fatalf("unsafe.Sizeof(version{}) = %d, want 16", got)
@@ -451,49 +451,46 @@ func TestModGroupsUnderCollision(t *testing.T) {
 // only. A hook that keeps the slice without copying reads wiped entries
 // once the call returned (and would read the next epoch's rows after
 // that); a hook that copies keeps the epoch's refs, and RowTuple reads
-// their rows' values after the call. The shards=4 subtest opens the
-// engine with the deprecated WithShards(4), which must change nothing.
+// their rows' values after the call.
 func TestCommitHookRowsBorrowed(t *testing.T) {
-	for _, shards := range []int{1, 4} {
-		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			initial := db.NewDatabase(seqTestSchema(t))
-			d := Open(ModeNormalForm, initial, WithShards(shards))
-			var kept, copied [][]RowRef
-			d.SetCommitHook(func(ev CommitEvent) {
-				kept = append(kept, ev.Rows)
-				copied = append(copied, slices.Clone(ev.Rows))
-			})
-			for i := int64(0); i < 3; i++ {
-				tx := db.Transaction{Label: fmt.Sprintf("t%d", i), Updates: []db.Update{
-					db.Insert("R", kv(2*i, i)), db.Insert("R", kv(2*i+1, i)),
-				}}
-				if err := d.ApplyTransaction(&tx); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if len(copied) != 3 {
-				t.Fatalf("%d events for 3 transactions", len(copied))
-			}
-			for i := range copied {
-				if len(copied[i]) != 2 || len(kept[i]) != 2 {
-					t.Fatalf("event %d: %d rows copied, %d kept, want 2 and 2", i, len(copied[i]), len(kept[i]))
-				}
-				for j, ref := range copied[i] {
-					if tu, ok := RowTuple(d, ref, nil); !ok || ref.Rel != "R" || tu[1].Int() != int64(i) {
-						t.Fatalf("event %d: the copy holds %v, a row holding %v", i, ref, tu)
-					}
-					if k := kept[i][j]; k != (RowRef{}) {
-						t.Fatalf("event %d: the uncopied slice still reads %v after the call", i, k)
-					}
-				}
-			}
+	t.Run("shards=1", func(t *testing.T) {
+		initial := db.NewDatabase(seqTestSchema(t))
+		d := Open(ModeNormalForm, initial)
+		var kept, copied [][]RowRef
+		d.SetCommitHook(func(ev CommitEvent) {
+			kept = append(kept, ev.Rows)
+			copied = append(copied, slices.Clone(ev.Rows))
 		})
-	}
+		for i := int64(0); i < 3; i++ {
+			tx := db.Transaction{Label: fmt.Sprintf("t%d", i), Updates: []db.Update{
+				db.Insert("R", kv(2*i, i)), db.Insert("R", kv(2*i+1, i)),
+			}}
+			if err := d.ApplyTransaction(&tx); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if len(copied) != 3 {
+			t.Fatalf("%d events for 3 transactions", len(copied))
+		}
+		for i := range copied {
+			if len(copied[i]) != 2 || len(kept[i]) != 2 {
+				t.Fatalf("event %d: %d rows copied, %d kept, want 2 and 2", i, len(copied[i]), len(kept[i]))
+			}
+			for j, ref := range copied[i] {
+				if tu, ok := RowTuple(d, ref, nil); !ok || ref.Rel != "R" || tu[1].Int() != int64(i) {
+					t.Fatalf("event %d: the copy holds %v, a row holding %v", i, ref, tu)
+				}
+				if k := kept[i][j]; k != (RowRef{}) {
+					t.Fatalf("event %d: the uncopied slice still reads %v after the call", i, k)
+				}
+			}
+		}
+	})
 }
 
 // TestReadersAcrossChunkGrowth (run under -race): lock-free readers of
-// the columns — NumRows counting the sequence column, SpecializeParallel
-// trimming by it, EachRow and LiveStream walking the record column,
+// the columns — NumRows and SpecializeParallel trimming the rows with no
+// version at their horizon, EachRow and LiveStream walking the record column,
 // point lookups going from a row map slot to a record chunk the writer
 // may just have allocated, views pinned to the newest and to older
 // epochs walking the initial row's prev references back through the
