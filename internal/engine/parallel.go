@@ -118,7 +118,7 @@ type Chunk[S any] struct {
 const streamWindowPerWorker = 2
 
 // streamScratch is one stream worker's valuation kernel, its chunk's
-// live rows and table, and the tuple they are lent in. scratchPool
+// live rows and table, and the tuple they are lent in. scratches
 // recycles it, so a request's memo pages are cleared, not allocated; the
 // rows are cleared on put.
 type streamScratch struct {
@@ -128,14 +128,62 @@ type streamScratch struct {
 	tup  db.Tuple
 }
 
-var scratchPool = sync.Pool{New: func() any {
+// scratches keeps one scratch per CPU, a default pass's workers (by
+// NumCPU: GOMAXPROCS can be lowered for a while, as AllocsPerRun does).
+var scratches = FreeList[*streamScratch]{Max: runtime.NumCPU(), New: func() *streamScratch {
 	return &streamScratch{k: upstruct.NewKernel(nil), rows: make([]*row, 0, walkChunkRows)}
 }}
 
 func (sc *streamScratch) put() {
 	clear(sc.rows[:cap(sc.rows)])
 	sc.tbl = nil
-	scratchPool.Put(sc)
+	scratches.Put(sc)
+}
+
+// FreeList keeps up to Max values between uses and hands back the one
+// put last, or a New one. It is a free list, not a sync.Pool: a Pool's
+// Get never takes what another P put in its private slot, so how many
+// values a what-if made depended on where its goroutines ran
+// (whatif_read's allocation moved by ≈ 1.2 kB a what-if between runs of
+// one seed). What it keeps stays until it is taken.
+type FreeList[T any] struct {
+	New  func() T
+	Max  int
+	mu   sync.Mutex
+	free []T
+}
+
+// Get takes a kept value, or makes one.
+func (l *FreeList[T]) Get() T {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if n := len(l.free); n > 0 {
+		x := l.free[n-1]
+		l.free = l.free[:n-1]
+		return x
+	}
+	return l.New()
+}
+
+// Empty drops what l keeps, as two collections empty a sync.Pool.
+func (l *FreeList[T]) Empty() {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	clear(l.free)
+	l.free = l.free[:0]
+}
+
+// EmptyScratch empties the stream workers' free list, so the next
+// what-if makes every scratch it uses: a test of cold allocation.
+func EmptyScratch() { scratches.Empty() }
+
+// Put keeps x, unless Max values are kept already.
+func (l *FreeList[T]) Put(x T) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if len(l.free) < l.Max {
+		l.free = append(l.free, x)
+	}
 }
 
 // LiveRows is one chunk's live rows, as LiveStream's encode gets them:
@@ -226,7 +274,7 @@ func liveStream[S any](ctx context.Context, r Reader, workers int, rels []string
 	}
 	dispatch := func(i int) { work <- i }
 	if workers = min(workers, n); workers <= 1 {
-		sc := scratchPool.Get().(*streamScratch)
+		sc := scratches.Get()
 		defer sc.put()
 		keep := newKeep(sc)
 		dispatch = func(i int) { run(sc, keep, i) }
@@ -235,7 +283,7 @@ func liveStream[S any](ctx context.Context, r Reader, workers int, rels []string
 		for range workers {
 			go func() {
 				defer wg.Done()
-				sc := scratchPool.Get().(*streamScratch)
+				sc := scratches.Get()
 				defer sc.put()
 				keep := newKeep(sc)
 				for i := range work {

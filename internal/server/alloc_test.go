@@ -69,9 +69,12 @@ func TestWhatIfAllocsIndependentOfRows(t *testing.T) {
 		if w.status != http.StatusOK || w.n < tuples {
 			t.Fatalf("%d tuples: what-if answered %d with %d bytes", tuples, w.status, w.n)
 		}
-		// Cold pools: the first collection moves every sync.Pool's
-		// contents to its victim cache, the second drops them, so this
-		// what-if pays for every buffer and kernel it uses.
+		// Cold pools: the free lists are emptied, the first collection
+		// moves every sync.Pool's contents to its victim cache and the
+		// second drops them, so this what-if pays for every buffer and
+		// kernel it uses.
+		liveBufs.Empty()
+		engine.EmptyScratch()
 		runtime.GC()
 		runtime.GC()
 		var before, after runtime.MemStats

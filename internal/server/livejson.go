@@ -8,7 +8,6 @@ import (
 	"runtime"
 	"slices"
 	"strconv"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -31,23 +30,23 @@ import (
 
 // liveBufCap sizes a fresh slot buffer: a 1024-row chunk of a narrow
 // relation encodes to about half of it. liveBufKeep caps what goes
-// back to the pool, so one wide relation does not pin megabytes per
-// pooled buffer forever.
+// back to liveBufs, so one wide relation does not pin megabytes per
+// kept buffer forever.
 const (
 	liveBufCap  = 64 << 10
 	liveBufKeep = 1 << 20
 )
 
-var liveBufPool = sync.Pool{
-	New: func() any {
-		b := make([]byte, 0, liveBufCap)
-		return &b
-	},
-}
+// liveBufs keeps the slot buffers of one default window, two per CPU,
+// between what-ifs.
+var liveBufs = engine.FreeList[*[]byte]{Max: 2 * runtime.NumCPU(), New: func() *[]byte {
+	b := make([]byte, 0, liveBufCap)
+	return &b
+}}
 
 // liveSlot is one window slot: `,[v,…]` per live tuple of its last chunk
 // (the writer drops a relation's leading comma), in a buffer taken from
-// the pool at its first chunk and reused for every later one.
+// liveBufs at its first chunk and reused for every later one.
 type liveSlot struct {
 	buf  *[]byte
 	live int
@@ -57,7 +56,7 @@ type liveSlot struct {
 // encode renders a chunk's live tuples on the worker that evaluated it.
 func (sl *liveSlot) encode(rel *db.RelationSchema, live engine.LiveRows) {
 	if sl.buf == nil {
-		sl.buf = liveBufPool.Get().(*[]byte)
+		sl.buf = liveBufs.Get()
 	}
 	b := (*sl.buf)[:0]
 	sl.live, sl.err = 0, nil
@@ -196,7 +195,7 @@ func (s *Server) serveLive(w http.ResponseWriter, req *http.Request, e engine.Re
 	for _, sl := range slots {
 		if sl.buf != nil && cap(*sl.buf) <= liveBufKeep {
 			*sl.buf = (*sl.buf)[:0]
-			liveBufPool.Put(sl.buf)
+			liveBufs.Put(sl.buf)
 		}
 	}
 	st := &s.whatif

@@ -28,10 +28,18 @@
 //	| length uint32 LE | CRC32C uint32 LE | payload |
 //
 // where the CRC covers the payload, which is never empty: every record
-// starts with its type byte. The replication stream uses the same
-// frames, and one writer and one reader (frame.go) serve both. Appends
-// go through a configurable sync policy (always | interval | never);
-// batched applies group-commit a whole chunk under a single fsync.
+// starts with its type byte. A group commit of two or more records is
+// one packed frame when that is smaller (pack.go): its payload is the
+// type byte 0x80, the record count, the body's size and the body — the
+// records' lengths and bytes — deflated at the checkpoint's level. The
+// readers expand it, so an LSN names a record, a torn packed frame loses
+// its whole (unacknowledged) group, one that fails its CRC yet ends as
+// written is damage, not a tear, and one that is whole but does not
+// unpack is a corrupt record. The replication stream uses the same
+// frames, one record each, and one writer and one reader (frame.go)
+// serve both. Appends go through a configurable sync policy (always |
+// interval | never); batched applies group-commit a whole chunk under a
+// single fsync.
 //
 // A checkpoint is a pinned view, in three steps. Under the store's lock:
 // note the LSN, rotate so that the live segment starts there, pin the

@@ -302,9 +302,23 @@ func (f *Follower) streamOnce(ctx context.Context) (progressed bool, err error) 
 	f.checkReady()
 
 	// Records join a group while the next frame is already buffered: the
-	// group is applied before a read could wait.
+	// group is applied before a read could wait. A heartbeat that names a
+	// frame size announces that many records which the leader's log holds
+	// in one packed frame: they start a group of their own, logged as
+	// that frame.
 	s := f.core.Load()
 	var group replayGroup
+	apply := func() error {
+		n := len(group.payloads)
+		if err := s.applyReplicated(&group); err != nil {
+			return err
+		}
+		progressed = true
+		f.records.Add(uint64(n))
+		f.observeLeader(s.LSN(), 0)
+		f.checkReady()
+		return nil
+	}
 	for {
 		p, err := next()
 		if err != nil {
@@ -324,22 +338,32 @@ func (f *Follower) streamOnce(ctx context.Context) (progressed bool, err error) 
 		case msgHeartbeat:
 			d := &recDecoder{buf: p[1:]}
 			lsn, horizon := d.uvarint(), d.uvarint()
+			var k uint64 // the records of an announced frame
+			if len(d.buf) > 0 {
+				if k = d.uvarint(); group.open > 0 || k < 2 || k > applyAllChunk {
+					d.fail("a frame of %d records", k)
+				}
+			}
 			if d.err != nil {
 				return progressed, fmt.Errorf("%w: bad heartbeat: %v", ErrStreamCorrupt, d.err)
+			}
+			if k > 0 {
+				if len(group.payloads) > 0 {
+					if err := apply(); err != nil {
+						return progressed, err
+					}
+				}
+				group.frames, group.open = append(group.frames, 0), int(k)
 			}
 			f.observeLeader(lsn, horizon)
 			f.checkReady()
 		default:
 			return progressed, fmt.Errorf("%w: unexpected message type %d mid-stream", ErrStreamCorrupt, msgType(p))
 		}
-		if n := len(group.payloads); n > 0 && (group.full() || !fr.buffered()) {
-			if err := s.applyReplicated(&group); err != nil {
+		if len(group.payloads) > 0 && group.open == 0 && (group.full() || !fr.buffered()) {
+			if err := apply(); err != nil {
 				return progressed, err
 			}
-			progressed = true
-			f.records.Add(uint64(n))
-			f.observeLeader(s.LSN(), 0)
-			f.checkReady()
 		}
 	}
 }

@@ -112,7 +112,8 @@ func (fr *frameReader) buffered() bool {
 // transport's own error), one that is there but wrong errFrameDamaged,
 // and both wrap fr.corrupt. A damaged frame is consumed through its
 // header when its length is wrong and through its payload when its CRC
-// is, so the call after reads where a writer put the next frame.
+// is, so the call after reads where a writer put the next frame; a CRC
+// mismatch returns the payload read, borrowed as a good one is.
 func (fr *frameReader) next() ([]byte, error) {
 	if _, err := io.ReadFull(fr.r, fr.hdr[:]); err != nil {
 		if err == io.EOF {
@@ -144,7 +145,7 @@ func (fr *frameReader) next() ([]byte, error) {
 		}
 	}
 	if crc32.Checksum(p, crcTable) != binary.LittleEndian.Uint32(fr.hdr[4:8]) {
-		return nil, fmt.Errorf("%w: %w: CRC mismatch", fr.corrupt, errFrameDamaged)
+		return p, fmt.Errorf("%w: %w: CRC mismatch", fr.corrupt, errFrameDamaged)
 	}
 	fr.good += int64(frameHeaderSize + length)
 	return p, nil

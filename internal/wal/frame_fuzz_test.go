@@ -26,11 +26,11 @@ func appendFrame(buf, payload []byte) []byte {
 }
 
 // segmentRecords returns a copy of each record payload in a segment
-// image, failing on any damage.
+// image, a packed frame's records one by one, failing on any damage.
 func segmentRecords(tb testing.TB, seg []byte) [][]byte {
 	tb.Helper()
 	var records [][]byte
-	fr := newFrameReader(bytes.NewReader(seg), ErrCorrupt)
+	fr := newRecordReader(bytes.NewReader(seg), ErrCorrupt)
 	for {
 		payload, err := fr.next()
 		if err == io.EOF {
@@ -87,6 +87,11 @@ func FuzzReadFrame(f *testing.F) {
 	f.Add(binary.LittleEndian.AppendUint64(nil, maxRecordLen+1))                       // more than any frame may claim
 	f.Add(append(binary.LittleEndian.AppendUint64(nil, 3*frameGrowStep), seg[:64]...)) // three steps claimed, 64 bytes sent
 	f.Add(appendFrame(nil, nil))                                                       // an empty frame: no record or message is
+	records := goldenRecords(f)                                                        // packed frames, valid and hostile
+	f.Add(appendFrame(nil, packedPayload(len(records), len(packedBody(records)), deflated(packedBody(records)))))
+	for _, p := range hostilePacks(records) {
+		f.Add(appendFrame(nil, p))
+	}
 
 	allocated := []metrics.Sample{{Name: "/gc/heap/allocs:bytes"}}
 	f.Fuzz(func(t *testing.T, data []byte) {

@@ -22,11 +22,13 @@ import (
 // checkpoint and one segment) pins the WAL bytes: whatever the current
 // code writes for the golden operations must be that META and that
 // segment, whose transactions are schema-relative records but for the
-// one that fails. testdata/golden-type1 is the same directory as the
-// self-describing record form wrote it, before transactions were logged
-// schema-relative; it is never rewritten, and recovery must replay
-// both, through the in-place decoder, to the state the operations
-// leave. Their checkpoint is in version 1 of the snapshot format, which
+// one that fails, and whose first group is one packed frame.
+// testdata/golden-type1 is the same directory as the self-describing
+// record form wrote it, before transactions were logged schema-relative,
+// and testdata/golden-plain as it was written before groups were
+// packed, one frame a record; neither is ever rewritten, and recovery
+// must replay all three, through the in-place decoder, to the state the
+// operations leave. Their checkpoint is in version 1 of the snapshot format, which
 // nothing writes any more and every recovery must keep loading: it
 // stays as it is, and must hold the state of the checkpoint the current
 // code writes. Rewrite testdata/golden's META and segment only for a
@@ -207,6 +209,21 @@ func TestGoldenDataDirectory(t *testing.T) {
 func TestGoldenType1Directory(t *testing.T) {
 	requireRecovers(t, filepath.Join("testdata", "golden-type1"), writeGolden(t, t.TempDir()))
 }
+
+// TestGoldenPlainDirectory: the directory written one frame a record,
+// before a group commit was packed, recovers, unedited, to the state the
+// golden operations leave; the current code packs its first group.
+func TestGoldenPlainDirectory(t *testing.T) {
+	dir := filepath.Join("testdata", "golden-plain")
+	requireRecovers(t, dir, writeGolden(t, t.TempDir()))
+	plain := readDir(t, dir)[segName0]
+	packed := readDir(t, filepath.Join("testdata", "golden"))[segName0]
+	if len(packed) >= len(plain) || bytes.Equal(packed[8:9], plain[8:9]) {
+		t.Fatalf("golden segment %d bytes, first record type %#x; golden-plain %d bytes, %#x", len(packed), packed[8], len(plain), plain[8])
+	}
+}
+
+const segName0 = "wal-0000000000000000.seg"
 
 // TestGoldenV2Directory: testdata/golden-v2 is the golden directory as
 // the version 2 writer left it after the golden operations, a reopen

@@ -2,6 +2,7 @@ package wal
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -214,6 +215,13 @@ func (s *Store) ServeStream(ctx context.Context, w io.Writer, from uint64) error
 			if err != nil {
 				return err
 			}
+			if k := uint64(tail.rr.first); k > 0 {
+				// A heartbeat to a follower that knows no more; to one that
+				// does, the k records from pos on are one frame of the log.
+				if err := fw.send(binary.AppendUvarint(binary.AppendUvarint(binary.AppendUvarint(append(fw.frame(), msgHeartbeat), pos+k), 0), k)); err != nil {
+					return err
+				}
+			}
 			if err := h.send(fw, pos, payload); err != nil {
 				return err
 			}
@@ -254,7 +262,8 @@ func (s *Store) streamCheckpoint(fw *frameWriter, lsn uint64) error {
 
 // tailReader reads one stream's records out of the log in LSN order. It
 // keeps the segment holding the next record open at the offset it has
-// read to, reads only the bytes appended since, through one frame reader,
+// read to, reads only the bytes appended since, through one record
+// reader (which expands a packed frame into its records),
 // and at a segment's end opens the next one, which is named by the LSN
 // it starts at. Every record it is asked for is committed — flushed
 // before the log end passed it — so a segment that has no more bytes has
@@ -265,8 +274,8 @@ type tailReader struct {
 	fs  FS
 	dir string
 	f   io.ReadCloser // segment holding record lsn; nil until the first next
-	fr  *frameReader  // reads f
-	lsn uint64        // LSN of the next frame fr yields
+	rr  *recordReader // reads f
+	lsn uint64        // LSN of the next record rr yields
 }
 
 // next returns the payload of record lsn, valid until the following call.
@@ -287,7 +296,7 @@ func (t *tailReader) next(lsn uint64) ([]byte, error) {
 		}
 	}
 	for {
-		payload, err := t.fr.next()
+		payload, err := t.rr.next()
 		if err == io.EOF {
 			// The segment ended before record t.lsn: the next one starts there.
 			if err := t.open(t.lsn); err != nil {
@@ -311,11 +320,11 @@ func (t *tailReader) open(start uint64) error {
 	if err != nil {
 		return fmt.Errorf("wal: log position %d: segment %s: %w", start, name, err)
 	}
-	if t.fr == nil {
-		t.fr = newFrameReader(f, ErrCorrupt)
+	if t.rr == nil {
+		t.rr = newRecordReader(f, ErrCorrupt)
 	}
 	t.f, t.lsn = f, start
-	t.fr.reset(f)
+	t.rr.reset(f)
 	return nil
 }
 

@@ -72,15 +72,16 @@ type logWriter struct {
 	f     File          // current segment
 	w     *bufio.Writer // buffers frames; flushed before any sync
 	fw    frameWriter   // frames onto w
+	pk    *packer       // packs a group's records into one frame (see run)
 	start uint64        // LSN of the current segment's first record
 	count uint64        // records appended to the current segment
-	bytes int64         // bytes appended to the current segment
+	bytes int64         // the current segment's records as plain frames
 }
 
 // openLogWriter positions the writer to append records starting at
-// nextLSN. If a segment already holds records [start, nextLSN), it is
-// reopened for append; otherwise a new segment named for nextLSN is
-// created.
+// nextLSN. If a segment already holds records [start, nextLSN) — segBytes
+// of them as plain frames — it is reopened for append; otherwise a new
+// segment named for nextLSN is created.
 func openLogWriter(fs FS, dir string, segSize int64, segStart uint64, segBytes int64, segCount uint64, nextLSN uint64) (*logWriter, error) {
 	lw := &logWriter{fs: fs, dir: dir, segSize: segSize}
 	if segCount > 0 && segStart+segCount == nextLSN {
@@ -109,19 +110,54 @@ func openLogWriter(fs FS, dir string, segSize int64, segStart uint64, segBytes i
 	return lw, nil
 }
 
-// append frames payload onto the current segment, rotating first if the
-// segment is full. It does not sync.
-func (lw *logWriter) append(payload []byte) error {
-	if lw.bytes >= lw.segSize && lw.count > 0 {
-		if err := lw.rotate(); err != nil {
+// append frames a group's payloads onto the log. A segment rotates
+// before the record that finds segSize bytes of records in it, counted
+// as plain frames whatever they were written as, so segment names
+// (LSNs) do not depend on packing. Between rotations the group is cut
+// into runs of at most half a segment: a damaged frame with an intact
+// one after it in its segment is refused as corrupt, not truncated as a
+// torn tail, so packing never widens that window past half a segment.
+// A run of two or more records is one packed frame when that is
+// smaller, else a frame each. It does not sync.
+func (lw *logWriter) append(payloads ...[]byte) error {
+	for len(payloads) > 0 {
+		if lw.bytes >= lw.segSize && lw.count > 0 {
+			if err := lw.rotate(); err != nil {
+				return err
+			}
+		}
+		n, run := 0, int64(0)
+		for n < len(payloads) && lw.bytes+run < lw.segSize && run < lw.segSize/2 {
+			run += int64(frameHeaderSize + len(payloads[n]))
+			n++
+		}
+		if err := lw.run(payloads[:n]); err != nil {
+			return err
+		}
+		lw.count += uint64(n)
+		lw.bytes += run
+		payloads = payloads[n:]
+	}
+	return nil
+}
+
+// run writes one run of a group. The packer's deflate state (≈ 1.2 MB)
+// is made by the first run that can use it, so a store that never
+// group-commits does not hold it.
+func (lw *logWriter) run(payloads [][]byte) error {
+	if len(payloads) > 1 {
+		if lw.pk == nil {
+			lw.pk = newPacker()
+		}
+		if packed := lw.pk.pack(payloads); packed != nil {
+			return lw.fw.writeMsg(packed)
+		}
+	}
+	for _, p := range payloads {
+		if err := lw.fw.writeMsg(p); err != nil {
 			return err
 		}
 	}
-	if err := lw.fw.writeMsg(payload); err != nil {
-		return err
-	}
-	lw.count++
-	lw.bytes += int64(frameHeaderSize + len(payload))
 	return nil
 }
 

@@ -12,8 +12,10 @@ import (
 )
 
 // FuzzDecodeRecord feeds arbitrary payloads, seeded with the records of
-// both golden segments — the schema-relative form and the
-// self-describing one — to the record decoder, with the golden schema.
+// the golden segments — the schema-relative form, packed and plain, and
+// the self-describing one — and with packed frames' payloads, valid and
+// hostile, which are not records, to the record decoder, with the
+// golden schema.
 // It must not panic; it must not allocate beyond a multiple of the
 // payload's size whatever counts the payload claims; what it accepts as
 // a transaction must survive encode and decode unchanged, encoded as the
@@ -28,7 +30,7 @@ func FuzzDecodeRecord(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	for _, dir := range []string{"golden", "golden-type1"} {
+	for _, dir := range []string{"golden", "golden-plain", "golden-type1"} {
 		seg, err := OSFS{}.ReadFile(filepath.Join("testdata", dir, segName(0)))
 		if err != nil {
 			f.Fatal(err)
@@ -46,6 +48,11 @@ func FuzzDecodeRecord(f *testing.F) {
 	f.Add([]byte{recTxn, 0xff, 0xff, 0xff, 0x07, 'x'})                    // a 16 MB label
 	f.Add([]byte{recSchemaTxn, 0, 2, byte(db.OpInsert), 0, 2})            // a row that ends early
 	f.Add([]byte{recSchemaTxn, 0, 1, byte(db.OpDelete), 0xff, 0xff, 3})   // a relation the schema lacks
+	records := goldenRecords(f)
+	f.Add(packedPayload(len(records), len(packedBody(records)), deflated(packedBody(records))))
+	for _, p := range hostilePacks(records) {
+		f.Add(p)
+	}
 
 	rows := db.Transaction{Label: "rows", Updates: []db.Update{
 		db.Insert("Parts", db.Tuple{db.I(1), db.S("bolt"), db.F(0.25)}),

@@ -1,14 +1,17 @@
 package wal_test
 
 import (
+	"bytes"
 	"context"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	"hyperprov/internal/db"
 	"hyperprov/internal/engine"
 	"hyperprov/internal/wal"
 	"hyperprov/internal/workload"
@@ -176,6 +179,138 @@ func TestTornFinalRecord(t *testing.T) {
 		}
 		re.Close()
 	}
+}
+
+// TestTornPackedFrameDropsItsGroup: a group commit is one packed frame,
+// so a crash that tears it loses the whole group and nothing before it.
+// A batch whose transaction 10 fails reports 10 applied, as ever, and
+// logs that prefix and the failing transaction as one group: whole, it
+// replays to the store's state; torn anywhere, recovery truncates the
+// frame and keeps exactly the batch before it.
+func TestTornPackedFrameDropsItsGroup(t *testing.T) {
+	initial, txns := smallWorkload(t)
+	ctx := context.Background()
+	failing := append(append(txns[20:30:30], db.Transaction{Label: "bad", Updates: []db.Update{
+		db.Delete("Nowhere", db.Pattern{db.AnyVar("x")}),
+	}}), txns[30:35]...)
+	dir := t.TempDir()
+	st, err := wal.Open(dir, wal.WithMode(engine.ModeNormalForm), wal.WithInitialDatabase(initial))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if applied, err := st.ApplyBatch(ctx, txns[:20]); applied != 20 || err != nil {
+		t.Fatalf("first batch: %d applied, %v", applied, err)
+	}
+	if applied, err := st.ApplyBatch(ctx, failing); applied != 10 || err == nil {
+		t.Fatalf("failing batch: %d applied, %v; want 10 and its error", applied, err)
+	}
+	whole := snapshotOf(t, st)
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	seg := filepath.Join(dir, "wal-0000000000000000.seg")
+	data, err := os.ReadFile(seg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var frames []int // where each frame starts
+	for off := 0; off < len(data); off += 8 + int(binary.LittleEndian.Uint32(data[off:])) {
+		frames = append(frames, off)
+	}
+	if len(frames) != 2 {
+		t.Fatalf("two batches logged as %d frames, want one packed frame each", len(frames))
+	}
+	first := snapshotOf(t, oracleAt(t, engine.ModeNormalForm, initial, txns, 20))
+	for _, cut := range []int{len(data), frames[1] + 3, frames[1] + 9, (frames[1] + len(data)) / 2, len(data) - 1} {
+		re, err := wal.Open(withSegment(t, dir, data[:cut]))
+		if err != nil {
+			t.Fatalf("cut at %d of %d: %v", cut, len(data), err)
+		}
+		stats, state := re.Stats(), snapshotOf(t, re)
+		re.Close()
+		want, lsn, truncated := first, uint64(20), int64(cut-frames[1])
+		if cut == len(data) {
+			want, lsn, truncated = whole, 31, 0
+		}
+		if stats.LSN != lsn || stats.TruncatedTail != truncated {
+			t.Fatalf("cut at %d of %d: LSN %d, %d bytes truncated; want %d and %d", cut, len(data), stats.LSN, stats.TruncatedTail, lsn, truncated)
+		}
+		requireSameBytes(t, fmt.Sprintf("cut at %d of %d", cut, len(data)), want, state)
+	}
+}
+
+// withSegment copies dir's META and first checkpoint into a new
+// directory whose first segment is seg.
+func withSegment(t *testing.T, dir string, seg []byte) string {
+	t.Helper()
+	to := t.TempDir()
+	for _, name := range []string{"META", "checkpoint-0000000000000000.ckpt"} {
+		b, err := os.ReadFile(filepath.Join(dir, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(to, name), b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := os.WriteFile(filepath.Join(to, "wal-0000000000000000.seg"), seg, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return to
+}
+
+// TestDamagedPackedTailIsCorrupt: a tear leaves the final packed frame
+// short, or ending in zeros, never ending as it was written. A final
+// packed frame that fails its CRC but ends as written was damaged after
+// its group was logged, and perhaps acknowledged: recovery refuses the
+// directory and truncates nothing, whether the damage is in its CRC,
+// its type byte or its deflate stream. Zero-filled from its middle, the
+// same frame is a tear and drops only its group.
+func TestDamagedPackedTailIsCorrupt(t *testing.T) {
+	initial, txns := smallWorkload(t)
+	dir := t.TempDir()
+	st, err := wal.Open(dir, wal.WithMode(engine.ModeNormalForm), wal.WithInitialDatabase(initial))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, batch := range [][]db.Transaction{txns[:20], txns[20:30]} {
+		if err := st.ApplyAll(context.Background(), batch); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(filepath.Join(dir, "wal-0000000000000000.seg"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	last := int(binary.LittleEndian.Uint32(data)) + 8 // where the second frame starts
+	if last >= len(data) || data[last+8] != 0x80 || last+8+int(binary.LittleEndian.Uint32(data[last:])) != len(data) {
+		t.Fatalf("two batches of a %d-byte segment are not two packed frames", len(data))
+	}
+	for _, at := range []int{last + 4, last + 8, (last + len(data)) / 2, len(data) - 5} {
+		damaged := bytes.Clone(data)
+		damaged[at] ^= 0x10
+		re := withSegment(t, dir, damaged)
+		if _, err := wal.Open(re); !errors.Is(err, wal.ErrCorrupt) {
+			t.Errorf("a bit flipped at %d of the final frame's %d bytes: Open = %v, want ErrCorrupt", at-last, len(data)-last, err)
+		}
+		if after, _ := os.ReadFile(filepath.Join(re, "wal-0000000000000000.seg")); !bytes.Equal(after, damaged) {
+			t.Errorf("a bit flipped at %d of the final frame: recovery rewrote the segment", at-last)
+		}
+	}
+	torn := bytes.Clone(data)
+	clear(torn[(last+len(data))/2:])
+	re, err := wal.Open(withSegment(t, dir, torn))
+	if err != nil {
+		t.Fatalf("the final frame zero-filled from its middle: %v", err)
+	}
+	defer re.Close()
+	if stats := re.Stats(); stats.LSN != 20 || stats.TruncatedTail != int64(len(data)-last) {
+		t.Fatalf("the final frame zero-filled from its middle: LSN %d, %d bytes truncated; want 20 and %d", stats.LSN, stats.TruncatedTail, len(data)-last)
+	}
+	requireSameBytes(t, "zero-filled packed tail", snapshotOf(t, oracleAt(t, engine.ModeNormalForm, initial, txns, 20)), snapshotOf(t, re))
 }
 
 // TestZeroFilledTailIsTorn: a crash that persisted the final segment's

@@ -161,8 +161,9 @@ func WithSync(p SyncPolicy) Option { return func(o *options) { o.sync = p } }
 // WithSyncInterval sets the SyncInterval timer period (default 50ms).
 func WithSyncInterval(d time.Duration) Option { return func(o *options) { o.interval = d } }
 
-// WithSegmentSize sets the log segment rotation threshold in bytes
-// (default 16 MiB).
+// WithSegmentSize sets the log segment rotation threshold in bytes of
+// records, counted as plain frames however they are packed (default
+// 16 MiB).
 func WithSegmentSize(n int64) Option { return func(o *options) { o.segSize = n } }
 
 // WithCheckpointEvery checkpoints automatically after every n appended
@@ -524,7 +525,7 @@ func (s *Store) recover(meta *metaInfo) error {
 	var segStart, segCount uint64
 	var segBytes int64
 	expect := uint64(0)
-	fr := newFrameReader(nil, ErrCorrupt)
+	rr := newRecordReader(nil, ErrCorrupt)
 	var group replayGroup
 	replay := func() error {
 		return s.replayLocked(&group, replayStart+s.replayed-uint64(len(group.payloads)), ErrCorrupt, false)
@@ -543,32 +544,43 @@ func (s *Store) recover(meta *metaInfo) error {
 		if err != nil {
 			return err
 		}
-		fr.reset(bytes.NewReader(data))
-		count := uint64(0)
+		rr.reset(bytes.NewReader(data))
+		count, plain := uint64(0), int64(0) // plain: the records as plain frames
 		for ; ; count++ {
-			payload, err := fr.next()
+			payload, err := rr.next()
 			if err == io.EOF {
 				break
+			}
+			if errors.Is(err, errUnpack) {
+				// A whole frame, and malformed: as a record that does not
+				// decode, wherever it lies.
+				return fmt.Errorf("%w (record %d)", err, start+count)
 			}
 			if err != nil {
 				// Damage followed by one complete valid frame, where the
 				// damaged one ends, is not a torn write: skipping it would
-				// replay a different history. Anything else is a crashed
-				// write's tail, which only the final segment may have.
+				// replay a different history; nor is a packed frame that
+				// ends as written (its group may have been acknowledged).
+				// Anything else is a crashed write's tail, which only the
+				// final segment may have.
 				if errors.Is(err, errFrameDamaged) {
-					if _, err := fr.next(); err == nil {
+					if bytes.HasSuffix(payload, packEnd) {
+						return fmt.Errorf("%w: damaged packed frame in %s, written whole", ErrCorrupt, segName(start))
+					}
+					if _, err := rr.frameReader.next(); err == nil {
 						return fmt.Errorf("%w: damaged record inside %s with intact records after it", ErrCorrupt, segName(start))
 					}
 				}
 				if i < len(segs)-1 {
 					return fmt.Errorf("%w: damaged tail in non-final segment %s", ErrCorrupt, segName(start))
 				}
-				s.truncated = int64(len(data)) - fr.good
-				if err := s.fs.Truncate(path, fr.good); err != nil {
+				s.truncated = int64(len(data)) - rr.good
+				if err := s.fs.Truncate(path, rr.good); err != nil {
 					return err
 				}
 				break
 			}
+			plain += int64(frameHeaderSize + len(payload))
 			if lsn := start + count; lsn >= replayStart {
 				group.add(payload)
 				if s.replayed++; group.full() {
@@ -582,7 +594,7 @@ func (s *Store) recover(meta *metaInfo) error {
 		if expect > nextLSN {
 			nextLSN = expect
 		}
-		segStart, segCount, segBytes = start, count, fr.good
+		segStart, segCount, segBytes = start, count, plain
 	}
 	if err := replay(); err != nil {
 		return err
@@ -605,16 +617,26 @@ func (s *Store) recover(meta *metaInfo) error {
 const groupBytes = 8 << 10
 
 // replayGroup holds copies of a group's payloads and its decoded
-// transactions, reused from group to group.
+// transactions, reused from group to group. On a follower, frames are
+// the group's records in frames of the leader's log, and open is how
+// many records the last of them still awaits (see Follower.streamOnce).
 type replayGroup struct {
 	buf      []byte
 	payloads [][]byte
 	txns     []db.Transaction
+	frames   []int
+	open     int
 }
 
 func (g *replayGroup) add(p []byte) {
 	g.buf = append(g.buf, p...)
 	g.payloads = append(g.payloads, g.buf[len(g.buf)-len(p):])
+	if g.open == 0 {
+		g.frames = append(g.frames, 0)
+	} else {
+		g.open--
+	}
+	g.frames[len(g.frames)-1]++
 }
 
 func (g *replayGroup) full() bool {
@@ -633,13 +655,14 @@ func (g *replayGroup) full() bool {
 // one (counted in ReplayFailed: a deterministic re-run of an error the
 // original process returned, or README's migration note), then a last
 // record of another type. With log set (a follower) the group is first
-// appended under one commit, once all of it decoded, a corrupt payload
-// poisoning no local log, and the checkpoint cadence runs after it. A
-// decode or restore error means the log does not match the schema.
+// appended under one commit, in the leader's frames, once all of it
+// decoded, a corrupt payload poisoning no local log, and the checkpoint
+// cadence runs after it. A decode or restore error means the log does
+// not match the schema.
 func (s *Store) replayLocked(g *replayGroup, first uint64, corrupt error, log bool) error {
 	defer func() {
 		s.replay.Reset()
-		g.buf, g.payloads, g.txns = g.buf[:0], g.payloads[:0], g.txns[:0]
+		g.buf, g.payloads, g.txns, g.frames = g.buf[:0], g.payloads[:0], g.txns[:0], g.frames[:0]
 	}()
 	var last Record
 	for i, p := range g.payloads {
@@ -653,7 +676,7 @@ func (s *Store) replayLocked(g *replayGroup, first uint64, corrupt error, log bo
 		}
 	}
 	if log {
-		if err := s.appendLocked(g.payloads...); err != nil {
+		if err := s.appendGroupsLocked(g.payloads, g.frames...); err != nil {
 			return err
 		}
 	}
@@ -735,18 +758,27 @@ func (s *Store) commitLocked() error {
 	return s.lw.flush()
 }
 
-// appendLocked appends payloads and commits them per the sync policy
-// (one fsync for the whole group). On failure the store degrades to
-// read-only: the log may hold a prefix of the group, so no further
-// writes can be acknowledged safely.
+// appendLocked appends payloads as one group and commits them per the
+// sync policy (one fsync for the whole group; see logWriter.append for
+// how a group is framed). On failure the store degrades to read-only:
+// the log may hold a prefix of the group, so no further writes can be
+// acknowledged safely.
 func (s *Store) appendLocked(payloads ...[]byte) error {
+	return s.appendGroupsLocked(payloads, len(payloads))
+}
+
+// appendGroupsLocked is appendLocked of payloads cut into groups of the
+// given sizes, under one commit: a follower logs the frames of its
+// leader's log as they were.
+func (s *Store) appendGroupsLocked(payloads [][]byte, groups ...int) error {
 	if err := s.writableLocked(); err != nil {
 		return err
 	}
-	for _, p := range payloads {
-		if err := s.lw.append(p); err != nil {
+	for rest := payloads; len(rest) > 0; groups = groups[1:] {
+		if err := s.lw.append(rest[:groups[0]]...); err != nil {
 			return s.degradeLocked(err)
 		}
+		rest = rest[groups[0]:]
 	}
 	if err := s.commitLocked(); err != nil {
 		return s.degradeLocked(err)

@@ -25,7 +25,10 @@ import (
 //	ckptChunk  a slice of the bootstrap checkpoint (resync only)
 //	ckptDone   end of the bootstrap checkpoint
 //	record     LSN + one WAL record payload, exactly the leader's bytes
-//	heartbeat  leader LSN + committed horizon, sent when idle
+//	heartbeat  leader LSN + committed horizon, sent when idle; before the
+//	           records of a packed frame, also their count, so that a
+//	           follower logs them as the leader did (an older follower
+//	           reads the heartbeat and ignores the count)
 //
 // The hello message always comes first. With resync=0 the leader
 // resumes records at exactly the follower's requested LSN; with
