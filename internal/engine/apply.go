@@ -372,22 +372,26 @@ func (e *Engine) absorbModTarget(tbl *table, g *modGroup, pe *core.Expr) {
 	}
 }
 
+// restoreTable returns the table t restores into in rel, or why not.
+func (e *Engine) restoreTable(rel string, t db.Tuple) (*table, error) {
+	tbl := e.tables[rel]
+	if tbl == nil {
+		return nil, fmt.Errorf("engine: %w %s", ErrUnknownRelation, rel)
+	}
+	if err := t.Conforms(tbl.rel); err != nil {
+		return nil, fmt.Errorf("engine: %w: %v", ErrBadTuple, err)
+	}
+	return tbl, nil
+}
+
 // restoreRow stores a tuple (of fingerprint fp) with an explicit
 // annotation in the open epoch, overwriting any existing row for the same
 // tuple — also one an earlier restore of the same epoch stored (see
 // setBase).
-func (e *Engine) restoreRow(rel string, t db.Tuple, fp uint64, ann *core.Expr) error {
-	tbl := e.tables[rel]
-	if tbl == nil {
-		return fmt.Errorf("engine: %w %s", ErrUnknownRelation, rel)
-	}
-	if err := t.Conforms(tbl.rel); err != nil {
-		return fmt.Errorf("engine: %w: %v", ErrBadTuple, err)
-	}
+func (e *Engine) restoreRow(tbl *table, t db.Tuple, fp uint64, ann *core.Expr) {
 	r := tbl.rows.get(fp, t)
 	if r == nil {
 		r = tbl.create(fp, t)
 	}
 	e.setBase(tbl, r, ann)
-	return nil
 }

@@ -153,9 +153,11 @@ type Engine struct {
 	tables map[string]*table
 
 	// epoch numbers write epochs (transactions, restores, minimization
-	// passes); it is the high half of every horizon sequence (EpochSeq).
-	// Under mu it is the epoch in flight.
-	epoch atomic.Uint64
+	// passes, index DDL); it is the high half of every horizon sequence
+	// (EpochSeq). Under mu it is the epoch in flight. restored is
+	// MVCCStats.RestoreEpoch.
+	epoch    atomic.Uint64
+	restored uint64
 
 	// The write epoch in flight, set by begin: the query annotation its
 	// updates carry and whether a hook wants its rows. touched lists the
@@ -401,14 +403,18 @@ func (e *Engine) ApplyBatch(ctx context.Context, txns []db.Transaction) (applied
 }
 
 // RestoreRow stores a tuple with an explicit annotation, overwriting any
-// existing row for the same tuple. It is the inverse of EachRow and is
-// used by snapshot loading (package provstore). Each restore is its own
-// write epoch, committed like a transaction.
+// existing row for the same tuple: the inverse of EachRow. Each restore
+// is its own write epoch, committed like a transaction; one that fails
+// (unknown relation, bad tuple) takes none.
 func (e *Engine) RestoreRow(rel string, t db.Tuple, ann *core.Expr) error {
+	tbl, err := e.restoreTable(rel, t)
+	if err != nil {
+		return err
+	}
 	e.begin("")
-	err := e.restoreRow(rel, t, t.Fingerprint(), ann)
+	e.restoreRow(tbl, t, t.Fingerprint(), ann)
 	e.finish(CommitRestore, "")
-	return err
+	return nil
 }
 
 // restoreItem is one add of a Restore on its way to storage.
@@ -418,16 +424,19 @@ type restoreItem struct {
 	ann *core.Expr
 }
 
-// Restore is RestoreRow in bulk, for snapshot loading: fill runs inside
-// one write epoch and stores a row with each call of add, in call order;
-// the epoch commits — one CommitRestore — when fill returns, with the
-// rows added before an error kept. A tuple added twice keeps the later
+// Restore is RestoreRow in bulk, for snapshot loading into a new engine:
+// fill runs inside the write epoch numbered epoch, the engine's first
+// state, and stores a row with each call of add, in call order; the
+// epoch commits — one CommitRestore — when fill returns, with the rows
+// added before an error kept. A tuple added twice keeps the later
 // annotation and is one row of the event. fill runs beside the stores
 // (see pipe): a decoder reads and interns the next rows while these go
 // in, so add answers for an earlier row's failure, and Restore returns
 // the first failure in row order, a store's before fill's own.
-func (e *Engine) Restore(fill func(add func(rel string, t db.Tuple, ann *core.Expr) error) error) error {
+func (e *Engine) Restore(epoch uint64, fill func(add func(rel string, t db.Tuple, ann *core.Expr) error) error) error {
 	e.begin("")
+	e.epoch.Store(epoch)
+	e.restored = epoch
 	defer e.finish(CommitRestore, "")
 	_, _, err := pipe(func(emit func([]restoreItem) error) error {
 		batch := make([]restoreItem, 0, 256)
@@ -444,9 +453,11 @@ func (e *Engine) Restore(fill func(add func(rel string, t db.Tuple, ann *core.Ex
 		return err
 	}, func(batch []restoreItem) error {
 		for _, it := range batch {
-			if err := e.restoreRow(it.rel, it.t, it.t.Fingerprint(), it.ann); err != nil {
+			tbl, err := e.restoreTable(it.rel, it.t)
+			if err != nil {
 				return err
 			}
+			e.restoreRow(tbl, it.t, it.t.Fingerprint(), it.ann)
 		}
 		return nil
 	})

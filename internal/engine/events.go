@@ -2,13 +2,14 @@ package engine
 
 // Commit events are the engine's change-notification bus: every
 // committed write epoch — a transaction, a snapshot restore, a
-// minimization pass — is announced to an installed CommitHook exactly
-// once, in epoch order, immediately after the epoch became visible to
-// readers. Subscribers (internal/subscribe) use the events to maintain
-// registered what-ifs incrementally: Theorem 5.3 locality guarantees a
-// row's normal form depends only on that row's annotation and the query
-// annotation, so re-specializing exactly the rows named by an event
-// reproduces a from-scratch recompute at the event's horizon.
+// minimization pass, a logged index build or drop — is announced to an
+// installed CommitHook exactly once, in epoch order, immediately after
+// the epoch became visible to readers. Subscribers (internal/subscribe)
+// use the events to maintain registered what-ifs incrementally: Theorem
+// 5.3 locality guarantees a row's normal form depends only on that row's
+// annotation and the query annotation, so re-specializing exactly the
+// rows named by an event reproduces a from-scratch recompute at the
+// event's horizon.
 
 // CommitKind says what kind of write epoch a CommitEvent announces.
 type CommitKind uint8
@@ -22,6 +23,8 @@ const (
 	// CommitMinimize is a MinimizeAll pass (annotations may have been
 	// rewritten to smaller equivalent forms).
 	CommitMinimize
+	// CommitIndex is a logged index build or drop, naming no row.
+	CommitIndex
 	// CommitReset announces that the database identity changed wholesale
 	// (engine swap behind a wal.Store, e.g. a follower resync) or that an
 	// epoch ran before the hook was installed: Rows is empty and
@@ -38,6 +41,8 @@ func (k CommitKind) String() string {
 		return "restore"
 	case CommitMinimize:
 		return "minimize"
+	case CommitIndex:
+		return "index"
 	case CommitReset:
 		return "reset"
 	default:
@@ -57,8 +62,8 @@ type RowRef struct {
 // the epoch touched (created, annotated, deleted or rewritten), each at
 // most once; reading the database At(Seq) observes exactly the state
 // the event describes. Events arrive in strictly increasing Epoch
-// order per engine (followers renumber epochs from their own bootstrap,
-// so epoch values are engine-local). Rows is borrowed: see CommitHook.
+// order per engine; under a persistent store a record's epoch is its
+// LSN + 1 on every replica. Rows is borrowed: see CommitHook.
 type CommitEvent struct {
 	Epoch uint64
 	Seq   uint64 // EpochSeq(Epoch): pass to DB.At to pin the post-event state

@@ -112,9 +112,9 @@ func (h *Handle) ProvSize() int64    { return h.Engine().ProvSize() }
 func (h *Handle) ProvDAGSize() int64 { return h.Engine().ProvDAGSize() }
 
 // At pins a view of the engine being served. Views read no log: under a
-// persistent store the history they can pin starts at the state the
-// engine was recovered (or resynced) with — epochs of an earlier process
-// life are replayed into the recovery horizon, not kept one by one.
+// persistent store the history they can pin starts at the checkpoint the
+// engine was recovered (or resynced) from, its restore epoch; every
+// record replayed after it is an epoch of its own, its LSN + 1.
 func (h *Handle) At(seq uint64) View { return h.Engine().At(seq) }
 func (h *Handle) Horizon() uint64    { return h.Engine().Horizon() }
 func (h *Handle) WaitHorizon(ctx context.Context, seq uint64) error {

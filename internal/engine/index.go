@@ -246,6 +246,14 @@ func (e *Engine) DropIndex(rel, attr string) error {
 	return nil
 }
 
+// IndexEpoch commits an epoch that changes no row (CommitIndex). A
+// persistent store takes one for each index record it logs or replays,
+// whatever BuildIndex or DropIndex, which take none, did with it.
+func (e *Engine) IndexEpoch() {
+	e.begin("")
+	e.finish(CommitIndex, "")
+}
+
 // IndexStats reports every index of the engine — relations in schema
 // order, attributes in column order — with its current posting-list
 // volume.

@@ -28,11 +28,8 @@ import (
 // makes every version written under epoch ≤ k safe to read without
 // locks. Versions born in an epoch beyond the reader's horizon are
 // skipped by walking the chain; a row whose first version is beyond the
-// horizon (born in the epoch that created the row) is invisible entirely.
-//
-// The same machinery provides time travel: At(seq) returns a read-only
-// View pinned to any committed horizon, and EpochSeq converts a
-// transaction epoch to its horizon sequence.
+// horizon (born in the epoch that created the row) is invisible
+// entirely, and At pins an older horizon for time travel.
 
 // seqCounterMask is the low half of a sequence number: epoch k is fully
 // visible at horizon k<<32|seqCounterMask, and a sequence with any other
@@ -41,7 +38,9 @@ const seqCounterMask = 1<<32 - 1
 
 // EpochSeq returns the horizon sequence at which transaction epoch k is
 // fully visible: pass it to DB.At to read the database as of epoch k
-// (epoch 0 is the initial database before any transaction).
+// (epoch 0 is the initial database before any transaction). A version
+// keeps its epoch in 32 bits: an engine past 2³²−1 epochs — a log past
+// 2³²−1 records — is out of range.
 func EpochSeq(epoch uint64) uint64 { return epoch<<32 | seqCounterMask }
 
 // SeqEpoch returns the transaction epoch of a sequence number (the high
@@ -149,9 +148,12 @@ type MVCCStats struct {
 	HorizonEpoch uint64 `json:"horizonEpoch"`
 	// HorizonSeq is the committed read horizon (EpochSeq(HorizonEpoch)).
 	HorizonSeq uint64 `json:"horizonSeq"`
-	// Epochs counts allocated write epochs (transactions, restores and
-	// minimization passes), including any still uncommitted.
+	// Epochs is the newest allocated write epoch, one beyond
+	// HorizonEpoch while a write is in flight.
 	Epochs uint64 `json:"epochs"`
+	// RestoreEpoch is the epoch a snapshot or checkpoint was restored at
+	// (0 for rows): a view pinned below it reads no rows.
+	RestoreEpoch uint64 `json:"restoreEpoch"`
 	// Versions counts row versions ever created, initial rows included.
 	Versions uint64 `json:"versions"`
 }
@@ -186,7 +188,7 @@ func (e *Engine) WaitHorizon(ctx context.Context, seq uint64) error {
 // MVCCStats reports the engine's version-storage counters.
 func (e *Engine) MVCCStats() MVCCStats {
 	h := e.Horizon()
-	st := MVCCStats{HorizonEpoch: SeqEpoch(h), HorizonSeq: h, Epochs: e.epoch.Load()}
+	st := MVCCStats{HorizonEpoch: SeqEpoch(h), HorizonSeq: h, Epochs: e.epoch.Load(), RestoreEpoch: e.restored}
 	for _, tbl := range e.tables {
 		st.Versions += uint64(tbl.nvers.Load())
 	}

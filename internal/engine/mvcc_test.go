@@ -559,7 +559,7 @@ func TestRestoreSameTupleTwice(t *testing.T) {
 			ev.Rows = slices.Clone(ev.Rows)
 			events = append(events, ev)
 		})
-		err := e.Restore(func(add func(rel string, t db.Tuple, ann *core.Expr) error) error {
+		err := e.Restore(1, func(add func(rel string, t db.Tuple, ann *core.Expr) error) error {
 			for _, ann := range anns {
 				if err := add("R", tu, ann); err != nil {
 					return err

@@ -295,12 +295,18 @@ func readFloat(r *bufio.Reader) (float64, error) {
 type restoreFunc = func(rel string, t db.Tuple, ann *core.Expr) error
 
 // LoadSnapshot restores an annotated database saved by SaveSnapshot, in
-// version 1, 2 or 3, as one restore epoch. The engine mode
-// is taken from the snapshot; in normal-form mode every restored
-// annotation becomes the tuple's base expression. Options pass through
-// to engine.NewEmpty (a server swapping the result in passes the
+// version 1, 2 or 3, as one restore epoch: LoadSnapshotAt epoch 1. The
+// engine mode is taken from the snapshot; in normal-form mode every
+// restored annotation becomes the tuple's base expression. Options pass
+// through to engine.NewEmpty (a server swapping the result in passes the
 // replaced engine's Options).
 func LoadSnapshot(r io.Reader, opts ...engine.Option) (*engine.Engine, error) {
+	return LoadSnapshotAt(r, 1, opts...)
+}
+
+// LoadSnapshotAt is LoadSnapshot restoring at the given epoch: a
+// checkpoint of the state after n log records restores at epoch n.
+func LoadSnapshotAt(r io.Reader, epoch uint64, opts ...engine.Option) (*engine.Engine, error) {
 	start := time.Now()
 	br := bufio.NewReader(r)
 	magic := make([]byte, len(snapshotMagic))
@@ -362,7 +368,7 @@ func LoadSnapshot(r io.Reader, opts ...engine.Option) (*engine.Engine, error) {
 		return nil, err
 	}
 	e := engine.NewEmpty(mode, schema, opts...)
-	if err := e.Restore(func(add restoreFunc) error {
+	if err := e.Restore(epoch, func(add restoreFunc) error {
 		if version == '1' {
 			return readRowsV1(br, rels, add)
 		}

@@ -211,18 +211,17 @@ const minEpochWait = time.Second
 // asOfReader resolves the optional ?as_of= query parameter (an epoch
 // number, as reported by mvccHorizonEpoch in /v1/stats) to the reader
 // the request runs against: the live engine when absent, an MVCC view
-// pinned at the end of that epoch otherwise. Time travel is free —
-// views share the engine's version chains — and lock-free against
-// concurrent ingestion. Epochs beyond the committed horizon answer
-// 400; ok=false means the error response has been written.
+// pinned at the end of that epoch otherwise — lock-free, sharing the
+// engine's version chains. Epochs beyond the committed horizon answer
+// 400, epochs below the restore epoch (states a checkpoint or snapshot
+// load compacted away) 410; ok=false means the error has been written.
 //
 // ?min_epoch=N fences stale reads: the request proceeds only once the
 // serving engine's committed horizon covers epoch N, waiting up to
-// minEpochWait and then answering 503 replica_lagging. On a follower
-// this is the read-your-writes guard — a client that wrote through the
-// leader (observing its mvccHorizonEpoch) passes that epoch here and
-// never reads a replica state older than its own write; on the leader
-// the fence is satisfied immediately.
+// minEpochWait and then answering 503 replica_lagging. A logged record's
+// epoch is its LSN + 1 on a leader and its followers alike, so a client
+// that wrote through the leader passes its mvccHorizonEpoch here and
+// never reads a replica state older than its own write.
 func (s *Server) asOfReader(w http.ResponseWriter, req *http.Request) (engine.Reader, bool) {
 	e := s.Engine()
 	if n, present, err := uintQuery(req, "min_epoch", "an epoch number"); err != nil {
@@ -250,6 +249,10 @@ func (s *Server) asOfReader(w http.ResponseWriter, req *http.Request) (engine.Re
 	}
 	if h := engine.SeqEpoch(e.Horizon()); n > h {
 		writeError(w, http.StatusBadRequest, codeBadRequest, "as_of epoch %d is beyond the committed horizon epoch %d", n, h)
+		return nil, false
+	}
+	if r := e.MVCCStats().RestoreEpoch; n < r {
+		writeError(w, http.StatusGone, codeCompacted, "as_of epoch %d is below the restore epoch %d", n, r)
 		return nil, false
 	}
 	return e.At(engine.EpochSeq(n)), true

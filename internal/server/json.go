@@ -46,6 +46,7 @@ const (
 	codeFollower         = "follower"
 	codeSyncing          = "syncing"
 	codeReplicaLagging   = "replica_lagging"
+	codeCompacted        = "compacted"
 	codeMethodNotAllowed = "method_not_allowed"
 	codeUnknownRoute     = "unknown_route"
 	codeBodyTooLarge     = "body_too_large"

@@ -472,14 +472,14 @@ func TestFollowerReadyzSyncing(t *testing.T) {
 	if code != http.StatusBadRequest {
 		t.Fatalf("bogus min_epoch answered %d: %s", code, raw)
 	}
-	// Epoch numbering is per process life, so the fence is phrased in
-	// the follower's own domain: each gated record is one epoch, so
-	// current epoch + record lag is reachable only after catch-up.
+	// A record's epoch is its LSN + 1 on leader and follower alike: the
+	// fence is the leader's horizon epoch, which a client that wrote
+	// there observed.
 	rs := f.ReplicaStats()
-	if rs.LagRecords == 0 {
-		t.Fatalf("gated follower reports no lag: %+v", rs)
+	if rs.LagRecords == 0 || rs.LagEpochs != rs.LeaderEpoch-rs.Epoch || rs.LeaderEpoch != rs.LeaderLSN {
+		t.Fatalf("gated follower reports no lag, or one in another unit: %+v", rs)
 	}
-	fence := rs.Epoch + rs.LagRecords
+	fence := st.MVCCStats().HorizonEpoch
 	start := time.Now()
 	code, raw = getBytes(t, follower.Client(), follower.URL+"/v1/db?min_epoch="+itoa(fence))
 	if code != http.StatusServiceUnavailable {

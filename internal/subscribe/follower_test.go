@@ -9,6 +9,7 @@ package subscribe_test
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -108,4 +109,104 @@ func TestProtocolOnStoreAndFollower(t *testing.T) {
 			t.Fatalf("leader and follower disagree on %q:\n%svs\n%s", sp.ID, lw, fw)
 		}
 	}
+}
+
+// TestIndexEpochSendsNoFrame: an index build or drop between two commits
+// of a store is an epoch of its own, its record's LSN + 1, and an empty
+// one: no subscriber hears it. A watch on the store and one on its
+// follower get the frames of an engine that ran the transactions alone,
+// each delta at its transaction's epoch, the index ops' epochs skipped.
+func TestIndexEpochSendsNoFrame(t *testing.T) {
+	initial, txns := testWorkload(t, 5)
+	st, err := wal.Open(t.TempDir(),
+		wal.WithMode(engine.ModeNormalForm),
+		wal.WithInitialDatabase(initial),
+		wal.WithSync(wal.SyncNever))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	f, err := wal.OpenFollower(ctx, t.TempDir(), startLeaderStream(t, st), wal.WithSync(wal.SyncNever))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	alone := engine.Open(engine.ModeNormalForm, initial)
+
+	type watcher struct {
+		m *subscribe.Manager
+		c *subscribe.Conn
+	}
+	var ws []watcher
+	for _, d := range []engine.DB{alone, st, f} {
+		m := subscribe.NewManager(d)
+		defer m.Close()
+		c := m.Attach(16)
+		if _, err := m.Subscribe(c, subscribe.Spec{ID: "w", Kind: subscribe.KindWatch, Rel: "R"}); err != nil {
+			t.Fatal(err)
+		}
+		ws = append(ws, watcher{m, c})
+	}
+	// The store's records: txn 0 (LSN 0), build (1), txn 1 (2), drop (3),
+	// txn 2 (4); the lone engine's epochs are 1, 2, 3.
+	storeEpoch := []uint64{0, 1, 3, 5}
+	for i, ddl := range []func() error{
+		func() error { return st.BuildIndex("R", "grp") },
+		func() error { return st.DropIndex("R", "grp") },
+		func() error { return nil },
+	} {
+		if err := alone.ApplyTransaction(&txns[i]); err != nil {
+			t.Fatal(err)
+		}
+		if err := st.ApplyTransaction(&txns[i]); err != nil {
+			t.Fatal(err)
+		}
+		if err := ddl(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	waitFollowerLSN(t, f, st.LSN())
+	if st.LSN() != 5 || engine.SeqEpoch(f.Horizon()) != 5 {
+		t.Fatalf("store LSN %d, follower horizon epoch %d, want 5", st.LSN(), engine.SeqEpoch(f.Horizon()))
+	}
+	frames := make([][]subscribe.Frame, len(ws))
+	for i, w := range ws {
+		w.m.Sync()
+		for {
+			raw, err := w.c.Next(subscribe.Polled)
+			if err != nil {
+				break
+			}
+			frames[i] = append(frames[i], checkWire(t, raw))
+		}
+	}
+	if len(frames[0]) == 0 {
+		t.Fatal("the transactions moved no watched row")
+	}
+	for i, name := range []string{"store", "follower"} {
+		got := frames[i+1]
+		if len(got) != len(frames[0]) {
+			t.Fatalf("%s: %d frames, the lone engine's %d", name, len(got), len(frames[0]))
+		}
+		for j, want := range frames[0] {
+			if want.Type != "delta" || got[j].Epoch != storeEpoch[want.Epoch] {
+				t.Fatalf("%s frame %d: %s at epoch %d, the lone engine's %s at %d", name, j, got[j].Type, got[j].Epoch, want.Type, want.Epoch)
+			}
+			want.Epoch = got[j].Epoch
+			if g, w := mustJSON(t, got[j]), mustJSON(t, want); !bytes.Equal(g, w) {
+				t.Fatalf("%s frame %d differs:\n got %s\nwant %s", name, j, g, w)
+			}
+		}
+	}
+}
+
+func mustJSON(t *testing.T, v any) []byte {
+	t.Helper()
+	b, err := json.Marshal(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
 }

@@ -32,14 +32,10 @@ var ErrStreamStalled = errors.New("wal: replication stream stalled (no frames wi
 // like a leader's (so a follower can be promoted by reopening the
 // directory with Open), and applies records through the same replay
 // path recovery uses — byte-identical state at every record boundary,
-// so snapshots and the whole read surface agree with the leader. MVCC
-// epochs pin the same transaction boundaries, numbered from the
-// follower's bootstrap point (epoch numbering is per process life,
-// exactly as with Store recovery).
-//
-// It implements engine.DB: the read surface is the embedded handle's —
-// the replayed engine at its committed horizon — and every write returns
-// ErrFollower.
+// so snapshots and the whole read surface agree with the leader, at
+// every epoch from the checkpoint it restored on (a record's epoch is its
+// LSN + 1 on both). It implements engine.DB: the read surface is the
+// embedded handle's, and every write returns ErrFollower.
 //
 // Internally the follower is one goroutine: it reads each CRC-checked
 // frame off the connection through the log's frame reader and applies it
@@ -53,7 +49,7 @@ type Follower struct {
 	// read surface and the commit hook are its methods, so they outlive
 	// resyncs (each a Swap, a CommitReset to the hook), and the hook rides
 	// the replay loop — every replicated record emits its commit event off
-	// the local engine, in the follower's own epoch numbering.
+	// the local engine, at the record's epoch.
 	*engine.Handle
 
 	dir string
@@ -68,14 +64,13 @@ type Follower struct {
 	closeMu sync.Mutex
 	closed  bool
 
-	// ready is monotonic per process life: set once the applied LSN
+	// ready is monotonic from open to close: set once the applied LSN
 	// reaches the target announced by the first successful handshake.
 	ready       atomic.Bool
 	targetMu    sync.Mutex
 	haveTarget  bool
 	syncTarget  uint64
 	leaderLSN   atomic.Uint64
-	leaderHrz   atomic.Uint64
 	reconnects  atomic.Uint64
 	resyncs     atomic.Uint64
 	records     atomic.Uint64
@@ -315,7 +310,7 @@ func (f *Follower) streamOnce(ctx context.Context) (progressed bool, err error) 
 		}
 		progressed = true
 		f.records.Add(uint64(n))
-		f.observeLeader(s.LSN(), 0)
+		f.observeLeader(s.LSN())
 		f.checkReady()
 		return nil
 	}
@@ -337,7 +332,8 @@ func (f *Follower) streamOnce(ctx context.Context) (progressed bool, err error) 
 			group.add(d.buf)
 		case msgHeartbeat:
 			d := &recDecoder{buf: p[1:]}
-			lsn, horizon := d.uvarint(), d.uvarint()
+			// The leader's horizon follows it: epoch lsn, once applied.
+			lsn, _ := d.uvarint(), d.uvarint()
 			var k uint64 // the records of an announced frame
 			if len(d.buf) > 0 {
 				if k = d.uvarint(); group.open > 0 || k < 2 || k > applyAllChunk {
@@ -355,7 +351,7 @@ func (f *Follower) streamOnce(ctx context.Context) (progressed bool, err error) 
 				}
 				group.frames, group.open = append(group.frames, 0), int(k)
 			}
-			f.observeLeader(lsn, horizon)
+			f.observeLeader(lsn)
 			f.checkReady()
 		default:
 			return progressed, fmt.Errorf("%w: unexpected message type %d mid-stream", ErrStreamCorrupt, msgType(p))
@@ -432,7 +428,7 @@ func (f *Follower) installHello(hello helloMsg, ckpt []byte) error {
 		}
 		s = ns
 	}
-	f.observeLeader(hello.target, hello.horizon)
+	f.observeLeader(hello.target)
 	f.setFirstTarget(hello.target)
 	if f.core.Load() == nil {
 		s.startSyncLoop()
@@ -443,23 +439,17 @@ func (f *Follower) installHello(hello helloMsg, ckpt []byte) error {
 	return nil
 }
 
-func (f *Follower) observeLeader(lsn, horizon uint64) {
+func (f *Follower) observeLeader(lsn uint64) {
 	for {
 		cur := f.leaderLSN.Load()
 		if lsn <= cur || f.leaderLSN.CompareAndSwap(cur, lsn) {
-			break
-		}
-	}
-	for horizon != 0 {
-		cur := f.leaderHrz.Load()
-		if horizon <= cur || f.leaderHrz.CompareAndSwap(cur, horizon) {
-			break
+			return
 		}
 	}
 }
 
 // setFirstTarget pins the initial-sync goal: the leader LSN announced
-// by the first successful handshake of this process life.
+// by the first successful handshake since the follower opened.
 func (f *Follower) setFirstTarget(target uint64) {
 	f.targetMu.Lock()
 	if !f.haveTarget {
@@ -508,13 +498,11 @@ func (f *Follower) ReplicaStats() FollowerStats {
 	if st.LeaderLSN > st.AppliedLSN {
 		st.LagRecords = st.LeaderLSN - st.AppliedLSN
 	}
-	st.LeaderEpoch = engine.SeqEpoch(f.leaderHrz.Load())
-	// Epoch numbering is per process life (recovery and resync replay
-	// history into the recovery horizon), so Epoch and LeaderEpoch are
-	// separate domains offset by the bootstrap point — they cannot be
-	// subtracted. Unapplied records are the epoch lag: every logged
-	// record allocates exactly one write epoch, except index DDL.
-	st.LagEpochs = st.LagRecords
+	// A committed record's epoch is its LSN + 1: the leader's horizon is
+	// at epoch LeaderLSN once its records are applied.
+	if st.LeaderEpoch = st.LeaderLSN; st.LeaderEpoch > st.Epoch {
+		st.LagEpochs = st.LeaderEpoch - st.Epoch
+	}
 	if e, ok := f.lastErr.Load().(string); ok {
 		st.LastError = e
 	}
@@ -604,7 +592,7 @@ func (s *Store) LSN() uint64 {
 func (s *Store) applyReplicated(g *replayGroup) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.replayLocked(g, s.lsn.Load(), ErrStreamCorrupt, true)
+	return s.replayLocked(g, ErrStreamCorrupt, true)
 }
 
 // newCore shapes a Store over the fresh (META-less) follower directory,
@@ -624,7 +612,7 @@ func (f *Follower) newCore() *Store {
 // one that replays divergent records on top of the new checkpoint.
 // resyncs counts the installs that succeeded.
 func (s *Store) resyncFromCheckpoint(mode engine.Mode, schema *db.Schema, snapLSN uint64, ckpt []byte, resyncs *atomic.Uint64) error {
-	eng, err := loadCheckpoint(ckpt, s.opts.engOpts...)
+	eng, err := loadCheckpoint(ckpt, snapLSN, s.opts.engOpts...)
 	if err != nil {
 		return fmt.Errorf("%w: shipped checkpoint: %v", ErrStreamCorrupt, err)
 	}

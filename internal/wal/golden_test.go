@@ -185,11 +185,11 @@ func TestGoldenDataDirectory(t *testing.T) {
 			if !bytes.HasPrefix(data, []byte("HPRV1\n")) || !bytes.HasPrefix(payload, []byte("HPRV3\n")) {
 				t.Errorf("%s: want the golden one in version 1 and the current code writing version 3", name)
 			}
-			old, err := wal.LoadCheckpoint(data)
+			old, err := wal.LoadCheckpoint(data, 0)
 			if err != nil {
 				t.Fatalf("%s: the golden checkpoint does not load: %v", name, err)
 			}
-			cur, err := wal.LoadCheckpoint(written[name])
+			cur, err := wal.LoadCheckpoint(written[name], 0)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -312,7 +312,7 @@ func TestGroupedReplayEqualsRecordByRecord(t *testing.T) {
 			}
 		}
 		ckpt, _ := os.ReadFile(filepath.Join(dir, ckptName(0)))
-		eng, err := loadCheckpoint(ckpt)
+		eng, err := loadCheckpoint(ckpt, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -322,7 +322,7 @@ func TestGroupedReplayEqualsRecordByRecord(t *testing.T) {
 		for i, p := range segmentRecords(t, seg) {
 			var g replayGroup
 			g.add(p)
-			if err := one.replayLocked(&g, uint64(i), ErrCorrupt, false); err != nil {
+			if err := one.replayLocked(&g, ErrCorrupt, false); err != nil {
 				t.Fatalf("%s: record %d: %v", src, i, err)
 			}
 		}
@@ -357,7 +357,7 @@ func TestReplayGroupEmptyPayload(t *testing.T) {
 	}
 	st := &Store{Handle: new(engine.Handle)}
 	st.Swap(engine.NewEmpty(engine.ModeNormalForm, codecSchema(t)))
-	if err := st.replayLocked(&g, 7, ErrStreamCorrupt, false); !errors.Is(err, ErrStreamCorrupt) || !strings.Contains(err.Error(), "record 8") {
-		t.Fatalf("replaying an empty record: %v, want ErrStreamCorrupt at record 8", err)
+	if err := st.replayLocked(&g, ErrStreamCorrupt, false); !errors.Is(err, ErrStreamCorrupt) || !strings.Contains(err.Error(), "record 1") {
+		t.Fatalf("replaying an empty record: %v, want ErrStreamCorrupt at record 1", err)
 	}
 }

@@ -237,23 +237,19 @@ func TestReplicationDifferential(t *testing.T) {
 				requireSameBytes(t, "live state", snapshotOf(t, st), snapshotOf(t, f))
 				requireSameReads(t, "live state", st, f)
 
-				// Time travel: epoch numbering is per process life, so
-				// absolute epochs differ (the follower's bootstrap from
-				// the checkpoint at LSN c consumed its own epochs), but
-				// every record replicated after the bootstrap advanced
-				// both engines by exactly one write epoch. Views k
-				// epochs below the two horizons therefore pin the same
-				// record boundary and must agree row for row.
-				leaderEpoch := engine.SeqEpoch(st.Horizon())
-				followerEpoch := engine.SeqEpoch(f.Horizon())
+				// Time travel: a record's epoch is its LSN + 1 on both, so
+				// views at the same absolute epoch pin the same record
+				// boundary, from the follower's restore epoch — the
+				// checkpoint it was bootstrapped from — to the horizon.
 				c := f.WALStats().CheckpointLSN // bootstrap point: no local checkpoints ran
-				span := uint64(len(txns)) - c
-				for _, k := range []uint64{0, 1, span / 2, span - 1} {
-					if k >= span || k > leaderEpoch || k > followerEpoch {
-						continue
-					}
-					requireSameReads(t, fmt.Sprintf("as_of horizon-%d", k),
-						st.At(engine.EpochSeq(leaderEpoch-k)), f.At(engine.EpochSeq(followerEpoch-k)))
+				if r := f.MVCCStats().RestoreEpoch; r != c {
+					t.Fatalf("follower restored at epoch %d, its checkpoint is at LSN %d", r, c)
+				}
+				if h := engine.SeqEpoch(f.Horizon()); h != engine.SeqEpoch(st.Horizon()) || h != uint64(len(txns)) {
+					t.Fatalf("follower horizon epoch %d, leader's %d, %d records", h, engine.SeqEpoch(st.Horizon()), len(txns))
+				}
+				for k := c; k <= uint64(len(txns)); k++ {
+					requireSameReads(t, fmt.Sprintf("as_of %d", k), st.At(engine.EpochSeq(k)), f.At(engine.EpochSeq(k)))
 				}
 
 				rs := f.ReplicaStats()

@@ -483,7 +483,7 @@ func (s *Store) recover(meta *metaInfo) error {
 			loadErr = err
 			continue
 		}
-		if eng, loadErr = loadCheckpoint(data, s.opts.engOpts...); loadErr == nil {
+		if eng, loadErr = loadCheckpoint(data, ckptSeqs[i], s.opts.engOpts...); loadErr == nil {
 			replayStart = ckptSeqs[i]
 		}
 	}
@@ -527,9 +527,6 @@ func (s *Store) recover(meta *metaInfo) error {
 	expect := uint64(0)
 	rr := newRecordReader(nil, ErrCorrupt)
 	var group replayGroup
-	replay := func() error {
-		return s.replayLocked(&group, replayStart+s.replayed-uint64(len(group.payloads)), ErrCorrupt, false)
-	}
 	for i := startIdx; i < len(segs); i++ {
 		start := segs[i]
 		if i > startIdx && start != expect {
@@ -584,7 +581,7 @@ func (s *Store) recover(meta *metaInfo) error {
 			if lsn := start + count; lsn >= replayStart {
 				group.add(payload)
 				if s.replayed++; group.full() {
-					if err := replay(); err != nil {
+					if err := s.replayLocked(&group, ErrCorrupt, false); err != nil {
 						return err
 					}
 				}
@@ -596,7 +593,7 @@ func (s *Store) recover(meta *metaInfo) error {
 		}
 		segStart, segCount, segBytes = start, count, plain
 	}
-	if err := replay(); err != nil {
+	if err := s.replayLocked(&group, ErrCorrupt, false); err != nil {
 		return err
 	}
 	s.lsn.Store(nextLSN)
@@ -650,16 +647,16 @@ func (g *replayGroup) full() bool {
 	return n >= applyAllChunk || len(g.buf) >= groupBytes || len(p) == 0 || p[0] != recTxn && p[0] != recSchemaTxn
 }
 
-// replayLocked re-applies a group, its first record at LSN first, and
-// empties it: transactions through ApplyBatch, going on after a failing
-// one (counted in ReplayFailed: a deterministic re-run of an error the
-// original process returned, or README's migration note), then a last
-// record of another type. With log set (a follower) the group is first
-// appended under one commit, in the leader's frames, once all of it
-// decoded, a corrupt payload poisoning no local log, and the checkpoint
-// cadence runs after it. A decode or restore error means the log does
-// not match the schema.
-func (s *Store) replayLocked(g *replayGroup, first uint64, corrupt error, log bool) error {
+// replayLocked re-applies a group and empties it: transactions through
+// ApplyBatch, going on after a failing one (counted in ReplayFailed: a
+// deterministic re-run of an error the original process returned, or
+// README's migration note), then a last record of another type. With log
+// set (a follower) the group is first appended under one commit, in the
+// leader's frames, once all of it decoded, a corrupt payload poisoning no
+// local log, and the checkpoint cadence runs after it. A decode or
+// restore error means the log does not match the schema.
+func (s *Store) replayLocked(g *replayGroup, corrupt error, log bool) error {
+	first := engine.SeqEpoch(s.Horizon()) // the group's first LSN: record n's epoch is n + 1
 	defer func() {
 		s.replay.Reset()
 		g.buf, g.payloads, g.txns, g.frames = g.buf[:0], g.payloads[:0], g.txns[:0], g.frames[:0]
@@ -707,8 +704,10 @@ func (s *Store) applyDecoded(rec *Record) error {
 		return err
 	case recBuildIndex:
 		_ = s.Engine().BuildIndex(rec.Rel, rec.Attr)
+		s.Engine().IndexEpoch()
 	case recDropIndex:
 		_ = s.Engine().DropIndex(rec.Rel, rec.Attr)
+		s.Engine().IndexEpoch()
 	}
 	return nil
 }
@@ -889,7 +888,8 @@ func (s *Store) applyChunk(chunk []db.Transaction) (applied int, err error) {
 }
 
 // RestoreRow validates statically, logs, then applies. Invalid calls
-// are delegated unlogged so the engine's error text is canonical.
+// are delegated unlogged (taking no epoch) so the engine's error text is
+// canonical.
 func (s *Store) RestoreRow(rel string, t db.Tuple, ann *core.Expr) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -911,21 +911,20 @@ func (s *Store) RestoreRow(rel string, t db.Tuple, ann *core.Expr) error {
 	return nil
 }
 
-// MinimizeAll minimizes every annotation and logs a minimize record on
-// success (log-after-success: replaying the record re-runs the full
-// pass). A cancelled pass is not logged; the annotations it already
-// rewrote stay equivalent, so only byte-level identity with a recovery
-// is deferred until the next completed pass or checkpoint.
+// MinimizeAll minimizes every annotation and logs a minimize record
+// (log-after-success: replaying the record re-runs the full pass). ctx
+// is checked before the pass only: once begun it runs to its end, so
+// that its epoch always has its record.
 func (s *Store) MinimizeAll(ctx context.Context) (int64, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if err := s.writableLocked(); err != nil {
 		return 0, err
 	}
-	n, err := s.Engine().MinimizeAll(ctx)
-	if err != nil {
-		return n, err
+	if ctx != nil && ctx.Err() != nil {
+		return 0, ctx.Err()
 	}
+	n, _ := s.Engine().MinimizeAll(context.Background())
 	if err := s.appendLocked(encodeMinimize()); err != nil {
 		return n, err
 	}
@@ -933,9 +932,10 @@ func (s *Store) MinimizeAll(ctx context.Context) (int64, error) {
 	return n, nil
 }
 
-// BuildIndex builds the index, then logs it (log-after-success) so
-// recovery rebuilds it. Indexes are pure access paths: a lost index
-// record changes no answer, so replay errors are ignored.
+// BuildIndex builds the index, takes its record's empty epoch, then logs
+// it (log-after-success) so recovery rebuilds it. Indexes are pure access
+// paths: a lost index record changes no answer, so replay errors are
+// ignored.
 func (s *Store) BuildIndex(rel, attr string) error {
 	return s.indexOp(recBuildIndex, (*engine.Engine).BuildIndex, rel, attr)
 }
@@ -954,6 +954,7 @@ func (s *Store) indexOp(rec byte, op func(e *engine.Engine, rel, attr string) er
 	if err := op(s.Engine(), rel, attr); err != nil {
 		return err
 	}
+	s.Engine().IndexEpoch()
 	return s.appendLocked(encodeIndexOp(rec, rel, attr))
 }
 
@@ -1064,15 +1065,16 @@ func (s *Store) writeCheckpoint(lsn uint64, src provstore.Source) (int64, error)
 	return cw.n, err
 }
 
-// loadCheckpoint loads a checkpoint file: a gzip member of a snapshot,
-// as writeCheckpoint writes it, or a bare snapshot (HPRV1–3), as builds
+// loadCheckpoint loads the checkpoint file of the state after the first
+// lsn records, at epoch lsn: a gzip member of a snapshot, as
+// writeCheckpoint writes it, or a bare snapshot (HPRV1–3), as builds
 // before the gzip container wrote it and a leader running one ships it.
 // The member is inflated as the snapshot decodes and then read to its
 // end, so its CRC-32 and length are checked; a mismatch, or any byte
 // after the member, fails the load.
-func loadCheckpoint(data []byte, opts ...engine.Option) (*engine.Engine, error) {
+func loadCheckpoint(data []byte, lsn uint64, opts ...engine.Option) (*engine.Engine, error) {
 	if !bytes.HasPrefix(data, []byte{0x1f, 0x8b}) { // gzip's magic; a snapshot's is "HPRV"
-		return provstore.LoadSnapshot(bytes.NewReader(data), opts...)
+		return provstore.LoadSnapshotAt(bytes.NewReader(data), lsn, opts...)
 	}
 	r := bytes.NewReader(data)
 	zr, err := gzip.NewReader(r)
@@ -1080,7 +1082,7 @@ func loadCheckpoint(data []byte, opts ...engine.Option) (*engine.Engine, error) 
 		return nil, err
 	}
 	zr.Multistream(false)
-	eng, err := provstore.LoadSnapshot(zr, opts...)
+	eng, err := provstore.LoadSnapshotAt(zr, lsn, opts...)
 	if err == nil {
 		if _, err = io.Copy(io.Discard, zr); err == nil && r.Len() > 0 {
 			err = fmt.Errorf("%d bytes after the checkpoint's gzip member", r.Len())
