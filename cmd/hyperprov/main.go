@@ -337,11 +337,11 @@ func run(cfg runConfig) error {
 	// read-only MVCC view pinned at the end of the requested epoch.
 	var r engine.Reader = e
 	if cfg.asOf >= 0 {
-		h := engine.SeqEpoch(e.Horizon())
+		h := e.Horizon()
 		if uint64(cfg.asOf) > h {
 			return fmt.Errorf("-as-of epoch %d is beyond the committed horizon epoch %d", cfg.asOf, h)
 		}
-		r = e.At(engine.EpochSeq(uint64(cfg.asOf)))
+		r = e.At(uint64(cfg.asOf))
 		fmt.Printf("-- database as of epoch %d (horizon epoch %d)\n", cfg.asOf, h)
 	}
 

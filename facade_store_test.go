@@ -104,8 +104,8 @@ func TestWithShardsIsInert(t *testing.T) {
 			t.Fatalf("%v: the workload builds no index, so Options() is not exercised", mode)
 		}
 		e := build(hyperprov.WithAutoIndex(2), engine.WithShards(8))
-		for k := uint64(0); k <= hyperprov.SeqEpoch(plain.Horizon()); k++ {
-			if !bytes.Equal(snap(plain.At(hyperprov.EpochSeq(k))), snap(e.At(hyperprov.EpochSeq(k)))) {
+		for k := uint64(0); k <= plain.Horizon(); k++ {
+			if !bytes.Equal(snap(plain.At(k)), snap(e.At(k))) {
 				t.Fatalf("%v: epoch %d saves other bytes than without the option", mode, k)
 			}
 		}

@@ -149,14 +149,6 @@ type Reader = engine.Reader
 // was taken.
 type View = engine.View
 
-// Horizon-sequence helpers: EpochSeq returns the horizon pinning
-// everything up to and including epoch k (pass it to DB.At); SeqEpoch
-// extracts the epoch from a horizon sequence.
-var (
-	EpochSeq = engine.EpochSeq
-	SeqEpoch = engine.SeqEpoch
-)
-
 // Engine is the provenance-tracking database: one object behind one
 // write lock, with lock-free MVCC reads.
 type Engine = engine.Engine

@@ -149,9 +149,9 @@ func samePointersAt(t *testing.T, label string, ref, e *engine.Engine, epoch uin
 		ann *core.Expr
 	}
 	var want []visited
-	ref.At(engine.EpochSeq(epoch)).Rows(func(_ string, tp db.Tuple, ann *core.Expr) { want = append(want, visited{tp.Clone(), ann}) })
+	ref.At(epoch).Rows(func(_ string, tp db.Tuple, ann *core.Expr) { want = append(want, visited{tp.Clone(), ann}) })
 	i := 0
-	e.At(engine.EpochSeq(epoch)).Rows(func(_ string, tp db.Tuple, ann *core.Expr) {
+	e.At(epoch).Rows(func(_ string, tp db.Tuple, ann *core.Expr) {
 		if i >= len(want) || !want[i].t.Equal(tp) || want[i].ann != ann {
 			t.Fatalf("%s: row %d is %v, the reference's %v", label, i, tp, want[min(i, len(want)-1)].t)
 		}

@@ -334,7 +334,7 @@ func TestConcurrentApplyTransaction(t *testing.T) {
 		}
 
 		serial := replay(labels, func(k int, serial *engine.Engine) {
-			at := e.At(engine.EpochSeq(uint64(k)))
+			at := e.At(uint64(k))
 			if got, want := at.NumRows(), serial.NumRows(); got != want {
 				t.Fatalf("epoch %d: %d rows, serial replay %d", k, got, want)
 			}

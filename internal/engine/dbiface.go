@@ -71,10 +71,10 @@ type Reader interface {
 	ProvDAGSize() int64
 }
 
-// View is a read-only database pinned at one horizon sequence, as
-// returned by DB.At: its reads are immutable — byte-identical no
-// matter how many transactions commit after the view was taken — and
-// lock-free. AsOf reports the pinned horizon (see EpochSeq/SeqEpoch).
+// View is a read-only database pinned at one epoch, as returned by
+// DB.At: its reads are immutable — byte-identical no matter how many
+// transactions commit after the view was taken — and lock-free. AsOf
+// reports the pinned epoch.
 type View interface {
 	Reader
 	AsOf() uint64
@@ -107,16 +107,15 @@ type DB interface {
 	ApplyBatch(ctx context.Context, txns []db.Transaction) (applied int, err error)
 	RestoreRow(rel string, t db.Tuple, ann *core.Expr) error
 
-	// MVCC time travel: At pins a read-only view at a horizon sequence
-	// (clamped to the committed Horizon and snapped to an epoch
-	// boundary; see EpochSeq), Horizon reports the newest committed
-	// horizon, and MVCCStats the version-storage counters.
-	At(seq uint64) View
+	// MVCC time travel: At pins a read-only view as of epoch k (clamped
+	// to the committed Horizon), Horizon reports the newest committed
+	// epoch, and MVCCStats the version-storage counters.
+	At(k uint64) View
 	Horizon() uint64
-	// WaitHorizon blocks until the committed horizon reaches seq or ctx
-	// is done — the notification edge replication followers and fenced
-	// reads build on instead of polling Horizon.
-	WaitHorizon(ctx context.Context, seq uint64) error
+	// WaitHorizon blocks until the committed horizon reaches epoch k or
+	// ctx is done — the notification edge replication followers and
+	// fenced reads build on instead of polling Horizon.
+	WaitHorizon(ctx context.Context, k uint64) error
 	MVCCStats() MVCCStats
 
 	// Secondary indexing: indexes are pure access-path choices (the

@@ -153,8 +153,7 @@ type Engine struct {
 	tables map[string]*table
 
 	// epoch numbers write epochs (transactions, restores, minimization
-	// passes, index DDL); it is the high half of every horizon sequence
-	// (EpochSeq). Under mu it is the epoch in flight. restored is
+	// passes, index DDL). Under mu it is the epoch in flight. restored is
 	// MVCCStats.RestoreEpoch.
 	epoch    atomic.Uint64
 	restored uint64
@@ -168,7 +167,7 @@ type Engine struct {
 	collect bool
 	touched []touchedRow
 
-	// horizon is the committed read horizon and note wakes its waiters:
+	// horizon is the committed epoch and note wakes its waiters:
 	// finish stores the one and rings the other (mvcc.go).
 	horizon atomic.Uint64
 	note    Note
@@ -225,7 +224,6 @@ func newEngine(mode Mode, schema *db.Schema, cfg config) *Engine {
 	for _, name := range schema.Names() {
 		e.tables[name] = newTable(schema.Relation(name))
 	}
-	e.horizon.Store(seqCounterMask)
 	return e
 }
 
@@ -267,7 +265,7 @@ const evRowsKeep = 1024
 
 // emit delivers one epoch's commit event. finish calls it under the write
 // lock, strictly in epoch order, after the horizon store — so a
-// subscriber reading At(ev.Seq) observes the committed epoch.
+// subscriber reading At(ev.Epoch) observes the committed epoch.
 func (e *Engine) emit(ev CommitEvent) {
 	if hp := e.hook.Load(); hp != nil {
 		(*hp)(ev)
@@ -306,7 +304,7 @@ func (e *Engine) begin(label string) {
 // the epoch's rows.
 func (e *Engine) finish(kind CommitKind, label string) {
 	epoch := e.epoch.Load()
-	ev := CommitEvent{Epoch: epoch, Seq: EpochSeq(epoch), Kind: CommitReset}
+	ev := CommitEvent{Epoch: epoch, Kind: CommitReset}
 	if e.collect {
 		ev.Kind, ev.Label, ev.Rows, e.evRows = kind, label, e.evRows, nil
 	}
@@ -321,7 +319,7 @@ func (e *Engine) finish(kind CommitKind, label string) {
 	if e.touched = e.touched[:0]; cap(e.touched) > evRowsKeep {
 		e.touched = nil
 	}
-	e.horizon.Store(ev.Seq)
+	e.horizon.Store(epoch)
 	e.emit(ev)
 	e.note.Wake()
 	e.mu.Unlock()

@@ -28,7 +28,7 @@ const (
 	// CommitReset announces that the database identity changed wholesale
 	// (engine swap behind a wal.Store, e.g. a follower resync) or that an
 	// epoch ran before the hook was installed: Rows is empty and
-	// subscribers must rebuild from scratch at Seq.
+	// subscribers must rebuild from scratch at Epoch.
 	CommitReset
 )
 
@@ -60,13 +60,12 @@ type RowRef struct {
 
 // CommitEvent describes one committed write epoch. Rows lists every row
 // the epoch touched (created, annotated, deleted or rewritten), each at
-// most once; reading the database At(Seq) observes exactly the state
+// most once; reading the database At(Epoch) observes exactly the state
 // the event describes. Events arrive in strictly increasing Epoch
 // order per engine; under a persistent store a record's epoch is its
 // LSN + 1 on every replica. Rows is borrowed: see CommitHook.
 type CommitEvent struct {
 	Epoch uint64
-	Seq   uint64 // EpochSeq(Epoch): pass to DB.At to pin the post-event state
 	Kind  CommitKind
 	Label string // transaction label (CommitTxn only)
 	Rows  []RowRef

@@ -84,8 +84,7 @@ func (h *Handle) Swap(e *Engine) {
 	}
 	h.swaps.Add(1)
 	if h.hook != nil {
-		hz := e.Horizon()
-		h.hook(CommitEvent{Kind: CommitReset, Epoch: SeqEpoch(hz), Seq: hz})
+		h.hook(CommitEvent{Kind: CommitReset, Epoch: e.Horizon()})
 	}
 }
 
@@ -115,10 +114,10 @@ func (h *Handle) ProvDAGSize() int64 { return h.Engine().ProvDAGSize() }
 // persistent store the history they can pin starts at the checkpoint the
 // engine was recovered (or resynced) from, its restore epoch; every
 // record replayed after it is an epoch of its own, its LSN + 1.
-func (h *Handle) At(seq uint64) View { return h.Engine().At(seq) }
-func (h *Handle) Horizon() uint64    { return h.Engine().Horizon() }
-func (h *Handle) WaitHorizon(ctx context.Context, seq uint64) error {
-	return h.Engine().WaitHorizon(ctx, seq)
+func (h *Handle) At(k uint64) View { return h.Engine().At(k) }
+func (h *Handle) Horizon() uint64  { return h.Engine().Horizon() }
+func (h *Handle) WaitHorizon(ctx context.Context, k uint64) error {
+	return h.Engine().WaitHorizon(ctx, k)
 }
 func (h *Handle) MVCCStats() MVCCStats       { return h.Engine().MVCCStats() }
 func (h *Handle) IndexStats() []IndexInfo    { return h.Engine().IndexStats() }

@@ -94,7 +94,7 @@ func TestHandleSwap(t *testing.T) {
 	if err := e1.ApplyTransaction(&txns[half]); err != nil {
 		t.Fatal(err)
 	}
-	if evs := rec.take(); len(evs) != 1 || evs[0].Kind != engine.CommitTxn || evs[0].Seq != e1.Horizon() {
+	if evs := rec.take(); len(evs) != 1 || evs[0].Kind != engine.CommitTxn || evs[0].Epoch != e1.Horizon() {
 		t.Fatalf("one commit on the served engine was heard as %+v", evs)
 	}
 
@@ -109,7 +109,7 @@ func TestHandleSwap(t *testing.T) {
 		t.Fatalf("after the second swap: %d swaps, serving %p, want 2 and %p", h.Swaps(), h.Engine(), e2)
 	}
 	evs := rec.take()
-	if len(evs) != 1 || evs[0].Kind != engine.CommitReset || evs[0].Seq != e2.Horizon() || evs[0].Epoch != engine.SeqEpoch(e2.Horizon()) {
+	if len(evs) != 1 || evs[0].Kind != engine.CommitReset || evs[0].Epoch != e2.Horizon() {
 		t.Fatalf("a swap was announced as %+v, want one reset at horizon %d", evs, e2.Horizon())
 	}
 
@@ -128,7 +128,7 @@ func TestHandleSwap(t *testing.T) {
 	if err := e2.ApplyTransaction(&txns[0]); err != nil {
 		t.Fatal(err)
 	}
-	if evs := rec.take(); len(evs) != 1 || evs[0].Kind != engine.CommitTxn || evs[0].Seq != e2.Horizon() {
+	if evs := rec.take(); len(evs) != 1 || evs[0].Kind != engine.CommitTxn || evs[0].Epoch != e2.Horizon() {
 		t.Fatalf("one commit on the new engine was heard as %+v", evs)
 	}
 
@@ -161,8 +161,8 @@ func TestHandleSwapConcurrent(t *testing.T) {
 	h.Swap(replaced)
 
 	// The subscriber checks the stream as it arrives: after a reset at
-	// horizon hz, epochs rise one by one from SeqEpoch(hz) — an event of
-	// the other engine would break the count.
+	// horizon hz, epochs rise one by one from hz — an event of the other
+	// engine would break the count.
 	var next atomic.Uint64
 	var heard, resets atomic.Int64
 	h.SetCommitHook(func(ev engine.CommitEvent) {

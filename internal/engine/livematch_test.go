@@ -186,7 +186,7 @@ func TestLiveMatchingMembershipIsDerived(t *testing.T) {
 			}
 			dead := 0
 			for k := uint64(0); k <= e.MVCCStats().HorizonEpoch; k++ {
-				v := e.At(engine.EpochSeq(k))
+				v := e.At(k)
 				for _, rel := range v.Relations() {
 					var want []string
 					v.EachRow(rel, func(tu db.Tuple, ann *core.Expr) {

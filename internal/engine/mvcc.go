@@ -15,75 +15,48 @@ import (
 // already), and with MVCC each row's annotation history is itself
 // append-only: a row holds an atomic reference to the newest of its
 // versions, entries of its table's version column chained by their prev
-// references, each valid over the sequence interval [born of this
-// version, born of the next). Writers — serialized by the write lock —
-// append one version and publish a new head per touched row per epoch;
-// readers pin a horizon sequence on entry and resolve every row against
-// it, so Annotation, NF, EachRow, Rows, Select, Specialize* and
+// references, each valid over the epoch interval [born of this version,
+// born of the next). Writers — serialized by the write lock — append one
+// version and publish a new head per touched row per epoch; readers pin
+// the horizon, the newest committed epoch, on entry and resolve every row
+// against it, so Annotation, NF, EachRow, Rows, Select, Specialize* and
 // BoolRestrict* run lock-free against a concurrent ApplyAll.
 //
 // Visibility is published by a single atomic horizon: epoch k's
-// mutations become visible exactly when the horizon reaches EpochSeq(k),
-// and the atomic store/load pair carries the happens-before edge that
-// makes every version written under epoch ≤ k safe to read without
-// locks. Versions born in an epoch beyond the reader's horizon are
-// skipped by walking the chain; a row whose first version is beyond the
-// horizon (born in the epoch that created the row) is invisible
-// entirely, and At pins an older horizon for time travel.
-
-// seqCounterMask is the low half of a sequence number: epoch k is fully
-// visible at horizon k<<32|seqCounterMask, and a sequence with any other
-// low half is a cut inside its epoch.
-const seqCounterMask = 1<<32 - 1
-
-// EpochSeq returns the horizon sequence at which transaction epoch k is
-// fully visible: pass it to DB.At to read the database as of epoch k
-// (epoch 0 is the initial database before any transaction). A version
-// keeps its epoch in 32 bits: an engine past 2³²−1 epochs — a log past
-// 2³²−1 records — is out of range.
-func EpochSeq(epoch uint64) uint64 { return epoch<<32 | seqCounterMask }
-
-// SeqEpoch returns the transaction epoch of a sequence number (the high
-// half); it inverts EpochSeq.
-func SeqEpoch(seq uint64) uint64 { return seq >> 32 }
-
-// clampSeq normalizes a requested read horizon: never beyond the
-// committed horizon, and never mid-epoch — versions of epoch k are born
-// at k<<32, so a cut inside epoch k would expose a half-applied
-// transaction. Mid-epoch requests snap down to the last fully committed
-// epoch, and one inside epoch 0, which has none before it, pins epoch 0.
-func clampSeq(seq, horizon uint64) uint64 {
-	if seq = min(seq, horizon); seq&seqCounterMask != seqCounterMask {
-		seq = EpochSeq(max(SeqEpoch(seq), 1) - 1)
-	}
-	return seq
-}
+// mutations become visible exactly when the horizon reaches k, and the
+// atomic store/load pair carries the happens-before edge that makes
+// every version written under epoch ≤ k safe to read without locks.
+// Versions born in an epoch beyond the reader's horizon are skipped by
+// walking the chain; a row whose first version is beyond the horizon
+// (born in the epoch that created the row) is invisible entirely, and
+// At pins an older epoch for time travel.
 
 // version is one state of a row's provenance, a 16-byte entry of its
 // table's version column: the annotation, frozen (the Theorem 5.3 normal
 // form's base, or the naive mode's raw expression), the epoch that wrote
 // it and prev, the row's previous version. A version is named by its
 // position in the column plus one, 0 naming none, as a row's head does.
-// It is current from its birth, epoch<<32, until the next one's; a row's
-// first version is born in the epoch that created the row, and prev runs
+// It is current from its epoch until the next one's; a row's first
+// version is born in the epoch that created the row, and prev runs
 // through decreasing epochs (a tuple restored twice in one epoch keeps
 // both versions of it). A version is written once, frozen: the form an
 // epoch writes lives in Engine.touched, where no reader looks, and
 // finish appends it and then stores the row's head, before the horizon
-// store that publishes the epoch.
+// store that publishes the epoch. An epoch fits in 32 bits: an engine
+// past 2³²−1 epochs — a log past 2³²−1 records — is out of range.
 type version struct {
 	base  *core.Expr
 	prev  uint32
 	epoch uint32
 }
 
-// at resolves r at horizon s: its newest version born at or before s, or
-// nil for a row created after s or not yet committed. It alone decides
+// at resolves r at epoch k: its newest version born at or before k, or
+// nil for a row created after k or not yet committed. It alone decides
 // whether a row is visible at a view.
-func (t *table) at(r *row, s uint64) *version {
+func (t *table) at(r *row, k uint64) *version {
 	for ref := r.head.Load(); ref != 0; {
 		v := t.vers.ref(int(ref - 1))
-		if uint64(v.epoch)<<32 <= s {
+		if uint64(v.epoch) <= k {
 			return v
 		}
 		ref = v.prev
@@ -146,8 +119,6 @@ func (n *Note) Bell() <-chan struct{} {
 type MVCCStats struct {
 	// HorizonEpoch is the newest fully visible transaction epoch.
 	HorizonEpoch uint64 `json:"horizonEpoch"`
-	// HorizonSeq is the committed read horizon (EpochSeq(HorizonEpoch)).
-	HorizonSeq uint64 `json:"horizonSeq"`
 	// Epochs is the newest allocated write epoch, one beyond
 	// HorizonEpoch while a write is in flight.
 	Epochs uint64 `json:"epochs"`
@@ -158,22 +129,18 @@ type MVCCStats struct {
 	Versions uint64 `json:"versions"`
 }
 
-// Horizon returns the newest committed read horizon: the largest
-// sequence s such that every epoch ≤ SeqEpoch(s) has committed.
-// At(Horizon()) pins the current state.
+// Horizon returns the committed read horizon: the newest epoch k such
+// that every epoch ≤ k has committed. At(Horizon()) pins the present.
 func (e *Engine) Horizon() uint64 { return e.horizon.Load() }
 
-// WaitHorizon blocks until the committed horizon reaches seq or ctx is
-// done. This is the horizon-publication hook replication followers (and
-// fenced reads) build on: a follower replaying a leader's log can park
-// readers until the epoch they demand has been replayed, without
-// polling. Sequences that are already visible return immediately.
-// The check-subscribe-recheck order closes the race with a concurrent
-// wake.
-func (e *Engine) WaitHorizon(ctx context.Context, seq uint64) error {
-	for e.Horizon() < seq {
+// WaitHorizon blocks until the committed horizon reaches epoch k or ctx
+// is done: a follower replaying a leader's log parks fenced reads until
+// the epoch they demand has been replayed, without polling. The
+// check-subscribe-recheck order closes the race with a concurrent wake.
+func (e *Engine) WaitHorizon(ctx context.Context, k uint64) error {
+	for e.Horizon() < k {
 		bell := e.note.Bell()
-		if e.Horizon() >= seq {
+		if e.Horizon() >= k {
 			return nil
 		}
 		select {
@@ -187,22 +154,19 @@ func (e *Engine) WaitHorizon(ctx context.Context, seq uint64) error {
 
 // MVCCStats reports the engine's version-storage counters.
 func (e *Engine) MVCCStats() MVCCStats {
-	h := e.Horizon()
-	st := MVCCStats{HorizonEpoch: SeqEpoch(h), HorizonSeq: h, Epochs: e.epoch.Load(), RestoreEpoch: e.restored}
+	st := MVCCStats{HorizonEpoch: e.Horizon(), Epochs: e.epoch.Load(), RestoreEpoch: e.restored}
 	for _, tbl := range e.tables {
 		st.Versions += uint64(tbl.nvers.Load())
 	}
 	return st
 }
 
-// At returns a read-only view of the database at the given horizon
-// sequence (see EpochSeq), clamped to the committed horizon and snapped
-// down to an epoch boundary. The view is immutable and lock-free: it
-// stays byte-identical no matter how many transactions commit after it
-// was taken.
-func (e *Engine) At(seq uint64) View {
-	return &view{e: e, s: clampSeq(seq, e.Horizon())}
-}
+// At returns a read-only view of the database as of epoch k — after
+// its first k write epochs, epoch 0 being the initial database —
+// clamped to the committed horizon. The view is immutable and
+// lock-free: it stays byte-identical no matter how many transactions
+// commit after it was taken.
+func (e *Engine) At(k uint64) View { return &view{e: e, k: min(k, e.Horizon())} }
 
 // view is the database pinned at one horizon: the one implementation of
 // the Reader surface. The engine's own Reader methods are its view at
@@ -211,21 +175,21 @@ func (e *Engine) At(seq uint64) View {
 // lock-free reads against the version chains.
 type view struct {
 	e *Engine
-	s uint64
+	k uint64
 }
 
 var _ View = (*view)(nil)
 
 // view is what seals Reader (see there): every Reader resolves to one.
 func (v view) view() view    { return v }
-func (e *Engine) view() view { return view{e: e, s: e.Horizon()} }
+func (e *Engine) view() view { return view{e: e, k: e.Horizon()} }
 
 func (v view) Mode() Mode          { return v.e.mode }
 func (v view) Schema() *db.Schema  { return v.e.schema }
 func (v view) Relations() []string { return v.e.schema.Names() }
 
-// AsOf returns the horizon sequence the view is pinned to.
-func (v view) AsOf() uint64 { return v.s }
+// AsOf returns the epoch the view is pinned to.
+func (v view) AsOf() uint64 { return v.k }
 
 // rows returns the relation's table and how many of its rows are
 // visible at the pinned horizon (0 for no table). Positions are in the
@@ -240,7 +204,7 @@ func (v view) rows(rel string) (*table, int) {
 		return nil, 0
 	}
 	n := tbl.cols.len()
-	for n > 0 && tbl.at(tbl.cols.row(n-1), v.s) == nil {
+	for n > 0 && tbl.at(tbl.cols.row(n-1), v.k) == nil {
 		n--
 	}
 	return tbl, n
@@ -259,7 +223,7 @@ func (v view) find(rel string, t db.Tuple) *version {
 	if r == nil {
 		return nil
 	}
-	return tbl.at(r, v.s)
+	return tbl.at(r, v.k)
 }
 
 func (v view) Annotation(rel string, t db.Tuple) *core.Expr {
@@ -311,7 +275,7 @@ func (v view) eachRef(rel string, f func(ref RowRef, t db.Tuple, ann *core.Expr)
 	tbl.cols.eachRows(0, n, func(rows []row) {
 		for i := range rows {
 			r := &rows[i]
-			if ver := tbl.at(r, v.s); ver != nil {
+			if ver := tbl.at(r, v.k); ver != nil {
 				*buf = tbl.tuple(r, *buf)
 				f(RowRef{Rel: rel, Pos: r.pos}, *buf, ver.base)
 			}
@@ -372,7 +336,7 @@ func (v view) each(rel string, sel db.Pattern, f func(db.Tuple)) error {
 	tbl.cols.eachRows(0, n, func(rows []row) {
 		for i := range rows {
 			if r := &rows[i]; tbl.cols.matches(int(r.pos), &u) {
-				if ver := tbl.at(r, v.s); ver != nil && v.e.matchableNF(core.NewNF(ver.base)) {
+				if ver := tbl.at(r, v.k); ver != nil && v.e.matchableNF(core.NewNF(ver.base)) {
 					*buf = tbl.tuple(r, *buf)
 					f(*buf)
 				}
@@ -423,7 +387,7 @@ func (v view) eachVersion(f func(ver *version)) {
 		tbl, n := v.rows(name)
 		tbl.cols.eachRows(0, n, func(rows []row) {
 			for i := range rows {
-				if ver := tbl.at(&rows[i], v.s); ver != nil {
+				if ver := tbl.at(&rows[i], v.k); ver != nil {
 					f(ver)
 				}
 			}

@@ -78,7 +78,7 @@ func TestRowSeqUniqueness(t *testing.T) {
 			}
 		}
 		for k := uint64(0); k <= txns; k++ {
-			if n, want := e.At(EpochSeq(k)).NumRows(), 4+2*int(k); n != want {
+			if n, want := e.At(k).NumRows(), 4+2*int(k); n != want {
 				t.Fatalf("epoch %d: %d rows visible, want %d", k, n, want)
 			}
 		}

@@ -76,7 +76,7 @@ func TestMVCCTimeTravelDifferential(t *testing.T) {
 						t.Fatalf("apply: %v", err)
 					}
 				}
-				if got, want := engine.SeqEpoch(full.Horizon()), uint64(len(txns)); got != want {
+				if got, want := full.Horizon(), uint64(len(txns)); got != want {
 					t.Fatalf("horizon epoch = %d, want %d (one epoch per transaction)", got, want)
 				}
 				for k := 0; k <= len(txns); k++ {
@@ -87,9 +87,9 @@ func TestMVCCTimeTravelDifferential(t *testing.T) {
 							t.Fatalf("oracle apply: %v", err)
 						}
 					}
-					view := full.At(engine.EpochSeq(uint64(k)))
-					if got, want := view.AsOf(), engine.EpochSeq(uint64(k)); got != want {
-						t.Fatalf("epoch %d: AsOf = %#x, want %#x", k, got, want)
+					view := full.At(uint64(k))
+					if got, want := view.AsOf(), uint64(k); got != want {
+						t.Fatalf("epoch %d: AsOf = %d, want %d", k, got, want)
 					}
 					vRows, oRows := readerRows(view), readerRows(oracle)
 					if len(vRows) != len(oRows) {
@@ -280,7 +280,7 @@ func TestSelectTimeTravel(t *testing.T) {
 							t.Fatal(err)
 						}
 					}
-					view := full.At(engine.EpochSeq(uint64(k)))
+					view := full.At(uint64(k))
 					for si, sel := range sels {
 						want, err := oracle.Select("R", sel)
 						if err != nil {
@@ -410,30 +410,29 @@ func TestSelectBesideParkedCommit(t *testing.T) {
 	}
 }
 
-// TestAtClampsMidEpoch pins At's clamping: cutting inside an epoch
-// would expose a half-applied batch, so a mid-epoch sequence snaps
-// down to the previous epoch boundary, one inside epoch 0 pins epoch 0
-// with all its rows, and sequences beyond the horizon clamp to it.
-func TestAtClampsMidEpoch(t *testing.T) {
+// TestAtClampsToHorizon pins At's clamping: an epoch at or below the
+// horizon is pinned as asked, epoch 0 with all its initial rows, and an
+// epoch beyond the horizon clamps to it.
+func TestAtClampsToHorizon(t *testing.T) {
 	initial, txns := mvccWorkload(t)
 	e := engine.Open(engine.ModeNormalForm, initial)
 	if err := e.ApplyAll(context.Background(), txns[:4]); err != nil {
 		t.Fatal(err)
 	}
-	if got, want := e.At(engine.EpochSeq(2)+1).AsOf(), engine.EpochSeq(2); got != want {
-		t.Fatalf("mid-epoch cut: AsOf = %#x, want snap to %#x", got, want)
+	if got := e.At(2).AsOf(); got != 2 {
+		t.Fatalf("At(2): AsOf = %d, want 2", got)
 	}
-	for _, seq := range []uint64{0, engine.EpochSeq(0) - 1} {
-		v := e.At(seq)
-		if got, want := v.AsOf(), engine.EpochSeq(0); got != want {
-			t.Fatalf("cut at %#x inside epoch 0: AsOf = %#x, want %#x", seq, got, want)
-		}
-		if got, want := v.NumRows(), initial.NumTuples(); got != want {
-			t.Fatalf("cut at %#x inside epoch 0: %d rows, want the initial %d", seq, got, want)
-		}
+	v := e.At(0)
+	if got := v.AsOf(); got != 0 {
+		t.Fatalf("At(0): AsOf = %d, want 0", got)
 	}
-	if got, want := e.At(^uint64(0)-1).AsOf(), e.Horizon(); got != want {
-		t.Fatalf("beyond-horizon cut: AsOf = %#x, want clamp to %#x", got, want)
+	if got, want := v.NumRows(), initial.NumTuples(); got != want {
+		t.Fatalf("At(0): %d rows, want the initial %d", got, want)
+	}
+	for _, k := range []uint64{e.Horizon() + 1, ^uint64(0)} {
+		if got, want := e.At(k).AsOf(), e.Horizon(); got != want {
+			t.Fatalf("beyond-horizon At(%d): AsOf = %d, want clamp to %d", k, got, want)
+		}
 	}
 }
 

@@ -264,7 +264,7 @@ func liveStream[S any](ctx context.Context, r Reader, workers int, rels []string
 		sc.rows, sc.tbl = sc.rows[:0], c.tbl
 		c.tbl.cols.eachRows(c.lo, c.hi, func(rows []row) {
 			for i := range rows {
-				if ver := c.tbl.at(&rows[i], p.s); ver != nil && keep(c.rel, &rows[i], ver) {
+				if ver := c.tbl.at(&rows[i], p.k); ver != nil && keep(c.rel, &rows[i], ver) {
 					sc.rows = append(sc.rows, &rows[i])
 				}
 			}

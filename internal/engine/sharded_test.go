@@ -89,13 +89,13 @@ func snapshotOf(t *testing.T, e engine.Reader) []byte {
 // byte-identical snapshots.
 func diffEveryEpoch(t *testing.T, label string, ref, e engine.DB) {
 	t.Helper()
-	last := engine.SeqEpoch(ref.Horizon())
-	if got := engine.SeqEpoch(e.Horizon()); got != last {
+	last := ref.Horizon()
+	if got := e.Horizon(); got != last {
 		t.Fatalf("%s: horizon epoch %d, reference %d", label, got, last)
 	}
 	for k := uint64(0); k <= last; k++ {
 		at := fmt.Sprintf("%s, epoch %d", label, k)
-		a, b := ref.At(engine.EpochSeq(k)), e.At(engine.EpochSeq(k))
+		a, b := ref.At(k), e.At(k)
 		want, got := streamRows(a), streamRows(b)
 		diffStreams(t, at, want, got)
 		if ref.Mode() == engine.ModeNormalForm {

@@ -555,7 +555,7 @@ func TestReadersAcrossChunkGrowth(t *testing.T) {
 				}
 				last = n
 				view := e.At(e.Horizon())
-				older := e.At(EpochSeq(SeqEpoch(view.AsOf()) / 2))
+				older := e.At(view.AsOf() / 2)
 				pinned := [2]*core.Expr{view.Annotation("R", hot), older.Annotation("R", hot)}
 				// The newest key n covers is found, holding its own tuple; the
 				// key past it is absent or, committed since, holds its own.
@@ -606,7 +606,7 @@ func TestReadersAcrossChunkGrowth(t *testing.T) {
 				}
 				for i, v := range []View{view, older} {
 					if got := v.Annotation("R", hot); got == nil || got != pinned[i] {
-						t.Errorf("the view at epoch %d read the hot row as %v, then as %v", SeqEpoch(v.AsOf()), pinned[i], got)
+						t.Errorf("the view at epoch %d read the hot row as %v, then as %v", v.AsOf(), pinned[i], got)
 					}
 					readMu.Lock()
 					read[v.AsOf()] = pinned[i]
@@ -621,9 +621,9 @@ func TestReadersAcrossChunkGrowth(t *testing.T) {
 	if got, want := e.NumRows(), 1+perTxn*txns; got != want {
 		t.Fatalf("%d rows after the writer finished, want %d", got, want)
 	}
-	for s, ann := range read {
-		if got := e.At(s).Annotation("R", hot); got != ann {
-			t.Errorf("epoch %d: the hot row reads %v, a view pinned there read %v", SeqEpoch(s), got, ann)
+	for k, ann := range read {
+		if got := e.At(k).Annotation("R", hot); got != ann {
+			t.Errorf("epoch %d: the hot row reads %v, a view pinned there read %v", k, got, ann)
 		}
 	}
 	// One version a row per epoch that wrote it: every chain runs through

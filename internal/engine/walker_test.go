@@ -149,7 +149,7 @@ func TestChunkWalkerThroughWrappers(t *testing.T) {
 	if n := len(tupleKeys(full)); n <= 2*walkChunkRows {
 		t.Fatalf("only %d live tuples: the test needs several chunks", n)
 	}
-	mid := e.At(EpochSeq(uint64(len(txns) / 2)))
+	mid := e.At(uint64(len(txns) / 2))
 	past := BoolRestrict(mid, env)
 
 	readers := []struct {
@@ -241,7 +241,7 @@ func TestChunkWalkerCancellation(t *testing.T) {
 		}
 	}
 
-	readers := map[string]Reader{"engine": e, "view": e.At(EpochSeq(0)), "wrapper": wrappedDB{DB: e, t: t}}
+	readers := map[string]Reader{"engine": e, "view": e.At(0), "wrapper": wrappedDB{DB: e, t: t}}
 	for name, r := range readers {
 		for _, workers := range []int{1, 2, 7} {
 			base := runtime.NumGoroutine()

@@ -105,7 +105,7 @@ func checkRowWords(t *testing.T, schema *db.Schema, mode engine.Mode, ops []rowO
 	e.SetCommitHook(func(ev engine.CommitEvent) {
 		for _, r := range ev.Rows {
 			tu, ok := engine.RowTuple(e, r, nil)
-			if !ok || e.At(ev.Seq).Annotation(r.Rel, tu) == nil {
+			if !ok || e.At(ev.Epoch).Annotation(r.Rel, tu) == nil {
 				t.Fatalf("%v: the event's ref %v reads %v, which the engine does not find", mode, r, tu)
 			}
 			named[rowKey(tu)] = true

@@ -59,8 +59,8 @@ func mustRoundTripOracle(t *testing.T, name string, src Source, opts ...engine.O
 		if err != nil {
 			t.Fatalf("%s: loading %s: %v", name, version, err)
 		}
-		if hz := back.Horizon(); engine.SeqEpoch(hz) != 1 {
-			t.Fatalf("%s: %s loaded in %d epochs, want one restore epoch", name, version, engine.SeqEpoch(hz))
+		if hz := back.Horizon(); hz != 1 {
+			t.Fatalf("%s: %s loaded in %d epochs, want one restore epoch", name, version, hz)
 		}
 		if !bytes.Equal(want, oracleBytes(t, name+"/reloaded", back)) {
 			t.Fatalf("%s: %s save→load changed the state (as oracle bytes)", name, version)

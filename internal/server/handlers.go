@@ -228,13 +228,12 @@ func (s *Server) asOfReader(w http.ResponseWriter, req *http.Request) (engine.Re
 		writeError(w, http.StatusBadRequest, codeBadRequest, "%v", err)
 		return nil, false
 	} else if present {
-		seq := engine.EpochSeq(n)
-		if e.Horizon() < seq {
+		if e.Horizon() < n {
 			ctx, cancel := context.WithTimeout(req.Context(), minEpochWait)
-			_ = e.WaitHorizon(ctx, seq)
+			_ = e.WaitHorizon(ctx, n)
 			cancel()
 		}
-		if h := engine.SeqEpoch(e.Horizon()); h < n {
+		if h := e.Horizon(); h < n {
 			writeError(w, http.StatusServiceUnavailable, codeReplicaLagging, "committed horizon epoch %d has not reached min_epoch %d", h, n)
 			return nil, false
 		}
@@ -247,7 +246,7 @@ func (s *Server) asOfReader(w http.ResponseWriter, req *http.Request) (engine.Re
 	if !present {
 		return e, true
 	}
-	if h := engine.SeqEpoch(e.Horizon()); n > h {
+	if h := e.Horizon(); n > h {
 		writeError(w, http.StatusBadRequest, codeBadRequest, "as_of epoch %d is beyond the committed horizon epoch %d", n, h)
 		return nil, false
 	}
@@ -255,7 +254,7 @@ func (s *Server) asOfReader(w http.ResponseWriter, req *http.Request) (engine.Re
 		writeError(w, http.StatusGone, codeCompacted, "as_of epoch %d is below the restore epoch %d", n, r)
 		return nil, false
 	}
-	return e.At(engine.EpochSeq(n)), true
+	return e.At(n), true
 }
 
 type annotationRequest struct {

@@ -221,7 +221,7 @@ func TestLiveJSONDifferential(t *testing.T) {
 			for _, ep := range endpoints {
 				wants := map[bool][]byte{
 					false: oracleBody(engine.BoolRestrict(plain, ep.env)),
-					true:  oracleBody(engine.BoolRestrict(plain.At(engine.EpochSeq(asOf(plain))), ep.env)),
+					true:  oracleBody(engine.BoolRestrict(plain.At(asOf(plain)), ep.env)),
 				}
 				if bytes.Equal(wants[false], wants[true]) {
 					t.Fatalf("%s: live and as_of oracles coincide; the test would not tell them apart", ep.path)
@@ -245,7 +245,7 @@ func TestLiveJSONDifferential(t *testing.T) {
 							}
 							r := engine.Reader(eng.e)
 							if past {
-								r = eng.e.At(engine.EpochSeq(asOf(eng.e)))
+								r = eng.e.At(asOf(eng.e))
 							}
 							first, chunks := firstWindow(t, r, workers)
 							fits := first == chunks

@@ -161,7 +161,7 @@ func TestStatsShapePinned(t *testing.T) {
 	}
 	replicationKeys := []string{
 		"ready", "applied_lsn", "leader_lsn", "lag_records", "epoch",
-		"leader_epoch", "lag_epochs", "sync_target", "reconnects", "resyncs",
+		"lag_epochs", "sync_target", "reconnects", "resyncs",
 		"records_applied", "stalls", "last_error?",
 	}
 	check := func(who, block string, stats map[string]any, want []string) {
@@ -476,7 +476,7 @@ func TestFollowerReadyzSyncing(t *testing.T) {
 	// fence is the leader's horizon epoch, which a client that wrote
 	// there observed.
 	rs := f.ReplicaStats()
-	if rs.LagRecords == 0 || rs.LagEpochs != rs.LeaderEpoch-rs.Epoch || rs.LeaderEpoch != rs.LeaderLSN {
+	if rs.LagRecords == 0 || rs.LagEpochs != rs.LeaderLSN-rs.Epoch {
 		t.Fatalf("gated follower reports no lag, or one in another unit: %+v", rs)
 	}
 	fence := st.MVCCStats().HorizonEpoch

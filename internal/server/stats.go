@@ -64,7 +64,6 @@ func collectInternStats(s *Server, e engine.DB, out map[string]any) {
 func collectMVCCStats(s *Server, e engine.DB, out map[string]any) {
 	ms := e.MVCCStats()
 	out["mvccHorizonEpoch"] = ms.HorizonEpoch
-	out["mvccHorizonSeq"] = ms.HorizonSeq
 	out["mvccEpochs"] = ms.Epochs
 	out["mvccVersions"] = ms.Versions
 }

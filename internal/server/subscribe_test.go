@@ -424,7 +424,7 @@ func TestAnnotationLiveIsTheTreeWalk(t *testing.T) {
 	for _, asOf := range []string{"", "?as_of=75"} {
 		var view engine.Reader = e
 		if asOf != "" {
-			view = e.At(engine.EpochSeq(75))
+			view = e.At(75)
 		}
 		n := 0
 		view.Rows(func(rel string, tu db.Tuple, ann *core.Expr) {

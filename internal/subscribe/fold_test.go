@@ -9,6 +9,7 @@ package subscribe
 import (
 	"context"
 	"fmt"
+	"io"
 	"runtime"
 	"runtime/debug"
 	"slices"
@@ -213,14 +214,14 @@ func TestFoldAllocsIndependentOfHistory(t *testing.T) {
 // TestHookAllocsNothing: with subscriptions registered the commit hook
 // queues an event's row refs in a buffer the dispatcher handed back, so
 // once warm it allocates nothing per commit. The measured event is one
-// every subscription has folded in already (Seq 0), so the dispatcher
+// every subscription has folded in already (epoch 0), so the dispatcher
 // folds nothing and what is counted is the hook's.
 func TestHookAllocsNothing(t *testing.T) {
 	f := newFolder(t, 10)
 	defer f.m.Close()
 	f.commit(t, 4)
 	ev := f.events[len(f.events)-1]
-	if ev.Seq = 0; len(ev.Rows) == 0 {
+	if ev.Epoch = 0; len(ev.Rows) == 0 {
 		t.Fatal("the event names no rows")
 	}
 	// The dispatcher waits on the lock while the hook fills the queue, so
@@ -427,5 +428,38 @@ func TestClosedConnectionIsCollectable(t *testing.T) {
 	}
 	if st := m.StatsSnapshot(); st.Subscriptions != 1 || st.Connections != 1 {
 		t.Fatalf("registrations after close: %+v", st)
+	}
+}
+
+// TestResyncYieldsToQueuedFrames: a reader that found its queue empty
+// may wait on the manager's lock while the dispatcher queues a delta
+// and then flags the subscription stale. The resync it then renders is
+// at a later epoch than that delta, so it must wait until the reader
+// has taken every queued frame, or the client reads the epochs going
+// back.
+func TestResyncYieldsToQueuedFrames(t *testing.T) {
+	f := newFolder(t, 10)
+	defer f.m.Close()
+	f.commit(t, 4)
+	for _, ev := range f.events {
+		f.m.applyEvent(ev)
+	}
+	if len(f.c.ch) == 0 {
+		t.Fatal("four commits queued no delta")
+	}
+	f.m.rebuild() // every subscription is stale from here
+	for len(f.c.ch) > 0 {
+		if render := f.m.takeResync(f.c); render != nil {
+			render(io.Discard)
+			t.Fatalf("a resync was taken ahead of %d queued frames", len(f.c.ch))
+		}
+		putFrame(<-f.c.ch)
+	}
+	render := f.m.takeResync(f.c)
+	if render == nil {
+		t.Fatal("no resync once the queue was empty")
+	}
+	if err := render(io.Discard); err != nil {
+		t.Fatal(err)
 	}
 }

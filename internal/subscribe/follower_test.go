@@ -168,8 +168,8 @@ func TestIndexEpochSendsNoFrame(t *testing.T) {
 		}
 	}
 	waitFollowerLSN(t, f, st.LSN())
-	if st.LSN() != 5 || engine.SeqEpoch(f.Horizon()) != 5 {
-		t.Fatalf("store LSN %d, follower horizon epoch %d, want 5", st.LSN(), engine.SeqEpoch(f.Horizon()))
+	if st.LSN() != 5 || f.Horizon() != 5 {
+		t.Fatalf("store LSN %d, follower horizon epoch %d, want 5", st.LSN(), f.Horizon())
 	}
 	frames := make([][]subscribe.Frame, len(ws))
 	for i, w := range ws {

@@ -171,7 +171,7 @@ func appendHead(b []byte, typ string, s *sub, epoch uint64, label string) []byte
 
 // appendError appends the error frame that ends s; fail says why.
 func appendError(b []byte, s *sub, fail string) []byte {
-	b = append(appendHead(b, "error", s, engine.SeqEpoch(s.since), ""), `,"code":"unframeable","message":`...)
+	b = append(appendHead(b, "error", s, s.since, ""), `,"code":"unframeable","message":`...)
 	return append(db.AppendJSONString(b, fail), '}', '\n')
 }
 
@@ -281,7 +281,7 @@ func (m *Manager) collect(typ string, s *sub) (render func(w io.Writer) error, f
 	}
 	m.countMisses(s)
 	sn.sort()
-	lists, epoch := []rowList{{"rows", sn.order, true}}, engine.SeqEpoch(s.since)
+	lists, epoch := []rowList{{"rows", sn.order, true}}, s.since
 	if fail = sn.unframeable(s, lists); fail != "" {
 		sn.release()
 		return nil, fail

@@ -31,7 +31,7 @@ type item struct {
 // announces that on the hook as a CommitReset (engine.Handle.Swap), so
 // the manager never learns which engine it is talking to.
 type source interface {
-	At(seq uint64) engine.View
+	At(k uint64) engine.View
 	Horizon() uint64
 	Schema() *db.Schema
 	SetCommitHook(engine.CommitHook)
@@ -71,8 +71,8 @@ type Manager struct {
 	// for resync.
 	lost atomic.Bool
 
-	nsubs   atomic.Int64
-	lastSeq atomic.Uint64 // newest horizon the dispatcher has folded in
+	nsubs     atomic.Int64
+	lastEpoch atomic.Uint64 // newest epoch the dispatcher has folded in
 	// resets counts the CommitResets heard. An event queued under an
 	// earlier count comes from the engine a reset has since replaced: its
 	// epoch means nothing against the new one, and the rebuild covers it.
@@ -95,7 +95,7 @@ const (
 // Close must be called to uninstall it and stop the dispatcher.
 func NewManager(d source) *Manager {
 	m := &Manager{d: d, conns: make(map[*Conn]struct{}), items: make(chan item, queueDepth), free: make(chan []engine.RowRef, queueDepth), stop: make(chan struct{})}
-	m.lastSeq.Store(d.Horizon())
+	m.lastEpoch.Store(d.Horizon())
 	m.wg.Add(1)
 	go m.dispatch()
 	d.SetCommitHook(m.hook)
@@ -112,7 +112,7 @@ func (m *Manager) hook(ev engine.CommitEvent) {
 	m.events.Add(1)
 	if m.nsubs.Load() == 0 && ev.Kind != engine.CommitReset {
 		// No subscriptions: just track the horizon; nothing to fold.
-		m.storeLastSeq(ev.Seq)
+		m.storeLastEpoch(ev.Epoch)
 		return
 	}
 	if ev.Kind == engine.CommitReset {
@@ -136,14 +136,14 @@ func (m *Manager) hook(ev engine.CommitEvent) {
 // (6 kB), so the queueDepth buffers it holds at most stay small.
 const freeRowsKeep = 256
 
-// storeLastSeq advances lastSeq monotonically: the hook stores it on the
+// storeLastEpoch advances lastEpoch monotonically: the hook stores it on the
 // committing goroutine while no subscription exists, the dispatcher when
 // it folds or rebuilds, and an event still queued for the dispatcher is
 // older than one the hook has recorded since.
-func (m *Manager) storeLastSeq(seq uint64) {
+func (m *Manager) storeLastEpoch(k uint64) {
 	for {
-		cur := m.lastSeq.Load()
-		if seq <= cur || m.lastSeq.CompareAndSwap(cur, seq) {
+		cur := m.lastEpoch.Load()
+		if k <= cur || m.lastEpoch.CompareAndSwap(cur, k) {
 			return
 		}
 	}
@@ -179,19 +179,19 @@ func (m *Manager) dispatch() {
 // own horizon, so a burst of commits yields one exact delta per commit
 // rather than a merged diff. The loop is rows-outer: each touched row's
 // annotation is resolved once on either side of the commit — At(since)
-// before, At(ev.Seq) after — and offered to the what-ifs and to the
+// before, At(ev.Epoch) after — and offered to the what-ifs and to the
 // watches on its relation, which record how it moves them; then every
 // moved subscription's frame is assembled from the commit's rows.
 func (m *Manager) applyEvent(ev engine.CommitEvent) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.storeLastSeq(ev.Seq)
-	// Every subscription the event applies to has acknowledged a horizon
-	// in the epoch before it (At snaps to epoch boundaries), so they
-	// share one before-image: the newest of those horizons.
+	m.storeLastEpoch(ev.Epoch)
+	// Every subscription the event applies to has folded in the epoch
+	// before it, so they share one before-image: the newest of their
+	// epochs.
 	since, active := uint64(0), false
 	for _, s := range m.subs {
-		if s.since < ev.Seq {
+		if s.since < ev.Epoch {
 			active, since = true, max(since, s.since)
 		}
 	}
@@ -199,7 +199,7 @@ func (m *Manager) applyEvent(ev engine.CommitEvent) {
 		return
 	}
 	f, rels := &m.fold, m.d.Schema().Names()
-	before, after := m.d.At(since), m.d.At(ev.Seq)
+	before, after := m.d.At(since), m.d.At(ev.Epoch)
 	f.reset(after)
 	defer f.reset(nil) // the fold pins no engine between commits
 	for _, ref := range ev.Rows {
@@ -221,14 +221,14 @@ func (m *Manager) applyEvent(ev engine.CommitEvent) {
 		t := f.tuple(r)
 		r.before, r.after = before.Annotation(r.Rel, t), after.Annotation(r.Rel, t)
 		for _, s := range m.whatifs {
-			if s.since < ev.Seq {
+			if s.since < ev.Epoch {
 				fanout++
 				s.move(i, r.before != nil && s.kern.Eval(r.before), r.after != nil && s.kern.Eval(r.after), false)
 			}
 		}
 		was, is := r.before != nil && !r.before.IsZero(), r.after != nil && !r.after.IsZero()
 		for _, s := range watches {
-			if s.since < ev.Seq && s.pat.Matches(t) {
+			if s.since < ev.Epoch && s.pat.Matches(t) {
 				fanout++
 				s.move(i, was, is, was && is && !r.before.Equal(r.after))
 			}
@@ -236,10 +236,10 @@ func (m *Manager) applyEvent(ev engine.CommitEvent) {
 	}
 	m.fanout.Add(fanout)
 	for _, s := range m.subs {
-		if s.since >= ev.Seq {
+		if s.since >= ev.Epoch {
 			continue
 		}
-		s.since = ev.Seq
+		s.since = ev.Epoch
 		m.countMisses(s)
 		if len(s.added)+len(s.removed)+len(s.changed) == 0 {
 			continue
@@ -297,7 +297,7 @@ func (m *Manager) rebuild() {
 		s.since, s.needResync = h, true
 		s.conn.poke()
 	}
-	m.storeLastSeq(h)
+	m.storeLastEpoch(h)
 }
 
 // Sync blocks until the dispatcher has folded in every event enqueued
@@ -378,8 +378,8 @@ func (m *Manager) StatsSnapshot() Stats {
 		FrameDrops: m.cdrops.Load(), Resyncs: m.resyncs.Load(), Rebuilds: m.rebuilds.Load(),
 		RespecNodes: m.respec.Load(), FrameBytes: m.frameBytes.Load(),
 	}
-	if last := m.lastSeq.Load(); h > last {
-		st.LagEpochs = engine.SeqEpoch(h) - engine.SeqEpoch(last)
+	if last := m.lastEpoch.Load(); h > last {
+		st.LagEpochs = h - last
 	}
 	return st
 }
@@ -521,10 +521,15 @@ func (m *Manager) Unsubscribe(c *Conn, id string) bool {
 // stale subscription, if any — or, if its frames can no longer be
 // built, the error frame that ends it — and returns its render.
 // Generated at read time: a client behind on a quiet stream still
-// repairs on its next read.
+// repairs on its next read. A frame queued on c goes first — the
+// dispatcher queued it under the lock, before any flag it raised since —
+// so the resync is never followed by an older delta.
 func (m *Manager) takeResync(c *Conn) func(io.Writer) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	if len(c.ch) > 0 {
+		return nil
+	}
 	for _, s := range m.subs {
 		if s.conn != c || !s.needResync {
 			continue

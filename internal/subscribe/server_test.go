@@ -165,7 +165,7 @@ func TestStreamThroughServer(t *testing.T) {
 					if err := e.ApplyTransaction(&marker); err != nil {
 						t.Error(err)
 					}
-					final <- engine.SeqEpoch(e.Horizon())
+					final <- e.Horizon()
 				}()
 				dropped := srv.Subscriptions().StatsSnapshot().FrameDrops
 				resp, frame := openStream(t, ts, raw, buffer, sse)

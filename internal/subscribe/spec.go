@@ -123,9 +123,9 @@ type sub struct {
 	kern *upstruct.Kernel // deletion/abort: the standing valuation and its memo
 	pat  db.Pattern       // watch: the compiled pattern
 
-	// since is the horizon sequence the client's copy reflects once it
-	// has read every frame queued so far; events at or below it are
-	// skipped, and At(since) is the before-image of the next one.
+	// since is the epoch the client's copy reflects once it has read
+	// every frame queued so far; events at or below it are skipped, and
+	// At(since) is the before-image of the next one.
 	since uint64
 	// needResync marks the client copy stale (a delta frame was dropped
 	// on the bounded queue, or the manager rebuilt). The reader repairs

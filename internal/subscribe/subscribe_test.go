@@ -277,7 +277,7 @@ func (mi *mirror) check(m *subscribe.Manager, c *subscribe.Conn, d engine.DB, sp
 		}
 		if got := mi.canonical(sp.ID); !bytes.Equal(got, want) {
 			mi.t.Fatalf("%s: subscription %q diverged at epoch %d\nclient:\n%srecompute:\n%s",
-				step, sp.ID, engine.SeqEpoch(h), got, want)
+				step, sp.ID, h, got, want)
 		}
 	}
 }
@@ -375,8 +375,7 @@ func TestProtocolAcrossResetAndRebind(t *testing.T) {
 		mi.check(m, c, d1, specs, fmt.Sprintf("before reset, txn %d", i))
 	}
 
-	hz := d1.Horizon()
-	h.hook(engine.CommitEvent{Kind: engine.CommitReset, Epoch: engine.SeqEpoch(hz), Seq: hz})
+	h.hook(engine.CommitEvent{Kind: engine.CommitReset, Epoch: d1.Horizon()})
 	mi.check(m, c, d1, specs, "reset")
 	if got := mi.frames["resync"]; got != len(specs) {
 		t.Fatalf("a reset offered %d resyncs for %d subscriptions", got, len(specs))

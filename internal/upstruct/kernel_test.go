@@ -132,7 +132,7 @@ func TestKernelEqualsEvalOnHistories(t *testing.T) {
 							}
 						}
 					}
-					mid := d.At(engine.EpochSeq(uint64(len(h.txns) / 2)))
+					mid := d.At(uint64(len(h.txns) / 2))
 					for name, dead := range sets {
 						env := oracle(dead)
 						checkReader(t, name+"/early", d, early[name], env)

@@ -173,8 +173,8 @@ func runBorrowLoad(t *testing.T, ld borrowLoad, borrowed bool) borrowOutcome {
 		}
 	}
 	for _, d := range writers {
-		for ep := uint64(1); ep <= engine.SeqEpoch(d.Horizon()); ep++ {
-			out.epochs = append(out.epochs, snapshotOf(t, d.At(engine.EpochSeq(ep))))
+		for ep := uint64(1); ep <= d.Horizon(); ep++ {
+			out.epochs = append(out.epochs, snapshotOf(t, d.At(ep)))
 		}
 	}
 	for i, m := range managers {

@@ -18,7 +18,7 @@ import (
 // write is half done when the horizon is read after it.
 func requireEpochIsLSN(t *testing.T, label string, lsn uint64, d engine.DB) {
 	t.Helper()
-	if h := engine.SeqEpoch(d.Horizon()); h != lsn {
+	if h := d.Horizon(); h != lsn {
 		t.Fatalf("%s: horizon epoch %d, LSN %d", label, h, lsn)
 	}
 }
@@ -28,13 +28,13 @@ func requireEpochIsLSN(t *testing.T, label string, lsn uint64, d engine.DB) {
 func requireSameEpochs(t *testing.T, label string, st *wal.Store, f *wal.Follower) {
 	t.Helper()
 	from := max(st.MVCCStats().RestoreEpoch, f.MVCCStats().RestoreEpoch)
-	for k := from; k <= engine.SeqEpoch(st.Horizon()); k++ {
-		requireSameReads(t, fmt.Sprintf("%s, epoch %d", label, k), st.At(engine.EpochSeq(k)), f.At(engine.EpochSeq(k)))
+	for k := from; k <= st.Horizon(); k++ {
+		requireSameReads(t, fmt.Sprintf("%s, epoch %d", label, k), st.At(k), f.At(k))
 	}
 }
 
 // TestLogPositionIsTheEpoch walks every write path of a store, and every
-// way each can fail, checking SeqEpoch(Horizon()) == LSN() after each on
+// way each can fail, checking Horizon() == LSN() after each on
 // the leader, on the leader after a crash and reopen, and on a follower
 // after its checkpoint bootstrap, after a resume and after a resync; the
 // two agree at every epoch they both hold.

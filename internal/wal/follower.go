@@ -88,7 +88,6 @@ type FollowerStats struct {
 	LeaderLSN      uint64 `json:"leader_lsn"`
 	LagRecords     uint64 `json:"lag_records"`
 	Epoch          uint64 `json:"epoch"`
-	LeaderEpoch    uint64 `json:"leader_epoch"`
 	LagEpochs      uint64 `json:"lag_epochs"`
 	SyncTarget     uint64 `json:"sync_target"`
 	Reconnects     uint64 `json:"reconnects"`
@@ -491,7 +490,7 @@ func (f *Follower) ReplicaStats() FollowerStats {
 	f.targetMu.Unlock()
 	if s := f.core.Load(); s != nil {
 		st.AppliedLSN = s.LSN()
-		st.Epoch = engine.SeqEpoch(s.Horizon())
+		st.Epoch = s.Horizon()
 	}
 	// Read after the LSN: a resync is counted before its LSN is published.
 	st.Resyncs = f.resyncs.Load()
@@ -500,8 +499,8 @@ func (f *Follower) ReplicaStats() FollowerStats {
 	}
 	// A committed record's epoch is its LSN + 1: the leader's horizon is
 	// at epoch LeaderLSN once its records are applied.
-	if st.LeaderEpoch = st.LeaderLSN; st.LeaderEpoch > st.Epoch {
-		st.LagEpochs = st.LeaderEpoch - st.Epoch
+	if st.LeaderLSN > st.Epoch {
+		st.LagEpochs = st.LeaderLSN - st.Epoch
 	}
 	if e, ok := f.lastErr.Load().(string); ok {
 		st.LastError = e

@@ -245,11 +245,11 @@ func TestReplicationDifferential(t *testing.T) {
 				if r := f.MVCCStats().RestoreEpoch; r != c {
 					t.Fatalf("follower restored at epoch %d, its checkpoint is at LSN %d", r, c)
 				}
-				if h := engine.SeqEpoch(f.Horizon()); h != engine.SeqEpoch(st.Horizon()) || h != uint64(len(txns)) {
-					t.Fatalf("follower horizon epoch %d, leader's %d, %d records", h, engine.SeqEpoch(st.Horizon()), len(txns))
+				if h := f.Horizon(); h != st.Horizon() || h != uint64(len(txns)) {
+					t.Fatalf("follower horizon epoch %d, leader's %d, %d records", h, st.Horizon(), len(txns))
 				}
 				for k := c; k <= uint64(len(txns)); k++ {
-					requireSameReads(t, fmt.Sprintf("as_of %d", k), st.At(engine.EpochSeq(k)), f.At(engine.EpochSeq(k)))
+					requireSameReads(t, fmt.Sprintf("as_of %d", k), st.At(k), f.At(k))
 				}
 
 				rs := f.ReplicaStats()

@@ -656,7 +656,7 @@ func (g *replayGroup) full() bool {
 // local log, and the checkpoint cadence runs after it. A decode or
 // restore error means the log does not match the schema.
 func (s *Store) replayLocked(g *replayGroup, corrupt error, log bool) error {
-	first := engine.SeqEpoch(s.Horizon()) // the group's first LSN: record n's epoch is n + 1
+	first := s.Horizon() // the group's first LSN: record n's epoch is n + 1
 	defer func() {
 		s.replay.Reset()
 		g.buf, g.payloads, g.txns, g.frames = g.buf[:0], g.payloads[:0], g.txns[:0], g.frames[:0]

@@ -21,11 +21,11 @@ import (
 // the log's frameWriter and frameReader; the first payload byte is the
 // message type:
 //
-//	hello      version, resync flag, mode, target LSN, horizon, snapshot LSN, schema
+//	hello      version, resync flag, mode, target LSN, horizon epoch, snapshot LSN, schema
 //	ckptChunk  a slice of the bootstrap checkpoint (resync only)
 //	ckptDone   end of the bootstrap checkpoint
 //	record     LSN + one WAL record payload, exactly the leader's bytes
-//	heartbeat  leader LSN + committed horizon, sent when idle; before the
+//	heartbeat  leader LSN + committed horizon epoch, sent when idle; before the
 //	           records of a packed frame, also their count, so that a
 //	           follower logs them as the leader did (an older follower
 //	           reads the heartbeat and ignores the count)
@@ -36,6 +36,10 @@ import (
 // checkpoint, or the follower is ahead of a leader that lost its tail)
 // and the leader instead ships its newest checkpoint followed by the
 // records after it — the follower discards local state and reloads.
+//
+// The hello's and heartbeat's horizon is the leader's committed epoch.
+// No follower reads it, so leaders and followers of any build agree on
+// version 1's layout whatever value the field carries.
 const (
 	streamVersion byte = 1
 
@@ -60,7 +64,7 @@ type helloMsg struct {
 	resync  bool
 	mode    engine.Mode
 	target  uint64 // leader LSN at connect: the initial-sync goal
-	horizon uint64 // leader's committed MVCC horizon at connect
+	horizon uint64 // leader's committed epoch at connect
 	snapLSN uint64 // checkpoint LSN that follows (resync only)
 	schema  *db.Schema
 }
