@@ -376,10 +376,11 @@ func (w *discardWriter) Write(p []byte) (int, error) { w.n += len(p); return len
 // BenchmarkWhatIf is the wire benchmark's whatif_read in process: one
 // POST /v1/whatif/abort over 100 000 tuples after 20 000 updates, through
 // the server's real handler into a discarding writer, on GOMAXPROCS
-// workers (run it at -cpu 1,2). warm keeps the buffer and kernel pools
-// across ops; cold empties them before each op, off the clock, as a
-// what-if meets them after two collections. B/op is what the handler
-// allocates per what-if, body_bytes its response.
+// workers (run it at -cpu 1,2). warm runs op after op; cold runs two
+// collections before each op, off the clock, which empty the standard
+// library's pools but, as in a server, not the free lists that keep the
+// buffers and kernels. B/op is what the handler allocates per what-if,
+// body_bytes its response.
 func BenchmarkWhatIf(b *testing.B) {
 	initial, txns := syntheticWorkload(b, workload.Config{
 		Tuples: 100000, Pool: 2000, Group: 1, Updates: 20000, QueriesPerTxn: 10, Seed: 1,

@@ -106,9 +106,8 @@ func (o *nfOpen) become(k NFKind, p Annot) {
 
 // NFRecords is one writer's free list of open records: Open gives a
 // form a record before an update, Freeze takes it back at the
-// transaction boundary, so a writer in steady state allocates none. Not
-// a sync.Pool, which every collection empties; not safe for concurrent
-// use.
+// transaction boundary, so a writer in steady state allocates none. One
+// writer owns it, so it takes no lock; not safe for concurrent use.
 type NFRecords struct{ free []*nfOpen }
 
 // nfRecordsKeep bounds the free list — 80 kB of records, 256 kB of

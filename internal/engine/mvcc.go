@@ -242,26 +242,9 @@ func (v view) NF(rel string, t db.Tuple) core.NF {
 
 // tupleBufs holds the buffers a pass builds tuples into from the word
 // columns and lends each callback in turn, so a warm pass allocates
-// nothing. A channel, not a sync.Pool: the race detector drops a pool's
-// puts at random, and the zero-allocation read gates run under it too.
-var tupleBufs = make(chan *db.Tuple, 64)
-
-// takeTuple takes a buffer from tupleBufs; giveTuple puts it back.
-func takeTuple() *db.Tuple {
-	select {
-	case b := <-tupleBufs:
-		return b
-	default:
-		return new(db.Tuple)
-	}
-}
-
-func giveTuple(b *db.Tuple) {
-	select {
-	case tupleBufs <- b:
-	default:
-	}
-}
+// nothing. Max keeps the buffers of 64 passes run at once; a kept
+// buffer is one row's values.
+var tupleBufs = db.FreeList[*db.Tuple]{Max: 64, New: func() *db.Tuple { return new(db.Tuple) }}
 
 // eachRef calls f with every row of the relation visible at the pinned
 // horizon, in insertion order: its ref, its tuple (lent) and annotation.
@@ -270,8 +253,8 @@ func (v view) eachRef(rel string, f func(ref RowRef, t db.Tuple, ann *core.Expr)
 	if n == 0 {
 		return
 	}
-	buf := takeTuple()
-	defer giveTuple(buf)
+	buf := tupleBufs.Get()
+	defer tupleBufs.Put(buf)
 	tbl.cols.eachRows(0, n, func(rows []row) {
 		for i := range rows {
 			r := &rows[i]
@@ -331,8 +314,8 @@ func (v view) each(rel string, sel db.Pattern, f func(db.Tuple)) error {
 		return err
 	}
 	tbl, n := v.rows(rel)
-	buf := takeTuple()
-	defer giveTuple(buf)
+	buf := tupleBufs.Get()
+	defer tupleBufs.Put(buf)
 	tbl.cols.eachRows(0, n, func(rows []row) {
 		for i := range rows {
 			if r := &rows[i]; tbl.cols.matches(int(r.pos), &u) {

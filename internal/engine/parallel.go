@@ -26,29 +26,26 @@ type rowChunk struct {
 	lo, hi int
 }
 
-// chunkPool recycles the chunk descriptor slices of the parallel
-// passes. Unlike the writer-owned scan-buffer free-list, parallel
-// passes run concurrently on the reader side, so this scratch really
-// needs sync.Pool. Descriptors are cleared on put so the pool never
-// pins a table.
-var chunkPool = sync.Pool{
-	New: func() any {
-		s := make([]rowChunk, 0, 128)
-		return &s
-	},
-}
+// chunkBufs recycles the chunk descriptor slices of the parallel
+// passes, cleared on put so a kept slice pins no table. Max is four
+// request-scoped passes a CPU; a kept slice is 128 descriptors (5 kB)
+// unless a pass grew it.
+var chunkBufs = db.FreeList[*[]rowChunk]{Max: 4 * runtime.NumCPU(), New: func() *[]rowChunk {
+	s := make([]rowChunk, 0, 128)
+	return &s
+}}
 
 func putChunkBuf(chunks []rowChunk) {
 	clear(chunks[:cap(chunks)])
 	chunks = chunks[:0]
-	chunkPool.Put(&chunks)
+	chunkBufs.Put(&chunks)
 }
 
 // chunks cuts the visible rows of each relation in rels, in that order,
-// into fixed-size pieces in insertion order, in a pooled buffer the
+// into fixed-size pieces in insertion order, in a recycled buffer the
 // caller returns through putChunkBuf.
 func (v view) chunks(rels []string) []rowChunk {
-	chunks := (*chunkPool.Get().(*[]rowChunk))[:0]
+	chunks := (*chunkBufs.Get())[:0]
 	for _, rel := range rels {
 		tbl, n := v.rows(rel)
 		for lo := 0; lo < n; lo += walkChunkRows {
@@ -129,8 +126,9 @@ type streamScratch struct {
 }
 
 // scratches keeps one scratch per CPU, a default pass's workers (by
-// NumCPU: GOMAXPROCS can be lowered for a while, as AllocsPerRun does).
-var scratches = FreeList[*streamScratch]{Max: runtime.NumCPU(), New: func() *streamScratch {
+// NumCPU: GOMAXPROCS can be lowered for a while, as AllocsPerRun does);
+// a kept scratch is a kernel's memo pages and 1 024 row pointers.
+var scratches = db.FreeList[*streamScratch]{Max: runtime.NumCPU(), New: func() *streamScratch {
 	return &streamScratch{k: upstruct.NewKernel(nil), rows: make([]*row, 0, walkChunkRows)}
 }}
 
@@ -140,50 +138,13 @@ func (sc *streamScratch) put() {
 	scratches.Put(sc)
 }
 
-// FreeList keeps up to Max values between uses and hands back the one
-// put last, or a New one. It is a free list, not a sync.Pool: a Pool's
-// Get never takes what another P put in its private slot, so how many
-// values a what-if made depended on where its goroutines ran
-// (whatif_read's allocation moved by ≈ 1.2 kB a what-if between runs of
-// one seed). What it keeps stays until it is taken.
-type FreeList[T any] struct {
-	New  func() T
-	Max  int
-	mu   sync.Mutex
-	free []T
-}
-
-// Get takes a kept value, or makes one.
-func (l *FreeList[T]) Get() T {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if n := len(l.free); n > 0 {
-		x := l.free[n-1]
-		l.free = l.free[:n-1]
-		return x
-	}
-	return l.New()
-}
-
-// Empty drops what l keeps, as two collections empty a sync.Pool.
-func (l *FreeList[T]) Empty() {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	clear(l.free)
-	l.free = l.free[:0]
-}
-
-// EmptyScratch empties the stream workers' free list, so the next
-// what-if makes every scratch it uses: a test of cold allocation.
-func EmptyScratch() { scratches.Empty() }
-
-// Put keeps x, unless Max values are kept already.
-func (l *FreeList[T]) Put(x T) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if len(l.free) < l.Max {
-		l.free = append(l.free, x)
-	}
+// EmptyScratch empties every free list of the engine — the stream
+// workers' scratch, the chunk descriptors and the tuple buffers — so the
+// next pass makes every buffer it uses: a test of cold allocation.
+func EmptyScratch() {
+	scratches.Empty()
+	chunkBufs.Empty()
+	tupleBufs.Empty()
 }
 
 // LiveRows is one chunk's live rows, as LiveStream's encode gets them:
@@ -205,7 +166,7 @@ func (l LiveRows) Each(f func(t db.Tuple)) {
 // call) into the chunk's slot; emit runs on the caller's goroutine and
 // gets the chunks in order, the first window (or all, if fewer) at once,
 // then each as soon as it is next, more telling whether chunks follow.
-// Workers, each on a pooled upstruct.Kernel, run at most a window of
+// Workers, each on a recycled upstruct.Kernel, run at most a window of
 // streamWindowPerWorker × workers chunks ahead of emit. Horizon pinning,
 // workers and ctx behave as in SpecializeParallel; the pass ends at
 // emit's first error or ctx.Err(), once every worker has exited, and

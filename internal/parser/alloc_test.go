@@ -1,16 +1,12 @@
-//go:build !race
-
 package parser
 
 // Allocation gates for the ingest front end, next to the engine's
 // 0-allocs/op read gates (internal/engine/alloc_test.go). The claim: a
 // parse allocates what its result keeps — a row or a pattern (and a SET
 // list) per statement, a label, an update list and the transaction
-// list — and nothing per token. Not built under the race detector,
-// whose sync.Pool drops a quarter of the puts on purpose.
+// list — and nothing per token.
 
 import (
-	"runtime/debug"
 	"testing"
 
 	"hyperprov/internal/db"
@@ -60,7 +56,7 @@ func TestParseAllocsPerStatementNotPerToken(t *testing.T) {
 	t.Logf("%d statements, %d tokens, %d bytes: %.0f allocs", statements, tokens, len(src), allocs)
 }
 
-// TestBatchAllocsWhatTheEngineKeeps: a borrowed parse on a warm pooled
+// TestBatchAllocsWhatTheEngineKeeps: a borrowed parse on a warm recycled
 // parser allocates the one thing an engine keeps of a transaction, its
 // label, and nothing else: inserted rows, patterns, SET lists and the
 // update and transaction lists live in recycled slabs, and the source is
@@ -86,8 +82,6 @@ func TestBatchAllocsWhatTheEngineKeeps(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		parse() // the slabs double until one chunk holds the log
 	}
-	// A collection in the middle would empty the pool.
-	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	if allocs := testing.AllocsPerRun(20, parse); inserts == 0 || allocs > 1 {
 		t.Fatalf("ParseSQLBatch: %.0f allocs for a label and %d inserted rows, want 1", allocs, inserts)
 	}

@@ -26,7 +26,7 @@
 // place and return a Batch whose transactions are borrowed: everything
 // an engine does not keep of a transaction (db.Transaction) — update
 // lists, inserted rows, patterns, SET lists, disequality constants —
-// lives in the pooled parser's slabs (db.Builder) and is recycled by
+// lives in the recycled parser's slabs (db.Builder) and is recycled by
 // Release, after which the bytes may be reused too. Labels are allocated
 // one by one either way: the engine keeps those.
 package parser

@@ -2,19 +2,19 @@ package parser
 
 import (
 	"fmt"
+	"runtime"
 	"strconv"
 	"strings"
-	"sync"
 	"unsafe"
 
 	"hyperprov/internal/db"
 )
 
 // logParser is a front end's state for one source text, SQL or datalog.
-// It is pooled, so its scratch and its builder's slabs survive from
-// call to call. A Batch borrows what is built in b and recycles it on
-// Release; the Parse* entry points leave it to the collector, so what
-// such a parse allocates is what its result keeps.
+// It is recycled through parsers, so its scratch and its builder's
+// slabs survive from call to call. A Batch borrows what is built in b
+// and recycles it on Release; the Parse* entry points leave it to the
+// collector, so what such a parse allocates is what its result keeps.
 type logParser struct {
 	lexer
 	s    *db.Schema
@@ -24,15 +24,18 @@ type logParser struct {
 	raws []rawTerm        // the datalog query being read
 }
 
-var parsers = sync.Pool{New: func() any { return new(logParser) }}
+// parsers keeps the parsers of four requests a CPU. A kept parser
+// holds its builder's slabs, as large as the largest batch it read
+// borrowed: at most 4 × NumCPU of the largest body a server admits.
+var parsers = db.FreeList[*logParser]{Max: 4 * runtime.NumCPU(), New: func() *logParser { return new(logParser) }}
 
 func newParser(s *db.Schema) *logParser {
-	l := parsers.Get().(*logParser)
+	l := parsers.Get()
 	l.s = s
 	return l
 }
 
-// release returns the parser to the pool holding neither the source nor
+// release returns the parser to parsers holding neither the source nor
 // anything parsed from it; recycle says the result was borrowed and its
 // holder is done with it, so the slabs stay.
 func (l *logParser) release(recycle bool) {
@@ -51,7 +54,7 @@ func (l *logParser) release(recycle bool) {
 
 // Batch is a log parsed for one engine.DB.ApplyBatch, which only
 // borrows its transactions (see db.Transaction). Txns lives in the
-// pooled parser's slabs and, for datalog variable names, in the source
+// recycled parser's slabs and, for datalog variable names, in the source
 // bytes: both are the caller's to reuse after Release, not before.
 type Batch struct {
 	Txns []db.Transaction

@@ -1,5 +1,3 @@
-//go:build !race
-
 package server
 
 // Allocation gate for the what-if read path, next to the engine's
@@ -7,10 +5,8 @@ package server
 // claim: one what-if allocates per request and per worker — request
 // decode, the valuation map, the window's slots and channels, worker
 // scratch — and nothing per row or per chunk, so ten times the rows
-// cost (almost) the same number of allocations once the buffer pools
-// are warm, and (almost) the same bytes when they are cold. Not
-// built under the race detector, whose sync.Pool drops a quarter of
-// the puts on purpose.
+// cost (almost) the same number of allocations once the free lists
+// are warm, and (almost) the same bytes when they are cold.
 
 import (
 	"context"
@@ -65,14 +61,13 @@ func TestWhatIfAllocsIndependentOfRows(t *testing.T) {
 			w.status, w.n = 0, 0
 			h.ServeHTTP(w, httptest.NewRequest("POST", "/v1/whatif/abort?workers=2", strings.NewReader(body)))
 		}
-		run() // fill the chunk-buffer pools
+		run() // fill the free lists
 		if w.status != http.StatusOK || w.n < tuples {
 			t.Fatalf("%d tuples: what-if answered %d with %d bytes", tuples, w.status, w.n)
 		}
-		// Cold pools: the free lists are emptied, the first collection
-		// moves every sync.Pool's contents to its victim cache and the
-		// second drops them, so this what-if pays for every buffer and
-		// kernel it uses.
+		// Cold: the free lists are emptied, and two collections empty
+		// the standard library's pools (net/http's, encoding/json's), so
+		// this what-if pays for every buffer and kernel it uses.
 		liveBufs.Empty()
 		engine.EmptyScratch()
 		runtime.GC()
@@ -82,8 +77,8 @@ func TestWhatIfAllocsIndependentOfRows(t *testing.T) {
 		run()
 		runtime.ReadMemStats(&after)
 		coldBytes[min(tuples/100_000, 1)] = after.TotalAlloc - before.TotalAlloc
-		// A collection in the middle would empty the pools and charge
-		// the refill to whichever size was being measured.
+		// A collection in the middle would empty the standard library's
+		// pools and charge the refill to whichever size was measured.
 		defer debug.SetGCPercent(debug.SetGCPercent(-1))
 		return testing.AllocsPerRun(5, run), w.n
 	}
@@ -93,15 +88,15 @@ func TestWhatIfAllocsIndependentOfRows(t *testing.T) {
 	if large-small > 8 {
 		t.Errorf("a what-if over 100k rows allocates %.0f times, over 10k rows %.0f: something allocates per row or per chunk", large, small)
 	}
-	// With cold pools a what-if allocates its window, not its body: one
+	// Cold, a what-if allocates its window, not its body: one
 	// buffer per chunk was ≈ 7.7 MB over 100k rows.
 	smallCold, largeCold := int64(coldBytes[0]), int64(coldBytes[1])
-	t.Logf("bytes per what-if with cold pools: %d over 10k rows, %d over 100k rows", smallCold, largeCold)
+	t.Logf("bytes per cold what-if: %d over 10k rows, %d over 100k rows", smallCold, largeCold)
 	if largeCold > 1<<20 {
-		t.Errorf("a what-if over 100k rows (a %d-byte body) allocates %d bytes with cold pools, want at most 1 MiB", largeBytes, largeCold)
+		t.Errorf("a what-if over 100k rows (a %d-byte body) allocates %d bytes cold, want at most 1 MiB", largeBytes, largeCold)
 	}
 	if d := largeCold - smallCold; d > 256<<10 || d < -256<<10 {
-		t.Errorf("with cold pools a what-if allocates %d bytes over 100k rows and %d over 10k: more than 256 KiB apart", largeCold, smallCold)
+		t.Errorf("cold, a what-if allocates %d bytes over 100k rows and %d over 10k: more than 256 KiB apart", largeCold, smallCold)
 	}
 }
 
@@ -132,7 +127,7 @@ func (m *allocMeter) ApplyBatch(ctx context.Context, txns []db.Transaction) (int
 // concatenated and looked up per request 1.88 and 29.9, and with the
 // inserted rows allocated one by one for the engine to keep 1.74 and
 // 20.9. Now that the engine keeps only the labels, the rows come from
-// the pooled parser's slabs and it reads 0.93 and 15.0 — the labels, the
+// the recycled parser's slabs and it reads 0.93 and 15.0 — the labels, the
 // request's routing, context, deadline and wrappers — gated 10 % above.
 func TestIngestAllocsPerTxn(t *testing.T) {
 	if testing.Short() {
@@ -161,7 +156,7 @@ func TestIngestAllocsPerTxn(t *testing.T) {
 		reqs[i] = httptest.NewRequest("POST", "/v1/ingest", strings.NewReader(body))
 	}
 	w := &discardWriter{header: http.Header{}}
-	const warm = 100 // the pooled parser's slabs and the body buffer reach their size
+	const warm = 100 // the recycled parser's slabs and the body buffer reach their size
 	var before, after runtime.MemStats
 	for i, req := range reqs {
 		if i == warm {

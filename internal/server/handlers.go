@@ -58,13 +58,13 @@ func (s *Server) handleReadyz(w http.ResponseWriter, req *http.Request) {
 			writeJSON(w, http.StatusServiceUnavailable, map[string]any{
 				"ok": false, "follower": true, "state": state,
 				"error": errorBody{Code: codeSyncing, Message: "follower has not finished its initial sync"},
-				"lag":   map[string]uint64{"records": rs.LagRecords, "epochs": rs.LagEpochs},
+				"lag":   map[string]uint64{"records": rs.LagRecords},
 			})
 			return
 		}
 		writeJSON(w, http.StatusOK, map[string]any{
 			"ok": true, "persistent": true, "follower": true, "state": state,
-			"lag": map[string]uint64{"records": rs.LagRecords, "epochs": rs.LagEpochs},
+			"lag": map[string]uint64{"records": rs.LagRecords},
 		})
 	default:
 		writeJSON(w, http.StatusOK, map[string]any{"ok": true, "persistent": false, "state": state})

@@ -6,8 +6,8 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"runtime"
 	"strconv"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -17,11 +17,13 @@ import (
 )
 
 // ingestBufKeep caps both what a request's Content-Length may reserve
-// up front and what goes back to the pool: a larger body grows its
+// up front and what goes back to ingestBufs: a larger body grows its
 // buffer as its bytes arrive, and that buffer is left to the collector.
 const ingestBufKeep = 1 << 20
 
-var ingestBufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+// ingestBufs keeps the request bodies of four ingests a CPU: at most
+// 4 × NumCPU × ingestBufKeep retained.
+var ingestBufs = db.FreeList[*bytes.Buffer]{Max: 4 * runtime.NumCPU(), New: func() *bytes.Buffer { return new(bytes.Buffer) }}
 
 // ingestStats accumulates the write path's per-request measurements
 // (see collectIngestStats for the field meanings).
@@ -38,7 +40,7 @@ type ingestStats struct {
 // many transactions were durably applied — the caller may safely
 // resubmit the rest.
 //
-// The body is read once into a pooled buffer reserved from
+// The body is read once into a recycled buffer reserved from
 // Content-Length and scanned where it lies. The engine only borrows
 // the transactions parsed from it (db.Transaction), so buffer and
 // batch are recycled together once the response no longer needs them:
@@ -53,11 +55,11 @@ func (s *Server) handleIngest(w http.ResponseWriter, req *http.Request) {
 	case "datalog":
 		parse = parser.ParseDatalogBatch
 	}
-	buf := ingestBufPool.Get().(*bytes.Buffer)
+	buf := ingestBufs.Get()
 	defer func() {
 		if buf.Cap() <= ingestBufKeep+bytes.MinRead {
 			buf.Reset()
-			ingestBufPool.Put(buf)
+			ingestBufs.Put(buf)
 		}
 	}()
 	if n := min(req.ContentLength, s.maxBody, ingestBufKeep); n > 0 {

@@ -21,7 +21,7 @@ import (
 // valuation", and all through serveLive: engine.LiveStream evaluates
 // the pinned MVCC view chunk by chunk in the body's relation order, each
 // worker appends its chunk's live tuples as JSON to its window slot's
-// pooled buffer, and the handler writes each chunk as soon as it is
+// recycled buffer, and the handler writes each chunk as soon as it is
 // next. A body that ends inside the first window goes out with
 // Content-Length, and errors up to then answer typed envelopes; a longer
 // one goes out chunked, and an error after its first byte aborts the
@@ -38,8 +38,8 @@ const (
 )
 
 // liveBufs keeps the slot buffers of one default window, two per CPU,
-// between what-ifs.
-var liveBufs = engine.FreeList[*[]byte]{Max: 2 * runtime.NumCPU(), New: func() *[]byte {
+// between what-ifs: at most 2 × NumCPU × liveBufKeep retained.
+var liveBufs = db.FreeList[*[]byte]{Max: 2 * runtime.NumCPU(), New: func() *[]byte {
 	b := make([]byte, 0, liveBufCap)
 	return &b
 }}

@@ -160,8 +160,8 @@ func TestStatsShapePinned(t *testing.T) {
 		"stream_fence_lsn", "streams_served", "resyncs_served",
 	}
 	replicationKeys := []string{
-		"ready", "applied_lsn", "leader_lsn", "lag_records", "epoch",
-		"lag_epochs", "sync_target", "reconnects", "resyncs",
+		"ready", "applied_lsn", "leader_lsn", "lag_records",
+		"sync_target", "reconnects", "resyncs",
 		"records_applied", "stalls", "last_error?",
 	}
 	check := func(who, block string, stats map[string]any, want []string) {
@@ -462,7 +462,7 @@ func TestFollowerReadyzSyncing(t *testing.T) {
 		t.Fatalf("syncing follower error %v, want code %q", body["error"], codeSyncing)
 	}
 	lag, _ := body["lag"].(map[string]any)
-	if lag == nil || lag["records"].(float64) <= 0 || lag["epochs"].(float64) <= 0 {
+	if lag == nil || lag["records"].(float64) <= 0 || len(lag) != 1 {
 		t.Fatalf("syncing follower reports no lag: %v", body)
 	}
 
@@ -474,9 +474,9 @@ func TestFollowerReadyzSyncing(t *testing.T) {
 	}
 	// A record's epoch is its LSN + 1 on leader and follower alike: the
 	// fence is the leader's horizon epoch, which a client that wrote
-	// there observed.
+	// there observed, and the lag in records is the lag in epochs.
 	rs := f.ReplicaStats()
-	if rs.LagRecords == 0 || rs.LagEpochs != rs.LeaderLSN-rs.Epoch {
+	if rs.LagRecords == 0 || rs.LagRecords != rs.LeaderLSN-rs.AppliedLSN {
 		t.Fatalf("gated follower reports no lag, or one in another unit: %+v", rs)
 	}
 	fence := st.MVCCStats().HorizonEpoch

@@ -119,7 +119,7 @@ func (f *folder) commit(t testing.TB, n int) {
 }
 
 // fold folds the oldest recorded event and reads the frames it queued,
-// which hands their buffers back to the pool.
+// which hands their buffers back to the free list.
 func (f *folder) fold() {
 	f.m.applyEvent(f.events[0])
 	f.events = f.events[1:]
@@ -178,13 +178,10 @@ func BenchmarkSubscriptionRespecTPCC(b *testing.B) {
 // after 500 transactions as after 5 000: nothing per member row, per
 // expression node or per byte of annotation.
 func TestFoldAllocsIndependentOfHistory(t *testing.T) {
-	if raceEnabled {
-		t.Skip("the race detector's sync.Pool drops a quarter of the puts on purpose")
-	}
 	measure := func(history int) float64 {
 		f := newFolder(t, history)
 		defer f.m.Close()
-		for i := 0; i < 50; i++ { // grow the scratch buffers and the frame pool
+		for i := 0; i < 50; i++ { // grow the scratch buffers and fill the frame list
 			f.commit(t, 1)
 			f.fold()
 		}
@@ -262,14 +259,14 @@ func (w *snapshotSink) Write(p []byte) (int, error) {
 // TestSnapshotAllocsIndependentOfRows: an ack or resync streamed to a
 // writer allocates per snapshot — a pinned view, a closure per
 // relation — and not per row or per byte: its scratch and its window
-// are pooled. Over the wire benchmark's TPC-C state after 2 400 and
+// are recycled. Over the wire benchmark's TPC-C state after 2 400 and
 // after 12 000 transactions, a deletion what-if's ack and a resync of
 // the whole 32-subscription mix, each measured after one warm-up, must
 // allocate less than a tenth of the bytes they write, write at most
 // frameKeep at a time, and never with the manager's lock held.
 func TestSnapshotAllocsIndependentOfRows(t *testing.T) {
 	if testing.Short() || raceEnabled {
-		t.Skip("applies 12 000 TPC-C transactions; the race detector's sync.Pool drops puts on purpose")
+		t.Skip("applies 12 000 TPC-C transactions")
 	}
 	g := tpcc.NewGenerator(tpcc.Scaled(0.02))
 	initial, err := g.InitialDatabase()
@@ -317,7 +314,7 @@ func TestSnapshotAllocsIndependentOfRows(t *testing.T) {
 			for c.NextTo(Polled, w) == nil {
 			}
 		}
-		// The collector stays off while the pools hold what a warm-up filled.
+		// The collector stays off between each warm-up and its measurement.
 		gc := debug.SetGCPercent(-1)
 		for _, snap := range []struct {
 			name         string

@@ -5,9 +5,9 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"runtime"
 	"slices"
 	"strconv"
-	"sync"
 
 	"hyperprov/internal/core"
 	"hyperprov/internal/db"
@@ -57,16 +57,18 @@ type Row struct {
 	Annotation string `json:"annotation,omitempty"`
 }
 
-// framePool recycles frame buffers between the dispatcher, which fills
+// frames recycles frame buffers between the dispatcher, which fills
 // them, and Conn.Next, which hands the previous one back; frameKeep
-// caps what returns to it, so one large snapshot pins nothing.
-var framePool = sync.Pool{New: func() any { b := make([]byte, 0, 1024); return &b }}
+// caps what returns to it, so one large snapshot pins nothing. Max is
+// the hook queue's depth, a burst of commits' deltas; it retains at
+// most queueDepth × frameKeep (64 MiB), though a delta is about 1 kB.
+var frames = db.FreeList[*[]byte]{Max: queueDepth, New: func() *[]byte { b := make([]byte, 0, 1024); return &b }}
 
 const frameKeep = 256 << 10
 
 func putFrame(b *[]byte) {
 	if cap(*b) <= frameKeep {
-		framePool.Put(b)
+		frames.Put(b)
 	}
 }
 
@@ -112,8 +114,9 @@ func (r *touched) ann(after bool) *core.Expr {
 }
 
 // fold is the scratch for one commit (guarded by Manager.mu) or one
-// snapshot (pooled): the rows in play, their keys, their wire order, the
-// view their values are read through and a tuple to read them into.
+// snapshot (recycled through snaps): the rows in play, their keys, their
+// wire order, the view their values are read through and a tuple to
+// read them into.
 type fold struct {
 	rows  []touched
 	order []int32
@@ -255,7 +258,11 @@ type snapshot struct {
 	window []byte
 }
 
-var snapPool = sync.Pool{New: func() any { return &snapshot{window: make([]byte, 0, frameKeep)} }}
+// snaps keeps the snapshots of one ack or resync a CPU rendering at
+// once. A kept one holds its frameKeep window and the rows of the
+// largest view it collected, ≈ 100 B a row, so that the next ack over
+// that view allocates none of them.
+var snaps = db.FreeList[*snapshot]{Max: runtime.NumCPU(), New: func() *snapshot { return &snapshot{window: make([]byte, 0, frameKeep)} }}
 
 // collect gathers s's rows at its horizon for an ack or resync through
 // the kernel (warming its memo) or the pattern, in wire order, and
@@ -264,7 +271,7 @@ var snapPool = sync.Pool{New: func() any { return &snapshot{window: make([]byte,
 // reads only the pinned view and s's head, so it runs after they release
 // it.
 func (m *Manager) collect(typ string, s *sub) (render func(w io.Writer) error, fail string) {
-	v, sn := m.d.At(s.since), snapPool.Get().(*snapshot)
+	v, sn := m.d.At(s.since), snaps.Get()
 	sn.v = v           // release emptied the rest
 	if s.kern != nil { // a what-if's members are most of the view
 		sn.rows, sn.order = slices.Grow(sn.rows, v.NumRows()), slices.Grow(sn.order, v.NumRows())
@@ -297,12 +304,12 @@ func (m *Manager) collect(typ string, s *sub) (render func(w io.Writer) error, f
 	}, ""
 }
 
-// release pools the snapshot, its scratch emptied so it pins no row
-// and no engine.
+// release puts the snapshot back in snaps, its scratch emptied so it
+// pins no row and no engine.
 func (sn *snapshot) release() {
 	clear(sn.rows)
 	sn.rows, sn.order, sn.buf, sn.v = sn.rows[:0], sn.order[:0], sn.buf[:0], nil
-	snapPool.Put(sn)
+	snaps.Put(sn)
 }
 
 // UnframeableError is why an ack could not be built; Frame is the

@@ -60,7 +60,7 @@ type Manager struct {
 	fold    fold
 
 	items  chan item
-	free   chan []engine.RowRef // the row buffers of folded events, for the hook
+	free   db.FreeList[[]engine.RowRef] // the row buffers of folded events, for the hook
 	stop   chan struct{}
 	wg     sync.WaitGroup
 	closed bool
@@ -94,7 +94,8 @@ const (
 // NewManager builds a manager over d and installs its commit hook.
 // Close must be called to uninstall it and stop the dispatcher.
 func NewManager(d source) *Manager {
-	m := &Manager{d: d, conns: make(map[*Conn]struct{}), items: make(chan item, queueDepth), free: make(chan []engine.RowRef, queueDepth), stop: make(chan struct{})}
+	m := &Manager{d: d, conns: make(map[*Conn]struct{}), items: make(chan item, queueDepth), stop: make(chan struct{})}
+	m.free = db.FreeList[[]engine.RowRef]{Max: queueDepth, New: func() []engine.RowRef { return nil }}
 	m.lastEpoch.Store(d.Horizon())
 	m.wg.Add(1)
 	go m.dispatch()
@@ -118,12 +119,7 @@ func (m *Manager) hook(ev engine.CommitEvent) {
 	if ev.Kind == engine.CommitReset {
 		m.resets.Add(1)
 	}
-	var rows []engine.RowRef
-	select {
-	case rows = <-m.free:
-	default:
-	}
-	ev.Rows = append(rows, ev.Rows...)
+	ev.Rows = append(m.free.Get(), ev.Rows...)
 	select {
 	case m.items <- item{ev: ev, resets: m.resets.Load()}:
 	default:
@@ -133,7 +129,8 @@ func (m *Manager) hook(ev engine.CommitEvent) {
 }
 
 // freeRowsKeep is the longest row buffer the hook's free list keeps
-// (6 kB), so the queueDepth buffers it holds at most stay small.
+// (6 kB). Its Max is queueDepth, one buffer for each event the queue
+// holds: at most 1.5 MB retained.
 const freeRowsKeep = 256
 
 // storeLastEpoch advances lastEpoch monotonically: the hook stores it on the
@@ -163,10 +160,7 @@ func (m *Manager) dispatch() {
 				m.applyEvent(it.ev)
 			}
 			if rows := it.ev.Rows; cap(rows) > 0 && cap(rows) <= freeRowsKeep {
-				select {
-				case m.free <- rows[:0]: // for the hook
-				default:
-				}
+				m.free.Put(rows[:0]) // for the hook
 			}
 			if it.sync != nil {
 				close(it.sync)
@@ -249,7 +243,7 @@ func (m *Manager) applyEvent(ev engine.CommitEvent) {
 			lists := []rowList{{"added", s.added, true}, {"removed", s.removed, false}, {"changed", s.changed, true}}
 			frame, fail := (*[]byte)(nil), f.unframeable(s, lists)
 			if fail == "" {
-				frame = framePool.Get().(*[]byte)
+				frame = frames.Get()
 				*frame, _, _ = f.frame((*frame)[:0], nil, "delta", s, ev.Epoch, ev.Label, lists)
 			}
 			m.send(s, frame, fail)

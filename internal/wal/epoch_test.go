@@ -163,7 +163,7 @@ func TestLogPositionIsTheEpoch(t *testing.T) {
 	}
 	f = openTestFollower(t, fdir, src, wal.WithSync(wal.SyncNever))
 	check("follower resume")
-	if rs := f.ReplicaStats(); rs.Resyncs != 0 || rs.LagEpochs != 0 {
+	if rs := f.ReplicaStats(); rs.Resyncs != 0 || rs.LagRecords != 0 {
 		t.Fatalf("resumed follower: %+v", rs)
 	}
 	requireSameEpochs(t, "resumed follower", st, f)

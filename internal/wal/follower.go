@@ -87,8 +87,6 @@ type FollowerStats struct {
 	AppliedLSN     uint64 `json:"applied_lsn"`
 	LeaderLSN      uint64 `json:"leader_lsn"`
 	LagRecords     uint64 `json:"lag_records"`
-	Epoch          uint64 `json:"epoch"`
-	LagEpochs      uint64 `json:"lag_epochs"`
 	SyncTarget     uint64 `json:"sync_target"`
 	Reconnects     uint64 `json:"reconnects"`
 	Resyncs        uint64 `json:"resyncs"`
@@ -331,7 +329,7 @@ func (f *Follower) streamOnce(ctx context.Context) (progressed bool, err error) 
 			group.add(d.buf)
 		case msgHeartbeat:
 			d := &recDecoder{buf: p[1:]}
-			// The leader's horizon follows it: epoch lsn, once applied.
+			// The second number is the unread horizon slot (stream.go).
 			lsn, _ := d.uvarint(), d.uvarint()
 			var k uint64 // the records of an announced frame
 			if len(d.buf) > 0 {
@@ -490,17 +488,11 @@ func (f *Follower) ReplicaStats() FollowerStats {
 	f.targetMu.Unlock()
 	if s := f.core.Load(); s != nil {
 		st.AppliedLSN = s.LSN()
-		st.Epoch = s.Horizon()
 	}
 	// Read after the LSN: a resync is counted before its LSN is published.
 	st.Resyncs = f.resyncs.Load()
 	if st.LeaderLSN > st.AppliedLSN {
 		st.LagRecords = st.LeaderLSN - st.AppliedLSN
-	}
-	// A committed record's epoch is its LSN + 1: the leader's horizon is
-	// at epoch LeaderLSN once its records are applied.
-	if st.LeaderLSN > st.Epoch {
-		st.LagEpochs = st.LeaderLSN - st.Epoch
 	}
 	if e, ok := f.lastErr.Load().(string); ok {
 		st.LastError = e

@@ -66,10 +66,10 @@ func FuzzReadFrame(f *testing.F) {
 	var stream bytes.Buffer
 	fw := &frameWriter{w: &stream}
 	msgs := [][]byte{
-		encodeHello(helloMsg{resync: true, mode: engine.ModeNormalForm, target: 7, horizon: 5, snapLSN: 3, schema: meta.schema}),
+		encodeHello(helloMsg{resync: true, mode: engine.ModeNormalForm, target: 7, snapLSN: 3, schema: meta.schema}),
 		append([]byte{msgCkptChunk}, seg...),
 		encodeCkptDone(3),
-		encodeHeartbeat(7, 5),
+		encodeHeartbeat(7),
 	}
 	for i, payload := range segmentRecords(f, seg) {
 		msgs = append(msgs, encodeStreamRecord(uint64(4+i), payload))

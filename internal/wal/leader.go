@@ -102,10 +102,9 @@ func (s *Store) planStream(from uint64) (streamPlan, error) {
 	}
 	plan := streamPlan{
 		hello: helloMsg{
-			mode:    s.Mode(),
-			target:  s.lsn.Load(),
-			horizon: s.Horizon(),
-			schema:  s.Schema(),
+			mode:   s.Mode(),
+			target: s.lsn.Load(),
+			schema: s.Schema(),
 		},
 		pos: from,
 	}
@@ -204,9 +203,9 @@ func (s *Store) ServeStream(ctx context.Context, w io.Writer, from uint64) error
 		case <-bell:
 		case <-hb.C:
 			s.mu.Lock()
-			lsn, horizon := s.lsn.Load(), s.Horizon()
+			lsn := s.lsn.Load()
 			s.mu.Unlock()
-			if err := fw.writeMsg(encodeHeartbeat(lsn, horizon)); err != nil {
+			if err := fw.writeMsg(encodeHeartbeat(lsn)); err != nil {
 				return err
 			}
 		}

@@ -580,15 +580,18 @@ func TestWritesAfterCloseFail(t *testing.T) {
 
 // TestFinalFrameDamageSweep damages the final frame of a sync=always log,
 // plain (one record) and packed (a group commit of ten), in every way
-// one bit or one cut can: each single-bit flip of its 8-byte header and
-// of its last 4 bytes, and a truncation at every byte offset. Each
+// one bit or one cut can: each single-bit flip of its 8-byte header, of
+// its last 4 bytes and of its whole payload, and a truncation and a
+// zero-fill to the end of the file from every byte offset. Each
 // recovery is classified as C (ErrCorrupt), T (a torn tail truncated) or
 // R (recovered, nothing truncated), and the table — the outcome of each
 // bit or offset in order, and the acknowledged transactions each class
 // lost — is logged under -v. It asserts what holds today: a truncation
-// is a tear that drops that frame's group and nothing before it. A flip
-// is only measured: some still read as a tear (the frame's CRC does not
-// cover its length).
+// or a zero-fill is a tear that drops that frame's group and nothing
+// before it, and a payload flip is either refused (a packed frame that
+// still ends as written) or such a tear. A header flip is only
+// measured: some still read as a tear (the frame's CRC does not cover
+// its length).
 func TestFinalFrameDamageSweep(t *testing.T) {
 	initial, txns := smallWorkload(t)
 	for _, tc := range []struct {
@@ -654,26 +657,61 @@ func TestFinalFrameDamageSweep(t *testing.T) {
 				t.Logf("%s %-17s %s  C %d, T %d (lost %d), R %d (lost %d)", tc.name, what, outcomes,
 					counts['C'], counts['T'], lost['T'], counts['R'], lost['R'])
 			}
-			flips := func(what string, from, to int) {
+			// dropsFrame: a tear that truncates the final frame and loses its
+			// group, nothing before it.
+			dropsFrame := func(c byte, l uint64, truncated int64) bool {
+				return c == 'T' && l == group && truncated == int64(len(data)-last)
+			}
+			// flips flips each bit of data[from:to] in turn; want, when
+			// given, is what the flip at byte at must come to.
+			flips := func(what string, from, to int, want func(at int, c byte, l uint64, truncated int64) bool) {
 				var out []byte
 				lost := map[byte]uint64{}
 				for at := from; at < to; at++ {
 					for bit := range 8 {
 						damaged := bytes.Clone(data)
 						damaged[at] ^= 1 << bit
-						c, l, _ := recoverFrom(damaged)
+						c, l, truncated := recoverFrom(damaged)
+						if want != nil && !want(at, c, l, truncated) {
+							t.Errorf("%s: bit %d of the final frame's byte %d: class %c, %d transactions lost, %d bytes truncated",
+								what, bit, at-last, c, l, truncated)
+						}
 						out, lost[c] = append(out, c), max(lost[c], l)
 					}
 				}
 				row(what, out, lost)
 			}
 			t.Logf("%s: final frame of %d bytes at offset %d holds %d of %d acknowledged transactions", tc.name, len(data)-last, last, group, full)
-			flips("length flips", last, last+4)
-			flips("CRC flips", last+4, last+8)
-			flips("last-4-byte flips", len(data)-4, len(data))
+			flips("length flips", last, last+4, nil)
+			flips("CRC flips", last+4, last+8, nil)
+			flips("last-4-byte flips", len(data)-4, len(data), nil)
+			// A flipped payload bit fails the CRC. A final packed frame that
+			// still ends as written is refused; any other is a tear.
+			flips("payload flips", last+8, len(data), func(at int, c byte, l uint64, truncated int64) bool {
+				if tc.typ == 0x80 && at < len(data)-4 {
+					return c == 'C'
+				}
+				return dropsFrame(c, l, truncated)
+			})
+
+			// A zero-fill from any byte of the final frame to the end of the
+			// file is a tear that drops the frame, unless it changed nothing.
+			var zeros []byte
+			lost := map[byte]uint64{}
+			for at := last; at < len(data); at++ {
+				damaged := bytes.Clone(data)
+				clear(damaged[at:])
+				c, l, truncated := recoverFrom(damaged)
+				if !dropsFrame(c, l, truncated) && !(bytes.Equal(damaged, data) && c == 'R' && l == 0) {
+					t.Errorf("zero-fill from the final frame's byte %d of %d: class %c, %d transactions lost, %d bytes truncated; want a tear losing its %d",
+						at-last, len(data)-last, c, l, truncated, group)
+				}
+				zeros, lost[c] = append(zeros, c), max(lost[c], l)
+			}
+			row("zero-fills", zeros, lost)
 
 			var cuts []byte
-			lost := map[byte]uint64{}
+			clear(lost)
 			for cut := last; cut < len(data); cut++ {
 				c, l, truncated := recoverFrom(data[:cut])
 				if c == 'C' || l != group || truncated != int64(cut-last) {

@@ -21,11 +21,11 @@ import (
 // the log's frameWriter and frameReader; the first payload byte is the
 // message type:
 //
-//	hello      version, resync flag, mode, target LSN, horizon epoch, snapshot LSN, schema
+//	hello      version, resync flag, mode, target LSN, target LSN again, snapshot LSN, schema
 //	ckptChunk  a slice of the bootstrap checkpoint (resync only)
 //	ckptDone   end of the bootstrap checkpoint
 //	record     LSN + one WAL record payload, exactly the leader's bytes
-//	heartbeat  leader LSN + committed horizon epoch, sent when idle; before the
+//	heartbeat  leader LSN, twice, sent when idle; before the
 //	           records of a packed frame, also their count, so that a
 //	           follower logs them as the leader did (an older follower
 //	           reads the heartbeat and ignores the count)
@@ -37,9 +37,12 @@ import (
 // and the leader instead ships its newest checkpoint followed by the
 // records after it — the follower discards local state and reloads.
 //
-// The hello's and heartbeat's horizon is the leader's committed epoch.
-// No follower reads it, so leaders and followers of any build agree on
-// version 1's layout whatever value the field carries.
+// The second copy of the LSN in the hello and an idle heartbeat is the
+// slot where the leader's committed horizon went (a heartbeat that
+// announces a packed frame writes 0 there). Read under the store's lock
+// the horizon epoch is the LSN, so writing the LSN keeps every stream
+// byte; no follower reads the slot, so builds of either side agree on
+// version 1's layout.
 const (
 	streamVersion byte = 1
 
@@ -64,7 +67,6 @@ type helloMsg struct {
 	resync  bool
 	mode    engine.Mode
 	target  uint64 // leader LSN at connect: the initial-sync goal
-	horizon uint64 // leader's committed epoch at connect
 	snapLSN uint64 // checkpoint LSN that follows (resync only)
 	schema  *db.Schema
 }
@@ -80,7 +82,7 @@ func encodeHello(h helloMsg) []byte {
 	}
 	e.byte(byte(h.mode))
 	e.uvarint(h.target)
-	e.uvarint(h.horizon)
+	e.uvarint(h.target) // the horizon's slot (see the layout above)
 	e.uvarint(h.snapLSN)
 	encodeSchema(&e, h.schema)
 	return e.buf.Bytes()
@@ -90,7 +92,9 @@ func decodeHello(d *recDecoder) (helloMsg, error) {
 	if ver := d.byte(); d.err == nil && ver != streamVersion {
 		return helloMsg{}, fmt.Errorf("stream version %d, want %d", ver, streamVersion)
 	}
-	h := helloMsg{resync: d.byte() == 1, mode: engine.Mode(d.byte()), target: d.uvarint(), horizon: d.uvarint(), snapLSN: d.uvarint()}
+	h := helloMsg{resync: d.byte() == 1, mode: engine.Mode(d.byte()), target: d.uvarint()}
+	d.uvarint() // the horizon's slot
+	h.snapLSN = d.uvarint()
 	if d.err != nil {
 		return h, d.err
 	}
@@ -99,11 +103,11 @@ func decodeHello(d *recDecoder) (helloMsg, error) {
 	return h, err
 }
 
-func encodeHeartbeat(lsn, horizon uint64) []byte {
+func encodeHeartbeat(lsn uint64) []byte {
 	var e recEncoder
 	e.byte(msgHeartbeat)
 	e.uvarint(lsn)
-	e.uvarint(horizon)
+	e.uvarint(lsn) // the horizon's slot
 	return e.buf.Bytes()
 }
 
