@@ -41,7 +41,7 @@ func runServe(args []string) error {
 	queueWait := fs.Duration("queue-wait", time.Second, "longest a request may wait in a class queue before it is shed")
 	minService := fs.Duration("min-service", 0, "shed a queued request immediately if its deadline leaves less than this to actually serve it")
 	maxBody := fs.Int64("max-body-bytes", 64<<20, "largest accepted request body (ingest logs, snapshot uploads); oversize answers 413")
-	stallTimeout := fs.Duration("stall-timeout", 10*time.Second, "silence on the replication stream before the follower declares it dead and redials (with -follow; 0 waits forever)")
+	stallTimeout := fs.Duration("stall-timeout", 10*time.Second, "silence on the replication stream, its opening included, before the follower declares it dead and redials (with -follow; 0 waits forever)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}

@@ -2,186 +2,189 @@ package netfault
 
 import (
 	"bufio"
+	"context"
+	"errors"
 	"fmt"
-	"net"
+	"io"
+	"net/http"
+	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
 )
 
-// echoServer accepts connections and echoes lines back.
-func echoServer(t *testing.T) string {
+// lineServer answers every GET with the lines sent on its channel, each
+// flushed as it comes, until the client goes.
+func lineServer(t *testing.T) (string, chan<- string) {
 	t.Helper()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { ln.Close() })
-	go func() {
+	lines := make(chan string, 16)
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
+		w.WriteHeader(http.StatusOK)
+		w.(http.Flusher).Flush()
 		for {
-			c, err := ln.Accept()
-			if err != nil {
+			select {
+			case <-req.Context().Done():
 				return
+			case line := <-lines:
+				fmt.Fprintln(w, line)
+				w.(http.Flusher).Flush()
 			}
-			go func() {
-				defer c.Close()
-				sc := bufio.NewScanner(c)
-				for sc.Scan() {
-					fmt.Fprintf(c, "%s\n", sc.Text())
-				}
-			}()
 		}
-	}()
-	return ln.Addr().String()
+	}))
+	t.Cleanup(ts.Close)
+	return ts.URL, lines
 }
 
-func newTestProxy(t *testing.T, target string) *Proxy {
+// bodyServer answers every GET with body.
+func bodyServer(t *testing.T, body string) string {
 	t.Helper()
-	p, err := New(target)
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+		io.WriteString(w, body)
+	}))
+	t.Cleanup(ts.Close)
+	return ts.URL
+}
+
+func openBody(t *testing.T, l *link, u string) io.ReadCloser {
+	t.Helper()
+	rc, err := l.open(context.Background(), dialGet(u))
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(p.Close)
-	return p
+	t.Cleanup(func() { rc.Close() })
+	return rc
 }
 
-func roundTrip(t *testing.T, conn net.Conn, msg string) (string, error) {
-	t.Helper()
-	conn.SetDeadline(time.Now().Add(5 * time.Second))
-	if _, err := fmt.Fprintf(conn, "%s\n", msg); err != nil {
-		return "", err
-	}
-	line, err := bufio.NewReader(conn).ReadString('\n')
-	return strings.TrimSpace(line), err
-}
-
-// TestProxyForwards: the healthy proxy is transparent.
+// TestProxyForwards: a healthy link delivers the body as sent.
 func TestProxyForwards(t *testing.T) {
-	p := newTestProxy(t, echoServer(t))
-	conn, err := net.Dial("tcp", p.Addr())
-	if err != nil {
-		t.Fatal(err)
+	l := newLink()
+	body := strings.Repeat("forwarded ", 1000)
+	got, err := io.ReadAll(openBody(t, l, bodyServer(t, body)))
+	if err != nil || string(got) != body {
+		t.Fatalf("read %d bytes, %v; want the %d sent", len(got), err, len(body))
 	}
-	defer conn.Close()
-	got, err := roundTrip(t, conn, "hello")
-	if err != nil || got != "hello" {
-		t.Fatalf("round trip: %q, %v", got, err)
-	}
-	st := p.StatsSnapshot()
-	if st.Accepted != 1 || st.Bytes == 0 {
-		t.Fatalf("stats %+v, want 1 accepted and bytes > 0", st)
+	if st := l.Stats(); st.Opened != 1 || st.Active != 1 || st.Bytes != int64(len(body)) {
+		t.Fatalf("stats %+v, want 1 opened and active, %d bytes", st, len(body))
 	}
 }
 
-// TestProxyLatency: configured delay shows up in the round trip.
+// TestProxyLatency: the configured delay shows up in each read.
 func TestProxyLatency(t *testing.T) {
-	p := newTestProxy(t, echoServer(t))
-	p.SetLatency(60*time.Millisecond, 0)
-	conn, err := net.Dial("tcp", p.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	start := time.Now()
-	if _, err := roundTrip(t, conn, "ping"); err != nil {
-		t.Fatal(err)
-	}
-	// Request and reply each cross the proxy once: ≥ 2×60ms.
-	if el := time.Since(start); el < 120*time.Millisecond {
-		t.Fatalf("round trip took %v, want ≥ 120ms with 60ms per-direction latency", el)
-	}
-}
-
-// TestProxyPartition: live connections blackhole (no FIN, just
-// silence), new connections are refused, and Heal restores both.
-func TestProxyPartition(t *testing.T) {
-	p := newTestProxy(t, echoServer(t))
-	conn, err := net.Dial("tcp", p.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	if _, err := roundTrip(t, conn, "before"); err != nil {
-		t.Fatal(err)
-	}
-	p.Partition()
-	// The live connection stalls rather than erroring.
-	conn.SetDeadline(time.Now().Add(150 * time.Millisecond))
-	fmt.Fprintf(conn, "lost\n")
-	if _, err := bufio.NewReader(conn).ReadString('\n'); err == nil {
-		t.Fatal("read succeeded through a partition")
-	} else if ne, ok := err.(net.Error); !ok || !ne.Timeout() {
-		t.Fatalf("partitioned read failed with %v, want a timeout (silence, not a close)", err)
-	}
-	// New connections fail fast (accepted then reset).
-	c2, err := net.Dial("tcp", p.Addr())
-	if err == nil {
-		c2.SetDeadline(time.Now().Add(2 * time.Second))
-		if _, rerr := bufio.NewReader(c2).ReadString('\n'); rerr == nil {
-			t.Fatal("new connection served through a partition")
+	l := newLink()
+	l.SetLatency(60*time.Millisecond, 0)
+	u, lines := lineServer(t)
+	r := bufio.NewReader(openBody(t, l, u))
+	for i := 0; i < 2; i++ {
+		start := time.Now()
+		lines <- "ping"
+		if _, err := r.ReadString('\n'); err != nil {
+			t.Fatal(err)
 		}
-		c2.Close()
-	}
-	if got := p.StatsSnapshot().Refused; got == 0 {
-		t.Fatalf("refused counter %d, want > 0", got)
-	}
-	p.Heal()
-	// The blackholed write was held, not dropped: after heal the echo
-	// arrives and the connection keeps working.
-	conn.SetDeadline(time.Now().Add(5 * time.Second))
-	line, err := bufio.NewReader(conn).ReadString('\n')
-	if err != nil || strings.TrimSpace(line) != "lost" {
-		t.Fatalf("post-heal read: %q, %v (want the held line)", line, err)
+		if took := time.Since(start); took < 60*time.Millisecond {
+			t.Fatalf("read %d took %v, want ≥ 60ms with 60ms latency", i, took)
+		}
 	}
 }
 
-// TestProxyResetAll: a mid-stream reset errors the client promptly.
+// TestProxyPartition: a partition silences open connections (no end of
+// stream, only a wait) and refuses new opens, a held open answers
+// nothing until its context ends, and Heal delivers what was held.
+func TestProxyPartition(t *testing.T) {
+	l := newLink()
+	u, lines := lineServer(t)
+	r := bufio.NewReader(openBody(t, l, u))
+	lines <- "before"
+	if line, err := r.ReadString('\n'); err != nil || line != "before\n" {
+		t.Fatalf("read %q, %v", line, err)
+	}
+	l.Partition()
+	lines <- "held"
+	got := make(chan string, 1)
+	go func() {
+		line, err := r.ReadString('\n')
+		if err != nil {
+			line = err.Error()
+		}
+		got <- line
+	}()
+	select {
+	case line := <-got:
+		t.Fatalf("read %q through a partition", line)
+	case <-time.After(150 * time.Millisecond):
+	}
+	if _, err := l.open(context.Background(), dialGet(u)); !errors.Is(err, errRefused) {
+		t.Fatalf("open through a partition: %v, want it refused", err)
+	}
+	if st := l.Stats(); st.Refused != 1 || st.Opened != 1 {
+		t.Fatalf("stats %+v, want 1 refused and 1 opened", st)
+	}
+
+	l.HoldOpen()
+	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
+	defer cancel()
+	if _, err := l.open(ctx, dialGet(u)); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("held open ended with %v, want its context's deadline", err)
+	}
+	if st := l.Stats(); st.Held != 1 || st.Refused != 1 {
+		t.Fatalf("stats %+v, want 1 held and still 1 refused", st)
+	}
+
+	l.Heal()
+	select {
+	case line := <-got:
+		if line != "held\n" {
+			t.Fatalf("after heal read %q, want the held line", line)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("the held line never arrived after the heal")
+	}
+}
+
+// TestProxyResetAll: ResetAll ends every open connection promptly and
+// the link keeps serving new ones; ResetAt ends one after exactly its
+// bytes.
 func TestProxyResetAll(t *testing.T) {
-	p := newTestProxy(t, echoServer(t))
-	conn, err := net.Dial("tcp", p.Addr())
-	if err != nil {
+	l := newLink()
+	u, lines := lineServer(t)
+	r := bufio.NewReader(openBody(t, l, u))
+	lines <- "up"
+	if _, err := r.ReadString('\n'); err != nil {
 		t.Fatal(err)
 	}
-	defer conn.Close()
-	if _, err := roundTrip(t, conn, "up"); err != nil {
-		t.Fatal(err)
+	l.ResetAll()
+	if _, err := r.ReadString('\n'); !errors.Is(err, errCut) {
+		t.Fatalf("read after ResetAll: %v, want the reset", err)
 	}
-	p.ResetAll()
-	conn.SetDeadline(time.Now().Add(5 * time.Second))
-	fmt.Fprintf(conn, "after\n")
-	if _, err := bufio.NewReader(conn).ReadString('\n'); err == nil {
-		t.Fatal("read succeeded after ResetAll")
+	if st := l.Stats(); st.Resets != 1 || st.Active != 0 {
+		t.Fatalf("stats %+v, want 1 reset and none active", st)
 	}
-	if got := p.StatsSnapshot().Resets; got == 0 {
-		t.Fatalf("resets counter %d, want > 0", got)
+
+	l.ResetAt(7)
+	got, err := io.ReadAll(openBody(t, l, bodyServer(t, "0123456789")))
+	if string(got) != "0123456" || !errors.Is(err, errCut) {
+		t.Fatalf("read %q, %v; want 7 bytes, then the reset", got, err)
 	}
-	// The proxy still serves fresh connections.
-	c2, err := net.Dial("tcp", p.Addr())
-	if err != nil {
-		t.Fatal(err)
+	if st := l.Stats(); st.Resets != 2 || !reflect.DeepEqual(st.ResetBytes, []int64{3, 7}) {
+		t.Fatalf("stats %+v, want 2 resets, after 3 and 7 bytes", st)
 	}
-	defer c2.Close()
-	if got, err := roundTrip(t, c2, "fresh"); err != nil || got != "fresh" {
-		t.Fatalf("post-reset round trip: %q, %v", got, err)
+	if got, err := io.ReadAll(openBody(t, l, bodyServer(t, "fresh"))); err != nil || string(got) != "fresh" {
+		t.Fatalf("after the resets read %q, %v", got, err)
 	}
 }
 
-// TestProxyBandwidth: a tight cap stretches a bulk transfer.
+// TestProxyBandwidth: a cap stretches a transfer to at least its bytes
+// over the rate.
 func TestProxyBandwidth(t *testing.T) {
-	p := newTestProxy(t, echoServer(t))
-	p.SetBandwidth(64 << 10) // 64 KiB/s
-	conn, err := net.Dial("tcp", p.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	payload := strings.Repeat("x", 32<<10) // 32 KiB each way
+	const rate, size = 64 << 10, 16 << 10
+	l := newLink()
+	l.SetBandwidth(rate)
+	rc := openBody(t, l, bodyServer(t, strings.Repeat("x", size)))
 	start := time.Now()
-	if got, err := roundTrip(t, conn, payload); err != nil || got != payload {
-		t.Fatalf("bulk round trip failed: %v (got %d bytes)", err, len(got))
+	if n, err := io.Copy(io.Discard, rc); err != nil || n != size {
+		t.Fatalf("copied %d bytes, %v", n, err)
 	}
-	// 64 KiB total at 64 KiB/s ≈ 1s; allow generous slack downward.
-	if el := time.Since(start); el < 500*time.Millisecond {
-		t.Fatalf("bulk transfer took %v, want ≥ 500ms under the cap", el)
+	if took, least := time.Since(start), time.Duration(size*int64(time.Second)/rate); took < least {
+		t.Fatalf("%d bytes at %d B/s took %v, want at least %v", size, rate, took, least)
 	}
 }

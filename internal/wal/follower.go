@@ -231,24 +231,30 @@ func (f *Follower) streamOnce(ctx context.Context) (progressed bool, err error) 
 	if s := f.core.Load(); s != nil {
 		from = s.LSN()
 	}
-	rc, err := f.src(ctx, from)
-	if err != nil {
-		return false, err
-	}
-	defer rc.Close()
-	defer context.AfterFunc(ctx, func() { rc.Close() })()
-
-	// The stall timer, armed while a read waits, bounds the silence
-	// between frames: heartbeats flow every heartbeat interval even on an
-	// idle leader, so a silent link past the timeout is partitioned, not
-	// just quiet. With no timeout it never fires.
+	// The stall timer, armed while the open or a read waits, bounds the
+	// silence before each frame: heartbeats flow every heartbeat interval
+	// even on an idle leader, so a silent link past the timeout is
+	// partitioned, not just quiet. It cancels the session's context, which
+	// ends the open or closes the transport. With no timeout it never fires.
 	timeout := f.o.stallTimeout
 	if timeout <= 0 {
 		timeout = math.MaxInt64
 	}
+	sctx, cancel := context.WithCancel(ctx)
+	defer cancel()
 	var stalled atomic.Bool
-	stall := time.AfterFunc(timeout, func() { stalled.Store(true); rc.Close() })
+	stall := time.AfterFunc(timeout, func() { stalled.Store(true); cancel() })
 	defer stall.Stop()
+	rc, err := f.src(sctx, from)
+	if err != nil {
+		if ctx.Err() == nil && stalled.Load() {
+			f.stalls.Add(1)
+			return false, ErrStreamStalled
+		}
+		return false, err
+	}
+	defer rc.Close()
+	defer context.AfterFunc(sctx, func() { rc.Close() })()
 	fr := newFrameReader(rc, ErrStreamCorrupt)
 	next := func() ([]byte, error) {
 		if err := ctx.Err(); err != nil {

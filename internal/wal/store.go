@@ -192,12 +192,12 @@ func WithRedialBackoff(base, cap time.Duration) Option {
 }
 
 // WithStreamStallTimeout bounds how long a follower session waits for
-// the next frame before declaring the link dead and redialing. Idle
-// leaders heartbeat every WithHeartbeatEvery (default 500ms), so a
-// healthy stream is never silent for long — the timeout catches
-// network partitions that blackhole the connection without closing it.
-// Default 10s; 0 or negative waits forever (the pre-partition-aware
-// behavior). Ignored by leader stores.
+// the stream to open or for the next frame before declaring the link
+// dead and redialing. Idle leaders heartbeat every WithHeartbeatEvery
+// (default 500ms), so a healthy stream is never silent for long — the
+// timeout catches network partitions that blackhole the connection
+// without closing it. Default 10s; 0 or negative waits forever (the
+// pre-partition-aware behavior). Ignored by leader stores.
 func WithStreamStallTimeout(d time.Duration) Option {
 	return func(o *options) { o.stallTimeout = d }
 }

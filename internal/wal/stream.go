@@ -120,8 +120,10 @@ func encodeCkptDone(lsn uint64) []byte {
 
 // StreamSource opens one replication stream resuming at from — the
 // follower's transport abstraction. Production followers use
-// HTTPSource; tests wire the leader's ServeStream through an
-// in-process pipe (optionally corrupting it) without a socket.
+// HTTPSource; tests wire ServeStream through an in-process pipe
+// (optionally corrupting it) or wrap HTTPSource's body to inject network
+// faults. ctx ends with the session, or when the open stays silent past
+// the stall timeout.
 type StreamSource func(ctx context.Context, from uint64) (io.ReadCloser, error)
 
 // HTTPSource is a StreamSource dialing a leader's replication endpoint
